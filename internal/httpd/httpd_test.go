@@ -2,7 +2,9 @@ package httpd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -16,6 +18,7 @@ import (
 	"tbnet/internal/fleet"
 	"tbnet/internal/registry"
 	"tbnet/internal/serial"
+	"tbnet/internal/serve"
 	"tbnet/internal/tee"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
@@ -418,6 +421,32 @@ func TestReaperExpiresIdleModels(t *testing.T) {
 	}
 	if got := s.metrics.reaped.Load(); got < 1 {
 		t.Fatalf("reaped counter = %d, want >= 1", got)
+	}
+}
+
+// TestShutdownWithoutServe is the regression for a daemon that is built,
+// mounted through Handler (or never used) and shut down without Serve ever
+// running: Shutdown used to wait forever for a reaper loop that was never
+// started. It must return promptly and still close the fleet, with and
+// without an idle TTL configured.
+func TestShutdownWithoutServe(t *testing.T) {
+	for _, ttl := range []time.Duration{0, time.Minute} {
+		s, f := testServer(t, nil, func(c *Config) { c.IdleTTL = ttl })
+		done := make(chan error, 1)
+		go func() { done <- s.Shutdown(context.Background()) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("IdleTTL %v: Shutdown = %v", ttl, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("IdleTTL %v: Shutdown without Serve still blocked after 1s", ttl)
+		}
+		if _, err := f.Infer(context.Background(), randSample(1)); !errors.Is(err, serve.ErrClosed) {
+			t.Fatalf("IdleTTL %v: Infer after Shutdown = %v, want ErrClosed", ttl, err)
+		}
+		s.reaper.start() // a late Serve must not resurrect the loop
+		s.reaper.stop()
 	}
 }
 

@@ -21,11 +21,15 @@ type reaper struct {
 	log      *slog.Logger
 	metrics  *httpMetrics
 
+	// mu guards lastSeen and the loop's lifecycle: done is the scan loop's
+	// exit signal, nil until start launches the loop — so stop has nothing
+	// to wait for on a reaper that never ran — and stopped records that
+	// stopCh is closed.
 	mu       sync.Mutex
 	lastSeen map[string]time.Time
-
-	stopCh chan struct{}
-	done   chan struct{}
+	done     chan struct{}
+	stopped  bool
+	stopCh   chan struct{}
 }
 
 // newReaper builds a reaper over f. With ttl 0 the reaper only tracks
@@ -39,7 +43,6 @@ func newReaper(f *fleet.Fleet, ttl, interval time.Duration, log *slog.Logger, m 
 		metrics:  m,
 		lastSeen: make(map[string]time.Time),
 		stopCh:   make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 }
 
@@ -50,14 +53,21 @@ func (rp *reaper) touch(model string) {
 	rp.mu.Unlock()
 }
 
-// start launches the scan loop (no-op when the TTL is 0).
+// start launches the scan loop. It is a no-op when the TTL is 0, when the
+// loop already runs, and after stop.
 func (rp *reaper) start() {
 	if rp.ttl <= 0 {
-		close(rp.done)
 		return
 	}
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	if rp.done != nil || rp.stopped {
+		return
+	}
+	done := make(chan struct{})
+	rp.done = done
 	go func() {
-		defer close(rp.done)
+		defer close(done)
 		tick := time.NewTicker(rp.interval)
 		defer tick.Stop()
 		for {
@@ -71,14 +81,19 @@ func (rp *reaper) start() {
 	}()
 }
 
-// stop halts the scan loop and waits for an in-progress sweep to finish.
+// stop halts the scan loop and waits for an in-progress sweep to finish. It
+// is safe before start (nothing to wait for), after it, and more than once.
 func (rp *reaper) stop() {
-	select {
-	case <-rp.stopCh:
-	default:
+	rp.mu.Lock()
+	if !rp.stopped {
+		rp.stopped = true
 		close(rp.stopCh)
 	}
-	<-rp.done
+	done := rp.done
+	rp.mu.Unlock()
+	if done != nil {
+		<-done
+	}
 }
 
 // sweep removes every non-default hosted model whose last touch is older

@@ -20,8 +20,9 @@ type Arena struct {
 	bufs map[arenaKey]*tensor.Tensor
 
 	// Int8-path scratch, one of each per pool worker: quantized input
-	// images, int8 im2row patches, and the int32 GEMM accumulator. Empty
-	// until a quantized layer runs, so float32 sessions pay nothing.
+	// images (HWC for convolutions, flat for dense and depthwise layers),
+	// int8 im2row patches, and the int32 GEMM accumulator. Empty until a
+	// quantized layer runs, so float32 sessions pay nothing.
 	i8bufs [][]int8
 	i8cols [][]int8
 	i32buf [][]int32
@@ -58,7 +59,11 @@ func (a *Arena) ColScratch(w, n int) []float32 {
 }
 
 // I8Buf returns worker w's quantized-input scratch grown to at least n
-// int8s. Contents are undefined; callers overwrite before reading.
+// int8s: one sample's int8 image, pixel-major (HWC) when a convolution
+// quantizes into it — for a pointwise convolution that image is handed to
+// the GEMM as the patch matrix directly — and in the input's own order for
+// dense and depthwise layers. Contents are undefined; callers overwrite
+// before reading.
 func (a *Arena) I8Buf(w, n int) []int8 {
 	if cap(a.i8bufs[w]) < n {
 		a.i8bufs[w] = make([]int8, n)
@@ -66,9 +71,10 @@ func (a *Arena) I8Buf(w, n int) []int8 {
 	return a.i8bufs[w][:n]
 }
 
-// I8Cols returns worker w's int8 patch scratch (the Im2RowI8 destination)
-// grown to at least n int8s. Contents are undefined; callers overwrite
-// before reading.
+// I8Cols returns worker w's int8 patch scratch (the Im2RowI8HWC
+// destination: one (ky, kx, channel)-ordered patch row per output pixel)
+// grown to at least n int8s. Pointwise convolutions never draw it. Contents
+// are undefined; callers overwrite before reading.
 func (a *Arena) I8Cols(w, n int) []int8 {
 	if cap(a.i8cols[w]) < n {
 		a.i8cols[w] = make([]int8, n)

@@ -22,47 +22,46 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForwardInto is the steady-state serving shape of the
-// convolution: output and im2col scratch preplanned in an arena, so the
-// only cost is compute.
-func BenchmarkConvForwardInto(b *testing.B) {
-	conv := NewConv2D("c", 16, 32, 3, 1, 1, false, tensor.NewRNG(2))
-	x := benchInput(8, 16, 16, 16)
-	dst := tensor.New(conv.OutShape(x.Shape())...)
-	a := NewArena()
-	conv.ForwardInto(dst, x, a)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.ForwardInto(dst, x, a)
-	}
+// convShapes is the one shape table the paired conv-layer benchmarks share:
+// a batch of 8 through the same geometries as tensor's loweringShapes, so the
+// f32 and int8 rows of one name always did the same convolution.
+var convShapes = []struct {
+	name                          string
+	inC, outC, hw, k, stride, pad int
+}{
+	{"ref16x16x16_k3s1p1", 16, 32, 16, 3, 1, 1},
+	{"64x32x32_k3s1p1", 64, 64, 32, 3, 1, 1},
+	{"32x16x16_k1s1p0", 32, 64, 16, 1, 1, 0},
+	{"16x32x32_k3s2p1", 16, 32, 32, 3, 2, 1},
 }
 
-// BenchmarkConvForwardIntoInt8 is BenchmarkConvForwardInto on the int8
-// path: same geometry, quantized weights, dynamic activation quantization
-// included in the measured loop. The paired ns/op figures are the raw-kernel
-// half of the f32-vs-int8 record in BENCH_infer.json.
-func BenchmarkConvForwardIntoInt8(b *testing.B) {
-	conv := NewConv2D("c", 16, 32, 3, 1, 1, false, tensor.NewRNG(2))
-	qdata := make([]int8, 32*16*9)
-	qscales := make([]float32, 32)
-	wd := conv.W.Value.Data()
-	for r := 0; r < 32; r++ {
-		row := wd[r*16*9 : (r+1)*16*9]
-		qscales[r] = tensor.QuantScale(tensor.MaxAbs(row))
-		tensor.QuantizeI8(row, qscales[r], qdata[r*16*9:(r+1)*16*9])
-	}
-	if err := conv.SetInt8Weights(qdata, qscales); err != nil {
-		b.Fatal(err)
-	}
-	x := benchInput(8, 16, 16, 16)
-	dst := tensor.New(conv.OutShape(x.Shape())...)
-	a := NewArena()
-	conv.ForwardInto(dst, x, a)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.ForwardInto(dst, x, a)
+// BenchmarkConvForwardInto is the steady-state serving shape of the
+// convolution in both precisions: output and scratch preplanned in an arena,
+// so the only cost is compute. The int8 leg arms the same layer with
+// quantized weights and keeps the dynamic activation quantization inside the
+// measured loop. The paired ns/op figures are the raw-kernel half of the
+// f32-vs-int8 record in BENCH_infer.json.
+func BenchmarkConvForwardInto(b *testing.B) {
+	for _, s := range convShapes {
+		for _, precision := range []string{"f32", "int8"} {
+			conv := NewConv2D("c", s.inC, s.outC, s.k, s.stride, s.pad, false, tensor.NewRNG(2))
+			if precision == "int8" {
+				qdata, qscales := quantizeRowsRef(conv.W.Value.Data(), s.outC, s.inC*s.k*s.k)
+				if err := conv.SetInt8Weights(qdata, qscales); err != nil {
+					b.Fatal(err)
+				}
+			}
+			x := benchInput(8, s.inC, s.hw, s.hw)
+			dst := tensor.New(conv.OutShape(x.Shape())...)
+			a := NewArena()
+			conv.ForwardInto(dst, x, a)
+			b.Run(s.name+"/"+precision, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					conv.ForwardInto(dst, x, a)
+				}
+			})
+		}
 	}
 }
 

@@ -22,8 +22,10 @@ type Conv2D struct {
 	lastOH, lastOW int
 
 	// qw/qscale arm the int8 inference path (SetInt8Weights): the quantized
-	// [OutC, InC*KH*KW] weights and their per-output-channel scales. Both
-	// are immutable once attached, so clones share them.
+	// [OutC, KH*KW*InC] weights — each row permuted to (ky, kx, channel)
+	// order, the order Im2RowI8HWC lays patches out in — and their
+	// per-output-channel scales. Both are immutable once attached, so clones
+	// share them.
 	qw     []int8
 	qscale []float32
 
@@ -117,7 +119,6 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena) {
 		return
 	}
 	colRows := c.InC * c.KH * c.KW
-	colLen := colRows * oh * ow
 	sampleIn := c.InC * h * w
 	sampleOut := c.OutC * oh * ow
 	xd, od, wd := x.Data(), dst.Data(), c.W.Value.Data()
@@ -126,23 +127,11 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena) {
 		// A single sample has no sample-level parallelism; run the matmul
 		// itself through the worker pool instead (inline on single-proc
 		// hosts, so this path stays allocation-free with an arena).
-		var cols []float32
-		if a != nil {
-			cols = a.ColScratch(0, colLen)
-		} else {
-			cols = make([]float32, colLen)
-		}
-		tensor.Im2Col(xd, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, cols)
+		cols := c.lower(a, 0, xd[:sampleIn], h, w)
 		tensor.GemmParallel(od[:sampleOut], wd, cols, c.OutC, oh*ow, colRows)
 	} else {
 		parallelFor(n, func(worker, i int) {
-			var cols []float32
-			if a != nil {
-				cols = a.ColScratch(worker, colLen)
-			} else {
-				cols = make([]float32, colLen)
-			}
-			tensor.Im2Col(xd[i*sampleIn:(i+1)*sampleIn], c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, cols)
+			cols := c.lower(a, worker, xd[i*sampleIn:(i+1)*sampleIn], h, w)
 			tensor.GemmSerial(od[i*sampleOut:(i+1)*sampleOut], wd, cols, c.OutC, oh*ow, colRows)
 		})
 	}
@@ -159,6 +148,31 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena) {
 			}
 		}
 	}
+}
+
+// pointwise reports whether the convolution is 1×1 at stride 1 without
+// padding. Its column matrix is then the input sample itself (and its int8
+// patch matrix the HWC image itself), so neither precision lowers anything.
+func (c *Conv2D) pointwise() bool {
+	return c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
+}
+
+// lower returns the [InC*KH*KW, OH*OW] column matrix of one CHW sample: the
+// sample itself for a pointwise convolution, otherwise its Im2Col lowering
+// in the worker's arena scratch (a fresh buffer without an arena).
+func (c *Conv2D) lower(a *Arena, worker int, sample []float32, h, w int) []float32 {
+	if c.pointwise() {
+		return sample
+	}
+	colLen := tensor.Im2ColLen(c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad)
+	var cols []float32
+	if a != nil {
+		cols = a.ColScratch(worker, colLen)
+	} else {
+		cols = make([]float32, colLen)
+	}
+	tensor.Im2Col(sample, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, cols)
+	return cols
 }
 
 // Backward accumulates dW (and dB) and returns dX. It recomputes im2col per

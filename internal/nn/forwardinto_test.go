@@ -73,6 +73,37 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 	}
 }
 
+// TestConvPointwiseSkipsLowering: a 1×1 / stride 1 / pad 0 convolution feeds
+// the input sample to the GEMM as its column matrix. The result must equal
+// the lowered form (Im2Col, then the same GEMM) bit for bit, and the arena's
+// column scratch must stay untouched — the skip, observed.
+func TestConvPointwiseSkipsLowering(t *testing.T) {
+	conv := NewConv2D("pw", 5, 7, 1, 1, 0, true, tensor.NewRNG(78))
+	tensor.NewRNG(79).FillNormal(conv.B.Value, 0, 0.1)
+	for _, batch := range []int{1, 3} {
+		x := intoInput(t, 12, batch, 5, 6, 4)
+		a := NewArena()
+		got := tensor.New(batch, 7, 6, 4)
+		conv.ForwardInto(got, x, a)
+		if a.Bytes() != 0 {
+			t.Fatalf("batch %d: pointwise conv drew %d bytes of arena scratch", batch, a.Bytes())
+		}
+		cols := make([]float32, 5*24)
+		want := make([]float32, 7*24)
+		for i := 0; i < batch; i++ {
+			tensor.Im2Col(x.Data()[i*5*24:(i+1)*5*24], 5, 6, 4, 1, 1, 1, 0, cols)
+			tensor.GemmSerial(want, conv.W.Value.Data(), cols, 7, 24, 5)
+			for ch := 0; ch < 7; ch++ {
+				for p := 0; p < 24; p++ {
+					if w, g := want[ch*24+p]+conv.B.Value.Data()[ch], got.Data()[(i*7+ch)*24+p]; g != w {
+						t.Fatalf("batch %d out[%d,%d,%d] = %v, want %v", batch, i, ch, p, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestForwardIntoInPlace locks the documented in-place contract of the
 // element-wise layers: dst == x must produce the same values as Forward.
 func TestForwardIntoInPlace(t *testing.T) {

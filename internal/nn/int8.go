@@ -25,23 +25,42 @@ func quantizeSample(sample []float32, dst []int8) (scale float32) {
 }
 
 // SetInt8Weights arms the convolution with quantized weights: data is the
-// [OutC, InC*KH*KW] int8 matrix, scales the per-output-channel weight
-// scales. The float32 weights become dead on the inference path (bias stays
-// live and float32).
+// [OutC, InC*KH*KW] channel-major int8 matrix as the artifact stores it,
+// scales the per-output-channel weight scales. Each row is permuted once,
+// here, to the (ky, kx, channel) order the HWC patch lowering produces; the
+// layer keeps only that form (data itself when the kernel is 1×1 and the two
+// orders coincide). int8×int8→int32 accumulation is exact, so reordering the
+// shared dimension of both GEMM operands leaves every accumulator unchanged.
+// The float32 weights become dead on the inference path (bias stays live and
+// float32).
 func (c *Conv2D) SetInt8Weights(data []int8, scales []float32) error {
-	if len(data) != c.OutC*c.InC*c.KH*c.KW || len(scales) != c.OutC {
+	kk := c.KH * c.KW
+	if len(data) != c.OutC*c.InC*kk || len(scales) != c.OutC {
 		return fmt.Errorf("nn: %s int8 weights [%d]/scales [%d] for a %dx%d conv",
-			c.name, len(data), len(scales), c.OutC, c.InC*c.KH*c.KW)
+			c.name, len(data), len(scales), c.OutC, c.InC*kk)
 	}
 	c.qw, c.qscale = data, scales
+	if kk > 1 {
+		c.qw = make([]int8, len(data))
+		for o := 0; o < c.OutC; o++ {
+			src := data[o*c.InC*kk : (o+1)*c.InC*kk]
+			dst := c.qw[o*c.InC*kk : (o+1)*c.InC*kk]
+			for ch := 0; ch < c.InC; ch++ {
+				for t := 0; t < kk; t++ {
+					dst[t*c.InC+ch] = src[ch*kk+t]
+				}
+			}
+		}
+	}
 	return nil
 }
 
 // Int8 reports whether the convolution is armed with quantized weights.
 func (c *Conv2D) Int8() bool { return c.qw != nil }
 
-// forwardIntoI8 is the quantized twin of forwardInto: im2row in int8, the
-// blocked int8 GEMM, then per-channel requantization with the bias fused in.
+// forwardIntoI8 is the quantized twin of forwardInto: HWC quantization and
+// patch lowering in int8, the blocked int8 GEMM, then per-channel
+// requantization with the bias fused in.
 func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
@@ -66,19 +85,27 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
 }
 
 // i8Sample runs sample i of the quantized convolution on one worker's arena
-// lanes: dynamic activation quantization, int8 im2row, the int8 GEMM, and
-// per-channel requantization with the bias fused in.
+// lanes: the dynamic per-sample scale, one f32 CHW → int8 HWC quantization
+// pass, run-copy patch lowering (skipped for a pointwise conv, whose HWC
+// image already is the patch matrix), the int8 GEMM against the
+// (ky, kx, channel)-ordered weights, and per-channel requantization with the
+// bias fused in.
 func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float32,
 	gemm func(dst []int32, a, b []int8, m, n, k int)) {
 	colRows := c.InC * c.KH * c.KW
 	sampleIn := c.InC * h * w
 	sampleOut := c.OutC * hw
-	qin := a.I8Buf(worker, sampleIn)
-	sx := quantizeSample(xd[i*sampleIn:(i+1)*sampleIn], qin)
-	cols := a.I8Cols(worker, colRows*hw)
-	tensor.Im2RowI8(qin, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, cols)
+	sample := xd[i*sampleIn : (i+1)*sampleIn]
+	sx := tensor.QuantScale(tensor.MaxAbs(sample))
+	img := a.I8Buf(worker, sampleIn)
+	tensor.QuantizeI8HWC(sample, c.InC, h*w, sx, img)
+	patches := img
+	if !c.pointwise() {
+		patches = a.I8Cols(worker, colRows*hw)
+		tensor.Im2RowI8HWC(img, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, patches)
+	}
 	acc := a.I32Buf(worker, sampleOut)
-	gemm(acc, c.qw, cols, c.OutC, hw, colRows)
+	gemm(acc, c.qw, patches, c.OutC, hw, colRows)
 	out := od[i*sampleOut : (i+1)*sampleOut]
 	for ch := 0; ch < c.OutC; ch++ {
 		f := c.qscale[ch] * sx

@@ -90,6 +90,81 @@ func TestConvInt8WithinQuantErrorBound(t *testing.T) {
 	}
 }
 
+// TestConvInt8BitIdenticalToChannelMajorReference locks the HWC re-plumb to
+// the path it replaced: for every geometry class (3×3, pointwise, strided,
+// 5×5 with wide padding, an image narrower than the kernel, a 3-channel first
+// layer) the layer's output equals, bit for bit, a reference built from the
+// retained channel-major kernels — QuantizeI8 + Im2RowI8 + GemmI8Serial on
+// the unpermuted artifact weights — at batch 1 (the parallel GEMM) and batch
+// 8 (one serial GEMM per worker). The arm-time permutation is therefore
+// unobservable, and the artifact's weight slice is left untouched.
+func TestConvInt8BitIdenticalToChannelMajorReference(t *testing.T) {
+	rng := tensor.NewRNG(28)
+	for _, g := range []struct {
+		inC, outC, h, w, k, stride, pad int
+		bias                            bool
+	}{
+		{16, 32, 9, 7, 3, 1, 1, false},
+		{16, 32, 9, 7, 3, 1, 1, true},
+		{32, 19, 6, 5, 1, 1, 0, true}, // pointwise: no lowering at all
+		{8, 16, 11, 8, 3, 2, 1, false},
+		{3, 8, 10, 12, 5, 1, 2, true},
+		{4, 8, 2, 9, 5, 2, 2, false}, // shorter than the kernel
+		{5, 6, 7, 7, 1, 2, 0, false}, // 1×1 but strided: still lowered
+	} {
+		conv := NewConv2D("c", g.inC, g.outC, g.k, g.stride, g.pad, g.bias, rng)
+		if g.bias {
+			rng.FillNormal(conv.B.Value, 0, 0.1)
+		}
+		colRows := g.inC * g.k * g.k
+		qdata, qscales := quantizeRowsRef(conv.W.Value.Data(), g.outC, colRows)
+		artifact := append([]int8(nil), qdata...)
+		if err := conv.SetInt8Weights(qdata, qscales); err != nil {
+			t.Fatal(err)
+		}
+		for i := range qdata {
+			if qdata[i] != artifact[i] {
+				t.Fatalf("%+v: SetInt8Weights rewrote the caller's weights at %d", g, i)
+			}
+		}
+		for _, batch := range []int{1, 8} {
+			x := tensor.New(batch, g.inC, g.h, g.w)
+			rng.FillNormal(x, 0, 1)
+			got := tensor.New(conv.OutShape(x.Shape())...)
+			for i := range got.Data() {
+				got.Data()[i] = float32(math.NaN())
+			}
+			conv.ForwardInto(got, x, NewArena())
+
+			oh, ow := got.Dim(2), got.Dim(3)
+			hw, sampleIn := oh*ow, g.inC*g.h*g.w
+			qin := make([]int8, sampleIn)
+			rows := make([]int8, colRows*hw)
+			acc := make([]int32, g.outC*hw)
+			for i := 0; i < batch; i++ {
+				sample := x.Data()[i*sampleIn : (i+1)*sampleIn]
+				sx := tensor.QuantScale(tensor.MaxAbs(sample))
+				tensor.QuantizeI8(sample, sx, qin)
+				tensor.Im2RowI8(qin, g.inC, g.h, g.w, g.k, g.k, g.stride, g.pad, rows)
+				tensor.GemmI8Serial(acc, qdata, rows, g.outC, hw, colRows)
+				for ch := 0; ch < g.outC; ch++ {
+					f := qscales[ch] * sx
+					var b float32
+					if g.bias {
+						b = conv.B.Value.Data()[ch]
+					}
+					for p := 0; p < hw; p++ {
+						want := float32(acc[ch*hw+p])*f + b
+						if o := got.Data()[(i*g.outC+ch)*hw+p]; math.Float32bits(o) != math.Float32bits(want) {
+							t.Fatalf("%+v batch %d: out[%d,%d,%d] = %v, want %v", g, batch, i, ch, p, o, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDenseInt8WithinQuantErrorBound is the dense-layer twin of the conv
 // bound test (per-row activation scales, transposed weight layout).
 func TestDenseInt8WithinQuantErrorBound(t *testing.T) {
@@ -198,6 +273,23 @@ func TestInt8CloneSharesQuantizedWeights(t *testing.T) {
 	if !clone.Int8() {
 		t.Fatal("clone lost the int8 arming")
 	}
+	// The layer holds one weight layout — the (ky, kx, channel) permutation,
+	// not the artifact's slice — and replicas share that one slice.
+	if &conv.qw[0] == &qdata[0] {
+		t.Fatal("a 3×3 conv kept the channel-major artifact slice as its kernel weights")
+	}
+	if &clone.qw[0] != &conv.qw[0] || &clone.qscale[0] != &conv.qscale[0] {
+		t.Fatal("clone copied the permuted int8 weights instead of sharing them")
+	}
+	for o := 0; o < 4; o++ {
+		for ch := 0; ch < 2; ch++ {
+			for tap := 0; tap < 9; tap++ {
+				if conv.qw[o*18+tap*2+ch] != qdata[o*18+ch*9+tap] {
+					t.Fatalf("weight row %d: (tap %d, ch %d) is not the artifact's (ch, tap) entry", o, tap, ch)
+				}
+			}
+		}
+	}
 	x := tensor.New(1, 2, 5, 5)
 	rng.FillNormal(x, 0, 1)
 	a, b := tensor.New(1, 4, 5, 5), tensor.New(1, 4, 5, 5)
@@ -232,14 +324,30 @@ func TestSetInt8WeightsRejectsBadShapes(t *testing.T) {
 // layer must fall back to float32 instead of computing with stale int8 data.
 func TestPruneDropsInt8Weights(t *testing.T) {
 	rng := tensor.NewRNG(26)
-	conv := NewConv2D("c", 2, 4, 3, 1, 1, false, rng)
-	qdata, qscales := quantizeRowsRef(conv.W.Value.Data(), 4, 2*9)
-	if err := conv.SetInt8Weights(qdata, qscales); err != nil {
-		t.Fatal(err)
-	}
-	conv.PruneOutput([]int{0, 2})
-	if conv.Int8() {
-		t.Fatal("PruneOutput left stale int8 weights armed")
+	for name, prune := range map[string]func(*Conv2D){
+		"output": func(c *Conv2D) { c.PruneOutput([]int{0, 2}) },
+		"input":  func(c *Conv2D) { c.PruneInput([]int{1}) },
+	} {
+		conv := NewConv2D("c", 2, 4, 3, 1, 1, false, rng)
+		qdata, qscales := quantizeRowsRef(conv.W.Value.Data(), 4, 2*9)
+		if err := conv.SetInt8Weights(qdata, qscales); err != nil {
+			t.Fatal(err)
+		}
+		prune(conv)
+		if conv.Int8() || conv.qw != nil || conv.qscale != nil {
+			t.Fatalf("prune %s left stale (permuted) int8 weights armed", name)
+		}
+		// The pruned layer runs float32 again, on the pruned geometry.
+		x := tensor.New(2, conv.InC, 5, 5)
+		rng.FillNormal(x, 0, 1)
+		want := conv.CloneLayer().(*Conv2D).Forward(x, false)
+		got := tensor.New(want.Shape()...)
+		conv.ForwardInto(got, x, NewArena())
+		for i := range want.Data() {
+			if got.Data()[i] != want.Data()[i] {
+				t.Fatalf("prune %s: float32 fallback differs at %d", name, i)
+			}
+		}
 	}
 }
 
@@ -252,26 +360,30 @@ func TestConvInt8SteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs AllocsPerRun")
 	}
 	rng := tensor.NewRNG(27)
-	convF := NewConv2D("f", 3, 8, 3, 1, 1, false, rng)
-	convQ := convF.CloneLayer().(*Conv2D)
-	qdata, qscales := quantizeRowsRef(convQ.W.Value.Data(), 8, 3*9)
-	if err := convQ.SetInt8Weights(qdata, qscales); err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 4} {
-		x := tensor.New(batch, 3, 12, 12)
-		rng.FillNormal(x, 0, 1)
-		dst := tensor.New(batch, 8, 12, 12)
-		aF, aQ := NewArena(), NewArena()
-		convF.ForwardInto(dst, x, aF) // warm both arenas
-		convQ.ForwardInto(dst, x, aQ)
-		f32Allocs := testing.AllocsPerRun(20, func() { convF.ForwardInto(dst, x, aF) })
-		i8Allocs := testing.AllocsPerRun(20, func() { convQ.ForwardInto(dst, x, aQ) })
-		if i8Allocs > f32Allocs {
-			t.Fatalf("batch %d: int8 path allocates %v/run, float32 %v/run", batch, i8Allocs, f32Allocs)
+	// 3×3 (permuted weights, run-copy lowering), strided, and pointwise (no
+	// lowering, artifact slice shared) — the three shapes of the int8 path.
+	for _, g := range []struct{ k, stride, pad int }{{3, 1, 1}, {3, 2, 1}, {1, 1, 0}} {
+		convF := NewConv2D("f", 3, 8, g.k, g.stride, g.pad, false, rng)
+		convQ := convF.CloneLayer().(*Conv2D)
+		qdata, qscales := quantizeRowsRef(convQ.W.Value.Data(), 8, 3*g.k*g.k)
+		if err := convQ.SetInt8Weights(qdata, qscales); err != nil {
+			t.Fatal(err)
 		}
-		if batch == 1 && i8Allocs != 0 {
-			t.Fatalf("single-sample int8 steady state allocates %v/run, want 0", i8Allocs)
+		for _, batch := range []int{1, 4} {
+			x := tensor.New(batch, 3, 12, 12)
+			rng.FillNormal(x, 0, 1)
+			dst := tensor.New(convF.OutShape(x.Shape())...)
+			aF, aQ := NewArena(), NewArena()
+			convF.ForwardInto(dst, x, aF) // warm both arenas
+			convQ.ForwardInto(dst, x, aQ)
+			f32Allocs := testing.AllocsPerRun(20, func() { convF.ForwardInto(dst, x, aF) })
+			i8Allocs := testing.AllocsPerRun(20, func() { convQ.ForwardInto(dst, x, aQ) })
+			if i8Allocs > f32Allocs {
+				t.Fatalf("k%d s%d batch %d: int8 path allocates %v/run, float32 %v/run", g.k, g.stride, batch, i8Allocs, f32Allocs)
+			}
+			if batch == 1 && i8Allocs != 0 {
+				t.Fatalf("k%d s%d: single-sample int8 steady state allocates %v/run, want 0", g.k, g.stride, i8Allocs)
+			}
 		}
 	}
 }

@@ -2,8 +2,9 @@ package tensor
 
 // The int8 GEMM kernel serves quantized inference. It is written in
 // dot-product orientation: a holds m weight rows of k int8 values, b holds n
-// patch rows of k int8 values (Im2RowI8 output), and dst receives the m×n
-// int32 products dst[i*n+j] = a_i · b_j. Accumulation is exact 32-bit
+// patch rows of k int8 values (Im2RowI8HWC or Im2RowI8 output, with a's rows
+// in the matching in-patch order), and dst receives the m×n int32 products
+// dst[i*n+j] = a_i · b_j. Accumulation is exact 32-bit
 // integer arithmetic, so — unlike the float32 kernel, which must control
 // rounding order — every dispatch path (amd64 vector kernel, scalar
 // fallback, serial, parallel) is bit-identical by construction.

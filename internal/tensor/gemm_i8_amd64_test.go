@@ -59,3 +59,14 @@ func TestGemmI8SIMDBitIdenticalToScalarFallback(t *testing.T) {
 		}
 	}
 }
+
+// forEachI8Kernel runs fn once per int8 micro kernel this CPU can execute:
+// with the AVX2 gate open (when the CPU passes it) and with it forced shut.
+func forEachI8Kernel(fn func(simd bool)) {
+	defer func(v bool) { hasI8SIMD = v }(hasI8SIMD)
+	if hasI8SIMD {
+		fn(true)
+	}
+	hasI8SIMD = false
+	fn(false)
+}

@@ -177,17 +177,3 @@ func BenchmarkGemmI8(b *testing.B) {
 		GemmI8Parallel(dst, x, y, d, d, d)
 	}
 }
-
-// BenchmarkIm2RowI8 tracks the int8 patch-lowering cost next to the float32
-// BenchmarkIm2Col.
-func BenchmarkIm2RowI8(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	c, h, w := 64, 32, 32
-	src := randI8(rng, c*h*w)
-	dst := make([]int8, Im2ColLen(c, h, w, 3, 3, 1, 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2RowI8(src, c, h, w, 3, 3, 1, 1, dst)
-	}
-}

@@ -4,6 +4,12 @@ package tensor
 // src holds C*H*W values; dst receives (C*kh*kw) x (oh*ow) values laid out
 // row-major, where oh/ow are the output spatial dimensions for the given
 // stride and zero padding. dst must have length C*kh*kw*oh*ow.
+//
+// Every (channel, ky, kx) row of the column matrix is, per output row, a
+// zero-padded window of one source row, so the in-bounds output range is
+// computed once per kernel tap and the body has no per-element bounds
+// branch: at stride 1 the window is one contiguous span (clear/copy/clear),
+// at larger strides a strided gather over the hoisted range.
 func Im2Col(src []float32, c, h, w, kh, kw, stride, pad int, dst []float32) (oh, ow int) {
 	oh = (h+2*pad-kh)/stride + 1
 	ow = (w+2*pad-kw)/stride + 1
@@ -11,31 +17,51 @@ func Im2Col(src []float32, c, h, w, kh, kw, stride, pad int, dst []float32) (oh,
 	for ch := 0; ch < c; ch++ {
 		plane := src[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < kh; ky++ {
+			ylo, yhi := validRange(oh, h, ky, stride, pad)
 			for kx := 0; kx < kw; kx++ {
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dst[di] = 0
-							di++
+				xlo, xhi := validRange(ow, w, kx, stride, pad)
+				clear(dst[di : di+ylo*ow])
+				di += ylo * ow
+				for oy := ylo; oy < yhi; oy++ {
+					row := dst[di : di+ow]
+					srcRow := plane[(oy*stride+ky-pad)*w:][:w]
+					clear(row[:xlo])
+					switch {
+					case xlo == xhi: // the tap only ever reads padding
+					case stride == 1:
+						copy(row[xlo:xhi], srcRow[xlo+kx-pad:])
+					default:
+						ix := xlo*stride + kx - pad
+						for ox := xlo; ox < xhi; ox++ {
+							row[ox] = srcRow[ix]
+							ix += stride
 						}
-						continue
 					}
-					rowBase := iy * w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride + kx - pad
-						if ix < 0 || ix >= w {
-							dst[di] = 0
-						} else {
-							dst[di] = plane[rowBase+ix]
-						}
-						di++
-					}
+					clear(row[xhi:])
+					di += ow
 				}
+				clear(dst[di : di+(oh-yhi)*ow])
+				di += (oh - yhi) * ow
 			}
 		}
 	}
 	return oh, ow
+}
+
+// validRange returns the output positions [lo, hi) ⊆ [0, out) whose input
+// coordinate o*stride + k - pad falls inside [0, in): the part of one
+// output row (or column) a kernel tap at offset k reads from the image
+// rather than from the zero padding. lo == hi when the tap never does.
+func validRange(out, in, k, stride, pad int) (lo, hi int) {
+	if pad > k {
+		lo = (pad - k + stride - 1) / stride
+	}
+	if span := in + pad - k; span > 0 {
+		hi = (span + stride - 1) / stride
+	}
+	hi = min(hi, out)
+	lo = min(lo, hi)
+	return lo, hi
 }
 
 // Col2Im accumulates a column matrix back into a CHW image (the adjoint of
