@@ -87,13 +87,12 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"tbnet"
 	"tbnet/internal/buildinfo"
+	"tbnet/internal/cliconf"
 	"tbnet/internal/experiments"
 	"tbnet/internal/report"
 )
@@ -310,7 +309,7 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 	// ships with an artifact) and spreads traffic across the hosted models;
 	// pipeline mode keeps the accuracy-checked closed loop.
 	var dep *tbnet.Deployment
-	var extra []namedDep
+	var extra []cliconf.Model
 	var sample func(i int) *tbnet.Tensor
 	var checkLabel func(i, label int) bool
 	if *models != "" {
@@ -319,12 +318,12 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		deps, err := parseModelList(*models, *regDir, device)
+		deps, err := cliconf.LoadModels(*models, *regDir, device)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		dep, extra = deps[0].dep, deps[1:]
+		dep, extra = deps[0].Dep, deps[1:]
 		shape := dep.SampleShape()
 		shape[0] = 1
 		rng := tbnet.NewRNG(c.seed)
@@ -379,7 +378,7 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	defer srv.Close()
 	for _, m := range extra {
-		if err := srv.AddModel(m.name, m.dep); err != nil {
+		if err := srv.AddModel(m.Name, m.Dep); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -444,148 +443,36 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// deviceSpec is one parsed -devices entry: a registered backend name and its
-// static pool width.
-type deviceSpec struct {
-	name    string
-	workers int
-}
-
-// parseDeviceSpecs parses a name:workers list like
-// "rpi3:2,sgx-desktop:4,jetson-tz:2". A bare name gets the default pool
-// width of 2. Names and widths are validated here, before the (potentially
-// minutes-long) pipeline trains, so a typo fails fast with the usual
-// flag-error exit.
-func parseDeviceSpecs(list string) ([]deviceSpec, error) {
-	var specs []deviceSpec
-	for _, spec := range strings.Split(list, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		name, workers := spec, 2
-		if at := strings.LastIndex(spec, ":"); at >= 0 {
-			n, err := strconv.Atoi(spec[at+1:])
-			if err != nil {
-				return nil, fmt.Errorf("device spec %q: workers %q is not a number", spec, spec[at+1:])
-			}
-			name, workers = spec[:at], n
-		}
-		if _, err := tbnet.DeviceByName(name); err != nil {
-			return nil, fmt.Errorf("device spec %q: %w", spec, err)
-		}
-		if workers < 1 {
-			return nil, fmt.Errorf("device spec %q: workers %d < 1", spec, workers)
-		}
-		specs = append(specs, deviceSpec{name: name, workers: workers})
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("empty device list")
-	}
-	return specs, nil
-}
-
-// deviceOpts turns parsed device specs into WithDevice options. A positive
-// override replaces every spec's width — the static legs of an autoscale
-// sweep pin all nodes to one width.
-func deviceOpts(specs []deviceSpec, override int) []tbnet.FleetOption {
-	opts := make([]tbnet.FleetOption, 0, len(specs))
-	for _, s := range specs {
-		w := s.workers
-		if override > 0 {
-			w = override
-		}
-		opts = append(opts, tbnet.WithDevice(s.name, w))
-	}
-	return opts
-}
-
-// parseFleetDevices parses the -devices flag straight into WithDevice options.
-func parseFleetDevices(list string) ([]tbnet.FleetOption, error) {
-	specs, err := parseDeviceSpecs(list)
-	if err != nil {
-		return nil, err
-	}
-	return deviceOpts(specs, 0), nil
-}
-
-// fleetPolicy maps the -policy flag onto a fleet option: one of the built-in
-// routing policies, or "ewma", which also installs the online latency
-// estimator the adaptive policy learns from.
-func fleetPolicy(name string) (tbnet.FleetOption, error) {
-	switch name {
-	case "round-robin":
-		return tbnet.WithPolicy(tbnet.RoundRobin()), nil
-	case "least-loaded":
-		return tbnet.WithPolicy(tbnet.LeastLoaded()), nil
-	case "cost-aware":
-		return tbnet.WithPolicy(tbnet.CostAware()), nil
-	case "ewma":
-		return tbnet.WithEWMARouting(0), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q (want round-robin, least-loaded, cost-aware, or ewma)", name)
+// fleetDefaults are the shared fleet flags' defaults in `tbnet fleet` and
+// `tbnet scenario`.
+var fleetDefaults = cliconf.FleetDefaults{
+	Devices:           "rpi3:2,sgx-desktop:2,jetson-tz:2",
+	AutoscaleInterval: 50 * time.Millisecond,
 }
 
 func runFleetCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	c := addCommonFlags(fs)
-	devices := fs.String("devices", "rpi3:2,sgx-desktop:2,jetson-tz:2",
-		"attached devices as name:workers pairs")
-	policyName := fs.String("policy", "cost-aware", "routing policy: round-robin, least-loaded, cost-aware, ewma")
+	ff := cliconf.AddFleetFlags(fs, fleetDefaults)
 	requests := fs.Int("requests", 64, "synthetic requests to offer")
 	rate := fs.Float64("rate", 200, "open-loop arrival rate (req/s)")
 	poisson := fs.Bool("poisson", false, "exponential (Poisson-process) interarrival times")
-	deadline := fs.Duration("deadline", 0, "per-request deadline (0 = none); overdue requests are shed")
-	maxInFlight := fs.Int("max-inflight", 0, "fleet-wide in-flight cap (0 = capacity-weighted default)")
-	auto := fs.Bool("autoscale", false, "run the elastic autoscaler over the fleet")
-	autoMin := fs.Int("autoscale-min", 1, "autoscaler per-node worker floor")
-	autoMax := fs.Int("autoscale-max", 8, "autoscaler per-node worker ceiling")
-	autoInterval := fs.Duration("autoscale-interval", 50*time.Millisecond, "autoscaler control-loop period")
 	pace := fs.Float64("pace", 0, "pace workers at modeled-latency × this factor (0 = off)")
-	precision := fs.String("precision", "f32", "serving precision: f32 or int8")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *requests < 1 || *rate <= 0 || *deadline < 0 || *maxInFlight < 0 || *pace < 0 {
-		fmt.Fprintf(stderr, "invalid fleet flags: requests %d, rate %g, deadline %v, max-inflight %d, pace %g\n",
-			*requests, *rate, *deadline, *maxInFlight, *pace)
+	if *requests < 1 || *rate <= 0 || *pace < 0 {
+		fmt.Fprintf(stderr, "invalid fleet flags: requests %d, rate %g, pace %g\n", *requests, *rate, *pace)
 		return 2
 	}
-	if *auto && (*autoMin < 1 || *autoMax < *autoMin || *autoInterval <= 0) {
-		fmt.Fprintf(stderr, "invalid autoscale flags: min %d, max %d, interval %v\n",
-			*autoMin, *autoMax, *autoInterval)
-		return 2
-	}
-	prec, err := tbnet.ParsePrecision(*precision)
+	fleetOpts, err := ff.Options(0)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
-	}
-	fleetOpts, err := parseFleetDevices(*devices)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	policyOpt, err := fleetPolicy(*policyName)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	fleetOpts = append(fleetOpts, policyOpt)
-	if *deadline > 0 {
-		fleetOpts = append(fleetOpts, tbnet.WithDeadline(*deadline))
-	}
-	if *maxInFlight > 0 {
-		fleetOpts = append(fleetOpts, tbnet.WithMaxInFlight(*maxInFlight))
 	}
 	if *pace > 0 {
 		fleetOpts = append(fleetOpts, tbnet.WithPace(*pace))
-	}
-	if *auto {
-		fleetOpts = append(fleetOpts,
-			tbnet.WithAutoscale(*autoMin, *autoMax),
-			tbnet.WithAutoscaleInterval(*autoInterval))
 	}
 	opts, err := c.pipelineOptions(stderr)
 	if err != nil {
@@ -608,7 +495,7 @@ func runFleetCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	dep, err := deployAt(res.TB, device, []int{1, 3, 16, 16}, prec)
+	dep, err := deployAt(res.TB, device, []int{1, 3, 16, 16}, ff.Precision)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -629,7 +516,7 @@ func runFleetCmd(args []string, stdout, stderr io.Writer) int {
 	rng := rand.New(rand.NewSource(int64(c.seed)))
 	mean := 1 / *rate
 	fmt.Fprintf(stderr, "offering %d requests at %.0f req/s (%s arrivals) under %q routing...\n",
-		*requests, *rate, map[bool]string{true: "poisson", false: "uniform"}[*poisson], *policyName)
+		*requests, *rate, map[bool]string{true: "poisson", false: "uniform"}[*poisson], ff.Policy)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	correct, shed, failed := 0, 0, 0

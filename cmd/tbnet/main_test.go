@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tbnet"
+	"tbnet/internal/cliconf/cliconftest"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -147,6 +148,43 @@ func TestFleetFlagValidation(t *testing.T) {
 		if code != 2 {
 			t.Fatalf("%v: exit = %d, want 2 (stderr %q)", args, code, stderr)
 		}
+	}
+}
+
+// TestFleetFlagSurface pins the flag names and defaults of `tbnet fleet` and
+// `tbnet scenario`, and checks both reject the shared fleet flags' bad values
+// the way every binary does.
+func TestFleetFlagSurface(t *testing.T) {
+	shared := map[string]string{
+		"arch": `"vgg"`, "dataset": `"c10"`, "device": `"rpi3"`, "json": ``, "scale": `"ci"`, "seed": `1`, "v": ``,
+		"devices": `"rpi3:2,sgx-desktop:2,jetson-tz:2"`, "policy": `"cost-aware"`,
+		"deadline": ``, "max-inflight": ``, "precision": `"f32"`, "pace": ``,
+		"autoscale": ``, "autoscale-min": `1`, "autoscale-max": `8`, "autoscale-interval": `50ms`,
+	}
+	extras := map[string]map[string]string{
+		"fleet": {"poisson": ``, "rate": `200`, "requests": `64`},
+		"scenario": {
+			"api-key": ``, "attack": ``, "models": ``, "obfuscate": ``, "registry": ``, "sweep": ``,
+			"target": ``, "trace": ``, "trace-out": ``,
+			"spec": `"warmup:uniform:120:1s,burst:burst:120:2s:480:1s,ramp:ramp:120:1500ms:420,diurnal:diurnal:100:2s:320:1s"`,
+		},
+	}
+	for cmd, extra := range extras {
+		t.Run(cmd, func(t *testing.T) {
+			want := make(map[string]string)
+			for k, v := range shared {
+				want[k] = v
+			}
+			for k, v := range extra {
+				want[k] = v
+			}
+			_, _, help := runCLI(t, cmd, "-h")
+			cliconftest.CheckSurface(t, help, want)
+			cliconftest.CheckRejections(t, func(args ...string) (int, string) {
+				code, _, stderr := runCLI(t, append([]string{cmd}, args...)...)
+				return code, stderr
+			})
+		})
 	}
 }
 

@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"sort"
-
 	"tbnet"
+	"tbnet/internal/cliconf"
 	"tbnet/internal/fleet"
 	"tbnet/internal/report"
 	"tbnet/internal/scenario"
@@ -28,63 +28,6 @@ const defaultSpec = "warmup:uniform:120:1s," +
 	"burst:burst:120:2s:480:1s," +
 	"ramp:ramp:120:1500ms:420," +
 	"diurnal:diurnal:100:2s:320:1s"
-
-// namedDep is one model the scenario serves: its serving name and its
-// deployment template.
-type namedDep struct {
-	name string
-	dep  *tbnet.Deployment
-}
-
-// parseModelList loads the -models flag: comma-separated entries, each
-// either "name=artifact.tbd" (loaded from the file) or a bare "name"
-// (loaded from -registry). A non-nil device re-targets every loaded
-// artifact onto that backend (an explicit -device flag); nil keeps each
-// artifact's saved device.
-func parseModelList(list, regDir string, device tbnet.Device) ([]namedDep, error) {
-	var reg *tbnet.Registry
-	var out []namedDep
-	for _, spec := range strings.Split(list, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		name, path := spec, ""
-		if at := strings.IndexByte(spec, '='); at >= 0 {
-			name, path = spec[:at], spec[at+1:]
-		}
-		if name == "" {
-			return nil, fmt.Errorf("model spec %q: empty name", spec)
-		}
-		var dep *tbnet.Deployment
-		var err error
-		if path != "" {
-			var f *os.File
-			if f, err = os.Open(path); err == nil {
-				dep, err = tbnet.LoadDeploymentOn(f, device)
-				f.Close()
-			}
-		} else {
-			if regDir == "" {
-				return nil, fmt.Errorf("model spec %q names a registry entry but -registry is not set", spec)
-			}
-			if reg == nil {
-				if reg, err = tbnet.OpenRegistry(regDir); err != nil {
-					return nil, err
-				}
-			}
-			dep, err = reg.LoadOn(name, device)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("model %q: %w", name, err)
-		}
-		out = append(out, namedDep{name: name, dep: dep})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty model list")
-	}
-	return out, nil
-}
 
 // explicitDevice resolves the -device flag only if the user actually set it
 // (artifact mode defaults to each artifact's saved device, so the flag's
@@ -174,38 +117,23 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	c := addCommonFlags(fs)
-	devices := fs.String("devices", "rpi3:2,sgx-desktop:2,jetson-tz:2",
-		"attached devices as name:workers pairs")
-	policyName := fs.String("policy", "cost-aware", "routing policy: round-robin, least-loaded, cost-aware, ewma")
-	deadline := fs.Duration("deadline", 0, "per-request deadline (0 = none); overdue requests are shed")
-	maxInFlight := fs.Int("max-inflight", 0, "fleet-wide in-flight cap (0 = capacity-weighted default)")
+	ff := cliconf.AddFleetFlags(fs, fleetDefaults)
 	models := fs.String("models", "", "serve saved models: name=artifact.tbd or registry names (comma-separated)")
 	regDir := fs.String("registry", "", "model registry directory for bare -models names")
 	spec := fs.String("spec", defaultSpec, "phases as name:pattern:rate:duration[:peak[:period]]")
 	traceFile := fs.String("trace", "", "replay an arrival trace file instead of -spec")
 	target := fs.String("target", "", "drive a running tbnetd daemon at this base URL over HTTP (client mode)")
 	apiKey := fs.String("api-key", "", "API key sent to a -target daemon with auth enabled")
-	auto := fs.Bool("autoscale", false, "run the elastic autoscaler over the fleet")
-	autoMin := fs.Int("autoscale-min", 1, "autoscaler per-node worker floor")
-	autoMax := fs.Int("autoscale-max", 8, "autoscaler per-node worker ceiling")
-	autoInterval := fs.Duration("autoscale-interval", 50*time.Millisecond, "autoscaler control-loop period")
 	pace := fs.Float64("pace", 0, "pace workers at modeled-latency × this factor (0 = off)")
 	sweepList := fs.String("sweep", "", "also run the same workload at these static widths (comma-separated worker counts) and compare; implies -autoscale")
 	traceOut := fs.String("trace-out", "", "write per-request span timelines to this file after the run (local fleet only)")
 	attackRun := fs.Bool("attack", false, "capture attacker-visible traces during the run and replay the architecture-inference attack per tenant")
 	obfuscate := fs.String("obfuscate", "", "trace-obfuscation chain applied at capture, e.g. pad:4096,shuffle:8,dummy:0.25; implies -attack")
-	precision := fs.String("precision", "f32", "serving precision in pipeline mode: f32 or int8")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *deadline < 0 || *maxInFlight < 0 || *pace < 0 {
-		fmt.Fprintf(stderr, "invalid scenario flags: deadline %v, max-inflight %d, pace %g\n",
-			*deadline, *maxInFlight, *pace)
-		return 2
-	}
-	prec, err := tbnet.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
+	if *pace < 0 {
+		fmt.Fprintf(stderr, "invalid scenario flags: pace %g\n", *pace)
 		return 2
 	}
 	sweep, err := parseSweepWidths(*sweepList)
@@ -214,14 +142,17 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if len(sweep) > 0 {
-		*auto = true
+		ff.Autoscale = true
 	}
-	if *auto && (*autoMin < 1 || *autoMax < *autoMin || *autoInterval <= 0) {
-		fmt.Fprintf(stderr, "invalid autoscale flags: min %d, max %d, interval %v\n",
-			*autoMin, *autoMax, *autoInterval)
+	// fleetOpts is the flag-described fleet (devices, policy, admission, and
+	// the controller when autoscaling); extraOpts is what this command adds
+	// to it — and to every leg of a sweep.
+	fleetOpts, err := ff.Options(0)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *target != "" && *auto {
+	if *target != "" && ff.Autoscale {
 		fmt.Fprintln(stderr, "-autoscale/-sweep drive a local fleet; with -target the daemon owns its scaling")
 		return 2
 	}
@@ -267,34 +198,16 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	specs, err := parseDeviceSpecs(*devices)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	policyOpt, err := fleetPolicy(*policyName)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	// baseOpts is every leg's shared configuration; the per-leg device widths
-	// (and the autoscaled leg's controller) are appended when fleets build.
-	baseOpts := []tbnet.FleetOption{policyOpt}
-	if *deadline > 0 {
-		baseOpts = append(baseOpts, tbnet.WithDeadline(*deadline))
-	}
-	if *maxInFlight > 0 {
-		baseOpts = append(baseOpts, tbnet.WithMaxInFlight(*maxInFlight))
-	}
+	var extraOpts []tbnet.FleetOption
 	if *pace > 0 {
-		baseOpts = append(baseOpts, tbnet.WithPace(*pace))
+		extraOpts = append(extraOpts, tbnet.WithPace(*pace))
 	}
 	// The span ring outlives the fleet, so the timelines are still readable
 	// after the run tears the serving pools down.
 	var tracer *tbnet.Tracer
 	if *traceOut != "" {
 		tracer = tbnet.NewTracer(4096)
-		baseOpts = append(baseOpts, tbnet.WithTracing(tracer))
+		extraOpts = append(extraOpts, tbnet.WithTracing(tracer))
 	}
 	// The attack tap likewise outlives the fleet: captured views are replayed
 	// against each tenant after the run.
@@ -305,7 +218,7 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 			topts = append(topts, seceval.WithObfuscation(chain))
 		}
 		tap = seceval.NewTap(topts...)
-		baseOpts = append(baseOpts, tbnet.WithFleetTap(tap))
+		extraOpts = append(extraOpts, tbnet.WithFleetTap(tap))
 	}
 
 	// Parse the workload shape first — a typo in the spec or a missing trace
@@ -341,7 +254,7 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 	// The served models: either saved artifacts (-models/-registry) or one
 	// freshly trained pipeline. The first model is the fleet's template and
 	// serves as the default model; any further ones are hosted by name.
-	var deps []namedDep
+	var deps []cliconf.Model
 	sample := func(i int) *tbnet.Tensor { return nil } // replaced below
 	if *models != "" {
 		device, derr := explicitDevice(fs, c)
@@ -349,7 +262,7 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, derr)
 			return 2
 		}
-		deps, err = parseModelList(*models, *regDir, device)
+		deps, err = cliconf.LoadModels(*models, *regDir, device)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -357,7 +270,7 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 		// Saved artifacts carry no dataset, so the client load is random
 		// noise images of the served shape — the serving stack's behaviour
 		// under load does not depend on input content.
-		shape := deps[0].dep.SampleShape()
+		shape := deps[0].Dep.SampleShape()
 		shape[0] = 1
 		rng := tbnet.NewRNG(c.seed)
 		pool := make([]*tbnet.Tensor, 256)
@@ -389,12 +302,12 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		dep, err := deployAt(res.TB, device, []int{1, 3, 16, 16}, prec)
+		dep, err := deployAt(res.TB, device, []int{1, 3, 16, 16}, ff.Precision)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		deps = []namedDep{{name: c.arch, dep: dep}}
+		deps = []cliconf.Model{{Name: c.arch, Dep: dep}}
 		singles := res.Test.Batches(1, nil)
 		sample = func(i int) *tbnet.Tensor { return singles[i%len(singles)].X }
 	}
@@ -404,7 +317,7 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 	if len(deps) > 1 {
 		shares := []scenario.ModelShare{{Name: tbnet.DefaultModel, Weight: 1}}
 		for _, m := range deps[1:] {
-			shares = append(shares, scenario.ModelShare{Name: m.name, Weight: 1})
+			shares = append(shares, scenario.ModelShare{Name: m.Name, Weight: 1})
 		}
 		for i := range phases {
 			phases[i].Models = shares
@@ -412,34 +325,27 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, m := range deps[1:] {
-		baseOpts = append(baseOpts, tbnet.WithModel(m.name, m.dep))
+		extraOpts = append(extraOpts, tbnet.WithModel(m.Name, m.Dep))
 	}
-	autoOpts := []tbnet.FleetOption{
-		tbnet.WithAutoscale(*autoMin, *autoMax),
-		tbnet.WithAutoscaleInterval(*autoInterval),
-	}
-	runSpec := scenario.Spec{Name: deps[0].name, Seed: c.seed, Phases: phases}
+	runSpec := scenario.Spec{Name: deps[0].Name, Seed: c.seed, Phases: phases}
 
-	// Sweep mode: the autoscaled fleet and each static width face the same
-	// workload back to back, one fleet at a time so the legs never contend
-	// for the host.
+	// Sweep mode: the autoscaled fleet (pin 0) and each static width face the
+	// same workload back to back, one fleet at a time so the legs never
+	// contend for the host.
 	if len(sweep) > 0 {
 		var points []report.AutoscalePoint
-		legs := []scenarioLeg{{
-			label: fmt.Sprintf("autoscale[%d,%d]", *autoMin, *autoMax),
-			opts:  append(append(deviceOpts(specs, 0), baseOpts...), autoOpts...),
-			auto:  true,
-		}}
-		for _, w := range sweep {
-			legs = append(legs, scenarioLeg{
-				label: fmt.Sprintf("static-%d", w),
-				opts:  append(deviceOpts(specs, w), baseOpts...),
-			})
-		}
-		for _, leg := range legs {
-			fmt.Fprintf(stderr, "driving %d phase(s) over %q routing, %s...\n",
-				len(phases), *policyName, leg.label)
-			p, err := runScenarioLeg(leg, deps[0].dep, runSpec, sample)
+		for _, pin := range append([]int{0}, sweep...) {
+			label := fmt.Sprintf("static-%d", pin)
+			if pin == 0 {
+				label = fmt.Sprintf("autoscale[%d,%d]", ff.AutoscaleMin, ff.AutoscaleMax)
+			}
+			opts, err := ff.Options(pin)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 2
+			}
+			fmt.Fprintf(stderr, "driving %d phase(s) over %q routing, %s...\n", len(phases), ff.Policy, label)
+			p, err := runScenarioLeg(label, append(opts, extraOpts...), deps[0].Dep, runSpec, sample)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
@@ -457,11 +363,7 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	fleetOpts := append(deviceOpts(specs, 0), baseOpts...)
-	if *auto {
-		fleetOpts = append(fleetOpts, autoOpts...)
-	}
-	f, err := tbnet.NewFleet(deps[0].dep, fleetOpts...)
+	f, err := tbnet.NewFleet(deps[0].Dep, append(fleetOpts, extraOpts...)...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -469,7 +371,7 @@ func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
 	defer f.Close()
 
 	fmt.Fprintf(stderr, "driving %d phase(s) over %q routing (default model: %s)...\n",
-		len(phases), *policyName, deps[0].name)
+		len(phases), ff.Policy, deps[0].Name)
 	res, err := scenario.Run(context.Background(), f, runSpec, sample)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -557,13 +459,6 @@ func writeTraceOut(path string, tracer *tbnet.Tracer, jsonOut bool, stderr io.Wr
 	return nil
 }
 
-// scenarioLeg is one configuration in a static-vs-autoscale sweep.
-type scenarioLeg struct {
-	label string
-	opts  []tbnet.FleetOption
-	auto  bool
-}
-
 // parseSweepWidths parses the -sweep flag: comma-separated static pool
 // widths, each at least 1.
 func parseSweepWidths(list string) ([]int, error) {
@@ -588,20 +483,21 @@ func parseSweepWidths(list string) ([]int, error) {
 // runScenarioLeg builds one fleet, drives it through the shared workload, and
 // condenses the outcome into a sweep point: the worst phase p99 the clients
 // saw against the worker-seconds the fleet paid for.
-func runScenarioLeg(leg scenarioLeg, dep *tbnet.Deployment, spec scenario.Spec,
+func runScenarioLeg(label string, opts []tbnet.FleetOption, dep *tbnet.Deployment, spec scenario.Spec,
 	sample func(int) *tbnet.Tensor) (report.AutoscalePoint, error) {
-	f, err := tbnet.NewFleet(dep, leg.opts...)
+	f, err := tbnet.NewFleet(dep, opts...)
 	if err != nil {
-		return report.AutoscalePoint{}, fmt.Errorf("%s: %w", leg.label, err)
+		return report.AutoscalePoint{}, fmt.Errorf("%s: %w", label, err)
 	}
 	defer f.Close()
 	res, err := scenario.Run(context.Background(), f, spec, sample)
 	if err != nil {
-		return report.AutoscalePoint{}, fmt.Errorf("%s: %w", leg.label, err)
+		return report.AutoscalePoint{}, fmt.Errorf("%s: %w", label, err)
 	}
+	ctl := tbnet.FleetAutoscaler(f)
 	p := report.AutoscalePoint{
-		Config:        leg.label,
-		Autoscale:     leg.auto,
+		Config:        label,
+		Autoscale:     ctl != nil,
 		WorkerSeconds: f.WorkerSeconds(),
 		Offered:       res.Offered,
 		Served:        res.Served,
@@ -613,7 +509,7 @@ func runScenarioLeg(leg scenarioLeg, dep *tbnet.Deployment, spec scenario.Spec,
 			p.WorstP99Ms = ph.P99Ms
 		}
 	}
-	if ctl := tbnet.FleetAutoscaler(f); ctl != nil {
+	if ctl != nil {
 		st := ctl.Stats()
 		p.ScaleUps, p.ScaleDowns, p.Refused = st.ScaleUps, st.ScaleDowns, st.Refused
 	}
@@ -632,12 +528,12 @@ type attackReport struct {
 // buildAttackReport replays the architecture-inference attack against every
 // (node, model) tenant's captured runs, with the isolated single-session hit
 // rate on the same deployment as each tenant's baseline.
-func buildAttackReport(tap *seceval.Tap, deps []namedDep, seed int64) (*attackReport, error) {
-	subjects := map[string]seceval.Subject{tbnet.DefaultModel: seceval.SubjectFor(deps[0].dep)}
-	depFor := map[string]*tbnet.Deployment{tbnet.DefaultModel: deps[0].dep}
+func buildAttackReport(tap *seceval.Tap, deps []cliconf.Model, seed int64) (*attackReport, error) {
+	subjects := map[string]seceval.Subject{tbnet.DefaultModel: seceval.SubjectFor(deps[0].Dep)}
+	depFor := map[string]*tbnet.Deployment{tbnet.DefaultModel: deps[0].Dep}
 	for _, m := range deps[1:] {
-		subjects[m.name] = seceval.SubjectFor(m.dep)
-		depFor[m.name] = m.dep
+		subjects[m.Name] = seceval.SubjectFor(m.Dep)
+		depFor[m.Name] = m.Dep
 	}
 	type tenant struct{ node, model string }
 	groups := map[tenant][]seceval.RunRecord{}

@@ -53,6 +53,7 @@ import (
 
 	"tbnet"
 	"tbnet/internal/buildinfo"
+	"tbnet/internal/cliconf"
 	"tbnet/internal/core"
 	"tbnet/internal/httpd"
 	"tbnet/internal/registry"
@@ -77,53 +78,6 @@ func demoDeployment(seed uint64, precision tbnet.Precision) (*tbnet.Deployment, 
 		return core.DeployInt8(tb, tbnet.RaspberryPi3(), []int{1, 3, 16, 16})
 	}
 	return core.Deploy(tb, tbnet.RaspberryPi3(), []int{1, 3, 16, 16})
-}
-
-// parseModels loads the -models list: comma-separated "name=artifact.tbd"
-// entries (loaded from disk, deployed on each artifact's saved device) or
-// bare "name" entries resolved in the -registry store.
-func parseModels(list, regDir string) (names []string, deps []*tbnet.Deployment, err error) {
-	var reg *tbnet.Registry
-	for _, spec := range strings.Split(list, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		name, path := spec, ""
-		if at := strings.IndexByte(spec, '='); at >= 0 {
-			name, path = spec[:at], spec[at+1:]
-		}
-		if name == "" {
-			return nil, nil, fmt.Errorf("model spec %q: empty name", spec)
-		}
-		var dep *tbnet.Deployment
-		if path != "" {
-			f, ferr := os.Open(path)
-			if ferr != nil {
-				return nil, nil, ferr
-			}
-			dep, err = tbnet.LoadDeploymentOn(f, nil)
-			f.Close()
-		} else {
-			if regDir == "" {
-				return nil, nil, fmt.Errorf("model spec %q names a registry entry but -registry is not set", spec)
-			}
-			if reg == nil {
-				if reg, err = tbnet.OpenRegistry(regDir); err != nil {
-					return nil, nil, err
-				}
-			}
-			dep, err = reg.Load(name)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("model %q: %w", name, err)
-		}
-		names, deps = append(names, name), append(deps, dep)
-	}
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("empty model list")
-	}
-	return names, deps, nil
 }
 
 // parseAPIKeys parses "key=tenant" pairs into the auth table.
@@ -153,20 +107,14 @@ func run(args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (host:port; port 0 picks a free port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
-	devices := fs.String("devices", "rpi3:2,sgx-desktop:2",
-		"attached devices as name:workers pairs")
-	policyName := fs.String("policy", "cost-aware", "routing policy: round-robin, least-loaded, cost-aware, ewma")
-	deadline := fs.Duration("deadline", 0, "per-request fleet deadline (0 = none); overdue requests are shed")
-	maxInFlight := fs.Int("max-inflight", 0, "fleet-wide in-flight cap (0 = capacity-weighted default)")
-	auto := fs.Bool("autoscale", false, "run the elastic autoscaler over the fleet")
-	autoMin := fs.Int("autoscale-min", 1, "autoscaler per-node worker floor")
-	autoMax := fs.Int("autoscale-max", 8, "autoscaler per-node worker ceiling")
-	autoInterval := fs.Duration("autoscale-interval", 250*time.Millisecond, "autoscaler control-loop period")
+	ff := cliconf.AddFleetFlags(fs, cliconf.FleetDefaults{
+		Devices:           "rpi3:2,sgx-desktop:2",
+		AutoscaleInterval: 250 * time.Millisecond,
+	})
 	models := fs.String("models", "", "serve saved models: name=artifact.tbd or registry names (comma-separated)")
 	regDir := fs.String("registry", "", "model registry directory (lists on /v1/models, resolves ?from= swaps)")
 	demo := fs.Bool("demo", false, "serve a small untrained demo model (no artifacts needed)")
 	seed := fs.Uint64("seed", 1, "demo model seed")
-	precision := fs.String("precision", "f32", "demo model serving precision: f32 or int8 (artifacts carry their own)")
 	apiKeys := fs.String("api-keys", "", "API keys as key=tenant pairs (empty disables auth)")
 	rate := fs.Float64("rate", 0, "per-tenant sustained request rate limit (0 = unlimited)")
 	burst := fs.Int("burst", 0, "per-tenant burst allowance (0 = ceil(rate))")
@@ -193,19 +141,9 @@ func run(args []string, stderr io.Writer) int {
 	log := slog.New(slog.NewTextHandler(stderr, nil))
 
 	// Everything cheap to validate fails before any model loads.
-	fleetOpts, err := parseFleetDevices(*devices)
+	fleetOpts, err := ff.Options(0)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	policyOpt, err := fleetPolicy(*policyName)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if *auto && (*autoMin < 1 || *autoMax < *autoMin || *autoInterval <= 0) {
-		fmt.Fprintf(stderr, "invalid autoscale flags: min %d, max %d, interval %v\n",
-			*autoMin, *autoMax, *autoInterval)
 		return 2
 	}
 	keys, err := parseAPIKeys(*apiKeys)
@@ -217,25 +155,19 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "nothing to serve: give -models (or -registry names), or -demo")
 		return 2
 	}
-	prec, err := tbnet.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	chain, err := seceval.ParseChain(*obfuscate)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	var names []string
-	var deps []*tbnet.Deployment
+	var hosted []cliconf.Model
 	if *models != "" {
-		names, deps, err = parseModels(*models, *regDir)
+		hosted, err = cliconf.LoadModels(*models, *regDir, nil)
 	} else {
 		var dep *tbnet.Deployment
-		dep, err = demoDeployment(*seed, prec)
-		names, deps = []string{"demo"}, []*tbnet.Deployment{dep}
+		dep, err = demoDeployment(*seed, ff.Precision)
+		hosted = []cliconf.Model{{Name: "demo", Dep: dep}}
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -251,23 +183,13 @@ func run(args []string, stderr io.Writer) int {
 		tracer = tbnet.NewTracer(*traceRing)
 		fleetOpts = append(fleetOpts, tbnet.WithTracing(tracer))
 	}
-	fleetOpts = append(fleetOpts, policyOpt)
-	if *deadline > 0 {
-		fleetOpts = append(fleetOpts, tbnet.WithDeadline(*deadline))
-	}
-	if *maxInFlight > 0 {
-		fleetOpts = append(fleetOpts, tbnet.WithMaxInFlight(*maxInFlight))
-	}
-	if *auto {
-		fleetOpts = append(fleetOpts,
-			tbnet.WithAutoscale(*autoMin, *autoMax),
-			tbnet.WithAutoscaleInterval(*autoInterval),
-			// Scaling events go to the operator log as they happen; the
-			// counters live on /metrics.
-			tbnet.WithAutoscaleLogger(func(ev tbnet.AutoscaleEvent) {
-				log.Info("autoscale", "action", string(ev.Action), "node", ev.Node,
-					"from", ev.From, "to", ev.To, "workers", ev.TotalWorkers, "reason", ev.Reason)
-			}))
+	if ff.Autoscale {
+		// Scaling events go to the operator log as they happen; the counters
+		// live on /metrics.
+		fleetOpts = append(fleetOpts, tbnet.WithAutoscaleLogger(func(ev tbnet.AutoscaleEvent) {
+			log.Info("autoscale", "action", string(ev.Action), "node", ev.Node,
+				"from", ev.From, "to", ev.To, "workers", ev.TotalWorkers, "reason", ev.Reason)
+		}))
 	}
 	// With -obfuscate, a tap on every worker run rewrites the attacker-visible
 	// trace through the chain and charges the modeled cost back into the run's
@@ -283,10 +205,10 @@ func run(args []string, stderr io.Writer) int {
 		)
 		fleetOpts = append(fleetOpts, tbnet.WithFleetTap(tap))
 	}
-	for i, name := range names[1:] {
-		fleetOpts = append(fleetOpts, tbnet.WithModel(name, deps[i+1]))
+	for _, m := range hosted[1:] {
+		fleetOpts = append(fleetOpts, tbnet.WithModel(m.Name, m.Dep))
 	}
-	f, err := tbnet.NewFleet(deps[0], fleetOpts...)
+	f, err := tbnet.NewFleet(hosted[0].Dep, fleetOpts...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -341,7 +263,7 @@ func run(args []string, stderr io.Writer) int {
 		}
 	}
 	log.Info("tbnetd listening", "addr", bound, "models", strings.Join(f.Models(), ","),
-		"policy", *policyName, "devices", *devices)
+		"policy", ff.Policy, "devices", ff.Devices)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
@@ -365,52 +287,4 @@ func run(args []string, stderr io.Writer) int {
 	}
 	log.Info("drained cleanly, bye")
 	return 0
-}
-
-// parseFleetDevices parses a "name:workers" list into WithDevice options,
-// validating names and widths before anything expensive happens.
-func parseFleetDevices(list string) ([]tbnet.FleetOption, error) {
-	var opts []tbnet.FleetOption
-	for _, spec := range strings.Split(list, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		name, workers := spec, 2
-		if at := strings.LastIndex(spec, ":"); at >= 0 {
-			var n int
-			if _, err := fmt.Sscanf(spec[at+1:], "%d", &n); err != nil {
-				return nil, fmt.Errorf("device spec %q: workers %q is not a number", spec, spec[at+1:])
-			}
-			name, workers = spec[:at], n
-		}
-		if _, err := tbnet.DeviceByName(name); err != nil {
-			return nil, fmt.Errorf("device spec %q: %w", spec, err)
-		}
-		if workers < 1 {
-			return nil, fmt.Errorf("device spec %q: workers %d < 1", spec, workers)
-		}
-		opts = append(opts, tbnet.WithDevice(name, workers))
-	}
-	if len(opts) == 0 {
-		return nil, fmt.Errorf("empty device list")
-	}
-	return opts, nil
-}
-
-// fleetPolicy maps the -policy flag onto a fleet option: one of the built-in
-// routing policies, or "ewma", which also installs the online latency
-// estimator the adaptive policy learns from.
-func fleetPolicy(name string) (tbnet.FleetOption, error) {
-	switch name {
-	case "round-robin":
-		return tbnet.WithPolicy(tbnet.RoundRobin()), nil
-	case "least-loaded":
-		return tbnet.WithPolicy(tbnet.LeastLoaded()), nil
-	case "cost-aware":
-		return tbnet.WithPolicy(tbnet.CostAware()), nil
-	case "ewma":
-		return tbnet.WithEWMARouting(0), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q (want round-robin, least-loaded, cost-aware, or ewma)", name)
 }

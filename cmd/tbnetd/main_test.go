@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tbnet"
+	"tbnet/internal/cliconf/cliconftest"
 )
 
 // startTestDaemon launches run() in-process with -demo and returns the base
@@ -265,6 +266,27 @@ func TestRunFlagValidation(t *testing.T) {
 	if code := run([]string{"-models", "x"}, io.Discard); code == 0 {
 		t.Error("bare registry name without -registry accepted")
 	}
+}
+
+// TestFlagSurface pins the daemon's flag names and defaults, and checks it
+// rejects the shared fleet flags' bad values the way `tbnet fleet` and
+// `tbnet scenario` do (negative -deadline and -max-inflight included).
+func TestFlagSurface(t *testing.T) {
+	run := func(args ...string) (int, string) {
+		var stderr bytes.Buffer
+		code := run(append(args, "-demo"), &stderr)
+		return code, stderr.String()
+	}
+	_, help := run("-h")
+	cliconftest.CheckSurface(t, help, map[string]string{
+		"addr": `"127.0.0.1:0"`, "addr-file": ``, "api-keys": ``, "burst": ``, "demo": ``,
+		"drain-timeout": `30s`, "idle-ttl": ``, "models": ``, "obfuscate": ``, "pprof": ``, "rate": ``,
+		"registry": ``, "retry-after": `1s`, "seed": `1`, "slow-log": `250ms`, "trace-ring": `4096`, "version": ``,
+		"devices": `"rpi3:2,sgx-desktop:2"`, "policy": `"cost-aware"`,
+		"deadline": ``, "max-inflight": ``, "precision": `"f32"`,
+		"autoscale": ``, "autoscale-min": `1`, "autoscale-max": `8`, "autoscale-interval": `250ms`,
+	})
+	cliconftest.CheckRejections(t, run)
 }
 
 // TestVersionFlag: -version prints the release and toolchain versions and

@@ -1,0 +1,182 @@
+package fleet
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tbnet/internal/tee"
+)
+
+// checkSnapshot asserts one fleet snapshot's conservation laws: its three
+// views of the served count agree, the histogram holds one observation per
+// served request, and every request the callers have seen resolved (served,
+// shed, or failed) is accounted — the total lies between the callers' own
+// completed and started counts, read around the snapshot.
+func checkSnapshot(t *testing.T, st Stats, completedBefore, startedAfter int64) {
+	t.Helper()
+	var perModel, perDevice int64
+	for _, ms := range st.Models {
+		perModel += ms.Requests
+	}
+	for _, ds := range st.PerDevice {
+		perDevice += ds.Serve.Requests
+	}
+	if perModel != st.Requests || perDevice != st.Requests {
+		t.Errorf("one snapshot: Requests %d, Σ Models %d, Σ PerDevice %d", st.Requests, perModel, perDevice)
+	}
+	if n := int64(st.LatencyHist.Count()); n != st.Requests {
+		t.Errorf("one snapshot: LatencyHist.Count() %d, Requests %d", n, st.Requests)
+	}
+	if resolved := st.Requests + st.Shed + st.Errors; resolved < completedBefore || resolved > startedAfter {
+		t.Errorf("Requests+Shed+Errors = %d+%d+%d, want within callers' [completed %d, started %d]",
+			st.Requests, st.Shed, st.Errors, completedBefore, startedAfter)
+	}
+}
+
+// TestStatsConservation: offered == Requests + Shed + Errors the instant the
+// last Infer returns, and every snapshot a reader takes beside 8-way traffic
+// (shedding at a tight in-flight cap, across two nodes and two models) obeys
+// the same law and agrees with itself.
+func TestStatsConservation(t *testing.T) {
+	sgx, err := tee.ByName("sgx-desktop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(testDeployment(t, 61), Config{
+		Nodes:       []NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}, {Device: sgx, Workers: 1}},
+		Models:      []NamedModel{{Name: "b", Dep: testDeployment(t, 62)}},
+		MaxBatch:    4,
+		MaxDelay:    20 * time.Microsecond,
+		MaxInFlight: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	models := []string{DefaultModel, "b"}
+	xs := randSamples(8, 63)
+	ctx := context.Background()
+
+	const sequential = 1000
+	for i := 0; i < sequential; i++ {
+		if _, err := f.InferModel(ctx, models[i%2], xs[i%len(xs)]); err != nil {
+			t.Fatal(err)
+		}
+		st := f.Stats()
+		checkSnapshot(t, st, int64(i+1), int64(i+1))
+		if st.Requests != int64(i+1) {
+			t.Errorf("Requests = %d right after request %d returned", st.Requests, i+1)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	const clients, each = 8, 250
+	var started, completed, served, shed atomic.Int64
+	started.Store(sequential)
+	completed.Store(sequential)
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c := completed.Load()
+			st := f.Stats()
+			checkSnapshot(t, st, c, started.Load())
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				started.Add(1)
+				_, err := f.InferModel(ctx, models[(c+i)%2], xs[(c+i)%len(xs)])
+				switch {
+				case err == nil:
+					served.Add(1)
+				case errors.Is(err, ErrOverloaded):
+					shed.Add(1)
+				default:
+					t.Error(err)
+				}
+				completed.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	const offered = sequential + clients*each
+	st := f.Stats()
+	checkSnapshot(t, st, offered, offered)
+	if st.Requests != sequential+served.Load() || st.Shed != shed.Load() || st.Errors != 0 {
+		t.Errorf("fleet says %d served / %d shed / %d errors; callers saw %d / %d / 0",
+			st.Requests, st.Shed, st.Errors, sequential+served.Load(), shed.Load())
+	}
+	if shed.Load() == 0 {
+		t.Log("no request was shed: the in-flight cap never bound on this run")
+	}
+}
+
+// TestStatsDuringSwap: a fleet-wide snapshot never waits on a swap. One paced
+// request holds the only worker, so SwapModel is parked draining the old
+// generation; Stats must return while the swap is still out.
+func TestStatsDuringSwap(t *testing.T) {
+	f, err := New(testDeployment(t, 64), Config{
+		Nodes:     []NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}},
+		MaxBatch:  1,
+		PaceScale: 1000, // one run paces for over a second of wall time
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	inferDone := make(chan error, 1)
+	go func() {
+		_, err := f.Infer(context.Background(), randSamples(1, 65)[0])
+		inferDone <- err
+	}()
+	held := func() bool { l := f.NodeLoads(DefaultModel)[0]; return l.InFlight == 1 && l.QueueDepth == 0 }
+	for !held() {
+		time.Sleep(100 * time.Microsecond) // until the worker holds the batch
+	}
+	swapDone := make(chan error, 1)
+	go func() { swapDone <- f.SwapModel(DefaultModel, testDeployment(t, 66)) }()
+
+	// The fleet does not expose the moment the swap flips generations, so
+	// keep reading across its warm-up and well into its drain: each read
+	// must finish while the paced run — and so the swap — is still out.
+	for i := 0; i < 100; i++ {
+		st := f.Stats()
+		select {
+		case err := <-swapDone:
+			t.Fatalf("swap returned (%v) before read %d did: a counter read waited on the swap", err, i)
+		default:
+		}
+		if st.Requests != 0 || st.InFlight != 1 || len(st.Models) != 1 || st.Models[0].Precision != "f32" {
+			t.Fatalf("snapshot during swap: %d served, %d in flight, models %+v", st.Requests, st.InFlight, st.Models)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := <-inferDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-swapDone; err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Requests != 1 || st.Models[0].Swaps != 1 {
+		t.Errorf("after the swap: %d served, %d swaps, want 1/1", st.Requests, st.Models[0].Swaps)
+	}
+}

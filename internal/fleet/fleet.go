@@ -976,6 +976,14 @@ func (f *Fleet) DetachDevice(name string) error {
 	return nil
 }
 
+// Devices returns the number of attached nodes — the liveness probe's
+// figure, read without building a Stats snapshot.
+func (f *Fleet) Devices() int {
+	f.topoMu.RLock()
+	defer f.topoMu.RUnlock()
+	return len(f.nodes)
+}
+
 // Workers returns the fleet's current total provisioned worker count.
 func (f *Fleet) Workers() int {
 	total := 0
@@ -1189,7 +1197,11 @@ type Stats struct {
 	LatencyHist *obs.Histogram `json:"-"`
 }
 
-// Stats returns an aggregated snapshot of the fleet's counters.
+// Stats returns an aggregated snapshot of the fleet's counters. Each node's
+// server is snapshotted exactly once, and the fleet-wide, per-device and
+// per-model views are all folded from that one pass — so within a snapshot
+// Requests == Σ Models[i].Requests == Σ PerDevice[i].Serve.Requests ==
+// LatencyHist.Count(), by construction.
 func (f *Fleet) Stats() Stats {
 	nodes := f.snapshotNodes()
 	out := Stats{
@@ -1199,16 +1211,16 @@ func (f *Fleet) Stats() Stats {
 		InFlight:      f.inflight.Load(),
 		WorkerSeconds: f.clock.total(),
 		WallSeconds:   time.Since(f.start).Seconds(),
+		LatencyHist:   &obs.Histogram{},
 	}
 	f.modelMu.RLock()
-	models := append([]string(nil), f.names...)
 	defaultLat := make([]float64, len(nodes))
 	for i, n := range nodes {
 		defaultLat[i] = n.lat[DefaultModel]
 	}
 	f.modelMu.RUnlock()
-	out.LatencyHist = &obs.Histogram{}
 	var hostNs float64
+	modelAt := make(map[string]int) // model name → index in out.Models
 	for i, n := range nodes {
 		st := n.srv.Stats()
 		out.Requests += st.Requests
@@ -1227,35 +1239,33 @@ func (f *Fleet) Stats() Stats {
 			SampleLatencyMicros: defaultLat[i] * 1e6,
 			Serve:               st,
 		})
+		// Every node hosts the models in the same order, so first-seen order
+		// is hosting order (DefaultModel first).
+		for _, pm := range st.PerModel {
+			at, ok := modelAt[pm.Model]
+			if !ok {
+				at = len(out.Models)
+				modelAt[pm.Model] = at
+				out.Models = append(out.Models, ModelStats{Name: pm.Model, LatencyHist: &obs.Histogram{}})
+			}
+			ms := &out.Models[at]
+			ms.Precision = pm.Precision
+			ms.Requests += pm.Requests
+			ms.Errors += pm.Errors
+			ms.Swaps += pm.Swaps
+			ms.ModeledThroughput += pm.ModeledThroughput
+			ms.LatencyHist.Merge(pm.LatencyHist)
+		}
 	}
 	if out.Requests > 0 {
 		out.HostNsPerOp = hostNs / float64(out.Requests)
 	}
-	if out.LatencyHist.Count() > 0 {
-		out.P50Micros = out.LatencyHist.Quantile(0.50) * 1e6
-		out.P95Micros = out.LatencyHist.Quantile(0.95) * 1e6
-		out.P99Micros = out.LatencyHist.Quantile(0.99) * 1e6
-	}
-	for _, name := range models {
-		ms := ModelStats{Name: name, LatencyHist: &obs.Histogram{}}
-		for _, n := range nodes {
-			st, err := n.srv.ModelStats(name)
-			if err != nil {
-				continue
-			}
-			ms.Precision = st.Precision
-			ms.Requests += st.Requests
-			ms.Errors += st.Errors
-			ms.Swaps += st.Swaps
-			ms.ModeledThroughput += st.ModeledThroughput
-			ms.LatencyHist.Merge(st.LatencyHist)
-		}
-		if ms.LatencyHist.Count() > 0 {
-			ms.P50Micros = ms.LatencyHist.Quantile(0.50) * 1e6
-			ms.P95Micros = ms.LatencyHist.Quantile(0.95) * 1e6
-			ms.P99Micros = ms.LatencyHist.Quantile(0.99) * 1e6
-		}
-		out.Models = append(out.Models, ms)
+	p50, p95, p99 := out.LatencyHist.Percentiles()
+	out.P50Micros, out.P95Micros, out.P99Micros = p50*1e6, p95*1e6, p99*1e6
+	for i := range out.Models {
+		ms := &out.Models[i]
+		p50, p95, p99 := ms.LatencyHist.Percentiles()
+		ms.P50Micros, ms.P95Micros, ms.P99Micros = p50*1e6, p95*1e6, p99*1e6
 	}
 	return out
 }

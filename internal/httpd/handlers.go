@@ -139,7 +139,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"status":  state,
 		"models":  len(s.fleet.Models()),
-		"devices": s.fleetStats().Devices,
+		"devices": s.fleet.Devices(),
 	})
 }
 
@@ -323,22 +323,18 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 // and, when a registry is attached, the persisted artifacts available for
 // swap-by-name.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	st := s.fleetStats()
-	perModel := make(map[string]fleet.ModelStats, len(st.Models))
-	for _, ms := range st.Models {
-		perModel[ms.Name] = ms
-	}
 	resp := modelsResponse{Default: fleet.DefaultModel}
-	for _, name := range s.fleet.Models() {
-		info := modelInfo{Name: name, Default: name == fleet.DefaultModel}
-		if shape, err := s.fleet.SampleShape(name); err == nil {
-			info.SampleShape = shape
+	for _, ms := range s.fleet.Stats().Models {
+		info := modelInfo{
+			Name:      ms.Name,
+			Default:   ms.Name == fleet.DefaultModel,
+			Precision: ms.Precision,
+			Requests:  ms.Requests,
+			Swaps:     ms.Swaps,
+			P99Micros: ms.P99Micros,
 		}
-		if ms, ok := perModel[name]; ok {
-			info.Precision = ms.Precision
-			info.Requests = ms.Requests
-			info.Swaps = ms.Swaps
-			info.P99Micros = ms.P99Micros
+		if shape, err := s.fleet.SampleShape(ms.Name); err == nil {
+			info.SampleShape = shape
 		}
 		resp.Models = append(resp.Models, info)
 	}
@@ -383,7 +379,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, r, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	dep, err := core.Deploy(art.TB, dev, art.SampleShape)
+	dep, err := art.Deploy(dev)
 	if err != nil {
 		writeError(w, r, err, s.cfg.RetryAfter)
 		return

@@ -269,24 +269,59 @@ func TestInferBadRequests(t *testing.T) {
 
 // TestSwapOverHTTP: POSTing a serialized artifact hot-swaps the hosted model
 // and the post-swap answers are bit-identical to direct inference on an
-// identically-deployed copy of the incoming model.
+// identically-deployed copy of the incoming model — at either precision,
+// whether the artifact arrives in the body or is named in the registry.
 func TestSwapOverHTTP(t *testing.T) {
-	s, f := testServer(t, nil, nil)
-	h := s.Handler()
-
-	tb2 := testTwoBranch(99)
-	var buf bytes.Buffer
-	if err := serial.SaveDeployment(&buf, &serial.Artifact{
-		TB: tb2, Device: "rpi3", SampleShape: []int{1, 3, 16, 16},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ref2, err := core.Deploy(testTwoBranch(99), tee.RaspberryPi3(), []int{1, 3, 16, 16})
+	store, err := registry.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, f := testServer(t, nil, func(c *Config) { c.Registry = store })
+	h := s.Handler()
+	shape := []int{1, 3, 16, 16}
+	swapPath := "/v1/models/" + fleet.DefaultModel + "/swap"
 
-	w := postJSON(t, h, "/v1/models/"+fleet.DefaultModel+"/swap", buf.Bytes())
+	// expectServing checks the daemon now answers exactly like ref and
+	// exports the model at the given weight width.
+	expectServing := func(ref *core.Deployment, bits string) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			x := randSample(uint64(300 + i))
+			labels, err := ref.Infer(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := postJSON(t, h, "/v1/infer", inferBody(t, "", x))
+			if w.Code != http.StatusOK {
+				t.Fatalf("post-swap infer = %d: %s", w.Code, w.Body)
+			}
+			var out inferResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.Label != labels[0] {
+				t.Fatalf("post-swap sample %d: HTTP label %d != incoming model's %d",
+					i, out.Label, labels[0])
+			}
+		}
+		want := fmt.Sprintf("tbnet_model_precision{model=%q,precision=%q} %s",
+			fleet.DefaultModel, ref.Precision(), bits)
+		if body := getPath(t, h, "/metrics").Body.String(); !strings.Contains(body, want) {
+			t.Fatalf("/metrics lacks %q after the swap", want)
+		}
+	}
+
+	var f32Art bytes.Buffer
+	if err := serial.SaveDeployment(&f32Art, &serial.Artifact{
+		TB: testTwoBranch(99), Device: "rpi3", SampleShape: shape,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ref2, err := core.Deploy(testTwoBranch(99), tee.RaspberryPi3(), shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := postJSON(t, h, swapPath, f32Art.Bytes())
 	if w.Code != http.StatusOK {
 		t.Fatalf("swap = %d: %s", w.Code, w.Body)
 	}
@@ -300,32 +335,95 @@ func TestSwapOverHTTP(t *testing.T) {
 	if got := f.Stats().Models[0].Swaps; got != 1 {
 		t.Fatalf("fleet swap counter = %d, want 1", got)
 	}
-	for i := 0; i < 4; i++ {
-		x := randSample(uint64(300 + i))
-		labels, err := ref2.Infer(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := postJSON(t, h, "/v1/infer", inferBody(t, "", x))
-		if w.Code != http.StatusOK {
-			t.Fatalf("post-swap infer = %d: %s", w.Code, w.Body)
-		}
-		var out inferResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Label != labels[0] {
-			t.Fatalf("post-swap sample %d: HTTP label %d != incoming model's %d",
-				i, out.Label, labels[0])
-		}
+	expectServing(ref2, "32")
+
+	// The int8 legs: the same model /v1/models advertises as "int8" must be
+	// swappable, from the body and by registry name.
+	refQ, err := core.DeployInt8(testTwoBranch(55), tee.RaspberryPi3(), shape)
+	if err != nil {
+		t.Fatal(err)
 	}
+	qmr, qmt := refQ.Quantized()
+	int8Art := &serial.Artifact{
+		Precision: string(core.PrecisionInt8), QMR: qmr, QMT: qmt, Align: refQ.Align(),
+		Device: "rpi3", SampleShape: shape,
+	}
+	var int8Body bytes.Buffer
+	if err := serial.SaveDeployment(&int8Body, int8Art); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save("quantized", int8Art); err != nil {
+		t.Fatal(err)
+	}
+	if w := postJSON(t, h, swapPath, int8Body.Bytes()); w.Code != http.StatusOK {
+		t.Fatalf("int8 body swap = %d: %s", w.Code, w.Body)
+	}
+	expectServing(refQ, "8")
+	if w := postJSON(t, h, swapPath, f32Art.Bytes()); w.Code != http.StatusOK {
+		t.Fatalf("swap back to f32 = %d: %s", w.Code, w.Body)
+	}
+	expectServing(ref2, "32")
+	if w := postJSON(t, h, swapPath+"?from=quantized", nil); w.Code != http.StatusOK {
+		t.Fatalf("int8 ?from= swap = %d: %s", w.Code, w.Body)
+	}
+	expectServing(refQ, "8")
 
 	// Swapping an unknown name is 404; an empty body is 400.
-	if w := postJSON(t, h, "/v1/models/nope/swap", buf.Bytes()); w.Code != http.StatusNotFound {
+	if w := postJSON(t, h, "/v1/models/nope/swap", f32Art.Bytes()); w.Code != http.StatusNotFound {
 		t.Fatalf("swap unknown = %d, want 404", w.Code)
 	}
-	if w := postJSON(t, h, "/v1/models/"+fleet.DefaultModel+"/swap", nil); w.Code != http.StatusBadRequest {
+	if w := postJSON(t, h, swapPath, nil); w.Code != http.StatusBadRequest {
 		t.Fatalf("swap empty body = %d, want 400", w.Code)
+	}
+}
+
+// TestStatsDuringSwap: liveness and scraping never wait on a swap. One paced
+// request holds the only worker, so a swap-over-HTTP is parked draining the
+// old generation; /healthz, /metrics and /v1/models must all answer while
+// it is still out.
+func TestStatsDuringSwap(t *testing.T) {
+	s, f := testServer(t, func(c *fleet.Config) {
+		c.MaxBatch = 1
+		c.PaceScale = 1000 // one run paces for over a second of wall time
+	}, nil)
+	h := s.Handler()
+	var art bytes.Buffer
+	if err := serial.SaveDeployment(&art, &serial.Artifact{
+		TB: testTwoBranch(7), Device: "rpi3", SampleShape: []int{1, 3, 16, 16},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	inferDone := make(chan int, 1)
+	go func() { inferDone <- postJSON(t, h, "/v1/infer", inferBody(t, "", randSample(8))).Code }()
+	held := func() bool { l := f.NodeLoads(fleet.DefaultModel)[0]; return l.InFlight == 1 && l.QueueDepth == 0 }
+	for !held() {
+		time.Sleep(100 * time.Microsecond) // until the worker holds the batch
+	}
+	swapDone := make(chan int, 1)
+	go func() {
+		swapDone <- postJSON(t, h, "/v1/models/"+fleet.DefaultModel+"/swap", art.Bytes()).Code
+	}()
+	// The daemon does not expose the moment the swap flips generations, so
+	// keep probing across its warm-up and well into its drain.
+	for i := 0; i < 50; i++ {
+		for _, path := range []string{"/healthz", "/metrics", "/v1/models"} {
+			code := getPath(t, h, path).Code
+			select {
+			case <-swapDone:
+				t.Fatalf("swap returned before GET %s (probe %d) did: the endpoint waited on the swap", path, i)
+			default:
+			}
+			if code != http.StatusOK {
+				t.Fatalf("GET %s during the swap = %d", path, code)
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code := <-inferDone; code != http.StatusOK {
+		t.Fatalf("held request = %d", code)
+	}
+	if code := <-swapDone; code != http.StatusOK {
+		t.Fatalf("swap = %d", code)
 	}
 }
 

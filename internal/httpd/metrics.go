@@ -13,7 +13,6 @@ import (
 
 	"tbnet/internal/autoscale"
 	"tbnet/internal/buildinfo"
-	"tbnet/internal/fleet"
 	"tbnet/internal/obs"
 )
 
@@ -349,6 +348,3 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Logger.Error("metrics scrape failed", "err", err)
 	}
 }
-
-// fleetStats is exported to the handlers for the models listing.
-func (s *Server) fleetStats() fleet.Stats { return s.fleet.Stats() }

@@ -183,6 +183,12 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
+// Percentiles returns the p50, p95 and p99 estimates in seconds — the three
+// figures every Stats snapshot reports — all zero when empty.
+func (h *Histogram) Percentiles() (p50, p95, p99 float64) {
+	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+}
+
 // BucketCount is one row of a cumulative bucket dump, ready for Prometheus
 // exposition: the upper bound in seconds (+Inf for the overflow row), the
 // cumulative count of observations <= that bound, and the bucket's

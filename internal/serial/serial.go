@@ -41,6 +41,7 @@ import (
 	"tbnet/internal/core"
 	"tbnet/internal/nn"
 	"tbnet/internal/quant"
+	"tbnet/internal/tee"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
@@ -99,6 +100,17 @@ type Artifact struct {
 	// Align is the channel-alignment map of an int8 artifact (f32 artifacts
 	// carry it inside TB).
 	Align [][]int
+}
+
+// Deploy places the artifact on device at the precision it was saved for —
+// the one artifact→deployment function every restore path (file, registry,
+// swap-over-HTTP) goes through: f32 artifacts deploy their two-branch
+// weights, int8 artifacts their quantized branches.
+func (a *Artifact) Deploy(device tee.Device) (*core.Deployment, error) {
+	if a.Precision == string(core.PrecisionInt8) {
+		return core.DeployQuantized(a.QMR, a.QMT, a.Align, device, a.SampleShape)
+	}
+	return core.Deploy(a.TB, device, a.SampleShape)
 }
 
 // writer serializes little-endian primitives through a buffered sink,

@@ -1,0 +1,257 @@
+package serve
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tbnet/internal/core"
+	"tbnet/internal/obs"
+	"tbnet/internal/tee"
+)
+
+// checkSnapshot asserts one Stats snapshot's internal consistency and that
+// its served count lies between the callers' own completed and started
+// counts, read around the snapshot.
+func checkSnapshot(t *testing.T, st Stats, completedBefore, startedAfter int64) {
+	t.Helper()
+	if st.Requests < completedBefore || st.Requests > startedAfter {
+		t.Errorf("Requests = %d, want within callers' [completed %d, started %d]",
+			st.Requests, completedBefore, startedAfter)
+	}
+	if n := int64(st.LatencyHist.Count()); n != st.Requests {
+		t.Errorf("LatencyHist.Count() = %d, Requests = %d in one snapshot", n, st.Requests)
+	}
+	var perModel int64
+	for _, ms := range st.PerModel {
+		perModel += ms.Requests
+	}
+	if perModel != st.Requests {
+		t.Errorf("Σ PerModel.Requests = %d, Requests = %d in one snapshot", perModel, st.Requests)
+	}
+}
+
+// TestStatsConservation: a request is in every counter Stats reads by the
+// time its Infer returns (record → pending-- → reply), so a caller's own
+// count and the server's never disagree — read immediately after each
+// sequential return, and in every snapshot a reader takes beside 8-way
+// concurrent traffic across two hosted models.
+func TestStatsConservation(t *testing.T) {
+	srv, err := New(testDeployment(t, 91), Config{Workers: 2, MaxBatch: 4, MaxDelay: 20 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.AddModel("b", testDeployment(t, 92)); err != nil {
+		t.Fatal(err)
+	}
+	models := []string{DefaultModel, "b"}
+	xs := randSamples(8, 93)
+	ctx := context.Background()
+
+	const sequential = 2000
+	for i := 0; i < sequential; i++ {
+		if _, err := srv.InferModel(ctx, models[i%2], xs[i%len(xs)]); err != nil {
+			t.Fatal(err)
+		}
+		checkSnapshot(t, srv.Stats(), int64(i+1), int64(i+1))
+		if t.Failed() {
+			t.Fatalf("after sequential request %d", i+1)
+		}
+	}
+
+	const clients, each = 8, 250
+	var started, completed atomic.Int64
+	started.Store(sequential)
+	completed.Store(sequential)
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c := completed.Load()
+			st := srv.Stats()
+			checkSnapshot(t, st, c, started.Load())
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				started.Add(1)
+				if _, err := srv.InferModel(ctx, models[(c+i)%2], xs[(c+i)%len(xs)]); err != nil {
+					t.Error(err)
+					return
+				}
+				completed.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	const total = sequential + clients*each
+	checkSnapshot(t, srv.Stats(), total, total)
+}
+
+// TestStatsDuringSwap: no counter read waits on a swap. A paced server holds
+// one batch in flight, so SwapModel is parked draining the old generation;
+// Stats and ModelStats must both return while it is still parked.
+func TestStatsDuringSwap(t *testing.T) {
+	dep := testDeployment(t, 94)
+	// One single-sample run on the rpi3 model is paced to well over a second
+	// of wall time — the swap cannot finish before the reads below unless the
+	// reads themselves wait on it.
+	srv, err := New(dep, Config{Workers: 1, MaxBatch: 1, PaceScale: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	inferDone := make(chan error, 1)
+	go func() {
+		_, err := srv.Infer(context.Background(), randSamples(1, 95)[0])
+		inferDone <- err
+	}()
+	for srv.InFlight() == 0 || srv.QueueDepth() != 0 {
+		time.Sleep(100 * time.Microsecond) // until the worker holds the batch
+	}
+	swapDone := make(chan error, 1)
+	go func() { swapDone <- srv.Swap(testDeployment(t, 96)) }()
+	// The swap has flipped generations once the pool reports the new
+	// template's worker set; from then on it is parked in the old
+	// generation's drain.
+	p, _ := srv.lookup(DefaultModel)
+	old := p.gen.Load()
+	for p.gen.Load() == old {
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	st := srv.Stats()
+	ms, err := srv.ModelStats(DefaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-swapDone:
+		t.Fatalf("swap returned (%v) before the reads did: a counter read waited on the swap", err)
+	default:
+	}
+	if st.Precision != "f32" || ms.Precision != "f32" || ms.Model != DefaultModel {
+		t.Errorf("snapshot during swap: precision %q / %q, model %q", st.Precision, ms.Precision, ms.Model)
+	}
+	if st.Requests != 0 || st.QueueDepth != 0 {
+		t.Errorf("snapshot during swap: requests %d, queue %d, want 0/0 (the run is still pacing)",
+			st.Requests, st.QueueDepth)
+	}
+	if err := <-inferDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-swapDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingTap records how many runs, and how many samples, were tapped.
+type countingTap struct{ runs, samples atomic.Int64 }
+
+func (c *countingTap) TapRun(_ tee.Device, _ string, batch int, _ []tee.Event) float64 {
+	c.runs.Add(1)
+	c.samples.Add(int64(batch))
+	return 0
+}
+
+// TestFailedBatchIsolatedPerRequest covers the isolation path: the pool's
+// generation is replaced by replicas of batch capacity 1 under MaxBatch 4,
+// so every coalesced run fails its input check while each request alone
+// succeeds. Every caller must still get its own correct label, and the
+// books must show exactly one run per request.
+func TestFailedBatchIsolatedPerRequest(t *testing.T) {
+	dep := testDeployment(t, 97)
+	tap := &countingTap{}
+	tracer := obs.NewTracer(64)
+	srv, err := New(dep, Config{Workers: 1, MaxBatch: 4, MaxDelay: 50 * time.Millisecond, Tap: tap, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Install a capacity-1 generation the way swapInto installs any other.
+	p, _ := srv.lookup(DefaultModel)
+	rep, err := dep.ReplicateOn(srv.device, 1, srv.budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &generation{batches: make(chan []*request), reps: []*core.Deployment{rep},
+		secureBytes: rep.SecureBytes, precision: "f32"}
+	p.genMu.Lock()
+	old := p.gen.Swap(g)
+	p.startWorkers(g)
+	p.genMu.Unlock()
+	close(old.batches)
+	old.workers.Wait()
+	srv.budget.Free(old.secureBytes)
+
+	const n = 8
+	xs := randSamples(n, 98)
+	want := make([]int, n)
+	for i, x := range xs {
+		labels, err := dep.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = labels[0]
+	}
+	got, err := srv.InferBatch(context.Background(), xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("sample %d: isolated label %d, want %d", i, got[i], want[i])
+		}
+	}
+	st := srv.Stats()
+	if st.Requests != n || st.Errors != 0 || st.Batches != n || st.LargestBatch != 1 {
+		t.Errorf("stats = %d requests, %d errors, %d batches, largest %d; want %d/0/%d/1",
+			st.Requests, st.Errors, st.Batches, st.LargestBatch, n, n)
+	}
+	if c := st.LatencyHist.Count(); c != n {
+		t.Errorf("histogram observations = %d, want one per request (%d)", c, n)
+	}
+	if tap.runs.Load() != n || tap.samples.Load() != n {
+		t.Errorf("tap saw %d runs / %d samples, want %d single-sample runs", tap.runs.Load(), tap.samples.Load(), n)
+	}
+
+	// Traced requests that rode a failed batch keep their whole timeline:
+	// the server's tracer self-starts a span for each of these callers.
+	var wg sync.WaitGroup
+	for _, x := range xs[:4] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.Infer(context.Background(), x); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	spans := tracer.Snapshot(0, 0)
+	if len(spans) != 4 {
+		t.Fatalf("tracer holds %d spans, want 4", len(spans))
+	}
+	for _, s := range spans {
+		for _, stage := range []string{"queued", "ree", "tee"} {
+			if s.StageMs(stage) <= 0 {
+				t.Errorf("isolated request lost its %s stage: %+v", stage, s.Stages)
+			}
+		}
+	}
+}

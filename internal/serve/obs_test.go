@@ -80,7 +80,7 @@ func TestServerSpanTimeline(t *testing.T) {
 		t.Errorf("stage sum %.3fms exceeds wall %.3fms", sum, d.WallMs)
 	}
 	var exemplar string
-	for _, b := range srv.LatencyHistogram().Buckets() {
+	for _, b := range srv.Stats().LatencyHist.Buckets() {
 		if b.Exemplar.TraceID != "" {
 			exemplar = b.Exemplar.TraceID
 		}

@@ -183,6 +183,7 @@ type generation struct {
 	reps        []*core.Deployment
 	workers     sync.WaitGroup
 	secureBytes int64
+	precision   string // numeric serving path of the replicas ("f32" or "int8")
 }
 
 // pool is one hosted model's serving machinery: a request queue, a batching
@@ -215,12 +216,15 @@ type pool struct {
 	closeOnce      sync.Once
 	drained        chan struct{}
 
-	// genMu guards gen/retired: the dispatcher holds it shared around each
-	// batch handoff, a swap holds it exclusively while flipping generations,
-	// and the dispatcher's exit marks the pool retired under it so a late
-	// swap cannot install workers nobody will ever terminate.
+	// genMu orders generation flips against batch handoffs: the dispatcher
+	// holds it shared around each handoff, a swap holds it exclusively while
+	// storing the new gen, and the dispatcher's exit marks the pool retired
+	// under it so a late swap cannot install workers nobody will ever
+	// terminate. Readers that only describe the installed generation (the
+	// stats snapshot) load gen without the lock, so they never wait on a
+	// handoff or a swap.
 	genMu   sync.RWMutex
-	gen     *generation
+	gen     atomic.Pointer[generation]
 	retired bool
 	// swapMu serializes SwapModel calls on this pool.
 	swapMu sync.Mutex
@@ -295,7 +299,7 @@ const traceBound = 1024
 // serving path, so the first post-swap batch pays no allocation or sizing
 // cost.
 func (s *Server) newGeneration(dep *core.Deployment, workers int, warm bool) (*generation, error) {
-	g := &generation{batches: make(chan []*request)}
+	g := &generation{batches: make(chan []*request), precision: string(dep.Precision())}
 	release := func() {
 		s.budget.Free(g.secureBytes)
 		g.secureBytes = 0
@@ -368,8 +372,8 @@ func (s *Server) addModel(name string, dep *core.Deployment, warm bool) error {
 		done:           make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
 		drained:        make(chan struct{}),
-		gen:            g,
 	}
+	p.gen.Store(g)
 	p.stats.start = time.Now()
 	p.stats.workerBusy = make([]float64, width)
 	p.startWorkers(g)
@@ -419,10 +423,7 @@ func (s *Server) RemoveModel(name string) error {
 	p.close()
 	// The pool is drained and retired: its final generation cannot change
 	// anymore, so its reservation can be returned to the budget.
-	p.genMu.RLock()
-	g := p.gen
-	p.genMu.RUnlock()
-	s.budget.Free(g.secureBytes)
+	s.budget.Free(p.gen.Load().secureBytes)
 	return nil
 }
 
@@ -528,8 +529,7 @@ func (s *Server) swapInto(p *pool, dep *core.Deployment, workers int) error {
 		s.budget.Free(g.secureBytes)
 		return ErrClosed
 	}
-	old := p.gen
-	p.gen = g
+	old := p.gen.Swap(g)
 	p.template = dep
 	p.startWorkers(g)
 	p.genMu.Unlock()
@@ -633,7 +633,7 @@ func (p *pool) dispatch() {
 // waits for the handoff instead of closing a channel mid-send.
 func (p *pool) deliver(batch []*request) {
 	p.genMu.RLock()
-	p.gen.batches <- batch
+	p.gen.Load().batches <- batch
 	p.genMu.RUnlock()
 }
 
@@ -643,7 +643,7 @@ func (p *pool) deliver(batch []*request) {
 func (p *pool) retire() {
 	p.genMu.Lock()
 	p.retired = true
-	close(p.gen.batches)
+	close(p.gen.Load().batches)
 	p.genMu.Unlock()
 }
 
@@ -699,6 +699,14 @@ func (p *pool) worker(g *generation, id int) {
 	}
 }
 
+// runBatch executes one protocol run for a batch of any size. The order is
+// fixed: run, tap, pace, record (counters and histogram together, under the
+// stats lock), pending--, reply — so by the time a caller's Infer returns,
+// its request is already in every counter a Stats call can read. A failed
+// coalesced run would pin one error on every caller in the batch, so it is
+// isolated by running each request again alone through this same function:
+// good samples still succeed, and only the offending request carries the
+// error.
 func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch []*request) {
 	// Drop requests whose caller already gave up (cancelled context, missed
 	// deadline): their abandoned callers would discard the answer anyway, so
@@ -711,8 +719,8 @@ func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch [
 	live := make([]*request, 0, len(batch))
 	for _, r := range batch {
 		if r.ctx != nil && r.ctx.Err() != nil {
-			r.resp <- response{err: r.ctx.Err()}
 			p.pending.Add(-1)
+			r.resp <- response{err: r.ctx.Err()}
 			continue
 		}
 		if !r.enqueued.IsZero() {
@@ -741,39 +749,32 @@ func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch [
 	if err == nil && len(labels) != len(live) {
 		err = fmt.Errorf("serve: %d labels for %d requests", len(labels), len(live))
 	}
-	if err == nil && trace != nil {
-		lat += p.srv.cfg.Tap.TapRun(rep.Device, p.name, len(live), trace.AttackerView())
-	}
 	if err != nil && len(live) > 1 {
-		// The coalesced protocol run failed as a whole, which would pin the
-		// same error on every caller in the batch. Re-run each sample alone to
-		// isolate which input was actually bad: good samples still succeed,
-		// and only the offending request carries the error.
-		p.isolateBatch(id, rep, ws, live)
+		for i := range live {
+			p.runBatch(id, rep, ws, live[i:i+1])
+		}
 		return
 	}
-	service := hostNs
 	var paced time.Duration
 	if err == nil {
+		if trace != nil {
+			lat += p.srv.cfg.Tap.TapRun(rep.Device, p.name, len(live), trace.AttackerView())
+		}
 		paced = p.pace(lat)
-		service += paced
+	}
+	p.stats.record(id, live, lat, hostNs, wait, err)
+	if err == nil {
+		p.observe(len(live), hostNs+paced)
 	}
 	prep := hostStart.Sub(now)
 	for i, r := range live {
-		p.pending.Add(-1)
 		r.markStages(prep, bd, paced)
+		p.pending.Add(-1)
 		if err != nil {
 			r.resp <- response{err: err}
 			continue
 		}
 		r.resp <- response{label: labels[i]}
-	}
-	p.stats.record(id, len(live), lat, hostNs, wait, err)
-	if err == nil {
-		for _, r := range live {
-			p.stats.hist.Observe(lat, r.span.ID())
-		}
-		p.observe(len(live), service)
 	}
 }
 
@@ -831,48 +832,6 @@ func (p *pool) observe(samples int, service time.Duration) {
 		return
 	}
 	obs(p.name, samples, service/time.Duration(samples))
-}
-
-// isolateBatch re-runs each request of a failed coalesced batch as its own
-// protocol run, so every caller gets its sample's own outcome instead of a
-// shared batch error.
-func (p *pool) isolateBatch(id int, rep *core.Deployment, ws *workerScratch, batch []*request) {
-	for _, r := range batch {
-		p.pending.Add(-1)
-		if r.ctx != nil && r.ctx.Err() != nil {
-			r.resp <- response{err: r.ctx.Err()}
-			continue
-		}
-		var bd *obs.ExecBreakdown
-		if r.span.Active() {
-			bd = &ws.bd
-		}
-		trace := p.tapReset(rep)
-		before := rep.Latency()
-		hostStart := time.Now()
-		labels, err := rep.InferIntoObserved(r.x, ws.labels, bd)
-		hostNs := time.Since(hostStart)
-		lat := rep.Latency() - before
-		if err == nil && len(labels) != 1 {
-			err = fmt.Errorf("serve: %d labels for 1 request", len(labels))
-		}
-		if err == nil && trace != nil {
-			lat += p.srv.cfg.Tap.TapRun(rep.Device, p.name, 1, trace.AttackerView())
-		}
-		var paced time.Duration
-		if err != nil {
-			r.resp <- response{err: err}
-		} else {
-			paced = p.pace(lat)
-			r.markStages(0, bd, paced)
-			r.resp <- response{label: labels[0]}
-			p.observe(1, hostNs+paced)
-		}
-		p.stats.record(id, 1, lat, hostNs, r.wait, err)
-		if err == nil {
-			p.stats.hist.Observe(lat, r.span.ID())
-		}
-	}
 }
 
 // checkSample validates one request input: [C,H,W] or [1,C,H,W] matching the
@@ -980,10 +939,7 @@ func (p *pool) close() {
 		p.inflight.Wait() // no sends in flight anymore
 		close(p.queue)    // dispatcher flushes what was admitted, then exits
 		<-p.dispatcherDone
-		p.genMu.RLock()
-		g := p.gen
-		p.genMu.RUnlock()
-		g.workers.Wait()
+		p.gen.Load().workers.Wait()
 		close(p.drained)
 	})
 	<-p.drained
@@ -1195,6 +1151,13 @@ type Stats struct {
 	// families for /metrics). Excluded from JSON — the stable percentile
 	// fields above are the artifact surface.
 	LatencyHist *obs.Histogram `json:"-"`
+	// PerModel is the same snapshot scoped to each hosted model, in hosting
+	// order (nil on a scoped snapshot). It is built from the one pass over
+	// the pools that produced the aggregate, so the aggregate's counters are
+	// exactly the sums of these — the fleet layer derives its per-model view
+	// from it instead of snapshotting the pools a second time. Excluded from
+	// JSON like LatencyHist.
+	PerModel []Stats `json:"-"`
 }
 
 // statsAgg accumulates one pool's serving statistics.
@@ -1212,15 +1175,16 @@ type statsAgg struct {
 	// queueWait accumulates host-side queueing delay over queueWaited samples.
 	queueWait   time.Duration
 	queueWaited int64
-	// hist is the pool's per-request modeled-latency histogram (seconds),
-	// internally synchronized: the worker observes into it outside the
-	// counter lock, and the Stats methods merge snapshots of it across
-	// pools, nodes, and models. It replaces the bounded sample ring the
-	// percentile estimates used to sort.
+	// hist is the pool's per-request modeled-latency histogram (seconds).
+	// It is written and snapshotted only under mu, together with the
+	// counters, so hist.Count() == requests in every snapshot.
 	hist obs.Histogram
 }
 
-func (a *statsAgg) record(worker, batchSize int, lat float64, hostNs, wait time.Duration, err error) {
+// record accounts one protocol run: its counters and one histogram
+// observation per served request, under one lock hold.
+func (a *statsAgg) record(worker int, live []*request, lat float64, hostNs, wait time.Duration, err error) {
+	batchSize := len(live)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.batches++
@@ -1235,6 +1199,9 @@ func (a *statsAgg) record(worker, batchSize int, lat float64, hostNs, wait time.
 	if batchSize > a.largestBatch {
 		a.largestBatch = batchSize
 	}
+	for _, r := range live {
+		a.hist.Observe(lat, r.span.ID())
+	}
 	// A resize can install a wider generation than the pool started with;
 	// the per-worker busy ledger grows to fit the largest width seen.
 	for worker >= len(a.workerBusy) {
@@ -1245,6 +1212,7 @@ func (a *statsAgg) record(worker, batchSize int, lat float64, hostNs, wait time.
 
 // poolSnapshot is one pool's raw aggregate, merged by the Stats methods.
 type poolSnapshot struct {
+	name, precision           string
 	requests, errors, batches int64
 	largestBatch              int
 	queueDepth                int
@@ -1256,11 +1224,16 @@ type poolSnapshot struct {
 	hist                      *obs.Histogram
 }
 
+// snapshot reads the pool's counters and histogram under one hold of the
+// stats lock, and its precision off the installed generation — never a lock
+// a swap or a batch handoff holds.
 func (p *pool) snapshot() poolSnapshot {
 	a := &p.stats
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := poolSnapshot{
+		name:         p.name,
+		precision:    p.gen.Load().precision,
 		requests:     a.requests,
 		errors:       a.errors,
 		batches:      a.batches,
@@ -1270,20 +1243,23 @@ func (p *pool) snapshot() poolSnapshot {
 		hostBusy:     a.hostBusy,
 		queueWait:    a.queueWait,
 		queueWaited:  a.queueWaited,
+		hist:         a.hist.Snapshot(),
 	}
 	for _, b := range a.workerBusy {
 		if b > out.critical {
 			out.critical = b
 		}
 	}
-	out.hist = a.hist.Snapshot()
 	return out
 }
 
-// mergeStats folds pool snapshots into one Stats value.
-func (s *Server) mergeStats(snaps []poolSnapshot) Stats {
+// mergeStats folds pool snapshots into one Stats value scoped to model (""
+// for the server-wide aggregate).
+func (s *Server) mergeStats(model string, snaps []poolSnapshot) Stats {
 	out := Stats{
 		Device:          s.device.Name(),
+		Model:           model,
+		Models:          len(snaps),
 		PeakSecureBytes: s.budget.Peak(),
 		Workers:         s.Workers(),
 		WallSeconds:     time.Since(s.start).Seconds(),
@@ -1292,7 +1268,12 @@ func (s *Server) mergeStats(snaps []poolSnapshot) Stats {
 	var queueWait time.Duration
 	var queueWaited int64
 	var hostBusy time.Duration
-	for _, sn := range snaps {
+	for i, sn := range snaps {
+		if i == 0 {
+			out.Precision = sn.precision
+		} else if out.Precision != sn.precision {
+			out.Precision = "mixed"
+		}
 		out.Requests += sn.requests
 		out.Errors += sn.errors
 		out.Batches += sn.batches
@@ -1318,46 +1299,27 @@ func (s *Server) mergeStats(snaps []poolSnapshot) Stats {
 	if out.Requests > 0 {
 		out.HostNsPerOp = float64(hostBusy.Nanoseconds()) / float64(out.Requests)
 	}
-	if out.LatencyHist.Count() > 0 {
-		out.P50Latency = out.LatencyHist.Quantile(0.50)
-		out.P95Micros = out.LatencyHist.Quantile(0.95) * 1e6
-		out.P99Latency = out.LatencyHist.Quantile(0.99)
-	}
+	p50, p95, p99 := out.LatencyHist.Percentiles()
+	out.P50Latency, out.P95Micros, out.P99Latency = p50, p95*1e6, p99
 	return out
 }
 
 // Stats returns a snapshot of the server's counters, aggregated across every
-// hosted model.
+// hosted model. Every pool is snapshotted exactly once; the aggregate and
+// its PerModel breakdown are two views of that one pass.
 func (s *Server) Stats() Stats {
 	s.modelMu.RLock()
-	pools := make([]*pool, 0, len(s.names))
-	for _, name := range s.names {
-		pools = append(pools, s.models[name])
+	snaps := make([]poolSnapshot, len(s.names))
+	for i, name := range s.names {
+		snaps[i] = s.models[name].snapshot()
 	}
 	s.modelMu.RUnlock()
-	snaps := make([]poolSnapshot, len(pools))
-	for i, p := range pools {
-		snaps[i] = p.snapshot()
-	}
-	st := s.mergeStats(snaps)
-	st.Models = len(pools)
-	for i, p := range pools {
-		prec := p.precision()
-		if i == 0 {
-			st.Precision = prec
-		} else if st.Precision != prec {
-			st.Precision = "mixed"
-			break
-		}
+	st := s.mergeStats("", snaps)
+	st.PerModel = make([]Stats, len(snaps))
+	for i := range snaps {
+		st.PerModel[i] = s.mergeStats(snaps[i].name, snaps[i:i+1])
 	}
 	return st
-}
-
-// precision reports the numeric serving path of the pool's current template.
-func (p *pool) precision() string {
-	p.swapMu.Lock()
-	defer p.swapMu.Unlock()
-	return string(p.template.Precision())
 }
 
 // ModelStats returns the snapshot scoped to one hosted model; unknown names
@@ -1368,39 +1330,5 @@ func (s *Server) ModelStats(model string) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	st := s.mergeStats([]poolSnapshot{p.snapshot()})
-	st.Model = model
-	st.Models = 1
-	st.Precision = p.precision()
-	return st, nil
-}
-
-// LatencyHistogram returns an unshared snapshot of the per-request modeled
-// latency histogram (seconds), merged across the hosted models.
-// Aggregators — the fleet layer — merge the histograms of several servers
-// to compute cross-device percentiles and the /metrics bucket families; a
-// merge is a fixed-size bucket add, so fleet-wide percentiles no longer
-// sort concatenated sample slices.
-func (s *Server) LatencyHistogram() *obs.Histogram {
-	s.modelMu.RLock()
-	pools := make([]*pool, 0, len(s.models))
-	for _, p := range s.models {
-		pools = append(pools, p)
-	}
-	s.modelMu.RUnlock()
-	out := &obs.Histogram{}
-	for _, p := range pools {
-		out.Merge(&p.stats.hist)
-	}
-	return out
-}
-
-// ModelLatencyHistogram is LatencyHistogram scoped to one hosted model;
-// unknown names fail with ErrUnknownModel.
-func (s *Server) ModelLatencyHistogram(model string) (*obs.Histogram, error) {
-	p, err := s.lookup(model)
-	if err != nil {
-		return nil, err
-	}
-	return p.stats.hist.Snapshot(), nil
+	return s.mergeStats(model, []poolSnapshot{p.snapshot()}), nil
 }

@@ -241,7 +241,7 @@ func TestServerLoadProbes(t *testing.T) {
 	if _, err := srv.InferBatch(context.Background(), randSamples(6, 39)); err != nil {
 		t.Fatal(err)
 	}
-	if n := srv.LatencyHistogram().Count(); n != 6 {
+	if n := srv.Stats().LatencyHist.Count(); n != 6 {
 		t.Fatalf("latency histogram count = %d, want 6", n)
 	}
 	srv.Close()

@@ -75,13 +75,7 @@ func deployArtifact(art *serial.Artifact, device Device) (*Deployment, error) {
 		}
 		device = d
 	}
-	var dep *Deployment
-	var err error
-	if art.Precision == string(core.PrecisionInt8) {
-		dep, err = core.DeployQuantized(art.QMR, art.QMT, art.Align, device, art.SampleShape)
-	} else {
-		dep, err = core.Deploy(art.TB, device, art.SampleShape)
-	}
+	dep, err := art.Deploy(device)
 	if err != nil {
 		return nil, fmt.Errorf("tbnet: re-deploying artifact: %w", err)
 	}

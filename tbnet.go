@@ -110,11 +110,6 @@ type (
 	// custom backends embed (overriding Latency for different overlap
 	// semantics) before registering themselves with RegisterDevice.
 	CostModel = tee.CostModel
-	// DeviceModel is the pre-registry name for the device cost model.
-	//
-	// Deprecated: use Device. DeviceModel survives as an alias so call sites
-	// written against the PR 1 surface keep compiling.
-	DeviceModel = tee.Device
 	// Meter accumulates the per-world compute, world-switch, and transfer
 	// costs of a workload; a Device's Latency hook converts it to modeled
 	// seconds. Custom backends read it through Flops/Switches/
