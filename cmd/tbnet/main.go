@@ -38,7 +38,8 @@
 //
 //	-workers N    replicated enclave sessions per model (default 4)
 //	-batch N      micro-batch flush size (default 8)
-//	-delay D      micro-batch flush delay (default 2ms)
+//	-delay D      hold an incomplete micro-batch back this long for
+//	              companions (default 0: an idle worker takes it at once)
 //	-requests N   synthetic requests to serve (default 64)
 //	-models LIST  serve saved models (name=artifact.tbd, or registry names
 //	              with -registry) instead of training a pipeline; several
@@ -284,7 +285,7 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 	c := addCommonFlags(fs)
 	workers := fs.Int("workers", 4, "replicated enclave sessions per model")
 	batch := fs.Int("batch", 8, "micro-batch flush size")
-	delay := fs.Duration("delay", 2*time.Millisecond, "micro-batch flush delay")
+	delay := fs.Duration("delay", 0, "hold an incomplete micro-batch back this long for companions (0: an idle worker takes it at once)")
 	requests := fs.Int("requests", 64, "synthetic requests to serve")
 	models := fs.String("models", "", "serve saved models: name=artifact.tbd or registry names (comma-separated)")
 	regDir := fs.String("registry", "", "model registry directory for bare -models names")
@@ -292,7 +293,7 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *workers < 1 || *batch < 1 || *delay <= 0 || *requests < 1 {
+	if *workers < 1 || *batch < 1 || *delay < 0 || *requests < 1 {
 		fmt.Fprintf(stderr,
 			"invalid serve flags: workers %d, batch %d, delay %v, requests %d\n",
 			*workers, *batch, *delay, *requests)

@@ -111,7 +111,6 @@ func TestServeFlagValidation(t *testing.T) {
 		{"serve", "-batch", "-1"},
 		{"serve", "-requests", "0"},
 		{"serve", "-delay", "-5ms"},
-		{"serve", "-delay", "0"},
 		{"serve", "-scale", "galactic"},
 		{"serve", "-arch", "transformer"},
 		{"serve", "-bogus"},

@@ -264,6 +264,14 @@ func run(args []string, stderr io.Writer) int {
 	}
 	log.Info("tbnetd listening", "addr", bound, "models", strings.Join(f.Models(), ","),
 		"policy", ff.Policy, "devices", ff.Devices)
+	// Status check for the batching layer: grep the log for "batching:" to
+	// see whether a lone request can be held back for companions.
+	maxBatch, linger := f.Batching()
+	mode := "work-conserving"
+	if linger > 0 {
+		mode = "lingering"
+	}
+	log.Info(fmt.Sprintf("batching: max_batch=%d linger=%v (%s)", maxBatch, linger, mode))
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()

@@ -23,13 +23,19 @@ import (
 // signal.
 func startTestDaemon(t *testing.T, extraArgs ...string) (string, chan int) {
 	t.Helper()
+	return startTestDaemonTo(t, io.Discard, extraArgs...)
+}
+
+// startTestDaemonTo is startTestDaemon with the daemon's stderr captured.
+func startTestDaemonTo(t *testing.T, stderr io.Writer, extraArgs ...string) (string, chan int) {
+	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	args := append([]string{
 		"-demo", "-addr", "127.0.0.1:0", "-addr-file", addrFile,
 		"-devices", "rpi3:1", "-drain-timeout", "20s",
 	}, extraArgs...)
 	code := make(chan int, 1)
-	go func() { code <- run(args, io.Discard) }()
+	go func() { code <- run(args, stderr) }()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -59,14 +65,34 @@ func demoInput(seed int) []byte {
 	return body
 }
 
+// demoBatch synthesizes a valid /v1/infer/batch body of n demo samples.
+func demoBatch(n, seed int) []byte {
+	inputs := make([][]float64, n)
+	for i := range inputs {
+		inputs[i] = make([]float64, 3*16*16)
+		for j := range inputs[i] {
+			inputs[i][j] = float64((j*(seed+i))%13)/13 - 0.5
+		}
+	}
+	body, _ := json.Marshal(map[string]any{"inputs": inputs})
+	return body
+}
+
 // TestDaemonSIGTERMDrainsCleanly is the daemon-level acceptance check: a
-// SIGTERM mid-burst lets every in-flight request finish (no torn
-// connections), then run() exits 0.
+// SIGTERM while batch streams are open lets every one of them run to its
+// last line (no torn connections, no shed samples), then run() exits 0. The
+// signal is sent once every client has read its first streamed line — its
+// request is then inside a handler, not in the listener's accept queue,
+// which a closing listener resets — so nothing here depends on timing.
 func TestDaemonSIGTERMDrainsCleanly(t *testing.T) {
 	base, code := startTestDaemon(t)
+	// One connection per request: a pooled client can leave a dialed but
+	// never-used connection behind, which net/http's Shutdown waits five
+	// seconds on before closing.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 
 	// Sanity: the daemon serves before the signal.
-	resp, err := http.Get(base + "/healthz")
+	resp, err := client.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,45 +101,63 @@ func TestDaemonSIGTERMDrainsCleanly(t *testing.T) {
 		t.Fatalf("/healthz = %d", resp.StatusCode)
 	}
 
-	const n = 16
-	results := make([]error, n)
-	var started, wg sync.WaitGroup
-	started.Add(n)
-	for i := 0; i < n; i++ {
+	// 3 streams × 8 samples stay under the one-worker fleet's in-flight cap
+	// of 32, so no sample is shed.
+	const clients, perBatch = 3, 8
+	results := make([]error, clients)
+	var streaming, wg sync.WaitGroup
+	streaming.Add(clients)
+	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started.Done()
-			resp, err := http.Post(base+"/v1/infer", "application/json",
-				bytes.NewReader(demoInput(i+1)))
+			opened := false
+			defer func() {
+				if !opened {
+					streaming.Done()
+				}
+			}()
+			resp, err := client.Post(base+"/v1/infer/batch", "application/json",
+				bytes.NewReader(demoBatch(perBatch, 1+i*perBatch)))
 			if err != nil {
 				results[i] = err
 				return
 			}
 			defer resp.Body.Close()
-			b, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				results[i] = fmt.Errorf("status %d: %s", resp.StatusCode, b)
+			lines := 0
+			for dec := json.NewDecoder(resp.Body); ; lines++ {
+				var line struct {
+					Error string `json:"error"`
+				}
+				if err := dec.Decode(&line); err == io.EOF {
+					break
+				} else if err != nil {
+					results[i] = fmt.Errorf("after %d lines: %w", lines, err)
+					return
+				}
+				if line.Error != "" {
+					results[i] = fmt.Errorf("line %d: %s", lines, line.Error)
+					return
+				}
+				if !opened {
+					opened = true
+					streaming.Done()
+				}
+			}
+			if lines != perBatch {
+				results[i] = fmt.Errorf("stream ended after %d of %d lines", lines, perBatch)
 			}
 		}(i)
 	}
-	started.Wait()
-	time.Sleep(15 * time.Millisecond)
+	streaming.Wait()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
 
 	for i, err := range results {
-		if err == nil {
-			continue
-		}
-		msg := err.Error()
-		// Refused cleanly (late dial after the listener closed, or a 503
-		// draining answer) is acceptable; a torn connection is a dropped
-		// in-flight request.
-		if !strings.Contains(msg, "connection refused") && !strings.Contains(msg, "status 503") {
-			t.Errorf("request %d dropped across SIGTERM drain: %v", i, err)
+		if err != nil {
+			t.Errorf("stream %d dropped across SIGTERM drain: %v", i, err)
 		}
 	}
 	select {
@@ -123,6 +167,46 @@ func TestDaemonSIGTERMDrainsCleanly(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon never exited after SIGTERM")
+	}
+}
+
+// lockedBuffer is a bytes.Buffer the daemon's goroutines may write while the
+// test reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestDaemonLogsBatchingStatus: the startup log carries the batching
+// layer's status line, so "can a lone request be held back?" is a grep.
+func TestDaemonLogsBatchingStatus(t *testing.T) {
+	var stderr lockedBuffer
+	_, code := startTestDaemonTo(t, &stderr)
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case c := <-code:
+		if c != 0 {
+			t.Fatalf("daemon exit code = %d, want 0", c)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never exited after SIGTERM")
+	}
+	if want := "batching: max_batch=8 linger=0s (work-conserving)"; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("startup log lacks %q:\n%s", want, stderr.String())
 	}
 }
 

@@ -130,14 +130,27 @@ func TestStatsConservation(t *testing.T) {
 	}
 }
 
+// ranTap counts protocol runs. A tap fires after its run and before the
+// run's pacing sleep, so n > 0 means a worker holds a batch and is pacing —
+// which load probes cannot tell from the dispatcher still holding it, and a
+// swap that flips before the hand-off drains nothing.
+type ranTap struct{ n atomic.Int64 }
+
+func (r *ranTap) TapRun(string, tee.Device, string, int, []tee.Event) float64 {
+	r.n.Add(1)
+	return 0
+}
+
 // TestStatsDuringSwap: a fleet-wide snapshot never waits on a swap. One paced
 // request holds the only worker, so SwapModel is parked draining the old
 // generation; Stats must return while the swap is still out.
 func TestStatsDuringSwap(t *testing.T) {
+	var ran ranTap
 	f, err := New(testDeployment(t, 64), Config{
 		Nodes:     []NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}},
 		MaxBatch:  1,
 		PaceScale: 1000, // one run paces for over a second of wall time
+		Tap:       &ran,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +161,7 @@ func TestStatsDuringSwap(t *testing.T) {
 		_, err := f.Infer(context.Background(), randSamples(1, 65)[0])
 		inferDone <- err
 	}()
-	held := func() bool { l := f.NodeLoads(DefaultModel)[0]; return l.InFlight == 1 && l.QueueDepth == 0 }
-	for !held() {
+	for ran.n.Load() == 0 {
 		time.Sleep(100 * time.Microsecond) // until the worker holds the batch
 	}
 	swapDone := make(chan error, 1)

@@ -94,7 +94,9 @@ type Config struct {
 	MaxInFlight int
 	// MaxBatch is every node's micro-batch flush size (default 8).
 	MaxBatch int
-	// MaxDelay is every node's micro-batch flush delay (default 2ms).
+	// MaxDelay is how long every node holds an incomplete micro-batch back
+	// for companions while a worker is idle (see serve.Config.MaxDelay). The
+	// zero value (the default) never does: batching is work-conserving.
 	MaxDelay time.Duration
 	// QueueDepth is every node's per-model queue bound (default the serve
 	// layer's Workers×MaxBatch×4).
@@ -153,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	nodes := make([]NodeConfig, len(c.Nodes))
 	copy(nodes, c.Nodes)
@@ -984,6 +983,13 @@ func (f *Fleet) Devices() int {
 	return len(f.nodes)
 }
 
+// Batching returns the micro-batching policy every node runs: the flush size
+// and how long an incomplete batch is held back for companions (0 means
+// work-conserving; see Config.MaxDelay).
+func (f *Fleet) Batching() (maxBatch int, linger time.Duration) {
+	return f.cfg.MaxBatch, f.cfg.MaxDelay
+}
+
 // Workers returns the fleet's current total provisioned worker count.
 func (f *Fleet) Workers() int {
 	total := 0
@@ -1136,6 +1142,12 @@ type ModelStats struct {
 	// histogram behind the percentile fields, exposed for the /metrics
 	// bucket families. Excluded from JSON.
 	LatencyHist *obs.Histogram `json:"-"`
+	// QueueWaitHist is the model's fleet-wide host-side queue-wait
+	// distribution (seconds, one observation per sample). Excluded from JSON.
+	QueueWaitHist *obs.Histogram `json:"-"`
+	// BatchSizeHist is the model's fleet-wide realized batch-size
+	// distribution (one observation per protocol run). Excluded from JSON.
+	BatchSizeHist *obs.Histogram `json:"-"`
 }
 
 // Stats is an aggregated point-in-time snapshot of the fleet: fleet-wide
@@ -1246,7 +1258,8 @@ func (f *Fleet) Stats() Stats {
 			if !ok {
 				at = len(out.Models)
 				modelAt[pm.Model] = at
-				out.Models = append(out.Models, ModelStats{Name: pm.Model, LatencyHist: &obs.Histogram{}})
+				out.Models = append(out.Models, ModelStats{Name: pm.Model, LatencyHist: &obs.Histogram{},
+					QueueWaitHist: &obs.Histogram{}, BatchSizeHist: &obs.Histogram{}})
 			}
 			ms := &out.Models[at]
 			ms.Precision = pm.Precision
@@ -1255,6 +1268,8 @@ func (f *Fleet) Stats() Stats {
 			ms.Swaps += pm.Swaps
 			ms.ModeledThroughput += pm.ModeledThroughput
 			ms.LatencyHist.Merge(pm.LatencyHist)
+			ms.QueueWaitHist.Merge(pm.QueueWaitHist)
+			ms.BatchSizeHist.Merge(pm.BatchSizeHist)
 		}
 	}
 	if out.Requests > 0 {

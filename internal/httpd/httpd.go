@@ -172,8 +172,11 @@ type Server struct {
 	reaper  *reaper
 
 	draining atomic.Bool
-	httpSrv  *http.Server
-	started  atomic.Bool
+	// httpSrv is built by New and never reassigned, so Serve and Shutdown
+	// may run on different goroutines, in either order, without sharing a
+	// write: a Shutdown that comes first makes a later Serve close its
+	// listener and return nil at once.
+	httpSrv *http.Server
 }
 
 // New assembles a daemon from cfg. The fleet stays owned by the caller until
@@ -226,6 +229,10 @@ func New(cfg Config) (*Server, error) {
 		Auth(cfg.APIKeys, exempt...),
 		RateLimitBy(cfg.RateLimit, cfg.RetryAfter, s.metrics, exempt...),
 	)
+	s.httpSrv = &http.Server{
+		Handler:           s.handler,
+		ReadHeaderTimeout: 10 * time.Second,
+	}
 	return s, nil
 }
 
@@ -238,13 +245,10 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Serve accepts connections on l until Shutdown (which returns nil here) or
 // a listener error. It owns an internal http.Server, so a daemon main is
-// just New + Listen + Serve + Shutdown-on-signal.
+// just New + Listen + Serve + Shutdown-on-signal. After Shutdown — even one
+// that ran before Serve was ever called — Serve closes l and returns nil
+// without accepting.
 func (s *Server) Serve(l net.Listener) error {
-	s.httpSrv = &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	s.started.Store(true)
 	if s.reaper != nil {
 		s.reaper.start()
 	}
@@ -266,11 +270,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.reaper != nil {
 		s.reaper.stop()
 	}
-	if s.httpSrv != nil {
-		if err := s.httpSrv.Shutdown(ctx); err != nil {
-			s.fleet.Close()
-			return fmt.Errorf("httpd: shutdown: %w", err)
-		}
+	if err := s.httpSrv.Shutdown(ctx); err != nil {
+		s.fleet.Close()
+		return fmt.Errorf("httpd: shutdown: %w", err)
 	}
 	// No HTTP handler is running anymore, so the fleet's in-flight count
 	// can only fall; Drain closes the fleet once it reaches zero.

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -377,14 +379,27 @@ func TestSwapOverHTTP(t *testing.T) {
 	}
 }
 
+// ranTap counts protocol runs. A tap fires after its run and before the
+// run's pacing sleep, so n > 0 means a worker holds a batch and is pacing —
+// which load probes cannot tell from the dispatcher still holding it, and a
+// swap that flips before the hand-off drains nothing.
+type ranTap struct{ n atomic.Int64 }
+
+func (r *ranTap) TapRun(string, tee.Device, string, int, []tee.Event) float64 {
+	r.n.Add(1)
+	return 0
+}
+
 // TestStatsDuringSwap: liveness and scraping never wait on a swap. One paced
 // request holds the only worker, so a swap-over-HTTP is parked draining the
 // old generation; /healthz, /metrics and /v1/models must all answer while
 // it is still out.
 func TestStatsDuringSwap(t *testing.T) {
-	s, f := testServer(t, func(c *fleet.Config) {
+	var ran ranTap
+	s, _ := testServer(t, func(c *fleet.Config) {
 		c.MaxBatch = 1
 		c.PaceScale = 1000 // one run paces for over a second of wall time
+		c.Tap = &ran
 	}, nil)
 	h := s.Handler()
 	var art bytes.Buffer
@@ -395,8 +410,7 @@ func TestStatsDuringSwap(t *testing.T) {
 	}
 	inferDone := make(chan int, 1)
 	go func() { inferDone <- postJSON(t, h, "/v1/infer", inferBody(t, "", randSample(8))).Code }()
-	held := func() bool { l := f.NodeLoads(fleet.DefaultModel)[0]; return l.InFlight == 1 && l.QueueDepth == 0 }
-	for !held() {
+	for ran.n.Load() == 0 {
 		time.Sleep(100 * time.Microsecond) // until the worker holds the batch
 	}
 	swapDone := make(chan int, 1)
@@ -543,7 +557,19 @@ func TestShutdownWithoutServe(t *testing.T) {
 		if _, err := f.Infer(context.Background(), randSample(1)); !errors.Is(err, serve.ErrClosed) {
 			t.Fatalf("IdleTTL %v: Infer after Shutdown = %v, want ErrClosed", ttl, err)
 		}
-		s.reaper.start() // a late Serve must not resurrect the loop
+		// A late Serve is well-defined: it closes its listener and returns nil
+		// without accepting, and does not resurrect the reaper loop.
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Serve(l); err != nil {
+			t.Fatalf("IdleTTL %v: Serve after Shutdown = %v, want nil", ttl, err)
+		}
+		if c, err := l.Accept(); err == nil {
+			c.Close()
+			t.Fatalf("IdleTTL %v: listener still open after a late Serve", ttl)
+		}
 		s.reaper.stop()
 	}
 }

@@ -131,6 +131,14 @@ func promFloat(v float64) string {
 // straight into /debug/trace. A nil histogram writes an empty family (all
 // zeros), keeping the family set stable across scrapes.
 func (pw *promWriter) histogram(name, help string, h *obs.Histogram, labels ...string) {
+	pw.histogramFrom(name, help, h, 0, labels...)
+}
+
+// histogramFrom is histogram without the buckets whose upper bound is under
+// floor — for a family whose observations cannot fall there (a batch holds
+// at least one sample), so the scrape carries no bucket that is zero by
+// construction.
+func (pw *promWriter) histogramFrom(name, help string, h *obs.Histogram, floor float64, labels ...string) {
 	if pw.err != nil {
 		return
 	}
@@ -155,6 +163,9 @@ func (pw *promWriter) histogram(name, help string, h *obs.Histogram, labels ...s
 		buckets = []obs.BucketCount{{UpperBound: math.Inf(1)}}
 	}
 	for _, b := range buckets {
+		if b.UpperBound < floor {
+			continue
+		}
 		line := fmt.Sprintf(`%s_bucket{%sle="%s"} %d`, name, prefix, promFloat(b.UpperBound), b.Count)
 		if b.Exemplar.TraceID != "" {
 			line += fmt.Sprintf(` # {trace_id="%s"} %s`,
@@ -237,6 +248,10 @@ func (s *Server) writeMetrics(w io.Writer) error {
 			"Modeled p99 per-request latency per hosted model.", ms.P99Micros/1e6, l...)
 		pw.histogram("tbnet_model_latency_seconds",
 			"Modeled per-request latency distribution per hosted model.", ms.LatencyHist, l...)
+		pw.histogram("tbnet_queue_wait_seconds",
+			"Host-side time from admission to the start of the sample's batch, per hosted model.", ms.QueueWaitHist, l...)
+		pw.histogramFrom("tbnet_batch_size",
+			"Samples coalesced per protocol run, per hosted model.", ms.BatchSizeHist, 1, l...)
 	}
 
 	// Per-device breakdown, in attachment order.

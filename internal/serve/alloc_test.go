@@ -59,7 +59,12 @@ func TestDeploymentInferSteadyStateAllocs(t *testing.T) {
 // TestServerInferSteadyStateAllocs is the end-to-end acceptance regression:
 // a steady stream of single-sample requests through the full serving path —
 // queue, batching, worker replica, stats — must stay within a small fixed
-// allocation budget per op (≤ 8 on the single-proc CI runner).
+// allocation budget per op. On a single-proc host that budget is exactly
+// what the path costs today, 4: three in Infer (the request and its reply
+// channel) and the dispatcher's batch, allocated once at MaxBatch capacity
+// and filtered in place by the worker. Parallel GEMM dispatch adds 4 more at
+// GOMAXPROCS=2 and keeps the deployment test's headroom, less the one
+// allocation the in-place filter removed.
 func TestServerInferSteadyStateAllocs(t *testing.T) {
 	dep := testDeployment(t, 11)
 	srv, err := New(dep, Config{Workers: 1, MaxBatch: 1, MaxDelay: time.Microsecond})
@@ -79,7 +84,11 @@ func TestServerInferSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := allocLimit(); allocs > limit {
+	limit := allocLimit() - 1
+	if tensor.Workers() == 1 {
+		limit = 4
+	}
+	if allocs > limit {
 		t.Fatalf("steady-state Server.Infer allocates %.1f/op, budget %.0f", allocs, limit)
 	}
 }

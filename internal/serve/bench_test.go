@@ -97,3 +97,37 @@ func BenchmarkInferAllocs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInferLone is the ledger row for the lone caller: one worker,
+// MaxBatch 8, a sequential caller that never has company. The two legs are
+// the same deployment with and without the opt-in linger, and queue-wait-us
+// (from Stats) says how much of ns/op the request spent waiting for a batch
+// slot: with linger=0 an idle worker takes it at once, with linger=2ms it
+// waits out the delay for companions that never come.
+func BenchmarkInferLone(b *testing.B) {
+	for _, linger := range []time.Duration{0, 2 * time.Millisecond} {
+		b.Run(fmt.Sprintf("linger=%v", linger), func(b *testing.B) {
+			srv, err := New(testDeployment(b, 23), Config{Workers: 1, MaxBatch: 8, MaxDelay: linger})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			ctx := context.Background()
+			x := randSamples(1, 24)[0]
+			for i := 0; i < 8; i++ { // reach steady state before measuring
+				if _, err := srv.Infer(ctx, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.Infer(ctx, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(srv.Stats().AvgQueueWaitMicros, "queue-wait-us")
+		})
+	}
+}

@@ -31,6 +31,10 @@ func checkSnapshot(t *testing.T, st Stats, completedBefore, startedAfter int64) 
 	if perModel != st.Requests {
 		t.Errorf("Σ PerModel.Requests = %d, Requests = %d in one snapshot", perModel, st.Requests)
 	}
+	if runs, waits := int64(st.BatchSizeHist.Count()), int64(st.QueueWaitHist.Count()); runs != st.Batches || waits != st.Requests+st.Errors {
+		t.Errorf("batch-size/queue-wait histograms hold %d/%d observations, want Batches %d / Requests+Errors %d",
+			runs, waits, st.Batches, st.Requests+st.Errors)
+	}
 }
 
 // TestStatsConservation: a request is in every counter Stats reads by the
@@ -103,56 +107,48 @@ func TestStatsConservation(t *testing.T) {
 	checkSnapshot(t, srv.Stats(), total, total)
 }
 
-// TestStatsDuringSwap: no counter read waits on a swap. A paced server holds
-// one batch in flight, so SwapModel is parked draining the old generation;
-// Stats and ModelStats must both return while it is still parked.
+// TestStatsDuringSwap: no counter read waits on a swap. A gated worker holds
+// one batch in flight, so SwapModel is parked draining the old generation
+// until the test opens the gate; Stats and ModelStats must both return
+// before it does.
 func TestStatsDuringSwap(t *testing.T) {
-	dep := testDeployment(t, 94)
-	// One single-sample run on the rpi3 model is paced to well over a second
-	// of wall time — the swap cannot finish before the reads below unless the
-	// reads themselves wait on it.
-	srv, err := New(dep, Config{Workers: 1, MaxBatch: 1, PaceScale: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	inferDone := make(chan error, 1)
-	go func() {
-		_, err := srv.Infer(context.Background(), randSamples(1, 95)[0])
-		inferDone <- err
-	}()
-	for srv.InFlight() == 0 || srv.QueueDepth() != 0 {
-		time.Sleep(100 * time.Microsecond) // until the worker holds the batch
-	}
+	srv, tap, p, holder := heldServer(t, Config{MaxBatch: 1})
+	old := p.gen.Load()
 	swapDone := make(chan error, 1)
 	go func() { swapDone <- srv.Swap(testDeployment(t, 96)) }()
-	// The swap has flipped generations once the pool reports the new
-	// template's worker set; from then on it is parked in the old
-	// generation's drain.
-	p, _ := srv.lookup(DefaultModel)
-	old := p.gen.Load()
-	for p.gen.Load() == old {
-		time.Sleep(100 * time.Microsecond)
-	}
+	// Once the pool reports the new generation the swap is parked in the old
+	// one's drain.
+	waitFor(t, "the swap to flip generations", func() bool { return p.gen.Load() != old })
 
-	st := srv.Stats()
-	ms, err := srv.ModelStats(DefaultModel)
-	if err != nil {
-		t.Fatal(err)
+	type reads struct {
+		st, ms Stats
+		err    error
 	}
+	got := make(chan reads, 1)
+	go func() {
+		var r reads
+		r.st = srv.Stats()
+		r.ms, r.err = srv.ModelStats(DefaultModel)
+		got <- r
+	}()
+	var r reads
 	select {
-	case err := <-swapDone:
-		t.Fatalf("swap returned (%v) before the reads did: a counter read waited on the swap", err)
-	default:
+	case r = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a counter read waited on the swap, which cannot return before the gate opens")
 	}
-	if st.Precision != "f32" || ms.Precision != "f32" || ms.Model != DefaultModel {
-		t.Errorf("snapshot during swap: precision %q / %q, model %q", st.Precision, ms.Precision, ms.Model)
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if st.Requests != 0 || st.QueueDepth != 0 {
-		t.Errorf("snapshot during swap: requests %d, queue %d, want 0/0 (the run is still pacing)",
-			st.Requests, st.QueueDepth)
+	if r.st.Precision != "f32" || r.ms.Precision != "f32" || r.ms.Model != DefaultModel {
+		t.Errorf("snapshot during swap: precision %q / %q, model %q", r.st.Precision, r.ms.Precision, r.ms.Model)
 	}
-	if err := <-inferDone; err != nil {
+	if r.st.Requests != 0 || r.st.QueueDepth != 0 {
+		t.Errorf("snapshot during swap: requests %d, queue %d, want 0/0 (the run is still held)",
+			r.st.Requests, r.st.QueueDepth)
+	}
+	tap.open()
+	if err := <-holder; err != nil {
 		t.Fatal(err)
 	}
 	if err := <-swapDone; err != nil {

@@ -13,8 +13,11 @@
 //     hosted models reserve their secure memory from one device-sized
 //     budget, so the server never overcommits the modeled hardware.
 //   - Micro-batching: single-sample requests are coalesced into one staged
-//     protocol run of up to MaxBatch samples (flushed early after MaxDelay),
-//     amortizing the fixed SMC and staging overhead across the batch.
+//     protocol run of up to MaxBatch samples, amortizing the fixed SMC and
+//     staging overhead across the batch. Batching is work-conserving: a
+//     batch goes to an idle worker at once and only grows while every
+//     worker is busy, so a lone request never waits for companions. Holding
+//     a batch back for them is opt-in (a positive MaxDelay).
 //
 // A Server is multi-tenant: it hosts one or more named models concurrently
 // (AddModel), each with its own private worker pool and request queue —
@@ -71,8 +74,12 @@ type Config struct {
 	// replica is deployed with this batch capacity, so secure memory is
 	// accounted for the batched working set.
 	MaxBatch int
-	// MaxDelay is how long an incomplete batch waits for more requests
-	// before flushing (default 2ms of wall time).
+	// MaxDelay is how long an incomplete batch is held back for more
+	// requests even though a worker is idle. The zero value (the default)
+	// never holds one: a batch coalesces only what arrives while every
+	// worker is busy, so at partial load requests run alone — an operator
+	// who wants them coalesced there (amortized switches, mixed-tenant
+	// traces) sets a positive MaxDelay and pays it in latency.
 	MaxDelay time.Duration
 	// QueueDepth bounds the number of waiting requests per model before
 	// Infer blocks (default Workers*MaxBatch*4).
@@ -130,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = c.Workers * c.MaxBatch * 4
@@ -590,11 +594,15 @@ func (s *Server) Resize(workers int) error {
 	return nil
 }
 
-// dispatch coalesces queued requests into batches: a batch flushes as soon as
-// it reaches MaxBatch, or MaxDelay after its first request arrived.
+// dispatch coalesces queued requests into batches. It is work-conserving: a
+// batch starts with its first request plus whatever is already queued, and
+// offer then hands it to the first free worker, so a request never waits
+// while a worker idles. A positive MaxDelay first holds the batch back for
+// up to that long (or until it is full) — the opt-in linger.
 func (p *pool) dispatch() {
 	defer close(p.dispatcherDone)
 	defer p.retire()
+	cfg := p.srv.cfg
 	timer := time.NewTimer(0)
 	if !timer.Stop() {
 		<-timer.C
@@ -604,37 +612,61 @@ func (p *pool) dispatch() {
 		if !ok {
 			return
 		}
-		batch := []*request{first}
-		timer.Reset(p.srv.cfg.MaxDelay)
-	fill:
-		for len(batch) < p.srv.cfg.MaxBatch {
-			select {
-			case r, ok := <-p.queue:
-				if !ok {
+		batch := append(make([]*request, 0, cfg.MaxBatch), first)
+		// The dispatcher is the queue's only receiver, so a non-empty queue
+		// cannot block it.
+		for len(batch) < cfg.MaxBatch && len(p.queue) > 0 {
+			batch = append(batch, <-p.queue)
+		}
+		if cfg.MaxDelay > 0 && len(batch) < cfg.MaxBatch {
+			timer.Reset(cfg.MaxDelay)
+		fill:
+			for len(batch) < cfg.MaxBatch {
+				select {
+				case r, ok := <-p.queue:
+					if !ok {
+						break fill
+					}
+					batch = append(batch, r)
+				case <-timer.C:
 					break fill
 				}
-				batch = append(batch, r)
-			case <-timer.C:
-				break fill
+			}
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
 			}
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		p.deliver(batch)
+		p.offer(batch)
 	}
 }
 
-// deliver hands one batch to the current generation. The shared lock pins
-// the generation across the (possibly blocking) send, so a concurrent swap
-// waits for the handoff instead of closing a channel mid-send.
-func (p *pool) deliver(batch []*request) {
+// offer hands one batch to the current generation: a worker takes it, or —
+// while every worker is busy — another request arrives and rides along,
+// which is exactly when growing the batch is free. Once the batch is full or
+// the queue is closed there is nothing left to wait for but a worker. The
+// shared lock pins the generation across the (possibly blocking) offer, so a
+// concurrent swap waits for the handoff instead of closing a channel
+// mid-send.
+func (p *pool) offer(batch []*request) {
 	p.genMu.RLock()
-	p.gen.Load().batches <- batch
-	p.genMu.RUnlock()
+	defer p.genMu.RUnlock()
+	out, in := p.gen.Load().batches, p.queue
+	for in != nil && len(batch) < cap(batch) {
+		select {
+		case out <- batch:
+			return
+		case r, ok := <-in:
+			if ok {
+				batch = append(batch, r)
+			} else {
+				in = nil
+			}
+		}
+	}
+	out <- batch
 }
 
 // retire marks the pool closed for swaps and shuts the current generation's
@@ -716,7 +748,7 @@ func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch [
 	var wait time.Duration
 	traced := false
 	now := time.Now()
-	live := make([]*request, 0, len(batch))
+	live := batch[:0] // filtered in place: the worker owns the batch
 	for _, r := range batch {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			p.pending.Add(-1)
@@ -1151,6 +1183,13 @@ type Stats struct {
 	// families for /metrics). Excluded from JSON — the stable percentile
 	// fields above are the artifact surface.
 	LatencyHist *obs.Histogram `json:"-"`
+	// QueueWaitHist is the distribution behind AvgQueueWaitMicros: one
+	// observation per sample, in host seconds from admission to its batch's
+	// start. Snapshotted with the counters; excluded from JSON.
+	QueueWaitHist *obs.Histogram `json:"-"`
+	// BatchSizeHist is the distribution behind MeanBatch: one observation
+	// per protocol run, valued at the samples it coalesced.
+	BatchSizeHist *obs.Histogram `json:"-"`
 	// PerModel is the same snapshot scoped to each hosted model, in hosting
 	// order (nil on a scoped snapshot). It is built from the one pass over
 	// the pools that produced the aggregate, so the aggregate's counters are
@@ -1179,6 +1218,10 @@ type statsAgg struct {
 	// It is written and snapshotted only under mu, together with the
 	// counters, so hist.Count() == requests in every snapshot.
 	hist obs.Histogram
+	// waitHist (per request, seconds queued) and sizeHist (per run, samples
+	// coalesced) follow the same rule: waitHist.Count() == queueWaited and
+	// sizeHist.Count() == batches in every snapshot.
+	waitHist, sizeHist obs.Histogram
 }
 
 // record accounts one protocol run: its counters and one histogram
@@ -1188,8 +1231,12 @@ func (a *statsAgg) record(worker int, live []*request, lat float64, hostNs, wait
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.batches++
+	a.sizeHist.Observe(float64(batchSize), "")
 	a.queueWait += wait
 	a.queueWaited += int64(batchSize)
+	for _, r := range live {
+		a.waitHist.Observe(r.wait.Seconds(), r.span.ID())
+	}
 	if err != nil {
 		a.errors += int64(batchSize)
 		return
@@ -1221,7 +1268,7 @@ type poolSnapshot struct {
 	queueWait                 time.Duration
 	queueWaited               int64
 	critical                  float64 // busiest worker's modeled seconds
-	hist                      *obs.Histogram
+	hist, waitHist, sizeHist  *obs.Histogram
 }
 
 // snapshot reads the pool's counters and histogram under one hold of the
@@ -1244,6 +1291,8 @@ func (p *pool) snapshot() poolSnapshot {
 		queueWait:    a.queueWait,
 		queueWaited:  a.queueWaited,
 		hist:         a.hist.Snapshot(),
+		waitHist:     a.waitHist.Snapshot(),
+		sizeHist:     a.sizeHist.Snapshot(),
 	}
 	for _, b := range a.workerBusy {
 		if b > out.critical {
@@ -1264,6 +1313,8 @@ func (s *Server) mergeStats(model string, snaps []poolSnapshot) Stats {
 		Workers:         s.Workers(),
 		WallSeconds:     time.Since(s.start).Seconds(),
 		LatencyHist:     &obs.Histogram{},
+		QueueWaitHist:   &obs.Histogram{},
+		BatchSizeHist:   &obs.Histogram{},
 	}
 	var queueWait time.Duration
 	var queueWaited int64
@@ -1289,6 +1340,8 @@ func (s *Server) mergeStats(model string, snaps []poolSnapshot) Stats {
 		queueWait += sn.queueWait
 		queueWaited += sn.queueWaited
 		out.LatencyHist.Merge(sn.hist)
+		out.QueueWaitHist.Merge(sn.waitHist)
+		out.BatchSizeHist.Merge(sn.sizeHist)
 	}
 	if out.Batches > 0 {
 		out.MeanBatch = float64(out.Requests) / float64(out.Batches)

@@ -134,14 +134,14 @@ func TestServeOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, opt := range []ServeOption{
-		WithWorkers(0), WithMaxBatch(0), WithMaxDelay(0), WithMaxDelay(-time.Second),
+		WithWorkers(0), WithMaxBatch(0), WithMaxDelay(-time.Second),
 		WithQueueDepth(0),
 	} {
 		if _, err := Serve(dep, opt); !errors.Is(err, ErrBadOption) {
 			t.Fatalf("option %d: err = %v, want ErrBadOption", i, err)
 		}
 	}
-	srv, err := Serve(dep)
+	srv, err := Serve(dep, WithMaxDelay(0)) // zero is the work-conserving default, not an error
 	if err != nil {
 		t.Fatal(err)
 	}

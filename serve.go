@@ -56,13 +56,15 @@ func WithMaxBatch(n int) ServeOption {
 	}
 }
 
-// WithMaxDelay sets how long an incomplete batch waits for more traffic
-// before flushing (default 2ms). d must be positive; pass a tiny duration
-// (e.g. time.Microsecond) for near-immediate flushing.
+// WithMaxDelay sets how long an incomplete batch is held back for more
+// traffic while a worker is idle. The default, 0, never holds one: batching
+// is work-conserving — a lone request runs at once, and batches form only
+// while every worker is busy. A positive d trades that latency for
+// coalescing at partial load; d must not be negative.
 func WithMaxDelay(d time.Duration) ServeOption {
 	return func(c *serve.Config) error {
-		if d <= 0 {
-			return fmt.Errorf("%w: max delay %v must be positive", ErrBadOption, d)
+		if d < 0 {
+			return fmt.Errorf("%w: negative max delay %v", ErrBadOption, d)
 		}
 		c.MaxDelay = d
 		return nil
