@@ -1,0 +1,468 @@
+package httpd
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+	"sync"
+
+	"tbnet/internal/core"
+	"tbnet/internal/tensor"
+)
+
+// maxInferBodyBytes bounds /v1/infer and /v1/infer/batch bodies. The largest
+// zoo sample (3×32×32) is ≈ 77 KB of JSON at 25 bytes a float, so 32 MiB
+// holds a 256-sample batch of them with room to spare.
+const maxInferBodyBytes = 32 << 20
+
+// maxPooledBody is the largest body buffer kept for reuse; a rare bigger one
+// is left to the collector so the pool cannot pin a burst's worth of memory.
+const maxPooledBody = 1 << 20
+
+// errBadBody marks an inference body that could not be read or parsed.
+var errBadBody = errors.New("bad request body")
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads the size-capped inference body into a pooled buffer the
+// caller hands back with releaseBody once nothing references its bytes.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 {
+		// The header is the client's claim: trust it for the common sizes only.
+		buf.Grow(int(min(n, maxPooledBody)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxInferBodyBytes)); err != nil {
+		releaseBody(buf)
+		return nil, fmt.Errorf("%w: %w", errBadBody, err)
+	}
+	return buf, nil
+}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// shapeFunc resolves a hosted model's deployed per-sample [C,H,W] shape.
+type shapeFunc func(model string) ([]int, error)
+
+// sample is one decoded request sample: the [1,C,H,W] tensor to serve, or the
+// error this sample alone answers with.
+type sample struct {
+	x   *tensor.Tensor
+	err error
+}
+
+// decodeSamples decodes a /v1/infer body (batch false: exactly one sample) or
+// a /v1/infer/batch body into the resolved model name and its samples. The
+// direct scanner takes every canonical body; whatever it declines is decoded
+// by encoding/json from the same bytes, which is therefore the only author of
+// a malformed body's error text.
+func decodeSamples(body []byte, batch bool, deployed shapeFunc) (model string, samples []sample, err error) {
+	sc := bodyScanner{b: body, batch: batch, deployed: deployed}
+	if sc.scan() {
+		model, samples = sc.samples()
+		return model, samples, nil
+	}
+	return decodeStdlib(body, batch, deployed)
+}
+
+// decodeStdlib is the reference decode: strict encoding/json into the wire
+// structs, then one sampleTensor per input.
+func decodeStdlib(body []byte, batch bool, deployed shapeFunc) (string, []sample, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var (
+		name   string
+		inputs [][]float64
+		shape  []int
+	)
+	if batch {
+		var req batchRequest
+		if err := dec.Decode(&req); err != nil {
+			return "", nil, fmt.Errorf("%w: %w", errBadBody, err)
+		}
+		name, inputs, shape = req.Model, req.Inputs, req.Shape
+	} else {
+		var req inferRequest
+		if err := dec.Decode(&req); err != nil {
+			return "", nil, fmt.Errorf("%w: %w", errBadBody, err)
+		}
+		name, inputs, shape = req.Model, [][]float64{req.Input}, req.Shape
+	}
+	model := resolveModel(name)
+	samples := make([]sample, len(inputs))
+	for i, input := range inputs {
+		samples[i].x, samples[i].err = sampleTensor(deployed, model, input, shape)
+	}
+	return model, samples, nil
+}
+
+// sampleTensor builds the [1,C,H,W] inference tensor from a flattened input,
+// resolving the per-sample shape against the model's deployed plan when the
+// request omits it.
+func sampleTensor(deployed shapeFunc, model string, input []float64, shape []int) (*tensor.Tensor, error) {
+	if shape == nil {
+		var err error
+		if shape, err = deployed(model); err != nil {
+			return nil, err
+		}
+	}
+	if len(shape) != 3 {
+		return nil, fmt.Errorf("%w: sample shape %v, want [C,H,W]", core.ErrShape, shape)
+	}
+	n := shape[0] * shape[1] * shape[2]
+	if shape[0] <= 0 || shape[1] <= 0 || shape[2] <= 0 || len(input) != n {
+		return nil, countError(len(input), shape, n)
+	}
+	x := tensor.New(1, shape[0], shape[1], shape[2])
+	d := x.Data()
+	for i, v := range input {
+		d[i] = float32(v)
+	}
+	return x, nil
+}
+
+func countError(got int, shape []int, want int) error {
+	return fmt.Errorf("%w: %d input values for shape %v (want %d)", core.ErrShape, got, shape, want)
+}
+
+// maxScanDim bounds a shape dimension the scanner handles itself, so the
+// product of three cannot overflow.
+const maxScanDim = 1 << 20
+
+// bodyScanner is the direct decoder of the two inference bodies. It accepts
+// only the canonical grammar — the known keys in exact case, each at most
+// once, plain ASCII strings without escapes, no null, strict JSON numbers, a
+// shape of three positive integers — and parses the float arrays in one pass
+// straight into float32 tensor backing, counting every sample's elements
+// against the resolved shape as it goes: values beyond the shape are counted,
+// never stored. scan reports false to decline; it has no side effects, and a
+// declined body is decodeStdlib's.
+type bodyScanner struct {
+	b        []byte
+	pos      int
+	batch    bool
+	deployed shapeFunc
+
+	name      string // the model as sent; "" addresses the default
+	hasShape  bool
+	shape     [3]int    // the body's own shape, when hasShape
+	resolved  []int     // the shape the samples are checked against
+	shapeErr  error     // the deployed-shape lookup's failure, each sample's answer
+	n         int       // elements per sample under resolved
+	data      []float32 // the samples' stored values, packed in order
+	counts    []int     // values each sample of a batch body sent
+	count     int       // values the one sample of a single body sent
+	hasInputs bool
+}
+
+// skipSpace returns the index of the first byte of b at or after i that is
+// not JSON white space.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// eat consumes c after optional white space.
+func (s *bodyScanner) eat(c byte) bool {
+	s.pos = skipSpace(s.b, s.pos)
+	if s.pos < len(s.b) && s.b[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// more reports whether a value follows in an array or object just opened
+// with close as its terminator (first) or already holding a value.
+func (s *bodyScanner) more(first bool, close byte) (next, ok bool) {
+	if s.eat(close) {
+		return false, true
+	}
+	if first {
+		return true, true
+	}
+	return true, s.eat(',')
+}
+
+// str scans a string of plain ASCII without escapes and returns its bytes.
+func (s *bodyScanner) str() ([]byte, bool) {
+	if !s.eat('"') {
+		return nil, false
+	}
+	start := s.pos
+	for ; s.pos < len(s.b); s.pos++ {
+		switch c := s.b[s.pos]; {
+		case c == '"':
+			s.pos++
+			return s.b[start : s.pos-1], true
+		case c < 0x20 || c == '\\' || c >= 0x80:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// skipDigits returns the index of the first non-digit of b at or after i.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// numberEnd returns the end of the strict JSON number that starts at b[i],
+// or -1 when there is none.
+func numberEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	lead := i
+	if i = skipDigits(b, i); i == lead || (b[lead] == '0' && i > lead+1) {
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		frac := i + 1
+		if i = skipDigits(b, frac); i == frac {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		exp := i
+		if i = skipDigits(b, exp); i == exp {
+			return -1
+		}
+	}
+	return i
+}
+
+// dim scans one shape dimension: a plain positive integer up to maxScanDim.
+func (s *bodyScanner) dim() (int, bool) {
+	start := skipSpace(s.b, s.pos)
+	s.pos = skipDigits(s.b, start)
+	if n := s.pos - start; n == 0 || n > 7 || s.b[start] == '0' {
+		return 0, false
+	}
+	d, _ := strconv.Atoi(string(s.b[start:s.pos]))
+	return d, d <= maxScanDim
+}
+
+func (s *bodyScanner) scanShape() bool {
+	if !s.eat('[') {
+		return false
+	}
+	for i := range s.shape {
+		if i > 0 && !s.eat(',') {
+			return false
+		}
+		var ok bool
+		if s.shape[i], ok = s.dim(); !ok {
+			return false
+		}
+	}
+	s.hasShape = true
+	return s.eat(']')
+}
+
+// resolve fixes the shape the samples are checked against: the body's own
+// when it has been seen, the named model's deployed shape otherwise. A
+// deployed shape the scanner's bounds do not cover declines.
+func (s *bodyScanner) resolve() bool {
+	if s.hasShape {
+		// A copy: error text takes the slice, which must not drag the
+		// scanner to the heap with it.
+		s.resolved, s.shapeErr = []int{s.shape[0], s.shape[1], s.shape[2]}, nil
+	} else if s.resolved, s.shapeErr = s.deployed(resolveModel(s.name)); s.shapeErr != nil {
+		s.n = 0
+		return true
+	}
+	if len(s.resolved) != 3 {
+		return false
+	}
+	s.n = 1
+	for _, d := range s.resolved {
+		if d <= 0 || d > maxScanDim {
+			return false
+		}
+		s.n *= d
+	}
+	return true
+}
+
+// scanValues parses one flat array of numbers into dst, counting the values
+// past len(dst) without storing them. Each number is parsed exactly as
+// encoding/json parses a float64 field, so float32(v) is bit-identical to the
+// reference; one out of float64's range is the reference's type error.
+func (s *bodyScanner) scanValues(dst []float32) (count int, ok bool) {
+	if !s.eat('[') {
+		return 0, false
+	}
+	if s.eat(']') {
+		return 0, true
+	}
+	b, i := s.b, s.pos
+	for {
+		i = skipSpace(b, i)
+		end := numberEnd(b, i)
+		if end < 0 {
+			return 0, false
+		}
+		v, err := strconv.ParseFloat(string(b[i:end]), 64)
+		if err != nil {
+			return 0, false
+		}
+		if count < len(dst) {
+			dst[count] = float32(v)
+		}
+		count++
+		if i = skipSpace(b, end); i == len(b) {
+			return 0, false
+		}
+		switch b[i] {
+		case ',':
+			i++
+		case ']':
+			s.pos = i + 1
+			return count, true
+		default:
+			return 0, false
+		}
+	}
+}
+
+// scanInputs parses "input" (one flat array) or "inputs" (an array of them)
+// into one contiguous backing, sized from the shape known so far. A "shape"
+// or "model" key still to come may change that shape; scan declines then.
+func (s *bodyScanner) scanInputs() bool {
+	if !s.resolve() {
+		return false
+	}
+	s.hasInputs = true
+	// Every value takes at least two bytes, so what is left of the body
+	// bounds the backing whatever the shape claims.
+	limit := (len(s.b)-s.pos)/2 + 1
+	if !s.batch {
+		s.data = make([]float32, min(s.n, limit))
+		var ok bool
+		s.count, ok = s.scanValues(s.data)
+		return ok
+	}
+	if !s.eat('[') {
+		return false
+	}
+	// Sizing only: every sample opens one bracket.
+	if size := bytes.Count(s.b[s.pos:], []byte{'['}); s.n == 0 || size <= limit/s.n {
+		limit = size * s.n
+	}
+	s.data = make([]float32, limit)
+	stored := 0
+	for {
+		next, ok := s.more(len(s.counts) == 0, ']')
+		if !ok || !next {
+			return ok
+		}
+		count, ok := s.scanValues(s.data[stored:min(stored+s.n, len(s.data))])
+		if !ok {
+			return false
+		}
+		s.counts = append(s.counts, count)
+		stored += min(count, s.n)
+	}
+}
+
+// scan parses the whole body, reporting false to decline it.
+func (s *bodyScanner) scan() bool {
+	if !s.eat('{') {
+		return false
+	}
+	inputsKey := "input"
+	if s.batch {
+		inputsKey = "inputs"
+	}
+	var seenModel bool
+	// What the inputs were sized under, once they have been parsed.
+	var sizedShape bool
+	var sizedFor string
+	var sizedN int
+	for first := true; ; first = false {
+		next, ok := s.more(first, '}')
+		if !ok {
+			return false
+		}
+		if !next {
+			break
+		}
+		key, ok := s.str()
+		if !ok || !s.eat(':') {
+			return false
+		}
+		switch {
+		case string(key) == "model" && !seenModel:
+			seenModel = true
+			name, ok := s.str()
+			if !ok {
+				return false
+			}
+			s.name = string(name)
+		case string(key) == "shape" && !s.hasShape:
+			if !s.scanShape() {
+				return false
+			}
+		case string(key) == inputsKey && !s.hasInputs:
+			if !s.scanInputs() {
+				return false
+			}
+			sizedShape, sizedFor, sizedN = s.hasShape, s.name, s.n
+		default:
+			return false
+		}
+	}
+	if skipSpace(s.b, s.pos) != len(s.b) {
+		return false
+	}
+	// A "shape" or "model" key after the inputs can change the shape they
+	// are checked against. If that changes the sample size too they are
+	// packed wrong, and the reference decodes the body.
+	if !s.hasInputs || s.hasShape != sizedShape || !s.hasShape && s.name != sizedFor {
+		if !s.resolve() || s.hasInputs && s.n != sizedN {
+			return false
+		}
+	}
+	return true
+}
+
+// samples turns a scanned body into the decoded form: one view of the shared
+// backing per sample that sent exactly the resolved shape's element count.
+func (s *bodyScanner) samples() (string, []sample) {
+	counts := s.counts
+	if !s.batch {
+		counts = []int{s.count}
+	}
+	out := make([]sample, len(counts))
+	stored := 0
+	for i, count := range counts {
+		switch {
+		case s.shapeErr != nil:
+			out[i].err = s.shapeErr
+		case count != s.n:
+			out[i].err = countError(count, s.resolved, s.n)
+		default:
+			out[i].x = tensor.FromData(s.data[stored:stored+s.n:stored+s.n], 1, s.resolved[0], s.resolved[1], s.resolved[2])
+		}
+		stored += min(count, s.n)
+	}
+	return resolveModel(s.name), out
+}

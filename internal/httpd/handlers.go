@@ -10,16 +10,14 @@ import (
 	"sync"
 	"time"
 
-	"tbnet/internal/core"
 	"tbnet/internal/fleet"
 	"tbnet/internal/obs"
 	"tbnet/internal/serial"
 	"tbnet/internal/tee"
-	"tbnet/internal/tensor"
 )
 
-// maxBodyBytes bounds request bodies: inference inputs are a few hundred KB,
-// swap artifacts a few tens of MB for the zoo architectures.
+// maxBodyBytes bounds a swap request's artifact body: a few tens of MB for
+// the zoo architectures. The inference endpoints have maxInferBodyBytes.
 const maxBodyBytes = 256 << 20
 
 // inferRequest is the body of POST /v1/infer.
@@ -143,42 +141,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeBody strictly decodes the JSON request body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// sampleShape resolves a hosted model's deployed per-sample [C,H,W] shape.
+func (s *Server) sampleShape(model string) ([]int, error) {
+	ss, err := s.fleet.SampleShape(model)
+	if err == nil && len(ss) == 4 {
+		ss = ss[1:]
+	}
+	return ss, err
 }
 
-// sampleTensor builds the [1,C,H,W] inference tensor from a flattened input,
-// resolving the per-sample shape against the model's deployed plan when the
-// request omits it.
-func (s *Server) sampleTensor(model string, input []float64, shape []int) (*tensor.Tensor, error) {
-	if shape == nil {
-		ss, err := s.fleet.SampleShape(model)
-		if err != nil {
-			return nil, err
-		}
-		if len(ss) == 4 {
-			shape = ss[1:]
-		} else {
-			shape = ss
-		}
+// decodeRequest reads and decodes an inference body; the decoded tensors own
+// their data, so the pooled body buffer is back before inference starts.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, batch bool) (string, []sample, error) {
+	buf, err := readBody(w, r)
+	if err != nil {
+		return "", nil, err
 	}
-	if len(shape) != 3 {
-		return nil, fmt.Errorf("%w: sample shape %v, want [C,H,W]", core.ErrShape, shape)
-	}
-	n := shape[0] * shape[1] * shape[2]
-	if shape[0] <= 0 || shape[1] <= 0 || shape[2] <= 0 || len(input) != n {
-		return nil, fmt.Errorf("%w: %d input values for shape %v (want %d)", core.ErrShape, len(input), shape, n)
-	}
-	x := tensor.New(1, shape[0], shape[1], shape[2])
-	d := x.Data()
-	for i, v := range input {
-		d[i] = float32(v)
-	}
-	return x, nil
+	defer releaseBody(buf)
+	return decodeSamples(buf.Bytes(), batch, s.sampleShape)
 }
 
 // resolveModel applies the default-model fallback.
@@ -191,18 +171,15 @@ func resolveModel(name string) string {
 
 // handleInfer runs one sample through the fleet and answers with its label.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	var req inferRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeJSONError(w, r, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
-		return
+	model, samples, err := s.decodeRequest(w, r, false)
+	if err == nil {
+		err = samples[0].err
 	}
-	model := resolveModel(req.Model)
-	x, err := s.sampleTensor(model, req.Input, req.Shape)
 	if err != nil {
 		writeError(w, r, err, s.cfg.RetryAfter)
 		return
 	}
-	label, err := s.fleet.InferModel(r.Context(), model, x)
+	label, err := s.fleet.InferModel(r.Context(), model, samples[0].x)
 	if err != nil {
 		writeError(w, r, err, s.cfg.RetryAfter)
 		return
@@ -271,16 +248,15 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 // reported in-line (with the status they would have carried standalone); the
 // stream itself is always 200 once the request parses.
 func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeJSONError(w, r, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	model, samples, err := s.decodeRequest(w, r, true)
+	if err != nil {
+		writeError(w, r, err, s.cfg.RetryAfter)
 		return
 	}
-	if len(req.Inputs) == 0 {
+	if len(samples) == 0 {
 		writeJSONError(w, r, http.StatusBadRequest, "empty batch", 0)
 		return
 	}
-	model := resolveModel(req.Model)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 
@@ -297,22 +273,21 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var wg sync.WaitGroup
-	for i, input := range req.Inputs {
+	for i, smp := range samples {
 		wg.Add(1)
-		go func(i int, input []float64) {
+		go func(i int, smp sample) {
 			defer wg.Done()
-			x, err := s.sampleTensor(model, input, req.Shape)
+			label, err := 0, smp.err
 			if err == nil {
-				var label int
-				label, err = s.fleet.InferModel(r.Context(), model, x)
-				if err == nil {
-					emit(batchLine{Index: i, Label: label})
-					return
-				}
+				label, err = s.fleet.InferModel(r.Context(), model, smp.x)
 			}
-			code, _ := statusFor(err)
-			emit(batchLine{Index: i, Error: err.Error(), Status: code})
-		}(i, input)
+			if err != nil {
+				code, _ := statusFor(err)
+				emit(batchLine{Index: i, Error: err.Error(), Status: code})
+				return
+			}
+			emit(batchLine{Index: i, Label: label})
+		}(i, smp)
 	}
 	wg.Wait()
 	s.reaper.touch(model)

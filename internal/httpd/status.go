@@ -29,6 +29,8 @@ type statusRule struct {
 // onto wire semantics. Order matters only where sentinels could wrap each
 // other (they do not today); the first errors.Is match wins.
 //
+//	body over its cap   → 413 (*http.MaxBytesError is a type, not a sentinel,
+//	                      so statusFor matches it ahead of the rows)
 //	rate limit          → 429 + Retry-After (per-tenant budget; back off)
 //	draining            → 503 + Retry-After (terminal here; retry elsewhere)
 //	overloaded          → 503 + Retry-After (fleet shed the request)
@@ -39,6 +41,7 @@ type statusRule struct {
 //	secure memory       → 507 (the device cannot hold the requested pool)
 //	bad shape / input   → 400
 //	bad artifact bytes  → 400
+//	unparsable body     → 400
 var statusTable = []statusRule{
 	{ErrRateLimited, http.StatusTooManyRequests, true},
 	{fleet.ErrDraining, http.StatusServiceUnavailable, true},
@@ -53,11 +56,16 @@ var statusTable = []statusRule{
 	{serial.ErrBadFormat, http.StatusBadRequest, false},
 	{serve.ErrConfig, http.StatusBadRequest, false},
 	{fleet.ErrConfig, http.StatusBadRequest, false},
+	{errBadBody, http.StatusBadRequest, false},
 }
 
 // statusFor resolves err against the table; anything unrecognized is an
 // internal error.
 func statusFor(err error) (code int, retryAfter bool) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, false
+	}
 	for _, rule := range statusTable {
 		if errors.Is(err, rule.err) {
 			return rule.code, rule.retryAfter

@@ -39,6 +39,9 @@ func TestStatusTable(t *testing.T) {
 		{"bad artifact", serial.ErrBadFormat, http.StatusBadRequest, false},
 		{"serve config", serve.ErrConfig, http.StatusBadRequest, false},
 		{"fleet config", fleet.ErrConfig, http.StatusBadRequest, false},
+		{"bad body", errBadBody, http.StatusBadRequest, false},
+		{"body over its cap", &http.MaxBytesError{Limit: maxInferBodyBytes}, http.StatusRequestEntityTooLarge, false},
+		{"body over its cap, as readBody wraps it", fmt.Errorf("%w: %w", errBadBody, &http.MaxBytesError{Limit: maxInferBodyBytes}), http.StatusRequestEntityTooLarge, false},
 		{"unknown error", errors.New("mystery"), http.StatusInternalServerError, false},
 		{"nil-ish wrap", fmt.Errorf("ctx: %w", errors.New("mystery")), http.StatusInternalServerError, false},
 	}

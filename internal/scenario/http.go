@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"tbnet/internal/fleet"
@@ -77,11 +81,92 @@ func (t *HTTPTarget) endpoint(path string) string {
 	return t.base.String() + path
 }
 
-// wireInfer mirrors the daemon's POST /v1/infer body.
-type wireInfer struct {
-	Model string    `json:"model,omitempty"`
-	Input []float64 `json:"input"`
-	Shape []int     `json:"shape,omitempty"`
+// appendInferBody appends the daemon's POST /v1/infer body for x to dst:
+// {"model":…,"input":[…],"shape":[…]}, byte for byte what encoding/json makes
+// of the same fields with the sample widened to []float64 — the model left
+// out when empty, every value in the shortest form that reads back exactly,
+// in e-notation below 1e-6 and from 1e21 — without that slice or reflection.
+func appendInferBody(dst []byte, model string, x *tensor.Tensor) ([]byte, error) {
+	shape := x.Shape()
+	if len(shape) == 4 {
+		shape = shape[1:]
+	}
+	dst = append(dst, '{')
+	if model != "" {
+		name, err := json.Marshal(model) // its escaping rules stay encoding/json's
+		if err != nil {
+			return nil, err
+		}
+		dst = append(append(append(dst, `"model":`...), name...), ',')
+	}
+	dst = append(dst, `"input":[`...)
+	for i, v := range x.Data() {
+		f := float64(v)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("scenario: sample value %d is %v, which JSON cannot carry", i, v)
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		format := byte('f')
+		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		dst = strconv.AppendFloat(dst, f, format, -1, 64)
+		// e-07 → e-7, as encoding/json writes it.
+		if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	dst = append(dst, ']')
+	if len(shape) > 0 {
+		dst = append(dst, `,"shape":[`...)
+		for i, d := range shape {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(d), 10)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+// bodyBuf is a pooled request-body buffer. The transport may still be
+// reading a body after Do has returned, and re-reads it through GetBody when
+// it retries on a stale connection, so the buffer goes back to the pool only
+// once InferModel and every reader handed out have let go of it.
+type bodyBuf struct {
+	data []byte
+	refs atomic.Int32
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+func (b *bodyBuf) release() {
+	if b.refs.Add(-1) == 0 {
+		bodyPool.Put(b)
+	}
+}
+
+// reader returns a fresh reader over the buffer that holds it until closed.
+func (b *bodyBuf) reader() io.ReadCloser {
+	b.refs.Add(1)
+	return &bodyReader{Reader: bytes.NewReader(b.data), buf: b}
+}
+
+type bodyReader struct {
+	*bytes.Reader
+	buf    *bodyBuf
+	closed atomic.Bool
+}
+
+func (r *bodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.buf.release()
+	}
+	return nil
 }
 
 // wireLabel mirrors the daemon's inference answer.
@@ -97,23 +182,20 @@ type wireErr struct {
 
 // InferModel classifies one sample by POSTing it to the daemon's /v1/infer.
 func (t *HTTPTarget) InferModel(ctx context.Context, model string, x *tensor.Tensor) (int, error) {
-	shape := x.Shape()
-	if len(shape) == 4 {
-		shape = shape[1:]
-	}
-	data := x.Data()
-	input := make([]float64, len(data))
-	for i, v := range data {
-		input[i] = float64(v)
-	}
-	body, err := json.Marshal(wireInfer{Model: model, Input: input, Shape: shape})
+	body := bodyPool.Get().(*bodyBuf)
+	body.refs.Store(1)
+	defer body.release()
+	data, err := appendInferBody(body.data[:0], model, x)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.endpoint("/v1/infer"), bytes.NewReader(body))
+	body.data = data
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.endpoint("/v1/infer"), body.reader())
 	if err != nil {
 		return 0, err
 	}
+	req.ContentLength = int64(len(data))
+	req.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
 	req.Header.Set("Content-Type", "application/json")
 	if t.apiKey != "" {
 		req.Header.Set("X-API-Key", t.apiKey)

@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"tbnet/internal/fleet"
@@ -118,4 +121,123 @@ func TestHTTPTargetModels(t *testing.T) {
 	if _, err := tgt.Models(context.Background()); err == nil {
 		t.Fatal("empty inventory accepted")
 	}
+}
+
+// TestInferBodyMatchesEncodingJSON locks the hand-built /v1/infer body to
+// the bytes encoding/json makes of the same request — over seeded samples
+// and the values where its float format changes: signed zero, both sides of
+// the e-notation switch-overs (below 1e-6, from 1e21), one- and two-digit
+// exponents, float32's extremes — with the model present, absent, and in
+// need of escaping.
+func TestInferBodyMatchesEncodingJSON(t *testing.T) {
+	type wireInfer struct {
+		Model string    `json:"model,omitempty"`
+		Input []float64 `json:"input"`
+		Shape []int     `json:"shape,omitempty"`
+	}
+	edges := []float32{
+		0, float32(math.Copysign(0, -1)), 1, -1, 0.1, 16777216, 3.5e-5,
+		1e-6, math.Nextafter32(1e-6, 0), math.Nextafter32(1e-6, 1), 1e-7, -1e-7, 1e-10, 1e-38,
+		1e21, math.Nextafter32(1e21, 0), math.Nextafter32(1e21, math.MaxFloat32), -1e21, 1e20, 1e22, 1e30,
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32,
+	}
+	samples := []*tensor.Tensor{
+		tensor.FromData(edges, 1, 1, 4, 6),
+		tensor.FromData(edges, 2, 12),
+		tensor.New(1, 3, 0, 4),
+	}
+	rng := tensor.NewRNG(41)
+	for _, std := range []float64{1, 1e-6, 1e21} {
+		x := tensor.New(1, 3, 16, 16)
+		rng.FillNormal(x, 0, std)
+		samples = append(samples, x)
+	}
+	var got []byte // reused across bodies, as InferModel's pooled buffer is
+	for _, x := range samples {
+		for _, model := range []string{"", "canary", `a"b\c<d>&é` + "\x01\xff"} {
+			shape := x.Shape()
+			if len(shape) == 4 {
+				shape = shape[1:]
+			}
+			input := make([]float64, 0, x.Size())
+			for _, v := range x.Data() {
+				input = append(input, float64(v))
+			}
+			want, err := json.Marshal(wireInfer{Model: model, Input: input, Shape: shape})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err = appendInferBody(got[:0], model, x); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("model %q shape %v:\n got %s\nwant %s", model, x.Shape(), got, want)
+			}
+		}
+	}
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		x := tensor.FromData([]float32{1, v}, 1, 1, 1, 2)
+		if _, err := appendInferBody(nil, "", x); err == nil {
+			t.Errorf("value %v: want an error, as encoding/json gives", v)
+		}
+	}
+}
+
+// TestHTTPTargetConcurrentBodies: concurrent callers share the pooled body
+// buffers, and a server that answers before reading its request leaves the
+// transport still reading one after InferModel has returned. Every body that
+// is read must still be the one its caller built: all values equal, and the
+// answer derived from them is the caller's own.
+func TestHTTPTargetConcurrentBodies(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-API-Key") == "early" {
+			w.WriteHeader(http.StatusNotFound) // answered with the body unread
+			return
+		}
+		var req struct {
+			Input []float64 `json:"input"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Input) != 3*16*16 {
+			http.Error(w, "mangled body", http.StatusInternalServerError)
+			return
+		}
+		for _, v := range req.Input {
+			if v != req.Input[0] {
+				http.Error(w, "body mixes two requests", http.StatusInternalServerError)
+				return
+			}
+		}
+		_ = json.NewEncoder(w).Encode(map[string]any{"label": int(req.Input[0])})
+	}))
+	defer srv.Close()
+	reads, err := NewHTTPTarget(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := NewHTTPTarget(srv.URL, WithAPIKey("early"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			x := tensor.New(1, 3, 16, 16)
+			for i := 0; i < 40; i++ {
+				want := g*1000 + i
+				x.Fill(float32(want))
+				if g%2 == 1 && i%4 == 0 {
+					if _, err := early.InferModel(context.Background(), "", x); !errors.Is(err, serve.ErrUnknownModel) {
+						t.Errorf("early answer: err = %v", err)
+					}
+					continue
+				}
+				if label, err := reads.InferModel(context.Background(), "", x); err != nil || label != want {
+					t.Errorf("caller %d request %d: label %d err %v", g, i, label, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
