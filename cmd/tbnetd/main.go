@@ -272,6 +272,9 @@ func run(args []string, stderr io.Writer) int {
 		mode = "lingering"
 	}
 	log.Info(fmt.Sprintf("batching: max_batch=%d linger=%v (%s)", maxBatch, linger, mode))
+	// Status check for the kernel layer: which micro-kernels passed their
+	// CPUID gates, and how big a product must be to leave its goroutine.
+	log.Info("kernels: " + tensor.KernelStatus())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -190,7 +191,8 @@ func (b *lockedBuffer) String() string {
 }
 
 // TestDaemonLogsBatchingStatus: the startup log carries the batching
-// layer's status line, so "can a lone request be held back?" is a grep.
+// layer's status line, so "can a lone request be held back?" is a grep, and
+// the kernel layer's beside it, so "is the vector path on?" is one too.
 func TestDaemonLogsBatchingStatus(t *testing.T) {
 	var stderr lockedBuffer
 	_, code := startTestDaemonTo(t, &stderr)
@@ -206,6 +208,9 @@ func TestDaemonLogsBatchingStatus(t *testing.T) {
 		t.Fatal("daemon never exited after SIGTERM")
 	}
 	if want := "batching: max_batch=8 linger=0s (work-conserving)"; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("startup log lacks %q:\n%s", want, stderr.String())
+	}
+	if want := regexp.MustCompile(`kernels: f32=\S+ int8=\S+ parallel_above_macs=\d+ workers=\d+`); !want.MatchString(stderr.String()) {
 		t.Fatalf("startup log lacks %q:\n%s", want, stderr.String())
 	}
 }

@@ -40,19 +40,16 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // ForwardInto is the eval-mode inference path: negatives clamped to zero,
-// written into dst without recording the backward mask. dst may equal x for
-// in-place operation; the arena may be nil.
+// written into dst without recording the backward mask and without a branch
+// on the data (tensor.ReLU). dst may equal x for in-place operation; the
+// arena may be nil.
 func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *Arena) {
 	xd, od := x.Data(), dst.Data()
 	if len(od) != len(xd) {
 		panic("nn: ReLU destination size mismatch")
 	}
 	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-		} else {
-			od[i] = 0
-		}
+		od[i] = tensor.ReLU(v)
 	}
 }
 

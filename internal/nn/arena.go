@@ -26,6 +26,12 @@ type Arena struct {
 	i8bufs [][]int8
 	i8cols [][]int8
 	i32buf [][]int32
+
+	// The conv epilogue of the call in flight (see BatchNorm2D.epilogue):
+	// rebuilt from the live batch-norm parameters on every fused call, kept
+	// here only so that building it allocates nothing.
+	ep     tensor.Epilogue
+	invStd []float32
 }
 
 // arenaKey identifies one activation buffer: the owning layer's tag plus the
@@ -137,6 +143,7 @@ func (a *Arena) Bytes() int64 {
 	for _, b := range a.i32buf {
 		total += int64(cap(b)) * 4
 	}
+	total += int64(cap(a.invStd)) * 4
 	return total
 }
 

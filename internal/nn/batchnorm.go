@@ -149,6 +149,27 @@ func (b *BatchNorm2D) evalInto(od, xd []float32, n, hw int) {
 	}
 }
 
+// epilogue returns evalInto (followed by ReLU.ForwardInto when relu is set)
+// as a GEMM epilogue over the layer's channels, for a convolution to apply
+// while its output tiles are still in registers. It reads the live
+// parameters and running statistics on every call and keeps nothing beyond
+// it: the result lives in the arena and is valid until the arena's next
+// fused call.
+func (b *BatchNorm2D) epilogue(a *Arena, relu bool) *tensor.Epilogue {
+	if cap(a.invStd) < b.C {
+		a.invStd = make([]float32, b.C)
+	}
+	a.invStd = a.invStd[:b.C]
+	for ch, rv := range b.RunVar.Data() {
+		a.invStd[ch] = float32(1 / math.Sqrt(float64(rv)+b.Eps))
+	}
+	a.ep = tensor.Epilogue{
+		Mean: b.RunMean.Data(), Gamma: b.Gamma.Value.Data(),
+		InvStd: a.invStd, Beta: b.Beta.Value.Data(), ReLU: relu,
+	}
+	return &a.ep
+}
+
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if b.lastXHat == nil {

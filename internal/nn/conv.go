@@ -84,7 +84,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutDim(x.Dim(2), c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(x.Dim(3), c.KW, c.Stride, c.Pad)
 	out := tensor.New(n, c.OutC, oh, ow)
-	c.forwardInto(out, x, nil)
+	c.forwardInto(out, x, nil, nil)
 	if train {
 		c.lastInput, c.lastOH, c.lastOW = x, oh, ow
 	} else {
@@ -97,10 +97,25 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // into dst (shaped per OutShape) using the arena's pooled column scratch. No
 // state is retained.
 func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, a *Arena) {
-	c.forwardInto(dst, x, a)
+	c.forwardInto(dst, x, a, nil)
 }
 
-func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena) {
+// ForwardIntoBN is ForwardInto followed by bn's eval-mode ForwardInto and,
+// when relu is set, ReLU.ForwardInto — bit for bit, in either precision —
+// with the two element-wise passes applied by the convolution's own kernel
+// as each output tile is produced. bn's parameters are read at call time;
+// nothing derived from them outlives the call.
+func (c *Conv2D) ForwardIntoBN(dst, x *tensor.Tensor, a *Arena, bn *BatchNorm2D, relu bool) {
+	if bn.C != c.OutC {
+		panic(fmt.Sprintf("nn: %s normalizes %d channels, %s produces %d", bn.name, bn.C, c.name, c.OutC))
+	}
+	if a == nil {
+		a = NewArena()
+	}
+	c.forwardInto(dst, x, a, bn.epilogue(a, relu))
+}
+
+func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogue) {
 	if x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", c.name, c.InC, x.Dim(1)))
 	}
@@ -115,7 +130,7 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena) {
 		if a == nil {
 			a = NewArena()
 		}
-		c.forwardIntoI8(dst, x, a)
+		c.forwardIntoI8(dst, x, a, ep)
 		return
 	}
 	colRows := c.InC * c.KH * c.KW
@@ -123,16 +138,22 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena) {
 	sampleOut := c.OutC * oh * ow
 	xd, od, wd := x.Data(), dst.Data(), c.W.Value.Data()
 
+	// The GEMM finishes its own tiles with the epilogue unless a bias has to
+	// land between the product and the normalization.
+	fused := ep
+	if c.B != nil {
+		fused = nil
+	}
 	if n == 1 {
-		// A single sample has no sample-level parallelism; run the matmul
-		// itself through the worker pool instead (inline on single-proc
-		// hosts, so this path stays allocation-free with an arena).
+		// A single sample has no sample-level parallelism; the matmul itself
+		// goes through the worker pool when it is big enough to pay for the
+		// wake-up, and otherwise runs here without allocating.
 		cols := c.lower(a, 0, xd[:sampleIn], h, w)
-		tensor.GemmParallel(od[:sampleOut], wd, cols, c.OutC, oh*ow, colRows)
+		tensor.GemmFusedParallel(od[:sampleOut], wd, cols, c.OutC, oh*ow, colRows, fused)
 	} else {
 		parallelFor(n, func(worker, i int) {
 			cols := c.lower(a, worker, xd[i*sampleIn:(i+1)*sampleIn], h, w)
-			tensor.GemmSerial(od[i*sampleOut:(i+1)*sampleOut], wd, cols, c.OutC, oh*ow, colRows)
+			tensor.GemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, cols, c.OutC, oh*ow, colRows, fused)
 		})
 	}
 	if c.B != nil {
@@ -144,6 +165,9 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena) {
 				b := bd[ch]
 				for p := 0; p < hw; p++ {
 					od[base+p] += b
+				}
+				if ep != nil {
+					ep.ApplyRow(od[base:base+hw], ch)
 				}
 			}
 		}

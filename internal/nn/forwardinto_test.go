@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"tbnet/internal/tensor"
@@ -213,6 +214,90 @@ func TestConvBackwardScratchReuse(t *testing.T) {
 	for i, v := range bg1.Data() {
 		if conv.B.Grad.Data()[i] != v {
 			t.Fatalf("B grad element %d = %v on warm scratch, want %v", i, conv.B.Grad.Data()[i], v)
+		}
+	}
+}
+
+// TestReLUForwardIntoSpecialValues pins the branch-free inference rectifier
+// to the training Forward on every class of input: NaN of either sign and
+// -0 come out +0, +Inf and denormals pass, in place or not.
+func TestReLUForwardIntoSpecialValues(t *testing.T) {
+	bits := math.Float32frombits
+	vals := []float32{
+		0, float32(math.Copysign(0, -1)), 3, -3, 1e-45, -1e-45, 1e-39, -1e-39,
+		math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)),
+		bits(0x7fc00000), bits(0xffc00000), bits(0x7f800001), bits(0xff800001),
+	}
+	x := tensor.FromData(vals, 1, 1, 4, 4)
+	relu := NewReLU("relu")
+	want := relu.Forward(x, true).Data()
+	got := x.Clone()
+	relu.ForwardInto(got, got, nil)
+	for i, v := range got.Data() {
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
+			t.Errorf("ReLU.ForwardInto(%v [%#x]) = %v [%#x], Forward gives %v",
+				vals[i], math.Float32bits(vals[i]), v, math.Float32bits(v), want[i])
+		}
+	}
+}
+
+// TestConvForwardIntoBNMatchesSeparateLayers locks the fused conv epilogue to
+// the three layers it stands for, bit for bit: with and without a bias, 3x3
+// and pointwise, channel counts off the kernel's row block, both precisions,
+// a single sample and a batch — and shows the batch-norm parameters are read
+// at call time by changing them between two calls on one arena.
+func TestConvForwardIntoBNMatchesSeparateLayers(t *testing.T) {
+	rng := tensor.NewRNG(91)
+	for _, tc := range []struct {
+		name                      string
+		inC, outC, k, stride, pad int
+		bias                      bool
+	}{
+		{"k3", 3, 8, 3, 1, 1, false},
+		{"k3-odd", 5, 11, 3, 2, 1, false},
+		{"k3-bias", 4, 6, 3, 1, 1, true},
+		{"pointwise", 6, 13, 1, 1, 0, false},
+	} {
+		for _, int8 := range []bool{false, true} {
+			conv := NewConv2D(tc.name, tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.bias, rng)
+			if tc.bias {
+				rng.FillNormal(conv.B.Value, 0, 0.5)
+			}
+			if int8 {
+				q, s := quantizeRowsRef(conv.W.Value.Data(), tc.outC, tc.inC*tc.k*tc.k)
+				if err := conv.SetInt8Weights(q, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bn := NewBatchNorm2D("bn", tc.outC)
+			relu := NewReLU("relu")
+			a := NewArena()
+			for round, batch := range []int{1, 3, 1} {
+				// Fresh statistics and affine terms every round: a fused path
+				// that kept anything from the previous call would show.
+				rng.FillNormal(bn.Gamma.Value, 0.2, 1)
+				rng.FillNormal(bn.Beta.Value, 0, 1)
+				rng.FillNormal(bn.RunMean, 0, 1)
+				rng.FillUniform(bn.RunVar, 0.1, 4)
+				x := intoInput(t, uint64(92+round), batch, tc.inC, 9, 9)
+				for _, act := range []bool{true, false} {
+					want := tensor.New(conv.OutShape(x.Shape())...)
+					conv.ForwardInto(want, x, a)
+					bn.ForwardInto(want, want, a)
+					if act {
+						relu.ForwardInto(want, want, a)
+					}
+					got := tensor.New(want.Shape()...)
+					got.Fill(42)
+					conv.ForwardIntoBN(got, x, a, bn, act)
+					for i, w := range want.Data() {
+						if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+							t.Fatalf("%s int8=%v batch %d relu=%v: element %d = %v fused, %v as separate layers",
+								tc.name, int8, batch, act, i, g, w)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -60,8 +60,8 @@ func (c *Conv2D) Int8() bool { return c.qw != nil }
 
 // forwardIntoI8 is the quantized twin of forwardInto: HWC quantization and
 // patch lowering in int8, the blocked int8 GEMM, then per-channel
-// requantization with the bias fused in.
-func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
+// requantization with the bias and the epilogue (nil for none) fused in.
+func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogue) {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
@@ -72,14 +72,14 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
 		bd = c.B.Value.Data()
 	}
 	if n == 1 {
-		// Single sample: no sample-level parallelism, so the GEMM itself fans
-		// out across the pool (mirrors the float32 path). Calling the sample
-		// body directly — not through a closure — keeps this branch
+		// Single sample: no sample-level parallelism, so the GEMM itself may
+		// cross the pool (mirrors the float32 path). Calling the sample body
+		// directly — not through a closure — keeps this branch
 		// allocation-free with a warm arena.
-		c.i8Sample(a, 0, 0, h, w, hw, xd, od, bd, tensor.GemmI8Parallel)
+		c.i8Sample(a, 0, 0, h, w, hw, xd, od, bd, ep, tensor.GemmI8Parallel)
 	} else {
 		parallelFor(n, func(worker, i int) {
-			c.i8Sample(a, worker, i, h, w, hw, xd, od, bd, tensor.GemmI8Serial)
+			c.i8Sample(a, worker, i, h, w, hw, xd, od, bd, ep, tensor.GemmI8Serial)
 		})
 	}
 }
@@ -89,8 +89,8 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
 // pass, run-copy patch lowering (skipped for a pointwise conv, whose HWC
 // image already is the patch matrix), the int8 GEMM against the
 // (ky, kx, channel)-ordered weights, and per-channel requantization with the
-// bias fused in.
-func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float32,
+// bias fused in, each channel finished by the epilogue while its row is hot.
+func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float32, ep *tensor.Epilogue,
 	gemm func(dst []int32, a, b []int8, m, n, k int)) {
 	colRows := c.InC * c.KH * c.KW
 	sampleIn := c.InC * h * w
@@ -117,6 +117,9 @@ func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float3
 		dr := out[ch*hw : (ch+1)*hw]
 		for p, v := range row {
 			dr[p] = float32(v)*f + b
+		}
+		if ep != nil {
+			ep.ApplyRow(dr, ch)
 		}
 	}
 }

@@ -4,22 +4,13 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"tbnet/internal/tensor"
 )
 
-// allocLimit returns the steady-state allocation budget for one inference.
-// On a single-proc host (the CI runner) the budget is the acceptance bound:
-// at most 8 allocations per op. Multi-proc hosts pay a few extra transient
-// allocations per request for parallel kernel dispatch (one closure plus
-// queue bookkeeping per fanned-out stage), so the budget scales with the
-// worker pool rather than flaking.
-func allocLimit() float64 {
-	if tensor.Workers() == 1 {
-		return 8
-	}
-	return 32
-}
+// allocLimit is the steady-state allocation budget for one inference through
+// a deployment, on every host: no single-sample GEMM in the zoo is big enough
+// to leave its goroutine (tensor's dispatch rule), so GOMAXPROCS does not
+// enter into it.
+const allocLimit = 8
 
 // TestDeploymentInferSteadyStateAllocs locks the deployment plan's core
 // promise: once the session is warm, Infer through the preplanned arenas
@@ -42,8 +33,8 @@ func TestDeploymentInferSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := allocLimit(); allocs > limit {
-		t.Fatalf("steady-state Deployment.InferInto allocates %.1f/op, budget %.0f", allocs, limit)
+	if allocs > allocLimit {
+		t.Fatalf("steady-state Deployment.InferInto allocates %.1f/op, budget %d", allocs, allocLimit)
 	}
 	// The allocating wrapper may add only the label slice.
 	allocs = testing.AllocsPerRun(50, func() {
@@ -51,20 +42,18 @@ func TestDeploymentInferSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := allocLimit() + 1; allocs > limit {
-		t.Fatalf("steady-state Deployment.Infer allocates %.1f/op, budget %.0f", allocs, limit)
+	if allocs > allocLimit+1 {
+		t.Fatalf("steady-state Deployment.Infer allocates %.1f/op, budget %d", allocs, allocLimit+1)
 	}
 }
 
 // TestServerInferSteadyStateAllocs is the end-to-end acceptance regression:
 // a steady stream of single-sample requests through the full serving path —
 // queue, batching, worker replica, stats — must stay within a small fixed
-// allocation budget per op. On a single-proc host that budget is exactly
-// what the path costs today, 4: three in Infer (the request and its reply
-// channel) and the dispatcher's batch, allocated once at MaxBatch capacity
-// and filtered in place by the worker. Parallel GEMM dispatch adds 4 more at
-// GOMAXPROCS=2 and keeps the deployment test's headroom, less the one
-// allocation the in-place filter removed.
+// allocation budget per op. The budget is exactly what the path costs, 4:
+// three in Infer (the request and its reply channel) and the dispatcher's
+// batch, allocated once at MaxBatch capacity and filtered in place by the
+// worker.
 func TestServerInferSteadyStateAllocs(t *testing.T) {
 	dep := testDeployment(t, 11)
 	srv, err := New(dep, Config{Workers: 1, MaxBatch: 1, MaxDelay: time.Microsecond})
@@ -84,12 +73,8 @@ func TestServerInferSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	limit := allocLimit() - 1
-	if tensor.Workers() == 1 {
-		limit = 4
-	}
-	if allocs > limit {
-		t.Fatalf("steady-state Server.Infer allocates %.1f/op, budget %.0f", allocs, limit)
+	if allocs > 4 {
+		t.Fatalf("steady-state Server.Infer allocates %.1f/op, budget 4", allocs)
 	}
 }
 

@@ -32,8 +32,8 @@ func TestServerInferTracedSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := allocLimit(); allocs > limit {
-		t.Fatalf("steady-state traced Server.Infer allocates %.1f/op, budget %.0f", allocs, limit)
+	if allocs > allocLimit {
+		t.Fatalf("steady-state traced Server.Infer allocates %.1f/op, budget %d", allocs, allocLimit)
 	}
 	if n := len(tr.Snapshot(0, 0)); n == 0 {
 		t.Fatal("tracer recorded no spans under traced load")

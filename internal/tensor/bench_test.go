@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkMatMul64(b *testing.B) {
 	rng := NewRNG(1)
@@ -38,6 +41,77 @@ func BenchmarkMatMulInto256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(dst, x, y)
+	}
+}
+
+// gemmShapes names the GEMM rung: the eight conv products of one VGG18-S
+// branch ([OutC, 9*InC] @ [9*InC, OH*OW], first to last stage) and the two
+// cubes of BenchmarkMatMul64/256.
+var gemmShapes = [][3]int{ // m, n, k
+	{16, 256, 27}, {16, 256, 144}, {32, 64, 144}, {32, 64, 288},
+	{48, 16, 288}, {48, 16, 432}, {64, 4, 432}, {64, 4, 576},
+	{64, 64, 64}, {256, 256, 256},
+}
+
+// BenchmarkGemm times the float32 kernel per dispatch form and shape, into a
+// preplanned destination. Every VGG18-S shape is below the dispatch
+// threshold, so its two rows time the same serial sweep; MB/s reads as
+// MACs/µs.
+func BenchmarkGemm(b *testing.B) {
+	for _, form := range []struct {
+		name string
+		gemm func(dst, a, b []float32, m, n, k int)
+	}{{"serial", GemmSerial}, {"parallel", GemmParallel}} {
+		for _, s := range gemmShapes {
+			m, n, k := s[0], s[1], s[2]
+			x, y := gemmOperands(NewRNG(4), m, n, k, false)
+			dst := make([]float32, m*n)
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", form.name, m, n, k), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(m * n * k))
+				for i := 0; i < b.N; i++ {
+					form.gemm(dst, x.data, y.data, m, n, k)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkGemmCrossover is the measurement parallelMACs is chosen from: one
+// cube per total-MAC decade step from 0.1 M to 300 M, in both precisions,
+// run on the calling goroutine and cut in two across the pool whatever the
+// dispatch rule says. The fanout rows of a quiet tight loop are the best
+// case for fanning out — the pool worker is still spinning when the next
+// product arrives — so the crossover read here is a lower bound on W.
+func BenchmarkGemmCrossover(b *testing.B) {
+	for _, d := range []int{46, 100, 144, 215, 310, 464, 670} {
+		x, y := gemmOperands(NewRNG(5), d, d, d, false)
+		dst := make([]float32, d*d)
+		qx, qy, acc := make([]int8, d*d), make([]int8, d*d), make([]int32, d*d)
+		for i := range qx {
+			qx[i], qy[i] = int8(i*7), int8(i*13)
+		}
+		half := (d + rowBlock - 1) / rowBlock / 2 // row blocks per worker: two chunks
+		for _, leg := range []struct {
+			name string
+			run  func()
+		}{
+			{"f32/serial", func() { matmulRows(dst, x.data, y.data, d, d, 0, d, nil) }},
+			{"f32/fanout", func() {
+				splitRows(d, half, func(r0, r1 int) { matmulRows(dst, x.data, y.data, d, d, r0, r1, nil) })
+			}},
+			{"int8/serial", func() { gemmI8Rows(acc, qx, qy, d, d, 0, d) }},
+			{"int8/fanout", func() {
+				splitRows(d, half, func(r0, r1 int) { gemmI8Rows(acc, qx, qy, d, d, r0, r1) })
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/%.1fM", leg.name, float64(d*d*d)/1e6), func(b *testing.B) {
+				b.SetBytes(int64(d * d * d))
+				for i := 0; i < b.N; i++ {
+					leg.run()
+				}
+			})
+		}
 	}
 }
 

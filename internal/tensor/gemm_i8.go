@@ -23,22 +23,20 @@ const i8PatchTile = 256
 // are far below this (the serial loader caps whole tensors at 2^26 elems).
 const maxI8DotLen = 1 << 23
 
-// GemmI8Parallel computes dst[i*n+j] = a_i · b_j over the worker pool, where
-// a is m×k and b is n×k, both row-major int8. Like GemmParallel it must not
-// be called from inside a Parallel region (use GemmI8Serial there).
+// GemmI8Parallel computes dst[i*n+j] = a_i · b_j, where a is m×k and b is
+// n×k, both row-major int8, over the worker pool under GemmParallel's
+// dispatch rule (gemmGrain). Like GemmParallel it must not be called from
+// inside a Parallel region (use GemmI8Serial there).
 func GemmI8Parallel(dst []int32, a, b []int8, m, n, k int) {
 	checkI8Dims(dst, a, b, m, n, k)
 	blocks := (m + rowBlock - 1) / rowBlock
-	if blocks/parallelGrain <= 1 || Workers() == 1 {
+	grain := gemmGrain(n, k)
+	if blocks/grain <= 1 || Workers() == 1 {
 		gemmI8Rows(dst, a, b, n, k, 0, m)
 		return
 	}
-	Parallel(blocks, parallelGrain, func(_, lo, hi int) {
-		r1 := hi * rowBlock
-		if r1 > m {
-			r1 = m
-		}
-		gemmI8Rows(dst, a, b, n, k, lo*rowBlock, r1)
+	Parallel(blocks, grain, func(_, lo, hi int) {
+		gemmI8Rows(dst, a, b, n, k, lo*rowBlock, min(hi*rowBlock, m))
 	})
 }
 

@@ -67,7 +67,10 @@ func TestGemmI8MatchesReference(t *testing.T) {
 // rounding artifact).
 func TestGemmI8ParallelBitIdenticalToSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m, n, k := 64, i8PatchTile+70, 75
+	m, n, k := 160, i8PatchTile+70, 330
+	if Workers() > 1 && !fansOut(m, n, k) {
+		t.Fatalf("%dx%dx%d no longer fans out: pick a bigger product", m, n, k)
+	}
 	a, b := randI8(rng, m*k), randI8(rng, n*k)
 	serial := make([]int32, m*n)
 	GemmI8Serial(serial, a, b, m, n, k)

@@ -196,8 +196,8 @@ func FuzzLoweringMatchesReference(f *testing.F) {
 // GEMM and through whichever micro kernels the gates select.
 func TestIm2RowI8HWCGemmMatchesChannelMajor(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	// 67 weight rows: enough row quads for GemmI8Parallel to fan out, plus
-	// remainder rows for the single-row kernel.
+	// 67 weight rows: sixteen row quads plus remainder rows for the
+	// single-row kernel.
 	c, h, w, k, stride, pad, outC := 16, 9, 7, 3, 1, 1, 67
 	kk, patch := k*k, c*k*k
 	src := randF32(rng, c*h*w)

@@ -2,29 +2,110 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 )
 
-// The matmul kernel is written for the serving hot path: cache-blocked
-// (tiled) over the output columns, register-blocked four output rows at a
-// time so every streamed b value is reused fourfold, with the row-quad
-// inner loop dispatched to an 8-wide AVX mul+add kernel on amd64 and a
-// 4-wide-unrolled scalar kernel elsewhere. Both inner kernels perform
-// exactly one mul rounding and one add rounding per element in ascending-p
-// order, so results are bit-identical across the SIMD and scalar paths and
-// across serial and parallel execution.
-
-// colTile is the column-tile width in elements: four c rows plus a b row
-// segment of this width stay resident in L1 while the kernel sweeps the
-// shared dimension.
-const colTile = 1024
+// The matmul kernel is written for the serving hot path. On amd64 with AVX
+// a product is computed as register tiles: four output rows by sixteen
+// output columns held in eight YMM accumulators over the whole shared
+// dimension and stored once (gemmTileSIMD), against a b panel packed once
+// per column tile so the sweep reads contiguous memory whatever b's row
+// stride is. Elsewhere the portable row-quad kernel (axpy4Scalar) streams b
+// rows through four accumulating c rows. Both perform exactly one mul
+// rounding and one add rounding per element per p, in ascending p starting
+// from +0, so results are bit-identical across the SIMD and scalar paths
+// and across serial and parallel execution. (The payload of a NaN is the
+// one thing left to the hardware's operand order; that an element is NaN
+// is not.)
 
 // rowBlock is the register-blocking factor: output rows computed
 // simultaneously per streamed b row.
 const rowBlock = 4
 
-// parallelGrain is the minimum number of row blocks per worker before
-// MatMulInto fans out to the worker pool.
-const parallelGrain = 2
+// tileCols is the register tile's width in output columns (two YMM per row).
+const tileCols = 16
+
+// kBlock bounds the packed panel: kBlock rows of tileCols floats (16 KiB) on
+// the calling goroutine's stack, resident in L1 beside the four a rows while
+// the row quads sweep it. BenchmarkGemm is flat from 128 to 576 on the
+// reference box and loses a few percent at 64.
+const kBlock = 256
+
+// parallelMACs is W, the least work a pool worker is woken for, in
+// multiply-accumulates: a product leaves its goroutine only when it can be
+// cut into at least two row ranges of this size, so the smallest cube that
+// fans out is 256³. It is read off BenchmarkGemmCrossover on the reference
+// box (2 cores, GOMAXPROCS=2; µs per product, serial / cut in two):
+//
+//	total MACs   f32            int8
+//	   0.1 M        4.6 /    7.6     21 /   29
+//	   1.0 M         37 /     53     59 /   81
+//	   3.0 M         99 /    141    111 /  150
+//	   9.9 M        370 /    395    684 /  740
+//	  29.8 M       1117 /    761   1481 / 1202
+//	  99.9 M       3324 /   1893   2935 / 1989
+//	 300.8 M      13106 /   6495  12740 / 7640
+//
+// Below ≈ 10 M MACs the wake-up costs more than the second core returns, in
+// both precisions, and that is the benchmark's tight loop, where the pool
+// worker is still spinning when the next product arrives; a worker that has
+// parked costs more. Every single-sample GEMM in the zoo is under 0.6 M.
+const parallelMACs = 1 << 23
+
+// gemmGrain is the dispatch rule the float32 and int8 GEMMs share: the
+// number of row blocks that amount to parallelMACs for an [m,k]@[k,n]
+// product, passed to Parallel as its grain. A product with fewer than two
+// such ranges runs on the calling goroutine.
+func gemmGrain(n, k int) int {
+	return (parallelMACs-1)/max(rowBlock*n*k, 1) + 1
+}
+
+// Epilogue is a per-output-row affine map, optionally rectified, that a
+// GEMM applies to each element as its tile is finished:
+//
+//	v = Gamma[i]*(v-Mean[i])*InvStd[i] + Beta[i];  if ReLU && !(v > 0) { v = 0 }
+//
+// in exactly that operation order — eval-mode batch normalization followed
+// by ReLU.ForwardInto, without two more passes over the output.
+type Epilogue struct {
+	// Mean, Gamma, InvStd and Beta hold one value per output row.
+	Mean, Gamma, InvStd, Beta []float32
+	// ReLU rectifies after the affine map.
+	ReLU bool
+}
+
+// ApplyRow applies the epilogue of output row i to row in place. It is the
+// in-tree definition of what the tile kernel does in registers, and the
+// path for rows the tile kernel does not produce.
+func (e *Epilogue) ApplyRow(row []float32, i int) {
+	mu, g, inv, bt := e.Mean[i], e.Gamma[i], e.InvStd[i], e.Beta[i]
+	if !e.ReLU {
+		for j, v := range row {
+			row[j] = g*(v-mu)*inv + bt
+		}
+		return
+	}
+	for j, v := range row {
+		row[j] = ReLU(g*(v-mu)*inv + bt)
+	}
+}
+
+// covers panics unless the epilogue (nil is fine) has a value for each of m
+// output rows: the tile kernel reads them without bounds checks.
+func (e *Epilogue) covers(m int) {
+	if e != nil {
+		_, _, _, _ = e.Mean[:m], e.Gamma[:m], e.InvStd[:m], e.Beta[:m]
+	}
+}
+
+// ReLU returns v when v > 0 and +0 otherwise (so NaN and -0 give +0),
+// computed on the bit pattern so random-sign data costs no mispredicted
+// branch: v is kept iff its sign bit is clear and it is not above +Inf.
+func ReLU(v float32) float32 {
+	s := int32(math.Float32bits(v))
+	keep := ^(s >> 31) & ^((0x7f800000 - s) >> 31)
+	return math.Float32frombits(uint32(s & keep))
+}
 
 // MatMul returns a @ b for rank-2 tensors of shapes [m,k] and [k,n].
 func MatMul(a, b *Tensor) *Tensor {
@@ -34,42 +115,51 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes dst = a @ b, reusing dst's storage. dst must have shape
-// [a.Dim(0), b.Dim(1)] and must not alias a or b. Large products are split
-// across the persistent worker pool by output-row block.
+// [a.Dim(0), b.Dim(1)] and must not alias a or b. Products big enough to pay
+// for a wake-up (gemmGrain) are split across the persistent worker pool by
+// output-row block.
 func MatMulInto(dst, a, b *Tensor) {
 	m, n, k := matmulDims(dst, a, b)
-	GemmParallel(dst.data, a.data, b.data, m, n, k)
+	GemmFusedParallel(dst.data, a.data, b.data, m, n, k, nil)
 }
 
-// GemmParallel is the raw-slice form of MatMulInto: dst = a @ b with the
-// product split across the worker pool by output-row block. Like
-// MatMulInto, it must not be called from inside a Parallel region (use
-// GemmSerial there).
+// GemmParallel is the raw-slice form of MatMulInto. Like MatMulInto, it must
+// not be called from inside a Parallel region (use GemmSerial there).
 func GemmParallel(dst, a, b []float32, m, n, k int) {
+	GemmFusedParallel(dst, a, b, m, n, k, nil)
+}
+
+// GemmFusedParallel computes dst = ep(a @ b) on raw row-major slices
+// ([m,k] @ [k,n] → [m,n]; a nil ep is the plain product), split across the
+// worker pool by output-row block when gemmGrain says the work is worth a
+// wake-up and run on the calling goroutine — no closure, no allocation —
+// otherwise.
+func GemmFusedParallel(dst, a, b []float32, m, n, k int, ep *Epilogue) {
 	cd, ad, bd := dst[:m*n], a[:m*k], b[:k*n]
+	ep.covers(m)
 	blocks := (m + rowBlock - 1) / rowBlock
-	if blocks/parallelGrain <= 1 || Workers() == 1 {
-		// Single-chunk products skip the pool dispatch entirely: no closure,
-		// no allocation — the zero-alloc steady-state path.
-		matmulRows(cd, ad, bd, n, k, 0, m)
+	grain := gemmGrain(n, k)
+	if blocks/grain <= 1 || Workers() == 1 {
+		matmulRows(cd, ad, bd, n, k, 0, m, ep)
 		return
 	}
-	Parallel(blocks, parallelGrain, func(_, lo, hi int) {
-		r1 := hi * rowBlock
-		if r1 > m {
-			r1 = m
-		}
-		matmulRows(cd, ad, bd, n, k, lo*rowBlock, r1)
+	Parallel(blocks, grain, func(_, lo, hi int) {
+		matmulRows(cd, ad, bd, n, k, lo*rowBlock, min(hi*rowBlock, m), ep)
 	})
 }
 
-// GemmSerial computes dst = a @ b on raw row-major slices ([m,k] @ [k,n] →
-// [m,n]) on the calling goroutine, bit-identical to MatMulInto. It exists so
-// scratch-reusing callers (layer inference paths, per-worker backward
-// buffers) can run the kernel on slice views without building Tensor
-// headers.
+// GemmSerial computes dst = a @ b on the calling goroutine, bit-identical to
+// GemmParallel. It exists so scratch-reusing callers (layer inference paths,
+// per-worker backward buffers) can run the kernel on slice views without
+// building Tensor headers.
 func GemmSerial(dst, a, b []float32, m, n, k int) {
-	matmulRows(dst[:m*n], a[:m*k], b[:k*n], n, k, 0, m)
+	GemmFusedSerial(dst, a, b, m, n, k, nil)
+}
+
+// GemmFusedSerial is GemmFusedParallel on the calling goroutine.
+func GemmFusedSerial(dst, a, b []float32, m, n, k int, ep *Epilogue) {
+	ep.covers(m)
+	matmulRows(dst[:m*n], a[:m*k], b[:k*n], n, k, 0, m, ep)
 }
 
 // TransposeSerial writes the transpose of the row-major m×n matrix src into
@@ -98,53 +188,104 @@ func matmulDims(dst, a, b *Tensor) (m, n, k int) {
 	return m, n, k
 }
 
-// matmulRows computes output rows [r0, r1) of cd = ad @ bd.
-func matmulRows(cd, ad, bd []float32, n, k, r0, r1 int) {
+// tileArgs is what one gemmTileSIMD call reads; the assembly addresses the
+// fields by offset, so the layout is part of its contract.
+type tileArgs struct {
+	c    *float32   // 0: tile's first element in dst, row stride ldc
+	a    *float32   // 8: first of four a rows at this k block, row stride lda
+	b    *float32   // 16: packed panel, kb rows of tileCols floats
+	ldc  int        // 24
+	lda  int        // 32
+	kb   int        // 40: panel rows, at least 1
+	mask *[16]int32 // 48: -1 for each live column
+	acc  int        // 56: nonzero = continue from the c tile (a later k block)
+	w    int        // 64: live columns, 1..tileCols
+	mean *float32   // 72: nil, or the four rows' epilogue values ...
+	g    *float32   // 80
+	inv  *float32   // 88
+	beta *float32   // 96
+	relu bool       // 104: rectify after the epilogue (read only with mean set)
+}
+
+// tileMasks[w] has -1 in its first w lanes: the column mask of a tile with w
+// live columns.
+var tileMasks = func() (t [tileCols + 1][16]int32) {
+	for w := range t {
+		for j := 0; j < w; j++ {
+			t[w][j] = -1
+		}
+	}
+	return t
+}()
+
+// matmulRows computes output rows [r0, r1) of cd = ep(ad @ bd).
+func matmulRows(cd, ad, bd []float32, n, k, r0, r1 int, ep *Epilogue) {
+	quads := r0 + (r1-r0)/rowBlock*rowBlock
+	if hasSIMD && k > 0 && n > 0 {
+		// Column tile, then k block, then row quad: the panel is packed once
+		// and swept by every quad while it is hot. A remainder row (fewer
+		// than rowBlock left) is a tile whose four rows alias it — zero row
+		// strides — so it runs the same arithmetic at vector speed.
+		var panel [kBlock * tileCols]float32
+		t := tileArgs{b: &panel[0], relu: ep != nil && ep.ReLU}
+		for j0 := 0; j0 < n; j0 += tileCols {
+			t.w = min(tileCols, n-j0)
+			t.mask = &tileMasks[t.w]
+			for p0 := 0; p0 < k; p0 += kBlock {
+				t.kb = min(kBlock, k-p0)
+				packPanelSIMD(&panel[0], &bd[p0*n+j0], n, t.kb, t.mask)
+				t.acc = p0
+				fuse := ep != nil && p0+t.kb == k
+				t.ldc, t.lda = n, k
+				for i := r0; i < quads; i += rowBlock {
+					t.c, t.a = &cd[i*n+j0], &ad[i*k+p0]
+					if fuse {
+						t.mean, t.g, t.inv, t.beta = &ep.Mean[i], &ep.Gamma[i], &ep.InvStd[i], &ep.Beta[i]
+					}
+					gemmTileSIMD(&t)
+				}
+				t.ldc, t.lda, t.mean = 0, 0, nil
+				for i := quads; i < r1; i++ {
+					t.c, t.a = &cd[i*n+j0], &ad[i*k+p0]
+					gemmTileSIMD(&t)
+				}
+			}
+		}
+		if ep != nil {
+			for i := quads; i < r1; i++ {
+				ep.ApplyRow(cd[i*n:(i+1)*n], i)
+			}
+		}
+		return
+	}
 	i := r0
-	for ; i+rowBlock-1 < r1; i += rowBlock {
+	for ; i < quads; i += rowBlock {
 		c0 := cd[(i+0)*n : (i+1)*n]
 		c1 := cd[(i+1)*n : (i+2)*n]
 		c2 := cd[(i+2)*n : (i+3)*n]
 		c3 := cd[(i+3)*n : (i+4)*n]
-		for x := range c0 {
-			c0[x], c1[x], c2[x], c3[x] = 0, 0, 0, 0
-		}
-		a0r := ad[(i+0)*k : (i+1)*k]
-		a1r := ad[(i+1)*k : (i+2)*k]
-		a2r := ad[(i+2)*k : (i+3)*k]
-		a3r := ad[(i+3)*k : (i+4)*k]
+		clear(cd[i*n : (i+4)*n])
 		var al [4]float32
-		for j0 := 0; j0 < n; j0 += colTile {
-			j1 := j0 + colTile
-			if j1 > n {
-				j1 = n
-			}
-			w := j1 - j0
-			for p := 0; p < k; p++ {
-				al[0], al[1], al[2], al[3] = a0r[p], a1r[p], a2r[p], a3r[p]
-				bp := bd[p*n+j0 : p*n+j1]
-				if hasSIMD {
-					axpy4SIMD(&c0[j0], &c1[j0], &c2[j0], &c3[j0], &bp[0], w, &al)
-				} else {
-					axpy4Scalar(c0[j0:j1], c1[j0:j1], c2[j0:j1], c3[j0:j1], bp, &al)
-				}
+		for p := 0; p < k; p++ {
+			al[0], al[1], al[2], al[3] = ad[i*k+p], ad[(i+1)*k+p], ad[(i+2)*k+p], ad[(i+3)*k+p]
+			axpy4Scalar(c0, c1, c2, c3, bd[p*n:(p+1)*n], &al)
+		}
+	}
+	// Remainder rows: single-row axpy with the same accumulate-every-term
+	// semantics as the quad kernel, so all rows of one product treat
+	// non-finite values identically.
+	for ; i < r1; i++ {
+		ci := cd[i*n : (i+1)*n]
+		clear(ci)
+		for p, av := range ad[i*k : (i+1)*k] {
+			for j, bv := range bd[p*n : (p+1)*n] {
+				ci[j] += av * bv
 			}
 		}
 	}
-	// Remainder rows (fewer than rowBlock left): single-row axpy with the
-	// same accumulate-every-term semantics as the quad path, so all rows of
-	// one product treat non-finite values identically.
-	for ; i < r1; i++ {
-		ci := cd[i*n : (i+1)*n]
-		for x := range ci {
-			ci[x] = 0
-		}
-		ai := ad[i*k : (i+1)*k]
-		for p, av := range ai {
-			bp := bd[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
+	if ep != nil {
+		for i = r0; i < r1; i++ {
+			ep.ApplyRow(cd[i*n:(i+1)*n], i)
 		}
 	}
 }

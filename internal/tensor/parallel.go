@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -44,6 +45,21 @@ func poolStart() {
 			}
 		}()
 	}
+}
+
+// KernelStatus is the kernel layer's status check: which float32 and int8
+// micro-kernels this process runs (the vector ones only when the CPU and OS
+// passed their CPUID gates) and the dispatch threshold, in one line a daemon
+// can log and an operator can grep.
+func KernelStatus() string {
+	f32, i8 := "scalar-4x4", "scalar-dot4"
+	if hasSIMD {
+		f32 = "avx-tile4x16"
+	}
+	if hasI8SIMD {
+		i8 = "avx2-dot4"
+	}
+	return fmt.Sprintf("f32=%s int8=%s parallel_above_macs=%d workers=%d", f32, i8, 2*parallelMACs, poolSize)
 }
 
 // Workers returns the maximum number of concurrently executing chunks a

@@ -8,14 +8,19 @@ package tensor
 // multiply-add — so the vector and scalar paths produce bit-identical
 // results and the choice of path is unobservable to callers.
 
-// axpy4SIMD computes, over n elements,
-//
-//	c0[j] += a[0]*b[j]; c1[j] += a[1]*b[j]; c2[j] += a[2]*b[j]; c3[j] += a[3]*b[j]
-//
-// with 8-wide AVX mul+add. The four destination rows must not overlap b.
+// gemmTileSIMD computes one 4-row tile of up to 16 columns of a product over
+// one k block of the packed panel (see tileArgs), optionally continuing
+// from the tile already in c and optionally finishing it with the epilogue.
 //
 //go:noescape
-func axpy4SIMD(c0, c1, c2, c3, b *float32, n int, a *[4]float32)
+func gemmTileSIMD(t *tileArgs)
+
+// packPanelSIMD copies kb rows of src (row stride ldb floats) into the
+// contiguous 16-wide panel dst, reading only the columns live in mask and
+// zero-filling the rest.
+//
+//go:noescape
+func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32)
 
 // dot4I8SIMD computes four int8 dot products sharing one streamed patch row:
 //

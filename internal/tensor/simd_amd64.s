@@ -2,81 +2,198 @@
 
 #include "textflag.h"
 
-// func axpy4SIMD(c0, c1, c2, c3, b *float32, n int, a *[4]float32)
+// func gemmTileSIMD(t *tileArgs)
 //
-// Four simultaneous saxpy rows sharing one streamed b row: the 4x reuse of
-// each b load is what makes the blocked matmul kernel arithmetic-bound
-// instead of load-bound. The vector body uses vmulps+vaddps (not FMA) so
-// every element sees exactly one mul rounding and one add rounding — the
-// same as the scalar tail and the scalar fallback kernel.
-TEXT ·axpy4SIMD(SB), NOSPLIT, $0-56
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), SI
-	MOVQ c2+16(FP), DX
-	MOVQ c3+24(FP), CX
-	MOVQ b+32(FP), BX
-	MOVQ n+40(FP), AX
-	MOVQ a+48(FP), R8
-	VBROADCASTSS 0(R8), Y4
-	VBROADCASTSS 4(R8), Y5
-	VBROADCASTSS 8(R8), Y6
-	VBROADCASTSS 12(R8), Y7
+// One 4-row x 16-column tile of a product: eight YMM accumulators (Y0..Y7,
+// two per output row) sweep kb rows of the packed b panel and are stored
+// once. Per p it loads the panel row (Y8, Y9), broadcasts one a value per
+// output row and does vmulps then vaddps (never FMA), so every element sees
+// one mul rounding and one add rounding per p in ascending p, starting from
+// +0 or from the c tile of the previous k block. Tiles of at most eight live
+// columns run a body that touches the left accumulators only. Loads and
+// stores of c go through the tile's column mask unless all 16 are live.
+// When t.mean is set, the batch-norm epilogue (and the rectifier, when
+// t.relu is) is applied to the accumulators before the store.
+#define TILE_ROW(arow, lo, hi) \
+	VBROADCASTSS (arow)(R9*4), Y10; \
+	VMULPS Y8, Y10, Y11; \
+	VADDPS lo, Y11, lo; \
+	VMULPS Y9, Y10, Y12; \
+	VADDPS hi, Y12, hi
+
+#define TILE_ROW8(arow, lo) \
+	VBROADCASTSS (arow)(R9*4), Y10; \
+	VMULPS Y8, Y10, Y11; \
+	VADDPS lo, Y11, lo
+
+// g*(v-mu)*invStd + bt on one output row, in evalInto's operation order.
+#define TILE_BN(off, lo, hi) \
+	VBROADCASTSS off(R10), Y8; \
+	VBROADCASTSS off(R11), Y9; \
+	VBROADCASTSS off(R12), Y10; \
+	VBROADCASTSS off(AX), Y11; \
+	VSUBPS Y8, lo, lo; \
+	VSUBPS Y8, hi, hi; \
+	VMULPS lo, Y9, lo; \
+	VMULPS hi, Y9, hi; \
+	VMULPS Y10, lo, lo; \
+	VMULPS Y10, hi, hi; \
+	VADDPS Y11, lo, lo; \
+	VADDPS Y11, hi, hi
+
+TEXT ·gemmTileSIMD(SB), NOSPLIT, $0-8
+	MOVQ t+0(FP), DX
+	MOVQ 0(DX), DI        // c
+	MOVQ 8(DX), SI        // a row 0
+	MOVQ 16(DX), BX       // packed b panel
+	MOVQ 24(DX), R13      // ldc
+	MOVQ 32(DX), R8       // lda
+	MOVQ 40(DX), CX       // kb
+	MOVQ 48(DX), R14      // column mask (16 int32)
+	SHLQ $2, R13
+	SHLQ $2, R8
+	LEAQ (SI)(R8*1), R10  // a rows 1..3
+	LEAQ (R10)(R8*1), R11
+	LEAQ (R11)(R8*1), R12
+	LEAQ (DI)(R13*1), R8  // c rows 1..3 (lda is dead)
+	LEAQ (R8)(R13*1), R15
+	ADDQ R15, R13
+	VMOVDQU (R14), Y14
+	VMOVDQU 32(R14), Y15
+
+	CMPQ 56(DX), $0       // accumulate: start from the c tile
+	JNE  tileload
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	JMP  tilesweep
+
+tileload:
+	VMASKMOVPS (DI), Y14, Y0
+	VMASKMOVPS 32(DI), Y15, Y1
+	VMASKMOVPS (R8), Y14, Y2
+	VMASKMOVPS 32(R8), Y15, Y3
+	VMASKMOVPS (R15), Y14, Y4
+	VMASKMOVPS 32(R15), Y15, Y5
+	VMASKMOVPS (R13), Y14, Y6
+	VMASKMOVPS 32(R13), Y15, Y7
+
+tilesweep:
 	XORQ R9, R9
-	MOVQ AX, R10
-	SHRQ $3, R10
-	JZ   tail
+	CMPQ 64(DX), $8       // live columns
+	JLE  tileloop8
 
-loop8:
-	VMOVUPS (BX)(R9*4), Y0
-	VMULPS  Y0, Y4, Y1
-	VADDPS  (DI)(R9*4), Y1, Y1
-	VMOVUPS Y1, (DI)(R9*4)
-	VMULPS  Y0, Y5, Y2
-	VADDPS  (SI)(R9*4), Y2, Y2
-	VMOVUPS Y2, (SI)(R9*4)
-	VMULPS  Y0, Y6, Y3
-	VADDPS  (DX)(R9*4), Y3, Y3
-	VMOVUPS Y3, (DX)(R9*4)
-	VMULPS  Y0, Y7, Y1
-	VADDPS  (CX)(R9*4), Y1, Y1
-	VMOVUPS Y1, (CX)(R9*4)
-	ADDQ $8, R9
-	DECQ R10
-	JNZ  loop8
-
-tail:
-	ANDQ $7, AX
-	JZ   done
-
-	// The remainder runs VEX-encoded scalar ops: legacy SSE here would hit
-	// the AVX→SSE transition penalty on every iteration while the YMM upper
-	// state is dirty.
-tailloop:
-	VMOVSS (BX)(R9*4), X0
-	VMULSS X0, X4, X1
-	VADDSS (DI)(R9*4), X1, X1
-	VMOVSS X1, (DI)(R9*4)
-	VMULSS X0, X5, X1
-	VADDSS (SI)(R9*4), X1, X1
-	VMOVSS X1, (SI)(R9*4)
-	VMULSS X0, X6, X1
-	VADDSS (DX)(R9*4), X1, X1
-	VMOVSS X1, (DX)(R9*4)
-	VMULSS X0, X7, X1
-	VADDSS (CX)(R9*4), X1, X1
-	VMOVSS X1, (CX)(R9*4)
+tileloop16:
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	TILE_ROW(SI, Y0, Y1)
+	TILE_ROW(R10, Y2, Y3)
+	TILE_ROW(R11, Y4, Y5)
+	TILE_ROW(R12, Y6, Y7)
+	ADDQ $64, BX
 	INCQ R9
-	DECQ AX
-	JNZ  tailloop
+	CMPQ R9, CX
+	JNE  tileloop16
+	JMP  tileepilogue
 
-done:
+tileloop8:
+	VMOVUPS (BX), Y8
+	TILE_ROW8(SI, Y0)
+	TILE_ROW8(R10, Y2)
+	TILE_ROW8(R11, Y4)
+	TILE_ROW8(R12, Y6)
+	ADDQ $64, BX
+	INCQ R9
+	CMPQ R9, CX
+	JNE  tileloop8
+
+tileepilogue:
+	MOVQ 72(DX), R10      // mean (a rows are dead)
+	TESTQ R10, R10
+	JZ   tilestore
+	MOVQ 80(DX), R11      // gamma
+	MOVQ 88(DX), R12      // invStd
+	MOVQ 96(DX), AX       // beta
+	TILE_BN(0, Y0, Y1)
+	TILE_BN(4, Y2, Y3)
+	TILE_BN(8, Y4, Y5)
+	TILE_BN(12, Y6, Y7)
+	CMPB 104(DX), $0      // relu
+	JE   tilestore
+	// max(v, +0) with zero as the second source: NaN and -0 come out +0,
+	// exactly `if v > 0 { v } else { 0 }`.
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y8, Y0, Y0
+	VMAXPS Y8, Y1, Y1
+	VMAXPS Y8, Y2, Y2
+	VMAXPS Y8, Y3, Y3
+	VMAXPS Y8, Y4, Y4
+	VMAXPS Y8, Y5, Y5
+	VMAXPS Y8, Y6, Y6
+	VMAXPS Y8, Y7, Y7
+
+tilestore:
+	CMPQ 64(DX), $16
+	JNE  tilemasked
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (R8)
+	VMOVUPS Y3, 32(R8)
+	VMOVUPS Y4, (R15)
+	VMOVUPS Y5, 32(R15)
+	VMOVUPS Y6, (R13)
+	VMOVUPS Y7, 32(R13)
+	VZEROUPPER
+	RET
+
+tilemasked:
+	VMASKMOVPS Y0, Y14, (DI)
+	VMASKMOVPS Y1, Y15, 32(DI)
+	VMASKMOVPS Y2, Y14, (R8)
+	VMASKMOVPS Y3, Y15, 32(R8)
+	VMASKMOVPS Y4, Y14, (R15)
+	VMASKMOVPS Y5, Y15, 32(R15)
+	VMASKMOVPS Y6, Y14, (R13)
+	VMASKMOVPS Y7, Y15, 32(R13)
+	VZEROUPPER
+	RET
+
+// func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32)
+//
+// Copies kb rows of up to 16 live columns (row stride ldb floats) into the
+// contiguous 16-wide panel gemmTileSIMD sweeps; masked-out columns read as
+// zero and are never stored by the tile kernel.
+TEXT ·packPanelSIMD(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ldb+16(FP), R8
+	MOVQ kb+24(FP), CX
+	MOVQ mask+32(FP), AX
+	SHLQ $2, R8
+	VMOVDQU (AX), Y14
+	VMOVDQU 32(AX), Y15
+
+packloop:
+	VMASKMOVPS (SI), Y14, Y0
+	VMASKMOVPS 32(SI), Y15, Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ R8, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  packloop
 	VZEROUPPER
 	RET
 
 // func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32)
 //
 // Four int8 dot products sharing one streamed x row — the integer analogue
-// of axpy4SIMD's 4x reuse. Sixteen bytes per step are sign-extended to int16
+// of the float32 tile's row-quad reuse. Sixteen bytes per step are sign-extended to int16
 // (VPMOVSXBW) and reduced with VPMADDWD: each int16*int16 product and the
 // pairwise add are exact in int32, so unlike a vpmaddubsw kernel nothing can
 // saturate, and the result is bit-identical to the scalar fallback. The

@@ -10,10 +10,14 @@ const hasSIMD = false
 // the scalar quad kernel in gemm_i8.go runs unconditionally.
 const hasI8SIMD = false
 
-// axpy4SIMD is never called when hasSIMD is false; the stub keeps the
-// matmul kernel free of build tags.
-func axpy4SIMD(c0, c1, c2, c3, b *float32, n int, a *[4]float32) {
-	panic("tensor: axpy4SIMD called without SIMD support")
+// gemmTileSIMD and packPanelSIMD are never called when hasSIMD is false; the
+// stubs keep the matmul kernel free of build tags.
+func gemmTileSIMD(t *tileArgs) {
+	panic("tensor: gemmTileSIMD called without SIMD support")
+}
+
+func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32) {
+	panic("tensor: packPanelSIMD called without SIMD support")
 }
 
 // dot4I8SIMD is never called when hasI8SIMD is false; the stub keeps the

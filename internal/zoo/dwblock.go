@@ -63,7 +63,7 @@ func (b *DWBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // InferInto implements the stage inference path: depthwise into an arena
 // buffer with its norm and activation in place, then pointwise into dst
-// with the trailing norm and activation in place.
+// with the trailing norm and activation applied by the conv itself.
 func (b *DWBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	n := x.Dim(0)
 	oh := tensor.ConvOutDim(x.Dim(2), b.DW.K, b.DW.Stride, b.DW.Pad)
@@ -72,9 +72,7 @@ func (b *DWBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	b.DW.ForwardInto(mid, x, a)
 	b.BN1.ForwardInto(mid, mid, a)
 	b.Act1.ForwardInto(mid, mid, a)
-	b.PW.ForwardInto(dst, mid, a)
-	b.BN2.ForwardInto(dst, dst, a)
-	b.Act2.ForwardInto(dst, dst, a)
+	b.PW.ForwardIntoBN(dst, mid, a, b.BN2, true)
 }
 
 // OutChannels returns the pointwise conv's output width.

@@ -102,22 +102,18 @@ func (b *ConvBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // InferInto implements the stage inference path: conv into the destination
-// (or an arena buffer when the block pools), then batch norm and ReLU in
-// place, then the optional pool into dst.
+// (or an arena buffer when the block pools) with batch norm and ReLU applied
+// by the conv as it produces its output, then the optional pool into dst.
 func (b *ConvBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	if b.Pool == nil {
-		b.Conv.ForwardInto(dst, x, a)
-		b.BN.ForwardInto(dst, dst, a)
-		b.Act.ForwardInto(dst, dst, a)
+		b.Conv.ForwardIntoBN(dst, x, a, b.BN, true)
 		return
 	}
 	n := x.Dim(0)
 	oh := tensor.ConvOutDim(x.Dim(2), b.Conv.KH, b.Conv.Stride, b.Conv.Pad)
 	ow := tensor.ConvOutDim(x.Dim(3), b.Conv.KW, b.Conv.Stride, b.Conv.Pad)
 	mid := a.Tensor4(b.name, n, b.Conv.OutC, oh, ow)
-	b.Conv.ForwardInto(mid, x, a)
-	b.BN.ForwardInto(mid, mid, a)
-	b.Act.ForwardInto(mid, mid, a)
+	b.Conv.ForwardIntoBN(mid, x, a, b.BN, true)
 	b.Pool.ForwardInto(dst, mid, a)
 }
 
@@ -265,10 +261,10 @@ func (b *ResBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // InferInto implements the stage inference path. The main path runs through
-// one arena buffer with the normalizations and activations applied in
-// place; the skip (identity or projection) is added into dst before the
-// final activation, in the same element order as Forward, so the two paths
-// agree bit for bit.
+// one arena buffer, each conv applying its normalization (and conv1 its
+// activation) as it produces its output; the skip (identity or projection)
+// is added into dst before the final activation, in the same element order
+// as Forward, so the two paths agree bit for bit.
 func (b *ResBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	if b.midTag == "" {
 		b.midTag = b.name + ".mid"
@@ -278,17 +274,13 @@ func (b *ResBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	oh := tensor.ConvOutDim(x.Dim(2), b.Conv1.KH, b.Conv1.Stride, b.Conv1.Pad)
 	ow := tensor.ConvOutDim(x.Dim(3), b.Conv1.KW, b.Conv1.Stride, b.Conv1.Pad)
 	mid := a.Tensor4(b.midTag, n, b.Conv1.OutC, oh, ow)
-	b.Conv1.ForwardInto(mid, x, a)
-	b.BN1.ForwardInto(mid, mid, a)
-	b.Act1.ForwardInto(mid, mid, a)
-	b.Conv2.ForwardInto(dst, mid, a)
-	b.BN2.ForwardInto(dst, dst, a)
+	b.Conv1.ForwardIntoBN(mid, x, a, b.BN1, true)
+	b.Conv2.ForwardIntoBN(dst, mid, a, b.BN2, false)
 	if b.WithSkip {
 		skip := x
 		if b.Down != nil {
 			skip = a.Tensor4(b.skipTag, n, b.Down.OutC, oh, ow)
-			b.Down.ForwardInto(skip, x, a)
-			b.DownBN.ForwardInto(skip, skip, a)
+			b.Down.ForwardIntoBN(skip, x, a, b.DownBN, false)
 		}
 		dst.AddInPlace(skip)
 	}
