@@ -5,6 +5,11 @@
 // scenario — and regenerates every table and figure of the paper's
 // evaluation.
 //
+// Command bodies return an error; run maps it onto the exit code through
+// cliconf.ExitCode (2 for a usage error, reported before anything expensive
+// starts, 1 for a failure of the work). Models come from one place
+// (source.go) and fleets from cliconf's FleetFlags.Start, as in tbnetd.
+//
 // Usage:
 //
 //	tbnet experiment <all|table1|table2|table3|fig2|fig3|fig4|hw|quant|fleet|ablation|...> [flags]
@@ -102,11 +107,17 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run dispatches one CLI invocation; it is the testable entry point.
+// run executes one CLI invocation and maps its outcome onto the exit code
+// (cliconf.ExitCode: usage errors 2, failures 1); it is the testable entry
+// point.
 func run(args []string, stdout, stderr io.Writer) int {
+	return cliconf.ExitCode(dispatch(args, stdout, stderr), stderr)
+}
+
+// dispatch routes the invocation to its command.
+func dispatch(args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
-		usage(stderr)
-		return 2
+		return cliconf.Usagef("%s", usageText)
 	}
 	switch cmd := args[0]; cmd {
 	case "experiment":
@@ -124,14 +135,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "scenario":
 		return runScenarioCmd(args[1:], stdout, stderr)
 	case "info":
-		return runInfoCmd(stdout)
+		runInfoCmd(stdout)
+		return nil
 	case "version", "-version", "--version":
 		fmt.Fprintf(stdout, "tbnet %s (%s)\n", tbnet.Version, buildinfo.GoVersion())
-		return 0
+		return nil
 	default:
-		fmt.Fprintf(stderr, "unknown command %q\n", cmd)
-		usage(stderr)
-		return 2
+		return cliconf.Usagef("unknown command %q\n%s", cmd, usageText)
 	}
 }
 
@@ -146,7 +156,10 @@ type commonFlags struct {
 	verbose bool
 }
 
-func addCommonFlags(fs *flag.FlagSet) *commonFlags {
+// newFlagSet starts a command's flag set with the common flags registered.
+func newFlagSet(name string, stderr io.Writer) (*flag.FlagSet, *commonFlags) {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	c := &commonFlags{}
 	fs.StringVar(&c.scale, "scale", "ci", "workload scale: micro, ci, or full")
 	fs.Uint64Var(&c.seed, "seed", 1, "master seed")
@@ -155,7 +168,7 @@ func addCommonFlags(fs *flag.FlagSet) *commonFlags {
 	fs.StringVar(&c.device, "device", "rpi3", "hardware backend (see `tbnet info` for the registry)")
 	fs.BoolVar(&c.jsonOut, "json", false, "machine-readable JSON output")
 	fs.BoolVar(&c.verbose, "v", false, "verbose progress logging")
-	return c
+	return fs, c
 }
 
 // resolveDevice looks the -device flag up in the registry.
@@ -163,91 +176,24 @@ func (c *commonFlags) resolveDevice() (tbnet.Device, error) {
 	return tbnet.DeviceByName(c.device)
 }
 
-// deployAt places a finalized model at the selected serving precision. The
-// -precision flag is parsed (and rejected with a usage error) before any
-// pipeline builds, so callers hand in the parsed form.
-func deployAt(tb *tbnet.TwoBranch, device tbnet.Device, shape []int, p tbnet.Precision) (*tbnet.Deployment, error) {
-	if p == tbnet.PrecisionInt8 {
-		return tbnet.DeployInt8(tb, device, shape)
+func runPipelineCmd(args []string, stdout, stderr io.Writer) error {
+	fs, c := newFlagSet("pipeline", stderr)
+	if err := cliconf.ParseFlags(fs, args); err != nil {
+		return err
 	}
-	return tbnet.Deploy(tb, device, shape)
-}
-
-// pipelineOptions maps the CLI flags onto the functional-options surface.
-func (c *commonFlags) pipelineOptions(stderr io.Writer) ([]tbnet.PipelineOption, error) {
-	opts := []tbnet.PipelineOption{
-		tbnet.WithArch(c.arch),
-		tbnet.WithDataset(c.dataset),
-		tbnet.WithSeed(c.seed),
-	}
-	switch c.scale {
-	case "micro":
-		opts = append(opts,
-			tbnet.WithDatasetSize(60, 30),
-			tbnet.WithEpochs(2, 2, 1),
-			tbnet.WithPruning(1.0, 1),
-			tbnet.WithHyperparams(0.05, 5e-4),
-		)
-	case "ci":
-		// pipeline defaults are the CI scale
-	case "full":
-		opts = append(opts,
-			tbnet.WithDatasetSize(240, 160),
-			tbnet.WithEpochs(14, 14, 2),
-			tbnet.WithPruning(0.12, 5),
-		)
-	default:
-		return nil, fmt.Errorf("unknown scale %q (want micro, ci, or full)", c.scale)
-	}
-	if c.verbose {
-		opts = append(opts, tbnet.WithLogger(stderr))
-	}
-	return opts, nil
-}
-
-func runPipelineCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("pipeline", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	c := addCommonFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	opts, err := c.pipelineOptions(stderr)
+	src, err := c.source(fs, nil, tbnet.PrecisionF32, stderr)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return err
 	}
-	device, err := c.resolveDevice()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	p, err := tbnet.NewPipeline(opts...)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	res, err := p.Run(context.Background())
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	// Deploy the finalized model on the selected backend and meter one
+	// The finalized model is deployed on the selected backend; meter one
 	// single-image inference, so the pipeline summary carries the modeled
 	// hardware story alongside the accuracy one.
-	dep, err := tbnet.Deploy(res.TB, device, []int{1, 3, 16, 16})
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	sample := res.Test.Batches(1, []int{0})[0].X
-	if _, err := dep.Infer(sample); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+	res, dep := src.res, src.hosted[0].Dep
+	if _, err := dep.Infer(src.sample(0)); err != nil {
+		return err
 	}
 	if c.jsonOut {
-		enc := json.NewEncoder(stdout)
-		if err := enc.Encode(struct {
+		return json.NewEncoder(stdout).Encode(struct {
 			Arch        string  `json:"arch"`
 			Dataset     string  `json:"dataset"`
 			Device      string  `json:"device"`
@@ -256,18 +202,14 @@ func runPipelineCmd(args []string, stdout, stderr io.Writer) int {
 			PruneIters  int     `json:"prune_iterations"`
 			SecureBytes int64   `json:"peak_secure_bytes"`
 			LatencySec  float64 `json:"latency_sec"`
-		}{c.arch, c.dataset, device.Name(), res.VictimAcc, res.TBAcc,
-			res.PruneRes.Iterations, dep.SecureBytes, dep.Latency()}); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
+		}{c.arch, c.dataset, dep.Device.Name(), res.VictimAcc, res.TBAcc,
+			res.PruneRes.Iterations, dep.SecureBytes, dep.Latency()})
 	}
 	fmt.Fprintf(stdout, "victim accuracy: %s\n", report.Pct(res.VictimAcc))
 	fmt.Fprintf(stdout, "TBNet accuracy:  %s\n", report.Pct(res.TBAcc))
 	fmt.Fprintf(stdout, "pruning iterations applied: %d\n", res.PruneRes.Iterations)
 	fmt.Fprintf(stdout, "deployed on %s: %s secure memory, %.6fs modeled single-image latency\n",
-		device.Name(), report.Bytes(dep.SecureBytes), dep.Latency())
+		dep.Device.Name(), report.Bytes(dep.SecureBytes), dep.Latency())
 	for _, h := range res.PruneRes.History {
 		status := "kept"
 		if h.Reverted {
@@ -276,112 +218,46 @@ func runPipelineCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  iter %d: %d prunable channels, acc %s (%s)\n",
 			h.Iter, h.TotalChannels, report.Pct(h.Acc), status)
 	}
-	return 0
+	return nil
 }
 
-func runServeCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	c := addCommonFlags(fs)
+func runServeCmd(args []string, stdout, stderr io.Writer) error {
+	fs, c := newFlagSet("serve", stderr)
 	workers := fs.Int("workers", 4, "replicated enclave sessions per model")
 	batch := fs.Int("batch", 8, "micro-batch flush size")
 	delay := fs.Duration("delay", 0, "hold an incomplete micro-batch back this long for companions (0: an idle worker takes it at once)")
 	requests := fs.Int("requests", 64, "synthetic requests to serve")
-	models := fs.String("models", "", "serve saved models: name=artifact.tbd or registry names (comma-separated)")
-	regDir := fs.String("registry", "", "model registry directory for bare -models names")
-	precision := fs.String("precision", "f32", "serving precision in pipeline mode: f32 or int8")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	mf := cliconf.AddModelFlags(fs, "model registry directory for bare -models names")
+	precision := cliconf.AddPrecisionFlag(fs, "serving precision in pipeline mode: f32 or int8")
+	if err := cliconf.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if *workers < 1 || *batch < 1 || *delay < 0 || *requests < 1 {
-		fmt.Fprintf(stderr,
-			"invalid serve flags: workers %d, batch %d, delay %v, requests %d\n",
+		return cliconf.Usagef("invalid serve flags: workers %d, batch %d, delay %v, requests %d",
 			*workers, *batch, *delay, *requests)
-		return 2
 	}
-	prec, err := tbnet.ParsePrecision(*precision)
+	prec, err := precision.Parse()
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return err
 	}
-
-	// The served models: saved artifacts (-models/-registry) or one freshly
-	// trained pipeline. Artifact mode serves random noise inputs (no dataset
-	// ships with an artifact) and spreads traffic across the hosted models;
-	// pipeline mode keeps the accuracy-checked closed loop.
-	var dep *tbnet.Deployment
-	var extra []cliconf.Model
-	var sample func(i int) *tbnet.Tensor
-	var checkLabel func(i, label int) bool
-	if *models != "" {
-		device, err := explicitDevice(fs, c)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		deps, err := cliconf.LoadModels(*models, *regDir, device)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		dep, extra = deps[0].Dep, deps[1:]
-		shape := dep.SampleShape()
-		shape[0] = 1
-		rng := tbnet.NewRNG(c.seed)
-		pool := make([]*tbnet.Tensor, 256)
-		for i := range pool {
-			x := tbnet.NewTensor(shape...)
-			rng.FillNormal(x, 0, 1)
-			pool[i] = x
-		}
-		sample = func(i int) *tbnet.Tensor { return pool[i%len(pool)] }
-		checkLabel = func(int, int) bool { return false }
-	} else {
-		opts, err := c.pipelineOptions(stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		device, err := c.resolveDevice()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		p, err := tbnet.NewPipeline(opts...)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "building %s/%s pipeline at %s scale...\n", c.arch, c.dataset, c.scale)
-		res, err := p.Run(context.Background())
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		dep, err = deployAt(res.TB, device, []int{1, 3, 16, 16}, prec)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		test := res.Test
-		singles := test.Batches(1, nil)
-		sample = func(i int) *tbnet.Tensor { return singles[i%len(singles)].X }
-		checkLabel = func(i, label int) bool { return label == test.Y[i%test.Len()] }
+	// Artifact mode spreads noise traffic across the hosted models; pipeline
+	// mode keeps the accuracy-checked closed loop.
+	src, err := c.source(fs, mf, prec, stderr)
+	if err != nil {
+		return err
 	}
-	srv, err := tbnet.Serve(dep,
+	srv, err := tbnet.Serve(src.hosted[0].Dep,
 		tbnet.WithWorkers(*workers),
 		tbnet.WithMaxBatch(*batch),
 		tbnet.WithMaxDelay(*delay),
 	)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	defer srv.Close()
-	for _, m := range extra {
+	for _, m := range src.hosted[1:] {
 		if err := srv.AddModel(m.Name, m.Dep); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 	}
 	hosted := srv.Models()
@@ -400,11 +276,11 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				label, err := srv.InferModel(context.Background(), hosted[i%len(hosted)], sample(i))
+				label, err := srv.InferModel(context.Background(), hosted[i%len(hosted)], src.sample(i))
 				mu.Lock()
 				if err != nil {
 					failed++
-				} else if checkLabel(i, label) {
+				} else if label == src.label(i) {
 					correct++
 				}
 				mu.Unlock()
@@ -421,14 +297,10 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 	if c.jsonOut {
 		// The stats struct's own JSON tags are the stable artifact names;
 		// the CLI only adds its client-side accuracy count.
-		if err := json.NewEncoder(stdout).Encode(struct {
+		return json.NewEncoder(stdout).Encode(struct {
 			tbnet.ServerStats
 			Correct int `json:"correct"`
-		}{st, correct}); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
+		}{st, correct})
 	}
 	fmt.Fprintf(stdout, "served %d requests (%d failed), accuracy %s\n",
 		st.Requests, failed, report.Pct(float64(correct)/float64(*requests)))
@@ -441,70 +313,55 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  modeled throughput: %.1f req/s on the simulated device\n",
 		st.ModeledThroughput)
 	fmt.Fprintf(stdout, "  wall time:          %.2fs\n", st.WallSeconds)
-	return 0
+	return nil
 }
 
-// fleetDefaults are the shared fleet flags' defaults in `tbnet fleet` and
-// `tbnet scenario`.
-var fleetDefaults = cliconf.FleetDefaults{
-	Devices:           "rpi3:2,sgx-desktop:2,jetson-tz:2",
-	AutoscaleInterval: 50 * time.Millisecond,
+// addFleetFlags registers the shared fleet flags with the defaults `tbnet
+// fleet` and `tbnet scenario` share, plus -pace.
+func addFleetFlags(fs *flag.FlagSet) *cliconf.FleetFlags {
+	ff := cliconf.AddFleetFlags(fs, cliconf.FleetDefaults{
+		Devices:           "rpi3:2,sgx-desktop:2,jetson-tz:2",
+		AutoscaleInterval: 50 * time.Millisecond,
+	})
+	ff.AddPaceFlag(fs)
+	return ff
 }
 
-func runFleetCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	c := addCommonFlags(fs)
-	ff := cliconf.AddFleetFlags(fs, fleetDefaults)
+// renderAutoscale prints the controller's tables after a fleet's own, when
+// the fleet ran elastically.
+func renderAutoscale(w io.Writer, f *tbnet.Fleet) {
+	ctl := tbnet.FleetAutoscaler(f)
+	if ctl == nil {
+		return
+	}
+	report.AutoscaleTable(ctl.Stats(), f.WorkerSeconds()).Render(w)
+	if evs := ctl.Events(); len(evs) > 0 {
+		report.AutoscaleEventTable(evs).Render(w)
+	}
+}
+
+func runFleetCmd(args []string, stdout, stderr io.Writer) error {
+	fs, c := newFlagSet("fleet", stderr)
+	ff := addFleetFlags(fs)
 	requests := fs.Int("requests", 64, "synthetic requests to offer")
 	rate := fs.Float64("rate", 200, "open-loop arrival rate (req/s)")
 	poisson := fs.Bool("poisson", false, "exponential (Poisson-process) interarrival times")
-	pace := fs.Float64("pace", 0, "pace workers at modeled-latency × this factor (0 = off)")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if err := cliconf.ParseFlags(fs, args); err != nil {
+		return err
 	}
-	if *requests < 1 || *rate <= 0 || *pace < 0 {
-		fmt.Fprintf(stderr, "invalid fleet flags: requests %d, rate %g, pace %g\n", *requests, *rate, *pace)
-		return 2
+	if *requests < 1 || *rate <= 0 {
+		return cliconf.Usagef("invalid fleet flags: requests %d, rate %g", *requests, *rate)
 	}
-	fleetOpts, err := ff.Options(0)
+	if err := ff.Validate(); err != nil {
+		return err
+	}
+	src, err := c.source(fs, nil, ff.Precision, stderr)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return err
 	}
-	if *pace > 0 {
-		fleetOpts = append(fleetOpts, tbnet.WithPace(*pace))
-	}
-	opts, err := c.pipelineOptions(stderr)
+	f, err := ff.Start(src.hosted, 0, nil, nil)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	device, err := c.resolveDevice()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	p, err := tbnet.NewPipeline(opts...)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	fmt.Fprintf(stderr, "building %s/%s pipeline at %s scale...\n", c.arch, c.dataset, c.scale)
-	res, err := p.Run(context.Background())
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	dep, err := deployAt(res.TB, device, []int{1, 3, 16, 16}, ff.Precision)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	f, err := tbnet.NewFleet(dep, fleetOpts...)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	defer f.Close()
 
@@ -512,8 +369,6 @@ func runFleetCmd(args []string, stdout, stderr io.Writer) int {
 	// intervals of 1/rate, or exponential interarrivals for a Poisson process
 	// — whether or not earlier ones have finished, so overload is reachable
 	// and shedding observable (unlike a closed loop, which self-throttles).
-	test := res.Test
-	singles := test.Batches(1, nil)
 	rng := rand.New(rand.NewSource(int64(c.seed)))
 	mean := 1 / *rate
 	fmt.Fprintf(stderr, "offering %d requests at %.0f req/s (%s arrivals) under %q routing...\n",
@@ -532,12 +387,12 @@ func runFleetCmd(args []string, stdout, stderr io.Writer) int {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			label, err := f.Infer(context.Background(), singles[i%len(singles)].X)
+			label, err := f.Infer(context.Background(), src.sample(i))
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
-				if label == test.Y[i%test.Len()] {
+				if label == src.label(i) {
 					correct++
 				}
 			case errors.Is(err, tbnet.ErrOverloaded):
@@ -549,61 +404,39 @@ func runFleetCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	wg.Wait()
 	st := f.Stats()
-	ctl := tbnet.FleetAutoscaler(f)
 
 	if c.jsonOut {
-		if ctl != nil {
+		if ctl := tbnet.FleetAutoscaler(f); ctl != nil {
 			// The flat fleet snapshot plus one nested autoscale object — the
 			// static shape stays byte-compatible with autoscaling off.
-			if err := json.NewEncoder(stdout).Encode(struct {
+			return json.NewEncoder(stdout).Encode(struct {
 				tbnet.FleetStats
 				Autoscale tbnet.AutoscaleStats `json:"autoscale"`
-			}{st, ctl.Stats()}); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			return 0
+			}{st, ctl.Stats()})
 		}
-		if err := report.RenderFleetStatsJSON(stdout, st); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
+		return report.RenderFleetStatsJSON(stdout, st)
 	}
 	report.FleetTable(st).Render(stdout)
-	if ctl != nil {
-		report.AutoscaleTable(ctl.Stats(), f.WorkerSeconds()).Render(stdout)
-		if evs := ctl.Events(); len(evs) > 0 {
-			report.AutoscaleEventTable(evs).Render(stdout)
-		}
-	}
+	renderAutoscale(stdout, f)
 	fmt.Fprintf(stdout, "offered %d requests: %d served (%d correct), %d shed, %d failed\n",
 		*requests, st.Requests, correct, shed, failed)
 	fmt.Fprintf(stdout, "fleet secure footprint: %s across %d devices\n",
 		report.Bytes(st.PeakSecureBytes), st.Devices)
-	return 0
+	return nil
 }
 
-func runExperimentCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	c := addCommonFlags(fs)
+func runExperimentCmd(args []string, stdout, stderr io.Writer) error {
+	fs, c := newFlagSet("experiment", stderr)
 	if len(args) < 1 || args[0] == "-h" || args[0] == "-help" {
-		usage(stderr)
-		return 2
+		return cliconf.Usagef("%s", usageText)
 	}
 	which := args[0]
-	if !knownExperiment(which) {
-		fmt.Fprintf(stderr, "unknown experiment %q\n", which)
-		return 2
-	}
-	if err := fs.Parse(args[1:]); err != nil {
-		return 2
+	if err := cliconf.ParseFlags(fs, args[1:]); err != nil {
+		return err
 	}
 	device, err := c.resolveDevice()
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return cliconf.Usage(err)
 	}
 	cfg := experiments.Config{Seed: c.seed, Device: device}
 	switch c.scale {
@@ -614,42 +447,26 @@ func runExperimentCmd(args []string, stdout, stderr io.Writer) int {
 	case "full":
 		cfg.Scale = experiments.FullScale()
 	default:
-		fmt.Fprintf(stderr, "unknown scale %q (want micro, ci, or full)\n", c.scale)
-		return 2
+		return cliconf.Usagef("unknown scale %q (want micro, ci, or full)", c.scale)
 	}
 	if c.verbose {
 		cfg.Log = stderr
 	}
-	return renderExperiment(experiments.NewLab(cfg), which, c.jsonOut, stdout, stderr)
+	return renderExperiment(experiments.NewLab(cfg), which, c.jsonOut, stdout)
 }
 
-func knownExperiment(which string) bool {
-	switch which {
-	case "all", "table1", "table2", "table3", "fig2", "fig3", "fig4", "hw",
-		"quant", "fleet", "secdefense", "ablation", "ablation-ranking",
-		"ablation-rollback", "ablation-lambda", "ablation-quant":
-		return true
-	}
-	return false
-}
-
-func renderExperiment(lab *experiments.Lab, which string, jsonOut bool, w, stderr io.Writer) int {
-	render := func(t *report.Table) int {
+func renderExperiment(lab *experiments.Lab, which string, jsonOut bool, w io.Writer) error {
+	render := func(t *report.Table) error {
 		if jsonOut {
-			if err := t.RenderJSON(w); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			return 0
+			return t.RenderJSON(w)
 		}
 		t.Render(w)
-		return 0
+		return nil
 	}
 	switch which {
 	case "all":
 		if jsonOut {
-			fmt.Fprintln(stderr, "-json is per-artifact; run each experiment separately")
-			return 2
+			return cliconf.Usagef("-json is per-artifact; run each experiment separately")
 		}
 		lab.RunAll(w)
 	case "table1":
@@ -661,11 +478,7 @@ func renderExperiment(lab *experiments.Lab, which string, jsonOut bool, w, stder
 	case "fig2":
 		title := "Fig. 2: attacker fine-tuning M_R of VGG18-S under varying data availability"
 		if jsonOut {
-			if err := report.RenderSeriesJSON(w, title, lab.Fig2()); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			return 0
+			return report.RenderSeriesJSON(w, title, lab.Fig2())
 		}
 		report.RenderSeries(w, title, lab.Fig2())
 	case "fig3":
@@ -682,14 +495,9 @@ func renderExperiment(lab *experiments.Lab, which string, jsonOut bool, w, stder
 		mr, mt := lab.Fig4()
 		if jsonOut {
 			if err := mr.RenderJSON(w, "M_R |gamma|"); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
+				return err
 			}
-			if err := mt.RenderJSON(w, "M_T |gamma|"); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			return 0
+			return mt.RenderJSON(w, "M_T |gamma|")
 		}
 		fmt.Fprintln(w, "Fig. 4: BN weight distributions after knowledge transfer (VGG18-S/SynthC10)")
 		mr.Render(w, "M_R |gamma|", 40)
@@ -705,11 +513,13 @@ func renderExperiment(lab *experiments.Lab, which string, jsonOut bool, w, stder
 		return render(lab.AblationLambda())
 	case "ablation-quant":
 		return render(lab.AblationQuant())
+	default:
+		return cliconf.Usagef("unknown experiment %q", which)
 	}
-	return 0
+	return nil
 }
 
-func runInfoCmd(w io.Writer) int {
+func runInfoCmd(w io.Writer) {
 	for _, d := range tbnet.Devices() {
 		fmt.Fprintf(w, "device: %s\n", d.Name())
 		if cm, ok := d.(interface{ Describe() string }); ok {
@@ -721,11 +531,10 @@ func runInfoCmd(w io.Writer) int {
 		fmt.Fprintf(w, "  transfer BW:      %.2g B/s\n", d.TransferBytesPerSec())
 		fmt.Fprintf(w, "  secure memory:    %s\n", report.Bytes(d.SecureMemBytes()))
 	}
-	return 0
 }
 
-func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage:
+// usageText is the synopsis printed for a missing or unknown command.
+const usageText = `usage:
   tbnet experiment <all|table1|table2|table3|fig2|fig3|fig4|hw|quant|fleet|secdefense|
                     ablation|ablation-ranking|ablation-rollback|ablation-lambda|ablation-quant>
                    [-scale micro|ci|full] [-seed N] [-device NAME] [-json] [-v]
@@ -757,5 +566,4 @@ func usage(w io.Writer) {
                  [-trace-out FILE]              # dump per-request span timelines after the run
                  [-arch ...] [-dataset ...] [-scale ...] [-seed N] [-json] [-v]
   tbnet info     # list the registered hardware backends
-  tbnet version  # print the release and Go toolchain versions`)
-}
+  tbnet version  # print the release and Go toolchain versions`

@@ -187,10 +187,36 @@ func TestFleetFlagSurface(t *testing.T) {
 	}
 }
 
+// TestCommandFlagSurface pins the flag names and defaults of the commands
+// that do not take the fleet flags, so moving a flag's declaration cannot
+// drift it. Defaults read as -h prints them: none for a zero value, and
+// -name's help text itself ends in a "(default ...)" remark.
+func TestCommandFlagSurface(t *testing.T) {
+	common := map[string]string{
+		"arch": `"vgg"`, "dataset": `"c10"`, "device": `"rpi3"`, "json": ``, "scale": `"ci"`, "seed": `1`, "v": ``,
+	}
+	with := func(own map[string]string) map[string]string {
+		for k, v := range common {
+			own[k] = v
+		}
+		return own
+	}
+	for cmd, want := range map[string]map[string]string{
+		"pipeline": with(map[string]string{}),
+		"save":     with(map[string]string{"int8": ``, "name": `the architecture name`, "out": ``, "registry": ``}),
+		"serve": with(map[string]string{"workers": `4`, "batch": `8`, "delay": ``, "requests": `64`,
+			"models": ``, "registry": ``, "precision": `"f32"`}),
+		"load": {"device": ``, "in": ``, "json": ``, "name": ``, "registry": ``},
+	} {
+		_, _, help := runCLI(t, cmd, "-h")
+		t.Run(cmd, func(t *testing.T) { cliconftest.CheckSurface(t, help, want) })
+	}
+}
+
 // TestFleetCommandEndToEnd runs the fleet command on the tiny architecture
 // at micro scale — train → deploy → route an open-loop Poisson load across a
-// mixed fleet — and checks the JSON artifact shape (the BENCH_fleet.json CI
-// trajectory). Gated behind -short because it trains a (small) pipeline.
+// mixed fleet — and checks the JSON artifact shape. Gated behind -short
+// because it trains a (small) pipeline.
 func TestFleetCommandEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping pipeline-backed fleet run in short mode")
@@ -270,10 +296,10 @@ func TestFleetAutoscaleEndToEnd(t *testing.T) {
 }
 
 // TestScenarioSweepEndToEnd drives the same bursty workload through the
-// autoscaled fleet and two static widths and checks the comparison artifact
-// (the BENCH_autoscale.json CI trajectory): one point per configuration,
-// latency and worker-seconds populated. Gated behind -short because it trains
-// a (small) pipeline and runs three serving legs.
+// autoscaled fleet and two static widths and checks the comparison artifact:
+// one point per configuration, latency and worker-seconds populated. Gated
+// behind -short because it trains a (small) pipeline and runs three serving
+// legs.
 func TestScenarioSweepEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping pipeline-backed scenario sweep in short mode")

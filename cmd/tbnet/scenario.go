@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,22 +29,6 @@ const defaultSpec = "warmup:uniform:120:1s," +
 	"burst:burst:120:2s:480:1s," +
 	"ramp:ramp:120:1500ms:420," +
 	"diurnal:diurnal:100:2s:320:1s"
-
-// explicitDevice resolves the -device flag only if the user actually set it
-// (artifact mode defaults to each artifact's saved device, so the flag's
-// "rpi3" default must not silently re-target loaded models).
-func explicitDevice(fs *flag.FlagSet, c *commonFlags) (tbnet.Device, error) {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "device" {
-			set = true
-		}
-	})
-	if !set {
-		return nil, nil
-	}
-	return c.resolveDevice()
-}
 
 // parseScenarioSpec parses the -spec phase DSL: comma-separated phases, each
 //
@@ -109,330 +94,252 @@ func parseScenarioSpec(spec string) ([]scenario.Phase, error) {
 	return phases, nil
 }
 
-// runScenarioCmd implements `tbnet scenario`: assemble a fleet (from saved
-// artifacts or a freshly built pipeline), drive it through a phased workload
-// — synthesized patterns or a replayed trace — and report per-phase latency,
-// shed, and per-model throughput.
-func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	c := addCommonFlags(fs)
-	ff := cliconf.AddFleetFlags(fs, fleetDefaults)
-	models := fs.String("models", "", "serve saved models: name=artifact.tbd or registry names (comma-separated)")
-	regDir := fs.String("registry", "", "model registry directory for bare -models names")
+// scenarioCmd is one parsed `tbnet scenario` invocation: everything the
+// flags say, validated, before any model builds or socket opens.
+type scenarioCmd struct {
+	fs *flag.FlagSet
+	c  *commonFlags
+	ff *cliconf.FleetFlags
+	mf *cliconf.ModelFlags
+
+	phases    []scenario.Phase
+	sweep     []int                // -sweep widths; non-empty selects sweep mode
+	target    *scenario.HTTPTarget // -target daemon; non-nil selects client mode
+	targetURL string
+	traceOut  string
+	tap       *seceval.Tap // -attack/-obfuscate capture; outlives the fleet
+}
+
+// runScenarioCmd implements `tbnet scenario`: drive a fleet — local, a
+// ladder of local ones (-sweep), or a remote daemon's (-target) — through a
+// phased workload of synthesized patterns or a replayed trace, and report
+// per-phase latency, shed, and per-model throughput.
+func runScenarioCmd(args []string, stdout, stderr io.Writer) error {
+	sc, err := parseScenarioCmd(args, stderr)
+	if err != nil {
+		return err
+	}
+	switch {
+	case sc.target != nil:
+		return sc.runTarget(stdout, stderr)
+	case len(sc.sweep) > 0:
+		return sc.runSweep(stdout, stderr)
+	}
+	return sc.runLocal(stdout, stderr)
+}
+
+// parseScenarioCmd parses and validates the flags of all three modes. Every
+// failure here is a usage error surfaced in milliseconds — a typo in -target,
+// the spec, or a trace path never costs a minutes-long pipeline run first.
+func parseScenarioCmd(args []string, stderr io.Writer) (*scenarioCmd, error) {
+	fs, c := newFlagSet("scenario", stderr)
+	sc := &scenarioCmd{fs: fs, c: c, ff: addFleetFlags(fs)}
+	sc.mf = cliconf.AddModelFlags(fs, "model registry directory for bare -models names")
 	spec := fs.String("spec", defaultSpec, "phases as name:pattern:rate:duration[:peak[:period]]")
 	traceFile := fs.String("trace", "", "replay an arrival trace file instead of -spec")
-	target := fs.String("target", "", "drive a running tbnetd daemon at this base URL over HTTP (client mode)")
+	fs.StringVar(&sc.targetURL, "target", "", "drive a running tbnetd daemon at this base URL over HTTP (client mode)")
 	apiKey := fs.String("api-key", "", "API key sent to a -target daemon with auth enabled")
-	pace := fs.Float64("pace", 0, "pace workers at modeled-latency × this factor (0 = off)")
 	sweepList := fs.String("sweep", "", "also run the same workload at these static widths (comma-separated worker counts) and compare; implies -autoscale")
-	traceOut := fs.String("trace-out", "", "write per-request span timelines to this file after the run (local fleet only)")
+	fs.StringVar(&sc.traceOut, "trace-out", "", "write per-request span timelines to this file after the run (local fleet only)")
 	attackRun := fs.Bool("attack", false, "capture attacker-visible traces during the run and replay the architecture-inference attack per tenant")
-	obfuscate := fs.String("obfuscate", "", "trace-obfuscation chain applied at capture, e.g. pad:4096,shuffle:8,dummy:0.25; implies -attack")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	obfuscate := cliconf.AddObfuscateFlag(fs,
+		"trace-obfuscation chain applied at capture, e.g. pad:4096,shuffle:8,dummy:0.25; implies -attack")
+	if err := cliconf.ParseFlags(fs, args); err != nil {
+		return nil, err
 	}
-	if *pace < 0 {
-		fmt.Fprintf(stderr, "invalid scenario flags: pace %g\n", *pace)
-		return 2
+	var err error
+	if sc.sweep, err = parseSweepWidths(*sweepList); err != nil {
+		return nil, cliconf.Usage(err)
 	}
-	sweep, err := parseSweepWidths(*sweepList)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+	if len(sc.sweep) > 0 {
+		sc.ff.Autoscale = true
 	}
-	if len(sweep) > 0 {
-		ff.Autoscale = true
+	if err := sc.ff.Validate(); err != nil {
+		return nil, err
 	}
-	// fleetOpts is the flag-described fleet (devices, policy, admission, and
-	// the controller when autoscaling); extraOpts is what this command adds
-	// to it — and to every leg of a sweep.
-	fleetOpts, err := ff.Options(0)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if *target != "" && ff.Autoscale {
-		fmt.Fprintln(stderr, "-autoscale/-sweep drive a local fleet; with -target the daemon owns its scaling")
-		return 2
-	}
-	if *traceOut != "" && *target != "" {
-		fmt.Fprintln(stderr, "-trace-out records a local fleet's spans; against a -target daemon use GET /debug/trace")
-		return 2
-	}
-	if *traceOut != "" && len(sweep) > 0 {
-		fmt.Fprintln(stderr, "-trace-out cannot attribute spans across the fleets of a -sweep comparison")
-		return 2
-	}
-	if *obfuscate != "" {
+	if obfuscate.Spec != "" {
 		*attackRun = true
 	}
-	if *attackRun && *target != "" {
-		fmt.Fprintln(stderr, "-attack taps a local fleet's workers; a -target daemon captures with tbnetd -obfuscate")
-		return 2
+	remote := sc.targetURL != ""
+	switch {
+	case remote && sc.ff.Autoscale:
+		return nil, cliconf.Usagef("-autoscale/-sweep drive a local fleet; with -target the daemon owns its scaling")
+	case remote && sc.traceOut != "":
+		return nil, cliconf.Usagef("-trace-out records a local fleet's spans; against a -target daemon use GET /debug/trace")
+	case sc.traceOut != "" && len(sc.sweep) > 0:
+		return nil, cliconf.Usagef("-trace-out cannot attribute spans across the fleets of a -sweep comparison")
+	case remote && *attackRun:
+		return nil, cliconf.Usagef("-attack taps a local fleet's workers; a -target daemon captures with tbnetd -obfuscate")
+	case *attackRun && len(sc.sweep) > 0:
+		return nil, cliconf.Usagef("-attack cannot attribute traces across the fleets of a -sweep comparison")
+	case remote && sc.mf.Models != "":
+		return nil, cliconf.Usagef("-models is meaningless with -target: the daemon already hosts its models")
 	}
-	if *attackRun && len(sweep) > 0 {
-		fmt.Fprintln(stderr, "-attack cannot attribute traces across the fleets of a -sweep comparison")
-		return 2
+	// Captured views are replayed against each tenant after the run, so the
+	// tap keeps a deep record buffer.
+	if sc.tap, err = obfuscate.Tap(int64(c.seed), 8192, *attackRun); err != nil {
+		return nil, err
 	}
-	// The obfuscation chain parses before any model build, like the phase spec.
-	chain, err := seceval.ParseChain(*obfuscate)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
-	// Client mode: the target URL is validated here, before any phase parse
-	// or model build — a typo in -target is a usage error surfaced in
-	// milliseconds, never a failure minutes into a pipeline run.
-	var tgt *scenario.HTTPTarget
-	if *target != "" {
-		if *models != "" {
-			fmt.Fprintln(stderr, "-models is meaningless with -target: the daemon already hosts its models")
-			return 2
-		}
-		var terr error
-		if tgt, terr = scenario.NewHTTPTarget(*target, scenario.WithAPIKey(*apiKey)); terr != nil {
-			fmt.Fprintln(stderr, terr)
-			fs.Usage()
-			return 2
+	if remote {
+		if sc.target, err = scenario.NewHTTPTarget(sc.targetURL, scenario.WithAPIKey(*apiKey)); err != nil {
+			return nil, cliconf.Usage(err)
 		}
 	}
-	var extraOpts []tbnet.FleetOption
-	if *pace > 0 {
-		extraOpts = append(extraOpts, tbnet.WithPace(*pace))
-	}
-	// The span ring outlives the fleet, so the timelines are still readable
-	// after the run tears the serving pools down.
-	var tracer *tbnet.Tracer
-	if *traceOut != "" {
-		tracer = tbnet.NewTracer(4096)
-		extraOpts = append(extraOpts, tbnet.WithTracing(tracer))
-	}
-	// The attack tap likewise outlives the fleet: captured views are replayed
-	// against each tenant after the run.
-	var tap *seceval.Tap
-	if *attackRun {
-		topts := []seceval.TapOption{seceval.WithSeed(int64(c.seed)), seceval.WithRunLimit(8192)}
-		if len(chain.Layers) > 0 {
-			topts = append(topts, seceval.WithObfuscation(chain))
-		}
-		tap = seceval.NewTap(topts...)
-		extraOpts = append(extraOpts, tbnet.WithFleetTap(tap))
-	}
-
-	// Parse the workload shape first — a typo in the spec or a missing trace
-	// file must fail before the (potentially minutes-long) model build.
-	var phases []scenario.Phase
 	if *traceFile != "" {
 		tf, err := os.Open(*traceFile)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
+			return nil, cliconf.Usage(err)
 		}
 		arrivals, err := scenario.ParseTrace(tf)
 		tf.Close()
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
+			return nil, cliconf.Usage(err)
 		}
-		phases = []scenario.Phase{{Name: "replay", Pattern: scenario.Replay, Trace: arrivals}}
-	} else {
-		phases, err = parseScenarioSpec(*spec)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
+		sc.phases = []scenario.Phase{{Name: "replay", Pattern: scenario.Replay, Trace: arrivals}}
+	} else if sc.phases, err = parseScenarioSpec(*spec); err != nil {
+		return nil, cliconf.Usage(err)
 	}
+	return sc, nil
+}
 
-	// Client mode runs here — the workload shape is parsed and the target
-	// validated; no local fleet or model build is needed at all.
-	if tgt != nil {
-		return runScenarioClient(tgt, *target, phases, c, stdout, stderr)
+// mixTraffic splits every phase's traffic evenly across the named models;
+// one model needs no shares.
+func (sc *scenarioCmd) mixTraffic(names []string) {
+	if len(names) < 2 {
+		return
 	}
-
-	// The served models: either saved artifacts (-models/-registry) or one
-	// freshly trained pipeline. The first model is the fleet's template and
-	// serves as the default model; any further ones are hosted by name.
-	var deps []cliconf.Model
-	sample := func(i int) *tbnet.Tensor { return nil } // replaced below
-	if *models != "" {
-		device, derr := explicitDevice(fs, c)
-		if derr != nil {
-			fmt.Fprintln(stderr, derr)
-			return 2
-		}
-		deps, err = cliconf.LoadModels(*models, *regDir, device)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		// Saved artifacts carry no dataset, so the client load is random
-		// noise images of the served shape — the serving stack's behaviour
-		// under load does not depend on input content.
-		shape := deps[0].Dep.SampleShape()
-		shape[0] = 1
-		rng := tbnet.NewRNG(c.seed)
-		pool := make([]*tbnet.Tensor, 256)
-		for i := range pool {
-			x := tbnet.NewTensor(shape...)
-			rng.FillNormal(x, 0, 1)
-			pool[i] = x
-		}
-		sample = func(i int) *tbnet.Tensor { return pool[i%len(pool)] }
-	} else {
-		opts, err := c.pipelineOptions(stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		p, err := tbnet.NewPipeline(opts...)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		device, err := c.resolveDevice()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "building %s/%s pipeline at %s scale...\n", c.arch, c.dataset, c.scale)
-		res, err := p.Run(context.Background())
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		dep, err := deployAt(res.TB, device, []int{1, 3, 16, 16}, ff.Precision)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		deps = []cliconf.Model{{Name: c.arch, Dep: dep}}
-		singles := res.Test.Batches(1, nil)
-		sample = func(i int) *tbnet.Tensor { return singles[i%len(singles)].X }
+	shares := make([]scenario.ModelShare, len(names))
+	for i, name := range names {
+		shares[i] = scenario.ModelShare{Name: name, Weight: 1}
 	}
-
-	// Mixed-model traffic shares: the default model plus every named extra,
-	// applied to every phase now that the hosted set is known.
-	if len(deps) > 1 {
-		shares := []scenario.ModelShare{{Name: tbnet.DefaultModel, Weight: 1}}
-		for _, m := range deps[1:] {
-			shares = append(shares, scenario.ModelShare{Name: m.Name, Weight: 1})
-		}
-		for i := range phases {
-			phases[i].Models = shares
-		}
+	for i := range sc.phases {
+		sc.phases[i].Models = shares
 	}
+}
 
-	for _, m := range deps[1:] {
-		extraOpts = append(extraOpts, tbnet.WithModel(m.Name, m.Dep))
-	}
-	runSpec := scenario.Spec{Name: deps[0].Name, Seed: c.seed, Phases: phases}
-
-	// Sweep mode: the autoscaled fleet (pin 0) and each static width face the
-	// same workload back to back, one fleet at a time so the legs never
-	// contend for the host.
-	if len(sweep) > 0 {
-		var points []report.AutoscalePoint
-		for _, pin := range append([]int{0}, sweep...) {
-			label := fmt.Sprintf("static-%d", pin)
-			if pin == 0 {
-				label = fmt.Sprintf("autoscale[%d,%d]", ff.AutoscaleMin, ff.AutoscaleMax)
-			}
-			opts, err := ff.Options(pin)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "driving %d phase(s) over %q routing, %s...\n", len(phases), ff.Policy, label)
-			p, err := runScenarioLeg(label, append(opts, extraOpts...), deps[0].Dep, runSpec, sample)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			points = append(points, p)
-		}
-		if c.jsonOut {
-			if err := report.RenderAutoscaleJSON(stdout, points); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			return 0
-		}
-		report.AutoscaleSweepTable(points).Render(stdout)
-		return 0
-	}
-
-	f, err := tbnet.NewFleet(deps[0].Dep, append(fleetOpts, extraOpts...)...)
+// workload resolves a local run's models and the spec its fleet faces:
+// mixed-model traffic over the default model plus every named extra.
+func (sc *scenarioCmd) workload(stderr io.Writer) (*modelSource, scenario.Spec, error) {
+	src, err := sc.c.source(sc.fs, sc.mf, sc.ff.Precision, stderr)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return nil, scenario.Spec{}, err
+	}
+	names := []string{tbnet.DefaultModel}
+	for _, m := range src.hosted[1:] {
+		names = append(names, m.Name)
+	}
+	sc.mixTraffic(names)
+	return src, scenario.Spec{Name: src.hosted[0].Name, Seed: sc.c.seed, Phases: sc.phases}, nil
+}
+
+// renderScenario prints the client-side view of a run: the per-phase table,
+// the per-model one when traffic was mixed, whatever server-side tables the
+// mode adds, and the closing tally.
+func renderScenario(w io.Writer, res *scenario.Result, serverSide func()) {
+	report.ScenarioTable(res).Render(w)
+	if len(res.PerModel) > 1 {
+		report.ScenarioModelTable(res).Render(w)
+	}
+	serverSide()
+	fmt.Fprintf(w, "offered %d requests: %d served, %d shed, %d failed in %.2fs\n",
+		res.Offered, res.Served, res.Shed, res.Failed, res.WallSeconds)
+}
+
+// runLocal drives one local fleet through the workload and reports the
+// client-side phases beside the fleet's own snapshot — plus the controller's
+// counters under -autoscale, the span timelines under -trace-out, and the
+// replayed attack under -attack.
+func (sc *scenarioCmd) runLocal(stdout, stderr io.Writer) error {
+	src, spec, err := sc.workload(stderr)
+	if err != nil {
+		return err
+	}
+	// The span ring outlives the fleet, so the timelines are still readable
+	// after the run tears the serving pools down.
+	var tracer *tbnet.Tracer
+	if sc.traceOut != "" {
+		tracer = tbnet.NewTracer(4096)
+	}
+	f, err := sc.ff.Start(src.hosted, 0, tracer, sc.tap)
+	if err != nil {
+		return err
 	}
 	defer f.Close()
 
 	fmt.Fprintf(stderr, "driving %d phase(s) over %q routing (default model: %s)...\n",
-		len(phases), ff.Policy, deps[0].Name)
-	res, err := scenario.Run(context.Background(), f, runSpec, sample)
+		len(sc.phases), sc.ff.Policy, spec.Name)
+	res, err := scenario.Run(context.Background(), f, spec, src.sample)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	st := f.Stats()
-	ctl := tbnet.FleetAutoscaler(f)
 	if tracer != nil {
-		if err := writeTraceOut(*traceOut, tracer, c.jsonOut, stderr); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+		if err := writeTraceOut(sc.traceOut, tracer, sc.c.jsonOut, stderr); err != nil {
+			return err
 		}
 	}
 	var atk *attackReport
-	if tap != nil {
-		if atk, err = buildAttackReport(tap, deps, int64(c.seed)); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+	if sc.tap != nil {
+		if atk, err = buildAttackReport(sc.tap, src.hosted, int64(sc.c.seed)); err != nil {
+			return err
 		}
 	}
 
-	if c.jsonOut {
+	if sc.c.jsonOut {
 		// One artifact object: the scenario's per-phase client-side figures
 		// plus the fleet's own server-side snapshot — and, when the
 		// controller ran, its counters.
 		var ast *tbnet.AutoscaleStats
-		if ctl != nil {
+		if ctl := tbnet.FleetAutoscaler(f); ctl != nil {
 			s := ctl.Stats()
 			ast = &s
 		}
-		if err := json.NewEncoder(stdout).Encode(struct {
+		return json.NewEncoder(stdout).Encode(struct {
 			Scenario  *scenario.Result      `json:"scenario"`
 			Fleet     fleet.Stats           `json:"fleet"`
 			Autoscale *tbnet.AutoscaleStats `json:"autoscale,omitempty"`
 			Attack    *attackReport         `json:"attack,omitempty"`
-		}{res, st, ast, atk}); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+		}{res, st, ast, atk})
+	}
+	renderScenario(stdout, res, func() {
+		report.FleetTable(st).Render(stdout)
+		renderAutoscale(stdout, f)
+		if atk != nil {
+			report.AttackTable(atk.Tenants).Render(stdout)
+			if len(atk.Obfuscation) > 0 {
+				obfuscationTable(atk).Render(stdout)
+			}
 		}
-		return 0
+	})
+	return nil
+}
+
+// runSweep is the static-vs-autoscale comparison: the autoscaled fleet (pin
+// 0) and each static width face the same workload back to back, one fleet at
+// a time so the legs never contend for the host.
+func (sc *scenarioCmd) runSweep(stdout, stderr io.Writer) error {
+	src, spec, err := sc.workload(stderr)
+	if err != nil {
+		return err
 	}
-	report.ScenarioTable(res).Render(stdout)
-	if len(res.PerModel) > 1 {
-		report.ScenarioModelTable(res).Render(stdout)
-	}
-	report.FleetTable(st).Render(stdout)
-	if ctl != nil {
-		report.AutoscaleTable(ctl.Stats(), f.WorkerSeconds()).Render(stdout)
-		if evs := ctl.Events(); len(evs) > 0 {
-			report.AutoscaleEventTable(evs).Render(stdout)
+	var points []report.AutoscalePoint
+	for _, pin := range append([]int{0}, sc.sweep...) {
+		label := fmt.Sprintf("static-%d", pin)
+		if pin == 0 {
+			label = fmt.Sprintf("autoscale[%d,%d]", sc.ff.AutoscaleMin, sc.ff.AutoscaleMax)
 		}
-	}
-	if atk != nil {
-		report.AttackTable(atk.Tenants).Render(stdout)
-		if len(atk.Obfuscation) > 0 {
-			obfuscationTable(atk).Render(stdout)
+		fmt.Fprintf(stderr, "driving %d phase(s) over %q routing, %s...\n", len(sc.phases), sc.ff.Policy, label)
+		p, err := sc.runLeg(label, pin, src, spec)
+		if err != nil {
+			return fmt.Errorf("%s: %w", label, err)
 		}
+		points = append(points, p)
 	}
-	fmt.Fprintf(stdout, "offered %d requests: %d served, %d shed, %d failed in %.2fs\n",
-		res.Offered, res.Served, res.Shed, res.Failed, res.WallSeconds)
-	return 0
+	if sc.c.jsonOut {
+		return report.RenderAutoscaleJSON(stdout, points)
+	}
+	report.AutoscaleSweepTable(points).Render(stdout)
+	return nil
 }
 
 // writeTraceOut dumps every span the run's tracer captured to path — the
@@ -480,19 +387,18 @@ func parseSweepWidths(list string) ([]int, error) {
 	return widths, nil
 }
 
-// runScenarioLeg builds one fleet, drives it through the shared workload, and
-// condenses the outcome into a sweep point: the worst phase p99 the clients
-// saw against the worker-seconds the fleet paid for.
-func runScenarioLeg(label string, opts []tbnet.FleetOption, dep *tbnet.Deployment, spec scenario.Spec,
-	sample func(int) *tbnet.Tensor) (report.AutoscalePoint, error) {
-	f, err := tbnet.NewFleet(dep, opts...)
+// runLeg builds one fleet at the pinned width, drives it through the shared
+// workload, and condenses the outcome into a sweep point: the worst phase p99
+// the clients saw against the worker-seconds the fleet paid for.
+func (sc *scenarioCmd) runLeg(label string, pin int, src *modelSource, spec scenario.Spec) (report.AutoscalePoint, error) {
+	f, err := sc.ff.Start(src.hosted, pin, nil, nil)
 	if err != nil {
-		return report.AutoscalePoint{}, fmt.Errorf("%s: %w", label, err)
+		return report.AutoscalePoint{}, err
 	}
 	defer f.Close()
-	res, err := scenario.Run(context.Background(), f, spec, sample)
+	res, err := scenario.Run(context.Background(), f, spec, src.sample)
 	if err != nil {
-		return report.AutoscalePoint{}, fmt.Errorf("%s: %w", label, err)
+		return report.AutoscalePoint{}, err
 	}
 	ctl := tbnet.FleetAutoscaler(f)
 	p := report.AutoscalePoint{
@@ -589,32 +495,17 @@ func obfuscationTable(atk *attackReport) *report.Table {
 	return t
 }
 
-// sameShape reports whether two sample shapes match exactly.
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// runScenarioClient drives a running tbnetd daemon through the phased
-// workload over real sockets: the hosted models and their sample shapes come
-// from the daemon's /v1/models, the load is synthetic noise of the right
-// shape, and traffic is split across every hosted model that shares the
-// default model's shape. The report is the client-side view only — the
-// daemon's own counters live on its /metrics endpoint.
-func runScenarioClient(tgt *scenario.HTTPTarget, target string, phases []scenario.Phase,
-	c *commonFlags, stdout, stderr io.Writer) int {
+// runTarget drives a running tbnetd daemon through the phased workload over
+// real sockets: the hosted models and their sample shapes come from the
+// daemon's /v1/models, the load is synthetic noise of the right shape, and
+// traffic is split across every hosted model that shares the default model's
+// shape. The report is the client-side view only — the daemon's own counters
+// live on its /metrics endpoint.
+func (sc *scenarioCmd) runTarget(stdout, stderr io.Writer) error {
 	ctx := context.Background()
-	remote, err := tgt.Models(ctx)
+	remote, err := sc.target.Models(ctx)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	def := remote[0]
 	for _, m := range remote {
@@ -622,53 +513,27 @@ func runScenarioClient(tgt *scenario.HTTPTarget, target string, phases []scenari
 			def = m
 		}
 	}
-	shape := append([]int(nil), def.SampleShape...)
-	if len(shape) == 4 {
-		shape[0] = 1
-	}
-	rng := tbnet.NewRNG(c.seed)
-	pool := make([]*tbnet.Tensor, 256)
-	for i := range pool {
-		x := tbnet.NewTensor(shape...)
-		rng.FillNormal(x, 0, 1)
-		pool[i] = x
-	}
-	sample := func(i int) *tbnet.Tensor { return pool[i%len(pool)] }
-
-	var shares []scenario.ModelShare
+	var names []string
 	for _, m := range remote {
-		if sameShape(m.SampleShape, def.SampleShape) {
-			shares = append(shares, scenario.ModelShare{Name: m.Name, Weight: 1})
+		if slices.Equal(m.SampleShape, def.SampleShape) {
+			names = append(names, m.Name)
 		}
 	}
-	if len(shares) > 1 {
-		for i := range phases {
-			phases[i].Models = shares
-		}
-	}
+	sc.mixTraffic(names)
 
 	fmt.Fprintf(stderr, "driving %d phase(s) against %s (%d hosted model(s), default %q)...\n",
-		len(phases), target, len(remote), def.Name)
-	res, err := scenario.Run(ctx, tgt,
-		scenario.Spec{Name: "http:" + def.Name, Seed: c.seed, Phases: phases}, sample)
+		len(sc.phases), sc.targetURL, len(remote), def.Name)
+	res, err := scenario.Run(ctx, sc.target,
+		scenario.Spec{Name: "http:" + def.Name, Seed: sc.c.seed, Phases: sc.phases},
+		noiseSource(def.SampleShape, sc.c.seed).sample)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
-	if c.jsonOut {
-		if err := json.NewEncoder(stdout).Encode(struct {
+	if sc.c.jsonOut {
+		return json.NewEncoder(stdout).Encode(struct {
 			Scenario *scenario.Result `json:"scenario"`
-		}{res}); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
+		}{res})
 	}
-	report.ScenarioTable(res).Render(stdout)
-	if len(res.PerModel) > 1 {
-		report.ScenarioModelTable(res).Render(stdout)
-	}
-	fmt.Fprintf(stdout, "offered %d requests: %d served, %d shed, %d failed in %.2fs\n",
-		res.Offered, res.Served, res.Shed, res.Failed, res.WallSeconds)
-	return 0
+	renderScenario(stdout, res, func() {})
+	return nil
 }

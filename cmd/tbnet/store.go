@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,58 +8,34 @@ import (
 	"os"
 
 	"tbnet"
+	"tbnet/internal/cliconf"
 	"tbnet/internal/report"
 )
 
 // runSaveCmd implements `tbnet save`: run the pipeline, deploy the finalized
 // model on the selected backend, and persist the deployment artifact — to a
 // file (-out) or into a named registry entry (-registry/-name).
-func runSaveCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("save", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	c := addCommonFlags(fs)
+func runSaveCmd(args []string, stdout, stderr io.Writer) error {
+	fs, c := newFlagSet("save", stderr)
 	out := fs.String("out", "", "artifact file to write (exclusive with -registry)")
 	regDir := fs.String("registry", "", "model registry directory to save into")
 	name := fs.String("name", "", "registry entry name (default the architecture name)")
 	int8Flag := fs.Bool("int8", false, "quantize to int8 and save the quantized serving artifact")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if err := cliconf.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if (*out == "") == (*regDir == "") {
-		fmt.Fprintln(stderr, "save: exactly one of -out FILE or -registry DIR is required")
-		return 2
+		return cliconf.Usagef("save: exactly one of -out FILE or -registry DIR is required")
 	}
-	opts, err := c.pipelineOptions(stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	device, err := c.resolveDevice()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	p, err := tbnet.NewPipeline(opts...)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	fmt.Fprintf(stderr, "building %s/%s pipeline at %s scale...\n", c.arch, c.dataset, c.scale)
-	res, err := p.Run(context.Background())
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	var dep *tbnet.Deployment
+	prec := tbnet.PrecisionF32
 	if *int8Flag {
-		dep, err = tbnet.DeployInt8(res.TB, device, []int{1, 3, 16, 16})
-	} else {
-		dep, err = tbnet.Deploy(res.TB, device, []int{1, 3, 16, 16})
+		prec = tbnet.PrecisionInt8
 	}
+	src, err := c.source(fs, nil, prec, stderr)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
+	dep := src.hosted[0].Dep
 
 	summary := struct {
 		Path        string  `json:"path,omitempty"`
@@ -72,23 +47,20 @@ func runSaveCmd(args []string, stdout, stderr io.Writer) int {
 		Precision   string  `json:"precision"`
 		TBAcc       float64 `json:"tbnet_acc"`
 		SecureBytes int64   `json:"peak_secure_bytes"`
-	}{Device: device.Name(), Precision: string(dep.Precision()),
-		TBAcc: res.TBAcc, SecureBytes: dep.SecureBytes}
+	}{Device: dep.Device.Name(), Precision: string(dep.Precision()),
+		TBAcc: src.res.TBAcc, SecureBytes: dep.SecureBytes}
 
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 		if err := tbnet.SaveDeployment(f, dep); err != nil {
 			f.Close()
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 		info, err := os.Stat(*out)
 		if err == nil {
@@ -101,24 +73,18 @@ func runSaveCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		reg, err := tbnet.OpenRegistry(*regDir)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 		entry, err := reg.Save(*name, dep)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 		summary.Registry, summary.Name = *regDir, *name
 		summary.SHA256, summary.SizeBytes = entry.SHA256, entry.SizeBytes
 	}
 
 	if c.jsonOut {
-		if err := json.NewEncoder(stdout).Encode(summary); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
+		return json.NewEncoder(stdout).Encode(summary)
 	}
 	where := summary.Path
 	if where == "" {
@@ -130,13 +96,13 @@ func runSaveCmd(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  TBNet acc:     %s\n", report.Pct(summary.TBAcc))
 	fmt.Fprintf(stdout, "  artifact size: %s\n", report.Bytes(summary.SizeBytes))
 	fmt.Fprintf(stdout, "  secure memory: %s\n", report.Bytes(summary.SecureBytes))
-	return 0
+	return nil
 }
 
 // runLoadCmd implements `tbnet load`: bring a saved deployment back up from
 // a file or a registry entry (integrity-checked), run one probe inference,
 // and report the placement. With -registry and no -name it lists the store.
-func runLoadCmd(args []string, stdout, stderr io.Writer) int {
+func runLoadCmd(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "artifact file to load (exclusive with -registry)")
@@ -144,19 +110,17 @@ func runLoadCmd(args []string, stdout, stderr io.Writer) int {
 	name := fs.String("name", "", "registry entry name (omit to list the registry)")
 	deviceName := fs.String("device", "", "re-target the deployment onto this backend (default: the saved device)")
 	jsonOut := fs.Bool("json", false, "machine-readable JSON output")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if err := cliconf.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if (*in == "") == (*regDir == "") {
-		fmt.Fprintln(stderr, "load: exactly one of -in FILE or -registry DIR is required")
-		return 2
+		return cliconf.Usagef("load: exactly one of -in FILE or -registry DIR is required")
 	}
 	var device tbnet.Device
 	if *deviceName != "" {
 		d, err := tbnet.DeviceByName(*deviceName)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
+			return cliconf.Usage(err)
 		}
 		device = d
 	}
@@ -165,24 +129,18 @@ func runLoadCmd(args []string, stdout, stderr io.Writer) int {
 	if *regDir != "" && *name == "" {
 		reg, err := tbnet.OpenRegistry(*regDir)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 		entries, err := reg.List()
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 		if *jsonOut {
-			if err := json.NewEncoder(stdout).Encode(entries); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			return 0
+			return json.NewEncoder(stdout).Encode(entries)
 		}
 		if len(entries) == 0 {
 			fmt.Fprintf(stdout, "registry %s is empty\n", *regDir)
-			return 0
+			return nil
 		}
 		for _, e := range entries {
 			prec := e.Precision
@@ -192,29 +150,25 @@ func runLoadCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-20s device=%-12s precision=%-5s shape=%v sha256=%s… %s\n",
 				e.Name, e.Device, prec, e.SampleShape, e.SHA256[:12], report.Bytes(e.SizeBytes))
 		}
-		return 0
+		return nil
 	}
 
 	var dep *tbnet.Deployment
 	var err error
 	if *in != "" {
-		f, ferr := os.Open(*in)
-		if ferr != nil {
-			fmt.Fprintln(stderr, ferr)
-			return 1
+		var f *os.File
+		if f, err = os.Open(*in); err == nil {
+			dep, err = tbnet.LoadDeploymentOn(f, device)
+			f.Close()
 		}
-		dep, err = tbnet.LoadDeploymentOn(f, device)
-		f.Close()
 	} else {
 		var reg *tbnet.Registry
-		reg, err = tbnet.OpenRegistry(*regDir)
-		if err == nil {
+		if reg, err = tbnet.OpenRegistry(*regDir); err == nil {
 			dep, err = reg.LoadOn(*name, device)
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	// One probe inference confirms the restored plan actually serves and
 	// meters the modeled single-image latency on the (possibly re-targeted)
@@ -223,24 +177,19 @@ func runLoadCmd(args []string, stdout, stderr io.Writer) int {
 	shape[0] = 1
 	probe := tbnet.NewTensor(shape...)
 	if _, err := dep.Infer(probe); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	if *jsonOut {
-		if err := json.NewEncoder(stdout).Encode(struct {
+		return json.NewEncoder(stdout).Encode(struct {
 			Device      string  `json:"device"`
 			Precision   string  `json:"precision"`
 			SampleShape []int   `json:"sample_shape"`
 			SecureBytes int64   `json:"peak_secure_bytes"`
 			LatencySec  float64 `json:"latency_sec"`
 		}{dep.Device.Name(), string(dep.Precision()), dep.SampleShape(),
-			dep.SecureBytes, dep.Latency()}); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
+			dep.SecureBytes, dep.Latency()})
 	}
 	fmt.Fprintf(stdout, "loaded %s deployment on %s: shape %v, %s secure memory, %.6fs modeled single-image latency\n",
 		dep.Precision(), dep.Device.Name(), dep.SampleShape(), report.Bytes(dep.SecureBytes), dep.Latency())
-	return 0
+	return nil
 }

@@ -63,7 +63,7 @@ func TestScenarioFlagValidation(t *testing.T) {
 // micro scale: save two models into a registry, list it, restore one, serve
 // both from the store on one server, then drive a short mixed-model scenario
 // against a fleet serving them — asserting the JSON artifact carries the
-// per-phase latency/shed/throughput rows the CI trajectory records.
+// per-phase latency/shed/throughput rows.
 func TestSaveLoadServeScenarioEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains micro pipelines")

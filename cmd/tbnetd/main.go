@@ -57,7 +57,6 @@ import (
 	"tbnet/internal/core"
 	"tbnet/internal/httpd"
 	"tbnet/internal/registry"
-	"tbnet/internal/seceval"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
@@ -100,9 +99,16 @@ func parseAPIKeys(list string) (map[string]string, error) {
 	return keys, nil
 }
 
-// run is the daemon body, factored from main so tests can drive a full
-// start → serve → SIGTERM → drain cycle in-process.
+// run executes the daemon and maps its outcome onto the exit code
+// (cliconf.ExitCode: usage errors 2, failures 1); factored from main so tests
+// can drive a full start → serve → SIGTERM → drain cycle in-process.
 func run(args []string, stderr io.Writer) int {
+	return cliconf.ExitCode(serve(args, stderr), stderr)
+}
+
+// serve is the daemon body: parse, validate, assemble the fleet, listen,
+// and drain on a signal.
+func serve(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tbnetd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (host:port; port 0 picks a free port)")
@@ -111,8 +117,7 @@ func run(args []string, stderr io.Writer) int {
 		Devices:           "rpi3:2,sgx-desktop:2",
 		AutoscaleInterval: 250 * time.Millisecond,
 	})
-	models := fs.String("models", "", "serve saved models: name=artifact.tbd or registry names (comma-separated)")
-	regDir := fs.String("registry", "", "model registry directory (lists on /v1/models, resolves ?from= swaps)")
+	mf := cliconf.AddModelFlags(fs, "model registry directory (lists on /v1/models, resolves ?from= swaps)")
 	demo := fs.Bool("demo", false, "serve a small untrained demo model (no artifacts needed)")
 	seed := fs.Uint64("seed", 1, "demo model seed")
 	apiKeys := fs.String("api-keys", "", "API keys as key=tenant pairs (empty disables auth)")
@@ -121,57 +126,55 @@ func run(args []string, stderr io.Writer) int {
 	idleTTL := fs.Duration("idle-ttl", 0, "reap hosted models idle for this long (0 = never)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 answers")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
-	obfuscate := fs.String("obfuscate", "",
+	obfuscate := cliconf.AddObfuscateFlag(fs,
 		"trace-obfuscation chain applied to every run's attacker view, e.g. pad:4096,dummy:0.25 (exports tbnet_obfuscation_* on /metrics)")
 	traceRing := fs.Int("trace-ring", 4096, "request span ring capacity for GET /debug/trace (0 disables tracing)")
 	slowLog := fs.Duration("slow-log", 250*time.Millisecond, "journal requests slower than this with their span breakdown (0 disables)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (behind auth when -api-keys is set)")
 	version := fs.Bool("version", false, "print the release and Go toolchain versions and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if err := cliconf.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	if *version {
 		fmt.Fprintf(stderr, "tbnetd %s (%s)\n", tbnet.Version, buildinfo.GoVersion())
-		return 0
+		return nil
 	}
 	if *traceRing < 0 {
-		fmt.Fprintf(stderr, "invalid -trace-ring %d: want 0 (off) or a positive capacity\n", *traceRing)
-		return 2
+		return cliconf.Usagef("invalid -trace-ring %d: want 0 (off) or a positive capacity", *traceRing)
 	}
 	log := slog.New(slog.NewTextHandler(stderr, nil))
 
 	// Everything cheap to validate fails before any model loads.
-	fleetOpts, err := ff.Options(0)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+	if err := ff.Validate(); err != nil {
+		return err
 	}
 	keys, err := parseAPIKeys(*apiKeys)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return cliconf.Usage(err)
 	}
-	if *models == "" && !*demo {
-		fmt.Fprintln(stderr, "nothing to serve: give -models (or -registry names), or -demo")
-		return 2
+	if mf.Models == "" && !*demo {
+		return cliconf.Usagef("nothing to serve: give -models (or -registry names), or -demo")
 	}
-	chain, err := seceval.ParseChain(*obfuscate)
+	// With -obfuscate, a tap on every worker run rewrites the attacker-visible
+	// trace through the chain and charges the modeled cost back into the run's
+	// latency, so pacing, percentiles, and autoscaling all price the defense.
+	// The daemon only needs the aggregate spend (for /metrics), not the
+	// rewritten views, so the record buffer is kept minimal.
+	tap, err := obfuscate.Tap(int64(*seed), 1, false)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return err
 	}
 
 	var hosted []cliconf.Model
-	if *models != "" {
-		hosted, err = cliconf.LoadModels(*models, *regDir, nil)
+	if mf.Models != "" {
+		hosted, err = mf.Load(nil)
 	} else {
 		var dep *tbnet.Deployment
 		dep, err = demoDeployment(*seed, ff.Precision)
 		hosted = []cliconf.Model{{Name: "demo", Dep: dep}}
 	}
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 
 	// One tracer is shared by the fleet's workers and the HTTP layer: the
@@ -181,45 +184,28 @@ func run(args []string, stderr io.Writer) int {
 	var tracer *tbnet.Tracer
 	if *traceRing > 0 {
 		tracer = tbnet.NewTracer(*traceRing)
-		fleetOpts = append(fleetOpts, tbnet.WithTracing(tracer))
 	}
+	var extra []tbnet.FleetOption
 	if ff.Autoscale {
 		// Scaling events go to the operator log as they happen; the counters
 		// live on /metrics.
-		fleetOpts = append(fleetOpts, tbnet.WithAutoscaleLogger(func(ev tbnet.AutoscaleEvent) {
+		extra = append(extra, tbnet.WithAutoscaleLogger(func(ev tbnet.AutoscaleEvent) {
 			log.Info("autoscale", "action", string(ev.Action), "node", ev.Node,
 				"from", ev.From, "to", ev.To, "workers", ev.TotalWorkers, "reason", ev.Reason)
 		}))
 	}
-	// With -obfuscate, a tap on every worker run rewrites the attacker-visible
-	// trace through the chain and charges the modeled cost back into the run's
-	// latency, so pacing, percentiles, and autoscaling all price the defense.
-	// The daemon only needs the aggregate spend (for /metrics), not the
-	// rewritten views, so the record buffer is kept minimal.
-	var tap *seceval.Tap
-	if len(chain.Layers) > 0 {
-		tap = seceval.NewTap(
-			seceval.WithObfuscation(chain),
-			seceval.WithSeed(int64(*seed)),
-			seceval.WithRunLimit(1),
-		)
-		fleetOpts = append(fleetOpts, tbnet.WithFleetTap(tap))
-	}
-	for _, m := range hosted[1:] {
-		fleetOpts = append(fleetOpts, tbnet.WithModel(m.Name, m.Dep))
-	}
-	f, err := tbnet.NewFleet(hosted[0].Dep, fleetOpts...)
+	f, err := ff.Start(hosted, 0, tracer, tap, extra...)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
+	// Close is idempotent: after a clean drain it is a no-op, on every error
+	// path below it is the teardown.
+	defer f.Close()
 
 	var store *registry.Store
-	if *regDir != "" {
-		if store, err = registry.Open(*regDir); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, err)
-			return 1
+	if mf.Registry != "" {
+		if store, err = registry.Open(mf.Registry); err != nil {
+			return err
 		}
 	}
 	srv, err := httpd.New(httpd.Config{
@@ -236,9 +222,7 @@ func run(args []string, stderr io.Writer) int {
 		Tap:           tap,
 	})
 	if err != nil {
-		f.Close()
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 
 	// The signal handler is live before the address is published, so a
@@ -249,17 +233,13 @@ func run(args []string, stderr io.Writer) int {
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
-		f.Close()
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	bound := l.Addr().String()
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
 			l.Close()
-			f.Close()
-			fmt.Fprintln(stderr, err)
-			return 1
+			return err
 		}
 	}
 	log.Info("tbnetd listening", "addr", bound, "models", strings.Join(f.Models(), ","),
@@ -281,11 +261,7 @@ func run(args []string, stderr io.Writer) int {
 
 	select {
 	case err := <-serveErr:
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
+		return err
 	case <-ctx.Done():
 	}
 	stop()
@@ -293,9 +269,8 @@ func run(args []string, stderr io.Writer) int {
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	log.Info("drained cleanly, bye")
-	return 0
+	return nil
 }

@@ -1,10 +1,6 @@
 package tbnet
 
-import (
-	"net/http"
-
-	"tbnet/internal/httpd"
-)
+import "tbnet/internal/httpd"
 
 // HTTPServer is TBNet's network-facing serving daemon: an HTTP/JSON API over
 // a Fleet, fronted by a composable middleware chain (panic recovery, request
@@ -21,16 +17,7 @@ type HTTPConfig = httpd.Config
 // request rate with a burst allowance. The zero value disables rate limiting.
 type HTTPRateLimit = httpd.RateLimit
 
-// HTTPMiddleware is one layer of the daemon's request-processing chain; use
-// ChainHTTP to compose custom layers around an HTTPServer's handler.
-type HTTPMiddleware = httpd.Middleware
-
 // NewHTTPServer assembles a network daemon from cfg. Serve it on a listener
 // with HTTPServer.Serve and stop it gracefully — draining the fleet without
 // dropping an admitted request — with HTTPServer.Shutdown.
 func NewHTTPServer(cfg HTTPConfig) (*HTTPServer, error) { return httpd.New(cfg) }
-
-// ChainHTTP wraps h in the given middlewares, first argument outermost.
-func ChainHTTP(h http.Handler, mw ...HTTPMiddleware) http.Handler {
-	return httpd.Chain(h, mw...)
-}

@@ -271,8 +271,7 @@ func (l *Lab) TableHW() *report.Table {
 // throughput ratio, and the benign-user accuracy of each serving path
 // (accuracy is device-independent: the arithmetic is identical everywhere,
 // only the cost model changes). Devices run in measurement mode so oversized
-// footprints report instead of aborting. This table is the BENCH_quant.json
-// artifact.
+// footprints report instead of aborting.
 func (l *Lab) TableQuant() *report.Table {
 	t := &report.Table{
 		Title: "Quant table: f32 vs int8 serving per registered device (VGG18-S/SynthC10)",

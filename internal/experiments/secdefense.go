@@ -14,7 +14,7 @@ const secDefenseBudget = 0.20
 
 // TableSecDefense runs the defense-placement autotuner on every registered
 // backend and merges the per-device attack-success-vs-overhead frontiers
-// into one artifact (the BENCH_secdefense.json CI artifact).
+// into one artifact (`tbnet experiment secdefense`).
 //
 // The undefended subject is the two-branch model as it stands after
 // knowledge transfer but before pruning: both branches still share the

@@ -781,12 +781,6 @@ func (f *Fleet) InferModel(ctx context.Context, model string, x *tensor.Tensor) 
 // returned after all samples resolve, wrapped with the failing sample's
 // index.
 func (f *Fleet) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
-	return f.InferModelBatch(ctx, DefaultModel, xs)
-}
-
-// InferModelBatch is InferBatch addressed to a named hosted model; unknown
-// names fail with serve.ErrUnknownModel.
-func (f *Fleet) InferModelBatch(ctx context.Context, model string, xs []*tensor.Tensor) ([]int, error) {
 	if len(xs) == 0 {
 		return nil, nil
 	}
@@ -797,7 +791,7 @@ func (f *Fleet) InferModelBatch(ctx context.Context, model string, xs []*tensor.
 		wg.Add(1)
 		go func(i int, x *tensor.Tensor) {
 			defer wg.Done()
-			labels[i], errs[i] = f.InferModel(ctx, model, x)
+			labels[i], errs[i] = f.Infer(ctx, x)
 		}(i, x)
 	}
 	wg.Wait()

@@ -40,7 +40,7 @@ var convShapes = []struct {
 // so the only cost is compute. The int8 leg arms the same layer with
 // quantized weights and keeps the dynamic activation quantization inside the
 // measured loop. The paired ns/op figures are the raw-kernel half of the
-// f32-vs-int8 record in BENCH_infer.json.
+// f32-vs-int8 comparison.
 func BenchmarkConvForwardInto(b *testing.B) {
 	for _, s := range convShapes {
 		for _, precision := range []string{"f32", "int8"} {

@@ -1,8 +1,8 @@
 package report
 
 // Autoscale reporting: the controller-counter summary, the scaling-event
-// timeline, and the static-vs-autoscale sweep comparison that backs the
-// BENCH_autoscale.json CI artifact.
+// timeline, and the static-vs-autoscale sweep comparison (`tbnet scenario
+// -sweep`).
 
 import (
 	"encoding/json"
@@ -116,8 +116,8 @@ func AutoscaleSweepTable(points []AutoscalePoint) *Table {
 	return t
 }
 
-// RenderAutoscaleJSON writes the sweep comparison as one JSON object — the
-// shape of the BENCH_autoscale.json artifact.
+// RenderAutoscaleJSON writes the sweep comparison as one JSON object, the
+// `tbnet scenario -sweep -json` output.
 func RenderAutoscaleJSON(w io.Writer, points []AutoscalePoint) error {
 	return json.NewEncoder(w).Encode(struct {
 		Sweep []AutoscalePoint `json:"sweep"`

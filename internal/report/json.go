@@ -6,8 +6,7 @@ import (
 )
 
 // Machine-readable renderers: every artifact type serializes to one JSON
-// object so experiment outputs can be tracked as BENCH_*.json files across
-// PRs.
+// object, the form the CLI's -json flag prints.
 
 // RenderJSON writes the table as a JSON object {title, header, rows} plus,
 // when set, the device name and peak secure-memory bytes the artifact was

@@ -1,20 +1,10 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"tbnet/internal/scenario"
 )
-
-// RenderScenarioJSON writes a completed scenario run as one JSON object —
-// scenario-wide totals, the per-phase latency/shed/throughput rows, and the
-// per-model breakdown — using the snake_case names the BENCH_scenario.json
-// artifact carries.
-func RenderScenarioJSON(w io.Writer, res *scenario.Result) error {
-	return json.NewEncoder(w).Encode(res)
-}
 
 // ScenarioTable renders a completed scenario run as a text table: one row
 // per phase with offered/served/shed counts, realized rates, and

@@ -6,19 +6,10 @@ import (
 	"io"
 
 	"tbnet/internal/fleet"
-	"tbnet/internal/serve"
 )
 
-// Serving-layer renderers: the serve and fleet stats snapshots rendered as
-// the same two artifact forms every other table gets — an aligned text table
-// and one JSON object — so serving runs are trackable BENCH_* artifacts.
-
-// RenderServeStatsJSON writes a server's stats snapshot as one JSON object,
-// using the snake_case field names the CLI artifacts carry (including the
-// p95_micros and avg_queue_wait_micros tail/batching figures).
-func RenderServeStatsJSON(w io.Writer, st serve.Stats) error {
-	return json.NewEncoder(w).Encode(st)
-}
+// Serving-layer renderers: the fleet stats snapshot rendered in the same two
+// forms every other table gets — an aligned text table and one JSON object.
 
 // RenderFleetStatsJSON writes an aggregated fleet snapshot — fleet-wide
 // counters, merged percentiles, and the per-device breakdown — as one JSON

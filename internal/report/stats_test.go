@@ -80,18 +80,3 @@ func TestRenderFleetStatsJSON(t *testing.T) {
 		t.Fatalf("per-device serve stats not threaded through JSON: %+v", got)
 	}
 }
-
-func TestRenderServeStatsJSON(t *testing.T) {
-	var b strings.Builder
-	st := serve.Stats{Device: "sgx-desktop", Requests: 7, P95Micros: 42,
-		AvgQueueWaitMicros: 11}
-	if err := RenderServeStatsJSON(&b, st); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"device":"sgx-desktop"`, `"p95_micros":42`,
-		`"avg_queue_wait_micros":11`, `"requests":7`} {
-		if !strings.Contains(b.String(), key) {
-			t.Fatalf("serve JSON missing %s:\n%s", key, b.String())
-		}
-	}
-}

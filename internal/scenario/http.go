@@ -36,12 +36,6 @@ type HTTPTarget struct {
 // HTTPTargetOption configures an HTTPTarget.
 type HTTPTargetOption func(*HTTPTarget)
 
-// WithHTTPClient replaces the target's HTTP client (default: a dedicated
-// client with a 30s request timeout).
-func WithHTTPClient(c *http.Client) HTTPTargetOption {
-	return func(t *HTTPTarget) { t.client = c }
-}
-
 // WithAPIKey attaches an API key (sent as X-API-Key) to every request, for
 // daemons running with authentication enabled.
 func WithAPIKey(key string) HTTPTargetOption {

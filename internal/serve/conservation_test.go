@@ -227,7 +227,8 @@ func TestFailedBatchIsolatedPerRequest(t *testing.T) {
 	}
 
 	// Traced requests that rode a failed batch keep their whole timeline:
-	// the server's tracer self-starts a span for each of these callers.
+	// the server's tracer self-starts a span for each of these callers, as
+	// it did for each sample of the batch above.
 	var wg sync.WaitGroup
 	for _, x := range xs[:4] {
 		wg.Add(1)
@@ -240,8 +241,8 @@ func TestFailedBatchIsolatedPerRequest(t *testing.T) {
 	}
 	wg.Wait()
 	spans := tracer.Snapshot(0, 0)
-	if len(spans) != 4 {
-		t.Fatalf("tracer holds %d spans, want 4", len(spans))
+	if len(spans) != n+4 {
+		t.Fatalf("tracer holds %d spans, want %d", len(spans), n+4)
 	}
 	for _, s := range spans {
 		for _, stage := range []string{"queued", "ree", "tee"} {

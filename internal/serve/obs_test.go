@@ -90,6 +90,35 @@ func TestServerSpanTimeline(t *testing.T) {
 	}
 }
 
+// TestInferBatchTraced: batch requests take the one submit/await path, so a
+// traced server self-starts a span for every sample of an InferBatch — each
+// finished, each with its queue wait — and the queue-wait histogram counts
+// them like any other request.
+func TestInferBatchTraced(t *testing.T) {
+	dep := testDeployment(t, 23)
+	tr := obs.NewTracer(64)
+	srv, err := New(dep, Config{Workers: 1, MaxBatch: 4, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.InferBatch(context.Background(), randSamples(4, 24)); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Snapshot(0, 0)
+	if len(spans) != 4 {
+		t.Fatalf("tracer holds %d finished spans after InferBatch of 4", len(spans))
+	}
+	for _, s := range spans {
+		if s.StageMs("queued") <= 0 {
+			t.Errorf("batch request span lacks its queued stage: %+v", s.Stages)
+		}
+	}
+	if st := srv.Stats(); st.QueueWaitHist.Count() != uint64(st.Requests) || st.Requests != 4 {
+		t.Errorf("queue-wait observations = %d for %d requests", st.QueueWaitHist.Count(), st.Requests)
+	}
+}
+
 // TestTracingOverhead locks the acceptance bound: tracing enabled costs less
 // than 5% throughput on steady-state Server.Infer. Each configuration is
 // measured five times interleaved and compared by its best run, the
@@ -149,9 +178,8 @@ func TestTracingOverhead(t *testing.T) {
 	t.Logf("traced %.0f ns/op, untraced %.0f ns/op (%.2f%%)", bestOn, bestOff, 100*(bestOn-bestOff)/bestOff)
 }
 
-// BenchmarkInferTraced is BenchmarkInferAllocs with the span pipeline live:
-// the CI BENCH_obs.json artifact pairs it with BenchmarkInferUntraced so the
-// per-commit record carries the measured tracing overhead.
+// BenchmarkInferTraced is BenchmarkInferAllocs with the span pipeline live;
+// BenchmarkInferUntraced is its pair, so one run shows the tracing overhead.
 func BenchmarkInferTraced(b *testing.B) {
 	benchInfer(b, obs.NewTracer(4096))
 }

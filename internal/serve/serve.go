@@ -170,6 +170,7 @@ type request struct {
 	ctx      context.Context // caller's context; expired requests are dropped at flush
 	enqueued time.Time       // admission time, for queue-wait accounting
 	span     obs.SpanRef     // request span (inert zero ref when untraced)
+	owned    bool            // the pool started span itself and must finish it
 	wait     time.Duration   // queue wait, set by the worker at batch pickup
 }
 
@@ -919,18 +920,19 @@ func (p *pool) enqueue(ctx context.Context, req *request) error {
 	}
 }
 
-// infer runs one validated request through the pool.
-func (p *pool) infer(ctx context.Context, x *tensor.Tensor) (int, error) {
+// submit validates one request input, attaches its span and enqueues it. A
+// request arriving from the HTTP ingress already carries its span in ctx;
+// direct callers get a self-started span when the server traces. Both paths
+// are allocation-free (the ring slot is preallocated). Only self-started
+// spans are finished by this layer (owned) — a ctx-carried span belongs to
+// whoever started it (the HTTP tracing middleware), which still has the
+// response-writing stage to account for. A submit that fails has finished
+// its owned span; one that succeeds must be awaited.
+func (p *pool) submit(ctx context.Context, x *tensor.Tensor) (*request, error) {
 	sample, err := p.checkSample(x)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	// A request arriving from the HTTP ingress already carries its span in
-	// ctx; direct callers get a self-started span when the server traces.
-	// Both paths are allocation-free (the ring slot is preallocated). Only
-	// self-started spans are finished here — a ctx-carried span belongs to
-	// whoever started it (the HTTP tracing middleware), which still has the
-	// response-writing stage to account for.
 	span := obs.FromContext(ctx)
 	owned := !span.Active()
 	if owned {
@@ -938,25 +940,72 @@ func (p *pool) infer(ctx context.Context, x *tensor.Tensor) (int, error) {
 	}
 	span.SetModel(p.name)
 	span.MarkSinceStart(obs.StageIngress)
-	req := &request{x: sample, resp: make(chan response, 1), ctx: ctx, span: span}
+	req := &request{x: sample, resp: make(chan response, 1), ctx: ctx, span: span, owned: owned}
 	if err := p.enqueue(ctx, req); err != nil {
 		if owned {
 			span.Finish(true)
 		}
-		return 0, err
+		return nil, err
 	}
+	return req, nil
+}
+
+// await blocks until a submitted request resolves or its context ends.
+func (p *pool) await(req *request) (int, error) {
 	select {
 	case r := <-req.resp:
-		if owned {
-			span.Finish(r.err != nil)
+		if req.owned {
+			req.span.Finish(r.err != nil)
 		}
 		return r.label, r.err
-	case <-ctx.Done():
-		if owned {
-			span.Finish(true)
+	case <-req.ctx.Done():
+		if req.owned {
+			req.span.Finish(true)
 		}
-		return 0, ctx.Err()
+		return 0, req.ctx.Err()
 	}
+}
+
+// infer runs one request through the pool.
+func (p *pool) infer(ctx context.Context, x *tensor.Tensor) (int, error) {
+	req, err := p.submit(ctx, x)
+	if err != nil {
+		return 0, err
+	}
+	return p.await(req)
+}
+
+// inferBatch runs xs through the pool as individual requests: all are
+// submitted, then all awaited. A sample that fails to submit does not stop
+// the rest; the first error is reported with its sample's index.
+func (p *pool) inferBatch(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
+	var firstErr error
+	fail := func(i int, err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("sample %d: %w", i, err)
+		}
+	}
+	reqs := make([]*request, len(xs))
+	for i, x := range xs {
+		var err error
+		if reqs[i], err = p.submit(ctx, x); err != nil {
+			fail(i, err)
+		}
+	}
+	labels := make([]int, len(xs))
+	for i, req := range reqs {
+		if req == nil {
+			continue
+		}
+		var err error
+		if labels[i], err = p.await(req); err != nil {
+			fail(i, err)
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return labels, nil
 }
 
 // close drains and stops the pool: admission stops, the dispatcher flushes
@@ -1031,59 +1080,14 @@ func (s *Server) InferModel(ctx context.Context, model string, x *tensor.Tensor)
 // ("sample 17: ...") so a caller submitting a 64-sample batch can tell which
 // input was bad.
 func (s *Server) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
-	return s.InferModelBatch(ctx, DefaultModel, xs)
-}
-
-// InferModelBatch is InferBatch addressed to a named hosted model; unknown
-// names fail with ErrUnknownModel.
-func (s *Server) InferModelBatch(ctx context.Context, model string, xs []*tensor.Tensor) ([]int, error) {
 	if len(xs) == 0 {
 		return nil, nil
 	}
-	p, err := s.lookup(model)
+	p, err := s.lookup(DefaultModel)
 	if err != nil {
 		return nil, err
 	}
-	reqs := make([]*request, len(xs))
-	for i, x := range xs {
-		sample, err := p.checkSample(x)
-		if err != nil {
-			return nil, fmt.Errorf("sample %d: %w", i, err)
-		}
-		reqs[i] = &request{x: sample, resp: make(chan response, 1), ctx: ctx}
-	}
-	labels := make([]int, len(xs))
-	var firstErr error
-	pendingReq := make([]bool, len(xs))
-	for i, req := range reqs {
-		if err := p.enqueue(ctx, req); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("sample %d: %w", i, err)
-			}
-			continue
-		}
-		pendingReq[i] = true
-	}
-	for i, req := range reqs {
-		if !pendingReq[i] {
-			continue
-		}
-		select {
-		case r := <-req.resp:
-			if r.err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("sample %d: %w", i, r.err)
-			}
-			labels[i] = r.label
-		case <-ctx.Done():
-			if firstErr == nil {
-				firstErr = fmt.Errorf("sample %d: %w", i, ctx.Err())
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return labels, nil
+	return p.inferBatch(ctx, xs)
 }
 
 // Close stops admission on every hosted model, drains their queues through
@@ -1120,8 +1124,8 @@ func (s *Server) Close() error {
 // except WallSeconds and AvgQueueWaitMicros, which report the host-side
 // observation window and batching delay. Server.Stats aggregates every
 // hosted model; Server.ModelStats scopes the same snapshot to one model. The
-// JSON tags are the stable machine-readable names the CLI and the BENCH_*
-// artifacts carry.
+// JSON tags are the stable machine-readable names the CLI's -json output
+// carries.
 type Stats struct {
 	// Device is the name of the hardware backend the pools are modeled on.
 	Device string `json:"device"`
