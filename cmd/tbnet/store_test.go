@@ -225,3 +225,28 @@ func TestScenarioTraceReplayEndToEnd(t *testing.T) {
 		t.Fatalf("replayed %d/%d, want 5/5", out.Scenario.Served, out.Scenario.Offered)
 	}
 }
+
+// TestSaveArtifactPinned locks the six-step flow bit for bit: the artifact
+// `tbnet save -arch tiny-vgg -scale micro -seed 1` writes has the SHA-256
+// recorded before the flow moved into internal/core (commit ebc0fed), so any
+// change to a seed offset, a preset or the fine-tune rate shows up here.
+func TestSaveArtifactPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping pipeline run in short mode")
+	}
+	const recorded = "15aa5f670227deb3072d93dcbd2b9a9a92323a6ffe0ca5cadcf2d30cef30e9a5"
+	code, stdout, stderr := runCLI(t, "save", "-arch", "tiny-vgg", "-scale", "micro",
+		"-seed", "1", "-json", "-registry", t.TempDir())
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	var res struct {
+		SHA256 string `json:"sha256"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &res); err != nil {
+		t.Fatalf("save -json output not parseable: %v\n%s", err, stdout)
+	}
+	if res.SHA256 != recorded {
+		t.Fatalf("artifact sha256 = %s, recorded %s", res.SHA256, recorded)
+	}
+}
