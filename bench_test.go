@@ -3,8 +3,8 @@ package tbnet
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation, each regenerating the artifact end to end (train → transfer →
 // prune → finalize → measure) at the micro scale, plus component benchmarks
-// for the hot paths. A full-scale recorded run lives in EXPERIMENTS.md;
-// regenerate it with `go run ./cmd/tbnet experiment all -scale full`.
+// for the hot paths. A full-scale run of every artifact is
+// `go run ./cmd/tbnet experiment all -scale full`.
 //
 // The artifact benchmarks report domain metrics via b.ReportMetric:
 // accuracy points, memory-reduction ratios, and modeled latency ratios — the

@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	tbnet experiment <all|table1|table2|table3|fig2|fig3|fig4|hw|quant|fleet|ablation|...> [flags]
+//	tbnet experiment <all|NAME> [flags]   # NAME: an entry of experiments.Catalog
 //	tbnet pipeline [flags]    # one train→transfer→prune→finalize flow
 //	tbnet save [flags]        # run the pipeline and persist the deployment artifact
 //	tbnet load [flags]        # restore a saved deployment (or list a registry)
@@ -93,6 +93,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -434,89 +435,33 @@ func runExperimentCmd(args []string, stdout, stderr io.Writer) error {
 	if err := cliconf.ParseFlags(fs, args[1:]); err != nil {
 		return err
 	}
-	device, err := c.resolveDevice()
-	if err != nil {
-		return cliconf.Usage(err)
-	}
-	cfg := experiments.Config{Seed: c.seed, Device: device}
-	switch c.scale {
-	case "micro":
-		cfg.Scale = experiments.MicroScale()
-	case "ci":
-		cfg.Scale = experiments.CIScale()
-	case "full":
-		cfg.Scale = experiments.FullScale()
-	default:
-		return cliconf.Usagef("unknown scale %q (want micro, ci, or full)", c.scale)
-	}
-	if c.verbose {
-		cfg.Log = stderr
-	}
-	return renderExperiment(experiments.NewLab(cfg), which, c.jsonOut, stdout)
-}
-
-func renderExperiment(lab *experiments.Lab, which string, jsonOut bool, w io.Writer) error {
-	render := func(t *report.Table) error {
-		if jsonOut {
-			return t.RenderJSON(w)
-		}
-		t.Render(w)
-		return nil
-	}
-	switch which {
-	case "all":
-		if jsonOut {
+	e, ok := experiments.Lookup(which)
+	if which == "all" {
+		if c.jsonOut {
 			return cliconf.Usagef("-json is per-artifact; run each experiment separately")
 		}
-		lab.RunAll(w)
-	case "table1":
-		return render(lab.Table1())
-	case "table2":
-		return render(lab.Table2())
-	case "table3":
-		return render(lab.Table3())
-	case "fig2":
-		title := "Fig. 2: attacker fine-tuning M_R of VGG18-S under varying data availability"
-		if jsonOut {
-			return report.RenderSeriesJSON(w, title, lab.Fig2())
-		}
-		report.RenderSeries(w, title, lab.Fig2())
-	case "fig3":
-		return render(lab.Fig3())
-	case "hw":
-		return render(lab.TableHW())
-	case "quant":
-		return render(lab.TableQuant())
-	case "fleet":
-		return render(lab.TableFleet())
-	case "secdefense":
-		return render(lab.TableSecDefense())
-	case "fig4":
-		mr, mt := lab.Fig4()
-		if jsonOut {
-			if err := mr.RenderJSON(w, "M_R |gamma|"); err != nil {
-				return err
-			}
-			return mt.RenderJSON(w, "M_T |gamma|")
-		}
-		fmt.Fprintln(w, "Fig. 4: BN weight distributions after knowledge transfer (VGG18-S/SynthC10)")
-		mr.Render(w, "M_R |gamma|", 40)
-		mt.Render(w, "M_T |gamma|", 40)
-		fmt.Fprintf(w, "mean |gamma|: M_R %.4f vs M_T %.4f\n", mr.Mean(), mt.Mean())
-	case "ablation":
-		return render(lab.Ablation())
-	case "ablation-ranking":
-		return render(lab.AblationPruneRanking())
-	case "ablation-rollback":
-		return render(lab.AblationRollback())
-	case "ablation-lambda":
-		return render(lab.AblationLambda())
-	case "ablation-quant":
-		return render(lab.AblationQuant())
-	default:
-		return cliconf.Usagef("unknown experiment %q", which)
+		e, ok = experiments.Experiment{Name: "all", Render: func(l *experiments.Lab, w io.Writer, _ bool) error {
+			l.RunAll(w)
+			return nil
+		}}, true
 	}
-	return nil
+	if !ok {
+		return cliconf.Usagef("unknown experiment %q (want all, %s)", which, strings.Join(experimentNames(), ", "))
+	}
+	lab, _, err := c.lab(stderr)
+	if err != nil {
+		return err
+	}
+	return e.Render(lab, stdout, c.jsonOut)
+}
+
+// experimentNames lists the catalog's names in order.
+func experimentNames() []string {
+	var names []string
+	for _, e := range experiments.Catalog() {
+		names = append(names, e.Name)
+	}
+	return names
 }
 
 func runInfoCmd(w io.Writer) {
@@ -533,10 +478,24 @@ func runInfoCmd(w io.Writer) {
 	}
 }
 
+// experimentSynopsis is the usage line of `tbnet experiment`, listing the
+// catalog in order and wrapped at 96 columns.
+func experimentSynopsis() string {
+	var b strings.Builder
+	line := "  tbnet experiment <all"
+	for _, name := range experimentNames() {
+		if len(line)+len(name)+2 > 96 {
+			b.WriteString(line + "|\n")
+			line = strings.Repeat(" ", 20) + name
+			continue
+		}
+		line += "|" + name
+	}
+	return b.String() + line + ">"
+}
+
 // usageText is the synopsis printed for a missing or unknown command.
-const usageText = `usage:
-  tbnet experiment <all|table1|table2|table3|fig2|fig3|fig4|hw|quant|fleet|secdefense|
-                    ablation|ablation-ranking|ablation-rollback|ablation-lambda|ablation-quant>
+var usageText = "usage:\n" + experimentSynopsis() + `
                    [-scale micro|ci|full] [-seed N] [-device NAME] [-json] [-v]
   tbnet pipeline [-arch vgg|resnet|mobilenet|tiny-vgg|tiny-resnet]
                  [-dataset c10|c100] [-scale micro|ci|full] [-seed N]

@@ -75,18 +75,41 @@ func TestExperimentValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
+		// stderr lists what the rejection must name.
+		stderr []string
 	}{
-		{"missing name", []string{"experiment"}},
-		{"unknown name", []string{"experiment", "table9"}},
-		{"bad scale", []string{"experiment", "table1", "-scale", "galactic"}},
-		{"bad flag", []string{"experiment", "table1", "-bogus"}},
-		{"json all", []string{"experiment", "all", "-json"}},
+		{"missing name", []string{"experiment"}, []string{"usage:"}},
+		{"unknown name", []string{"experiment", "table9"}, append([]string{`"table9"`, "all"}, experimentNames()...)},
+		{"unknown name after flags parse", []string{"experiment", "ablation-quantum", "-scale", "micro"}, experimentNames()},
+		{"bad scale", []string{"experiment", "table1", "-scale", "galactic"}, []string{"micro, ci, or full"}},
+		{"bad flag", []string{"experiment", "table1", "-bogus"}, nil},
+		{"json all", []string{"experiment", "all", "-json"}, []string{"per-artifact"}},
 	}
 	for _, c := range cases {
-		code, _, _ := runCLI(t, c.args...)
+		code, _, stderr := runCLI(t, c.args...)
 		if code != 2 {
 			t.Fatalf("%s: exit = %d, want 2", c.name, code)
 		}
+		for _, want := range c.stderr {
+			if !strings.Contains(stderr, want) {
+				t.Fatalf("%s: stderr does not name %q:\n%s", c.name, want, stderr)
+			}
+		}
+	}
+}
+
+// TestUsageListsCatalog: the synopsis names exactly the catalog's entries,
+// in catalog order, after "all".
+func TestUsageListsCatalog(t *testing.T) {
+	_, _, stderr := runCLI(t)
+	open := strings.Index(stderr, "tbnet experiment <")
+	end := strings.Index(stderr, ">")
+	if open < 0 || end < open {
+		t.Fatalf("no experiment synopsis in usage:\n%s", stderr)
+	}
+	list := strings.Join(strings.Fields(stderr[open+len("tbnet experiment <"):end]), "")
+	if want := "all|" + strings.Join(experimentNames(), "|"); list != want {
+		t.Fatalf("usage lists %q, catalog is %q", list, want)
 	}
 }
 

@@ -1,13 +1,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 
 	"tbnet"
 	"tbnet/internal/cliconf"
+	"tbnet/internal/core"
+	"tbnet/internal/experiments"
 )
 
 // modelSource answers, for every command that serves or reports on a model,
@@ -23,7 +24,7 @@ type modelSource struct {
 	// (noise has no labels).
 	label func(i int) int
 	// res is the pipeline run behind hosted[0]; nil in artifact mode.
-	res *tbnet.PipelineResult
+	res *experiments.Pipeline
 }
 
 // noiseSource is a pool of 256 seeded random-normal single samples of the
@@ -51,10 +52,11 @@ func noiseSource(shape []int, seed uint64) *modelSource {
 // commands without the flag) it loads the saved artifacts — re-targeted onto
 // -device only if the user actually set it, since the flag's "rpi3" default
 // must not silently move loaded models — and serves them noise. Otherwise it
-// runs the one train→transfer→prune→finalize pipeline and deploys the result
-// on -device at precision p, with the test split as the request stream.
-// Everything the flags can get wrong is reported, as a usage error, before
-// the (potentially minutes-long) pipeline run starts.
+// asks the lab for the one train→transfer→prune→finalize pipeline of
+// -arch/-dataset and deploys the result on -device at precision p, with the
+// test split as the request stream. Everything the flags can get wrong is
+// reported, as a usage error, before the (potentially minutes-long) pipeline
+// run starts.
 func (c *commonFlags) source(fs *flag.FlagSet, mf *cliconf.ModelFlags, p tbnet.Precision, stderr io.Writer) (*modelSource, error) {
 	if mf != nil && mf.Models != "" {
 		var device tbnet.Device
@@ -75,22 +77,14 @@ func (c *commonFlags) source(fs *flag.FlagSet, mf *cliconf.ModelFlags, p tbnet.P
 		src.hosted = hosted
 		return src, nil
 	}
-	opts, err := c.pipelineOptions(stderr)
-	if err != nil {
-		return nil, cliconf.Usage(err)
-	}
-	device, err := c.resolveDevice()
-	if err != nil {
-		return nil, cliconf.Usage(err)
-	}
-	pl, err := tbnet.NewPipeline(opts...)
-	if err != nil {
-		return nil, cliconf.Usage(err)
-	}
-	fmt.Fprintf(stderr, "building %s/%s pipeline at %s scale...\n", c.arch, c.dataset, c.scale)
-	res, err := pl.Run(context.Background())
+	lab, device, err := c.lab(stderr)
 	if err != nil {
 		return nil, err
+	}
+	fmt.Fprintf(stderr, "building %s/%s pipeline at %s scale...\n", c.arch, c.dataset, c.scale)
+	res, err := lab.Run(experiments.Combo{Arch: c.arch, Dataset: c.dataset})
+	if err != nil {
+		return nil, cliconf.Usage(err) // an unknown -arch or -dataset; nothing has trained
 	}
 	shape := []int{1, 3, 16, 16}
 	var dep *tbnet.Deployment
@@ -112,34 +106,22 @@ func (c *commonFlags) source(fs *flag.FlagSet, mf *cliconf.ModelFlags, p tbnet.P
 	}, nil
 }
 
-// pipelineOptions maps the CLI flags onto the functional-options surface.
-func (c *commonFlags) pipelineOptions(stderr io.Writer) ([]tbnet.PipelineOption, error) {
-	opts := []tbnet.PipelineOption{
-		tbnet.WithArch(c.arch),
-		tbnet.WithDataset(c.dataset),
-		tbnet.WithSeed(c.seed),
+// lab resolves -scale, -seed, -device and -v into the experiment lab that
+// owns the one flow: `tbnet experiment` renders its artifacts and every
+// model-serving command asks it for its pipeline, so the same flags mean the
+// same trained model in both. The resolved device comes back beside it.
+func (c *commonFlags) lab(stderr io.Writer) (*experiments.Lab, tbnet.Device, error) {
+	scale, err := core.ScaleByName(c.scale)
+	if err != nil {
+		return nil, nil, cliconf.Usage(err)
 	}
-	switch c.scale {
-	case "micro":
-		opts = append(opts,
-			tbnet.WithDatasetSize(60, 30),
-			tbnet.WithEpochs(2, 2, 1),
-			tbnet.WithPruning(1.0, 1),
-			tbnet.WithHyperparams(0.05, 5e-4),
-		)
-	case "ci":
-		// pipeline defaults are the CI scale
-	case "full":
-		opts = append(opts,
-			tbnet.WithDatasetSize(240, 160),
-			tbnet.WithEpochs(14, 14, 2),
-			tbnet.WithPruning(0.12, 5),
-		)
-	default:
-		return nil, fmt.Errorf("unknown scale %q (want micro, ci, or full)", c.scale)
+	device, err := c.resolveDevice()
+	if err != nil {
+		return nil, nil, cliconf.Usage(err)
 	}
+	cfg := experiments.Config{Scale: scale, Seed: c.seed, Device: device}
 	if c.verbose {
-		opts = append(opts, tbnet.WithLogger(stderr))
+		cfg.Log = stderr
 	}
-	return opts, nil
+	return experiments.NewLab(cfg), device, nil
 }

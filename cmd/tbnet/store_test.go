@@ -1,11 +1,18 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tbnet"
+	"tbnet/internal/experiments"
+	"tbnet/internal/serial"
 )
 
 func TestSaveLoadFlagValidation(t *testing.T) {
@@ -248,5 +255,42 @@ func TestSaveArtifactPinned(t *testing.T) {
 	}
 	if res.SHA256 != recorded {
 		t.Fatalf("artifact sha256 = %s, recorded %s", res.SHA256, recorded)
+	}
+}
+
+// TestSourceMatchesLab: the same -arch/-dataset/-scale/-seed means the same
+// task everywhere — the finalized model behind the serving commands' model
+// source and the one `tbnet experiment` derives its artifacts from serialize
+// to the same bytes. (Before the scale presets were written down once, the
+// CLI trained a 12-class c100 at the c10 sizes where the lab trained 6.)
+func TestSourceMatchesLab(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping pipeline runs in short mode")
+	}
+	sum := func(tb *tbnet.TwoBranch) string {
+		h := sha256.New()
+		if err := serial.SaveTwoBranch(h, tb); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	lab := experiments.NewLab(experiments.Config{Scale: experiments.MicroScale(), Seed: 1})
+	for _, ds := range []string{"c10", "c100"} {
+		fs, c := newFlagSet("pipeline", io.Discard)
+		if err := fs.Parse([]string{"-arch", "vgg", "-dataset", ds, "-scale", "micro", "-seed", "1"}); err != nil {
+			t.Fatal(err)
+		}
+		src, err := c.source(fs, nil, tbnet.PrecisionF32, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lab.Pipeline(experiments.Combo{Arch: "vgg", Dataset: ds})
+		if got := sum(src.res.TB); got != sum(want.TB) {
+			t.Fatalf("vgg/%s: CLI model %s… != lab model %s…", ds, got[:12], sum(want.TB)[:12])
+		}
+		if src.res.Train.Classes != want.Train.Classes || src.res.Train.Len() != want.Train.Len() {
+			t.Fatalf("vgg/%s: CLI task %d classes × %d, lab %d × %d", ds,
+				src.res.Train.Classes, src.res.Train.Len(), want.Train.Classes, want.Train.Len())
+		}
 	}
 }

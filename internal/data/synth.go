@@ -62,6 +62,19 @@ func SynthCIFAR100(train, test int, seed uint64) SynthConfig {
 		NoiseStd: 0.30, MaxShift: 1, Components: 5}
 }
 
+// synths is the one task-name → configuration table.
+var synths = map[string]func(train, test int, seed uint64) SynthConfig{
+	"c10":  SynthCIFAR10,
+	"c100": SynthCIFAR100,
+}
+
+// SynthByName resolves a task name ("c10" or "c100") to its configuration
+// constructor; ok is false for any other name.
+func SynthByName(name string) (mk func(train, test int, seed uint64) SynthConfig, ok bool) {
+	mk, ok = synths[name]
+	return mk, ok
+}
+
 // prototype holds one class's smooth base pattern, one plane per channel.
 type prototype struct {
 	planes [][]float32 // [channel][h*w]

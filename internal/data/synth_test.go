@@ -253,3 +253,20 @@ func TestSynthC100Config(t *testing.T) {
 		t.Fatalf("only %d distinct classes generated", len(seen))
 	}
 }
+
+// TestSynthByName: the two task names resolve to their constructors and any
+// other name is refused.
+func TestSynthByName(t *testing.T) {
+	for name, want := range map[string]string{"c10": "SynthC10", "c100": "SynthC100"} {
+		mk, ok := SynthByName(name)
+		if !ok {
+			t.Fatalf("SynthByName(%q) not found", name)
+		}
+		if cfg := mk(8, 4, 3); cfg.Name != want || cfg.Train != 8 || cfg.Test != 4 || cfg.Seed != 3 {
+			t.Fatalf("%s constructor returned %+v", name, cfg)
+		}
+	}
+	if _, ok := SynthByName("imagenet"); ok {
+		t.Fatal("unknown task must not resolve")
+	}
+}

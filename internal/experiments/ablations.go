@@ -8,13 +8,13 @@ import (
 	"tbnet/internal/profile"
 	"tbnet/internal/quant"
 	"tbnet/internal/report"
-	"tbnet/internal/tensor"
+	"tbnet/internal/seceval"
 )
 
-// This file implements the design-choice ablations called out in DESIGN.md
-// §5: the composite BN ranking of Alg. 1 vs ranking by the secure branch
-// alone, the effect of the rollback finalization, and the strength of the
-// sparsity regularization λ.
+// This file implements the ablations of TBNet's own design choices: the
+// composite BN ranking of Alg. 1 vs ranking by the secure branch alone, the
+// effect of the rollback finalization, the strength of the sparsity
+// regularization λ, and int8 quantization of the secure branch.
 
 // AblationPruneRanking compares the paper's composite (BN_R + BN_T) channel
 // ranking against ranking by M_T's BN weights alone, starting from the same
@@ -28,12 +28,7 @@ func (l *Lab) AblationPruneRanking() *report.Table {
 	s := l.cfg.Scale
 	for _, rank := range []core.Ranking{core.RankComposite, core.RankSecureOnly} {
 		tb := p.PostTransfer.Clone()
-		pc := core.DefaultPruneConfig(s.DropBudget, s.FineTuneEpochs)
-		pc.MaxIters = s.PruneIters
-		pc.FineTune = l.trainCfg(s.FineTuneEpochs, s.Lambda, l.cfg.Seed+80)
-		pc.FineTune.LR = s.LR / 4
-		pc.Rank = rank
-		res := core.PruneTwoBranch(tb, p.Train, p.Test, pc)
+		res := core.PruneTwoBranch(tb, p.Train, p.Test, l.budget.PruneConfig(l.cfg.Seed+80, rank))
 		core.FinalizeRollback(tb, res)
 		acc := core.EvaluateTwoBranch(tb, p.Test, s.BatchSize)
 		atk := attack.DirectUse(tb.MR.Clone(), p.Test, s.BatchSize)
@@ -57,11 +52,7 @@ func (l *Lab) AblationRollback() *report.Table {
 
 	// Without rollback: prune, then freeze as-is.
 	noRb := p.PostTransfer.Clone()
-	pc := core.DefaultPruneConfig(s.DropBudget, s.FineTuneEpochs)
-	pc.MaxIters = s.PruneIters
-	pc.FineTune = l.trainCfg(s.FineTuneEpochs, s.Lambda, l.cfg.Seed+81)
-	pc.FineTune.LR = s.LR / 4
-	core.PruneTwoBranch(noRb, p.Train, p.Test, pc)
+	core.PruneTwoBranch(noRb, p.Train, p.Test, l.budget.PruneConfig(l.cfg.Seed+81, core.RankComposite))
 	noRb.Finalized = true // freeze without the rollback step
 	sameArch := archEqual(noRb)
 	acc := core.EvaluateTwoBranch(noRb, p.Test, s.BatchSize)
@@ -79,19 +70,14 @@ func (l *Lab) AblationRollback() *report.Table {
 
 // archInferHitRate runs the architecture-inference attack against a deployed
 // model: the attacker reads per-stage transfer sizes from the one-way channel
-// and guesses M_T's layer widths.
+// of one isolated probe and guesses M_T's layer widths.
 func (l *Lab) archInferHitRate(tb *core.TwoBranch) float64 {
-	dep, err := core.Deploy(tb, l.measureDevice(), sampleShape())
+	dep := mustDeploy(tb, l.measureDevice())
+	views, _, err := seceval.CaptureIsolated(dep, 1, int64(l.cfg.Seed)+84)
 	if err != nil {
 		panic(err)
 	}
-	x := tensor.New(sampleShape()...)
-	tensor.NewRNG(l.cfg.Seed+84).FillNormal(x, 0, 1)
-	if _, err := dep.Infer(x); err != nil {
-		panic(err)
-	}
-	guess := attack.InferArchitecture(dep.Enclave.Trace().AttackerView(), dep.ExtractedMR(), sampleShape())
-	return guess.HitRate(tb.MT)
+	return seceval.AttackViews(views, seceval.SubjectFor(dep)).MeanHitRate
 }
 
 // archEqual reports whether the two branches have identical prunable-group
@@ -119,7 +105,7 @@ func (l *Lab) AblationLambda() *report.Table {
 	s := l.cfg.Scale
 	for _, lambda := range []float64{0, 1e-4, 1e-3, 1e-2} {
 		tb := core.NewTwoBranch(p.Victim, l.cfg.Seed+82)
-		core.TrainTwoBranch(tb, p.Train, p.Test, l.trainCfg(s.TransferEpochs, lambda, l.cfg.Seed+83))
+		core.TrainTwoBranch(tb, p.Train, p.Test, l.budget.TrainConfig(s.TransferEpochs, lambda, l.cfg.Seed+83))
 		acc := core.EvaluateTwoBranch(tb, p.Test, s.BatchSize)
 		t.AddRow(fmt.Sprintf("%.0e", lambda), report.Pct(acc),
 			fmt.Sprintf("%.4f", meanAbs(core.BranchGammas(tb.MR))),

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"tbnet/internal/attack"
 	"tbnet/internal/core"
@@ -12,10 +11,67 @@ import (
 	"tbnet/internal/report"
 	"tbnet/internal/tee"
 	"tbnet/internal/tensor"
+	"tbnet/internal/zoo"
 )
 
 // sampleShape is the per-inference input shape used for deployment sizing.
 func sampleShape() []int { return []int{1, 3, 16, 16} }
+
+// mustDeploy places a two-branch model on dev for single-image inference.
+// The lab deploys on measurement-mode devices, where placement cannot fail.
+func mustDeploy(tb *core.TwoBranch, dev tee.Device) *core.Deployment {
+	dep, err := core.Deploy(tb, dev, sampleShape())
+	if err != nil {
+		panic(err)
+	}
+	return dep
+}
+
+func mustInfer(dep *core.Deployment, x *tensor.Tensor) {
+	if _, err := dep.Infer(x); err != nil {
+		panic(err)
+	}
+}
+
+// versus sets up the paper's comparison for one pipeline on dev — the whole
+// victim inside the TEE against the finalized TBNet deployment — and folds
+// TBNet's footprint into the table's peak.
+func versus(t *report.Table, p *Pipeline, dev tee.Device) (*defense.Placement, *core.Deployment) {
+	base, err := defense.FullTEE{}.Place(p.Victim, dev, sampleShape())
+	if err != nil {
+		panic(err)
+	}
+	dep := mustDeploy(p.TB, dev)
+	if dep.SecureBytes > t.PeakSecureBytes {
+		t.PeakSecureBytes = dep.SecureBytes
+	}
+	return base, dep
+}
+
+// baselines lists the Sec. 2.3 prior-art placements a victim is compared
+// under: full-TEE, a DarkneTZ split at mid depth, ShadowNet and MirrorNet.
+func baselines(victim *zoo.Model) []defense.Strategy {
+	return []defense.Strategy{
+		defense.FullTEE{},
+		defense.DarkneTZ{SplitAt: len(victim.Stages) / 2},
+		defense.ShadowNet{},
+		defense.MirrorNet{},
+	}
+}
+
+// latencyImages is how many seeded images a latency comparison averages over.
+const latencyImages = 4
+
+// inferPaired feeds the same latencyImages seeded images to both sides of a
+// latency comparison, each on its own copy.
+func inferPaired(rng *tensor.RNG, ref func(x *tensor.Tensor), dep *core.Deployment) {
+	for i := 0; i < latencyImages; i++ {
+		x := tensor.New(sampleShape()...)
+		rng.FillNormal(x, 0, 1)
+		ref(x.Clone())
+		mustInfer(dep, x)
+	}
+}
 
 // Table1 reproduces the paper's Table 1: victim accuracy, TBNet accuracy, the
 // direct-use attack accuracy on the extracted M_R, and the accuracy gap.
@@ -28,15 +84,7 @@ func (l *Lab) Table1() *report.Table {
 		p := l.Pipeline(c)
 		stolen := p.TB.MR.Clone() // everything resident in REE
 		atk := attack.DirectUse(stolen, p.Test, l.cfg.Scale.BatchSize)
-		ds := "SynthC10"
-		if c.Dataset == "c100" {
-			ds = "SynthC100"
-		}
-		arch := "VGG18-S"
-		if c.Arch == "resnet" {
-			arch = "ResNet20-S"
-		}
-		t.AddRow(ds, arch, report.Pct(p.VictimAcc), report.Pct(p.TBAcc),
+		t.AddRow(p.Train.Name, p.Victim.Name, report.Pct(p.VictimAcc), report.Pct(p.TBAcc),
 			report.Pct(atk), report.Pct(p.TBAcc-atk))
 	}
 	return t
@@ -49,18 +97,14 @@ func (l *Lab) Fig2() []report.Series {
 	var out []report.Series
 	for _, ds := range []string{"c10", "c100"} {
 		p := l.Pipeline(Combo{Arch: "vgg", Dataset: ds})
-		tc := l.trainCfg(l.cfg.Scale.AttackEpochs, 0, l.cfg.Seed+40)
+		tc := l.budget.TrainConfig(l.cfg.Scale.AttackEpochs, 0, l.cfg.Seed+40)
 		curve := attack.Curve(p.TB.MR.Clone(), p.Train, p.Test, l.cfg.Scale.Fractions, tc, l.cfg.Seed+41)
-		name := "SynthC10"
-		if ds == "c100" {
-			name = "SynthC100"
-		}
-		out = append(out, report.Series{Name: "fine-tuned M_R (" + name + ")", Points: curve})
+		out = append(out, report.Series{Name: "fine-tuned M_R (" + p.Train.Name + ")", Points: curve})
 		ref := make([][2]float64, len(curve))
 		for i, pt := range curve {
 			ref[i] = [2]float64{pt[0], p.TBAcc}
 		}
-		out = append(out, report.Series{Name: "TBNet (" + name + ")", Points: ref})
+		out = append(out, report.Series{Name: "TBNet (" + p.Train.Name + ")", Points: ref})
 	}
 	return out
 }
@@ -75,14 +119,10 @@ func (l *Lab) Table2() *report.Table {
 	for _, arch := range []string{"vgg", "resnet"} {
 		p := l.Pipeline(Combo{Arch: arch, Dataset: "c10"})
 		solo := p.TB.MT.Clone()
-		tc := l.trainCfg(l.cfg.Scale.TransferEpochs, 0, l.cfg.Seed+50)
+		tc := l.budget.TrainConfig(l.cfg.Scale.TransferEpochs, 0, l.cfg.Seed+50)
 		core.TrainModel(solo, p.Train, nil, tc)
 		soloAcc := core.EvaluateModel(solo, p.Test, l.cfg.Scale.BatchSize)
-		name := "VGG18-S"
-		if arch == "resnet" {
-			name = "ResNet20-S"
-		}
-		t.AddRow(name, report.Pct(p.TBAcc), report.Pct(soloAcc), report.Pct(p.TBAcc-soloAcc))
+		t.AddRow(p.Victim.Name, report.Pct(p.TBAcc), report.Pct(soloAcc), report.Pct(p.TBAcc-soloAcc))
 	}
 	return t
 }
@@ -97,18 +137,8 @@ func (l *Lab) Fig3() *report.Table {
 	}
 	for _, c := range AllCombos() {
 		p := l.Pipeline(c)
-		base, err := defense.FullTEE{}.Place(p.Victim, l.measureDevice(), sampleShape())
-		if err != nil {
-			panic(err)
-		}
-		dep, err := core.Deploy(p.TB, l.measureDevice(), sampleShape())
-		if err != nil {
-			panic(err)
-		}
-		if dep.SecureBytes > t.PeakSecureBytes {
-			t.PeakSecureBytes = dep.SecureBytes
-		}
-		t.AddRow(c.String(), report.Bytes(base.SecureBytes), report.Bytes(dep.SecureBytes),
+		base, dep := versus(t, p, l.measureDevice())
+		t.AddRow(p.String(), report.Bytes(base.SecureBytes), report.Bytes(dep.SecureBytes),
 			report.Ratio(float64(base.SecureBytes)/float64(dep.SecureBytes)))
 	}
 	t.Device = l.device().Name()
@@ -124,36 +154,13 @@ func (l *Lab) Table3() *report.Table {
 		Header: []string{"DNN", "Baseline", "TBNet", "Reduction"},
 		Device: l.device().Name(),
 	}
-	const images = 4
 	for _, arch := range []string{"vgg", "resnet"} {
 		p := l.Pipeline(Combo{Arch: arch, Dataset: "c10"})
-		base, err := defense.FullTEE{}.Place(p.Victim, l.measureDevice(), sampleShape())
-		if err != nil {
-			panic(err)
-		}
-		dep, err := core.Deploy(p.TB, l.measureDevice(), sampleShape())
-		if err != nil {
-			panic(err)
-		}
-		if dep.SecureBytes > t.PeakSecureBytes {
-			t.PeakSecureBytes = dep.SecureBytes
-		}
-		rng := tensor.NewRNG(l.cfg.Seed + 60)
-		for i := 0; i < images; i++ {
-			x := tensor.New(sampleShape()...)
-			rng.FillNormal(x, 0, 1)
-			base.Infer(x.Clone())
-			if _, err := dep.Infer(x); err != nil {
-				panic(err)
-			}
-		}
-		baseLat := base.Latency() / images
-		tbLat := dep.Latency() / images
-		name := "VGG18-S"
-		if arch == "resnet" {
-			name = "ResNet20-S"
-		}
-		t.AddRow(name, fmt.Sprintf("%.4f", baseLat), fmt.Sprintf("%.4f", tbLat),
+		base, dep := versus(t, p, l.measureDevice())
+		inferPaired(tensor.NewRNG(l.cfg.Seed+60), func(x *tensor.Tensor) { base.Infer(x) }, dep)
+		baseLat := base.Latency() / latencyImages
+		tbLat := dep.Latency() / latencyImages
+		t.AddRow(p.Victim.Name, fmt.Sprintf("%.4f", baseLat), fmt.Sprintf("%.4f", tbLat),
 			report.Ratio(baseLat/tbLat))
 	}
 	return t
@@ -180,16 +187,10 @@ func (l *Lab) Ablation() *report.Table {
 		Device: l.device().Name(),
 	}
 	p := l.Pipeline(Combo{Arch: "vgg", Dataset: "c10"})
-	strategies := []defense.Strategy{
-		defense.FullTEE{},
-		defense.DarkneTZ{SplitAt: len(p.Victim.Stages) / 2},
-		defense.ShadowNet{},
-		defense.MirrorNet{},
-	}
 	rng := tensor.NewRNG(l.cfg.Seed + 70)
 	x := tensor.New(sampleShape()...)
 	rng.FillNormal(x, 0, 1)
-	for _, s := range strategies {
+	for _, s := range baselines(p.Victim) {
 		pl, err := s.Place(p.Victim, l.measureDevice(), sampleShape())
 		if err != nil {
 			panic(err)
@@ -199,13 +200,8 @@ func (l *Lab) Ablation() *report.Table {
 			fmt.Sprintf("%v", pl.ExposedArch), fmt.Sprintf("%.4f", pl.Latency()))
 	}
 	// TBNet row: exposure is M_R's parameters; architecture of M_T hidden.
-	dep, err := core.Deploy(p.TB, l.measureDevice(), sampleShape())
-	if err != nil {
-		panic(err)
-	}
-	if _, err := dep.Infer(x.Clone()); err != nil {
-		panic(err)
-	}
+	dep := mustDeploy(p.TB, l.measureDevice())
+	mustInfer(dep, x.Clone())
 	mrBytes := profile.Profile(p.TB.MR, sampleShape()).TotalParamBytes()
 	t.AddRow("tbnet", report.Bytes(dep.SecureBytes), report.Bytes(mrBytes),
 		"false (M_T hidden, M_R ≠ M_T)", fmt.Sprintf("%.4f", dep.Latency()))
@@ -227,35 +223,16 @@ func (l *Lab) TableHW() *report.Table {
 			"Baseline (s)", "TBNet (s)", "Reduction"},
 		Device: "all",
 	}
-	const images = 4
 	p := l.Pipeline(Combo{Arch: "vgg", Dataset: "c10"})
 	for _, dev := range tee.Devices() {
-		base, err := defense.FullTEE{}.Place(p.Victim, tee.Unbounded(dev), sampleShape())
-		if err != nil {
-			panic(err)
-		}
-		dep, err := core.Deploy(p.TB, tee.Unbounded(dev), sampleShape())
-		if err != nil {
-			panic(err)
-		}
-		if dep.SecureBytes > t.PeakSecureBytes {
-			t.PeakSecureBytes = dep.SecureBytes
-		}
-		rng := tensor.NewRNG(l.cfg.Seed + 61)
-		for i := 0; i < images; i++ {
-			x := tensor.New(sampleShape()...)
-			rng.FillNormal(x, 0, 1)
-			base.Infer(x.Clone())
-			if _, err := dep.Infer(x); err != nil {
-				panic(err)
-			}
-		}
+		base, dep := versus(t, p, tee.Unbounded(dev))
+		inferPaired(tensor.NewRNG(l.cfg.Seed+61), func(x *tensor.Tensor) { base.Infer(x) }, dep)
 		fits := "yes"
 		if cap := dev.SecureMemBytes(); cap > 0 && dep.SecureBytes > cap {
 			fits = "no"
 		}
-		baseLat := base.Latency() / images
-		tbLat := dep.Latency() / images
+		baseLat := base.Latency() / latencyImages
+		tbLat := dep.Latency() / latencyImages
 		t.AddRow(dev.Name(), report.Bytes(dev.SecureMemBytes()), report.Bytes(dep.SecureBytes),
 			fits, fmt.Sprintf("%.6f", baseLat), fmt.Sprintf("%.6f", tbLat),
 			report.Ratio(baseLat/tbLat))
@@ -279,7 +256,6 @@ func (l *Lab) TableQuant() *report.Table {
 			"Speedup", "TBNet Acc."},
 		Device: "all",
 	}
-	const images = 4
 	p := l.Pipeline(Combo{Arch: "vgg", Dataset: "c10"})
 	s := l.cfg.Scale
 
@@ -298,67 +274,21 @@ func (l *Lab) TableQuant() *report.Table {
 
 	rng := tensor.NewRNG(l.cfg.Seed + 71)
 	for _, dev := range tee.Devices() {
-		f32, err := core.Deploy(p.TB, tee.Unbounded(dev), sampleShape())
-		if err != nil {
-			panic(err)
-		}
+		f32 := mustDeploy(p.TB, tee.Unbounded(dev))
 		i8, err := core.DeployQuantized(qmr, qmt, p.TB.Align, tee.Unbounded(dev), sampleShape())
 		if err != nil {
 			panic(err)
 		}
-		for i := 0; i < images; i++ {
-			x := tensor.New(sampleShape()...)
-			rng.FillNormal(x, 0, 1)
-			if _, err := f32.Infer(x.Clone()); err != nil {
-				panic(err)
-			}
-			if _, err := i8.Infer(x); err != nil {
-				panic(err)
-			}
-		}
+		inferPaired(rng, func(x *tensor.Tensor) { mustInfer(f32, x) }, i8)
 		if i8.SecureBytes > t.PeakSecureBytes {
 			t.PeakSecureBytes = i8.SecureBytes
 		}
-		f32Lat := f32.Latency() / images
-		i8Lat := i8.Latency() / images
+		f32Lat := f32.Latency() / latencyImages
+		i8Lat := i8.Latency() / latencyImages
 		t.AddRow(dev.Name(), "f32", report.Bytes(f32.SecureBytes),
 			fmt.Sprintf("%.6f", f32Lat), report.Ratio(1), report.Pct(p.TBAcc))
 		t.AddRow(dev.Name(), "int8", report.Bytes(i8.SecureBytes),
 			fmt.Sprintf("%.6f", i8Lat), report.Ratio(f32Lat/i8Lat), report.Pct(i8Acc))
 	}
 	return t
-}
-
-// RunAll regenerates every artifact in paper order.
-func (l *Lab) RunAll(w io.Writer) {
-	l.Table1().Render(w)
-	fmt.Fprintln(w)
-	report.RenderSeries(w, "Fig. 2: attacker fine-tuning M_R of VGG18-S under varying data availability", l.Fig2())
-	fmt.Fprintln(w)
-	l.Table2().Render(w)
-	fmt.Fprintln(w)
-	l.Fig3().Render(w)
-	fmt.Fprintln(w)
-	l.Table3().Render(w)
-	fmt.Fprintln(w)
-	mr, mt := l.Fig4()
-	fmt.Fprintln(w, "Fig. 4: BN weight distributions after knowledge transfer (VGG18-S/SynthC10)")
-	mr.Render(w, "M_R |gamma|", 40)
-	mt.Render(w, "M_T |gamma|", 40)
-	fmt.Fprintf(w, "mean |gamma|: M_R %.4f vs M_T %.4f\n\n", mr.Mean(), mt.Mean())
-	l.Ablation().Render(w)
-	fmt.Fprintln(w)
-	l.TableHW().Render(w)
-	fmt.Fprintln(w)
-	l.TableQuant().Render(w)
-	fmt.Fprintln(w)
-	l.TableFleet().Render(w)
-	fmt.Fprintln(w)
-	l.TableSecDefense().Render(w)
-	fmt.Fprintln(w)
-	l.AblationPruneRanking().Render(w)
-	fmt.Fprintln(w)
-	l.AblationRollback().Render(w)
-	fmt.Fprintln(w)
-	l.AblationLambda().Render(w)
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"tbnet/internal/core"
 	"tbnet/internal/fleet"
 	"tbnet/internal/report"
 	"tbnet/internal/tee"
@@ -34,10 +33,7 @@ type FleetPolicyResult struct {
 // and returns the aggregated stats per policy.
 func (l *Lab) FleetComparison() []FleetPolicyResult {
 	p := l.Pipeline(Combo{Arch: "vgg", Dataset: "c10"})
-	dep, err := core.Deploy(p.TB, l.measureDevice(), sampleShape())
-	if err != nil {
-		panic(err)
-	}
+	dep := mustDeploy(p.TB, l.measureDevice())
 	var nodes []fleet.NodeConfig
 	for _, name := range fleetDevices() {
 		dev, err := tee.ByName(name)

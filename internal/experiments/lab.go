@@ -3,115 +3,35 @@
 // direct-use attack), Fig. 2 (fine-tuning attack vs data availability),
 // Table 2 (M_T-only ablation), Fig. 3 (TEE memory), Table 3 (inference
 // latency), Fig. 4 (BN weight distributions), plus the prior-art comparison
-// ablation the paper discusses in Sec. 2.3.
+// ablation the paper discusses in Sec. 2.3. Catalog (catalog.go) is the one
+// ordered list of them.
 //
-// The Lab memoizes the train→transfer→prune→finalize pipeline per
-// (architecture, dataset) combination so a full run trains each configuration
-// once and derives all artifacts from it.
+// The Lab runs the one train→transfer→prune→finalize flow (core.Flow) per
+// (architecture, dataset) combination and memoizes it, so a full run trains
+// each configuration once and derives all artifacts from it.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"tbnet/internal/core"
-	"tbnet/internal/data"
 	"tbnet/internal/tee"
-	"tbnet/internal/tensor"
-	"tbnet/internal/zoo"
 )
 
-// Scale sizes the experiments. CI runs in tens of seconds; Full in minutes.
-// Both exercise identical code paths; only sample counts and epoch budgets
-// differ.
-type Scale struct {
-	Label                 string
-	TrainN, TestN         int
-	C100Classes           int // class count of the "CIFAR-100-like" task
-	C100TrainN, C100TestN int
-	VictimEpochs          int
-	TransferEpochs        int
-	FineTuneEpochs        int
-	AttackEpochs          int
-	PruneIters            int
-	DropBudget            float64
-	Fractions             []float64
-	BatchSize             int
-	LR                    float64
-	Lambda                float64
-	// Noise overrides the datasets' per-pixel noise std when > 0; harder
-	// tasks keep the evaluation off the 100%-accuracy ceiling.
-	Noise float64
-	// Separation, when > 0, blends class prototypes towards a shared base
-	// (see data.SynthConfig.Separation) so accuracy depends on capacity.
-	Separation float64
-}
+// Scale sizes the experiments; the named presets are written down beside
+// the flow they size (core.ScaleByName).
+type Scale = core.Scale
 
-// MicroScale returns the smallest scale: it exercises every code path in a
-// few seconds per pipeline and backs the benchmark harness, where each
-// artifact regeneration must fit in a benchmark iteration.
+// MicroScale returns the smallest preset, the one the test suite and the
+// benchmark harness run at.
 func MicroScale() Scale {
-	return Scale{
-		Label:  "micro",
-		TrainN: 60, TestN: 30,
-		C100Classes: 6, C100TrainN: 60, C100TestN: 30,
-		VictimEpochs:   2,
-		TransferEpochs: 2,
-		FineTuneEpochs: 1,
-		AttackEpochs:   1,
-		PruneIters:     1,
-		DropBudget:     1.0,
-		Fractions:      []float64{0.5, 1.0},
-		BatchSize:      16,
-		LR:             0.05,
-		Lambda:         5e-4,
+	s, err := core.ScaleByName("micro")
+	if err != nil {
+		panic(err)
 	}
-}
-
-// CIScale returns the smoke-test scale: victims train to useful accuracy in
-// about a minute per pipeline (learning rate calibrated on the 1-core CI
-// box: VGG converges at 0.05 by epoch ~6, ResNet needs ~0.02 and 8 epochs,
-// so 0.03 with 8 epochs serves both).
-func CIScale() Scale {
-	return Scale{
-		Label:  "ci",
-		TrainN: 120, TestN: 60,
-		C100Classes: 12, C100TrainN: 144, C100TestN: 72,
-		VictimEpochs:   8,
-		TransferEpochs: 10,
-		FineTuneEpochs: 1,
-		AttackEpochs:   3,
-		PruneIters:     4,
-		DropBudget:     0.20,
-		Fractions:      []float64{0.1, 0.5, 1.0},
-		BatchSize:      16,
-		LR:             0.03,
-		Lambda:         5e-4,
-	}
-}
-
-// FullScale returns the scale used for the recorded EXPERIMENTS.md run. The
-// noise level is raised so the victims sit near (not on) the accuracy
-// ceiling, keeping the fine-tuning attack and M_T-alone comparisons
-// informative.
-func FullScale() Scale {
-	return Scale{
-		Label:  "full",
-		TrainN: 240, TestN: 160,
-		C100Classes: 24, C100TrainN: 288, C100TestN: 192,
-		VictimEpochs:   14,
-		TransferEpochs: 14,
-		FineTuneEpochs: 2,
-		AttackEpochs:   5,
-		PruneIters:     5,
-		DropBudget:     0.12,
-		Fractions:      []float64{0.01, 0.1, 0.25, 0.5, 0.75, 1.0},
-		BatchSize:      16,
-		LR:             0.03,
-		Lambda:         3e-4,
-		Noise:          0.65,
-		Separation:     0.35,
-	}
+	return s
 }
 
 // Config is a Lab configuration.
@@ -126,21 +46,8 @@ type Config struct {
 
 // Combo identifies one evaluated (architecture, dataset) pair.
 type Combo struct {
-	Arch    string // "vgg" | "resnet"
+	Arch    string // "vgg" | "resnet" (any zoo.ArchByName name runs)
 	Dataset string // "c10" | "c100"
-}
-
-// String returns e.g. "VGG18-S/SynthC10".
-func (c Combo) String() string {
-	arch := "VGG18-S"
-	if c.Arch == "resnet" {
-		arch = "ResNet20-S"
-	}
-	ds := "SynthC10"
-	if c.Dataset == "c100" {
-		ds = "SynthC100"
-	}
-	return arch + "/" + ds
 }
 
 // AllCombos lists the paper's four evaluated configurations.
@@ -153,28 +60,27 @@ func AllCombos() []Combo {
 	}
 }
 
-// Pipeline is the full TBNet flow for one combo: trained victim, knowledge
-// transfer, iterative pruning, rollback finalization.
+// Pipeline is the finished TBNet flow for one combo — trained victim,
+// finalized two-branch model, accuracies, pruning history — plus the
+// snapshot the pre-pruning artifacts read.
 type Pipeline struct {
-	Combo        Combo
-	Train, Test  *data.Dataset
-	Victim       *zoo.Model
-	VictimAcc    float64
-	TB           *core.TwoBranch
-	TBAcc        float64
+	*core.Flow
 	PostTransfer *core.TwoBranch // snapshot after step 2, before pruning
-	PruneRes     *core.PruneResult
 }
 
 // Lab memoizes pipelines and derives the paper's artifacts.
 type Lab struct {
-	cfg   Config
-	cache map[Combo]*Pipeline
+	cfg Config
+	// budget is the scale's budget under the lab's seed and log.
+	budget core.Budget
+	cache  map[Combo]*Pipeline
 }
 
 // NewLab creates a lab.
 func NewLab(cfg Config) *Lab {
-	return &Lab{cfg: cfg, cache: make(map[Combo]*Pipeline)}
+	b := cfg.Scale.Budget
+	b.Seed, b.Log = cfg.Seed, cfg.Log
+	return &Lab{cfg: cfg, budget: b, cache: make(map[Combo]*Pipeline)}
 }
 
 // device returns the configured hardware backend (default: the paper's rpi3).
@@ -196,74 +102,38 @@ func (l *Lab) logf(format string, args ...any) {
 	}
 }
 
-// datasets builds (or fetches) the combo's train/test splits.
-func (l *Lab) datasets(c Combo) (*data.Dataset, *data.Dataset) {
-	s := l.cfg.Scale
-	var cfg data.SynthConfig
-	if c.Dataset == "c100" {
-		cfg = data.SynthCIFAR100(s.C100TrainN, s.C100TestN, l.cfg.Seed+100)
-		cfg.Classes = s.C100Classes
-	} else {
-		cfg = data.SynthCIFAR10(s.TrainN, s.TestN, l.cfg.Seed+10)
-	}
-	if s.Noise > 0 {
-		cfg.NoiseStd = s.Noise
-	}
-	if s.Separation > 0 {
-		cfg.Separation = s.Separation
-	}
-	return data.Generate(cfg)
-}
-
-func (l *Lab) buildVictim(c Combo, classes int, seed uint64) *zoo.Model {
-	rng := tensor.NewRNG(seed)
-	if c.Arch == "resnet" {
-		return zoo.BuildResNet(zoo.ResNet20Config(classes), true, rng)
-	}
-	return zoo.BuildVGG(zoo.VGG18Config(classes), rng)
-}
-
-// trainCfg returns the scale's training configuration.
-func (l *Lab) trainCfg(epochs int, lambda float64, seed uint64) core.TrainConfig {
-	s := l.cfg.Scale
-	cfg := core.DefaultTrainConfig(epochs)
-	cfg.BatchSize = s.BatchSize
-	cfg.LR = s.LR
-	cfg.Lambda = lambda
-	cfg.Seed = seed
-	return cfg
-}
-
-// Pipeline runs (or returns the memoized) full TBNet flow for a combo.
-func (l *Lab) Pipeline(c Combo) *Pipeline {
+// Run runs (or returns the memoized) full TBNet flow for a combo. An unknown
+// architecture or dataset name is an error, reported before any training.
+func (l *Lab) Run(c Combo) (*Pipeline, error) {
 	if p, ok := l.cache[c]; ok {
-		return p
+		return p, nil
 	}
-	s := l.cfg.Scale
-	train, test := l.datasets(c)
-	p := &Pipeline{Combo: c, Train: train, Test: test}
-
-	l.logf("[%s] training victim (%d epochs)\n", c, s.VictimEpochs)
-	p.Victim = l.buildVictim(c, train.Classes, l.cfg.Seed+1)
-	core.TrainModel(p.Victim, train, nil, l.trainCfg(s.VictimEpochs, 0, l.cfg.Seed+2))
-	p.VictimAcc = core.EvaluateModel(p.Victim, test, s.BatchSize)
-
-	l.logf("[%s] knowledge transfer (%d epochs)\n", c, s.TransferEpochs)
-	p.TB = core.NewTwoBranch(p.Victim, l.cfg.Seed+3)
-	core.TrainTwoBranch(p.TB, train, test, l.trainCfg(s.TransferEpochs, s.Lambda, l.cfg.Seed+4))
-	p.PostTransfer = p.TB.Clone()
-
-	l.logf("[%s] iterative two-branch pruning (≤%d iters)\n", c, s.PruneIters)
-	pc := core.DefaultPruneConfig(s.DropBudget, s.FineTuneEpochs)
-	pc.MaxIters = s.PruneIters
-	pc.FineTune = l.trainCfg(s.FineTuneEpochs, s.Lambda, l.cfg.Seed+5)
-	pc.FineTune.LR = s.LR / 4
-	p.PruneRes = core.PruneTwoBranch(p.TB, train, test, pc)
-
-	core.FinalizeRollback(p.TB, p.PruneRes)
-	p.TBAcc = core.EvaluateTwoBranch(p.TB, test, s.BatchSize)
-	l.logf("[%s] victim %.4f → TBNet %.4f (%d pruning iterations)\n",
-		c, p.VictimAcc, p.TBAcc, p.PruneRes.Iterations)
+	task, err := l.cfg.Scale.Task(c.Dataset, l.cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	f, err := core.NewFlow(c.Arch, task, l.budget)
+	if err != nil {
+		return nil, err
+	}
+	p := &Pipeline{Flow: f}
+	f.OnEpoch = func(phase core.Phase, epoch int) {
+		if phase == core.PhaseTransfer && epoch < 0 {
+			p.PostTransfer = f.TB.Clone()
+		}
+	}
+	if err := f.Run(context.Background()); err != nil {
+		return nil, err
+	}
 	l.cache[c] = p
+	return p, nil
+}
+
+// Pipeline is Run for the combos the artifacts fix, which cannot fail.
+func (l *Lab) Pipeline(c Combo) *Pipeline {
+	p, err := l.Run(c)
+	if err != nil {
+		panic(err)
+	}
 	return p
 }

@@ -143,7 +143,9 @@ func TestRunAllProducesAllArtifacts(t *testing.T) {
 	l.RunAll(&b)
 	out := b.String()
 	for _, want := range []string{"Table 1", "Fig. 2", "Table 2", "Fig. 3", "Table 3", "Fig. 4",
-		"Ablation", "HW table", "Quant table", "Fleet: routing policies"} {
+		"Ablation", "HW table", "Quant table", "Fleet: routing policies", "SecDefense",
+		"Ablation: composite vs secure-only", "Ablation: rollback finalization",
+		"Ablation: sparsity strength", "Ablation: int8 quantization"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("RunAll output missing %q", want)
 		}
@@ -224,5 +226,25 @@ func TestLabHonoursConfiguredDevice(t *testing.T) {
 	}
 	if jt.Rows[0][2] == rt.Rows[0][2] {
 		t.Fatalf("jetson-tz and rpi3 price TBNet identically: %q", jt.Rows[0][2])
+	}
+}
+
+// TestCatalogLookup: names are unique, every entry is found under its own
+// name, and a name outside the catalog is not. No training involved.
+func TestCatalogLookup(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Catalog() {
+		if seen[e.Name] {
+			t.Fatalf("catalog lists %q twice", e.Name)
+		}
+		seen[e.Name] = true
+		if got, ok := Lookup(e.Name); !ok || got.Name != e.Name || got.Render == nil {
+			t.Fatalf("Lookup(%q) = %+v, %v", e.Name, got, ok)
+		}
+	}
+	for _, name := range []string{"all", "table9", ""} {
+		if _, ok := Lookup(name); ok {
+			t.Fatalf("Lookup(%q) found an entry", name)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"tbnet/internal/core"
-	"tbnet/internal/defense"
 	"tbnet/internal/report"
 	"tbnet/internal/seceval"
 	"tbnet/internal/tee"
@@ -40,12 +38,6 @@ func (l *Lab) TableSecDefense() *report.Table {
 		{Layers: []seceval.Obfuscator{seceval.ShuffleWindow{Window: 8}}},
 		{Layers: []seceval.Obfuscator{seceval.InjectDummies{Rate: 0.5}}},
 	}
-	strategies := []defense.Strategy{
-		defense.FullTEE{},
-		defense.DarkneTZ{SplitAt: len(p.Victim.Stages) / 2},
-		defense.ShadowNet{},
-		defense.MirrorNet{},
-	}
 	yes := func(b bool) string {
 		if b {
 			return "yes"
@@ -59,16 +51,13 @@ func (l *Lab) TableSecDefense() *report.Table {
 		return ""
 	}
 	for _, dev := range tee.Devices() {
-		dep, err := core.Deploy(undef, tee.Unbounded(dev), sampleShape())
-		if err != nil {
-			panic(err)
-		}
+		dep := mustDeploy(undef, tee.Unbounded(dev))
 		if dep.SecureBytes > t.PeakSecureBytes {
 			t.PeakSecureBytes = dep.SecureBytes
 		}
 		res, err := seceval.Autotune(dep, seceval.TuneConfig{
 			Budget: secDefenseBudget, Probes: probes, Seed: int64(l.cfg.Seed) + 80,
-			Chains: chains, Strategies: strategies, Victim: p.Victim,
+			Chains: chains, Strategies: baselines(p.Victim), Victim: p.Victim,
 		})
 		if err != nil {
 			panic(err)
@@ -80,10 +69,7 @@ func (l *Lab) TableSecDefense() *report.Table {
 		// The paper's own defense, measured with the same attack: the
 		// finalized (rolled-back) deployment, priced against the undefended
 		// deployment's per-run latency.
-		final, err := core.Deploy(p.TB, tee.Unbounded(dev), sampleShape())
-		if err != nil {
-			panic(err)
-		}
+		final := mustDeploy(p.TB, tee.Unbounded(dev))
 		_, undefLat, err := seceval.CaptureIsolated(dep, probes, int64(l.cfg.Seed)+81)
 		if err != nil {
 			panic(err)

@@ -117,3 +117,21 @@ func StripSkips(m *Model) *Model {
 	}
 	return out
 }
+
+// archs is the one architecture-name → builder table: the three evaluated
+// families and the tiny variants that keep tests and smoke runs fast.
+var archs = map[string]func(classes int, rng *tensor.RNG) *Model{
+	"vgg":         func(c int, rng *tensor.RNG) *Model { return BuildVGG(VGG18Config(c), rng) },
+	"resnet":      func(c int, rng *tensor.RNG) *Model { return BuildResNet(ResNet20Config(c), true, rng) },
+	"mobilenet":   func(c int, rng *tensor.RNG) *Model { return BuildMobileNet(MobileNetSConfig(c), rng) },
+	"tiny-vgg":    func(c int, rng *tensor.RNG) *Model { return BuildVGG(TinyVGGConfig(c), rng) },
+	"tiny-resnet": func(c int, rng *tensor.RNG) *Model { return BuildResNet(TinyResNetConfig(c), true, rng) },
+}
+
+// ArchByName resolves an architecture name ("vgg", "resnet", "mobilenet",
+// "tiny-vgg", "tiny-resnet") to the builder of an untrained victim for a
+// task with the given class count; ok is false for any other name.
+func ArchByName(name string) (build func(classes int, rng *tensor.RNG) *Model, ok bool) {
+	build, ok = archs[name]
+	return build, ok
+}

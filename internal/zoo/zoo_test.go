@@ -269,3 +269,24 @@ func TestResNetBackwardThroughSkip(t *testing.T) {
 		}
 	}
 }
+
+// TestArchByName: every named architecture builds a victim with the asked
+// class count, and any other name is refused.
+func TestArchByName(t *testing.T) {
+	for name, family := range map[string]string{"vgg": "vgg", "resnet": "resnet",
+		"mobilenet": "mobilenet", "tiny-vgg": "vgg", "tiny-resnet": "resnet"} {
+		build, ok := ArchByName(name)
+		if !ok {
+			t.Fatalf("ArchByName(%q) not found", name)
+		}
+		if m := build(7, tensor.NewRNG(1)); m.Arch != family || m.Classes != 7 {
+			t.Fatalf("%s built a %s model with %d classes", name, m.Arch, m.Classes)
+		}
+	}
+	if len(archs) != 5 {
+		t.Fatalf("arch table has %d entries; extend this test with the new ones", len(archs))
+	}
+	if _, ok := ArchByName("transformer"); ok {
+		t.Fatal("unknown architecture must not resolve")
+	}
+}

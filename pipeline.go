@@ -7,15 +7,15 @@ import (
 
 	"tbnet/internal/core"
 	"tbnet/internal/data"
-	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
 
 // Phase identifies one stage of the TBNet pipeline for progress reporting.
 type Phase string
 
-// The pipeline's phases, in execution order. PhasePrune covers the whole
-// iterative prune/fine-tune/evaluate loop of Alg. 1.
+// The pipeline's phases, in execution order (the values of core.Phase).
+// PhasePrune covers the whole iterative prune/fine-tune/evaluate loop of
+// Alg. 1.
 const (
 	PhaseVictim   Phase = "victim"
 	PhaseTransfer Phase = "transfer"
@@ -38,29 +38,21 @@ type Pipeline struct {
 	log      io.Writer
 	progress func(Phase, int)
 
-	trainN, testN  int
-	classes        int // 0: dataset default
-	victimEpochs   int
-	transferEpochs int
-	fineTuneEpochs int
-	pruneIters     int
-	dropBudget     float64
-	batchSize      int
-	lr             float64
-	lambda         float64
+	// scale starts as the "ci" preset (core.ScaleByName); the sizing and
+	// budget options edit it in place.
+	scale   core.Scale
+	classes int // 0: the task's own count at this scale
 }
 
 // WithArch selects the victim architecture: "vgg", "resnet", "mobilenet",
 // or the CI-scale "tiny-vgg" / "tiny-resnet" variants (default "vgg").
 func WithArch(arch string) PipelineOption {
 	return func(p *Pipeline) error {
-		switch arch {
-		case "vgg", "resnet", "mobilenet", "tiny-vgg", "tiny-resnet":
-			p.arch = arch
-			return nil
-		default:
+		if _, ok := zoo.ArchByName(arch); !ok {
 			return fmt.Errorf("%w: unknown architecture %q", ErrBadOption, arch)
 		}
+		p.arch = arch
+		return nil
 	}
 }
 
@@ -68,13 +60,11 @@ func WithArch(arch string) PipelineOption {
 // (CIFAR-100-like; default "c10").
 func WithDataset(name string) PipelineOption {
 	return func(p *Pipeline) error {
-		switch name {
-		case "c10", "c100":
-			p.dataset = name
-			return nil
-		default:
+		if _, ok := data.SynthByName(name); !ok {
 			return fmt.Errorf("%w: unknown dataset %q (want c10 or c100)", ErrBadOption, name)
 		}
+		p.dataset = name
+		return nil
 	}
 }
 
@@ -110,13 +100,14 @@ func WithProgress(fn func(phase Phase, epoch int)) PipelineOption {
 }
 
 // WithDatasetSize sets the synthetic train/test sample counts (default
-// 120/60).
+// 120/60 for c10, 144/72 for c100).
 func WithDatasetSize(train, test int) PipelineOption {
 	return func(p *Pipeline) error {
 		if train < 1 || test < 1 {
 			return fmt.Errorf("%w: dataset size %d/%d must be positive", ErrBadOption, train, test)
 		}
-		p.trainN, p.testN = train, test
+		p.scale.TrainN, p.scale.TestN = train, test
+		p.scale.C100TrainN, p.scale.C100TestN = train, test
 		return nil
 	}
 }
@@ -140,7 +131,7 @@ func WithEpochs(victim, transfer, fineTune int) PipelineOption {
 		if victim < 0 || transfer < 1 || fineTune < 0 {
 			return fmt.Errorf("%w: epoch budgets %d/%d/%d", ErrBadOption, victim, transfer, fineTune)
 		}
-		p.victimEpochs, p.transferEpochs, p.fineTuneEpochs = victim, transfer, fineTune
+		p.scale.VictimEpochs, p.scale.TransferEpochs, p.scale.FineTuneEpochs = victim, transfer, fineTune
 		return nil
 	}
 }
@@ -152,7 +143,7 @@ func WithPruning(dropBudget float64, maxIters int) PipelineOption {
 		if dropBudget < 0 || maxIters < 0 {
 			return fmt.Errorf("%w: pruning budget %g / iters %d", ErrBadOption, dropBudget, maxIters)
 		}
-		p.dropBudget, p.pruneIters = dropBudget, maxIters
+		p.scale.DropBudget, p.scale.PruneIters = dropBudget, maxIters
 		return nil
 	}
 }
@@ -164,7 +155,7 @@ func WithHyperparams(lr, lambda float64) PipelineOption {
 		if lr <= 0 || lambda < 0 {
 			return fmt.Errorf("%w: lr %g / lambda %g", ErrBadOption, lr, lambda)
 		}
-		p.lr, p.lambda = lr, lambda
+		p.scale.LR, p.scale.Lambda = lr, lambda
 		return nil
 	}
 }
@@ -175,30 +166,20 @@ func WithBatchSize(n int) PipelineOption {
 		if n < 1 {
 			return fmt.Errorf("%w: batch size %d < 1", ErrBadOption, n)
 		}
-		p.batchSize = n
+		p.scale.BatchSize = n
 		return nil
 	}
 }
 
 // NewPipeline builds a pipeline from CPU-scale defaults (a VGG victim on the
-// 10-class synthetic task, CI-sized budgets) modified by opts. It fails fast
-// on the first invalid option.
+// 10-class synthetic task, the "ci" scale's sizes and budgets) modified by
+// opts. It fails fast on the first invalid option.
 func NewPipeline(opts ...PipelineOption) (*Pipeline, error) {
-	p := &Pipeline{
-		arch:           "vgg",
-		dataset:        "c10",
-		seed:           1,
-		trainN:         120,
-		testN:          60,
-		victimEpochs:   8,
-		transferEpochs: 10,
-		fineTuneEpochs: 1,
-		pruneIters:     4,
-		dropBudget:     0.20,
-		batchSize:      16,
-		lr:             0.03,
-		lambda:         5e-4,
+	ci, err := core.ScaleByName("ci")
+	if err != nil {
+		return nil, err
 	}
+	p := &Pipeline{arch: "vgg", dataset: "c10", seed: 1, scale: ci}
 	for _, opt := range opts {
 		if err := opt(p); err != nil {
 			return nil, err
@@ -224,104 +205,31 @@ type PipelineResult struct {
 	PruneRes *PruneResult
 }
 
-func (p *Pipeline) logf(format string, args ...any) {
-	if p.log != nil {
-		fmt.Fprintf(p.log, format, args...)
-	}
-}
-
-func (p *Pipeline) emit(phase Phase, epoch int) {
-	if p.progress != nil {
-		p.progress(phase, epoch)
-	}
-}
-
-func (p *Pipeline) datasets() (train, test *Dataset) {
-	var cfg data.SynthConfig
-	if p.dataset == "c100" {
-		cfg = data.SynthCIFAR100(p.trainN, p.testN, p.seed+100)
-		cfg.Classes = 12 // CPU-scale stand-in for the 100-class task
-	} else {
-		cfg = data.SynthCIFAR10(p.trainN, p.testN, p.seed+10)
-	}
-	if p.classes > 0 {
-		cfg.Classes = p.classes
-	}
-	return data.Generate(cfg)
-}
-
-func (p *Pipeline) buildVictim(classes int) *Model {
-	rng := tensor.NewRNG(p.seed + 1)
-	switch p.arch {
-	case "resnet":
-		return zoo.BuildResNet(zoo.ResNet20Config(classes), true, rng)
-	case "tiny-resnet":
-		return zoo.BuildResNet(zoo.TinyResNetConfig(classes), true, rng)
-	case "mobilenet":
-		return zoo.BuildMobileNet(zoo.MobileNetSConfig(classes), rng)
-	case "tiny-vgg":
-		return zoo.BuildVGG(zoo.TinyVGGConfig(classes), rng)
-	default:
-		return zoo.BuildVGG(zoo.VGG18Config(classes), rng)
-	}
-}
-
-func (p *Pipeline) trainCfg(phase Phase, epochs int, lambda float64, seed uint64) TrainConfig {
-	cfg := core.DefaultTrainConfig(epochs)
-	cfg.BatchSize = p.batchSize
-	cfg.LR = p.lr
-	cfg.Lambda = lambda
-	cfg.Seed = seed
-	cfg.Log = p.log
-	if p.progress != nil {
-		cfg.OnEpoch = func(epoch int, _ float64) { p.emit(phase, epoch) }
-	}
-	return cfg
-}
-
-// Run executes the six-step flow and returns a finalized result. It checks
-// ctx between phases; a cancelled context aborts with ctx.Err().
+// Run executes the six-step flow (core.Flow) and returns a finalized result.
+// It checks ctx between phases; a cancelled context aborts with ctx.Err().
 func (p *Pipeline) Run(ctx context.Context) (*PipelineResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	train, test := p.datasets()
-	res := &PipelineResult{Train: train, Test: test}
-
-	p.logf("[pipeline %s/%s] training victim (%d epochs)\n", p.arch, p.dataset, p.victimEpochs)
-	res.Victim = p.buildVictim(train.Classes)
-	core.TrainModel(res.Victim, train, nil, p.trainCfg(PhaseVictim, p.victimEpochs, 0, p.seed+2))
-	res.VictimAcc = core.EvaluateModel(res.Victim, test, p.batchSize)
-	p.emit(PhaseVictim, -1)
-	if err := ctx.Err(); err != nil {
+	task, err := p.scale.Task(p.dataset, p.seed)
+	if err != nil {
 		return nil, err
 	}
-
-	p.logf("[pipeline %s/%s] knowledge transfer (%d epochs)\n", p.arch, p.dataset, p.transferEpochs)
-	res.TB = core.NewTwoBranch(res.Victim, p.seed+3)
-	core.TrainTwoBranch(res.TB, train, test,
-		p.trainCfg(PhaseTransfer, p.transferEpochs, p.lambda, p.seed+4))
-	p.emit(PhaseTransfer, -1)
-	if err := ctx.Err(); err != nil {
+	if p.classes > 0 {
+		task.Classes = p.classes
+	}
+	b := p.scale.Budget
+	b.Seed, b.Log = p.seed, p.log
+	if p.progress != nil {
+		b.OnEpoch = func(phase core.Phase, epoch int) { p.progress(Phase(phase), epoch) }
+	}
+	f, err := core.NewFlow(p.arch, task, b)
+	if err != nil {
 		return nil, err
 	}
-
-	p.logf("[pipeline %s/%s] iterative two-branch pruning (≤%d iters)\n",
-		p.arch, p.dataset, p.pruneIters)
-	pc := core.DefaultPruneConfig(p.dropBudget, p.fineTuneEpochs)
-	pc.MaxIters = p.pruneIters
-	pc.FineTune = p.trainCfg(PhasePrune, p.fineTuneEpochs, p.lambda, p.seed+5)
-	pc.FineTune.LR = p.lr / 4
-	res.PruneRes = core.PruneTwoBranch(res.TB, train, test, pc)
-	p.emit(PhasePrune, -1)
-	if err := ctx.Err(); err != nil {
+	if err := f.Run(ctx); err != nil {
 		return nil, err
 	}
-
-	core.FinalizeRollback(res.TB, res.PruneRes)
-	res.TBAcc = core.EvaluateTwoBranch(res.TB, test, p.batchSize)
-	p.emit(PhaseFinalize, -1)
-	p.logf("[pipeline %s/%s] victim %.4f → TBNet %.4f (%d pruning iterations)\n",
-		p.arch, p.dataset, res.VictimAcc, res.TBAcc, res.PruneRes.Iterations)
-	return res, nil
+	return &PipelineResult{Train: f.Train, Test: f.Test, Victim: f.Victim, VictimAcc: f.VictimAcc,
+		TB: f.TB, TBAcc: f.TBAcc, PruneRes: f.PruneRes}, nil
 }

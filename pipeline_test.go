@@ -1,8 +1,11 @@
 package tbnet
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -99,20 +102,37 @@ func TestPipelineRunAndServe(t *testing.T) {
 	}
 }
 
-func TestPipelineHonoursContext(t *testing.T) {
+// TestPipelineMatchesRecordedArtifact pins the facade to the one flow: the
+// micro-scale budgets spelled out as options train, bit for bit, the model
+// `tbnet save -arch tiny-vgg -scale micro -seed 1` persists (cmd/tbnet's
+// TestSaveArtifactPinned holds the same hash, recorded at commit ebc0fed).
+func TestPipelineMatchesRecordedArtifact(t *testing.T) {
+	const recorded = "15aa5f670227deb3072d93dcbd2b9a9a92323a6ffe0ca5cadcf2d30cef30e9a5"
 	p, err := NewPipeline(
 		WithArch("tiny-vgg"),
-		WithDatasetSize(32, 16),
-		WithEpochs(1, 1, 0),
-		WithPruning(1.0, 0),
+		WithSeed(1),
+		WithDatasetSize(60, 30),
+		WithEpochs(2, 2, 1),
+		WithPruning(1.0, 1),
+		WithHyperparams(0.05, 5e-4),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run err = %v, want context.Canceled", err)
+	res, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := Deploy(res.TB, RaspberryPi3(), []int{1, 3, 16, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveDeployment(&buf, dep); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != recorded {
+		t.Fatalf("artifact sha256 = %s, recorded %s", got, recorded)
 	}
 }
 
