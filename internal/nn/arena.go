@@ -4,9 +4,10 @@ import (
 	"tbnet/internal/tensor"
 )
 
-// Arena owns the reusable inference scratch of one serving session: pooled
-// im2col column buffers (one per pool worker) and named activation buffers
-// keyed by (tag, batch). The ForwardInto inference path draws every
+// Arena owns the reusable inference scratch of one serving session: the
+// float32 convolution kernel's scratch (one buffer per pool worker: a sample
+// inside its zero border, see ColScratch) and named activation buffers keyed
+// by (tag, batch). The ForwardInto inference path draws every
 // intermediate it needs from an arena, so a session that keeps one arena per
 // replica runs steady-state inference without allocating — each buffer is
 // sized once, on the first request of its batch size, and reused forever
@@ -55,8 +56,13 @@ func NewArena() *Arena {
 	}
 }
 
-// ColScratch returns worker w's column scratch grown to at least n floats.
-// Contents are undefined; callers overwrite before reading.
+// ColScratch returns worker w's float32 scratch grown to at least n floats.
+// A convolution draws tensor.ConvScratchLen of it: under the tile kernel the
+// sample copied inside its zero border (about 1.3× a 16×16 input; nothing
+// for an unpadded or pointwise convolution), and the Im2Col column matrix
+// the buffer is named after only under the portable kernel. The int8 dense
+// layer keeps its per-row activation scales in worker 0's. Contents are
+// undefined; callers overwrite before reading.
 func (a *Arena) ColScratch(w, n int) []float32 {
 	if cap(a.cols[w]) < n {
 		a.cols[w] = make([]float32, n)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"tbnet/internal/tensor"
@@ -96,5 +97,29 @@ func BenchmarkDenseForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Forward(x, false)
+	}
+}
+
+// BenchmarkMaxPoolForwardInto is the inference pool on VGG18-S's four pooled
+// stage outputs, one sample of post-ReLU data (about half the values are +0).
+// It rotates through 64 inputs, as bench/'s clients do: on one repeated input
+// the branch predictor learns a branching pool's every comparison and the
+// row reads several times faster than serving ever sees.
+func BenchmarkMaxPoolForwardInto(b *testing.B) {
+	pool := NewMaxPool2D("p", 2)
+	relu := NewReLU("r")
+	for _, s := range []struct{ c, hw int }{{16, 16}, {32, 8}, {48, 4}, {64, 2}} {
+		xs := make([]*tensor.Tensor, 64)
+		for i := range xs {
+			xs[i] = tensor.New(1, s.c, s.hw, s.hw)
+			tensor.NewRNG(uint64(i+1)).FillNormal(xs[i], 0, 1)
+			relu.ForwardInto(xs[i], xs[i], nil)
+		}
+		dst := tensor.New(pool.OutShape(xs[0].Shape())...)
+		b.Run(fmt.Sprintf("%dx%dx%d", s.c, s.hw, s.hw), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pool.ForwardInto(dst, xs[i%len(xs)], nil)
+			}
+		})
 	}
 }

@@ -7,8 +7,11 @@ import (
 	"tbnet/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW inputs, implemented as
-// im2col + matmul. Weights are stored as a [OutC, InC*KH*KW] matrix. Bias is
+// Conv2D is a 2-D convolution over NCHW inputs, computed per sample as one
+// matrix product of the [OutC, InC*KH*KW] weight matrix with the sample's
+// column matrix. The forward pass never builds that matrix: the GEMM packs
+// its panels straight from the image (tensor.ConvGemmFusedParallel); only
+// Backward, whose dW needs the matrix itself, lowers with Im2Col. Bias is
 // optional (models that follow the convolution with batch normalization keep
 // it disabled, matching the paper's architectures).
 type Conv2D struct {
@@ -94,8 +97,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // ForwardInto is the eval-mode inference path: the convolution of x written
-// into dst (shaped per OutShape) using the arena's pooled column scratch. No
-// state is retained.
+// into dst (shaped per OutShape) using the arena's pooled scratch. No state
+// is retained.
 func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, a *Arena) {
 	c.forwardInto(dst, x, a, nil)
 }
@@ -133,7 +136,7 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogu
 		c.forwardIntoI8(dst, x, a, ep)
 		return
 	}
-	colRows := c.InC * c.KH * c.KW
+	g := tensor.ConvGeom{C: c.InC, H: h, W: w, KH: c.KH, KW: c.KW, Stride: c.Stride, Pad: c.Pad}
 	sampleIn := c.InC * h * w
 	sampleOut := c.OutC * oh * ow
 	xd, od, wd := x.Data(), dst.Data(), c.W.Value.Data()
@@ -148,12 +151,11 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogu
 		// A single sample has no sample-level parallelism; the matmul itself
 		// goes through the worker pool when it is big enough to pay for the
 		// wake-up, and otherwise runs here without allocating.
-		cols := c.lower(a, 0, xd[:sampleIn], h, w)
-		tensor.GemmFusedParallel(od[:sampleOut], wd, cols, c.OutC, oh*ow, colRows, fused)
+		tensor.ConvGemmFusedParallel(od[:sampleOut], wd, xd[:sampleIn], c.OutC, g, convScratch(a, 0, g), fused)
 	} else {
 		parallelFor(n, func(worker, i int) {
-			cols := c.lower(a, worker, xd[i*sampleIn:(i+1)*sampleIn], h, w)
-			tensor.GemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, cols, c.OutC, oh*ow, colRows, fused)
+			tensor.ConvGemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, xd[i*sampleIn:(i+1)*sampleIn],
+				c.OutC, g, convScratch(a, worker, g), fused)
 		})
 	}
 	if c.B != nil {
@@ -175,28 +177,21 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogu
 }
 
 // pointwise reports whether the convolution is 1×1 at stride 1 without
-// padding. Its column matrix is then the input sample itself (and its int8
-// patch matrix the HWC image itself), so neither precision lowers anything.
+// padding. Its int8 patch matrix is then the HWC image itself, so that path
+// lowers nothing (the float32 kernel makes the same observation for itself).
 func (c *Conv2D) pointwise() bool {
 	return c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
 }
 
-// lower returns the [InC*KH*KW, OH*OW] column matrix of one CHW sample: the
-// sample itself for a pointwise convolution, otherwise its Im2Col lowering
-// in the worker's arena scratch (a fresh buffer without an arena).
-func (c *Conv2D) lower(a *Arena, worker int, sample []float32, h, w int) []float32 {
-	if c.pointwise() {
-		return sample
-	}
-	colLen := tensor.Im2ColLen(c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad)
-	var cols []float32
+// convScratch returns what the float32 convolution kernel needs beside one
+// sample of geometry g: the worker's arena scratch, or a fresh buffer
+// without an arena.
+func convScratch(a *Arena, worker int, g tensor.ConvGeom) []float32 {
+	n := tensor.ConvScratchLen(g)
 	if a != nil {
-		cols = a.ColScratch(worker, colLen)
-	} else {
-		cols = make([]float32, colLen)
+		return a.ColScratch(worker, n)
 	}
-	tensor.Im2Col(sample, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, cols)
-	return cols
+	return make([]float32, n)
 }
 
 // Backward accumulates dW (and dB) and returns dX. It recomputes im2col per

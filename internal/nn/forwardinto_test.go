@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tbnet/internal/tensor"
@@ -100,6 +101,70 @@ func TestConvPointwiseSkipsLowering(t *testing.T) {
 						t.Fatalf("batch %d out[%d,%d,%d] = %v, want %v", batch, i, ch, p, g, w)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestConvForwardIntoSkipsColumnMatrix: a 3×3 convolution's inference path
+// draws the sample inside its zero border from the arena — (H+2)·(W+2)
+// floats per channel — not the 9× column matrix, at batch 1 and across the
+// pool's per-worker scratch. (The portable kernel still lowers with Im2Col;
+// which one runs is what the kernels: line says.)
+func TestConvForwardIntoSkipsColumnMatrix(t *testing.T) {
+	if !strings.Contains(tensor.KernelStatus(), "f32conv=packed-from-image") {
+		t.Skip("the portable kernel lowers with Im2Col: " + tensor.KernelStatus())
+	}
+	const inC, outC, h, w = 16, 8, 12, 10
+	conv := NewConv2D("c", inC, outC, 3, 1, 1, false, tensor.NewRNG(80))
+	for _, batch := range []int{1, 2} {
+		a := NewArena()
+		x := intoInput(t, 13, batch, inC, h, w)
+		dst := a.Tensor4("out", batch, outC, h, w)
+		conv.ForwardInto(dst, x, a)
+		output := int64(dst.Size()) * 4
+		if limit := int64(batch*2*inC*(h+2)*(w+2)*4) + output; a.Bytes() >= limit {
+			t.Fatalf("batch %d: arena holds %d bytes, want under %d", batch, a.Bytes(), limit)
+		}
+		if cols := int64(9 * inC * h * w * 4); a.Bytes()-output >= cols {
+			t.Fatalf("batch %d: %d bytes of scratch, a column matrix is %d", batch, a.Bytes()-output, cols)
+		}
+	}
+}
+
+// TestMaxPoolForwardIntoMatchesTrainingPool: the inference pool (for K = 2 a
+// loop of its own) gives, bit for bit, the maxima the argmax-recording
+// training pool gives, on windows full of what a comparison can get wrong:
+// NaNs of both signs first, last and alone, ±Inf, -0 against +0 in either
+// order, ties, and all-negative windows.
+func TestMaxPoolForwardIntoMatchesTrainingPool(t *testing.T) {
+	nan, negNaN := float32(math.NaN()), math.Float32frombits(0xFFC00001)
+	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	special := []float32{nan, negNaN, inf, -inf, negZero, 0, 1, 1, -1, -2, 0.5, 3}
+	for _, k := range []int{2, 3} {
+		pool := NewMaxPool2D("p", k)
+		rng := tensor.NewRNG(uint64(81 + k))
+		// H and W leave a remainder the pool must ignore.
+		x := tensor.New(3, 5, 4*k+1, 6*k+k-1)
+		xd := x.Data()
+		for i := range xd {
+			switch rng.Intn(3) {
+			case 0:
+				xd[i] = special[rng.Intn(len(special))]
+			case 1:
+				xd[i] = 0 // post-ReLU: windows of ties
+			default:
+				xd[i] = float32(rng.Norm())
+			}
+		}
+		want := pool.Forward(x, true)
+		got := tensor.New(pool.OutShape(x.Shape())...)
+		got.Fill(99)
+		pool.ForwardInto(got, x, nil)
+		for i, wv := range want.Data() {
+			if gv := got.Data()[i]; math.Float32bits(gv) != math.Float32bits(wv) {
+				t.Fatalf("K=%d: out[%d] = %v [%#x], training pool %v [%#x]",
+					k, i, gv, math.Float32bits(gv), wv, math.Float32bits(wv))
 			}
 		}
 	}

@@ -34,11 +34,11 @@ func testDeployment(t testing.TB, dev tee.Device, seed uint64) *core.Deployment 
 
 func TestParseChain(t *testing.T) {
 	for spec, name := range map[string]string{
-		"":                       "none",
-		"none":                   "none",
-		"pad:1024":               "pad:1024",
-		"pad:4096,dummy:0.25":    "pad:4096+dummy:0.25",
-		" pad:512 , shuffle:8 ":  "pad:512+shuffle:8",
+		"":                         "none",
+		"none":                     "none",
+		"pad:1024":                 "pad:1024",
+		"pad:4096,dummy:0.25":      "pad:4096+dummy:0.25",
+		" pad:512 , shuffle:8 ":    "pad:512+shuffle:8",
 		"pad:64,shuffle:4,dummy:1": "pad:64+shuffle:4+dummy:1",
 	} {
 		ch, err := ParseChain(spec)

@@ -135,16 +135,23 @@ func GemmParallel(dst, a, b []float32, m, n, k int) {
 // wake-up and run on the calling goroutine — no closure, no allocation —
 // otherwise.
 func GemmFusedParallel(dst, a, b []float32, m, n, k int, ep *Epilogue) {
-	cd, ad, bd := dst[:m*n], a[:m*k], b[:k*n]
+	gemm(dst[:m*n], a[:m*k], panelSource{dense: b[:k*n]}, m, n, k, ep, true)
+}
+
+// gemm is the one dispatch rule of the float32 product, whatever its b
+// source: the calling goroutine unless fanOut is set and gemmGrain cuts the
+// row blocks into at least two ranges, each of which then packs its own
+// panels from the shared, read-only source.
+func gemm(cd, ad []float32, b panelSource, m, n, k int, ep *Epilogue, fanOut bool) {
 	ep.covers(m)
 	blocks := (m + rowBlock - 1) / rowBlock
 	grain := gemmGrain(n, k)
-	if blocks/grain <= 1 || Workers() == 1 {
-		matmulRows(cd, ad, bd, n, k, 0, m, ep)
+	if !fanOut || blocks/grain <= 1 || Workers() == 1 {
+		gemmRows(cd, ad, b, n, k, 0, m, ep)
 		return
 	}
 	Parallel(blocks, grain, func(_, lo, hi int) {
-		matmulRows(cd, ad, bd, n, k, lo*rowBlock, min(hi*rowBlock, m), ep)
+		gemmRows(cd, ad, b, n, k, lo*rowBlock, min(hi*rowBlock, m), ep)
 	})
 }
 
@@ -158,8 +165,7 @@ func GemmSerial(dst, a, b []float32, m, n, k int) {
 
 // GemmFusedSerial is GemmFusedParallel on the calling goroutine.
 func GemmFusedSerial(dst, a, b []float32, m, n, k int, ep *Epilogue) {
-	ep.covers(m)
-	matmulRows(dst[:m*n], a[:m*k], b[:k*n], n, k, 0, m, ep)
+	gemm(dst[:m*n], a[:m*k], panelSource{dense: b[:k*n]}, m, n, k, ep, false)
 }
 
 // TransposeSerial writes the transpose of the row-major m×n matrix src into
@@ -218,8 +224,11 @@ var tileMasks = func() (t [tileCols + 1][16]int32) {
 	return t
 }()
 
-// matmulRows computes output rows [r0, r1) of cd = ep(ad @ bd).
-func matmulRows(cd, ad, bd []float32, n, k, r0, r1 int, ep *Epilogue) {
+// gemmRows computes output rows [r0, r1) of cd = ep(ad @ b), b being [k,n].
+// Only the tile path reads a convolution source; the portable path is handed
+// the dense matrix (see ConvGemmFusedParallel).
+func gemmRows(cd, ad []float32, b panelSource, n, k, r0, r1 int, ep *Epilogue) {
+	bd := b.dense
 	quads := r0 + (r1-r0)/rowBlock*rowBlock
 	if hasSIMD && k > 0 && n > 0 {
 		// Column tile, then k block, then row quad: the panel is packed once
@@ -233,7 +242,11 @@ func matmulRows(cd, ad, bd []float32, n, k, r0, r1 int, ep *Epilogue) {
 			t.mask = &tileMasks[t.w]
 			for p0 := 0; p0 < k; p0 += kBlock {
 				t.kb = min(kBlock, k-p0)
-				packPanelSIMD(&panel[0], &bd[p0*n+j0], n, t.kb, t.mask)
+				if b.plane != nil {
+					b.packConv(&panel, j0, t.w, p0, t.kb)
+				} else {
+					packPanelSIMD(&panel[0], &bd[p0*n+j0], n, t.kb, t.mask)
+				}
 				t.acc = p0
 				fuse := ep != nil && p0+t.kb == k
 				t.ldc, t.lda = n, k

@@ -49,17 +49,20 @@ func poolStart() {
 
 // KernelStatus is the kernel layer's status check: which float32 and int8
 // micro-kernels this process runs (the vector ones only when the CPU and OS
-// passed their CPUID gates) and the dispatch threshold, in one line a daemon
-// can log and an operator can grep.
+// passed their CPUID gates), how a float32 convolution's GEMM gets its b
+// operand — panels packed from the image under the tile kernel, the Im2Col
+// column matrix under the portable one, which streams whole b rows — and
+// the dispatch threshold, in one line a daemon can log and an operator can
+// grep.
 func KernelStatus() string {
-	f32, i8 := "scalar-4x4", "scalar-dot4"
+	f32, conv, i8 := "scalar-4x4", "im2col", "scalar-dot4"
 	if hasSIMD {
-		f32 = "avx-tile4x16"
+		f32, conv = "avx-tile4x16", "packed-from-image"
 	}
 	if hasI8SIMD {
 		i8 = "avx2-dot4"
 	}
-	return fmt.Sprintf("f32=%s int8=%s parallel_above_macs=%d workers=%d", f32, i8, 2*parallelMACs, poolSize)
+	return fmt.Sprintf("f32=%s f32conv=%s int8=%s parallel_above_macs=%d workers=%d", f32, conv, i8, 2*parallelMACs, poolSize)
 }
 
 // Workers returns the maximum number of concurrently executing chunks a

@@ -22,6 +22,13 @@ func gemmTileSIMD(t *tileArgs)
 //go:noescape
 func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32)
 
+// packConvSIMD is packPanelSIMD for a convolution source: kb panel rows, one
+// per window tap in (channel, ky, kx) order, each a.runs runs of a.run floats
+// copied from the zero-bordered image (see packArgs and panelSource).
+//
+//go:noescape
+func packConvSIMD(a *packArgs)
+
 // dot4I8SIMD computes four int8 dot products sharing one streamed patch row:
 //
 //	out[r] = Σ_j int32(wr[j]) * int32(x[j])  for r in 0..3, j in 0..k

@@ -190,6 +190,65 @@ packloop:
 	VZEROUPPER
 	RET
 
+// func packConvSIMD(a *packArgs)
+//
+// Packs kb panel rows for a convolution: row p is tap p of the window walked
+// in (channel, ky, kx) order, and its live columns are a.runs contiguous runs
+// of a.run floats (8, 4, 2 or 1), runStep bytes apart in the zero-bordered
+// image. From one tap to the next the source moves one float, and on leaving
+// a window row or a channel by rowSkip or chSkip more; the two countdowns
+// (R10, R11) are the only bookkeeping. Columns past the runs are not written.
+#define PACK_TAPS(tap, run, next, LOAD, reg, width) \
+tap: \
+	MOVQ SI, R14; \
+	MOVQ DI, R15; \
+	MOVQ R9, BX; \
+run: \
+	LOAD (R14), reg; \
+	LOAD reg, (R15); \
+	ADDQ R8, R14; \
+	ADDQ width, R15; \
+	DECQ BX; \
+	JNZ  run; \
+	ADDQ $64, DI; \
+	ADDQ $4, SI; \
+	DECQ R10; \
+	JNZ  next; \
+	MOVQ 72(DX), R10; \
+	ADDQ R12, SI; \
+	DECQ R11; \
+	JNZ  next; \
+	MOVQ 80(DX), R11; \
+	ADDQ R13, SI; \
+next: \
+	DECQ CX; \
+	JNZ  tap; \
+	VZEROUPPER; \
+	RET
+
+TEXT ·packConvSIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DX
+	MOVQ 0(DX), DI        // panel
+	MOVQ 8(DX), SI        // first tap's source
+	MOVQ 16(DX), CX       // kb
+	MOVQ 24(DX), R8       // runStep
+	MOVQ 32(DX), R9       // runs
+	MOVQ 40(DX), R10      // kxLeft
+	MOVQ 48(DX), R11      // kyLeft
+	MOVQ 56(DX), R12      // rowSkip
+	MOVQ 64(DX), R13      // chSkip
+	MOVQ 88(DX), AX       // run
+	CMPQ AX, $8
+	JEQ  pack8
+	CMPQ AX, $4
+	JEQ  pack4
+	CMPQ AX, $2
+	JEQ  pack2
+	PACK_TAPS(pack1, pack1run, pack1next, MOVL, AX, $4)
+	PACK_TAPS(pack2, pack2run, pack2next, MOVQ, AX, $8)
+	PACK_TAPS(pack4, pack4run, pack4next, VMOVUPS, X0, $16)
+	PACK_TAPS(pack8, pack8run, pack8next, VMOVUPS, Y0, $32)
+
 // func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32)
 //
 // Four int8 dot products sharing one streamed x row — the integer analogue

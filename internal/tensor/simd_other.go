@@ -10,14 +10,18 @@ const hasSIMD = false
 // the scalar quad kernel in gemm_i8.go runs unconditionally.
 const hasI8SIMD = false
 
-// gemmTileSIMD and packPanelSIMD are never called when hasSIMD is false; the
-// stubs keep the matmul kernel free of build tags.
+// gemmTileSIMD, packPanelSIMD and packConvSIMD are never called when hasSIMD
+// is false; the stubs keep the matmul kernel free of build tags.
 func gemmTileSIMD(t *tileArgs) {
 	panic("tensor: gemmTileSIMD called without SIMD support")
 }
 
 func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32) {
 	panic("tensor: packPanelSIMD called without SIMD support")
+}
+
+func packConvSIMD(a *packArgs) {
+	panic("tensor: packConvSIMD called without SIMD support")
 }
 
 // dot4I8SIMD is never called when hasI8SIMD is false; the stub keeps the
