@@ -89,7 +89,7 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilo
 // pass, run-copy patch lowering (skipped for a pointwise conv, whose HWC
 // image already is the patch matrix), the int8 GEMM against the
 // (ky, kx, channel)-ordered weights, and per-channel requantization with the
-// bias fused in, each channel finished by the epilogue while its row is hot.
+// bias and the epilogue fused in (tensor.RequantizeRows: one pass per row).
 func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float32, ep *tensor.Epilogue,
 	gemm func(dst []int32, a, b []int8, m, n, k int)) {
 	colRows := c.InC * c.KH * c.KW
@@ -106,22 +106,7 @@ func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float3
 	}
 	acc := a.I32Buf(worker, sampleOut)
 	gemm(acc, c.qw, patches, c.OutC, hw, colRows)
-	out := od[i*sampleOut : (i+1)*sampleOut]
-	for ch := 0; ch < c.OutC; ch++ {
-		f := c.qscale[ch] * sx
-		var b float32
-		if bd != nil {
-			b = bd[ch]
-		}
-		row := acc[ch*hw : (ch+1)*hw]
-		dr := out[ch*hw : (ch+1)*hw]
-		for p, v := range row {
-			dr[p] = float32(v)*f + b
-		}
-		if ep != nil {
-			ep.ApplyRow(dr, ch)
-		}
-	}
+	tensor.RequantizeRows(od[i*sampleOut:(i+1)*sampleOut], acc, hw, c.qscale, sx, bd, ep)
 }
 
 // SetInt8Weights arms the depthwise convolution: data is the [C, K*K] int8

@@ -7,16 +7,29 @@ import (
 	"testing"
 )
 
-// TestDot4I8SIMDBitIdenticalToScalar drives the assembly micro kernel
-// directly against the scalar quad kernel across every 16-byte-body/tail
-// split, including adversarial all-extreme rows. Integer accumulation means
-// "close" is not an option: every output must be bit-identical.
+// withI8Level runs fn with the int8 dispatch pinned to kernel l and reports
+// whether it could: a kernel above the detected one is one this CPU lacks.
+func withI8Level(l i8Kernel, fn func()) bool {
+	if l > i8Level {
+		return false
+	}
+	defer func(v i8Kernel) { i8Level = v }(i8Level)
+	i8Level = l
+	fn()
+	return true
+}
+
+// TestDot4I8SIMDBitIdenticalToScalar drives the AVX2 micro kernel directly
+// against the scalar quad kernel across every 16-byte-body/masked-tail split
+// from its shortest row (16) up, including adversarial all-extreme rows.
+// Integer accumulation means "close" is not an option: every output must be
+// bit-identical.
 func TestDot4I8SIMDBitIdenticalToScalar(t *testing.T) {
-	if !hasI8SIMD {
+	if i8Level < i8AVX2 {
 		t.Skip("no AVX2 int8 kernel on this CPU")
 	}
 	rng := rand.New(rand.NewSource(11))
-	for k := 1; k <= 70; k++ {
+	for k := 16; k <= 70; k++ {
 		rows := make([][]int8, 4)
 		for r := range rows {
 			rows[r] = randI8(rng, k)
@@ -26,7 +39,11 @@ func TestDot4I8SIMDBitIdenticalToScalar(t *testing.T) {
 			for j := range x {
 				x[j] = 127
 				rows[0][j] = -127
+				rows[1][j] = -128
 			}
+		}
+		if k%5 == 0 {
+			x[k-1], rows[2][k-1] = -128, -128
 		}
 		var want, got [4]int32
 		dot4I8Scalar(rows[0], rows[1], rows[2], rows[3], x, &want)
@@ -37,36 +54,74 @@ func TestDot4I8SIMDBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-// TestGemmI8SIMDBitIdenticalToScalarFallback runs the whole blocked kernel
-// with the vector path enabled and disabled and requires bit-identical
-// output — the dispatch choice must be unobservable.
-func TestGemmI8SIMDBitIdenticalToScalarFallback(t *testing.T) {
-	if !hasI8SIMD {
-		t.Skip("no AVX2 int8 kernel on this CPU")
+// TestGemmI8TileVNNIBitIdenticalToScalar is the same direct drive for the
+// 4x4 tile kernel: every k up to three 32-byte steps and a tail, every patch
+// count around two tiles of four, into a destination wider than the sweep
+// whose other columns must come back untouched.
+func TestGemmI8TileVNNIBitIdenticalToScalar(t *testing.T) {
+	if i8Level < i8VNNI {
+		t.Skip("no AVX512-VNNI int8 kernel on this CPU")
 	}
-	rng := rand.New(rand.NewSource(12))
-	m, n, k := 33, 29, 83
-	a, b := randI8(rng, m*k), randI8(rng, n*k)
-	simd := make([]int32, m*n)
-	GemmI8Serial(simd, a, b, m, n, k)
-	defer func(v bool) { hasI8SIMD = v }(hasI8SIMD)
-	hasI8SIMD = false
-	scalar := make([]int32, m*n)
-	GemmI8Serial(scalar, a, b, m, n, k)
-	for i := range simd {
-		if simd[i] != scalar[i] {
-			t.Fatalf("dst[%d]: SIMD %d vs scalar %d", i, simd[i], scalar[i])
+	rng := rand.New(rand.NewSource(13))
+	for k := 1; k <= 100; k++ {
+		for rows := 1; rows <= 9; rows++ {
+			const n, j0 = 12, 2 // dst row stride, first column swept
+			a, b := randI8(rng, 4*k), randI8(rng, rows*k)
+			if k%3 == 0 {
+				for j := 0; j < k; j++ {
+					a[j], a[k+j], b[j] = -128, 127, -128
+				}
+			}
+			got := make([]int32, 4*n)
+			for i := range got {
+				got[i] = -1
+			}
+			args := i8TileArgs{dst: &got[j0], a: &a[0], b: &b[0], ldc: n, lda: k, k: k, rows: rows}
+			gemmI8TileVNNI(&args)
+			for j := 0; j < n; j++ {
+				want := [4]int32{-1, -1, -1, -1}
+				if j >= j0 && j < j0+rows {
+					x := b[(j-j0)*k : (j-j0+1)*k]
+					dot4I8Scalar(a[:k], a[k:2*k], a[2*k:3*k], a[3*k:], x, &want)
+				}
+				for r, w := range want {
+					if got[r*n+j] != w {
+						t.Fatalf("k=%d rows=%d: dst[%d][%d] = %d, want %d", k, rows, r, j, got[r*n+j], w)
+					}
+				}
+			}
 		}
 	}
 }
 
-// forEachI8Kernel runs fn once per int8 micro kernel this CPU can execute:
-// with the AVX2 gate open (when the CPU passes it) and with it forced shut.
-func forEachI8Kernel(fn func(simd bool)) {
-	defer func(v bool) { hasI8SIMD = v }(hasI8SIMD)
-	if hasI8SIMD {
-		fn(true)
+// TestGemmI8SIMDBitIdenticalToScalarFallback runs the whole blocked kernel
+// on each vector kernel and on the scalar one and requires bit-identical
+// output — the dispatch choice must be unobservable.
+func TestGemmI8SIMDBitIdenticalToScalarFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	m, n, k := 33, 29, 83
+	a, b := randI8(rng, m*k), randI8(rng, n*k)
+	scalar := make([]int32, m*n)
+	withI8Level(i8Scalar, func() { GemmI8Serial(scalar, a, b, m, n, k) })
+	forEachI8Kernel(t, func(t *testing.T) {
+		simd := make([]int32, m*n)
+		GemmI8Serial(simd, a, b, m, n, k)
+		for i := range simd {
+			if simd[i] != scalar[i] {
+				t.Fatalf("dst[%d]: %v %d vs scalar %d", i, i8Level, simd[i], scalar[i])
+			}
+		}
+	})
+}
+
+// TestRequantizeRowsSIMDBitIdenticalToScalar runs the finishing pass's table
+// with the vector path forced shut as well: both must meet the definition,
+// so the choice is unobservable.
+func TestRequantizeRowsSIMDBitIdenticalToScalar(t *testing.T) {
+	if !hasSIMD {
+		t.Skip("no AVX finishing pass on this CPU")
 	}
-	hasI8SIMD = false
-	fn(false)
+	defer func(v bool) { hasSIMD = v }(hasSIMD)
+	hasSIMD = false
+	checkRequantizeRows(t)
 }

@@ -2,6 +2,12 @@
 
 package tensor
 
-// forEachI8Kernel runs fn once per int8 micro kernel this platform has: off
-// amd64 that is the scalar kernel alone.
-func forEachI8Kernel(fn func(simd bool)) { fn(false) }
+// withI8Level runs fn with the int8 dispatch pinned to kernel l and reports
+// whether it could: off amd64 only the scalar kernel exists.
+func withI8Level(l i8Kernel, fn func()) bool {
+	if l != i8Scalar {
+		return false
+	}
+	fn()
+	return true
+}

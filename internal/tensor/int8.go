@@ -106,6 +106,68 @@ func QuantizeI8HWC(src []float32, c, hw int, scale float32, dst []int8) {
 	}
 }
 
+// requantArgs is what one requantRowsSIMD call reads; the assembly addresses
+// the fields by offset, so the layout is part of its contract.
+type requantArgs struct {
+	dst    *float32   // 0
+	acc    *int32     // 8
+	n      int        // 16: elements per row, at least 1
+	rows   int        // 24: at least 1
+	mask   *[16]int32 // 32: -1 in the first n%8 lanes
+	scales *float32   // 40: one weight scale per row
+	bias   *float32   // 48: nil, or one per row
+	mean   *float32   // 56: nil, or the rows' epilogue values ...
+	g      *float32   // 64
+	inv    *float32   // 72
+	beta   *float32   // 80
+	sx     float32    // 88: the activation scale
+	relu   bool       // 92: rectify after the epilogue (read only with mean set)
+}
+
+// RequantizeRows takes the len(scales) rows of n int32 accumulators a
+// quantized product left in acc back to float32 and finishes each in the
+// same pass:
+//
+//	dst[i*n+p] = float32(acc[i*n+p])*(scales[i]*sx) + bias[i], then ep.ApplyRow(row i, i)
+//
+// scales are the per-row weight scales, sx the activation scale, bias (nil
+// for none) the float32 bias, ep (nil for none) the epilogue. The loop below
+// is the definition and the portable path; under the AVX gate every row is
+// one vector pass in the same operation order, bit-identical to it.
+func RequantizeRows(dst []float32, acc []int32, n int, scales []float32, sx float32, bias []float32, ep *Epilogue) {
+	rows := len(scales)
+	dst, acc = dst[:rows*n], acc[:rows*n]
+	ep.covers(rows)
+	if bias != nil {
+		bias = bias[:rows]
+	}
+	if hasSIMD && rows*n > 0 {
+		a := requantArgs{dst: &dst[0], acc: &acc[0], n: n, rows: rows, mask: &tileMasks[n%8], scales: &scales[0], sx: sx}
+		if bias != nil {
+			a.bias = &bias[0]
+		}
+		if ep != nil {
+			a.mean, a.g, a.inv, a.beta, a.relu = &ep.Mean[0], &ep.Gamma[0], &ep.InvStd[0], &ep.Beta[0], ep.ReLU
+		}
+		requantRowsSIMD(&a)
+		return
+	}
+	for i, s := range scales {
+		f := s * sx
+		var b float32
+		if bias != nil {
+			b = bias[i]
+		}
+		row := dst[i*n : (i+1)*n]
+		for p, v := range acc[i*n : (i+1)*n] {
+			row[p] = float32(v)*f + b
+		}
+		if ep != nil {
+			ep.ApplyRow(row, i)
+		}
+	}
+}
+
 // Im2RowI8 lowers one quantized CHW image into patch rows for the int8 GEMM.
 // src holds C*H*W int8 values; dst receives (oh*ow) x (C*kh*kw) values laid
 // out row-major — one contiguous patch per output pixel, with the in-patch

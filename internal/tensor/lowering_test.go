@@ -220,7 +220,7 @@ func TestIm2RowI8HWCGemmMatchesChannelMajor(t *testing.T) {
 	}
 	want := make([]int32, outC*oh*ow)
 	refGemmI8(want, wt, rows, outC, oh*ow, patch)
-	forEachI8Kernel(func(simd bool) {
+	forEachI8Kernel(t, func(t *testing.T) {
 		for name, gemm := range map[string]func([]int32, []int8, []int8, int, int, int){
 			"serial": GemmI8Serial, "parallel": GemmI8Parallel,
 		} {
@@ -228,7 +228,7 @@ func TestIm2RowI8HWCGemmMatchesChannelMajor(t *testing.T) {
 			gemm(got, wtHWC, rowsHWC, outC, oh*ow, patch)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("simd=%v %s: acc[%d] = %d, want %d", simd, name, i, got[i], want[i])
+					t.Fatalf("%s: acc[%d] = %d, want %d", name, i, got[i], want[i])
 				}
 			}
 		}

@@ -35,21 +35,27 @@ const kBlock = 256
 // multiply-accumulates: a product leaves its goroutine only when it can be
 // cut into at least two row ranges of this size, so the smallest cube that
 // fans out is 256³. It is read off BenchmarkGemmCrossover on the reference
-// box (2 cores, GOMAXPROCS=2; µs per product, serial / cut in two):
+// box (2 cores, GOMAXPROCS=2; µs per product, serial / cut in two; the int8
+// column is the avx512vnni-4x4 kernel, re-read when it landed — the avx2-dot4
+// column it replaced ran 21/29 … 12740/7640 and crossed at the same place):
 //
 //	total MACs   f32            int8
-//	   0.1 M        4.6 /    7.6     21 /   29
-//	   1.0 M         37 /     53     59 /   81
-//	   3.0 M         99 /    141    111 /  150
-//	   9.9 M        370 /    395    684 /  740
-//	  29.8 M       1117 /    761   1481 / 1202
-//	  99.9 M       3324 /   1893   2935 / 1989
-//	 300.8 M      13106 /   6495  12740 / 7640
+//	   0.1 M        4.6 /    7.6    1.9 /  2.8
+//	   1.0 M         37 /     53     10 /   16
+//	   3.0 M         99 /    141     24 /   27
+//	   9.9 M        370 /    395     76 /   73
+//	  29.8 M       1117 /    761    205 /  193
+//	  99.9 M       3324 /   1893    610 /  411
+//	 300.8 M      13106 /   6495   1852 /  998
 //
 // Below ≈ 10 M MACs the wake-up costs more than the second core returns, in
 // both precisions, and that is the benchmark's tight loop, where the pool
 // worker is still spinning when the next product arrives; a worker that has
-// parked costs more. Every single-sample GEMM in the zoo is under 0.6 M.
+// parked costs more. The int8 hand-off breaks even between 10 M and 30 M
+// (the tile kernel is five to seven times faster per MAC than float32, and
+// at 30 M the second core returns 6 % where float32 gets 32 %): within 2× of
+// the 16.8 M the rule puts the smallest fan-out at, so both precisions keep
+// the one rule. Every single-sample GEMM in the zoo is under 0.6 M.
 const parallelMACs = 1 << 23
 
 // gemmGrain is the dispatch rule the float32 and int8 GEMMs share: the

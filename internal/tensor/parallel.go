@@ -55,14 +55,11 @@ func poolStart() {
 // the dispatch threshold, in one line a daemon can log and an operator can
 // grep.
 func KernelStatus() string {
-	f32, conv, i8 := "scalar-4x4", "im2col", "scalar-dot4"
+	f32, conv := "scalar-4x4", "im2col"
 	if hasSIMD {
 		f32, conv = "avx-tile4x16", "packed-from-image"
 	}
-	if hasI8SIMD {
-		i8 = "avx2-dot4"
-	}
-	return fmt.Sprintf("f32=%s f32conv=%s int8=%s parallel_above_macs=%d workers=%d", f32, conv, i8, 2*parallelMACs, poolSize)
+	return fmt.Sprintf("f32=%s f32conv=%s int8=%s parallel_above_macs=%d workers=%d", f32, conv, i8Level, 2*parallelMACs, poolSize)
 }
 
 // Workers returns the maximum number of concurrently executing chunks a

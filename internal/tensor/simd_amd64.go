@@ -31,7 +31,7 @@ func packConvSIMD(a *packArgs)
 
 // dot4I8SIMD computes four int8 dot products sharing one streamed patch row:
 //
-//	out[r] = Σ_j int32(wr[j]) * int32(x[j])  for r in 0..3, j in 0..k
+//	out[r] = Σ_j int32(wr[j]) * int32(x[j])  for r in 0..3, j in 0..k, k ≥ 16
 //
 // The AVX2 body sign-extends 16 bytes at a time (vpmovsxbw) and reduces them
 // with vpmaddwd — exact pairwise int16 multiplies into int32 lanes — so the
@@ -39,6 +39,17 @@ func packConvSIMD(a *packArgs)
 //
 //go:noescape
 func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32)
+
+// gemmI8TileVNNI computes four output rows of the int8 product against
+// t.rows patch rows (see i8TileArgs), bit-identical to dot4I8Scalar on each.
+//
+//go:noescape
+func gemmI8TileVNNI(t *i8TileArgs)
+
+// requantRowsSIMD finishes the rows of a quantized product (see requantArgs).
+//
+//go:noescape
+func requantRowsSIMD(a *requantArgs)
 
 //go:noescape
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -50,10 +61,10 @@ func xgetbv0() (eax, edx uint32)
 // support AVX and the OS must have enabled XMM+YMM state saving.
 var hasSIMD = detectAVX()
 
-// hasI8SIMD reports whether the AVX2 int8 micro kernel is usable: on top of
-// the hasSIMD requirements (OS-enabled YMM state), the integer instructions
-// it uses (vpmovsxbw/vpmaddwd/vpaddd on YMM) need AVX2.
-var hasI8SIMD = hasSIMD && detectAVX2()
+// i8Level is the int8 micro kernel gemmI8Rows dispatches to: the best one
+// whose CPUID gate this CPU passes. A variable only so tests can walk down
+// to the kernels below it.
+var i8Level = detectI8Kernel()
 
 func detectAVX() bool {
 	const (
@@ -68,8 +79,30 @@ func detectAVX() bool {
 	return eax&0x6 == 0x6
 }
 
-func detectAVX2() bool {
-	const avx2 = 1 << 5 // CPUID.(EAX=7,ECX=0):EBX bit 5
-	_, b, _, _ := cpuidex(7, 0)
-	return b&avx2 != 0
+// detectI8Kernel gates the two vector int8 kernels. dot4I8SIMD needs AVX2
+// for its YMM integer instructions (vpmovsxbw/vpmaddwd/vpaddd) on top of the
+// hasSIMD requirements. gemmI8TileVNNI needs, on top of that, AVX512F, BW
+// (byte-masked loads, kmovd), VL (EVEX forms on YMM, Y16..Y31) and VNNI
+// (vpdpbusd), and an OS that saves the opmask and upper-register state
+// (XCR0 bits 5..7) — ZMM itself is never touched, but Y16..Y31 live in it.
+func detectI8Kernel() i8Kernel {
+	const (
+		avx2     = 1 << 5  // CPUID.(EAX=7,ECX=0):EBX
+		avx512f  = 1 << 16 // EBX
+		avx512bw = 1 << 30 // EBX
+		avx512vl = 1 << 31 // EBX
+		vnni     = 1 << 11 // ECX
+		xcr0     = 0xE6    // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
+	)
+	_, b, c, _ := cpuidex(7, 0)
+	if !hasSIMD || b&avx2 == 0 {
+		return i8Scalar
+	}
+	if b&avx512f == 0 || b&avx512bw == 0 || b&avx512vl == 0 || c&vnni == 0 {
+		return i8AVX2
+	}
+	if eax, _ := xgetbv0(); eax&xcr0 != xcr0 {
+		return i8AVX2
+	}
+	return i8VNNI
 }

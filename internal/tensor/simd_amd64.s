@@ -249,15 +249,47 @@ TEXT ·packConvSIMD(SB), NOSPLIT, $0-8
 	PACK_TAPS(pack4, pack4run, pack4next, VMOVUPS, X0, $16)
 	PACK_TAPS(pack8, pack8run, pack8next, VMOVUPS, Y0, $32)
 
+// Sums four YMM accumulators of dwords across their lanes into the four
+// dwords of x0, the first one's low half, in argument order (VEX forms:
+// Y0..Y15 only).
+#define I8_HSUM4(a0, a1, a2, a3, x0, x1) \
+	VPHADDD a1, a0, a0; \
+	VPHADDD a3, a2, a2; \
+	VPHADDD a2, a0, a0; \
+	VEXTRACTI128 $1, a0, x1; \
+	VPADDD x1, x0, x0
+
 // func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32)
 //
 // Four int8 dot products sharing one streamed x row — the integer analogue
 // of the float32 tile's row-quad reuse. Sixteen bytes per step are sign-extended to int16
 // (VPMOVSXBW) and reduced with VPMADDWD: each int16*int16 product and the
 // pairwise add are exact in int32, so unlike a vpmaddubsw kernel nothing can
-// saturate, and the result is bit-identical to the scalar fallback. The
-// remainder runs as a GP-register scalar loop after the YMM accumulators
-// have been reduced.
+// saturate, and the result is bit-identical to the scalar fallback. The last
+// k%16 bytes are one more step over the row's final sixteen, with the bytes
+// of x the body already consumed masked to zero; a row shorter than sixteen
+// has no such load, so k must be at least 16 (gemmI8Rows sends shorter rows
+// to the scalar kernel).
+DATA i8tailmask<>+0(SB)/8, $0
+DATA i8tailmask<>+8(SB)/8, $0
+DATA i8tailmask<>+16(SB)/8, $0xffffffffffffffff
+DATA i8tailmask<>+24(SB)/8, $0xffffffffffffffff
+GLOBL i8tailmask<>(SB), RODATA|NOPTR, $32
+
+#define DOT4_STEP \
+	VPMOVSXBW (DI)(R9*1), Y9; \
+	VPMADDWD  Y8, Y9, Y9; \
+	VPADDD    Y9, Y0, Y0; \
+	VPMOVSXBW (SI)(R9*1), Y9; \
+	VPMADDWD  Y8, Y9, Y9; \
+	VPADDD    Y9, Y1, Y1; \
+	VPMOVSXBW (DX)(R9*1), Y9; \
+	VPMADDWD  Y8, Y9, Y9; \
+	VPADDD    Y9, Y2, Y2; \
+	VPMOVSXBW (CX)(R9*1), Y9; \
+	VPMADDWD  Y8, Y9, Y9; \
+	VPADDD    Y9, Y3, Y3
+
 TEXT ·dot4I8SIMD(SB), NOSPLIT, $0-56
 	MOVQ w0+0(FP), DI
 	MOVQ w1+8(FP), SI
@@ -265,6 +297,7 @@ TEXT ·dot4I8SIMD(SB), NOSPLIT, $0-56
 	MOVQ w3+24(FP), CX
 	MOVQ x+32(FP), BX
 	MOVQ k+40(FP), AX
+	MOVQ out+48(FP), R11
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
@@ -272,86 +305,330 @@ TEXT ·dot4I8SIMD(SB), NOSPLIT, $0-56
 	XORQ R9, R9
 	MOVQ AX, R10
 	SHRQ $4, R10
-	JZ   i8reduce
 
 i8loop16:
 	VPMOVSXBW (BX)(R9*1), Y8
-	VPMOVSXBW (DI)(R9*1), Y9
-	VPMADDWD  Y8, Y9, Y9
-	VPADDD    Y9, Y0, Y0
-	VPMOVSXBW (SI)(R9*1), Y9
-	VPMADDWD  Y8, Y9, Y9
-	VPADDD    Y9, Y1, Y1
-	VPMOVSXBW (DX)(R9*1), Y9
-	VPMADDWD  Y8, Y9, Y9
-	VPADDD    Y9, Y2, Y2
-	VPMOVSXBW (CX)(R9*1), Y9
-	VPMADDWD  Y8, Y9, Y9
-	VPADDD    Y9, Y3, Y3
+	DOT4_STEP
 	ADDQ $16, R9
 	DECQ R10
 	JNZ  i8loop16
 
-i8reduce:
-	// Horizontal-sum each YMM accumulator into a GP register: fold the high
-	// lane onto the low, then the 64-bit halves, then the 32-bit pair.
-	VEXTRACTI128 $1, Y0, X8
-	VPADDD X8, X0, X0
-	VPSHUFD $0x4E, X0, X8
-	VPADDD X8, X0, X0
-	VPSHUFD $0xB1, X0, X8
-	VPADDD X8, X0, X0
-	MOVL   X0, R13
-	VEXTRACTI128 $1, Y1, X8
-	VPADDD X8, X1, X1
-	VPSHUFD $0x4E, X1, X8
-	VPADDD X8, X1, X1
-	VPSHUFD $0xB1, X1, X8
-	VPADDD X8, X1, X1
-	MOVL   X1, R14
-	VEXTRACTI128 $1, Y2, X8
-	VPADDD X8, X2, X2
-	VPSHUFD $0x4E, X2, X8
-	VPADDD X8, X2, X2
-	VPSHUFD $0xB1, X2, X8
-	VPADDD X8, X2, X2
-	MOVL   X2, R15
-	VEXTRACTI128 $1, Y3, X8
-	VPADDD X8, X3, X3
-	VPSHUFD $0x4E, X3, X8
-	VPADDD X8, X3, X3
-	VPSHUFD $0xB1, X3, X8
-	VPADDD X8, X3, X3
-	MOVL   X3, R8
-	VZEROUPPER
-
 	ANDQ $15, AX
-	JZ   i8store
+	JZ   i8reduce
+	// Bytes [k-16, k): the first 16-(k%16) were consumed above and are
+	// masked out of x, so they add nothing on any row.
+	LEAQ i8tailmask<>(SB), R10
+	VMOVDQU (R10)(AX*1), X10
+	LEAQ -16(R9)(AX*1), R9
+	VPAND (BX)(R9*1), X10, X10
+	VPMOVSXBW X10, Y8
+	DOT4_STEP
 
-i8tail:
-	MOVBLSX (BX)(R9*1), R11
-	MOVBLSX (DI)(R9*1), R12
-	IMULL   R11, R12
-	ADDL    R12, R13
-	MOVBLSX (SI)(R9*1), R12
-	IMULL   R11, R12
-	ADDL    R12, R14
-	MOVBLSX (DX)(R9*1), R12
-	IMULL   R11, R12
-	ADDL    R12, R15
-	MOVBLSX (CX)(R9*1), R12
-	IMULL   R11, R12
-	ADDL    R12, R8
-	INCQ R9
+i8reduce:
+	I8_HSUM4(Y0, Y1, Y2, Y3, X0, X8)
+	VMOVDQU X0, (R11)
+	VZEROUPPER
+	RET
+
+// func gemmI8TileVNNI(t *i8TileArgs)
+//
+// Four weight rows against t.rows patch rows, four patch rows at a time: a
+// 4x4 tile of dot products in sixteen YMM accumulators (Y0..Y15, row-major:
+// Y(4r+j) is weight row r times patch row j), 32 bytes of k per step, the
+// operands in Y16..Y23. VPDPBUSD multiplies unsigned bytes by signed ones,
+// so each patch byte is flipped to x+128 as it is loaded (x XOR 0x80) and
+// every result is corrected by 128 times its weight row's sum, which the
+// kernel forms first with four VPDPBUSD against all-ones per step:
+//
+//	sum_p w_p*(x_p+128) - 128*sum_p w_p = sum_p w_p*x_p
+//
+// 255*(-128) fits the signed word VPDPBUSD forms each product in and its
+// adds wrap (it is the non-saturating form), so both sides of the identity
+// hold modulo 2^32 for every int8 value, as the other two kernels' sums do.
+// The k%32 tail is one more step whose loads are zeroed past k by opmask K1:
+// a zero weight byte cancels whatever the flipped patch byte is. A VPHADDD
+// tree (VEX only, hence the accumulators in Y0..Y15) leaves each weight
+// row's four results adjacent, so a tile stores sixteen bytes per row; the
+// last rows%4 patch rows run the same body one patch row wide.
+#define I8_LOADW(off) \
+	VMOVDQU32 (SI)(off*1), Y16; \
+	VMOVDQU32 (R10)(off*1), Y17; \
+	VMOVDQU32 (R11)(off*1), Y18; \
+	VMOVDQU32 (R12)(off*1), Y19
+
+#define I8_LOADW_TAIL(off) \
+	VMOVDQU8.Z (SI)(off*1), K1, Y16; \
+	VMOVDQU8.Z (R10)(off*1), K1, Y17; \
+	VMOVDQU8.Z (R11)(off*1), K1, Y18; \
+	VMOVDQU8.Z (R12)(off*1), K1, Y19
+
+#define I8_DP4(x, a0, a1, a2, a3) \
+	VPDPBUSD Y16, x, a0; \
+	VPDPBUSD Y17, x, a1; \
+	VPDPBUSD Y18, x, a2; \
+	VPDPBUSD Y19, x, a3
+
+#define I8_DP16 \
+	I8_DP4(Y20, Y0, Y4, Y8, Y12); \
+	I8_DP4(Y21, Y1, Y5, Y9, Y13); \
+	I8_DP4(Y22, Y2, Y6, Y10, Y14); \
+	I8_DP4(Y23, Y3, Y7, Y11, Y15)
+
+TEXT ·gemmI8TileVNNI(SB), NOSPLIT, $0-8
+	MOVQ t+0(FP), DX
+	MOVQ 0(DX), DI        // dst
+	MOVQ 8(DX), SI        // weight row 0
+	MOVQ 16(DX), BX       // patch row 0
+	MOVQ 24(DX), R13      // ldc
+	MOVQ 32(DX), AX       // lda
+	MOVQ 40(DX), CX       // k
+	MOVQ 48(DX), R8       // patch rows left
+	SHLQ $2, R13          // dst row stride in bytes
+	LEAQ (SI)(AX*1), R10  // weight rows 1..3
+	LEAQ (R10)(AX*1), R11
+	LEAQ (R11)(AX*1), R12
+	MOVL $0x80808080, AX
+	VPBROADCASTD AX, Y31  // the sign flip
+	MOVL $0x01010101, AX
+	VPBROADCASTD AX, Y30  // the row-sum multiplier
+	MOVL $1, AX
+	SHLL CX, AX           // CL masks the count to k%32 by itself
+	DECL AX
+	KMOVD AX, K1          // the first k%32 bytes
+	MOVQ CX, R14
+	ANDQ $-32, R14        // bytes the full steps cover
+
+	// 128 times each weight row's sum: X28 holds the four, X24..X27 one each.
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ R9, R9
+	TESTQ R14, R14
+	JZ   i8sumtail
+i8sumloop:
+	VPDPBUSD (SI)(R9*1), Y30, Y0
+	VPDPBUSD (R10)(R9*1), Y30, Y1
+	VPDPBUSD (R11)(R9*1), Y30, Y2
+	VPDPBUSD (R12)(R9*1), Y30, Y3
+	ADDQ $32, R9
+	CMPQ R9, R14
+	JLT  i8sumloop
+i8sumtail:
+	TESTQ $31, CX
+	JZ   i8sumdone
+	I8_LOADW_TAIL(R9)
+	VPDPBUSD Y16, Y30, Y0
+	VPDPBUSD Y17, Y30, Y1
+	VPDPBUSD Y18, Y30, Y2
+	VPDPBUSD Y19, Y30, Y3
+i8sumdone:
+	I8_HSUM4(Y0, Y1, Y2, Y3, X0, X1)
+	VPSLLD $7, X0, X0
+	VMOVDQA32 X0, X28
+	VPSHUFD $0x00, X0, X24
+	VPSHUFD $0x55, X0, X25
+	VPSHUFD $0xAA, X0, X26
+	VPSHUFD $0xFF, X0, X27
+
+	LEAQ (BX)(CX*1), R15  // patch rows 1..3 of the tile
+	LEAQ (R15)(CX*1), AX
+	LEAQ (AX)(CX*1), DX
+
+i8tile4:
+	CMPQ R8, $4
+	JLT  i8tile1
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	VPXOR Y12, Y12, Y12
+	VPXOR Y13, Y13, Y13
+	VPXOR Y14, Y14, Y14
+	VPXOR Y15, Y15, Y15
+	XORQ R9, R9
+	TESTQ R14, R14
+	JZ   i8tile4tail
+i8tile4loop:
+	I8_LOADW(R9)
+	VPXORD (BX)(R9*1), Y31, Y20
+	VPXORD (R15)(R9*1), Y31, Y21
+	VPXORD (AX)(R9*1), Y31, Y22
+	VPXORD (DX)(R9*1), Y31, Y23
+	I8_DP16
+	ADDQ $32, R9
+	CMPQ R9, R14
+	JLT  i8tile4loop
+i8tile4tail:
+	TESTQ $31, CX
+	JZ   i8tile4store
+	I8_LOADW_TAIL(R9)
+	VMOVDQU8.Z (BX)(R9*1), K1, Y20
+	VMOVDQU8.Z (R15)(R9*1), K1, Y21
+	VMOVDQU8.Z (AX)(R9*1), K1, Y22
+	VMOVDQU8.Z (DX)(R9*1), K1, Y23
+	VPXORD Y31, Y20, Y20
+	VPXORD Y31, Y21, Y21
+	VPXORD Y31, Y22, Y22
+	VPXORD Y31, Y23, Y23
+	I8_DP16
+i8tile4store:
+	LEAQ (R13)(R13*2), R9
+	I8_HSUM4(Y0, Y1, Y2, Y3, X0, X1)
+	VPSUBD X24, X0, X0
+	VMOVDQU X0, (DI)
+	I8_HSUM4(Y4, Y5, Y6, Y7, X4, X5)
+	VPSUBD X25, X4, X4
+	VMOVDQU X4, (DI)(R13*1)
+	I8_HSUM4(Y8, Y9, Y10, Y11, X8, X9)
+	VPSUBD X26, X8, X8
+	VMOVDQU X8, (DI)(R13*2)
+	I8_HSUM4(Y12, Y13, Y14, Y15, X12, X13)
+	VPSUBD X27, X12, X12
+	VMOVDQU X12, (DI)(R9*1)
+	LEAQ (BX)(CX*4), BX
+	LEAQ (R15)(CX*4), R15
+	LEAQ (AX)(CX*4), AX
+	LEAQ (DX)(CX*4), DX
+	ADDQ $16, DI
+	SUBQ $4, R8
+	JMP  i8tile4
+
+i8tile1:
+	TESTQ R8, R8
+	JZ   i8tiledone
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ R9, R9
+	TESTQ R14, R14
+	JZ   i8tile1tail
+i8tile1loop:
+	I8_LOADW(R9)
+	VPXORD (BX)(R9*1), Y31, Y20
+	I8_DP4(Y20, Y0, Y1, Y2, Y3)
+	ADDQ $32, R9
+	CMPQ R9, R14
+	JLT  i8tile1loop
+i8tile1tail:
+	TESTQ $31, CX
+	JZ   i8tile1store
+	I8_LOADW_TAIL(R9)
+	VMOVDQU8.Z (BX)(R9*1), K1, Y20
+	VPXORD Y31, Y20, Y20
+	I8_DP4(Y20, Y0, Y1, Y2, Y3)
+i8tile1store:
+	LEAQ (R13)(R13*2), R9
+	I8_HSUM4(Y0, Y1, Y2, Y3, X0, X1)
+	VPSUBD X28, X0, X0
+	VMOVD   X0, (DI)
+	VPEXTRD $1, X0, (DI)(R13*1)
+	VPEXTRD $2, X0, (DI)(R13*2)
+	VPEXTRD $3, X0, (DI)(R9*1)
+	ADDQ CX, BX
+	ADDQ $4, DI
+	DECQ R8
+	JMP  i8tile1
+
+i8tiledone:
+	VZEROUPPER
+	RET
+
+// func requantRowsSIMD(a *requantArgs)
+//
+// The rows of a quantized product leave their accumulators: per row the
+// scale a.scales[i]*a.sx (one VMULSS, as the scalar path multiplies) and the
+// bias are broadcast, then per element VCVTDQ2PS, VMULPS, VADDPS and — when
+// a.mean is set — the batch-norm sequence of TILE_BN and, when a.relu is,
+// the rectifier, eight elements at a time and the last n%8 under a.mask. It
+// is RequantizeRows' scalar loop in the same operation order (mul then add,
+// never FMA), so the two are bit-identical.
+#define REQUANT_STEP(skip) \
+	VCVTDQ2PS Y0, Y0; \
+	VMULPS Y8, Y0, Y0; \
+	VADDPS Y9, Y0, Y0; \
+	TESTQ R12, R12; \
+	JZ   skip; \
+	VSUBPS Y10, Y0, Y0; \
+	VMULPS Y0, Y11, Y0; \
+	VMULPS Y12, Y0, Y0; \
+	VADDPS Y13, Y0, Y0; \
+	TESTQ R9, R9; \
+	JZ   skip; \
+	VMAXPS Y14, Y0, Y0; \
+skip:
+
+TEXT ·requantRowsSIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DX
+	MOVQ 0(DX), DI        // dst
+	MOVQ 8(DX), SI        // acc
+	MOVQ 16(DX), CX       // n
+	MOVQ 24(DX), R8       // rows
+	MOVQ 32(DX), AX       // mask of the last n%8
+	MOVQ 40(DX), R10      // scales
+	MOVQ 48(DX), R11      // bias, or nil
+	MOVQ 56(DX), R12      // mean, or nil for no epilogue
+	MOVQ 64(DX), R13      // gamma
+	MOVQ 72(DX), R14      // invStd
+	MOVQ 80(DX), R15      // beta
+	VMOVSS 88(DX), X7     // sx
+	MOVBLZX 92(DX), R9    // relu
+	VMOVDQU (AX), Y15
+	VXORPS Y14, Y14, Y14
+	MOVQ CX, DX
+	SHRQ $3, DX           // whole vectors per row
+	ANDQ $7, CX           // elements after them
+	XORQ BX, BX           // row
+
+requantrow:
+	VMULSS (R10)(BX*4), X7, X8
+	VSHUFPS $0, X8, X8, X8
+	VINSERTF128 $1, X8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	TESTQ R11, R11
+	JZ   requantbn
+	VBROADCASTSS (R11)(BX*4), Y9
+requantbn:
+	TESTQ R12, R12
+	JZ   requantsweep
+	VBROADCASTSS (R12)(BX*4), Y10
+	VBROADCASTSS (R13)(BX*4), Y11
+	VBROADCASTSS (R14)(BX*4), Y12
+	VBROADCASTSS (R15)(BX*4), Y13
+requantsweep:
+	MOVQ DX, AX
+	TESTQ AX, AX
+	JZ   requanttail
+requantloop:
+	VMOVDQU (SI), Y0
+	REQUANT_STEP(requantstore)
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
 	DECQ AX
-	JNZ  i8tail
-
-i8store:
-	MOVQ out+48(FP), R11
-	MOVL R13, 0(R11)
-	MOVL R14, 4(R11)
-	MOVL R15, 8(R11)
-	MOVL R8, 12(R11)
+	JNZ  requantloop
+requanttail:
+	TESTQ CX, CX
+	JZ   requantnext
+	VMASKMOVPS (SI), Y15, Y0
+	REQUANT_STEP(requantstoretail)
+	VMASKMOVPS Y0, Y15, (DI)
+	LEAQ (SI)(CX*4), SI
+	LEAQ (DI)(CX*4), DI
+requantnext:
+	INCQ BX
+	CMPQ BX, R8
+	JLT  requantrow
+	VZEROUPPER
 	RET
 
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

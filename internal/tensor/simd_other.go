@@ -6,9 +6,9 @@ package tensor
 // matmul.go is used unconditionally.
 const hasSIMD = false
 
-// hasI8SIMD mirrors hasSIMD for the int8 kernel: no vector path off amd64,
+// i8Level mirrors hasSIMD for the int8 kernel: no vector path off amd64,
 // the scalar quad kernel in gemm_i8.go runs unconditionally.
-const hasI8SIMD = false
+const i8Level = i8Scalar
 
 // gemmTileSIMD, packPanelSIMD and packConvSIMD are never called when hasSIMD
 // is false; the stubs keep the matmul kernel free of build tags.
@@ -24,8 +24,17 @@ func packConvSIMD(a *packArgs) {
 	panic("tensor: packConvSIMD called without SIMD support")
 }
 
-// dot4I8SIMD is never called when hasI8SIMD is false; the stub keeps the
-// int8 GEMM kernel free of build tags.
+// dot4I8SIMD and gemmI8TileVNNI are never called when i8Level is i8Scalar,
+// nor requantRowsSIMD when hasSIMD is false; the stubs keep the int8 kernels
+// free of build tags.
 func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32) {
 	panic("tensor: dot4I8SIMD called without SIMD support")
+}
+
+func gemmI8TileVNNI(t *i8TileArgs) {
+	panic("tensor: gemmI8TileVNNI called without SIMD support")
+}
+
+func requantRowsSIMD(a *requantArgs) {
+	panic("tensor: requantRowsSIMD called without SIMD support")
 }
