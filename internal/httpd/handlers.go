@@ -212,14 +212,14 @@ type debugTraceResponse struct {
 // without a tracer.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Tracer == nil {
-		writeJSONError(w, r, http.StatusNotFound, "tracing disabled (no tracer configured)", 0)
+		writeJSONError(w, r, http.StatusNotFound, "tracing disabled (no tracer configured)")
 		return
 	}
 	var minWall time.Duration
 	if q := r.URL.Query().Get("min_ms"); q != "" {
 		ms, err := strconv.ParseFloat(q, 64)
 		if err != nil || ms < 0 {
-			writeJSONError(w, r, http.StatusBadRequest, "min_ms must be a non-negative number", 0)
+			writeJSONError(w, r, http.StatusBadRequest, "min_ms must be a non-negative number")
 			return
 		}
 		minWall = time.Duration(ms * float64(time.Millisecond))
@@ -228,7 +228,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n <= 0 {
-			writeJSONError(w, r, http.StatusBadRequest, "limit must be a positive integer", 0)
+			writeJSONError(w, r, http.StatusBadRequest, "limit must be a positive integer")
 			return
 		}
 		limit = n
@@ -254,7 +254,7 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(samples) == 0 {
-		writeJSONError(w, r, http.StatusBadRequest, "empty batch", 0)
+		writeJSONError(w, r, http.StatusBadRequest, "empty batch")
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -351,7 +351,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	dev, err := tee.ByName(art.Device)
 	if err != nil {
-		writeJSONError(w, r, http.StatusBadRequest, err.Error(), 0)
+		writeJSONError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	dep, err := art.Deploy(dev)

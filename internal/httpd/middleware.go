@@ -270,7 +270,7 @@ func Recover(log *slog.Logger, m *httpMetrics) Middleware {
 					// The header may already be out if the handler panicked
 					// mid-stream; in that case the connection is poisoned
 					// anyway and this write is a no-op.
-					writeJSONError(w, r, http.StatusInternalServerError, "internal error", 0)
+					writeJSONError(w, r, http.StatusInternalServerError, "internal error")
 				}
 			}()
 			next.ServeHTTP(w, r)
@@ -309,7 +309,7 @@ func Auth(keys map[string]string, exempt ...string) Middleware {
 			}
 			tenant, ok := authTenant(r, keys)
 			if !ok {
-				writeJSONError(w, r, http.StatusUnauthorized, "missing or unknown API key", 0)
+				writeJSONError(w, r, http.StatusUnauthorized, "missing or unknown API key")
 				return
 			}
 			next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKeyTenant, tenant)))

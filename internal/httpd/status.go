@@ -94,11 +94,11 @@ func writeError(w http.ResponseWriter, r *http.Request, err error, retryAfter ti
 	if hint && retryAfter > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.999)))
 	}
-	writeJSONError(w, r, code, err.Error(), retryAfter)
+	writeJSONError(w, r, code, err.Error())
 }
 
 // writeJSONError answers with an explicit status and message.
-func writeJSONError(w http.ResponseWriter, r *http.Request, code int, msg string, _ time.Duration) {
+func writeJSONError(w http.ResponseWriter, r *http.Request, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(errorBody{

@@ -71,11 +71,13 @@ func (a *Arena) ColScratch(w, n int) []float32 {
 }
 
 // I8Buf returns worker w's quantized-input scratch grown to at least n
-// int8s: one sample's int8 image, pixel-major (HWC) when a convolution
-// quantizes into it — for a pointwise convolution that image is handed to
-// the GEMM as the patch matrix directly — and in the input's own order for
-// dense and depthwise layers. Contents are undefined; callers overwrite
-// before reading.
+// int8s: one sample's int8 image — for a convolution the pixel-major (HWC)
+// plane of tensor.I8PlaneLen bytes, the image inside a border of Pad zero
+// pixels that tensor.QuantizeI8HWC rewrites on every call (the scratch is
+// shared by convolutions of different geometry); a pointwise convolution has
+// no border and hands the plane to the GEMM as the patch matrix directly —
+// and in the input's own order for dense and depthwise layers. Contents are
+// undefined; callers overwrite before reading.
 func (a *Arena) I8Buf(w, n int) []int8 {
 	if cap(a.i8bufs[w]) < n {
 		a.i8bufs[w] = make([]int8, n)
@@ -84,8 +86,9 @@ func (a *Arena) I8Buf(w, n int) []int8 {
 }
 
 // I8Cols returns worker w's int8 patch scratch (the Im2RowI8HWC
-// destination: one (ky, kx, channel)-ordered patch row per output pixel)
-// grown to at least n int8s. Pointwise convolutions never draw it. Contents
+// destination: one (ky, kx, channel)-ordered patch row per output pixel,
+// each of its kernel rows one run copied out of the I8Buf plane) grown to at
+// least n int8s. Pointwise convolutions never draw it. Contents
 // are undefined; callers overwrite before reading.
 func (a *Arena) I8Cols(w, n int) []int8 {
 	if cap(a.i8cols[w]) < n {

@@ -86,8 +86,9 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilo
 
 // i8Sample runs sample i of the quantized convolution on one worker's arena
 // lanes: the dynamic per-sample scale, one f32 CHW → int8 HWC quantization
-// pass, run-copy patch lowering (skipped for a pointwise conv, whose HWC
-// image already is the patch matrix), the int8 GEMM against the
+// pass into a plane that carries the padding as a zero border, patch rows
+// copied out of that plane (skipped for a pointwise conv, whose borderless
+// plane already is the patch matrix), the int8 GEMM against the
 // (ky, kx, channel)-ordered weights, and per-channel requantization with the
 // bias and the epilogue fused in (tensor.RequantizeRows: one pass per row).
 func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float32, ep *tensor.Epilogue,
@@ -97,8 +98,8 @@ func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float3
 	sampleOut := c.OutC * hw
 	sample := xd[i*sampleIn : (i+1)*sampleIn]
 	sx := tensor.QuantScale(tensor.MaxAbs(sample))
-	img := a.I8Buf(worker, sampleIn)
-	tensor.QuantizeI8HWC(sample, c.InC, h*w, sx, img)
+	img := a.I8Buf(worker, tensor.I8PlaneLen(c.InC, h, w, c.Pad))
+	tensor.QuantizeI8HWC(sample, c.InC, h, w, c.Pad, sx, img)
 	patches := img
 	if !c.pointwise() {
 		patches = a.I8Cols(worker, colRows*hw)

@@ -148,11 +148,11 @@ func BenchmarkLowering(b *testing.B) {
 				Im2Col(src, s.c, s.h, s.w, s.k, s.k, s.stride, s.pad, dst)
 			}
 		})
-		qin, dst := make([]int8, len(src)), make([]int8, colLen)
+		qin, dst := make([]int8, I8PlaneLen(s.c, s.h, s.w, s.pad)), make([]int8, colLen)
 		b.Run(s.name+"/int8", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				QuantizeI8HWC(src, s.c, s.h*s.w, QuantScale(MaxAbs(src)), qin)
+				QuantizeI8HWC(src, s.c, s.h, s.w, s.pad, QuantScale(MaxAbs(src)), qin)
 				Im2RowI8HWC(qin, s.c, s.h, s.w, s.k, s.k, s.stride, s.pad, dst)
 			}
 		})

@@ -21,22 +21,19 @@ func absBits(v float32) uint32 { return math.Float32bits(v) &^ f32SignBit }
 
 // MaxAbs returns the largest absolute value in xs (0 for an empty slice).
 // NaN elements are skipped — a NaN never becomes a scale — and ±Inf yields
-// +Inf. The scan is an integer max over four independent lanes of magnitude
-// bit patterns, so its cost does not depend on how predictable the data is;
-// only a slice that holds a NaN pays for a second pass that steps over them.
+// +Inf. The scan is an unsigned integer max over magnitude bit patterns, so
+// its cost does not depend on how predictable the data is; only a slice that
+// holds a NaN pays for a second pass that steps over them. The loop in
+// maxAbsBits is the definition and the portable path; at i8AVX2 and above
+// the same max runs eight lanes wide (maxAbsSIMD: vpand + vpmaxud), and a
+// max is the same whatever order it is taken in.
 func MaxAbs(xs []float32) float32 {
-	var m0, m1, m2, m3 uint32
-	rest := xs
-	for ; len(rest) >= 4; rest = rest[4:] {
-		m0 = max(m0, absBits(rest[0]))
-		m1 = max(m1, absBits(rest[1]))
-		m2 = max(m2, absBits(rest[2]))
-		m3 = max(m3, absBits(rest[3]))
+	var m uint32
+	if i8Level >= i8AVX2 && len(xs) > 0 {
+		m = maxAbsSIMD(&xs[0], len(xs), &tileMasks[len(xs)%8])
+	} else {
+		m = maxAbsBits(xs)
 	}
-	for _, v := range rest {
-		m0 = max(m0, absBits(v))
-	}
-	m := max(m0, m1, m2, m3)
 	if m > f32InfBits {
 		m = 0
 		for _, v := range xs {
@@ -46,6 +43,22 @@ func MaxAbs(xs []float32) float32 {
 		}
 	}
 	return math.Float32frombits(m)
+}
+
+// maxAbsBits is the largest magnitude bit pattern in xs, NaNs included, over
+// four independent lanes.
+func maxAbsBits(xs []float32) uint32 {
+	var m0, m1, m2, m3 uint32
+	for ; len(xs) >= 4; xs = xs[4:] {
+		m0 = max(m0, absBits(xs[0]))
+		m1 = max(m1, absBits(xs[1]))
+		m2 = max(m2, absBits(xs[2]))
+		m3 = max(m3, absBits(xs[3]))
+	}
+	for _, v := range xs {
+		m0 = max(m0, absBits(v))
+	}
+	return max(m0, m1, m2, m3)
 }
 
 // QuantScale converts a tensor's max-absolute value into a symmetric int8
@@ -80,28 +93,124 @@ func quantI8(v, inv float32) int8 {
 
 // QuantizeI8 writes round(xs/scale) clamped to [-127, 127] into dst, rounding
 // half away from zero — the same rule the offline weight quantizer uses.
+// quantI8 is the definition; at i8AVX2 and above whole groups of eight values
+// go through its vector form (quantI8SIMD, the step QuantizeI8HWC describes).
 func QuantizeI8(xs []float32, scale float32, dst []int8) {
 	inv := 1 / scale
 	dst = dst[:len(xs)]
-	for i, v := range xs {
-		dst[i] = quantI8(v, inv)
+	done := 0
+	if i8Level >= i8AVX2 && len(xs) >= 8 {
+		done = len(xs) &^ 7
+		quantI8SIMD(&dst[0], &xs[0], done, inv)
+	}
+	for i, v := range xs[done:] {
+		dst[done+i] = quantI8(v, inv)
 	}
 }
 
+// I8PlaneLen is the length of the plane QuantizeI8HWC fills for a c×h×w
+// image under padding pad.
+func I8PlaneLen(c, h, w, pad int) int { return c * (h + 2*pad) * (w + 2*pad) }
+
+// quantHWCArgs is what one quantHWCSIMD call reads; the assembly addresses
+// the fields by offset, so the layout is part of its contract.
+type quantHWCArgs struct {
+	dst     *int8      // 0: channel 0 of the first interior pixel
+	src     *float32   // 8
+	c       int        // 16: channels, the byte stride between pixels
+	h       int        // 24
+	w       int        // 32
+	rowStep int        // 40: bytes between plane rows, (w+2·pad)·c
+	plane   int        // 48: bytes per source channel plane, 4·h·w
+	off     [3]int     // 56: byte offsets of a group's 2nd..4th channel from its 1st
+	mask    *[16]int32 // 80: -1 in the first w%8 lanes
+	inv     float32    // 88
+	keep    uint32     // 92: the bytes of a pixel's dword that are channels
+}
+
 // QuantizeI8HWC is QuantizeI8 with a layout change folded in: src is one CHW
-// image of c planes of hw values, dst receives the same quantized values
-// pixel-major (HWC), dst[p*c+ch] = quantize(src[ch*hw+p]). Every pixel's
-// channels are then contiguous, which is what lets Im2RowI8HWC build a patch
-// from a few long copies. dst must have length c*hw.
-func QuantizeI8HWC(src []float32, c, hw int, scale float32, dst []int8) {
+// image of c planes of h×w values; dst, of I8PlaneLen(c, h, w, pad) bytes,
+// receives the same quantized values pixel-major (HWC) inside a border of pad
+// zero pixels on every side:
+//
+//	dst[((y+pad)·(w+2·pad) + x+pad)·c + ch] = quantize(src[(ch·h + y)·w + x])
+//
+// Every pixel's channels are then contiguous and every window Im2RowI8HWC
+// reads lies inside the plane, so each kernel row of each patch is one
+// unconditional copy. The border is rewritten on every call — the scratch
+// the plane lives in is shared by convolutions of different geometry — and
+// with pad 0 the plane is the plain HWC image, which a pointwise convolution
+// hands to the GEMM as its patch matrix.
+//
+// The loop below is the definition and the portable path. At i8AVX2 and
+// above quantHWCSIMD runs it eight pixels by four channels at a time:
+// vmulps; vminps and vmaxps with the value as the second source, so a NaN
+// passes the clamp as it passes quantI8's two compares; (q & sign) | 0.5,
+// vaddps, vcvttps2dq; then the low byte of each lane — never a saturating
+// pack, which would turn the 0x80000000 a NaN converts to into -128 where the
+// scalar int8(...) gives 0 — and the four channels of a pixel merged into one
+// dword, stored at stride c. ±Inf clamps to ±127 in both. The last w%8
+// pixels of a row are a masked load and as many stores; the last c%4
+// channels are one more group over channels c-4..c-1, recomputing what it
+// overlaps. With c < 4 a pixel's dword has 4-c spare bytes, stored as zeros
+// onto the next pixel (written after it) or the border (zero already), which
+// needs a border to exist: a c < 4 image with pad 0 is the one geometry that
+// stays on the portable loop.
+//
+// BenchmarkInt8Front is the shape-matched rung — the three front passes on
+// the eight conv inputs of one VGG18-S branch, inputs rotated over 64
+// samples, µs on the reference box (medians of five, the parent commit's
+// binary alternated with this one; parent is the scalar code before the
+// plane had a border, its lowering clearing the padding of every patch row;
+// scalar is the portable loop here, vector the i8AVX2 leg):
+//
+//	             MaxAbs                QuantizeI8HWC          Im2RowI8HWC
+//	c×h×w      parent scalar vector   parent scalar vector   parent scalar vector
+//	 3×16×16    0.46   0.47   0.04     1.07   1.50   0.25     6.09   3.35   0.51
+//	16×16×16    2.01   2.01   0.21     5.50   5.87   0.84     6.68   3.71   0.74
+//	16×8×8      0.51   0.49   0.05     1.43   1.57   0.25     1.57   0.89   0.17
+//	32×8×8      1.04   1.02   0.10     2.72   2.86   0.44     1.68   0.98   0.25
+//	32×4×4      0.24   0.25   0.04     0.73   0.76   0.23     0.41   0.24   0.06
+//	48×4×4      0.39   0.39   0.04     1.11   1.11   0.34     0.47   0.31   0.12
+//	48×2×2      0.10   0.10   0.01     0.33   0.29   0.19     0.12   0.08   0.04
+//	64×2×2      0.13   0.13   0.02     0.46   0.36   0.23     0.13   0.08   0.05
+//	one branch  4.88   4.86   0.51    13.35  14.33   2.75    17.15   9.64   1.95
+//
+// 35.4 µs of front passes a branch became 5.2, against 19.9 µs for the eight
+// products they feed. The portable quantizer reads its input h·w apart, which
+// costs the three-channel first layer 0.4 µs; the portable lowering no longer
+// clears, which returns 2.7 µs there and 7.5 µs a branch.
+func QuantizeI8HWC(src []float32, c, h, w, pad int, scale float32, dst []int8) {
 	inv := 1 / scale
-	dst = dst[:c*hw]
-	for ch := 0; ch < c; ch++ {
-		plane := src[ch*hw : (ch+1)*hw]
-		di := ch
-		for _, v := range plane {
-			dst[di] = quantI8(v, inv)
-			di += c
+	pw := w + 2*pad
+	src, dst = src[:c*h*w], dst[:I8PlaneLen(c, h, w, pad)]
+	if pad > 0 {
+		clear(dst)
+	}
+	if len(src) == 0 {
+		return
+	}
+	interior := dst[(pad*pw+pad)*c:]
+	if i8Level >= i8AVX2 && (c >= 4 || pad > 0) {
+		a := quantHWCArgs{dst: &interior[0], src: &src[0], c: c, h: h, w: w, rowStep: pw * c,
+			plane: 4 * h * w, mask: &tileMasks[w%8], inv: inv, keep: uint32(uint64(1)<<(8*min(c, 4)) - 1)}
+		for j := range a.off {
+			a.off[j] = min(j+1, c-1) * a.plane
+		}
+		quantHWCSIMD(&a)
+		return
+	}
+	// Pixel-major: a pixel's channels are stored together and read h·w apart,
+	// so the border costs the loop nothing — no row ends inside a channel run.
+	hw := h * w
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			si := y*w + x
+			px := interior[(y*pw+x)*c:][:c]
+			for ch := range px {
+				px[ch] = quantI8(src[si], inv)
+				si += hw
+			}
 		}
 	}
 }
@@ -210,39 +319,54 @@ func Im2RowI8(src []int8, c, h, w, kh, kw, stride, pad int, dst []int8) (oh, ow 
 	return oh, ow
 }
 
-// Im2RowI8HWC lowers one quantized HWC image (QuantizeI8HWC output) into
-// patch rows for the int8 GEMM. dst receives (oh*ow) x (kh*kw*C) values —
-// one contiguous patch per output pixel, ordered kernel row, then kernel
-// column, then channel. In that order each kernel row of a patch is a single
-// run of up to kw*C contiguous source bytes at any stride, so a patch is kh
-// copies with the padding cleared around them instead of C*kh*kw bounds-
-// checked bytes. The weight rows the patches meet in the GEMM must use the
-// same (ky, kx, channel) order; int32 accumulation is exact, so the product
-// equals the channel-major Im2RowI8 one bit for bit. dst must have length
-// C*kh*kw*oh*ow.
+// im2rowI8Args is what one im2rowI8SIMD call reads; the assembly addresses
+// the fields by offset, so the layout is part of its contract.
+type im2rowI8Args struct {
+	dst     *int8 // 0
+	src     *int8 // 8: the plane's first byte
+	oh      int   // 16: at least 1
+	ow      int   // 24: at least 1
+	kh      int   // 32: at least 1
+	seg     int   // 40: bytes per kernel row of a patch, kw·c
+	rowStep int   // 48: bytes between plane rows
+	pixStep int   // 56: bytes between the windows of adjacent output pixels, stride·c
+	rowAdv  int   // 64: bytes between the windows of adjacent output rows, stride·rowStep
+}
+
+// Im2RowI8HWC lowers one quantized image into patch rows for the int8 GEMM.
+// src is the zero-bordered HWC plane QuantizeI8HWC wrote for the same c, h, w
+// and pad; dst receives (oh*ow) x (kh*kw*C) values — one contiguous patch per
+// output pixel, ordered kernel row, then kernel column, then channel. In that
+// order each kernel row of a patch is a single run of kw*C contiguous plane
+// bytes at any stride, and the border makes every run lie inside the plane,
+// so a patch is kh unconditional copies: the loop below, and at i8AVX2 and
+// above im2rowI8SIMD, the same copies with the pixel, row and kernel-row
+// loops in assembly. The weight rows the patches meet in the GEMM must use
+// the same (ky, kx, channel) order; int32 accumulation is exact, so the
+// product equals the channel-major Im2RowI8 one bit for bit. dst must have
+// length C*kh*kw*oh*ow.
 func Im2RowI8HWC(src []int8, c, h, w, kh, kw, stride, pad int, dst []int8) (oh, ow int) {
 	oh = (h+2*pad-kh)/stride + 1
 	ow = (w+2*pad-kw)/stride + 1
 	seg := kw * c
+	rowStep := (w + 2*pad) * c
+	if oh <= 0 || ow <= 0 || kh*seg == 0 {
+		return oh, ow
+	}
+	src, dst = src[:I8PlaneLen(c, h, w, pad)], dst[:oh*ow*kh*seg]
+	if i8Level >= i8AVX2 {
+		im2rowI8SIMD(&im2rowI8Args{dst: &dst[0], src: &src[0], oh: oh, ow: ow, kh: kh, seg: seg,
+			rowStep: rowStep, pixStep: stride * c, rowAdv: stride * rowStep})
+		return oh, ow
+	}
 	di := 0
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			// Kernel columns [kxlo, kxhi) of this pixel's window lie inside
-			// the image.
-			x0 := ox*stride - pad
-			kxlo := min(max(-x0, 0), kw)
-			kxhi := max(min(w-x0, kw), kxlo)
+			si := oy*stride*rowStep + ox*stride*c
 			for ky := 0; ky < kh; ky++ {
-				run := dst[di : di+seg]
+				copy(dst[di:di+seg], src[si:])
 				di += seg
-				iy := oy*stride + ky - pad
-				if iy < 0 || iy >= h || kxlo == kxhi {
-					clear(run)
-					continue
-				}
-				clear(run[:kxlo*c])
-				copy(run[kxlo*c:kxhi*c], src[(iy*w+x0+kxlo)*c:])
-				clear(run[kxhi*c:])
+				si += rowStep
 			}
 		}
 	}

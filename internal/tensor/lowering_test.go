@@ -103,13 +103,17 @@ func checkIm2Col(t *testing.T, src []float32, c, h, w, k, stride, pad int) {
 // checkLoweringI8 compares the HWC int8 front end (QuantizeI8HWC +
 // Im2RowI8HWC) with the channel-major reference (QuantizeI8 + Im2RowI8) on
 // one geometry: the same quantized value at every (patch, ky, kx, channel),
-// the HWC patch merely ordered channel-last. The destination is poisoned.
+// the HWC patch merely ordered channel-last. The plane and the destination
+// are poisoned, the plane with a value a stale border would pass on.
 func checkLoweringI8(t *testing.T, src []float32, c, h, w, k, stride, pad int) {
 	t.Helper()
 	scale := QuantScale(MaxAbs(src))
-	chw, hwc := make([]int8, len(src)), make([]int8, len(src))
+	chw, hwc := make([]int8, len(src)), make([]int8, I8PlaneLen(c, h, w, pad))
+	for i := range hwc {
+		hwc[i] = 0x4D
+	}
 	QuantizeI8(src, scale, chw)
-	QuantizeI8HWC(src, c, h*w, scale, hwc)
+	QuantizeI8HWC(src, c, h, w, pad, scale, hwc)
 	n := Im2ColLen(c, h, w, k, k, stride, pad)
 	want, got := make([]int8, n), make([]int8, n)
 	for i := range got {
@@ -202,9 +206,9 @@ func TestIm2RowI8HWCGemmMatchesChannelMajor(t *testing.T) {
 	kk, patch := k*k, c*k*k
 	src := randF32(rng, c*h*w)
 	scale := QuantScale(MaxAbs(src))
-	chw, hwc := make([]int8, len(src)), make([]int8, len(src))
+	chw, hwc := make([]int8, len(src)), make([]int8, I8PlaneLen(c, h, w, pad))
 	QuantizeI8(src, scale, chw)
-	QuantizeI8HWC(src, c, h*w, scale, hwc)
+	QuantizeI8HWC(src, c, h, w, pad, scale, hwc)
 	n := Im2ColLen(c, h, w, k, k, stride, pad)
 	rows, rowsHWC := make([]int8, n), make([]int8, n)
 	oh, ow := Im2RowI8(chw, c, h, w, k, k, stride, pad, rows)
@@ -245,7 +249,7 @@ func TestQuantizeI8HWCMatchesQuantizeI8(t *testing.T) {
 		src[0] = 1e9 // beyond the clamp at the scale below
 		flat, hwc := make([]int8, c*hw), make([]int8, c*hw)
 		QuantizeI8(src, 0.02, flat)
-		QuantizeI8HWC(src, c, hw, 0.02, hwc)
+		QuantizeI8HWC(src, c, 1, hw, 0, 0.02, hwc)
 		for ch := 0; ch < c; ch++ {
 			for p := 0; p < hw; p++ {
 				if hwc[p*c+ch] != flat[ch*hw+p] {

@@ -51,6 +51,28 @@ func gemmI8TileVNNI(t *i8TileArgs)
 //go:noescape
 func requantRowsSIMD(a *requantArgs)
 
+// maxAbsSIMD returns the largest of the n magnitude bit patterns at xs (see
+// MaxAbs), n at least 1; mask has -1 in its first n%8 lanes.
+//
+//go:noescape
+func maxAbsSIMD(xs *float32, n int, mask *[16]int32) uint32
+
+// quantI8SIMD is quantI8 over n contiguous values, n a positive multiple of 8.
+//
+//go:noescape
+func quantI8SIMD(dst *int8, src *float32, n int, inv float32)
+
+// quantHWCSIMD quantizes one CHW image into the interior of its HWC plane
+// (see quantHWCArgs and QuantizeI8HWC).
+//
+//go:noescape
+func quantHWCSIMD(a *quantHWCArgs)
+
+// im2rowI8SIMD copies the patch rows of one plane (see im2rowI8Args).
+//
+//go:noescape
+func im2rowI8SIMD(a *im2rowI8Args)
+
 //go:noescape
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -79,12 +101,15 @@ func detectAVX() bool {
 	return eax&0x6 == 0x6
 }
 
-// detectI8Kernel gates the two vector int8 kernels. dot4I8SIMD needs AVX2
-// for its YMM integer instructions (vpmovsxbw/vpmaddwd/vpaddd) on top of the
-// hasSIMD requirements. gemmI8TileVNNI needs, on top of that, AVX512F, BW
-// (byte-masked loads, kmovd), VL (EVEX forms on YMM, Y16..Y31) and VNNI
-// (vpdpbusd), and an OS that saves the opmask and upper-register state
-// (XCR0 bits 5..7) — ZMM itself is never touched, but Y16..Y31 live in it.
+// detectI8Kernel gates the two vector int8 kernels, and with the lower of
+// them the vector front passes (maxAbsSIMD, quantI8SIMD, quantHWCSIMD,
+// im2rowI8SIMD). dot4I8SIMD and those passes need AVX2 for their YMM integer
+// instructions (vpmovsxbw/vpmaddwd/vpaddd; vpand/vpmaxud/vpackusdw/vpermd) on
+// top of the hasSIMD requirements. gemmI8TileVNNI needs, on top of that,
+// AVX512F, BW (byte-masked loads, kmovd), VL (EVEX forms on YMM, Y16..Y31)
+// and VNNI (vpdpbusd), and an OS that saves the opmask and upper-register
+// state (XCR0 bits 5..7) — ZMM itself is never touched, but Y16..Y31 live in
+// it.
 func detectI8Kernel() i8Kernel {
 	const (
 		avx2     = 1 << 5  // CPUID.(EAX=7,ECX=0):EBX

@@ -631,6 +631,380 @@ requantnext:
 	VZEROUPPER
 	RET
 
+// Constants of the int8 front passes, one dword each, broadcast on entry.
+DATA i8front<>+0(SB)/4, $0x7fffffff  // magnitude bits
+DATA i8front<>+4(SB)/4, $0x42fe0000  // 127.0
+DATA i8front<>+8(SB)/4, $0xc2fe0000  // -127.0
+DATA i8front<>+12(SB)/4, $0x80000000 // sign bit
+DATA i8front<>+16(SB)/4, $0x3f000000 // 0.5
+DATA i8front<>+20(SB)/4, $0x000000ff // low byte
+GLOBL i8front<>(SB), RODATA|NOPTR, $24
+
+// func maxAbsSIMD(xs *float32, n int, mask *[16]int32) uint32
+//
+// Unsigned max over |x| bit patterns (VPAND then VPMAXUD), 32 values a step
+// in four accumulators, then eight a step, then the last n%8 under a masked
+// load whose dead lanes read 0, the identity of the max.
+TEXT ·maxAbsSIMD(SB), NOSPLIT, $0-28
+	MOVQ xs+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ mask+16(FP), AX
+	VPBROADCASTD i8front<>+0(SB), Y15
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	MOVQ CX, DX
+	SHRQ $5, DX
+	JZ   maxabs8
+maxabsloop32:
+	VPAND (SI), Y15, Y4
+	VPAND 32(SI), Y15, Y5
+	VPAND 64(SI), Y15, Y6
+	VPAND 96(SI), Y15, Y7
+	VPMAXUD Y4, Y0, Y0
+	VPMAXUD Y5, Y1, Y1
+	VPMAXUD Y6, Y2, Y2
+	VPMAXUD Y7, Y3, Y3
+	ADDQ $128, SI
+	DECQ DX
+	JNZ  maxabsloop32
+maxabs8:
+	MOVQ CX, DX
+	SHRQ $3, DX
+	ANDQ $3, DX
+	JZ   maxabstail
+maxabsloop8:
+	VPAND (SI), Y15, Y4
+	VPMAXUD Y4, Y0, Y0
+	ADDQ $32, SI
+	DECQ DX
+	JNZ  maxabsloop8
+maxabstail:
+	ANDQ $7, CX
+	JZ   maxabsreduce
+	VMOVDQU (AX), Y14
+	VPMASKMOVD (SI), Y14, Y4
+	VPAND Y4, Y15, Y4
+	VPMAXUD Y4, Y0, Y0
+maxabsreduce:
+	VPMAXUD Y1, Y0, Y0
+	VPMAXUD Y3, Y2, Y2
+	VPMAXUD Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUD X1, X0, X0
+	VPSHUFD $0x4E, X0, X1
+	VPMAXUD X1, X0, X0
+	VPSHUFD $0xB1, X0, X1
+	VPMAXUD X1, X0, X0
+	VMOVD X0, AX
+	MOVL AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// quantI8 on eight lanes: q receives, zero-extended in each dword, the int8
+// the scalar form stores for the eight floats at src, with 1/scale in Y8 and
+// i8front's 127, -127, sign, 0.5 and low-byte constants in Y9..Y13. The
+// value is the second source of VMINPS and VMAXPS (the first operand in this
+// syntax), which is the one they return when either is a NaN: a NaN passes
+// the clamp as it passes the two compares of quantI8, converts to
+// 0x80000000, and its low byte is the 0 the scalar int8() gives. A
+// saturating pack would make that -128.
+#define I8_QUANT(src, q, t) \
+	VMULPS src, Y8, q; \
+	VMINPS q, Y9, q; \
+	VMAXPS q, Y10, q; \
+	VPAND  q, Y11, t; \
+	VPOR   t, Y12, t; \
+	VADDPS t, q, q; \
+	VCVTTPS2DQ q, q; \
+	VPAND  Y13, q, q
+
+// Y0..Y3 hold four channels of eight pixels (I8_QUANT output); Y0 receives
+// one dword per pixel, channel j in byte j, cut to the bytes live in Y14.
+#define I8_MERGE \
+	VPSLLD $8, Y1, Y1; \
+	VPSLLD $16, Y2, Y2; \
+	VPSLLD $24, Y3, Y3; \
+	VPOR   Y1, Y0, Y0; \
+	VPOR   Y3, Y2, Y2; \
+	VPOR   Y2, Y0, Y0; \
+	VPAND  Y14, Y0, Y0
+
+// func quantHWCSIMD(a *quantHWCArgs)
+//
+// Channel groups of four outermost (the last one moved back to c-4 when c is
+// not a multiple of four), then image rows, then eight pixels a step: four
+// plane rows in, eight dwords out at stride c. The source planes are dense,
+// so the four read pointers only ever advance; the write pointer restarts
+// from each plane row's first interior pixel.
+TEXT ·quantHWCSIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DX
+	VBROADCASTSS 88(DX), Y8
+	VBROADCASTSS i8front<>+4(SB), Y9
+	VBROADCASTSS i8front<>+8(SB), Y10
+	VBROADCASTSS i8front<>+12(SB), Y11
+	VBROADCASTSS i8front<>+16(SB), Y12
+	VBROADCASTSS i8front<>+20(SB), Y13
+	VBROADCASTSS 92(DX), Y14
+	MOVQ 80(DX), AX
+	VMOVDQU (AX), Y15     // the row's last w%8 pixels
+	MOVQ 16(DX), R12      // c
+	LEAQ (R12)(R12*2), R13
+	XORQ R14, R14         // the group's first channel
+
+qhwcgroup:
+	MOVQ 48(DX), R8
+	IMULQ R14, R8
+	ADDQ 8(DX), R8        // the group's four source planes
+	MOVQ 56(DX), R9
+	ADDQ R8, R9
+	MOVQ 64(DX), R10
+	ADDQ R8, R10
+	MOVQ 72(DX), R11
+	ADDQ R8, R11
+	MOVQ 0(DX), BX
+	ADDQ R14, BX          // the group's bytes of the row's first pixel
+	MOVQ 24(DX), CX       // rows left
+
+qhwcrow:
+	MOVQ BX, DI
+	MOVQ 32(DX), SI
+	SHRQ $3, SI           // whole steps in the row
+	JZ   qhwctail
+qhwcstep:
+	I8_QUANT((R8), Y0, Y4)
+	I8_QUANT((R9), Y1, Y5)
+	I8_QUANT((R10), Y2, Y6)
+	I8_QUANT((R11), Y3, Y7)
+	I8_MERGE
+	LEAQ (DI)(R12*4), R15
+	VMOVD X0, (DI)
+	VPEXTRD $1, X0, (DI)(R12*1)
+	VPEXTRD $2, X0, (DI)(R12*2)
+	VPEXTRD $3, X0, (DI)(R13*1)
+	VEXTRACTI128 $1, Y0, X1
+	VMOVD X1, (R15)
+	VPEXTRD $1, X1, (R15)(R12*1)
+	VPEXTRD $2, X1, (R15)(R12*2)
+	VPEXTRD $3, X1, (R15)(R13*1)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	LEAQ (DI)(R12*8), DI
+	DECQ SI
+	JNZ  qhwcstep
+
+qhwctail:
+	MOVQ 32(DX), SI
+	ANDQ $7, SI           // pixels after them: 1..7 stores
+	JZ   qhwcnext
+	VMASKMOVPS (R8), Y15, Y0
+	VMASKMOVPS (R9), Y15, Y1
+	VMASKMOVPS (R10), Y15, Y2
+	VMASKMOVPS (R11), Y15, Y3
+	I8_QUANT(Y0, Y0, Y4)
+	I8_QUANT(Y1, Y1, Y5)
+	I8_QUANT(Y2, Y2, Y6)
+	I8_QUANT(Y3, Y3, Y7)
+	I8_MERGE
+	LEAQ (R8)(SI*4), R8
+	LEAQ (R9)(SI*4), R9
+	LEAQ (R10)(SI*4), R10
+	LEAQ (R11)(SI*4), R11
+	VMOVD X0, (DI)
+	DECQ SI
+	JZ   qhwcnext
+	VPEXTRD $1, X0, (DI)(R12*1)
+	DECQ SI
+	JZ   qhwcnext
+	VPEXTRD $2, X0, (DI)(R12*2)
+	DECQ SI
+	JZ   qhwcnext
+	VPEXTRD $3, X0, (DI)(R13*1)
+	DECQ SI
+	JZ   qhwcnext
+	LEAQ (DI)(R12*4), R15
+	VEXTRACTI128 $1, Y0, X1
+	VMOVD X1, (R15)
+	DECQ SI
+	JZ   qhwcnext
+	VPEXTRD $1, X1, (R15)(R12*1)
+	DECQ SI
+	JZ   qhwcnext
+	VPEXTRD $2, X1, (R15)(R12*2)
+
+qhwcnext:
+	ADDQ 40(DX), BX
+	DECQ CX
+	JNZ  qhwcrow
+	ADDQ $4, R14
+	CMPQ R14, R12
+	JGE  qhwcdone
+	LEAQ -4(R12), AX
+	CMPQ R14, AX
+	CMOVQGT AX, R14
+	JMP  qhwcgroup
+qhwcdone:
+	VZEROUPPER
+	RET
+
+// The dword order VPACKUSDW and VPACKUSWB leave four vectors of eight in:
+// both work within 128-bit lanes.
+DATA i8packorder<>+0(SB)/4, $0
+DATA i8packorder<>+4(SB)/4, $4
+DATA i8packorder<>+8(SB)/4, $1
+DATA i8packorder<>+12(SB)/4, $5
+DATA i8packorder<>+16(SB)/4, $2
+DATA i8packorder<>+20(SB)/4, $6
+DATA i8packorder<>+24(SB)/4, $3
+DATA i8packorder<>+28(SB)/4, $7
+GLOBL i8packorder<>(SB), RODATA|NOPTR, $32
+
+// func quantI8SIMD(dst *int8, src *float32, n int, inv float32)
+//
+// I8_QUANT with a contiguous store: 32 values a step, then eight a step. The
+// lanes hold 0..255 after I8_QUANT's low-byte mask, so the unsigned packs
+// narrow them exactly — nothing is left for them to saturate.
+TEXT ·quantI8SIMD(SB), NOSPLIT, $0-28
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSS inv+24(FP), Y8
+	VBROADCASTSS i8front<>+4(SB), Y9
+	VBROADCASTSS i8front<>+8(SB), Y10
+	VBROADCASTSS i8front<>+12(SB), Y11
+	VBROADCASTSS i8front<>+16(SB), Y12
+	VBROADCASTSS i8front<>+20(SB), Y13
+	VMOVDQU i8packorder<>(SB), Y14
+	MOVQ CX, DX
+	SHRQ $5, DX
+	JZ   quant8
+quantloop32:
+	I8_QUANT((SI), Y0, Y4)
+	I8_QUANT(32(SI), Y1, Y5)
+	I8_QUANT(64(SI), Y2, Y6)
+	I8_QUANT(96(SI), Y3, Y7)
+	VPACKUSDW Y1, Y0, Y0
+	VPACKUSDW Y3, Y2, Y2
+	VPACKUSWB Y2, Y0, Y0
+	VPERMD Y0, Y14, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ $128, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  quantloop32
+quant8:
+	SHRQ $3, CX
+	ANDQ $3, CX
+	JZ   quantdone
+quantloop8:
+	I8_QUANT((SI), Y0, Y4)
+	VPACKUSDW Y0, Y0, Y0
+	VPACKUSWB Y0, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPUNPCKLDQ X1, X0, X0
+	VMOVQ X0, (DI)
+	ADDQ $32, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  quantloop8
+quantdone:
+	VZEROUPPER
+	RET
+
+// func im2rowI8SIMD(a *im2rowI8Args)
+//
+// Every kernel row of every patch is a.seg bytes copied from the plane to
+// the next a.seg bytes of dst. The three loops around the copy — output row,
+// output pixel, kernel row — are the same for every seg; the copy is chosen
+// once by its size: 32-byte moves ending in one that overlaps the previous
+// (seg >= 32), two overlapping 16- or 8-byte moves (seg >= 16, >= 8), or
+// bytes.
+#define I8_PATCH_ROWS(oy, ox, ky) \
+oy: \
+	MOVQ R8, R10; \
+	MOVQ 24(DX), R11; \
+ox: \
+	MOVQ R10, SI; \
+	MOVQ 32(DX), BX; \
+ky:
+
+#define I8_PATCH_NEXT(oy, ox, ky) \
+	ADDQ CX, DI; \
+	ADDQ R12, SI; \
+	DECQ BX; \
+	JNZ  ky; \
+	ADDQ R13, R10; \
+	DECQ R11; \
+	JNZ  ox; \
+	ADDQ 64(DX), R8; \
+	DECQ R9; \
+	JNZ  oy; \
+	VZEROUPPER; \
+	RET
+
+TEXT ·im2rowI8SIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DX
+	MOVQ 0(DX), DI
+	MOVQ 8(DX), R8        // first window of the output row
+	MOVQ 16(DX), R9       // output rows left
+	MOVQ 40(DX), CX       // seg
+	MOVQ 48(DX), R12      // rowStep
+	MOVQ 56(DX), R13      // pixStep
+	CMPQ CX, $32
+	JGE  patch32
+	CMPQ CX, $16
+	JGE  patch16
+	CMPQ CX, $8
+	JGE  patch8
+
+	I8_PATCH_ROWS(patch1oy, patch1ox, patch1ky)
+	XORQ AX, AX
+patch1byte:
+	MOVB (SI)(AX*1), R14
+	MOVB R14, (DI)(AX*1)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  patch1byte
+	I8_PATCH_NEXT(patch1oy, patch1ox, patch1ky)
+
+patch8:
+	LEAQ -8(CX), R15
+	I8_PATCH_ROWS(patch8oy, patch8ox, patch8ky)
+	MOVQ (SI), AX
+	MOVQ (SI)(R15*1), R14
+	MOVQ AX, (DI)
+	MOVQ R14, (DI)(R15*1)
+	I8_PATCH_NEXT(patch8oy, patch8ox, patch8ky)
+
+patch16:
+	LEAQ -16(CX), R15
+	I8_PATCH_ROWS(patch16oy, patch16ox, patch16ky)
+	VMOVDQU (SI), X0
+	VMOVDQU (SI)(R15*1), X1
+	VMOVDQU X0, (DI)
+	VMOVDQU X1, (DI)(R15*1)
+	I8_PATCH_NEXT(patch16oy, patch16ox, patch16ky)
+
+patch32:
+	LEAQ -32(CX), R15     // where the last move starts
+	I8_PATCH_ROWS(patch32oy, patch32ox, patch32ky)
+	XORQ AX, AX
+	TESTQ R15, R15
+	JZ   patch32last
+patch32move:
+	VMOVDQU (SI)(AX*1), Y0
+	VMOVDQU Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R15
+	JLT  patch32move
+patch32last:
+	VMOVDQU (SI)(R15*1), Y0
+	VMOVDQU Y0, (DI)(R15*1)
+	I8_PATCH_NEXT(patch32oy, patch32ox, patch32ky)
+
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

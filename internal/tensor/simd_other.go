@@ -24,9 +24,9 @@ func packConvSIMD(a *packArgs) {
 	panic("tensor: packConvSIMD called without SIMD support")
 }
 
-// dot4I8SIMD and gemmI8TileVNNI are never called when i8Level is i8Scalar,
-// nor requantRowsSIMD when hasSIMD is false; the stubs keep the int8 kernels
-// free of build tags.
+// dot4I8SIMD, gemmI8TileVNNI and the vector front passes are never called
+// when i8Level is i8Scalar, nor requantRowsSIMD when hasSIMD is false; the
+// stubs keep the int8 kernels free of build tags.
 func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32) {
 	panic("tensor: dot4I8SIMD called without SIMD support")
 }
@@ -37,4 +37,20 @@ func gemmI8TileVNNI(t *i8TileArgs) {
 
 func requantRowsSIMD(a *requantArgs) {
 	panic("tensor: requantRowsSIMD called without SIMD support")
+}
+
+func maxAbsSIMD(xs *float32, n int, mask *[16]int32) uint32 {
+	panic("tensor: maxAbsSIMD called without SIMD support")
+}
+
+func quantI8SIMD(dst *int8, src *float32, n int, inv float32) {
+	panic("tensor: quantI8SIMD called without SIMD support")
+}
+
+func quantHWCSIMD(a *quantHWCArgs) {
+	panic("tensor: quantHWCSIMD called without SIMD support")
+}
+
+func im2rowI8SIMD(a *im2rowI8Args) {
+	panic("tensor: im2rowI8SIMD called without SIMD support")
 }
