@@ -22,66 +22,8 @@
 //	tbnet info                # print the registered hardware backends
 //	tbnet version             # print the release and Go toolchain versions
 //
-// Common flags:
-//
-//	-scale micro|ci|full  workload scale (default ci)
-//	-seed N               master seed (default 1)
-//	-arch vgg|resnet|mobilenet|tiny-vgg|tiny-resnet
-//	-dataset c10|c100
-//	-device NAME          hardware backend (default rpi3; see `tbnet info`)
-//	-json                 machine-readable output (all workload commands)
-//	-v                    verbose progress logging
-//
-// Save/load flags:
-//
-//	-out FILE         artifact file to write (save)
-//	-in FILE          artifact file to read (load)
-//	-registry DIR     named model store directory (save into / load from / list)
-//	-name NAME        registry entry name (save default: the arch name)
-//
-// Serve flags:
-//
-//	-workers N    replicated enclave sessions per model (default 4)
-//	-batch N      micro-batch flush size (default 8)
-//	-delay D      hold an incomplete micro-batch back this long for
-//	              companions (default 0: an idle worker takes it at once)
-//	-requests N   synthetic requests to serve (default 64)
-//	-models LIST  serve saved models (name=artifact.tbd, or registry names
-//	              with -registry) instead of training a pipeline; several
-//	              models are hosted concurrently on one server
-//
-// Fleet flags:
-//
-//	-devices LIST     attached devices as name:workers pairs
-//	                  (default rpi3:2,sgx-desktop:2,jetson-tz:2)
-//	-policy NAME      round-robin | least-loaded | cost-aware | ewma
-//	                  (default cost-aware; ewma routes on learned latencies)
-//	-requests N       synthetic requests to offer (default 64)
-//	-rate R           open-loop arrival rate in req/s (default 200)
-//	-poisson          exponential (Poisson-process) interarrival times
-//	-deadline D       per-request deadline; overdue requests are shed (default none)
-//	-max-inflight N   fleet-wide in-flight cap (default capacity-weighted)
-//
-// Autoscale flags (fleet and scenario):
-//
-//	-autoscale             run the elastic autoscaler over the fleet
-//	-autoscale-min N       per-node worker floor (default 1)
-//	-autoscale-max N       per-node worker ceiling (default 8)
-//	-autoscale-interval D  control-loop period (default 50ms)
-//	-pace S                pace workers at modeled-latency × S of wall time,
-//	                       so capacity genuinely scales with worker count
-//
-// Scenario flags (plus -devices/-policy/-deadline/-max-inflight as fleet):
-//
-//	-spec LIST    phases as name:pattern:rate:duration[:peak[:period]] with
-//	              pattern uniform|poisson|burst|ramp|diurnal
-//	-trace FILE   replay an arrival trace ("<offset-seconds> [model]" lines)
-//	-models LIST  serve saved models (mixed-model traffic when several)
-//	-sweep LIST   also run the same workload at these static widths and
-//	              render the static-vs-autoscale comparison (implies -autoscale)
-//	-trace-out F  record per-request span timelines during the run and write
-//	              them to F after it (a table, or the /debug/trace JSON shape
-//	              with -json); local fleet runs only
+// Every command's flags, defaults included, are printed by `tbnet <command>
+// -h`; `tbnet` alone prints the full synopsis (usageText).
 package main
 
 import (

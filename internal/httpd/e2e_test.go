@@ -481,7 +481,7 @@ func TestE2EShutdownZeroDropped(t *testing.T) {
 	if !s.Draining() {
 		t.Fatal("Draining() must report true after Shutdown")
 	}
-	if _, err := s.fleet.Infer(context.Background(), randSample(1)); !errors.Is(err, serve.ErrClosed) {
+	if _, err := s.cfg.Fleet.Infer(context.Background(), randSample(1)); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("fleet after Shutdown err = %v, want ErrClosed", err)
 	}
 }

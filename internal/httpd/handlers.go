@@ -13,7 +13,6 @@ import (
 	"tbnet/internal/fleet"
 	"tbnet/internal/obs"
 	"tbnet/internal/serial"
-	"tbnet/internal/tee"
 )
 
 // maxBodyBytes bounds a swap request's artifact body: a few tens of MB for
@@ -128,22 +127,20 @@ type swapResponse struct {
 // Shutdown has begun so load balancers stop sending new traffic during the
 // drain window.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	status, state := http.StatusOK, "ok"
 	if s.draining.Load() {
 		status, state = http.StatusServiceUnavailable, "draining"
 	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, status, map[string]any{
 		"status":  state,
-		"models":  len(s.fleet.Models()),
-		"devices": s.fleet.Devices(),
+		"models":  len(s.cfg.Fleet.Models()),
+		"devices": s.cfg.Fleet.Devices(),
 	})
 }
 
 // sampleShape resolves a hosted model's deployed per-sample [C,H,W] shape.
 func (s *Server) sampleShape(model string) ([]int, error) {
-	ss, err := s.fleet.SampleShape(model)
+	ss, err := s.cfg.Fleet.SampleShape(model)
 	if err == nil && len(ss) == 4 {
 		ss = ss[1:]
 	}
@@ -179,15 +176,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err, s.cfg.RetryAfter)
 		return
 	}
-	label, err := s.fleet.InferModel(r.Context(), model, samples[0].x)
+	label, err := s.cfg.Fleet.InferModel(r.Context(), model, samples[0].x)
 	if err != nil {
 		writeError(w, r, err, s.cfg.RetryAfter)
 		return
 	}
 	s.reaper.touch(model)
 	respondStart := time.Now()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(inferResponse{
+	writeJSON(w, http.StatusOK, inferResponse{
 		Label:     label,
 		Model:     model,
 		RequestID: RequestIDFrom(r.Context()),
@@ -234,8 +230,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	spans := s.cfg.Tracer.Snapshot(minWall, limit)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(debugTraceResponse{
+	writeJSON(w, http.StatusOK, debugTraceResponse{
 		Capacity: s.cfg.Tracer.Capacity(),
 		Returned: len(spans),
 		Spans:    spans,
@@ -263,9 +258,11 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	var mu sync.Mutex
+	served := false // under mu: at least one sample got a label
 	emit := func(line batchLine) {
 		mu.Lock()
 		defer mu.Unlock()
+		served = served || line.Error == ""
 		_ = enc.Encode(line)
 		if flusher != nil {
 			flusher.Flush()
@@ -279,7 +276,7 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			label, err := 0, smp.err
 			if err == nil {
-				label, err = s.fleet.InferModel(r.Context(), model, smp.x)
+				label, err = s.cfg.Fleet.InferModel(r.Context(), model, smp.x)
 			}
 			if err != nil {
 				code, _ := statusFor(err)
@@ -290,7 +287,12 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 		}(i, smp)
 	}
 	wg.Wait()
-	s.reaper.touch(model)
+	// Only served traffic defers a model's expiry: the name is the client's,
+	// and stamping one the fleet does not host would grow the reaper's map
+	// by a request body's choice.
+	if served {
+		s.reaper.touch(model)
+	}
 }
 
 // handleModels lists the hosted pools (with their fleet-wide counters and
@@ -299,7 +301,7 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 // swap-by-name.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	resp := modelsResponse{Default: fleet.DefaultModel}
-	for _, ms := range s.fleet.Stats().Models {
+	for _, ms := range s.cfg.Fleet.Stats().Models {
 		info := modelInfo{
 			Name:      ms.Name,
 			Default:   ms.Name == fleet.DefaultModel,
@@ -308,7 +310,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Swaps:     ms.Swaps,
 			P99Micros: ms.P99Micros,
 		}
-		if shape, err := s.fleet.SampleShape(ms.Name); err == nil {
+		if shape, err := s.cfg.Fleet.SampleShape(ms.Name); err == nil {
 			info.SampleShape = shape
 		}
 		resp.Models = append(resp.Models, info)
@@ -333,13 +335,13 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleSwap hot-swaps the named hosted model fleet-wide without dropping
 // traffic: the incoming artifact — the raw request body, or a registry entry
-// named with ?from= — is decoded, re-deployed for its recorded device, and
+// named with ?from= — is decoded, re-deployed for its recorded device
+// (Artifact.Deploy; an unregistered device is the status table's 400), and
 // handed to Fleet.SwapModel's warm-then-drain protocol. In-flight requests
 // on the old weights finish; new requests see the new weights.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
@@ -349,23 +351,17 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err, s.cfg.RetryAfter)
 		return
 	}
-	dev, err := tee.ByName(art.Device)
-	if err != nil {
-		writeJSONError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	dep, err := art.Deploy(dev)
+	dep, err := art.Deploy(nil)
 	if err != nil {
 		writeError(w, r, err, s.cfg.RetryAfter)
 		return
 	}
-	if err := s.fleet.SwapModel(name, dep); err != nil {
+	if err := s.cfg.Fleet.SwapModel(name, dep); err != nil {
 		writeError(w, r, err, s.cfg.RetryAfter)
 		return
 	}
 	s.reaper.touch(name)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(swapResponse{
+	writeJSON(w, http.StatusOK, swapResponse{
 		Model:     name,
 		Device:    art.Device,
 		Swapped:   true,

@@ -166,7 +166,6 @@ func (c Config) validate() error {
 // and stop it with Shutdown.
 type Server struct {
 	cfg     Config
-	fleet   *fleet.Fleet
 	handler http.Handler
 	metrics *httpMetrics
 	reaper  *reaper
@@ -186,16 +185,9 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:     cfg,
-		fleet:   cfg.Fleet,
-		metrics: newHTTPMetrics(),
-	}
-	if cfg.IdleTTL > 0 {
-		s.reaper = newReaper(cfg.Fleet, cfg.IdleTTL, cfg.ReapInterval, cfg.Logger, s.metrics)
-	} else {
-		s.reaper = newReaper(cfg.Fleet, 0, 0, cfg.Logger, s.metrics) // touch tracking only
-	}
+	s := &Server{cfg: cfg, metrics: newHTTPMetrics()}
+	// With IdleTTL 0 the reaper only tracks touches: its loop never starts.
+	s.reaper = newReaper(cfg.Fleet, cfg.IdleTTL, cfg.ReapInterval, cfg.Logger, s.metrics)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -218,16 +210,14 @@ func New(cfg Config) (*Server, error) {
 	// layer (logging included), tracing opens the request span that logging
 	// (for the slow journal) and the serving layers below annotate, logging
 	// observes the final status of each request, auth establishes the tenant
-	// identity that rate limiting buckets by. /healthz and /metrics stay
-	// reachable without a key so probes and scrapers need no credentials.
-	exempt := []string{"/healthz", "/metrics"}
+	// identity that rate limiting buckets by.
 	s.handler = Chain(mux,
 		Recover(cfg.Logger, s.metrics),
 		RequestID(),
 		Tracing(cfg.Tracer),
 		Logging(cfg.Logger, s.metrics, SlowLog{Threshold: cfg.SlowThreshold, MinGap: cfg.SlowLogGap}),
-		Auth(cfg.APIKeys, exempt...),
-		RateLimitBy(cfg.RateLimit, cfg.RetryAfter, s.metrics, exempt...),
+		Auth(cfg.APIKeys),
+		RateLimitBy(cfg.RateLimit, cfg.RetryAfter, s.metrics),
 	)
 	s.httpSrv = &http.Server{
 		Handler:           s.handler,
@@ -249,9 +239,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // that ran before Serve was ever called — Serve closes l and returns nil
 // without accepting.
 func (s *Server) Serve(l net.Listener) error {
-	if s.reaper != nil {
-		s.reaper.start()
-	}
+	s.reaper.start()
 	err := s.httpSrv.Serve(l)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
@@ -267,17 +255,15 @@ func (s *Server) Serve(l net.Listener) error {
 // returns the context's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.reaper != nil {
-		s.reaper.stop()
-	}
+	s.reaper.stop()
 	if err := s.httpSrv.Shutdown(ctx); err != nil {
-		s.fleet.Close()
+		s.cfg.Fleet.Close()
 		return fmt.Errorf("httpd: shutdown: %w", err)
 	}
 	// No HTTP handler is running anymore, so the fleet's in-flight count
 	// can only fall; Drain closes the fleet once it reaches zero.
-	if err := s.fleet.Drain(ctx); err != nil {
-		s.fleet.Close()
+	if err := s.cfg.Fleet.Drain(ctx); err != nil {
+		s.cfg.Fleet.Close()
 		return err
 	}
 	return nil

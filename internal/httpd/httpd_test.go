@@ -536,6 +536,48 @@ func TestReaperExpiresIdleModels(t *testing.T) {
 	}
 }
 
+// TestReaperIgnoresUnservedBatchNames is the regression for the reaper's
+// activity map growing by a request body's choice: a batch naming a model the
+// fleet does not host answers 200 with a per-line 404 and must leave no
+// entry behind, while a batch that served at least one sample still stamps
+// its model.
+func TestReaperIgnoresUnservedBatchNames(t *testing.T) {
+	s, _ := testServer(t, nil, nil)
+	tracked := func() int {
+		s.reaper.mu.Lock()
+		defer s.reaper.mu.Unlock()
+		return len(s.reaper.lastSeen)
+	}
+	before := tracked()
+	for i := 0; i < 50; i++ {
+		body := fmt.Sprintf(`{"model":"ghost-%d","inputs":[[1,2,3]],"shape":[3,1,1]}`, i)
+		w := postJSON(t, s.Handler(), "/v1/infer/batch", []byte(body))
+		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"status":404`) {
+			t.Fatalf("ghost batch = %d: %s", w.Code, w.Body)
+		}
+	}
+	if got := tracked(); got != before {
+		t.Fatalf("reaper tracks %d names after 50 unhosted ones, had %d", got, before)
+	}
+
+	data := randSample(7).Data()
+	input := make([]float64, len(data))
+	for i, v := range data {
+		input[i] = float64(v)
+	}
+	// One good sample and one of the wrong length: served once is served.
+	body, _ := json.Marshal(map[string]any{"inputs": [][]float64{input, {1, 2, 3}}})
+	if w := postJSON(t, s.Handler(), "/v1/infer/batch", body); w.Code != http.StatusOK {
+		t.Fatalf("batch = %d: %s", w.Code, w.Body)
+	}
+	s.reaper.mu.Lock()
+	_, stamped := s.reaper.lastSeen[fleet.DefaultModel]
+	s.reaper.mu.Unlock()
+	if !stamped {
+		t.Fatal("a batch with a served sample did not stamp its model")
+	}
+}
+
 // TestShutdownWithoutServe is the regression for a daemon that is built,
 // mounted through Handler (or never used) and shut down without Serve ever
 // running: Shutdown used to wait forever for a reaper loop that was never

@@ -82,33 +82,38 @@ func newPromWriter(w io.Writer) *promWriter {
 	return &promWriter{w: w, headed: make(map[string]bool)}
 }
 
-// metric writes one sample of the named family. labels alternate key, value;
-// the family header is written before its first sample.
-func (pw *promWriter) metric(name, typ, help string, value float64, labels ...string) {
-	if pw.err != nil {
-		return
-	}
-	if !pw.headed[name] {
+// head writes the family's HELP/TYPE header ahead of its first sample and
+// reports whether the scrape is still good to write to.
+func (pw *promWriter) head(name, typ, help string) bool {
+	if pw.err == nil && !pw.headed[name] {
 		pw.headed[name] = true
-		if _, err := fmt.Fprintf(pw.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ); err != nil {
-			pw.err = err
-			return
-		}
+		_, pw.err = fmt.Fprintf(pw.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	}
+	return pw.err == nil
+}
+
+// labelPairs renders alternating key, value labels as k="v",k2="v2".
+func labelPairs(labels []string) string {
 	var lb strings.Builder
 	for i := 0; i+1 < len(labels); i += 2 {
-		if lb.Len() > 0 {
+		if i > 0 {
 			lb.WriteByte(',')
 		}
 		fmt.Fprintf(&lb, `%s="%s"`, labels[i], promEscape(labels[i+1]))
 	}
+	return lb.String()
+}
+
+// metric writes one sample of the named family. labels alternate key, value.
+func (pw *promWriter) metric(name, typ, help string, value float64, labels ...string) {
+	if !pw.head(name, typ, help) {
+		return
+	}
 	line := name
-	if lb.Len() > 0 {
-		line += "{" + lb.String() + "}"
+	if l := labelPairs(labels); l != "" {
+		line += "{" + l + "}"
 	}
-	if _, err := fmt.Fprintf(pw.w, "%s %g\n", line, value); err != nil {
-		pw.err = err
-	}
+	_, pw.err = fmt.Fprintf(pw.w, "%s %g\n", line, value)
 }
 
 // promFloat renders a sample value (or le bound) the way the exposition
@@ -139,21 +144,13 @@ func (pw *promWriter) histogram(name, help string, h *obs.Histogram, labels ...s
 // at least one sample), so the scrape carries no bucket that is zero by
 // construction.
 func (pw *promWriter) histogramFrom(name, help string, h *obs.Histogram, floor float64, labels ...string) {
-	if pw.err != nil {
+	if !pw.head(name, "histogram", help) {
 		return
 	}
-	if !pw.headed[name] {
-		pw.headed[name] = true
-		if _, err := fmt.Fprintf(pw.w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-			pw.err = err
-			return
-		}
+	series, prefix := "", labelPairs(labels)
+	if prefix != "" {
+		series, prefix = "{"+prefix+"}", prefix+","
 	}
-	var lb strings.Builder
-	for i := 0; i+1 < len(labels); i += 2 {
-		fmt.Fprintf(&lb, `%s="%s",`, labels[i], promEscape(labels[i+1]))
-	}
-	prefix := lb.String()
 	var buckets []obs.BucketCount
 	var sum float64
 	var count uint64
@@ -176,14 +173,8 @@ func (pw *promWriter) histogramFrom(name, help string, h *obs.Histogram, floor f
 			return
 		}
 	}
-	series := ""
-	if prefix != "" {
-		series = "{" + strings.TrimSuffix(prefix, ",") + "}"
-	}
-	if _, err := fmt.Fprintf(pw.w, "%s_sum%s %s\n%s_count%s %d\n",
-		name, series, promFloat(sum), name, series, count); err != nil {
-		pw.err = err
-	}
+	_, pw.err = fmt.Fprintf(pw.w, "%s_sum%s %s\n%s_count%s %d\n",
+		name, series, promFloat(sum), name, series, count)
 }
 
 // writeMetrics renders the whole scrape: the fleet's aggregated snapshot
@@ -191,7 +182,7 @@ func (pw *promWriter) histogramFrom(name, help string, h *obs.Histogram, floor f
 // per-device breakdowns, the latency histogram families, and the daemon's
 // HTTP-side counters.
 func (s *Server) writeMetrics(w io.Writer) error {
-	st := s.fleet.Stats()
+	st := s.cfg.Fleet.Stats()
 	pw := newPromWriter(w)
 
 	pw.metric("tbnet_build_info", "gauge",
@@ -275,7 +266,7 @@ func (s *Server) writeMetrics(w io.Writer) error {
 
 	// Online latency estimates, when the fleet learns them (EWMA routing or
 	// an attached estimator). One gauge cell per (model, device) pair.
-	for _, e := range s.fleet.Estimates() {
+	for _, e := range s.cfg.Fleet.Estimates() {
 		l := []string{"model", e.Model, "device", e.Node}
 		pw.metric("tbnet_ewma_latency_seconds", "gauge",
 			"Learned per-sample service-time estimate per model and device.", e.Seconds, l...)
@@ -284,7 +275,7 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	}
 
 	// Autoscale controller counters, when one is bound to the fleet.
-	if ctl, ok := s.fleet.Controller().(*autoscale.Controller); ok && ctl != nil {
+	if ctl, ok := s.cfg.Fleet.Controller().(*autoscale.Controller); ok && ctl != nil {
 		ast := ctl.Stats()
 		running := 0.0
 		if ast.Running {

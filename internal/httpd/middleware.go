@@ -52,7 +52,7 @@ func RequestIDFrom(ctx context.Context) string {
 }
 
 // TenantFrom returns the tenant name Auth attributed to this request;
-// "anonymous" when authentication is disabled or the path is exempt.
+// "anonymous" when authentication is disabled or the path is operational.
 func TenantFrom(ctx context.Context) string {
 	t, _ := ctx.Value(ctxKeyTenant).(string)
 	if t == "" {
@@ -138,24 +138,26 @@ func (sr *statusRecorder) Flush() {
 	}
 }
 
-// untraced lists the operational endpoints the tracing middleware skips:
-// scrapes and probes would otherwise churn the bounded span ring and evict
-// the inference timelines it exists to retain.
-var untraced = map[string]bool{"/healthz": true, "/metrics": true}
+// operational is the one set of probe and scrape endpoints. They stay
+// reachable without a key and outside the rate limit, so probes and scrapers
+// need no credentials, and they are not traced: they would otherwise churn
+// the bounded span ring and evict the inference timelines it exists to
+// retain.
+var operational = map[string]bool{"/healthz": true, "/metrics": true}
 
 // Tracing starts a per-request span in the tracer ring — under the ID the
 // RequestID layer assigned, so the span joins client logs, the request log,
 // and histogram exemplars — carries it inward via the request context for
 // the serving layers to fill in, and seals it with the response status once
 // the handler returns. A nil tracer leaves the chain untouched. Probe and
-// scrape paths are not traced (see untraced).
+// scrape paths are not traced (see operational).
 func Tracing(tr *obs.Tracer) Middleware {
 	if tr == nil {
 		return func(next http.Handler) http.Handler { return next }
 	}
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if untraced[r.URL.Path] || strings.HasPrefix(r.URL.Path, "/debug/") {
+			if operational[r.URL.Path] || strings.HasPrefix(r.URL.Path, "/debug/") {
 				next.ServeHTTP(w, r)
 				return
 			}
@@ -201,10 +203,8 @@ func Logging(log *slog.Logger, m *httpMetrics, slow SlowLog) Middleware {
 			}
 			dur := time.Since(start)
 			id := RequestIDFrom(r.Context())
-			if m != nil {
-				m.observe(rec.status)
-				m.reqDur.Observe(dur.Seconds(), id)
-			}
+			m.observe(rec.status)
+			m.reqDur.Observe(dur.Seconds(), id)
 			log.Info("request",
 				"request_id", id,
 				"tenant", TenantFrom(r.Context()),
@@ -217,9 +217,7 @@ func Logging(log *slog.Logger, m *httpMetrics, slow SlowLog) Middleware {
 			if slow.Threshold <= 0 || dur < slow.Threshold {
 				return
 			}
-			if m != nil {
-				m.slow.Add(1)
-			}
+			m.slow.Add(1)
 			// Sampling: claim the journal slot only if MinGap has passed
 			// since the last line; otherwise count the suppression.
 			now := time.Now().UnixNano()
@@ -258,10 +256,8 @@ func Recover(log *slog.Logger, m *httpMetrics) Middleware {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			defer func() {
 				if v := recover(); v != nil {
-					if m != nil {
-						m.panics.Add(1)
-						m.observe(http.StatusInternalServerError)
-					}
+					m.panics.Add(1)
+					m.observe(http.StatusInternalServerError)
 					log.Error("panic recovered",
 						"request_id", RequestIDFrom(r.Context()),
 						"path", r.URL.Path,
@@ -291,19 +287,15 @@ func authTenant(r *http.Request, keys map[string]string) (string, bool) {
 	return tenant, ok && key != ""
 }
 
-// Auth enforces API-key authentication on every non-exempt path and records
-// the key's tenant in the request context for rate limiting and logging.
+// Auth enforces API-key authentication on every non-operational path and
+// records the key's tenant in the request context for rate limiting and logging.
 // With an empty key set the layer only stamps the anonymous tenant —
 // authentication is disabled, not bypassed-by-accident (the chain shape is
 // identical either way).
-func Auth(keys map[string]string, exempt ...string) Middleware {
-	exemptSet := make(map[string]bool, len(exempt))
-	for _, p := range exempt {
-		exemptSet[p] = true
-	}
+func Auth(keys map[string]string) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if len(keys) == 0 || exemptSet[r.URL.Path] {
+			if len(keys) == 0 || operational[r.URL.Path] {
 				next.ServeHTTP(w, r)
 				return
 			}
@@ -355,12 +347,12 @@ func (lp *limiterPool) allow(tenant string, now time.Time) bool {
 	return true
 }
 
-// RateLimitBy enforces the per-tenant token bucket on every non-exempt
+// RateLimitBy enforces the per-tenant token bucket on every non-operational
 // path: each tenant (as attributed by Auth; "anonymous" without keys) gets
 // its own bucket of rl.Burst tokens refilled at rl.RPS per second, and a
 // request finding the bucket empty is answered 429 with Retry-After — it
 // never reaches the fleet. A zero rl disables the layer.
-func RateLimitBy(rl RateLimit, retryAfter time.Duration, m *httpMetrics, exempt ...string) Middleware {
+func RateLimitBy(rl RateLimit, retryAfter time.Duration, m *httpMetrics) Middleware {
 	if rl.RPS <= 0 {
 		return func(next http.Handler) http.Handler { return next }
 	}
@@ -369,20 +361,14 @@ func RateLimitBy(rl RateLimit, retryAfter time.Duration, m *httpMetrics, exempt 
 		rps:     rl.RPS,
 		burst:   float64(rl.Burst),
 	}
-	exemptSet := make(map[string]bool, len(exempt))
-	for _, p := range exempt {
-		exemptSet[p] = true
-	}
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if exemptSet[r.URL.Path] {
+			if operational[r.URL.Path] {
 				next.ServeHTTP(w, r)
 				return
 			}
 			if !lp.allow(TenantFrom(r.Context()), time.Now()) {
-				if m != nil {
-					m.rateLimited.Add(1)
-				}
+				m.rateLimited.Add(1)
 				writeError(w, r, ErrRateLimited, retryAfter)
 				return
 			}

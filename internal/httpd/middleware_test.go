@@ -26,7 +26,7 @@ func TestAuthRejectsAndAttributes(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotTenant = TenantFrom(r.Context())
 	})
-	h := Chain(inner, Auth(keys, "/healthz"))
+	h := Chain(inner, Auth(keys))
 
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/models", nil))
@@ -137,7 +137,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctxID = RequestIDFrom(r.Context())
 	})
-	h := Chain(inner, RequestID(), Logging(log, nil, SlowLog{}))
+	h := Chain(inner, RequestID(), Logging(log, newHTTPMetrics(), SlowLog{}))
 
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/models", nil))

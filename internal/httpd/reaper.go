@@ -125,9 +125,7 @@ func (rp *reaper) sweep(now time.Time) {
 		rp.mu.Lock()
 		delete(rp.lastSeen, name)
 		rp.mu.Unlock()
-		if rp.metrics != nil {
-			rp.metrics.reaped.Add(1)
-		}
+		rp.metrics.reaped.Add(1)
 		rp.log.Info("reaped idle model", "model", name, "idle_ttl", rp.ttl.String())
 	}
 }

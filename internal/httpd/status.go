@@ -13,6 +13,7 @@ import (
 	"tbnet/internal/registry"
 	"tbnet/internal/serial"
 	"tbnet/internal/serve"
+	"tbnet/internal/tee"
 )
 
 // statusRule is one row of the error→HTTP-status table: the sentinel the
@@ -41,6 +42,7 @@ type statusRule struct {
 //	secure memory       → 507 (the device cannot hold the requested pool)
 //	bad shape / input   → 400
 //	bad artifact bytes  → 400
+//	unknown device      → 400 (an artifact saved for a backend not registered here)
 //	unparsable body     → 400
 var statusTable = []statusRule{
 	{ErrRateLimited, http.StatusTooManyRequests, true},
@@ -54,6 +56,7 @@ var statusTable = []statusRule{
 	{core.ErrSecureMemory, http.StatusInsufficientStorage, false},
 	{core.ErrShape, http.StatusBadRequest, false},
 	{serial.ErrBadFormat, http.StatusBadRequest, false},
+	{tee.ErrUnknownDevice, http.StatusBadRequest, false},
 	{serve.ErrConfig, http.StatusBadRequest, false},
 	{fleet.ErrConfig, http.StatusBadRequest, false},
 	{errBadBody, http.StatusBadRequest, false},
@@ -99,11 +102,12 @@ func writeError(w http.ResponseWriter, r *http.Request, err error, retryAfter ti
 
 // writeJSONError answers with an explicit status and message.
 func writeJSONError(w http.ResponseWriter, r *http.Request, code int, msg string) {
+	writeJSON(w, code, errorBody{Error: msg, RequestID: RequestIDFrom(r.Context()), Status: code})
+}
+
+// writeJSON is the one JSON answer writer: status code, content type, body.
+func writeJSON(w http.ResponseWriter, code int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorBody{
-		Error:     msg,
-		RequestID: RequestIDFrom(r.Context()),
-		Status:    code,
-	})
+	_ = json.NewEncoder(w).Encode(body)
 }

@@ -14,6 +14,7 @@ import (
 	"tbnet/internal/registry"
 	"tbnet/internal/serial"
 	"tbnet/internal/serve"
+	"tbnet/internal/tee"
 )
 
 // TestStatusTable is the satellite's table-driven error→HTTP-status check:
@@ -37,6 +38,7 @@ func TestStatusTable(t *testing.T) {
 		{"secure memory", core.ErrSecureMemory, http.StatusInsufficientStorage, false},
 		{"bad shape", core.ErrShape, http.StatusBadRequest, false},
 		{"bad artifact", serial.ErrBadFormat, http.StatusBadRequest, false},
+		{"unknown device", tee.ErrUnknownDevice, http.StatusBadRequest, false},
 		{"serve config", serve.ErrConfig, http.StatusBadRequest, false},
 		{"fleet config", fleet.ErrConfig, http.StatusBadRequest, false},
 		{"bad body", errBadBody, http.StatusBadRequest, false},

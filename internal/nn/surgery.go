@@ -187,19 +187,30 @@ func (b *BatchNorm2D) Reinit(rng *tensor.RNG) {
 
 func sqrtApprox(x float64) float64 { return math.Sqrt(x) }
 
-// ReinitLayer re-randomizes any layer that has parameters; layers without
-// parameters are left untouched.
-func ReinitLayer(l Layer, rng *tensor.RNG) {
-	switch v := l.(type) {
-	case *Conv2D:
-		v.Reinit(rng)
-	case *Dense:
-		v.Reinit(rng)
-	case *BatchNorm2D:
-		v.Reinit(rng)
-	case *Sequential:
-		for _, inner := range v.Layers {
-			ReinitLayer(inner, rng)
-		}
-	}
+// Weighted is a layer whose weights are one [rows, cols] matrix with one
+// output channel per row — Conv2D and DepthwiseConv2D. It is all that
+// quantization, the int8 artifact and re-initialisation need of a stage's
+// layers, so none of them has to know which kind of layer (or stage) it holds.
+type Weighted interface {
+	// Weight returns the [rows, cols] weight parameter.
+	Weight() *Param
+	// Bias returns the bias parameter, nil when the layer has none.
+	Bias() *Param
+	// SetInt8Weights arms the layer's int8 inference path with the
+	// [rows, cols] quantized matrix and its per-row scales.
+	SetInt8Weights(data []int8, scales []float32) error
+	// Reinit re-randomizes the weights and zeroes the bias.
+	Reinit(rng *tensor.RNG)
 }
+
+// Weight returns the [OutC, InC*KH*KW] weight parameter.
+func (c *Conv2D) Weight() *Param { return c.W }
+
+// Bias returns the bias parameter, nil when bias is disabled.
+func (c *Conv2D) Bias() *Param { return c.B }
+
+// Weight returns the [C, K*K] filter bank.
+func (d *DepthwiseConv2D) Weight() *Param { return d.W }
+
+// Bias returns nil: a depthwise convolution has no bias.
+func (d *DepthwiseConv2D) Bias() *Param { return nil }

@@ -36,70 +36,26 @@ func paramBytes(ps []*nn.Param) int64 {
 	return n
 }
 
-func convFlops(c *nn.Conv2D, in []int) float64 {
-	out := c.OutShape(in)
-	// 2 × (kernel volume) MACs per output element, over the batch.
-	return 2 * float64(c.InC*c.KH*c.KW) * float64(out[0]*out[1]*out[2]*out[3])
-}
-
-func elementFlops(shape []int, perElem float64) float64 {
-	n := 1.0
-	for _, d := range shape {
-		n *= float64(d)
-	}
-	return n * perElem
-}
-
 // StageCost computes the cost of one stage for the given input shape
 // (including batch dimension).
 func StageCost(s zoo.Stage, in []int) Cost {
-	c := Cost{Name: s.Name(), ParamBytes: paramBytes(s.Params()), InBytes: bytesOf(in)}
-	switch b := s.(type) {
-	case *zoo.ConvBlock:
-		convOut := b.Conv.OutShape(in)
-		c.Flops = convFlops(b.Conv, in) + elementFlops(convOut, 4) /* BN */ + elementFlops(convOut, 1) /* ReLU */
-		out := convOut
-		if b.Pool != nil {
-			c.Flops += elementFlops(convOut, 1)
-			out = b.Pool.OutShape(convOut)
-		}
-		c.OutBytes = bytesOf(out)
-	case *zoo.DWBlock:
-		mid := b.DW.OutShape(in)
-		out := b.PW.OutShape(mid)
-		// Depthwise: 2·k² MACs per output element; pointwise is a 1×1 conv.
-		c.Flops = 2*float64(b.DW.K*b.DW.K)*float64(mid[0]*mid[1]*mid[2]*mid[3]) +
-			elementFlops(mid, 5) + convFlops(b.PW, mid) + elementFlops(out, 5)
-		c.OutBytes = bytesOf(out)
-	case *zoo.ResBlock:
-		mid := b.Conv1.OutShape(in)
-		out := b.Conv2.OutShape(mid)
-		c.Flops = convFlops(b.Conv1, in) + elementFlops(mid, 5) +
-			convFlops(b.Conv2, mid) + elementFlops(out, 4)
-		if b.Down != nil {
-			c.Flops += convFlops(b.Down, in) + elementFlops(out, 4)
-		}
-		if b.WithSkip {
-			c.Flops += elementFlops(out, 1) // residual add
-		}
-		c.Flops += elementFlops(out, 1) // final ReLU
-		c.OutBytes = bytesOf(out)
-	default:
-		out := s.OutShape(in)
-		c.OutBytes = bytesOf(out)
+	return Cost{
+		Name:       s.Name(),
+		Flops:      s.Flops(in),
+		ParamBytes: paramBytes(s.Params()),
+		InBytes:    bytesOf(in),
+		OutBytes:   bytesOf(s.OutShape(in)),
 	}
-	return c
 }
 
 // HeadCost computes the classifier-head cost for the given feature shape.
 func HeadCost(h *zoo.Head, in []int) Cost {
-	out := h.OutShape(in)
 	return Cost{
 		Name:       h.Name(),
+		Flops:      h.Flops(in),
 		ParamBytes: paramBytes(h.Params()),
-		Flops:      elementFlops(in, 1) + 2*float64(h.FC.In)*float64(out[0]*out[1]),
 		InBytes:    bytesOf(in),
-		OutBytes:   bytesOf(out),
+		OutBytes:   bytesOf(h.OutShape(in)),
 	}
 }
 

@@ -8,8 +8,6 @@
 package quant
 
 import (
-	"fmt"
-
 	"tbnet/internal/nn"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
@@ -103,11 +101,12 @@ func dequantizeRows(data []int8, scales []float32, dst *tensor.Tensor) {
 	}
 }
 
-func quantizeConv(c *nn.Conv2D) QuantizedConv {
-	data, scales := quantizeRows(c.W.Value)
-	q := QuantizedConv{OutC: c.W.Value.Dim(0), Cols: c.W.Value.Dim(1), Data: data, Scales: scales}
-	if c.B != nil {
-		q.Bias = append([]float32(nil), c.B.Value.Data()...)
+func quantizeConv(c nn.Weighted) QuantizedConv {
+	w := c.Weight().Value
+	data, scales := quantizeRows(w)
+	q := QuantizedConv{OutC: w.Dim(0), Cols: w.Dim(1), Data: data, Scales: scales}
+	if b := c.Bias(); b != nil {
+		q.Bias = append([]float32(nil), b.Value.Data()...)
 	}
 	return q
 }
@@ -117,28 +116,9 @@ func quantizeConv(c *nn.Conv2D) QuantizedConv {
 func Quantize(m *zoo.Model) *QuantizedModel {
 	qm := &QuantizedModel{Skeleton: m.Clone()}
 	for _, s := range qm.Skeleton.Stages {
-		switch b := s.(type) {
-		case *zoo.ConvBlock:
-			qm.Convs = append(qm.Convs, quantizeConv(b.Conv))
-			b.Conv.W.Value.Zero()
-		case *zoo.DWBlock:
-			dwData, dwScales := quantizeRows(b.DW.W.Value)
-			qm.Convs = append(qm.Convs, QuantizedConv{
-				OutC: b.DW.W.Value.Dim(0), Cols: b.DW.W.Value.Dim(1),
-				Data: dwData, Scales: dwScales,
-			}, quantizeConv(b.PW))
-			b.DW.W.Value.Zero()
-			b.PW.W.Value.Zero()
-		case *zoo.ResBlock:
-			qm.Convs = append(qm.Convs, quantizeConv(b.Conv1), quantizeConv(b.Conv2))
-			b.Conv1.W.Value.Zero()
-			b.Conv2.W.Value.Zero()
-			if b.Down != nil {
-				qm.Convs = append(qm.Convs, quantizeConv(b.Down))
-				b.Down.W.Value.Zero()
-			}
-		default:
-			panic(fmt.Sprintf("quant: unknown stage type %T", s))
+		for _, c := range s.Convs() {
+			qm.Convs = append(qm.Convs, quantizeConv(c))
+			c.Weight().Value.Zero()
 		}
 	}
 	fc := qm.Skeleton.Head.FC
@@ -157,27 +137,13 @@ func Quantize(m *zoo.Model) *QuantizedModel {
 func (qm *QuantizedModel) Dequantize() *zoo.Model {
 	out := qm.Skeleton.Clone()
 	ci := 0
-	next := func() QuantizedConv { q := qm.Convs[ci]; ci++; return q }
-	restore := func(c *nn.Conv2D) {
-		q := next()
-		dequantizeRows(q.Data, q.Scales, c.W.Value)
-		if q.Bias != nil {
-			copy(c.B.Value.Data(), q.Bias)
-		}
-	}
 	for _, s := range out.Stages {
-		switch b := s.(type) {
-		case *zoo.ConvBlock:
-			restore(b.Conv)
-		case *zoo.DWBlock:
-			q := next()
-			dequantizeRows(q.Data, q.Scales, b.DW.W.Value)
-			restore(b.PW)
-		case *zoo.ResBlock:
-			restore(b.Conv1)
-			restore(b.Conv2)
-			if b.Down != nil {
-				restore(b.Down)
+		for _, c := range s.Convs() {
+			q := qm.Convs[ci]
+			ci++
+			dequantizeRows(q.Data, q.Scales, c.Weight().Value)
+			if b := c.Bias(); b != nil && q.Bias != nil {
+				copy(b.Value.Data(), q.Bias)
 			}
 		}
 	}
@@ -206,16 +172,8 @@ func (qm *QuantizedModel) ParamBytes() int64 {
 	}
 	// BN parameters (γ, β, running stats) remain float32 in the skeleton.
 	for _, s := range qm.Skeleton.Stages {
-		switch b := s.(type) {
-		case *zoo.ConvBlock:
-			n += int64(b.BN.C) * 4 * 4
-		case *zoo.DWBlock:
-			n += int64(b.BN1.C)*4*4 + int64(b.BN2.C)*4*4
-		case *zoo.ResBlock:
-			n += int64(b.BN1.C)*4*4 + int64(b.BN2.C)*4*4
-			if b.DownBN != nil {
-				n += int64(b.DownBN.C) * 4 * 4
-			}
+		for _, bn := range s.Norms() {
+			n += int64(bn.C) * 4 * 4
 		}
 	}
 	return n

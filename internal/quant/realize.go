@@ -3,7 +3,6 @@ package quant
 import (
 	"fmt"
 
-	"tbnet/internal/nn"
 	"tbnet/internal/zoo"
 )
 
@@ -16,53 +15,19 @@ import (
 func (qm *QuantizedModel) Realize() (*zoo.Model, error) {
 	out := qm.Skeleton.Clone()
 	ci := 0
-	next := func() (QuantizedConv, error) {
-		if ci >= len(qm.Convs) {
-			return QuantizedConv{}, fmt.Errorf("quant: model needs more than %d quantized convolutions", len(qm.Convs))
-		}
-		q := qm.Convs[ci]
-		ci++
-		return q, nil
-	}
-	attach := func(c *nn.Conv2D) error {
-		q, err := next()
-		if err != nil {
-			return err
-		}
-		if err := c.SetInt8Weights(q.Data, q.Scales); err != nil {
-			return err
-		}
-		if q.Bias != nil && c.B != nil {
-			copy(c.B.Value.Data(), q.Bias)
-		}
-		return nil
-	}
 	for si, s := range out.Stages {
-		var err error
-		switch b := s.(type) {
-		case *zoo.ConvBlock:
-			err = attach(b.Conv)
-		case *zoo.DWBlock:
-			var q QuantizedConv
-			if q, err = next(); err == nil {
-				err = b.DW.SetInt8Weights(q.Data, q.Scales)
+		for _, c := range s.Convs() {
+			if ci >= len(qm.Convs) {
+				return nil, fmt.Errorf("quant: stage %d: model needs more than %d quantized convolutions", si, len(qm.Convs))
 			}
-			if err == nil {
-				err = attach(b.PW)
+			q := &qm.Convs[ci]
+			ci++
+			if err := c.SetInt8Weights(q.Data, q.Scales); err != nil {
+				return nil, fmt.Errorf("quant: stage %d: %w", si, err)
 			}
-		case *zoo.ResBlock:
-			err = attach(b.Conv1)
-			if err == nil {
-				err = attach(b.Conv2)
+			if b := c.Bias(); b != nil && q.Bias != nil {
+				copy(b.Value.Data(), q.Bias)
 			}
-			if err == nil && b.Down != nil {
-				err = attach(b.Down)
-			}
-		default:
-			err = fmt.Errorf("quant: unknown stage type %T", s)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("quant: stage %d: %w", si, err)
 		}
 	}
 	if ci != len(qm.Convs) {

@@ -102,11 +102,20 @@ type Artifact struct {
 	Align [][]int
 }
 
-// Deploy places the artifact on device at the precision it was saved for —
-// the one artifact→deployment function every restore path (file, registry,
-// swap-over-HTTP) goes through: f32 artifacts deploy their two-branch
-// weights, int8 artifacts their quantized branches.
+// Deploy places the artifact on device — nil means the backend registered
+// under the name it was saved for, and a name this build does not register
+// fails with an error wrapping tee.ErrUnknownDevice — at the precision it was
+// saved for. It is the one artifact→deployment function every restore path
+// (file, registry, swap-over-HTTP) goes through: f32 artifacts deploy their
+// two-branch weights, int8 artifacts their quantized branches.
 func (a *Artifact) Deploy(device tee.Device) (*core.Deployment, error) {
+	if device == nil {
+		d, err := tee.ByName(a.Device)
+		if err != nil {
+			return nil, fmt.Errorf("artifact targets device %q: %w", a.Device, err)
+		}
+		device = d
+	}
 	if a.Precision == string(core.PrecisionInt8) {
 		return core.DeployQuantized(a.QMR, a.QMT, a.Align, device, a.SampleShape)
 	}

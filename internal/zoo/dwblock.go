@@ -81,14 +81,25 @@ func (b *DWBlock) OutChannels() int { return b.PW.OutC }
 // InChannels returns the depthwise width.
 func (b *DWBlock) InChannels() int { return b.DW.C }
 
-// OutPrunable is true: the pointwise outputs are freely prunable.
-func (b *DWBlock) OutPrunable() bool { return true }
+// Convs returns the depthwise filter bank, then the pointwise conv.
+func (b *DWBlock) Convs() []nn.Weighted { return []nn.Weighted{b.DW, b.PW} }
 
-// OutGamma returns BN2's scale, ranking the output channels.
-func (b *DWBlock) OutGamma() *nn.Param { return b.BN2.Gamma }
+// Norms returns the batch norm behind each of Convs.
+func (b *DWBlock) Norms() []*nn.BatchNorm2D { return []*nn.BatchNorm2D{b.BN1, b.BN2} }
 
-// PruneOut keeps only the listed output channels.
-func (b *DWBlock) PruneOut(keep []int) {
+// Flops prices the depthwise conv at 2·k² an output element, the pointwise
+// as a 1×1 conv, and norm + ReLU (5 an element) behind each.
+func (b *DWBlock) Flops(in []int) float64 {
+	mid := b.DW.OutShape(in)
+	return 2*float64(b.DW.K*b.DW.K)*float64(mid[0]*mid[1]*mid[2]*mid[3]) +
+		elementFlops(mid, 5) + convFlops(b.PW, mid) + elementFlops(b.PW.OutShape(mid), 5)
+}
+
+// Group is the pointwise conv's output channel set, ranked by BN2.
+func (b *DWBlock) Group() (GroupKind, *nn.Param, bool) { return GroupOutput, b.BN2.Gamma, true }
+
+// PruneGroup keeps only the listed output channels.
+func (b *DWBlock) PruneGroup(keep []int) {
 	b.PW.PruneOutput(keep)
 	b.BN2.Prune(keep)
 }

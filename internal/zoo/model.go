@@ -34,6 +34,12 @@ func (h *Head) Params() []*nn.Param { return h.FC.Params() }
 // OutShape maps [N,C,H,W] to [N, classes].
 func (h *Head) OutShape(in []int) []int { return h.FC.OutShape(h.GAP.OutShape(in)) }
 
+// Flops prices the pooling pass plus the dense product for the given feature
+// shape.
+func (h *Head) Flops(in []int) float64 {
+	return elementFlops(in, 1) + 2*float64(h.FC.In)*float64(in[0]*h.FC.Out)
+}
+
 // Forward computes logits.
 func (h *Head) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return h.FC.Forward(h.GAP.Forward(x, train), train)
@@ -107,24 +113,11 @@ func (m *Model) Params() []*nn.Param {
 // architecture but none of its knowledge.
 func (m *Model) Reinitialize(rng *tensor.RNG) {
 	for _, s := range m.Stages {
-		switch b := s.(type) {
-		case *ConvBlock:
-			b.Conv.Reinit(rng)
-			b.BN.Reinit(rng)
-		case *DWBlock:
-			b.DW.Reinit(rng)
-			b.BN1.Reinit(rng)
-			b.PW.Reinit(rng)
-			b.BN2.Reinit(rng)
-		case *ResBlock:
-			b.Conv1.Reinit(rng)
-			b.BN1.Reinit(rng)
-			b.Conv2.Reinit(rng)
-			b.BN2.Reinit(rng)
-			if b.Down != nil {
-				b.Down.Reinit(rng)
-				b.DownBN.Reinit(rng)
-			}
+		for _, c := range s.Convs() {
+			c.Reinit(rng)
+		}
+		for _, bn := range s.Norms() {
+			bn.Reinit(rng)
 		}
 	}
 	m.Head.FC.Reinit(rng)
@@ -170,15 +163,8 @@ type GroupRef struct {
 func (m *Model) Groups() []GroupRef {
 	var out []GroupRef
 	for i, s := range m.Stages {
-		switch b := s.(type) {
-		case *ConvBlock:
-			if b.OutPrunable() {
-				out = append(out, GroupRef{Stage: i, Kind: GroupOutput})
-			}
-		case *DWBlock:
-			out = append(out, GroupRef{Stage: i, Kind: GroupOutput})
-		case *ResBlock:
-			out = append(out, GroupRef{Stage: i, Kind: GroupInternal})
+		if kind, _, ok := s.Group(); ok {
+			out = append(out, GroupRef{Stage: i, Kind: kind})
 		}
 	}
 	return out
@@ -186,24 +172,11 @@ func (m *Model) Groups() []GroupRef {
 
 // GroupGamma returns the BN scale parameter ranking the group's channels.
 func (m *Model) GroupGamma(g GroupRef) *nn.Param {
-	switch b := m.Stages[g.Stage].(type) {
-	case *ConvBlock:
-		if g.Kind != GroupOutput {
-			panic(fmt.Sprintf("zoo: conv block %d has no %s group", g.Stage, g.Kind))
-		}
-		return b.OutGamma()
-	case *DWBlock:
-		if g.Kind != GroupOutput {
-			panic(fmt.Sprintf("zoo: dw block %d has no %s group", g.Stage, g.Kind))
-		}
-		return b.OutGamma()
-	case *ResBlock:
-		if g.Kind != GroupInternal {
-			panic(fmt.Sprintf("zoo: res block %d has no %s group", g.Stage, g.Kind))
-		}
-		return b.InternalGamma()
+	kind, gamma, ok := m.Stages[g.Stage].Group()
+	if !ok || kind != g.Kind {
+		panic(fmt.Sprintf("zoo: stage %d (%s) has no %s group", g.Stage, m.Stages[g.Stage].Name(), g.Kind))
 	}
-	panic("zoo: unknown stage type")
+	return gamma
 }
 
 // GroupSize returns the group's current channel count.
@@ -212,16 +185,14 @@ func (m *Model) GroupSize(g GroupRef) int { return m.GroupGamma(g).Value.Size() 
 // ApplyKeep prunes the group down to the listed channels, updating every
 // consumer of those channels (the next stage's input or the head).
 func (m *Model) ApplyKeep(g GroupRef, keep []int) {
-	switch b := m.Stages[g.Stage].(type) {
-	case *ConvBlock, *DWBlock:
-		b.PruneOut(keep)
-		if g.Stage+1 < len(m.Stages) {
-			m.Stages[g.Stage+1].PruneIn(keep)
-		} else {
-			m.Head.PruneIn(keep)
-		}
-	case *ResBlock:
-		b.PruneInternal(keep)
+	m.Stages[g.Stage].PruneGroup(keep)
+	if g.Kind != GroupOutput {
+		return
+	}
+	if g.Stage+1 < len(m.Stages) {
+		m.Stages[g.Stage+1].PruneIn(keep)
+	} else {
+		m.Head.PruneIn(keep)
 	}
 }
 

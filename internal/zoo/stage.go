@@ -8,28 +8,36 @@
 package zoo
 
 import (
-	"fmt"
-
 	"tbnet/internal/nn"
 	"tbnet/internal/tensor"
 )
 
 // Stage is one feature-map-producing unit of a staged model. After each
 // stage, TBNet's two-branch model transfers the REE feature map into the TEE.
+// A stage kind answers here, once, everything the rest of the system asks of
+// it — quantization, the cost model, pruning and re-initialisation loop over
+// these methods and never name a concrete kind.
 type Stage interface {
 	nn.Layer
 	// OutChannels is the stage's current output channel count.
 	OutChannels() int
 	// InChannels is the stage's current input channel count.
 	InChannels() int
-	// OutPrunable reports whether the stage's output channels may be pruned
-	// (false when identity skip connections tie the channel dimension).
-	OutPrunable() bool
-	// OutGamma returns the BN scale vector ranking the stage's output
-	// channels (nil if the stage output has no batch norm).
-	OutGamma() *nn.Param
-	// PruneOut keeps only the listed output channels.
-	PruneOut(keep []int)
+	// Convs returns the stage's weight-bearing layers in the order the
+	// artifact records them; re-initialisation draws in the same order.
+	Convs() []nn.Weighted
+	// Norms returns the stage's batch norms.
+	Norms() []*nn.BatchNorm2D
+	// Flops prices one forward pass (multiply-accumulate ×2) for the given
+	// input shape, batch dimension included.
+	Flops(in []int) float64
+	// Group describes the stage's prunable channel group: its kind and the
+	// BN scale vector ranking its channels. ok is false when the stage has
+	// none (its width is tied to a neighbour's).
+	Group() (kind GroupKind, gamma *nn.Param, ok bool)
+	// PruneGroup keeps only the listed channels of that group within the
+	// stage; Model.ApplyKeep narrows the consumer of a GroupOutput group.
+	PruneGroup(keep []int)
 	// PruneIn keeps only the listed input channels.
 	PruneIn(keep []int)
 	// CloneStage deep-copies the stage.
@@ -38,6 +46,22 @@ type Stage interface {
 	// forward written into dst (shaped per OutShape) with every
 	// intermediate drawn from the arena. No backward state is retained.
 	InferInto(dst, x *tensor.Tensor, a *nn.Arena)
+}
+
+// convFlops prices a convolution: 2 × (kernel volume) per output element,
+// over the batch.
+func convFlops(c *nn.Conv2D, in []int) float64 {
+	out := c.OutShape(in)
+	return 2 * float64(c.InC*c.KH*c.KW) * float64(out[0]*out[1]*out[2]*out[3])
+}
+
+// elementFlops prices an elementwise pass at perElem operations an element.
+func elementFlops(shape []int, perElem float64) float64 {
+	n := 1.0
+	for _, d := range shape {
+		n *= float64(d)
+	}
+	return n * perElem
 }
 
 // ConvBlock is Conv → BN → ReLU with an optional trailing max pool: the
@@ -123,14 +147,30 @@ func (b *ConvBlock) OutChannels() int { return b.Conv.OutC }
 // InChannels returns the conv's input width.
 func (b *ConvBlock) InChannels() int { return b.Conv.InC }
 
-// OutPrunable reports whether output pruning is allowed.
-func (b *ConvBlock) OutPrunable() bool { return !b.OutFixed }
+// Convs returns the block's one convolution.
+func (b *ConvBlock) Convs() []nn.Weighted { return []nn.Weighted{b.Conv} }
 
-// OutGamma returns the BN scale ranking the output channels.
-func (b *ConvBlock) OutGamma() *nn.Param { return b.BN.Gamma }
+// Norms returns the block's one batch norm.
+func (b *ConvBlock) Norms() []*nn.BatchNorm2D { return []*nn.BatchNorm2D{b.BN} }
 
-// PruneOut keeps only the listed output channels.
-func (b *ConvBlock) PruneOut(keep []int) {
+// Flops prices conv, batch norm (4 an element), ReLU and the optional pool.
+func (b *ConvBlock) Flops(in []int) float64 {
+	convOut := b.Conv.OutShape(in)
+	f := convFlops(b.Conv, in) + elementFlops(convOut, 4) + elementFlops(convOut, 1)
+	if b.Pool != nil {
+		f += elementFlops(convOut, 1)
+	}
+	return f
+}
+
+// Group is the conv's output channel set ranked by the BN scale, unless
+// OutFixed pins the width.
+func (b *ConvBlock) Group() (GroupKind, *nn.Param, bool) {
+	return GroupOutput, b.BN.Gamma, !b.OutFixed
+}
+
+// PruneGroup keeps only the listed output channels.
+func (b *ConvBlock) PruneGroup(keep []int) {
 	b.Conv.PruneOutput(keep)
 	b.BN.Prune(keep)
 }
@@ -293,31 +333,54 @@ func (b *ResBlock) OutChannels() int { return b.Conv2.OutC }
 // InChannels returns the block's input width.
 func (b *ResBlock) InChannels() int { return b.Conv1.InC }
 
-// OutPrunable is false: identity skips tie block outputs across the stage,
-// so only the internal (between conv1 and conv2) channels are prunable.
-func (b *ResBlock) OutPrunable() bool { return false }
+// Convs returns conv1, conv2 and the projection when the block has one.
+func (b *ResBlock) Convs() []nn.Weighted {
+	if b.Down == nil {
+		return []nn.Weighted{b.Conv1, b.Conv2}
+	}
+	return []nn.Weighted{b.Conv1, b.Conv2, b.Down}
+}
 
-// OutGamma returns BN2's scale (informational; output pruning is disabled).
-func (b *ResBlock) OutGamma() *nn.Param { return b.BN2.Gamma }
+// Norms returns the batch norm behind each of Convs.
+func (b *ResBlock) Norms() []*nn.BatchNorm2D {
+	if b.Down == nil {
+		return []*nn.BatchNorm2D{b.BN1, b.BN2}
+	}
+	return []*nn.BatchNorm2D{b.BN1, b.BN2, b.DownBN}
+}
 
-// InternalGamma returns BN1's scale, which ranks the prunable internal
-// channels.
-func (b *ResBlock) InternalGamma() *nn.Param { return b.BN1.Gamma }
+// Flops prices both convolutions with their norms, conv1's ReLU, the
+// projection and the residual add when present, and the final ReLU.
+func (b *ResBlock) Flops(in []int) float64 {
+	mid := b.Conv1.OutShape(in)
+	out := b.Conv2.OutShape(mid)
+	f := convFlops(b.Conv1, in) + elementFlops(mid, 5) +
+		convFlops(b.Conv2, mid) + elementFlops(out, 4)
+	if b.Down != nil {
+		f += convFlops(b.Down, in) + elementFlops(out, 4)
+	}
+	if b.WithSkip {
+		f += elementFlops(out, 1)
+	}
+	return f + elementFlops(out, 1)
+}
+
+// Group is the hidden channel set between conv1 and conv2, ranked by BN1:
+// identity skips tie block outputs across the stage, so only the internal
+// channels are prunable.
+func (b *ResBlock) Group() (GroupKind, *nn.Param, bool) {
+	return GroupInternal, b.BN1.Gamma, true
+}
 
 // InternalChannels returns the internal width.
 func (b *ResBlock) InternalChannels() int { return b.Conv1.OutC }
 
-// PruneInternal keeps only the listed internal channels (conv1 outputs /
+// PruneGroup keeps only the listed internal channels (conv1 outputs /
 // conv2 inputs).
-func (b *ResBlock) PruneInternal(keep []int) {
+func (b *ResBlock) PruneGroup(keep []int) {
 	b.Conv1.PruneOutput(keep)
 	b.BN1.Prune(keep)
 	b.Conv2.PruneInput(keep)
-}
-
-// PruneOut panics: block outputs are not prunable.
-func (b *ResBlock) PruneOut(keep []int) {
-	panic(fmt.Sprintf("zoo: %s output channels are tied by skip connections", b.name))
 }
 
 // PruneIn keeps only the listed input channels on both paths.

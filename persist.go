@@ -1,6 +1,7 @@
 package tbnet
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -68,14 +69,10 @@ func LoadDeploymentOn(r io.Reader, device Device) (*Deployment, error) {
 // deployArtifact places a parsed artifact onto device (nil resolves the
 // artifact's saved device name).
 func deployArtifact(art *serial.Artifact, device Device) (*Deployment, error) {
-	if device == nil {
-		d, err := tee.ByName(art.Device)
-		if err != nil {
-			return nil, fmt.Errorf("%w: artifact targets device %q: %w", ErrBadOption, art.Device, err)
-		}
-		device = d
-	}
 	dep, err := art.Deploy(device)
+	if errors.Is(err, tee.ErrUnknownDevice) {
+		return nil, fmt.Errorf("%w: %w", ErrBadOption, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("tbnet: re-deploying artifact: %w", err)
 	}
