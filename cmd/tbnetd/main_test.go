@@ -210,7 +210,7 @@ func TestDaemonLogsBatchingStatus(t *testing.T) {
 	if want := "batching: max_batch=8 linger=0s (work-conserving)"; !strings.Contains(stderr.String(), want) {
 		t.Fatalf("startup log lacks %q:\n%s", want, stderr.String())
 	}
-	if want := regexp.MustCompile(`kernels: f32=\S+ f32conv=(packed-from-image|im2col) int8=(avx512vnni-4x4|avx2-dot4|scalar-dot4) parallel_above_macs=\d+ workers=\d+`); !want.MatchString(stderr.String()) {
+	if want := regexp.MustCompile(`kernels: f32=\S+ f32conv=(packed-from-image|im2col) f32dw=(avx-3x3|scalar) int8=(avx512vnni-4x4|avx2-dot4|scalar-dot4) parallel_above_macs=\d+ workers=\d+`); !want.MatchString(stderr.String()) {
 		t.Fatalf("startup log lacks %q:\n%s", want, stderr.String())
 	}
 }

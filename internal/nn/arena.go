@@ -60,9 +60,10 @@ func NewArena() *Arena {
 // A convolution draws tensor.ConvScratchLen of it: under the tile kernel the
 // sample copied inside its zero border (about 1.3× a 16×16 input; nothing
 // for an unpadded or pointwise convolution), and the Im2Col column matrix
-// the buffer is named after only under the portable kernel. The int8 dense
-// layer keeps its per-row activation scales in worker 0's. Contents are
-// undefined; callers overwrite before reading.
+// the buffer is named after only under the portable kernel. A depthwise
+// convolution draws tensor.DepthwiseScratchLen: one channel inside its zero
+// border. The int8 dense layer keeps its per-row activation scales in
+// worker 0's. Contents are undefined; callers overwrite before reading.
 func (a *Arena) ColScratch(w, n int) []float32 {
 	if cap(a.cols[w]) < n {
 		a.cols[w] = make([]float32, n)

@@ -147,15 +147,16 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogu
 	if c.B != nil {
 		fused = nil
 	}
+	scratchLen := tensor.ConvScratchLen(g)
 	if n == 1 {
 		// A single sample has no sample-level parallelism; the matmul itself
 		// goes through the worker pool when it is big enough to pay for the
 		// wake-up, and otherwise runs here without allocating.
-		tensor.ConvGemmFusedParallel(od[:sampleOut], wd, xd[:sampleIn], c.OutC, g, convScratch(a, 0, g), fused)
+		tensor.ConvGemmFusedParallel(od[:sampleOut], wd, xd[:sampleIn], c.OutC, g, floatScratch(a, 0, scratchLen), fused)
 	} else {
 		parallelFor(n, func(worker, i int) {
 			tensor.ConvGemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, xd[i*sampleIn:(i+1)*sampleIn],
-				c.OutC, g, convScratch(a, worker, g), fused)
+				c.OutC, g, floatScratch(a, worker, scratchLen), fused)
 		})
 	}
 	if c.B != nil {
@@ -183,11 +184,9 @@ func (c *Conv2D) pointwise() bool {
 	return c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
 }
 
-// convScratch returns what the float32 convolution kernel needs beside one
-// sample of geometry g: the worker's arena scratch, or a fresh buffer
-// without an arena.
-func convScratch(a *Arena, worker int, g tensor.ConvGeom) []float32 {
-	n := tensor.ConvScratchLen(g)
+// floatScratch returns the n floats a float32 convolution kernel needs beside
+// one sample: the worker's arena scratch, or a fresh buffer without an arena.
+func floatScratch(a *Arena, worker, n int) []float32 {
 	if a != nil {
 		return a.ColScratch(worker, n)
 	}

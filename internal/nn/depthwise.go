@@ -65,11 +65,31 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // ForwardInto is the eval-mode inference path: the depthwise convolution of
-// x written into dst (shaped per OutShape). The float32 path retains no
-// state and needs no scratch, so the arena may be nil; the int8 path draws
-// its quantized-input scratch from the arena (creating a private one when
-// nil).
+// x written into dst (shaped per OutShape), one tensor.DepthwiseFused per
+// sample. The float32 path draws the kernel's zero-bordered plane from the
+// arena's per-worker scratch (ColScratch; a fresh buffer when the arena is
+// nil), so a warm arena makes it allocation-free; the int8 path draws its
+// quantized-input scratch from the arena (creating a private one when nil).
+// No state is retained.
 func (d *DepthwiseConv2D) ForwardInto(dst, x *tensor.Tensor, a *Arena) {
+	d.forwardInto(dst, x, a, nil)
+}
+
+// ForwardIntoBN is ForwardInto followed by bn's eval-mode ForwardInto and,
+// when relu is set, ReLU.ForwardInto — bit for bit, in either precision —
+// with the two element-wise passes applied by the convolution's own kernel
+// before each output is stored (see Conv2D.ForwardIntoBN).
+func (d *DepthwiseConv2D) ForwardIntoBN(dst, x *tensor.Tensor, a *Arena, bn *BatchNorm2D, relu bool) {
+	if bn.C != d.C {
+		panic(fmt.Sprintf("nn: %s normalizes %d channels, %s produces %d", bn.name, bn.C, d.name, d.C))
+	}
+	if a == nil {
+		a = NewArena()
+	}
+	d.forwardInto(dst, x, a, bn.epilogue(a, relu))
+}
+
+func (d *DepthwiseConv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogue) {
 	if x.Dim(1) != d.C {
 		panic(fmt.Sprintf("nn: %s expects %d channels, got %d", d.name, d.C, x.Dim(1)))
 	}
@@ -84,38 +104,20 @@ func (d *DepthwiseConv2D) ForwardInto(dst, x *tensor.Tensor, a *Arena) {
 		if a == nil {
 			a = NewArena()
 		}
-		d.forwardIntoI8(dst, x, a)
+		d.forwardIntoI8(dst, x, a, ep)
 		return
 	}
+	g := tensor.ConvGeom{C: d.C, H: h, W: w, KH: d.K, KW: d.K, Stride: d.Stride, Pad: d.Pad}
+	sampleIn, sampleOut, planeLen := d.C*h*w, d.C*oh*ow, tensor.DepthwiseScratchLen(g)
 	xd, od, wd := x.Data(), dst.Data(), d.W.Value.Data()
-	kk := d.K * d.K
-	parallelFor(n, func(_, i int) {
-		for ch := 0; ch < d.C; ch++ {
-			plane := xd[(i*d.C+ch)*h*w : (i*d.C+ch+1)*h*w]
-			dst := od[(i*d.C+ch)*oh*ow : (i*d.C+ch+1)*oh*ow]
-			filt := wd[ch*kk : (ch+1)*kk]
-			di := 0
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var s float32
-					for ky := 0; ky < d.K; ky++ {
-						iy := oy*d.Stride + ky - d.Pad
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < d.K; kx++ {
-							ix := ox*d.Stride + kx - d.Pad
-							if ix < 0 || ix >= w {
-								continue
-							}
-							s += filt[ky*d.K+kx] * plane[iy*w+ix]
-						}
-					}
-					dst[di] = s
-					di++
-				}
-			}
-		}
+	if n == 1 {
+		// No closure for a single sample, so nothing escapes to the heap.
+		tensor.DepthwiseFused(od, wd, xd, g, floatScratch(a, 0, planeLen), ep)
+		return
+	}
+	parallelFor(n, func(worker, i int) {
+		tensor.DepthwiseFused(od[i*sampleOut:(i+1)*sampleOut], wd, xd[i*sampleIn:(i+1)*sampleIn],
+			g, floatScratch(a, worker, planeLen), ep)
 	})
 }
 

@@ -9,7 +9,8 @@ import (
 )
 
 // checkInto asserts the ForwardInto path of a layer is bit-identical to its
-// eval-mode Forward path for the given input.
+// eval-mode Forward path for the given input: the same bit patterns, so a
+// +0/-0 swap fails and a NaN equals itself.
 func checkInto(t *testing.T, l Layer, x *tensor.Tensor) {
 	t.Helper()
 	into, ok := l.(InferLayer)
@@ -26,7 +27,7 @@ func checkInto(t *testing.T, l Layer, x *tensor.Tensor) {
 	}
 	wd, gd := want.Data(), dst.Data()
 	for i := range wd {
-		if wd[i] != gd[i] {
+		if math.Float32bits(wd[i]) != math.Float32bits(gd[i]) {
 			t.Fatalf("%s: element %d = %v via ForwardInto, %v via Forward", l.Name(), i, gd[i], wd[i])
 		}
 	}
@@ -34,7 +35,7 @@ func checkInto(t *testing.T, l Layer, x *tensor.Tensor) {
 	// still agree (the steady-state serving condition).
 	into.ForwardInto(dst, x, a)
 	for i := range wd {
-		if wd[i] != gd[i] {
+		if math.Float32bits(wd[i]) != math.Float32bits(gd[i]) {
 			t.Fatalf("%s: warm-arena element %d = %v, want %v", l.Name(), i, gd[i], wd[i])
 		}
 	}
@@ -309,30 +310,50 @@ func TestReLUForwardIntoSpecialValues(t *testing.T) {
 // TestConvForwardIntoBNMatchesSeparateLayers locks the fused conv epilogue to
 // the three layers it stands for, bit for bit: with and without a bias, 3x3
 // and pointwise, channel counts off the kernel's row block, both precisions,
-// a single sample and a batch — and shows the batch-norm parameters are read
-// at call time by changing them between two calls on one arena.
+// a single sample and a batch, and the depthwise convolution's form of it —
+// and shows the batch-norm parameters are read at call time by changing them
+// between two calls on one arena.
 func TestConvForwardIntoBNMatchesSeparateLayers(t *testing.T) {
 	rng := tensor.NewRNG(91)
 	for _, tc := range []struct {
 		name                      string
 		inC, outC, k, stride, pad int
-		bias                      bool
+		bias, depthwise           bool
 	}{
-		{"k3", 3, 8, 3, 1, 1, false},
-		{"k3-odd", 5, 11, 3, 2, 1, false},
-		{"k3-bias", 4, 6, 3, 1, 1, true},
-		{"pointwise", 6, 13, 1, 1, 0, false},
+		{"k3", 3, 8, 3, 1, 1, false, false},
+		{"k3-odd", 5, 11, 3, 2, 1, false, false},
+		{"k3-bias", 4, 6, 3, 1, 1, true, false},
+		{"pointwise", 6, 13, 1, 1, 0, false, false},
+		{"dw", 6, 6, 3, 1, 1, false, true},
+		{"dw-s2-odd", 11, 11, 3, 2, 1, false, true},
 	} {
 		for _, int8 := range []bool{false, true} {
-			conv := NewConv2D(tc.name, tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.bias, rng)
-			if tc.bias {
-				rng.FillNormal(conv.B.Value, 0, 0.5)
+			var conv interface {
+				Layer
+				InferLayer
+				ForwardIntoBN(dst, x *tensor.Tensor, a *Arena, bn *BatchNorm2D, relu bool)
 			}
-			if int8 {
-				q, s := quantizeRowsRef(conv.W.Value.Data(), tc.outC, tc.inC*tc.k*tc.k)
-				if err := conv.SetInt8Weights(q, s); err != nil {
-					t.Fatal(err)
+			if tc.depthwise {
+				dw := NewDepthwiseConv2D(tc.name, tc.inC, tc.k, tc.stride, tc.pad, rng)
+				if int8 {
+					q, s := quantizeRowsRef(dw.W.Value.Data(), tc.inC, tc.k*tc.k)
+					if err := dw.SetInt8Weights(q, s); err != nil {
+						t.Fatal(err)
+					}
 				}
+				conv = dw
+			} else {
+				c := NewConv2D(tc.name, tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.bias, rng)
+				if tc.bias {
+					rng.FillNormal(c.B.Value, 0, 0.5)
+				}
+				if int8 {
+					q, s := quantizeRowsRef(c.W.Value.Data(), tc.outC, tc.inC*tc.k*tc.k)
+					if err := c.SetInt8Weights(q, s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				conv = c
 			}
 			bn := NewBatchNorm2D("bn", tc.outC)
 			relu := NewReLU("relu")

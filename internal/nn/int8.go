@@ -126,9 +126,10 @@ func (d *DepthwiseConv2D) SetInt8Weights(data []int8, scales []float32) error {
 func (d *DepthwiseConv2D) Int8() bool { return d.qw != nil }
 
 // forwardIntoI8 runs the depthwise convolution in int32 accumulation over
-// the quantized sample, requantizing per channel. Scalar per-tap loops —
-// the window is tiny (k×k), so there is nothing for a GEMM to block.
-func (d *DepthwiseConv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
+// the quantized sample, requantizing per channel and then applying ep (when
+// set) to the channel. Scalar per-tap loops — the window is tiny (k×k), so
+// there is nothing for a GEMM to block.
+func (d *DepthwiseConv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogue) {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh := tensor.ConvOutDim(h, d.K, d.Stride, d.Pad)
 	ow := tensor.ConvOutDim(w, d.K, d.Stride, d.Pad)
@@ -163,6 +164,9 @@ func (d *DepthwiseConv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
 					out[di] = float32(s) * f
 					di++
 				}
+			}
+			if ep != nil {
+				ep.ApplyRow(out, ch)
 			}
 		}
 	})

@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// withSIMD runs fn with the float32 vector kernels on or off and reports
+// whether it could: a CPU that failed their gate cannot turn them on.
+func withSIMD(on bool, fn func()) bool {
+	if on && !hasSIMD {
+		return false
+	}
+	defer func(v bool) { hasSIMD = v }(hasSIMD)
+	hasSIMD = on
+	fn()
+	return true
+}
+
 // withI8Level runs fn with the int8 dispatch pinned to kernel l and reports
 // whether it could: a kernel above the detected one is one this CPU lacks.
 func withI8Level(l i8Kernel, fn func()) bool {

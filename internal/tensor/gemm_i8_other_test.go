@@ -11,3 +11,13 @@ func withI8Level(l i8Kernel, fn func()) bool {
 	fn()
 	return true
 }
+
+// withSIMD runs fn with the float32 vector kernels on or off and reports
+// whether it could: off amd64 there are none to turn on.
+func withSIMD(on bool, fn func()) bool {
+	if on {
+		return false
+	}
+	fn()
+	return true
+}

@@ -51,15 +51,15 @@ func poolStart() {
 // micro-kernels this process runs (the vector ones only when the CPU and OS
 // passed their CPUID gates), how a float32 convolution's GEMM gets its b
 // operand — panels packed from the image under the tile kernel, the Im2Col
-// column matrix under the portable one, which streams whole b rows — and
-// the dispatch threshold, in one line a daemon can log and an operator can
-// grep.
+// column matrix under the portable one, which streams whole b rows — which
+// kernel runs a 3×3 float32 depthwise convolution (DepthwiseFused), and the
+// dispatch threshold, in one line a daemon can log and an operator can grep.
 func KernelStatus() string {
-	f32, conv := "scalar-4x4", "im2col"
+	f32, conv, dw := "scalar-4x4", "im2col", "scalar"
 	if hasSIMD {
-		f32, conv = "avx-tile4x16", "packed-from-image"
+		f32, conv, dw = "avx-tile4x16", "packed-from-image", "avx-3x3"
 	}
-	return fmt.Sprintf("f32=%s f32conv=%s int8=%s parallel_above_macs=%d workers=%d", f32, conv, i8Level, 2*parallelMACs, poolSize)
+	return fmt.Sprintf("f32=%s f32conv=%s f32dw=%s int8=%s parallel_above_macs=%d workers=%d", f32, conv, dw, i8Level, 2*parallelMACs, poolSize)
 }
 
 // Workers returns the maximum number of concurrently executing chunks a

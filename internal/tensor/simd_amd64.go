@@ -73,6 +73,13 @@ func quantHWCSIMD(a *quantHWCArgs)
 //go:noescape
 func im2rowI8SIMD(a *im2rowI8Args)
 
+// depthwise3x3SIMD runs channels [a.ch, a.end) of a 3×3 depthwise
+// convolution at stride 1 or 2, each through the zero-bordered plane (see
+// dwArgs and DepthwiseFused).
+//
+//go:noescape
+func depthwise3x3SIMD(a *dwArgs)
+
 //go:noescape
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1005,6 +1005,303 @@ patch32last:
 	VMOVDQU Y0, (DI)(R15*1)
 	I8_PATCH_NEXT(patch32oy, patch32ox, patch32ky)
 
+// func depthwise3x3SIMD(a *dwArgs)
+//
+// Channels a.ch up to a.end of a 3x3 depthwise convolution (see
+// DepthwiseFused), counted in a.ch, the one field it writes: each channel's
+// input, weights, output and epilogue values are found from channel 0's. Per
+// channel the input is first copied into the interior of the zero-bordered
+// plane — at stride 2 each row de-interleaved, even columns to a.evenAt and
+// odd ones to a.oddAt, eight at a time with two VSHUFPS — and the nine
+// weights are broadcast into Y7..Y15. Then a tile of four output rows
+// (sources R12..R15, a.tileSrc past the first) and 8, 4 or 1 columns is
+// summed in Y0..Y3 from +0, tap by tap in (ky, kx) order, one VMULPS and one
+// VADDPS each through the one temporary Y4 — four independent chains, so
+// the adds' latency overlaps; a window row's three taps are 0, a.tap1 and
+// a.tap2 bytes along its plane row. When a.mean is set, the batch-norm
+// sequence of TILE_BN and, when a.relu is, VMAXPS against the +0 in Y6
+// finish the tile before it is stored. Tiles start every four output rows,
+// the last one moved back to end on the last row; with fewer than four rows
+// the tile's spare rows repeat its last. Either way a row computed twice is
+// stored twice with the same bits.
+#define DW_TAP8(w, a0, a1, a2, a3) \
+	VMULPS a0, w, Y4; \
+	VADDPS Y4, Y0, Y0; \
+	VMULPS a1, w, Y4; \
+	VADDPS Y4, Y1, Y1; \
+	VMULPS a2, w, Y4; \
+	VADDPS Y4, Y2, Y2; \
+	VMULPS a3, w, Y4; \
+	VADDPS Y4, Y3, Y3
+
+#define DW_TAP4(w, a0, a1, a2, a3) \
+	VMULPS a0, w, X4; \
+	VADDPS X4, X0, X0; \
+	VMULPS a1, w, X4; \
+	VADDPS X4, X1, X1; \
+	VMULPS a2, w, X4; \
+	VADDPS X4, X2, X2; \
+	VMULPS a3, w, X4; \
+	VADDPS X4, X3, X3
+
+#define DW_TAP1(w, a0, a1, a2, a3) \
+	VMULSS a0, w, X4; \
+	VADDSS X4, X0, X0; \
+	VMULSS a1, w, X4; \
+	VADDSS X4, X1, X1; \
+	VMULSS a2, w, X4; \
+	VADDSS X4, X2, X2; \
+	VMULSS a3, w, X4; \
+	VADDSS X4, X3, X3
+
+// The three taps of one window row, then the four source rows move down one
+// plane row.
+#define DW_KY(TAP, w0, w1, w2) \
+	TAP(w0, (R12), (R13), (R14), (R15)); \
+	TAP(w1, (R12)(R10*1), (R13)(R10*1), (R14)(R10*1), (R15)(R10*1)); \
+	TAP(w2, (R12)(R11*1), (R13)(R11*1), (R14)(R11*1), (R15)(R11*1)); \
+	ADDQ R8, R12; \
+	ADDQ R8, R13; \
+	ADDQ R8, R14; \
+	ADDQ R8, R15
+
+#define DW_WINDOW(TAP, w0, w1, w2, w3, w4, w5, w6, w7, w8) \
+	MOVQ SI, R12; \
+	MOVQ SI, R13; \
+	ADDQ 136(DX), R13; \
+	MOVQ SI, R14; \
+	ADDQ 144(DX), R14; \
+	MOVQ SI, R15; \
+	ADDQ 152(DX), R15; \
+	DW_KY(TAP, w0, w1, w2); \
+	DW_KY(TAP, w3, w4, w5); \
+	DW_KY(TAP, w6, w7, w8)
+
+#define DW_EPILOGUE(done) \
+	MOVQ 216(DX), R12; \
+	TESTQ R12, R12; \
+	JZ   done; \
+	MOVQ 256(DX), R13; \
+	VBROADCASTSS (R12)(R13*4), Y5; \
+	VSUBPS Y5, Y0, Y0; \
+	VSUBPS Y5, Y1, Y1; \
+	VSUBPS Y5, Y2, Y2; \
+	VSUBPS Y5, Y3, Y3; \
+	MOVQ 224(DX), R12; \
+	VBROADCASTSS (R12)(R13*4), Y5; \
+	VMULPS Y0, Y5, Y0; \
+	VMULPS Y1, Y5, Y1; \
+	VMULPS Y2, Y5, Y2; \
+	VMULPS Y3, Y5, Y3; \
+	MOVQ 232(DX), R12; \
+	VBROADCASTSS (R12)(R13*4), Y5; \
+	VMULPS Y5, Y0, Y0; \
+	VMULPS Y5, Y1, Y1; \
+	VMULPS Y5, Y2, Y2; \
+	VMULPS Y5, Y3, Y3; \
+	MOVQ 240(DX), R12; \
+	VBROADCASTSS (R12)(R13*4), Y5; \
+	VADDPS Y5, Y0, Y0; \
+	VADDPS Y5, Y1, Y1; \
+	VADDPS Y5, Y2, Y2; \
+	VADDPS Y5, Y3, Y3; \
+	CMPB 248(DX), $0; \
+	JEQ  done; \
+	VMAXPS Y6, Y0, Y0; \
+	VMAXPS Y6, Y1, Y1; \
+	VMAXPS Y6, Y2, Y2; \
+	VMAXPS Y6, Y3, Y3; \
+done:
+
+#define DW_STORE(MOV, r0, r1, r2, r3) \
+	MOV r0, (DI); \
+	MOVQ 160(DX), R12; \
+	MOV r1, (DI)(R12*1); \
+	MOVQ 168(DX), R12; \
+	MOV r2, (DI)(R12*1); \
+	MOVQ 176(DX), R12; \
+	MOV r3, (DI)(R12*1)
+
+#define DW_ZERO \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3
+
+TEXT ·depthwise3x3SIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DX
+	VXORPS Y6, Y6, Y6
+
+dwchannel:
+	MOVQ 256(DX), SI
+	IMULQ 200(DX), SI
+	ADDQ 8(DX), SI        // input plane
+	MOVQ 32(DX), DI       // its first row's plane row
+	MOVQ 48(DX), CX       // rows left
+	MOVQ 80(DX), R8       // pw4
+	MOVQ 88(DX), R10      // evenAt
+	MOVQ 96(DX), R11      // oddAt
+	CMPQ 192(DX), $1
+	JNE  dwsplitrow
+
+dwcopyrow:
+	LEAQ (DI)(R10*1), R9
+	MOVQ 56(DX), AX
+dwcopy8:
+	CMPQ AX, $8
+	JLT  dwcopy4
+	VMOVUPS (SI), Y0
+	VMOVUPS Y0, (R9)
+	ADDQ $32, SI
+	ADDQ $32, R9
+	SUBQ $8, AX
+	JMP  dwcopy8
+dwcopy4:
+	CMPQ AX, $4
+	JLT  dwcopy1
+	VMOVUPS (SI), X0
+	VMOVUPS X0, (R9)
+	ADDQ $16, SI
+	ADDQ $16, R9
+	SUBQ $4, AX
+dwcopy1:
+	TESTQ AX, AX
+	JZ   dwcopied
+	MOVL (SI), R13
+	MOVL R13, (R9)
+	ADDQ $4, SI
+	ADDQ $4, R9
+	DECQ AX
+	JMP  dwcopy1
+dwcopied:
+	ADDQ R8, DI
+	DECQ CX
+	JNZ  dwcopyrow
+	JMP  dwweights
+
+dwsplitrow:
+	LEAQ (DI)(R10*1), R9  // even columns
+	LEAQ (DI)(R11*1), R12 // odd columns
+	MOVQ 56(DX), AX
+dwsplit8:
+	CMPQ AX, $8
+	JLT  dwsplit2
+	VMOVUPS (SI), X0
+	VMOVUPS 16(SI), X1
+	VSHUFPS $0x88, X1, X0, X2
+	VSHUFPS $0xDD, X1, X0, X3
+	VMOVUPS X2, (R9)
+	VMOVUPS X3, (R12)
+	ADDQ $32, SI
+	ADDQ $16, R9
+	ADDQ $16, R12
+	SUBQ $8, AX
+	JMP  dwsplit8
+dwsplit2:
+	CMPQ AX, $2
+	JLT  dwsplit1
+	MOVL (SI), R13
+	MOVL R13, (R9)
+	MOVL 4(SI), R13
+	MOVL R13, (R12)
+	ADDQ $8, SI
+	ADDQ $4, R9
+	ADDQ $4, R12
+	SUBQ $2, AX
+	JMP  dwsplit2
+dwsplit1:
+	TESTQ AX, AX
+	JZ   dwsplitdone
+	MOVL (SI), R13
+	MOVL R13, (R9)
+	ADDQ $4, SI
+dwsplitdone:
+	ADDQ R8, DI
+	DECQ CX
+	JNZ  dwsplitrow
+
+dwweights:
+	MOVQ 256(DX), AX
+	IMULQ $36, AX
+	ADDQ 16(DX), AX
+	VBROADCASTSS 0(AX), Y7
+	VBROADCASTSS 4(AX), Y8
+	VBROADCASTSS 8(AX), Y9
+	VBROADCASTSS 12(AX), Y10
+	VBROADCASTSS 16(AX), Y11
+	VBROADCASTSS 20(AX), Y12
+	VBROADCASTSS 24(AX), Y13
+	VBROADCASTSS 28(AX), Y14
+	VBROADCASTSS 32(AX), Y15
+	MOVQ 104(DX), R10     // tap1
+	MOVQ 112(DX), R11     // tap2
+	XORQ BX, BX           // the tile's first output row
+
+dwtile:
+	MOVQ BX, SI
+	IMULQ 120(DX), SI
+	ADDQ 24(DX), SI       // its first tap in the plane
+	MOVQ BX, DI
+	IMULQ 128(DX), DI
+	MOVQ 256(DX), R12
+	IMULQ 208(DX), R12
+	ADDQ R12, DI
+	ADDQ 0(DX), DI        // its first output
+	MOVQ 72(DX), AX       // columns left
+
+dwcols8:
+	CMPQ AX, $8
+	JLT  dwcols4
+	DW_ZERO
+	DW_WINDOW(DW_TAP8, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	DW_EPILOGUE(dwstore8)
+	DW_STORE(VMOVUPS, Y0, Y1, Y2, Y3)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, AX
+	JMP  dwcols8
+
+dwcols4:
+	CMPQ AX, $4
+	JLT  dwcols1
+	DW_ZERO
+	DW_WINDOW(DW_TAP4, X7, X8, X9, X10, X11, X12, X13, X14, X15)
+	DW_EPILOGUE(dwstore4)
+	DW_STORE(VMOVUPS, X0, X1, X2, X3)
+	ADDQ $16, SI
+	ADDQ $16, DI
+	SUBQ $4, AX
+
+dwcols1:
+	TESTQ AX, AX
+	JZ   dwnexttile
+	DW_ZERO
+	DW_WINDOW(DW_TAP1, X7, X8, X9, X10, X11, X12, X13, X14, X15)
+	DW_EPILOGUE(dwstore1)
+	DW_STORE(VMOVSS, X0, X1, X2, X3)
+	ADDQ $4, SI
+	ADDQ $4, DI
+	DECQ AX
+	JMP  dwcols1
+
+dwnexttile:
+	ADDQ 184(DX), BX
+	MOVQ 64(DX), AX
+	CMPQ BX, AX
+	JGE  dwnextchannel
+	SUBQ 184(DX), AX      // the last tile's first row
+	CMPQ BX, AX
+	CMOVQGT AX, BX
+	JMP  dwtile
+
+dwnextchannel:
+	INCQ 256(DX)
+	MOVQ 256(DX), AX
+	CMPQ AX, 40(DX)
+	JLT  dwchannel
+	VZEROUPPER
+	RET
+
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

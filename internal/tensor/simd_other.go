@@ -10,8 +10,9 @@ const hasSIMD = false
 // the scalar quad kernel in gemm_i8.go runs unconditionally.
 const i8Level = i8Scalar
 
-// gemmTileSIMD, packPanelSIMD and packConvSIMD are never called when hasSIMD
-// is false; the stubs keep the matmul kernel free of build tags.
+// gemmTileSIMD, packPanelSIMD, packConvSIMD and depthwise3x3SIMD are never
+// called when hasSIMD is false; the stubs keep the float32 kernels free of
+// build tags.
 func gemmTileSIMD(t *tileArgs) {
 	panic("tensor: gemmTileSIMD called without SIMD support")
 }
@@ -22,6 +23,10 @@ func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32) {
 
 func packConvSIMD(a *packArgs) {
 	panic("tensor: packConvSIMD called without SIMD support")
+}
+
+func depthwise3x3SIMD(a *dwArgs) {
+	panic("tensor: depthwise3x3SIMD called without SIMD support")
 }
 
 // dot4I8SIMD, gemmI8TileVNNI and the vector front passes are never called

@@ -67,3 +67,42 @@ func BenchmarkConvBlockInferInto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDWBlockInferInto is the same rung for MobileNet-S's six
+// depthwise-separable blocks in order, float32 on a single sample: fused is
+// InferInto, the depthwise kernel finishing its outputs with BN1 and ReLU;
+// layers is the depthwise conv, then BN1 and ReLU as passes of their own,
+// then the same fused pointwise conv — so layers − fused is what the two
+// passes cost.
+func BenchmarkDWBlockInferInto(b *testing.B) {
+	for _, g := range []struct{ inC, outC, hw, stride int }{
+		{16, 24, 16, 1}, {24, 32, 16, 2}, {32, 32, 8, 1}, {32, 48, 8, 2}, {48, 48, 4, 1}, {48, 64, 4, 2},
+	} {
+		blk := NewDWBlock("b", g.inC, g.outC, g.stride, tensor.NewRNG(2))
+		x := tensor.New(1, g.inC, g.hw, g.hw)
+		tensor.NewRNG(1).FillNormal(x, 0, 1)
+		mid := tensor.New(blk.DW.OutShape(x.Shape())...)
+		dst := tensor.New(blk.OutShape(x.Shape())...)
+		a := nn.NewArena()
+		for _, leg := range []struct {
+			name string
+			run  func()
+		}{
+			{"fused", func() { blk.InferInto(dst, x, a) }},
+			{"layers", func() {
+				blk.DW.ForwardInto(mid, x, a)
+				blk.BN1.ForwardInto(mid, mid, a)
+				blk.Act1.ForwardInto(mid, mid, a)
+				blk.PW.ForwardIntoBN(dst, mid, a, blk.BN2, true)
+			}},
+		} {
+			leg.run()
+			b.Run(fmt.Sprintf("%dx%dx%d_to%d_s%d/%s", g.inC, g.hw, g.hw, g.outC, g.stride, leg.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					leg.run()
+				}
+			})
+		}
+	}
+}

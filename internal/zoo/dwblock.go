@@ -62,16 +62,14 @@ func (b *DWBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // InferInto implements the stage inference path: depthwise into an arena
-// buffer with its norm and activation in place, then pointwise into dst
-// with the trailing norm and activation applied by the conv itself.
+// buffer, then pointwise into dst, each convolution applying its norm and
+// activation itself before it stores.
 func (b *DWBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	n := x.Dim(0)
 	oh := tensor.ConvOutDim(x.Dim(2), b.DW.K, b.DW.Stride, b.DW.Pad)
 	ow := tensor.ConvOutDim(x.Dim(3), b.DW.K, b.DW.Stride, b.DW.Pad)
 	mid := a.Tensor4(b.name, n, b.DW.C, oh, ow)
-	b.DW.ForwardInto(mid, x, a)
-	b.BN1.ForwardInto(mid, mid, a)
-	b.Act1.ForwardInto(mid, mid, a)
+	b.DW.ForwardIntoBN(mid, x, a, b.BN1, true)
 	b.PW.ForwardIntoBN(dst, mid, a, b.BN2, true)
 }
 

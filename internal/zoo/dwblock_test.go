@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tbnet/internal/nn"
 	"tbnet/internal/tensor"
 )
 
@@ -74,6 +75,39 @@ func TestDWBlockPruneInputSide(t *testing.T) {
 	out := m.Forward(randImages(1, 3, 16, 16, 7), false)
 	if out.Dim(1) != 5 {
 		t.Fatalf("logits = %v", out.Shape())
+	}
+}
+
+// TestDWBlockInferIntoSteadyState: the depthwise kernel's zero-bordered plane
+// comes from the arena, beside the depthwise output the block parks there,
+// so once the arena is warm a block neither grows it nor, for one sample,
+// allocates — at both strides, and across the pool at batch 3.
+func TestDWBlockInferIntoSteadyState(t *testing.T) {
+	for _, stride := range []int{1, 2} {
+		blk := NewDWBlock("b", 16, 24, stride, tensor.NewRNG(12))
+		plane := tensor.DepthwiseScratchLen(tensor.ConvGeom{C: 16, H: 16, W: 16, KH: 3, KW: 3, Stride: stride, Pad: 1})
+		for _, batch := range []int{1, 3} {
+			a := nn.NewArena()
+			x := randImages(batch, 16, 16, 16, 13)
+			dst := tensor.New(blk.OutShape(x.Shape())...)
+			blk.InferInto(dst, x, a)
+			warm := a.Bytes()
+			mid := blk.DW.OutShape(x.Shape())
+			if held := int64(4 * (mid[0]*mid[1]*mid[2]*mid[3] + plane)); warm < held {
+				t.Fatalf("stride %d batch %d: arena holds %d bytes, under the depthwise output and one plane (%d)",
+					stride, batch, warm, held)
+			}
+			run := func() { blk.InferInto(dst, x, a) }
+			if batch == 1 {
+				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+					t.Fatalf("stride %d: %v allocations per warm InferInto, want 0", stride, allocs)
+				}
+			}
+			run()
+			if a.Bytes() != warm {
+				t.Fatalf("stride %d batch %d: warm arena grew from %d to %d bytes", stride, batch, warm, a.Bytes())
+			}
+		}
 	}
 }
 
