@@ -2,8 +2,8 @@ package tbnet
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation, each regenerating the artifact end to end (train → transfer →
-// prune → finalize → measure) at the micro scale, plus component benchmarks
-// for the hot paths. A full-scale run of every artifact is
+// prune → finalize → measure) at the micro scale, plus the deployed
+// single-image inference path. A full-scale run of every artifact is
 // `go run ./cmd/tbnet experiment all -scale full`.
 //
 // The artifact benchmarks report domain metrics via b.ReportMetric:
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"tbnet/internal/experiments"
+	"tbnet/internal/report"
 	"tbnet/internal/tee"
 )
 
@@ -32,38 +33,32 @@ func skipInShort(b *testing.B) {
 	}
 }
 
-// parsePct converts the report's "12.34%" cells back to numbers.
-func parsePct(s string) float64 {
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
+// parseCell converts the report's "12.34%" and "2.45x" cells back to numbers.
+func parseCell(s string) float64 {
+	v, err := strconv.ParseFloat(strings.TrimRight(s, "%x"), 64)
 	if err != nil {
 		panic(err)
 	}
 	return v
 }
 
-// parseRatio converts the report's "2.45x" cells back to numbers.
-func parseRatio(s string) float64 {
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-	if err != nil {
-		panic(err)
+// benchColumnMean regenerates one table per iteration (a fresh lab per seed)
+// and reports the mean of column col as metric.
+func benchColumnMean(b *testing.B, table func(*experiments.Lab) *report.Table, col int, metric string) {
+	skipInShort(b)
+	for i := 0; i < b.N; i++ {
+		t := table(benchLab(uint64(i + 1)))
+		var sum float64
+		for _, r := range t.Rows {
+			sum += parseCell(r[col])
+		}
+		b.ReportMetric(sum/float64(len(t.Rows)), metric)
 	}
-	return v
 }
 
 // BenchmarkTable1 regenerates Table 1 (victim/TBNet/attack accuracy and the
 // protection gap) across the four architecture×dataset combinations.
-func BenchmarkTable1(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		lab := benchLab(uint64(i + 1))
-		t := lab.Table1()
-		var gap float64
-		for _, r := range t.Rows {
-			gap += parsePct(r[5])
-		}
-		b.ReportMetric(gap/float64(len(t.Rows)), "gap-pts")
-	}
-}
+func BenchmarkTable1(b *testing.B) { benchColumnMean(b, (*experiments.Lab).Table1, 5, "gap-pts") }
 
 // BenchmarkFig2 regenerates Fig. 2 (fine-tuning attack vs data availability).
 func BenchmarkFig2(b *testing.B) {
@@ -88,44 +83,15 @@ func BenchmarkFig2(b *testing.B) {
 
 // BenchmarkTable2 regenerates Table 2 (best possible M_T alone vs TBNet).
 func BenchmarkTable2(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		lab := benchLab(uint64(i + 1))
-		t := lab.Table2()
-		var drop float64
-		for _, r := range t.Rows {
-			drop += parsePct(r[3])
-		}
-		b.ReportMetric(drop/float64(len(t.Rows)), "mt-alone-drop-pts")
-	}
+	benchColumnMean(b, (*experiments.Lab).Table2, 3, "mt-alone-drop-pts")
 }
 
 // BenchmarkFig3 regenerates Fig. 3 (secure-memory usage baseline vs TBNet).
-func BenchmarkFig3(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		lab := benchLab(uint64(i + 1))
-		t := lab.Fig3()
-		var ratio float64
-		for _, r := range t.Rows {
-			ratio += parseRatio(r[3])
-		}
-		b.ReportMetric(ratio/float64(len(t.Rows)), "mem-reduction-x")
-	}
-}
+func BenchmarkFig3(b *testing.B) { benchColumnMean(b, (*experiments.Lab).Fig3, 3, "mem-reduction-x") }
 
 // BenchmarkTable3 regenerates Table 3 (inference latency baseline vs TBNet).
 func BenchmarkTable3(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		lab := benchLab(uint64(i + 1))
-		t := lab.Table3()
-		var ratio float64
-		for _, r := range t.Rows {
-			ratio += parseRatio(r[3])
-		}
-		b.ReportMetric(ratio/float64(len(t.Rows)), "latency-reduction-x")
-	}
+	benchColumnMean(b, (*experiments.Lab).Table3, 3, "latency-reduction-x")
 }
 
 // BenchmarkFig4 regenerates Fig. 4 (BN weight distributions after transfer).
@@ -170,35 +136,5 @@ func BenchmarkDeployedInference(b *testing.B) {
 		if _, err := dep.Infer(x); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkVictimInference measures the plain single-model forward pass for
-// comparison with the deployed path.
-func BenchmarkVictimInference(b *testing.B) {
-	victim := BuildVGG(VGG18Config(10), NewRNG(3))
-	x := NewTensor(1, 3, 16, 16)
-	NewRNG(4).FillNormal(x, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		victim.Forward(x, false)
-	}
-}
-
-// BenchmarkTwoBranchTrainStep measures one joint forward+backward+update on
-// a batch — the knowledge-transfer inner loop.
-func BenchmarkTwoBranchTrainStep(b *testing.B) {
-	skipInShort(b)
-	train, _ := GenerateDataset(SynthCIFAR10(32, 8, 5))
-	victim := BuildVGG(VGG18Config(10), NewRNG(6))
-	tb := NewTwoBranch(victim, 7)
-	cfg := DefaultTrainConfig(1)
-	cfg.BatchSize = 16
-	cfg.LR = 0.01
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TrainTwoBranch(tb, train, nil, cfg)
 	}
 }

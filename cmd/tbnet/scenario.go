@@ -346,7 +346,7 @@ func (sc *scenarioCmd) runSweep(stdout, stderr io.Writer) error {
 // SpanTable text rendering, or with -json the same object shape the daemon's
 // GET /debug/trace answers with, so the artifact feeds the same tooling.
 func writeTraceOut(path string, tracer *tbnet.Tracer, jsonOut bool, stderr io.Writer) error {
-	spans := tbnet.TraceSnapshot(tracer, 0, 0)
+	spans := tracer.Snapshot(0, 0)
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@ package tbnet
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -14,13 +15,7 @@ import (
 // finalizedForDevices builds a finalized two-branch model without training:
 // device cost accounting depends only on the architecture and the staged
 // protocol, not on learned weights.
-func finalizedForDevices(t *testing.T) *TwoBranch {
-	t.Helper()
-	victim := BuildVGG(VGG18Config(4), NewRNG(41))
-	tb := NewTwoBranch(victim, 42)
-	tb.Finalized = true
-	return tb
-}
+func finalizedForDevices(t *testing.T) *TwoBranch { return finalizedDeployment(t, 41).Snapshot() }
 
 func TestDeviceByNameUnknownWrapsErrBadOption(t *testing.T) {
 	if _, err := DeviceByName("abacus"); !errors.Is(err, ErrBadOption) {
@@ -78,13 +73,7 @@ func TestRegisterDeviceRoundTrip(t *testing.T) {
 	if _, err := Deploy(tb, got, []int{1, 3, 16, 16}); err != nil {
 		t.Fatalf("deploying on the registered custom backend: %v", err)
 	}
-	found := false
-	for _, d := range Devices() {
-		if d.Name() == "facade-custom" {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.ContainsFunc(Devices(), func(d Device) bool { return d.Name() == "facade-custom" }) {
 		t.Fatal("registered backend missing from Devices()")
 	}
 }

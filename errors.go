@@ -59,7 +59,7 @@ var (
 	ErrModelExists = serve.ErrModelExists
 
 	// ErrBadArtifact reports a corrupt, truncated, or checksum-failing
-	// persisted artifact (SaveDeployment/LoadDeployment, SaveModel/...).
+	// persisted deployment artifact (LoadDeploymentOn, Registry.Load).
 	ErrBadArtifact = serial.ErrBadFormat
 
 	// ErrModelNotFound reports a Registry load of a name the store does not

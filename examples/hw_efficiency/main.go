@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"tbnet"
 	"tbnet/internal/defense"
@@ -82,7 +83,13 @@ func main() {
 	// The same accumulated costs priced under every registered backend: each
 	// device owns its own overlap semantics, so the REE/TEE split that is a
 	// 10x win on the serialized RPi3 plays out differently on parallel-world
-	// or paging-limited hardware.
+	// or paging-limited hardware. A user-defined cost model joins the sweep by
+	// registering itself.
+	if err := tbnet.RegisterDevice(tbnet.CostModel{DeviceName: "custom-board", REEFlops: 4e9,
+		TEEFlops: 1e9, SwitchLatency: 60 * time.Microsecond, TransferRate: 5e8,
+		SecureCapacity: 16 << 20}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nper-device latency for the same finalized model (registered backends):")
 	fmt.Printf("  %-14s %14s %14s %6s\n", "device", "baseline s/img", "tbnet s/img", "fits?")
 	for _, d := range tbnet.Devices() {

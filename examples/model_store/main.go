@@ -111,7 +111,7 @@ func main() {
 			}
 		}()
 	}
-	if err := srv.Swap(candidate); err != nil {
+	if err := srv.SwapModel(tbnet.DefaultModel, candidate); err != nil {
 		log.Fatal(err)
 	}
 	stop.Store(true)

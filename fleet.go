@@ -30,14 +30,6 @@ const DefaultModel = fleet.DefaultModel
 // breakdowns.
 type FleetStats = fleet.Stats
 
-// FleetDeviceStats is one device's slice of a FleetStats snapshot.
-type FleetDeviceStats = fleet.DeviceStats
-
-// FleetModelStats is one hosted model's fleet-wide slice of a FleetStats
-// snapshot: counters summed and latency percentiles merged across every
-// node's pool for that model.
-type FleetModelStats = fleet.ModelStats
-
 // RoutingPolicy routes each fleet request to one attached device, picking
 // from a live per-node load snapshot. Use the built-ins below or implement
 // the interface for custom routing.
@@ -57,17 +49,8 @@ func LeastLoaded() RoutingPolicy { return fleet.LeastLoaded() }
 // CostAware returns the device-cost-aware policy: devices are scored by
 // their modeled single-sample latency scaled by current backlog, so fast
 // backends absorb traffic and slow edge boards only see requests once the
-// fast ones are saturated. In a fleet built with WithEWMARouting (or any
-// fleet carrying a latency estimator) the scores use the online learned
-// latencies instead of the construction-time probes, so the policy adapts
-// when a device degrades after deployment.
+// fast ones are saturated.
 func CostAware() RoutingPolicy { return fleet.CostAware() }
-
-// EWMARouting returns the adaptive routing policy: nodes are scored by their
-// exponentially-weighted observed service latency times outstanding work.
-// Pair it with WithEWMARouting, which also installs the online estimator the
-// policy learns from.
-func EWMARouting() RoutingPolicy { return fleet.EWMA() }
 
 // Autoscaler is the elastic capacity controller a fleet built with
 // WithAutoscale runs: a closed control loop that widens and narrows each
@@ -178,20 +161,6 @@ func WithMaxInFlight(n int) FleetOption {
 	}
 }
 
-// WithFleetQueueDepth bounds every node's per-model request queue;
-// submissions past the bound block until the pool catches up. The default is
-// four full batch waves per worker. (WithQueueDepth is the single-server
-// ServeOption of the same knob.)
-func WithFleetQueueDepth(n int) FleetOption {
-	return func(o *fleetOptions) error {
-		if n < 1 {
-			return fmt.Errorf("%w: queue depth %d < 1", ErrBadOption, n)
-		}
-		o.cfg.QueueDepth = n
-		return nil
-	}
-}
-
 // WithPace paces every node's workers in real time: each batch's modeled
 // device latency, scaled by this factor, is spent as wall-clock service time
 // before the batch's responses are released. Pacing turns the modeled device
@@ -247,21 +216,6 @@ func WithEWMARouting(alpha float64) FleetOption {
 	}
 }
 
-// WithEstimator installs the online latency estimator without changing the
-// routing policy: CostAware (and any custom policy reading
-// NodeLoad.SampleLatency) then scores with learned latencies, and the
-// autoscale controller prices capacity per node with them. alpha as in
-// WithEWMARouting.
-func WithEstimator(alpha float64) FleetOption {
-	return func(o *fleetOptions) error {
-		if alpha < 0 || alpha > 1 {
-			return fmt.Errorf("%w: estimator alpha %g outside [0,1]", ErrBadOption, alpha)
-		}
-		o.cfg.Estimator = fleet.NewEstimator(alpha)
-		return nil
-	}
-}
-
 // WithAutoscale runs the fleet elastically: a closed-loop controller widens
 // and narrows every node's worker pool between min and max from live load
 // signals (queue depth, in-flight work, shed counters), scaling up
@@ -289,44 +243,6 @@ func WithAutoscaleInterval(d time.Duration) FleetOption {
 			return fmt.Errorf("%w: autoscale interval %v must be positive", ErrBadOption, d)
 		}
 		o.autoOpts().Interval = d
-		return nil
-	}
-}
-
-// WithAutoscaleTuning adjusts the controller's decision rule: targetBacklog
-// is the outstanding work tolerated per worker before scaling up (default
-// 1.5), scaleDownAfter the consecutive quiet ticks required before narrowing
-// (default 3), and cooldown the minimum spacing between two actions on one
-// node (default none).
-func WithAutoscaleTuning(targetBacklog float64, scaleDownAfter int, cooldown time.Duration) FleetOption {
-	return func(o *fleetOptions) error {
-		if targetBacklog <= 0 {
-			return fmt.Errorf("%w: target backlog %g must be positive", ErrBadOption, targetBacklog)
-		}
-		if scaleDownAfter < 1 {
-			return fmt.Errorf("%w: scale-down-after %d < 1", ErrBadOption, scaleDownAfter)
-		}
-		if cooldown < 0 {
-			return fmt.Errorf("%w: negative cooldown %v", ErrBadOption, cooldown)
-		}
-		a := o.autoOpts()
-		a.TargetBacklog, a.ScaleDownAfter, a.Cooldown = targetBacklog, scaleDownAfter, cooldown
-		return nil
-	}
-}
-
-// WithSpareDevice hands the autoscale controller a whole spare device it may
-// attach to the fleet when every live node is already at the scaling ceiling
-// and pressure persists, and detach again once the fleet goes idle. Unknown
-// names fail with ErrBadOption.
-func WithSpareDevice(name string) FleetOption {
-	return func(o *fleetOptions) error {
-		d, err := tee.ByName(name)
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrBadOption, err)
-		}
-		a := o.autoOpts()
-		a.Spares = append(a.Spares, d)
 		return nil
 	}
 }

@@ -8,27 +8,54 @@ package tbnet
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"tbnet/internal/zoo"
+	"tbnet/internal/tee"
 )
 
-// tinyDeployment builds a deployed untrained tiny model through the facade.
-func tinyDeployment(t *testing.T) *Deployment {
-	t.Helper()
-	victim := zoo.BuildVGG(zoo.TinyVGGConfig(4), NewRNG(1))
-	tb := NewTwoBranch(victim, 2)
-	tb.Finalized = true
-	dep, err := Deploy(tb, RaspberryPi3(), []int{1, 3, 16, 16})
+// countingTap counts the worker runs a fleet hands its tap.
+type countingTap struct{ runs atomic.Int64 }
+
+func (c *countingTap) TapRun(string, Device, string, int, []tee.Event) float64 {
+	c.runs.Add(1)
+	return 0
+}
+
+// TestFleetOverHTTPTracedAndTapped is the daemon's wiring through the
+// facade: a least-loaded fleet sharing one tracer with NewHTTPServer, a run
+// tap installed, answers one inference over the handler, and the span and
+// the tapped run are both recorded.
+func TestFleetOverHTTPTracedAndTapped(t *testing.T) {
+	tr := NewTracer(16)
+	tap := &countingTap{}
+	f, err := NewFleet(finalizedDeployment(t, 1), WithDevice("rpi3", 1),
+		WithPolicy(LeastLoaded()), WithTracing(tr), WithFleetTap(tap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dep
+	defer f.Close()
+	srv, err := NewHTTPServer(HTTPConfig{Fleet: f, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"input":[` + strings.TrimSuffix(strings.Repeat("0.5,", 3*16*16), ",") + `]}`
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/infer", strings.NewReader(body)))
+	if st := f.Stats(); w.Code != http.StatusOK || st.Policy != "least-loaded" || tap.runs.Load() != 1 {
+		t.Fatalf("POST /v1/infer = %d %s; policy %q, %d tapped runs", w.Code, w.Body, st.Policy, tap.runs.Load())
+	}
+	if spans := tr.Snapshot(0, 0); len(spans) != 1 || spans[0].Node != "rpi3" {
+		t.Fatalf("spans = %+v, want one routed to rpi3", spans)
+	}
 }
 
 func TestNewFleetRoutesAcrossDevices(t *testing.T) {
-	dep := tinyDeployment(t)
+	dep := finalizedDeployment(t, 1)
 	f, err := NewFleet(dep,
 		WithDevice("rpi3", 1),
 		WithDevice("sgx-desktop", 2),
@@ -41,8 +68,7 @@ func TestNewFleetRoutesAcrossDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	x := NewTensor(1, 3, 16, 16)
-	NewRNG(3).FillNormal(x, 0, 1)
+	x := probeInputs(1, 3)[0]
 	want, err := dep.Infer(x)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +87,7 @@ func TestNewFleetRoutesAcrossDevices(t *testing.T) {
 }
 
 func TestNewFleetDefaultsToTemplateDevice(t *testing.T) {
-	dep := tinyDeployment(t)
+	dep := finalizedDeployment(t, 1)
 	f, err := NewFleet(dep)
 	if err != nil {
 		t.Fatal(err)
@@ -74,20 +100,14 @@ func TestNewFleetDefaultsToTemplateDevice(t *testing.T) {
 }
 
 func TestNewFleetOptionValidation(t *testing.T) {
-	dep := tinyDeployment(t)
-	cases := []struct {
-		name string
-		opt  FleetOption
-	}{
-		{"unknown device", WithDevice("abacus", 1)},
-		{"zero workers", WithDevice("rpi3", 0)},
-		{"nil policy", WithPolicy(nil)},
-		{"zero deadline", WithDeadline(0)},
-		{"zero max in-flight", WithMaxInFlight(0)},
-	}
-	for _, c := range cases {
-		if _, err := NewFleet(dep, c.opt); !errors.Is(err, ErrBadOption) {
-			t.Fatalf("%s: err = %v, want ErrBadOption", c.name, err)
+	dep := finalizedDeployment(t, 1)
+	for name, opt := range map[string]FleetOption{
+		"unknown device": WithDevice("abacus", 1), "zero workers": WithDevice("rpi3", 0),
+		"nil policy": WithPolicy(nil), "zero deadline": WithDeadline(0),
+		"zero max in-flight": WithMaxInFlight(0),
+	} {
+		if _, err := NewFleet(dep, opt); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("%s: err = %v, want ErrBadOption", name, err)
 		}
 	}
 	if _, err := NewFleet(nil); !errors.Is(err, ErrBadOption) {
@@ -98,15 +118,14 @@ func TestNewFleetOptionValidation(t *testing.T) {
 // TestFleetShedsThroughFacade: the ErrOverloaded sentinel is matchable on
 // the public surface.
 func TestFleetShedsThroughFacade(t *testing.T) {
-	dep := tinyDeployment(t)
+	dep := finalizedDeployment(t, 1)
 	// No request can be answered inside a 1ns deadline, so the first is shed.
 	f, err := NewFleet(dep, WithDevice("rpi3", 1), WithDeadline(time.Nanosecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	x := NewTensor(1, 3, 16, 16)
-	NewRNG(4).FillNormal(x, 0, 1)
+	x := probeInputs(1, 4)[0]
 	if _, err = f.Infer(context.Background(), x); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -116,13 +135,12 @@ func TestFleetShedsThroughFacade(t *testing.T) {
 // controller, FleetAutoscaler retrieves it, scaling events reach the
 // configured logger, and Close stops the loop.
 func TestNewFleetAutoscale(t *testing.T) {
-	dep := tinyDeployment(t)
+	dep := finalizedDeployment(t, 1)
 	events := make(chan AutoscaleEvent, 64)
 	f, err := NewFleet(dep,
 		WithDevice("rpi3", 1),
 		WithAutoscale(1, 4),
 		WithAutoscaleInterval(2*time.Millisecond),
-		WithAutoscaleTuning(1.0, 2, 0),
 		WithAutoscaleLogger(func(ev AutoscaleEvent) {
 			select {
 			case events <- ev:
@@ -145,8 +163,7 @@ func TestNewFleetAutoscale(t *testing.T) {
 		t.Fatalf("controller stats = %+v, want running with bounds [1,4]", st)
 	}
 	// Park a paced burst so the loop has pressure to react to.
-	x := NewTensor(1, 3, 16, 16)
-	NewRNG(5).FillNormal(x, 0, 1)
+	x := probeInputs(1, 5)[0]
 	done := make(chan struct{})
 	for i := 0; i < 16; i++ {
 		go func() { f.Infer(context.Background(), x); done <- struct{}{} }()
@@ -173,26 +190,15 @@ func TestNewFleetAutoscale(t *testing.T) {
 // TestNewFleetAutoscaleValidation: broken autoscale options surface as
 // ErrBadOption from NewFleet.
 func TestNewFleetAutoscaleValidation(t *testing.T) {
-	dep := tinyDeployment(t)
-	for _, c := range []struct {
-		name string
-		opt  FleetOption
-	}{
-		{"inverted bounds", WithAutoscale(4, 2)},
-		{"zero min", WithAutoscale(0, 2)},
-		{"zero interval", WithAutoscaleInterval(0)},
-		{"zero backlog", WithAutoscaleTuning(0, 2, 0)},
-		{"zero hysteresis", WithAutoscaleTuning(1, 0, 0)},
-		{"negative cooldown", WithAutoscaleTuning(1, 2, -time.Second)},
-		{"unknown spare", WithSpareDevice("abacus")},
-		{"nil logger", WithAutoscaleLogger(nil)},
-		{"negative pace", WithPace(-1)},
-		{"zero fleet queue depth", WithFleetQueueDepth(0)},
-		{"bad ewma alpha", WithEWMARouting(1.5)},
-		{"bad estimator alpha", WithEstimator(-0.5)},
+	dep := finalizedDeployment(t, 1)
+	for name, opt := range map[string]FleetOption{
+		"inverted bounds": WithAutoscale(4, 2), "zero min": WithAutoscale(0, 2),
+		"zero interval": WithAutoscaleInterval(0), "nil logger": WithAutoscaleLogger(nil),
+		"negative pace": WithPace(-1), "bad ewma alpha": WithEWMARouting(1.5),
+		"nil tracer": WithTracing(nil), "nil tap": WithFleetTap(nil),
 	} {
-		if _, err := NewFleet(dep, c.opt); !errors.Is(err, ErrBadOption) {
-			t.Fatalf("%s: err = %v, want ErrBadOption", c.name, err)
+		if _, err := NewFleet(dep, opt); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("%s: err = %v, want ErrBadOption", name, err)
 		}
 	}
 }
@@ -200,7 +206,7 @@ func TestNewFleetAutoscaleValidation(t *testing.T) {
 // TestNewFleetEWMARouting: WithEWMARouting selects the adaptive policy and
 // the fleet reports learned estimates after traffic.
 func TestNewFleetEWMARouting(t *testing.T) {
-	dep := tinyDeployment(t)
+	dep := finalizedDeployment(t, 1)
 	f, err := NewFleet(dep,
 		WithDevice("rpi3", 1),
 		WithDevice("sgx-desktop", 1),
@@ -213,8 +219,7 @@ func TestNewFleetEWMARouting(t *testing.T) {
 	if got := f.Stats().Policy; got != "ewma" {
 		t.Fatalf("policy = %q, want ewma", got)
 	}
-	x := NewTensor(1, 3, 16, 16)
-	NewRNG(6).FillNormal(x, 0, 1)
+	x := probeInputs(1, 6)[0]
 	for i := 0; i < 8; i++ {
 		if _, err := f.Infer(context.Background(), x); err != nil {
 			t.Fatal(err)

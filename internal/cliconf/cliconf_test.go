@@ -209,7 +209,7 @@ func TestFleetFlagsOptions(t *testing.T) {
 		if runs := tap.Runs(); len(runs) != 1 || runs[0].Model != "canary" {
 			t.Errorf("pin %d: tap saw %d runs, want the one canary run", c.pin, len(runs))
 		}
-		if spans := tbnet.TraceSnapshot(tracer, 0, 0); len(spans) != 1 || spans[0].Model != "canary" {
+		if spans := tracer.Snapshot(0, 0); len(spans) != 1 || spans[0].Model != "canary" {
 			t.Errorf("pin %d: tracer holds %d spans, want the one canary request", c.pin, len(spans))
 		}
 	}

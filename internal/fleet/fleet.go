@@ -33,7 +33,7 @@ import (
 	"tbnet/internal/tensor"
 )
 
-// ErrOverloaded is returned by Infer and InferBatch when admission control
+// ErrOverloaded is returned by Infer and InferModel when admission control
 // sheds the request: the fleet-wide in-flight cap is reached, or the
 // per-request deadline expired before a device answered.
 var ErrOverloaded = errors.New("fleet overloaded")
@@ -50,7 +50,7 @@ var ErrConfig = errors.New("invalid fleet configuration")
 var ErrDraining = errors.New("fleet draining")
 
 // DefaultModel is the name the fleet's template deployment is hosted under;
-// Infer and InferBatch route to it.
+// Infer routes to it.
 const DefaultModel = serve.DefaultModel
 
 // NodeConfig attaches one device to the fleet.
@@ -665,11 +665,13 @@ func loadOf(n *node, lat float64) Load {
 
 // loads builds the policy's snapshot for model over the given nodes,
 // substituting the online estimator's learned latencies for the
-// construction-time probes wherever a cell has observations. Callers hold at
-// most topoMu shared (the topo→model nesting the lock order allows).
-func (f *Fleet) loads(model string, nodes []*node) []Load {
+// construction-time probes wherever a cell has observations. hosted reports
+// whether the fleet hosts model, read under the same model lock. Callers hold
+// at most topoMu shared (the topo→model nesting the lock order allows).
+func (f *Fleet) loads(model string, nodes []*node) (out []Load, hosted bool) {
 	lats := make([]float64, len(nodes))
 	f.modelMu.RLock()
+	_, hosted = f.templates[model]
 	for i, n := range nodes {
 		lats[i] = n.lat[model]
 	}
@@ -681,24 +683,28 @@ func (f *Fleet) loads(model string, nodes []*node) []Load {
 			}
 		}
 	}
-	out := make([]Load, len(nodes))
+	out = make([]Load, len(nodes))
 	for i, n := range nodes {
 		out[i] = loadOf(n, lats[i])
 	}
-	return out
+	return out, hosted
 }
 
 // route consults the policy with a live load snapshot and returns the chosen
 // node for a request addressed to model, with the node's active count
-// already incremented (the caller must release it). An out-of-range pick is
-// folded back into range, so a buggy policy degrades to a skewed
-// distribution rather than a panic. The topology lock is held across the
-// decision, so the picked node cannot detach before its active count pins
-// it.
+// already incremented (the caller must release it). A model the fleet does
+// not host returns nil before the policy is asked, so no node counts it as
+// routed. An out-of-range pick is folded back into range, so a buggy policy
+// degrades to a skewed distribution rather than a panic. The topology lock is
+// held across the decision, so the picked node cannot detach before its
+// active count pins it.
 func (f *Fleet) route(model string) *node {
 	f.topoMu.RLock()
 	defer f.topoMu.RUnlock()
-	loads := f.loads(model, f.nodes)
+	loads, hosted := f.loads(model, f.nodes)
+	if !hosted {
+		return nil
+	}
 	idx := f.cfg.Policy.Pick(loads)
 	if idx < 0 || idx >= len(f.nodes) {
 		idx = ((idx % len(f.nodes)) + len(f.nodes)) % len(f.nodes)
@@ -713,7 +719,8 @@ func (f *Fleet) route(model string) *node {
 // model (estimator-adjusted latencies included) — the autoscale controller's
 // per-tick signal probe.
 func (f *Fleet) NodeLoads(model string) []Load {
-	return f.loads(model, f.snapshotNodes())
+	loads, _ := f.loads(model, f.snapshotNodes())
+	return loads
 }
 
 // admit applies fleet-wide admission control; the returned release func must
@@ -754,6 +761,9 @@ func (f *Fleet) InferModel(ctx context.Context, model string, x *tensor.Tensor) 
 	}
 	defer release()
 	n := f.route(model)
+	if n == nil {
+		return 0, fmt.Errorf("fleet: %w: %q", serve.ErrUnknownModel, model)
+	}
 	defer n.active.Add(-1)
 	// Annotate the request span (if the ingress attached one) with the
 	// routing decision; the serve layer fills in the rest of the timeline.
@@ -773,34 +783,6 @@ func (f *Fleet) InferModel(ctx context.Context, model string, x *tensor.Tensor) 
 		return 0, fmt.Errorf("fleet: deadline %v exceeded on %s: %w", f.cfg.Deadline, n.name, ErrOverloaded)
 	}
 	return label, err
-}
-
-// InferBatch classifies xs with the default model and returns one label per
-// sample, in order. Every sample is routed independently — the policy may
-// spread one caller's batch across the whole fleet — and the first error is
-// returned after all samples resolve, wrapped with the failing sample's
-// index.
-func (f *Fleet) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	labels := make([]int, len(xs))
-	errs := make([]error, len(xs))
-	var wg sync.WaitGroup
-	for i, x := range xs {
-		wg.Add(1)
-		go func(i int, x *tensor.Tensor) {
-			defer wg.Done()
-			labels[i], errs[i] = f.Infer(ctx, x)
-		}(i, x)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sample %d: %w", i, err)
-		}
-	}
-	return labels, nil
 }
 
 // ResizeNode changes one node's worker pool width live, through the serve

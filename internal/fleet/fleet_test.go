@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +38,22 @@ func randSamples(n int, seed uint64) []*tensor.Tensor {
 		xs[i] = x
 	}
 	return xs
+}
+
+// inferAll routes every sample as its own concurrent request, the way the
+// HTTP batch endpoint fans a batch out, and returns the labels in order.
+func inferAll(t *testing.T, f *Fleet, xs []*tensor.Tensor) []int {
+	labels, errs := make([]int, len(xs)), make([]error, len(xs))
+	var wg sync.WaitGroup
+	for i := range xs {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); labels[i], errs[i] = f.Infer(context.Background(), xs[i]) }(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return labels
 }
 
 // mixedNodes is the paper-flavoured heterogeneous fleet: an edge board, a
@@ -77,10 +92,7 @@ func TestFleetMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := f.InferBatch(context.Background(), xs)
-		if err != nil {
-			t.Fatalf("%s: %v", policy.Name(), err)
-		}
+		got := inferAll(t, f, xs)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s: sample %d routed label %d != sequential %d",
@@ -219,21 +231,25 @@ func TestFleetMaxInFlightSheds(t *testing.T) {
 	}
 }
 
-func TestFleetInferBatchErrorCarriesSampleIndex(t *testing.T) {
+// TestFleetUnknownModelIsNotRouted: a request for a model the fleet does not
+// host fails with ErrUnknownModel before the policy picks a node, so no
+// routing decision, per-node routed count or shed count moves.
+func TestFleetUnknownModelIsNotRouted(t *testing.T) {
 	dep := testDeployment(t, 40)
 	f, err := New(dep, Config{Nodes: mixedNodes(t, 1), MaxDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	xs := randSamples(3, 41)
-	xs[2] = tensor.New(1, 3, 8, 8) // wrong spatial size
-	_, err = f.InferBatch(context.Background(), xs)
-	if !errors.Is(err, core.ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
+	if _, err := f.InferModel(context.Background(), "nope", randSamples(1, 41)[0]); !errors.Is(err, serve.ErrUnknownModel) {
+		t.Fatalf("unknown model: err = %v, want ErrUnknownModel", err)
 	}
-	if !strings.Contains(err.Error(), "sample 2") {
-		t.Fatalf("err %q does not name the bad sample index", err)
+	st := f.Stats()
+	for _, d := range st.PerDevice {
+		if d.Routed != 0 || d.Shed != 0 || st.RoutingDecisions != 0 || st.Shed != 0 {
+			t.Fatalf("%s: routed %d shed %d (fleet: routing %d shed %d), want all 0",
+				d.Name, d.Routed, d.Shed, st.RoutingDecisions, st.Shed)
+		}
 	}
 }
 
@@ -287,9 +303,7 @@ func TestFleetStatsAggregate(t *testing.T) {
 	}
 	defer f.Close()
 	const n = 24
-	if _, err := f.InferBatch(context.Background(), randSamples(n, 71)); err != nil {
-		t.Fatal(err)
-	}
+	inferAll(t, f, randSamples(n, 71))
 	st := f.Stats()
 	if st.Policy != "round-robin" || st.Devices != 3 {
 		t.Fatalf("identity wrong: %+v", st)

@@ -245,7 +245,7 @@ func TestFleetAddModelRollsBackOnPartialFailure(t *testing.T) {
 		t.Fatal("AddModel succeeded with an unhostable node")
 	}
 	// The name must be free again: node 0 no longer hosts it...
-	if _, err := srv.ModelStats("m"); !errors.Is(err, serve.ErrUnknownModel) {
+	if _, err := srv.SampleShape("m"); !errors.Is(err, serve.ErrUnknownModel) {
 		t.Fatalf("node 0 still hosts the model after rollback: %v", err)
 	}
 	if got := f.Models(); len(got) != 1 {

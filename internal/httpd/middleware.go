@@ -335,10 +335,11 @@ func (lp *limiterPool) allow(tenant string, now time.Time) bool {
 	lp.mu.Unlock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.tokens += now.Sub(b.last).Seconds() * lp.rps
-	b.last = now
-	if b.tokens > lp.burst {
-		b.tokens = lp.burst
+	// A request stamped before the last refill (its time.Now() lost the race
+	// to the lock) adds nothing rather than refilling backwards.
+	if dt := now.Sub(b.last); dt > 0 {
+		b.tokens = min(lp.burst, b.tokens+dt.Seconds()*lp.rps)
+		b.last = now
 	}
 	if b.tokens < 1 {
 		return false

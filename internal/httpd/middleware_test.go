@@ -127,6 +127,20 @@ func TestRateLimitTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestRateLimitOutOfOrderClock: two requests whose time.Now() and lock order
+// disagree reach the bucket with a timestamp earlier than its last refill.
+// That must not drain tokens: the later-stamped request already refilled
+// past it.
+func TestRateLimitOutOfOrderClock(t *testing.T) {
+	lp := &limiterPool{buckets: make(map[string]*bucket), rps: 100, burst: 2}
+	t0 := time.Unix(1000, 0)
+	for i, at := range []time.Duration{0, 10 * time.Millisecond, 5 * time.Millisecond} {
+		if !lp.allow("a", t0.Add(at)) {
+			t.Fatalf("request %d at +%v refused; %.2f tokens left", i, at, lp.buckets["a"].tokens)
+		}
+	}
+}
+
 // TestRequestIDPropagation: the assigned ID reaches the response header, the
 // handler's context, and the structured log line; a client-sent ID is
 // honoured end to end.

@@ -109,43 +109,34 @@ func TestStatsConservation(t *testing.T) {
 
 // TestStatsDuringSwap: no counter read waits on a swap. A gated worker holds
 // one batch in flight, so SwapModel is parked draining the old generation
-// until the test opens the gate; Stats and ModelStats must both return
+// until the test opens the gate; Stats and its per-model view must return
 // before it does.
 func TestStatsDuringSwap(t *testing.T) {
 	srv, tap, p, holder := heldServer(t, Config{MaxBatch: 1})
 	old := p.gen.Load()
 	swapDone := make(chan error, 1)
-	go func() { swapDone <- srv.Swap(testDeployment(t, 96)) }()
+	go func() { swapDone <- srv.SwapModel(DefaultModel, testDeployment(t, 96)) }()
 	// Once the pool reports the new generation the swap is parked in the old
 	// one's drain.
 	waitFor(t, "the swap to flip generations", func() bool { return p.gen.Load() != old })
 
-	type reads struct {
-		st, ms Stats
-		err    error
-	}
-	got := make(chan reads, 1)
-	go func() {
-		var r reads
-		r.st = srv.Stats()
-		r.ms, r.err = srv.ModelStats(DefaultModel)
-		got <- r
-	}()
-	var r reads
+	got := make(chan Stats, 1)
+	go func() { got <- srv.Stats() }()
+	var st Stats
 	select {
-	case r = <-got:
+	case st = <-got:
 	case <-time.After(10 * time.Second):
 		t.Fatal("a counter read waited on the swap, which cannot return before the gate opens")
 	}
-	if r.err != nil {
-		t.Fatal(r.err)
+	if len(st.PerModel) != 1 {
+		t.Fatalf("snapshot during swap: %d per-model entries, want 1", len(st.PerModel))
 	}
-	if r.st.Precision != "f32" || r.ms.Precision != "f32" || r.ms.Model != DefaultModel {
-		t.Errorf("snapshot during swap: precision %q / %q, model %q", r.st.Precision, r.ms.Precision, r.ms.Model)
+	if ms := st.PerModel[0]; st.Precision != "f32" || ms.Precision != "f32" || ms.Model != DefaultModel {
+		t.Errorf("snapshot during swap: precision %q / %q, model %q", st.Precision, ms.Precision, ms.Model)
 	}
-	if r.st.Requests != 0 || r.st.QueueDepth != 0 {
+	if st.Requests != 0 || st.QueueDepth != 0 {
 		t.Errorf("snapshot during swap: requests %d, queue %d, want 0/0 (the run is still held)",
-			r.st.Requests, r.st.QueueDepth)
+			st.Requests, st.QueueDepth)
 	}
 	tap.open()
 	if err := <-holder; err != nil {

@@ -218,7 +218,7 @@ func TestDispatchOfferSurvivesSwapAndClose(t *testing.T) {
 	reqs := admit(t, p, randSamples(3, 140))
 	waitFor(t, "the batch to go on offer", func() bool { return srv.QueueDepth() == 0 })
 	swapDone := make(chan error, 1)
-	go func() { swapDone <- srv.Swap(testDeployment(t, 141)) }()
+	go func() { swapDone <- srv.SwapModel(DefaultModel, testDeployment(t, 141)) }()
 	// A pending writer turns new readers away: that is the swap, warmed and
 	// parked behind the dispatcher's hold.
 	waitFor(t, "the swap to park behind the offer", func() bool {

@@ -130,7 +130,7 @@ func TestSwapDuringResizeUnderFire(t *testing.T) {
 	ops.Add(2)
 	go func() {
 		defer ops.Done()
-		if err := srv.Swap(depB); err != nil {
+		if err := srv.SwapModel(DefaultModel, depB); err != nil {
 			t.Errorf("swap during scale-up: %v", err)
 		}
 	}()

@@ -463,12 +463,6 @@ func (s *Server) Models() []string {
 	return append([]string(nil), s.names...)
 }
 
-// Device returns the hardware backend the server's pools are modeled on.
-func (s *Server) Device() tee.Device { return s.device }
-
-// Swap hot-swaps the default model's replica pool; see SwapModel.
-func (s *Server) Swap(dep *core.Deployment) error { return s.SwapModel(DefaultModel, dep) }
-
 // SwapModel atomically replaces the named model's replicas with a pool built
 // from dep, without dropping a single request. The sequence is
 // warm-then-drain:
@@ -1123,7 +1117,7 @@ func (s *Server) Close() error {
 // seconds on the simulated TrustZone hardware), not from host wall time,
 // except WallSeconds and AvgQueueWaitMicros, which report the host-side
 // observation window and batching delay. Server.Stats aggregates every
-// hosted model; Server.ModelStats scopes the same snapshot to one model. The
+// hosted model, and its PerModel entries scope the same snapshot to each. The
 // JSON tags are the stable machine-readable names the CLI's -json output
 // carries.
 type Stats struct {
@@ -1377,15 +1371,4 @@ func (s *Server) Stats() Stats {
 		st.PerModel[i] = s.mergeStats(snaps[i].name, snaps[i:i+1])
 	}
 	return st
-}
-
-// ModelStats returns the snapshot scoped to one hosted model; unknown names
-// fail with ErrUnknownModel. PeakSecureBytes still reports the shared
-// server-wide budget (pools are not separately metered).
-func (s *Server) ModelStats(model string) (Stats, error) {
-	p, err := s.lookup(model)
-	if err != nil {
-		return Stats{}, err
-	}
-	return s.mergeStats(model, []poolSnapshot{p.snapshot()}), nil
 }

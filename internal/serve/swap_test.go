@@ -76,7 +76,7 @@ func TestServerSwapUnderFire(t *testing.T) {
 		}(g)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if err := srv.Swap(depB); err != nil {
+	if err := srv.SwapModel(DefaultModel, depB); err != nil {
 		t.Fatalf("swap under fire: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -116,7 +116,7 @@ func TestSwapReleasesOldReservation(t *testing.T) {
 	defer srv.Close()
 	before := srv.budget.Used()
 	for i := 0; i < 3; i++ {
-		if err := srv.Swap(testDeployment(t, uint64(10+i))); err != nil {
+		if err := srv.SwapModel(DefaultModel, testDeployment(t, uint64(10+i))); err != nil {
 			t.Fatalf("swap %d: %v", i, err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestSwapWithoutHeadroomFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	err = srv.Swap(testDeployment(t, 21))
+	err = srv.SwapModel(DefaultModel, testDeployment(t, 21))
 	if err == nil {
 		t.Fatal("swap succeeded on a device without warm-window headroom")
 	}
@@ -174,7 +174,7 @@ func TestSwapShapeMismatchRejected(t *testing.T) {
 	defer srv.Close()
 	// Build a deployment sized for a different spatial geometry.
 	other := testDeploymentShape(t, 31, []int{1, 3, 8, 8})
-	if err := srv.Swap(other); !errors.Is(err, ErrConfig) {
+	if err := srv.SwapModel(DefaultModel, other); !errors.Is(err, ErrConfig) {
 		t.Fatalf("swap with mismatched shape: err = %v, want ErrConfig", err)
 	}
 }
@@ -187,7 +187,7 @@ func TestSwapAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if err := srv.Swap(testDeployment(t, 41)); !errors.Is(err, ErrClosed) {
+	if err := srv.SwapModel(DefaultModel, testDeployment(t, 41)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("swap after close: err = %v, want ErrClosed", err)
 	}
 }
@@ -236,22 +236,16 @@ func TestServerMultiModel(t *testing.T) {
 		t.Fatalf("unknown model: err = %v, want ErrUnknownModel", err)
 	}
 
-	stA, err := srv.ModelStats(DefaultModel)
-	if err != nil {
-		t.Fatal(err)
+	agg := srv.Stats()
+	if agg.Requests != int64(2*len(xs)) || agg.Models != 2 || len(agg.PerModel) != 2 {
+		t.Fatalf("aggregate = %d requests over %d models", agg.Requests, agg.Models)
 	}
-	stB, err := srv.ModelStats("b")
-	if err != nil {
-		t.Fatal(err)
+	stA, stB := agg.PerModel[0], agg.PerModel[1]
+	if stA.Model != DefaultModel || stB.Model != "b" {
+		t.Fatalf("per-model order = %q, %q", stA.Model, stB.Model)
 	}
 	if stA.Requests != int64(len(xs)) || stB.Requests != int64(len(xs)) {
 		t.Fatalf("per-model requests = %d/%d, want %d each", stA.Requests, stB.Requests, len(xs))
-	}
-	if agg := srv.Stats(); agg.Requests != int64(2*len(xs)) || agg.Models != 2 {
-		t.Fatalf("aggregate = %d requests over %d models", agg.Requests, agg.Models)
-	}
-	if _, err := srv.ModelStats("nope"); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("ModelStats unknown: err = %v", err)
 	}
 }
 

@@ -2,11 +2,9 @@ package tbnet
 
 import (
 	"fmt"
-	"time"
 
 	"tbnet/internal/buildinfo"
 	"tbnet/internal/obs"
-	"tbnet/internal/serve"
 )
 
 // Version is the tbnet release version — what the binaries print for
@@ -16,20 +14,16 @@ const Version = buildinfo.Version
 // Tracer records per-request span timelines — one span per served request,
 // marking each lifecycle stage (ingress, queued, batched, ree, tee, pace,
 // respond) — into a preallocated bounded ring, allocation-free in steady
-// state. Hand one tracer to both the serving layer (WithTracing /
-// WithServeTracing) and the HTTP daemon so a request's span is started at the
-// socket and annotated by the worker that executes it. Read captured
-// timelines back with Tracer.Snapshot; a nil *Tracer is valid everywhere and
-// disables tracing.
+// state. Hand one tracer to both the fleet (WithTracing) and the HTTP daemon
+// so a request's span is started at the socket and annotated by the worker
+// that executes it. Read captured timelines back with Tracer.Snapshot; a nil
+// *Tracer is valid everywhere and disables tracing.
 type Tracer = obs.Tracer
 
 // SpanData is one captured request timeline from a Tracer snapshot: the
 // request id, routed model and node, total wall milliseconds, and the
 // per-stage breakdown in the order the stages were recorded.
 type SpanData = obs.SpanData
-
-// SpanStageDur is one stage entry of a SpanData timeline.
-type SpanStageDur = obs.StageDur
 
 // NewTracer returns a Tracer whose ring holds the last capacity request
 // spans (minimum 16). The ring is preallocated up front; recording wraps,
@@ -49,24 +43,4 @@ func WithTracing(tr *Tracer) FleetOption {
 		o.cfg.Tracer = tr
 		return nil
 	}
-}
-
-// WithServeTracing is WithTracing for a single Server built with Serve: every
-// request served by the pool records its stage timeline into tr.
-func WithServeTracing(tr *Tracer) ServeOption {
-	return func(c *serve.Config) error {
-		if tr == nil {
-			return fmt.Errorf("%w: nil tracer", ErrBadOption)
-		}
-		c.Tracer = tr
-		return nil
-	}
-}
-
-// TraceSnapshot returns the tracer's captured spans, newest first: every
-// finished span whose wall time is at least minWall, up to max entries (0
-// means no cap / no floor). It is Tracer.Snapshot re-exported for callers
-// holding the facade type.
-func TraceSnapshot(tr *Tracer, minWall time.Duration, max int) []SpanData {
-	return tr.Snapshot(minWall, max)
 }

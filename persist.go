@@ -17,7 +17,7 @@ import (
 // shape the session was sized for). An int8 deployment is saved in the
 // quantized artifact format — int8 weights and per-channel scales instead of
 // the float32 tensors — and restores onto the int8 serving path. In both
-// cases LoadDeployment brings the artifact back up bit-identically — a
+// cases LoadDeploymentOn brings the artifact back up bit-identically — a
 // saved-then-loaded deployment produces exactly the labels the original
 // would.
 func SaveDeployment(w io.Writer, dep *Deployment) error {
@@ -44,20 +44,14 @@ func artifactFor(dep *Deployment) *serial.Artifact {
 	return art
 }
 
-// LoadDeployment reads an artifact written by SaveDeployment and re-deploys
-// it: the artifact's payload checksum is verified, its device name is
-// resolved in the backend registry, and the model is placed with the saved
-// sample shape. Corrupt input fails with an error wrapping ErrBadArtifact;
-// an artifact saved for a device this build does not register fails with
-// ErrBadOption (re-target it with LoadDeploymentOn).
-func LoadDeployment(r io.Reader) (*Deployment, error) {
-	return LoadDeploymentOn(r, nil)
-}
-
-// LoadDeploymentOn is LoadDeployment re-targeted onto an explicit hardware
-// backend, overriding the device name saved in the artifact (nil keeps the
-// saved device). The weights are device-independent, so the restored outputs
-// stay bit-identical; only the modeled cost changes.
+// LoadDeploymentOn reads an artifact written by SaveDeployment and re-deploys
+// it: the artifact's payload checksum is verified and the model is placed
+// with the saved sample shape on device — or, with a nil device, on the
+// backend the artifact names, resolved in the registry. The weights are
+// device-independent, so the restored outputs stay bit-identical on any
+// backend; only the modeled cost changes. Corrupt input fails with an error
+// wrapping ErrBadArtifact; a saved device name this build does not register
+// fails with ErrBadOption.
 func LoadDeploymentOn(r io.Reader, device Device) (*Deployment, error) {
 	art, err := serial.LoadDeployment(r)
 	if err != nil {
@@ -132,14 +126,5 @@ func (r *Registry) LoadOn(name string, device Device) (*Deployment, error) {
 	return deployArtifact(art, device)
 }
 
-// Manifest returns the named entry's manifest without loading the artifact.
-func (r *Registry) Manifest(name string) (RegistryEntry, error) {
-	return r.store.Manifest(name)
-}
-
 // List returns every entry's manifest, sorted by name.
 func (r *Registry) List() ([]RegistryEntry, error) { return r.store.List() }
-
-// Delete removes the named entry; a missing name fails with
-// ErrModelNotFound.
-func (r *Registry) Delete(name string) error { return r.store.Delete(name) }

@@ -37,79 +37,66 @@ func probeInputs(n int, seed uint64) []*Tensor {
 	return xs
 }
 
-// TestSaveLoadDeploymentBitIdentical: the facade round trip restores the
-// saved device, shape, and exact inference function.
-func TestSaveLoadDeploymentBitIdentical(t *testing.T) {
-	dep := finalizedDeployment(t, 1)
+// savedArtifact returns a fresh finalized deployment and its saved artifact.
+func savedArtifact(t *testing.T, seed uint64) (*Deployment, []byte) {
+	t.Helper()
+	dep := finalizedDeployment(t, seed)
 	var buf bytes.Buffer
 	if err := SaveDeployment(&buf, dep); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDeployment(bytes.NewReader(buf.Bytes()))
+	return dep, buf.Bytes()
+}
+
+// sameLabels fails unless want and got label every input alike.
+func sameLabels(t *testing.T, want, got *Deployment, xs []*Tensor) {
+	t.Helper()
+	for i, x := range xs {
+		a, errA := want.Infer(x)
+		b, errB := got.Infer(x)
+		if err := errors.Join(errA, errB); err != nil || a[0] != b[0] {
+			t.Fatalf("input %d: label %v, want %v (err %v)", i, b, a, err)
+		}
+	}
+}
+
+// TestSaveLoadDeploymentBitIdentical: the facade round trip restores the
+// saved device, shape, and exact inference function.
+func TestSaveLoadDeploymentBitIdentical(t *testing.T) {
+	dep, art := savedArtifact(t, 1)
+	loaded, err := LoadDeploymentOn(bytes.NewReader(art), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Device.Name() != "rpi3" {
 		t.Fatalf("restored device %q, want rpi3", loaded.Device.Name())
 	}
-	for i, x := range probeInputs(8, 2) {
-		want, err := dep.Infer(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.Infer(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want[0] != got[0] {
-			t.Fatalf("input %d: loaded label %d, original %d", i, got[0], want[0])
-		}
-	}
+	sameLabels(t, dep, loaded, probeInputs(8, 2))
 }
 
 // TestLoadDeploymentOnRetargets: the device override changes the cost model,
 // not the function.
 func TestLoadDeploymentOnRetargets(t *testing.T) {
-	dep := finalizedDeployment(t, 3)
-	var buf bytes.Buffer
-	if err := SaveDeployment(&buf, dep); err != nil {
-		t.Fatal(err)
-	}
+	dep, art := savedArtifact(t, 3)
 	jet, err := DeviceByName("jetson-tz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDeploymentOn(bytes.NewReader(buf.Bytes()), jet)
+	loaded, err := LoadDeploymentOn(bytes.NewReader(art), jet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Device.Name() != "jetson-tz" {
 		t.Fatalf("device = %q, want jetson-tz", loaded.Device.Name())
 	}
-	x := probeInputs(1, 4)[0]
-	want, err := dep.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want[0] != got[0] {
-		t.Fatalf("retargeted label %d, want %d", got[0], want[0])
-	}
+	sameLabels(t, dep, loaded, probeInputs(1, 4))
 }
 
 // TestLoadDeploymentRejectsCorruption: the facade surfaces ErrBadArtifact.
 func TestLoadDeploymentRejectsCorruption(t *testing.T) {
-	dep := finalizedDeployment(t, 5)
-	var buf bytes.Buffer
-	if err := SaveDeployment(&buf, dep); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)/2] ^= 1
-	if _, err := LoadDeployment(bytes.NewReader(data)); !errors.Is(err, ErrBadArtifact) {
+	_, art := savedArtifact(t, 5)
+	art[len(art)/2] ^= 1
+	if _, err := LoadDeploymentOn(bytes.NewReader(art), nil); !errors.Is(err, ErrBadArtifact) {
 		t.Fatalf("err = %v, want ErrBadArtifact", err)
 	}
 }
@@ -121,6 +108,9 @@ func TestRegistryRoundTripAndIntegrity(t *testing.T) {
 	reg, err := OpenRegistry(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reg.Dir() != dir {
+		t.Fatalf("Dir() = %q, want %q", reg.Dir(), dir)
 	}
 	dep := finalizedDeployment(t, 6)
 	entry, err := reg.Save("prod", dep)
@@ -138,15 +128,7 @@ func TestRegistryRoundTripAndIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := probeInputs(1, 7)[0]
-	want, _ := dep.Infer(x)
-	got, err := loaded.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want[0] != got[0] {
-		t.Fatalf("registry label %d, want %d", got[0], want[0])
-	}
+	sameLabels(t, dep, loaded, probeInputs(1, 7))
 	if _, err := reg.Load("ghost"); !errors.Is(err, ErrModelNotFound) {
 		t.Fatalf("missing load err = %v", err)
 	}

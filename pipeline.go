@@ -3,7 +3,6 @@ package tbnet
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"tbnet/internal/core"
 	"tbnet/internal/data"
@@ -35,13 +34,11 @@ type Pipeline struct {
 	arch     string
 	dataset  string
 	seed     uint64
-	log      io.Writer
 	progress func(Phase, int)
 
 	// scale starts as the "ci" preset (core.ScaleByName); the sizing and
 	// budget options edit it in place.
-	scale   core.Scale
-	classes int // 0: the task's own count at this scale
+	scale core.Scale
 }
 
 // WithArch selects the victim architecture: "vgg", "resnet", "mobilenet",
@@ -77,14 +74,6 @@ func WithSeed(seed uint64) PipelineOption {
 	}
 }
 
-// WithLogger directs per-epoch textual progress to w.
-func WithLogger(w io.Writer) PipelineOption {
-	return func(p *Pipeline) error {
-		p.log = w
-		return nil
-	}
-}
-
 // WithProgress installs a callback invoked as the pipeline advances: once
 // per completed epoch of the victim, transfer, and pruning fine-tune loops
 // (epoch is the zero-based index within the phase), and once with epoch -1
@@ -108,18 +97,6 @@ func WithDatasetSize(train, test int) PipelineOption {
 		}
 		p.scale.TrainN, p.scale.TestN = train, test
 		p.scale.C100TrainN, p.scale.C100TestN = train, test
-		return nil
-	}
-}
-
-// WithClasses overrides the task's class count (default: 10 for c10, 12 for
-// the CPU-scale c100 stand-in).
-func WithClasses(n int) PipelineOption {
-	return func(p *Pipeline) error {
-		if n < 2 {
-			return fmt.Errorf("%w: class count %d < 2", ErrBadOption, n)
-		}
-		p.classes = n
 		return nil
 	}
 }
@@ -156,17 +133,6 @@ func WithHyperparams(lr, lambda float64) PipelineOption {
 			return fmt.Errorf("%w: lr %g / lambda %g", ErrBadOption, lr, lambda)
 		}
 		p.scale.LR, p.scale.Lambda = lr, lambda
-		return nil
-	}
-}
-
-// WithBatchSize sets the training batch size (default 16).
-func WithBatchSize(n int) PipelineOption {
-	return func(p *Pipeline) error {
-		if n < 1 {
-			return fmt.Errorf("%w: batch size %d < 1", ErrBadOption, n)
-		}
-		p.scale.BatchSize = n
 		return nil
 	}
 }
@@ -215,11 +181,8 @@ func (p *Pipeline) Run(ctx context.Context) (*PipelineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.classes > 0 {
-		task.Classes = p.classes
-	}
 	b := p.scale.Budget
-	b.Seed, b.Log = p.seed, p.log
+	b.Seed = p.seed
 	if p.progress != nil {
 		b.OnEpoch = func(phase core.Phase, epoch int) { p.progress(Phase(phase), epoch) }
 	}

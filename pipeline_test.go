@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tbnet/internal/core"
+	"tbnet/internal/zoo"
 )
 
 func TestPipelineOptionValidation(t *testing.T) {
@@ -16,12 +19,10 @@ func TestPipelineOptionValidation(t *testing.T) {
 		WithArch("transformer"),
 		WithDataset("imagenet"),
 		WithDatasetSize(0, 10),
-		WithClasses(1),
 		WithEpochs(-1, 1, 1),
 		WithEpochs(1, 0, 1),
 		WithPruning(-0.1, 4),
 		WithHyperparams(0, 1e-4),
-		WithBatchSize(0),
 		WithProgress(nil),
 	}
 	for i, opt := range bad {
@@ -140,22 +141,9 @@ func TestServeOptionValidation(t *testing.T) {
 	if _, err := Serve(nil); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("nil deployment: err = %v, want ErrBadOption", err)
 	}
-	p, err := NewPipeline(WithArch("tiny-vgg"), WithDatasetSize(32, 16),
-		WithEpochs(0, 1, 0), WithPruning(1.0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := Deploy(res.TB, RaspberryPi3(), []int{1, 3, 16, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := finalizedDeployment(t, 1)
 	for i, opt := range []ServeOption{
 		WithWorkers(0), WithMaxBatch(0), WithMaxDelay(-time.Second),
-		WithQueueDepth(0),
 	} {
 		if _, err := Serve(dep, opt); !errors.Is(err, ErrBadOption) {
 			t.Fatalf("option %d: err = %v, want ErrBadOption", i, err)
@@ -172,8 +160,8 @@ func TestServeOptionValidation(t *testing.T) {
 }
 
 func TestDeploySentinelsThroughFacade(t *testing.T) {
-	victim := BuildVGG(VGG18Config(4), NewRNG(1))
-	tb := NewTwoBranch(victim, 2)
+	victim := zoo.BuildVGG(zoo.VGG18Config(4), NewRNG(1))
+	tb := core.NewTwoBranch(victim, 2)
 	if _, err := Deploy(tb, RaspberryPi3(), []int{1, 3, 16, 16}); !errors.Is(err, ErrNotFinalized) {
 		t.Fatalf("unfinalized deploy err = %v, want ErrNotFinalized", err)
 	}

@@ -13,15 +13,14 @@ import (
 // Serve; the deployment it is built from is hosted as DefaultModel. Host
 // further named models with Server.AddModel, address them with
 // Server.InferModel, and hot-swap a hosted model's replicas without dropping
-// a request with Server.Swap / Server.SwapModel (warm the new pool first,
-// then drain the old). See the serve package documentation for the execution
-// model.
+// a request with Server.SwapModel (warm the new pool first, then drain the
+// old). See the serve package documentation for the execution model.
 type Server = serve.Server
 
 // ServerStats is a point-in-time snapshot of a Server's behaviour —
 // throughput, realized batch sizes, queue depth, hot-swap count, and
 // p50/p95/p99 modeled device latency — aggregated across its hosted models
-// (Server.ModelStats scopes it to one).
+// (PerModel holds one scoped snapshot per model).
 type ServerStats = serve.Stats
 
 // ServeOption configures a Server.
@@ -67,18 +66,6 @@ func WithMaxDelay(d time.Duration) ServeOption {
 			return fmt.Errorf("%w: negative max delay %v", ErrBadOption, d)
 		}
 		c.MaxDelay = d
-		return nil
-	}
-}
-
-// WithQueueDepth bounds the number of requests waiting in the server's queue
-// before Infer blocks (default Workers*MaxBatch*4).
-func WithQueueDepth(n int) ServeOption {
-	return func(c *serve.Config) error {
-		if n < 1 {
-			return fmt.Errorf("%w: queue depth %d < 1", ErrBadOption, n)
-		}
-		c.QueueDepth = n
 		return nil
 	}
 }

@@ -55,24 +55,19 @@
 // ErrSecureMemory, ErrServerClosed, ErrBadOption) that callers match with
 // errors.Is — public entry points do not panic.
 //
-// The step-level functions below (TrainModel, NewTwoBranch, TrainTwoBranch,
-// PruneTwoBranch, FinalizeRollback, ...) remain available as the advanced
-// surface the pipeline builder composes; use them when a workflow needs to
-// intercept the flow between steps. Everything underneath — the
-// tensor/NN/optimizer stack, the synthetic CIFAR-like datasets, the
-// TrustZone device model, the attacks, and the experiment harness that
-// regenerates the paper's tables and figures — lives in the internal
-// packages and is re-exported here where a downstream user needs it.
+// The unit that persists is the deployment artifact (SaveDeployment,
+// LoadDeploymentOn, Registry). Everything underneath — the tensor/NN/optimizer
+// stack, the synthetic CIFAR-like datasets, the TrustZone device model, the
+// attacks, and the experiment harness that regenerates the paper's tables and
+// figures — lives in the internal packages.
 package tbnet
 
 import (
 	"fmt"
-	"io"
 
 	"tbnet/internal/attack"
 	"tbnet/internal/core"
 	"tbnet/internal/data"
-	"tbnet/internal/serial"
 	"tbnet/internal/tee"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
@@ -82,24 +77,16 @@ import (
 type (
 	// Model is a staged CNN (the victim, or one TBNet branch).
 	Model = zoo.Model
-	// VGGConfig configures a VGG-style plain network.
-	VGGConfig = zoo.VGGConfig
-	// ResNetConfig configures a CIFAR-style ResNet.
-	ResNetConfig = zoo.ResNetConfig
 	// TwoBranch is TBNet's two-branch substitution model.
 	TwoBranch = core.TwoBranch
 	// TrainConfig carries optimization hyperparameters.
 	TrainConfig = core.TrainConfig
-	// PruneConfig controls the iterative two-branch pruning (Alg. 1).
-	PruneConfig = core.PruneConfig
-	// PruneResult is the pruning outcome, consumed by FinalizeRollback.
+	// PruneResult is the iterative pruning history behind a finalized model.
 	PruneResult = core.PruneResult
 	// Deployment is a finalized model placed on a simulated device.
 	Deployment = core.Deployment
 	// Dataset is an in-memory labeled image set.
 	Dataset = data.Dataset
-	// SynthConfig controls the procedural dataset generator.
-	SynthConfig = data.SynthConfig
 	// Device is the hardware-backend cost model a deployment is priced on:
 	// identity, secure-memory capacity, per-world FLOPS rates, switch and
 	// transfer costs, plus the Latency hook each backend implements with its
@@ -139,83 +126,9 @@ func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
 // NewTensor returns a zero-filled tensor with the given shape.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 
-// VGG18Config returns the reproduction's VGG-style configuration.
-func VGG18Config(classes int) VGGConfig { return zoo.VGG18Config(classes) }
-
-// ResNet20Config returns the reproduction's ResNet-20 configuration.
-func ResNet20Config(classes int) ResNetConfig { return zoo.ResNet20Config(classes) }
-
-// BuildVGG constructs a VGG-style staged model.
-func BuildVGG(cfg VGGConfig, rng *RNG) *Model { return zoo.BuildVGG(cfg, rng) }
-
-// BuildResNet constructs a ResNet staged model (withSkip=false builds the
-// plain-chain variant).
-func BuildResNet(cfg ResNetConfig, withSkip bool, rng *RNG) *Model {
-	return zoo.BuildResNet(cfg, withSkip, rng)
-}
-
-// MobileNetConfig configures a MobileNet-style depthwise-separable network.
-type MobileNetConfig = zoo.MobileNetConfig
-
-// MobileNetSConfig returns the small MobileNet configuration.
-func MobileNetSConfig(classes int) MobileNetConfig { return zoo.MobileNetSConfig(classes) }
-
-// BuildMobileNet constructs a MobileNet-style staged model.
-func BuildMobileNet(cfg MobileNetConfig, rng *RNG) *Model { return zoo.BuildMobileNet(cfg, rng) }
-
-// SynthCIFAR10 returns the 10-class synthetic dataset configuration.
-func SynthCIFAR10(train, test int, seed uint64) SynthConfig {
-	return data.SynthCIFAR10(train, test, seed)
-}
-
-// SynthCIFAR100 returns the 100-class synthetic dataset configuration.
-func SynthCIFAR100(train, test int, seed uint64) SynthConfig {
-	return data.SynthCIFAR100(train, test, seed)
-}
-
-// GenerateDataset builds train and test splits from a SynthConfig.
-func GenerateDataset(cfg SynthConfig) (train, test *Dataset) { return data.Generate(cfg) }
-
 // DefaultTrainConfig returns the paper's hyperparameters (SGD 0.1/0.9/1e-4,
 // λ=1e-4, lr ×0.1 every 100 epochs) for the given epoch budget.
 func DefaultTrainConfig(epochs int) TrainConfig { return core.DefaultTrainConfig(epochs) }
-
-// TrainModel trains a standalone model with cross-entropy.
-func TrainModel(m *Model, train, test *Dataset, cfg TrainConfig) core.History {
-	return core.TrainModel(m, train, test, cfg)
-}
-
-// EvaluateModel returns a model's top-1 test accuracy.
-func EvaluateModel(m *Model, d *Dataset, batchSize int) float64 {
-	return core.EvaluateModel(m, d, batchSize)
-}
-
-// NewTwoBranch performs TBNet step 1: victim → unsecured branch M_R, fresh
-// secure branch M_T with the victim's architecture.
-func NewTwoBranch(victim *Model, seed uint64) *TwoBranch { return core.NewTwoBranch(victim, seed) }
-
-// TrainTwoBranch performs step 2 (knowledge transfer under Eq. 1).
-func TrainTwoBranch(tb *TwoBranch, train, test *Dataset, cfg TrainConfig) core.History {
-	return core.TrainTwoBranch(tb, train, test, cfg)
-}
-
-// EvaluateTwoBranch returns the benign-user accuracy (M_T's output).
-func EvaluateTwoBranch(tb *TwoBranch, d *Dataset, batchSize int) float64 {
-	return core.EvaluateTwoBranch(tb, d, batchSize)
-}
-
-// DefaultPruneConfig returns Alg. 1's settings (p=10%) for a drop budget.
-func DefaultPruneConfig(dropBudget float64, fineTuneEpochs int) PruneConfig {
-	return core.DefaultPruneConfig(dropBudget, fineTuneEpochs)
-}
-
-// PruneTwoBranch performs steps 3–5 (iterative two-branch pruning).
-func PruneTwoBranch(tb *TwoBranch, train, test *Dataset, cfg PruneConfig) *PruneResult {
-	return core.PruneTwoBranch(tb, train, test, cfg)
-}
-
-// FinalizeRollback performs step 6 (architectural divergence via rollback).
-func FinalizeRollback(tb *TwoBranch, res *PruneResult) { core.FinalizeRollback(tb, res) }
 
 // Devices returns every registered hardware backend, sorted by name. The
 // built-ins are "rpi3" (the paper's testbed: TrustZone with serialized
@@ -299,15 +212,3 @@ func AttackDirectUse(stolen *Model, test *Dataset, batchSize int) float64 {
 func AttackFineTune(stolen *Model, train, test *Dataset, cfg FineTuneConfig) float64 {
 	return attack.FineTune(stolen, train, test, cfg)
 }
-
-// SaveModel writes a model in the binary deployment format.
-func SaveModel(w io.Writer, m *Model) error { return serial.SaveModel(w, m) }
-
-// LoadModel reads a model written by SaveModel.
-func LoadModel(r io.Reader) (*Model, error) { return serial.LoadModel(r) }
-
-// SaveTwoBranch writes a (typically finalized) two-branch model.
-func SaveTwoBranch(w io.Writer, tb *TwoBranch) error { return serial.SaveTwoBranch(w, tb) }
-
-// LoadTwoBranch reads a two-branch model written by SaveTwoBranch.
-func LoadTwoBranch(r io.Reader) (*TwoBranch, error) { return serial.LoadTwoBranch(r) }

@@ -4,114 +4,53 @@ package tbnet
 // sees, exercised end to end.
 
 import (
-	"bytes"
+	"context"
+	"errors"
 	"testing"
 )
 
-func facadeCfg(epochs int) TrainConfig {
-	cfg := DefaultTrainConfig(epochs)
-	cfg.BatchSize = 16
-	cfg.LR = 0.05
-	return cfg
-}
-
-// buildFinalized runs the full public-API flow once and is shared by the
-// integration tests below.
-func buildFinalized(t *testing.T) (*TwoBranch, *Model, *Dataset, *Dataset) {
-	t.Helper()
-	train, test := GenerateDataset(SynthCIFAR10(96, 48, 1))
-	victim := BuildVGG(VGG18Config(train.Classes), NewRNG(2))
-	TrainModel(victim, train, nil, facadeCfg(3))
-
-	tb := NewTwoBranch(victim, 3)
-	transfer := facadeCfg(2)
-	transfer.Lambda = 5e-4
-	TrainTwoBranch(tb, train, test, transfer)
-
-	prune := DefaultPruneConfig(1.0, 1)
-	prune.MaxIters = 2
-	prune.FineTune = facadeCfg(1)
-	res := PruneTwoBranch(tb, train, test, prune)
-	FinalizeRollback(tb, res)
-	return tb, victim, train, test
-}
-
+// TestFacadeEndToEnd: the one flow (Pipeline) yields a finalized model that
+// deploys at both precisions and that both attacks run against.
 func TestFacadeEndToEnd(t *testing.T) {
-	tb, victim, train, test := buildFinalized(t)
-	if !tb.Finalized {
-		t.Fatal("pipeline did not finalize")
-	}
-	vAcc := EvaluateModel(victim, test, 16)
-	tbAcc := EvaluateTwoBranch(tb, test, 16)
-	if vAcc < 0 || vAcc > 1 || tbAcc < 0 || tbAcc > 1 {
-		t.Fatalf("accuracies out of range: %v, %v", vAcc, tbAcc)
-	}
-
-	dep, err := Deploy(tb, RaspberryPi3(), []int{4, 3, 16, 16})
+	p, err := NewPipeline(WithArch("tiny-vgg"), WithSeed(3), WithDatasetSize(48, 24),
+		WithEpochs(1, 1, 1), WithPruning(1.0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := test.Batches(4, nil)[0]
-	labels, err := dep.Infer(batch.X)
-	if err != nil {
-		t.Fatal(err)
+	res, err := p.Run(context.Background())
+	if err != nil || !res.TB.Finalized {
+		t.Fatalf("pipeline: %v (finalized %v)", err, err == nil && res.TB.Finalized)
 	}
-	if len(labels) != 4 {
-		t.Fatalf("labels = %v", labels)
+	batch := res.Test.Batches(4, nil)[0]
+	deps := map[Precision]*Deployment{}
+	for name, deploy := range map[string]func(*TwoBranch, Device, []int) (*Deployment, error){
+		"f32": Deploy, "int8": DeployInt8,
+	} {
+		prec, err := ParsePrecision(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := deploy(res.TB, RaspberryPi3(), []int{4, 3, 16, 16})
+		if err != nil || dep.Precision() != prec {
+			t.Fatalf("%s: deploy err = %v", name, err)
+		}
+		if labels, err := dep.Infer(batch.X); err != nil || len(labels) != 4 {
+			t.Fatalf("%s: labels = %v, err = %v", name, labels, err)
+		}
+		deps[prec] = dep
+	}
+	if _, err := ParsePrecision("fp16"); !errors.Is(err, ErrShape) {
+		t.Fatalf("unknown precision err = %v, want ErrShape", err)
 	}
 
-	// Attacks run through the facade too.
-	atk := AttackDirectUse(dep.ExtractedMR(), test, 16)
-	if atk < 0 || atk > 1 {
-		t.Fatalf("attack accuracy %v out of range", atk)
+	stolen := deps[PrecisionF32].ExtractedMR()
+	if atk := AttackDirectUse(stolen, res.Test, 16); atk < 0 || atk > 1 {
+		t.Fatalf("direct-use accuracy %v out of range", atk)
 	}
-	ft := AttackFineTune(dep.ExtractedMR(), train, test, FineTuneConfig{
-		Fraction: 0.5, Train: facadeCfg(1), SubsetSeed: 4,
-	})
+	cfg := DefaultTrainConfig(1)
+	cfg.BatchSize = 16
+	ft := AttackFineTune(stolen, res.Train, res.Test, FineTuneConfig{Fraction: 0.5, Train: cfg, SubsetSeed: 4})
 	if ft < 0 || ft > 1 {
 		t.Fatalf("fine-tune accuracy %v out of range", ft)
-	}
-}
-
-func TestFacadeSerializationRoundTrip(t *testing.T) {
-	tb, _, _, test := buildFinalized(t)
-	var buf bytes.Buffer
-	if err := SaveTwoBranch(&buf, tb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTwoBranch(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The loaded deployment must classify identically.
-	want := EvaluateTwoBranch(tb, test, 16)
-	have := EvaluateTwoBranch(got, test, 16)
-	if want != have {
-		t.Fatalf("round-trip accuracy %v != %v", have, want)
-	}
-	// And must still deploy.
-	if _, err := Deploy(got, RaspberryPi3(), []int{1, 3, 16, 16}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFacadeModelSaveLoad(t *testing.T) {
-	victim := BuildResNet(ResNet20Config(10), true, NewRNG(5))
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, victim); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := NewTensor(1, 3, 16, 16)
-	NewRNG(6).FillNormal(x, 0, 1)
-	a := victim.Forward(x.Clone(), false)
-	b := got.Forward(x.Clone(), false)
-	for i := range a.Data() {
-		if a.Data()[i] != b.Data()[i] {
-			t.Fatal("loaded model diverges")
-		}
 	}
 }
