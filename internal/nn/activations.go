@@ -41,16 +41,14 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // ForwardInto is the eval-mode inference path: negatives clamped to zero,
 // written into dst without recording the backward mask and without a branch
-// on the data (tensor.ReLU). dst may equal x for in-place operation; the
+// on the data (tensor.ReLUInto). dst may equal x for in-place operation; the
 // arena may be nil.
 func (r *ReLU) ForwardInto(dst, x *tensor.Tensor, _ *Arena) {
 	xd, od := x.Data(), dst.Data()
 	if len(od) != len(xd) {
 		panic("nn: ReLU destination size mismatch")
 	}
-	for i, v := range xd {
-		od[i] = tensor.ReLU(v)
-	}
+	tensor.ReLUInto(od, xd)
 }
 
 // Backward gates the gradient by the activation mask.

@@ -133,20 +133,39 @@ func TestConvForwardIntoSkipsColumnMatrix(t *testing.T) {
 	}
 }
 
-// TestMaxPoolForwardIntoMatchesTrainingPool: the inference pool (for K = 2 a
-// loop of its own) gives, bit for bit, the maxima the argmax-recording
+// checkPoolMatchesTraining compares the inference pool with the
+// argmax-recording training pool on x, bit for bit, into a dirty
+// destination.
+func checkPoolMatchesTraining(t *testing.T, k int, x *tensor.Tensor) {
+	t.Helper()
+	pool := NewMaxPool2D("p", k)
+	want := pool.Forward(x, true)
+	got := tensor.New(pool.OutShape(x.Shape())...)
+	got.Fill(99)
+	pool.ForwardInto(got, x, nil)
+	for i, wv := range want.Data() {
+		if gv := got.Data()[i]; math.Float32bits(gv) != math.Float32bits(wv) {
+			t.Fatalf("K=%d %v: out[%d] = %v [%#x], training pool %v [%#x]",
+				k, x.Shape(), i, gv, math.Float32bits(gv), wv, math.Float32bits(wv))
+		}
+	}
+}
+
+// TestMaxPoolForwardIntoMatchesTrainingPool: the inference pool (for K = 2
+// tensor.MaxPool2) gives, bit for bit, the maxima the argmax-recording
 // training pool gives, on windows full of what a comparison can get wrong:
 // NaNs of both signs first, last and alone, ±Inf, -0 against +0 in either
-// order, ties, and all-negative windows.
+// order, ties, and all-negative windows. The inputs are an odd-sized one
+// whose last row and column the pool must ignore, every plane the zoo pools
+// (16², 8², 4² and 2² at VGG18-S's and TinyVGG's channel counts), and
+// batches whose output counts are no multiple of a vector's width.
 func TestMaxPoolForwardIntoMatchesTrainingPool(t *testing.T) {
 	nan, negNaN := float32(math.NaN()), math.Float32frombits(0xFFC00001)
 	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
 	special := []float32{nan, negNaN, inf, -inf, negZero, 0, 1, 1, -1, -2, 0.5, 3}
-	for _, k := range []int{2, 3} {
-		pool := NewMaxPool2D("p", k)
-		rng := tensor.NewRNG(uint64(81 + k))
-		// H and W leave a remainder the pool must ignore.
-		x := tensor.New(3, 5, 4*k+1, 6*k+k-1)
+	rng := tensor.NewRNG(81)
+	input := func(shape ...int) *tensor.Tensor {
+		x := tensor.New(shape...)
 		xd := x.Data()
 		for i := range xd {
 			switch rng.Intn(3) {
@@ -158,17 +177,40 @@ func TestMaxPoolForwardIntoMatchesTrainingPool(t *testing.T) {
 				xd[i] = float32(rng.Norm())
 			}
 		}
-		want := pool.Forward(x, true)
-		got := tensor.New(pool.OutShape(x.Shape())...)
-		got.Fill(99)
-		pool.ForwardInto(got, x, nil)
-		for i, wv := range want.Data() {
-			if gv := got.Data()[i]; math.Float32bits(gv) != math.Float32bits(wv) {
-				t.Fatalf("K=%d: out[%d] = %v [%#x], training pool %v [%#x]",
-					k, i, gv, math.Float32bits(gv), wv, math.Float32bits(wv))
-			}
+		return x
+	}
+	for _, k := range []int{2, 3} {
+		checkPoolMatchesTraining(t, k, input(3, 5, 4*k+1, 6*k+k-1))
+	}
+	for _, c := range []int{16, 32, 48, 64, 8, 12} {
+		for _, hw := range []int{16, 8, 4, 2} {
+			checkPoolMatchesTraining(t, 2, input(1, c, hw, hw))
 		}
 	}
+	for _, hw := range []int{16, 8, 4, 2} {
+		checkPoolMatchesTraining(t, 2, input(3, 5, hw, hw)) // 3·5·(hw/2)² outputs: odd
+	}
+}
+
+// FuzzMaxPool2MatchesTrainingPool drives the 2×2 inference pool over raw
+// float bit patterns — every NaN payload, infinities, denormals, -0 — and
+// arbitrary geometry against the training pool.
+func FuzzMaxPool2MatchesTrainingPool(f *testing.F) {
+	f.Add(uint8(2), uint8(16), uint8(16), uint8(16), []byte{0, 0, 0xc0, 0x7f, 0, 0, 0, 0x80, 1, 0, 0x80, 0xff})
+	f.Add(uint8(1), uint8(64), uint8(2), uint8(2), []byte{1, 2, 3, 4, 0, 0, 0x80, 0x7f})
+	f.Add(uint8(3), uint8(5), uint8(9), uint8(13), []byte{0, 0, 0, 0x80, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, n8, c8, h8, w8 uint8, raw []byte) {
+		if len(raw) < 4 {
+			t.Skip("no float to tile the input with")
+		}
+		x := tensor.New(1+int(n8)%3, 1+int(c8)%70, 1+int(h8)%40, 1+int(w8)%40)
+		xd := x.Data()
+		for i := range xd {
+			j := 4 * (i % (len(raw) / 4))
+			xd[i] = math.Float32frombits(uint32(raw[j]) | uint32(raw[j+1])<<8 | uint32(raw[j+2])<<16 | uint32(raw[j+3])<<24)
+		}
+		checkPoolMatchesTraining(t, 2, x)
+	})
 }
 
 // TestForwardIntoInPlace locks the documented in-place contract of the

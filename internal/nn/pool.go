@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"tbnet/internal/tensor"
-)
+import "tbnet/internal/tensor"
 
 // MaxPool2D is a max pooling layer with square window and stride == window.
 type MaxPool2D struct {
@@ -49,57 +45,19 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // ForwardInto is the eval-mode inference path: the pooled maxima written
 // into dst (shaped per OutShape) with no argmax recording — for the 2×2
-// window every model in the zoo pools with, by a loop that has no argmax to
-// carry and no branch to mispredict. The arena may be nil.
+// window every model in the zoo pools with, by tensor.MaxPool2, which has
+// no argmax to carry and no branch to mispredict and gives pool's maxima to
+// the bit. The arena may be nil.
 func (p *MaxPool2D) ForwardInto(dst, x *tensor.Tensor, _ *Arena) {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if dst.Size() != n*c*(h/p.K)*(w/p.K) {
 		panic("nn: MaxPool2D destination size mismatch")
 	}
 	if p.K == 2 {
-		pool2(dst.Data(), x.Data(), n*c, h, w)
+		tensor.MaxPool2(dst.Data(), x.Data(), n*c, h, w)
 		return
 	}
 	p.pool(dst.Data(), x.Data(), n, c, h, w, nil)
-}
-
-// pool2 is pool for K = 2 without the argmax: the same four values in the
-// same order through the same v > bv comparison (maxGT), so NaNs, -0 and
-// ties come out exactly as pool leaves them. Which of a window's values is
-// largest is a coin toss on post-ReLU activations, and pool's branch on it
-// is most of what it costs: per sample on VGG18-S's four pooled stages,
-// BenchmarkMaxPoolForwardInto reads 22.3 / 12.0 / 4.4 / 1.3 µs for pool and
-// 4.7 / 2.8 / 1.3 / 0.6 µs for pool2 on the reference box. (On one input
-// repeated, the predictor learns pool's branches and a branching pool2 reads
-// 2.5 µs on the first stage — and 13 µs on fresh inputs. The benchmark
-// rotates its inputs for that reason.)
-func pool2(od, xd []float32, planes, h, w int) {
-	oh, ow := h/2, w/2
-	for pl := 0; pl < planes; pl++ {
-		plane := xd[pl*h*w : (pl+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			out := od[(pl*oh+oy)*ow:][:ow]
-			r0 := plane[2*oy*w:][:2*ow]
-			r1 := plane[(2*oy+1)*w:][:2*ow]
-			for ox := range out {
-				bv := maxGT(r0[2*ox], r0[2*ox+1])
-				bv = maxGT(bv, r1[2*ox])
-				out[ox] = maxGT(bv, r1[2*ox+1])
-			}
-		}
-	}
-}
-
-// maxGT returns v when v > bv and bv otherwise — not the builtin max, which
-// propagates NaN and orders -0 below +0 — selected on the bit patterns so
-// the comparison costs a flag, not a branch.
-func maxGT(bv, v float32) float32 {
-	var take uint32
-	if v > bv {
-		take = 1
-	}
-	b := math.Float32bits(bv)
-	return math.Float32frombits(b ^ (b^math.Float32bits(v))&-take)
 }
 
 // pool runs the window maximum; argmax is recorded when non-nil.

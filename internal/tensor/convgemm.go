@@ -30,7 +30,7 @@ func ConvScratchLen(g ConvGeom) int {
 	switch {
 	case g.pointwise():
 		return 0
-	case !hasSIMD:
+	case f32Level == f32Scalar:
 		return Im2ColLen(g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad)
 	case g.Pad == 0:
 		return 0
@@ -107,7 +107,7 @@ func convSource(img []float32, g ConvGeom, scratch []float32) (b panelSource, n,
 	switch {
 	case g.pointwise():
 		b.dense = img
-	case !hasSIMD:
+	case f32Level == f32Scalar:
 		b.dense = scratch
 		Im2Col(img, g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad, scratch)
 	default:

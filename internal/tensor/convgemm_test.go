@@ -73,8 +73,8 @@ func checkConvGemm(t testing.TB, rng *RNG, m int, g ConvGeom, nonFinite bool, of
 			conv(got, wt, img, m, g, poisoned(ConvScratchLen(g), (off+3)%4), ep)
 			for i := range want {
 				if !sameF32(want[i], got[i]) {
-					t.Fatalf("%+v m=%d epilogue=%v %s: element %d = %v, lowered %v",
-						g, m, ep != nil, name, i, got[i], want[i])
+					t.Fatalf("%+v m=%d epilogue=%v %s %v: element %d = %v, lowered %v",
+						g, m, ep != nil, name, f32Level, i, got[i], want[i])
 				}
 			}
 		}
@@ -122,7 +122,7 @@ func TestConvGemmMatchesLowered(t *testing.T) {
 	// A product past the dispatch threshold, so the pool really is crossed.
 	g := ConvGeom{64, 16, 16, 3, 3, 1, 1}
 	if Workers() > 1 && !fansOut(136, 256, 576) {
-		t.Fatalf("136x256x576 no longer fans out (grain %d): pick a bigger product", gemmGrain(256, 576))
+		t.Fatalf("136x256x576 no longer fans out (grain %d): pick a bigger product", gemmGrain(f32Rows(), 256, 576))
 	}
 	checkConvGemm(t, rng, 136, g, false, 1)
 }
@@ -139,7 +139,7 @@ func TestConvGemmNonSquare(t *testing.T) {
 }
 
 // FuzzConvGemmMatchesLowered drives the three dispatch forms over arbitrary
-// geometry against the lowered product.
+// geometry against the lowered product, at every float32 level.
 func FuzzConvGemmMatchesLowered(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint8(16), uint8(16), uint8(2), uint8(0), uint8(1), uint8(16))
 	f.Add(uint64(2), uint8(3), uint8(2), uint8(9), uint8(4), uint8(1), uint8(2), uint8(5))
@@ -152,7 +152,7 @@ func FuzzConvGemmMatchesLowered(f *testing.F) {
 		if g.H+2*g.Pad < g.KH || g.W+2*g.Pad < g.KW {
 			t.Skip("window larger than the padded image")
 		}
-		checkConvGemm(t, NewRNG(seed), 1+int(m8)%20, g, seed%3 == 0, int(seed%4))
+		atEveryF32Level(func() { checkConvGemm(t, NewRNG(seed), 1+int(m8)%20, g, seed%3 == 0, int(seed%4)) })
 	})
 }
 
@@ -163,31 +163,43 @@ var convGemmShapes = []struct{ inC, outC, hw int }{
 	{32, 48, 4}, {48, 48, 4}, {48, 64, 2}, {64, 64, 2},
 }
 
-// BenchmarkConvGemm prices one image's convolution product per stage shape
-// as this package ran it before and runs it now: lowered is Im2Col into a
-// preplanned column matrix followed by GemmFusedSerial, packed is
-// ConvGemmFusedSerial.
+// BenchmarkConvGemm prices one image's convolution product per stage shape,
+// once per float32 level this CPU runs, as this package ran it before and
+// runs it now: lowered is Im2Col into a preplanned column matrix followed by
+// GemmFusedSerial, packed is ConvGemmFusedSerial.
 func BenchmarkConvGemm(b *testing.B) {
-	for _, s := range convGemmShapes {
-		g := ConvGeom{s.inC, s.hw, s.hw, 3, 3, 1, 1}
-		n, k := s.hw*s.hw, 9*s.inC
-		wt, img := convOperands(NewRNG(6), s.outC, g, false)
-		dst := make([]float32, s.outC*n)
-		cols := make([]float32, k*n)
-		scratch := make([]float32, ConvScratchLen(g))
-		name := fmt.Sprintf("%dx%dx%d_to%d", s.inC, s.hw, s.hw, s.outC)
-		b.Run(name+"/lowered", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Im2Col(img, g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad, cols)
-				GemmFusedSerial(dst, wt, cols, s.outC, n, k, nil)
+	for _, l := range f32Kernels {
+		for _, s := range convGemmShapes {
+			g := ConvGeom{s.inC, s.hw, s.hw, 3, 3, 1, 1}
+			n, k := s.hw*s.hw, 9*s.inC
+			wt, img := convOperands(NewRNG(6), s.outC, g, false)
+			dst := make([]float32, s.outC*n)
+			cols := make([]float32, k*n)
+			name := fmt.Sprintf("%v/%dx%dx%d_to%d", l, s.inC, s.hw, s.hw, s.outC)
+			for _, leg := range []struct {
+				name string
+				run  func(scratch []float32)
+			}{
+				{"lowered", func([]float32) {
+					Im2Col(img, g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad, cols)
+					GemmFusedSerial(dst, wt, cols, s.outC, n, k, nil)
+				}},
+				{"packed", func(scratch []float32) { ConvGemmFusedSerial(dst, wt, img, s.outC, g, scratch, nil) }},
+			} {
+				b.Run(name+"/"+leg.name, func(b *testing.B) {
+					b.ReportAllocs()
+					ran := withF32Level(l, func() {
+						scratch := make([]float32, ConvScratchLen(g))
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							leg.run(scratch)
+						}
+					})
+					if !ran {
+						b.Skipf("no %v kernel on this CPU", l)
+					}
+				})
 			}
-		})
-		b.Run(name+"/packed", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ConvGemmFusedSerial(dst, wt, img, s.outC, g, scratch, nil)
-			}
-		})
+		}
 	}
 }

@@ -5,7 +5,7 @@ package tensor
 // padded. Everything else — and every channel whose weights are not all
 // finite — runs depthwiseChannel, the definition.
 func dwVector(g ConvGeom) bool {
-	return hasSIMD && g.KH == 3 && g.KW == 3 && (g.Stride == 1 || g.Stride == 2) &&
+	return f32Level >= f32AVX && g.KH == 3 && g.KW == 3 && (g.Stride == 1 || g.Stride == 2) &&
 		g.C >= 1 && g.H >= 1 && g.W >= 1 && g.H+2*g.Pad >= 3 && g.W+2*g.Pad >= 3
 }
 

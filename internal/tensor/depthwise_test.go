@@ -107,12 +107,12 @@ func checkDepthwise(t testing.TB, g ConvGeom, batch int, filt, imgs []float32, e
 	}
 	filt, imgs = unaligned(filt, off), unaligned(imgs, (off+1)%4)
 	scratchLen := DepthwiseScratchLen(g)
-	for _, vector := range []bool{true, false} {
+	for _, l := range []f32Kernel{f32AVX, f32Scalar} {
 		got := unaligned(make([]float32, batch*out), (off+2)%4)
 		for i := range got {
 			got[i] = 123.5
 		}
-		ran := withSIMD(vector, func() {
+		ran := withF32Level(l, func() {
 			if batch == 1 {
 				DepthwiseFused(got, filt, imgs, g, poisoned(scratchLen, (off+3)%4), ep)
 				return
@@ -132,8 +132,8 @@ func checkDepthwise(t testing.TB, g ConvGeom, batch int, filt, imgs []float32, e
 		}
 		for i := range want {
 			if !sameF32(got[i], want[i]) {
-				t.Fatalf("%+v batch %d epilogue=%v vector=%v: out[%d] (channel %d) = %v [%#x], definition %v [%#x]",
-					g, batch, ep != nil, vector, i, i%out/(oh*ow), got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				t.Fatalf("%+v batch %d epilogue=%v %v: out[%d] (channel %d) = %v [%#x], definition %v [%#x]",
+					g, batch, ep != nil, l, i, i%out/(oh*ow), got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 			}
 		}
 	}
@@ -145,7 +145,7 @@ func checkDepthwise(t testing.TB, g ConvGeom, batch int, filt, imgs []float32, e
 // the kernel produces the definition's bits.
 func TestDepthwiseMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	if hasSIMD {
+	if f32Level >= f32AVX {
 		for _, g := range mobileNetDepthwise {
 			if !dwVector(g) {
 				t.Fatalf("%+v does not take the vector kernel", g)
@@ -220,11 +220,11 @@ func BenchmarkDepthwiseForwardInto(b *testing.B) {
 		dst := make([]float32, g.C*oh*ow)
 		scratch := make([]float32, DepthwiseScratchLen(g))
 		for _, leg := range []struct {
-			name   string
-			vector bool
-		}{{"vector", true}, {"definition", false}} {
+			name  string
+			level f32Kernel
+		}{{"vector", f32AVX}, {"definition", f32Scalar}} {
 			b.Run(fmt.Sprintf("%dx%dx%d_s%d/%s", g.C, g.H, g.W, g.Stride, leg.name), func(b *testing.B) {
-				ran := withSIMD(leg.vector, func() {
+				ran := withF32Level(leg.level, func() {
 					for i := 0; i < b.N; i++ {
 						j := i % samples
 						DepthwiseFused(dst, filt, imgs[j*in:(j+1)*in], g, scratch, nil)

@@ -74,7 +74,7 @@ const maxI8DotLen = 1 << 23
 func GemmI8Parallel(dst []int32, a, b []int8, m, n, k int) {
 	checkI8Dims(dst, a, b, m, n, k)
 	blocks := (m + rowBlock - 1) / rowBlock
-	grain := gemmGrain(n, k)
+	grain := gemmGrain(rowBlock, n, k)
 	if blocks/grain <= 1 || Workers() == 1 {
 		gemmI8Rows(dst, a, b, n, k, 0, m)
 		return

@@ -7,14 +7,15 @@ import (
 	"testing"
 )
 
-// withSIMD runs fn with the float32 vector kernels on or off and reports
-// whether it could: a CPU that failed their gate cannot turn them on.
-func withSIMD(on bool, fn func()) bool {
-	if on && !hasSIMD {
+// withF32Level runs fn with the float32 dispatch pinned to level l and
+// reports whether it could: a level above the detected one is one this CPU
+// lacks.
+func withF32Level(l f32Kernel, fn func()) bool {
+	if l > f32Level {
 		return false
 	}
-	defer func(v bool) { hasSIMD = v }(hasSIMD)
-	hasSIMD = on
+	defer func(v f32Kernel) { f32Level = v }(f32Level)
+	f32Level = l
 	fn()
 	return true
 }
@@ -130,10 +131,8 @@ func TestGemmI8SIMDBitIdenticalToScalarFallback(t *testing.T) {
 // with the vector path forced shut as well: both must meet the definition,
 // so the choice is unobservable.
 func TestRequantizeRowsSIMDBitIdenticalToScalar(t *testing.T) {
-	if !hasSIMD {
+	if f32Level < f32AVX {
 		t.Skip("no AVX finishing pass on this CPU")
 	}
-	defer func(v bool) { hasSIMD = v }(hasSIMD)
-	hasSIMD = false
-	checkRequantizeRows(t)
+	withF32Level(f32Scalar, func() { checkRequantizeRows(t) })
 }

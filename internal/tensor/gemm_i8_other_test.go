@@ -12,10 +12,10 @@ func withI8Level(l i8Kernel, fn func()) bool {
 	return true
 }
 
-// withSIMD runs fn with the float32 vector kernels on or off and reports
-// whether it could: off amd64 there are none to turn on.
-func withSIMD(on bool, fn func()) bool {
-	if on {
+// withF32Level runs fn with the float32 dispatch pinned to level l and
+// reports whether it could: off amd64 only the scalar level exists.
+func withF32Level(l f32Kernel, fn func()) bool {
+	if l != f32Scalar {
 		return false
 	}
 	fn()

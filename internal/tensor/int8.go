@@ -250,7 +250,7 @@ func RequantizeRows(dst []float32, acc []int32, n int, scales []float32, sx floa
 	if bias != nil {
 		bias = bias[:rows]
 	}
-	if hasSIMD && rows*n > 0 {
+	if f32Level >= f32AVX && rows*n > 0 {
 		a := requantArgs{dst: &dst[0], acc: &acc[0], n: n, rows: rows, mask: &tileMasks[n%8], scales: &scales[0], sx: sx}
 		if bias != nil {
 			a.bias = &bias[0]

@@ -10,8 +10,11 @@ import (
 // output columns held in eight YMM accumulators over the whole shared
 // dimension and stored once (gemmTileSIMD), against a b panel packed once
 // per column tile so the sweep reads contiguous memory whatever b's row
-// stride is. Elsewhere the portable row-quad kernel (axpy4Scalar) streams b
-// rows through four accumulating c rows. Both perform exactly one mul
+// stride is; with AVX-512 the tile is eight rows by sixteen columns in eight
+// ZMM accumulators (gemmTile8x16) over the same panel, and only the m%8
+// rows of a range are left to the four-row tile. Elsewhere the portable
+// row-quad kernel (axpy4Scalar) streams b rows through four accumulating c
+// rows. Both perform exactly one mul
 // rounding and one add rounding per element per p, in ascending p starting
 // from +0, so results are bit-identical across the SIMD and scalar paths
 // and across serial and parallel execution. (The payload of a NaN is the
@@ -21,6 +24,51 @@ import (
 // rowBlock is the register-blocking factor: output rows computed
 // simultaneously per streamed b row.
 const rowBlock = 4
+
+// f32Kernel names a float32 vector level. The values are ordered: a CPU that
+// passes the gate of one also runs every level below it, which is what lets
+// the tests walk down from the detected level. BenchmarkConvGemm is the
+// shape-matched rung — the eight VGG18-S stage convolutions packed from the
+// image, one leg per level, µs on the reference box (medians of six rounds
+// with the two levels interleaved; the host was shared and read about 1.6×
+// slower than when the figures in ConvGemmFusedParallel were taken):
+//
+//	stage          avx-tile4x16   avx512-tile8x16
+//	 3x16x16→16         8.1              8.2
+//	16x16x16→16        41.6             40.0
+//	16x8x8→32          22.8             15.2
+//	32x8x8→32          44.6             32.5
+//	32x4x4→48          18.8             11.2
+//	48x4x4→48          33.9             16.9
+//	48x2x2→64          25.6             16.2
+//	64x2x2→64          32.1             27.7
+//	one branch        227.5            167.7   (0.74×)
+//
+// The ZMM tile issues half the multiplies and adds per output of the YMM
+// one, yet a row of 16 costs about ¾ of what it did, not ½: on the
+// reference CPU 512-bit multiplies and adds have fewer ports to issue on
+// than 256-bit ones. The first two stages are mostly packing.
+type f32Kernel int
+
+const (
+	f32Scalar f32Kernel = iota // axpy4Scalar; every other float32 pass is its Go loop
+	f32AVX                     // gemmTileSIMD: 4×16 in YMM, plus the AVX passes
+	f32AVX512                  // gemmTile8x16: 8×16 in ZMM, and the ZMM max pool
+)
+
+func (l f32Kernel) String() string {
+	return [...]string{"scalar-4x4", "avx-tile4x16", "avx512-tile8x16"}[l]
+}
+
+// f32Rows is the row block of the float32 product at the current level: the
+// tile height the parallel split hands out whole ranges of, so no cut leaves
+// a chunk with a short tile the kernel could have run whole.
+func f32Rows() int {
+	if f32Level == f32AVX512 {
+		return 2 * rowBlock
+	}
+	return rowBlock
+}
 
 // tileCols is the register tile's width in output columns (two YMM per row).
 const tileCols = 16
@@ -59,11 +107,11 @@ const kBlock = 256
 const parallelMACs = 1 << 23
 
 // gemmGrain is the dispatch rule the float32 and int8 GEMMs share: the
-// number of row blocks that amount to parallelMACs for an [m,k]@[k,n]
-// product, passed to Parallel as its grain. A product with fewer than two
-// such ranges runs on the calling goroutine.
-func gemmGrain(n, k int) int {
-	return (parallelMACs-1)/max(rowBlock*n*k, 1) + 1
+// number of row blocks, each of rows output rows, that amount to
+// parallelMACs for an [m,k]@[k,n] product, passed to Parallel as its grain. A product with
+// fewer than two such ranges runs on the calling goroutine.
+func gemmGrain(rows, n, k int) int {
+	return (parallelMACs-1)/max(rows*n*k, 1) + 1
 }
 
 // Epilogue is a per-output-row affine map, optionally rectified, that a
@@ -150,14 +198,15 @@ func GemmFusedParallel(dst, a, b []float32, m, n, k int, ep *Epilogue) {
 // panels from the shared, read-only source.
 func gemm(cd, ad []float32, b panelSource, m, n, k int, ep *Epilogue, fanOut bool) {
 	ep.covers(m)
-	blocks := (m + rowBlock - 1) / rowBlock
-	grain := gemmGrain(n, k)
+	rows := f32Rows()
+	blocks := (m + rows - 1) / rows
+	grain := gemmGrain(rows, n, k)
 	if !fanOut || blocks/grain <= 1 || Workers() == 1 {
 		gemmRows(cd, ad, b, n, k, 0, m, ep)
 		return
 	}
 	Parallel(blocks, grain, func(_, lo, hi int) {
-		gemmRows(cd, ad, b, n, k, lo*rowBlock, min(hi*rowBlock, m), ep)
+		gemmRows(cd, ad, b, n, k, lo*rows, min(hi*rows, m), ep)
 	})
 }
 
@@ -200,11 +249,12 @@ func matmulDims(dst, a, b *Tensor) (m, n, k int) {
 	return m, n, k
 }
 
-// tileArgs is what one gemmTileSIMD call reads; the assembly addresses the
-// fields by offset, so the layout is part of its contract.
+// tileArgs is what one gemmTileSIMD or gemmTile8x16 call reads; the
+// assembly addresses the fields by offset, so the layout is part of its
+// contract.
 type tileArgs struct {
 	c    *float32   // 0: tile's first element in dst, row stride ldc
-	a    *float32   // 8: first of four a rows at this k block, row stride lda
+	a    *float32   // 8: first of the tile's four or eight a rows at this k block, row stride lda
 	b    *float32   // 16: packed panel, kb rows of tileCols floats
 	ldc  int        // 24
 	lda  int        // 32
@@ -212,7 +262,7 @@ type tileArgs struct {
 	mask *[16]int32 // 48: -1 for each live column
 	acc  int        // 56: nonzero = continue from the c tile (a later k block)
 	w    int        // 64: live columns, 1..tileCols
-	mean *float32   // 72: nil, or the four rows' epilogue values ...
+	mean *float32   // 72: nil, or the tile rows' epilogue values ...
 	g    *float32   // 80
 	inv  *float32   // 88
 	beta *float32   // 96
@@ -236,11 +286,17 @@ var tileMasks = func() (t [tileCols + 1][16]int32) {
 func gemmRows(cd, ad []float32, b panelSource, n, k, r0, r1 int, ep *Epilogue) {
 	bd := b.dense
 	quads := r0 + (r1-r0)/rowBlock*rowBlock
-	if hasSIMD && k > 0 && n > 0 {
-		// Column tile, then k block, then row quad: the panel is packed once
-		// and swept by every quad while it is hot. A remainder row (fewer
-		// than rowBlock left) is a tile whose four rows alias it — zero row
-		// strides — so it runs the same arithmetic at vector speed.
+	if f32Level >= f32AVX && k > 0 && n > 0 {
+		// Column tile, then k block, then row tile: the panel is packed once
+		// and swept by every tile while it is hot — 8-row tiles first under
+		// AVX-512, then 4-row ones. A remainder row (fewer than rowBlock
+		// left) is a 4-row tile whose rows alias it — zero row strides — so
+		// it runs the same arithmetic at vector speed.
+		octs := r0
+		if f32Level == f32AVX512 {
+			octs += (r1 - r0) / 8 * 8
+		}
+		quads = octs + (r1-octs)/rowBlock*rowBlock
 		var panel [kBlock * tileCols]float32
 		t := tileArgs{b: &panel[0], relu: ep != nil && ep.ReLU}
 		for j0 := 0; j0 < n; j0 += tileCols {
@@ -256,12 +312,18 @@ func gemmRows(cd, ad []float32, b panelSource, n, k, r0, r1 int, ep *Epilogue) {
 				t.acc = p0
 				fuse := ep != nil && p0+t.kb == k
 				t.ldc, t.lda = n, k
-				for i := r0; i < quads; i += rowBlock {
+				for i := r0; i < quads; {
 					t.c, t.a = &cd[i*n+j0], &ad[i*k+p0]
 					if fuse {
 						t.mean, t.g, t.inv, t.beta = &ep.Mean[i], &ep.Gamma[i], &ep.InvStd[i], &ep.Beta[i]
 					}
-					gemmTileSIMD(&t)
+					if i < octs {
+						gemmTile8x16(&t)
+						i += 8
+					} else {
+						gemmTileSIMD(&t)
+						i += rowBlock
+					}
 				}
 				t.ldc, t.lda, t.mean = 0, 0, nil
 				for i := quads; i < r1; i++ {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -60,10 +61,50 @@ func gemmOperands(rng *RNG, m, n, k int, nonFinite bool) (a, b *Tensor) {
 	return a, b
 }
 
+// f32Kernels lists the float32 levels best first, the order forEachF32Level
+// and the benchmarks walk them in.
+var f32Kernels = []f32Kernel{f32AVX512, f32AVX, f32Scalar}
+
+// forEachF32Level runs fn as one subtest per float32 level with the
+// dispatch pinned to it and skips, by name, a leg whose gate this CPU or
+// platform does not pass (withF32Level).
+func forEachF32Level(t *testing.T, fn func(t *testing.T)) {
+	for _, l := range f32Kernels {
+		t.Run(l.String(), func(t *testing.T) {
+			if !withF32Level(l, func() { fn(t) }) {
+				t.Skipf("no %v kernel on this CPU", l)
+			}
+		})
+	}
+}
+
+// atEveryF32Level runs fn once per float32 level this CPU passes, for the
+// fuzz targets, whose failures name the level themselves.
+func atEveryF32Level(fn func()) {
+	for _, l := range f32Kernels {
+		withF32Level(l, fn)
+	}
+}
+
+// TestKernelStatusNamesF32Level: the status line names the float32 tile and
+// the pool the dispatch is on at every level — with a gate shut, the only
+// way an operator learns the daemon runs a slower one.
+func TestKernelStatusNamesF32Level(t *testing.T) {
+	forEachF32Level(t, func(t *testing.T) {
+		got := KernelStatus()
+		for _, want := range []string{"f32=" + f32Level.String() + " ", " pool=" + poolKernel(f32Level) + " "} {
+			if !strings.Contains(got, want) {
+				t.Fatalf("KernelStatus() = %q, want it to contain %q", got, want)
+			}
+		}
+	})
+}
+
 // fansOut reports whether the dispatch rule sends an [m,k]@[k,n] product
 // across the pool on this host.
 func fansOut(m, n, k int) bool {
-	return Workers() > 1 && (m+rowBlock-1)/rowBlock/gemmGrain(n, k) > 1
+	rows := f32Rows()
+	return Workers() > 1 && (m+rows-1)/rows/gemmGrain(rows, n, k) > 1
 }
 
 // splitRows runs rows over [0, m) cut across the pool into chunks of at least
@@ -106,8 +147,8 @@ func checkGemm(t testing.TB, a, b *Tensor, off int) {
 		gemm(got, ad, bd, m, n, k)
 		for i := range want.data {
 			if !sameF32(want.data[i], got[i]) {
-				t.Fatalf("[%d,%d]x[%d,%d] %s: element %d = %v, reference %v",
-					m, k, k, n, name, i, got[i], want.data[i])
+				t.Fatalf("[%d,%d]x[%d,%d] %s %v: element %d = %v, reference %v",
+					m, k, k, n, name, f32Level, i, got[i], want.data[i])
 			}
 		}
 	}
@@ -140,14 +181,14 @@ func TestMatMulMatchesReference(t *testing.T) {
 	}
 	// A product past the dispatch threshold, so the pool really is crossed.
 	if Workers() > 1 && !fansOut(136, 256, 512) {
-		t.Fatalf("136x256x512 no longer fans out (grain %d): pick a bigger product", gemmGrain(256, 512))
+		t.Fatalf("136x256x512 no longer fans out (grain %d): pick a bigger product", gemmGrain(f32Rows(), 256, 512))
 	}
 	a, b := gemmOperands(rng, 136, 256, 512, false)
 	checkGemm(t, a, b, 1)
 }
 
-// FuzzGemmMatchesReference drives both dispatch forms over arbitrary
-// (m, n, k) against the reference.
+// FuzzGemmMatchesReference drives the dispatch forms over arbitrary
+// (m, n, k) against the reference, at every float32 level.
 func FuzzGemmMatchesReference(f *testing.F) {
 	f.Add(uint8(4), uint16(16), uint16(27), uint64(1))
 	f.Add(uint8(9), uint16(33), uint16(300), uint64(2))
@@ -155,13 +196,13 @@ func FuzzGemmMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, m uint8, n, k uint16, seed uint64) {
 		mm, nn, kk := int(m)%70+1, int(n)%300+1, int(k)%700
 		a, b := gemmOperands(NewRNG(seed), mm, nn, kk, seed%3 == 0)
-		checkGemm(t, a, b, int(seed%4))
+		atEveryF32Level(func() { checkGemm(t, a, b, int(seed%4)) })
 	})
 }
 
 // TestGemmEpilogueMatchesSeparatePasses locks the fused epilogue to its
-// definition: the plain product, then ApplyRow's arithmetic written out as
-// batch norm's and ReLU's own loops.
+// definition at every float32 level: the plain product, then ApplyRow's
+// arithmetic written out as batch norm's and ReLU's own loops.
 func TestGemmEpilogueMatchesSeparatePasses(t *testing.T) {
 	rng := NewRNG(17)
 	for _, sz := range [][3]int{{4, 16, 27}, {9, 21, 40}, {16, 256, 144}, {7, 5, 3}, {64, 4, 2*kBlock + 5}, {3, 40, 0}, {136, 256, 512}} {
@@ -189,18 +230,20 @@ func TestGemmEpilogueMatchesSeparatePasses(t *testing.T) {
 					}
 				}
 			}
-			for name, gemm := range map[string]func(dst, a, b []float32, m, n, k int, ep *Epilogue){
-				"serial": GemmFusedSerial, "parallel": GemmFusedParallel,
-			} {
-				got := unaligned(make([]float32, m*n), 3)
-				gemm(got, a.data, b.data, m, n, k, ep)
-				for i := range want.data {
-					if !sameF32(want.data[i], got[i]) {
-						t.Fatalf("[%d,%d]x[%d,%d] relu=%v %s: element %d = %v, want %v",
-							m, k, k, n, relu, name, i, got[i], want.data[i])
+			forEachF32Level(t, func(t *testing.T) {
+				for name, gemm := range map[string]func(dst, a, b []float32, m, n, k int, ep *Epilogue){
+					"serial": GemmFusedSerial, "parallel": GemmFusedParallel,
+				} {
+					got := unaligned(make([]float32, m*n), 3)
+					gemm(got, a.data, b.data, m, n, k, ep)
+					for i := range want.data {
+						if !sameF32(want.data[i], got[i]) {
+							t.Fatalf("[%d,%d]x[%d,%d] relu=%v %s: element %d = %v, want %v",
+								m, k, k, n, relu, name, i, got[i], want.data[i])
+						}
 					}
 				}
-			}
+			})
 		}
 	}
 }

@@ -15,6 +15,30 @@ package tensor
 //go:noescape
 func gemmTileSIMD(t *tileArgs)
 
+// gemmTile8x16 is gemmTileSIMD for an 8-row tile in ZMM registers, lane for
+// lane the same arithmetic.
+//
+//go:noescape
+func gemmTile8x16(t *tileArgs)
+
+// maxPool2AVX512 runs the 2×2 max pool of a.planes planes (see pool2Args
+// and MaxPool2).
+//
+//go:noescape
+func maxPool2AVX512(a *pool2Args)
+
+// addSIMD adds n floats of src into dst, rectifying the sums when relu is
+// set; mask has -1 in its first n%8 lanes.
+//
+//go:noescape
+func addSIMD(dst, src *float32, n int, mask *[16]int32, relu bool)
+
+// reluSIMD writes tensor.ReLU of n floats of src to dst; mask has -1 in its
+// first n%8 lanes.
+//
+//go:noescape
+func reluSIMD(dst, src *float32, n int, mask *[16]int32)
+
 // packPanelSIMD copies kb rows of src (row stride ldb floats) into the
 // contiguous 16-wide panel dst, reading only the columns live in mask and
 // zero-filling the rest.
@@ -86,33 +110,47 @@ func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-// hasSIMD reports whether the AVX micro kernel is usable: the CPU must
-// support AVX and the OS must have enabled XMM+YMM state saving.
-var hasSIMD = detectAVX()
+// f32Level is the float32 vector level this process runs: the best one
+// whose CPUID gate this CPU passes. A variable only so tests can walk down
+// to the levels below it.
+var f32Level = detectF32Kernel()
 
 // i8Level is the int8 micro kernel gemmI8Rows dispatches to: the best one
 // whose CPUID gate this CPU passes. A variable only so tests can walk down
 // to the kernels below it.
 var i8Level = detectI8Kernel()
 
-func detectAVX() bool {
+// detectF32Kernel gates the two float32 vector levels. The AVX one (the
+// 4×16 tile, the panel packers, the depthwise kernel, the finishing pass of
+// the int8 product, the element-wise add and rectifier) needs AVX and an OS
+// that saves XMM+YMM state. The AVX-512 one (the 8×16 tile and the 2×2 max
+// pool) needs, on top of that, AVX512F and the opmask and upper-register
+// state (XCR0 bits 5..7) the int8 VNNI gate reads too.
+func detectF32Kernel() f32Kernel {
 	const (
-		osxsave = 1 << 27
-		avx     = 1 << 28
+		osxsave = 1 << 27 // CPUID.(EAX=1):ECX
+		avx     = 1 << 28 // ECX
+		avx512f = 1 << 16 // CPUID.(EAX=7,ECX=0):EBX
+		xcr0    = 0xE6    // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
 	)
-	_, _, c, _ := cpuidex(1, 0)
-	if c&osxsave == 0 || c&avx == 0 {
-		return false
+	if _, _, c, _ := cpuidex(1, 0); c&osxsave == 0 || c&avx == 0 {
+		return f32Scalar
 	}
 	eax, _ := xgetbv0()
-	return eax&0x6 == 0x6
+	if eax&0x6 != 0x6 {
+		return f32Scalar
+	}
+	if _, b, _, _ := cpuidex(7, 0); b&avx512f == 0 || eax&xcr0 != xcr0 {
+		return f32AVX
+	}
+	return f32AVX512
 }
 
 // detectI8Kernel gates the two vector int8 kernels, and with the lower of
 // them the vector front passes (maxAbsSIMD, quantI8SIMD, quantHWCSIMD,
 // im2rowI8SIMD). dot4I8SIMD and those passes need AVX2 for their YMM integer
 // instructions (vpmovsxbw/vpmaddwd/vpaddd; vpand/vpmaxud/vpackusdw/vpermd) on
-// top of the hasSIMD requirements. gemmI8TileVNNI needs, on top of that,
+// top of the AVX level's requirements. gemmI8TileVNNI needs, on top of that,
 // AVX512F, BW (byte-masked loads, kmovd), VL (EVEX forms on YMM, Y16..Y31)
 // and VNNI (vpdpbusd), and an OS that saves the opmask and upper-register
 // state (XCR0 bits 5..7) — ZMM itself is never touched, but Y16..Y31 live in
@@ -127,7 +165,7 @@ func detectI8Kernel() i8Kernel {
 		xcr0     = 0xE6    // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
 	)
 	_, b, c, _ := cpuidex(7, 0)
-	if !hasSIMD || b&avx2 == 0 {
+	if f32Level < f32AVX || b&avx2 == 0 {
 		return i8Scalar
 	}
 	if b&avx512f == 0 || b&avx512bw == 0 || b&avx512vl == 0 || c&vnni == 0 {

@@ -163,6 +163,169 @@ tilemasked:
 	VZEROUPPER
 	RET
 
+// func gemmTile8x16(t *tileArgs)
+//
+// gemmTileSIMD eight rows tall at twice the width of a register: eight ZMM
+// accumulators (Z0..Z7, one per output row) sweep the same 16-wide panel,
+// so each panel row (Z8) feeds 128 multiply-adds. Per p and row it
+// broadcasts the a value into its own temporary (Z16..Z23) and does VMULPS
+// then VADDPS with the operands in gemmTileSIMD's order — never a fused
+// multiply-add — so every lane is bit for bit that kernel's element. Loads
+// and stores of c go through opmask K1, the tile's live columns. A tile of
+// at most eight live columns sweeps in YMM (TILE_ROW8 into the low halves
+// of Z0..Z7): a 256-bit multiply or add issues on more ports than a 512-bit
+// one, and the upper lanes would be dead. The epilogue is TILE_BN one row
+// at a time, then VMAXPS against +0.
+#define TILE_ROWZ(arow, acc, tmp) \
+	VBROADCASTSS (arow)(R9*4), tmp; \
+	VMULPS Z8, tmp, tmp; \
+	VADDPS acc, tmp, acc
+
+#define TILE_BNZ(off, acc) \
+	VBROADCASTSS off(R10), Z8; \
+	VBROADCASTSS off(R11), Z9; \
+	VBROADCASTSS off(R12), Z10; \
+	VBROADCASTSS off(R13), Z11; \
+	VSUBPS Z8, acc, acc; \
+	VMULPS acc, Z9, acc; \
+	VMULPS Z10, acc, acc; \
+	VADDPS Z11, acc, acc
+
+TEXT ·gemmTile8x16(SB), NOSPLIT, $0-8
+	MOVQ t+0(FP), DX
+	MOVQ 64(DX), CX       // live columns
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1
+	MOVQ 8(DX), SI        // a row 0
+	MOVQ 32(DX), R8       // lda
+	SHLQ $2, R8
+	LEAQ (SI)(R8*1), R10  // a rows 1..7
+	LEAQ (R10)(R8*1), R11
+	LEAQ (R11)(R8*1), R12
+	LEAQ (R12)(R8*1), R13
+	LEAQ (R13)(R8*1), R14
+	LEAQ (R14)(R8*1), R15
+	LEAQ (R15)(R8*1), AX
+	MOVQ 0(DX), DI        // c
+	MOVQ 24(DX), R8       // ldc (lda is dead)
+	SHLQ $2, R8
+
+	CMPQ 56(DX), $0       // accumulate: start from the c tile
+	JNE  tile8load
+	VXORPS Y0, Y0, Y0     // a VEX write clears the whole ZMM
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	JMP  tile8sweep
+
+tile8load:
+	MOVQ DI, BX
+	VMOVUPS.Z (BX), K1, Z0
+	ADDQ R8, BX
+	VMOVUPS.Z (BX), K1, Z1
+	ADDQ R8, BX
+	VMOVUPS.Z (BX), K1, Z2
+	ADDQ R8, BX
+	VMOVUPS.Z (BX), K1, Z3
+	ADDQ R8, BX
+	VMOVUPS.Z (BX), K1, Z4
+	ADDQ R8, BX
+	VMOVUPS.Z (BX), K1, Z5
+	ADDQ R8, BX
+	VMOVUPS.Z (BX), K1, Z6
+	ADDQ R8, BX
+	VMOVUPS.Z (BX), K1, Z7
+
+tile8sweep:
+	MOVQ 16(DX), BX       // packed b panel
+	MOVQ 40(DX), CX       // kb
+	XORQ R9, R9
+	CMPQ 64(DX), $8       // live columns
+	JLE  tile8narrow
+
+tile8loop:
+	VMOVUPS (BX), Z8
+	TILE_ROWZ(SI, Z0, Z16)
+	TILE_ROWZ(R10, Z1, Z17)
+	TILE_ROWZ(R11, Z2, Z18)
+	TILE_ROWZ(R12, Z3, Z19)
+	TILE_ROWZ(R13, Z4, Z20)
+	TILE_ROWZ(R14, Z5, Z21)
+	TILE_ROWZ(R15, Z6, Z22)
+	TILE_ROWZ(AX, Z7, Z23)
+	ADDQ $64, BX
+	INCQ R9
+	CMPQ R9, CX
+	JNE  tile8loop
+	JMP  tile8epilogue
+
+tile8narrow:
+	VMOVUPS (BX), Y8
+	TILE_ROW8(SI, Y0)
+	TILE_ROW8(R10, Y1)
+	TILE_ROW8(R11, Y2)
+	TILE_ROW8(R12, Y3)
+	TILE_ROW8(R13, Y4)
+	TILE_ROW8(R14, Y5)
+	TILE_ROW8(R15, Y6)
+	TILE_ROW8(AX, Y7)
+	ADDQ $64, BX
+	INCQ R9
+	CMPQ R9, CX
+	JNE  tile8narrow
+
+tile8epilogue:
+	MOVQ 72(DX), R10      // mean (a rows are dead)
+	TESTQ R10, R10
+	JZ   tile8store
+	MOVQ 80(DX), R11      // gamma
+	MOVQ 88(DX), R12      // invStd
+	MOVQ 96(DX), R13      // beta
+	TILE_BNZ(0, Z0)
+	TILE_BNZ(4, Z1)
+	TILE_BNZ(8, Z2)
+	TILE_BNZ(12, Z3)
+	TILE_BNZ(16, Z4)
+	TILE_BNZ(20, Z5)
+	TILE_BNZ(24, Z6)
+	TILE_BNZ(28, Z7)
+	CMPB 104(DX), $0      // relu
+	JE   tile8store
+	VXORPS Y8, Y8, Y8
+	VMAXPS Z8, Z0, Z0
+	VMAXPS Z8, Z1, Z1
+	VMAXPS Z8, Z2, Z2
+	VMAXPS Z8, Z3, Z3
+	VMAXPS Z8, Z4, Z4
+	VMAXPS Z8, Z5, Z5
+	VMAXPS Z8, Z6, Z6
+	VMAXPS Z8, Z7, Z7
+
+tile8store:
+	VMOVUPS Z0, K1, (DI)
+	ADDQ R8, DI
+	VMOVUPS Z1, K1, (DI)
+	ADDQ R8, DI
+	VMOVUPS Z2, K1, (DI)
+	ADDQ R8, DI
+	VMOVUPS Z3, K1, (DI)
+	ADDQ R8, DI
+	VMOVUPS Z4, K1, (DI)
+	ADDQ R8, DI
+	VMOVUPS Z5, K1, (DI)
+	ADDQ R8, DI
+	VMOVUPS Z6, K1, (DI)
+	ADDQ R8, DI
+	VMOVUPS Z7, K1, (DI)
+	VZEROUPPER
+	RET
+
 // func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32)
 //
 // Copies kb rows of up to 16 live columns (row stride ldb floats) into the
@@ -1301,6 +1464,214 @@ dwnextchannel:
 	JLT  dwchannel
 	VZEROUPPER
 	RET
+
+// func maxPool2AVX512(a *pool2Args)
+//
+// 2x2 max pooling at stride 2 (see MaxPool2 and pool2Args): per step two ZMM
+// of the line's top source (Z0, Z1) and two of its bottom source (Z2, Z3)
+// are loaded, and VPERMI2PS gathers each window's four values a, b, c, d
+// into lanes of Z4..Z7 through the lane tables held in Z24..Z27. Three
+// VMAXPS then fold them in window order, the candidate as first source and
+// the running maximum as second: VMAXPS returns its second source unless
+// the first is greater, NaN and -0 against +0 included, which is maxGT to
+// the bit. Full steps store under K1; a line's last outputs are one more
+// step whose loads are zeroed past the line by K2 and K3 and whose store is
+// cut to the outputs left by K4.
+#define POOL_WINDOWS \
+	VMOVAPS Z24, Z4; \
+	VPERMI2PS Z1, Z0, Z4; \
+	VMOVAPS Z25, Z5; \
+	VPERMI2PS Z1, Z0, Z5; \
+	VMOVAPS Z26, Z6; \
+	VPERMI2PS Z3, Z2, Z6; \
+	VMOVAPS Z27, Z7; \
+	VPERMI2PS Z3, Z2, Z7; \
+	VMAXPS Z4, Z5, Z4; \
+	VMAXPS Z4, Z6, Z4; \
+	VMAXPS Z4, Z7, Z4
+
+TEXT ·maxPool2AVX512(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DX
+	MOVQ 0(DX), DI        // dst
+	MOVQ 8(DX), SI        // first line's top source
+	MOVQ 16(DX), AX       // lane tables a, b, c, d
+	VMOVUPS (AX), Z24
+	VMOVUPS 64(AX), Z25
+	VMOVUPS 128(AX), Z26
+	VMOVUPS 192(AX), Z27
+	MOVQ 56(DX), R8       // below
+	MOVQ 48(DX), R12      // outputs per full step
+	MOVQ 80(DX), AX
+	KMOVW AX, K1
+	MOVQ 88(DX), AX
+	KMOVW AX, K2
+	MOVQ 96(DX), AX
+	KMOVW AX, K3
+	MOVQ 104(DX), AX
+	KMOVW AX, K4
+	MOVQ 24(DX), R10      // planes
+
+poolplane:
+	MOVQ 32(DX), R11      // lines in this plane
+
+poolline:
+	MOVQ SI, BX
+	MOVQ 40(DX), CX       // outputs left in the line
+
+poolstep:
+	CMPQ CX, R12
+	JLT  pooltail
+	VMOVUPS (BX), Z0
+	VMOVUPS 64(BX), Z1
+	VMOVUPS (BX)(R8*1), Z2
+	VMOVUPS 64(BX)(R8*1), Z3
+	POOL_WINDOWS
+	VMOVUPS Z4, K1, (DI)
+	ADDQ $128, BX
+	LEAQ (DI)(R12*4), DI
+	SUBQ R12, CX
+	JMP  poolstep
+
+pooltail:
+	TESTQ CX, CX
+	JZ   poolnextline
+	VMOVUPS.Z (BX), K2, Z0
+	VMOVUPS.Z 64(BX), K3, Z1
+	VMOVUPS.Z (BX)(R8*1), K2, Z2
+	VMOVUPS.Z 64(BX)(R8*1), K3, Z3
+	POOL_WINDOWS
+	VMOVUPS Z4, K4, (DI)
+	LEAQ (DI)(CX*4), DI
+
+poolnextline:
+	ADDQ 64(DX), SI
+	DECQ R11
+	JNZ  poolline
+	ADDQ 72(DX), SI
+	DECQ R10
+	JNZ  poolplane
+	VZEROUPPER
+	RET
+
+// func addSIMD(dst, src *float32, n int, mask *[16]int32, relu bool)
+//
+// dst[i] += src[i] — and, when relu is set, then max(dst[i], +0) with +0 as
+// the second source, tensor.ReLU's result for every input — 32 floats a step,
+// then 8, then the last n%8 under mask. Which of two NaN operands a sum
+// keeps is the hardware's operand-order rule, as in the tile kernels.
+#define ELT_ADD(d, s) \
+	VADDPS s, d, d
+
+#define ELT_ADDRELU(d, s) \
+	VADDPS s, d, d; \
+	VMAXPS Y15, d, d
+
+#define ELT_LOOP(OP, wide, narrow, tail, done) \
+wide: \
+	CMPQ CX, $32; \
+	JLT  narrow; \
+	VMOVUPS (DI), Y0; \
+	VMOVUPS 32(DI), Y1; \
+	VMOVUPS 64(DI), Y2; \
+	VMOVUPS 96(DI), Y3; \
+	OP(Y0, (SI)); \
+	OP(Y1, 32(SI)); \
+	OP(Y2, 64(SI)); \
+	OP(Y3, 96(SI)); \
+	VMOVUPS Y0, (DI); \
+	VMOVUPS Y1, 32(DI); \
+	VMOVUPS Y2, 64(DI); \
+	VMOVUPS Y3, 96(DI); \
+	ADDQ $128, DI; \
+	ADDQ $128, SI; \
+	SUBQ $32, CX; \
+	JMP  wide; \
+narrow: \
+	CMPQ CX, $8; \
+	JLT  tail; \
+	VMOVUPS (DI), Y0; \
+	OP(Y0, (SI)); \
+	VMOVUPS Y0, (DI); \
+	ADDQ $32, DI; \
+	ADDQ $32, SI; \
+	SUBQ $8, CX; \
+	JMP  narrow; \
+tail: \
+	TESTQ CX, CX; \
+	JZ   done; \
+	VMOVDQU (AX), Y14; \
+	VMASKMOVPS (DI), Y14, Y0; \
+	VMASKMOVPS (SI), Y14, Y1; \
+	OP(Y0, Y1); \
+	VMASKMOVPS Y0, Y14, (DI); \
+done: \
+	VZEROUPPER; \
+	RET
+
+TEXT ·addSIMD(SB), NOSPLIT, $0-33
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ mask+24(FP), AX
+	VXORPS Y15, Y15, Y15
+	CMPB relu+32(FP), $0
+	JNE  addrelu
+	ELT_LOOP(ELT_ADD, add32, add8, addtail, adddone)
+addrelu:
+	ELT_LOOP(ELT_ADDRELU, addrelu32, addrelu8, addrelutail, addreludone)
+
+// func reluSIMD(dst, src *float32, n int, mask *[16]int32)
+//
+// dst[i] = max(src[i], +0) with +0 as the second source (tensor.ReLU), in
+// addSIMD's steps; dst may equal src.
+#define RELU_LOOP(wide, narrow, tail, done) \
+wide: \
+	CMPQ CX, $32; \
+	JLT  narrow; \
+	VMOVUPS (SI), Y0; \
+	VMOVUPS 32(SI), Y1; \
+	VMOVUPS 64(SI), Y2; \
+	VMOVUPS 96(SI), Y3; \
+	VMAXPS Y15, Y0, Y0; \
+	VMAXPS Y15, Y1, Y1; \
+	VMAXPS Y15, Y2, Y2; \
+	VMAXPS Y15, Y3, Y3; \
+	VMOVUPS Y0, (DI); \
+	VMOVUPS Y1, 32(DI); \
+	VMOVUPS Y2, 64(DI); \
+	VMOVUPS Y3, 96(DI); \
+	ADDQ $128, DI; \
+	ADDQ $128, SI; \
+	SUBQ $32, CX; \
+	JMP  wide; \
+narrow: \
+	CMPQ CX, $8; \
+	JLT  tail; \
+	VMOVUPS (SI), Y0; \
+	VMAXPS Y15, Y0, Y0; \
+	VMOVUPS Y0, (DI); \
+	ADDQ $32, DI; \
+	ADDQ $32, SI; \
+	SUBQ $8, CX; \
+	JMP  narrow; \
+tail: \
+	TESTQ CX, CX; \
+	JZ   done; \
+	VMOVDQU (AX), Y14; \
+	VMASKMOVPS (SI), Y14, Y0; \
+	VMAXPS Y15, Y0, Y0; \
+	VMASKMOVPS Y0, Y14, (DI); \
+done: \
+	VZEROUPPER; \
+	RET
+
+TEXT ·reluSIMD(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ mask+24(FP), AX
+	VXORPS Y15, Y15, Y15
+	RELU_LOOP(relu32, relu8, relutail, reludone)
 
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24

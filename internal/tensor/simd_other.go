@@ -4,17 +4,32 @@ package tensor
 
 // Non-amd64 builds have no vector kernel; the blocked scalar path in
 // matmul.go is used unconditionally.
-const hasSIMD = false
+const f32Level = f32Scalar
 
-// i8Level mirrors hasSIMD for the int8 kernel: no vector path off amd64,
+// i8Level mirrors f32Level for the int8 kernel: no vector path off amd64,
 // the scalar quad kernel in gemm_i8.go runs unconditionally.
 const i8Level = i8Scalar
 
-// gemmTileSIMD, packPanelSIMD, packConvSIMD and depthwise3x3SIMD are never
-// called when hasSIMD is false; the stubs keep the float32 kernels free of
-// build tags.
+// The float32 vector kernels are never called when f32Level is f32Scalar;
+// the stubs keep the float32 kernels free of build tags.
 func gemmTileSIMD(t *tileArgs) {
 	panic("tensor: gemmTileSIMD called without SIMD support")
+}
+
+func gemmTile8x16(t *tileArgs) {
+	panic("tensor: gemmTile8x16 called without SIMD support")
+}
+
+func maxPool2AVX512(a *pool2Args) {
+	panic("tensor: maxPool2AVX512 called without SIMD support")
+}
+
+func addSIMD(dst, src *float32, n int, mask *[16]int32, relu bool) {
+	panic("tensor: addSIMD called without SIMD support")
+}
+
+func reluSIMD(dst, src *float32, n int, mask *[16]int32) {
+	panic("tensor: reluSIMD called without SIMD support")
 }
 
 func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32) {
@@ -30,7 +45,7 @@ func depthwise3x3SIMD(a *dwArgs) {
 }
 
 // dot4I8SIMD, gemmI8TileVNNI and the vector front passes are never called
-// when i8Level is i8Scalar, nor requantRowsSIMD when hasSIMD is false; the
+// when i8Level is i8Scalar, nor requantRowsSIMD when f32Level is f32Scalar; the
 // stubs keep the int8 kernels free of build tags.
 func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32) {
 	panic("tensor: dot4I8SIMD called without SIMD support")

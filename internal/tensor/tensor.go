@@ -151,14 +151,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// AddInPlace adds o element-wise into t. Shapes must match exactly.
-func (t *Tensor) AddInPlace(o *Tensor) {
-	mustMatch(t, o, "AddInPlace")
-	for i, v := range o.data {
-		t.data[i] += v
-	}
-}
-
 // SubInPlace subtracts o element-wise from t.
 func (t *Tensor) SubInPlace(o *Tensor) {
 	mustMatch(t, o, "SubInPlace")

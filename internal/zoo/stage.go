@@ -303,8 +303,9 @@ func (b *ResBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // InferInto implements the stage inference path. The main path runs through
 // one arena buffer, each conv applying its normalization (and conv1 its
 // activation) as it produces its output; the skip (identity or projection)
-// is added into dst before the final activation, in the same element order
-// as Forward, so the two paths agree bit for bit.
+// is added into dst and the sum rectified in one pass (AddReLUInPlace), the
+// same operations as Forward's add and then ReLU, so the two paths agree bit
+// for bit.
 func (b *ResBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	if b.midTag == "" {
 		b.midTag = b.name + ".mid"
@@ -322,7 +323,8 @@ func (b *ResBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 			skip = a.Tensor4(b.skipTag, n, b.Down.OutC, oh, ow)
 			b.Down.ForwardIntoBN(skip, x, a, b.DownBN, false)
 		}
-		dst.AddInPlace(skip)
+		dst.AddReLUInPlace(skip)
+		return
 	}
 	b.Act2.ForwardInto(dst, dst, a)
 }
