@@ -12,15 +12,15 @@ import (
 // the same diff. Performance is one table per rung; campaigns belong in
 // CHANGES.md.
 var readmeBudget = map[string]int{
-	"": 27, "Quickstart": 39, "The six-step TBNet flow": 21, "Serving layer": 29,
-	"Fleet serving": 55, "Model persistence & hot swap": 65, "Quantized serving": 48,
+	"": 27, "Quickstart": 39, "The six-step TBNet flow": 21,
+	"Fleet serving": 79, "Model persistence & hot swap": 65, "Quantized serving": 48,
 	"Scenario harness": 37, "Autoscaling": 75, "Network serving": 65, "Observability": 94,
 	"Devices": 45, "Command line": 68, "Experiments": 22, "Security evaluation": 67,
 	"Performance": 120, "Development": 40,
 }
 
 // readmeTotalBudget caps the whole file, whatever the per-section slack.
-const readmeTotalBudget = 920
+const readmeTotalBudget = 868
 
 // TestReadmeSectionBudget holds README.md to readmeBudget and
 // readmeTotalBudget; a section the table does not name fails too. Headings

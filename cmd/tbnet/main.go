@@ -44,6 +44,7 @@ import (
 	"tbnet/internal/cliconf"
 	"tbnet/internal/experiments"
 	"tbnet/internal/report"
+	"tbnet/internal/serve"
 )
 
 func main() {
@@ -189,20 +190,22 @@ func runServeCmd(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv, err := tbnet.Serve(src.hosted[0].Dep,
-		tbnet.WithWorkers(*workers),
+	// One device is a one-node fleet: the node's own serving stats are the
+	// report.
+	dep := src.hosted[0].Dep
+	opts := []tbnet.FleetOption{
+		tbnet.WithDevice(dep.Device, *workers),
 		tbnet.WithMaxBatch(*batch),
 		tbnet.WithMaxDelay(*delay),
-	)
+	}
+	for _, m := range src.hosted[1:] {
+		opts = append(opts, tbnet.WithModel(m.Name, m.Dep))
+	}
+	srv, err := tbnet.NewFleet(dep, opts...)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	for _, m := range src.hosted[1:] {
-		if err := srv.AddModel(m.Name, m.Dep); err != nil {
-			return err
-		}
-	}
 	hosted := srv.Models()
 
 	// Closed-loop synthetic clients; with several hosted models the traffic
@@ -235,13 +238,13 @@ func runServeCmd(args []string, stdout, stderr io.Writer) error {
 	}
 	close(work)
 	wg.Wait()
-	st := srv.Stats()
+	st := srv.Stats().PerDevice[0].Serve
 
 	if c.jsonOut {
 		// The stats struct's own JSON tags are the stable artifact names;
 		// the CLI only adds its client-side accuracy count.
 		return json.NewEncoder(stdout).Encode(struct {
-			tbnet.ServerStats
+			serve.Stats
 			Correct int `json:"correct"`
 		}{st, correct})
 	}

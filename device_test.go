@@ -2,7 +2,7 @@ package tbnet
 
 // Tests for the hardware-backend surface of the public API: the named device
 // registry and the acceptance property that a non-rpi3 backend threads
-// through Deploy and Serve and produces different modeled numbers.
+// through Deploy and NewFleet and produces different modeled numbers.
 
 import (
 	"context"
@@ -10,6 +10,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"tbnet/internal/serve"
 )
 
 // finalizedForDevices builds a finalized two-branch model without training:
@@ -111,11 +113,13 @@ func TestDeployAcrossBackendsDiffers(t *testing.T) {
 }
 
 // TestServeAcrossBackendsDiffers: the same model served on two backends
-// reports the device name in Stats and different modeled throughput. Workers
-// and batch are pinned to 1 so the modeled figures are deterministic.
+// reports the device name in its node's Stats and different modeled
+// throughput. Workers and batch are pinned to 1 so the modeled figures are
+// deterministic, and the node runs on the Unbounded wrapper itself, so
+// WithDevice must take a wrapped device as it is.
 func TestServeAcrossBackendsDiffers(t *testing.T) {
 	tb := finalizedForDevices(t)
-	stats := map[string]ServerStats{}
+	stats := map[string]serve.Stats{}
 	for _, name := range []string{"rpi3", "sgx-desktop"} {
 		dev, err := DeviceByName(name)
 		if err != nil {
@@ -125,7 +129,7 @@ func TestServeAcrossBackendsDiffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := Serve(dep, WithWorkers(1), WithMaxBatch(1))
+		srv, err := NewFleet(dep, WithDevice(dep.Device, 1), WithMaxBatch(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +140,7 @@ func TestServeAcrossBackendsDiffers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st := srv.Stats()
+		st := srv.Stats().PerDevice[0].Serve
 		srv.Close()
 		if st.Device != name {
 			t.Fatalf("Stats().Device = %q, want %q", st.Device, name)

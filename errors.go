@@ -19,7 +19,7 @@ var (
 	// with the model or deployment it was given to.
 	ErrShape = core.ErrShape
 
-	// ErrNotFinalized reports an operation (Deploy, Serve) on a two-branch
+	// ErrNotFinalized reports an operation (Deploy, NewFleet) on a two-branch
 	// model that has not been finalized with rollback (step 6).
 	ErrNotFinalized = core.ErrNotFinalized
 
@@ -27,8 +27,7 @@ var (
 	// in the device's secure-memory budget.
 	ErrSecureMemory = core.ErrSecureMemory
 
-	// ErrServerClosed reports an inference issued to a closed Server or
-	// Fleet.
+	// ErrServerClosed reports an inference issued to a closed Fleet.
 	ErrServerClosed = serve.ErrClosed
 
 	// ErrOverloaded reports a fleet request shed by admission control: the
@@ -47,11 +46,11 @@ var (
 	ErrRateLimited = httpd.ErrRateLimited
 
 	// ErrBadOption reports an invalid value passed to a functional option of
-	// NewPipeline or Serve.
+	// NewPipeline or NewFleet.
 	ErrBadOption = errors.New("tbnet: invalid option")
 
 	// ErrUnknownModel reports an inference or swap addressed to a model name
-	// the Server or Fleet does not host.
+	// the Fleet does not host.
 	ErrUnknownModel = serve.ErrUnknownModel
 
 	// ErrModelExists reports an AddModel under a name already hosted (use

@@ -46,15 +46,23 @@ func main() {
 		log.Fatal(err)
 	}
 	singles := res.Test.Batches(1, nil)
+	sgx, err := tbnet.DeviceByName("sgx-desktop")
+	if err != nil {
+		log.Fatal(err)
+	}
+	jetson, err := tbnet.DeviceByName("jetson-tz")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The same load, three routing policies.
 	for _, policy := range []tbnet.RoutingPolicy{
 		tbnet.RoundRobin(), tbnet.LeastLoaded(), tbnet.CostAware(),
 	} {
 		f, err := tbnet.NewFleet(dep,
-			tbnet.WithDevice("rpi3", 2),
-			tbnet.WithDevice("sgx-desktop", 2),
-			tbnet.WithDevice("jetson-tz", 2),
+			tbnet.WithDevice(dep.Device, 2),
+			tbnet.WithDevice(sgx, 2),
+			tbnet.WithDevice(jetson, 2),
 			tbnet.WithPolicy(policy),
 		)
 		if err != nil {
@@ -87,7 +95,8 @@ func main() {
 	// Admission control: with a deadline far below the batching delay, a
 	// request that cannot be answered in time is shed, not queued forever.
 	f, err := tbnet.NewFleet(dep,
-		tbnet.WithDevice("rpi3", 1),
+		tbnet.WithDevice(dep.Device, 1),
+		tbnet.WithMaxDelay(20*time.Millisecond),
 		tbnet.WithDeadline(time.Millisecond),
 	)
 	if err != nil {

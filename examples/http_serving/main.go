@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := tbnet.NewFleet(prod, tbnet.WithDevice("rpi3", 2))
+	f, err := tbnet.NewFleet(prod, tbnet.WithDevice(prod.Device, 2))
 	if err != nil {
 		log.Fatal(err)
 	}

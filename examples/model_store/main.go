@@ -81,8 +81,8 @@ func main() {
 	fmt.Printf("restored deployment agrees with original: %v (label %d)\n",
 		want[0] == got[0], got[0])
 
-	// Serve the restored model.
-	srv, err := tbnet.Serve(restored, tbnet.WithWorkers(2), tbnet.WithMaxBatch(4))
+	// Serve the restored model: a one-node fleet on its own device.
+	srv, err := tbnet.NewFleet(restored, tbnet.WithDevice(restored.Device, 2), tbnet.WithMaxBatch(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func main() {
 	wantNew, _ := candidate.Infer(x)
 	fmt.Printf("post-swap output matches the new model: %v\n", after == wantNew[0])
 
-	st := srv.Stats()
+	st := srv.Stats().PerDevice[0].Serve
 	fmt.Printf("server: %d requests, %d swap(s), peak secure memory %d bytes\n",
 		st.Requests, st.Swaps, st.PeakSecureBytes)
 }

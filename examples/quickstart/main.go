@@ -1,6 +1,6 @@
 // Quickstart: the full TBNet flow through the option-based API — run the
 // train→transfer→prune→finalize pipeline, deploy to the simulated TrustZone
-// device, and serve concurrent inference through the batching server.
+// device, and serve concurrent inference through a one-node fleet.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -59,14 +59,15 @@ func main() {
 	fmt.Printf("deployed on %s: %.2f KiB secure memory reserved\n",
 		device.Name(), float64(dep.SecureBytes)/1024)
 
-	// Serve: a pool of replicated enclave sessions with micro-batching.
-	srv, err := tbnet.Serve(dep, tbnet.WithWorkers(4), tbnet.WithMaxBatch(8))
+	// Serve: a one-node fleet, a pool of replicated enclave sessions with
+	// micro-batching on the deployment's device.
+	srv, err := tbnet.NewFleet(dep, tbnet.WithDevice(device, 4), tbnet.WithMaxBatch(8))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
 
-	// Classify the test split through the server, many requests in flight.
+	// Classify the test split through the fleet, many requests in flight.
 	test := res.Test
 	singles := test.Batches(1, nil)
 	var wg sync.WaitGroup
@@ -90,7 +91,7 @@ func main() {
 	if failed > 0 {
 		log.Fatalf("%d requests failed", failed)
 	}
-	st := srv.Stats()
+	st := srv.Stats().PerDevice[0].Serve
 	fmt.Printf("served %d requests on %s: %d/%d correct\n",
 		st.Requests, st.Device, correct, test.Len())
 	fmt.Printf("  mean batch %.2f, modeled p50 %.4fs p99 %.4fs, %.0f req/s modeled, peak secure %.2f KiB\n",

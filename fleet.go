@@ -7,7 +7,6 @@ import (
 
 	"tbnet/internal/autoscale"
 	"tbnet/internal/fleet"
-	"tbnet/internal/tee"
 )
 
 // Fleet serves one or more named finalized models across a heterogeneous
@@ -20,8 +19,8 @@ import (
 // fleet package documentation for the execution model.
 type Fleet = fleet.Fleet
 
-// DefaultModel is the name a Server's or Fleet's template deployment is
-// hosted under; Infer and InferBatch route to it.
+// DefaultModel is the name a Fleet's template deployment is hosted under;
+// Infer routes to it.
 const DefaultModel = fleet.DefaultModel
 
 // FleetStats is an aggregated point-in-time snapshot of a Fleet: fleet-wide
@@ -87,20 +86,53 @@ func (o *fleetOptions) autoOpts() *autoscale.Config {
 // runs it elastically.
 type FleetOption func(*fleetOptions) error
 
-// WithDevice attaches a registered hardware backend to the fleet with a
-// replica pool of the given width. Repeat it to build a mixed fleet
-// (attaching the same device name twice creates two distinct nodes, reported
-// as "name" and "name#2"). Unknown names fail with ErrBadOption.
-func WithDevice(name string, workers int) FleetOption {
+// WithDevice attaches a hardware backend — a DeviceByName result, a
+// RegisterDevice cost model, or a wrapper such as Unbounded — to the fleet
+// as one node with a replica pool of the given width. Each worker owns deep
+// copies of both branches and its own enclave; all of a node's workers draw
+// their secure-memory reservations from one device-sized budget, so an
+// over-wide pool fails with ErrSecureMemory instead of overcommitting the
+// modeled hardware. Repeat it to build a mixed fleet (attaching the same
+// device twice creates two distinct nodes, reported as "name" and
+// "name#2").
+func WithDevice(d Device, workers int) FleetOption {
 	return func(o *fleetOptions) error {
-		d, err := tee.ByName(name)
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrBadOption, err)
+		if d == nil {
+			return fmt.Errorf("%w: nil device", ErrBadOption)
 		}
 		if workers < 1 {
-			return fmt.Errorf("%w: device %q workers %d < 1", ErrBadOption, name, workers)
+			return fmt.Errorf("%w: device %q workers %d < 1", ErrBadOption, d.Name(), workers)
 		}
 		o.cfg.Nodes = append(o.cfg.Nodes, fleet.NodeConfig{Device: d, Workers: workers})
+		return nil
+	}
+}
+
+// WithMaxBatch sets every node's micro-batch flush size (default 8). Every
+// worker replica reserves secure memory for this batch capacity against its
+// device's budget, so NewFleet fails with ErrSecureMemory if a pool's
+// batched working set does not fit the device.
+func WithMaxBatch(n int) FleetOption {
+	return func(o *fleetOptions) error {
+		if n < 1 {
+			return fmt.Errorf("%w: max batch %d < 1", ErrBadOption, n)
+		}
+		o.cfg.MaxBatch = n
+		return nil
+	}
+}
+
+// WithMaxDelay sets how long an incomplete batch is held back for more
+// traffic while a worker is idle. The default, 0, never holds one: batching
+// is work-conserving — a lone request runs at once, and batches form only
+// while every worker of its node is busy. A positive d trades that latency
+// for coalescing at partial load; d must not be negative.
+func WithMaxDelay(d time.Duration) FleetOption {
+	return func(o *fleetOptions) error {
+		if d < 0 {
+			return fmt.Errorf("%w: negative max delay %v", ErrBadOption, d)
+		}
+		o.cfg.MaxDelay = d
 		return nil
 	}
 }
@@ -274,12 +306,12 @@ func FleetAutoscaler(f *Fleet) *Autoscaler {
 // deployment is the replication template only — every attached device gets
 // its own replica pool — so the caller keeps exclusive use of dep's session.
 // With no WithDevice option the fleet serves on the template's own device
-// with a pool of 2. Stop the fleet with Fleet.Close.
+// with a pool of 2; a one-node fleet is how a single device is served. Stop
+// the fleet with Fleet.Close.
 //
 //	f, err := tbnet.NewFleet(dep,
-//	    tbnet.WithDevice("rpi3", 2),
-//	    tbnet.WithDevice("sgx-desktop", 4),
-//	    tbnet.WithDevice("jetson-tz", 2),
+//	    tbnet.WithDevice(rpi3, 2), // Devices from DeviceByName
+//	    tbnet.WithDevice(sgx, 4),
 //	    tbnet.WithPolicy(tbnet.CostAware()),
 //	    tbnet.WithDeadline(50*time.Millisecond),
 //	)

@@ -26,6 +26,16 @@ func (c *countingTap) TapRun(string, Device, string, int, []tee.Event) float64 {
 	return 0
 }
 
+// deviceNamed resolves a registered backend for WithDevice.
+func deviceNamed(t *testing.T, name string) Device {
+	t.Helper()
+	d, err := DeviceByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestFleetOverHTTPTracedAndTapped is the daemon's wiring through the
 // facade: a least-loaded fleet sharing one tracer with NewHTTPServer, a run
 // tap installed, answers one inference over the handler, and the span and
@@ -33,7 +43,7 @@ func (c *countingTap) TapRun(string, Device, string, int, []tee.Event) float64 {
 func TestFleetOverHTTPTracedAndTapped(t *testing.T) {
 	tr := NewTracer(16)
 	tap := &countingTap{}
-	f, err := NewFleet(finalizedDeployment(t, 1), WithDevice("rpi3", 1),
+	f, err := NewFleet(finalizedDeployment(t, 1), WithDevice(RaspberryPi3(), 1),
 		WithPolicy(LeastLoaded()), WithTracing(tr), WithFleetTap(tap))
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +67,9 @@ func TestFleetOverHTTPTracedAndTapped(t *testing.T) {
 func TestNewFleetRoutesAcrossDevices(t *testing.T) {
 	dep := finalizedDeployment(t, 1)
 	f, err := NewFleet(dep,
-		WithDevice("rpi3", 1),
-		WithDevice("sgx-desktop", 2),
-		WithDevice("jetson-tz", 1),
+		WithDevice(RaspberryPi3(), 1),
+		WithDevice(deviceNamed(t, "sgx-desktop"), 2),
+		WithDevice(deviceNamed(t, "jetson-tz"), 1),
 		WithPolicy(CostAware()),
 		WithDeadline(5*time.Second),
 		WithMaxInFlight(64),
@@ -102,7 +112,8 @@ func TestNewFleetDefaultsToTemplateDevice(t *testing.T) {
 func TestNewFleetOptionValidation(t *testing.T) {
 	dep := finalizedDeployment(t, 1)
 	for name, opt := range map[string]FleetOption{
-		"unknown device": WithDevice("abacus", 1), "zero workers": WithDevice("rpi3", 0),
+		"nil device": WithDevice(nil, 1), "zero workers": WithDevice(dep.Device, 0),
+		"zero max batch": WithMaxBatch(0), "negative max delay": WithMaxDelay(-time.Second),
 		"nil policy": WithPolicy(nil), "zero deadline": WithDeadline(0),
 		"zero max in-flight": WithMaxInFlight(0),
 	} {
@@ -113,6 +124,14 @@ func TestNewFleetOptionValidation(t *testing.T) {
 	if _, err := NewFleet(nil); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("nil deployment: err = %v, want ErrBadOption", err)
 	}
+	f, err := NewFleet(dep, WithMaxDelay(0)) // zero is the work-conserving default, not an error
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := f.Infer(context.Background(), NewTensor(1, 3, 16, 16)); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("closed fleet err = %v, want ErrServerClosed", err)
+	}
 }
 
 // TestFleetShedsThroughFacade: the ErrOverloaded sentinel is matchable on
@@ -120,7 +139,7 @@ func TestNewFleetOptionValidation(t *testing.T) {
 func TestFleetShedsThroughFacade(t *testing.T) {
 	dep := finalizedDeployment(t, 1)
 	// No request can be answered inside a 1ns deadline, so the first is shed.
-	f, err := NewFleet(dep, WithDevice("rpi3", 1), WithDeadline(time.Nanosecond))
+	f, err := NewFleet(dep, WithDevice(RaspberryPi3(), 1), WithDeadline(time.Nanosecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +157,7 @@ func TestNewFleetAutoscale(t *testing.T) {
 	dep := finalizedDeployment(t, 1)
 	events := make(chan AutoscaleEvent, 64)
 	f, err := NewFleet(dep,
-		WithDevice("rpi3", 1),
+		WithDevice(RaspberryPi3(), 1),
 		WithAutoscale(1, 4),
 		WithAutoscaleInterval(2*time.Millisecond),
 		WithAutoscaleLogger(func(ev AutoscaleEvent) {
@@ -208,8 +227,8 @@ func TestNewFleetAutoscaleValidation(t *testing.T) {
 func TestNewFleetEWMARouting(t *testing.T) {
 	dep := finalizedDeployment(t, 1)
 	f, err := NewFleet(dep,
-		WithDevice("rpi3", 1),
-		WithDevice("sgx-desktop", 1),
+		WithDevice(RaspberryPi3(), 1),
+		WithDevice(deviceNamed(t, "sgx-desktop"), 1),
 		WithEWMARouting(0),
 	)
 	if err != nil {

@@ -97,7 +97,8 @@ func parseDevices(list string, pin int) ([]tbnet.FleetOption, error) {
 			}
 			name, workers = spec[:at], n
 		}
-		if _, err := tbnet.DeviceByName(name); err != nil {
+		device, err := tbnet.DeviceByName(name)
+		if err != nil {
 			return nil, Usagef("device spec %q: %w", spec, err)
 		}
 		if workers < 1 {
@@ -106,7 +107,7 @@ func parseDevices(list string, pin int) ([]tbnet.FleetOption, error) {
 		if pin > 0 {
 			workers = pin
 		}
-		opts = append(opts, tbnet.WithDevice(name, workers))
+		opts = append(opts, tbnet.WithDevice(device, workers))
 	}
 	if len(opts) == 0 {
 		return nil, Usagef("empty device list")

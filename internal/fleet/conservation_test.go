@@ -192,3 +192,51 @@ func TestStatsDuringSwap(t *testing.T) {
 		t.Errorf("after the swap: %d served, %d swaps, want 1/1", st.Requests, st.Models[0].Swaps)
 	}
 }
+
+// TestStatsConservationUnderDeadline: a request the fleet deadline sheds is
+// never also counted served. Each run paces far past the 5ms deadline, so
+// every request in the first batch is still running when its caller gives
+// up, and the rest are expired by the time a worker picks them up; once the
+// workers have finished pacing, offered == Requests + Shed + Errors, and
+// the callers saw exactly what the books say.
+func TestStatsConservationUnderDeadline(t *testing.T) {
+	f, err := New(testDeployment(t, 67), Config{
+		Nodes:     []NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}},
+		Deadline:  5 * time.Millisecond,
+		PaceScale: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const offered = 12
+	xs := randSamples(offered, 68)
+	var served, shed atomic.Int64
+	var wg sync.WaitGroup
+	for i := range xs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch _, err := f.Infer(context.Background(), xs[i]); {
+			case err == nil:
+				served.Add(1)
+			case errors.Is(err, ErrOverloaded):
+				shed.Add(1)
+			default:
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	f.Close() // drains the workers: every pacing sleep has finished
+	st := f.Stats()
+	if st.Requests+st.Shed+st.Errors != offered {
+		t.Errorf("Requests+Shed+Errors = %d+%d+%d, offered %d", st.Requests, st.Shed, st.Errors, offered)
+	}
+	if st.Requests != served.Load() || st.Shed != shed.Load() {
+		t.Errorf("fleet says %d served / %d shed; callers saw %d / %d",
+			st.Requests, st.Shed, served.Load(), shed.Load())
+	}
+	if shed.Load() == 0 {
+		t.Error("no request missed the deadline: the test did not exercise shedding")
+	}
+}

@@ -298,3 +298,38 @@ func TestFleetControllerBinding(t *testing.T) {
 type countingStopper struct{ stops atomic.Int64 }
 
 func (s *countingStopper) Stop() { s.stops.Add(1) }
+
+// TestFleetReattachKeepsNodeNamesUnique: a node's identity is the smallest
+// "name" or "name#k" no live node holds, so detaching the first of two rpi3
+// nodes and attaching another rpi3 gives it back "rpi3" — never a second
+// "rpi3#2" that DetachDevice, the EWMA cells and /metrics could not tell
+// apart from the first.
+func TestFleetReattachKeepsNodeNamesUnique(t *testing.T) {
+	f, err := New(testDeployment(t, 58), Config{Nodes: []NodeConfig{
+		{Device: tee.RaspberryPi3(), Workers: 1},
+		{Device: tee.RaspberryPi3(), Workers: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.DetachDevice("rpi3"); err != nil {
+		t.Fatal(err)
+	}
+	name, err := f.AttachDevice(tee.RaspberryPi3(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third, err := f.AttachDevice(tee.RaspberryPi3(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ds := range f.Stats().PerDevice {
+		names = append(names, ds.Name)
+	}
+	if name != "rpi3" || third != "rpi3#3" || strings.Join(names, " ") != "rpi3#2 rpi3 rpi3#3" {
+		t.Fatalf("attached %q then %q; per-device names %v, want rpi3, rpi3#3 and [rpi3#2 rpi3 rpi3#3]",
+			name, third, names)
+	}
+}

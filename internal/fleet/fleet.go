@@ -377,14 +377,9 @@ func New(dep *core.Deployment, cfg Config) (*Fleet, error) {
 		drained:   make(chan struct{}),
 		start:     time.Now(),
 	}
-	seen := make(map[string]int)
 	totalWorkers := 0
 	for i, nc := range cfg.Nodes {
-		name := nc.Device.Name()
-		seen[name]++
-		if k := seen[name]; k > 1 {
-			name = fmt.Sprintf("%s#%d", name, k)
-		}
+		name := freeName(nc.Device.Name(), f.nodes)
 		n, err := f.buildNode(name, nc.Device, nc.Workers, dep)
 		if err != nil {
 			f.closeNodes()
@@ -439,6 +434,22 @@ func (f *Fleet) buildNode(name string, device tee.Device, workers int, dep *core
 	}
 	n.workers.Store(int32(workers))
 	return n, nil
+}
+
+// freeName returns a node identity no node in live holds: the device name
+// itself, else the smallest free "name#k" (k ≥ 2). Taking the smallest free
+// one, rather than counting the device type's live nodes, keeps a re-attach
+// after a detach from reusing a name still in service.
+func freeName(device string, live []*node) string {
+	held := make(map[string]bool, len(live))
+	for _, n := range live {
+		held[n.name] = true
+	}
+	name := device
+	for k := 2; held[name]; k++ {
+		name = fmt.Sprintf("%s#%d", device, k)
+	}
+	return name
 }
 
 // snapshotNodes copies the attached-node slice under the topology lock.
@@ -835,7 +846,7 @@ func (f *Fleet) nodeByName(name string) *node {
 // currently hosted model is replicated, probed, and warmed onto it off the
 // serving path, and only then is the node published to routing — the first
 // request it sees lands on sized arenas. The returned name is the node's
-// identity ("jetson-tz", or "jetson-tz#2" when the fleet already holds one).
+// identity: "jetson-tz", or the smallest "jetson-tz#k" no live node holds.
 // If the model set changes while the node is being prepared (a concurrent
 // add, remove, or swap), preparation restarts against the new set, so a
 // published node always hosts exactly the fleet's current models.
@@ -851,18 +862,9 @@ func (f *Fleet) AttachDevice(device tee.Device, workers int) (string, error) {
 	}
 	f.attachMu.Lock()
 	defer f.attachMu.Unlock()
-	// Unique node identity: count live nodes of this device type. attachMu
-	// makes the count stable against other attaches.
-	name := device.Name()
-	k := 1
-	for _, n := range f.snapshotNodes() {
-		if n.device.Name() == device.Name() {
-			k++
-		}
-	}
-	if k > 1 {
-		name = fmt.Sprintf("%s#%d", name, k)
-	}
+	// attachMu keeps the live names stable against other attaches and
+	// detaches until the node is published.
+	name := freeName(device.Name(), f.snapshotNodes())
 	for {
 		f.modelMu.RLock()
 		ver := f.modelVer

@@ -98,10 +98,7 @@ func TestServerBatchedInferMatchesAndReusesScratch(t *testing.T) {
 	}
 	defer srv.Close()
 	for round := 0; round < 3; round++ { // repeat so the scratch is reused warm
-		labels, err := srv.InferBatch(context.Background(), xs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		labels := inferAll(t, srv, xs)
 		for i := range labels {
 			if labels[i] != want[i][0] {
 				t.Fatalf("round %d sample %d: label %d, want %d", round, i, labels[i], want[i][0])

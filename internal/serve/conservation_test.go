@@ -196,10 +196,7 @@ func TestFailedBatchIsolatedPerRequest(t *testing.T) {
 		}
 		want[i] = labels[0]
 	}
-	got, err := srv.InferBatch(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := inferAll(t, srv, xs)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("sample %d: isolated label %d, want %d", i, got[i], want[i])

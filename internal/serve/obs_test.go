@@ -91,11 +91,11 @@ func TestServerSpanTimeline(t *testing.T) {
 	}
 }
 
-// TestInferBatchTraced: batch requests take the one submit/await path, so a
-// traced server self-starts a span for every sample of an InferBatch — each
-// finished, each with its queue wait — and the queue-wait histogram counts
-// them like any other request.
-func TestInferBatchTraced(t *testing.T) {
+// TestServerTracesEveryConcurrentRequest: concurrent callers coalesced into
+// shared runs each get a self-started span — each finished, each with its
+// queue wait — and the queue-wait histogram counts them like any other
+// request.
+func TestServerTracesEveryConcurrentRequest(t *testing.T) {
 	dep := testDeployment(t, 23)
 	tr := obs.NewTracer(64)
 	srv, err := New(dep, Config{Workers: 1, MaxBatch: 4, Tracer: tr})
@@ -103,16 +103,14 @@ func TestInferBatchTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := srv.InferBatch(context.Background(), randSamples(4, 24)); err != nil {
-		t.Fatal(err)
-	}
+	inferAll(t, srv, randSamples(4, 24))
 	spans := tr.Snapshot(0, 0)
 	if len(spans) != 4 {
-		t.Fatalf("tracer holds %d finished spans after InferBatch of 4", len(spans))
+		t.Fatalf("tracer holds %d finished spans after 4 concurrent requests", len(spans))
 	}
 	for _, s := range spans {
 		if s.StageMs("queued") <= 0 {
-			t.Errorf("batch request span lacks its queued stage: %+v", s.Stages)
+			t.Errorf("request span lacks its queued stage: %+v", s.Stages)
 		}
 	}
 	if st := srv.Stats(); st.QueueWaitHist.Count() != uint64(st.Requests) || st.Requests != 4 {

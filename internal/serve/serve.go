@@ -60,7 +60,7 @@ var ErrUnknownModel = errors.New("unknown model")
 var ErrModelExists = errors.New("model already hosted")
 
 // DefaultModel is the name New registers its template deployment under;
-// Infer and InferBatch route to it.
+// Infer routes to it.
 const DefaultModel = "default"
 
 // Config sizes the serving layer. The zero value of any field selects its
@@ -172,6 +172,28 @@ type request struct {
 	span     obs.SpanRef     // request span (inert zero ref when untraced)
 	owned    bool            // the pool started span itself and must finish it
 	wait     time.Duration   // queue wait, set by the worker at batch pickup
+	fate     atomic.Int32    // reqPending until claimed served or abandoned
+}
+
+// A request's fate is decided once: the worker claims it served just before
+// recording it, or its caller, whose context has ended, claims it abandoned.
+// Whichever claim lands first is the only one that counts, so a request is
+// never both in the served counters and returned to its caller as failed.
+const (
+	reqPending int32 = iota
+	reqServed
+	reqAbandoned
+)
+
+// claimServed claims r for the worker about to record it; false means its
+// caller gave up first.
+func (r *request) claimServed() bool { return r.fate.CompareAndSwap(reqPending, reqServed) }
+
+// giveUp claims r abandoned on behalf of a caller whose context has ended
+// and reports whether it now is; false means a worker claimed it served
+// first, and its answer is on the way.
+func (r *request) giveUp() bool {
+	return r.fate.CompareAndSwap(reqPending, reqAbandoned) || r.fate.Load() == reqAbandoned
 }
 
 type response struct {
@@ -727,32 +749,30 @@ func (p *pool) worker(g *generation, id int) {
 }
 
 // runBatch executes one protocol run for a batch of any size. The order is
-// fixed: run, tap, pace, record (counters and histogram together, under the
-// stats lock), pending--, reply — so by the time a caller's Infer returns,
-// its request is already in every counter a Stats call can read. A failed
-// coalesced run would pin one error on every caller in the batch, so it is
-// isolated by running each request again alone through this same function:
-// good samples still succeed, and only the offending request carries the
-// error.
+// fixed: run, tap, pace, claim, record (counters and histogram together,
+// under the stats lock), pending--, reply — so by the time a caller's Infer
+// returns, its request is already in every counter a Stats call can read. A
+// failed coalesced run would pin one error on every caller in the batch, so
+// it is isolated by running each request again alone through this same
+// function: good samples still succeed, and only the offending request
+// carries the error.
 func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch []*request) {
 	// Drop requests whose caller already gave up (cancelled context, missed
 	// deadline): their abandoned callers would discard the answer anyway, so
 	// running them would burn modeled device time on shed load and count it
 	// as served. They are answered with their context's error and appear in
 	// neither the request nor the error counters.
-	var wait time.Duration
 	traced := false
 	now := time.Now()
 	live := batch[:0] // filtered in place: the worker owns the batch
 	for _, r := range batch {
-		if r.ctx != nil && r.ctx.Err() != nil {
+		if r.ctx != nil && r.ctx.Err() != nil && r.giveUp() {
 			p.pending.Add(-1)
 			r.resp <- response{err: r.ctx.Err()}
 			continue
 		}
 		if !r.enqueued.IsZero() {
 			r.wait = now.Sub(r.enqueued)
-			wait += r.wait
 		}
 		if r.span.Active() {
 			traced = true
@@ -788,11 +808,27 @@ func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch [
 			lat += p.srv.cfg.Tap.TapRun(rep.Device, p.name, len(live), trace.AttackerView())
 		}
 		paced = p.pace(lat)
-	}
-	p.stats.record(id, live, lat, hostNs, wait, err)
-	if err == nil {
 		p.observe(len(live), hostNs+paced)
 	}
+	// A caller whose context ended during the run, pacing included, has
+	// already returned its context's error: its request is the caller's to
+	// count, not a served (or failed) one, and its span is no longer ours
+	// to mark.
+	kept := live[:0]
+	for i, r := range live {
+		if !r.claimServed() {
+			p.pending.Add(-1)
+			continue
+		}
+		if err == nil {
+			labels[len(kept)] = labels[i]
+		}
+		kept = append(kept, r)
+	}
+	if live = kept; len(live) == 0 {
+		return
+	}
+	p.stats.record(id, live, lat, hostNs, err)
 	prep := hostStart.Sub(now)
 	for i, r := range live {
 		r.markStages(prep, bd, paced)
@@ -944,20 +980,24 @@ func (p *pool) submit(ctx context.Context, x *tensor.Tensor) (*request, error) {
 	return req, nil
 }
 
-// await blocks until a submitted request resolves or its context ends.
+// await blocks until a submitted request resolves or its context ends. A
+// context that ends after a worker claimed the request served does not
+// abandon it: the worker's answer is on the way and is the one returned.
 func (p *pool) await(req *request) (int, error) {
+	var r response
 	select {
-	case r := <-req.resp:
-		if req.owned {
-			req.span.Finish(r.err != nil)
-		}
-		return r.label, r.err
+	case r = <-req.resp:
 	case <-req.ctx.Done():
-		if req.owned {
-			req.span.Finish(true)
+		if req.giveUp() {
+			r.err = req.ctx.Err()
+		} else {
+			r = <-req.resp
 		}
-		return 0, req.ctx.Err()
 	}
+	if req.owned {
+		req.span.Finish(r.err != nil)
+	}
+	return r.label, r.err
 }
 
 // infer runs one request through the pool.
@@ -967,39 +1007,6 @@ func (p *pool) infer(ctx context.Context, x *tensor.Tensor) (int, error) {
 		return 0, err
 	}
 	return p.await(req)
-}
-
-// inferBatch runs xs through the pool as individual requests: all are
-// submitted, then all awaited. A sample that fails to submit does not stop
-// the rest; the first error is reported with its sample's index.
-func (p *pool) inferBatch(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
-	var firstErr error
-	fail := func(i int, err error) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("sample %d: %w", i, err)
-		}
-	}
-	reqs := make([]*request, len(xs))
-	for i, x := range xs {
-		var err error
-		if reqs[i], err = p.submit(ctx, x); err != nil {
-			fail(i, err)
-		}
-	}
-	labels := make([]int, len(xs))
-	for i, req := range reqs {
-		if req == nil {
-			continue
-		}
-		var err error
-		if labels[i], err = p.await(req); err != nil {
-			fail(i, err)
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return labels, nil
 }
 
 // close drains and stops the pool: admission stops, the dispatcher flushes
@@ -1064,24 +1071,6 @@ func (s *Server) InferModel(ctx context.Context, model string, x *tensor.Tensor)
 		return 0, err
 	}
 	return p.infer(ctx, x)
-}
-
-// InferBatch classifies xs (each [C,H,W] or [1,C,H,W]) with the default
-// model and returns one label per sample, in order. Samples are enqueued
-// individually, so the serving layer is free to coalesce them with other
-// callers' traffic; the first error encountered is returned after all
-// samples resolve, wrapped with the index of the failing sample
-// ("sample 17: ...") so a caller submitting a 64-sample batch can tell which
-// input was bad.
-func (s *Server) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]int, error) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	p, err := s.lookup(DefaultModel)
-	if err != nil {
-		return nil, err
-	}
-	return p.inferBatch(ctx, xs)
 }
 
 // Close stops admission on every hosted model, drains their queues through
@@ -1224,15 +1213,15 @@ type statsAgg struct {
 
 // record accounts one protocol run: its counters and one histogram
 // observation per served request, under one lock hold.
-func (a *statsAgg) record(worker int, live []*request, lat float64, hostNs, wait time.Duration, err error) {
+func (a *statsAgg) record(worker int, live []*request, lat float64, hostNs time.Duration, err error) {
 	batchSize := len(live)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.batches++
 	a.sizeHist.Observe(float64(batchSize), "")
-	a.queueWait += wait
 	a.queueWaited += int64(batchSize)
 	for _, r := range live {
+		a.queueWait += r.wait
 		a.waitHist.Observe(r.wait.Seconds(), r.span.ID())
 	}
 	if err != nil {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +43,23 @@ func randSamples(n int, seed uint64) []*tensor.Tensor {
 		xs[i] = x
 	}
 	return xs
+}
+
+// inferAll sends every sample as its own concurrent request and returns the
+// labels in order.
+func inferAll(t testing.TB, srv *Server, xs []*tensor.Tensor) []int {
+	t.Helper()
+	labels, errs := make([]int, len(xs)), make([]error, len(xs))
+	var wg sync.WaitGroup
+	for i := range xs {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); labels[i], errs[i] = srv.Infer(context.Background(), xs[i]) }(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return labels
 }
 
 // TestServerMatchesSequential is the acceptance regression: ≥4 concurrent
@@ -147,34 +163,6 @@ func TestServerBatchesUnderLoad(t *testing.T) {
 	}
 }
 
-func TestServerInferBatchOrdered(t *testing.T) {
-	dep := testDeployment(t, 20)
-	const n = 10
-	xs := randSamples(n, 21)
-	want := make([]int, n)
-	for i, x := range xs {
-		labels, err := dep.Infer(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = labels[0]
-	}
-	srv, err := New(dep, Config{Workers: 2, MaxBatch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	got, err := srv.InferBatch(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: label %d != sequential %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestServerAcceptsCHWInput(t *testing.T) {
 	dep := testDeployment(t, 30)
 	srv, err := New(dep, Config{Workers: 1})
@@ -238,35 +226,13 @@ func TestServerLoadProbes(t *testing.T) {
 	if srv.QueueDepth() != 0 || srv.InFlight() != 0 {
 		t.Fatalf("idle probes: queue %d, in-flight %d, want 0/0", srv.QueueDepth(), srv.InFlight())
 	}
-	if _, err := srv.InferBatch(context.Background(), randSamples(6, 39)); err != nil {
-		t.Fatal(err)
-	}
+	inferAll(t, srv, randSamples(6, 39))
 	if n := srv.Stats().LatencyHist.Count(); n != 6 {
 		t.Fatalf("latency histogram count = %d, want 6", n)
 	}
 	srv.Close()
 	if srv.QueueDepth() != 0 || srv.InFlight() != 0 {
 		t.Fatalf("drained probes: queue %d, in-flight %d, want 0/0", srv.QueueDepth(), srv.InFlight())
-	}
-}
-
-// TestServerInferBatchErrorNamesSample: a failing sample's index is carried
-// in the wrapped error, so a 64-sample caller can tell which input was bad.
-func TestServerInferBatchErrorNamesSample(t *testing.T) {
-	dep := testDeployment(t, 45)
-	srv, err := New(dep, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	xs := randSamples(5, 46)
-	xs[3] = tensor.New(1, 3, 8, 8) // wrong spatial size
-	_, err = srv.InferBatch(context.Background(), xs)
-	if !errors.Is(err, core.ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
-	if !strings.Contains(err.Error(), "sample 3") {
-		t.Fatalf("err %q does not name the failing sample", err)
 	}
 }
 
@@ -280,7 +246,7 @@ func TestServerRejectsBadShapes(t *testing.T) {
 	ctx := context.Background()
 	for _, x := range []*tensor.Tensor{
 		nil,
-		tensor.New(2, 3, 16, 16), // multi-sample: use InferBatch
+		tensor.New(2, 3, 16, 16), // multi-sample
 		tensor.New(1, 3, 8, 8),   // wrong spatial size
 		tensor.New(1, 5, 16, 16), // wrong channels
 		tensor.New(16, 16),       // wrong rank
@@ -288,9 +254,6 @@ func TestServerRejectsBadShapes(t *testing.T) {
 		if _, err := srv.Infer(ctx, x); !errors.Is(err, core.ErrShape) {
 			t.Fatalf("shape %v: err = %v, want ErrShape", x, err)
 		}
-	}
-	if _, err := srv.InferBatch(ctx, []*tensor.Tensor{tensor.New(1, 3, 8, 8)}); !errors.Is(err, core.ErrShape) {
-		t.Fatalf("InferBatch bad shape: err = %v, want ErrShape", err)
 	}
 }
 
@@ -322,9 +285,6 @@ func TestServerCloseDrainsAndRejects(t *testing.T) {
 	}
 	if _, err := srv.Infer(ctx, xs[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Infer err = %v, want ErrClosed", err)
-	}
-	if _, err := srv.InferBatch(ctx, xs[:2]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close InferBatch err = %v, want ErrClosed", err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)

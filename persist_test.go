@@ -155,7 +155,7 @@ func TestFacadeMultiModelFleetWithSwap(t *testing.T) {
 	depB := finalizedDeployment(t, 11)
 	depC := finalizedDeployment(t, 12)
 	f, err := NewFleet(depA,
-		WithDevice("rpi3", 1),
+		WithDevice(RaspberryPi3(), 1),
 		WithModel("beta", depB),
 		WithPolicy(RoundRobin()),
 	)

@@ -75,7 +75,7 @@ func TestPipelineRunAndServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(dep, WithWorkers(2), WithMaxBatch(4), WithMaxDelay(time.Millisecond))
+	srv, err := NewFleet(dep, WithDevice(dep.Device, 2), WithMaxBatch(4), WithMaxDelay(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,15 @@ func TestPipelineRunAndServe(t *testing.T) {
 	for _, single := range res.Test.Batches(1, nil)[:len(want)] {
 		xs = append(xs, single.X)
 	}
-	got, err := srv.InferBatch(context.Background(), xs)
-	if err != nil {
+	got := make([]int, len(xs))
+	errs := make([]error, len(xs))
+	var wg sync.WaitGroup
+	for i := range xs {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); got[i], errs[i] = srv.Infer(context.Background(), xs[i]) }(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -134,28 +141,6 @@ func TestPipelineMatchesRecordedArtifact(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != recorded {
 		t.Fatalf("artifact sha256 = %s, recorded %s", got, recorded)
-	}
-}
-
-func TestServeOptionValidation(t *testing.T) {
-	if _, err := Serve(nil); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("nil deployment: err = %v, want ErrBadOption", err)
-	}
-	dep := finalizedDeployment(t, 1)
-	for i, opt := range []ServeOption{
-		WithWorkers(0), WithMaxBatch(0), WithMaxDelay(-time.Second),
-	} {
-		if _, err := Serve(dep, opt); !errors.Is(err, ErrBadOption) {
-			t.Fatalf("option %d: err = %v, want ErrBadOption", i, err)
-		}
-	}
-	srv, err := Serve(dep, WithMaxDelay(0)) // zero is the work-conserving default, not an error
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	if _, err := srv.Infer(context.Background(), NewTensor(1, 3, 16, 16)); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("closed server err = %v, want ErrServerClosed", err)
 	}
 }
 

@@ -22,16 +22,17 @@
 //
 // A finalized model deploys onto a simulated hardware backend — the API's
 // third pillar, a Device cost model from the named registry — and is served
-// concurrently by a pool of replicated enclave sessions with micro-batching:
+// concurrently by a fleet: per-device pools of replicated enclave sessions
+// behind micro-batching queues. The paper's setting, one edge device, is a
+// one-node fleet:
 //
 //	device, err := tbnet.DeviceByName("rpi3") // or sgx-desktop, sev-server, jetson-tz
 //	dep, err := tbnet.Deploy(res.TB, device, []int{1, 3, 16, 16})
-//	srv, err := tbnet.Serve(dep, tbnet.WithWorkers(4), tbnet.WithMaxBatch(8))
-//	defer srv.Close()
+//	f, err := tbnet.NewFleet(dep, tbnet.WithDevice(device, 4), tbnet.WithMaxBatch(8))
+//	defer f.Close()
 //
-//	label, err := srv.Infer(ctx, x)       // single sample, coalesced
-//	labels, err := srv.InferBatch(ctx, xs)
-//	stats := srv.Stats()                  // device, throughput, batch sizes, p50/p99
+//	label, err := f.Infer(ctx, x) // single sample, coalesced
+//	st := f.Stats()               // fleet-wide; st.PerDevice[0].Serve is the node's own
 //
 // Each backend owns its own REE/TEE overlap semantics through the
 // Device.Latency hook (the paper's rpi3 serializes the worlds; sgx-desktop
@@ -39,16 +40,15 @@
 // REE with a CPU-class TEE). Custom cost models embed CostModel and join the
 // registry with RegisterDevice.
 //
-// For heterogeneous serving, NewFleet fans one deployment out across several
-// backends — one replicated pool per attached device — routing every request
-// through a pluggable RoutingPolicy (RoundRobin, LeastLoaded, CostAware) with
+// Repeat WithDevice to fan the deployment out across several backends — one
+// replicated pool per attached device — routing every request through a
+// pluggable RoutingPolicy (RoundRobin, LeastLoaded, CostAware) with
 // deadline- and capacity-based admission control that sheds excess load with
 // ErrOverloaded:
 //
 //	f, err := tbnet.NewFleet(dep,
-//		tbnet.WithDevice("rpi3", 2), tbnet.WithDevice("sgx-desktop", 4),
+//		tbnet.WithDevice(rpi3, 2), tbnet.WithDevice(sgx, 4),
 //		tbnet.WithPolicy(tbnet.CostAware()), tbnet.WithDeadline(50*time.Millisecond))
-//	label, err := f.Infer(ctx, x)
 //	stats := f.Stats() // per-device + fleet-wide p50/p95/p99, shed, routing
 //
 // Bad input surfaces as wrapped sentinel errors (ErrShape, ErrNotFinalized,
