@@ -144,6 +144,31 @@ func TestPipelineMatchesRecordedArtifact(t *testing.T) {
 	}
 }
 
+// TestServeOptionValidation: the serving options of a one-node fleet —
+// workers, max batch, max delay — reject bad values with ErrBadOption.
+func TestServeOptionValidation(t *testing.T) {
+	if _, err := NewFleet(nil); !errors.Is(err, ErrBadOption) {
+		t.Fatalf("nil deployment: err = %v, want ErrBadOption", err)
+	}
+	dep := finalizedDeployment(t, 1)
+	for name, opt := range map[string]FleetOption{
+		"zero workers": WithDevice(dep.Device, 0), "zero max batch": WithMaxBatch(0),
+		"negative max delay": WithMaxDelay(-time.Second),
+	} {
+		if _, err := NewFleet(dep, opt); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("%s: err = %v, want ErrBadOption", name, err)
+		}
+	}
+	f, err := NewFleet(dep, WithMaxDelay(0)) // zero is the work-conserving default, not an error
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := f.Infer(context.Background(), NewTensor(1, 3, 16, 16)); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("closed fleet err = %v, want ErrServerClosed", err)
+	}
+}
+
 func TestDeploySentinelsThroughFacade(t *testing.T) {
 	victim := zoo.BuildVGG(zoo.VGG18Config(4), NewRNG(1))
 	tb := core.NewTwoBranch(victim, 2)
