@@ -51,6 +51,13 @@ func LeastLoaded() RoutingPolicy { return fleet.LeastLoaded() }
 // fast ones are saturated.
 func CostAware() RoutingPolicy { return fleet.CostAware() }
 
+// EWMA returns the adaptive policy: a fleet routing with it learns each
+// device's per-sample service time online — every served request folds its
+// realized time into a per-(model, device) moving average with smoothing
+// factor 0.2 — and scores devices by what they are doing now instead of what
+// the construction-time probes promised.
+func EWMA() RoutingPolicy { return fleet.EWMA() }
+
 // Autoscaler is the elastic capacity controller a fleet built with
 // WithAutoscale runs: a closed control loop that widens and narrows each
 // node's worker pool from live load signals, always inside the device's
@@ -227,23 +234,6 @@ func WithFleetTap(tap FleetRunTap) FleetOption {
 			return fmt.Errorf("%w: nil fleet tap", ErrBadOption)
 		}
 		o.cfg.Tap = tap
-		return nil
-	}
-}
-
-// WithEWMARouting routes with the adaptive EWMA policy and installs the
-// online latency estimator it learns from: every served request folds its
-// realized per-sample service time into a per-(model, device) moving
-// average, and routing scores devices by what they are doing now instead of
-// what the construction-time probes promised. alpha is the smoothing factor
-// in (0,1]; 0 selects the default (0.2).
-func WithEWMARouting(alpha float64) FleetOption {
-	return func(o *fleetOptions) error {
-		if alpha < 0 || alpha > 1 {
-			return fmt.Errorf("%w: EWMA alpha %g outside [0,1]", ErrBadOption, alpha)
-		}
-		o.cfg.Estimator = fleet.NewEstimator(alpha)
-		o.cfg.Policy = fleet.EWMA()
 		return nil
 	}
 }

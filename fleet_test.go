@@ -204,8 +204,7 @@ func TestNewFleetAutoscaleValidation(t *testing.T) {
 	for name, opt := range map[string]FleetOption{
 		"inverted bounds": WithAutoscale(4, 2), "zero min": WithAutoscale(0, 2),
 		"zero interval": WithAutoscaleInterval(0), "nil logger": WithAutoscaleLogger(nil),
-		"negative pace": WithPace(-1), "bad ewma alpha": WithEWMARouting(1.5),
-		"nil tracer": WithTracing(nil), "nil tap": WithFleetTap(nil),
+		"negative pace": WithPace(-1), "nil tracer": WithTracing(nil), "nil tap": WithFleetTap(nil),
 	} {
 		if _, err := NewFleet(dep, opt); !errors.Is(err, ErrBadOption) {
 			t.Fatalf("%s: err = %v, want ErrBadOption", name, err)
@@ -213,14 +212,14 @@ func TestNewFleetAutoscaleValidation(t *testing.T) {
 	}
 }
 
-// TestNewFleetEWMARouting: WithEWMARouting selects the adaptive policy and
-// the fleet reports learned estimates after traffic.
+// TestNewFleetEWMARouting: WithPolicy(EWMA()) selects the adaptive policy
+// and the fleet reports learned estimates after traffic.
 func TestNewFleetEWMARouting(t *testing.T) {
 	dep := finalizedDeployment(t, 1)
 	f, err := NewFleet(dep,
 		WithDevice(RaspberryPi3(), 1),
 		WithDevice(deviceNamed(t, "sgx-desktop"), 1),
-		WithEWMARouting(0),
+		WithPolicy(EWMA()),
 	)
 	if err != nil {
 		t.Fatal(err)

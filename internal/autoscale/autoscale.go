@@ -1,8 +1,8 @@
 // Package autoscale is TBNet's elastic capacity controller: a closed control
 // loop that watches a serving fleet's live signals — per-node queue depth and
-// in-flight work, shed counters, and the online latency estimates learned by
-// the fleet's EWMA estimator — and actuates the fleet's live-reconfiguration
-// primitives (ResizeNode, AttachDevice, DetachDevice) to track demand.
+// in-flight work, and the shed counter — and actuates the fleet's
+// live-reconfiguration primitives (ResizeNode, AttachDevice, DetachDevice)
+// to track demand.
 //
 // The loop's contract mirrors the serving layer's elasticity rules rather
 // than fighting them: every scale-up goes through the warm-then-drain
@@ -14,10 +14,10 @@
 //
 // Decisions are deliberately boring: a per-node worker target proportional
 // to outstanding work, a doubling bound per tick on the way up, hysteresis
-// (several consecutive low ticks) plus at-most-halving on the way down, and
-// a per-node cooldown — the same asymmetric aggressive-up / cautious-down
-// shape production autoscalers converge on, because under-provisioning costs
-// tail latency immediately while over-provisioning costs only worker-seconds.
+// (several consecutive low ticks) plus at-most-halving on the way down — the
+// same asymmetric aggressive-up / cautious-down shape production autoscalers
+// converge on, because under-provisioning costs tail latency immediately
+// while over-provisioning costs only worker-seconds.
 package autoscale
 
 import (
@@ -74,8 +74,29 @@ type Event struct {
 	Reason string `json:"reason"`
 }
 
+// The loop's fixed tuning: the values every caller runs, constants because
+// no caller needs another.
+const (
+	// targetBacklog is the outstanding work (queued + in service) tolerated
+	// per provisioned worker before a pool widens: the request a worker
+	// serves plus half a queued one. A backlog of one per worker is what a
+	// right-sized pool looks like, so widening there chases noise; waiting
+	// for two per worker lets queueing delay double before capacity arrives.
+	targetBacklog = 1.5
+	// scaleDownAfter is the number of consecutive below-target ticks before
+	// a node narrows (and, with the fleet idle, before a spare detaches):
+	// the hysteresis that keeps a sine-shaped workload from thrashing the
+	// pool, short enough (750ms at the default interval) that idle capacity
+	// goes back within a second.
+	scaleDownAfter = 3
+	// eventBuffer bounds the in-memory event ring: a minute of history at
+	// the default interval even if every tick acts, a few tens of KiB.
+	eventBuffer = 256
+)
+
 // Config tunes the control loop. The zero value of any field selects its
-// default.
+// default. The loop drives from the fleet's DefaultModel: scaling acts on
+// whole nodes, so one driving model suffices.
 type Config struct {
 	// Interval is the control-loop tick period (default 250ms).
 	Interval time.Duration
@@ -83,22 +104,6 @@ type Config struct {
 	Min int
 	// Max is the per-node worker ceiling (default 8).
 	Max int
-	// TargetBacklog is the outstanding work (queued + in service) the
-	// controller tolerates per provisioned worker before it widens the pool
-	// (default 1.5). Lower values buy latency with worker-seconds.
-	TargetBacklog float64
-	// ScaleDownAfter is the number of consecutive below-target ticks required
-	// before a node is narrowed — the hysteresis that keeps a sine-shaped
-	// workload from thrashing the pool (default 3).
-	ScaleDownAfter int
-	// Cooldown is the minimum time between two scaling actions on the same
-	// node (default 0: every tick may act).
-	Cooldown time.Duration
-	// Model names the hosted model whose load signals drive the loop
-	// (default the fleet's default model). Scaling acts on whole nodes, so
-	// one driving model suffices for single-model fleets; multi-model fleets
-	// should drive from their dominant model.
-	Model string
 	// Spares are whole devices the controller may attach when every live
 	// node is already at Max and pressure persists, and detach again (in
 	// reverse order) once the fleet goes idle. Empty means the controller
@@ -110,8 +115,6 @@ type Config struct {
 	// daemon's scaling log line hook. It is called from the control loop, so
 	// it must not block.
 	Logger func(Event)
-	// EventBuffer bounds the in-memory event ring (default 256).
-	EventBuffer int
 }
 
 func (c Config) withDefaults() Config {
@@ -124,20 +127,8 @@ func (c Config) withDefaults() Config {
 	if c.Max == 0 {
 		c.Max = 8
 	}
-	if c.TargetBacklog == 0 {
-		c.TargetBacklog = 1.5
-	}
-	if c.ScaleDownAfter == 0 {
-		c.ScaleDownAfter = 3
-	}
-	if c.Model == "" {
-		c.Model = fleet.DefaultModel
-	}
 	if c.SpareWorkers == 0 {
 		c.SpareWorkers = c.Min
-	}
-	if c.EventBuffer == 0 {
-		c.EventBuffer = 256
 	}
 	return c
 }
@@ -151,15 +142,6 @@ func (c Config) validate() error {
 	}
 	if c.Max < c.Min {
 		return fmt.Errorf("%w: max %d < min %d", ErrConfig, c.Max, c.Min)
-	}
-	if c.TargetBacklog < 0 || math.IsNaN(c.TargetBacklog) {
-		return fmt.Errorf("%w: target backlog %g", ErrConfig, c.TargetBacklog)
-	}
-	if c.ScaleDownAfter < 1 {
-		return fmt.Errorf("%w: scale-down-after %d < 1", ErrConfig, c.ScaleDownAfter)
-	}
-	if c.Cooldown < 0 {
-		return fmt.Errorf("%w: negative cooldown %v", ErrConfig, c.Cooldown)
 	}
 	if c.SpareWorkers < 1 || c.SpareWorkers > c.Max {
 		return fmt.Errorf("%w: spare workers %d outside [1, max %d]", ErrConfig, c.SpareWorkers, c.Max)
@@ -218,12 +200,11 @@ type Controller struct {
 	// Stats/Events hold it to snapshot the ring.
 	mu       sync.Mutex
 	events   []Event
-	low      map[string]int       // consecutive below-target ticks per node
-	lastOp   map[string]time.Time // last actuation per node, for Cooldown
-	lastShed int64                // fleet shed counter at the previous tick
-	spares   []tee.Device         // not-yet-attached spare devices
-	attached []string             // controller-attached node names, LIFO
-	idle     int                  // consecutive fleet-wide idle ticks
+	low      map[string]int // consecutive below-target ticks per node
+	lastShed int64          // fleet shed counter at the previous tick
+	spares   []tee.Device   // not-yet-attached spare devices
+	attached []string       // controller-attached node names, LIFO
+	idle     int            // consecutive fleet-wide idle ticks
 
 	running  atomic.Bool
 	stopCh   chan struct{}
@@ -246,7 +227,6 @@ func New(f *fleet.Fleet, cfg Config) (*Controller, error) {
 		cfg:    cfg,
 		f:      f,
 		low:    make(map[string]int),
-		lastOp: make(map[string]time.Time),
 		spares: append([]tee.Device(nil), cfg.Spares...),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
@@ -295,7 +275,7 @@ func (c *Controller) tick(now time.Time) {
 	defer c.mu.Unlock()
 	c.ticks.Add(1)
 
-	loads := c.f.NodeLoads(c.cfg.Model)
+	loads := c.f.NodeLoads(fleet.DefaultModel)
 	shed := c.f.ShedTotal()
 	shedDelta := shed - c.lastShed
 	c.lastShed = shed
@@ -305,8 +285,8 @@ func (c *Controller) tick(now time.Time) {
 	idle := true
 	for _, l := range loads {
 		live[l.Name] = true
-		pending := l.QueueDepth + l.InFlight
-		target := rawTarget(pending, c.cfg.TargetBacklog)
+		// Enough workers that each holds at most targetBacklog requests.
+		target := int(math.Ceil(float64(l.QueueDepth+l.InFlight) / targetBacklog))
 		if target > c.cfg.Min {
 			idle = false
 		}
@@ -319,23 +299,13 @@ func (c *Controller) tick(now time.Time) {
 	for name := range c.low {
 		if !live[name] {
 			delete(c.low, name)
-			delete(c.lastOp, name)
 		}
 	}
 	c.decideSpares(now, saturated, idle, shedDelta)
 }
 
-// rawTarget is the unclamped worker demand implied by one node's outstanding
-// work: enough workers that each holds at most TargetBacklog requests.
-func rawTarget(pending int, backlog float64) int {
-	if backlog <= 0 {
-		return pending
-	}
-	return int(math.Ceil(float64(pending) / backlog))
-}
-
 // decideNode applies the per-node rule: scale up immediately (bounded by
-// doubling and Max), scale down only after ScaleDownAfter consecutive low
+// doubling and Max), scale down only after scaleDownAfter consecutive low
 // ticks and at most by half, and force an upward step when the fleet shed
 // since the last tick.
 func (c *Controller) decideNode(now time.Time, l fleet.Load, target int, shedDelta int64) {
@@ -345,27 +315,24 @@ func (c *Controller) decideNode(now time.Time, l fleet.Load, target int, shedDel
 		target = l.Workers + 1
 	}
 	target = min(max(target, c.cfg.Min), c.cfg.Max)
-	if c.cfg.Cooldown > 0 && now.Sub(c.lastOp[l.Name]) < c.cfg.Cooldown {
-		return
-	}
 	switch {
 	case target > l.Workers:
 		c.low[l.Name] = 0
 		to := min(target, 2*l.Workers) // at most doubling per tick
-		reason := fmt.Sprintf("pending %d > %g per worker", l.QueueDepth+l.InFlight, c.cfg.TargetBacklog)
+		reason := fmt.Sprintf("pending %d > %g per worker", l.QueueDepth+l.InFlight, targetBacklog)
 		if shedDelta > 0 {
 			reason = fmt.Sprintf("shed %d since last tick", shedDelta)
 		}
 		c.resize(now, l.Name, l.Workers, to, reason)
 	case target < l.Workers:
 		c.low[l.Name]++
-		if c.low[l.Name] < c.cfg.ScaleDownAfter {
+		if c.low[l.Name] < scaleDownAfter {
 			return
 		}
 		c.low[l.Name] = 0
 		to := max(target, l.Workers/2) // at most halving per step
 		c.resize(now, l.Name, l.Workers, to,
-			fmt.Sprintf("pending %d low for %d ticks", l.QueueDepth+l.InFlight, c.cfg.ScaleDownAfter))
+			fmt.Sprintf("pending %d low for %d ticks", l.QueueDepth+l.InFlight, scaleDownAfter))
 	default:
 		c.low[l.Name] = 0
 	}
@@ -379,7 +346,6 @@ func (c *Controller) resize(now time.Time, name string, from, to int, reason str
 	err := c.f.ResizeNode(name, to)
 	switch {
 	case err == nil:
-		c.lastOp[name] = now
 		if to > from {
 			c.ups.Add(1)
 			c.record(Event{At: now, Node: name, Action: ScaleUp, From: from, To: to,
@@ -390,7 +356,6 @@ func (c *Controller) resize(now time.Time, name string, from, to int, reason str
 				TotalWorkers: c.f.Workers(), Reason: reason})
 		}
 	case errors.Is(err, core.ErrSecureMemory):
-		c.lastOp[name] = now
 		c.refused.Add(1)
 		c.record(Event{At: now, Node: name, Action: Refused, From: from, To: from,
 			TotalWorkers: c.f.Workers(),
@@ -430,10 +395,10 @@ func (c *Controller) decideSpares(now time.Time, saturated, idle bool, shedDelta
 			TotalWorkers: c.f.Workers(), Reason: "fleet saturated at max workers"})
 		return
 	}
-	if c.idle >= c.cfg.ScaleDownAfter && len(c.attached) > 0 {
+	if c.idle >= scaleDownAfter && len(c.attached) > 0 {
 		name := c.attached[len(c.attached)-1]
 		from := 0
-		for _, l := range c.f.NodeLoads(c.cfg.Model) {
+		for _, l := range c.f.NodeLoads(fleet.DefaultModel) {
 			if l.Name == name {
 				from = l.Workers
 			}
@@ -446,7 +411,7 @@ func (c *Controller) decideSpares(now time.Time, saturated, idle bool, shedDelta
 		c.idle = 0
 		c.record(Event{At: now, Node: name, Action: Detach, From: from, To: 0,
 			TotalWorkers: c.f.Workers(),
-			Reason:       fmt.Sprintf("idle for %d ticks", c.cfg.ScaleDownAfter)})
+			Reason:       fmt.Sprintf("idle for %d ticks", scaleDownAfter)})
 	}
 }
 
@@ -454,7 +419,7 @@ func (c *Controller) decideSpares(now time.Time, saturated, idle bool, shedDelta
 // to the configured Logger. Callers hold c.mu.
 func (c *Controller) record(ev Event) {
 	c.events = append(c.events, ev)
-	if n := len(c.events) - c.cfg.EventBuffer; n > 0 {
+	if n := len(c.events) - eventBuffer; n > 0 {
 		c.events = append(c.events[:0], c.events[n:]...)
 	}
 	if c.cfg.Logger != nil {

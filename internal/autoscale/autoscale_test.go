@@ -90,7 +90,7 @@ func TestScaleUpDoublesPerTick(t *testing.T) {
 	// backlog that demand stays above target across all three ticks.
 	f, wait := pressedFleet(t, 48)
 	defer f.Close()
-	c, err := New(f, Config{Min: 1, Max: 6, TargetBacklog: 1.5})
+	c, err := New(f, Config{Min: 1, Max: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestScaleUpDoublesPerTick(t *testing.T) {
 }
 
 // TestScaleDownNeedsHysteresis: an idle fleet narrows only after
-// ScaleDownAfter consecutive low ticks, at most halving per step, and never
+// scaleDownAfter consecutive low ticks, at most halving per step, and never
 // below Min.
 func TestScaleDownNeedsHysteresis(t *testing.T) {
 	f, err := fleet.New(testDeployment(t, 5), fleet.Config{
@@ -133,7 +133,7 @@ func TestScaleDownNeedsHysteresis(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	c, err := New(f, Config{Min: 1, Max: 8, ScaleDownAfter: 3})
+	c, err := New(f, Config{Min: 1, Max: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,29 +157,6 @@ func TestScaleDownNeedsHysteresis(t *testing.T) {
 	if st.ScaleDowns < 3 {
 		t.Fatalf("scale-downs = %d, want ≥ 3 (8→4→2→1)", st.ScaleDowns)
 	}
-}
-
-// TestCooldownGatesActions: with a cooldown configured, two scale decisions
-// on the same node must be separated by at least the cooldown.
-func TestCooldownGatesActions(t *testing.T) {
-	f, wait := pressedFleet(t, 24)
-	defer f.Close()
-	c, err := New(f, Config{Min: 1, Max: 8, Cooldown: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	c.tick(now) // 1 → 2
-	c.tick(now.Add(time.Minute))
-	c.tick(now.Add(2 * time.Minute))
-	if got := f.Workers(); got != 2 {
-		t.Fatalf("workers = %d inside cooldown, want 2", got)
-	}
-	c.tick(now.Add(2 * time.Hour)) // cooldown expired: 2 → 4
-	if got := f.Workers(); got != 4 {
-		t.Fatalf("workers after cooldown = %d, want 4", got)
-	}
-	wait()
 }
 
 // TestRefusedScaleUpRespectsBudget: on a device whose secure-memory budget
@@ -254,7 +231,7 @@ func TestSpareAttachDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(f, Config{Min: 1, Max: 2, ScaleDownAfter: 2, Spares: []tee.Device{sgx}, SpareWorkers: 2})
+	c, err := New(f, Config{Min: 1, Max: 2, Spares: []tee.Device{sgx}, SpareWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,9 +342,6 @@ func TestConfigValidation(t *testing.T) {
 		{Min: -1},
 		{Min: 4, Max: 2},
 		{Interval: -time.Second},
-		{Cooldown: -time.Second},
-		{TargetBacklog: -1},
-		{ScaleDownAfter: -1},
 		{SpareWorkers: 3, Max: 2},
 		{Spares: []tee.Device{nil}},
 	} {
@@ -381,7 +355,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestEventRingBounded: the event ring drops its oldest entries past
-// EventBuffer.
+// eventBuffer.
 func TestEventRingBounded(t *testing.T) {
 	f, err := fleet.New(testDeployment(t, 18), fleet.Config{
 		Nodes:    []fleet.NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}},
@@ -392,23 +366,24 @@ func TestEventRingBounded(t *testing.T) {
 	}
 	defer f.Close()
 	var logged atomic.Int64
-	c, err := New(f, Config{EventBuffer: 4, Logger: func(Event) { logged.Add(1) }})
+	c, err := New(f, Config{Logger: func(Event) { logged.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const total = eventBuffer + 6
 	c.mu.Lock()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < total; i++ {
 		c.record(Event{Node: "n", Action: ScaleUp, From: i, To: i + 1})
 	}
 	c.mu.Unlock()
 	evs := c.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
+	if len(evs) != eventBuffer {
+		t.Fatalf("ring holds %d events, want %d", len(evs), eventBuffer)
 	}
-	if evs[0].From != 6 || evs[3].From != 9 {
-		t.Fatalf("ring kept %+v, want the newest four", evs)
+	if evs[0].From != total-eventBuffer || evs[eventBuffer-1].From != total-1 {
+		t.Fatalf("ring kept From %d..%d, want the newest %d", evs[0].From, evs[len(evs)-1].From, eventBuffer)
 	}
-	if logged.Load() != 10 {
-		t.Fatalf("logger saw %d events, want all 10", logged.Load())
+	if logged.Load() != total {
+		t.Fatalf("logger saw %d events, want all %d", logged.Load(), total)
 	}
 }

@@ -56,11 +56,9 @@ func runDiurnal(t *testing.T, workers int, auto bool) closedLoopOutcome {
 	var ctl *Controller
 	if auto {
 		ctl, err = New(f, Config{
-			Interval:       20 * time.Millisecond,
-			Min:            workers,
-			Max:            12,
-			TargetBacklog:  1.5,
-			ScaleDownAfter: 3,
+			Interval: 20 * time.Millisecond,
+			Min:      workers,
+			Max:      12,
 		})
 		if err != nil {
 			t.Fatal(err)

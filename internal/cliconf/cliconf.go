@@ -115,9 +115,8 @@ func parseDevices(list string, pin int) ([]tbnet.FleetOption, error) {
 	return opts, nil
 }
 
-// parsePolicy maps a -policy name onto a fleet option: one of the built-in
-// routing policies, or "ewma", which also installs the online latency
-// estimator the adaptive policy learns from.
+// parsePolicy maps a -policy name onto a fleet option selecting one of the
+// built-in routing policies.
 func parsePolicy(name string) (tbnet.FleetOption, error) {
 	switch name {
 	case "round-robin":
@@ -127,7 +126,7 @@ func parsePolicy(name string) (tbnet.FleetOption, error) {
 	case "cost-aware":
 		return tbnet.WithPolicy(tbnet.CostAware()), nil
 	case "ewma":
-		return tbnet.WithEWMARouting(0), nil
+		return tbnet.WithPolicy(tbnet.EWMA()), nil
 	}
 	return nil, Usagef("unknown policy %q (want round-robin, least-loaded, cost-aware, or ewma)", name)
 }

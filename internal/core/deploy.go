@@ -241,24 +241,18 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 // mutable state with the original — concurrent Infer calls on different
 // replicas never contend. The replica reserves a fresh per-session
 // secure-memory budget; to account several replicas against one device, use
-// ReplicateInto.
+// ReplicateOn.
 func (d *Deployment) Replicate(batch int) (*Deployment, error) {
-	return d.ReplicateInto(batch, nil)
+	return d.ReplicateOn(d.Device, batch, nil)
 }
 
-// ReplicateInto is Replicate drawing the replica's secure-memory reservation
-// from the shared accountant mem (nil means a fresh per-session budget).
-// The serving layer replicates every worker into one accountant sized to the
-// device, so a pool can never collectively overcommit the modeled secure
-// memory.
-func (d *Deployment) ReplicateInto(batch int, mem *tee.SecureMemory) (*Deployment, error) {
-	return d.ReplicateOn(d.Device, batch, mem)
-}
-
-// ReplicateOn is ReplicateInto targeting a different hardware backend: the
-// same finalized model, deep-copied, priced and sized against device instead
-// of the original's. The fleet layer uses it to fan one deployment template
-// out across a heterogeneous set of attached devices.
+// ReplicateOn is Replicate on the hardware backend device (d.Device keeps
+// the original's), drawing the replica's secure-memory
+// reservation from the shared accountant mem (nil means a fresh per-session
+// budget). The serving layer replicates every worker into one accountant
+// sized to the device, so a pool can never collectively overcommit the
+// modeled secure memory; the fleet layer fans one deployment template out
+// across a heterogeneous set of attached devices.
 func (d *Deployment) ReplicateOn(device tee.Device, batch int, mem *tee.SecureMemory) (*Deployment, error) {
 	shape := append([]int(nil), d.sampleShape...)
 	if batch >= 1 {

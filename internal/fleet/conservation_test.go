@@ -240,3 +240,53 @@ func TestStatsConservationUnderDeadline(t *testing.T) {
 		t.Error("no request missed the deadline: the test did not exercise shedding")
 	}
 }
+
+// TestStatsConservationUnderResize: a node's width has one home, its
+// server. Every snapshot taken while a resizer churns the node's width
+// reports the same width at the fleet and the serve level, and the fleet
+// total is the sum of the per-device widths.
+func TestStatsConservationUnderResize(t *testing.T) {
+	f, err := New(testDeployment(t, 69), Config{
+		Nodes:    []NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}},
+		MaxBatch: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 60; i++ {
+			if err := f.ResizeNode("rpi3", 1+(i+1)%3); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for snapshots := 0; ; snapshots++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := f.Stats(); st.Workers != 1 || f.Workers() != 1 {
+				t.Fatalf("after the churn: Stats().Workers %d, Workers() %d, want 1", st.Workers, f.Workers())
+			}
+			t.Logf("%d snapshots under resize churn", snapshots)
+			return
+		default:
+		}
+		st := f.Stats()
+		sum := 0
+		for _, d := range st.PerDevice {
+			if d.Workers != d.Serve.Workers {
+				t.Fatalf("node %s: PerDevice.Workers %d, Serve.Workers %d in one snapshot", d.Name, d.Workers, d.Serve.Workers)
+			}
+			sum += d.Workers
+		}
+		if st.Workers != sum {
+			t.Fatalf("Stats().Workers %d, Σ PerDevice.Workers %d", st.Workers, sum)
+		}
+	}
+}

@@ -5,11 +5,10 @@ import (
 	"sync"
 )
 
-// DefaultEWMAAlpha is the smoothing factor NewEstimator substitutes for an
-// out-of-range alpha: each observation moves the estimate 20% of the way to
-// the new sample — reactive enough to notice a degraded device within a few
-// dozen requests, damped enough that one slow batch does not reroute the
-// fleet.
+// DefaultEWMAAlpha is the estimator's smoothing factor: each observation
+// moves the estimate 20% of the way to the new sample — reactive enough to
+// notice a degraded device within a few dozen requests, damped enough that
+// one slow batch does not reroute the fleet.
 const DefaultEWMAAlpha = 0.2
 
 // Estimate is one learned (model, node) latency cell of the estimator.
@@ -45,17 +44,12 @@ type estKey struct{ model, node string }
 // of one fleet: serve workers write, routing and the controller read.
 type Estimator struct {
 	mu    sync.RWMutex
-	alpha float64
 	cells map[estKey]*estCell
 }
 
-// NewEstimator returns an empty estimator with the given smoothing factor in
-// (0,1]; values outside the range select DefaultEWMAAlpha.
-func NewEstimator(alpha float64) *Estimator {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultEWMAAlpha
-	}
-	return &Estimator{alpha: alpha, cells: make(map[estKey]*estCell)}
+// NewEstimator returns an empty estimator smoothing with DefaultEWMAAlpha.
+func NewEstimator() *Estimator {
+	return &Estimator{cells: make(map[estKey]*estCell)}
 }
 
 // Observe folds one realized per-sample service time (seconds) into the
@@ -71,7 +65,7 @@ func (e *Estimator) Observe(model, node string, seconds float64) {
 		c = &estCell{value: seconds}
 		e.cells[k] = c
 	} else {
-		c.value += e.alpha * (seconds - c.value)
+		c.value += DefaultEWMAAlpha * (seconds - c.value)
 	}
 	c.samples++
 	e.mu.Unlock()
@@ -139,11 +133,10 @@ type ewma struct{}
 // EWMA returns the adaptive routing policy: each node is scored by its
 // learned per-sample service latency times its outstanding work (the
 // PeakEWMA shape — latency × (backlog + 1) / workers), lowest score wins.
-// The latency figure is the fleet's online estimate when an Estimator is
-// configured (see Config.Estimator and tbnet.WithEWMARouting), so the policy
-// tracks what devices are doing now rather than what they promised at
-// construction; without an estimator it degrades to the probe-scored
-// behaviour of CostAware.
+// A fleet routing with it keeps an online Estimator (see Config.Policy), so
+// the latency figure is what each device is doing now rather than what it
+// promised at construction; a node no run has reached yet is scored by its
+// construction-time probe.
 func EWMA() Policy { return ewma{} }
 
 func (ewma) Name() string { return "ewma" }

@@ -8,10 +8,10 @@ import (
 )
 
 // TestEstimatorEWMA: the estimator seeds on the first observation, then
-// moves alpha of the way toward each new sample; drops forget exactly the
-// named node or model.
+// moves DefaultEWMAAlpha of the way toward each new sample; drops forget
+// exactly the named node or model.
 func TestEstimatorEWMA(t *testing.T) {
-	e := NewEstimator(0.2)
+	e := NewEstimator()
 	if _, ok := e.Estimate("m", "a"); ok {
 		t.Fatal("empty estimator reported an estimate")
 	}
@@ -47,22 +47,25 @@ func TestEstimatorEWMA(t *testing.T) {
 	if len(e.Snapshot()) != 0 {
 		t.Fatalf("cells after drops: %v", e.Snapshot())
 	}
-	// Out-of-range alpha falls back to the default.
-	if got := NewEstimator(-1).alpha; got != DefaultEWMAAlpha {
-		t.Fatalf("alpha = %v, want default %v", got, DefaultEWMAAlpha)
-	}
 }
 
-// TestEstimatorLearnsFromTraffic: with an estimator configured, real served
-// requests must populate (model, node) cells through the serve observer hook
-// — no manual feeding.
+// TestEstimatorLearnsFromTraffic: a fleet routing with EWMA() keeps an
+// estimator, and real served requests must populate its (model, node) cells
+// through the serve observer hook — no manual feeding. A fleet on any other
+// policy keeps none.
 func TestEstimatorLearnsFromTraffic(t *testing.T) {
-	est := NewEstimator(0)
+	static, err := New(testDeployment(t, 11), Config{Nodes: mixedNodes(t, 1), Policy: CostAware()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer static.Close()
+	if static.est != nil {
+		t.Fatal("a cost-aware fleet built an estimator")
+	}
 	f, err := New(testDeployment(t, 11), Config{
-		Nodes:     mixedNodes(t, 1),
-		Policy:    RoundRobin(),
-		MaxDelay:  time.Millisecond,
-		Estimator: est,
+		Nodes:    mixedNodes(t, 1),
+		Policy:   EWMA(),
+		MaxDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,52 +90,41 @@ func TestEstimatorLearnsFromTraffic(t *testing.T) {
 	}
 }
 
-// TestRoutingShiftsOffDegradedNode is the adaptive-routing satellite: with
-// the estimator present, both CostAware and EWMA must abandon a node whose
-// observed latency degrades after construction — construction-time probes
-// are no longer trusted forever. Table-driven over the policies; the
+// TestRoutingShiftsOffDegradedNode is the adaptive-routing check: EWMA
+// routing must abandon a node whose observed latency degrades after
+// construction — construction-time probes are no longer trusted forever. The
 // degraded node must receive zero traffic within the next N routing
 // decisions.
 func TestRoutingShiftsOffDegradedNode(t *testing.T) {
 	const n = 50
-	for _, tc := range []struct {
-		name   string
-		policy Policy
-	}{
-		{"cost-aware", CostAware()},
-		{"ewma", EWMA()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			est := NewEstimator(0)
-			f, err := New(testDeployment(t, 21), Config{
-				// Two identical devices: the probes cannot separate them.
-				Nodes:     []NodeConfig{{Device: mixedNodes(t, 1)[0].Device, Workers: 1}, {Device: mixedNodes(t, 1)[0].Device, Workers: 1}},
-				Policy:    tc.policy,
-				MaxDelay:  time.Millisecond,
-				Estimator: est,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			// Both nodes start indistinguishable; then node rpi3 degrades
-			// hard — thermal throttling, say — which the estimator observes.
-			est.Observe(DefaultModel, "rpi3", 0.5)
-			est.Observe(DefaultModel, "rpi3#2", 0.001)
-			degraded := 0
-			for i := 0; i < n; i++ {
-				picked := f.route(DefaultModel)
-				picked.active.Add(-1)
-				if picked.name == "rpi3" {
-					degraded++
-				}
-			}
-			if degraded != 0 {
-				t.Fatalf("%s sent %d/%d decisions to the degraded node after the estimator flagged it",
-					tc.name, degraded, n)
-			}
+	t.Run("ewma", func(t *testing.T) {
+		device := mixedNodes(t, 1)[0].Device
+		f, err := New(testDeployment(t, 21), Config{
+			// Two identical devices: the probes cannot separate them.
+			Nodes:    []NodeConfig{{Device: device, Workers: 1}, {Device: device, Workers: 1}},
+			Policy:   EWMA(),
+			MaxDelay: time.Millisecond,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		// Both nodes start indistinguishable; then node rpi3 degrades hard —
+		// thermal throttling, say — which the estimator observes.
+		f.est.Observe(DefaultModel, "rpi3", 0.5)
+		f.est.Observe(DefaultModel, "rpi3#2", 0.001)
+		degraded := 0
+		for i := 0; i < n; i++ {
+			picked := f.route(DefaultModel)
+			picked.active.Add(-1)
+			if picked.name == "rpi3" {
+				degraded++
+			}
+		}
+		if degraded != 0 {
+			t.Fatalf("sent %d/%d decisions to the degraded node after the estimator flagged it", degraded, n)
+		}
+	})
 }
 
 // TestEWMAPolicyPick: the policy's scoring must prefer the lower

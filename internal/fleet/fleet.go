@@ -9,7 +9,7 @@
 // profiles differ by orders of magnitude. On such a fleet the routing policy
 // — not just per-device batching — determines end-to-end tail latency, so
 // the policy is the pluggable degree of freedom here (see Policy and the
-// RoundRobin / LeastLoaded / CostAware built-ins).
+// RoundRobin / LeastLoaded / CostAware / EWMA built-ins).
 //
 // The fleet also owns admission control: a capacity-weighted in-flight cap
 // and a per-request deadline. Load beyond either is shed immediately with a
@@ -81,7 +81,11 @@ type Config struct {
 	// DefaultModel template. Names must be unique and must not collide with
 	// DefaultModel.
 	Models []NamedModel
-	// Policy routes each request to a node (default RoundRobin()).
+	// Policy routes each request to a node (default RoundRobin()). EWMA()
+	// also gives the fleet its online latency Estimator: every protocol run
+	// feeds it, and routing scores nodes with its learned figures in place
+	// of the construction-time probes, so it adapts when a device degrades
+	// after deployment.
 	Policy Policy
 	// Deadline bounds each request's end-to-end time in the fleet, queueing
 	// included; a request not answered within it is shed with ErrOverloaded.
@@ -98,18 +102,10 @@ type Config struct {
 	// for companions while a worker is idle (see serve.Config.MaxDelay). The
 	// zero value (the default) never does: batching is work-conserving.
 	MaxDelay time.Duration
-	// QueueDepth is every node's per-model queue bound (default the serve
-	// layer's Workers×MaxBatch×4).
-	QueueDepth int
 	// PaceScale paces every node's workers in real time: each batch's
 	// modeled device latency, scaled by this factor, is spent as wall-clock
 	// service time (see serve.Config.PaceScale). 0 disables pacing.
 	PaceScale float64
-	// Estimator, when set, learns per-(model, node) service latency online
-	// from every protocol run and replaces the construction-time probes in
-	// routing decisions — CostAware and EWMA both score with the learned
-	// figures, so routing adapts when a device degrades after deployment.
-	Estimator *Estimator
 	// Tracer, when set, is handed to every node's server so each request's
 	// span timeline (queue wait, batch formation, per-world execution,
 	// pacing) lands in one shared bounded ring; the fleet layer itself
@@ -206,9 +202,6 @@ func (c Config) validate() error {
 	if c.MaxDelay < 0 {
 		return fmt.Errorf("%w: negative max delay %v", ErrConfig, c.MaxDelay)
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("%w: negative queue depth %d", ErrConfig, c.QueueDepth)
-	}
 	if c.PaceScale < 0 {
 		return fmt.Errorf("%w: negative pace scale %v", ErrConfig, c.PaceScale)
 	}
@@ -222,9 +215,6 @@ type node struct {
 	device tee.Device
 	srv    *serve.Server
 
-	// workers is the node's current replica pool width — the construction
-	// value until a live resize moves it.
-	workers atomic.Int32
 	// resizeMu serializes fleet-level resizes of this node, so concurrent
 	// controllers cannot interleave width changes and misaccount the
 	// worker-seconds clock.
@@ -271,7 +261,8 @@ type Fleet struct {
 	// rebuilds its candidate node until the version holds still.
 	modelVer int64
 
-	// est is cfg.Estimator, hoisted for the hot routing path.
+	// est is the online latency estimator, present exactly when the policy
+	// is EWMA().
 	est *Estimator
 
 	// clock integrates provisioned workers over wall time — the fleet's
@@ -373,9 +364,11 @@ func New(dep *core.Deployment, cfg Config) (*Fleet, error) {
 		cfg:       cfg,
 		names:     []string{DefaultModel},
 		templates: map[string]*core.Deployment{DefaultModel: dep},
-		est:       cfg.Estimator,
 		drained:   make(chan struct{}),
 		start:     time.Now(),
+	}
+	if _, ok := cfg.Policy.(ewma); ok {
+		f.est = NewEstimator()
 	}
 	totalWorkers := 0
 	for i, nc := range cfg.Nodes {
@@ -399,20 +392,19 @@ func New(dep *core.Deployment, cfg Config) (*Fleet, error) {
 }
 
 // buildNode probes dep onto device and starts the node's server with the
-// fleet-wide serving knobs, wiring the estimator's observation hook when one
-// is configured.
+// fleet-wide serving knobs, wiring the estimator's observation hook when the
+// fleet has one.
 func (f *Fleet) buildNode(name string, device tee.Device, workers int, dep *core.Deployment) (*node, error) {
 	template, lat, err := probeOn(dep, device)
 	if err != nil {
 		return nil, err
 	}
 	scfg := serve.Config{
-		Workers:    workers,
-		MaxBatch:   f.cfg.MaxBatch,
-		MaxDelay:   f.cfg.MaxDelay,
-		QueueDepth: f.cfg.QueueDepth,
-		PaceScale:  f.cfg.PaceScale,
-		Tracer:     f.cfg.Tracer,
+		Workers:   workers,
+		MaxBatch:  f.cfg.MaxBatch,
+		MaxDelay:  f.cfg.MaxDelay,
+		PaceScale: f.cfg.PaceScale,
+		Tracer:    f.cfg.Tracer,
 	}
 	if tap := f.cfg.Tap; tap != nil {
 		scfg.Tap = nodeTap{tap: tap, node: name}
@@ -426,14 +418,12 @@ func (f *Fleet) buildNode(name string, device tee.Device, workers int, dep *core
 	if err != nil {
 		return nil, err
 	}
-	n := &node{
+	return &node{
 		name:   name,
 		device: device,
 		srv:    srv,
 		lat:    map[string]float64{DefaultModel: lat},
-	}
-	n.workers.Store(int32(workers))
-	return n, nil
+	}, nil
 }
 
 // freeName returns a node identity no node in live holds: the device name
@@ -667,7 +657,7 @@ func loadOf(n *node, lat float64) Load {
 	}
 	return Load{
 		Name:          n.name,
-		Workers:       int(n.workers.Load()),
+		Workers:       n.srv.Workers(),
 		QueueDepth:    queued,
 		InFlight:      serving,
 		SampleLatency: lat,
@@ -825,7 +815,6 @@ func (f *Fleet) ResizeNode(name string, workers int) error {
 	if err := n.srv.Resize(workers); err != nil {
 		return fmt.Errorf("fleet: resizing node %s: %w", name, err)
 	}
-	n.workers.Store(int32(workers))
 	f.clock.add(workers - old)
 	return nil
 }
@@ -945,8 +934,12 @@ func (f *Fleet) DetachDevice(name string) error {
 	for n.active.Load() > 0 {
 		time.Sleep(200 * time.Microsecond)
 	}
+	// resizeMu lets a resize already under way settle the server's width
+	// before the ledger releases it; a later one finds the server closed.
+	n.resizeMu.Lock()
 	n.srv.Close()
-	f.clock.add(-int(n.workers.Load()))
+	f.clock.add(-n.srv.Workers())
+	n.resizeMu.Unlock()
 	if f.est != nil {
 		f.est.DropNode(name)
 	}
@@ -972,7 +965,7 @@ func (f *Fleet) Batching() (maxBatch int, linger time.Duration) {
 func (f *Fleet) Workers() int {
 	total := 0
 	for _, n := range f.snapshotNodes() {
-		total += int(n.workers.Load())
+		total += n.srv.Workers()
 	}
 	return total
 }
@@ -984,7 +977,8 @@ func (f *Fleet) Workers() int {
 func (f *Fleet) WorkerSeconds() float64 { return f.clock.total() }
 
 // Estimates returns the online latency estimator's learned (model, node)
-// cells, or nil when the fleet runs on construction-time probes only.
+// cells, or nil when the fleet does not route with EWMA() and so runs on
+// construction-time probes only.
 func (f *Fleet) Estimates() []Estimate {
 	if f.est == nil {
 		return nil
@@ -1218,12 +1212,12 @@ func (f *Fleet) Stats() Stats {
 		out.RoutingDecisions += n.routed.Load()
 		out.ModeledThroughput += st.ModeledThroughput
 		out.PeakSecureBytes += st.PeakSecureBytes
-		out.Workers += int(n.workers.Load())
+		out.Workers += st.Workers
 		hostNs += st.HostNsPerOp * float64(st.Requests)
 		out.LatencyHist.Merge(st.LatencyHist)
 		out.PerDevice = append(out.PerDevice, DeviceStats{
 			Name:                n.name,
-			Workers:             int(n.workers.Load()),
+			Workers:             st.Workers,
 			Routed:              n.routed.Load(),
 			Shed:                n.shed.Load(),
 			SampleLatencyMicros: defaultLat[i] * 1e6,

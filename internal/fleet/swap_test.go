@@ -234,10 +234,8 @@ func TestFleetAddModelRollsBackOnPartialFailure(t *testing.T) {
 	}
 	ok := &node{name: "ok", device: tee.RaspberryPi3(), srv: srv,
 		lat: map[string]float64{DefaultModel: 1}}
-	ok.workers.Store(1)
 	tightNode := &node{name: "tight", device: tiny, srv: srv, // probeOn fails on tiny before srv is touched
 		lat: map[string]float64{DefaultModel: 1}}
-	tightNode.workers.Store(1)
 	f.nodes = []*node{ok, tightNode}
 	defer srv.Close()
 

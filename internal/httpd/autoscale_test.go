@@ -4,9 +4,10 @@ package httpd
 // of its two background control loops: the idle-model reaper (which frees
 // secure-memory reservations) and the autoscale controller (which claims
 // them). Both loops mutate the same per-device budget, so the coexistence
-// test is a -race regression: each loop runs live against a deliberately
-// tight budget and the controller's refused scale-ups must turn into
-// successful ones exactly when the reaper releases the idle models.
+// test is a -race regression: the controller runs live against a
+// deliberately tight budget while the reaper sweeps from the test goroutine,
+// and the controller's refused scale-ups must turn into successful ones
+// exactly when the reaper releases the idle models.
 
 import (
 	"context"
@@ -81,16 +82,11 @@ func TestReaperAutoscalerShareSecureBudget(t *testing.T) {
 		// Pace requests to ~75ms of wall service so pressure stays parked
 		// across many controller ticks regardless of host speed.
 		c.PaceScale = 50
-	}, func(c *Config) {
-		c.IdleTTL = 120 * time.Millisecond
-		c.ReapInterval = 25 * time.Millisecond
-	})
+	}, func(c *Config) { c.IdleTTL = time.Minute })
 	ctl, err := autoscale.New(f, autoscale.Config{
-		Interval:       5 * time.Millisecond,
-		Min:            1,
-		Max:            4,
-		TargetBacklog:  1,
-		ScaleDownAfter: 1 << 20, // never scale down during the test
+		Interval: 5 * time.Millisecond,
+		Min:      1,
+		Max:      4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +94,11 @@ func TestReaperAutoscalerShareSecureBudget(t *testing.T) {
 	f.BindController(ctl)
 	ctl.Start()
 
-	// Sustained pressure on the default model: 16 firing goroutines keep the
-	// queue deep enough that every tick wants more width. Shed or refused
-	// requests under resize churn are fine — pressure is what matters.
+	// Sustained pressure on the default model: 16 firing goroutines keep
+	// ~16 requests pending on it, far above Max × 1.5 = 6, so every tick
+	// wants the full Max width and the controller never scales down. Shed or
+	// refused requests under resize churn are fine — pressure is what
+	// matters.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -133,10 +131,12 @@ func TestReaperAutoscalerShareSecureBudget(t *testing.T) {
 		t.Fatalf("workers = %d after a refused scale-up, want the pre-resize 1", got)
 	}
 
-	// Phase 2 — start the reaper: the idle models expire, their reservations
-	// return to the budget, and the controller's next attempts succeed.
-	s.reaper.start()
-	defer s.reaper.stop()
+	// Phase 2 — the reaper sweeps once to stamp the idle models and once a
+	// TTL later to expire them: their reservations return to the budget, and
+	// the controller's next attempts succeed.
+	now := time.Now()
+	s.reaper.sweep(now)
+	s.reaper.sweep(now.Add(time.Minute))
 	for {
 		if time.Now().After(deadline) {
 			t.Fatalf("scale-up never succeeded after reaping; hosted %v, workers %d, ctl %+v",
@@ -183,7 +183,6 @@ func TestMetricsAutoscaleExposition(t *testing.T) {
 	// An EWMA-routed two-node fleet with a bound controller exposes all of it.
 	s, f := testServer(t, func(c *fleet.Config) {
 		c.Nodes = append(c.Nodes, fleet.NodeConfig{Device: tee.SGXDesktop(), Workers: 1})
-		c.Estimator = fleet.NewEstimator(0)
 		c.Policy = fleet.EWMA()
 	}, nil)
 	ctl, err := autoscale.New(f, autoscale.Config{Interval: time.Hour, Min: 1, Max: 6})

@@ -82,13 +82,10 @@ type Config struct {
 	RateLimit RateLimit
 	// IdleTTL expires hosted models (never the default one) that have seen
 	// no traffic for this long, reclaiming their secure memory; 0 disables
-	// the reaper.
+	// the reaper. The reaper scans every IdleTTL/4, at least 100ms apart.
 	IdleTTL time.Duration
-	// ReapInterval is how often the reaper scans (default IdleTTL/4, at
-	// least 100ms).
-	ReapInterval time.Duration
-	// RetryAfter is the Retry-After hint attached to 429/503 answers
-	// (default 1s).
+	// RetryAfter is the Retry-After hint attached to 429/503 answers,
+	// rounded up to whole seconds (default 1s; must not be negative).
 	RetryAfter time.Duration
 	// Logger receives the structured request log (default slog.Default()).
 	Logger *slog.Logger
@@ -101,11 +98,8 @@ type Config struct {
 	Tracer *obs.Tracer
 	// SlowThreshold journals requests whose wall time reaches it: a WARN
 	// line with the request's full span stage breakdown, sampled to at most
-	// one line per SlowLogGap. 0 disables the journal.
+	// one line per second. 0 disables the journal.
 	SlowThreshold time.Duration
-	// SlowLogGap is the slow-journal sampling interval (default 1s; only
-	// meaningful with SlowThreshold set).
-	SlowLogGap time.Duration
 	// EnablePprof mounts the net/http/pprof profiling handlers under
 	// /debug/pprof/. Like /debug/trace they sit behind API-key auth when
 	// keys are configured — profiles expose timing detail of the secure
@@ -121,17 +115,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.ReapInterval == 0 {
-		c.ReapInterval = c.IdleTTL / 4
-	}
-	if c.ReapInterval < 100*time.Millisecond {
-		c.ReapInterval = 100 * time.Millisecond
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
-	}
-	if c.SlowLogGap == 0 {
-		c.SlowLogGap = time.Second
 	}
 	if c.RateLimit.RPS > 0 && c.RateLimit.Burst == 0 {
 		c.RateLimit.Burst = int(c.RateLimit.RPS + 0.999)
@@ -149,8 +134,11 @@ func (c Config) validate() error {
 	if c.IdleTTL < 0 {
 		return fmt.Errorf("%w: negative idle TTL %v", ErrHTTPConfig, c.IdleTTL)
 	}
-	if c.SlowThreshold < 0 || c.SlowLogGap < 0 {
-		return fmt.Errorf("%w: negative slow-log threshold %v / gap %v", ErrHTTPConfig, c.SlowThreshold, c.SlowLogGap)
+	if c.RetryAfter < 0 {
+		return fmt.Errorf("%w: negative retry-after %v", ErrHTTPConfig, c.RetryAfter)
+	}
+	if c.SlowThreshold < 0 {
+		return fmt.Errorf("%w: negative slow-log threshold %v", ErrHTTPConfig, c.SlowThreshold)
 	}
 	for k, tenant := range c.APIKeys {
 		if k == "" || tenant == "" {
@@ -187,7 +175,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, metrics: newHTTPMetrics()}
 	// With IdleTTL 0 the reaper only tracks touches: its loop never starts.
-	s.reaper = newReaper(cfg.Fleet, cfg.IdleTTL, cfg.ReapInterval, cfg.Logger, s.metrics)
+	s.reaper = newReaper(cfg.Fleet, cfg.IdleTTL, cfg.Logger, s.metrics)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -215,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 		Recover(cfg.Logger, s.metrics),
 		RequestID(),
 		Tracing(cfg.Tracer),
-		Logging(cfg.Logger, s.metrics, SlowLog{Threshold: cfg.SlowThreshold, MinGap: cfg.SlowLogGap}),
+		Logging(cfg.Logger, s.metrics, cfg.SlowThreshold),
 		Auth(cfg.APIKeys),
 		RateLimitBy(cfg.RateLimit, cfg.RetryAfter, s.metrics),
 	)

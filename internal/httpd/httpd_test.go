@@ -486,58 +486,31 @@ func TestSwapFromRegistry(t *testing.T) {
 
 // TestReaperExpiresIdleModels: a hosted model with no traffic for the TTL is
 // removed — its secure memory released — while the default model and any
-// model still seeing traffic survive.
+// model still seeing traffic survive. The sweeps run on a virtual clock: the
+// first stamps every hosted model an hour in the past, "hot" is then touched
+// now, and the second sweep finds only "idle" a full TTL old.
 func TestReaperExpiresIdleModels(t *testing.T) {
 	s, f := testServer(t, func(c *fleet.Config) {
 		c.Models = []fleet.NamedModel{
 			{Name: "idle", Dep: testDeployment(t, 21)},
 			{Name: "hot", Dep: testDeployment(t, 22)},
 		}
-	}, func(c *Config) {
-		c.IdleTTL = 80 * time.Millisecond
-		c.ReapInterval = 20 * time.Millisecond
-	})
-	s.reaper.start()
-	defer s.reaper.stop()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		// Keep "hot" hot while "idle" ages out.
-		s.reaper.touch("hot")
-		models := f.Models()
-		hasIdle := false
-		for _, m := range models {
-			if m == "idle" {
-				hasIdle = true
-			}
-		}
-		if !hasIdle {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("idle model never reaped; hosted = %v", models)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	}, func(c *Config) { c.IdleTTL = time.Hour })
+	s.reaper.sweep(time.Now().Add(-time.Hour))
+	s.reaper.touch("hot")
+	s.reaper.sweep(time.Now())
+	hosted := map[string]bool{}
 	for _, m := range f.Models() {
-		if m == "idle" {
-			t.Fatal("idle model still hosted")
-		}
+		hosted[m] = true
 	}
-	found := map[string]bool{}
-	for _, m := range f.Models() {
-		found[m] = true
+	if hosted["idle"] {
+		t.Fatalf("idle model never reaped; hosted = %v", f.Models())
 	}
-	if !found[fleet.DefaultModel] || !found["hot"] {
+	if !hosted[fleet.DefaultModel] || !hosted["hot"] {
 		t.Fatalf("default/hot must survive the reaper; hosted = %v", f.Models())
 	}
-	// The reaper counts a model once RemoveModel has returned, so the model
-	// can be gone from Models() an instant before the counter moves.
-	for s.metrics.reaped.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("reaped counter = %d, want >= 1", s.metrics.reaped.Load())
-		}
-		time.Sleep(time.Millisecond)
+	if got := s.metrics.reaped.Load(); got != 1 {
+		t.Fatalf("reaped counter = %d, want 1", got)
 	}
 }
 
@@ -630,6 +603,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Fleet: f, RateLimit: RateLimit{RPS: -1}},
 		{Fleet: f, IdleTTL: -time.Second},
+		{Fleet: f, RetryAfter: -time.Second},
 		{Fleet: f, APIKeys: map[string]string{"": "t"}},
 		{Fleet: f, APIKeys: map[string]string{"k": ""}},
 	}

@@ -264,8 +264,8 @@ func (s *Server) writeMetrics(w io.Writer) error {
 			"Modeled per-request latency distribution on this node.", ds.Serve.LatencyHist, l...)
 	}
 
-	// Online latency estimates, when the fleet learns them (EWMA routing or
-	// an attached estimator). One gauge cell per (model, device) pair.
+	// Online latency estimates, when the fleet learns them (EWMA routing).
+	// One gauge cell per (model, device) pair.
 	for _, e := range s.cfg.Fleet.Estimates() {
 		l := []string{"model", e.Model, "device", e.Node}
 		pw.metric("tbnet_ewma_latency_seconds", "gauge",

@@ -169,28 +169,23 @@ func Tracing(tr *obs.Tracer) Middleware {
 	}
 }
 
-// SlowLog configures the sampled slow-request journal inside the Logging
-// middleware. The zero value disables it.
-type SlowLog struct {
-	// Threshold marks a request slow once its wall duration reaches it;
-	// 0 disables the journal.
-	Threshold time.Duration
-	// MinGap is the sampling interval: at most one journal line per MinGap,
-	// with the number of suppressed slow requests carried on the next line.
-	// 0 journals every slow request.
-	MinGap time.Duration
-}
+// slowLogGap is the slow journal's sampling interval: at most one line per
+// gap, with the number of slow requests suppressed since carried on the next
+// line — a saturated daemon, where every request is slow, logs one breakdown
+// a second instead of flooding the log.
+const slowLogGap = time.Second
 
 // Logging emits one structured line per request — method, path, status,
 // bytes written, duration, tenant, and request ID — feeds the per-status
 // counters and the wall-duration histogram behind /metrics, and keeps the
-// sampled slow-request journal: a request at or over slow.Threshold gets a
+// sampled slow-request journal: a request at or over slowThreshold (0
+// disables the journal) gets a
 // WARN line carrying its full span stage breakdown (queue wait, batching,
 // REE/TEE execution, pacing), the data needed to attribute the latency
 // without re-running the request. It sits inside RequestID and Tracing (so
 // the ID and the live span are in context) and outside the admission layers
 // (so refusals are logged too).
-func Logging(log *slog.Logger, m *httpMetrics, slow SlowLog) Middleware {
+func Logging(log *slog.Logger, m *httpMetrics, slowThreshold time.Duration) Middleware {
 	var lastSlow atomic.Int64   // unix ns of the last journal line
 	var suppressed atomic.Int64 // slow requests skipped by sampling since then
 	return func(next http.Handler) http.Handler {
@@ -214,15 +209,15 @@ func Logging(log *slog.Logger, m *httpMetrics, slow SlowLog) Middleware {
 				"bytes", rec.bytes,
 				"duration_ms", float64(dur.Microseconds())/1e3,
 			)
-			if slow.Threshold <= 0 || dur < slow.Threshold {
+			if slowThreshold <= 0 || dur < slowThreshold {
 				return
 			}
 			m.slow.Add(1)
-			// Sampling: claim the journal slot only if MinGap has passed
-			// since the last line; otherwise count the suppression.
+			// Sampling: claim the journal slot only if slowLogGap has
+			// passed since the last line; otherwise count the suppression.
 			now := time.Now().UnixNano()
 			last := lastSlow.Load()
-			if now-last < int64(slow.MinGap) || !lastSlow.CompareAndSwap(last, now) {
+			if now-last < int64(slowLogGap) || !lastSlow.CompareAndSwap(last, now) {
 				suppressed.Add(1)
 				return
 			}
@@ -232,7 +227,7 @@ func Logging(log *slog.Logger, m *httpMetrics, slow SlowLog) Middleware {
 				"path", r.URL.Path,
 				"status", rec.status,
 				"duration_ms", float64(dur.Microseconds()) / 1e3,
-				"threshold_ms", float64(slow.Threshold.Microseconds()) / 1e3,
+				"threshold_ms", float64(slowThreshold.Microseconds()) / 1e3,
 				"suppressed", suppressed.Swap(0),
 			}
 			if d, ok := obs.FromContext(r.Context()).Data(); ok {

@@ -151,7 +151,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctxID = RequestIDFrom(r.Context())
 	})
-	h := Chain(inner, RequestID(), Logging(log, newHTTPMetrics(), SlowLog{}))
+	h := Chain(inner, RequestID(), Logging(log, newHTTPMetrics(), 0))
 
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/models", nil))

@@ -15,11 +15,10 @@ import (
 // something to serve — and a reaped model can come back at any time via a
 // swap-with-create or AddModel from the management side.
 type reaper struct {
-	fleet    *fleet.Fleet
-	ttl      time.Duration
-	interval time.Duration
-	log      *slog.Logger
-	metrics  *httpMetrics
+	fleet   *fleet.Fleet
+	ttl     time.Duration
+	log     *slog.Logger
+	metrics *httpMetrics
 
 	// mu guards lastSeen and the loop's lifecycle: done is the scan loop's
 	// exit signal, nil until start launches the loop — so stop has nothing
@@ -34,11 +33,10 @@ type reaper struct {
 
 // newReaper builds a reaper over f. With ttl 0 the reaper only tracks
 // touches (start is a no-op), so handlers can stamp activity unconditionally.
-func newReaper(f *fleet.Fleet, ttl, interval time.Duration, log *slog.Logger, m *httpMetrics) *reaper {
+func newReaper(f *fleet.Fleet, ttl time.Duration, log *slog.Logger, m *httpMetrics) *reaper {
 	return &reaper{
 		fleet:    f,
 		ttl:      ttl,
-		interval: interval,
 		log:      log,
 		metrics:  m,
 		lastSeen: make(map[string]time.Time),
@@ -53,8 +51,9 @@ func (rp *reaper) touch(model string) {
 	rp.mu.Unlock()
 }
 
-// start launches the scan loop. It is a no-op when the TTL is 0, when the
-// loop already runs, and after stop.
+// start launches the scan loop, which sweeps every TTL/4 (at least 100ms
+// apart), so an idle model goes at most one interval after its TTL. It is a
+// no-op when the TTL is 0, when the loop already runs, and after stop.
 func (rp *reaper) start() {
 	if rp.ttl <= 0 {
 		return
@@ -68,7 +67,7 @@ func (rp *reaper) start() {
 	rp.done = done
 	go func() {
 		defer close(done)
-		tick := time.NewTicker(rp.interval)
+		tick := time.NewTicker(max(rp.ttl/4, 100*time.Millisecond))
 		defer tick.Stop()
 		for {
 			select {

@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"tbnet/internal/core"
@@ -95,7 +95,7 @@ type errorBody struct {
 func writeError(w http.ResponseWriter, r *http.Request, err error, retryAfter time.Duration) {
 	code, hint := statusFor(err)
 	if hint && retryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.999)))
+		w.Header().Set("Retry-After", strconv.FormatInt(int64((retryAfter+time.Second-1)/time.Second), 10))
 	}
 	writeJSONError(w, r, code, err.Error())
 }

@@ -68,20 +68,30 @@ func TestStatusTable(t *testing.T) {
 // TestWriteErrorRetryAfter: transient statuses carry the ceil-seconds
 // Retry-After header; permanent ones must not.
 func TestWriteErrorRetryAfter(t *testing.T) {
-	w := httptest.NewRecorder()
-	writeError(w, httptest.NewRequest(http.MethodPost, "/v1/infer", nil),
-		fmt.Errorf("fleet: %w", fleet.ErrOverloaded), 1500*time.Millisecond)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("code = %d, want 503", w.Code)
-	}
-	if ra := w.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\" (ceil seconds)", ra)
-	}
-	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type = %q", ct)
+	for _, tc := range []struct {
+		hint time.Duration
+		want string
+	}{
+		{1500 * time.Millisecond, "2"},
+		{time.Second, "1"},
+		{500 * time.Microsecond, "1"},
+		{time.Second + 100*time.Microsecond, "2"},
+	} {
+		w := httptest.NewRecorder()
+		writeError(w, httptest.NewRequest(http.MethodPost, "/v1/infer", nil),
+			fmt.Errorf("fleet: %w", fleet.ErrOverloaded), tc.hint)
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("code = %d, want 503", w.Code)
+		}
+		if ra := w.Header().Get("Retry-After"); ra != tc.want {
+			t.Errorf("hint %v: Retry-After = %q, want %q (ceil seconds)", tc.hint, ra, tc.want)
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("content type = %q", ct)
+		}
 	}
 
-	w = httptest.NewRecorder()
+	w := httptest.NewRecorder()
 	writeError(w, httptest.NewRequest(http.MethodPost, "/v1/infer", nil),
 		serve.ErrUnknownModel, time.Second)
 	if w.Code != http.StatusNotFound {

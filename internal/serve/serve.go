@@ -65,7 +65,8 @@ const DefaultModel = "default"
 
 // Config sizes the serving layer. The zero value of any field selects its
 // default. One Config governs every hosted model: each model gets its own
-// pool of Workers replicas and its own queue of QueueDepth slots.
+// pool of Workers replicas and its own queue of Workers×MaxBatch×4 slots
+// (Workers as constructed), four full batch waves per replica.
 type Config struct {
 	// Workers is the number of replicated enclave sessions per hosted model
 	// (default 2).
@@ -81,9 +82,6 @@ type Config struct {
 	// who wants them coalesced there (amortized switches, mixed-tenant
 	// traces) sets a positive MaxDelay and pays it in latency.
 	MaxDelay time.Duration
-	// QueueDepth bounds the number of waiting requests per model before
-	// Infer blocks (default Workers*MaxBatch*4).
-	QueueDepth int
 	// PaceScale, when positive, paces each worker in real time: after a
 	// batch's protocol run the worker sleeps the batch's modeled device
 	// latency multiplied by PaceScale. This turns the cost model's seconds
@@ -138,9 +136,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = c.Workers * c.MaxBatch * 4
-	}
 	return c
 }
 
@@ -153,9 +148,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxDelay < 0 {
 		return fmt.Errorf("%w: negative max delay %v", ErrConfig, c.MaxDelay)
-	}
-	if c.QueueDepth < 1 {
-		return fmt.Errorf("%w: queue depth %d < 1", ErrConfig, c.QueueDepth)
 	}
 	if c.PaceScale < 0 {
 		return fmt.Errorf("%w: negative pace scale %v", ErrConfig, c.PaceScale)
@@ -395,7 +387,7 @@ func (s *Server) addModel(name string, dep *core.Deployment, warm bool) error {
 		name:           name,
 		sampleShape:    shape,
 		template:       dep,
-		queue:          make(chan *request, s.cfg.QueueDepth),
+		queue:          make(chan *request, s.cfg.Workers*s.cfg.MaxBatch*4),
 		done:           make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
 		drained:        make(chan struct{}),

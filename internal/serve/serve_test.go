@@ -333,7 +333,6 @@ func TestServerConfigValidation(t *testing.T) {
 		{Workers: -1},
 		{MaxBatch: -2},
 		{MaxDelay: -time.Second},
-		{QueueDepth: -1},
 	} {
 		if _, err := New(dep, cfg); !errors.Is(err, ErrConfig) {
 			t.Fatalf("config %+v: err = %v, want ErrConfig", cfg, err)

@@ -7,8 +7,15 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"tbnet/internal/autoscale"
+	"tbnet/internal/fleet"
+	"tbnet/internal/httpd"
+	"tbnet/internal/serve"
 )
 
 // facadeAllowlist names the exported functions kept without a caller outside
@@ -76,6 +83,34 @@ func TestFacadeSurface(t *testing.T) {
 	for name := range facadeAllowlist {
 		if !seen[name] {
 			t.Errorf("allowlisted %s is not an exported function", name)
+		}
+	}
+}
+
+// configSurface is every field of the serving stack's four Config types, in
+// declaration order. Each is a knob tests and benchmarks must cover, so a
+// field with one value in use is a constant instead; TestConfigSurface fails
+// for a field added or removed without this list changing in the same diff.
+var configSurface = map[string][]string{
+	"serve.Config": {"Workers", "MaxBatch", "MaxDelay", "PaceScale", "Observer", "Tracer", "Tap"},
+	"fleet.Config": {"Nodes", "Models", "Policy", "Deadline", "MaxInFlight", "MaxBatch", "MaxDelay",
+		"PaceScale", "Tracer", "Tap"},
+	"autoscale.Config": {"Interval", "Min", "Max", "Spares", "SpareWorkers", "Logger"},
+	"httpd.Config": {"Fleet", "Registry", "APIKeys", "RateLimit", "IdleTTL", "RetryAfter", "Logger",
+		"Tracer", "SlowThreshold", "EnablePprof", "Tap"},
+}
+
+// TestConfigSurface holds the serving Configs to configSurface: a new
+// serving knob is a deliberate, reviewed change to that list.
+func TestConfigSurface(t *testing.T) {
+	for _, cfg := range []any{serve.Config{}, fleet.Config{}, autoscale.Config{}, httpd.Config{}} {
+		typ := reflect.TypeOf(cfg)
+		var fields []string
+		for i := 0; i < typ.NumField(); i++ {
+			fields = append(fields, typ.Field(i).Name)
+		}
+		if want := configSurface[typ.String()]; !slices.Equal(fields, want) {
+			t.Errorf("%s fields %v, configSurface lists %v", typ, fields, want)
 		}
 	}
 }
