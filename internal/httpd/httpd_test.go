@@ -379,6 +379,37 @@ func TestSwapOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSwapRejectsZeroStrideDepthwise: a checksum-valid artifact whose
+// depthwise stride is 0 is a malformed body, answered 400 before anything is
+// deployed, and the hosted model keeps serving.
+func TestSwapRejectsZeroStrideDepthwise(t *testing.T) {
+	s, f := testServer(t, nil, nil)
+	h := s.Handler()
+	tb := core.NewTwoBranch(zoo.BuildMobileNet(zoo.TinyMobileNetConfig(4), tensor.NewRNG(3)), 4)
+	tb.Finalized = true
+	for _, st := range tb.MT.Stages {
+		if b, ok := st.(*zoo.DWBlock); ok {
+			b.DW.Stride = 0
+			break
+		}
+	}
+	var art bytes.Buffer
+	if err := serial.SaveDeployment(&art, &serial.Artifact{
+		TB: tb, Device: "rpi3", SampleShape: []int{1, 3, 16, 16},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if w := postJSON(t, h, "/v1/models/"+fleet.DefaultModel+"/swap", art.Bytes()); w.Code != http.StatusBadRequest {
+		t.Fatalf("swap = %d: %s, want 400", w.Code, w.Body)
+	}
+	if got := f.Stats().Models[0].Swaps; got != 0 {
+		t.Fatalf("fleet swap counter = %d, want 0", got)
+	}
+	if w := postJSON(t, h, "/v1/infer", inferBody(t, "", randSample(1))); w.Code != http.StatusOK {
+		t.Fatalf("infer after the rejected swap = %d: %s", w.Code, w.Body)
+	}
+}
+
 // ranTap counts protocol runs. A tap fires after its run and before the
 // run's pacing sleep, so n > 0 means a worker holds a batch and is pacing —
 // which load probes cannot tell from the dispatcher still holding it, and a

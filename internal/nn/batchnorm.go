@@ -181,7 +181,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	m := float64(n * hw)
 	dx := tensor.New(x.Shape()...)
 	gd := b.Gamma.Value.Data()
-	gg, bg := b.Gamma.Grad.Data(), b.Beta.Grad.Data()
+	gg, bg := b.Gamma.Gradient().Data(), b.Beta.Gradient().Data()
 	dy, xh, dxd := grad.Data(), b.lastXHat.Data(), dx.Data()
 
 	for ch := 0; ch < b.C; ch++ {

@@ -48,12 +48,15 @@ type convBwd struct {
 	used                            bool
 }
 
-// NewConv2D creates a convolution with He-normal initialized weights.
+// NewConv2D creates a convolution with He-normal initialized weights drawn
+// from rng. A nil rng leaves the weights zero, for a caller (the artifact
+// loader) that overwrites them.
 func NewConv2D(name string, inC, outC, k, stride, pad int, bias bool, rng *tensor.RNG) *Conv2D {
 	c := &Conv2D{InC: inC, OutC: outC, KH: k, KW: k, Stride: stride, Pad: pad, name: name}
 	w := tensor.New(outC, inC*k*k)
-	std := math.Sqrt(2.0 / float64(inC*k*k))
-	rng.FillNormal(w, 0, std)
+	if rng != nil {
+		rng.FillNormal(w, 0, math.Sqrt(2.0/float64(inC*k*k)))
+	}
 	c.W = newParam(name+".weight", w, true)
 	if bias {
 		c.B = newParam(name+".bias", tensor.New(outC), true)
@@ -239,7 +242,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 	// Fold the per-worker weight-gradient partials into the shared
 	// accumulator, serially and in worker order (deterministic, no mutex).
-	wg := c.W.Grad.Data()
+	wg := c.W.Gradient().Data()
 	for wi := range c.bwd {
 		ws := &c.bwd[wi]
 		if !ws.used {
@@ -251,7 +254,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		ws.used = false
 	}
 	if c.B != nil {
-		bg := c.B.Grad.Data()
+		bg := c.B.Gradient().Data()
 		for i := 0; i < n; i++ {
 			for ch := 0; ch < c.OutC; ch++ {
 				base := (i*c.OutC + ch) * ohw

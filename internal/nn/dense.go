@@ -22,10 +22,14 @@ type Dense struct {
 	qscale []float32
 }
 
-// NewDense creates a dense layer with He-normal weights and zero bias.
+// NewDense creates a dense layer with He-normal weights drawn from rng and
+// zero bias. A nil rng leaves the weights zero, for a caller (the artifact
+// loader) that overwrites them.
 func NewDense(name string, in, out int, rng *tensor.RNG) *Dense {
 	w := tensor.New(in, out)
-	rng.FillNormal(w, 0, math.Sqrt(2.0/float64(in)))
+	if rng != nil {
+		rng.FillNormal(w, 0, math.Sqrt(2.0/float64(in)))
+	}
 	return &Dense{
 		In: in, Out: out,
 		W:    newParam(name+".weight", w, true),
@@ -89,8 +93,8 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Dense.Backward before Forward")
 	}
 	dW := tensor.MatMul(tensor.Transpose(x), grad)
-	d.W.Grad.AddInPlace(dW)
-	bg, gd := d.B.Grad.Data(), grad.Data()
+	d.W.Gradient().AddInPlace(dW)
+	bg, gd := d.B.Gradient().Data(), grad.Data()
 	n := x.Dim(0)
 	for i := 0; i < n; i++ {
 		row := gd[i*d.Out : (i+1)*d.Out]

@@ -26,10 +26,14 @@ type DepthwiseConv2D struct {
 	qscale []float32
 }
 
-// NewDepthwiseConv2D creates a depthwise convolution with He-normal weights.
+// NewDepthwiseConv2D creates a depthwise convolution with He-normal weights
+// drawn from rng. A nil rng leaves the weights zero, for a caller (the
+// artifact loader) that overwrites them.
 func NewDepthwiseConv2D(name string, c, k, stride, pad int, rng *tensor.RNG) *DepthwiseConv2D {
 	w := tensor.New(c, k*k)
-	rng.FillNormal(w, 0, math.Sqrt(2.0/float64(k*k)))
+	if rng != nil {
+		rng.FillNormal(w, 0, math.Sqrt(2.0/float64(k*k)))
+	}
 	return &DepthwiseConv2D{C: c, K: k, Stride: stride, Pad: pad,
 		W: newParam(name+".weight", w, true), name: name}
 }
@@ -131,7 +135,7 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	oh, ow := d.lastOH, d.lastOW
 	dx := tensor.New(n, d.C, h, w)
 	xd, gd, dd := x.Data(), grad.Data(), dx.Data()
-	wd, wg := d.W.Value.Data(), d.W.Grad.Data()
+	wd, wg := d.W.Value.Data(), d.W.Gradient().Data()
 	kk := d.K * d.K
 	// Serial over samples: filter gradients are shared across the batch.
 	for i := 0; i < n; i++ {

@@ -18,7 +18,9 @@ import (
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	// Grad is the gradient accumulator, nil until Gradient first asks for it:
+	// a loaded or replicated model that only serves never holds one.
+	Grad *tensor.Tensor
 	// Decay marks the parameter as subject to L2 weight decay. Batch-norm
 	// scales/offsets keep it false so the L1 sparsity penalty of Eq. 1 is the
 	// only regularizer acting on them.
@@ -26,11 +28,21 @@ type Param struct {
 }
 
 func newParam(name string, v *tensor.Tensor, decay bool) *Param {
-	return &Param{Name: name, Value: v, Grad: tensor.New(v.Shape()...), Decay: decay}
+	return &Param{Name: name, Value: v, Decay: decay}
+}
+
+// Gradient returns the gradient accumulator, allocating it zeroed on first
+// use. Backward passes call it only outside their parallel regions, so the
+// first touch never races.
+func (p *Param) Gradient() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Value.Shape()...)
+	}
+	return p.Grad
 }
 
 // ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+func (p *Param) ZeroGrad() { p.Gradient().Zero() }
 
 // Layer is one differentiable module. Forward computes the output for input x
 // (train toggles batch-statistics behaviour); Backward consumes the gradient

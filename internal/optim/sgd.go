@@ -38,7 +38,7 @@ func (o *SGD) Step(params []*nn.Param) {
 			v = tensor.New(p.Value.Shape()...)
 			o.velocity[p] = v
 		}
-		vd, gd, wdta := v.Data(), p.Grad.Data(), p.Value.Data()
+		vd, gd, wdta := v.Data(), p.Gradient().Data(), p.Value.Data()
 		for i := range vd {
 			g := gd[i]
 			if p.Decay {
@@ -81,7 +81,7 @@ func (s StepLR) At(epoch int) float64 {
 // penalty g of Eq. 1 applied to batch-norm scale weights.
 func AddL1Subgradient(p *nn.Param, lambda float64) {
 	l := float32(lambda)
-	gd, wd := p.Grad.Data(), p.Value.Data()
+	gd, wd := p.Gradient().Data(), p.Value.Data()
 	for i, w := range wd {
 		switch {
 		case w > 0:

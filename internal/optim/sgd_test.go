@@ -12,7 +12,7 @@ func TestSGDPlainStep(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	d := nn.NewDense("fc", 2, 2, rng)
 	w0 := d.W.Value.Clone()
-	d.W.Grad.Fill(1)
+	d.W.Gradient().Fill(1)
 	o := NewSGD(0.1, 0, 0)
 	o.Step(d.Params())
 	for i := range w0.Data() {
@@ -29,7 +29,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	d.W.Value.Data()[0] = 0
 	o := NewSGD(1, 0.9, 0)
 	// Constant gradient 1: steps should be 1, 1.9, 2.71, ...
-	d.W.Grad.Fill(1)
+	d.W.Gradient().Fill(1)
 	o.Step([]*nn.Param{d.W})
 	if got := d.W.Value.Data()[0]; math.Abs(float64(got+1)) > 1e-6 {
 		t.Fatalf("after step 1, w = %v, want -1", got)
@@ -105,8 +105,8 @@ func TestL1DrivesGammaTowardZero(t *testing.T) {
 func TestZeroGrads(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	d := nn.NewDense("fc", 2, 2, rng)
-	d.W.Grad.Fill(3)
-	d.B.Grad.Fill(3)
+	d.W.Gradient().Fill(3)
+	d.B.Gradient().Fill(3)
 	ZeroGrads(d.Params())
 	if d.W.Grad.AbsSum() != 0 || d.B.Grad.AbsSum() != 0 {
 		t.Fatal("ZeroGrads left non-zero gradients")

@@ -2,6 +2,7 @@ package serial
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -325,26 +326,57 @@ func TestSaveDeploymentRejectsBadArtifacts(t *testing.T) {
 	}
 }
 
-// FuzzLoadDeployment feeds arbitrary bytes to the deployment loader: it may
-// reject them (and almost always will), but it must never panic.
+// FuzzLoadDeployment feeds arbitrary bytes to the deployment loader, seeded
+// with an artifact of every stage kind at both precisions. Each input is
+// tried as given, so checksum rejection stays fuzzed, and with its SHA-256
+// trailer re-sealed over the mutated payload, so mutations reach the stage
+// parser. Whatever loads is deployed: loading and deploying may fail, but
+// neither may panic.
 func FuzzLoadDeployment(f *testing.F) {
+	shape := []int{1, 3, 16, 16}
 	tb := finalizedTwoBranch(f, 8, "vgg")
-	var buf bytes.Buffer
-	if err := SaveDeployment(&buf, &Artifact{TB: tb, Device: "rpi3", SampleShape: []int{1, 3, 16, 16}}); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := artifactBytes(f, &Artifact{TB: tb, Device: "rpi3", SampleShape: shape})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:8])
 	f.Add([]byte{})
 	f.Add([]byte("TBND garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		art, err := LoadDeployment(bytes.NewReader(data))
-		if err == nil && art == nil {
+	for _, arch := range []string{"mobilenet", "resnet"} {
+		f.Add(artifactBytes(f, &Artifact{TB: finalizedTwoBranch(f, 9, arch), Device: "rpi3", SampleShape: shape}))
+	}
+	for _, arch := range []string{"vgg", "mobilenet", "resnet"} {
+		art, _ := int8Artifact(f, 10, arch, shape)
+		f.Add(artifactBytes(f, art))
+	}
+	f.Fuzz(fuzzLoadAndDeploy)
+}
+
+// fuzzLoadAndDeploy is the body of the deployment fuzz targets: data as
+// given, then re-sealed; anything that loads must deploy or fail cleanly.
+func fuzzLoadAndDeploy(t *testing.T, data []byte) {
+	for _, in := range [][]byte{data, resealed(data)} {
+		art, err := LoadDeployment(bytes.NewReader(in))
+		if err != nil {
+			continue
+		}
+		if art == nil {
 			t.Fatal("nil artifact without error")
 		}
-	})
+		_, _ = art.Deploy(nil) // an error is a clean rejection; a panic fails the target
+	}
+}
+
+// resealed returns a copy of data whose trailing 32 bytes are the SHA-256
+// of everything between the 8-byte header and them — the trailer a writer
+// would have produced for that payload.
+func resealed(data []byte) []byte {
+	if len(data) < 8+sha256.Size {
+		return data
+	}
+	out := append([]byte(nil), data...)
+	sum := sha256.Sum256(out[8 : len(out)-sha256.Size])
+	copy(out[len(out)-sha256.Size:], sum[:])
+	return out
 }
 
 // FuzzLoadModel is FuzzLoadDeployment for the staged-model loader.

@@ -47,9 +47,15 @@ func (r *reader) i8s(expect int) []int8 {
 		return nil
 	}
 	buf := make([]int8, n)
-	if err := binary.Read(r.r, binary.LittleEndian, buf); err != nil {
-		r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
-		return nil
+	for dst := buf; len(dst) > 0; {
+		b := r.scratch[:min(len(dst), len(r.scratch))]
+		if !r.fill(b) {
+			return nil
+		}
+		for i, v := range b {
+			dst[i] = int8(v)
+		}
+		dst = dst[len(b):]
 	}
 	return buf
 }
@@ -78,8 +84,8 @@ func (r *reader) f32s(expect int) []float32 {
 		return nil
 	}
 	buf := make([]float32, n)
-	if err := binary.Read(r.r, binary.LittleEndian, buf); err != nil {
-		r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
+	r.f32sInto(buf)
+	if r.err != nil {
 		return nil
 	}
 	return buf
@@ -145,10 +151,7 @@ func loadQuantizedModel(r *reader) *quant.QuantizedModel {
 				return nil
 			}
 			q.Bias = make([]float32, n)
-			if err := binary.Read(r.r, binary.LittleEndian, q.Bias); err != nil {
-				r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
-				return nil
-			}
+			r.f32sInto(q.Bias)
 		}
 		if r.err != nil {
 			return nil

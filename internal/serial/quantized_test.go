@@ -227,8 +227,8 @@ func TestSaveInt8RejectsBadArtifacts(t *testing.T) {
 	}
 }
 
-// FuzzLoadDeploymentInt8 seeds the deployment fuzzer with v3 bytes so the
-// quantized decode path gets coverage; the loader must never panic.
+// FuzzLoadDeploymentInt8 is FuzzLoadDeployment seeded around the v3 header:
+// truncated int8 bytes and the precision byte dispatch.
 func FuzzLoadDeploymentInt8(f *testing.F) {
 	art, _ := int8Artifact(f, 18, "vgg", []int{1, 3, 16, 16})
 	var buf bytes.Buffer
@@ -244,10 +244,5 @@ func FuzzLoadDeploymentInt8(f *testing.F) {
 	// byte dispatch.
 	hdr := append([]byte(nil), valid[:8]...)
 	f.Add(append(hdr, []byte("not a body")...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		art, err := LoadDeployment(bytes.NewReader(data))
-		if err == nil && art == nil {
-			t.Fatal("nil artifact without error")
-		}
-	})
+	f.Fuzz(fuzzLoadAndDeploy)
 }

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 
 	"tbnet/internal/core"
 	"tbnet/internal/nn"
@@ -212,6 +213,9 @@ type reader struct {
 	r   io.Reader // buf, or a tee into h while a checksummed section is open
 	h   hash.Hash
 	err error
+	// scratch is the one decode buffer every fixed-width read goes through,
+	// so a load allocates nothing per tensor beyond the tensor itself.
+	scratch [8 << 10]byte
 }
 
 func newReader(in io.Reader) *reader {
@@ -262,26 +266,32 @@ func (r *reader) header(magic uint32, kind string, maxV uint32) uint32 {
 	return v
 }
 
-func (r *reader) u32() uint32 {
+// fill reads exactly len(b) bytes, recording a truncation as the error.
+func (r *reader) fill(b []byte) bool {
 	if r.err != nil {
+		return false
+	}
+	if _, err := io.ReadFull(r.r, b); err != nil {
+		r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
+		return false
+	}
+	return true
+}
+
+func (r *reader) u32() uint32 {
+	b := r.scratch[:4]
+	if !r.fill(b) {
 		return 0
 	}
-	var v uint32
-	if err := binary.Read(r.r, binary.LittleEndian, &v); err != nil {
-		r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
-	}
-	return v
+	return binary.LittleEndian.Uint32(b)
 }
 
 func (r *reader) i32() int { return int(int32(r.u32())) }
 
 func (r *reader) u8() uint8 {
-	if r.err != nil {
+	b := r.scratch[:1]
+	if !r.fill(b) {
 		return 0
-	}
-	var b [1]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
 	}
 	return b[0]
 }
@@ -298,11 +308,26 @@ func (r *reader) str() string {
 		return ""
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
+	if !r.fill(buf) {
 		return ""
 	}
 	return string(buf)
+}
+
+// f32sInto decodes len(dst) little-endian float32s, a scratch buffer at a
+// time.
+func (r *reader) f32sInto(dst []float32) {
+	for len(dst) > 0 {
+		n := min(len(dst), len(r.scratch)/4)
+		b := r.scratch[:4*n]
+		if !r.fill(b) {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		dst = dst[n:]
+	}
 }
 
 // floatsInto reads a float vector and requires it to match dst's size.
@@ -315,9 +340,7 @@ func (r *reader) floatsInto(dst *tensor.Tensor) {
 		r.err = fmt.Errorf("%w: tensor size %d, expected %d", ErrBadFormat, n, dst.Size())
 		return
 	}
-	if err := binary.Read(r.r, binary.LittleEndian, dst.Data()); err != nil {
-		r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
-	}
+	r.f32sInto(dst.Data())
 }
 
 // conv writes a convolution; elide skips the float32 weight tensor (quantized
@@ -339,8 +362,7 @@ func (w *writer) conv(c *nn.Conv2D, elide bool) {
 }
 
 // conv reads a convolution written with the matching elide flag. An elided
-// weight tensor is explicitly zeroed: NewConv2D fills it with random draws,
-// and a quantized skeleton must carry zeros there, matching quant.Quantize.
+// weight tensor stays zero, as quant.Quantize leaves a quantized skeleton.
 func (r *reader) conv(name string, elide bool) *nn.Conv2D {
 	inC, outC := r.i32(), r.i32()
 	k, stride, pad := r.i32(), r.i32(), r.i32()
@@ -357,10 +379,8 @@ func (r *reader) conv(name string, elide bool) *nn.Conv2D {
 		r.err = fmt.Errorf("%w: conv weight %dx%dx%dx%d too large", ErrBadFormat, outC, inC, k, k)
 		return nil
 	}
-	c := nn.NewConv2D(name, inC, outC, k, stride, pad, hasBias, tensor.NewRNG(0))
-	if elide {
-		c.W.Value.Zero()
-	} else {
+	c := nn.NewConv2D(name, inC, outC, k, stride, pad, hasBias, nil)
+	if !elide {
 		r.floatsInto(c.W.Value)
 	}
 	if hasBias {
@@ -419,11 +439,7 @@ func saveModelBody(w *writer, m *zoo.Model, elide bool) {
 		case *zoo.ConvBlock:
 			w.u8(stageConvBlock)
 			w.str(b.Name())
-			pool := 0
-			if b.Pool != nil {
-				pool = b.Pool.K
-			}
-			w.i32(pool)
+			w.i32(b.PoolK())
 			w.bool(b.OutFixed)
 			w.conv(b.Conv, elide)
 			w.bn(b.BN)
@@ -490,8 +506,9 @@ func LoadModel(in io.Reader) (*zoo.Model, error) {
 }
 
 // loadModelBody reads a staged model written with the matching elide flag;
-// elided weight tensors come back zeroed (the builders fill them with random
-// draws, which a quantized skeleton must not carry).
+// elided weight tensors come back zeroed. Every layer is built once, from
+// its bytes: the loader draws no random weights and builds no layer it
+// replaces.
 func loadModelBody(r *reader, elide bool) *zoo.Model {
 	m := &zoo.Model{}
 	m.Name = r.str()
@@ -502,11 +519,10 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || n > 1024 {
+	if n < 1 || n > 1024 {
 		r.err = fmt.Errorf("%w: stage count %d", ErrBadFormat, n)
 		return nil
 	}
-	rng := tensor.NewRNG(0)
 	for i := 0; i < n; i++ {
 		switch kind := r.u8(); kind {
 		case stageConvBlock:
@@ -518,9 +534,7 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 			if r.err != nil {
 				return nil
 			}
-			blk := zoo.NewConvBlock(name, conv.InC, conv.OutC, conv.Stride, pool, rng)
-			blk.Conv, blk.BN, blk.OutFixed = conv, bn, outFixed
-			m.Stages = append(m.Stages, blk)
+			m.Stages = append(m.Stages, zoo.AssembleConvBlock(name, conv, bn, pool, outFixed))
 		case stageDWBlock:
 			name := r.str()
 			c, k := r.i32(), r.i32()
@@ -528,14 +542,12 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 			if r.err != nil {
 				return nil
 			}
-			if c <= 0 || c > 1<<16 || k <= 0 || k > 15 {
-				r.err = fmt.Errorf("%w: depthwise dims c=%d k=%d", ErrBadFormat, c, k)
+			if c <= 0 || c > 1<<16 || k <= 0 || k > 15 || stride < 1 || stride > 64 || pad < 0 || pad > 64 {
+				r.err = fmt.Errorf("%w: depthwise dims c=%d k=%d s%d p%d", ErrBadFormat, c, k, stride, pad)
 				return nil
 			}
-			dw := nn.NewDepthwiseConv2D(name+".dw", c, k, stride, pad, rng)
-			if elide {
-				dw.W.Value.Zero()
-			} else {
+			dw := nn.NewDepthwiseConv2D(name+".dw", c, k, stride, pad, nil)
+			if !elide {
 				r.floatsInto(dw.W.Value)
 			}
 			bn1 := r.bn(name + ".bn1")
@@ -544,9 +556,7 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 			if r.err != nil {
 				return nil
 			}
-			blk := zoo.NewDWBlock(name, c, pw.OutC, stride, rng)
-			blk.DW, blk.BN1, blk.PW, blk.BN2 = dw, bn1, pw, bn2
-			m.Stages = append(m.Stages, blk)
+			m.Stages = append(m.Stages, zoo.AssembleDWBlock(name, dw, bn1, pw, bn2))
 		case stageResBlock:
 			name := r.str()
 			withSkip := r.bool()
@@ -564,10 +574,7 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 			if r.err != nil {
 				return nil
 			}
-			blk := zoo.NewResBlock(name, conv1.InC, conv2.OutC, conv1.Stride, withSkip, rng)
-			blk.Conv1, blk.BN1, blk.Conv2, blk.BN2 = conv1, bn1, conv2, bn2
-			blk.Down, blk.DownBN = down, downBN
-			m.Stages = append(m.Stages, blk)
+			m.Stages = append(m.Stages, zoo.AssembleResBlock(name, conv1, bn1, conv2, bn2, down, downBN, withSkip))
 		default:
 			r.err = fmt.Errorf("%w: unknown stage kind %d", ErrBadFormat, kind)
 			return nil
@@ -583,10 +590,8 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 		r.err = fmt.Errorf("%w: head dims %dx%d", ErrBadFormat, in, out)
 		return nil
 	}
-	m.Head = zoo.NewHead(m.Name+".head", in, out, rng)
-	if elide {
-		m.Head.FC.W.Value.Zero()
-	} else {
+	m.Head = zoo.NewHead(m.Name+".head", in, out, nil)
+	if !elide {
 		r.floatsInto(m.Head.FC.W.Value)
 	}
 	r.floatsInto(m.Head.FC.B.Value)

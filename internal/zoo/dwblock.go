@@ -23,12 +23,19 @@ type DWBlock struct {
 // NewDWBlock builds a depthwise-separable block; stride applies to the
 // depthwise (spatial) convolution.
 func NewDWBlock(name string, inC, outC, stride int, rng *tensor.RNG) *DWBlock {
+	dw := nn.NewDepthwiseConv2D(name+".dw", inC, 3, stride, 1, rng)
+	pw := nn.NewConv2D(name+".pw", inC, outC, 1, 1, 0, false, rng)
+	return AssembleDWBlock(name, dw, nn.NewBatchNorm2D(name+".bn1", inC), pw, nn.NewBatchNorm2D(name+".bn2", outC))
+}
+
+// AssembleDWBlock builds a depthwise-separable block around existing layers.
+func AssembleDWBlock(name string, dw *nn.DepthwiseConv2D, bn1 *nn.BatchNorm2D, pw *nn.Conv2D, bn2 *nn.BatchNorm2D) *DWBlock {
 	return &DWBlock{
-		DW:   nn.NewDepthwiseConv2D(name+".dw", inC, 3, stride, 1, rng),
-		BN1:  nn.NewBatchNorm2D(name+".bn1", inC),
+		DW:   dw,
+		BN1:  bn1,
 		Act1: nn.NewReLU(name + ".relu1"),
-		PW:   nn.NewConv2D(name+".pw", inC, outC, 1, 1, 0, false, rng),
-		BN2:  nn.NewBatchNorm2D(name+".bn2", outC),
+		PW:   pw,
+		BN2:  bn2,
 		Act2: nn.NewReLU(name + ".relu2"),
 		name: name,
 	}
@@ -112,15 +119,8 @@ func (b *DWBlock) PruneIn(keep []int) {
 
 // CloneStage deep-copies the block.
 func (b *DWBlock) CloneStage() Stage {
-	return &DWBlock{
-		DW:   nn.CloneOf(b.DW).(*nn.DepthwiseConv2D),
-		BN1:  nn.CloneOf(b.BN1).(*nn.BatchNorm2D),
-		Act1: nn.NewReLU(b.name + ".relu1"),
-		PW:   nn.CloneOf(b.PW).(*nn.Conv2D),
-		BN2:  nn.CloneOf(b.BN2).(*nn.BatchNorm2D),
-		Act2: nn.NewReLU(b.name + ".relu2"),
-		name: b.name,
-	}
+	return AssembleDWBlock(b.name, nn.CloneOf(b.DW).(*nn.DepthwiseConv2D), nn.CloneOf(b.BN1).(*nn.BatchNorm2D),
+		nn.CloneOf(b.PW).(*nn.Conv2D), nn.CloneOf(b.BN2).(*nn.BatchNorm2D))
 }
 
 // MobileNetConfig describes a MobileNet-style network: a stem conv followed

@@ -79,16 +79,27 @@ type ConvBlock struct {
 
 // NewConvBlock builds a conv block; pool > 1 appends a max pool of that size.
 func NewConvBlock(name string, inC, outC, stride, pool int, rng *tensor.RNG) *ConvBlock {
-	b := &ConvBlock{
-		Conv: nn.NewConv2D(name+".conv", inC, outC, 3, stride, 1, false, rng),
-		BN:   nn.NewBatchNorm2D(name+".bn", outC),
-		Act:  nn.NewReLU(name + ".relu"),
-		name: name,
-	}
+	return AssembleConvBlock(name, nn.NewConv2D(name+".conv", inC, outC, 3, stride, 1, false, rng),
+		nn.NewBatchNorm2D(name+".bn", outC), pool, false)
+}
+
+// AssembleConvBlock builds a conv block around an existing convolution and
+// batch norm; pool > 1 appends a max pool of that size.
+func AssembleConvBlock(name string, conv *nn.Conv2D, bn *nn.BatchNorm2D, pool int, outFixed bool) *ConvBlock {
+	b := &ConvBlock{Conv: conv, BN: bn, Act: nn.NewReLU(name + ".relu"), OutFixed: outFixed, name: name}
 	if pool > 1 {
 		b.Pool = nn.NewMaxPool2D(name+".pool", pool)
 	}
 	return b
+}
+
+// PoolK returns the trailing max pool's window, 0 when the block does not
+// downsample.
+func (b *ConvBlock) PoolK() int {
+	if b.Pool == nil {
+		return 0
+	}
+	return b.Pool.K
 }
 
 // Name returns the stage's diagnostic name.
@@ -180,17 +191,8 @@ func (b *ConvBlock) PruneIn(keep []int) { b.Conv.PruneInput(keep) }
 
 // CloneStage deep-copies the block.
 func (b *ConvBlock) CloneStage() Stage {
-	out := &ConvBlock{
-		Conv:     nn.CloneOf(b.Conv).(*nn.Conv2D),
-		BN:       nn.CloneOf(b.BN).(*nn.BatchNorm2D),
-		Act:      nn.NewReLU(b.name + ".relu"),
-		OutFixed: b.OutFixed,
-		name:     b.name,
-	}
-	if b.Pool != nil {
-		out.Pool = nn.NewMaxPool2D(b.name+".pool", b.Pool.K)
-	}
-	return out
+	return AssembleConvBlock(b.name, nn.CloneOf(b.Conv).(*nn.Conv2D), nn.CloneOf(b.BN).(*nn.BatchNorm2D),
+		b.PoolK(), b.OutFixed)
 }
 
 // ResBlock is a ResNet basic block: two 3×3 convolutions with an identity or
@@ -222,21 +224,34 @@ type ResBlock struct {
 
 // NewResBlock builds a basic block. stride 2 creates a projection skip.
 func NewResBlock(name string, inC, outC, stride int, withSkip bool, rng *tensor.RNG) *ResBlock {
-	b := &ResBlock{
-		Conv1:    nn.NewConv2D(name+".conv1", inC, outC, 3, stride, 1, false, rng),
-		BN1:      nn.NewBatchNorm2D(name+".bn1", outC),
+	conv1 := nn.NewConv2D(name+".conv1", inC, outC, 3, stride, 1, false, rng)
+	conv2 := nn.NewConv2D(name+".conv2", outC, outC, 3, 1, 1, false, rng)
+	var down *nn.Conv2D
+	var downBN *nn.BatchNorm2D
+	if withSkip && (stride != 1 || inC != outC) {
+		down = nn.NewConv2D(name+".down", inC, outC, 1, stride, 0, false, rng)
+		downBN = nn.NewBatchNorm2D(name+".downbn", outC)
+	}
+	return AssembleResBlock(name, conv1, nn.NewBatchNorm2D(name+".bn1", outC),
+		conv2, nn.NewBatchNorm2D(name+".bn2", outC), down, downBN, withSkip)
+}
+
+// AssembleResBlock builds a basic block around existing layers; a nil down
+// (and downBN) means an identity skip.
+func AssembleResBlock(name string, conv1 *nn.Conv2D, bn1 *nn.BatchNorm2D, conv2 *nn.Conv2D, bn2 *nn.BatchNorm2D,
+	down *nn.Conv2D, downBN *nn.BatchNorm2D, withSkip bool) *ResBlock {
+	return &ResBlock{
+		Conv1:    conv1,
+		BN1:      bn1,
 		Act1:     nn.NewReLU(name + ".relu1"),
-		Conv2:    nn.NewConv2D(name+".conv2", outC, outC, 3, 1, 1, false, rng),
-		BN2:      nn.NewBatchNorm2D(name+".bn2", outC),
+		Conv2:    conv2,
+		BN2:      bn2,
 		Act2:     nn.NewReLU(name + ".relu2"),
+		Down:     down,
+		DownBN:   downBN,
 		WithSkip: withSkip,
 		name:     name,
 	}
-	if withSkip && (stride != 1 || inC != outC) {
-		b.Down = nn.NewConv2D(name+".down", inC, outC, 1, stride, 0, false, rng)
-		b.DownBN = nn.NewBatchNorm2D(name+".downbn", outC)
-	}
-	return b
 }
 
 // Name returns the stage's diagnostic name.
@@ -395,21 +410,14 @@ func (b *ResBlock) PruneIn(keep []int) {
 
 // CloneStage deep-copies the block.
 func (b *ResBlock) CloneStage() Stage {
-	out := &ResBlock{
-		Conv1:    nn.CloneOf(b.Conv1).(*nn.Conv2D),
-		BN1:      nn.CloneOf(b.BN1).(*nn.BatchNorm2D),
-		Act1:     nn.NewReLU(b.name + ".relu1"),
-		Conv2:    nn.CloneOf(b.Conv2).(*nn.Conv2D),
-		BN2:      nn.CloneOf(b.BN2).(*nn.BatchNorm2D),
-		Act2:     nn.NewReLU(b.name + ".relu2"),
-		WithSkip: b.WithSkip,
-		name:     b.name,
-	}
+	var down *nn.Conv2D
+	var downBN *nn.BatchNorm2D
 	if b.Down != nil {
-		out.Down = nn.CloneOf(b.Down).(*nn.Conv2D)
-		out.DownBN = nn.CloneOf(b.DownBN).(*nn.BatchNorm2D)
+		down = nn.CloneOf(b.Down).(*nn.Conv2D)
+		downBN = nn.CloneOf(b.DownBN).(*nn.BatchNorm2D)
 	}
-	return out
+	return AssembleResBlock(b.name, nn.CloneOf(b.Conv1).(*nn.Conv2D), nn.CloneOf(b.BN1).(*nn.BatchNorm2D),
+		nn.CloneOf(b.Conv2).(*nn.Conv2D), nn.CloneOf(b.BN2).(*nn.BatchNorm2D), down, downBN, b.WithSkip)
 }
 
 // StripSkip returns a copy of the block with the skip connection removed —
