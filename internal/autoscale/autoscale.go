@@ -1,8 +1,7 @@
 // Package autoscale is TBNet's elastic capacity controller: a closed control
 // loop that watches a serving fleet's live signals — per-node queue depth and
-// in-flight work, and the shed counter — and actuates the fleet's
-// live-reconfiguration primitives (ResizeNode, AttachDevice, DetachDevice)
-// to track demand.
+// in-flight work, and the shed counter — and resizes each node's worker pool
+// live (fleet.ResizeNode) to track demand.
 //
 // The loop's contract mirrors the serving layer's elasticity rules rather
 // than fighting them: every scale-up goes through the warm-then-drain
@@ -30,7 +29,6 @@ import (
 
 	"tbnet/internal/core"
 	"tbnet/internal/fleet"
-	"tbnet/internal/tee"
 )
 
 // ErrConfig reports an invalid controller configuration.
@@ -48,10 +46,6 @@ const (
 	// Refused records a scale-up the device's secure-memory budget rejected;
 	// the node keeps its old width.
 	Refused Action = "refused"
-	// Attach published a whole spare device into the fleet.
-	Attach Action = "attach"
-	// Detach drained a controller-attached spare device out of the fleet.
-	Detach Action = "detach"
 )
 
 // Event is one scaling decision the controller actuated (or had refused).
@@ -84,10 +78,9 @@ const (
 	// for two per worker lets queueing delay double before capacity arrives.
 	targetBacklog = 1.5
 	// scaleDownAfter is the number of consecutive below-target ticks before
-	// a node narrows (and, with the fleet idle, before a spare detaches):
-	// the hysteresis that keeps a sine-shaped workload from thrashing the
-	// pool, short enough (750ms at the default interval) that idle capacity
-	// goes back within a second.
+	// a node narrows: the hysteresis that keeps a sine-shaped workload from
+	// thrashing the pool, short enough (750ms at the default interval) that
+	// idle capacity goes back within a second.
 	scaleDownAfter = 3
 	// eventBuffer bounds the in-memory event ring: a minute of history at
 	// the default interval even if every tick acts, a few tens of KiB.
@@ -104,13 +97,6 @@ type Config struct {
 	Min int
 	// Max is the per-node worker ceiling (default 8).
 	Max int
-	// Spares are whole devices the controller may attach when every live
-	// node is already at Max and pressure persists, and detach again (in
-	// reverse order) once the fleet goes idle. Empty means the controller
-	// only resizes the fleet it was given.
-	Spares []tee.Device
-	// SpareWorkers is the pool width a spare is attached with (default Min).
-	SpareWorkers int
 	// Logger, when set, receives every event as it is recorded — the network
 	// daemon's scaling log line hook. It is called from the control loop, so
 	// it must not block.
@@ -127,9 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.Max == 0 {
 		c.Max = 8
 	}
-	if c.SpareWorkers == 0 {
-		c.SpareWorkers = c.Min
-	}
 	return c
 }
 
@@ -142,14 +125,6 @@ func (c Config) validate() error {
 	}
 	if c.Max < c.Min {
 		return fmt.Errorf("%w: max %d < min %d", ErrConfig, c.Max, c.Min)
-	}
-	if c.SpareWorkers < 1 || c.SpareWorkers > c.Max {
-		return fmt.Errorf("%w: spare workers %d outside [1, max %d]", ErrConfig, c.SpareWorkers, c.Max)
-	}
-	for i, d := range c.Spares {
-		if d == nil {
-			return fmt.Errorf("%w: spare device %d is nil", ErrConfig, i)
-		}
 	}
 	return nil
 }
@@ -167,10 +142,6 @@ type Stats struct {
 	// Refused is the number of scale-ups rejected by a device's
 	// secure-memory budget.
 	Refused int64 `json:"refused"`
-	// Attaches, Detaches count whole-device topology changes.
-	Attaches int64 `json:"attaches"`
-	// Detaches is the number of controller-attached spares drained back out.
-	Detaches int64 `json:"detaches"`
 	// Workers is the fleet's current provisioned worker total.
 	Workers int `json:"workers"`
 	// Min and Max echo the per-node bounds the loop enforces.
@@ -189,12 +160,10 @@ type Controller struct {
 	cfg Config
 	f   *fleet.Fleet
 
-	ticks    atomic.Int64
-	ups      atomic.Int64
-	downs    atomic.Int64
-	refused  atomic.Int64
-	attaches atomic.Int64
-	detaches atomic.Int64
+	ticks   atomic.Int64
+	ups     atomic.Int64
+	downs   atomic.Int64
+	refused atomic.Int64
 
 	// mu guards the decision state below; the loop holds it across a tick,
 	// Stats/Events hold it to snapshot the ring.
@@ -202,9 +171,6 @@ type Controller struct {
 	events   []Event
 	low      map[string]int // consecutive below-target ticks per node
 	lastShed int64          // fleet shed counter at the previous tick
-	spares   []tee.Device   // not-yet-attached spare devices
-	attached []string       // controller-attached node names, LIFO
-	idle     int            // consecutive fleet-wide idle ticks
 
 	running  atomic.Bool
 	stopCh   chan struct{}
@@ -227,7 +193,6 @@ func New(f *fleet.Fleet, cfg Config) (*Controller, error) {
 		cfg:    cfg,
 		f:      f,
 		low:    make(map[string]int),
-		spares: append([]tee.Device(nil), cfg.Spares...),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 	}, nil
@@ -280,28 +245,11 @@ func (c *Controller) tick(now time.Time) {
 	shedDelta := shed - c.lastShed
 	c.lastShed = shed
 
-	live := make(map[string]bool, len(loads))
-	saturated := len(loads) > 0
-	idle := true
 	for _, l := range loads {
-		live[l.Name] = true
 		// Enough workers that each holds at most targetBacklog requests.
 		target := int(math.Ceil(float64(l.QueueDepth+l.InFlight) / targetBacklog))
-		if target > c.cfg.Min {
-			idle = false
-		}
-		if l.Workers < c.cfg.Max {
-			saturated = false
-		}
 		c.decideNode(now, l, target, shedDelta)
 	}
-	// Forget nodes that left the fleet underneath us (external detach).
-	for name := range c.low {
-		if !live[name] {
-			delete(c.low, name)
-		}
-	}
-	c.decideSpares(now, saturated, idle, shedDelta)
 }
 
 // decideNode applies the per-node rule: scale up immediately (bounded by
@@ -361,57 +309,8 @@ func (c *Controller) resize(now time.Time, name string, from, to int, reason str
 			TotalWorkers: c.f.Workers(),
 			Reason:       fmt.Sprintf("secure-memory budget refused %d→%d workers", from, to)})
 	default:
-		// The node detached or the fleet is closing: the next tick's load
-		// snapshot no longer lists it, so there is nothing to record.
-	}
-}
-
-// decideSpares attaches a whole spare device when every live node is pinned
-// at Max and pressure persists, and detaches controller-attached spares
-// (newest first) after a sustained idle stretch.
-func (c *Controller) decideSpares(now time.Time, saturated, idle bool, shedDelta int64) {
-	if idle {
-		c.idle++
-	} else {
-		c.idle = 0
-	}
-	if saturated && (shedDelta > 0 || !idle) && len(c.spares) > 0 {
-		dev := c.spares[0]
-		name, err := c.f.AttachDevice(dev, c.cfg.SpareWorkers)
-		if err != nil {
-			// Budget-refused or racing shutdown: keep the spare for later.
-			if errors.Is(err, core.ErrSecureMemory) {
-				c.refused.Add(1)
-				c.record(Event{At: now, Node: dev.Name(), Action: Refused,
-					TotalWorkers: c.f.Workers(),
-					Reason:       "secure-memory budget refused device attach"})
-			}
-			return
-		}
-		c.spares = c.spares[1:]
-		c.attached = append(c.attached, name)
-		c.attaches.Add(1)
-		c.record(Event{At: now, Node: name, Action: Attach, From: 0, To: c.cfg.SpareWorkers,
-			TotalWorkers: c.f.Workers(), Reason: "fleet saturated at max workers"})
-		return
-	}
-	if c.idle >= scaleDownAfter && len(c.attached) > 0 {
-		name := c.attached[len(c.attached)-1]
-		from := 0
-		for _, l := range c.f.NodeLoads(fleet.DefaultModel) {
-			if l.Name == name {
-				from = l.Workers
-			}
-		}
-		if err := c.f.DetachDevice(name); err != nil {
-			return
-		}
-		c.attached = c.attached[:len(c.attached)-1]
-		c.detaches.Add(1)
-		c.idle = 0
-		c.record(Event{At: now, Node: name, Action: Detach, From: from, To: 0,
-			TotalWorkers: c.f.Workers(),
-			Reason:       fmt.Sprintf("idle for %d ticks", scaleDownAfter)})
+		// The fleet is closing: the loop is about to stop, so there is
+		// nothing to record.
 	}
 }
 
@@ -442,8 +341,6 @@ func (c *Controller) Stats() Stats {
 		ScaleUps:   c.ups.Load(),
 		ScaleDowns: c.downs.Load(),
 		Refused:    c.refused.Load(),
-		Attaches:   c.attaches.Load(),
-		Detaches:   c.detaches.Load(),
 		Workers:    c.f.Workers(),
 		Min:        c.cfg.Min,
 		Max:        c.cfg.Max,

@@ -221,51 +221,6 @@ func TestRefusedScaleUpRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestSpareAttachDetach: with every node pinned at Max and pressure still
-// up, the controller attaches a spare device; once the fleet idles long
-// enough it detaches the spare again (and only ever its own spares).
-func TestSpareAttachDetach(t *testing.T) {
-	f, wait := pressedFleet(t, 24)
-	defer f.Close()
-	sgx, err := tee.ByName("sgx-desktop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(f, Config{Min: 1, Max: 2, Spares: []tee.Device{sgx}, SpareWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	c.tick(now) // 1 → 2 = Max
-	if got := f.Workers(); got != 2 {
-		t.Fatalf("workers = %d, want Max 2", got)
-	}
-	c.tick(now.Add(time.Millisecond)) // saturated + pressure → attach spare
-	st := c.Stats()
-	if st.Attaches != 1 {
-		t.Fatalf("attaches = %d, want 1", st.Attaches)
-	}
-	if got := f.Stats().Devices; got != 2 {
-		t.Fatalf("devices = %d after spare attach, want 2", got)
-	}
-	// No second spare: saturation must not error or re-attach.
-	c.tick(now.Add(2 * time.Millisecond))
-	if st := c.Stats(); st.Attaches != 1 {
-		t.Fatalf("attaches grew to %d with no spares left", st.Attaches)
-	}
-	wait() // backlog drains → fleet idles
-	for i := 0; i < 10 && c.Stats().Detaches == 0; i++ {
-		c.tick(now.Add(time.Duration(3+i) * time.Millisecond))
-	}
-	st = c.Stats()
-	if st.Detaches != 1 {
-		t.Fatalf("detaches = %d after sustained idle, want 1", st.Detaches)
-	}
-	if got := f.Stats().Devices; got != 1 {
-		t.Fatalf("devices = %d after spare detach, want 1", got)
-	}
-}
-
 // TestStartStopLifecycle: Start launches the loop, Stop is idempotent and
 // safe before/after, and a fleet-bound controller is stopped by Drain.
 func TestStartStopLifecycle(t *testing.T) {
@@ -342,8 +297,6 @@ func TestConfigValidation(t *testing.T) {
 		{Min: -1},
 		{Min: 4, Max: 2},
 		{Interval: -time.Second},
-		{SpareWorkers: 3, Max: 2},
-		{Spares: []tee.Device{nil}},
 	} {
 		if _, err := New(f, cfg); !errors.Is(err, ErrConfig) {
 			t.Fatalf("New(%+v) err = %v, want ErrConfig", cfg, err)

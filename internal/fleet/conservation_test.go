@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,10 +38,35 @@ func checkSnapshot(t *testing.T, st Stats, completedBefore, startedAfter int64) 
 	}
 }
 
+// checkMonotone asserts what a /metrics scraper relies on between two
+// successive snapshots: the fleet's counters never go backwards, and the node
+// set is the one the fleet was built with.
+func checkMonotone(t *testing.T, prev, st Stats, names []string) {
+	t.Helper()
+	if st.Requests < prev.Requests || st.Shed < prev.Shed || st.Errors < prev.Errors ||
+		st.RoutingDecisions < prev.RoutingDecisions {
+		t.Errorf("counters went backwards: requests %d→%d shed %d→%d errors %d→%d routed %d→%d",
+			prev.Requests, st.Requests, prev.Shed, st.Shed, prev.Errors, st.Errors,
+			prev.RoutingDecisions, st.RoutingDecisions)
+	}
+	if got := deviceNames(st); !slices.Equal(got, names) {
+		t.Errorf("per-device names = %v, want %v", got, names)
+	}
+}
+
+func deviceNames(st Stats) []string {
+	var names []string
+	for _, ds := range st.PerDevice {
+		names = append(names, ds.Name)
+	}
+	return names
+}
+
 // TestStatsConservation: offered == Requests + Shed + Errors the instant the
 // last Infer returns, and every snapshot a reader takes beside 8-way traffic
 // (shedding at a tight in-flight cap, across two nodes and two models) obeys
-// the same law and agrees with itself.
+// the same law, agrees with itself, keeps every counter at or above the
+// previous snapshot's and lists the same nodes.
 func TestStatsConservation(t *testing.T) {
 	sgx, err := tee.ByName("sgx-desktop")
 	if err != nil {
@@ -82,8 +108,10 @@ func TestStatsConservation(t *testing.T) {
 	completed.Store(sequential)
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
+	names := []string{"rpi3", "sgx-desktop"}
 	go func() {
 		defer close(readerDone)
+		prev := f.Stats()
 		for {
 			select {
 			case <-stop:
@@ -93,6 +121,8 @@ func TestStatsConservation(t *testing.T) {
 			c := completed.Load()
 			st := f.Stats()
 			checkSnapshot(t, st, c, started.Load())
+			checkMonotone(t, prev, st, names)
+			prev = st
 		}
 	}()
 	var wg sync.WaitGroup

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,131 +108,6 @@ func TestFleetResizeRefusedWithoutHeadroom(t *testing.T) {
 	}
 }
 
-// TestFleetAttachDetachLive: a device attached to a serving fleet hosts
-// every current model (proved by detaching the founding node and checking
-// bit-exact answers from the newcomer), detach refuses unknown names and the
-// last node, and re-attachment of a device type gets a unique identity.
-func TestFleetAttachDetachLive(t *testing.T) {
-	depA := testDeployment(t, 50)
-	depB := testDeployment(t, 51)
-	xs := randSamples(8, 52)
-	wantA := groundTruth(t, testDeployment(t, 50), xs)
-	wantB := groundTruth(t, testDeployment(t, 51), xs)
-
-	f, err := New(depA, Config{
-		Nodes:    []NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}},
-		Models:   []NamedModel{{Name: "candidate", Dep: depB}},
-		MaxDelay: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	sgx, err := tee.ByName("sgx-desktop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, err := f.AttachDevice(sgx, 2)
-	if err != nil {
-		t.Fatalf("AttachDevice: %v", err)
-	}
-	if name != "sgx-desktop" {
-		t.Fatalf("attached node name = %q", name)
-	}
-	if st := f.Stats(); st.Devices != 2 || st.Workers != 3 {
-		t.Fatalf("devices/workers = %d/%d after attach, want 2/3", st.Devices, st.Workers)
-	}
-
-	// Detach the founding node: everything now rides on the newcomer, so
-	// correct answers for BOTH models prove the attach replicated the full
-	// hosted set.
-	if err := f.DetachDevice("rpi3"); err != nil {
-		t.Fatalf("DetachDevice: %v", err)
-	}
-	for i, x := range xs {
-		a, err := f.Infer(context.Background(), x)
-		if err != nil {
-			t.Fatalf("default request %d on attached node: %v", i, err)
-		}
-		if a != wantA[i] {
-			t.Fatalf("default label[%d] = %d, want %d", i, a, wantA[i])
-		}
-		b, err := f.InferModel(context.Background(), "candidate", x)
-		if err != nil {
-			t.Fatalf("candidate request %d on attached node: %v", i, err)
-		}
-		if b != wantB[i] {
-			t.Fatalf("candidate label[%d] = %d, want %d", i, b, wantB[i])
-		}
-	}
-
-	if err := f.DetachDevice("sgx-desktop"); !errors.Is(err, ErrConfig) {
-		t.Fatalf("detach last node err = %v, want ErrConfig", err)
-	}
-	if err := f.DetachDevice("ghost"); !errors.Is(err, ErrConfig) {
-		t.Fatalf("detach unknown node err = %v, want ErrConfig", err)
-	}
-	second, err := f.AttachDevice(sgx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(second, "sgx-desktop#") {
-		t.Fatalf("second node of a type = %q, want a #-suffixed identity", second)
-	}
-	if _, err := f.AttachDevice(nil, 1); !errors.Is(err, ErrConfig) {
-		t.Fatalf("nil device err = %v, want ErrConfig", err)
-	}
-	if _, err := f.AttachDevice(sgx, 0); !errors.Is(err, ErrConfig) {
-		t.Fatalf("zero-worker attach err = %v, want ErrConfig", err)
-	}
-}
-
-// TestFleetDetachUnderFire: detaching a node while 8 goroutines hammer the
-// fleet must not drop a request — routing unpublishes first, requests
-// already routed finish on the live server, then it closes.
-func TestFleetDetachUnderFire(t *testing.T) {
-	f, err := New(testDeployment(t, 55), Config{
-		Nodes:       mixedNodes(t, 1),
-		Policy:      RoundRobin(),
-		MaxDelay:    200 * time.Microsecond,
-		MaxInFlight: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	xs := randSamples(16, 56)
-
-	var stop atomic.Bool
-	var failed atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; !stop.Load(); i++ {
-				if _, err := f.Infer(context.Background(), xs[i%len(xs)]); err != nil {
-					failed.Add(1)
-				}
-			}
-		}(g)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if err := f.DetachDevice("sgx-desktop"); err != nil {
-		t.Fatalf("detach under fire: %v", err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
-	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d requests dropped across the detach", n)
-	}
-	if st := f.Stats(); st.Devices != 2 {
-		t.Fatalf("devices = %d after detach, want 2", st.Devices)
-	}
-}
-
 // TestFleetWorkerSecondsLedger: the worker-seconds clock integrates the
 // provisioned width piecewise-exactly across resizes and freezes at Close.
 func TestFleetWorkerSecondsLedger(t *testing.T) {
@@ -298,38 +172,3 @@ func TestFleetControllerBinding(t *testing.T) {
 type countingStopper struct{ stops atomic.Int64 }
 
 func (s *countingStopper) Stop() { s.stops.Add(1) }
-
-// TestFleetReattachKeepsNodeNamesUnique: a node's identity is the smallest
-// "name" or "name#k" no live node holds, so detaching the first of two rpi3
-// nodes and attaching another rpi3 gives it back "rpi3" — never a second
-// "rpi3#2" that DetachDevice, the EWMA cells and /metrics could not tell
-// apart from the first.
-func TestFleetReattachKeepsNodeNamesUnique(t *testing.T) {
-	f, err := New(testDeployment(t, 58), Config{Nodes: []NodeConfig{
-		{Device: tee.RaspberryPi3(), Workers: 1},
-		{Device: tee.RaspberryPi3(), Workers: 1},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := f.DetachDevice("rpi3"); err != nil {
-		t.Fatal(err)
-	}
-	name, err := f.AttachDevice(tee.RaspberryPi3(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	third, err := f.AttachDevice(tee.RaspberryPi3(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, ds := range f.Stats().PerDevice {
-		names = append(names, ds.Name)
-	}
-	if name != "rpi3" || third != "rpi3#3" || strings.Join(names, " ") != "rpi3#2 rpi3 rpi3#3" {
-		t.Fatalf("attached %q then %q; per-device names %v, want rpi3, rpi3#3 and [rpi3#2 rpi3 rpi3#3]",
-			name, third, names)
-	}
-}

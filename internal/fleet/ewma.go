@@ -84,19 +84,6 @@ func (e *Estimator) Estimate(model, node string) (float64, bool) {
 	return c.value, true
 }
 
-// DropNode forgets every cell of one node — called when the node detaches,
-// so a later re-attachment of the same device starts from fresh probes
-// instead of stale history.
-func (e *Estimator) DropNode(node string) {
-	e.mu.Lock()
-	for k := range e.cells {
-		if k.node == node {
-			delete(e.cells, k)
-		}
-	}
-	e.mu.Unlock()
-}
-
 // DropModel forgets every cell of one model — called when the model is
 // removed fleet-wide (e.g. by the idle-model reaper).
 func (e *Estimator) DropModel(model string) {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestEstimatorEWMA: the estimator seeds on the first observation, then
-// moves DefaultEWMAAlpha of the way toward each new sample; drops forget
-// exactly the named node or model.
+// moves DefaultEWMAAlpha of the way toward each new sample; a drop forgets
+// exactly the named model.
 func TestEstimatorEWMA(t *testing.T) {
 	e := NewEstimator()
 	if _, ok := e.Estimate("m", "a"); ok {
@@ -36,16 +36,9 @@ func TestEstimatorEWMA(t *testing.T) {
 	if snap[2].Model != "n" {
 		t.Fatalf("snapshot[2] = %+v, want model n last", snap[2])
 	}
-	e.DropNode("a")
-	if _, ok := e.Estimate("m", "a"); ok {
-		t.Fatal("DropNode left the (m,a) cell")
-	}
-	if _, ok := e.Estimate("m", "b"); !ok {
-		t.Fatal("DropNode erased another node's cell")
-	}
 	e.DropModel("m")
-	if len(e.Snapshot()) != 0 {
-		t.Fatalf("cells after drops: %v", e.Snapshot())
+	if snap := e.Snapshot(); len(snap) != 1 || snap[0].Model != "n" || snap[0].Node != "a" {
+		t.Fatalf("cells after DropModel(m): %v, want only the (n,a) cell", snap)
 	}
 }
 
@@ -116,7 +109,6 @@ func TestRoutingShiftsOffDegradedNode(t *testing.T) {
 		degraded := 0
 		for i := 0; i < n; i++ {
 			picked := f.route(DefaultModel)
-			picked.active.Add(-1)
 			if picked.name == "rpi3" {
 				degraded++
 			}

@@ -221,16 +221,10 @@ type node struct {
 	resizeMu sync.Mutex
 
 	// lat maps each hosted model name to its modeled single-sample latency
-	// on this device, probed when the model is attached (or swapped), so
-	// cost-aware routing needs no warm-up traffic. Guarded by the fleet's
-	// modelMu.
+	// on this device, probed when the model is added (or swapped), so
+	// cost-aware routing needs no warm-up traffic. Every node holds the same
+	// key set, the fleet's hosted models. Guarded by the fleet's modelMu.
 	lat map[string]float64
-
-	// active counts requests routed here whose InferModel call has not
-	// returned yet. DetachDevice unpublishes the node, waits for active to
-	// reach zero, and only then closes the server — so a request that was
-	// routed a microsecond before the detach still lands on a live server.
-	active atomic.Int64
 
 	routed atomic.Int64 // routing decisions sent here
 	shed   atomic.Int64 // deadline sheds attributed to this node
@@ -243,23 +237,13 @@ type node struct {
 type Fleet struct {
 	cfg Config
 
-	// topoMu guards the attached-node slice: routing and stats hold it
-	// shared, AttachDevice/DetachDevice hold it exclusively. It is never
-	// held while waiting on modelMu's writer side (and vice versa), so the
-	// two-lock discipline cannot cycle.
-	topoMu sync.RWMutex
-	nodes  []*node
+	// nodes is set by New and never changes, so it is read without a lock.
+	nodes []*node
 
-	// modelMu guards the hosted-model name list, the nodes' per-model
-	// latency maps, the retained templates, and modelVer.
+	// modelMu guards the hosted-model name list and the nodes' per-model
+	// latency maps.
 	modelMu sync.RWMutex
 	names   []string
-	// templates retains each hosted model's source deployment so a device
-	// attached later can host the full current model set.
-	templates map[string]*core.Deployment
-	// modelVer counts model-set mutations (add/remove/swap); AttachDevice
-	// rebuilds its candidate node until the version holds still.
-	modelVer int64
 
 	// est is the online latency estimator, present exactly when the policy
 	// is EWMA().
@@ -272,10 +256,6 @@ type Fleet struct {
 	// ctl is the bound autoscale controller (a Stopper), stopped on
 	// Close/Drain so the control loop cannot outlive its fleet.
 	ctl atomic.Value
-
-	// attachMu serializes AttachDevice/DetachDevice, so topology changes
-	// are totally ordered and device-name uniquing cannot race.
-	attachMu sync.Mutex
 
 	inflight  atomic.Int64
 	shedTotal atomic.Int64
@@ -295,9 +275,9 @@ type Stopper interface {
 }
 
 // workerClock integrates the fleet's provisioned worker count over wall
-// time. Every topology change (resize, attach, detach) closes the running
-// segment at the old width and opens one at the new, so Total is exact
-// piecewise-constant integration, not sampling.
+// time. Every resize closes the running segment at the old width and opens
+// one at the new, so Total is exact piecewise-constant integration, not
+// sampling.
 type workerClock struct {
 	mu      sync.Mutex
 	at      time.Time
@@ -361,18 +341,17 @@ func New(dep *core.Deployment, cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		cfg:       cfg,
-		names:     []string{DefaultModel},
-		templates: map[string]*core.Deployment{DefaultModel: dep},
-		drained:   make(chan struct{}),
-		start:     time.Now(),
+		cfg:     cfg,
+		names:   []string{DefaultModel},
+		drained: make(chan struct{}),
+		start:   time.Now(),
 	}
 	if _, ok := cfg.Policy.(ewma); ok {
 		f.est = NewEstimator()
 	}
 	totalWorkers := 0
 	for i, nc := range cfg.Nodes {
-		name := freeName(nc.Device.Name(), f.nodes)
+		name := nodeName(nc.Device.Name(), f.nodes)
 		n, err := f.buildNode(name, nc.Device, nc.Workers, dep)
 		if err != nil {
 			f.closeNodes()
@@ -426,27 +405,19 @@ func (f *Fleet) buildNode(name string, device tee.Device, workers int, dep *core
 	}, nil
 }
 
-// freeName returns a node identity no node in live holds: the device name
-// itself, else the smallest free "name#k" (k ≥ 2). Taking the smallest free
-// one, rather than counting the device type's live nodes, keeps a re-attach
-// after a detach from reusing a name still in service.
-func freeName(device string, live []*node) string {
-	held := make(map[string]bool, len(live))
-	for _, n := range live {
-		held[n.name] = true
+// nodeName returns the identity of the next node built on device: the
+// device name itself for its first node, "name#k" for its k-th.
+func nodeName(device string, earlier []*node) string {
+	k := 1
+	for _, n := range earlier {
+		if n.device.Name() == device {
+			k++
+		}
 	}
-	name := device
-	for k := 2; held[name]; k++ {
-		name = fmt.Sprintf("%s#%d", device, k)
+	if k == 1 {
+		return device
 	}
-	return name
-}
-
-// snapshotNodes copies the attached-node slice under the topology lock.
-func (f *Fleet) snapshotNodes() []*node {
-	f.topoMu.RLock()
-	defer f.topoMu.RUnlock()
-	return append([]*node(nil), f.nodes...)
+	return fmt.Sprintf("%s#%d", device, k)
 }
 
 // probeOn replicates dep onto device (a fresh single-sample session) and
@@ -480,7 +451,6 @@ func (f *Fleet) AddModel(name string, dep *core.Deployment) error {
 	if f.closed.Load() {
 		return serve.ErrClosed
 	}
-	nodes := f.snapshotNodes()
 	f.modelMu.Lock()
 	defer f.modelMu.Unlock()
 	for _, n := range f.names {
@@ -488,13 +458,13 @@ func (f *Fleet) AddModel(name string, dep *core.Deployment) error {
 			return fmt.Errorf("%w: %q", serve.ErrModelExists, name)
 		}
 	}
-	for i, n := range nodes {
+	for i, n := range f.nodes {
 		template, lat, err := probeOn(dep, n.device)
 		if err == nil {
 			err = n.srv.AddModel(name, template)
 		}
 		if err != nil {
-			for _, prev := range nodes[:i] {
+			for _, prev := range f.nodes[:i] {
 				prev.srv.RemoveModel(name) // best-effort unwind
 				delete(prev.lat, name)
 			}
@@ -503,8 +473,6 @@ func (f *Fleet) AddModel(name string, dep *core.Deployment) error {
 		n.lat[name] = lat
 	}
 	f.names = append(f.names, name)
-	f.templates[name] = dep
-	f.modelVer++
 	return nil
 }
 
@@ -522,11 +490,10 @@ func (f *Fleet) SwapModel(name string, dep *core.Deployment) error {
 	if f.closed.Load() {
 		return serve.ErrClosed
 	}
-	nodes := f.snapshotNodes()
-	errs := make([]error, len(nodes))
-	lats := make([]float64, len(nodes))
+	errs := make([]error, len(f.nodes))
+	lats := make([]float64, len(f.nodes))
 	var wg sync.WaitGroup
-	for i, n := range nodes {
+	for i, n := range f.nodes {
 		wg.Add(1)
 		go func(i int, n *node) {
 			defer wg.Done()
@@ -543,26 +510,12 @@ func (f *Fleet) SwapModel(name string, dep *core.Deployment) error {
 		}(i, n)
 	}
 	wg.Wait()
-	// A node detached while we swapped fails with ErrClosed through no fault
-	// of the swap; drop its error rather than failing a fleet-wide success.
-	attached := make(map[*node]bool, len(f.snapshotNodes()))
-	for _, n := range f.snapshotNodes() {
-		attached[n] = true
-	}
-	swapped := false
 	f.modelMu.Lock()
-	for i, n := range nodes {
-		if errs[i] == nil {
+	for i, n := range f.nodes {
+		// A RemoveModel that raced the swap has deleted the entry; keep it
+		// gone.
+		if _, hosted := n.lat[name]; hosted && errs[i] == nil {
 			n.lat[name] = lats[i]
-			swapped = true
-		} else if !attached[n] {
-			errs[i] = nil
-		}
-	}
-	if swapped {
-		if _, ok := f.templates[name]; ok {
-			f.templates[name] = dep
-			f.modelVer++
 		}
 	}
 	f.modelMu.Unlock()
@@ -582,7 +535,6 @@ func (f *Fleet) RemoveModel(name string) error {
 	if name == DefaultModel {
 		return fmt.Errorf("%w: cannot remove the default model", ErrConfig)
 	}
-	nodes := f.snapshotNodes()
 	f.modelMu.Lock()
 	found := false
 	for i, n := range f.names {
@@ -596,20 +548,18 @@ func (f *Fleet) RemoveModel(name string) error {
 		f.modelMu.Unlock()
 		return fmt.Errorf("%w: %q", serve.ErrUnknownModel, name)
 	}
-	for _, n := range nodes {
+	for _, n := range f.nodes {
 		delete(n.lat, name)
 	}
-	delete(f.templates, name)
-	f.modelVer++
 	f.modelMu.Unlock()
 	if f.est != nil {
 		f.est.DropModel(name)
 	}
 	// Drain the per-node pools outside the lock — each RemoveModel blocks
 	// until its pool's queue has flushed — and in parallel, like SwapModel.
-	errs := make([]error, len(nodes))
+	errs := make([]error, len(f.nodes))
 	var wg sync.WaitGroup
-	for i, n := range nodes {
+	for i, n := range f.nodes {
 		wg.Add(1)
 		go func(i int, n *node) {
 			defer wg.Done()
@@ -634,7 +584,7 @@ func (f *Fleet) Models() []string {
 // serves (every node hosts the same model template, so the shape is
 // fleet-wide); unknown names fail with serve.ErrUnknownModel.
 func (f *Fleet) SampleShape(model string) ([]int, error) {
-	return f.snapshotNodes()[0].srv.SampleShape(model)
+	return f.nodes[0].srv.SampleShape(model)
 }
 
 // closeNodes tears down the servers started so far (construction failure).
@@ -664,45 +614,39 @@ func loadOf(n *node, lat float64) Load {
 	}
 }
 
-// loads builds the policy's snapshot for model over the given nodes,
+// loads builds the policy's snapshot for model over every node,
 // substituting the online estimator's learned latencies for the
 // construction-time probes wherever a cell has observations. hosted reports
-// whether the fleet hosts model, read under the same model lock. Callers hold
-// at most topoMu shared (the topo→model nesting the lock order allows).
-func (f *Fleet) loads(model string, nodes []*node) (out []Load, hosted bool) {
-	lats := make([]float64, len(nodes))
+// whether the fleet hosts model, read under the same model lock.
+func (f *Fleet) loads(model string) (out []Load, hosted bool) {
+	lats := make([]float64, len(f.nodes))
 	f.modelMu.RLock()
-	_, hosted = f.templates[model]
-	for i, n := range nodes {
+	_, hosted = f.nodes[0].lat[model]
+	for i, n := range f.nodes {
 		lats[i] = n.lat[model]
 	}
 	f.modelMu.RUnlock()
 	if f.est != nil {
-		for i, n := range nodes {
+		for i, n := range f.nodes {
 			if v, ok := f.est.Estimate(model, n.name); ok {
 				lats[i] = v
 			}
 		}
 	}
-	out = make([]Load, len(nodes))
-	for i, n := range nodes {
+	out = make([]Load, len(f.nodes))
+	for i, n := range f.nodes {
 		out[i] = loadOf(n, lats[i])
 	}
 	return out, hosted
 }
 
 // route consults the policy with a live load snapshot and returns the chosen
-// node for a request addressed to model, with the node's active count
-// already incremented (the caller must release it). A model the fleet does
-// not host returns nil before the policy is asked, so no node counts it as
-// routed. An out-of-range pick is folded back into range, so a buggy policy
-// degrades to a skewed distribution rather than a panic. The topology lock is
-// held across the decision, so the picked node cannot detach before its
-// active count pins it.
+// node for a request addressed to model. A model the fleet does not host
+// returns nil before the policy is asked, so no node counts it as routed. An
+// out-of-range pick is folded back into range, so a buggy policy degrades to
+// a skewed distribution rather than a panic.
 func (f *Fleet) route(model string) *node {
-	f.topoMu.RLock()
-	defer f.topoMu.RUnlock()
-	loads, hosted := f.loads(model, f.nodes)
+	loads, hosted := f.loads(model)
 	if !hosted {
 		return nil
 	}
@@ -712,7 +656,6 @@ func (f *Fleet) route(model string) *node {
 	}
 	n := f.nodes[idx]
 	n.routed.Add(1)
-	n.active.Add(1)
 	return n
 }
 
@@ -720,7 +663,7 @@ func (f *Fleet) route(model string) *node {
 // model (estimator-adjusted latencies included) — the autoscale controller's
 // per-tick signal probe.
 func (f *Fleet) NodeLoads(model string) []Load {
-	loads, _ := f.loads(model, f.snapshotNodes())
+	loads, _ := f.loads(model)
 	return loads
 }
 
@@ -765,7 +708,6 @@ func (f *Fleet) InferModel(ctx context.Context, model string, x *tensor.Tensor) 
 	if n == nil {
 		return 0, fmt.Errorf("fleet: %w: %q", serve.ErrUnknownModel, model)
 	}
-	defer n.active.Add(-1)
 	// Annotate the request span (if the ingress attached one) with the
 	// routing decision; the serve layer fills in the rest of the timeline.
 	obs.FromContext(ctx).SetNode(n.name)
@@ -792,8 +734,7 @@ func (f *Fleet) InferModel(ctx context.Context, model string, x *tensor.Tensor) 
 // scale-up whose warm window does not fit the device's secure-memory budget
 // is refused with ErrSecureMemory (wrapped) and the node keeps its old width
 // — the hot-swap headroom rule applied to elasticity. Unknown node names
-// fail with ErrConfig; a node detached mid-resize fails with
-// serve.ErrClosed. On success the fleet's worker-seconds ledger shifts to
+// fail with ErrConfig. On success the fleet's worker-seconds ledger shifts to
 // the new width.
 func (f *Fleet) ResizeNode(name string, workers int) error {
 	if f.closed.Load() {
@@ -819,10 +760,8 @@ func (f *Fleet) ResizeNode(name string, workers int) error {
 	return nil
 }
 
-// nodeByName resolves a node by identity under the topology lock.
+// nodeByName resolves a node by identity.
 func (f *Fleet) nodeByName(name string) *node {
-	f.topoMu.RLock()
-	defer f.topoMu.RUnlock()
 	for _, n := range f.nodes {
 		if n.name == name {
 			return n
@@ -831,128 +770,9 @@ func (f *Fleet) nodeByName(name string) *node {
 	return nil
 }
 
-// AttachDevice attaches a whole new device to the running fleet: every
-// currently hosted model is replicated, probed, and warmed onto it off the
-// serving path, and only then is the node published to routing — the first
-// request it sees lands on sized arenas. The returned name is the node's
-// identity: "jetson-tz", or the smallest "jetson-tz#k" no live node holds.
-// If the model set changes while the node is being prepared (a concurrent
-// add, remove, or swap), preparation restarts against the new set, so a
-// published node always hosts exactly the fleet's current models.
-func (f *Fleet) AttachDevice(device tee.Device, workers int) (string, error) {
-	if device == nil {
-		return "", fmt.Errorf("%w: nil device", ErrConfig)
-	}
-	if workers < 1 {
-		return "", fmt.Errorf("%w: workers %d < 1", ErrConfig, workers)
-	}
-	if f.closed.Load() || f.draining.Load() {
-		return "", serve.ErrClosed
-	}
-	f.attachMu.Lock()
-	defer f.attachMu.Unlock()
-	// attachMu keeps the live names stable against other attaches and
-	// detaches until the node is published.
-	name := freeName(device.Name(), f.snapshotNodes())
-	for {
-		f.modelMu.RLock()
-		ver := f.modelVer
-		names := append([]string(nil), f.names...)
-		templates := make(map[string]*core.Deployment, len(names))
-		for _, m := range names {
-			templates[m] = f.templates[m]
-		}
-		f.modelMu.RUnlock()
-
-		n, err := f.buildNode(name, device, workers, templates[DefaultModel])
-		if err != nil {
-			return "", fmt.Errorf("fleet: attaching %s: %w", name, err)
-		}
-		for _, m := range names[1:] {
-			template, lat, perr := probeOn(templates[m], device)
-			if perr == nil {
-				perr = n.srv.AddModel(m, template)
-			}
-			if perr != nil {
-				n.srv.Close()
-				return "", fmt.Errorf("fleet: attaching %s: hosting %q: %w", name, m, perr)
-			}
-			n.lat[m] = lat
-		}
-
-		f.topoMu.Lock()
-		f.modelMu.RLock()
-		if f.modelVer == ver && !f.closed.Load() {
-			f.nodes = append(f.nodes, n)
-			f.modelMu.RUnlock()
-			f.topoMu.Unlock()
-			f.clock.add(workers)
-			return name, nil
-		}
-		closed := f.closed.Load()
-		f.modelMu.RUnlock()
-		f.topoMu.Unlock()
-		n.srv.Close()
-		if closed {
-			return "", serve.ErrClosed
-		}
-		// The model set moved underneath us — rebuild against the new set.
-	}
-}
-
-// DetachDevice detaches a node from the running fleet without dropping a
-// request: the node is unpublished from routing, requests already routed to
-// it finish on its live server, its queues drain, and its secure memory
-// returns to the modeled device. The last node cannot be detached (a fleet
-// always serves); unknown names fail with ErrConfig.
-func (f *Fleet) DetachDevice(name string) error {
-	if f.closed.Load() {
-		return serve.ErrClosed
-	}
-	f.attachMu.Lock()
-	defer f.attachMu.Unlock()
-	f.topoMu.Lock()
-	var n *node
-	for i, cand := range f.nodes {
-		if cand.name == name {
-			if len(f.nodes) == 1 {
-				f.topoMu.Unlock()
-				return fmt.Errorf("%w: cannot detach the last node %q", ErrConfig, name)
-			}
-			n = cand
-			f.nodes = append(f.nodes[:i], f.nodes[i+1:]...)
-			break
-		}
-	}
-	f.topoMu.Unlock()
-	if n == nil {
-		return fmt.Errorf("%w: no node %q", ErrConfig, name)
-	}
-	// Unpublished: routing can no longer pick the node, and every request
-	// that picked it before the unpublish holds its active count. Wait those
-	// out, then drain the server.
-	for n.active.Load() > 0 {
-		time.Sleep(200 * time.Microsecond)
-	}
-	// resizeMu lets a resize already under way settle the server's width
-	// before the ledger releases it; a later one finds the server closed.
-	n.resizeMu.Lock()
-	n.srv.Close()
-	f.clock.add(-n.srv.Workers())
-	n.resizeMu.Unlock()
-	if f.est != nil {
-		f.est.DropNode(name)
-	}
-	return nil
-}
-
 // Devices returns the number of attached nodes — the liveness probe's
 // figure, read without building a Stats snapshot.
-func (f *Fleet) Devices() int {
-	f.topoMu.RLock()
-	defer f.topoMu.RUnlock()
-	return len(f.nodes)
-}
+func (f *Fleet) Devices() int { return len(f.nodes) }
 
 // Batching returns the micro-batching policy every node runs: the flush size
 // and how long an incomplete batch is held back for companions (0 means
@@ -964,7 +784,7 @@ func (f *Fleet) Batching() (maxBatch int, linger time.Duration) {
 // Workers returns the fleet's current total provisioned worker count.
 func (f *Fleet) Workers() int {
 	total := 0
-	for _, n := range f.snapshotNodes() {
+	for _, n := range f.nodes {
 		total += n.srv.Workers()
 	}
 	return total
@@ -1045,7 +865,7 @@ func (f *Fleet) Close() error {
 		f.closed.Store(true)
 		f.stopController()
 		var wg sync.WaitGroup
-		for _, n := range f.snapshotNodes() {
+		for _, n := range f.nodes {
 			wg.Add(1)
 			go func(n *node) {
 				defer wg.Done()
@@ -1171,7 +991,7 @@ type Stats struct {
 	// Models is the per-model fleet-wide breakdown, in hosting order
 	// (DefaultModel first).
 	Models []ModelStats `json:"models"`
-	// PerDevice is the per-node breakdown, in attachment order.
+	// PerDevice is the per-node breakdown, in construction order.
 	PerDevice []DeviceStats `json:"per_device"`
 	// LatencyHist is the fleet-wide merged modeled-latency histogram behind
 	// the percentile fields (per-node histograms are under
@@ -1187,7 +1007,7 @@ type Stats struct {
 // Requests == Σ Models[i].Requests == Σ PerDevice[i].Serve.Requests ==
 // LatencyHist.Count(), by construction.
 func (f *Fleet) Stats() Stats {
-	nodes := f.snapshotNodes()
+	nodes := f.nodes
 	out := Stats{
 		Policy:        f.cfg.Policy.Name(),
 		Devices:       len(nodes),

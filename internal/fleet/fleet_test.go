@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -274,7 +275,8 @@ func TestFleetConfigValidation(t *testing.T) {
 }
 
 // TestFleetDuplicateDevicesGetDistinctNames: attaching two boards of the same
-// type keeps their stats attributable.
+// type keeps their stats attributable, and names stay unique, in construction
+// order, when boards of one type are interleaved with another.
 func TestFleetDuplicateDevicesGetDistinctNames(t *testing.T) {
 	dep := testDeployment(t, 60)
 	f, err := New(dep, Config{Nodes: []NodeConfig{
@@ -288,6 +290,25 @@ func TestFleetDuplicateDevicesGetDistinctNames(t *testing.T) {
 	st := f.Stats()
 	if len(st.PerDevice) != 2 || st.PerDevice[0].Name != "rpi3" || st.PerDevice[1].Name != "rpi3#2" {
 		t.Fatalf("per-device names = %+v, want rpi3 + rpi3#2", st.PerDevice)
+	}
+
+	sgx, err := tee.ByName("sgx-desktop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := New(dep, Config{Nodes: []NodeConfig{
+		{Device: tee.RaspberryPi3(), Workers: 1},
+		{Device: sgx, Workers: 1},
+		{Device: tee.RaspberryPi3(), Workers: 1},
+		{Device: tee.RaspberryPi3(), Workers: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mixed.Close()
+	want := []string{"rpi3", "sgx-desktop", "rpi3#2", "rpi3#3"}
+	if got := deviceNames(mixed.Stats()); !slices.Equal(got, want) {
+		t.Fatalf("interleaved per-device names = %v, want %v", got, want)
 	}
 }
 

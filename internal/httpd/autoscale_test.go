@@ -204,8 +204,7 @@ func TestMetricsAutoscaleExposition(t *testing.T) {
 	for _, want := range []string{
 		"tbnet_autoscale_running", "tbnet_autoscale_ticks_total",
 		"tbnet_autoscale_scale_ups_total", "tbnet_autoscale_scale_downs_total",
-		"tbnet_autoscale_refused_total", "tbnet_autoscale_attaches_total",
-		"tbnet_autoscale_detaches_total", "tbnet_autoscale_workers_min",
+		"tbnet_autoscale_refused_total", "tbnet_autoscale_workers_min",
 		"tbnet_autoscale_workers_max",
 	} {
 		if fam[want] != 1 {

@@ -291,10 +291,6 @@ func (s *Server) writeMetrics(w io.Writer) error {
 			"Actuated worker-pool narrowings.", float64(ast.ScaleDowns))
 		pw.metric("tbnet_autoscale_refused_total", "counter",
 			"Scale-ups rejected by a device's secure-memory budget.", float64(ast.Refused))
-		pw.metric("tbnet_autoscale_attaches_total", "counter",
-			"Spare devices attached by the controller.", float64(ast.Attaches))
-		pw.metric("tbnet_autoscale_detaches_total", "counter",
-			"Controller-attached spares drained back out.", float64(ast.Detaches))
 		pw.metric("tbnet_autoscale_workers_min", "gauge",
 			"Per-node worker floor the loop enforces.", float64(ast.Min))
 		pw.metric("tbnet_autoscale_workers_max", "gauge",

@@ -17,17 +17,14 @@ import (
 // ledger — total capacity paid for over the run, busy or idle.
 func AutoscaleTable(st autoscale.Stats, workerSeconds float64) *Table {
 	t := &Table{
-		Title: "Autoscale controller",
-		Header: []string{"Ticks", "Ups", "Downs", "Refused", "Attach", "Detach",
-			"Workers", "Bounds", "Worker-sec"},
+		Title:  "Autoscale controller",
+		Header: []string{"Ticks", "Ups", "Downs", "Refused", "Workers", "Bounds", "Worker-sec"},
 	}
 	t.AddRow(
 		fmt.Sprintf("%d", st.Ticks),
 		fmt.Sprintf("%d", st.ScaleUps),
 		fmt.Sprintf("%d", st.ScaleDowns),
 		fmt.Sprintf("%d", st.Refused),
-		fmt.Sprintf("%d", st.Attaches),
-		fmt.Sprintf("%d", st.Detaches),
 		fmt.Sprintf("%d", st.Workers),
 		fmt.Sprintf("[%d,%d]", st.Min, st.Max),
 		fmt.Sprintf("%.2f", workerSeconds),

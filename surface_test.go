@@ -95,7 +95,7 @@ var configSurface = map[string][]string{
 	"serve.Config": {"Workers", "MaxBatch", "MaxDelay", "PaceScale", "Observer", "Tracer", "Tap"},
 	"fleet.Config": {"Nodes", "Models", "Policy", "Deadline", "MaxInFlight", "MaxBatch", "MaxDelay",
 		"PaceScale", "Tracer", "Tap"},
-	"autoscale.Config": {"Interval", "Min", "Max", "Spares", "SpareWorkers", "Logger"},
+	"autoscale.Config": {"Interval", "Min", "Max", "Logger"},
 	"httpd.Config": {"Fleet", "Registry", "APIKeys", "RateLimit", "IdleTTL", "RetryAfter", "Logger",
 		"Tracer", "SlowThreshold", "EnablePprof", "Tap"},
 }
