@@ -2,9 +2,12 @@ package httpd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -18,12 +21,19 @@ import (
 // holds a 256-sample batch of them with room to spare.
 const maxInferBodyBytes = 32 << 20
 
+// maxBatchSamples bounds a /v1/infer/batch body's samples: each one costs a
+// goroutine and a response line, which the byte cap alone leaves at millions.
+const maxBatchSamples = 256
+
 // maxPooledBody is the largest body buffer kept for reuse; a rare bigger one
 // is left to the collector so the pool cannot pin a burst's worth of memory.
 const maxPooledBody = 1 << 20
 
 // errBadBody marks an inference body that could not be read or parsed.
 var errBadBody = errors.New("bad request body")
+
+// errTooManySamples answers a batch body over maxBatchSamples.
+var errTooManySamples = fmt.Errorf("batch of more than %d samples", maxBatchSamples)
 
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -67,8 +77,7 @@ type sample struct {
 func decodeSamples(body []byte, batch bool, deployed shapeFunc) (model string, samples []sample, err error) {
 	sc := bodyScanner{b: body, batch: batch, deployed: deployed}
 	if sc.scan() {
-		model, samples = sc.samples()
-		return model, samples, nil
+		return sc.samples()
 	}
 	return decodeStdlib(body, batch, deployed)
 }
@@ -87,6 +96,9 @@ func decodeStdlib(body []byte, batch bool, deployed shapeFunc) (string, []sample
 		var req batchRequest
 		if err := dec.Decode(&req); err != nil {
 			return "", nil, fmt.Errorf("%w: %w", errBadBody, err)
+		}
+		if len(req.Inputs) > maxBatchSamples {
+			return "", nil, errTooManySamples
 		}
 		name, inputs, shape = req.Model, req.Inputs, req.Shape
 	} else {
@@ -161,6 +173,7 @@ type bodyScanner struct {
 	counts    []int     // values each sample of a batch body sent
 	count     int       // values the one sample of a single body sent
 	hasInputs bool
+	tooMany   bool // a batch body past maxBatchSamples: scanned, not counted
 }
 
 // skipSpace returns the index of the first byte of b at or after i that is
@@ -212,52 +225,162 @@ func (s *bodyScanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// skipDigits returns the index of the first non-digit of b at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		i++
+// digits folds the run of decimal digits at b[i:] into w and returns the
+// index past the run. w wraps past 19 digits; callers count the run.
+func digits(b []byte, i int, w uint64) (int, uint64) {
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		w = w*10 + uint64(b[i]-'0')
 	}
-	return i
+	return i, w
 }
 
-// numberEnd returns the end of the strict JSON number that starts at b[i],
-// or -1 when there is none.
-func numberEnd(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
+// eightDigits folds the run of decimal digits at b[i:] into w eight at a
+// time while eight remain, then one at a time, like digits.
+func eightDigits(b []byte, i int, w uint64) (int, uint64) {
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		// Every byte in '0'..'9': high nibble 3, and no carry out of +6.
+		if (x&0xF0F0F0F0F0F0F0F0)|((x+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4 != 0x3333333333333333 {
+			break
+		}
+		// Pairs, then quads, then the eight: the first byte is the top digit.
+		x -= 0x3030303030303030
+		x = x*10 + x>>8
+		x = ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		w = w*100000000 + uint64(uint32(x))
+	}
+	return digits(b, i, w)
+}
+
+// maxExactDigits is the most significant digits a uint64 always holds.
+const maxExactDigits = 19
+
+var (
+	pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	pow10u = [maxExactDigits + 1]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+)
+
+// scanNumber parses the strict JSON number that starts at b[i] exactly as
+// strconv.ParseFloat(s, 64) parses it, in one pass over its bytes, and
+// returns its end. ok is false when no number starts there, when the digits
+// after a sign, point or exponent marker are missing, on a leading zero, and
+// when the value is out of float64's range.
+func scanNumber(b []byte, i int) (v float64, end int, ok bool) {
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
 	lead := i
-	if i = skipDigits(b, i); i == lead || (b[lead] == '0' && i > lead+1) {
-		return -1
+	var w uint64
+	if i, w = digits(b, i, 0); i == lead || b[lead] == '0' && i > lead+1 {
+		return 0, 0, false
 	}
+	nd, e := i-lead, 0
 	if i < len(b) && b[i] == '.' {
 		frac := i + 1
-		if i = skipDigits(b, frac); i == frac {
-			return -1
+		if i, w = eightDigits(b, frac, w); i == frac {
+			return 0, 0, false
+		}
+		nd, e = nd+i-frac, frac-i
+		if nd > maxExactDigits && w != 0 && b[lead] == '0' {
+			// 0.000ddd: the zeros ahead of the first significant digit
+			// left w untouched.
+			for nd--; b[frac] == '0'; frac++ {
+				nd--
+			}
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		expNeg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || expNeg) {
 			i++
 		}
-		exp := i
-		if i = skipDigits(b, exp); i == exp {
-			return -1
+		digs := i
+		var x uint64
+		if i, x = digits(b, i, 0); i == digs {
+			return 0, 0, false
+		}
+		if i-digs >= maxExactDigits {
+			nd = maxExactDigits + 1 // x may have wrapped: ParseFloat's
+		} else if expNeg {
+			e -= int(x)
+		} else {
+			e += int(x)
 		}
 	}
-	return i
+	if nd <= maxExactDigits {
+		if v, ok = exactFloat(w, e); ok {
+			if neg {
+				v = -v
+			}
+			return v, i, true
+		}
+	}
+	v, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return v, i, err == nil
+}
+
+// exactFloat returns w·10^e correctly rounded to float64, when it is in
+// reach of one exact operation: ok is false otherwise.
+func exactFloat(w uint64, e int) (v float64, ok bool) {
+	switch {
+	case w == 0:
+		return 0, true
+	case w < 1<<53 && -22 <= e && e <= 22:
+		// Both operands exact, so the one rounding is the only one.
+		if e < 0 {
+			return float64(w) / pow10f[-e], true
+		}
+		return float64(w) * pow10f[e], true
+	case -maxExactDigits <= e && e < 0:
+		// w·2^s / 10^-e, with s putting the quotient in [2⁶², 2⁶⁴).
+		d := pow10u[-e]
+		s := 63 + bits.Len64(d) - bits.Len64(w)
+		var hi, lo uint64
+		if s >= 64 {
+			hi = w << (s - 64)
+		} else {
+			hi, lo = w>>(64-s), w<<s
+		}
+		q, r := bits.Div64(hi, lo, d)
+		return roundBits(q, r != 0, -s), true
+	case 0 <= e && e <= maxExactDigits:
+		hi, lo := bits.Mul64(w, pow10u[e])
+		if hi == 0 {
+			return roundBits(lo, false, 0), true
+		}
+		n := bits.Len64(hi)
+		return roundBits(hi<<(64-n)|lo>>n, lo<<(64-n) != 0, n), true
+	}
+	return 0, false
+}
+
+// roundBits returns (q + f)·2^e2 rounded to nearest-even, where q ≥ 2⁵³,
+// 0 ≤ f < 1, f > 0 exactly when sticky, and the result is a normal float64.
+func roundBits(q uint64, sticky bool, e2 int) float64 {
+	shift := bits.Len64(q) - 53
+	mant, rem, half := q>>shift, q&(1<<shift-1), uint64(1)<<(shift-1)
+	if rem > half || rem == half && (sticky || mant&1 == 1) {
+		if mant++; mant == 1<<53 {
+			mant, shift = mant>>1, shift+1
+		}
+	}
+	return math.Float64frombits(uint64(shift+e2+52+1023)<<52 | mant&(1<<52-1))
 }
 
 // dim scans one shape dimension: a plain positive integer up to maxScanDim.
 func (s *bodyScanner) dim() (int, bool) {
 	start := skipSpace(s.b, s.pos)
-	s.pos = skipDigits(s.b, start)
+	var d uint64
+	s.pos, d = digits(s.b, start, 0)
 	if n := s.pos - start; n == 0 || n > 7 || s.b[start] == '0' {
 		return 0, false
 	}
-	d, _ := strconv.Atoi(string(s.b[start:s.pos]))
-	return d, d <= maxScanDim
+	return int(d), d <= maxScanDim
 }
 
 func (s *bodyScanner) scanShape() bool {
@@ -315,13 +438,8 @@ func (s *bodyScanner) scanValues(dst []float32) (count int, ok bool) {
 	}
 	b, i := s.b, s.pos
 	for {
-		i = skipSpace(b, i)
-		end := numberEnd(b, i)
-		if end < 0 {
-			return 0, false
-		}
-		v, err := strconv.ParseFloat(string(b[i:end]), 64)
-		if err != nil {
+		v, end, ok := scanNumber(b, skipSpace(b, i))
+		if !ok {
 			return 0, false
 		}
 		if count < len(dst) {
@@ -364,7 +482,7 @@ func (s *bodyScanner) scanInputs() bool {
 		return false
 	}
 	// Sizing only: every sample opens one bracket.
-	if size := bytes.Count(s.b[s.pos:], []byte{'['}); s.n == 0 || size <= limit/s.n {
+	if size := min(bytes.Count(s.b[s.pos:], []byte{'['}), maxBatchSamples); s.n == 0 || size <= limit/s.n {
 		limit = size * s.n
 	}
 	s.data = make([]float32, limit)
@@ -373,6 +491,14 @@ func (s *bodyScanner) scanInputs() bool {
 		next, ok := s.more(len(s.counts) == 0, ']')
 		if !ok || !next {
 			return ok
+		}
+		if s.tooMany = len(s.counts) == maxBatchSamples; s.tooMany {
+			// Past the cap the rest is read for its grammar alone, so the
+			// verdict is the reference's whatever follows.
+			if _, ok := s.scanValues(nil); !ok {
+				return false
+			}
+			continue
 		}
 		count, ok := s.scanValues(s.data[stored:min(stored+s.n, len(s.data))])
 		if !ok {
@@ -446,7 +572,10 @@ func (s *bodyScanner) scan() bool {
 
 // samples turns a scanned body into the decoded form: one view of the shared
 // backing per sample that sent exactly the resolved shape's element count.
-func (s *bodyScanner) samples() (string, []sample) {
+func (s *bodyScanner) samples() (string, []sample, error) {
+	if s.tooMany {
+		return "", nil, errTooManySamples
+	}
 	counts := s.counts
 	if !s.batch {
 		counts = []int{s.count}
@@ -464,5 +593,5 @@ func (s *bodyScanner) samples() (string, []sample) {
 		}
 		stored += min(count, s.n)
 	}
-	return resolveModel(s.name), out
+	return resolveModel(s.name), out, nil
 }

@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"tbnet/internal/fleet"
 	"tbnet/internal/serve"
 	"tbnet/internal/tensor"
 )
@@ -65,9 +67,10 @@ func benchBody(tb testing.TB, model string, batch int, shape ...int) []byte {
 }
 
 // checkAgainstReference is the differential oracle: a body the scanner takes
-// must decode exactly as encoding/json decodes it — accepted, same model,
-// same per-sample verdict and error text, same shape, every float bit for
-// bit. It reports whether the scanner took the body.
+// must decode exactly as encoding/json decodes it — accepted, or refused with
+// the same error, same model, same per-sample verdict and error text, same
+// shape, every float bit for bit. It reports whether the scanner took the
+// body.
 func checkAgainstReference(t *testing.T, body []byte, batch bool) bool {
 	t.Helper()
 	before := append([]byte(nil), body...)
@@ -79,10 +82,16 @@ func checkAgainstReference(t *testing.T, body []byte, batch bool) bool {
 	if !taken {
 		return false
 	}
-	gotModel, got := sc.samples()
+	gotModel, got, gotErr := sc.samples()
 	wantModel, want, err := decodeStdlib(body, batch, testShapes)
-	if err != nil {
-		t.Fatalf("scanner took %q, reference rejects it: %v", body, err)
+	if gotErr != nil || err != nil {
+		if gotErr == nil || err == nil || gotErr.Error() != err.Error() {
+			t.Fatalf("body %q: scanner error %v, reference %v", body, gotErr, err)
+		}
+		if c, _ := statusFor(gotErr); c != http.StatusRequestEntityTooLarge {
+			t.Fatalf("body %q: error %v maps to %d", body, gotErr, c)
+		}
+		return true
 	}
 	if gotModel != wantModel || len(got) != len(want) {
 		t.Fatalf("body %q: scanner (%q, %d samples), reference (%q, %d samples)",
@@ -141,6 +150,13 @@ func seedBodies(tb testing.TB, batch bool) (taken, declined [][]byte) {
 	}
 	if batch {
 		taken = append(taken, []byte(`{"inputs":[]}`), []byte(`{"shape":[1,1,1],"inputs":[[],[1],[]]}`))
+		// Either side of the sample cap, and past it with a tail to read.
+		for _, n := range []int{maxBatchSamples, maxBatchSamples + 1} {
+			taken = append(taken, []byte(`{"model":"wide","inputs":[`+strings.Repeat("[1,2,3],", n-1)+`[1,2,3]]}`))
+		}
+		over := `{"shape":[1,1,1],"inputs":[` + strings.Repeat("[],", maxBatchSamples) + `[1e5]`
+		taken = append(taken, []byte(over+`,[],[0.5]]}`))
+		declined = append(declined, []byte(over+`,[1,]]}`), []byte(over+`]`), []byte(over+`,[]],"extra":1}`))
 	}
 	doc := `{"model":"wide",` + key + arr("[1.5,-2e1,0]") + `,"shape":[1,1,3]}`
 	for i := 0; i < len(doc); i++ {
@@ -256,6 +272,63 @@ func TestInferBodyTooLarge(t *testing.T) {
 		if eb.Status != w.Code || eb.Error != "bad request body: http: request body too large" {
 			t.Fatalf("%s error body = %+v", path, eb)
 		}
+	}
+}
+
+// TestBatchSampleCap: a batch body holds at most maxBatchSamples samples.
+// The cap itself is served; one more answers 413 naming the cap from either
+// decoder, before any sample is decoded into a tensor or handed a goroutine.
+func TestBatchSampleCap(t *testing.T) {
+	// Unlimited admission: the batch's samples all arrive at once.
+	s, _ := testServer(t, func(c *fleet.Config) { c.MaxInFlight = -1 }, nil)
+	h := s.Handler()
+	w := postJSON(t, h, "/v1/infer/batch", benchBody(t, "", maxBatchSamples, 3, 16, 16))
+	if w.Code != http.StatusOK {
+		t.Fatalf("%d samples = %d: %s", maxBatchSamples, w.Code, w.Body)
+	}
+	if lines := strings.Count(w.Body.String(), "\n"); lines != maxBatchSamples || strings.Contains(w.Body.String(), "error") {
+		t.Fatalf("%d samples streamed %d lines: %.200s", maxBatchSamples, lines, w.Body)
+	}
+	over := benchBody(t, "", maxBatchSamples+1, 3, 16, 16)
+	for name, body := range map[string][]byte{
+		"scanner": over,
+		"stdlib":  bytes.Replace(over, []byte(`"inputs"`), []byte(`"Inputs"`), 1),
+	} {
+		w := postJSON(t, h, "/v1/infer/batch", body)
+		var eb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("%s: %v: %s", name, err, w.Body)
+		}
+		if w.Code != http.StatusRequestEntityTooLarge || eb.Error != "batch of more than 256 samples" {
+			t.Fatalf("%s: %d samples = %d %+v, want 413 naming the cap", name, maxBatchSamples+1, w.Code, eb)
+		}
+	}
+}
+
+// TestBatchSampleCapBoundsAllocation: a body cap's worth of empty samples
+// (millions of them) answers 413 having allocated for the body and at most
+// the cap's worth of samples, not per sample sent.
+func TestBatchSampleCapBoundsAllocation(t *testing.T) {
+	s, _ := testServer(t, nil, nil)
+	var body bytes.Buffer
+	body.WriteString(`{"inputs":[[]`)
+	for body.Len() < maxInferBodyBytes-16 {
+		body.WriteString(",[]")
+	}
+	body.WriteString("]}")
+	samples := strings.Count(body.String(), "[]")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := postJSON(t, s.Handler(), "/v1/infer/batch", body.Bytes())
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d empty samples = %d: %.200s", samples, w.Code, w.Body)
+	}
+	allocs, bytesAlloc := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d samples: %d allocations, %d MiB", samples, allocs, bytesAlloc>>20)
+	if allocs > 1000 || bytesAlloc > 4*maxInferBodyBytes {
+		t.Fatalf("%d samples allocated %d times, %d bytes", samples, allocs, bytesAlloc)
 	}
 }
 

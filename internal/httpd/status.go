@@ -32,6 +32,7 @@ type statusRule struct {
 //
 //	body over its cap   → 413 (*http.MaxBytesError is a type, not a sentinel,
 //	                      so statusFor matches it ahead of the rows)
+//	batch over its cap  → 413
 //	rate limit          → 429 + Retry-After (per-tenant budget; back off)
 //	draining            → 503 + Retry-After (terminal here; retry elsewhere)
 //	overloaded          → 503 + Retry-After (fleet shed the request)
@@ -45,6 +46,7 @@ type statusRule struct {
 //	unknown device      → 400 (an artifact saved for a backend not registered here)
 //	unparsable body     → 400
 var statusTable = []statusRule{
+	{errTooManySamples, http.StatusRequestEntityTooLarge, false},
 	{ErrRateLimited, http.StatusTooManyRequests, true},
 	{fleet.ErrDraining, http.StatusServiceUnavailable, true},
 	{fleet.ErrOverloaded, http.StatusServiceUnavailable, true},
