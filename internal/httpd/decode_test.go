@@ -150,10 +150,8 @@ func seedBodies(tb testing.TB, batch bool) (taken, declined [][]byte) {
 	}
 	if batch {
 		taken = append(taken, []byte(`{"inputs":[]}`), []byte(`{"shape":[1,1,1],"inputs":[[],[1],[]]}`))
-		// Either side of the sample cap, and past it with a tail to read.
-		for _, n := range []int{maxBatchSamples, maxBatchSamples + 1} {
-			taken = append(taken, []byte(`{"model":"wide","inputs":[`+strings.Repeat("[1,2,3],", n-1)+`[1,2,3]]}`))
-		}
+		// Past the sample cap, with a tail still to read (TestBatchSampleCap
+		// has the cap itself).
 		over := `{"shape":[1,1,1],"inputs":[` + strings.Repeat("[],", maxBatchSamples) + `[1e5]`
 		taken = append(taken, []byte(over+`,[],[0.5]]}`))
 		declined = append(declined, []byte(over+`,[1,]]}`), []byte(over+`]`), []byte(over+`,[]],"extra":1}`))
