@@ -93,12 +93,12 @@ func decodeStdlib(body []byte, batch bool, deployed shapeFunc) (string, []sample
 		shape  []int
 	)
 	if batch {
+		if overCap(body) {
+			return "", nil, errTooManySamples
+		}
 		var req batchRequest
 		if err := dec.Decode(&req); err != nil {
 			return "", nil, fmt.Errorf("%w: %w", errBadBody, err)
-		}
-		if len(req.Inputs) > maxBatchSamples {
-			return "", nil, errTooManySamples
 		}
 		name, inputs, shape = req.Model, req.Inputs, req.Shape
 	} else {
@@ -114,6 +114,32 @@ func decodeStdlib(body []byte, batch bool, deployed shapeFunc) (string, []sample
 		samples[i].x, samples[i].err = sampleTensor(deployed, model, input, shape)
 	}
 	return model, samples, nil
+}
+
+// overCap reports whether a batch body that decodes holds more than
+// maxBatchSamples samples, counting them without a slice for each (a body cap
+// of [] is millions). Such a body answers with the cap whatever else it has.
+func overCap(body []byte) bool {
+	var c struct {
+		Inputs sampleCount `json:"inputs"`
+	}
+	if se := (*json.SyntaxError)(nil); errors.As(json.Unmarshal(body, &c), &se) && se.Offset > 0 {
+		// A json.Decoder reads the first value and leaves what follows it.
+		json.Unmarshal(body[:se.Offset-1], &c)
+	}
+	return c.Inputs > maxBatchSamples
+}
+
+// sampleCount decodes a batch body's inputs (valid JSON) as their count.
+type sampleCount int
+
+func (n *sampleCount) UnmarshalJSON(b []byte) error {
+	dec, skip := json.NewDecoder(bytes.NewReader(b)), json.RawMessage(nil)
+	*n = 0
+	for t, _ := dec.Token(); t == json.Delim('[') && *n <= maxBatchSamples && dec.More(); *n++ {
+		dec.Decode(&skip)
+	}
+	return nil
 }
 
 // sampleTensor builds the [1,C,H,W] inference tensor from a flattened input,
@@ -304,8 +330,8 @@ func scanNumber(b []byte, i int) (v float64, end int, ok bool) {
 		if i, x = digits(b, i, 0); i == digs {
 			return 0, 0, false
 		}
-		if i-digs >= maxExactDigits {
-			nd = maxExactDigits + 1 // x may have wrapped: ParseFloat's
+		if i-digs > 4 {
+			nd = maxExactDigits + 1 // out of reach whatever int's width: ParseFloat's
 		} else if expNeg {
 			e -= int(x)
 		} else {
@@ -348,13 +374,6 @@ func exactFloat(w uint64, e int) (v float64, ok bool) {
 		}
 		q, r := bits.Div64(hi, lo, d)
 		return roundBits(q, r != 0, -s), true
-	case 0 <= e && e <= maxExactDigits:
-		hi, lo := bits.Mul64(w, pow10u[e])
-		if hi == 0 {
-			return roundBits(lo, false, 0), true
-		}
-		n := bits.Len64(hi)
-		return roundBits(hi<<(64-n)|lo>>n, lo<<(64-n) != 0, n), true
 	}
 	return 0, false
 }

@@ -305,7 +305,8 @@ func TestBatchSampleCap(t *testing.T) {
 
 // TestBatchSampleCapBoundsAllocation: a body cap's worth of empty samples
 // (millions of them) answers 413 having allocated for the body and at most
-// the cap's worth of samples, not per sample sent.
+// the cap's worth of samples, not per sample sent — from the scanner, and
+// from encoding/json when the scanner declines the body.
 func TestBatchSampleCapBoundsAllocation(t *testing.T) {
 	s, _ := testServer(t, nil, nil)
 	var body bytes.Buffer
@@ -315,18 +316,54 @@ func TestBatchSampleCapBoundsAllocation(t *testing.T) {
 	}
 	body.WriteString("]}")
 	samples := strings.Count(body.String(), "[]")
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	w := postJSON(t, s.Handler(), "/v1/infer/batch", body.Bytes())
-	runtime.ReadMemStats(&after)
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("%d empty samples = %d: %.200s", samples, w.Code, w.Body)
+	for name, b := range map[string][]byte{
+		"scanner": body.Bytes(),
+		"stdlib":  bytes.Replace(body.Bytes(), []byte(`"inputs"`), []byte(`"Inputs"`), 1),
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w := postJSON(t, s.Handler(), "/v1/infer/batch", b)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d empty samples = %d: %.200s", name, samples, w.Code, w.Body)
+		}
+		allocs, bytesAlloc := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("%s: %d samples: %d allocations, %d MiB", name, samples, allocs, bytesAlloc>>20)
+		if allocs > 1000 || bytesAlloc > 4*maxInferBodyBytes {
+			t.Fatalf("%s: %d samples allocated %d times, %d bytes", name, samples, allocs, bytesAlloc)
+		}
 	}
-	allocs, bytesAlloc := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	t.Logf("%d samples: %d allocations, %d MiB", samples, allocs, bytesAlloc>>20)
-	if allocs > 1000 || bytesAlloc > 4*maxInferBodyBytes {
-		t.Fatalf("%d samples allocated %d times, %d bytes", samples, allocs, bytesAlloc)
+}
+
+// TestOverCap: the reference decode counts a batch body's samples the way
+// encoding/json would read them — the last "inputs" key in any case, the
+// first of several values, strings and nested arrays whole — and only
+// bodies over the cap are refused before the decode.
+func TestOverCap(t *testing.T) {
+	over := "[" + strings.Repeat(`[],`, maxBatchSamples) + "[]]"
+	atCap := "[" + strings.Repeat(`["]",{"a":[1,2]}],`, maxBatchSamples-1) + "[]]"
+	for _, c := range []struct {
+		body string
+		want bool
+	}{
+		{`{"inputs":` + over + `}`, true},
+		{`{"INPUTS":` + over + `}`, true},
+		{`{"inputs":` + over + `,"extra":1,"model":5}`, true},
+		{`{"inputs":` + over + `} trailing`, true},
+		{`{"inputs":` + over + `}{"inputs":[]}`, true},
+		{`{"inputs":[],"inputs":` + over + `}`, true},
+		{`{"inputs":` + atCap + `}`, false},
+		{`{"inputs":` + over + `,"inputs":[]}`, false},
+		{`{"inputs":` + over, false},
+		{`{"other":` + over + `}`, false},
+		{`{"inputs":"` + over + `"}`, false},
+		{`[` + over + `]`, false},
+		{``, false},
+	} {
+		if got := overCap([]byte(c.body)); got != c.want {
+			t.Errorf("overCap(%.60q) = %v, want %v", c.body, got, c.want)
+		}
 	}
 }
 

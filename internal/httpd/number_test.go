@@ -54,6 +54,7 @@ var numberSeeds = []string{
 	"1e22", "1e23", "1e-22", "1e-23", "12345678901234567e19", "12345678901234567e-19", "12345678901234567e20",
 	"1e400", "-1e400", "1e-400", "4.9e-324", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
 	"1.7976931348623159e308", "1e0000000000000000000000005", "0e99999999999999999999999", "1e-99999999999999999999",
+	"1e4294967296", "1e-4294967296", "1e09999", "1e00001", "12345e-0004",
 	"", "-", "+1", ".5", "1.", "1.e5", "1e", "1e+", "01", "-01", "00", "0x10", "1_0", "Inf", "NaN", "1.5.", "1e5e",
 	"1 ", "12345678x", "1234567812345678,", "0.123456781234567812345678]",
 }
@@ -163,8 +164,8 @@ func TestExactFloatPaths(t *testing.T) {
 		{1<<53 - 1, 22, "float"},
 		{1<<53 + 1, -1, "div"},
 		{9999999999999999999, -19, "div"},
-		{1<<53 + 1, 0, "mul"},
-		{9999999999999999999, 19, "mul"},
+		{1<<53 + 1, 0, ""},
+		{9999999999999999999, 19, ""},
 		{1<<53 + 1, -20, ""},
 		{1<<53 + 1, 20, ""},
 		{1, 23, ""},
