@@ -237,7 +237,8 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 
 // Replicate creates an independent enclave session for the same finalized
 // model, sized for batches of up to batch samples (batch < 1 keeps the
-// original sizing). Both branches are deep-copied, so the replica shares no
+// original sizing). Both branches are deep-copied (an int8 layer's packed
+// weights, which never change, are shared), so the replica shares no
 // mutable state with the original — concurrent Infer calls on different
 // replicas never contend. The replica reserves a fresh per-session
 // secure-memory budget; to account several replicas against one device, use
@@ -258,10 +259,12 @@ func (d *Deployment) ReplicateOn(device tee.Device, batch int, mem *tee.SecureMe
 	if batch >= 1 {
 		shape[0] = batch
 	}
+	var q *quantizedPair
 	if d.precision == PrecisionInt8 {
-		// Re-realize from the shared immutable quantized records so the
-		// replica keeps the int8 path (and its pricing) on the new device.
-		return deployQuantizedWith(d.qmr, d.qmt, d.align, device, shape, mem)
+		// The clones below keep the int8 arming: a layer's packed int8
+		// weights are immutable and shared, so a replica neither re-realizes
+		// nor re-packs them, and it keeps the int8 pricing on the new device.
+		q = &quantizedPair{qmr: d.qmr, qmt: d.qmt}
 	}
 	align := make([][]int, len(d.align))
 	for i, a := range d.align {
@@ -275,7 +278,7 @@ func (d *Deployment) ReplicateOn(device tee.Device, batch int, mem *tee.SecureMe
 		Align:     align,
 		Finalized: true,
 	}
-	return deployWith(tb, device, shape, mem, nil)
+	return deployWith(tb, device, shape, mem, q)
 }
 
 // Precision returns the deployment's numeric serving path.

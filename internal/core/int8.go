@@ -62,12 +62,6 @@ func DeployInt8(tb *TwoBranch, device tee.Device, sampleShape []int) (*Deploymen
 // retained by reference (they are immutable) so replicas and artifact saves
 // reuse them.
 func DeployQuantized(qmr, qmt *quant.QuantizedModel, align [][]int, device tee.Device, sampleShape []int) (*Deployment, error) {
-	return deployQuantizedWith(qmr, qmt, align, device, sampleShape, nil)
-}
-
-// deployQuantizedWith is DeployQuantized with an optional shared
-// secure-memory accountant (the replica path).
-func deployQuantizedWith(qmr, qmt *quant.QuantizedModel, align [][]int, device tee.Device, sampleShape []int, mem *tee.SecureMemory) (*Deployment, error) {
 	if qmr == nil || qmt == nil {
 		return nil, fmt.Errorf("core: deploy of nil quantized branches: %w", ErrShape)
 	}
@@ -86,7 +80,7 @@ func deployQuantizedWith(qmr, qmt *quant.QuantizedModel, align [][]int, device t
 		}
 	}
 	tb := &TwoBranch{MR: rmr, MT: rmt, Align: alignCopy, Finalized: true}
-	return deployWith(tb, device, sampleShape, mem, &quantizedPair{qmr: qmr, qmt: qmt})
+	return deployWith(tb, device, sampleShape, nil, &quantizedPair{qmr: qmr, qmt: qmt})
 }
 
 // scaleFlops divides every stage and head flop figure by the device's int8

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"tbnet/internal/tee"
@@ -195,12 +196,26 @@ func TestInt8ReplicatePreservesPrecision(t *testing.T) {
 	if cross.Precision() != PrecisionInt8 {
 		t.Fatalf("cross-device replica precision %v, want int8", cross.Precision())
 	}
+	// A replica is a clone of the realized branches, its packed int8 weights
+	// shared: it must label and price exactly as the original does.
 	x := randX(2, 281)
-	if _, err := rep.Infer(x); err != nil {
+	want, err := dep.Infer(x)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cross.Infer(x); err != nil {
-		t.Fatal(err)
+	for _, r := range []*Deployment{rep, cross} {
+		got, err := r.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("replica labels %v, original %v", got, want)
+		}
+	}
+	for _, w := range []tee.World{tee.REE, tee.TEE} {
+		if got, want := rep.Enclave.Meter().Flops(w), dep.Enclave.Meter().Flops(w); got != want {
+			t.Fatalf("replica %v flops %v, original %v", w, got, want)
+		}
 	}
 	qmr, qmt := rep.Quantized()
 	if qmr == nil || qmt == nil {

@@ -76,12 +76,12 @@ func (e *Estimator) Observe(model, node string, seconds float64) {
 // the construction-time probe when it has not.
 func (e *Estimator) Estimate(model, node string) (float64, bool) {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	c := e.cells[estKey{model, node}]
-	e.mu.RUnlock()
 	if c == nil {
 		return 0, false
 	}
-	return c.value, true
+	return c.value, true // Observe writes the cell under mu
 }
 
 // DropModel forgets every cell of one model — called when the model is

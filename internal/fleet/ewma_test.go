@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -39,6 +40,52 @@ func TestEstimatorEWMA(t *testing.T) {
 	e.DropModel("m")
 	if snap := e.Snapshot(); len(snap) != 1 || snap[0].Model != "n" || snap[0].Node != "a" {
 		t.Fatalf("cells after DropModel(m): %v, want only the (n,a) cell", snap)
+	}
+}
+
+// TestEstimatorConcurrentUse: serve workers Observe while routing calls
+// Estimate and stats take Snapshots. Under -race every read of a cell must
+// be ordered with the writes (the cells are updated in place), and every
+// estimate read must be one an observation could have produced.
+func TestEstimatorConcurrentUse(t *testing.T) {
+	e := NewEstimator()
+	const writers, readers, rounds = 4, 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			node := []string{"a", "b"}[w%2]
+			for i := 0; i < rounds; i++ {
+				e.Observe("m", node, float64(1+i%3))
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if v, ok := e.Estimate("m", []string{"a", "b"}[(r+i)%2]); ok && (v < 1 || v > 3) {
+					t.Errorf("estimate %v outside the observed range [1, 3]", v)
+					return
+				}
+				if i%16 == 0 {
+					for _, c := range e.Snapshot() {
+						if c.Seconds < 1 || c.Seconds > 3 || c.Samples < 1 {
+							t.Errorf("snapshot cell %+v", c)
+							return
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for _, c := range e.Snapshot() {
+		if c.Samples != writers/2*rounds {
+			t.Fatalf("cell %s/%s folded %d observations, want %d", c.Model, c.Node, c.Samples, writers/2*rounds)
+		}
 	}
 }
 

@@ -781,6 +781,10 @@ func (f *Fleet) Batching() (maxBatch int, linger time.Duration) {
 	return f.cfg.MaxBatch, f.cfg.MaxDelay
 }
 
+// MaxInFlight returns the fleet-wide admission cap in force (Config.MaxInFlight
+// with its default applied); 0 or less means admission is unbounded.
+func (f *Fleet) MaxInFlight() int { return f.cfg.MaxInFlight }
+
 // Workers returns the fleet's current total provisioned worker count.
 func (f *Fleet) Workers() int {
 	total := 0

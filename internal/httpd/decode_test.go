@@ -303,6 +303,27 @@ func TestBatchSampleCap(t *testing.T) {
 	}
 }
 
+// TestBatchWiderThanAdmissionIsServed: at the default admission cap (4 ×
+// workers × MaxBatch, 32 on this one-worker node) a batch of the full sample
+// cap to an idle daemon is served whole — the batch fans out no wider than
+// the cap, so it never sheds its own samples.
+func TestBatchWiderThanAdmissionIsServed(t *testing.T) {
+	s, f := testServer(t, nil, nil)
+	if c := f.MaxInFlight(); c <= 0 || c >= maxBatchSamples {
+		t.Fatalf("default MaxInFlight = %d, want a cap below the %d-sample batch", c, maxBatchSamples)
+	}
+	w := postJSON(t, s.Handler(), "/v1/infer/batch", benchBody(t, "", maxBatchSamples, 3, 16, 16))
+	if w.Code != http.StatusOK {
+		t.Fatalf("%d samples = %d: %s", maxBatchSamples, w.Code, w.Body)
+	}
+	if lines := strings.Count(w.Body.String(), "\n"); lines != maxBatchSamples || strings.Contains(w.Body.String(), "error") {
+		t.Fatalf("%d samples streamed %d lines: %.300s", maxBatchSamples, lines, w.Body)
+	}
+	if shed := f.ShedTotal(); shed != 0 {
+		t.Fatalf("the batch shed %d of its own samples", shed)
+	}
+}
+
 // TestBatchSampleCapBoundsAllocation: a body cap's worth of empty samples
 // (millions of them) answers 413 having allocated for the body and at most
 // the cap's worth of samples, not per sample sent — from the scanner, and

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tbnet/internal/fleet"
@@ -269,22 +270,36 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// The batch fans out no wider than fleet admission: more of its samples
+	// in flight than the cap would shed the batch's own tail with 503s on an
+	// idle daemon. Each goroutine takes the next unstarted sample.
+	width := len(samples)
+	if c := s.cfg.Fleet.MaxInFlight(); c > 0 && c < width {
+		width = c
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, smp := range samples {
+	for range width {
 		wg.Add(1)
-		go func(i int, smp sample) {
+		go func() {
 			defer wg.Done()
-			label, err := 0, smp.err
-			if err == nil {
-				label, err = s.cfg.Fleet.InferModel(r.Context(), model, smp.x)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(samples) {
+					return
+				}
+				label, err := 0, samples[i].err
+				if err == nil {
+					label, err = s.cfg.Fleet.InferModel(r.Context(), model, samples[i].x)
+				}
+				if err != nil {
+					code, _ := statusFor(err)
+					emit(batchLine{Index: i, Error: err.Error(), Status: code})
+					continue
+				}
+				emit(batchLine{Index: i, Label: label})
 			}
-			if err != nil {
-				code, _ := statusFor(err)
-				emit(batchLine{Index: i, Error: err.Error(), Status: code})
-				return
-			}
-			emit(batchLine{Index: i, Label: label})
-		}(i, smp)
+		}()
 	}
 	wg.Wait()
 	// Only served traffic defers a model's expiry: the name is the client's,

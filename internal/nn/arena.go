@@ -77,11 +77,12 @@ func (a *Arena) ColScratch(w, n int) []float32 {
 // pixels that tensor.QuantizeI8HWC rewrites on every call (the scratch is
 // shared by convolutions of different geometry); a pointwise convolution has
 // no border and hands the plane to the GEMM as the patch matrix directly —
-// and in the input's own order for dense and depthwise layers. Contents are
-// undefined; callers overwrite before reading.
+// and in the input's own order for dense and depthwise layers. The buffer
+// has tensor.I8Slack bytes of capacity past n, for the GEMM's rounded-up
+// patch loads. Contents are undefined; callers overwrite before reading.
 func (a *Arena) I8Buf(w, n int) []int8 {
-	if cap(a.i8bufs[w]) < n {
-		a.i8bufs[w] = make([]int8, n)
+	if cap(a.i8bufs[w]) < n+tensor.I8Slack {
+		a.i8bufs[w] = make([]int8, n+tensor.I8Slack)
 	}
 	return a.i8bufs[w][:n]
 }
@@ -89,11 +90,12 @@ func (a *Arena) I8Buf(w, n int) []int8 {
 // I8Cols returns worker w's int8 patch scratch (the Im2RowI8HWC
 // destination: one (ky, kx, channel)-ordered patch row per output pixel,
 // each of its kernel rows one run copied out of the I8Buf plane) grown to at
-// least n int8s. Pointwise convolutions never draw it. Contents
-// are undefined; callers overwrite before reading.
+// least n int8s, with tensor.I8Slack bytes of capacity past them. Pointwise
+// convolutions never draw it. Contents are undefined; callers overwrite
+// before reading.
 func (a *Arena) I8Cols(w, n int) []int8 {
-	if cap(a.i8cols[w]) < n {
-		a.i8cols[w] = make([]int8, n)
+	if cap(a.i8cols[w]) < n+tensor.I8Slack {
+		a.i8cols[w] = make([]int8, n+tensor.I8Slack)
 	}
 	return a.i8cols[w][:n]
 }

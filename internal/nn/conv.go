@@ -26,10 +26,10 @@ type Conv2D struct {
 
 	// qw/qscale arm the int8 inference path (SetInt8Weights): the quantized
 	// [OutC, KH*KW*InC] weights — each row permuted to (ky, kx, channel)
-	// order, the order Im2RowI8HWC lays patches out in — and their
-	// per-output-channel scales. Both are immutable once attached, so clones
-	// share them.
-	qw     []int8
+	// order, the order Im2RowI8HWC lays patches out in, and packed for the
+	// int8 kernel — and their per-output-channel scales. Both are immutable
+	// once attached, so clones share them.
+	qw     *tensor.I8Weights
 	qscale []float32
 
 	// bwd is per-worker training scratch, lazily sized on the first

@@ -16,9 +16,9 @@ type Dense struct {
 	lastInput *tensor.Tensor
 
 	// qw/qscale arm the int8 inference path (SetInt8Weights): the quantized
-	// weights in [Out, In] dot-product layout with per-output scales, shared
-	// by clones.
-	qw     []int8
+	// [Out, In] weights packed for the int8 kernel, with per-output scales,
+	// shared by clones.
+	qw     *tensor.I8Weights
 	qscale []float32
 }
 

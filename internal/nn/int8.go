@@ -27,9 +27,11 @@ func quantizeSample(sample []float32, dst []int8) (scale float32) {
 // SetInt8Weights arms the convolution with quantized weights: data is the
 // [OutC, InC*KH*KW] channel-major int8 matrix as the artifact stores it,
 // scales the per-output-channel weight scales. Each row is permuted once,
-// here, to the (ky, kx, channel) order the HWC patch lowering produces; the
-// layer keeps only that form (data itself when the kernel is 1×1 and the two
-// orders coincide). int8×int8→int32 accumulation is exact, so reordering the
+// here, to the (ky, kx, channel) order the HWC patch lowering produces, and
+// the result packed for the int8 kernel (tensor.PackI8Weights: the permuted
+// rows themselves, or data itself when the kernel is 1×1 and the two orders
+// coincide, below AMX; AMX tile blocks at it). The layer keeps only that
+// packed form. int8×int8→int32 accumulation is exact, so reordering the
 // shared dimension of both GEMM operands leaves every accumulator unchanged.
 // The float32 weights become dead on the inference path (bias stays live and
 // float32).
@@ -39,12 +41,12 @@ func (c *Conv2D) SetInt8Weights(data []int8, scales []float32) error {
 		return fmt.Errorf("nn: %s int8 weights [%d]/scales [%d] for a %dx%d conv",
 			c.name, len(data), len(scales), c.OutC, c.InC*kk)
 	}
-	c.qw, c.qscale = data, scales
+	rows := data
 	if kk > 1 {
-		c.qw = make([]int8, len(data))
+		rows = make([]int8, len(data))
 		for o := 0; o < c.OutC; o++ {
 			src := data[o*c.InC*kk : (o+1)*c.InC*kk]
-			dst := c.qw[o*c.InC*kk : (o+1)*c.InC*kk]
+			dst := rows[o*c.InC*kk : (o+1)*c.InC*kk]
 			for ch := 0; ch < c.InC; ch++ {
 				for t := 0; t < kk; t++ {
 					dst[t*c.InC+ch] = src[ch*kk+t]
@@ -52,6 +54,7 @@ func (c *Conv2D) SetInt8Weights(data []int8, scales []float32) error {
 			}
 		}
 	}
+	c.qw, c.qscale = tensor.PackI8Weights(rows, c.OutC, c.InC*kk), scales
 	return nil
 }
 
@@ -76,10 +79,10 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilo
 		// cross the pool (mirrors the float32 path). Calling the sample body
 		// directly — not through a closure — keeps this branch
 		// allocation-free with a warm arena.
-		c.i8Sample(a, 0, 0, h, w, hw, xd, od, bd, ep, tensor.GemmI8Parallel)
+		c.i8Sample(a, 0, 0, h, w, hw, xd, od, bd, ep, tensor.GemmI8PackedParallel)
 	} else {
 		parallelFor(n, func(worker, i int) {
-			c.i8Sample(a, worker, i, h, w, hw, xd, od, bd, ep, tensor.GemmI8Serial)
+			c.i8Sample(a, worker, i, h, w, hw, xd, od, bd, ep, tensor.GemmI8PackedSerial)
 		})
 	}
 }
@@ -92,7 +95,7 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilo
 // (ky, kx, channel)-ordered weights, and per-channel requantization with the
 // bias and the epilogue fused in (tensor.RequantizeRows: one pass per row).
 func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float32, ep *tensor.Epilogue,
-	gemm func(dst []int32, a, b []int8, m, n, k int)) {
+	gemm func(dst []int32, w *tensor.I8Weights, b []int8, n int)) {
 	colRows := c.InC * c.KH * c.KW
 	sampleIn := c.InC * h * w
 	sampleOut := c.OutC * hw
@@ -106,7 +109,7 @@ func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float3
 		tensor.Im2RowI8HWC(img, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, patches)
 	}
 	acc := a.I32Buf(worker, sampleOut)
-	gemm(acc, c.qw, patches, c.OutC, hw, colRows)
+	gemm(acc, c.qw, patches, hw)
 	tensor.RequantizeRows(od[i*sampleOut:(i+1)*sampleOut], acc, hw, c.qscale, sx, bd, ep)
 }
 
@@ -174,14 +177,14 @@ func (d *DepthwiseConv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *ten
 
 // SetInt8Weights arms the dense layer: data is the [Out, In] int8 matrix
 // (note: transposed relative to the float32 [In, Out] storage, so each
-// output's weights form one contiguous dot-product row), scales the
-// per-output scales.
+// output's weights form one contiguous dot-product row), packed once for the
+// int8 kernel (tensor.PackI8Weights), scales the per-output scales.
 func (d *Dense) SetInt8Weights(data []int8, scales []float32) error {
 	if len(data) != d.In*d.Out || len(scales) != d.Out {
 		return fmt.Errorf("nn: %s int8 weights [%d]/scales [%d] for a %dx%d dense layer",
 			d.name, len(data), len(scales), d.Out, d.In)
 	}
-	d.qw, d.qscale = data, scales
+	d.qw, d.qscale = tensor.PackI8Weights(data, d.Out, d.In), scales
 	return nil
 }
 
@@ -189,7 +192,8 @@ func (d *Dense) SetInt8Weights(data []int8, scales []float32) error {
 func (d *Dense) Int8() bool { return d.qw != nil }
 
 // forwardIntoI8 quantizes each input row with its own dynamic scale, runs
-// one int8 GEMM for the whole batch, and requantizes with the bias fused in.
+// one int8 GEMM for the whole batch — the packed weights against the input
+// rows, so acc is [Out, n] — and requantizes with the bias fused in.
 func (d *Dense) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
 	n := x.Dim(0)
 	xd, od, bd := x.Data(), dst.Data(), d.B.Value.Data()
@@ -198,14 +202,13 @@ func (d *Dense) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
 	for i := 0; i < n; i++ {
 		sx[i] = quantizeSample(xd[i*d.In:(i+1)*d.In], qx[i*d.In:(i+1)*d.In])
 	}
-	acc := a.I32Buf(0, n*d.Out)
-	tensor.GemmI8Parallel(acc, qx, d.qw, n, d.Out, d.In)
+	acc := a.I32Buf(0, d.Out*n)
+	tensor.GemmI8PackedParallel(acc, d.qw, qx, n)
 	for i := 0; i < n; i++ {
-		row := acc[i*d.Out : (i+1)*d.Out]
 		out := od[i*d.Out : (i+1)*d.Out]
 		f := sx[i]
-		for o, v := range row {
-			out[o] = float32(v)*d.qscale[o]*f + bd[o]
+		for o := range out {
+			out[o] = float32(acc[o*n+i])*d.qscale[o]*f + bd[o]
 		}
 	}
 }

@@ -274,17 +274,14 @@ func TestInt8CloneSharesQuantizedWeights(t *testing.T) {
 		t.Fatal("clone lost the int8 arming")
 	}
 	// The layer holds one weight layout — the (ky, kx, channel) permutation,
-	// not the artifact's slice — and replicas share that one slice.
-	if &conv.qw[0] == &qdata[0] {
-		t.Fatal("a 3×3 conv kept the channel-major artifact slice as its kernel weights")
-	}
-	if &clone.qw[0] != &conv.qw[0] || &clone.qscale[0] != &conv.qscale[0] {
-		t.Fatal("clone copied the permuted int8 weights instead of sharing them")
+	// packed for the kernel — and replicas share that one packed matrix.
+	if clone.qw != conv.qw || &clone.qscale[0] != &conv.qscale[0] {
+		t.Fatal("clone copied the packed int8 weights instead of sharing them")
 	}
 	for o := 0; o < 4; o++ {
 		for ch := 0; ch < 2; ch++ {
 			for tap := 0; tap < 9; tap++ {
-				if conv.qw[o*18+tap*2+ch] != qdata[o*18+ch*9+tap] {
+				if conv.qw.At(o, tap*2+ch) != qdata[o*18+ch*9+tap] {
 					t.Fatalf("weight row %d: (tap %d, ch %d) is not the artifact's (ch, tap) entry", o, tap, ch)
 				}
 			}

@@ -92,6 +92,8 @@ func BenchmarkGemmCrossover(b *testing.B) {
 			qx[i], qy[i] = int8(i*7), int8(i*13)
 		}
 		half := (d + rowBlock - 1) / rowBlock / 2 // row blocks per worker: two chunks
+		qw := PackI8Weights(qx, d, d)
+		halfI8 := (d + qw.rowUnit() - 1) / qw.rowUnit() / 2
 		for _, leg := range []struct {
 			name string
 			run  func()
@@ -100,9 +102,9 @@ func BenchmarkGemmCrossover(b *testing.B) {
 			{"f32/fanout", func() {
 				splitRows(d, half, func(r0, r1 int) { matmulRows(dst, x.data, y.data, d, d, r0, r1, nil) })
 			}},
-			{"int8/serial", func() { gemmI8Rows(acc, qx, qy, d, d, 0, d) }},
+			{"int8/serial", func() { gemmI8Rows(acc, qw, qy, d, 0, d) }},
 			{"int8/fanout", func() {
-				splitRows(d, half, func(r0, r1 int) { gemmI8Rows(acc, qx, qy, d, d, r0, r1) })
+				splitI8Rows(qw, halfI8, func(r0, r1 int) { gemmI8Rows(acc, qw, qy, d, r0, r1) })
 			}},
 		} {
 			b.Run(fmt.Sprintf("%s/%.1fM", leg.name, float64(d*d*d)/1e6), func(b *testing.B) {

@@ -6,49 +6,60 @@ package tensor
 // in the matching in-patch order), and dst receives the m×n int32 products
 // dst[i*n+j] = a_i · b_j. Accumulation is 32-bit integer arithmetic that
 // wraps and never saturates, so — unlike the float32 kernel, which must
-// control rounding order — every dispatch path (the two amd64 vector
+// control rounding order — every dispatch path (the three amd64 vector
 // kernels, the scalar fallback, serial, parallel) is bit-identical by
 // construction, for every byte value including -128.
 //
-// Blocking mirrors the float32 kernel: four weight rows are computed per
-// streamed patch row (register blocking; the VNNI kernel holds four patch
-// rows as well, a 4×4 tile of accumulators), and the patch rows are tiled
-// so a tile of b stays cache-resident while the row quads sweep it.
+// Below AMX, blocking mirrors the float32 kernel: four weight rows are
+// computed per streamed patch row (register blocking; the VNNI kernel holds
+// four patch rows as well, a 4×4 tile of accumulators), and the patch rows
+// are tiled so a tile of b stays cache-resident while the row quads sweep
+// it. The AMX kernel reads the weights packed into tile blocks (I8Weights)
+// and computes 16 patch rows × up to 64 weight rows per pass.
 
 // i8Kernel names an int8 micro kernel. The values are ordered: a CPU that
 // passes the gate of one also runs every kernel below it, which is what lets
 // the tests walk down from the detected level. BenchmarkGemmI8Shapes is the
-// shape-matched rung — the eight conv products of one VGG18-S branch through
-// GemmI8Serial, µs on the reference box (medians of five, the vector kernels
-// and the parent commit's binary alternated in one session; the scalar
-// column is from an earlier session the same day):
+// shape-matched rung — the eight conv products of one VGG18-S branch against
+// weights packed once, µs on the reference box. The first four columns are
+// medians of five from one session (the vector kernels and the parent
+// commit's binary alternated; the scalar column from an earlier session the
+// same day). The last two are medians of five from a later session on the
+// same box, busier then, the two kernels interleaved round by round; VNNI
+// read about twice its first figure there, so compare AMX with the column
+// beside it:
 //
-//	m × n × k      scalar-dot4   avx2-dot4 (at the parent)   avx512vnni-4x4
-//	16×256× 27         59           9.1  (23.0)                2.5
-//	16×256×144        300          19.7  (21.1)                5.1
-//	32× 64×144        152          10.3  (11.4)                2.4
-//	32× 64×288        283          17.4  (18.8)                3.6
-//	48× 16×288        106           6.4   (6.9)                1.5
-//	48× 16×432        158           9.6   (9.6)                2.4
-//	64×  4×432         53           3.1   (3.2)                1.01
-//	64×  4×576         71           4.1   (4.3)                1.31
-//	one branch       1182          79.7  (98.3)               19.9
+//	m × n × k      scalar-dot4   avx2-dot4 (at the parent)   avx512vnni-4x4 | vnni    amx-int8
+//	16×256× 27         59           9.1  (23.0)                2.5          |  4.41    1.25
+//	16×256×144        300          19.7  (21.1)                5.1          | 11.73    2.07
+//	32× 64×144        152          10.3  (11.4)                2.4          |  4.75    1.07
+//	32× 64×288        283          17.4  (18.8)                3.6          |  6.71    1.32
+//	48× 16×288        106           6.4   (6.9)                1.5          |  3.23    0.59
+//	48× 16×432        158           9.6   (9.6)                2.4          |  4.78    0.57
+//	64×  4×432         53           3.1   (3.2)                1.01         |  2.30    0.77
+//	64×  4×576         71           4.1   (4.3)                1.31         |  2.70    1.15
+//	one branch       1182          79.7  (98.3)               19.9          | 40.6     8.8
 //
 // Only k = 27 has a k%16 tail among them: eleven of its 27 bytes ran one at
 // a time at the parent; the rest of the AVX2 column's gain is the one-store
 // reduction. The row sums the VNNI kernel forms per call are four vpdpbusd
 // per step beside a tile's sixteen — a fifth of the n = 4 stages' work,
-// ≈ 0.2 µs of 1.31 — so they stay in the kernel, not on the layer.
+// ≈ 0.2 µs of 1.31 — so they stay in the kernel, not on the layer. An AMX
+// call costs ≈ 0.3 µs however small the product (LDTILECFG, TILERELEASE and
+// the call itself, read off a 16×16×4 product), which is most of the n = 4
+// stages' time; the transpose of each 16×16 result is most of the k = 27
+// stage's.
 type i8Kernel int
 
 const (
 	i8Scalar i8Kernel = iota // dot4I8Scalar
 	i8AVX2                   // dot4I8SIMD: vpmovsxbw + vpmaddwd, one patch row per call
 	i8VNNI                   // gemmI8TileVNNI: 4×4 vpdpbusd tile, patch-row loop in assembly
+	i8AMX                    // gemmI8AMX: tdpbssd on AMX tiles against weights packed by PackI8Weights
 )
 
 func (l i8Kernel) String() string {
-	return [...]string{"scalar-dot4", "avx2-dot4", "avx512vnni-4x4"}[l]
+	return [...]string{"scalar-dot4", "avx2-dot4", "avx512vnni-4x4", "amx-int8"}[l]
 }
 
 // i8PatchTile is the patch-tile height: this many b rows are kept resident
@@ -59,7 +70,7 @@ const i8PatchTile = 256
 // needs the bound to be correct: each is exact modulo 2^32 at any length
 // (int8×int8 products and their pairwise and four-wise sums fit the word and
 // dword lanes the vector kernels form them in, and every add after that
-// wraps), so all three return the true dot product whenever it fits an
+// wraps), so all four return the true dot product whenever it fits an
 // int32 — always for k ≤ 131 071 (|a_p·b_p| ≤ 2^14), and for k ≤ 133 144
 // when neither operand holds -128, which is what the quantizers emit — and
 // the same wrapped value beyond. The bound only keeps the wrapped regime far
@@ -67,36 +78,123 @@ const i8PatchTile = 256
 // loader caps whole tensors at 2^26 elems).
 const maxI8DotLen = 1 << 23
 
-// GemmI8Parallel computes dst[i*n+j] = a_i · b_j, where a is m×k and b is
-// n×k, both row-major int8, over the worker pool under GemmParallel's
-// dispatch rule (gemmGrain). Like GemmParallel it must not be called from
-// inside a Parallel region (use GemmI8Serial there).
-func GemmI8Parallel(dst []int32, a, b []int8, m, n, k int) {
-	checkI8Dims(dst, a, b, m, n, k)
-	blocks := (m + rowBlock - 1) / rowBlock
-	grain := gemmGrain(rowBlock, n, k)
+// I8Weights is an m×k int8 weight matrix in the layout the int8 kernel reads,
+// chosen once by PackI8Weights: row-major below i8AMX, and at i8AMX 16-row
+// VNNI tile blocks — block b holds rows 16b..16b+15, and within it each
+// 64-byte tile row holds four consecutive k bytes of each of the sixteen
+// rows, k zero-padded to a multiple of four and missing rows zero-filled.
+// A packed matrix is immutable and safe to share between goroutines.
+type I8Weights struct {
+	m, k int
+	kp   int // k rounded up to a multiple of 4 (AMX layout only)
+	amx  bool
+	data []int8
+}
+
+// I8Slack is how many bytes past its n·k patch bytes the b operand of
+// GemmI8PackedSerial and GemmI8PackedParallel must have readable, in its
+// capacity: at i8AMX a patch row's last tile load is rounded up to whole
+// dwords, so it reads up to three bytes past the row (they meet zero
+// weight padding and add nothing). nn.Arena's int8 buffers carry it; a b
+// without it is copied, on every call, into one that does.
+const I8Slack = 3
+
+// PackI8Weights lays out the row-major m×k matrix a for the int8 kernel this
+// process runs. Below i8AMX the packed form is a itself, which the caller
+// must no longer modify; at i8AMX it is a copy in tile blocks, and a may be
+// dropped.
+func PackI8Weights(a []int8, m, k int) *I8Weights {
+	a = a[:m*k]
+	if i8Level < i8AMX || k == 0 || k > maxI8DotLen {
+		return &I8Weights{m: m, k: k, data: a}
+	}
+	kp := (k + 3) &^ 3
+	w := &I8Weights{m: m, k: k, kp: kp, amx: true, data: make([]int8, (m+15)/16*16*kp)}
+	for i := 0; i < m; i++ {
+		blk := w.data[i/16*16*kp : (i/16+1)*16*kp]
+		c := i % 16 * 4
+		row := a[i*k : (i+1)*k]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			*(*[4]int8)(blk[p*16+c:]) = [4]int8(row[p:])
+		}
+		if p < k { // k%4 bytes; the group's rest stays zero
+			copy(blk[p*16+c:], row[p:])
+		}
+	}
+	return w
+}
+
+// At returns element (i, p) of the matrix, whatever its layout.
+func (w *I8Weights) At(i, p int) int8 {
+	if !w.amx {
+		return w.data[i*w.k+p]
+	}
+	return w.data[i/16*16*w.kp+p/4*64+i%16*4+p%4]
+}
+
+// GemmI8PackedParallel computes dst[i*n+j] = w_i · b_j for the m×k packed
+// matrix w and the n×k row-major patch matrix b (with I8Slack bytes of
+// capacity past it), over the worker pool under GemmParallel's dispatch rule
+// (gemmGrain). Like GemmParallel it must not be called from inside a
+// Parallel region (use GemmI8PackedSerial there).
+func GemmI8PackedParallel(dst []int32, w *I8Weights, b []int8, n int) {
+	b = checkI8Dims(dst, w, b, n)
+	unit := w.rowUnit()
+	blocks := (w.m + unit - 1) / unit
+	grain := gemmGrain(unit, n, w.k)
 	if blocks/grain <= 1 || Workers() == 1 {
-		gemmI8Rows(dst, a, b, n, k, 0, m)
+		gemmI8Rows(dst, w, b, n, 0, w.m)
 		return
 	}
 	Parallel(blocks, grain, func(_, lo, hi int) {
-		gemmI8Rows(dst, a, b, n, k, lo*rowBlock, min(hi*rowBlock, m))
+		gemmI8Rows(dst, w, b, n, lo*unit, min(hi*unit, w.m))
 	})
 }
 
-// GemmI8Serial is GemmI8Parallel on the calling goroutine, bit-identical to
-// it; per-sample inference paths already running inside the worker pool use
-// this form.
-func GemmI8Serial(dst []int32, a, b []int8, m, n, k int) {
-	checkI8Dims(dst, a, b, m, n, k)
-	gemmI8Rows(dst, a, b, n, k, 0, m)
+// GemmI8PackedSerial is GemmI8PackedParallel on the calling goroutine,
+// bit-identical to it; per-sample inference paths already running inside
+// the worker pool use this form.
+func GemmI8PackedSerial(dst []int32, w *I8Weights, b []int8, n int) {
+	b = checkI8Dims(dst, w, b, n)
+	gemmI8Rows(dst, w, b, n, 0, w.m)
 }
 
-func checkI8Dims(dst []int32, a, b []int8, m, n, k int) {
-	if k > maxI8DotLen {
+// GemmI8Parallel computes dst[i*n+j] = a_i · b_j, where a is m×k and b is
+// n×k, both row-major int8: PackI8Weights(a), then GemmI8PackedParallel, so
+// the product runs on the same kernel a layer's packed weights do. Callers
+// that multiply one a many times pack it once themselves.
+func GemmI8Parallel(dst []int32, a, b []int8, m, n, k int) {
+	GemmI8PackedParallel(dst, PackI8Weights(a, m, k), b, n)
+}
+
+// GemmI8Serial is GemmI8Parallel on the calling goroutine, bit-identical to
+// it.
+func GemmI8Serial(dst []int32, a, b []int8, m, n, k int) {
+	GemmI8PackedSerial(dst, PackI8Weights(a, m, k), b, n)
+}
+
+// checkI8Dims bounds the operands and returns b, copied into a buffer with
+// I8Slack bytes of capacity past n·k when the tile kernel's rounded-up
+// loads would otherwise read beyond it.
+func checkI8Dims(dst []int32, w *I8Weights, b []int8, n int) []int8 {
+	if w.k > maxI8DotLen {
 		panic("tensor: int8 GEMM shared dimension too large")
 	}
-	_, _, _ = dst[:m*n], a[:m*k], b[:n*k]
+	_, b = dst[:w.m*n], b[:n*w.k]
+	if w.amx && w.kp != w.k && cap(b)-len(b) < w.kp-w.k {
+		b = append(make([]int8, 0, len(b)+I8Slack), b...)
+	}
+	return b
+}
+
+// rowUnit is the number of weight rows the kernel computes together, the
+// unit the pool splits a product's rows in.
+func (w *I8Weights) rowUnit() int {
+	if w.amx {
+		return 16
+	}
+	return rowBlock
 }
 
 // i8TileArgs is what one gemmI8TileVNNI call reads; the assembly addresses
@@ -111,16 +209,66 @@ type i8TileArgs struct {
 	rows int    // 48: patch rows to sweep, at least 1
 }
 
-// gemmI8Rows computes output rows [r0, r1) of the int8 product.
-func gemmI8Rows(dst []int32, a, b []int8, n, k, r0, r1 int) {
+// i8AMXArgs is what one gemmI8AMX call reads; the assembly addresses the
+// fields by offset, so the layout is part of its contract. One call runs
+// every channel block of the packed weights against pbs patch blocks of the
+// height the tile configuration gives (16, or the n%16 rows of the last).
+type i8AMXArgs struct {
+	cfg     [64]byte   // 0: the LDTILECFG image (see amxConfig)
+	dst     *int32     // 64: product of weight row 0 and patch row 0; advanced per channel group
+	w       *int8      // 72: packed channel block 0
+	b       *int8      // 80: first patch row, row stride k
+	ldc     int        // 88: dst row stride in bytes (4·n)
+	k       int        // 96: patch row stride in bytes
+	full    int        // 104: 64-byte k chunks
+	tail    int        // 112: bytes in the last, partial k chunk (kp%64), or 0
+	wblk    int        // 120: bytes per packed channel block (16·kp)
+	blocks  int        // 128: channel blocks, at least 1
+	mlast   int        // 136: live rows in the last channel block, 1..16
+	pbs     int        // 144: patch blocks, at least 1
+	lanes   uint64     // 152: opmask of the live patch rows of a block
+	scratch [256]int32 // 160: one accumulator tile, stored for the transpose
+}
+
+// amxConfig fills the tile configuration for patch blocks of h rows and a k
+// chunking of full 64-byte chunks plus a tail of tail bytes: accumulators
+// tmm0..tmm3 (h × 16 dwords), patch tiles tmm4 (h × 64 bytes) and tmm5
+// (h × tail), weight tiles tmm6 (16 × 64) and tmm7 (tail/4 × 64). A tile
+// the product does not use stays unconfigured (zero).
+func amxConfig(cfg *[64]byte, h, tail int) {
+	*cfg = [64]byte{0: 1} // palette 1
+	set := func(t, rows, colsb int) {
+		cfg[16+2*t], cfg[17+2*t] = byte(colsb), byte(colsb>>8)
+		cfg[48+t] = byte(rows)
+	}
+	for t := 0; t < 4; t++ {
+		set(t, h, 64)
+	}
+	set(4, h, 64)
+	set(6, 16, 64)
+	if tail > 0 {
+		set(5, h, tail)
+		set(7, tail/4, 64)
+	}
+}
+
+// gemmI8Rows computes output rows [r0, r1) of the int8 product; r0 is a
+// multiple of w.rowUnit().
+func gemmI8Rows(dst []int32, w *I8Weights, b []int8, n, r0, r1 int) {
+	k := w.k
 	if k == 0 {
 		clear(dst[r0*n : r1*n])
 		return
 	}
+	if w.amx {
+		gemmI8AMXRows(dst, w, b, n, r0, r1)
+		return
+	}
+	a := w.data
 	quads := r0 + (r1-r0)/rowBlock*rowBlock
 	for j0 := 0; j0 < n; j0 += i8PatchTile {
 		j1 := min(j0+i8PatchTile, n)
-		if i8Level == i8VNNI {
+		if i8Level >= i8VNNI {
 			// One call per weight-row quad: the patch-row loop, the reduction
 			// and the stores are the kernel's. A remainder row (fewer than
 			// rowBlock left) is a quad whose four rows alias it — zero row
@@ -164,6 +312,34 @@ func gemmI8Rows(dst []int32, a, b []int8, n, k, r0, r1 int) {
 				dst[i*n+j] = dotI8(ai, b[j*k:(j+1)*k])
 			}
 		}
+	}
+}
+
+// gemmI8AMXRows computes output rows [r0, r1) on AMX tiles, r0 a multiple
+// of 16: one gemmI8AMX call — one LDTILECFG — for the full 16-row patch
+// blocks, and one more for the n%16 rows left, whose tiles are that high.
+func gemmI8AMXRows(dst []int32, w *I8Weights, b []int8, n, r0, r1 int) {
+	blocks := (r1 - r0 + 15) / 16
+	t := i8AMXArgs{
+		dst:    &dst[r0*n],
+		w:      &w.data[r0*w.kp],
+		ldc:    4 * n,
+		k:      w.k,
+		full:   w.kp / 64,
+		tail:   w.kp % 64,
+		wblk:   16 * w.kp,
+		blocks: blocks,
+		mlast:  r1 - r0 - 16*(blocks-1),
+	}
+	if full := n / 16; full > 0 {
+		amxConfig(&t.cfg, 16, t.tail)
+		t.b, t.pbs, t.lanes = &b[0], full, 0xFFFF
+		gemmI8AMX(&t)
+	}
+	if h := n % 16; h > 0 {
+		amxConfig(&t.cfg, h, t.tail)
+		t.dst, t.b, t.pbs, t.lanes = &dst[r0*n+n-h], &b[(n-h)*w.k], 1, 1<<h-1
+		gemmI8AMX(&t)
 	}
 }
 

@@ -32,10 +32,10 @@ func randI8(rng *rand.Rand, n int) []int8 {
 
 // i8Kernels lists the int8 micro kernels best first, the order
 // forEachI8Kernel and the benchmarks walk them in.
-var i8Kernels = []i8Kernel{i8VNNI, i8AVX2, i8Scalar}
+var i8Kernels = []i8Kernel{i8AMX, i8VNNI, i8AVX2, i8Scalar}
 
 // forEachI8Kernel runs fn as one subtest per int8 micro kernel with the
-// dispatch pinned to it — VNNI, then AVX2, then scalar — and skips, by name,
+// dispatch pinned to it — AMX, then VNNI, AVX2 and scalar — and skips, by name,
 // a leg whose gate this CPU or platform does not pass (withI8Level).
 func forEachI8Kernel(t *testing.T, fn func(t *testing.T)) {
 	for _, l := range i8Kernels {
@@ -56,13 +56,24 @@ func TestKernelStatusNamesInt8Kernel(t *testing.T) {
 			t.Fatalf("KernelStatus() = %q, want it to contain %q", got, want)
 		}
 	})
+	t.Logf("kernels: %s", KernelStatus())
 }
 
-// gemmI8Split cuts the product at every row block across the pool whatever
+// gemmI8Split cuts the product at every row unit across the pool whatever
 // its size, so the chunk seams are exercised on shapes the dispatch rule
 // keeps on one goroutine.
 func gemmI8Split(dst []int32, a, b []int8, m, n, k int) {
-	splitRows(m, 1, func(r0, r1 int) { gemmI8Rows(dst, a, b, n, k, r0, r1) })
+	w := PackI8Weights(a, m, k)
+	b = checkI8Dims(dst, w, b, n)
+	splitI8Rows(w, 1, func(r0, r1 int) { gemmI8Rows(dst, w, b, n, r0, r1) })
+}
+
+// splitI8Rows runs rows over w's rows cut across the pool into chunks of at
+// least grain row units (w.rowUnit), whatever the dispatch rule would have
+// decided.
+func splitI8Rows(w *I8Weights, grain int, rows func(r0, r1 int)) {
+	u := w.rowUnit()
+	Parallel((w.m+u-1)/u, grain, func(_, lo, hi int) { rows(lo*u, min(hi*u, w.m)) })
 }
 
 // checkGemmI8 runs the serial, the dispatched and the always-split product
@@ -112,6 +123,53 @@ func TestGemmI8MatchesReference(t *testing.T) {
 				a[rng.Intn(len(a))], b[rng.Intn(len(b))] = -128, -128
 			}
 			checkGemmI8(t, a, b, m, n, k)
+		}
+	})
+}
+
+// TestGemmI8TileEdges sweeps, on every kernel, the edges of the AMX tile
+// blocking: k around and across the 64-byte chunk and off a multiple of four
+// (1, 3 and 27 are tail-only, 65 one byte into a second chunk), channel
+// counts off a multiple of sixteen as pruning leaves them (and past four
+// blocks, a second channel group), patch counts below, at and just past one
+// 16-row patch block, and operands holding -128 in every row.
+func TestGemmI8TileEdges(t *testing.T) {
+	forEachI8Kernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(6))
+		for _, k := range []int{1, 3, 27, 63, 64, 65, 144, 576} {
+			for _, m := range []int{1, 5, 16, 17, 31, 48, 70} {
+				for _, n := range []int{1, 4, 15, 16, 17, 33} {
+					a, b := randI8(rng, m*k), randI8(rng, n*k)
+					for i := 0; i < m; i++ {
+						a[i*k+rng.Intn(k)] = -128
+					}
+					for j := 0; j < n; j++ {
+						b[j*k+rng.Intn(k)] = -128
+					}
+					a[len(a)-1], b[len(b)-1] = -128, -128
+					checkGemmI8(t, a, b, m, n, k)
+				}
+			}
+		}
+	})
+}
+
+// TestPackI8WeightsAt: At reads the matrix PackI8Weights was given, element
+// for element, whatever layout the kernel keeps it in.
+func TestPackI8WeightsAt(t *testing.T) {
+	forEachI8Kernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for _, s := range [][2]int{{1, 1}, {17, 27}, {16, 64}, {33, 65}} {
+			m, k := s[0], s[1]
+			a := randI8(rng, m*k)
+			w := PackI8Weights(append([]int8(nil), a...), m, k)
+			for i := 0; i < m; i++ {
+				for p := 0; p < k; p++ {
+					if w.At(i, p) != a[i*k+p] {
+						t.Fatalf("%dx%d: At(%d, %d) = %d, want %d", m, k, i, p, w.At(i, p), a[i*k+p])
+					}
+				}
+			}
 		}
 	})
 }
@@ -378,20 +436,23 @@ func BenchmarkGemmI8(b *testing.B) {
 
 // BenchmarkGemmI8Shapes is the int8 kernel's shape-matched rung: the eight
 // conv products of one VGG18-S branch (gemmShapes, as BenchmarkGemm times
-// them in float32) through GemmI8Serial — what i8Sample calls per sample of
-// a batch — once per kernel this CPU runs. MB/s reads as MACs/µs.
+// them in float32) through GemmI8PackedSerial against weights packed once —
+// what i8Sample calls per sample of a batch — once per kernel this CPU runs.
+// MB/s reads as MACs/µs.
 func BenchmarkGemmI8Shapes(b *testing.B) {
 	for _, l := range i8Kernels {
 		for _, s := range gemmShapes[:8] {
 			m, n, k := s[0], s[1], s[2]
 			rng := rand.New(rand.NewSource(5))
-			x, y := randI8(rng, m*k), randI8(rng, n*k)
+			x, y := randI8(rng, m*k), randI8(rng, n*k+I8Slack)[:n*k]
 			dst := make([]int32, m*n)
 			b.Run(fmt.Sprintf("%v/%dx%dx%d", l, m, n, k), func(b *testing.B) {
 				b.SetBytes(int64(m * n * k))
 				ran := withI8Level(l, func() {
+					w := PackI8Weights(x, m, k)
+					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						GemmI8Serial(dst, x, y, m, n, k)
+						GemmI8PackedSerial(dst, w, y, n)
 					}
 				})
 				if !ran {

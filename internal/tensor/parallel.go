@@ -49,7 +49,9 @@ func poolStart() {
 
 // KernelStatus is the kernel layer's status check: which float32 and int8
 // micro-kernels this process runs (the vector ones only when the CPU and OS
-// passed their CPUID gates), how a float32 convolution's GEMM gets its b
+// passed their CPUID gates; int8=amx-int8 also only when Linux granted the
+// process AMX tile data, else the line reads avx512vnni-4x4 or below), how a
+// float32 convolution's GEMM gets its b
 // operand — panels packed from the image under the tile kernel, the Im2Col
 // column matrix under the portable one, which streams whole b rows — which
 // kernel runs a 3×3 float32 depthwise convolution (DepthwiseFused), which

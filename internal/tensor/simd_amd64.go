@@ -70,6 +70,13 @@ func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32)
 //go:noescape
 func gemmI8TileVNNI(t *i8TileArgs)
 
+// gemmI8AMX computes the int8 product of t.blocks packed channel blocks and
+// t.pbs patch blocks on AMX tiles (see i8AMXArgs), bit-identical to
+// dot4I8Scalar on each output.
+//
+//go:noescape
+func gemmI8AMX(t *i8AMXArgs)
+
 // requantRowsSIMD finishes the rows of a quantized product (see requantArgs).
 //
 //go:noescape
@@ -146,7 +153,7 @@ func detectF32Kernel() f32Kernel {
 	return f32AVX512
 }
 
-// detectI8Kernel gates the two vector int8 kernels, and with the lower of
+// detectI8Kernel gates the three vector int8 kernels, and with the lower of
 // them the vector front passes (maxAbsSIMD, quantI8SIMD, quantHWCSIMD,
 // im2rowI8SIMD). dot4I8SIMD and those passes need AVX2 for their YMM integer
 // instructions (vpmovsxbw/vpmaddwd/vpaddd; vpand/vpmaxud/vpackusdw/vpermd) on
@@ -174,5 +181,36 @@ func detectI8Kernel() i8Kernel {
 	if eax, _ := xgetbv0(); eax&xcr0 != xcr0 {
 		return i8AVX2
 	}
-	return i8VNNI
+	if !amxUsable() {
+		return i8VNNI
+	}
+	return i8AMX
+}
+
+// amxUsable gates gemmI8AMX, on top of the VNNI gate (its transpose and
+// masked stores are AVX-512): CPUID AMX-TILE and AMX-INT8, an OS that
+// manages the tile configuration and data state (XCR0 bits 17 and 18), a
+// palette 1 of eight 1 KiB tiles of sixteen 64-byte rows — the shape
+// amxConfig writes — and the kernel's permission for this process to use
+// tile data (requestTileData), without which the first tile instruction
+// faults.
+func amxUsable() bool {
+	const (
+		amxTile = 1 << 24 // CPUID.(EAX=7,ECX=0):EDX
+		amxInt8 = 1 << 25 // EDX
+		xcr0    = 3 << 17 // XTILECFG, XTILEDATA
+	)
+	if _, _, _, d := cpuidex(7, 0); d&amxTile == 0 || d&amxInt8 == 0 {
+		return false
+	}
+	if eax, _ := xgetbv0(); eax&xcr0 != xcr0 {
+		return false
+	}
+	if maxLeaf, _, _, _ := cpuidex(0, 0); maxLeaf < 0x1D {
+		return false
+	}
+	if a, b, c, _ := cpuidex(0x1D, 1); a != 1024<<16|8192 || b != 8<<16|64 || c&0xFFFF < 16 {
+		return false
+	}
+	return requestTileData()
 }

@@ -706,6 +706,237 @@ i8tiledone:
 	VZEROUPPER
 	RET
 
+// func gemmI8AMX(t *i8AMXArgs)
+//
+// The int8 product on AMX tiles, patch-row major: a tile of sixteen patch
+// rows (tmm4, one 64-byte k chunk of each, loaded straight from the patch
+// matrix at row stride k) meets up to four packed channel blocks in turn
+// (tmm6, 16 k groups of four bytes × 16 channels), TDPBSSD adding each
+// block's signed-by-signed products into its accumulator tmm0..tmm3 — no
+// bias, no row-sum correction. The last, partial chunk of a k that is not a
+// multiple of 64 runs in tmm5/tmm7, configured as wide as it is; its load
+// reads up to three bytes past a patch row, which meet zero weight padding.
+// TDPBSSD's dword adds wrap, so the sums are the other kernels' modulo 2^32.
+// Each accumulator (a patch block × sixteen channels) is stored to
+// t.scratch, transposed in Z0..Z31 and written as sixteen channel rows of
+// dst under the patch-row mask K1, the last channel block only as far as
+// t.mlast. Channel groups of four blocks repeat over every patch block.
+//
+// Go's assembler has no AMX mnemonics, so those instructions are BYTE
+// sequences, each after its Intel form; they address memory through AX,
+// BX, CX, DX and SI only, which keeps the VEX prefix at C4 E2. The tile
+// state is released before returning. An assembly function is never
+// preempted asynchronously, so the tiles stay this goroutine's for the call.
+#define AMX_LDTILECFG_AX     BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0x00
+#define AMX_TILERELEASE      BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0xC0
+#define AMX_TILEZERO(modrm)  BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $modrm
+// TILELOADD tmm4/tmm5, [SI+DX*1]; TILELOADD tmm6/tmm7, [BX+CX*1]
+#define AMX_LOAD_A_FULL      BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x24; BYTE $0x16
+#define AMX_LOAD_A_TAIL      BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x2C; BYTE $0x16
+#define AMX_LOAD_B_FULL      BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x34; BYTE $0x0B
+#define AMX_LOAD_B_TAIL      BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x3C; BYTE $0x0B
+// TILESTORED [AX+CX*1], tmmN
+#define AMX_STORE(modrm)     BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $modrm; BYTE $0x08
+// TDPBSSD tmmN, tmm4, tmm6 (vex3 0x4B) / tmmN, tmm5, tmm7 (vex3 0x43)
+#define AMX_DP(vex3, modrm)  BYTE $0xC4; BYTE $0xE2; BYTE $vex3; BYTE $0x5E; BYTE $modrm
+
+// One k chunk against the group's R12 channel blocks: the patch tile is
+// already loaded; BX walks the blocks from R14.
+#define AMX_CHUNK(loadB, vex3, m0, m1, m2, m3, done) \
+	MOVQ R14, BX; \
+	loadB; \
+	AMX_DP(vex3, m0); \
+	CMPQ R12, $1; \
+	JEQ  done; \
+	ADDQ 120(R15), BX; \
+	loadB; \
+	AMX_DP(vex3, m1); \
+	CMPQ R12, $2; \
+	JEQ  done; \
+	ADDQ 120(R15), BX; \
+	loadB; \
+	AMX_DP(vex3, m2); \
+	CMPQ R12, $3; \
+	JEQ  done; \
+	ADDQ 120(R15), BX; \
+	loadB; \
+	AMX_DP(vex3, m3); \
+done:
+
+// Row r of the 16x16 dword tile in Z0..Z15 becomes column r: dwords, then
+// qwords interleaved within 128-bit lanes, then the lanes shuffled twice.
+#define TRANSPOSE_16X16 \
+	VPUNPCKLDQ Z1, Z0, Z16; VPUNPCKHDQ Z1, Z0, Z17; \
+	VPUNPCKLDQ Z3, Z2, Z18; VPUNPCKHDQ Z3, Z2, Z19; \
+	VPUNPCKLDQ Z5, Z4, Z20; VPUNPCKHDQ Z5, Z4, Z21; \
+	VPUNPCKLDQ Z7, Z6, Z22; VPUNPCKHDQ Z7, Z6, Z23; \
+	VPUNPCKLDQ Z9, Z8, Z24; VPUNPCKHDQ Z9, Z8, Z25; \
+	VPUNPCKLDQ Z11, Z10, Z26; VPUNPCKHDQ Z11, Z10, Z27; \
+	VPUNPCKLDQ Z13, Z12, Z28; VPUNPCKHDQ Z13, Z12, Z29; \
+	VPUNPCKLDQ Z15, Z14, Z30; VPUNPCKHDQ Z15, Z14, Z31; \
+	VPUNPCKLQDQ Z18, Z16, Z0; VPUNPCKHQDQ Z18, Z16, Z1; \
+	VPUNPCKLQDQ Z19, Z17, Z2; VPUNPCKHQDQ Z19, Z17, Z3; \
+	VPUNPCKLQDQ Z22, Z20, Z4; VPUNPCKHQDQ Z22, Z20, Z5; \
+	VPUNPCKLQDQ Z23, Z21, Z6; VPUNPCKHQDQ Z23, Z21, Z7; \
+	VPUNPCKLQDQ Z26, Z24, Z8; VPUNPCKHQDQ Z26, Z24, Z9; \
+	VPUNPCKLQDQ Z27, Z25, Z10; VPUNPCKHQDQ Z27, Z25, Z11; \
+	VPUNPCKLQDQ Z30, Z28, Z12; VPUNPCKHQDQ Z30, Z28, Z13; \
+	VPUNPCKLQDQ Z31, Z29, Z14; VPUNPCKHQDQ Z31, Z29, Z15; \
+	VSHUFI32X4 $0x44, Z4, Z0, Z16; VSHUFI32X4 $0xEE, Z4, Z0, Z20; \
+	VSHUFI32X4 $0x44, Z12, Z8, Z24; VSHUFI32X4 $0xEE, Z12, Z8, Z28; \
+	VSHUFI32X4 $0x44, Z5, Z1, Z17; VSHUFI32X4 $0xEE, Z5, Z1, Z21; \
+	VSHUFI32X4 $0x44, Z13, Z9, Z25; VSHUFI32X4 $0xEE, Z13, Z9, Z29; \
+	VSHUFI32X4 $0x44, Z6, Z2, Z18; VSHUFI32X4 $0xEE, Z6, Z2, Z22; \
+	VSHUFI32X4 $0x44, Z14, Z10, Z26; VSHUFI32X4 $0xEE, Z14, Z10, Z30; \
+	VSHUFI32X4 $0x44, Z7, Z3, Z19; VSHUFI32X4 $0xEE, Z7, Z3, Z23; \
+	VSHUFI32X4 $0x44, Z15, Z11, Z27; VSHUFI32X4 $0xEE, Z15, Z11, Z31; \
+	VSHUFI32X4 $0x88, Z24, Z16, Z0; VSHUFI32X4 $0xDD, Z24, Z16, Z4; \
+	VSHUFI32X4 $0x88, Z28, Z20, Z8; VSHUFI32X4 $0xDD, Z28, Z20, Z12; \
+	VSHUFI32X4 $0x88, Z25, Z17, Z1; VSHUFI32X4 $0xDD, Z25, Z17, Z5; \
+	VSHUFI32X4 $0x88, Z29, Z21, Z9; VSHUFI32X4 $0xDD, Z29, Z21, Z13; \
+	VSHUFI32X4 $0x88, Z26, Z18, Z2; VSHUFI32X4 $0xDD, Z26, Z18, Z6; \
+	VSHUFI32X4 $0x88, Z30, Z22, Z10; VSHUFI32X4 $0xDD, Z30, Z22, Z14; \
+	VSHUFI32X4 $0x88, Z27, Z19, Z3; VSHUFI32X4 $0xDD, Z27, Z19, Z7; \
+	VSHUFI32X4 $0x88, Z31, Z23, Z11; VSHUFI32X4 $0xDD, Z31, Z23, Z15
+
+// One channel row of the transposed tile to dst; the last live row leaves.
+#define AMX_ROW(z) \
+	VMOVDQU32 z, K1, (SI); \
+	ADDQ R14, SI; \
+	DECQ BX; \
+	JZ   amxrowsdone
+
+TEXT ·gemmI8AMX(SB), NOSPLIT, $0-8
+	MOVQ t+0(FP), R15
+	MOVQ R15, AX          // the configuration is at offset 0
+	AMX_LDTILECFG_AX
+	LEAQ 160(R15), AX     // scratch
+	MOVQ $64, CX          // weight tile and scratch row stride
+	MOVQ 96(R15), DX      // patch row stride k
+	KMOVW 152(R15), K1    // live patch rows
+	MOVQ 72(R15), R8      // the group's first channel block
+	MOVQ 128(R15), R11    // channel blocks left
+
+amxgroup:
+	MOVQ R11, R12         // blocks in this group: min(4, left)
+	CMPQ R12, $4
+	JLE  amxgroupset
+	MOVQ $4, R12
+amxgroupset:
+	MOVQ 80(R15), R9      // patch block
+	MOVQ 144(R15), R10    // patch blocks left
+	MOVQ 64(R15), DI      // dst of the group's first row at this patch block
+
+amxpix:
+	AMX_TILEZERO(0xC0)
+	AMX_TILEZERO(0xC8)
+	AMX_TILEZERO(0xD0)
+	AMX_TILEZERO(0xD8)
+	MOVQ R9, SI
+	MOVQ R8, R14          // chunk 0 of block 0
+	MOVQ 104(R15), R13    // full chunks
+	TESTQ R13, R13
+	JZ   amxtail
+
+amxchunk:
+	AMX_LOAD_A_FULL
+	AMX_CHUNK(AMX_LOAD_B_FULL, 0x4B, 0xC4, 0xCC, 0xD4, 0xDC, amxchunkdone)
+	ADDQ $64, SI
+	ADDQ $1024, R14
+	DECQ R13
+	JNZ  amxchunk
+
+amxtail:
+	CMPQ 112(R15), $0
+	JEQ  amxstore
+	AMX_LOAD_A_TAIL
+	AMX_CHUNK(AMX_LOAD_B_TAIL, 0x43, 0xC5, 0xCD, 0xD5, 0xDD, amxtaildone)
+
+amxstore:
+	XORQ R13, R13         // block of the group
+	MOVQ DI, SI           // its first channel row
+	MOVQ 88(R15), R14     // dst row stride
+amxblock:
+	CMPQ R13, $1
+	JEQ  amxst1
+	JGT  amxst23
+	AMX_STORE(0x04)
+	JMP  amxstored
+amxst1:
+	AMX_STORE(0x0C)
+	JMP  amxstored
+amxst23:
+	CMPQ R13, $3
+	JEQ  amxst3
+	AMX_STORE(0x14)
+	JMP  amxstored
+amxst3:
+	AMX_STORE(0x1C)
+amxstored:
+	LEAQ 1(R13), BX       // live channel rows: 16, or mlast in the last block
+	CMPQ BX, R11
+	MOVQ $16, BX
+	JNE  amxtranspose
+	MOVQ 136(R15), BX
+amxtranspose:
+	VMOVDQU32 0(AX), Z0
+	VMOVDQU32 64(AX), Z1
+	VMOVDQU32 128(AX), Z2
+	VMOVDQU32 192(AX), Z3
+	VMOVDQU32 256(AX), Z4
+	VMOVDQU32 320(AX), Z5
+	VMOVDQU32 384(AX), Z6
+	VMOVDQU32 448(AX), Z7
+	VMOVDQU32 512(AX), Z8
+	VMOVDQU32 576(AX), Z9
+	VMOVDQU32 640(AX), Z10
+	VMOVDQU32 704(AX), Z11
+	VMOVDQU32 768(AX), Z12
+	VMOVDQU32 832(AX), Z13
+	VMOVDQU32 896(AX), Z14
+	VMOVDQU32 960(AX), Z15
+	TRANSPOSE_16X16
+	AMX_ROW(Z0)
+	AMX_ROW(Z1)
+	AMX_ROW(Z2)
+	AMX_ROW(Z3)
+	AMX_ROW(Z4)
+	AMX_ROW(Z5)
+	AMX_ROW(Z6)
+	AMX_ROW(Z7)
+	AMX_ROW(Z8)
+	AMX_ROW(Z9)
+	AMX_ROW(Z10)
+	AMX_ROW(Z11)
+	AMX_ROW(Z12)
+	AMX_ROW(Z13)
+	AMX_ROW(Z14)
+	AMX_ROW(Z15)
+amxrowsdone:
+	INCQ R13
+	CMPQ R13, R12
+	JLT  amxblock
+
+	ADDQ $64, DI          // next patch block: 16 dwords on, 16 rows down
+	MOVQ DX, BX
+	SHLQ $4, BX
+	ADDQ BX, R9
+	DECQ R10
+	JNZ  amxpix
+
+	MOVQ 88(R15), BX      // next group: 64 channel rows down, 4 blocks on
+	SHLQ $6, BX
+	ADDQ BX, 64(R15)
+	MOVQ 120(R15), BX
+	SHLQ $2, BX
+	ADDQ BX, R8
+	SUBQ R12, R11
+	JNZ  amxgroup
+
+	AMX_TILERELEASE
+	VZEROUPPER
+	RET
+
 // func requantRowsSIMD(a *requantArgs)
 //
 // The rows of a quantized product leave their accumulators: per row the

@@ -44,7 +44,7 @@ func depthwise3x3SIMD(a *dwArgs) {
 	panic("tensor: depthwise3x3SIMD called without SIMD support")
 }
 
-// dot4I8SIMD, gemmI8TileVNNI and the vector front passes are never called
+// dot4I8SIMD, gemmI8TileVNNI, gemmI8AMX and the vector front passes are never called
 // when i8Level is i8Scalar, nor requantRowsSIMD when f32Level is f32Scalar; the
 // stubs keep the int8 kernels free of build tags.
 func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32) {
@@ -53,6 +53,10 @@ func dot4I8SIMD(w0, w1, w2, w3, x *int8, k int, out *[4]int32) {
 
 func gemmI8TileVNNI(t *i8TileArgs) {
 	panic("tensor: gemmI8TileVNNI called without SIMD support")
+}
+
+func gemmI8AMX(t *i8AMXArgs) {
+	panic("tensor: gemmI8AMX called without AMX support")
 }
 
 func requantRowsSIMD(a *requantArgs) {
