@@ -103,7 +103,11 @@ const kBlock = 256
 // (the tile kernel is five to seven times faster per MAC than float32, and
 // at 30 M the second core returns 6 % where float32 gets 32 %): within 2× of
 // the 16.8 M the rule puts the smallest fan-out at, so both precisions keep
-// the one rule. Every single-sample GEMM in the zoo is under 0.6 M.
+// the one rule. Every single-sample GEMM in the zoo is under 0.6 M. The
+// amx-int8 kernel breaks even only between 100 M and 300 M (serial / cut
+// in two, a later session on the same box: 29.8 M 87 / 117, 99.9 M
+// 230 / 267, 300.8 M 1035 / 803); no zoo product comes within two orders
+// of magnitude of either figure, so the rule stays shared.
 const parallelMACs = 1 << 23
 
 // gemmGrain is the dispatch rule the float32 and int8 GEMMs share: the
