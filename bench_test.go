@@ -15,13 +15,15 @@ import (
 	"strings"
 	"testing"
 
+	"tbnet/internal/core"
 	"tbnet/internal/experiments"
 	"tbnet/internal/report"
 	"tbnet/internal/tee"
 )
 
 func benchLab(seed uint64) *experiments.Lab {
-	return experiments.NewLab(experiments.Config{Scale: experiments.MicroScale(), Seed: seed})
+	micro, _ := core.ScaleByName("micro")
+	return experiments.NewLab(experiments.Config{Scale: micro, Seed: seed})
 }
 
 // skipInShort keeps the artifact-regeneration benchmarks out of CI's

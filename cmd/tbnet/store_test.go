@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tbnet"
+	"tbnet/internal/core"
 	"tbnet/internal/experiments"
 	"tbnet/internal/serial"
 )
@@ -269,12 +270,13 @@ func TestSourceMatchesLab(t *testing.T) {
 	}
 	sum := func(tb *tbnet.TwoBranch) string {
 		h := sha256.New()
-		if err := serial.SaveTwoBranch(h, tb); err != nil {
+		if err := serial.SaveDeployment(h, &serial.Artifact{TB: tb, Device: "rpi3", SampleShape: []int{1, 3, 16, 16}}); err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%x", h.Sum(nil))
 	}
-	lab := experiments.NewLab(experiments.Config{Scale: experiments.MicroScale(), Seed: 1})
+	micro, _ := core.ScaleByName("micro")
+	lab := experiments.NewLab(experiments.Config{Scale: micro, Seed: 1})
 	for _, ds := range []string{"c10", "c100"} {
 		fs, c := newFlagSet("pipeline", io.Discard)
 		if err := fs.Parse([]string{"-arch", "vgg", "-dataset", ds, "-scale", "micro", "-seed", "1"}); err != nil {

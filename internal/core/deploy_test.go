@@ -83,10 +83,6 @@ func TestDeploymentOneWayChannel(t *testing.T) {
 	if !sawTransfer || !sawREE {
 		t.Fatal("attacker view missing expected REE-side events")
 	}
-	// The full trace does include TEE computation (simulator accounting).
-	if dep.Enclave.Trace().Count(tee.EvTEECompute) == 0 {
-		t.Fatal("full trace should record TEE computation")
-	}
 }
 
 func TestDeploymentSecureBytesSmallerThanBaseline(t *testing.T) {
@@ -287,7 +283,7 @@ func TestReplicateIsIndependent(t *testing.T) {
 	// Mutating the replica's extracted branch must not touch the original,
 	// and the replica's meter is its own.
 	rep.mr.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Fill(0)
-	if tb.MR.Stages[0].(*zoo.ConvBlock).Conv.W.Value.AbsSum() == 0 {
+	if tensor.MaxAbs(tb.MR.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Data()) == 0 {
 		t.Fatal("replica aliases the original model")
 	}
 	if rep.Enclave.Meter() == dep.Enclave.Meter() {
@@ -303,7 +299,7 @@ func TestExtractedMRIsACopy(t *testing.T) {
 	}
 	stolen := dep.ExtractedMR()
 	stolen.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Fill(0)
-	if tb.MR.Stages[0].(*zoo.ConvBlock).Conv.W.Value.AbsSum() == 0 {
+	if tensor.MaxAbs(tb.MR.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Data()) == 0 {
 		t.Fatal("extraction must not alias the deployed branch")
 	}
 }

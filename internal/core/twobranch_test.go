@@ -185,7 +185,7 @@ func TestCloneDeep(t *testing.T) {
 	cl := tb.Clone()
 	cl.MT.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Fill(0)
 	cl.Align[1][0] = 99
-	if tb.MT.Stages[0].(*zoo.ConvBlock).Conv.W.Value.AbsSum() == 0 {
+	if tensor.MaxAbs(tb.MT.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Data()) == 0 {
 		t.Fatal("clone shares MT weights")
 	}
 	if tb.Align[1][0] == 99 {
@@ -211,7 +211,7 @@ func TestBranchGammas(t *testing.T) {
 // architecture family (depthwise-separable blocks).
 func TestTwoBranchMobileNetPipeline(t *testing.T) {
 	train, test := smallTask(4, 48, 24, 50)
-	victim := zoo.BuildMobileNet(zoo.TinyMobileNetConfig(4), tensor.NewRNG(51))
+	victim := zoo.BuildMobileNet(zoo.MobileNetSConfig(4), tensor.NewRNG(51))
 	TrainModel(victim, train, nil, fastCfg(1))
 	tb := NewTwoBranch(victim, 52)
 	TrainTwoBranch(tb, train, test, fastCfg(1))

@@ -55,8 +55,11 @@ func characterize(t *testing.T, s Strategy, v *zoo.Model, d tee.Device) (charRec
 	for _, e := range p.Trace().AttackerView() {
 		r.view = append(r.view, fmt.Sprintf("%s:%s:%d", e.Kind, e.Label, e.Bytes))
 	}
-	if m.SecureFootprint() != p.SecureBytes {
-		t.Fatalf("%s on %s: meter footprint %d != SecureBytes %d", s.Name(), d.Name(), m.SecureFootprint(), p.SecureBytes)
+	// The meter's footprint is the one field SetSecureFootprint writes.
+	want := *m
+	want.SetSecureFootprint(p.SecureBytes)
+	if want != *m {
+		t.Fatalf("%s on %s: meter footprint is not SecureBytes %d", s.Name(), d.Name(), p.SecureBytes)
 	}
 	return r, g(p.Latency())
 }

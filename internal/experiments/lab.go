@@ -24,16 +24,6 @@ import (
 // the flow they size (core.ScaleByName).
 type Scale = core.Scale
 
-// MicroScale returns the smallest preset, the one the test suite and the
-// benchmark harness run at.
-func MicroScale() Scale {
-	s, err := core.ScaleByName("micro")
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Config is a Lab configuration.
 type Config struct {
 	Scale Scale

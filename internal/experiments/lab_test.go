@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tbnet/internal/core"
 	"tbnet/internal/tee"
 )
 
@@ -21,11 +22,17 @@ func skipShort(t *testing.T) {
 	}
 }
 
+// microScale is the smallest preset, the one the test suite runs at.
+func microScale() Scale {
+	s, _ := core.ScaleByName("micro")
+	return s
+}
+
 // microLab returns a process-wide shared lab so the expensive pipelines are
 // trained once and reused by every test (they only read from it).
 func microLab() *Lab {
 	if sharedLab == nil {
-		sharedLab = NewLab(Config{Scale: MicroScale(), Seed: 1})
+		sharedLab = NewLab(Config{Scale: microScale(), Seed: 1})
 	}
 	return sharedLab
 }
@@ -216,7 +223,7 @@ func TestTableHWCoversRegistry(t *testing.T) {
 func TestLabHonoursConfiguredDevice(t *testing.T) {
 	skipShort(t)
 	base := microLab()
-	jl := NewLab(Config{Scale: MicroScale(), Seed: 1, Device: tee.JetsonTZ()})
+	jl := NewLab(Config{Scale: microScale(), Seed: 1, Device: tee.JetsonTZ()})
 	// Reuse the trained pipelines so only the device changes.
 	jl.cache = base.cache
 	jt := jl.Table3()

@@ -463,7 +463,7 @@ func TestE2EShutdownZeroDropped(t *testing.T) {
 	defer cancel()
 	shutDone := make(chan error, 1)
 	go func() { shutDone <- s.Shutdown(ctx) }()
-	waitFor(t, "Shutdown to begin", s.Draining)
+	waitFor(t, "Shutdown to begin", s.draining.Load)
 	close(gate.release)
 	if err := <-shutDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -478,8 +478,8 @@ func TestE2EShutdownZeroDropped(t *testing.T) {
 			t.Errorf("request %d dropped across drain: %v", i, err)
 		}
 	}
-	if !s.Draining() {
-		t.Fatal("Draining() must report true after Shutdown")
+	if !s.draining.Load() {
+		t.Fatal("the server must report draining after Shutdown")
 	}
 	if _, err := s.cfg.Fleet.Infer(context.Background(), randSample(1)); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("fleet after Shutdown err = %v, want ErrClosed", err)

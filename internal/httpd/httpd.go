@@ -218,9 +218,6 @@ func New(cfg Config) (*Server, error) {
 // mounting in an existing http.Server or a test.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Serve accepts connections on l until Shutdown (which returns nil here) or
 // a listener error. It owns an internal http.Server, so a daemon main is
 // just New + Listen + Serve + Shutdown-on-signal. After Shutdown — even one

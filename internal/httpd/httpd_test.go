@@ -385,7 +385,7 @@ func TestSwapOverHTTP(t *testing.T) {
 func TestSwapRejectsZeroStrideDepthwise(t *testing.T) {
 	s, f := testServer(t, nil, nil)
 	h := s.Handler()
-	tb := core.NewTwoBranch(zoo.BuildMobileNet(zoo.TinyMobileNetConfig(4), tensor.NewRNG(3)), 4)
+	tb := core.NewTwoBranch(zoo.BuildMobileNet(zoo.MobileNetSConfig(4), tensor.NewRNG(3)), 4)
 	tb.Finalized = true
 	for _, st := range tb.MT.Stages {
 		if b, ok := st.(*zoo.DWBlock); ok {

@@ -135,35 +135,3 @@ func (a *Arena) Tensor2(tag string, n, c int) *tensor.Tensor {
 	a.bufs[k] = t
 	return t
 }
-
-// Bytes reports the arena's current total buffer footprint, for stats and
-// memory accounting.
-func (a *Arena) Bytes() int64 {
-	var total int64
-	for _, t := range a.bufs {
-		total += int64(t.Size()) * 4
-	}
-	for _, c := range a.cols {
-		total += int64(cap(c)) * 4
-	}
-	for _, b := range a.i8bufs {
-		total += int64(cap(b))
-	}
-	for _, b := range a.i8cols {
-		total += int64(cap(b))
-	}
-	for _, b := range a.i32buf {
-		total += int64(cap(b)) * 4
-	}
-	total += int64(cap(a.invStd)) * 4
-	return total
-}
-
-// InferLayer is implemented by layers that support the preplanned
-// zero-allocation inference path: ForwardInto writes an eval-mode forward
-// into dst (shaped per OutShape) using arena scratch instead of fresh
-// tensors. Element-wise layers (batch norm, activations) accept dst == x
-// for in-place operation. (Stages compose these into zoo.Stage.InferInto.)
-type InferLayer interface {
-	ForwardInto(dst, x *tensor.Tensor, a *Arena)
-}

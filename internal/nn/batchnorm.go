@@ -120,19 +120,6 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// ForwardInto is the eval-mode inference path: x normalized by the running
-// statistics, written into dst. dst may equal x for in-place operation; no
-// state is retained and no scratch is needed, so the arena may be nil.
-func (b *BatchNorm2D) ForwardInto(dst, x *tensor.Tensor, _ *Arena) {
-	if x.Dim(1) != b.C {
-		panic(fmt.Sprintf("nn: %s expects %d channels, got %d", b.name, b.C, x.Dim(1)))
-	}
-	if dst.Size() != x.Size() {
-		panic(fmt.Sprintf("nn: %s destination %v for input %v", b.name, dst.Shape(), x.Shape()))
-	}
-	b.evalInto(dst.Data(), x.Data(), x.Dim(0), x.Dim(2)*x.Dim(3))
-}
-
 // evalInto applies the running-statistics normalization; od may alias xd.
 func (b *BatchNorm2D) evalInto(od, xd []float32, n, hw int) {
 	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()

@@ -104,40 +104,3 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return tensor.MatMul(grad, tensor.Transpose(d.W.Value))
 }
-
-// Flatten reshapes [N, C, H, W] to [N, C*H*W].
-type Flatten struct {
-	name    string
-	inShape []int
-}
-
-// NewFlatten creates a flatten layer.
-func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
-
-// Name returns the layer's diagnostic name.
-func (f *Flatten) Name() string { return f.name }
-
-// Params returns nil: flatten has no parameters.
-func (f *Flatten) Params() []*Param { return nil }
-
-// OutShape maps [N, ...] to [N, prod(...)].
-func (f *Flatten) OutShape(in []int) []int {
-	n := 1
-	for _, d := range in[1:] {
-		n *= d
-	}
-	return []int{in[0], n}
-}
-
-// Forward reshapes the input (a view, no copy).
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		f.inShape = append([]int(nil), x.Shape()...)
-	}
-	return x.Reshape(x.Dim(0), -1)
-}
-
-// Backward restores the cached input shape.
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
-}

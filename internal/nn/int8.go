@@ -124,10 +124,6 @@ func (d *DepthwiseConv2D) SetInt8Weights(data []int8, scales []float32) error {
 	return nil
 }
 
-// Int8 reports whether the depthwise convolution is armed with quantized
-// weights.
-func (d *DepthwiseConv2D) Int8() bool { return d.qw != nil }
-
 // forwardIntoI8 runs the depthwise convolution in int32 accumulation over
 // the quantized sample, requantizing per channel and then applying ep (when
 // set) to the channel. Scalar per-tap loops — the window is tiny (k×k), so
@@ -187,9 +183,6 @@ func (d *Dense) SetInt8Weights(data []int8, scales []float32) error {
 	d.qw, d.qscale = tensor.PackI8Weights(data, d.Out, d.In), scales
 	return nil
 }
-
-// Int8 reports whether the dense layer is armed with quantized weights.
-func (d *Dense) Int8() bool { return d.qw != nil }
 
 // forwardIntoI8 quantizes each input row with its own dynamic scale, runs
 // one int8 GEMM for the whole batch — the packed weights against the input

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tbnet/internal/tensor"
@@ -94,7 +95,7 @@ func TestConvInt8WithinQuantErrorBound(t *testing.T) {
 // the path it replaced: for every geometry class (3×3, pointwise, strided,
 // 5×5 with wide padding, an image narrower than the kernel, a 3-channel first
 // layer) the layer's output equals, bit for bit, a reference built from the
-// retained channel-major kernels — QuantizeI8 + Im2RowI8 + GemmI8Serial on
+// retained channel-major kernels — QuantizeI8 + Im2RowI8 + GemmI8PackedSerial on
 // the unpermuted artifact weights — at batch 1 (the parallel GEMM) and batch
 // 8 (one serial GEMM per worker). The arm-time permutation is therefore
 // unobservable, and the artifact's weight slice is left untouched.
@@ -146,7 +147,7 @@ func TestConvInt8BitIdenticalToChannelMajorReference(t *testing.T) {
 				sx := tensor.QuantScale(tensor.MaxAbs(sample))
 				tensor.QuantizeI8(sample, sx, qin)
 				tensor.Im2RowI8(qin, g.inC, g.h, g.w, g.k, g.k, g.stride, g.pad, rows)
-				tensor.GemmI8Serial(acc, qdata, rows, g.outC, hw, colRows)
+				tensor.GemmI8PackedSerial(acc, tensor.PackI8Weights(qdata, g.outC, colRows), rows, hw)
 				for ch := 0; ch < g.outC; ch++ {
 					f := qscales[ch] * sx
 					var b float32
@@ -278,14 +279,16 @@ func TestInt8CloneSharesQuantizedWeights(t *testing.T) {
 	if clone.qw != conv.qw || &clone.qscale[0] != &conv.qscale[0] {
 		t.Fatal("clone copied the packed int8 weights instead of sharing them")
 	}
+	perm := make([]int8, len(qdata))
 	for o := 0; o < 4; o++ {
 		for ch := 0; ch < 2; ch++ {
 			for tap := 0; tap < 9; tap++ {
-				if conv.qw.At(o, tap*2+ch) != qdata[o*18+ch*9+tap] {
-					t.Fatalf("weight row %d: (tap %d, ch %d) is not the artifact's (ch, tap) entry", o, tap, ch)
-				}
+				perm[o*18+tap*2+ch] = qdata[o*18+ch*9+tap]
 			}
 		}
+	}
+	if !reflect.DeepEqual(conv.qw, tensor.PackI8Weights(perm, 4, 18)) {
+		t.Fatal("the packed weights are not the artifact's (ch, tap) rows in (tap, ch) order")
 	}
 	x := tensor.New(1, 2, 5, 5)
 	rng.FillNormal(x, 0, 1)

@@ -58,53 +58,6 @@ type Layer interface {
 	OutShape(in []int) []int
 }
 
-// Sequential chains layers.
-type Sequential struct {
-	Layers []Layer
-	label  string
-}
-
-// NewSequential builds a sequential container with a diagnostic label.
-func NewSequential(label string, layers ...Layer) *Sequential {
-	return &Sequential{Layers: layers, label: label}
-}
-
-// Name returns the container label.
-func (s *Sequential) Name() string { return s.label }
-
-// Forward applies every layer in order.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// Backward propagates grad through the layers in reverse order.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// Params returns all trainable parameters in layer order.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
-// OutShape composes the layers' shape functions.
-func (s *Sequential) OutShape(in []int) []int {
-	for _, l := range s.Layers {
-		in = l.OutShape(in)
-	}
-	return in
-}
-
 // parallelFor runs fn(worker, i) for i in [0, n) across the persistent
 // tensor worker pool. worker is a dense chunk index usable for per-worker
 // scratch; single-sample or single-proc runs execute inline with no dispatch

@@ -42,15 +42,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	}
 	return total / float64(n), grad
 }
-
-// Accuracy returns the fraction of rows whose argmax matches the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	n := logits.Dim(0)
-	correct := 0
-	for i := 0; i < n; i++ {
-		if logits.ArgMaxRow(i) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}

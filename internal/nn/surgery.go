@@ -56,9 +56,6 @@ func (p *MaxPool2D) CloneLayer() Layer { return NewMaxPool2D(p.name, p.K) }
 // CloneLayer returns a fresh global average pool.
 func (p *GlobalAvgPool) CloneLayer() Layer { return NewGlobalAvgPool(p.name) }
 
-// CloneLayer returns a fresh flatten.
-func (f *Flatten) CloneLayer() Layer { return NewFlatten(f.name) }
-
 // CloneLayer returns a deep copy of the dense layer (immutable int8 weights
 // shared, not copied).
 func (d *Dense) CloneLayer() Layer {
@@ -68,15 +65,6 @@ func (d *Dense) CloneLayer() Layer {
 		B:  newParam(d.B.Name, d.B.Value.Clone(), d.B.Decay),
 		qw: d.qw, qscale: d.qscale,
 	}
-}
-
-// CloneLayer deep-copies the container and its layers.
-func (s *Sequential) CloneLayer() Layer {
-	out := &Sequential{label: s.label, Layers: make([]Layer, len(s.Layers))}
-	for i, l := range s.Layers {
-		out.Layers[i] = CloneOf(l)
-	}
-	return out
 }
 
 // CloneOf clones any layer implementing Cloner and panics otherwise; all

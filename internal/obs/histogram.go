@@ -142,13 +142,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Max returns the largest observed value in seconds.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) in seconds using the
 // nearest-rank rule rank = ceil(q·n) over the bucket counts, returning the
 // owning bucket's upper bound — an overestimate of the exact sample

@@ -114,8 +114,8 @@ func TestHistogramBucketsInvariants(t *testing.T) {
 			t.Fatalf("cumulative counts decrease at %d: %d < %d", i, bs[i].Count, bs[i-1].Count)
 		}
 	}
-	if h.Max() < 1e6 {
-		t.Fatalf("max = %g, want >= 1e6", h.Max())
+	if h.max < 1e6 {
+		t.Fatalf("max = %g, want >= 1e6", h.max)
 	}
 }
 

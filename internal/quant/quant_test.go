@@ -89,7 +89,7 @@ func TestQuantZeroWeightLayer(t *testing.T) {
 	m := zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(8))
 	m.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Zero()
 	deq := Quantize(m).Dequantize()
-	if deq.Stages[0].(*zoo.ConvBlock).Conv.W.Value.AbsSum() != 0 {
+	if tensor.MaxAbs(deq.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Data()) != 0 {
 		t.Fatal("zero weights corrupted by quantization")
 	}
 }
@@ -104,13 +104,13 @@ func TestQuantMaxErrorBound(t *testing.T) {
 	for r := 0; r < orig.Dim(0); r++ {
 		var maxAbs float64
 		for c := 0; c < cols; c++ {
-			if a := math.Abs(float64(orig.At(r, c))); a > maxAbs {
+			if a := math.Abs(float64(orig.Data()[r*cols+c])); a > maxAbs {
 				maxAbs = a
 			}
 		}
 		bound := maxAbs/254 + 1e-7
 		for c := 0; c < cols; c++ {
-			if err := math.Abs(float64(orig.At(r, c) - got.At(r, c))); err > bound {
+			if err := math.Abs(float64(orig.Data()[r*cols+c] - got.Data()[r*cols+c])); err > bound {
 				t.Fatalf("quant error %v exceeds bound %v at (%d,%d)", err, bound, r, c)
 			}
 		}
@@ -118,7 +118,7 @@ func TestQuantMaxErrorBound(t *testing.T) {
 }
 
 func TestQuantizeRoundTripCloseMobileNet(t *testing.T) {
-	m := zoo.BuildMobileNet(zoo.TinyMobileNetConfig(4), tensor.NewRNG(40))
+	m := zoo.BuildMobileNet(zoo.MobileNetSConfig(4), tensor.NewRNG(40))
 	deq := Quantize(m).Dequantize()
 	x := randX(2, 41)
 	a := m.Forward(x.Clone(), false)

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tbnet/internal/tensor"
@@ -65,7 +66,7 @@ func TestRealizeVGGRunsInt8(t *testing.T) {
 			t.Fatalf("stage %d conv not armed for int8", i)
 		}
 	}
-	if !rm.Head.FC.Int8() {
+	if !armed(rm.Head.FC) {
 		t.Fatal("head not armed for int8")
 	}
 	assertRealizedClose(t, m, 22)
@@ -96,7 +97,7 @@ func TestRealizeResNetRunsInt8(t *testing.T) {
 }
 
 func TestRealizeMobileNetRunsInt8(t *testing.T) {
-	m := zoo.BuildMobileNet(zoo.TinyMobileNetConfig(4), tensor.NewRNG(25))
+	m := zoo.BuildMobileNet(zoo.MobileNetSConfig(4), tensor.NewRNG(25))
 	rm, err := Quantize(m).Realize()
 	if err != nil {
 		t.Fatalf("Realize: %v", err)
@@ -108,7 +109,7 @@ func TestRealizeMobileNetRunsInt8(t *testing.T) {
 				t.Fatalf("stem stage %d not armed for int8", i)
 			}
 		case *zoo.DWBlock:
-			if !b.DW.Int8() || !b.PW.Int8() {
+			if !armed(b.DW) || !b.PW.Int8() {
 				t.Fatalf("dw block %d not armed for int8", i)
 			}
 		}
@@ -136,4 +137,11 @@ func TestRealizeRejectsMismatchedRecord(t *testing.T) {
 	if _, err := badDense.Realize(); err == nil {
 		t.Fatal("Realize accepted a mismatched head")
 	}
+}
+
+// armed reports whether a realized layer holds int8 weights: the packed
+// weights its int8 path runs from, read by reflection, since no product path
+// asks a depthwise or dense layer for them.
+func armed(layer any) bool {
+	return !reflect.ValueOf(layer).Elem().FieldByName("qw").IsNil()
 }

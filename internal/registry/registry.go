@@ -237,22 +237,3 @@ func (s *Store) List() ([]Entry, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
-
-// Delete removes the named entry (artifact and manifest). Deleting a missing
-// entry fails with ErrNotFound.
-func (s *Store) Delete(name string) error {
-	if err := checkName(name); err != nil {
-		return err
-	}
-	errArt := os.Remove(s.artifactPath(name))
-	errMan := os.Remove(s.manifestPath(name))
-	if errors.Is(errArt, os.ErrNotExist) && errors.Is(errMan, os.ErrNotExist) {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	for _, err := range []error{errArt, errMan} {
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("registry: deleting %q: %w", name, err)
-		}
-	}
-	return nil
-}

@@ -132,25 +132,6 @@ func TestBadNamesRejected(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Save("m", testArtifact(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("m"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Load("m"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("load after delete err = %v, want ErrNotFound", err)
-	}
-	if err := s.Delete("m"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete err = %v, want ErrNotFound", err)
-	}
-}
-
 func TestListSkipsForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -51,33 +51,6 @@ func MarkPareto(points []FrontierPoint) {
 	}
 }
 
-// FrontierTable renders frontier points for one device as a report table.
-func FrontierTable(device string, budget float64, points []FrontierPoint) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Defense frontier on %s (budget: ≤%s overhead)",
-			device, Pct(budget)),
-		Header: []string{"Config", "Kind", "Hit Rate", "Overhead", "In Budget", "Pareto", "Best"},
-		Device: device,
-	}
-	mark := func(b bool) string {
-		if b {
-			return "*"
-		}
-		return ""
-	}
-	yes := func(b bool) string {
-		if b {
-			return "yes"
-		}
-		return "no"
-	}
-	for _, p := range points {
-		t.AddRow(p.Config, p.Kind, Pct(p.HitRate), Pct(p.Overhead),
-			yes(p.Feasible), mark(p.Pareto), mark(p.Best))
-	}
-	return t
-}
-
 // AttackRow is one tenant's attack outcome from a live fleet capture,
 // paired with the isolated single-session baseline on the same deployment.
 type AttackRow struct {

@@ -83,29 +83,6 @@ func AttackRecords(recs []RunRecord, s Subject) AttackResult {
 	return r
 }
 
-// SegmentRuns splits a concatenated multi-run stream back into per-run
-// views at the deployment protocol's input-staging marker (the EvSMC
-// labeled "input" that opens every TBNet inference). A non-empty prefix
-// before the first marker — the tail of a run already in flight — becomes
-// its own segment.
-func SegmentRuns(view []tee.Event) [][]tee.Event {
-	var out [][]tee.Event
-	var cur []tee.Event
-	for _, e := range view {
-		if e.Kind == tee.EvSMC && e.Label == "input" {
-			if len(cur) > 0 {
-				out = append(out, cur)
-			}
-			cur = nil
-		}
-		cur = append(cur, e)
-	}
-	if len(cur) > 0 {
-		out = append(out, cur)
-	}
-	return out
-}
-
 // CaptureIsolated replays the attacker's ideal conditions against a
 // deployment: a private single-session replica in measurement mode, one
 // probe per trace, no co-tenants, no batching. It returns the per-probe

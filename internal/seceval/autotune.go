@@ -72,11 +72,6 @@ type TuneResult struct {
 	Best *report.FrontierPoint
 }
 
-// Table renders the frontier as a report table.
-func (r *TuneResult) Table() *report.Table {
-	return report.FrontierTable(r.Device, r.Budget, r.Points)
-}
-
 // Autotune searches defense configurations for one deployed model on its
 // device: obfuscation chains layered on the TBNet deployment protocol
 // (overhead priced against the deployment's own per-run latency) and, when

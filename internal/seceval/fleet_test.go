@@ -158,7 +158,7 @@ func TestTapRaceUnderFleetFireAndSwap(t *testing.T) {
 	for err := range errCh {
 		t.Fatalf("request shed or swap failed under fire: %v", err)
 	}
-	if got := tap.TotalBatch(); got != offered {
+	if got := tappedSamples(tap); got != offered {
 		t.Fatalf("tap saw %d samples, offered %d — capture dropped or duplicated requests",
 			got, offered)
 	}

@@ -160,47 +160,6 @@ func (t *Tap) TotalRuns() int {
 	return len(t.runs) + t.dropped
 }
 
-// TotalBatch sums the coalesced sample counts across every retained run.
-func (t *Tap) TotalBatch() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, r := range t.runs {
-		n += r.Batch
-	}
-	return n
-}
-
-// RunViews returns the per-run attacker views for one (node, model) tenant,
-// in completion order. Empty node or model matches everything.
-func (t *Tap) RunViews(node, model string) [][]tee.Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out [][]tee.Event
-	for _, r := range t.runs {
-		if (node == "" || r.Node == node) && (model == "" || r.Model == model) {
-			out = append(out, r.Events)
-		}
-	}
-	return out
-}
-
-// NodeView concatenates every retained run on a node into one stream in
-// completion order, with no tenant attribution — the view of an attacker
-// who can read the node's shared memory but cannot tell tenants apart, so a
-// noisy co-tenant's events interleave with the victim's.
-func (t *Tap) NodeView(node string) []tee.Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []tee.Event
-	for _, r := range t.runs {
-		if node == "" || r.Node == node {
-			out = append(out, r.Events...)
-		}
-	}
-	return out
-}
-
 // OverheadStats returns the per-layer obfuscation spend (nil without a
 // chain).
 func (t *Tap) OverheadStats() []LayerStats {

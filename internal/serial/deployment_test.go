@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"tbnet/internal/core"
@@ -256,53 +257,22 @@ func TestLoadDeploymentRejectsAbsurdShapeProduct(t *testing.T) {
 	}
 }
 
-// TestV1FilesStillLoad: files written by the version-1 format (no checksum
-// trailer) must keep loading bit-identically.
-func TestV1FilesStillLoad(t *testing.T) {
-	tb := finalizedTwoBranch(t, 6, "resnet")
-	// Reproduce the v1 encoding: same body, version 1, no checksum section.
-	var buf bytes.Buffer
-	w := newWriter(&buf)
-	w.u32(magicTwoBranch)
-	w.u32(1)
-	saveTwoBranchBody(w, tb)
-	if err := w.flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTwoBranch(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 two-branch failed to load: %v", err)
-	}
-	assertModelsBitIdentical(t, "MR", tb.MR, got.MR)
-	assertModelsBitIdentical(t, "MT", tb.MT, got.MT)
-
-	var mbuf bytes.Buffer
-	mw := newWriter(&mbuf)
-	mw.u32(magicModel)
-	mw.u32(1)
-	saveModelBody(mw, tb.MR, false)
-	if err := mw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	gm, err := LoadModel(bytes.NewReader(mbuf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 model failed to load: %v", err)
-	}
-	assertModelsBitIdentical(t, "model", tb.MR, gm)
-}
-
-// TestUnsupportedVersionRejected: a future version number fails with
-// ErrBadFormat instead of misparsing.
+// TestUnsupportedVersionRejected: a future version number, and version 1
+// (no deployment artifact was ever written at it), fail with ErrBadFormat
+// instead of misparsing.
 func TestUnsupportedVersionRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w := newWriter(&buf)
-	w.u32(magicDeploy)
-	w.u32(99)
-	if err := w.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadDeployment(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("err = %v, want ErrBadFormat", err)
+	for _, v := range []uint32{99, 1} {
+		var buf bytes.Buffer
+		w := newWriter(&buf)
+		w.u32(magicDeploy)
+		w.u32(v)
+		if err := w.flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadDeployment(bytes.NewReader(buf.Bytes()))
+		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d: err = %v, want ErrBadFormat: unsupported version", v, err)
+		}
 	}
 }
 
@@ -379,11 +349,14 @@ func resealed(data []byte) []byte {
 	return out
 }
 
-// FuzzLoadModel is FuzzLoadDeployment for the staged-model loader.
+// FuzzLoadModel feeds arbitrary bytes to the staged-model parser every
+// deployment branch goes through, with no checksum in front of it, so each
+// mutation reaches a stage or head bound.
 func FuzzLoadModel(f *testing.F) {
-	m := zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(9))
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, m); err != nil {
+	w := newWriter(&buf)
+	saveModelBody(w, zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(9)), false)
+	if err := w.flush(); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -391,8 +364,8 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(valid[:len(valid)-1])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mm, err := LoadModel(bytes.NewReader(data))
-		if err == nil && mm == nil {
+		r := newReader(bytes.NewReader(data))
+		if m := loadModelBody(r, false); m == nil && r.err == nil {
 			t.Fatal("nil model without error")
 		}
 	})

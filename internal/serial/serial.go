@@ -1,31 +1,29 @@
-// Package serial persists models, two-branch substitutions, and finalized
-// deployments in a compact little-endian binary format. A model vendor runs
-// the TBNet pipeline offline, saves the result, and ships the M_R file to the
-// device's normal world and the M_T file into the TEE's secure storage; this
-// package is that artifact format.
+// Package serial persists the finalized deployment artifact in a compact
+// little-endian binary format. A model vendor runs the TBNet pipeline
+// offline and saves one artifact: the M_R branch the device's normal world
+// runs, the M_T branch that goes into the TEE's secure storage, and the
+// placement metadata (backend name and deployed sample shape) a serving
+// host needs to bring the model back up without out-of-band configuration.
 //
 // # Format versions
 //
 // Every file starts with an 8-byte header: a 4-byte magic identifying the
-// artifact kind and a 4-byte format version.
+// artifact kind and a 4-byte format version. A SHA-256 digest of the body
+// follows it as a trailer, so corruption of the payload — not just of the
+// structure — is detected at load time instead of surfacing as silently
+// wrong weights.
 //
-//   - Version 1 (the original format) is header + body.
-//   - Version 2 appends a SHA-256 digest of the body as a trailer, so
-//     corruption of the payload — not just of the structure — is detected at
-//     load time instead of surfacing as silently wrong weights.
-//   - Version 3 (deployment artifacts only) adds a precision byte after the
-//     sample shape and, for int8 artifacts, replaces the float32 two-branch
-//     weights with the quantized storage form: weight-elided skeletons plus
-//     int8 tensors and per-channel scales (quantized.go).
+//   - Version 2 is header + body + trailer, with float32 two-branch
+//     weights.
+//   - Version 3 adds a precision byte after the sample shape and, for int8
+//     artifacts, replaces the float32 weights with the quantized storage
+//     form: weight-elided skeletons plus int8 tensors and per-channel scales
+//     (quantized.go).
 //
-// Model and two-branch writers emit version 2; the deployment writer emits
-// version 2 for float32 artifacts — bit-identical to earlier releases — and
-// version 3 only when the artifact carries quantized weights. Every loader
-// still reads all earlier versions, so artifacts saved by earlier releases
-// keep loading. The deployment artifact (SaveDeployment/LoadDeployment)
-// bundles the weights with the device placement metadata (backend name and
-// deployed sample shape) a serving host needs to bring the model back up
-// without out-of-band configuration.
+// SaveDeployment emits version 2 for float32 artifacts and version 3 only
+// when the artifact carries quantized weights; LoadDeployment reads both.
+// Any other version fails with ErrBadFormat. SaveModel writes one staged
+// model in the same version-2 framing.
 package serial
 
 import (
@@ -48,19 +46,19 @@ import (
 )
 
 const (
-	magicModel     = 0x4d4e4254 // "TBNM"
-	magicTwoBranch = 0x324e4254 // "TBN2"
-	magicDeploy    = 0x444e4254 // "TBND"
+	magicModel  = 0x4d4e4254 // "TBNM"
+	magicDeploy = 0x444e4254 // "TBND"
 
-	// version is the format written by SaveModel and SaveTwoBranch. Loaders
-	// accept every version in [1, version].
+	// version is the format SaveModel writes, and SaveDeployment for float32
+	// artifacts.
 	version = 2
 	// deployVersion is the newest deployment-artifact format; SaveDeployment
 	// emits it only for quantized artifacts (float32 artifacts stay at
 	// version 2, bit-identical to earlier releases).
 	deployVersion = 3
-	// minVersion is the oldest format the loaders still read.
-	minVersion = 1
+	// minVersion is the oldest format LoadDeployment reads: the first
+	// deployment artifact was version 2.
+	minVersion = 2
 
 	stageConvBlock = 1
 	stageResBlock  = 2
@@ -68,7 +66,7 @@ const (
 )
 
 // ErrBadFormat is returned for corrupt, truncated, or mismatched input,
-// including version-2 files whose payload fails its integrity checksum.
+// including files whose payload fails its integrity checksum.
 var ErrBadFormat = errors.New("serial: bad format")
 
 // maxTensorElems bounds any single parameter tensor a loader will allocate
@@ -251,17 +249,17 @@ func (r *reader) verifyChecksum() {
 	}
 }
 
-// header checks the magic and returns the accepted format version (at most
-// maxV — deployment artifacts reach deployVersion, everything else version).
-func (r *reader) header(magic uint32, kind string, maxV uint32) uint32 {
-	if got := r.u32(); r.err == nil && got != magic {
-		r.err = fmt.Errorf("%w: not a %s file", ErrBadFormat, kind)
+// header checks the deployment magic and returns the format version, one
+// of minVersion..deployVersion.
+func (r *reader) header() uint32 {
+	if got := r.u32(); r.err == nil && got != magicDeploy {
+		r.err = fmt.Errorf("%w: not a TBNet deployment file", ErrBadFormat)
 		return 0
 	}
 	v := r.u32()
-	if r.err == nil && (v < minVersion || v > maxV) {
+	if r.err == nil && (v < minVersion || v > deployVersion) {
 		r.err = fmt.Errorf("%w: unsupported version %d (this build reads %d..%d)",
-			ErrBadFormat, v, minVersion, maxV)
+			ErrBadFormat, v, minVersion, deployVersion)
 	}
 	return v
 }
@@ -483,28 +481,6 @@ func saveModelBody(w *writer, m *zoo.Model, elide bool) {
 	w.floats(m.Head.FC.B.Value)
 }
 
-// LoadModel reads a staged model written by SaveModel (any supported format
-// version). Corrupt or truncated input fails with an error wrapping
-// ErrBadFormat; LoadModel never panics.
-func LoadModel(in io.Reader) (*zoo.Model, error) {
-	r := newReader(in)
-	v := r.header(magicModel, "TBNet model", version)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if v >= 2 {
-		r.beginChecksum()
-	}
-	m := loadModelBody(r, false)
-	if r.err == nil {
-		r.verifyChecksum()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return m, nil
-}
-
 // loadModelBody reads a staged model written with the matching elide flag;
 // elided weight tensors come back zeroed. Every layer is built once, from
 // its bytes: the loader draws no random weights and builds no layer it
@@ -598,18 +574,6 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 	return m
 }
 
-// SaveTwoBranch writes a (typically finalized) two-branch model (version 2:
-// checksummed payload).
-func SaveTwoBranch(out io.Writer, tb *core.TwoBranch) error {
-	w := newWriter(out)
-	w.u32(magicTwoBranch)
-	w.u32(version)
-	w.beginChecksum()
-	saveTwoBranchBody(w, tb)
-	w.endChecksum()
-	return w.flush()
-}
-
 func saveTwoBranchBody(w *writer, tb *core.TwoBranch) {
 	w.bool(tb.Finalized)
 	saveModelBody(w, tb.MR, false)
@@ -625,28 +589,6 @@ func saveTwoBranchBody(w *writer, tb *core.TwoBranch) {
 			w.i32(ch)
 		}
 	}
-}
-
-// LoadTwoBranch reads a two-branch model written by SaveTwoBranch (any
-// supported format version). Corrupt or truncated input fails with an error
-// wrapping ErrBadFormat; LoadTwoBranch never panics.
-func LoadTwoBranch(in io.Reader) (*core.TwoBranch, error) {
-	r := newReader(in)
-	v := r.header(magicTwoBranch, "TBNet two-branch", version)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if v >= 2 {
-		r.beginChecksum()
-	}
-	tb := loadTwoBranchBody(r)
-	if r.err == nil {
-		r.verifyChecksum()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return tb, nil
 }
 
 func loadTwoBranchBody(r *reader) *core.TwoBranch {
@@ -751,7 +693,7 @@ func SaveDeployment(out io.Writer, a *Artifact) error {
 // error wrapping ErrBadFormat; LoadDeployment never panics.
 func LoadDeployment(in io.Reader) (*Artifact, error) {
 	r := newReader(in)
-	v := r.header(magicDeploy, "TBNet deployment", deployVersion)
+	v := r.header()
 	if r.err != nil {
 		return nil, r.err
 	}

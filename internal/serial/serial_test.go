@@ -15,17 +15,16 @@ func randX(n int, seed uint64) *tensor.Tensor {
 	return x
 }
 
+// roundTripModel saves m as both branches of a deployment artifact, the one
+// format a model is loaded from, and returns the loaded M_R.
 func roundTripModel(t *testing.T, m *zoo.Model) *zoo.Model {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModel(&buf)
+	tb := &core.TwoBranch{MR: m, MT: m, Align: make([][]int, len(m.Stages)), Finalized: true}
+	got, err := LoadDeployment(bytes.NewReader(artifactBytes(t, &Artifact{TB: tb, Device: "rpi3", SampleShape: []int{1, 3, 16, 16}})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return got.TB.MR
 }
 
 func assertSameFunction(t *testing.T, a, b *zoo.Model, seed uint64) {
@@ -86,14 +85,14 @@ func TestModelRoundTripPrunedResBlockInternal(t *testing.T) {
 	g := m.Groups()[0]
 	rb := m.Stages[g.Stage].(*zoo.ResBlock)
 	var keep []int
-	for i := 0; i < rb.InternalChannels()-2; i++ {
+	for i := 0; i < rb.Conv1.OutC-2; i++ {
 		keep = append(keep, i)
 	}
 	m.ApplyKeep(g, keep)
 	got := roundTripModel(t, m)
 	grb := got.Stages[g.Stage].(*zoo.ResBlock)
-	if grb.InternalChannels() != rb.InternalChannels() {
-		t.Fatalf("internal width lost: %d vs %d", grb.InternalChannels(), rb.InternalChannels())
+	if grb.Conv1.OutC != rb.Conv1.OutC {
+		t.Fatalf("internal width lost: %d vs %d", grb.Conv1.OutC, rb.Conv1.OutC)
 	}
 	assertSameFunction(t, m, got, 10)
 }
@@ -110,14 +109,11 @@ func TestTwoBranchRoundTrip(t *testing.T) {
 	tb.Align[1] = perm
 	tb.Finalized = true
 
-	var buf bytes.Buffer
-	if err := SaveTwoBranch(&buf, tb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTwoBranch(&buf)
+	art, err := LoadDeployment(bytes.NewReader(artifactBytes(t, &Artifact{TB: tb, Device: "rpi3", SampleShape: []int{1, 3, 16, 16}})))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := art.TB
 	if !got.Finalized {
 		t.Fatal("finalized flag lost")
 	}
@@ -136,23 +132,17 @@ func TestTwoBranchRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadModel(bytes.NewReader([]byte("not a model file at all"))); err == nil {
-		t.Fatal("garbage accepted as model")
-	}
-	if _, err := LoadTwoBranch(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("garbage accepted as two-branch")
+	for _, in := range [][]byte{[]byte("not a deployment file at all"), {1, 2, 3}} {
+		if _, err := LoadDeployment(bytes.NewReader(in)); err == nil {
+			t.Fatalf("garbage %q accepted as a deployment", in)
+		}
 	}
 }
 
 func TestLoadRejectsTruncated(t *testing.T) {
-	m := zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(14))
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := artifactBytes(t, &Artifact{TB: finalizedTwoBranch(t, 14, "vgg"), Device: "rpi3", SampleShape: []int{1, 3, 16, 16}})
 	for _, cut := range []int{8, len(full) / 2, len(full) - 3} {
-		if _, err := LoadModel(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := LoadDeployment(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -164,9 +154,9 @@ func TestLoadRejectsWrongMagic(t *testing.T) {
 	if err := SaveModel(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	// A model file is not a two-branch file.
-	if _, err := LoadTwoBranch(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("model file accepted as two-branch file")
+	// A model file is not a deployment file.
+	if _, err := LoadDeployment(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("model file accepted as a deployment file")
 	}
 }
 
@@ -176,7 +166,7 @@ func TestModelRoundTripMobileNet(t *testing.T) {
 }
 
 func TestModelRoundTripPrunedMobileNet(t *testing.T) {
-	m := zoo.BuildMobileNet(zoo.TinyMobileNetConfig(5), tensor.NewRNG(32))
+	m := zoo.BuildMobileNet(zoo.MobileNetSConfig(5), tensor.NewRNG(32))
 	g := m.Groups()[1]
 	m.ApplyKeep(g, []int{0, 3, 5, 7, 9})
 	assertSameFunction(t, m, roundTripModel(t, m), 33)

@@ -469,14 +469,6 @@ func (s *Server) SampleShape(model string) ([]int, error) {
 	return append([]int(nil), p.sampleShape...), nil
 }
 
-// Models returns the hosted model names in hosting order (the default model
-// first).
-func (s *Server) Models() []string {
-	s.modelMu.RLock()
-	defer s.modelMu.RUnlock()
-	return append([]string(nil), s.names...)
-}
-
 // SwapModel atomically replaces the named model's replicas with a pool built
 // from dep, without dropping a single request. The sequence is
 // warm-then-drain:

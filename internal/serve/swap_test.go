@@ -212,7 +212,7 @@ func TestServerMultiModel(t *testing.T) {
 	if err := srv.AddModel("b", depB); !errors.Is(err, ErrModelExists) {
 		t.Fatalf("duplicate AddModel: err = %v, want ErrModelExists", err)
 	}
-	if got := srv.Models(); len(got) != 2 || got[0] != DefaultModel || got[1] != "b" {
+	if got := srv.names; len(got) != 2 || got[0] != DefaultModel || got[1] != "b" {
 		t.Fatalf("Models() = %v", got)
 	}
 

@@ -214,17 +214,3 @@ func TestWithSecureMemOverridesOnlyCapacity(t *testing.T) {
 		t.Fatal("wrapper changed the cost semantics")
 	}
 }
-
-// TestSecureFootprintSurvivesReset: the footprint is sizing state owned by
-// the deployment, not an accumulated per-run cost.
-func TestSecureFootprintSurvivesReset(t *testing.T) {
-	m := workloadMeter()
-	m.SetSecureFootprint(4096)
-	m.Reset()
-	if m.Switches() != 0 || m.Flops(REE) != 0 {
-		t.Fatal("reset did not clear accumulated costs")
-	}
-	if m.SecureFootprint() != 4096 {
-		t.Fatalf("footprint = %d after reset, want 4096", m.SecureFootprint())
-	}
-}

@@ -228,12 +228,9 @@ func (m *Meter) AddTransfer(bytes int64) { m.transferred += bytes }
 
 // SetSecureFootprint records the secure working set of the deployment this
 // meter accounts for. It is sizing state, not an accumulated cost: Deploy
-// sets it once per session, and memory-pressure-sensitive backends read it
-// back through SecureFootprint.
+// sets it once per session, and memory-pressure-sensitive backends (SGX EPC
+// paging) read it when they price the meter.
 func (m *Meter) SetSecureFootprint(bytes int64) { m.secureFootprint = bytes }
-
-// SecureFootprint returns the recorded secure working set in bytes.
-func (m *Meter) SecureFootprint() int64 { return m.secureFootprint }
 
 // Switches returns the number of world switches recorded.
 func (m *Meter) Switches() int { return m.switches }
@@ -253,13 +250,6 @@ func (m *Meter) Flops(w World) float64 {
 // model — a convenience for d.Latency(m), which owns the backend's REE/TEE
 // overlap semantics.
 func (m *Meter) Latency(d Device) float64 { return d.Latency(m) }
-
-// Reset clears the accumulated costs, keeping the secure footprint (sizing
-// state owned by the deployment, not a per-run cost).
-func (m *Meter) Reset() {
-	fp := m.secureFootprint
-	*m = Meter{secureFootprint: fp}
-}
 
 // String summarizes the meter.
 func (m *Meter) String() string {

@@ -74,6 +74,3 @@ func (e *Enclave) Meter() *Meter { return e.ctx.Meter }
 
 // Trace exposes the enclave's observation trace.
 func (e *Enclave) Trace() *Trace { return e.ctx.Trace }
-
-// Mem exposes the enclave's secure-memory accountant.
-func (e *Enclave) Mem() *SecureMemory { return e.ctx.Mem }

@@ -79,6 +79,3 @@ func (m *SecureMemory) Peak() int64 {
 	defer m.mu.Unlock()
 	return m.peak
 }
-
-// Capacity returns the configured capacity (0 = unlimited).
-func (m *SecureMemory) Capacity() int64 { return m.capacity }

@@ -109,13 +109,6 @@ func (t *Trace) orderedLocked() []Event {
 	return out
 }
 
-// All returns a copy of the retained trace (simulator view), oldest first.
-func (t *Trace) All() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.orderedLocked()
-}
-
 // AttackerView returns only the events observable from the normal world:
 // REE computation and weight accesses, transfer payloads, and SMC timing.
 // Secure-world computation is filtered out — the TEE is a black box.
@@ -130,19 +123,6 @@ func (t *Trace) AttackerView() []Event {
 		}
 	}
 	return out
-}
-
-// Count returns the number of events of kind k in the full trace.
-func (t *Trace) Count(k EventKind) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, e := range t.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
 }
 
 // Reset clears the trace, keeping any configured bound.

@@ -2,13 +2,32 @@ package tee
 
 import "testing"
 
+// allEvents is the full retained trace, oldest first: the simulator's view,
+// which no product path reads.
+func allEvents(tr *Trace) []Event {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.orderedLocked()
+}
+
+// countEvents is the number of events of kind k in the full trace.
+func countEvents(tr *Trace, k EventKind) int {
+	n := 0
+	for _, e := range allEvents(tr) {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTraceBoundRetainsMostRecent(t *testing.T) {
 	tr := &Trace{}
 	tr.Bound(4)
 	for i := 0; i < 10; i++ {
 		tr.Record(Event{Kind: EvSMC, Bytes: int64(i)})
 	}
-	all := tr.All()
+	all := allEvents(tr)
 	if len(all) != 4 {
 		t.Fatalf("retained %d events, want 4", len(all))
 	}
@@ -17,7 +36,7 @@ func TestTraceBoundRetainsMostRecent(t *testing.T) {
 			t.Fatalf("event %d = %d, want %d (oldest-first order)", i, e.Bytes, want)
 		}
 	}
-	if got := tr.Count(EvSMC); got != 4 {
+	if got := countEvents(tr, EvSMC); got != 4 {
 		t.Fatalf("count = %d, want 4", got)
 	}
 }
@@ -28,13 +47,13 @@ func TestTraceBoundOnPopulatedTrace(t *testing.T) {
 		tr.Record(Event{Kind: EvTransfer, Bytes: int64(i)})
 	}
 	tr.Bound(3)
-	all := tr.All()
+	all := allEvents(tr)
 	if len(all) != 3 || all[0].Bytes != 3 || all[2].Bytes != 5 {
 		t.Fatalf("bound on populated trace kept %v", all)
 	}
 	// Records after bounding keep rotating.
 	tr.Record(Event{Kind: EvTransfer, Bytes: 6})
-	all = tr.All()
+	all = allEvents(tr)
 	if len(all) != 3 || all[0].Bytes != 4 || all[2].Bytes != 6 {
 		t.Fatalf("post-bound rotation kept %v", all)
 	}
@@ -61,13 +80,13 @@ func TestTraceResetKeepsBound(t *testing.T) {
 		tr.Record(Event{Kind: EvSMC, Bytes: int64(i)})
 	}
 	tr.Reset()
-	if len(tr.All()) != 0 {
+	if len(allEvents(tr)) != 0 {
 		t.Fatal("reset did not clear events")
 	}
 	for i := 0; i < 5; i++ {
 		tr.Record(Event{Kind: EvSMC, Bytes: int64(i)})
 	}
-	if all := tr.All(); len(all) != 2 || all[0].Bytes != 3 || all[1].Bytes != 4 {
+	if all := allEvents(tr); len(all) != 2 || all[0].Bytes != 3 || all[1].Bytes != 4 {
 		t.Fatalf("bound lost after reset: %v", all)
 	}
 }

@@ -125,14 +125,6 @@ func PackI8Weights(a []int8, m, k int) *I8Weights {
 	return w
 }
 
-// At returns element (i, p) of the matrix, whatever its layout.
-func (w *I8Weights) At(i, p int) int8 {
-	if !w.amx {
-		return w.data[i*w.k+p]
-	}
-	return w.data[i/16*16*w.kp+p/4*64+i%16*4+p%4]
-}
-
 // GemmI8PackedParallel computes dst[i*n+j] = w_i · b_j for the m×k packed
 // matrix w and the n×k row-major patch matrix b (with I8Slack bytes of
 // capacity past it), over the worker pool under GemmParallel's dispatch rule
@@ -166,12 +158,6 @@ func GemmI8PackedSerial(dst []int32, w *I8Weights, b []int8, n int) {
 // that multiply one a many times pack it once themselves.
 func GemmI8Parallel(dst []int32, a, b []int8, m, n, k int) {
 	GemmI8PackedParallel(dst, PackI8Weights(a, m, k), b, n)
-}
-
-// GemmI8Serial is GemmI8Parallel on the calling goroutine, bit-identical to
-// it.
-func GemmI8Serial(dst []int32, a, b []int8, m, n, k int) {
-	GemmI8PackedSerial(dst, PackI8Weights(a, m, k), b, n)
 }
 
 // checkI8Dims bounds the operands and returns b, copied into a buffer with

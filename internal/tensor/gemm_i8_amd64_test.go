@@ -115,10 +115,10 @@ func TestGemmI8SIMDBitIdenticalToScalarFallback(t *testing.T) {
 	m, n, k := 33, 29, 83
 	a, b := randI8(rng, m*k), randI8(rng, n*k)
 	scalar := make([]int32, m*n)
-	withI8Level(i8Scalar, func() { GemmI8Serial(scalar, a, b, m, n, k) })
+	withI8Level(i8Scalar, func() { gemmI8Serial(scalar, a, b, m, n, k) })
 	forEachI8Kernel(t, func(t *testing.T) {
 		simd := make([]int32, m*n)
-		GemmI8Serial(simd, a, b, m, n, k)
+		gemmI8Serial(simd, a, b, m, n, k)
 		for i := range simd {
 			if simd[i] != scalar[i] {
 				t.Fatalf("dst[%d]: %v %d vs scalar %d", i, i8Level, simd[i], scalar[i])

@@ -44,7 +44,7 @@ func TestGemmI8PatchReadsStopAtSlack(t *testing.T) {
 				if slack == I8Slack {
 					GemmI8PackedSerial(got, PackI8Weights(a, m, k), b, n)
 				} else {
-					GemmI8Serial(got, a, b, m, n, k)
+					gemmI8Serial(got, a, b, m, n, k)
 				}
 				for i := range want {
 					if got[i] != want[i] {

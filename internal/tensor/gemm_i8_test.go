@@ -84,7 +84,7 @@ func checkGemmI8(t testing.TB, a, b []int8, m, n, k int) {
 	want := make([]int32, m*n)
 	refGemmI8(want, a, b, m, n, k)
 	for name, gemm := range map[string]func([]int32, []int8, []int8, int, int, int){
-		"serial": GemmI8Serial, "parallel": GemmI8Parallel, "split": gemmI8Split,
+		"serial": gemmI8Serial, "parallel": GemmI8Parallel, "split": gemmI8Split,
 	} {
 		got := make([]int32, m*n)
 		for i := range got {
@@ -154,8 +154,23 @@ func TestGemmI8TileEdges(t *testing.T) {
 	})
 }
 
-// TestPackI8WeightsAt: At reads the matrix PackI8Weights was given, element
-// for element, whatever layout the kernel keeps it in.
+// gemmI8Serial is GemmI8Parallel on the calling goroutine: the serial leg
+// of the tests' kernel tables.
+func gemmI8Serial(dst []int32, a, b []int8, m, n, k int) {
+	GemmI8PackedSerial(dst, PackI8Weights(a, m, k), b, n)
+}
+
+// packedAt returns element (i, p) of the matrix w packs, whatever its
+// layout: row-major below i8AMX, 16-row × 4-byte tile blocks at it.
+func packedAt(w *I8Weights, i, p int) int8 {
+	if !w.amx {
+		return w.data[i*w.k+p]
+	}
+	return w.data[i/16*16*w.kp+p/4*64+i%16*4+p%4]
+}
+
+// TestPackI8WeightsAt: packedAt reads the matrix PackI8Weights was given,
+// element for element, whatever layout the kernel keeps it in.
 func TestPackI8WeightsAt(t *testing.T) {
 	forEachI8Kernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
@@ -165,8 +180,8 @@ func TestPackI8WeightsAt(t *testing.T) {
 			w := PackI8Weights(append([]int8(nil), a...), m, k)
 			for i := 0; i < m; i++ {
 				for p := 0; p < k; p++ {
-					if w.At(i, p) != a[i*k+p] {
-						t.Fatalf("%dx%d: At(%d, %d) = %d, want %d", m, k, i, p, w.At(i, p), a[i*k+p])
+					if got := packedAt(w, i, p); got != a[i*k+p] {
+						t.Fatalf("%dx%d: At(%d, %d) = %d, want %d", m, k, i, p, got, a[i*k+p])
 					}
 				}
 			}
@@ -214,7 +229,7 @@ func TestGemmI8ParallelBitIdenticalToSerial(t *testing.T) {
 	}
 	a, b := randI8(rng, m*k), randI8(rng, n*k)
 	serial := make([]int32, m*n)
-	GemmI8Serial(serial, a, b, m, n, k)
+	gemmI8Serial(serial, a, b, m, n, k)
 	parallel := make([]int32, m*n)
 	GemmI8Parallel(parallel, a, b, m, n, k)
 	for i := range serial {
@@ -239,7 +254,7 @@ func TestGemmI8ExtremeValuesExact(t *testing.T) {
 		b[i] = 127
 	}
 	dst := make([]int32, 4)
-	GemmI8Serial(dst, a, b, 4, 1, k)
+	gemmI8Serial(dst, a, b, 4, 1, k)
 	want := int32(-127 * 127 * k)
 	for i, got := range dst {
 		if got != want {
@@ -266,7 +281,7 @@ func TestGemmI8LongRowsWrapExactly(t *testing.T) {
 				b[i] = v[1]
 			}
 			dst := make([]int32, m*n)
-			GemmI8Serial(dst, a, b, m, n, k)
+			gemmI8Serial(dst, a, b, m, n, k)
 			want := int32(v[0]) * int32(v[1]) * k
 			for i, got := range dst {
 				if got != want {

@@ -226,7 +226,7 @@ func TestIm2RowI8HWCGemmMatchesChannelMajor(t *testing.T) {
 	refGemmI8(want, wt, rows, outC, oh*ow, patch)
 	forEachI8Kernel(t, func(t *testing.T) {
 		for name, gemm := range map[string]func([]int32, []int8, []int8, int, int, int){
-			"serial": GemmI8Serial, "parallel": GemmI8Parallel,
+			"serial": gemmI8Serial, "parallel": GemmI8Parallel,
 		} {
 			got := make([]int32, len(want))
 			gemm(got, wtHWC, rowsHWC, outC, oh*ow, patch)

@@ -292,8 +292,8 @@ func TestTransposeInto(t *testing.T) {
 	TransposeInto(dst, a)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 8; j++ {
-			if dst.At(j, i) != a.At(i, j) {
-				t.Fatalf("dst[%d,%d] = %v, want %v", j, i, dst.At(j, i), a.At(i, j))
+			if got, want := dst.Data()[j*5+i], a.Data()[i*8+j]; got != want {
+				t.Fatalf("dst[%d,%d] = %v, want %v", j, i, got, want)
 			}
 		}
 	}

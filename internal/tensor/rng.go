@@ -77,10 +77,3 @@ func (r *RNG) FillNormal(t *Tensor, mean, std float64) {
 		t.data[i] = float32(mean + std*r.Norm())
 	}
 }
-
-// FillUniform fills t with uniform samples in [lo, hi).
-func (r *RNG) FillUniform(t *Tensor, lo, hi float64) {
-	for i := range t.data {
-		t.data[i] = float32(lo + (hi-lo)*r.Float64())
-	}
-}

@@ -9,7 +9,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // Tensor is a dense, row-major float32 tensor. The zero value is an empty
@@ -103,27 +102,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: s, data: t.data}
 }
 
-// At returns the element at the given indices. Intended for tests and small
-// accesses; hot paths should index Data directly.
-func (t *Tensor) At(idx ...int) float32 { return t.data[t.offset(idx)] }
-
-// Set stores v at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) { t.data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %d out of range for dim %d (size %d)", x, i, t.shape[i]))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.shape) != len(o.shape) {
@@ -151,80 +129,11 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// SubInPlace subtracts o element-wise from t.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	mustMatch(t, o, "SubInPlace")
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-}
-
-// MulInPlace multiplies t element-wise by o.
-func (t *Tensor) MulInPlace(o *Tensor) {
-	mustMatch(t, o, "MulInPlace")
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-}
-
-// Scale multiplies every element by s.
-func (t *Tensor) Scale(s float32) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
-// AddScaled adds s*o into t (axpy). Shapes must match.
-func (t *Tensor) AddScaled(s float32, o *Tensor) {
-	mustMatch(t, o, "AddScaled")
-	for i, v := range o.data {
-		t.data[i] += s * v
-	}
-}
-
 // Add returns t + o as a new tensor.
 func Add(t, o *Tensor) *Tensor {
 	out := t.Clone()
 	out.AddInPlace(o)
 	return out
-}
-
-// Sum returns the sum of all elements (accumulated in float64 for accuracy).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements, or 0 for empty tensors.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
-// AbsSum returns the L1 norm of the tensor.
-func (t *Tensor) AbsSum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += math.Abs(float64(v))
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for empty tensors.
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.data {
-		a := math.Abs(float64(v))
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // ArgMaxRow returns, for a [rows, cols] matrix, the column index of the

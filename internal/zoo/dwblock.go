@@ -146,18 +146,6 @@ func MobileNetSConfig(classes int) MobileNetConfig {
 	}
 }
 
-// TinyMobileNetConfig is a 2-block network for fast unit tests.
-func TinyMobileNetConfig(classes int) MobileNetConfig {
-	return MobileNetConfig{
-		Name:    "TinyMobileNet",
-		Stem:    8,
-		Widths:  []int{12, 16},
-		Strides: []int{2, 2},
-		Classes: classes,
-		InC:     3,
-	}
-}
-
 // BuildMobileNet constructs the staged model.
 func BuildMobileNet(cfg MobileNetConfig, rng *tensor.RNG) *Model {
 	m := &Model{Name: cfg.Name, Arch: "mobilenet", InC: cfg.InC, Classes: cfg.Classes}

@@ -2,6 +2,7 @@ package zoo
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"tbnet/internal/nn"
@@ -37,7 +38,7 @@ func TestMobileNetGroups(t *testing.T) {
 
 func TestDWBlockPrunePreservesFunction(t *testing.T) {
 	rng := tensor.NewRNG(4)
-	m := BuildMobileNet(TinyMobileNetConfig(5), rng)
+	m := BuildMobileNet(MobileNetSConfig(5), rng)
 	x := randImages(2, 3, 16, 16, 5)
 	g := m.Groups()[1] // first DW block
 	blk := m.Stages[g.Stage].(*DWBlock)
@@ -62,7 +63,7 @@ func TestDWBlockPrunePreservesFunction(t *testing.T) {
 
 func TestDWBlockPruneInputSide(t *testing.T) {
 	rng := tensor.NewRNG(6)
-	m := BuildMobileNet(TinyMobileNetConfig(5), rng)
+	m := BuildMobileNet(MobileNetSConfig(5), rng)
 	// Prune the stem's output: the following DW block's input side must track.
 	g := m.Groups()[0]
 	keep := []int{0, 2, 4, 6}
@@ -78,6 +79,15 @@ func TestDWBlockPruneInputSide(t *testing.T) {
 	}
 }
 
+// scratchCaps is each pool worker's float32 arena scratch capacity.
+func scratchCaps(a *nn.Arena) []int {
+	caps := make([]int, tensor.Workers())
+	for w := range caps {
+		caps[w] = cap(a.ColScratch(w, 0))
+	}
+	return caps
+}
+
 // TestDWBlockInferIntoSteadyState: the depthwise kernel's zero-bordered plane
 // comes from the arena, beside the depthwise output the block parks there,
 // so once the arena is warm a block neither grows it nor, for one sample,
@@ -91,11 +101,12 @@ func TestDWBlockInferIntoSteadyState(t *testing.T) {
 			x := randImages(batch, 16, 16, 16, 13)
 			dst := tensor.New(blk.OutShape(x.Shape())...)
 			blk.InferInto(dst, x, a)
-			warm := a.Bytes()
 			mid := blk.DW.OutShape(x.Shape())
-			if held := int64(4 * (mid[0]*mid[1]*mid[2]*mid[3] + plane)); warm < held {
-				t.Fatalf("stride %d batch %d: arena holds %d bytes, under the depthwise output and one plane (%d)",
-					stride, batch, warm, held)
+			parked := a.Tensor4(blk.Name(), mid[0], mid[1], mid[2], mid[3])
+			warm := scratchCaps(a)
+			if held := cap(a.ColScratch(0, 0)); held < plane {
+				t.Fatalf("stride %d batch %d: worker 0's arena scratch holds %d floats, under one plane (%d)",
+					stride, batch, held, plane)
 			}
 			run := func() { blk.InferInto(dst, x, a) }
 			if batch == 1 {
@@ -104,8 +115,10 @@ func TestDWBlockInferIntoSteadyState(t *testing.T) {
 				}
 			}
 			run()
-			if a.Bytes() != warm {
-				t.Fatalf("stride %d batch %d: warm arena grew from %d to %d bytes", stride, batch, warm, a.Bytes())
+			if got := scratchCaps(a); !slices.Equal(got, warm) ||
+				a.Tensor4(blk.Name(), mid[0], mid[1], mid[2], mid[3]) != parked {
+				t.Fatalf("stride %d batch %d: warm arena grew: worker scratch %v → %v, or the depthwise output moved",
+					stride, batch, warm, got)
 			}
 		}
 	}
@@ -113,7 +126,7 @@ func TestDWBlockInferIntoSteadyState(t *testing.T) {
 
 func TestMobileNetCloneAndReinit(t *testing.T) {
 	rng := tensor.NewRNG(8)
-	m := BuildMobileNet(TinyMobileNetConfig(5), rng)
+	m := BuildMobileNet(MobileNetSConfig(5), rng)
 	cl := m.Clone()
 	x := randImages(1, 3, 16, 16, 9)
 	a := m.Forward(x.Clone(), false)

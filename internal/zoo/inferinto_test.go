@@ -102,7 +102,7 @@ func TestStageInferIntoMatchesForward(t *testing.T) {
 		"resnet":         func(rng *tensor.RNG) *Model { return BuildResNet(TinyResNetConfig(4), true, rng) },
 		"resnet20":       func(rng *tensor.RNG) *Model { return BuildResNet(ResNet20Config(10), true, rng) },
 		"resnet20-plain": func(rng *tensor.RNG) *Model { return BuildResNet(ResNet20Config(10), false, rng) },
-		"mobilenet":      func(rng *tensor.RNG) *Model { return BuildMobileNet(TinyMobileNetConfig(4), rng) },
+		"mobilenet":      func(rng *tensor.RNG) *Model { return BuildMobileNet(MobileNetSConfig(4), rng) },
 		"mobilenet-s":    func(rng *tensor.RNG) *Model { return BuildMobileNet(MobileNetSConfig(10), rng) },
 	}
 	for name, build := range builders {

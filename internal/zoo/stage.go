@@ -389,9 +389,6 @@ func (b *ResBlock) Group() (GroupKind, *nn.Param, bool) {
 	return GroupInternal, b.BN1.Gamma, true
 }
 
-// InternalChannels returns the internal width.
-func (b *ResBlock) InternalChannels() int { return b.Conv1.OutC }
-
 // PruneGroup keeps only the listed internal channels (conv1 outputs /
 // conv2 inputs).
 func (b *ResBlock) PruneGroup(keep []int) {
