@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -156,10 +157,10 @@ func runLoadCmd(args []string, stdout, stderr io.Writer) error {
 	var dep *tbnet.Deployment
 	var err error
 	if *in != "" {
-		var f *os.File
-		if f, err = os.Open(*in); err == nil {
-			dep, err = tbnet.LoadDeploymentOn(f, device)
-			f.Close()
+		// Read whole, so the loader bounds what it allocates by the file.
+		var data []byte
+		if data, err = os.ReadFile(*in); err == nil {
+			dep, err = tbnet.LoadDeploymentOn(bytes.NewReader(data), device)
 		}
 	} else {
 		var reg *tbnet.Registry

@@ -95,8 +95,8 @@ type FleetOption func(*fleetOptions) error
 
 // WithDevice attaches a hardware backend — a DeviceByName result, a
 // RegisterDevice cost model, or a wrapper such as Unbounded — to the fleet
-// as one node with a replica pool of the given width. Each worker owns deep
-// copies of both branches and its own enclave; all of a node's workers draw
+// as one node with a replica pool of the given width. Each worker shares the
+// deployed branches and owns its own enclave; all of a node's workers draw
 // their secure-memory reservations from one device-sized budget, so an
 // over-wide pool fails with ErrSecureMemory instead of overcommitting the
 // modeled hardware. Repeat it to build a mixed fleet (attaching the same

@@ -112,12 +112,16 @@ func (p *secureProgram) Result(ctx *tee.Context) (*tensor.Tensor, error) {
 // Infer is safe for concurrent use but runs one inference at a time. For
 // parallel serving, replicate the session per worker (see Replicate and the
 // serve package).
+//
+// A finalized model is never trained: after Deploy the two branches and the
+// alignment maps are immutable, and every session replicated from this one
+// reads the same copies. Only ExtractedMR hands out a mutable copy, for the
+// attacker.
 type Deployment struct {
 	Device  tee.Device
 	Enclave *tee.Enclave
 	mr      *zoo.Model
 	prog    *secureProgram
-	align   [][]int
 	// plan is the session's preplanned inference state: per-stage activation
 	// buffers for both branches and cached cost profiles per batch size.
 	plan *inferPlan
@@ -128,10 +132,9 @@ type Deployment struct {
 	// SecureBytes is the secure-memory reservation: M_T's parameters, its
 	// peak activation working set, and the shared-memory staging buffer.
 	SecureBytes int64
-	// precision is the numeric serving path; qmr/qmt hold the storage-form
-	// quantized branches on the int8 path (nil on f32), shared by replicas.
-	precision Precision
-	qmr, qmt  *quant.QuantizedModel
+	// qmr/qmt hold the storage-form quantized branches on the int8 path
+	// (nil on f32), shared by replicas.
+	qmr, qmt *quant.QuantizedModel
 
 	// mu serializes the enclave protocol: the staged command sequence keeps
 	// mutable per-call state inside the program, so one session can run only
@@ -145,14 +148,15 @@ type Deployment struct {
 // with ErrNotFinalized for unfinalized models, ErrShape for an unusable
 // sample shape, and ErrSecureMemory if the enclave does not fit.
 func Deploy(tb *TwoBranch, device tee.Device, sampleShape []int) (*Deployment, error) {
-	return deployWith(tb, device, sampleShape, nil, nil)
+	return deployWith(tb, device, sampleShape, nil, nil, nil)
 }
 
 // deployWith is Deploy with an optional shared secure-memory accountant (a
-// nil mem gets a fresh per-session budget of device.SecureMemBytes()) and an
-// optional quantized pair: a non-nil q marks the int8 path, whose branches in
-// tb are already realized int8 execution models.
-func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.SecureMemory, q *quantizedPair) (*Deployment, error) {
+// nil mem gets a fresh per-session budget of device.SecureMemBytes()) and
+// the storage-form quantized branches qmr/qmt, non-nil on the int8 path,
+// where the branches in tb are already realized int8 execution models.
+func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.SecureMemory,
+	qmr, qmt *quant.QuantizedModel) (*Deployment, error) {
 	if device == nil {
 		return nil, fmt.Errorf("core: deploy onto a nil device: %w", ErrShape)
 	}
@@ -179,12 +183,10 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 	// The plan caches the branch profiles for every admissible batch size;
 	// the deploy-time sizing below reads the full-batch entries.
 	plan := newInferPlan(tb, sampleShape)
-	precision := PrecisionF32
-	if q != nil {
+	if qmt != nil {
 		// Int8 path: price the flops under the device's int8 throughput ratio
 		// once, here — the meter then charges quantized-kernel figures on
 		// every inference with no hot-path branching.
-		precision = PrecisionInt8
 		speedup := tee.Int8SpeedupOf(device)
 		scaleFlops(plan.mrCost, speedup)
 		scaleFlops(plan.mtCost, speedup)
@@ -201,11 +203,11 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 		}
 	}
 	secureBytes := mtCost.SecureFootprintBytes() + staging
-	if q != nil {
+	if qmt != nil {
 		// Quantized parameters replace the float32 resident set; activations
 		// (requantized to float32 at layer boundaries) and staging are
 		// unchanged.
-		secureBytes = q.qmt.ParamBytes() + mtCost.PeakActivationBytes() + staging
+		secureBytes = qmt.ParamBytes() + mtCost.PeakActivationBytes() + staging
 	}
 	if mem == nil {
 		mem = tee.NewSecureMemory(device.SecureMemBytes())
@@ -218,28 +220,25 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 	// Memory-pressure-sensitive backends (SGX EPC paging) price latency off
 	// the session's secure working set.
 	enclave.Meter().SetSecureFootprint(secureBytes)
-	dep := &Deployment{
+	return &Deployment{
 		Device:      device,
 		Enclave:     enclave,
 		mr:          tb.MR,
 		prog:        prog,
-		align:       tb.Align,
 		plan:        plan,
 		sampleShape: append([]int(nil), sampleShape...),
 		SecureBytes: secureBytes,
-		precision:   precision,
-	}
-	if q != nil {
-		dep.qmr, dep.qmt = q.qmr, q.qmt
-	}
-	return dep, nil
+		qmr:         qmr,
+		qmt:         qmt,
+	}, nil
 }
 
 // Replicate creates an independent enclave session for the same finalized
 // model, sized for batches of up to batch samples (batch < 1 keeps the
-// original sizing). Both branches are deep-copied (an int8 layer's packed
-// weights, which never change, are shared), so the replica shares no
-// mutable state with the original — concurrent Infer calls on different
+// original sizing). The replica shares the original's immutable branches and
+// alignment maps (an int8 deployment's packed weights too) and owns only its
+// scratch: the plan's activation arenas, the enclave session with its meter,
+// and its secure-memory reservation — so concurrent Infer calls on different
 // replicas never contend. The replica reserves a fresh per-session
 // secure-memory budget; to account several replicas against one device, use
 // ReplicateOn.
@@ -259,34 +258,18 @@ func (d *Deployment) ReplicateOn(device tee.Device, batch int, mem *tee.SecureMe
 	if batch >= 1 {
 		shape[0] = batch
 	}
-	var q *quantizedPair
-	if d.precision == PrecisionInt8 {
-		// The clones below keep the int8 arming: a layer's packed int8
-		// weights are immutable and shared, so a replica neither re-realizes
-		// nor re-packs them, and it keeps the int8 pricing on the new device.
-		q = &quantizedPair{qmr: d.qmr, qmt: d.qmt}
-	}
-	align := make([][]int, len(d.align))
-	for i, a := range d.align {
-		if a != nil {
-			align[i] = append([]int(nil), a...)
-		}
-	}
-	tb := &TwoBranch{
-		MR:        d.mr.Clone(),
-		MT:        d.prog.mt.Clone(),
-		Align:     align,
-		Finalized: true,
-	}
-	return deployWith(tb, device, shape, mem, q)
+	// The shared branches keep the int8 arming, so a replica neither
+	// re-realizes nor re-packs them, and the quantized pair keeps the int8
+	// pricing on the new device.
+	return deployWith(d.Snapshot(), device, shape, mem, d.qmr, d.qmt)
 }
 
 // Precision returns the deployment's numeric serving path.
 func (d *Deployment) Precision() Precision {
-	if d.precision == "" {
-		return PrecisionF32
+	if d.qmt != nil {
+		return PrecisionInt8
 	}
-	return d.precision
+	return PrecisionF32
 }
 
 // Quantized returns the storage-form quantized branches of an int8
@@ -297,38 +280,14 @@ func (d *Deployment) Quantized() (qmr, qmt *quant.QuantizedModel) { return d.qmr
 // SampleShape returns the [N,C,H,W] shape the deployment was sized for.
 func (d *Deployment) SampleShape() []int { return append([]int(nil), d.sampleShape...) }
 
-// Align returns a deep copy of the per-stage channel-alignment maps. With
-// Quantized it is the full persistable state of an int8 deployment, without
-// the model clones Snapshot pays for.
-func (d *Deployment) Align() [][]int {
-	align := make([][]int, len(d.align))
-	for i, a := range d.align {
-		if a != nil {
-			align[i] = append([]int(nil), a...)
-		}
-	}
-	return align
-}
-
-// Snapshot returns a deep copy of the deployed finalized two-branch model —
-// both branches' weights and the channel-alignment maps — suitable for
-// persisting (serial.SaveDeployment) or re-deploying elsewhere. The copy
-// shares no mutable state with the live session.
+// Snapshot returns the deployed finalized two-branch model — both branches'
+// weights and the channel-alignment maps — for persisting
+// (serial.SaveDeployment) or re-deploying elsewhere. It copies nothing: the
+// branches are the deployment's own immutable ones, shared with every
+// session, so the caller must not train or otherwise mutate them (take
+// ExtractedMR for a mutable copy of M_R).
 func (d *Deployment) Snapshot() *TwoBranch {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	align := make([][]int, len(d.align))
-	for i, a := range d.align {
-		if a != nil {
-			align[i] = append([]int(nil), a...)
-		}
-	}
-	return &TwoBranch{
-		MR:        d.mr.Clone(),
-		MT:        d.prog.mt.Clone(),
-		Align:     align,
-		Finalized: true,
-	}
+	return &TwoBranch{MR: d.mr, MT: d.prog.mt, Align: d.prog.align, Finalized: true}
 }
 
 // checkInput validates an inference input against the deployed sizing.
@@ -372,13 +331,7 @@ func (d *Deployment) Infer(x *tensor.Tensor) ([]int, error) {
 // run through the deployment plan's preplanned activation buffers, so a
 // steady-state call performs no heap allocation at all.
 func (d *Deployment) InferInto(x *tensor.Tensor, labels []int) ([]int, error) {
-	if err := d.checkInput(x); err != nil {
-		return nil, err
-	}
-	if len(labels) < x.Dim(0) {
-		return nil, fmt.Errorf("core: label buffer %d for batch %d: %w", len(labels), x.Dim(0), ErrShape)
-	}
-	return d.inferInto(x, labels, nil)
+	return d.InferIntoObserved(x, labels, nil)
 }
 
 // InferIntoObserved is InferInto additionally filling bd with the host
@@ -476,5 +429,7 @@ func (d *Deployment) Latency() float64 {
 }
 
 // ExtractedMR returns what the paper's attacker obtains: a deep copy of the
-// unsecured branch, which is fully resident in normal-world memory.
+// unsecured branch, which is fully resident in normal-world memory. It is
+// the one mutable copy a deployment hands out; the attacker may fine-tune it
+// without touching the shared deployed branches.
 func (d *Deployment) ExtractedMR() *zoo.Model { return d.mr.Clone() }

@@ -255,13 +255,18 @@ func TestConcurrentInferOneDeployment(t *testing.T) {
 	}
 }
 
+// TestReplicateIsIndependent locks what a replica is: a session of its own
+// over the original's branches. It shares the immutable M_R, M_T and
+// alignment maps, and owns its scratch — plan, enclave, meter — and its
+// secure-memory reservation.
 func TestReplicateIsIndependent(t *testing.T) {
 	tb, _ := finalizedTB(t, 140)
 	dep, err := Deploy(tb, tee.RaspberryPi3(), []int{1, 3, 16, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dep.Replicate(4)
+	mem := tee.NewSecureMemory(tee.RaspberryPi3().SecureMemBytes())
+	rep, err := dep.ReplicateOn(dep.Device, 4, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,14 +285,15 @@ func TestReplicateIsIndependent(t *testing.T) {
 	if want[0] != got[0] {
 		t.Fatalf("replica label %d != original %d", got[0], want[0])
 	}
-	// Mutating the replica's extracted branch must not touch the original,
-	// and the replica's meter is its own.
-	rep.mr.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Fill(0)
-	if tensor.MaxAbs(tb.MR.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Data()) == 0 {
-		t.Fatal("replica aliases the original model")
+	if rep.mr != dep.mr || rep.prog.mt != dep.prog.mt || &rep.prog.align[0] != &dep.prog.align[0] {
+		t.Fatal("replica copied the deployed branches instead of sharing them")
 	}
-	if rep.Enclave.Meter() == dep.Enclave.Meter() {
-		t.Fatal("replica shares the original meter")
+	if rep.plan == dep.plan || rep.Enclave == dep.Enclave || rep.Enclave.Meter() == dep.Enclave.Meter() {
+		t.Fatal("replica shares the original's session scratch")
+	}
+	if mem.Used() != rep.SecureBytes {
+		t.Fatalf("replica reserved %d secure bytes from its accountant, want its own %d",
+			mem.Used(), rep.SecureBytes)
 	}
 }
 

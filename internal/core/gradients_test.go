@@ -31,7 +31,7 @@ func TestServedReplicaHoldsNoGradients(t *testing.T) {
 	}
 	arts := map[string]*serial.Artifact{
 		"f32":  {TB: tb, Device: "rpi3", SampleShape: shape},
-		"int8": {Precision: string(core.PrecisionInt8), QMR: qmr, QMT: qmt, Align: q.Align(), Device: "rpi3", SampleShape: shape},
+		"int8": {Precision: string(core.PrecisionInt8), QMR: qmr, QMT: qmt, Align: q.Snapshot().Align, Device: "rpi3", SampleShape: shape},
 	}
 	for name, art := range arts {
 		if _, err := store.Save(name, art); err != nil {

@@ -33,12 +33,6 @@ func ParsePrecision(s string) (Precision, error) {
 	return "", fmt.Errorf("core: unknown precision %q (want f32 or int8): %w", s, ErrShape)
 }
 
-// quantizedPair carries the storage-form quantized branches through deployWith
-// so replicas and artifacts can re-realize them without re-quantizing.
-type quantizedPair struct {
-	qmr, qmt *quant.QuantizedModel
-}
-
 // DeployInt8 is Deploy on the int8 serving path: both branches are quantized
 // (post-training, symmetric per output channel), attached to int8 kernels,
 // and priced under the device's int8 throughput ratio (tee.Int8SpeedupOf).
@@ -58,8 +52,8 @@ func DeployInt8(tb *TwoBranch, device tee.Device, sampleShape []int) (*Deploymen
 
 // DeployQuantized places already-quantized branches (for example loaded from
 // a v3 artifact) onto a device, realizing int8 execution models from the
-// storage form. The alignment maps are deep-copied; the quantized records are
-// retained by reference (they are immutable) so replicas and artifact saves
+// storage form. The alignment maps and the quantized records are retained by
+// reference: a finalized model is immutable, so replicas and artifact saves
 // reuse them.
 func DeployQuantized(qmr, qmt *quant.QuantizedModel, align [][]int, device tee.Device, sampleShape []int) (*Deployment, error) {
 	if qmr == nil || qmt == nil {
@@ -73,14 +67,8 @@ func DeployQuantized(qmr, qmt *quant.QuantizedModel, align [][]int, device tee.D
 	if err != nil {
 		return nil, fmt.Errorf("core: realize M_T: %w", err)
 	}
-	alignCopy := make([][]int, len(align))
-	for i, a := range align {
-		if a != nil {
-			alignCopy[i] = append([]int(nil), a...)
-		}
-	}
-	tb := &TwoBranch{MR: rmr, MT: rmt, Align: alignCopy, Finalized: true}
-	return deployWith(tb, device, sampleShape, nil, &quantizedPair{qmr: qmr, qmt: qmt})
+	tb := &TwoBranch{MR: rmr, MT: rmt, Align: align, Finalized: true}
+	return deployWith(tb, device, sampleShape, nil, qmr, qmt)
 }
 
 // scaleFlops divides every stage and head flop figure by the device's int8

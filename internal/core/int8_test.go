@@ -196,8 +196,8 @@ func TestInt8ReplicatePreservesPrecision(t *testing.T) {
 	if cross.Precision() != PrecisionInt8 {
 		t.Fatalf("cross-device replica precision %v, want int8", cross.Precision())
 	}
-	// A replica is a clone of the realized branches, its packed int8 weights
-	// shared: it must label and price exactly as the original does.
+	// A replica shares the original's realized branches, packed int8 weights
+	// included: it must label and price exactly as the original does.
 	x := randX(2, 281)
 	want, err := dep.Infer(x)
 	if err != nil {

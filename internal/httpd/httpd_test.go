@@ -347,7 +347,7 @@ func TestSwapOverHTTP(t *testing.T) {
 	}
 	qmr, qmt := refQ.Quantized()
 	int8Art := &serial.Artifact{
-		Precision: string(core.PrecisionInt8), QMR: qmr, QMT: qmt, Align: refQ.Align(),
+		Precision: string(core.PrecisionInt8), QMR: qmr, QMT: qmt, Align: refQ.Snapshot().Align,
 		Device: "rpi3", SampleShape: shape,
 	}
 	var int8Body bytes.Buffer

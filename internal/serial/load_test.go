@@ -2,6 +2,8 @@ package serial
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
@@ -51,6 +53,88 @@ func TestLoadDeploymentAllocBytes(t *testing.T) {
 	if ratio := perLoad / float64(paramBytes); ratio > 1.5 {
 		t.Fatalf("a load allocates %.0f bytes, %.2f× the %d parameter bytes (want ≤ 1.5×)",
 			perLoad, ratio, paramBytes)
+	}
+}
+
+// TestReplicateAllocBytes: a replica is its scratch, not a copy — one
+// single-sample ReplicateOn of either VGG18-S artifact allocates at most a
+// tenth of the model's parameter bytes, because it shares the deployed
+// branches.
+func TestReplicateAllocBytes(t *testing.T) {
+	f32, i8, paramBytes := vgg18Artifacts(t)
+	for _, leg := range []struct {
+		name string
+		data []byte
+	}{{"f32", f32}, {"int8", i8}} {
+		t.Run(leg.name, func(t *testing.T) {
+			art, err := LoadDeployment(bytes.NewReader(leg.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep, err := art.Deploy(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const replicas = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < replicas; i++ {
+				if _, err := dep.ReplicateOn(dep.Device, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perReplica := float64(after.TotalAlloc-before.TotalAlloc) / replicas
+			if ratio := perReplica / float64(paramBytes); ratio > 0.10 {
+				t.Fatalf("a replica allocates %.0f bytes, %.1f%% of the %d parameter bytes (want ≤ 10%%)",
+					perReplica, 100*ratio, paramBytes)
+			}
+		})
+	}
+}
+
+// unbackedConvArtifact is a 129-byte f32 artifact whose one stage declares a
+// 4096×4096×2×2 convolution — 256 MiB of weights — and then ends: no
+// weights, only a (wrong) trailer.
+func unbackedConvArtifact() []byte {
+	var b []byte
+	u32 := func(vs ...uint32) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+	}
+	str := func(s string) { u32(uint32(len(s))); b = append(b, s...) }
+	u32(magicDeploy, version)
+	str("rpi3")
+	u32(4, 1, 3, 16, 16) // sample shape rank and dims
+	b = append(b, 1)     // finalized
+	str("m")
+	str("vgg")
+	u32(3, 10, 1) // input channels, classes, one stage
+	b = append(b, stageConvBlock)
+	str("s")
+	u32(0)                   // no pool
+	b = append(b, 0)         // not width-fixed
+	u32(4096, 4096, 2, 1, 0) // inC, outC, k, stride, pad
+	b = append(b, 0)         // no bias
+	u32(4096 * 4096 * 2 * 2) // the weight count; no weight follows
+	return append(b, make([]byte, sha256.Size)...)
+}
+
+// TestLoadDeploymentAllocatesOnlyWhatBytesFill: a header that declares a
+// tensor the input cannot hold fails with ErrBadFormat before the tensor is
+// allocated.
+func TestLoadDeploymentAllocatesOnlyWhatBytesFill(t *testing.T) {
+	data := unbackedConvArtifact()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadDeployment(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("err = %v, want ErrBadFormat", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a %d-byte artifact made the loader allocate %d bytes (want < 1 MiB)", len(data), alloc)
 	}
 }
 

@@ -46,6 +46,9 @@ func (r *reader) i8s(expect int) []int8 {
 		r.err = fmt.Errorf("%w: int8 tensor size %d, expected %d", ErrBadFormat, n, expect)
 		return nil
 	}
+	if !r.claim(int64(n)) {
+		return nil
+	}
 	buf := make([]int8, n)
 	for dst := buf; len(dst) > 0; {
 		b := r.scratch[:min(len(dst), len(r.scratch))]
@@ -80,7 +83,7 @@ func (r *reader) f32s(expect int) []float32 {
 		r.err = fmt.Errorf("%w: float32 vector size %d, expected %d", ErrBadFormat, n, expect)
 		return nil
 	}
-	if n == 0 {
+	if n == 0 || !r.claim(4*int64(n)) {
 		return nil
 	}
 	buf := make([]float32, n)

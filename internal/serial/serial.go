@@ -214,11 +214,29 @@ type reader struct {
 	// scratch is the one decode buffer every fixed-width read goes through,
 	// so a load allocates nothing per tensor beyond the tensor itself.
 	scratch [8 << 10]byte
+	// left counts the input bytes not yet consumed when the input reports
+	// its length (a bytes.Reader), and is unbounded otherwise; see claim.
+	left int64
 }
 
 func newReader(in io.Reader) *reader {
 	buf := bufio.NewReader(in)
-	return &reader{buf: buf, r: buf}
+	r := &reader{buf: buf, r: buf, left: math.MaxInt64}
+	if l, ok := in.(interface{ Len() int }); ok {
+		r.left = int64(l.Len())
+	}
+	return r
+}
+
+// claim reports whether n more bytes of input remain, recording a format
+// error otherwise. Every tensor read claims its bytes before allocating, so
+// a few hostile header bytes cannot make the loader allocate what the input
+// could never fill. (Strings and alignment maps have small fixed caps.)
+func (r *reader) claim(n int64) bool {
+	if r.err == nil && n > r.left {
+		r.err = fmt.Errorf("%w: truncated input: %d bytes declared, %d left", ErrBadFormat, n, r.left)
+	}
+	return r.err == nil
 }
 
 // beginChecksum starts hashing everything read, for verifyChecksum.
@@ -273,6 +291,7 @@ func (r *reader) fill(b []byte) bool {
 		r.err = fmt.Errorf("%w: truncated input: %v", ErrBadFormat, err)
 		return false
 	}
+	r.left -= int64(len(b))
 	return true
 }
 
@@ -341,6 +360,15 @@ func (r *reader) floatsInto(dst *tensor.Tensor) {
 	r.f32sInto(dst.Data())
 }
 
+// tensorBytes is the wire size of a float vector of n elements, length
+// prefix included, when present is set, and 0 otherwise.
+func tensorBytes(present bool, n int64) int64 {
+	if !present {
+		return 0
+	}
+	return 4 + 4*n
+}
+
 // conv writes a convolution; elide skips the float32 weight tensor (quantized
 // artifacts carry the weights as int8 payloads instead). Bias stays float32
 // in both forms.
@@ -377,6 +405,9 @@ func (r *reader) conv(name string, elide bool) *nn.Conv2D {
 		r.err = fmt.Errorf("%w: conv weight %dx%dx%dx%d too large", ErrBadFormat, outC, inC, k, k)
 		return nil
 	}
+	if !r.claim(tensorBytes(!elide, int64(inC)*int64(outC)*int64(k)*int64(k)) + tensorBytes(hasBias, int64(outC))) {
+		return nil
+	}
 	c := nn.NewConv2D(name, inC, outC, k, stride, pad, hasBias, nil)
 	if !elide {
 		r.floatsInto(c.W.Value)
@@ -402,6 +433,9 @@ func (r *reader) bn(name string) *nn.BatchNorm2D {
 	}
 	if c <= 0 || c > 1<<16 {
 		r.err = fmt.Errorf("%w: bn width %d", ErrBadFormat, c)
+		return nil
+	}
+	if !r.claim(4 * tensorBytes(true, int64(c))) {
 		return nil
 	}
 	b := nn.NewBatchNorm2D(name, c)
@@ -522,6 +556,9 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 				r.err = fmt.Errorf("%w: depthwise dims c=%d k=%d s%d p%d", ErrBadFormat, c, k, stride, pad)
 				return nil
 			}
+			if !r.claim(tensorBytes(!elide, int64(c*k*k))) {
+				return nil
+			}
 			dw := nn.NewDepthwiseConv2D(name+".dw", c, k, stride, pad, nil)
 			if !elide {
 				r.floatsInto(dw.W.Value)
@@ -564,6 +601,9 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 	if in <= 0 || out <= 0 || in > 1<<20 || out > 1<<20 ||
 		int64(in)*int64(out) > maxTensorElems {
 		r.err = fmt.Errorf("%w: head dims %dx%d", ErrBadFormat, in, out)
+		return nil
+	}
+	if !r.claim(tensorBytes(!elide, int64(in)*int64(out)) + tensorBytes(true, int64(out))) {
 		return nil
 	}
 	m.Head = zoo.NewHead(m.Name+".head", in, out, nil)
@@ -690,7 +730,10 @@ func SaveDeployment(out io.Writer, a *Artifact) error {
 
 // LoadDeployment reads a deployment artifact written by SaveDeployment,
 // verifying the payload checksum. Corrupt or truncated input fails with an
-// error wrapping ErrBadFormat; LoadDeployment never panics.
+// error wrapping ErrBadFormat; LoadDeployment never panics. When in reports
+// its length (a bytes.Reader), a tensor the remaining bytes cannot hold is
+// refused before it is allocated. (The weights an int8 artifact elides take
+// no bytes, so they are not bounded this way.)
 func LoadDeployment(in io.Reader) (*Artifact, error) {
 	r := newReader(in)
 	v := r.header()

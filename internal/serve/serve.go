@@ -7,11 +7,12 @@
 // session is inherently serial (the staged REE→TEE protocol keeps per-call
 // state inside the trusted application). The server addresses both at once:
 //
-//   - Replication: each worker owns a full session replica (deep-copied
-//     branches, its own enclave, meter, and trace), so inferences run in
-//     parallel without sharing mutable model state. All replicas of all
-//     hosted models reserve their secure memory from one device-sized
-//     budget, so the server never overcommits the modeled hardware.
+//   - Replication: each worker owns a session replica (its own enclave,
+//     meter, trace and activation arenas over the shared immutable
+//     branches), so inferences run in parallel without sharing mutable
+//     state. All replicas of all hosted models reserve their secure memory
+//     from one device-sized budget, so the server never overcommits the
+//     modeled hardware.
 //   - Micro-batching: single-sample requests are coalesced into one staged
 //     protocol run of up to MaxBatch samples, amortizing the fixed SMC and
 //     staging overhead across the batch. Batching is work-conserving: a

@@ -216,9 +216,10 @@ type ResBlock struct {
 	lastSkip *tensor.Tensor // cached skip output for backward
 	lastIn   *tensor.Tensor
 
-	// midTag and skipTag are the block's arena buffer keys, derived lazily
-	// from the name so every construction path (builders, clones,
-	// deserialization) gets them for free.
+	// midTag and skipTag are the block's arena buffer keys. AssembleResBlock,
+	// which every construction path (builders, clones, deserialization) goes
+	// through, derives them from the name, so inference never writes the
+	// block: deployed branches are shared by every session.
 	midTag, skipTag string
 }
 
@@ -251,6 +252,8 @@ func AssembleResBlock(name string, conv1 *nn.Conv2D, bn1 *nn.BatchNorm2D, conv2 
 		DownBN:   downBN,
 		WithSkip: withSkip,
 		name:     name,
+		midTag:   name + ".mid",
+		skipTag:  name + ".skip",
 	}
 }
 
@@ -322,10 +325,6 @@ func (b *ResBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // same operations as Forward's add and then ReLU, so the two paths agree bit
 // for bit.
 func (b *ResBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
-	if b.midTag == "" {
-		b.midTag = b.name + ".mid"
-		b.skipTag = b.name + ".skip"
-	}
 	n := x.Dim(0)
 	oh := tensor.ConvOutDim(x.Dim(2), b.Conv1.KH, b.Conv1.Stride, b.Conv1.Pad)
 	ow := tensor.ConvOutDim(x.Dim(3), b.Conv1.KW, b.Conv1.Stride, b.Conv1.Pad)

@@ -37,7 +37,7 @@ func artifactFor(dep *Deployment) *serial.Artifact {
 	}
 	if dep.Precision() == core.PrecisionInt8 {
 		art.QMR, art.QMT = dep.Quantized()
-		art.Align = dep.Align()
+		art.Align = dep.Snapshot().Align
 	} else {
 		art.TB = dep.Snapshot()
 	}
