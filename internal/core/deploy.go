@@ -148,7 +148,27 @@ type Deployment struct {
 // with ErrNotFinalized for unfinalized models, ErrShape for an unusable
 // sample shape, and ErrSecureMemory if the enclave does not fit.
 func Deploy(tb *TwoBranch, device tee.Device, sampleShape []int) (*Deployment, error) {
-	return deployWith(tb, device, sampleShape, nil, nil, nil)
+	return frozen(deployWith(tb, device, sampleShape, nil, nil, nil))
+}
+
+// freezeMu serializes frozen: two sessions deployed at once from the same
+// branches would otherwise both write what the first derives.
+var freezeMu sync.Mutex
+
+// frozen returns a new deployment d after deriving, once, what its
+// branches' inference reads at the planned sample shape (zoo.Model.Freeze:
+// batch norms' inverse standard deviations, the narrow convolutions' packed
+// weights). Deploy and DeployQuantized return through it; ReplicateOn and
+// Snapshot never do, since their sessions share branches already frozen.
+func frozen(d *Deployment, err error) (*Deployment, error) {
+	if err != nil {
+		return nil, err
+	}
+	freezeMu.Lock()
+	defer freezeMu.Unlock()
+	d.mr.Freeze(d.sampleShape)
+	d.prog.mt.Freeze(d.sampleShape)
+	return d, nil
 }
 
 // deployWith is Deploy with an optional shared secure-memory accountant (a

@@ -68,7 +68,7 @@ func DeployQuantized(qmr, qmt *quant.QuantizedModel, align [][]int, device tee.D
 		return nil, fmt.Errorf("core: realize M_T: %w", err)
 	}
 	tb := &TwoBranch{MR: rmr, MT: rmt, Align: align, Finalized: true}
-	return deployWith(tb, device, sampleShape, nil, qmr, qmt)
+	return frozen(deployWith(tb, device, sampleShape, nil, qmr, qmt))
 }
 
 // scaleFlops divides every stage and head flop figure by the device's int8

@@ -21,7 +21,9 @@ func sharedTestDeployment(t *testing.T, arch string, prec core.Precision, seed u
 	var victim *zoo.Model
 	switch arch {
 	case "vgg":
-		victim = zoo.BuildVGG(zoo.TinyVGGConfig(4), rng)
+		// VGG18-S, not TinyVGG: its 2×2 stages run the narrow kernel
+		// against a pack every session shares.
+		victim = zoo.BuildVGG(zoo.VGG18Config(4), rng)
 	case "resnet":
 		victim = zoo.BuildResNet(zoo.TinyResNetConfig(4), true, rng)
 	case "mobilenet":

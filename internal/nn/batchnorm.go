@@ -25,6 +25,12 @@ type BatchNorm2D struct {
 	lastStd  []float64 // per-channel sqrt(var+eps) of the last training batch
 	lastX    *tensor.Tensor
 	lastMean []float64
+
+	// invStd is float32(1/sqrt(RunVar+Eps)) per channel, derived once by
+	// Freeze when a deployment plans the layer, nil otherwise. Only the
+	// fused inference epilogue reads it; training and undeployed layers
+	// derive the values on every call.
+	invStd []float32
 }
 
 // NewBatchNorm2D creates a batch-norm layer with γ=1, β=0.
@@ -136,23 +142,44 @@ func (b *BatchNorm2D) evalInto(od, xd []float32, n, hw int) {
 	}
 }
 
+// Freeze derives the inverse standard deviations the inference epilogue
+// reads, with evalInto's expression, once: a deployment calls it for every
+// norm of a model it plans, and a deployed model's statistics never change
+// after. A second call keeps the first derivation, so sessions sharing the
+// layer only ever read it.
+func (b *BatchNorm2D) Freeze() {
+	if b.invStd == nil {
+		b.invStd = b.deriveInvStd(make([]float32, b.C))
+	}
+}
+
+// deriveInvStd writes evalInto's per-channel inverse standard deviation into
+// dst and returns it.
+func (b *BatchNorm2D) deriveInvStd(dst []float32) []float32 {
+	for ch, rv := range b.RunVar.Data() {
+		dst[ch] = float32(1 / math.Sqrt(float64(rv)+b.Eps))
+	}
+	return dst
+}
+
 // epilogue returns evalInto (followed by ReLU.ForwardInto when relu is set)
 // as a GEMM epilogue over the layer's channels, for a convolution to apply
 // while its output tiles are still in registers. It reads the live
-// parameters and running statistics on every call and keeps nothing beyond
-// it: the result lives in the arena and is valid until the arena's next
-// fused call.
+// parameters and running statistics on every call, and the inverse
+// standard deviations from Freeze when a deployment derived them, else
+// derives them into the arena. The result lives in the arena and is valid
+// until the arena's next fused call.
 func (b *BatchNorm2D) epilogue(a *Arena, relu bool) *tensor.Epilogue {
-	if cap(a.invStd) < b.C {
-		a.invStd = make([]float32, b.C)
-	}
-	a.invStd = a.invStd[:b.C]
-	for ch, rv := range b.RunVar.Data() {
-		a.invStd[ch] = float32(1 / math.Sqrt(float64(rv)+b.Eps))
+	inv := b.invStd
+	if inv == nil {
+		if cap(a.invStd) < b.C {
+			a.invStd = make([]float32, b.C)
+		}
+		inv = b.deriveInvStd(a.invStd[:b.C])
 	}
 	a.ep = tensor.Epilogue{
 		Mean: b.RunMean.Data(), Gamma: b.Gamma.Value.Data(),
-		InvStd: a.invStd, Beta: b.Beta.Value.Data(), ReLU: relu,
+		InvStd: inv, Beta: b.Beta.Value.Data(), ReLU: relu,
 	}
 	return &a.ep
 }

@@ -32,6 +32,15 @@ type Conv2D struct {
 	qw     *tensor.I8Weights
 	qscale []float32
 
+	// narrow is the float32 weights packed for the narrow kernel
+	// (PackNarrow), set once when a deployment plans the convolution's
+	// output narrow enough to run it, nil otherwise. Only the inference
+	// path (ForwardInto, ForwardIntoBN) reads it. Like qw it is immutable
+	// and shared by every session of the deployment; clones, pruning and
+	// re-initialisation drop it, so a copy that trains never reads stale
+	// weights.
+	narrow *tensor.NarrowWeights
+
 	// bwd is per-worker training scratch, lazily sized on the first
 	// Backward and reused across steps. It is never cloned: replicas and
 	// snapshots start with fresh scratch.
@@ -90,7 +99,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutDim(x.Dim(2), c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(x.Dim(3), c.KW, c.Stride, c.Pad)
 	out := tensor.New(n, c.OutC, oh, ow)
-	c.forwardInto(out, x, nil, nil)
+	c.forwardInto(out, x, nil, nil, nil)
 	if train {
 		c.lastInput, c.lastOH, c.lastOW = x, oh, ow
 	} else {
@@ -103,14 +112,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // into dst (shaped per OutShape) using the arena's pooled scratch. No state
 // is retained.
 func (c *Conv2D) ForwardInto(dst, x *tensor.Tensor, a *Arena) {
-	c.forwardInto(dst, x, a, nil)
+	c.forwardInto(dst, x, a, nil, c.narrow)
 }
 
 // ForwardIntoBN is ForwardInto followed by bn's eval-mode ForwardInto and,
 // when relu is set, ReLU.ForwardInto — bit for bit, in either precision —
 // with the two element-wise passes applied by the convolution's own kernel
-// as each output tile is produced. bn's parameters are read at call time;
-// nothing derived from them outlives the call.
+// as each output tile is produced. bn's parameters are read at call time,
+// except the inverse standard deviations a deployment derived once
+// (BatchNorm2D.Freeze); what the call itself derives does not outlive it.
 func (c *Conv2D) ForwardIntoBN(dst, x *tensor.Tensor, a *Arena, bn *BatchNorm2D, relu bool) {
 	if bn.C != c.OutC {
 		panic(fmt.Sprintf("nn: %s normalizes %d channels, %s produces %d", bn.name, bn.C, c.name, c.OutC))
@@ -118,10 +128,25 @@ func (c *Conv2D) ForwardIntoBN(dst, x *tensor.Tensor, a *Arena, bn *BatchNorm2D,
 	if a == nil {
 		a = NewArena()
 	}
-	c.forwardInto(dst, x, a, bn.epilogue(a, relu))
+	c.forwardInto(dst, x, a, bn.epilogue(a, relu), c.narrow)
 }
 
-func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogue) {
+// PackNarrow packs the float32 weights for the narrow kernel
+// (tensor.PackNarrow) when the convolution of an input of shape in is a
+// product that kernel runs (tensor.NarrowConv) and no pack is held yet. A
+// deployment calls it once, for the shape it planned; nothing else writes
+// the pack, so sessions sharing the layer only ever read it. An int8-armed
+// convolution has no float32 product and is left alone.
+func (c *Conv2D) PackNarrow(in []int) {
+	g := tensor.ConvGeom{C: c.InC, H: in[2], W: in[3], KH: c.KH, KW: c.KW, Stride: c.Stride, Pad: c.Pad}
+	if c.narrow == nil && c.qw == nil && tensor.NarrowConv(g) {
+		c.narrow = tensor.PackNarrow(c.W.Value.Data(), c.OutC, c.InC*c.KH*c.KW)
+	}
+}
+
+// forwardInto computes the convolution; nw is the narrow pack the product
+// may run against (nil on the training path, which never reads it).
+func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogue, nw *tensor.NarrowWeights) {
 	if x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", c.name, c.InC, x.Dim(1)))
 	}
@@ -155,10 +180,10 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogu
 		// A single sample has no sample-level parallelism; the matmul itself
 		// goes through the worker pool when it is big enough to pay for the
 		// wake-up, and otherwise runs here without allocating.
-		tensor.ConvGemmFusedParallel(od[:sampleOut], wd, xd[:sampleIn], c.OutC, g, floatScratch(a, 0, scratchLen), fused)
+		tensor.ConvGemmFusedParallel(od[:sampleOut], wd, nw, xd[:sampleIn], c.OutC, g, floatScratch(a, 0, scratchLen), fused)
 	} else {
 		parallelFor(n, func(worker, i int) {
-			tensor.ConvGemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, xd[i*sampleIn:(i+1)*sampleIn],
+			tensor.ConvGemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, nw, xd[i*sampleIn:(i+1)*sampleIn],
 				c.OutC, g, floatScratch(a, worker, scratchLen), fused)
 		})
 	}

@@ -26,35 +26,22 @@ func quantizeSample(sample []float32, dst []int8) (scale float32) {
 
 // SetInt8Weights arms the convolution with quantized weights: data is the
 // [OutC, InC*KH*KW] channel-major int8 matrix as the artifact stores it,
-// scales the per-output-channel weight scales. Each row is permuted once,
-// here, to the (ky, kx, channel) order the HWC patch lowering produces, and
-// the result packed for the int8 kernel (tensor.PackI8Weights: the permuted
-// rows themselves, or data itself when the kernel is 1×1 and the two orders
-// coincide, below AMX; AMX tile blocks at it). The layer keeps only that
-// packed form. int8×int8→int32 accumulation is exact, so reordering the
-// shared dimension of both GEMM operands leaves every accumulator unchanged.
-// The float32 weights become dead on the inference path (bias stays live and
-// float32).
+// scales the per-output-channel weight scales. tensor.PackI8Weights lays
+// the rows out for the int8 kernel in one pass, permuted to the
+// (ky, kx, channel) order the HWC patch lowering produces: a copy in that
+// order (below AMX), or in AMX tile blocks, or — for a 1×1 kernel below
+// AMX, where the two orders coincide — data itself. The layer keeps only
+// that packed form. int8×int8→int32 accumulation is exact, so reordering
+// the shared dimension of both GEMM operands leaves every accumulator
+// unchanged. The float32 weights become dead on the inference path (bias
+// stays live and float32).
 func (c *Conv2D) SetInt8Weights(data []int8, scales []float32) error {
 	kk := c.KH * c.KW
 	if len(data) != c.OutC*c.InC*kk || len(scales) != c.OutC {
 		return fmt.Errorf("nn: %s int8 weights [%d]/scales [%d] for a %dx%d conv",
 			c.name, len(data), len(scales), c.OutC, c.InC*kk)
 	}
-	rows := data
-	if kk > 1 {
-		rows = make([]int8, len(data))
-		for o := 0; o < c.OutC; o++ {
-			src := data[o*c.InC*kk : (o+1)*c.InC*kk]
-			dst := rows[o*c.InC*kk : (o+1)*c.InC*kk]
-			for ch := 0; ch < c.InC; ch++ {
-				for t := 0; t < kk; t++ {
-					dst[t*c.InC+ch] = src[ch*kk+t]
-				}
-			}
-		}
-	}
-	c.qw, c.qscale = tensor.PackI8Weights(rows, c.OutC, c.InC*kk), scales
+	c.qw, c.qscale = tensor.PackI8Weights(data, c.OutC, c.InC*kk, kk), scales
 	return nil
 }
 
@@ -180,7 +167,7 @@ func (d *Dense) SetInt8Weights(data []int8, scales []float32) error {
 		return fmt.Errorf("nn: %s int8 weights [%d]/scales [%d] for a %dx%d dense layer",
 			d.name, len(data), len(scales), d.Out, d.In)
 	}
-	d.qw, d.qscale = tensor.PackI8Weights(data, d.Out, d.In), scales
+	d.qw, d.qscale = tensor.PackI8Weights(data, d.Out, d.In, 1), scales
 	return nil
 }
 

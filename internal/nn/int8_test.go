@@ -147,7 +147,7 @@ func TestConvInt8BitIdenticalToChannelMajorReference(t *testing.T) {
 				sx := tensor.QuantScale(tensor.MaxAbs(sample))
 				tensor.QuantizeI8(sample, sx, qin)
 				tensor.Im2RowI8(qin, g.inC, g.h, g.w, g.k, g.k, g.stride, g.pad, rows)
-				tensor.GemmI8PackedSerial(acc, tensor.PackI8Weights(qdata, g.outC, colRows), rows, hw)
+				tensor.GemmI8PackedSerial(acc, tensor.PackI8Weights(qdata, g.outC, colRows, 1), rows, hw)
 				for ch := 0; ch < g.outC; ch++ {
 					f := qscales[ch] * sx
 					var b float32
@@ -287,7 +287,7 @@ func TestInt8CloneSharesQuantizedWeights(t *testing.T) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(conv.qw, tensor.PackI8Weights(perm, 4, 18)) {
+	if !reflect.DeepEqual(conv.qw, tensor.PackI8Weights(perm, 4, 18, 1)) {
 		t.Fatal("the packed weights are not the artifact's (ch, tap) rows in (tap, ch) order")
 	}
 	x := tensor.New(1, 2, 5, 5)

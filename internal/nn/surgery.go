@@ -21,7 +21,8 @@ type Cloner interface {
 
 // CloneLayer returns a deep copy of the convolution (weights copied, caches
 // dropped). Quantized int8 weights are immutable once attached, so clones
-// share the underlying slices instead of copying them.
+// share the underlying slices instead of copying them. The narrow pack is
+// not carried over: the copy may be trained, and a pack would go stale.
 func (c *Conv2D) CloneLayer() Layer {
 	out := &Conv2D{
 		InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW,
@@ -35,7 +36,8 @@ func (c *Conv2D) CloneLayer() Layer {
 	return out
 }
 
-// CloneLayer returns a deep copy including running statistics.
+// CloneLayer returns a deep copy including running statistics, but not the
+// inverse standard deviations Freeze derived: the copy derives its own.
 func (b *BatchNorm2D) CloneLayer() Layer {
 	out := &BatchNorm2D{
 		C: b.C, Eps: b.Eps, Momentum: b.Momentum, name: b.name,
@@ -94,7 +96,7 @@ func (c *Conv2D) PruneOutput(keep []int) {
 		c.B = newParam(c.B.Name, nb, c.B.Decay)
 	}
 	c.OutC = len(keep)
-	c.qw, c.qscale = nil, nil // stale after surgery; re-quantize to re-arm
+	c.qw, c.qscale, c.narrow = nil, nil, nil // stale after surgery; re-quantize to re-arm
 }
 
 // PruneInput keeps only the listed input channels of the convolution.
@@ -111,7 +113,7 @@ func (c *Conv2D) PruneInput(keep []int) {
 	}
 	c.W = newParam(c.W.Name, nw, c.W.Decay)
 	c.InC = len(keep)
-	c.qw, c.qscale = nil, nil // stale after surgery; re-quantize to re-arm
+	c.qw, c.qscale, c.narrow = nil, nil, nil // stale after surgery; re-quantize to re-arm
 }
 
 // Prune keeps only the listed channels of the batch-norm layer.
@@ -128,6 +130,7 @@ func (b *BatchNorm2D) Prune(keep []int) {
 	b.RunMean = sel(b.RunMean)
 	b.RunVar = sel(b.RunVar)
 	b.C = len(keep)
+	b.invStd = nil
 }
 
 // PruneInput keeps only the rows of W corresponding to the kept input
@@ -156,6 +159,7 @@ func (c *Conv2D) Reinit(rng *tensor.RNG) {
 	if c.B != nil {
 		c.B.Value.Zero()
 	}
+	c.narrow = nil
 }
 
 // Reinit re-randomizes the dense layer's weights and zeroes its bias.
@@ -171,6 +175,7 @@ func (b *BatchNorm2D) Reinit(rng *tensor.RNG) {
 	b.Beta.Value.Zero()
 	b.RunMean.Zero()
 	b.RunVar.Fill(1)
+	b.invStd = nil
 }
 
 func sqrtApprox(x float64) float64 { return math.Sqrt(x) }

@@ -92,7 +92,7 @@ func BenchmarkGemmCrossover(b *testing.B) {
 			qx[i], qy[i] = int8(i*7), int8(i*13)
 		}
 		half := (d + rowBlock - 1) / rowBlock / 2 // row blocks per worker: two chunks
-		qw := PackI8Weights(qx, d, d)
+		qw := PackI8Weights(qx, d, d, 1)
 		halfI8 := (d + qw.rowUnit() - 1) / qw.rowUnit() / 2
 		for _, leg := range []struct {
 			name string

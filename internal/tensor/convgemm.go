@@ -23,24 +23,35 @@ func (g ConvGeom) pointwise() bool {
 // ConvScratchLen returns the scratch, in floats, ConvGemmFusedParallel and
 // ConvGemmFusedSerial need for one image of geometry g. With the tile kernel
 // that is the image inside its zero border, C·(H+2·Pad)·(W+2·Pad), and
-// nothing for an unpadded convolution; the portable kernel (see
-// KernelStatus) streams whole rows of the column matrix, so it needs
-// Im2ColLen. A pointwise convolution needs none under either.
+// nothing for an unpadded convolution, or — when the product may run the
+// narrow kernel (NarrowConv) and that needs more — its patch matrix and
+// gather table (narrowScratchLen). The portable kernel (see KernelStatus)
+// streams whole rows of the column matrix, so it needs Im2ColLen. A
+// pointwise convolution needs none under any kernel.
 func ConvScratchLen(g ConvGeom) int {
 	switch {
 	case g.pointwise():
 		return 0
 	case f32Level == f32Scalar:
 		return Im2ColLen(g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad)
-	case g.Pad == 0:
-		return 0
 	}
-	return g.C * (g.H + 2*g.Pad) * (g.W + 2*g.Pad)
+	n := 0
+	if g.Pad != 0 {
+		n = g.C * (g.H + 2*g.Pad) * (g.W + 2*g.Pad)
+	}
+	if NarrowConv(g) {
+		n = max(n, narrowScratchLen(g))
+	}
+	return n
 }
 
 // ConvGemmFusedParallel computes dst = ep(a @ cols(img)) — the convolution
 // of one CHW image with the [m, C·KH·KW] weight matrix a, into the
-// [m, OH·OW] output — where cols is the Im2Col matrix of img under g: the
+// [m, OH·OW] output — where cols is the Im2Col matrix of img under g. nw,
+// when not nil, is a packed by PackNarrow: a product NarrowConv admits then
+// runs the narrow kernel against it on the calling goroutine, its b
+// gathered straight from the image (or the image itself, when pointwise),
+// and a is not read. Either way the result is the
 // same products summed in the same (channel, ky, kx) order from +0, a
 // padding tap multiplied as +0 and never skipped, so the result is bit for
 // bit that of Im2Col followed by GemmFusedParallel. The column matrix is
@@ -57,43 +68,53 @@ func ConvScratchLen(g ConvGeom) int {
 // from inside a Parallel region.
 //
 // What it replaced, per VGG18-S stage convolution (3×3, stride 1, pad 1) on
-// the reference box — BenchmarkConvGemm, one image, µs per product, medians
-// of three passes alternating the legs; lowered is Im2Col then
-// GemmFusedSerial, the parent's path, and gemm is that GEMM alone, its
-// column matrix given, the floor a packer can approach:
+// the reference box at avx512-tile8x16 — BenchmarkConvGemm, one image, µs
+// per product, medians of twelve passes; lowered is Im2Col then
+// GemmFusedSerial, the path before packing, tile is this entry on the tile
+// kernel, gemm (BenchmarkGemm) is that kernel's GEMM alone, its column
+// matrix given, the floor a panel packer can approach, and narrow is this
+// entry with the weights packed as a deployment packs them, which the 2×2
+// stages run on the narrow kernel (its branch total is the branch as
+// deployed, the tile kernel elsewhere):
 //
-//	stage          lowered   packed   gemm   go-copy
-//	 3x16x16→16       8.6      5.4     4.3     6.8
-//	16x16x16→16      43.0     25.1    21.0    36.1
-//	16x8x8→32        21.4     11.2    10.2    16.3
-//	32x8x8→32        40.4     22.6    21.0    30.7
-//	32x4x4→48        17.6      9.1     7.0    11.4
-//	48x4x4→48        26.8     13.5    10.6    16.8
-//	48x2x2→64        16.9     10.2     8.3    12.3
-//	64x2x2→64        24.8     15.1    11.1    18.1
-//	one branch      199.6    112.1    93.4   148.5
+//	stage          lowered    tile    gemm   narrow
+//	 3x16x16→16      14.8      7.4     6.7
+//	16x16x16→16      69.4     37.2    28.1
+//	16x8x8→32        34.7     15.6    13.0
+//	32x8x8→32        64.2     29.4    27.1
+//	32x4x4→48        28.8     11.9     9.9
+//	48x4x4→48        44.9     17.1    13.8
+//	48x2x2→64        29.4     16.1    13.9     5.1
+//	64x2x2→64        44.0     24.4    18.8     6.8
+//	one branch      330.2    159.1   131.2   130.6
 //
-// go-copy is the step that did not land: the same plane packed by a Go loop
-// of fixed-size array copies (one pass, earlier in the same session). The
-// compiler turns any copy over 16 bytes between slices it cannot prove
-// disjoint into a memmove call, at 5–10 ns a panel row against
-// packConvSIMD's 1–2. What is left above gemm on the 4×4 and 2×2 stages is
-// mostly padImage, a copy and a clear per image row of 2–4 floats. Other
-// geometries (odd widths, strides whose tiles cross output rows) go through
-// packConv's Go loop and read level with lowered (±5 %); stride 2 at
-// ow = 16 reads 43 µs against 50.
-func ConvGemmFusedParallel(dst, a, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue) {
-	convGemm(dst, a, img, m, g, scratch, ep, true)
+// A Go loop of fixed-size array copies in place of packConvSIMD is the step
+// that did not land (one branch 148.5 against 112.1, in the quieter session
+// that chose the packer): the compiler turns any copy over 16 bytes between
+// slices it cannot prove disjoint into a memmove call, at 5–10 ns a panel
+// row against packConvSIMD's 1–2. What is left above gemm on the 4×4
+// stages is mostly padImage, a copy and a clear per image row of 4 floats;
+// the 2×2 stages, where it and the panel cost as much as the product,
+// gather their patch matrix straight from the image instead (narrow.go).
+// Other geometries (odd widths, strides whose tiles cross output rows) go
+// through packConv's Go loop and read level with lowered (±5 %); stride 2
+// at ow = 16 reads 43 µs against 50.
+func ConvGemmFusedParallel(dst, a []float32, nw *NarrowWeights, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue) {
+	convGemm(dst, a, nw, img, m, g, scratch, ep, true)
 }
 
 // ConvGemmFusedSerial is ConvGemmFusedParallel on the calling goroutine, for
 // callers that are themselves a Parallel work function (one image per
 // worker, each with its own scratch).
-func ConvGemmFusedSerial(dst, a, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue) {
-	convGemm(dst, a, img, m, g, scratch, ep, false)
+func ConvGemmFusedSerial(dst, a []float32, nw *NarrowWeights, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue) {
+	convGemm(dst, a, nw, img, m, g, scratch, ep, false)
 }
 
-func convGemm(dst, a, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue, fanOut bool) {
+func convGemm(dst, a []float32, nw *NarrowWeights, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue, fanOut bool) {
+	if nw != nil && NarrowConv(g) {
+		convNarrow(dst, nw, img, m, g, scratch, ep)
+		return
+	}
 	b, n, k := convSource(img, g, scratch)
 	gemm(dst[:m*n], a[:m*k], b, m, n, k, ep, fanOut)
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -41,7 +42,7 @@ func poisoned(n, off int) []float32 {
 
 // convGemmSplit cuts the product at every row block across the pool, each
 // range packing its own panels from the one shared source.
-func convGemmSplit(dst, a, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue) {
+func convGemmSplit(dst, a []float32, _ *NarrowWeights, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue) {
 	b, n, k := convSource(img, g, scratch)
 	splitRows(m, 1, func(r0, r1 int) {
 		gemmRows(dst[:m*n], a[:m*k], b, n, k, r0, r1, ep)
@@ -49,9 +50,10 @@ func convGemmSplit(dst, a, img []float32, m int, g ConvGeom, scratch []float32, 
 }
 
 // checkConvGemm runs the serial, the dispatched and the always-split entry
-// point, plain and with an epilogue, into dirty unaligned destinations over
-// NaN-filled unaligned scratch, and compares every element with Im2Col +
-// GemmFusedSerial.
+// point, and the first two again with the weights packed for the narrow
+// kernel (which a product NarrowConv admits then runs), plain and with an
+// epilogue, into dirty unaligned destinations over NaN-filled unaligned
+// scratch, and compares every element with Im2Col + GemmFusedSerial.
 func checkConvGemm(t testing.TB, rng *RNG, m int, g ConvGeom, nonFinite bool, off int) {
 	t.Helper()
 	oh, ow := g.OutDims()
@@ -60,17 +62,23 @@ func checkConvGemm(t testing.TB, rng *RNG, m int, g ConvGeom, nonFinite bool, of
 	cols := make([]float32, k*n)
 	Im2Col(img, g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad, cols)
 	wt, img = unaligned(wt, off), unaligned(img, (off+1)%4)
+	nw := PackNarrow(wt, m, k)
 	for _, ep := range []*Epilogue{nil, testEpilogue(rng, m, off%2 == 0)} {
 		want := make([]float32, m*n)
 		GemmFusedSerial(want, wt, cols, m, n, k, ep)
-		for name, conv := range map[string]func(dst, a, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue){
+		for name, conv := range map[string]func(dst, a []float32, nw *NarrowWeights, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue){
 			"serial": ConvGemmFusedSerial, "parallel": ConvGemmFusedParallel, "split": convGemmSplit,
+			"packed-serial": ConvGemmFusedSerial, "packed-parallel": ConvGemmFusedParallel,
 		} {
 			got := unaligned(make([]float32, m*n), (off+2)%4)
 			for i := range got {
 				got[i] = 123.5
 			}
-			conv(got, wt, img, m, g, poisoned(ConvScratchLen(g), (off+3)%4), ep)
+			var pack *NarrowWeights
+			if strings.HasPrefix(name, "packed") {
+				pack = nw
+			}
+			conv(got, wt, pack, img, m, g, poisoned(ConvScratchLen(g), (off+3)%4), ep)
 			for i := range want {
 				if !sameF32(want[i], got[i]) {
 					t.Fatalf("%+v m=%d epilogue=%v %s %v: element %d = %v, lowered %v",
@@ -166,7 +174,10 @@ var convGemmShapes = []struct{ inC, outC, hw int }{
 // BenchmarkConvGemm prices one image's convolution product per stage shape,
 // once per float32 level this CPU runs, as this package ran it before and
 // runs it now: lowered is Im2Col into a preplanned column matrix followed by
-// GemmFusedSerial, packed is ConvGemmFusedSerial.
+// GemmFusedSerial, tile is ConvGemmFusedSerial without a narrow pack, and
+// packed is ConvGemmFusedSerial with the weights packed once (PackNarrow) as
+// a deployment packs them, so the 2×2 stages run the narrow kernel where
+// the level has it.
 func BenchmarkConvGemm(b *testing.B) {
 	for _, l := range f32Kernels {
 		for _, s := range convGemmShapes {
@@ -178,21 +189,27 @@ func BenchmarkConvGemm(b *testing.B) {
 			name := fmt.Sprintf("%v/%dx%dx%d_to%d", l, s.inC, s.hw, s.hw, s.outC)
 			for _, leg := range []struct {
 				name string
-				run  func(scratch []float32)
+				run  func(scratch []float32, nw *NarrowWeights)
 			}{
-				{"lowered", func([]float32) {
+				{"lowered", func([]float32, *NarrowWeights) {
 					Im2Col(img, g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad, cols)
 					GemmFusedSerial(dst, wt, cols, s.outC, n, k, nil)
 				}},
-				{"packed", func(scratch []float32) { ConvGemmFusedSerial(dst, wt, img, s.outC, g, scratch, nil) }},
+				{"tile", func(scratch []float32, _ *NarrowWeights) {
+					ConvGemmFusedSerial(dst, wt, nil, img, s.outC, g, scratch, nil)
+				}},
+				{"packed", func(scratch []float32, nw *NarrowWeights) {
+					ConvGemmFusedSerial(dst, wt, nw, img, s.outC, g, scratch, nil)
+				}},
 			} {
 				b.Run(name+"/"+leg.name, func(b *testing.B) {
 					b.ReportAllocs()
 					ran := withF32Level(l, func() {
 						scratch := make([]float32, ConvScratchLen(g))
+						nw := PackNarrow(wt, s.outC, k)
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							leg.run(scratch)
+							leg.run(scratch, nw)
 						}
 					})
 					if !ran {

@@ -99,27 +99,46 @@ type I8Weights struct {
 // without it is copied, on every call, into one that does.
 const I8Slack = 3
 
-// PackI8Weights lays out the row-major m×k matrix a for the int8 kernel this
-// process runs. Below i8AMX the packed form is a itself, which the caller
-// must no longer modify; at i8AMX it is a copy in tile blocks, and a may be
-// dropped.
-func PackI8Weights(a []int8, m, k int) *I8Weights {
+// PackI8Weights lays out the m×k matrix a for the int8 kernel this process
+// runs, in one pass. Each row of a is channel-major — k/taps channels of
+// taps window taps each, the order an artifact stores a convolution in —
+// and the kernel reads it tap-major, (tap, channel), the order Im2RowI8HWC
+// lays patches out in; taps = 1 (a dense layer, a 1×1 convolution) is the
+// identity. Below i8AMX the packed form is the permuted matrix, row-major,
+// and for taps = 1 that is a itself, which the caller must no longer
+// modify; at i8AMX it is a copy in tile blocks, and a may be dropped.
+// Either way the pack allocates at most one buffer, of the weights' size.
+func PackI8Weights(a []int8, m, k, taps int) *I8Weights {
 	a = a[:m*k]
-	if i8Level < i8AMX || k == 0 || k > maxI8DotLen {
+	if k%taps != 0 {
+		panic("tensor: int8 weight rows are not whole channels of taps")
+	}
+	amx := i8Level == i8AMX && k != 0 && k <= maxI8DotLen
+	if !amx && taps == 1 {
 		return &I8Weights{m: m, k: k, data: a}
 	}
-	kp := (k + 3) &^ 3
-	w := &I8Weights{m: m, k: k, kp: kp, amx: true, data: make([]int8, (m+15)/16*16*kp)}
+	// Element (i, p) of the packed matrix lives p/4·group + p%4 past its
+	// row's first: row-major below AMX (group 4), and at AMX in the 64-byte
+	// tile row of its four-byte group, k zero-padded to kp.
+	w, size, group := &I8Weights{m: m, k: k}, m*k, 4
+	if amx {
+		w.kp, w.amx, group = (k+3)&^3, true, 64
+		size = (m + 15) / 16 * 16 * w.kp
+	}
+	w.data = make([]int8, size)
+	c := k / taps
 	for i := 0; i < m; i++ {
-		blk := w.data[i/16*16*kp : (i/16+1)*16*kp]
-		c := i % 16 * 4
-		row := a[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			*(*[4]int8)(blk[p*16+c:]) = [4]int8(row[p:])
+		first := i * k
+		if amx {
+			first = i/16*16*w.kp + i%16*4
 		}
-		if p < k { // k%4 bytes; the group's rest stays zero
-			copy(blk[p*16+c:], row[p:])
+		dst, row := w.data[first:], a[i*k:(i+1)*k]
+		p := 0
+		for t := 0; t < taps; t++ {
+			for ch := 0; ch < c; ch++ {
+				dst[p>>2*group+p&3] = row[ch*taps+t]
+				p++
+			}
 		}
 	}
 	return w
@@ -157,7 +176,7 @@ func GemmI8PackedSerial(dst []int32, w *I8Weights, b []int8, n int) {
 // the product runs on the same kernel a layer's packed weights do. Callers
 // that multiply one a many times pack it once themselves.
 func GemmI8Parallel(dst []int32, a, b []int8, m, n, k int) {
-	GemmI8PackedParallel(dst, PackI8Weights(a, m, k), b, n)
+	GemmI8PackedParallel(dst, PackI8Weights(a, m, k, 1), b, n)
 }
 
 // checkI8Dims bounds the operands and returns b, copied into a buffer with

@@ -42,7 +42,7 @@ func TestGemmI8PatchReadsStopAtSlack(t *testing.T) {
 				b[0], b[len(b)-1] = -128, -128
 				refGemmI8(want, a, b, m, n, k)
 				if slack == I8Slack {
-					GemmI8PackedSerial(got, PackI8Weights(a, m, k), b, n)
+					GemmI8PackedSerial(got, PackI8Weights(a, m, k, 1), b, n)
 				} else {
 					gemmI8Serial(got, a, b, m, n, k)
 				}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -63,7 +65,7 @@ func TestKernelStatusNamesInt8Kernel(t *testing.T) {
 // its size, so the chunk seams are exercised on shapes the dispatch rule
 // keeps on one goroutine.
 func gemmI8Split(dst []int32, a, b []int8, m, n, k int) {
-	w := PackI8Weights(a, m, k)
+	w := PackI8Weights(a, m, k, 1)
 	b = checkI8Dims(dst, w, b, n)
 	splitI8Rows(w, 1, func(r0, r1 int) { gemmI8Rows(dst, w, b, n, r0, r1) })
 }
@@ -157,7 +159,7 @@ func TestGemmI8TileEdges(t *testing.T) {
 // gemmI8Serial is GemmI8Parallel on the calling goroutine: the serial leg
 // of the tests' kernel tables.
 func gemmI8Serial(dst []int32, a, b []int8, m, n, k int) {
-	GemmI8PackedSerial(dst, PackI8Weights(a, m, k), b, n)
+	GemmI8PackedSerial(dst, PackI8Weights(a, m, k, 1), b, n)
 }
 
 // packedAt returns element (i, p) of the matrix w packs, whatever its
@@ -177,13 +179,79 @@ func TestPackI8WeightsAt(t *testing.T) {
 		for _, s := range [][2]int{{1, 1}, {17, 27}, {16, 64}, {33, 65}} {
 			m, k := s[0], s[1]
 			a := randI8(rng, m*k)
-			w := PackI8Weights(append([]int8(nil), a...), m, k)
+			w := PackI8Weights(append([]int8(nil), a...), m, k, 1)
 			for i := 0; i < m; i++ {
 				for p := 0; p < k; p++ {
 					if got := packedAt(w, i, p); got != a[i*k+p] {
 						t.Fatalf("%dx%d: At(%d, %d) = %d, want %d", m, k, i, p, got, a[i*k+p])
 					}
 				}
+			}
+		}
+	})
+}
+
+// packI8TwoPass is how a convolution's int8 weights were armed before the
+// packer took the permutation: the channel-major rows permuted to
+// (tap, channel) order into a temporary, then laid out for the kernel —
+// the temporary itself below AMX, a second copy in tile blocks at it.
+func packI8TwoPass(a []int8, m, k, taps int) *I8Weights {
+	c := k / taps
+	rows := make([]int8, m*k)
+	for i := 0; i < m; i++ {
+		for ch := 0; ch < c; ch++ {
+			for t := 0; t < taps; t++ {
+				rows[i*k+t*c+ch] = a[i*k+ch*taps+t]
+			}
+		}
+	}
+	if i8Level < i8AMX || k == 0 {
+		return &I8Weights{m: m, k: k, data: rows}
+	}
+	kp := (k + 3) &^ 3
+	w := &I8Weights{m: m, k: k, kp: kp, amx: true, data: make([]int8, (m+15)/16*16*kp)}
+	for i := 0; i < m; i++ {
+		blk, row := w.data[i/16*16*kp:(i/16+1)*16*kp], rows[i*k:(i+1)*k]
+		for p, v := range row {
+			blk[p&^3*16+i%16*4+p&3] = v
+		}
+	}
+	return w
+}
+
+// TestPackI8WeightsPermutesInOnePass: at every int8 level a convolution's
+// channel-major rows pack to exactly the bytes the two-pass arming made, in
+// one pass that allocates the header and one buffer of the packed size (only
+// the header when nothing is permuted or re-laid), never the temporary.
+func TestPackI8WeightsPermutesInOnePass(t *testing.T) {
+	forEachI8Kernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for _, s := range [][3]int{{4, 2, 9}, {17, 3, 9}, {33, 5, 9}, {16, 7, 1}, {5, 1, 25}, {3, 6, 4}, {64, 64, 9}} {
+			m, k, taps := s[0], s[1]*s[2], s[2]
+			a := randI8(rng, m*k)
+			orig := append([]int8(nil), a...)
+			got := PackI8Weights(a, m, k, taps)
+			if !reflect.DeepEqual(got, packI8TwoPass(orig, m, k, taps)) {
+				t.Fatalf("%dx%d (%d taps): packed bytes differ from the two-pass arming", m, k, taps)
+			}
+			if !reflect.DeepEqual(a, orig) {
+				t.Fatalf("%dx%d (%d taps): the packer wrote its input", m, k, taps)
+			}
+			want := 2.0
+			if i8Level < i8AMX && taps == 1 {
+				want = 1
+			}
+			if allocs := testing.AllocsPerRun(5, func() { PackI8Weights(a, m, k, taps) }); allocs != want {
+				t.Errorf("%dx%d (%d taps): %v allocations, want %v", m, k, taps, allocs, want)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			PackI8Weights(a, m, k, taps)
+			runtime.ReadMemStats(&after)
+			// The allocator rounds a buffer up to its size class (at most an
+			// eighth here); a second weight-sized buffer would double it.
+			if b := after.TotalAlloc - before.TotalAlloc; b > uint64(len(got.data))*5/4+256 {
+				t.Errorf("%dx%d (%d taps): packing allocated %d bytes for %d packed", m, k, taps, b, len(got.data))
 			}
 		}
 	})
@@ -464,7 +532,7 @@ func BenchmarkGemmI8Shapes(b *testing.B) {
 			b.Run(fmt.Sprintf("%v/%dx%dx%d", l, m, n, k), func(b *testing.B) {
 				b.SetBytes(int64(m * n * k))
 				ran := withI8Level(l, func() {
-					w := PackI8Weights(x, m, k)
+					w := PackI8Weights(x, m, k, 1)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						GemmI8PackedSerial(dst, w, y, n)

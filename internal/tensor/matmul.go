@@ -29,25 +29,27 @@ const rowBlock = 4
 // passes the gate of one also runs every level below it, which is what lets
 // the tests walk down from the detected level. BenchmarkConvGemm is the
 // shape-matched rung — the eight VGG18-S stage convolutions packed from the
-// image, one leg per level, µs on the reference box (medians of six rounds
-// with the two levels interleaved; the host was shared and read about 1.6×
-// slower than when the figures in ConvGemmFusedParallel were taken):
+// image, a tile leg per level and, at AVX-512, the narrow kernel's for the
+// 2×2 stages, µs on the reference box (medians of six to twelve rounds; the
+// host was shared and read about 1.4× slower than in the session that chose
+// the panel packer, see ConvGemmFusedParallel):
 //
-//	stage          avx-tile4x16   avx512-tile8x16
-//	 3x16x16→16         8.1              8.2
-//	16x16x16→16        41.6             40.0
-//	16x8x8→32          22.8             15.2
-//	32x8x8→32          44.6             32.5
-//	32x4x4→48          18.8             11.2
-//	48x4x4→48          33.9             16.9
-//	48x2x2→64          25.6             16.2
-//	64x2x2→64          32.1             27.7
-//	one branch        227.5            167.7   (0.74×)
+//	stage          avx-tile4x16   avx512-tile8x16   avx512 narrow
+//	 3x16x16→16        10.0              7.4
+//	16x16x16→16        42.4             37.2
+//	16x8x8→32          17.2             15.6
+//	32x8x8→32          39.4             29.4
+//	32x4x4→48          14.8             11.9
+//	48x4x4→48          22.9             17.1
+//	48x2x2→64          19.1             16.1               5.1
+//	64x2x2→64          25.4             24.4               6.8
+//	one branch        191.4            159.1 (0.83×)     130.6 (0.68×)
 //
 // The ZMM tile issues half the multiplies and adds per output of the YMM
 // one, yet a row of 16 costs about ¾ of what it did, not ½: on the
 // reference CPU 512-bit multiplies and adds have fewer ports to issue on
-// than 256-bit ones. The first two stages are mostly packing.
+// than 256-bit ones. The first two stages are mostly packing. On the 2×2
+// stages both tiles run mostly padding, which the narrow kernel does not.
 type f32Kernel int
 
 const (
@@ -109,6 +111,26 @@ const kBlock = 256
 // 230 / 267, 300.8 M 1035 / 803); no zoo product comes within two orders
 // of magnitude of either figure, so the rule stays shared.
 const parallelMACs = 1 << 23
+
+// narrowCols is the width below which a packed convolution runs the narrow
+// kernel: fewer output positions than one column tile. It is read off
+// BenchmarkNarrowCrossover on the reference box (2 cores, AVX-512; µs per
+// product of 64 channels over k = 576, VGG18-S's last stage, on a dense b;
+// medians of five runs; tile is the 8×16 tile kernel, narrow is gemmNarrow
+// against weights packed once):
+//
+//	 n    tile   narrow
+//	 2    17.9     3.0
+//	 4    15.9     4.9
+//	 8    18.2     9.3
+//	16    25.9    19.5
+//
+// The tile costs about the same at any n up to one 16-wide column tile, the
+// narrow kernel in proportion to n. At n = 16 the tile's lanes are all live
+// and a convolution's panel is packed from its plane in whole runs, so the
+// 4×4 stages keep the tile; below it the narrow kernel is ahead 2× at n = 8
+// and more the narrower the product.
+const narrowCols = 16
 
 // gemmGrain is the dispatch rule the float32 and int8 GEMMs share: the
 // number of row blocks, each of rows output rows, that amount to

@@ -35,25 +35,27 @@ func TestGemmSIMDBitIdenticalToScalarFallback(t *testing.T) {
 }
 
 // TestConvGemmSIMDBitIdenticalToScalarFallback: the convolution entry point
-// packs its panels from the image under the tile kernels and lowers with
-// Im2Col under the portable one (each sized by ConvScratchLen for its own
-// kernel); the choice must be unobservable at every level.
+// packs its panels from the image under the tile kernels, runs the narrow
+// kernel for a packed 2×2 or pointwise 2×2 product at AVX-512, and lowers
+// with Im2Col under the portable one (each sized by ConvScratchLen for its
+// own kernel); the choice must be unobservable at every level.
 func TestConvGemmSIMDBitIdenticalToScalarFallback(t *testing.T) {
 	rng := NewRNG(43)
 	for i, g := range []ConvGeom{
 		{16, 16, 16, 3, 3, 1, 1}, {64, 2, 2, 3, 3, 1, 1}, {3, 9, 11, 5, 5, 2, 2}, {7, 6, 6, 1, 1, 2, 0}, {5, 4, 4, 1, 1, 1, 0},
+		{48, 2, 2, 1, 1, 1, 0},
 	} {
-		m := 7 + 3*i // 7, 10, 13, 16, 19: every remainder the 8-row tile leaves
+		m := 7 + 3*i // 7, 10, 13, 16, 19, 22: every remainder the 8-row tile leaves
 		oh, ow := g.OutDims()
 		wt, img := convOperands(rng, m, g, i == 0)
 		for _, ep := range []*Epilogue{nil, testEpilogue(rng, m, true)} {
 			scalar := make([]float32, m*oh*ow)
 			withF32Level(f32Scalar, func() {
-				ConvGemmFusedParallel(scalar, wt, img, m, g, poisoned(ConvScratchLen(g), 1), ep)
+				ConvGemmFusedParallel(scalar, wt, nil, img, m, g, poisoned(ConvScratchLen(g), 1), ep)
 			})
 			forEachF32Level(t, func(t *testing.T) {
 				simd := make([]float32, m*oh*ow)
-				ConvGemmFusedParallel(simd, wt, img, m, g, poisoned(ConvScratchLen(g), 1), ep)
+				ConvGemmFusedParallel(simd, wt, PackNarrow(wt, m, g.C*g.KH*g.KW), img, m, g, poisoned(ConvScratchLen(g), 1), ep)
 				for j := range simd {
 					if !sameF32(simd[j], scalar[j]) {
 						t.Fatalf("%+v epilogue=%v: dst[%d] %v %v vs scalar %v", g, ep != nil, j, f32Level, simd[j], scalar[j])

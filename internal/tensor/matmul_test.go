@@ -86,13 +86,16 @@ func atEveryF32Level(fn func()) {
 	}
 }
 
-// TestKernelStatusNamesF32Level: the status line names the float32 tile and
-// the pool the dispatch is on at every level — with a gate shut, the only
-// way an operator learns the daemon runs a slower one.
+// TestKernelStatusNamesF32Level: the status line names the float32 tile,
+// the narrow kernel (or that it is off) and the pool the dispatch is on at
+// every level — with a gate shut, the only way an operator learns the
+// daemon runs a slower one.
 func TestKernelStatusNamesF32Level(t *testing.T) {
 	forEachF32Level(t, func(t *testing.T) {
 		got := KernelStatus()
-		for _, want := range []string{"f32=" + f32Level.String() + " ", " pool=" + poolKernel(f32Level) + " "} {
+		for _, want := range []string{
+			"f32=" + f32Level.String() + " ", " f32narrow=" + narrowKernel(f32Level) + " ", " pool=" + poolKernel(f32Level) + " ",
+		} {
 			if !strings.Contains(got, want) {
 				t.Fatalf("KernelStatus() = %q, want it to contain %q", got, want)
 			}

@@ -54,16 +54,18 @@ func poolStart() {
 // float32 convolution's GEMM gets its b
 // operand — panels packed from the image under the tile kernel, the Im2Col
 // column matrix under the portable one, which streams whole b rows — which
-// kernel runs a 3×3 float32 depthwise convolution (DepthwiseFused), which
-// runs the 2×2 max pool (MaxPool2), and the dispatch threshold, in one line
-// a daemon can log and an operator can grep.
+// kernel runs a deployed float32 convolution with fewer than 16 output
+// positions (the narrow kernel, or off), which runs a 3×3 float32
+// depthwise convolution (DepthwiseFused), which runs the 2×2 max pool
+// (MaxPool2), and the dispatch threshold, in one line a daemon can log and
+// an operator can grep.
 func KernelStatus() string {
 	conv, dw := "im2col", "scalar"
 	if f32Level >= f32AVX {
 		conv, dw = "packed-from-image", "avx-3x3"
 	}
-	return fmt.Sprintf("f32=%s f32conv=%s f32dw=%s pool=%s int8=%s parallel_above_macs=%d workers=%d",
-		f32Level, conv, dw, poolKernel(f32Level), i8Level, 2*parallelMACs, poolSize)
+	return fmt.Sprintf("f32=%s f32conv=%s f32narrow=%s f32dw=%s pool=%s int8=%s parallel_above_macs=%d workers=%d",
+		f32Level, conv, narrowKernel(f32Level), dw, poolKernel(f32Level), i8Level, 2*parallelMACs, poolSize)
 }
 
 // Workers returns the maximum number of concurrently executing chunks a

@@ -21,6 +21,19 @@ func gemmTileSIMD(t *tileArgs)
 //go:noescape
 func gemmTile8x16(t *tileArgs)
 
+// gemmNarrowZMM computes one block of up to 32 output channels of the
+// narrow product for up to narrowSpan positions (see narrowArgs and
+// gemmNarrow), lane for lane the tile kernels' arithmetic.
+//
+//go:noescape
+func gemmNarrowZMM(t *narrowArgs)
+
+// gatherNarrowSIMD writes the narrow kernel's patch panel of a.chans
+// channels straight from the image (see gatherArgs and gatherPatches).
+//
+//go:noescape
+func gatherNarrowSIMD(a *gatherArgs)
+
 // maxPool2AVX512 runs the 2×2 max pool of a.planes planes (see pool2Args
 // and MaxPool2).
 //

@@ -326,6 +326,286 @@ tile8store:
 	VZEROUPPER
 	RET
 
+// func gemmNarrowZMM(t *narrowArgs)
+//
+// The narrow product (narrow.go): up to 32 output channels on the lanes of
+// two ZMM registers by up to eight output positions, a pair of accumulators
+// each (Z0..Z15), held over the whole k and stored once. Per p the channel
+// block's two weight rows are loaded (Z16, Z17), each position's b value is
+// broadcast (Z18), and every lane does VMULPS then VADDPS with the operands
+// in gemmTile8x16's order — the weight first, then the product first —
+// never a fused multiply-add, from +0, so each output is bit for bit the
+// tile kernel's element. One loop per position count keeps the sweep free
+// of bookkeeping. The epilogue is TILE_BNZ per lane, each lane with its own
+// channel's values, applied to all sixteen accumulators (the unused ones
+// are never stored). A position's outputs are a column of the [m, n]
+// destination, n floats apart, so each half is stored by VSCATTERDPS
+// through the live-channel masks, K1 for channels 0..15 and K2 for 16..31.
+#define NARROW_HEAD(label) \
+label: \
+	VMOVUPS (SI), Z16; \
+	VMOVUPS 64(SI), Z17
+
+#define NARROW_POS(off, lo, hi) \
+	VBROADCASTSS off(BX), Z18; \
+	VMULPS Z18, Z16, Z19; \
+	VADDPS lo, Z19, lo; \
+	VMULPS Z18, Z17, Z20; \
+	VADDPS hi, Z20, hi
+
+#define NARROW_TAIL(label) \
+	ADDQ $128, SI; \
+	ADDQ R8, BX; \
+	DECQ CX; \
+	JNZ  label; \
+	JMP  narrowepilogue
+
+#define NARROW_BN(lo, hi) \
+	VSUBPS Z16, lo, lo; \
+	VSUBPS Z17, hi, hi; \
+	VMULPS lo, Z18, lo; \
+	VMULPS hi, Z19, hi; \
+	VMULPS Z20, lo, lo; \
+	VMULPS Z21, hi, hi; \
+	VADDPS Z22, lo, lo; \
+	VADDPS Z23, hi, hi
+
+#define NARROW_RELU(lo, hi) \
+	VMAXPS Z26, lo, lo; \
+	VMAXPS Z26, hi, hi
+
+// A scatter clears its mask as it stores, so each one gets a copy (K3).
+#define NARROW_STORE(off, lo, hi) \
+	KMOVW K1, K3; \
+	VSCATTERDPS lo, K3, off(DI)(Z24*4); \
+	KMOVW K2, K3; \
+	VSCATTERDPS hi, K3, off(R9)(Z24*4); \
+	DECQ AX; \
+	JZ   narrowdone
+
+DATA narrowiota<>+0(SB)/8, $0x0000000100000000
+DATA narrowiota<>+8(SB)/8, $0x0000000300000002
+DATA narrowiota<>+16(SB)/8, $0x0000000500000004
+DATA narrowiota<>+24(SB)/8, $0x0000000700000006
+DATA narrowiota<>+32(SB)/8, $0x0000000900000008
+DATA narrowiota<>+40(SB)/8, $0x0000000b0000000a
+DATA narrowiota<>+48(SB)/8, $0x0000000d0000000c
+DATA narrowiota<>+56(SB)/8, $0x0000000f0000000e
+GLOBL narrowiota<>(SB), RODATA|NOPTR, $64
+
+TEXT ·gemmNarrowZMM(SB), NOSPLIT, $0-8
+	MOVQ t+0(FP), DX
+	MOVQ 56(DX), CX       // live channels
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX               // one bit per live channel
+	KMOVW AX, K1
+	SHRQ $16, AX
+	KMOVW AX, K2
+	MOVQ 8(DX), SI        // packed weights
+	MOVQ 16(DX), BX       // b
+	MOVQ 24(DX), R8       // ldb
+	MOVQ 32(DX), CX       // k
+	VXORPS Y0, Y0, Y0     // a VEX write clears the whole ZMM
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+	MOVQ 48(DX), AX       // positions
+	CMPQ AX, $4
+	JEQ  narrow4
+	CMPQ AX, $2
+	JEQ  narrow2
+	CMPQ AX, $1
+	JEQ  narrow1
+	CMPQ AX, $3
+	JEQ  narrow3
+	CMPQ AX, $5
+	JEQ  narrow5
+	CMPQ AX, $6
+	JEQ  narrow6
+	CMPQ AX, $7
+	JEQ  narrow7
+	JMP  narrow8
+
+	NARROW_HEAD(narrow1)
+	NARROW_POS(0, Z0, Z1)
+	NARROW_TAIL(narrow1)
+
+	NARROW_HEAD(narrow2)
+	NARROW_POS(0, Z0, Z1)
+	NARROW_POS(4, Z2, Z3)
+	NARROW_TAIL(narrow2)
+
+	NARROW_HEAD(narrow3)
+	NARROW_POS(0, Z0, Z1)
+	NARROW_POS(4, Z2, Z3)
+	NARROW_POS(8, Z4, Z5)
+	NARROW_TAIL(narrow3)
+
+	NARROW_HEAD(narrow4)
+	NARROW_POS(0, Z0, Z1)
+	NARROW_POS(4, Z2, Z3)
+	NARROW_POS(8, Z4, Z5)
+	NARROW_POS(12, Z6, Z7)
+	NARROW_TAIL(narrow4)
+
+	NARROW_HEAD(narrow5)
+	NARROW_POS(0, Z0, Z1)
+	NARROW_POS(4, Z2, Z3)
+	NARROW_POS(8, Z4, Z5)
+	NARROW_POS(12, Z6, Z7)
+	NARROW_POS(16, Z8, Z9)
+	NARROW_TAIL(narrow5)
+
+	NARROW_HEAD(narrow6)
+	NARROW_POS(0, Z0, Z1)
+	NARROW_POS(4, Z2, Z3)
+	NARROW_POS(8, Z4, Z5)
+	NARROW_POS(12, Z6, Z7)
+	NARROW_POS(16, Z8, Z9)
+	NARROW_POS(20, Z10, Z11)
+	NARROW_TAIL(narrow6)
+
+	NARROW_HEAD(narrow7)
+	NARROW_POS(0, Z0, Z1)
+	NARROW_POS(4, Z2, Z3)
+	NARROW_POS(8, Z4, Z5)
+	NARROW_POS(12, Z6, Z7)
+	NARROW_POS(16, Z8, Z9)
+	NARROW_POS(20, Z10, Z11)
+	NARROW_POS(24, Z12, Z13)
+	NARROW_TAIL(narrow7)
+
+	NARROW_HEAD(narrow8)
+	NARROW_POS(0, Z0, Z1)
+	NARROW_POS(4, Z2, Z3)
+	NARROW_POS(8, Z4, Z5)
+	NARROW_POS(12, Z6, Z7)
+	NARROW_POS(16, Z8, Z9)
+	NARROW_POS(20, Z10, Z11)
+	NARROW_POS(24, Z12, Z13)
+	NARROW_POS(28, Z14, Z15)
+	NARROW_TAIL(narrow8)
+
+narrowepilogue:
+	MOVQ 64(DX), R10      // mean
+	TESTQ R10, R10
+	JZ   narrowstore
+	MOVQ 72(DX), R11      // gamma
+	MOVQ 80(DX), R12      // invStd
+	MOVQ 88(DX), R13      // beta
+	VMOVUPS.Z (R10), K1, Z16
+	VMOVUPS.Z 64(R10), K2, Z17
+	VMOVUPS.Z (R11), K1, Z18
+	VMOVUPS.Z 64(R11), K2, Z19
+	VMOVUPS.Z (R12), K1, Z20
+	VMOVUPS.Z 64(R12), K2, Z21
+	VMOVUPS.Z (R13), K1, Z22
+	VMOVUPS.Z 64(R13), K2, Z23
+	NARROW_BN(Z0, Z1)
+	NARROW_BN(Z2, Z3)
+	NARROW_BN(Z4, Z5)
+	NARROW_BN(Z6, Z7)
+	NARROW_BN(Z8, Z9)
+	NARROW_BN(Z10, Z11)
+	NARROW_BN(Z12, Z13)
+	NARROW_BN(Z14, Z15)
+	CMPB 96(DX), $0       // relu
+	JE   narrowstore
+	VPXORD Z26, Z26, Z26
+	NARROW_RELU(Z0, Z1)
+	NARROW_RELU(Z2, Z3)
+	NARROW_RELU(Z4, Z5)
+	NARROW_RELU(Z6, Z7)
+	NARROW_RELU(Z8, Z9)
+	NARROW_RELU(Z10, Z11)
+	NARROW_RELU(Z12, Z13)
+	NARROW_RELU(Z14, Z15)
+
+narrowstore:
+	MOVQ 0(DX), DI        // c: channel 0 of the first position
+	MOVQ 40(DX), R9       // n
+	VPBROADCASTD R9, Z25
+	VPMULLD narrowiota<>(SB), Z25, Z24 // channel i's output, i·n floats on
+	SHLQ $6, R9
+	ADDQ DI, R9           // channel 16, sixteen rows of n floats on
+	MOVQ 48(DX), AX       // positions
+	NARROW_STORE(0, Z0, Z1)
+	NARROW_STORE(4, Z2, Z3)
+	NARROW_STORE(8, Z4, Z5)
+	NARROW_STORE(12, Z6, Z7)
+	NARROW_STORE(16, Z8, Z9)
+	NARROW_STORE(20, Z10, Z11)
+	NARROW_STORE(24, Z12, Z13)
+	NARROW_STORE(28, Z14, Z15)
+
+narrowdone:
+	VZEROUPPER
+	RET
+
+// func gatherNarrowSIMD(a *gatherArgs)
+//
+// Writes the narrow kernel's patch panel straight from the image: for each
+// channel, sixteen (tap, position) entries at a time, VGATHERDPS loads the
+// channel's value at each entry's table offset into a zeroed register,
+// through a mask of the entries whose offset is inside the channel (offset
+// < a.hw), so a padding tap reads +0 and is never loaded. Every table vector
+// is a full store but the channel's last, stored through the mask of its
+// live entries (K2).
+TEXT ·gatherNarrowSIMD(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DX
+	MOVQ 32(DX), CX       // live entries of the last vector
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K2
+	SHLQ $2, CX
+	MOVQ CX, R12          // bytes the last vector stores
+	MOVQ 0(DX), DI        // panel
+	MOVQ 8(DX), SI        // channel 0
+	MOVQ 16(DX), BX       // table
+	MOVQ 40(DX), CX       // channels
+	MOVQ 48(DX), R11      // hw
+	VPBROADCASTD R11, Z2
+	SHLQ $2, R11          // bytes per channel
+
+gatherchan:
+	MOVQ BX, R10
+	MOVQ 24(DX), R9       // table vectors
+
+gathervec:
+	VMOVDQU32 (R10), Z1
+	VPCMPD $1, Z2, Z1, K1 // offset < hw: inside the channel
+	VPXORD Z0, Z0, Z0
+	VGATHERDPS (SI)(Z1*4), K1, Z0
+	ADDQ $64, R10
+	DECQ R9
+	JZ   gatherlast
+	VMOVUPS Z0, (DI)
+	ADDQ $64, DI
+	JMP  gathervec
+
+gatherlast:
+	VMOVUPS Z0, K2, (DI)
+	ADDQ R12, DI
+	ADDQ R11, SI
+	DECQ CX
+	JNZ  gatherchan
+	VZEROUPPER
+	RET
+
 // func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32)
 //
 // Copies kb rows of up to 16 live columns (row stride ldb floats) into the

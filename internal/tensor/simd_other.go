@@ -20,6 +20,14 @@ func gemmTile8x16(t *tileArgs) {
 	panic("tensor: gemmTile8x16 called without SIMD support")
 }
 
+func gemmNarrowZMM(t *narrowArgs) {
+	panic("tensor: gemmNarrowZMM called without SIMD support")
+}
+
+func gatherNarrowSIMD(a *gatherArgs) {
+	panic("tensor: gatherNarrowSIMD called without SIMD support")
+}
+
 func maxPool2AVX512(a *pool2Args) {
 	panic("tensor: maxPool2AVX512 called without SIMD support")
 }

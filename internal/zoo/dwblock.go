@@ -80,6 +80,10 @@ func (b *DWBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	b.PW.ForwardIntoBN(dst, mid, a, b.BN2, true)
 }
 
+// PackNarrow offers the pointwise conv its pack at the depthwise output
+// shape.
+func (b *DWBlock) PackNarrow(in []int) { b.PW.PackNarrow(b.DW.OutShape(in)) }
+
 // OutChannels returns the pointwise conv's output width.
 func (b *DWBlock) OutChannels() int { return b.PW.OutC }
 

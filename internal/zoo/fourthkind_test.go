@@ -63,6 +63,8 @@ func (b *mixBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	b.dw.ForwardIntoBN(dst, mid, a, b.bn2, false)
 }
 
+func (b *mixBlock) PackNarrow(in []int) { b.conv.PackNarrow(in) }
+
 func (b *mixBlock) OutChannels() int         { return b.dw.C }
 func (b *mixBlock) InChannels() int          { return b.conv.InC }
 func (b *mixBlock) Convs() []nn.Weighted     { return []nn.Weighted{b.conv, b.dw} }

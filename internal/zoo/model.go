@@ -123,6 +123,23 @@ func (m *Model) Reinitialize(rng *tensor.RNG) {
 	m.Head.FC.Reinit(rng)
 }
 
+// Freeze derives, once, what inference at sampleShape reads and a deployed
+// model never changes: every batch norm's inverse standard deviations
+// (nn.BatchNorm2D.Freeze) and, for each float32 convolution whose product at
+// that shape the narrow kernel runs, its packed weights (Stage.PackNarrow).
+// Deployment calls it; a frozen model must not be trained after, and its
+// clones are not frozen.
+func (m *Model) Freeze(sampleShape []int) {
+	in := sampleShape
+	for _, s := range m.Stages {
+		for _, bn := range s.Norms() {
+			bn.Freeze()
+		}
+		s.PackNarrow(in)
+		in = s.OutShape(in)
+	}
+}
+
 // Clone deep-copies the model.
 func (m *Model) Clone() *Model {
 	out := &Model{Name: m.Name, Arch: m.Arch, InC: m.InC, Classes: m.Classes, Head: m.Head.Clone()}

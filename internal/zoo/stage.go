@@ -46,6 +46,10 @@ type Stage interface {
 	// forward written into dst (shaped per OutShape) with every
 	// intermediate drawn from the arena. No backward state is retained.
 	InferInto(dst, x *tensor.Tensor, a *nn.Arena)
+	// PackNarrow offers each of the stage's convolutions, with the input
+	// shape it sees when the stage's is in, its pack for the narrow kernel
+	// (nn.Conv2D.PackNarrow). Model.Freeze calls it.
+	PackNarrow(in []int)
 }
 
 // convFlops prices a convolution: 2 × (kernel volume) per output element,
@@ -151,6 +155,9 @@ func (b *ConvBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 	b.Conv.ForwardIntoBN(mid, x, a, b.BN, true)
 	b.Pool.ForwardInto(dst, mid, a)
 }
+
+// PackNarrow offers the conv its pack at the block's input shape.
+func (b *ConvBlock) PackNarrow(in []int) { b.Conv.PackNarrow(in) }
 
 // OutChannels returns the conv's output width.
 func (b *ConvBlock) OutChannels() int { return b.Conv.OutC }
@@ -341,6 +348,16 @@ func (b *ResBlock) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 		return
 	}
 	b.Act2.ForwardInto(dst, dst, a)
+}
+
+// PackNarrow offers conv1 and the projection their packs at the block's
+// input shape, conv2 its pack at conv1's output shape.
+func (b *ResBlock) PackNarrow(in []int) {
+	b.Conv1.PackNarrow(in)
+	b.Conv2.PackNarrow(b.Conv1.OutShape(in))
+	if b.Down != nil {
+		b.Down.PackNarrow(in)
+	}
 }
 
 // OutChannels returns the block's output width.
