@@ -260,48 +260,76 @@ func digits(b []byte, i int, w uint64) (int, uint64) {
 	return i, w
 }
 
-// eightDigits folds the run of decimal digits at b[i:] into w eight at a
-// time while eight remain, then one at a time, like digits.
+// eightDigits folds the run of decimal digits at b[i:] into w like digits,
+// three 8-byte words at a time while 24 bytes remain. A word counts only
+// behind full ones, so where the run ends takes no branch.
 func eightDigits(b []byte, i int, w uint64) (int, uint64) {
-	for ; i+8 <= len(b); i += 8 {
-		x := binary.LittleEndian.Uint64(b[i:])
-		// Every byte in '0'..'9': high nibble 3, and no carry out of +6.
-		if (x&0xF0F0F0F0F0F0F0F0)|((x+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4 != 0x3333333333333333 {
-			break
+	for i+24 <= len(b) {
+		n1, v1 := word(binary.LittleEndian.Uint64(b[i:]))
+		n2, v2 := word(binary.LittleEndian.Uint64(b[i+8:]))
+		n3, v3 := word(binary.LittleEndian.Uint64(b[i+16:]))
+		full := -uint64(n1 >> 3)
+		n2, v2 = n2&uint(full), v2&full
+		full = -uint64(n2 >> 3)
+		n3, v3 = n3&uint(full), v3&full
+		w = ((w*pow10u[n1]+v1)*pow10u[n2]+v2)*pow10u[n3] + v3
+		if i += int(n1 + n2 + n3); n3 < 8 {
+			return i, w
 		}
-		// Pairs, then quads, then the eight: the first byte is the top digit.
-		x -= 0x3030303030303030
-		x = x*10 + x>>8
-		x = ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
-		w = w*100000000 + uint64(uint32(x))
 	}
 	return digits(b, i, w)
+}
+
+// word returns how many of x's bytes, the first in the low byte, are
+// decimal digits ahead of the first that is not, and their value. The count
+// comes off a mask of the bytes that are not digits.
+func word(x uint64) (n uint, v uint64) {
+	// Each byte less '0': a digit reads 0..9, and the first byte that is not
+	// one reads ≥ 10, so its top bit is set in x or in x + 0x76. No digit
+	// below it borrows or carries; what it borrows or carries moves only
+	// bytes above it, past the lowest set bit.
+	x -= 0x3030303030303030
+	other := (x | (x + 0x7676767676767676)) & 0x8080808080808080
+	n = uint(bits.TrailingZeros64(other)) >> 3
+	// Keep the n digits and rotate them to the top, under leading zeros;
+	// then pairs, quads and the eight, the first byte the top digit.
+	x &= (other&-other)>>7 - 1
+	x = bits.RotateLeft64(x, -8*int(n))
+	x = x*10 + x>>8
+	x = ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+	return n, uint64(uint32(x))
 }
 
 // maxExactDigits is the most significant digits a uint64 always holds.
 const maxExactDigits = 19
 
 var (
-	pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-	pow10u = [maxExactDigits + 1]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+	// pow10f[e+22] is 10^e rounded to float64: exact for e ≥ 0.
+	pow10f = [...]float64{1e-22, 1e-21, 1e-20, 1e-19, 1e-18, 1e-17, 1e-16, 1e-15,
+		1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3,
+		1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 )
 
-// scanNumber parses the strict JSON number that starts at b[i] exactly as
-// strconv.ParseFloat(s, 64) parses it, in one pass over its bytes, and
-// returns its end. ok is false when no number starts there, when the digits
-// after a sign, point or exponent marker are missing, on a leading zero, and
-// when the value is out of float64's range.
-func scanNumber(b []byte, i int) (v float64, end int, ok bool) {
-	start := i
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
+// scanNumber parses the strict JSON number that starts at b[i] in one pass
+// over its bytes and returns what the reference stores for it,
+// float32(strconv.ParseFloat(s, 64)), bit for bit, with its end. ok is false
+// when no number starts there, when the digits after a sign, point or
+// exponent marker are missing, on a leading zero, and when the value is out
+// of float64's range.
+func scanNumber(b []byte, i int) (v float32, end int, ok bool) {
+	if i >= len(b) {
+		return 0, 0, false
 	}
+	start, sign := i, uint32(0)
+	if b[i] == '-' {
+		sign = 1
+	}
+	i += int(sign) // and sign<<31 is the result's sign bit
 	lead := i
 	var w uint64
-	if i, w = digits(b, i, 0); i == lead || b[lead] == '0' && i > lead+1 {
+	if i, w = digits(b, i, 0); i == lead || i > lead+1 && b[lead] == '0' {
 		return 0, 0, false
 	}
 	nd, e := i-lead, 0
@@ -339,56 +367,49 @@ func scanNumber(b []byte, i int) (v float64, end int, ok bool) {
 		}
 	}
 	if nd <= maxExactDigits {
-		if v, ok = exactFloat(w, e); ok {
-			if neg {
-				v = -v
-			}
-			return v, i, true
+		if v, ok = guardedFloat32(w, e); ok {
+			return math.Float32frombits(math.Float32bits(v) | sign<<31), i, true
 		}
 	}
-	v, err := strconv.ParseFloat(string(b[start:i]), 64)
-	return v, i, err == nil
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return float32(f), i, err == nil
 }
 
-// exactFloat returns w·10^e correctly rounded to float64, when it is in
-// reach of one exact operation: ok is false otherwise.
-func exactFloat(w uint64, e int) (v float64, ok bool) {
-	switch {
-	case w == 0:
-		return 0, true
-	case w < 1<<53 && -22 <= e && e <= 22:
-		// Both operands exact, so the one rounding is the only one.
-		if e < 0 {
-			return float64(w) / pow10f[-e], true
-		}
-		return float64(w) * pow10f[e], true
-	case -maxExactDigits <= e && e < 0:
-		// w·2^s / 10^-e, with s putting the quotient in [2⁶², 2⁶⁴).
-		d := pow10u[-e]
-		s := 63 + bits.Len64(d) - bits.Len64(w)
-		var hi, lo uint64
-		if s >= 64 {
-			hi = w << (s - 64)
-		} else {
-			hi, lo = w>>(64-s), w<<s
-		}
-		q, r := bits.Div64(hi, lo, d)
-		return roundBits(q, r != 0, -s), true
-	}
-	return 0, false
-}
+// roundMargin is how near, in float64 ulps, guardedFloat32's estimate may
+// come to a float32 rounding midpoint before the number goes to
+// strconv.ParseFloat.
+const roundMargin = 3
 
-// roundBits returns (q + f)·2^e2 rounded to nearest-even, where q ≥ 2⁵³,
-// 0 ≤ f < 1, f > 0 exactly when sticky, and the result is a normal float64.
-func roundBits(q uint64, sticky bool, e2 int) float64 {
-	shift := bits.Len64(q) - 53
-	mant, rem, half := q>>shift, q&(1<<shift-1), uint64(1)<<(shift-1)
-	if rem > half || rem == half && (sticky || mant&1 == 1) {
-		if mant++; mant == 1<<53 {
-			mant, shift = mant>>1, shift+1
-		}
+// guardedFloat32 returns float32(RN(x)) for x = w·10^e, RN being the float64
+// rounding ParseFloat does, from one multiply, when that provably picks the
+// same float32; ok is false otherwise.
+//
+// The multiply's error: float64(w), the table's 10^e and their product are
+// each rounded to nearest once at most, so f = x(1+δ₁)(1+δ₂)(1+δ₃) with
+// |δᵢ| ≤ u = 2⁻⁵³. For f in [2^E, 2^(E+1)), ulp(f) = 2^(E−52) = 2u·2^E and
+// x < 2^(E+1)(1+4u), so |f − x| ≤ (3u + 4u²)·x < 3.001 ulp(f).
+//
+// The guard: the float32 rounding midpoint m of f's float32 cell is the
+// float64 of f's binade whose low 29 mantissa bits are 1<<28; the cell's
+// other edge is 2²⁷ ulps or more away, across a binade edge too. If f's low
+// bits r hold |r − 2²⁸| > roundMargin, f is ≥ 4 ulps from m, so x is
+// > 0.99 ulp from m on f's side. RN(x) moves x by ≤ 0.5 ulp, monotonically,
+// so it stays strictly on that side too, and RN(x) and f round to the same
+// float32: float32(f), one rounding of f.
+//
+// The range: f must be a float32 normal below the top binade (biased
+// exponent 897..1149), so zero and a value that may round past MaxFloat32
+// fall back. A float32 subnormal would need e < −22 and never gets here.
+func guardedFloat32(w uint64, e int) (v float32, ok bool) {
+	if uint(e+22) > 44 {
+		return 0, false
 	}
-	return math.Float64frombits(uint64(shift+e2+52+1023)<<52 | mant&(1<<52-1))
+	f := float64(w) * pow10f[e+22]
+	fb := math.Float64bits(f)
+	if fb>>52-897 >= 1150-897 || fb&(1<<29-1)-(1<<28-roundMargin) <= 2*roundMargin {
+		return 0, false
+	}
+	return float32(f), true
 }
 
 // dim scans one shape dimension: a plain positive integer up to maxScanDim.
@@ -445,9 +466,9 @@ func (s *bodyScanner) resolve() bool {
 }
 
 // scanValues parses one flat array of numbers into dst, counting the values
-// past len(dst) without storing them. Each number is parsed exactly as
-// encoding/json parses a float64 field, so float32(v) is bit-identical to the
-// reference; one out of float64's range is the reference's type error.
+// past len(dst) without storing them. Each number is the float32 the
+// reference stores for it, bit for bit; one out of float64's range is the
+// reference's type error.
 func (s *bodyScanner) scanValues(dst []float32) (count int, ok bool) {
 	if !s.eat('[') {
 		return 0, false
@@ -462,7 +483,7 @@ func (s *bodyScanner) scanValues(dst []float32) (count int, ok bool) {
 			return 0, false
 		}
 		if count < len(dst) {
-			dst[count] = float32(v)
+			dst[count] = v
 		}
 		count++
 		if i = skipSpace(b, end); i == len(b) {

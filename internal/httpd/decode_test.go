@@ -39,31 +39,41 @@ func testShapes(model string) ([]int, error) {
 // benchBody marshals what bench/load.go and a plain client send: the float32
 // sample widened to float64, the default model addressed by omission.
 func benchBody(tb testing.TB, model string, batch int, shape ...int) []byte {
+	return benchBodies(tb, 1, model, batch, shape...)[0]
+}
+
+// benchBodies marshals n such bodies, each with fresh N(0,1) draws; the
+// first is benchBody's.
+func benchBodies(tb testing.TB, n int, model string, batch int, shape ...int) [][]byte {
 	tb.Helper()
 	rng := tensor.NewRNG(7)
-	inputs := make([][]float64, max(batch, 1))
-	for i := range inputs {
-		x := tensor.New(shape...)
-		rng.FillNormal(x, 0, 1)
-		for _, v := range x.Data() {
-			inputs[i] = append(inputs[i], float64(v))
+	bodies := make([][]byte, n)
+	for k := range bodies {
+		inputs := make([][]float64, max(batch, 1))
+		for i := range inputs {
+			x := tensor.New(shape...)
+			rng.FillNormal(x, 0, 1)
+			for _, v := range x.Data() {
+				inputs[i] = append(inputs[i], float64(v))
+			}
 		}
+		var v any = struct {
+			Model string    `json:"model,omitempty"`
+			Input []float64 `json:"input"`
+		}{model, inputs[0]}
+		if batch > 0 {
+			v = struct {
+				Model  string      `json:"model,omitempty"`
+				Inputs [][]float64 `json:"inputs"`
+			}{model, inputs}
+		}
+		body, err := json.Marshal(v)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies[k] = body
 	}
-	var v any = struct {
-		Model string    `json:"model,omitempty"`
-		Input []float64 `json:"input"`
-	}{model, inputs[0]}
-	if batch > 0 {
-		v = struct {
-			Model  string      `json:"model,omitempty"`
-			Inputs [][]float64 `json:"inputs"`
-		}{model, inputs}
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return body
+	return bodies
 }
 
 // checkAgainstReference is the differential oracle: a body the scanner takes
@@ -418,10 +428,20 @@ func TestHandleInferAllocs(t *testing.T) {
 
 var decodeSink []sample
 
-// benchDecode times the reference decode against the scanner on one body.
-func benchDecode(b *testing.B, size string, body []byte, batch bool) {
-	if sc := (bodyScanner{b: body, batch: batch, deployed: testShapes}); !sc.scan() {
-		b.Fatal("scanner declined the benchmark body")
+// decodeBenchBodies is how many distinct bodies a decode benchmark rotates
+// over: one body decoded again and again trains the branch predictor on its
+// number lengths and signs, which no stream of requests does.
+const decodeBenchBodies = 16
+
+// benchDecode times the reference decode against the scanner over bodies,
+// one after another.
+func benchDecode(b *testing.B, size string, bodies [][]byte, batch bool) {
+	total := 0
+	for _, body := range bodies {
+		if sc := (bodyScanner{b: body, batch: batch, deployed: testShapes}); !sc.scan() {
+			b.Fatal("scanner declined a benchmark body")
+		}
+		total += len(body)
 	}
 	for _, path := range []struct {
 		name   string
@@ -429,9 +449,9 @@ func benchDecode(b *testing.B, size string, body []byte, batch bool) {
 	}{{"stdlib", decodeStdlib}, {"direct", decodeSamples}} {
 		b.Run(path.name+"/"+size, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(len(body)))
+			b.SetBytes(int64(total / len(bodies)))
 			for i := 0; i < b.N; i++ {
-				_, samples, err := path.decode(body, batch, testShapes)
+				_, samples, err := path.decode(bodies[i%len(bodies)], batch, testShapes)
 				if err != nil || samples[0].err != nil {
 					b.Fatal(err, samples[0].err)
 				}
@@ -442,14 +462,14 @@ func benchDecode(b *testing.B, size string, body []byte, batch bool) {
 }
 
 // BenchmarkDecodeInferBody is the decode rung at the two zoo sample sizes, on
-// the body the benchmark sends.
+// bodies like those the benchmark sends.
 func BenchmarkDecodeInferBody(b *testing.B) {
-	benchDecode(b, "3x16x16", benchBody(b, "bench", 0, 3, 16, 16), false)
-	benchDecode(b, "3x32x32", benchBody(b, "cifar", 0, 3, 32, 32), false)
+	benchDecode(b, "3x16x16", benchBodies(b, decodeBenchBodies, "bench", 0, 3, 16, 16), false)
+	benchDecode(b, "3x32x32", benchBodies(b, decodeBenchBodies, "cifar", 0, 3, 32, 32), false)
 }
 
 // BenchmarkDecodeBatchBody is the same rung for fleet_batch_int8's body: 16
 // samples into one backing.
 func BenchmarkDecodeBatchBody(b *testing.B) {
-	benchDecode(b, "16x3x16x16", benchBody(b, "bench", 16, 3, 16, 16), true)
+	benchDecode(b, "16x3x16x16", benchBodies(b, decodeBenchBodies, "bench", 16, 3, 16, 16), true)
 }

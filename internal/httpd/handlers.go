@@ -239,10 +239,10 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInferBatch fans a batch through the fleet concurrently and streams
-// one NDJSON line per sample in completion order, flushing after every line
-// so a slow sample does not hold back the fast ones. Per-sample failures are
-// reported in-line (with the status they would have carried standalone); the
-// stream itself is always 200 once the request parses.
+// one NDJSON line per sample in completion order, so a slow sample does not
+// hold back the fast ones. Per-sample failures are reported in-line (with the
+// status they would have carried standalone); the stream itself is always 200
+// once the request parses.
 func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	model, samples, err := s.decodeRequest(w, r, true)
 	if err != nil {
@@ -260,12 +260,17 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	var mu sync.Mutex
 	served := false // under mu: at least one sample got a label
+	// Emits begun whose line is not yet written. Only the writer that
+	// leaves none behind flushes: a line it leaves is already computed, its
+	// emitter is queued on mu, and the last of those emitters flushes.
+	var pending atomic.Int64
 	emit := func(line batchLine) {
+		pending.Add(1)
 		mu.Lock()
 		defer mu.Unlock()
 		served = served || line.Error == ""
 		_ = enc.Encode(line)
-		if flusher != nil {
+		if pending.Add(-1) == 0 && flusher != nil {
 			flusher.Flush()
 		}
 	}

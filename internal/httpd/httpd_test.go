@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,6 +237,83 @@ func TestInferBatchNDJSON(t *testing.T) {
 		if seen[i] != label {
 			t.Fatalf("sample %d: streamed label %d != direct %d", i, seen[i], label)
 		}
+	}
+}
+
+// holdTap holds the first protocol run it sees until release is closed and
+// lets every other run through. A tap fires before the run's callers are
+// answered, so the held run's sample stays unanswered.
+type holdTap struct {
+	held    atomic.Bool
+	release chan struct{}
+}
+
+func (h *holdTap) TapRun(string, tee.Device, string, int, []tee.Event) float64 {
+	if h.held.CompareAndSwap(false, true) {
+		<-h.release
+	}
+	return 0
+}
+
+// TestInferBatchStreamsPastAHeldSample: over a real socket, every line of a
+// batch reaches the client while one of its samples is still held in the
+// fleet; only that sample's line waits for it.
+func TestInferBatchStreamsPastAHeldSample(t *testing.T) {
+	tap := &holdTap{release: make(chan struct{})}
+	s, _ := testServer(t, func(c *fleet.Config) {
+		c.Nodes[0].Workers = 2 // one holds the sample, one serves the rest
+		c.MaxBatch = 1
+		c.Tap = tap
+	}, nil)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	var once sync.Once
+	release := func() { once.Do(func() { close(tap.release) }) }
+	t.Cleanup(release) // ahead of srv.Close, which waits for the handler
+
+	const n = 8
+	inputs := make([][]float64, n)
+	for i := range inputs {
+		for _, v := range randSample(uint64(300 + i)).Data() {
+			inputs[i] = append(inputs[i], float64(v))
+		}
+	}
+	body, _ := json.Marshal(map[string]any{"inputs": inputs})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/infer/batch", bytes.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch = %d", resp.StatusCode)
+	}
+	lines := bufio.NewReader(resp.Body)
+	seen := make(map[int]bool)
+	readLine := func() {
+		t.Helper()
+		line, err := lines.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("after %d lines, with a sample held %v: %v", len(seen), tap.held.Load(), err)
+		}
+		var bl batchLine
+		if err := json.Unmarshal(line, &bl); err != nil || bl.Error != "" || seen[bl.Index] {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		seen[bl.Index] = true
+	}
+	for len(seen) < n-1 {
+		readLine()
+	}
+	if !tap.held.Load() {
+		t.Fatal("no sample was held")
+	}
+	release()
+	readLine()
+	if rest, err := io.ReadAll(lines); err != nil || len(rest) != 0 {
+		t.Fatalf("after the last line: %q, %v", rest, err)
 	}
 }
 

@@ -15,8 +15,9 @@ var strictNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0
 
 // checkNumber is the number path's oracle: scanNumber takes the whole of b
 // iff b is a strict JSON number strconv.ParseFloat puts in float64's range,
-// and then returns ParseFloat's bits. Whatever prefix it takes of a longer
-// input must pass the same oracle.
+// and then returns the bits of float32(ParseFloat), what the reference
+// decode stores. Whatever prefix it takes of a longer input must pass the
+// same oracle.
 func checkNumber(t *testing.T, b []byte) {
 	t.Helper()
 	_, end, ok := scanNumber(b, 0)
@@ -34,13 +35,14 @@ func checkNumber(t *testing.T, b []byte) {
 }
 
 // checkStrictNumber is the oracle for b known to be a strict JSON number:
-// the scanner takes all of it when ParseFloat has it in range, with
-// ParseFloat's bits, and declines it otherwise.
+// the scanner takes all of it when ParseFloat has it in range, with the bits
+// of float32(ParseFloat), and declines it otherwise.
 func checkStrictNumber(t *testing.T, b []byte) {
 	v, end, ok := scanNumber(b, 0)
-	want, err := strconv.ParseFloat(string(b), 64)
-	if ok != (err == nil) || ok && (end != len(b) || math.Float64bits(v) != math.Float64bits(want)) {
-		t.Fatalf("%q: scanner (%v, %d, %v), ParseFloat (%v, %v)", b, v, end, ok, want, err)
+	f, err := strconv.ParseFloat(string(b), 64)
+	want := float32(f)
+	if ok != (err == nil) || ok && (end != len(b) || math.Float32bits(v) != math.Float32bits(want)) {
+		t.Fatalf("%q: scanner (%v, %d, %v), float32(ParseFloat) (%v, %v)", b, v, end, ok, want, err)
 	}
 }
 
@@ -57,10 +59,15 @@ var numberSeeds = []string{
 	"1e4294967296", "1e-4294967296", "1e09999", "1e00001", "12345e-0004",
 	"", "-", "+1", ".5", "1.", "1.e5", "1e", "1e+", "01", "-01", "00", "0x10", "1_0", "Inf", "NaN", "1.5.", "1e5e",
 	"1 ", "12345678x", "1234567812345678,", "0.123456781234567812345678]",
+	// A float32 midpoint (1 + 2⁻²⁴) the guard sends to ParseFloat, the
+	// float32 overflow midpoint, a float32 subnormal, and digit runs ended
+	// by bytes below '0' and past 0x7F.
+	"1.0000000596046448", "-1.0000000596046448e+00", "3.4028235677973366e38", "1e-40", "-1e-40",
+	"1.2345678\x00", "0.12345678901234567\x80",
 }
 
-// FuzzScanNumber holds the one-pass number scanner to strconv.ParseFloat and
-// the JSON grammar on arbitrary bytes.
+// FuzzScanNumber holds the one-pass number scanner to float32(ParseFloat)
+// and the JSON grammar on arbitrary bytes.
 func FuzzScanNumber(f *testing.F) {
 	for _, s := range numberSeeds {
 		f.Add([]byte(s))
@@ -70,9 +77,9 @@ func FuzzScanNumber(f *testing.F) {
 
 // TestScanNumberMatchesParseFloat is the deterministic differential: over
 // three million numbers drawn from what clients send, from random digit
-// strings, and from the values where rounding is decided (exact ties and
-// their neighbours, on the product and the quotient path), the scanner
-// returns ParseFloat's bits.
+// strings, and from the values where rounding is decided (float64 ties and
+// their neighbours, float32 midpoints and their float64 neighbours out past
+// the guard's margin), the scanner returns float32(ParseFloat)'s bits.
 func TestScanNumberMatchesParseFloat(t *testing.T) {
 	for _, s := range numberSeeds {
 		checkNumber(t, []byte(s))
@@ -103,10 +110,12 @@ func TestScanNumberMatchesParseFloat(t *testing.T) {
 		q := 1<<52 | rng.Uint64()&(1<<52-1)
 		return (q<<1|1)<<(s-1) + uint64(rng.Intn(3)) - 1
 	}
+	pow10u := [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5}
+	precisions := [...]int{-1, 16, 8}
 	const n = 3_000_000
 	for i := 0; i < n; i++ {
 		var b []byte
-		switch i % 9 {
+		switch i % 10 {
 		case 0: // a float32 of random bits, widened as a client widens it
 			f := math.Float32frombits(rng.Uint32())
 			if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
@@ -143,6 +152,17 @@ func TestScanNumberMatchesParseFloat(t *testing.T) {
 			m := (1<<53/five + rng.Uint64()%(1<<53/five)) | 1
 			b = strconv.AppendUint(nil, m<<(sh-1-e)+uint64(rng.Intn(3))-1, 10)
 			b = strconv.AppendInt(append(b, 'e'), int64(e), 10)
+		case 9: // float32 midpoints and their float64 neighbours, in each form
+			f := float32(math.Abs(rng.NormFloat64()))
+			if rng.Intn(2) == 0 {
+				f = math.Float32frombits(rng.Uint32() &^ (1 << 31))
+			}
+			if !(f >= 0x1p-126 && f <= math.MaxFloat32/2) {
+				f = 1
+			}
+			k := int64(rng.Intn(2*roundMargin+5)) - roundMargin - 2
+			m := math.Float64frombits(uint64(int64(math.Float64bits(float64(f))) + 1<<28 + k))
+			b = strconv.AppendFloat(nil, m, "gef"[rng.Intn(3)], precisions[rng.Intn(3)], 64)
 		}
 		if rng.Intn(4) == 0 && b[0] != '-' {
 			b = append([]byte{'-'}, b...)
@@ -151,41 +171,75 @@ func TestScanNumberMatchesParseFloat(t *testing.T) {
 	}
 }
 
-// TestExactFloatPaths: each exact conversion is reached and agrees with
-// ParseFloat, and what none of them can do exactly is declined.
-func TestExactFloatPaths(t *testing.T) {
+// TestGuardedFloat32Paths: the one multiply is taken for a float32 normal
+// clear of a rounding midpoint, and everything else falls back: zero, the
+// top binade, a guard hit, and an exponent past the table.
+func TestGuardedFloat32Paths(t *testing.T) {
 	for _, c := range []struct {
 		w    uint64
 		e    int
-		path string
+		fast bool
 	}{
-		{0, 400, "zero"},
-		{1<<53 - 1, -22, "float"},
-		{1<<53 - 1, 22, "float"},
-		{1<<53 + 1, -1, "div"},
-		{9999999999999999999, -19, "div"},
-		{1<<53 + 1, 0, ""},
-		{9999999999999999999, 19, ""},
-		{1<<53 + 1, -20, ""},
-		{1<<53 + 1, 20, ""},
-		{1, 23, ""},
-		{1, -23, ""},
+		{12345, -5, true},
+		{9999999999999999999, -19, true},
+		{1<<53 + 1, 22, true},
+		{1, -22, true},
+		{0, 0, false},
+		{20000000000000000, 22, false},  // 2e38: the top binade
+		{10000000596046448, -16, false}, // 1 + 2⁻²⁴, a float32 midpoint
+		{10000000596046447, -16, false}, // a decimal ulp below it
+		{1, -23, false},
+		{1, 23, false},
 	} {
-		v, ok := exactFloat(c.w, c.e)
-		if ok != (c.path != "") {
-			t.Fatalf("exactFloat(%d, %d) ok = %v, want path %q", c.w, c.e, ok, c.path)
+		v, ok := guardedFloat32(c.w, c.e)
+		if ok != c.fast {
+			t.Fatalf("guardedFloat32(%d, %d) ok = %v, want %v", c.w, c.e, ok, c.fast)
 		}
 		s := strconv.FormatUint(c.w, 10) + "e" + strconv.Itoa(c.e)
-		if want, _ := strconv.ParseFloat(s, 64); ok && v != want {
-			t.Fatalf("exactFloat(%s) = %v, ParseFloat %v", s, v, want)
+		if f, _ := strconv.ParseFloat(s, 64); ok && v != float32(f) {
+			t.Fatalf("guardedFloat32(%s) = %v, float32(ParseFloat) %v", s, v, float32(f))
 		}
 	}
 }
 
-// TestEightDigits: the SWAR step reads eight digits as the digit loop does
-// and stops at the first byte that is not one.
+// TestGuardedFloat32TakesWireNumbers: the guard is not merely correct but
+// taken. Of the numbers a client sends for an N(0,1) float32 sample, at
+// least 99.9 % convert in the one multiply.
+func TestGuardedFloat32TakesWireNumbers(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	const n = 200_000
+	fast := 0
+	for i := 0; i < n; i++ {
+		b, _ := json.Marshal(float64(float32(rng.NormFloat64())))
+		// The significant digits and the exponent scanNumber folds.
+		s, exp := strings.TrimPrefix(string(b), "-"), 0
+		if k := strings.IndexAny(s, "eE"); k >= 0 {
+			exp, _ = strconv.Atoi(s[k+1:])
+			s = s[:k]
+		}
+		if k := strings.IndexByte(s, '.'); k >= 0 {
+			exp -= len(s) - k - 1
+			s = s[:k] + s[k+1:]
+		}
+		s = strings.TrimLeft(s, "0")
+		w, err := strconv.ParseUint(s, 10, 64)
+		if err != nil || len(s) > maxExactDigits {
+			continue
+		}
+		if _, ok := guardedFloat32(w, exp); ok {
+			fast++
+		}
+	}
+	if float64(fast) < 0.999*n {
+		t.Fatalf("fast path took %d of %d wire numbers, want ≥ 99.9 %%", fast, n)
+	}
+}
+
+// TestEightDigits: the word step reads digits as the digit loop does and
+// stops at the first byte that is not one, wherever in a word it falls.
 func TestEightDigits(t *testing.T) {
-	for _, s := range []string{"12345678", "00000000", "99999999", "1234567x9", "123456789012345678", "/0123456", ":", "9876543:"} {
+	for _, s := range []string{"12345678", "00000000", "99999999", "1234567x9", "123456789012345678", "/0123456", ":", "9876543:",
+		"1234567812345678", "12345678123456781]", "12345678\x80", "1.234567890", "123\xb9\xba45678", "0000000000000000000000001e5"} {
 		i, w := eightDigits([]byte(s), 0, 7)
 		j, v := digits([]byte(s), 0, 7)
 		if i != j || w != v {
