@@ -399,10 +399,11 @@ func TestOverCap(t *testing.T) {
 }
 
 // TestHandleInferAllocs pins the /v1/infer handler's steady-state allocations
-// through the whole middleware chain. The request and recorder the test
-// builds are inside the count (52 in all at GOMAXPROCS 2); what the budget
-// cannot hold is the 25 more of encoding/json growing a []float64, should the
-// reference decode quietly become the path again.
+// through the whole middleware chain at what they measure. The request and
+// recorder the test builds are inside the count: 47 in all at GOMAXPROCS 1,
+// 2 and 4, 48 at 8, and raceAllocs more under the race detector. The budget
+// cannot hold the 25 more of encoding/json growing a []float64, should the
+// reference decode quietly become the path again, nor one more of anything.
 func TestHandleInferAllocs(t *testing.T) {
 	s, _ := testServer(t, nil, nil)
 	h := s.Handler()
@@ -420,7 +421,7 @@ func TestHandleInferAllocs(t *testing.T) {
 		post()
 	}
 	allocs := testing.AllocsPerRun(100, post)
-	const budget = 60
+	const budget = 48 + raceAllocs
 	if allocs > budget {
 		t.Fatalf("steady-state POST /v1/infer allocates %.1f/op, budget %d", allocs, budget)
 	}

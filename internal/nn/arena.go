@@ -58,9 +58,10 @@ func NewArena() *Arena {
 
 // ColScratch returns worker w's float32 scratch grown to at least n floats.
 // A convolution draws tensor.ConvScratchLen of it: under the tile kernel the
-// sample copied inside its zero border (about 1.3× a 16×16 input; nothing
-// for an unpadded or pointwise convolution), and the Im2Col column matrix
-// the buffer is named after only under the portable kernel. A depthwise
+// run table its panels are packed through (a few hundred entries; nothing
+// for a pointwise convolution) and, for a 2×2 stage on the narrow kernel,
+// its patch matrix; the Im2Col column matrix the buffer is named after only
+// under the portable kernel. A depthwise
 // convolution draws tensor.DepthwiseScratchLen: one channel inside its zero
 // border. The int8 dense layer keeps its per-row activation scales in
 // worker 0's. Contents are undefined; callers overwrite before reading.

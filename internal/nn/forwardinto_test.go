@@ -452,3 +452,34 @@ func TestConvForwardIntoBNMatchesSeparateLayers(t *testing.T) {
 		}
 	}
 }
+
+// TestConvForwardIntoBNAllocatesNothing: one sample through the fused conv
+// of every VGG18-S stage (3×3, stride 1, pad 1), with a warm arena,
+// allocates nothing — on the tile path and, packed as a deployment packs
+// the 2×2 stages, on the narrow kernel.
+func TestConvForwardIntoBNAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs AllocsPerRun")
+	}
+	rng := tensor.NewRNG(94)
+	for _, s := range []struct{ inC, outC, hw int }{
+		{3, 16, 16}, {16, 16, 16}, {16, 32, 8}, {32, 32, 8},
+		{32, 48, 4}, {48, 48, 4}, {48, 64, 2}, {64, 64, 2},
+	} {
+		conv := NewConv2D("c", s.inC, s.outC, 3, 1, 1, false, rng)
+		bn := testNorm(s.outC, rng)
+		x := tensor.New(1, s.inC, s.hw, s.hw)
+		rng.FillNormal(x, 0, 1)
+		dst := tensor.New(conv.OutShape(x.Shape())...)
+		for _, packed := range []bool{false, true} {
+			if packed {
+				conv.PackNarrow(x.Shape())
+			}
+			a := NewArena()
+			conv.ForwardIntoBN(dst, x, a, bn, true) // warm the arena
+			if allocs := testing.AllocsPerRun(20, func() { conv.ForwardIntoBN(dst, x, a, bn, true) }); allocs != 0 {
+				t.Errorf("%+v packed=%v: %v allocations per sample, want 0", s, packed, allocs)
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package tensor
 
+import "unsafe"
+
 // ConvGeom is the geometry of one convolution over a single CHW image: C
 // channels of H×W, a KH×KW window, and the stride and zero padding applied in
 // both spatial dimensions.
@@ -22,12 +24,11 @@ func (g ConvGeom) pointwise() bool {
 
 // ConvScratchLen returns the scratch, in floats, ConvGemmFusedParallel and
 // ConvGemmFusedSerial need for one image of geometry g. With the tile kernel
-// that is the image inside its zero border, C·(H+2·Pad)·(W+2·Pad), and
-// nothing for an unpadded convolution, or — when the product may run the
-// narrow kernel (NarrowConv) and that needs more — its patch matrix and
-// gather table (narrowScratchLen). The portable kernel (see KernelStatus)
-// streams whole rows of the column matrix, so it needs Im2ColLen. A
-// pointwise convolution needs none under any kernel.
+// that is the run table the panels are packed through (two floats an
+// entry, see convRun), and — when the product may run the narrow kernel
+// (NarrowConv) — the [C·KH·KW, n] patch matrix behind it. The portable
+// kernel (see KernelStatus) streams whole rows of the column matrix, so it
+// needs Im2ColLen. A pointwise convolution needs none under any kernel.
 func ConvScratchLen(g ConvGeom) int {
 	switch {
 	case g.pointwise():
@@ -35,12 +36,11 @@ func ConvScratchLen(g ConvGeom) int {
 	case f32Level == f32Scalar:
 		return Im2ColLen(g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad)
 	}
-	n := 0
-	if g.Pad != 0 {
-		n = g.C * (g.H + 2*g.Pad) * (g.W + 2*g.Pad)
-	}
+	_, entries := convRunsShape(g)
+	n := 2 * entries
 	if NarrowConv(g) {
-		n = max(n, narrowScratchLen(g))
+		oh, ow := g.OutDims()
+		n += g.C * g.KH * g.KW * oh * ow
 	}
 	return n
 }
@@ -49,23 +49,21 @@ func ConvScratchLen(g ConvGeom) int {
 // of one CHW image with the [m, C·KH·KW] weight matrix a, into the
 // [m, OH·OW] output — where cols is the Im2Col matrix of img under g. nw,
 // when not nil, is a packed by PackNarrow: a product NarrowConv admits then
-// runs the narrow kernel against it on the calling goroutine, its b
-// gathered straight from the image (or the image itself, when pointwise),
-// and a is not read. Either way the result is the
-// same products summed in the same (channel, ky, kx) order from +0, a
-// padding tap multiplied as +0 and never skipped, so the result is bit for
-// bit that of Im2Col followed by GemmFusedParallel. The column matrix is
-// not built. The tile kernel's panels are packed straight from the image:
-// img is copied once into scratch (ConvScratchLen floats, contents
-// irrelevant before and undefined after) with a zero border, every cell of
-// which is written on every call, so the scratch may be shared by
-// convolutions of different geometry; in that plane each tap of each output
-// row is one contiguous (or, at stride > 1, evenly strided) run, and a
-// panel row is filled from those runs. Row-range workers of a product
-// large enough to fan out (gemmGrain, as for GemmFusedParallel) each pack
-// their own panels from the shared plane. The portable kernel lowers with
-// Im2Col into scratch instead. Like GemmFusedParallel it must not be called
-// from inside a Parallel region.
+// runs the narrow kernel against it on the calling goroutine, its b packed
+// straight from the image (or the image itself, when pointwise), and a is
+// not read. Either way the result is the same products summed in the same
+// (channel, ky, kx) order from +0, a padding tap multiplied as +0 and never
+// skipped, so the result is bit for bit that of Im2Col followed by
+// GemmFusedParallel. The column matrix is not built. The tile kernel's
+// panels are packed straight from the unpadded image through a run table
+// (convRun) written into scratch (ConvScratchLen floats, contents
+// irrelevant before and undefined after) on every call, so the scratch may
+// be shared by convolutions of different geometry; a panel row is one
+// zero-masked load per run, which reads only the image. Row-range workers
+// of a product large enough to fan out (gemmGrain, as for
+// GemmFusedParallel) each pack their own panels from the shared image and
+// table. The portable kernel lowers with Im2Col into scratch instead. Like
+// GemmFusedParallel it must not be called from inside a Parallel region.
 //
 // What it replaced, per VGG18-S stage convolution (3×3, stride 1, pad 1) on
 // the reference box at avx512-tile8x16 — BenchmarkConvGemm, one image, µs
@@ -75,30 +73,30 @@ func ConvScratchLen(g ConvGeom) int {
 // matrix given, the floor a panel packer can approach, and narrow is this
 // entry with the weights packed as a deployment packs them, which the 2×2
 // stages run on the narrow kernel (its branch total is the branch as
-// deployed, the tile kernel elsewhere):
+// deployed, the tile kernel elsewhere). The last two columns were read on a
+// shared 2-vCPU Xeon at 2.1 GHz (AVX-512), as deployed (tile, narrow at
+// 2×2), the fastest of twelve interleaved passes (medians there spread by
+// ±20 %): plane is the
+// panels packed from a copy of the image inside its zero border, with the
+// 2×2 stages' patches gathered per element (VGATHERDPS); runs is this
+// entry, every panel row one masked load per run from the image itself:
 //
-//	stage          lowered    tile    gemm   narrow
-//	 3x16x16→16      14.8      7.4     6.7
-//	16x16x16→16      69.4     37.2    28.1
-//	16x8x8→32        34.7     15.6    13.0
-//	32x8x8→32        64.2     29.4    27.1
-//	32x4x4→48        28.8     11.9     9.9
-//	48x4x4→48        44.9     17.1    13.8
-//	48x2x2→64        29.4     16.1    13.9     5.1
-//	64x2x2→64        44.0     24.4    18.8     6.8
-//	one branch      330.2    159.1   131.2   130.6
+//	stage          lowered    tile    gemm   narrow    plane    runs
+//	 3x16x16→16      14.8      7.4     6.7              4.6      4.3
+//	16x16x16→16      69.4     37.2    28.1             20.5     18.1
+//	16x8x8→32        34.7     15.6    13.0              9.5      9.8
+//	32x8x8→32        64.2     29.4    27.1             19.9     16.8
+//	32x4x4→48        28.8     11.9     9.9              7.8      6.2
+//	48x4x4→48        44.9     17.1    13.8             12.3      9.0
+//	48x2x2→64        29.4     16.1    13.9     5.1      3.6      3.5
+//	64x2x2→64        44.0     24.4    18.8     6.8      4.7      4.4
+//	one branch      330.2    159.1   131.2   130.6     82.8     72.1
 //
-// A Go loop of fixed-size array copies in place of packConvSIMD is the step
-// that did not land (one branch 148.5 against 112.1, in the quieter session
-// that chose the packer): the compiler turns any copy over 16 bytes between
-// slices it cannot prove disjoint into a memmove call, at 5–10 ns a panel
-// row against packConvSIMD's 1–2. What is left above gemm on the 4×4
-// stages is mostly padImage, a copy and a clear per image row of 4 floats;
-// the 2×2 stages, where it and the panel cost as much as the product,
-// gather their patch matrix straight from the image instead (narrow.go).
-// Other geometries (odd widths, strides whose tiles cross output rows) go
-// through packConv's Go loop and read level with lowered (±5 %); stride 2
-// at ow = 16 reads 43 µs against 50.
+// The plane cost a copy and a clear call per image row, 13 µs a branch.
+// Per-element gathers were slower than it on the tile shapes (13.2 µs
+// against 9.1 for copy and pack at 16×16×16). The run table is built per
+// call, a few hundred entries (tiles clear of the border copy their
+// neighbour's); at 3×16×16 and 16×8×8 that costs about what the plane did.
 func ConvGemmFusedParallel(dst, a []float32, nw *NarrowWeights, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue) {
 	convGemm(dst, a, nw, img, m, g, scratch, ep, true)
 }
@@ -127,150 +125,220 @@ func convSource(img []float32, g ConvGeom, scratch []float32) (b panelSource, n,
 	img, scratch = img[:g.C*g.H*g.W], scratch[:ConvScratchLen(g)]
 	switch {
 	case g.pointwise():
-		b.dense = img
+		b = denseSource(img, n)
 	case f32Level == f32Scalar:
-		b.dense = scratch
+		b = denseSource(scratch, n)
 		Im2Col(img, g.C, g.H, g.W, g.KH, g.KW, g.Stride, g.Pad, scratch)
 	default:
-		b = padImage(scratch, img, g)
+		b = convPanels(img, g, scratch)
 	}
 	return b, n, k
 }
 
-// panelSource is where the tile kernel's b panels come from: a dense
-// row-major [k,n] matrix, or — when plane is set — a convolution's image, of
-// which row p of b is tap (channel, ky, kx) = p in ascending order and
-// column j is output position (j / ow, j % ow).
+// panelSource is where the tile kernel's b panels come from: a
+// convolution's image, of which row p of b is tap (channel, ky, kx) = p in
+// ascending order and column j is output position (j / ow, j % ow), read
+// through its run table (buildRuns: for each column tile, for each of the
+// taps window taps, perTap entries); or, without a table, a dense
+// row-major [k,n] matrix, which is the image of a pointwise convolution —
+// k channels of n — whose tiles have one run each.
 type panelSource struct {
-	dense []float32
-
-	// plane holds the image's channels one after another, chanLen floats
-	// each in rows of pw, zero border included. ow is the output width, kh×kw
-	// the window. run is nonzero when every tile is made of evenly spaced
-	// source runs of that one length, which packConvSIMD then copies: at
-	// stride 1, 8 when 8 divides ow, else ow when that is 4 or 2; at larger
-	// strides single floats, when a tile never leaves its output row
-	// (tileCols divides ow). Every other geometry is packed by packConv's
-	// own loop.
-	plane       []float32
-	pw, chanLen int
-	ow, kh, kw  int
-	stride, run int
+	img          []float32 // the channels one after another, hw floats each
+	runs         []convRun
+	taps, perTap int
+	hw           int
 }
 
-// padImage lays img out as the plane packConv reads — filling scratch, inside
-// a border of g.Pad zeros, or in place when there is no padding — and
-// returns the source over it. The border is written here, on every call, together
-// with the interior: one clear covers the right border of a row and the
-// left border of the next.
-func padImage(scratch, img []float32, g ConvGeom) panelSource {
-	pw, ph := g.W+2*g.Pad, g.H+2*g.Pad
-	_, ow := g.OutDims()
-	b := panelSource{plane: img, pw: pw, chanLen: ph * pw, ow: ow, kh: g.KH, kw: g.KW, stride: g.Stride}
+// denseSource is the source of the row-major [k,n] matrix b.
+func denseSource(b []float32, n int) panelSource {
+	return panelSource{img: b, taps: 1, perTap: 1, hw: n}
+}
+
+// convRun is one source run of a panel row: the lanes of a column tile
+// whose sources lie at one offset from the lane — the positions of one
+// output row at stride 1, the whole tile when the image is as wide as the
+// output (a "same" convolution, every VGG18-S stage), a single position at
+// larger strides — which one masked 16-lane load fills. Every channel
+// repeats the same runs, so one table serves them all. Lane i of the load
+// reads the channel's float off+i; only the lanes set in lanes are read,
+// so a padding tap loads +0 and touches no memory. The assembly addresses
+// the fields by offset.
+type convRun struct {
+	off   int32  // 0: floats from the channel's first value to lane 0's
+	lanes uint32 // 4: one bit per lane whose source is in the image
+}
+
+// convRunsShape returns how many runs a tap of one column tile has under
+// g — one for a "same" convolution at stride 1; at stride 1 otherwise, the
+// most output rows a tile of tileCols positions crosses; at larger
+// strides, one per position — and the entries of g's run table: that many
+// per column tile and window tap.
+func convRunsShape(g ConvGeom) (perTap, entries int) {
+	oh, ow := g.OutDims()
+	n := oh * ow
 	switch {
 	case g.Stride > 1:
-		if ow%tileCols == 0 {
-			b.run = 1
+		perTap = min(tileCols, n)
+	case ow == g.W:
+		perTap = 1
+	default:
+		for j0 := 0; j0 < n; j0 += tileCols {
+			perTap = max(perTap, (min(j0+tileCols, n)-1)/ow-j0/ow+1)
 		}
-	case ow%8 == 0:
-		b.run = 8
-	case ow == 4 || ow == 2:
-		b.run = ow
 	}
-	if g.Pad == 0 {
-		return b
-	}
-	b.plane = scratch
-	gap := 2 * g.Pad
-	lead := g.Pad*pw + g.Pad // the top border rows and the first row's left border
-	d, s := 0, 0
-	for ch := 0; ch < g.C; ch++ {
-		clear(b.plane[d : d+lead])
-		d += lead
-		for y := 0; y < g.H; y++ {
-			copy(b.plane[d:d+g.W], img[s:s+g.W])
-			clear(b.plane[d+g.W : d+g.W+gap])
-			d += g.W + gap
-			s += g.W
-		}
-		clear(b.plane[d : d+lead-gap]) // what is left of the bottom border rows
-		d += lead - gap
-	}
+	return perTap, (n + tileCols - 1) / tileCols * g.KH * g.KW * perTap
+}
+
+// convPanels returns the source the tile kernel packs img's panels from
+// under g, its run table built into the head of scratch.
+func convPanels(img []float32, g ConvGeom, scratch []float32) panelSource {
+	perTap, entries := convRunsShape(g)
+	b := panelSource{img: img, taps: g.KH * g.KW, perTap: perTap, hw: g.H * g.W}
+	b.runs = unsafe.Slice((*convRun)(unsafe.Pointer(unsafe.SliceData(scratch[:2*entries]))), entries)
+	buildRuns(b.runs, g, perTap)
 	return b
 }
 
-// packArgs is what one packConvSIMD call reads; the assembly addresses the
-// fields by offset, so the layout is part of its contract. Steps are in
-// bytes.
-type packArgs struct {
-	dst     *float32 // 0: panel, kb rows of tileCols floats
-	src     *float32 // 8: the first tap's source for the tile's first column
-	kb      int      // 16: taps to pack, at least 1
-	runStep int      // 24: from one run's source to the next
-	runs    int      // 32: runs per panel row, at least 1
-	kxLeft  int      // 40: taps left in the first tap's window row, itself included
-	kyLeft  int      // 48: window rows left in its channel, its own included
-	rowSkip int      // 56: from a window row's last tap to the next row's first, less one float
-	chSkip  int      // 64: from a channel's last window row to the next channel's first, on top of rowSkip
-	kw, kh  int      // 72, 80
-	run     int      // 88: floats per run: 8, 4, 2 or 1
-}
-
-// packConv fills rows [0, kb) of the panel with taps [p0, p0+kb) of output
-// positions [j0, j0+w): what packPanelSIMD would copy out of the column
-// matrix, read from the plane instead. Columns past w are left as they are;
-// the tile kernel never stores them.
-func (b *panelSource) packConv(panel *[kBlock * tileCols]float32, j0, w, p0, kb int) {
-	oy, ox := j0/b.ow, j0%b.ow
-	taps := b.kh * b.kw
-	ch, tap := p0/taps, p0%taps
-	ky, kx := tap/b.kw, tap%b.kw
-	if b.run != 0 {
-		// Tiles start at multiples of tileCols, so on a run boundary. Single
-		// floats are a stride apart. Longer runs each fill an output row,
-		// except that with 8 | ow a tile's second run is either next to the
-		// first or opens the next row.
-		runStep := b.pw - ox
-		switch {
-		case b.run == 1:
-			runStep = b.stride
-		case ox+b.run < b.ow:
-			runStep = b.run
+// buildRuns fills runs tile by tile, tap by tap, perTap entries a tap. A
+// tile is cut into segments, its positions in one output row (one position
+// at stride > 1), for the window's top-left tap; consecutive segments at
+// the same offset from their lanes make one run. A tap moves every offset
+// by ky·W+kx and keeps the lanes whose source row and column lie in the
+// image; unused entries keep none. A tile cut like the one before, both
+// clear of the top and bottom border, is that tile's entries moved down.
+func buildRuns(runs []convRun, g ConvGeom, perTap int) {
+	oh, ow := g.OutDims()
+	n, block := oh*ow, g.KH*g.KW*perTap
+	var cuts [2][tileCols]struct{ ix, lane, l int } // by tile parity
+	var iy [tileCols]int
+	j, oy, ox, lastIy, lastInside := 0, 0, 0, 0, false
+	for t := 0; t*tileCols < n; t++ {
+		j0, seg, segs, inside := t*tileCols, &cuts[t%2], 0, true
+		for end := min(j0+tileCols, n); j < end; segs++ {
+			l := 1
+			if g.Stride == 1 {
+				l = min(ow-ox, end-j)
+			}
+			iy[segs] = oy*g.Stride - g.Pad
+			seg[segs].ix, seg[segs].lane, seg[segs].l = ox*g.Stride-g.Pad, j-j0, l
+			inside = inside && iy[segs] >= 0 && iy[segs]+g.KH <= g.H
+			if j, ox = j+l, ox+l; ox == ow {
+				oy, ox = oy+1, 0
+			}
 		}
-		packConvSIMD(&packArgs{
-			dst: &panel[0], src: &b.plane[ch*b.chanLen+(oy*b.stride+ky)*b.pw+ox*b.stride+kx], kb: kb,
-			runStep: 4 * runStep, runs: w / b.run, run: b.run,
-			kxLeft: b.kw - kx, kyLeft: b.kh - ky, kw: b.kw, kh: b.kh,
-			rowSkip: 4 * (b.pw - b.kw), chSkip: 4 * (b.chanLen - b.kh*b.pw),
-		})
-		return
-	}
-	// Any width, any stride: one run per output row the tile crosses.
-	rowStep := b.stride * b.pw
-	for p := 0; p < kb; p++ {
-		row := panel[p*tileCols:][:w]
-		src := b.plane[ch*b.chanLen+(oy*b.stride+ky)*b.pw+kx:]
-		for x := ox; ; x = 0 {
-			l := min(b.ow-x, len(row))
-			if b.stride == 1 {
-				copy(row[:l], src[x:])
-			} else {
-				from := src[x*b.stride:][:(l-1)*b.stride+1]
-				for i := range row[:l] {
-					row[i] = from[i*b.stride]
+		clear(seg[segs:])
+		out := runs[t*block : (t+1)*block]
+		if inside && lastInside && cuts[0] == cuts[1] {
+			d := int32((iy[0] - lastIy) * g.W)
+			for i, rn := range runs[(t-1)*block : t*block] {
+				out[i] = convRun{off: rn.off + d, lanes: rn.lanes}
+			}
+		} else {
+			var run [tileCols]convRun
+			r := -1
+			for s, sg := range seg[:segs] {
+				if off := int32(iy[s]*g.W + sg.ix - sg.lane); r < 0 || run[r].off != off {
+					r++
+					run[r].off = off
+				}
+				run[r].lanes |= laneRange(sg.lane, sg.lane+sg.l)
+			}
+			for kx := 0; kx < g.KW; kx++ {
+				var cols uint32
+				for _, sg := range seg[:segs] {
+					cols |= laneRange(sg.lane+max(0, -sg.ix-kx), sg.lane+min(sg.l, g.W-sg.ix-kx))
+				}
+				for ky := 0; ky < g.KH; ky++ {
+					live := cols
+					for s, sg := range seg[:segs] {
+						if uint(iy[s]+ky) >= uint(g.H) {
+							live &^= laneRange(sg.lane, sg.lane+sg.l)
+						}
+					}
+					tap, shift := out[(ky*g.KW+kx)*perTap:][:perTap], int32(ky*g.W+kx)
+					for i, rn := range run[:perTap] {
+						tap[i] = convRun{off: rn.off + shift, lanes: rn.lanes & live}
+					}
 				}
 			}
-			if row = row[l:]; len(row) == 0 {
-				break
-			}
-			src = src[rowStep:]
 		}
-		if kx++; kx == b.kw {
-			kx = 0
-			if ky++; ky == b.kh {
-				ky = 0
-				ch++
-			}
+		lastIy, lastInside = iy[0], inside
+	}
+}
+
+// laneRange returns lanes [lo, hi) as bits, none when hi ≤ lo.
+func laneRange(lo, hi int) uint32 {
+	if hi <= lo {
+		return 0
+	}
+	return uint32(1)<<(hi&31) - uint32(1)<<(lo&31)
+}
+
+// packArgs is what one packConvAVX or packConvZMM call reads; the assembly
+// addresses the fields by offset, so the layout is part of its contract.
+// Steps are in bytes. The call walks the panel tap-major: the rows of one
+// window tap, one per channel, then the next tap's, starting at row 0's.
+type packArgs struct {
+	dst     *float32  // 0: panel row 0
+	src     *float32  // 8: the channel of row 0's tap
+	runs    *convRun  // 16: the tile's runs, tap 0's first
+	first   *convRun  // 24: row 0's tap's runs
+	runsEnd uintptr   // 32: the address past the tile's last run
+	perTap  int       // 40: runs per tap, at least 1
+	hw      int       // 48: from one channel to the next
+	pitch   int       // 56: from one panel row to the next
+	rowStep int       // 64: from a tap's row in one channel to its row in the next
+	tapRows int       // 72: taps that have rows: min(taps, kb)
+	end     uintptr   // 80: the address of row kb, the first not to fill
+	store   uint64    // 88: the live columns, one bit each (read by packConvZMM only)
+	masks   *[8]int32 // 96: laneMasks (read by packConvAVX only)
+}
+
+// laneMasks[b] has -1 in lane i for each bit i set in b: eight of a run's
+// lane bits as the vector mask VMASKMOVPS takes.
+var laneMasks = func() (t [256][8]int32) {
+	for b := range t {
+		for i := range t[b] {
+			t[b][i] = -int32(b >> i & 1)
 		}
+	}
+	return t
+}()
+
+// packConv fills rows [0, kb) of dst, pitch floats apart, with taps
+// [p0, p0+kb) of output positions [j0, j0+w): columns [j0, j0+w) of rows
+// [p0, p0+kb) of the column matrix, read from the image through the run
+// table instead. At AVX-512 a row stores its w live columns only, so pitch
+// may be as small as w; below it a row stores all tileCols, the dead ones
+// +0.
+func (b *panelSource) packConv(dst []float32, pitch, j0, w, p0, kb int) {
+	var ch, tap int // a divide costs as much as a short panel: only past one k block
+	if p0 > 0 {
+		ch, tap = p0/b.taps, p0%b.taps
+	}
+	stored := tileCols
+	if f32Level == f32AVX512 {
+		stored = w
+	}
+	if _ = dst[:(kb-1)*pitch+stored]; (p0+kb)*b.hw > len(b.img)*b.taps {
+		panic("tensor: panel rows past the image")
+	}
+	var tile []convRun
+	if b.runs == nil {
+		one := [1]convRun{{off: int32(j0), lanes: 1<<w - 1}}
+		tile = one[:]
+	} else {
+		tile = b.runs[j0/tileCols*b.taps*b.perTap:][:b.taps*b.perTap]
+	}
+	a := packArgs{
+		dst: &dst[0], src: &b.img[ch*b.hw], runs: &tile[0], first: &tile[tap*b.perTap],
+		runsEnd: uintptr(unsafe.Pointer(&tile[0])) + uintptr(8*len(tile)), perTap: b.perTap,
+		hw: 4 * b.hw, pitch: 4 * pitch, rowStep: 4 * b.taps * pitch, tapRows: min(b.taps, kb),
+		end: uintptr(unsafe.Pointer(&dst[0])) + uintptr(4*kb*pitch), store: 1<<w - 1, masks: &laneMasks[0],
+	}
+	if f32Level == f32AVX512 {
+		packConvZMM(&a)
+	} else {
+		packConvAVX(&a)
 	}
 }

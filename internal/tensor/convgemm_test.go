@@ -220,3 +220,22 @@ func BenchmarkConvGemm(b *testing.B) {
 		}
 	}
 }
+
+// TestConvGemmAllocatesNothing: the tile path of every VGG18-S stage
+// convolution, run table and panels included, allocates nothing with a
+// warm scratch, through either entry point.
+func TestConvGemmAllocatesNothing(t *testing.T) {
+	for _, s := range convGemmShapes {
+		g := ConvGeom{s.inC, s.hw, s.hw, 3, 3, 1, 1}
+		wt, img := convOperands(NewRNG(75), s.outC, g, false)
+		ep := testEpilogue(NewRNG(76), s.outC, true)
+		dst, scratch := make([]float32, s.outC*s.hw*s.hw), make([]float32, ConvScratchLen(g))
+		for name, conv := range map[string]func(dst, a []float32, nw *NarrowWeights, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue){
+			"serial": ConvGemmFusedSerial, "parallel": ConvGemmFusedParallel,
+		} {
+			if allocs := testing.AllocsPerRun(20, func() { conv(dst, wt, nil, img, s.outC, g, scratch, ep) }); allocs != 0 {
+				t.Errorf("%+v %s: %v allocations per product, want 0", g, name, allocs)
+			}
+		}
+	}
+}

@@ -127,7 +127,7 @@ const parallelMACs = 1 << 23
 //
 // The tile costs about the same at any n up to one 16-wide column tile, the
 // narrow kernel in proportion to n. At n = 16 the tile's lanes are all live
-// and a convolution's panel is packed from its plane in whole runs, so the
+// and a 4×4 stage's panel row is one masked load from the image, so the
 // 4×4 stages keep the tile; below it the narrow kernel is ahead 2× at n = 8
 // and more the narrower the product.
 const narrowCols = 16
@@ -215,7 +215,7 @@ func GemmParallel(dst, a, b []float32, m, n, k int) {
 // wake-up and run on the calling goroutine — no closure, no allocation —
 // otherwise.
 func GemmFusedParallel(dst, a, b []float32, m, n, k int, ep *Epilogue) {
-	gemm(dst[:m*n], a[:m*k], panelSource{dense: b[:k*n]}, m, n, k, ep, true)
+	gemm(dst[:m*n], a[:m*k], denseSource(b[:k*n], n), m, n, k, ep, true)
 }
 
 // gemm is the one dispatch rule of the float32 product, whatever its b
@@ -246,7 +246,7 @@ func GemmSerial(dst, a, b []float32, m, n, k int) {
 
 // GemmFusedSerial is GemmFusedParallel on the calling goroutine.
 func GemmFusedSerial(dst, a, b []float32, m, n, k int, ep *Epilogue) {
-	gemm(dst[:m*n], a[:m*k], panelSource{dense: b[:k*n]}, m, n, k, ep, false)
+	gemm(dst[:m*n], a[:m*k], denseSource(b[:k*n], n), m, n, k, ep, false)
 }
 
 // TransposeSerial writes the transpose of the row-major m×n matrix src into
@@ -308,9 +308,9 @@ var tileMasks = func() (t [tileCols + 1][16]int32) {
 
 // gemmRows computes output rows [r0, r1) of cd = ep(ad @ b), b being [k,n].
 // Only the tile path reads a convolution source; the portable path is handed
-// the dense matrix (see ConvGemmFusedParallel).
+// a dense matrix (see ConvGemmFusedParallel).
 func gemmRows(cd, ad []float32, b panelSource, n, k, r0, r1 int, ep *Epilogue) {
-	bd := b.dense
+	bd := b.img
 	quads := r0 + (r1-r0)/rowBlock*rowBlock
 	if f32Level >= f32AVX && k > 0 && n > 0 {
 		// Column tile, then k block, then row tile: the panel is packed once
@@ -330,11 +330,7 @@ func gemmRows(cd, ad []float32, b panelSource, n, k, r0, r1 int, ep *Epilogue) {
 			t.mask = &tileMasks[t.w]
 			for p0 := 0; p0 < k; p0 += kBlock {
 				t.kb = min(kBlock, k-p0)
-				if b.plane != nil {
-					b.packConv(&panel, j0, t.w, p0, t.kb)
-				} else {
-					packPanelSIMD(&panel[0], &bd[p0*n+j0], n, t.kb, t.mask)
-				}
+				b.packConv(panel[:], tileCols, j0, t.w, p0, t.kb)
 				t.acc = p0
 				fuse := ep != nil && p0+t.kb == k
 				t.ldc, t.lda = n, k

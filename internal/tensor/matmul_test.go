@@ -121,7 +121,7 @@ func splitRows(m, grain int, rows func(r0, r1 int)) {
 // matmulRows is gemmRows over a dense b: the row-range form the split and
 // crossover helpers drive.
 func matmulRows(cd, ad, bd []float32, n, k, r0, r1 int, ep *Epilogue) {
-	gemmRows(cd, ad, panelSource{dense: bd}, n, k, r0, r1, ep)
+	gemmRows(cd, ad, denseSource(bd, n), n, k, r0, r1, ep)
 }
 
 // gemmSplit cuts the product at every row block across the pool whatever its

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"strconv"
-)
+import "strconv"
 
 // The narrow kernel is the AVX-512 float32 product for a convolution whose
 // output has fewer than narrowCols positions (VGG18-S's 2×2 stages,
@@ -13,9 +10,8 @@ import (
 // channels sit on the lanes of two ZMM registers, 32 per call, and each
 // position's patch value is broadcast. It reads the weights packed k-major
 // in 32-channel blocks (NarrowWeights), which a deployment packs once per
-// convolution, and a patch matrix gathered straight from the image
-// (gatherPatches): at 2×2 the tile path's padded plane and 16-wide panel
-// cost about as much as the product itself. Each output is the same
+// convolution, and a patch matrix the tile path's packer writes straight
+// from the image (packConv) at n floats a row. Each output is the same
 // per-element operation sequence the tile kernel runs — one mul and one
 // add rounding per p, in ascending p from +0, then the epilogue — so the
 // choice is unobservable.
@@ -96,19 +92,10 @@ type narrowArgs struct {
 	relu bool     // 96: rectify after the epilogue (read only with mean set)
 }
 
-// narrowScratchLen is the scratch, in floats, a narrow product of geometry g
-// reads its b from when it is not pointwise: the [C·KH·KW, n] patch matrix
-// (n the output positions), then the gather table, KH·KW·n entries rounded
-// up to whole vectors of 16.
-func narrowScratchLen(g ConvGeom) int {
-	oh, ow := g.OutDims()
-	n := oh * ow
-	return g.C*g.KH*g.KW*n + (g.KH*g.KW*n+15)/16*16
-}
-
 // convNarrow is ConvGemmFusedParallel on the narrow kernel, against weights
 // packed for the product. A pointwise convolution's image is its b; any
-// other's patch matrix is gathered into scratch.
+// other's patch matrix is packed into scratch behind the run table, rows n
+// floats apart, by the tile path's packer.
 func convNarrow(dst []float32, w *NarrowWeights, img []float32, m int, g ConvGeom, scratch []float32, ep *Epilogue) {
 	oh, ow := g.OutDims()
 	n, k := oh*ow, g.C*g.KH*g.KW
@@ -119,59 +106,11 @@ func convNarrow(dst []float32, w *NarrowWeights, img []float32, m int, g ConvGeo
 	if g.pointwise() {
 		b = img[:k*n]
 	} else {
-		b = scratch[:k*n]
-		gatherPatches(b, img[:g.C*g.H*g.W], g, scratch[k*n:narrowScratchLen(g)])
+		src := convPanels(img[:g.C*g.H*g.W], g, scratch)
+		b = scratch[2*len(src.runs):][:k*n]
+		src.packConv(b, n, 0, n, 0, k)
 	}
 	gemmNarrow(dst[:m*n], w, b, n, n, ep)
-}
-
-// gatherArgs is what one gatherNarrowSIMD call reads; the assembly
-// addresses the fields by offset, so the layout is part of its contract.
-type gatherArgs struct {
-	dst   *float32 // 0: the patch matrix: per channel, its taps·n values, tap-major
-	src   *float32 // 8: the image's first channel
-	table *float32 // 16: vecs·16 int32 offsets into a channel, hw for a padding tap
-	vecs  int      // 24: table vectors per channel, at least 1
-	tail  int      // 32: live entries in the last vector, 1..16
-	chans int      // 40: at least 1
-	hw    int      // 48: floats per channel
-}
-
-// gatherPatches writes the [C·KH·KW, n] patch matrix of img under g — row
-// (channel, ky, kx), column output position, a padding tap +0: what Im2Col
-// writes — reading every value straight from the image. Every channel
-// gathers the same (tap, position) pattern, so table (narrowScratchLen's
-// tail) gets each pair's offset into a channel once per call: H·W for a
-// padding tap and for the dead lanes past the last pair, which load
-// nothing. The offsets are int32s held as the bit patterns of float32s
-// (zero or subnormal, which every float32 move keeps), as the assembly
-// reads them.
-func gatherPatches(dst, img []float32, g ConvGeom, table []float32) {
-	oh, ow := g.OutDims()
-	hw, e := g.H*g.W, 0
-	for ky := 0; ky < g.KH; ky++ {
-		for kx := 0; kx < g.KW; kx++ {
-			for oy := 0; oy < oh; oy++ {
-				iy := oy*g.Stride + ky - g.Pad
-				for ox := 0; ox < ow; ox++ {
-					ix := ox*g.Stride + kx - g.Pad
-					off := hw
-					if 0 <= iy && iy < g.H && 0 <= ix && ix < g.W {
-						off = iy*g.W + ix
-					}
-					table[e] = math.Float32frombits(uint32(off))
-					e++
-				}
-			}
-		}
-	}
-	vecs := (e + 15) / 16
-	for i := e; i < vecs*16; i++ { // the last vector's dead lanes load nothing
-		table[i] = math.Float32frombits(uint32(hw))
-	}
-	_ = dst[:g.C*e]
-	gatherNarrowSIMD(&gatherArgs{dst: &dst[0], src: &img[0], table: &table[0],
-		vecs: vecs, tail: (e-1)%16 + 1, chans: g.C, hw: hw})
 }
 
 // gemmNarrow computes cd = ep(w @ b) into the row-major [w.m, n]

@@ -28,12 +28,6 @@ func gemmTile8x16(t *tileArgs)
 //go:noescape
 func gemmNarrowZMM(t *narrowArgs)
 
-// gatherNarrowSIMD writes the narrow kernel's patch panel of a.chans
-// channels straight from the image (see gatherArgs and gatherPatches).
-//
-//go:noescape
-func gatherNarrowSIMD(a *gatherArgs)
-
 // maxPool2AVX512 runs the 2×2 max pool of a.planes planes (see pool2Args
 // and MaxPool2).
 //
@@ -52,19 +46,18 @@ func addSIMD(dst, src *float32, n int, mask *[16]int32, relu bool)
 //go:noescape
 func reluSIMD(dst, src *float32, n int, mask *[16]int32)
 
-// packPanelSIMD copies kb rows of src (row stride ldb floats) into the
-// contiguous 16-wide panel dst, reading only the columns live in mask and
-// zero-filling the rest.
+// packConvAVX packs kb rows of the tile kernel's 16-wide b panel, one per
+// window tap in (channel, ky, kx) order, each loaded straight from the
+// image through the run table (see packArgs and panelSource.packConv).
 //
 //go:noescape
-func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32)
+func packConvAVX(a *packArgs)
 
-// packConvSIMD is packPanelSIMD for a convolution source: kb panel rows, one
-// per window tap in (channel, ky, kx) order, each a.runs runs of a.run floats
-// copied from the zero-bordered image (see packArgs and panelSource).
+// packConvZMM is packConvAVX in ZMM registers with K-masked loads, storing
+// only the live columns.
 //
 //go:noescape
-func packConvSIMD(a *packArgs)
+func packConvZMM(a *packArgs)
 
 // dot4I8SIMD computes four int8 dot products sharing one streamed patch row:
 //

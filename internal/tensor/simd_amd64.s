@@ -555,142 +555,141 @@ narrowdone:
 	VZEROUPPER
 	RET
 
-// func gatherNarrowSIMD(a *gatherArgs)
+// Moves packConvAVX/packConvZMM on to the next window tap (see packArgs):
+// its runs (AX) follow the last tap's, its first row (DI) is the next; past
+// the window's last tap the runs start over at the tile's first and the
+// channel (SI) moves on by one. R8 counts the taps down.
+#define PACK_NEXT_TAP(same, loop) \
+	LEAQ (AX)(R9*8), AX; \
+	ADDQ 56(DX), DI; \
+	CMPQ AX, 32(DX); \
+	JCS  same; \
+	MOVQ 16(DX), AX; \
+	ADDQ R11, SI; \
+same: \
+	DECQ R8; \
+	JNZ  loop
+
+// func packConvAVX(a *packArgs)
 //
-// Writes the narrow kernel's patch panel straight from the image: for each
-// channel, sixteen (tap, position) entries at a time, VGATHERDPS loads the
-// channel's value at each entry's table offset into a zeroed register,
-// through a mask of the entries whose offset is inside the channel (offset
-// < a.hw), so a padding tap reads +0 and is never loaded. Every table vector
-// is a full store but the channel's last, stored through the mask of its
-// live entries (K2).
-TEXT ·gatherNarrowSIMD(SB), NOSPLIT, $0-8
+// Packs kb panel rows for a convolution straight from the unpadded image,
+// tap by tap: a tap's row in each channel is the OR of its a.perTap runs
+// (see convRun), each a pair of zero-masked loads (VMASKMOVPS) through its
+// lane bits expanded a byte at a time (laneMasks), so a lane outside the
+// image reads +0 and touches no memory. All 16 lanes are stored.
+TEXT ·packConvAVX(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), DX
-	MOVQ 32(DX), CX       // live entries of the last vector
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
-	KMOVW AX, K2
-	SHLQ $2, CX
-	MOVQ CX, R12          // bytes the last vector stores
-	MOVQ 0(DX), DI        // panel
-	MOVQ 8(DX), SI        // channel 0
-	MOVQ 16(DX), BX       // table
-	MOVQ 40(DX), CX       // channels
-	MOVQ 48(DX), R11      // hw
-	VPBROADCASTD R11, Z2
-	SHLQ $2, R11          // bytes per channel
+	MOVQ 0(DX), DI        // the tap's first row
+	MOVQ 8(DX), SI        // its channel
+	MOVQ 24(DX), AX       // its runs
+	MOVQ 40(DX), R9       // runs per tap
+	MOVQ 48(DX), R11      // channel bytes
+	MOVQ 72(DX), R8       // taps
+	MOVQ 96(DX), R15      // laneMasks
 
-gatherchan:
-	MOVQ BX, R10
-	MOVQ 24(DX), R9       // table vectors
+avxtap:
+	MOVQ SI, R13          // the row's channel
+	MOVQ DI, CX           // the row
 
-gathervec:
-	VMOVDQU32 (R10), Z1
-	VPCMPD $1, Z2, Z1, K1 // offset < hw: inside the channel
-	VPXORD Z0, Z0, Z0
-	VGATHERDPS (SI)(Z1*4), K1, Z0
-	ADDQ $64, R10
-	DECQ R9
-	JZ   gatherlast
-	VMOVUPS Z0, (DI)
-	ADDQ $64, DI
-	JMP  gathervec
+avxrow:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	MOVQ AX, BX
+	MOVQ R9, R10
 
-gatherlast:
-	VMOVUPS Z0, K2, (DI)
-	ADDQ R12, DI
-	ADDQ R11, SI
-	DECQ CX
-	JNZ  gatherchan
+avxrun:
+	MOVLQSX 0(BX), R14    // off
+	MOVBQZX 4(BX), R12    // lanes 0..7
+	SHLQ $5, R12
+	VMOVDQU (R15)(R12*1), Y2
+	MOVBQZX 5(BX), R12    // lanes 8..15
+	SHLQ $5, R12
+	VMOVDQU (R15)(R12*1), Y3
+	VMASKMOVPS (R13)(R14*4), Y2, Y4
+	VMASKMOVPS 32(R13)(R14*4), Y3, Y5
+	VORPS Y4, Y0, Y0
+	VORPS Y5, Y1, Y1
+	ADDQ $8, BX
+	DECQ R10
+	JNZ  avxrun
+	VMOVUPS Y0, (CX)
+	VMOVUPS Y1, 32(CX)
+	ADDQ R11, R13
+	ADDQ 64(DX), CX
+	CMPQ CX, 80(DX)
+	JCS  avxrow
+	PACK_NEXT_TAP(avxsame, avxtap)
 	VZEROUPPER
 	RET
 
-// func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32)
+// func packConvZMM(a *packArgs)
 //
-// Copies kb rows of up to 16 live columns (row stride ldb floats) into the
-// contiguous 16-wide panel gemmTileSIMD sweeps; masked-out columns read as
-// zero and are never stored by the tile kernel.
-TEXT ·packPanelSIMD(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ ldb+16(FP), R8
-	MOVQ kb+24(FP), CX
-	MOVQ mask+32(FP), AX
-	SHLQ $2, R8
-	VMOVDQU (AX), Y14
-	VMOVDQU 32(AX), Y15
+// packConvAVX in ZMM registers: a run is one zero-masked load through K1,
+// the entry's lane bits (later runs ORed into the first, not merged, so the
+// loads do not wait for one another), and a row is stored through K2, the
+// live columns, so rows may sit closer than 16 floats apart. A tap of one
+// run — every tap of a "same" convolution — loads its offset and mask once
+// for all its channels.
+TEXT ·packConvZMM(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DX
+	MOVQ 0(DX), DI        // the tap's first row
+	MOVQ 8(DX), SI        // its channel
+	MOVQ 24(DX), AX       // its runs
+	MOVQ 40(DX), R9       // runs per tap
+	MOVQ 48(DX), R11      // channel bytes
+	MOVQ 64(DX), R13      // row step
+	MOVQ 72(DX), R8       // taps
+	MOVQ 80(DX), R15      // row kb
+	KMOVW 88(DX), K2      // live columns
 
-packloop:
-	VMASKMOVPS (SI), Y14, Y0
-	VMASKMOVPS 32(SI), Y15, Y1
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	ADDQ R8, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  packloop
+zmmtap:
+	MOVQ DI, CX           // the row
+	CMPQ R9, $1
+	JNE  zmmmulti
+	MOVLQSX 0(AX), BX
+	KMOVW 4(AX), K1
+	LEAQ (SI)(BX*4), BX   // lane 0's source in the row's channel
+
+zmmone:
+	VMOVUPS.Z (BX), K1, Z0
+	VMOVUPS Z0, K2, (CX)
+	ADDQ R11, BX
+	ADDQ R13, CX
+	CMPQ CX, R15
+	JCS  zmmone
+	JMP  zmmnext
+
+zmmmulti:
+	MOVQ SI, BX           // the row's channel
+
+zmmrow:
+	MOVQ AX, R12
+	MOVQ R9, R10
+	MOVLQSX 0(R12), R14
+	KMOVW 4(R12), K1
+	VMOVUPS.Z (BX)(R14*4), K1, Z0
+
+zmmrun:
+	ADDQ $8, R12
+	DECQ R10
+	JZ   zmmstore
+	MOVLQSX 0(R12), R14
+	KMOVW 4(R12), K1
+	VMOVUPS.Z (BX)(R14*4), K1, Z1
+	VPORD Z1, Z0, Z0
+	JMP  zmmrun
+
+zmmstore:
+	VMOVUPS Z0, K2, (CX)
+	ADDQ R11, BX
+	ADDQ R13, CX
+	CMPQ CX, R15
+	JCS  zmmrow
+
+zmmnext:
+	PACK_NEXT_TAP(zmmsame, zmmtap)
 	VZEROUPPER
 	RET
-
-// func packConvSIMD(a *packArgs)
-//
-// Packs kb panel rows for a convolution: row p is tap p of the window walked
-// in (channel, ky, kx) order, and its live columns are a.runs contiguous runs
-// of a.run floats (8, 4, 2 or 1), runStep bytes apart in the zero-bordered
-// image. From one tap to the next the source moves one float, and on leaving
-// a window row or a channel by rowSkip or chSkip more; the two countdowns
-// (R10, R11) are the only bookkeeping. Columns past the runs are not written.
-#define PACK_TAPS(tap, run, next, LOAD, reg, width) \
-tap: \
-	MOVQ SI, R14; \
-	MOVQ DI, R15; \
-	MOVQ R9, BX; \
-run: \
-	LOAD (R14), reg; \
-	LOAD reg, (R15); \
-	ADDQ R8, R14; \
-	ADDQ width, R15; \
-	DECQ BX; \
-	JNZ  run; \
-	ADDQ $64, DI; \
-	ADDQ $4, SI; \
-	DECQ R10; \
-	JNZ  next; \
-	MOVQ 72(DX), R10; \
-	ADDQ R12, SI; \
-	DECQ R11; \
-	JNZ  next; \
-	MOVQ 80(DX), R11; \
-	ADDQ R13, SI; \
-next: \
-	DECQ CX; \
-	JNZ  tap; \
-	VZEROUPPER; \
-	RET
-
-TEXT ·packConvSIMD(SB), NOSPLIT, $0-8
-	MOVQ a+0(FP), DX
-	MOVQ 0(DX), DI        // panel
-	MOVQ 8(DX), SI        // first tap's source
-	MOVQ 16(DX), CX       // kb
-	MOVQ 24(DX), R8       // runStep
-	MOVQ 32(DX), R9       // runs
-	MOVQ 40(DX), R10      // kxLeft
-	MOVQ 48(DX), R11      // kyLeft
-	MOVQ 56(DX), R12      // rowSkip
-	MOVQ 64(DX), R13      // chSkip
-	MOVQ 88(DX), AX       // run
-	CMPQ AX, $8
-	JEQ  pack8
-	CMPQ AX, $4
-	JEQ  pack4
-	CMPQ AX, $2
-	JEQ  pack2
-	PACK_TAPS(pack1, pack1run, pack1next, MOVL, AX, $4)
-	PACK_TAPS(pack2, pack2run, pack2next, MOVQ, AX, $8)
-	PACK_TAPS(pack4, pack4run, pack4next, VMOVUPS, X0, $16)
-	PACK_TAPS(pack8, pack8run, pack8next, VMOVUPS, Y0, $32)
 
 // Sums four YMM accumulators of dwords across their lanes into the four
 // dwords of x0, the first one's low half, in argument order (VEX forms:

@@ -24,10 +24,6 @@ func gemmNarrowZMM(t *narrowArgs) {
 	panic("tensor: gemmNarrowZMM called without SIMD support")
 }
 
-func gatherNarrowSIMD(a *gatherArgs) {
-	panic("tensor: gatherNarrowSIMD called without SIMD support")
-}
-
 func maxPool2AVX512(a *pool2Args) {
 	panic("tensor: maxPool2AVX512 called without SIMD support")
 }
@@ -40,12 +36,12 @@ func reluSIMD(dst, src *float32, n int, mask *[16]int32) {
 	panic("tensor: reluSIMD called without SIMD support")
 }
 
-func packPanelSIMD(dst, src *float32, ldb, kb int, mask *[16]int32) {
-	panic("tensor: packPanelSIMD called without SIMD support")
+func packConvAVX(a *packArgs) {
+	panic("tensor: packConvAVX called without SIMD support")
 }
 
-func packConvSIMD(a *packArgs) {
-	panic("tensor: packConvSIMD called without SIMD support")
+func packConvZMM(a *packArgs) {
+	panic("tensor: packConvZMM called without SIMD support")
 }
 
 func depthwise3x3SIMD(a *dwArgs) {
