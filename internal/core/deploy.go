@@ -132,8 +132,8 @@ type Deployment struct {
 	// SecureBytes is the secure-memory reservation: M_T's parameters, its
 	// peak activation working set, and the shared-memory staging buffer.
 	SecureBytes int64
-	// qmr/qmt hold the storage-form quantized branches on the int8 path
-	// (nil on f32), shared by replicas.
+	// qmr/qmt are the quantized branches on the int8 path (nil on f32);
+	// mr and prog.mt are their armed models. Replicas share them.
 	qmr, qmt *quant.QuantizedModel
 
 	// mu serializes the enclave protocol: the staged command sequence keeps
@@ -173,8 +173,8 @@ func frozen(d *Deployment, err error) (*Deployment, error) {
 
 // deployWith is Deploy with an optional shared secure-memory accountant (a
 // nil mem gets a fresh per-session budget of device.SecureMemBytes()) and
-// the storage-form quantized branches qmr/qmt, non-nil on the int8 path,
-// where the branches in tb are already realized int8 execution models.
+// the quantized branches qmr/qmt, non-nil on the int8 path, where the
+// branches in tb are their armed models.
 func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.SecureMemory,
 	qmr, qmt *quant.QuantizedModel) (*Deployment, error) {
 	if device == nil {
@@ -279,7 +279,7 @@ func (d *Deployment) ReplicateOn(device tee.Device, batch int, mem *tee.SecureMe
 		shape[0] = batch
 	}
 	// The shared branches keep the int8 arming, so a replica neither
-	// re-realizes nor re-packs them, and the quantized pair keeps the int8
+	// re-arms nor re-packs them, and the quantized pair keeps the int8
 	// pricing on the new device.
 	return deployWith(d.Snapshot(), device, shape, mem, d.qmr, d.qmt)
 }
@@ -292,8 +292,8 @@ func (d *Deployment) Precision() Precision {
 	return PrecisionF32
 }
 
-// Quantized returns the storage-form quantized branches of an int8
-// deployment (nil, nil on the f32 path). The records are immutable and shared
+// Quantized returns the quantized branches of an int8 deployment (nil, nil
+// on the f32 path). Their records and armed models are immutable and shared
 // with the live session; callers must not mutate them.
 func (d *Deployment) Quantized() (qmr, qmt *quant.QuantizedModel) { return d.qmr, d.qmt }
 

@@ -51,23 +51,15 @@ func DeployInt8(tb *TwoBranch, device tee.Device, sampleShape []int) (*Deploymen
 }
 
 // DeployQuantized places already-quantized branches (for example loaded from
-// a v3 artifact) onto a device, realizing int8 execution models from the
-// storage form. The alignment maps and the quantized records are retained by
-// reference: a finalized model is immutable, so replicas and artifact saves
-// reuse them.
+// a v3 artifact) onto a device. It serves their armed models without a
+// copy: an armed model is immutable, so every deployment of the same
+// branches, its replicas and artifact saves share the models, the records
+// and the alignment maps by reference.
 func DeployQuantized(qmr, qmt *quant.QuantizedModel, align [][]int, device tee.Device, sampleShape []int) (*Deployment, error) {
 	if qmr == nil || qmt == nil {
 		return nil, fmt.Errorf("core: deploy of nil quantized branches: %w", ErrShape)
 	}
-	rmr, err := qmr.Realize()
-	if err != nil {
-		return nil, fmt.Errorf("core: realize M_R: %w", err)
-	}
-	rmt, err := qmt.Realize()
-	if err != nil {
-		return nil, fmt.Errorf("core: realize M_T: %w", err)
-	}
-	tb := &TwoBranch{MR: rmr, MT: rmt, Align: align, Finalized: true}
+	tb := &TwoBranch{MR: qmr.Model, MT: qmt.Model, Align: align, Finalized: true}
 	return frozen(deployWith(tb, device, sampleShape, nil, qmr, qmt))
 }
 

@@ -259,17 +259,9 @@ func (l *Lab) TableQuant() *report.Table {
 	p := l.Pipeline(Combo{Arch: "vgg", Dataset: "c10"})
 	s := l.cfg.Scale
 
-	// Quantize once; every device deploys from the same immutable records.
+	// Quantize once; every device deploys the same immutable armed models.
 	qmr, qmt := quant.Quantize(p.TB.MR), quant.Quantize(p.TB.MT)
-	rmr, err := qmr.Realize()
-	if err != nil {
-		panic(err)
-	}
-	rmt, err := qmt.Realize()
-	if err != nil {
-		panic(err)
-	}
-	qtb := &core.TwoBranch{MR: rmr, MT: rmt, Align: p.TB.Align, Finalized: true}
+	qtb := &core.TwoBranch{MR: qmr.Model, MT: qmt.Model, Align: p.TB.Align, Finalized: true}
 	i8Acc := core.EvaluateTwoBranch(qtb, p.Test, s.BatchSize)
 
 	rng := tensor.NewRNG(l.cfg.Seed + 71)

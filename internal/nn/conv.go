@@ -18,7 +18,7 @@ type Conv2D struct {
 	InC, OutC      int
 	KH, KW         int
 	Stride, Pad    int
-	W              *Param
+	W              *Param // float32 weights; nil while the layer is int8 (qw)
 	B              *Param // nil when bias is disabled
 	name           string
 	lastInput      *tensor.Tensor
@@ -58,15 +58,15 @@ type convBwd struct {
 }
 
 // NewConv2D creates a convolution with He-normal initialized weights drawn
-// from rng. A nil rng leaves the weights zero, for a caller (the artifact
-// loader) that overwrites them.
+// from rng. A nil rng builds it without weights, for the artifact loader,
+// which gives it float32 weights (SetWeights) or int8 ones (SetInt8Weights).
 func NewConv2D(name string, inC, outC, k, stride, pad int, bias bool, rng *tensor.RNG) *Conv2D {
 	c := &Conv2D{InC: inC, OutC: outC, KH: k, KW: k, Stride: stride, Pad: pad, name: name}
-	w := tensor.New(outC, inC*k*k)
 	if rng != nil {
+		w := tensor.New(outC, inC*k*k)
 		rng.FillNormal(w, 0, math.Sqrt(2.0/float64(inC*k*k)))
+		c.W = newParam(name+".weight", w, true)
 	}
-	c.W = newParam(name+".weight", w, true)
 	if bias {
 		c.B = newParam(name+".bias", tensor.New(outC), true)
 	}
@@ -76,13 +76,9 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, bias bool, rng *tenso
 // Name returns the layer's diagnostic name.
 func (c *Conv2D) Name() string { return c.name }
 
-// Params returns weight (and bias when present).
-func (c *Conv2D) Params() []*Param {
-	if c.B != nil {
-		return []*Param{c.W, c.B}
-	}
-	return []*Param{c.W}
-}
+// Params returns the float32 weight (none when the layer is int8) and the
+// bias when present.
+func (c *Conv2D) Params() []*Param { return params(c.W, c.B) }
 
 // OutShape maps [N,C,H,W] to the convolution output shape.
 func (c *Conv2D) OutShape(in []int) []int {

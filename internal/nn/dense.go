@@ -10,7 +10,7 @@ import (
 // Dense is a fully connected layer over [N, In] inputs.
 type Dense struct {
 	In, Out   int
-	W         *Param // [In, Out]
+	W         *Param // [In, Out] float32; nil while the layer is int8 (qw)
 	B         *Param // [Out]
 	name      string
 	lastInput *tensor.Tensor
@@ -23,26 +23,24 @@ type Dense struct {
 }
 
 // NewDense creates a dense layer with He-normal weights drawn from rng and
-// zero bias. A nil rng leaves the weights zero, for a caller (the artifact
-// loader) that overwrites them.
+// zero bias. A nil rng builds it without weights, for the artifact loader,
+// which gives it float32 weights (SetWeights) or int8 ones (SetInt8Weights).
 func NewDense(name string, in, out int, rng *tensor.RNG) *Dense {
-	w := tensor.New(in, out)
+	d := &Dense{In: in, Out: out, B: newParam(name+".bias", tensor.New(out), true), name: name}
 	if rng != nil {
+		w := tensor.New(in, out)
 		rng.FillNormal(w, 0, math.Sqrt(2.0/float64(in)))
+		d.W = newParam(name+".weight", w, true)
 	}
-	return &Dense{
-		In: in, Out: out,
-		W:    newParam(name+".weight", w, true),
-		B:    newParam(name+".bias", tensor.New(out), true),
-		name: name,
-	}
+	return d
 }
 
 // Name returns the layer's diagnostic name.
 func (d *Dense) Name() string { return d.name }
 
-// Params returns weight and bias.
-func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
+// Params returns the float32 weight (none when the layer is int8) and the
+// bias.
+func (d *Dense) Params() []*Param { return params(d.W, d.B) }
 
 // OutShape maps [N, In] to [N, Out].
 func (d *Dense) OutShape(in []int) []int { return []int{in[0], d.Out} }

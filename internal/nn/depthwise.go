@@ -14,7 +14,7 @@ type DepthwiseConv2D struct {
 	C           int
 	K           int
 	Stride, Pad int
-	W           *Param
+	W           *Param // float32 filters; nil while the layer is int8 (qw)
 	name        string
 	lastInput   *tensor.Tensor
 	lastOH      int
@@ -27,22 +27,24 @@ type DepthwiseConv2D struct {
 }
 
 // NewDepthwiseConv2D creates a depthwise convolution with He-normal weights
-// drawn from rng. A nil rng leaves the weights zero, for a caller (the
-// artifact loader) that overwrites them.
+// drawn from rng. A nil rng builds it without weights, for the artifact
+// loader, which gives it float32 weights (SetWeights) or int8 ones
+// (SetInt8Weights).
 func NewDepthwiseConv2D(name string, c, k, stride, pad int, rng *tensor.RNG) *DepthwiseConv2D {
-	w := tensor.New(c, k*k)
+	d := &DepthwiseConv2D{C: c, K: k, Stride: stride, Pad: pad, name: name}
 	if rng != nil {
+		w := tensor.New(c, k*k)
 		rng.FillNormal(w, 0, math.Sqrt(2.0/float64(k*k)))
+		d.W = newParam(name+".weight", w, true)
 	}
-	return &DepthwiseConv2D{C: c, K: k, Stride: stride, Pad: pad,
-		W: newParam(name+".weight", w, true), name: name}
+	return d
 }
 
 // Name returns the layer's diagnostic name.
 func (d *DepthwiseConv2D) Name() string { return d.name }
 
-// Params returns the filter bank.
-func (d *DepthwiseConv2D) Params() []*Param { return []*Param{d.W} }
+// Params returns the float32 filter bank (none when the layer is int8).
+func (d *DepthwiseConv2D) Params() []*Param { return params(d.W) }
 
 // OutShape maps [N,C,H,W] through the spatial window.
 func (d *DepthwiseConv2D) OutShape(in []int) []int {
@@ -178,7 +180,7 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // copied).
 func (d *DepthwiseConv2D) CloneLayer() Layer {
 	return &DepthwiseConv2D{C: d.C, K: d.K, Stride: d.Stride, Pad: d.Pad,
-		W: newParam(d.W.Name, d.W.Value.Clone(), d.W.Decay), name: d.name,
+		W: d.W.clone(), name: d.name,
 		qw: d.qw, qscale: d.qscale}
 }
 
@@ -187,12 +189,12 @@ func (d *DepthwiseConv2D) CloneLayer() Layer {
 func (d *DepthwiseConv2D) PruneChannels(keep []int) {
 	kk := d.K * d.K
 	nw := tensor.New(len(keep), kk)
+	src := surgeryWeights(d.name, d.W)
 	for i, ch := range keep {
-		copy(nw.Data()[i*kk:(i+1)*kk], d.W.Value.Data()[ch*kk:(ch+1)*kk])
+		copy(nw.Data()[i*kk:(i+1)*kk], src[ch*kk:(ch+1)*kk])
 	}
 	d.W = newParam(d.W.Name, nw, d.W.Decay)
 	d.C = len(keep)
-	d.qw, d.qscale = nil, nil // stale after surgery; re-quantize to re-arm
 }
 
 // Reinit re-randomizes the filters.

@@ -7,11 +7,13 @@ import (
 )
 
 // This file is the int8 inference path. A layer is "armed" for int8 by
-// attaching offline-quantized weights (SetInt8Weights); its ForwardInto then
-// routes through the int8 kernels: activations are quantized dynamically per
-// sample with a symmetric per-tensor scale, the convolution/matmul runs in
-// exact int8×int8→int32 arithmetic, and the result is requantized back to
-// float32 at the layer boundary (acc · s_w · s_x, plus the float32 bias).
+// attaching offline-quantized weights (SetInt8Weights), which replace its
+// float32 ones: a layer holds one layout of its weights, and SetWeights is
+// the way back. Its ForwardInto then routes through the int8 kernels:
+// activations are quantized dynamically per sample with a symmetric
+// per-tensor scale, the convolution/matmul runs in exact int8×int8→int32
+// arithmetic, and the result is requantized back to float32 at the layer
+// boundary (acc · s_w · s_x, plus the float32 bias).
 // Batch norm, activations, and pooling always run in float32 — they are a
 // negligible share of both compute and footprint, and keeping them float
 // means the int8 path needs no BN folding or retraining.
@@ -33,8 +35,8 @@ func quantizeSample(sample []float32, dst []int8) (scale float32) {
 // AMX, where the two orders coincide — data itself. The layer keeps only
 // that packed form. int8×int8→int32 accumulation is exact, so reordering
 // the shared dimension of both GEMM operands leaves every accumulator
-// unchanged. The float32 weights become dead on the inference path (bias
-// stays live and float32).
+// unchanged. The layer drops its float32 weights and narrow pack (bias
+// stays float32).
 func (c *Conv2D) SetInt8Weights(data []int8, scales []float32) error {
 	kk := c.KH * c.KW
 	if len(data) != c.OutC*c.InC*kk || len(scales) != c.OutC {
@@ -42,6 +44,7 @@ func (c *Conv2D) SetInt8Weights(data []int8, scales []float32) error {
 			c.name, len(data), len(scales), c.OutC, c.InC*kk)
 	}
 	c.qw, c.qscale = tensor.PackI8Weights(data, c.OutC, c.InC*kk, kk), scales
+	c.W, c.narrow = nil, nil
 	return nil
 }
 
@@ -101,13 +104,14 @@ func (c *Conv2D) i8Sample(a *Arena, worker, i, h, w, hw int, xd, od, bd []float3
 }
 
 // SetInt8Weights arms the depthwise convolution: data is the [C, K*K] int8
-// filter bank, scales the per-channel weight scales.
+// filter bank, scales the per-channel weight scales. The layer drops its
+// float32 filters.
 func (d *DepthwiseConv2D) SetInt8Weights(data []int8, scales []float32) error {
 	if len(data) != d.C*d.K*d.K || len(scales) != d.C {
 		return fmt.Errorf("nn: %s int8 weights [%d]/scales [%d] for a %dx%d depthwise conv",
 			d.name, len(data), len(scales), d.C, d.K*d.K)
 	}
-	d.qw, d.qscale = data, scales
+	d.qw, d.qscale, d.W = data, scales, nil
 	return nil
 }
 
@@ -161,13 +165,14 @@ func (d *DepthwiseConv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *ten
 // SetInt8Weights arms the dense layer: data is the [Out, In] int8 matrix
 // (note: transposed relative to the float32 [In, Out] storage, so each
 // output's weights form one contiguous dot-product row), packed once for the
-// int8 kernel (tensor.PackI8Weights), scales the per-output scales.
+// int8 kernel (tensor.PackI8Weights), scales the per-output scales. The
+// layer drops its float32 weights.
 func (d *Dense) SetInt8Weights(data []int8, scales []float32) error {
 	if len(data) != d.In*d.Out || len(scales) != d.Out {
 		return fmt.Errorf("nn: %s int8 weights [%d]/scales [%d] for a %dx%d dense layer",
 			d.name, len(data), len(scales), d.Out, d.In)
 	}
-	d.qw, d.qscale = tensor.PackI8Weights(data, d.Out, d.In, 1), scales
+	d.qw, d.qscale, d.W = tensor.PackI8Weights(data, d.Out, d.In, 1), scales, nil
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tbnet/internal/tensor"
@@ -47,7 +49,8 @@ func TestConvInt8WithinQuantErrorBound(t *testing.T) {
 		rng.FillNormal(x, 0, 1)
 		want := conv.Forward(x, false)
 
-		qdata, qscales := quantizeRowsRef(conv.W.Value.Data(), conv.OutC, conv.InC*9)
+		wd := conv.W.Value.Data() // arming drops the float32 weights
+		qdata, qscales := quantizeRowsRef(wd, conv.OutC, conv.InC*9)
 		if err := conv.SetInt8Weights(qdata, qscales); err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +73,7 @@ func TestConvInt8WithinQuantErrorBound(t *testing.T) {
 			rows := make([]int8, hw*colRows)
 			tensor.Im2RowI8(qin, 3, 9, 9, 3, 3, 1, 1, rows)
 			for ch := 0; ch < conv.OutC; ch++ {
-				wRow := conv.W.Value.Data()[ch*colRows : (ch+1)*colRows]
+				wRow := wd[ch*colRows : (ch+1)*colRows]
 				qRow := qdata[ch*colRows : (ch+1)*colRows]
 				for p := 0; p < hw; p++ {
 					patchF := make([]float32, colRows)
@@ -211,7 +214,8 @@ func TestDepthwiseInt8WithinQuantErrorBound(t *testing.T) {
 	rng.FillNormal(x, 0, 1)
 	want := d.Forward(x, false)
 
-	qdata, qscales := quantizeRowsRef(d.W.Value.Data(), d.C, 9)
+	wd := d.W.Value.Data() // arming drops the float32 filters
+	qdata, qscales := quantizeRowsRef(wd, d.C, 9)
 	if err := d.SetInt8Weights(qdata, qscales); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +247,7 @@ func TestDepthwiseInt8WithinQuantErrorBound(t *testing.T) {
 							if ix < 0 || ix >= 7 {
 								continue
 							}
-							wTaps = append(wTaps, d.W.Value.Data()[ch*9+ky*3+kx])
+							wTaps = append(wTaps, wd[ch*9+ky*3+kx])
 							qwTaps = append(qwTaps, qdata[ch*9+ky*3+kx])
 							xTaps = append(xTaps, sample[ch*49+iy*7+ix])
 							qxTaps = append(qxTaps, qin[ch*49+iy*7+ix])
@@ -320,9 +324,10 @@ func TestSetInt8WeightsRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// TestPruneDropsInt8Weights: surgery invalidates the quantized form; the
-// layer must fall back to float32 instead of computing with stale int8 data.
-func TestPruneDropsInt8Weights(t *testing.T) {
+// TestPruneRefusesInt8Layer: an int8 layer holds no float32 weights and its
+// packed form cannot be cut, so surgery on it must fail loudly instead of
+// leaving the layer computing with stale int8 data.
+func TestPruneRefusesInt8Layer(t *testing.T) {
 	rng := tensor.NewRNG(26)
 	for name, prune := range map[string]func(*Conv2D){
 		"output": func(c *Conv2D) { c.PruneOutput([]int{0, 2}) },
@@ -333,20 +338,16 @@ func TestPruneDropsInt8Weights(t *testing.T) {
 		if err := conv.SetInt8Weights(qdata, qscales); err != nil {
 			t.Fatal(err)
 		}
-		prune(conv)
-		if conv.Int8() || conv.qw != nil || conv.qscale != nil {
-			t.Fatalf("prune %s left stale (permuted) int8 weights armed", name)
-		}
-		// The pruned layer runs float32 again, on the pruned geometry.
-		x := tensor.New(2, conv.InC, 5, 5)
-		rng.FillNormal(x, 0, 1)
-		want := conv.CloneLayer().(*Conv2D).Forward(x, false)
-		got := tensor.New(want.Shape()...)
-		conv.ForwardInto(got, x, NewArena())
-		for i := range want.Data() {
-			if got.Data()[i] != want.Data()[i] {
-				t.Fatalf("prune %s: float32 fallback differs at %d", name, i)
-			}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "int8 layer") {
+					t.Fatalf("prune %s of an int8 layer: recovered %v, want the int8 surgery panic", name, r)
+				}
+			}()
+			prune(conv)
+		}()
+		if !conv.Int8() || conv.InC != 2 || conv.OutC != 4 {
+			t.Fatalf("prune %s changed the refused layer", name)
 		}
 	}
 }

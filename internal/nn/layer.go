@@ -31,6 +31,26 @@ func newParam(name string, v *tensor.Tensor, decay bool) *Param {
 	return &Param{Name: name, Value: v, Decay: decay}
 }
 
+// clone deep-copies the parameter without its gradient; a nil parameter (the
+// weight an int8 layer does not hold, an absent bias) stays nil.
+func (p *Param) clone() *Param {
+	if p == nil {
+		return nil
+	}
+	return newParam(p.Name, p.Value.Clone(), p.Decay)
+}
+
+// params returns the parameters of ps a layer holds: nil ones are left out.
+func params(ps ...*Param) []*Param {
+	out := ps[:0]
+	for _, p := range ps {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // Gradient returns the gradient accumulator, allocating it zeroed on first
 // use. Backward passes call it only outside their parallel regions, so the
 // first touch never races.

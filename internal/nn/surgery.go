@@ -21,19 +21,16 @@ type Cloner interface {
 
 // CloneLayer returns a deep copy of the convolution (weights copied, caches
 // dropped). Quantized int8 weights are immutable once attached, so clones
-// share the underlying slices instead of copying them. The narrow pack is
-// not carried over: the copy may be trained, and a pack would go stale.
+// share the underlying slices instead of copying them; the clone of an int8
+// layer has no float32 weights either. The narrow pack is not carried over:
+// the copy may be trained, and a pack would go stale.
 func (c *Conv2D) CloneLayer() Layer {
-	out := &Conv2D{
+	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW,
 		Stride: c.Stride, Pad: c.Pad, name: c.name,
+		W: c.W.clone(), B: c.B.clone(),
 		qw: c.qw, qscale: c.qscale,
 	}
-	out.W = newParam(c.W.Name, c.W.Value.Clone(), c.W.Decay)
-	if c.B != nil {
-		out.B = newParam(c.B.Name, c.B.Value.Clone(), c.B.Decay)
-	}
-	return out
 }
 
 // CloneLayer returns a deep copy including running statistics, but not the
@@ -63,8 +60,7 @@ func (p *GlobalAvgPool) CloneLayer() Layer { return NewGlobalAvgPool(p.name) }
 func (d *Dense) CloneLayer() Layer {
 	return &Dense{
 		In: d.In, Out: d.Out, name: d.name,
-		W:  newParam(d.W.Name, d.W.Value.Clone(), d.W.Decay),
-		B:  newParam(d.B.Name, d.B.Value.Clone(), d.B.Decay),
+		W: d.W.clone(), B: d.B.clone(),
 		qw: d.qw, qscale: d.qscale,
 	}
 }
@@ -79,11 +75,21 @@ func CloneOf(l Layer) Layer {
 	return c.CloneLayer()
 }
 
+// surgeryWeights returns the float32 weights w of the layer named name for
+// surgery to cut. An int8 layer holds none, and its packed form cannot be
+// cut: prune the float32 model and quantize it again.
+func surgeryWeights(name string, w *Param) []float32 {
+	if w == nil {
+		panic(fmt.Sprintf("nn: surgery on %s, an int8 layer: prune the float32 model and quantize it again", name))
+	}
+	return w.Value.Data()
+}
+
 // PruneOutput keeps only the listed output channels of the convolution.
 func (c *Conv2D) PruneOutput(keep []int) {
 	cols := c.InC * c.KH * c.KW
 	nw := tensor.New(len(keep), cols)
-	src, dst := c.W.Value.Data(), nw.Data()
+	src, dst := surgeryWeights(c.name, c.W), nw.Data()
 	for i, ch := range keep {
 		copy(dst[i*cols:(i+1)*cols], src[ch*cols:(ch+1)*cols])
 	}
@@ -96,7 +102,7 @@ func (c *Conv2D) PruneOutput(keep []int) {
 		c.B = newParam(c.B.Name, nb, c.B.Decay)
 	}
 	c.OutC = len(keep)
-	c.qw, c.qscale, c.narrow = nil, nil, nil // stale after surgery; re-quantize to re-arm
+	c.narrow = nil // stale after surgery
 }
 
 // PruneInput keeps only the listed input channels of the convolution.
@@ -105,7 +111,7 @@ func (c *Conv2D) PruneInput(keep []int) {
 	oldCols := c.InC * kk
 	newCols := len(keep) * kk
 	nw := tensor.New(c.OutC, newCols)
-	src, dst := c.W.Value.Data(), nw.Data()
+	src, dst := surgeryWeights(c.name, c.W), nw.Data()
 	for o := 0; o < c.OutC; o++ {
 		for i, ch := range keep {
 			copy(dst[o*newCols+i*kk:o*newCols+(i+1)*kk], src[o*oldCols+ch*kk:o*oldCols+(ch+1)*kk])
@@ -113,7 +119,7 @@ func (c *Conv2D) PruneInput(keep []int) {
 	}
 	c.W = newParam(c.W.Name, nw, c.W.Decay)
 	c.InC = len(keep)
-	c.qw, c.qscale, c.narrow = nil, nil, nil // stale after surgery; re-quantize to re-arm
+	c.narrow = nil // stale after surgery
 }
 
 // Prune keeps only the listed channels of the batch-norm layer.
@@ -139,7 +145,7 @@ func (b *BatchNorm2D) Prune(keep []int) {
 func (d *Dense) PruneInput(keep []int, spatial int) {
 	newIn := len(keep) * spatial
 	nw := tensor.New(newIn, d.Out)
-	src, dst := d.W.Value.Data(), nw.Data()
+	src, dst := surgeryWeights(d.name, d.W), nw.Data()
 	for i, ch := range keep {
 		for s := 0; s < spatial; s++ {
 			copy(dst[(i*spatial+s)*d.Out:(i*spatial+s+1)*d.Out],
@@ -148,7 +154,6 @@ func (d *Dense) PruneInput(keep []int, spatial int) {
 	}
 	d.W = newParam(d.W.Name, nw, d.W.Decay)
 	d.In = newIn
-	d.qw, d.qscale = nil, nil // stale after surgery; re-quantize to re-arm
 }
 
 // Reinit re-randomizes the convolution's weights (He-normal) and zeroes its
@@ -190,8 +195,12 @@ type Weighted interface {
 	// Bias returns the bias parameter, nil when the layer has none.
 	Bias() *Param
 	// SetInt8Weights arms the layer's int8 inference path with the
-	// [rows, cols] quantized matrix and its per-row scales.
+	// [rows, cols] quantized matrix and its per-row scales, dropping the
+	// float32 weights.
 	SetInt8Weights(data []int8, scales []float32) error
+	// SetWeights gives the layer the float32 [rows, cols] weights w,
+	// dropping its int8 arming.
+	SetWeights(w *tensor.Tensor)
 	// Reinit re-randomizes the weights and zeroes the bias.
 	Reinit(rng *tensor.RNG)
 }
@@ -204,6 +213,36 @@ func (c *Conv2D) Bias() *Param { return c.B }
 
 // Weight returns the [C, K*K] filter bank.
 func (d *DepthwiseConv2D) Weight() *Param { return d.W }
+
+// weightParam wraps w as the weight parameter of the layer named name, whose
+// weights are [rows, cols].
+func weightParam(name string, w *tensor.Tensor, rows, cols int) *Param {
+	if w.Rank() != 2 || w.Dim(0) != rows || w.Dim(1) != cols {
+		panic(fmt.Sprintf("nn: %s weights %v, want [%d %d]", name, w.Shape(), rows, cols))
+	}
+	return newParam(name+".weight", w, true)
+}
+
+// SetWeights gives the convolution the float32 [OutC, InC*KH*KW] weights w
+// and drops its int8 arming and narrow pack: the layer holds one layout.
+func (c *Conv2D) SetWeights(w *tensor.Tensor) {
+	c.W = weightParam(c.name, w, c.OutC, c.InC*c.KH*c.KW)
+	c.qw, c.qscale, c.narrow = nil, nil, nil
+}
+
+// SetWeights gives the depthwise convolution the float32 [C, K*K] filter
+// bank w and drops its int8 arming.
+func (d *DepthwiseConv2D) SetWeights(w *tensor.Tensor) {
+	d.W = weightParam(d.name, w, d.C, d.K*d.K)
+	d.qw, d.qscale = nil, nil
+}
+
+// SetWeights gives the dense layer the float32 [In, Out] weights w and drops
+// its int8 arming.
+func (d *Dense) SetWeights(w *tensor.Tensor) {
+	d.W = weightParam(d.name, w, d.In, d.Out)
+	d.qw, d.qscale = nil, nil
+}
 
 // Bias returns nil: a depthwise convolution has no bias.
 func (d *DepthwiseConv2D) Bias() *Param { return nil }

@@ -8,6 +8,8 @@
 package quant
 
 import (
+	"fmt"
+
 	"tbnet/internal/nn"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
@@ -39,15 +41,16 @@ type QuantizedDense struct {
 	Bias []float32
 }
 
-// QuantizedModel is a storage representation of a staged model with all
-// convolution and dense weights quantized; everything else (BN parameters,
-// architecture) is carried verbatim via a weight-stripped skeleton.
+// QuantizedModel is a staged model quantized for int8 serving: the armed
+// model and the int8 records it was armed from.
 type QuantizedModel struct {
-	// Skeleton is the original model with conv/dense weights zeroed; it
-	// carries the architecture, BN parameters, and running statistics.
-	Skeleton *zoo.Model
-	Convs    []QuantizedConv  // in stage traversal order
-	Denses   []QuantizedDense // the head (and any future dense layers)
+	// Model is the armed model: every convolution and the head run the int8
+	// kernels and hold no float32 weights; the architecture, biases and BN
+	// parameters stay float32. It is immutable once armed, so deployments
+	// share it.
+	Model  *zoo.Model
+	Convs  []QuantizedConv  // in stage traversal order
+	Denses []QuantizedDense // the head (and any future dense layers)
 }
 
 // quantizeRows quantizes a [rows, cols] matrix with one scale per row.
@@ -111,53 +114,95 @@ func quantizeConv(c nn.Weighted) QuantizedConv {
 	return q
 }
 
-// Quantize converts a model into its quantized storage form. The input model
-// is not modified.
+// Quantize converts a model into its int8 serving form. The input model is
+// not modified: its clone is quantized and armed, which drops the clone's
+// float32 weights.
 func Quantize(m *zoo.Model) *QuantizedModel {
-	qm := &QuantizedModel{Skeleton: m.Clone()}
-	for _, s := range qm.Skeleton.Stages {
+	out := m.Clone()
+	var convs []QuantizedConv
+	for _, s := range out.Stages {
 		for _, c := range s.Convs() {
-			qm.Convs = append(qm.Convs, quantizeConv(c))
-			c.Weight().Value.Zero()
+			convs = append(convs, quantizeConv(c))
 		}
 	}
-	fc := qm.Skeleton.Head.FC
+	fc := out.Head.FC
 	// Dense weights are [In, Out]; quantize per output column by transposing.
-	wt := tensor.Transpose(fc.W.Value)
-	data, scales := quantizeRows(wt)
-	qm.Denses = append(qm.Denses, QuantizedDense{
+	data, scales := quantizeRows(tensor.Transpose(fc.W.Value))
+	denses := []QuantizedDense{{
 		In: fc.In, Out: fc.Out, Data: data, Scales: scales,
 		Bias: append([]float32(nil), fc.B.Value.Data()...),
-	})
-	fc.W.Value.Zero()
+	}}
+	qm, err := Arm(out, convs, denses)
+	if err != nil {
+		panic(err) // records cut from out itself always fit it
+	}
 	return qm
 }
 
-// Dequantize reconstructs a float32 model for execution.
+// Arm attaches int8 records to m and returns the quantized branch: every
+// convolution, in stage traversal order (zoo.Stage.Convs), and then the head
+// take their record's weights (SetInt8Weights, which drops the float32
+// ones). m is armed in place and keeps its own biases, which the records
+// copy; the artifact loader builds it with no weights. Arm fails when the
+// records do not fit m: a count, a layer's dimensions or the head's
+// [In, Out] differ.
+func Arm(m *zoo.Model, convs []QuantizedConv, denses []QuantizedDense) (*QuantizedModel, error) {
+	ci := 0
+	for si, s := range m.Stages {
+		for _, c := range s.Convs() {
+			if ci >= len(convs) {
+				return nil, fmt.Errorf("quant: stage %d: model needs more than %d quantized convolutions", si, len(convs))
+			}
+			q := &convs[ci]
+			ci++
+			if err := c.SetInt8Weights(q.Data, q.Scales); err != nil {
+				return nil, fmt.Errorf("quant: stage %d: %w", si, err)
+			}
+		}
+	}
+	if ci != len(convs) {
+		return nil, fmt.Errorf("quant: %d quantized convolutions but model consumed %d", len(convs), ci)
+	}
+	if len(denses) != 1 {
+		return nil, fmt.Errorf("quant: expected 1 quantized dense layer, have %d", len(denses))
+	}
+	qd, fc := denses[0], m.Head.FC
+	if qd.In != fc.In || qd.Out != fc.Out {
+		return nil, fmt.Errorf("quant: head is [%d,%d], quantized dense is [%d,%d]",
+			fc.In, fc.Out, qd.In, qd.Out)
+	}
+	// QuantizedDense.Data is already [Out, In] — the dot-product layout the
+	// int8 dense kernel expects.
+	if err := fc.SetInt8Weights(qd.Data, qd.Scales); err != nil {
+		return nil, fmt.Errorf("quant: head: %w", err)
+	}
+	return &QuantizedModel{Model: m, Convs: convs, Denses: denses}, nil
+}
+
+// Dequantize reconstructs a float32 model: a copy of the armed model whose
+// every convolution and head holds float32 weights rebuilt from the records,
+// and no int8 arming.
 func (qm *QuantizedModel) Dequantize() *zoo.Model {
-	out := qm.Skeleton.Clone()
+	out := qm.Model.Clone()
 	ci := 0
 	for _, s := range out.Stages {
 		for _, c := range s.Convs() {
 			q := qm.Convs[ci]
 			ci++
-			dequantizeRows(q.Data, q.Scales, c.Weight().Value)
-			if b := c.Bias(); b != nil && q.Bias != nil {
-				copy(b.Value.Data(), q.Bias)
-			}
+			w := tensor.New(q.OutC, q.Cols)
+			dequantizeRows(q.Data, q.Scales, w)
+			c.SetWeights(w)
 		}
 	}
 	qd := qm.Denses[0]
 	wt := tensor.New(qd.Out, qd.In)
 	dequantizeRows(qd.Data, qd.Scales, wt)
-	w := tensor.Transpose(wt)
-	copy(out.Head.FC.W.Value.Data(), w.Data())
-	copy(out.Head.FC.B.Value.Data(), qd.Bias)
+	out.Head.FC.SetWeights(tensor.Transpose(wt))
 	return out
 }
 
 // ParamBytes returns the quantized parameter footprint: int8 weights, float32
-// scales and biases, float32 BN parameters from the skeleton.
+// scales and biases, float32 BN parameters of the armed model.
 func (qm *QuantizedModel) ParamBytes() int64 {
 	var n int64
 	for _, q := range qm.Convs {
@@ -170,8 +215,8 @@ func (qm *QuantizedModel) ParamBytes() int64 {
 		n += int64(len(q.Scales)) * 4
 		n += int64(len(q.Bias)) * 4
 	}
-	// BN parameters (γ, β, running stats) remain float32 in the skeleton.
-	for _, s := range qm.Skeleton.Stages {
+	// BN parameters (γ, β, running stats) remain float32.
+	for _, s := range qm.Model.Stages {
 		for _, bn := range s.Norms() {
 			n += int64(bn.C) * 4 * 4
 		}

@@ -311,7 +311,7 @@ func FuzzLoadDeployment(f *testing.F) {
 	f.Add(valid[:8])
 	f.Add([]byte{})
 	f.Add([]byte("TBND garbage"))
-	f.Add(unbackedConvArtifact())
+	f.Add(unbackedConvArtifact(false))
 	for _, arch := range []string{"mobilenet", "resnet"} {
 		f.Add(artifactBytes(f, &Artifact{TB: finalizedTwoBranch(f, 9, arch), Device: "rpi3", SampleShape: shape}))
 	}

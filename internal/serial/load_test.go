@@ -37,23 +37,61 @@ func vgg18Artifacts(t testing.TB) (f32, i8 []byte, paramBytes int64) {
 
 // TestLoadDeploymentAllocBytes: a load allocates what the artifact holds and
 // little more — no layer built only to be replaced, no decode buffer per
-// tensor, no gradient accumulator.
+// tensor, no gradient accumulator. The int8 leg locks three figures of the
+// VGG18-S artifact at their measured values, allowing 1% for the allocator:
+// what the load allocates, what Deploy allocates, and the heap left live
+// after both. An armed layer holds no float32 weights, and Deploy serves the
+// loaded armed models without copying them, so a 247 131-byte artifact
+// stays about 0.53 MB live (2.49 MB while both held zeroed float32 copies).
 func TestLoadDeploymentAllocBytes(t *testing.T) {
-	data, _, paramBytes := vgg18Artifacts(t)
-	const loads = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < loads; i++ {
-		if _, err := LoadDeployment(bytes.NewReader(data)); err != nil {
+	f32, i8, paramBytes := vgg18Artifacts(t)
+	t.Run("f32", func(t *testing.T) {
+		const loads = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < loads; i++ {
+			if _, err := LoadDeployment(bytes.NewReader(f32)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perLoad := float64(after.TotalAlloc-before.TotalAlloc) / loads
+		if ratio := perLoad / float64(paramBytes); ratio > 1.5 {
+			t.Fatalf("a load allocates %.0f bytes, %.2f× the %d parameter bytes (want ≤ 1.5×)",
+				perLoad, ratio, paramBytes)
+		}
+	})
+	t.Run("int8", func(t *testing.T) {
+		const loadBytes, deployBytes, liveBytes = 543_584, 10_432, 533_760
+		var m0, m1, m2, m3 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		art, err := LoadDeployment(bytes.NewReader(i8))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	perLoad := float64(after.TotalAlloc-before.TotalAlloc) / loads
-	if ratio := perLoad / float64(paramBytes); ratio > 1.5 {
-		t.Fatalf("a load allocates %.0f bytes, %.2f× the %d parameter bytes (want ≤ 1.5×)",
-			perLoad, ratio, paramBytes)
-	}
+		runtime.ReadMemStats(&m1)
+		dep, err := art.Deploy(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m2)
+		runtime.GC()
+		runtime.ReadMemStats(&m3)
+		runtime.KeepAlive(dep)
+		for _, c := range []struct {
+			what      string
+			got, want int64
+		}{
+			{"the load allocates", int64(m1.TotalAlloc - m0.TotalAlloc), loadBytes},
+			{"Deploy allocates", int64(m2.TotalAlloc - m1.TotalAlloc), deployBytes},
+			{"load + Deploy leave live", int64(m3.HeapAlloc) - int64(m0.HeapAlloc), liveBytes},
+		} {
+			if float64(c.got) > 1.01*float64(c.want) {
+				t.Errorf("%s %d bytes, over the %d measured (+1%%)", c.what, c.got, c.want)
+			}
+		}
+	})
 }
 
 // TestReplicateAllocBytes: a replica is its scratch, not a copy — one
@@ -93,10 +131,12 @@ func TestReplicateAllocBytes(t *testing.T) {
 	}
 }
 
-// unbackedConvArtifact is a 129-byte f32 artifact whose one stage declares a
-// 4096×4096×2×2 convolution — 256 MiB of weights — and then ends: no
-// weights, only a (wrong) trailer.
-func unbackedConvArtifact() []byte {
+// unbackedConvArtifact is a hand-built artifact whose one stage declares a
+// 4096×4096×2×2 convolution — 256 MiB of float32 weights — and then ends in
+// a (wrong) trailer. The 129-byte f32 form stops after the weight count: no
+// weight follows. The 125-byte int8 form elides the weights, so the stage's
+// batch norm reads its width from the trailer.
+func unbackedConvArtifact(quantized bool) []byte {
 	var b []byte
 	u32 := func(vs ...uint32) {
 		for _, v := range vs {
@@ -104,10 +144,18 @@ func unbackedConvArtifact() []byte {
 		}
 	}
 	str := func(s string) { u32(uint32(len(s))); b = append(b, s...) }
-	u32(magicDeploy, version)
+	if quantized {
+		u32(magicDeploy, deployVersion)
+	} else {
+		u32(magicDeploy, version)
+	}
 	str("rpi3")
 	u32(4, 1, 3, 16, 16) // sample shape rank and dims
-	b = append(b, 1)     // finalized
+	if quantized {
+		b = append(b, precByteInt8)
+	} else {
+		b = append(b, 1) // finalized
+	}
 	str("m")
 	str("vgg")
 	u32(3, 10, 1) // input channels, classes, one stage
@@ -117,7 +165,9 @@ func unbackedConvArtifact() []byte {
 	b = append(b, 0)         // not width-fixed
 	u32(4096, 4096, 2, 1, 0) // inC, outC, k, stride, pad
 	b = append(b, 0)         // no bias
-	u32(4096 * 4096 * 2 * 2) // the weight count; no weight follows
+	if !quantized {
+		u32(4096 * 4096 * 2 * 2) // the weight count; no weight follows
+	}
 	return append(b, make([]byte, sha256.Size)...)
 }
 
@@ -125,7 +175,20 @@ func unbackedConvArtifact() []byte {
 // tensor the input cannot hold fails with ErrBadFormat before the tensor is
 // allocated.
 func TestLoadDeploymentAllocatesOnlyWhatBytesFill(t *testing.T) {
-	data := unbackedConvArtifact()
+	assertLoadAllocatesUnder1MiB(t, unbackedConvArtifact(false))
+}
+
+// TestLoadDeploymentInt8AllocatesOnlyWhatBytesFill: the weights an int8
+// artifact elides are never allocated, so its loader is bounded by the
+// bytes too.
+func TestLoadDeploymentInt8AllocatesOnlyWhatBytesFill(t *testing.T) {
+	assertLoadAllocatesUnder1MiB(t, unbackedConvArtifact(true))
+}
+
+// assertLoadAllocatesUnder1MiB requires data to fail to load with
+// ErrBadFormat after the loader allocated less than 1 MiB.
+func assertLoadAllocatesUnder1MiB(t *testing.T, data []byte) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := LoadDeployment(bytes.NewReader(data))

@@ -3,16 +3,15 @@ package serial
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"tbnet/internal/quant"
 )
 
-// Version-3 deployment artifacts: the int8 quantized serving form. The
-// float32 weight tensors are elided from the skeleton bodies (they are zero
-// by construction — quant.Quantize strips them) and the weights ship as raw
-// int8 payloads with per-channel float32 scales, shrinking the artifact
-// roughly 4× alongside the secure-memory win.
+// Version-3 deployment artifacts: the int8 quantized serving form. An armed
+// model holds no float32 weights, so its body is written without them, and
+// the weights ship as raw int8 payloads with per-channel float32 scales,
+// shrinking the artifact roughly 4× alongside the secure-memory win. The
+// loader arms the weightless body from those records (quant.Arm).
 
 const (
 	// precF32/precInt8 are the Artifact.Precision values.
@@ -94,10 +93,11 @@ func (r *reader) f32s(expect int) []float32 {
 	return buf
 }
 
-// saveQuantizedModel writes one quantized branch: the weight-elided skeleton
-// (architecture, BN parameters, biases) followed by the int8 weight records.
+// saveQuantizedModel writes one quantized branch: the weight-elided model
+// body (architecture, BN parameters, biases) followed by the int8 weight
+// records.
 func saveQuantizedModel(w *writer, qm *quant.QuantizedModel) {
-	saveModelBody(w, qm.Skeleton, true)
+	saveModelBody(w, qm.Model, true)
 	w.i32(len(qm.Convs))
 	for _, q := range qm.Convs {
 		w.i32(q.OutC)
@@ -117,15 +117,14 @@ func saveQuantizedModel(w *writer, qm *quant.QuantizedModel) {
 }
 
 // loadQuantizedModel reads one quantized branch written by
-// saveQuantizedModel, bounding every allocation before making it. Structural
-// consistency against the skeleton (record counts, per-layer dims) is
-// enforced by quant.Realize at deploy time.
+// saveQuantizedModel, bounding every allocation before making it, and arms
+// the weightless body with the records (quant.Arm). Records that do not fit
+// the body (counts, per-layer dims) fail with ErrBadFormat.
 func loadQuantizedModel(r *reader) *quant.QuantizedModel {
-	skeleton := loadModelBody(r, true)
+	m := loadModelBody(r, true)
 	if r.err != nil {
 		return nil
 	}
-	qm := &quant.QuantizedModel{Skeleton: skeleton}
 	nc := r.i32()
 	if r.err != nil {
 		return nil
@@ -134,6 +133,7 @@ func loadQuantizedModel(r *reader) *quant.QuantizedModel {
 		r.err = fmt.Errorf("%w: quantized conv count %d", ErrBadFormat, nc)
 		return nil
 	}
+	var convs []quant.QuantizedConv
 	for i := 0; i < nc; i++ {
 		outC, cols := r.i32(), r.i32()
 		if r.err != nil {
@@ -159,7 +159,7 @@ func loadQuantizedModel(r *reader) *quant.QuantizedModel {
 		if r.err != nil {
 			return nil
 		}
-		qm.Convs = append(qm.Convs, q)
+		convs = append(convs, q)
 	}
 	nd := r.i32()
 	if r.err != nil {
@@ -169,6 +169,7 @@ func loadQuantizedModel(r *reader) *quant.QuantizedModel {
 		r.err = fmt.Errorf("%w: quantized dense count %d", ErrBadFormat, nd)
 		return nil
 	}
+	var denses []quant.QuantizedDense
 	for i := 0; i < nd; i++ {
 		in, out := r.i32(), r.i32()
 		if r.err != nil {
@@ -185,98 +186,11 @@ func loadQuantizedModel(r *reader) *quant.QuantizedModel {
 		if r.err != nil {
 			return nil
 		}
-		qm.Denses = append(qm.Denses, q)
+		denses = append(denses, q)
+	}
+	qm, err := quant.Arm(m, convs, denses)
+	if err != nil {
+		r.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	return qm
-}
-
-// saveDeploymentInt8 writes a version-3 int8 deployment artifact; the caller
-// has validated the shape.
-func saveDeploymentInt8(out io.Writer, a *Artifact) error {
-	if a.QMR == nil || a.QMT == nil || a.QMR.Skeleton == nil || a.QMT.Skeleton == nil {
-		return fmt.Errorf("%w: int8 artifact without quantized branches", ErrBadFormat)
-	}
-	w := newWriter(out)
-	w.u32(magicDeploy)
-	w.u32(deployVersion)
-	w.beginChecksum()
-	w.str(a.Device)
-	w.i32(len(a.SampleShape))
-	for _, d := range a.SampleShape {
-		w.i32(d)
-	}
-	w.u8(precByteInt8)
-	saveQuantizedModel(w, a.QMR)
-	saveQuantizedModel(w, a.QMT)
-	w.i32(len(a.Align))
-	for _, al := range a.Align {
-		if al == nil {
-			w.i32(-1)
-			continue
-		}
-		w.i32(len(al))
-		for _, ch := range al {
-			w.i32(ch)
-		}
-	}
-	w.endChecksum()
-	return w.flush()
-}
-
-// loadDeploymentInt8 finishes loading a version-3 int8 artifact; device and
-// sample shape are already parsed into a.
-func loadDeploymentInt8(r *reader, a *Artifact) (*Artifact, error) {
-	a.Precision = precInt8
-	a.QMR = loadQuantizedModel(r)
-	a.QMT = loadQuantizedModel(r)
-	n := r.i32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	mr, mt := a.QMR.Skeleton, a.QMT.Skeleton
-	if n != len(mt.Stages) || len(mr.Stages) != len(mt.Stages) {
-		return nil, fmt.Errorf("%w: alignment count %d for %d stages", ErrBadFormat, n, len(mt.Stages))
-	}
-	a.Align = make([][]int, n)
-	for i := 0; i < n; i++ {
-		k := r.i32()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if k < 0 {
-			continue
-		}
-		if k > 1<<16 {
-			return nil, fmt.Errorf("%w: alignment length %d", ErrBadFormat, k)
-		}
-		a.Align[i] = make([]int, k)
-		for j := range a.Align[i] {
-			a.Align[i][j] = r.i32()
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		// Same invariant loadTwoBranchBody enforces: the selection must match
-		// the secure stage's width and address real MR channels, so corruption
-		// fails at load instead of at serve time.
-		mtC := mt.Stages[i].OutChannels()
-		mrC := mr.Stages[i].OutChannels()
-		if k != mtC {
-			return nil, fmt.Errorf("%w: alignment %d selects %d channels for a %d-channel stage",
-				ErrBadFormat, i, k, mtC)
-		}
-		for _, ch := range a.Align[i] {
-			if ch < 0 || ch >= mrC {
-				return nil, fmt.Errorf("%w: alignment %d index %d outside %d MR channels",
-					ErrBadFormat, i, ch, mrC)
-			}
-		}
-	}
-	if r.err == nil {
-		r.verifyChecksum()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return a, nil
 }

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"tbnet/internal/core"
+	"tbnet/internal/nn"
 	"tbnet/internal/quant"
 	"tbnet/internal/tee"
 	"tbnet/internal/tensor"
+	"tbnet/internal/zoo"
 )
 
 // int8Artifact quantizes a finalized two-branch model into a v3 artifact.
@@ -29,7 +33,7 @@ func int8Artifact(t testing.TB, seed uint64, arch string, shape []int) (*Artifac
 // assertQuantBitIdentical compares two quantized models record by record.
 func assertQuantBitIdentical(t testing.TB, what string, a, b *quant.QuantizedModel) {
 	t.Helper()
-	assertModelsBitIdentical(t, what+" skeleton", a.Skeleton, b.Skeleton)
+	assertModelsBitIdentical(t, what+" model", a.Model, b.Model)
 	if len(a.Convs) != len(b.Convs) || len(a.Denses) != len(b.Denses) {
 		t.Fatalf("%s: %d/%d convs, %d/%d denses", what,
 			len(a.Convs), len(b.Convs), len(a.Denses), len(b.Denses))
@@ -244,5 +248,99 @@ func FuzzLoadDeploymentInt8(f *testing.F) {
 	// byte dispatch.
 	hdr := append([]byte(nil), valid[:8]...)
 	f.Add(append(hdr, []byte("not a body")...))
+	// An elided 256 MiB convolution that no byte pays for.
+	f.Add(unbackedConvArtifact(true))
 	f.Fuzz(fuzzLoadAndDeploy)
+}
+
+// TestLoadDeploymentRejectsMismatchedInt8Record: the loader arms each branch
+// from its records, so records that do not fit the branch they follow fail
+// the load with ErrBadFormat instead of a later Deploy.
+func TestLoadDeploymentRejectsMismatchedInt8Record(t *testing.T) {
+	art, _ := int8Artifact(t, 27, "vgg", []int{1, 3, 16, 16})
+	qm := art.QMT
+	swapped := append([]quant.QuantizedConv(nil), qm.Convs...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	for name, bad := range map[string]*quant.QuantizedModel{
+		"missing convolutions": {Model: qm.Model, Convs: qm.Convs[:1], Denses: qm.Denses},
+		"surplus convolutions": {Model: qm.Model,
+			Convs: append(append([]quant.QuantizedConv(nil), qm.Convs...), qm.Convs[0]), Denses: qm.Denses},
+		"swapped convolutions": {Model: qm.Model, Convs: swapped, Denses: qm.Denses},
+		"mismatched head": {Model: qm.Model, Convs: qm.Convs,
+			Denses: []quant.QuantizedDense{{In: 1, Out: 1, Data: []int8{0}, Scales: []float32{1}, Bias: []float32{0}}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := *art
+			a.QMT = bad
+			if _, err := LoadDeployment(bytes.NewReader(artifactBytes(t, &a))); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("err = %v, want ErrBadFormat", err)
+			}
+		})
+	}
+}
+
+// TestInt8LayersHoldOneLayout: an int8 branch holds its weights once. On
+// every way to an int8 model — Quantize, LoadDeployment, DeployQuantized,
+// DeployInt8, Replicate, ExtractedMR — every convolution and the head are
+// armed and hold no float32 weights; Dequantize's copy is the reverse.
+func TestInt8LayersHoldOneLayout(t *testing.T) {
+	shape := []int{2, 3, 16, 16}
+	for _, arch := range []string{"vgg", "resnet", "mobilenet"} {
+		t.Run(arch, func(t *testing.T) {
+			art, tb := int8Artifact(t, 31, arch, shape)
+			loaded, err := LoadDeployment(bytes.NewReader(artifactBytes(t, art)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep, err := loaded.Deploy(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := core.DeployInt8(tb, tee.RaspberryPi3(), shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := dep.Replicate(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for what, m := range map[string]*zoo.Model{
+				"Quantize M_R": art.QMR.Model, "Quantize M_T": art.QMT.Model,
+				"LoadDeployment M_R": loaded.QMR.Model, "LoadDeployment M_T": loaded.QMT.Model,
+				"DeployQuantized M_R": dep.Snapshot().MR, "DeployQuantized M_T": dep.Snapshot().MT,
+				"DeployInt8 M_R": fresh.Snapshot().MR, "DeployInt8 M_T": fresh.Snapshot().MT,
+				"Replicate M_R": rep.Snapshot().MR, "Replicate M_T": rep.Snapshot().MT,
+				"ExtractedMR": dep.ExtractedMR(),
+			} {
+				assertOneLayout(t, what, m, true)
+			}
+			assertOneLayout(t, "Dequantize", loaded.QMT.Dequantize(), false)
+		})
+	}
+}
+
+// assertOneLayout requires every convolution and the head of m to hold
+// exactly one layout of its weights: int8 (armed, no float32 weights) when
+// int8 is set, float32 (weights, not armed) otherwise.
+func assertOneLayout(t *testing.T, what string, m *zoo.Model, int8 bool) {
+	t.Helper()
+	check := func(layer string, l any, w *nn.Param) {
+		if (w == nil) != int8 || int8Armed(l) != int8 {
+			t.Fatalf("%s: %s holds float32 weights %v and int8 weights %v, want int8 only %v",
+				what, layer, w != nil, int8Armed(l), int8)
+		}
+	}
+	for _, s := range m.Stages {
+		for i, c := range s.Convs() {
+			check(fmt.Sprintf("%s layer %d", s.Name(), i), c, c.Weight())
+		}
+	}
+	check("head", m.Head.FC, m.Head.FC.W)
+}
+
+// int8Armed reports whether a layer holds int8 weights: the packed weights
+// its int8 path runs from, read by reflection, since no product path asks a
+// depthwise or dense layer for them.
+func int8Armed(layer any) bool {
+	return !reflect.ValueOf(layer).Elem().FieldByName("qw").IsNil()
 }

@@ -17,8 +17,8 @@
 //     weights.
 //   - Version 3 adds a precision byte after the sample shape and, for int8
 //     artifacts, replaces the float32 weights with the quantized storage
-//     form: weight-elided skeletons plus int8 tensors and per-channel scales
-//     (quantized.go).
+//     form: weight-elided model bodies plus int8 tensors and per-channel
+//     scales (quantized.go).
 //
 // SaveDeployment emits version 2 for float32 artifacts and version 3 only
 // when the artifact carries quantized weights; LoadDeployment reads both.
@@ -347,6 +347,13 @@ func (r *reader) f32sInto(dst []float32) {
 	}
 }
 
+// weights reads a float32 [rows, cols] weight matrix.
+func (r *reader) weights(rows, cols int) *tensor.Tensor {
+	w := tensor.New(rows, cols)
+	r.floatsInto(w)
+	return w
+}
+
 // floatsInto reads a float vector and requires it to match dst's size.
 func (r *reader) floatsInto(dst *tensor.Tensor) {
 	n := int(r.u32())
@@ -388,7 +395,8 @@ func (w *writer) conv(c *nn.Conv2D, elide bool) {
 }
 
 // conv reads a convolution written with the matching elide flag. An elided
-// weight tensor stays zero, as quant.Quantize leaves a quantized skeleton.
+// convolution comes back with no weights at all, for quant.Arm to give it
+// its int8 ones: it allocates nothing its bytes do not pay for.
 func (r *reader) conv(name string, elide bool) *nn.Conv2D {
 	inC, outC := r.i32(), r.i32()
 	k, stride, pad := r.i32(), r.i32(), r.i32()
@@ -410,7 +418,7 @@ func (r *reader) conv(name string, elide bool) *nn.Conv2D {
 	}
 	c := nn.NewConv2D(name, inC, outC, k, stride, pad, hasBias, nil)
 	if !elide {
-		r.floatsInto(c.W.Value)
+		c.SetWeights(r.weights(outC, inC*k*k))
 	}
 	if hasBias {
 		r.floatsInto(c.B.Value)
@@ -458,7 +466,7 @@ func SaveModel(out io.Writer, m *zoo.Model) error {
 }
 
 // saveModelBody writes a staged model; elide skips every float32 weight
-// tensor (conv, depthwise, head) for quantized skeletons, keeping biases and
+// tensor (conv, depthwise, head) for quantized models, keeping biases and
 // batch-norm parameters.
 func saveModelBody(w *writer, m *zoo.Model, elide bool) {
 	w.str(m.Name)
@@ -516,9 +524,9 @@ func saveModelBody(w *writer, m *zoo.Model, elide bool) {
 }
 
 // loadModelBody reads a staged model written with the matching elide flag;
-// elided weight tensors come back zeroed. Every layer is built once, from
-// its bytes: the loader draws no random weights and builds no layer it
-// replaces.
+// an elided layer (conv, depthwise, head) comes back with no weights, for
+// loadQuantizedModel to arm. Every layer is built once, from its bytes: the
+// loader draws no random weights and builds no layer it replaces.
 func loadModelBody(r *reader, elide bool) *zoo.Model {
 	m := &zoo.Model{}
 	m.Name = r.str()
@@ -561,7 +569,7 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 			}
 			dw := nn.NewDepthwiseConv2D(name+".dw", c, k, stride, pad, nil)
 			if !elide {
-				r.floatsInto(dw.W.Value)
+				dw.SetWeights(r.weights(c, k*k))
 			}
 			bn1 := r.bn(name + ".bn1")
 			pw := r.conv(name+".pw", elide)
@@ -608,7 +616,7 @@ func loadModelBody(r *reader, elide bool) *zoo.Model {
 	}
 	m.Head = zoo.NewHead(m.Name+".head", in, out, nil)
 	if !elide {
-		r.floatsInto(m.Head.FC.W.Value)
+		m.Head.FC.SetWeights(r.weights(in, out))
 	}
 	r.floatsInto(m.Head.FC.B.Value)
 	return m
@@ -618,8 +626,24 @@ func saveTwoBranchBody(w *writer, tb *core.TwoBranch) {
 	w.bool(tb.Finalized)
 	saveModelBody(w, tb.MR, false)
 	saveModelBody(w, tb.MT, false)
-	w.i32(len(tb.Align))
-	for _, a := range tb.Align {
+	w.align(tb.Align)
+}
+
+func loadTwoBranchBody(r *reader) *core.TwoBranch {
+	finalized := r.bool()
+	mr := loadModelBody(r, false)
+	mt := loadModelBody(r, false)
+	align := r.align(mr, mt)
+	if r.err != nil {
+		return nil
+	}
+	return &core.TwoBranch{MR: mr, MT: mt, Align: align, Finalized: finalized}
+}
+
+// align writes the channel-alignment maps, one per stage (-1 for none).
+func (w *writer) align(align [][]int) {
+	w.i32(len(align))
+	for _, a := range align {
 		if a == nil {
 			w.i32(-1)
 			continue
@@ -631,10 +655,12 @@ func saveTwoBranchBody(w *writer, tb *core.TwoBranch) {
 	}
 }
 
-func loadTwoBranchBody(r *reader) *core.TwoBranch {
-	finalized := r.bool()
-	mr := loadModelBody(r, false)
-	mt := loadModelBody(r, false)
+// align reads the channel-alignment maps of the branches mr and mt. The
+// enclave gathers MR's channels at these indices and adds them to MT's stage
+// output, so the selection width must match MT's channel count and every
+// index must address an MR channel. Validating here keeps a corrupted
+// alignment a load error instead of a serve-time protocol failure.
+func (r *reader) align(mr, mt *zoo.Model) [][]int {
 	n := r.i32()
 	if r.err != nil {
 		return nil
@@ -644,7 +670,7 @@ func loadTwoBranchBody(r *reader) *core.TwoBranch {
 		return nil
 	}
 	align := make([][]int, n)
-	for i := 0; i < n; i++ {
+	for i := range align {
 		k := r.i32()
 		if r.err != nil {
 			return nil
@@ -660,32 +686,24 @@ func loadTwoBranchBody(r *reader) *core.TwoBranch {
 		for j := range align[i] {
 			align[i][j] = r.i32()
 		}
-		// The enclave gathers MR's channels at these indices and adds them to
-		// MT's stage output, so the selection width must match MT's channel
-		// count and every index must address an MR channel. Validating here
-		// keeps a corrupted alignment a load error instead of a serve-time
-		// protocol failure.
-		if r.err == nil {
-			mtC := mt.Stages[i].OutChannels()
-			mrC := mr.Stages[i].OutChannels()
-			if k != mtC {
-				r.err = fmt.Errorf("%w: alignment %d selects %d channels for a %d-channel stage",
-					ErrBadFormat, i, k, mtC)
+		if r.err != nil {
+			return nil
+		}
+		if mtC := mt.Stages[i].OutChannels(); k != mtC {
+			r.err = fmt.Errorf("%w: alignment %d selects %d channels for a %d-channel stage",
+				ErrBadFormat, i, k, mtC)
+			return nil
+		}
+		mrC := mr.Stages[i].OutChannels()
+		for _, ch := range align[i] {
+			if ch < 0 || ch >= mrC {
+				r.err = fmt.Errorf("%w: alignment %d index %d outside %d MR channels",
+					ErrBadFormat, i, ch, mrC)
 				return nil
-			}
-			for _, ch := range align[i] {
-				if ch < 0 || ch >= mrC {
-					r.err = fmt.Errorf("%w: alignment %d index %d outside %d MR channels",
-						ErrBadFormat, i, ch, mrC)
-					return nil
-				}
 			}
 		}
 	}
-	if r.err != nil {
-		return nil
-	}
-	return &core.TwoBranch{MR: mr, MT: mt, Align: align, Finalized: finalized}
+	return align
 }
 
 // maxShapeDim bounds each deployment sample-shape dimension on load, so a
@@ -693,7 +711,7 @@ func loadTwoBranchBody(r *reader) *core.TwoBranch {
 const maxShapeDim = 1 << 16
 
 // SaveDeployment writes a deployment artifact: the finalized two-branch
-// weights (or, for int8 artifacts, the quantized storage form) plus the
+// weights (or, for int8 artifacts, the quantized branches) plus the
 // placement metadata (device name, sample shape). It requires a finalized
 // model; the artifact payload is checksummed. Float32 artifacts are written
 // as version 2, byte-identical to earlier releases; int8 artifacts use
@@ -705,25 +723,35 @@ func SaveDeployment(out io.Writer, a *Artifact) error {
 	if len(a.SampleShape) != 4 {
 		return fmt.Errorf("%w: sample shape %v is not [N,C,H,W]", ErrBadFormat, a.SampleShape)
 	}
-	if a.Precision == precInt8 {
-		return saveDeploymentInt8(out, a)
-	}
-	if a.TB == nil {
+	v := uint32(version)
+	switch {
+	case a.Precision == precInt8:
+		if a.QMR == nil || a.QMT == nil || a.QMR.Model == nil || a.QMT.Model == nil {
+			return fmt.Errorf("%w: int8 artifact without quantized branches", ErrBadFormat)
+		}
+		v = deployVersion
+	case a.TB == nil:
 		return fmt.Errorf("%w: nil deployment artifact", ErrBadFormat)
-	}
-	if !a.TB.Finalized {
+	case !a.TB.Finalized:
 		return fmt.Errorf("%w: deployment artifact of an unfinalized model", ErrBadFormat)
 	}
 	w := newWriter(out)
 	w.u32(magicDeploy)
-	w.u32(version)
+	w.u32(v)
 	w.beginChecksum()
 	w.str(a.Device)
 	w.i32(len(a.SampleShape))
 	for _, d := range a.SampleShape {
 		w.i32(d)
 	}
-	saveTwoBranchBody(w, a.TB)
+	if v == deployVersion {
+		w.u8(precByteInt8)
+		saveQuantizedModel(w, a.QMR)
+		saveQuantizedModel(w, a.QMT)
+		w.align(a.Align)
+	} else {
+		saveTwoBranchBody(w, a.TB)
+	}
 	w.endChecksum()
 	return w.flush()
 }
@@ -732,8 +760,8 @@ func SaveDeployment(out io.Writer, a *Artifact) error {
 // verifying the payload checksum. Corrupt or truncated input fails with an
 // error wrapping ErrBadFormat; LoadDeployment never panics. When in reports
 // its length (a bytes.Reader), a tensor the remaining bytes cannot hold is
-// refused before it is allocated. (The weights an int8 artifact elides take
-// no bytes, so they are not bounded this way.)
+// refused before it is allocated; the float32 weights an int8 artifact
+// elides are never allocated.
 func LoadDeployment(in io.Reader) (*Artifact, error) {
 	r := newReader(in)
 	v := r.header()
@@ -775,19 +803,27 @@ func LoadDeployment(in io.Reader) (*Artifact, error) {
 		case r.err != nil:
 			return nil, r.err
 		case p == precByteInt8:
-			return loadDeploymentInt8(r, a)
+			a.Precision = precInt8
 		case p != precByteF32:
 			return nil, fmt.Errorf("%w: unknown precision code %d", ErrBadFormat, p)
 		}
 	}
-	a.TB = loadTwoBranchBody(r)
+	if a.Precision == precInt8 {
+		a.QMR = loadQuantizedModel(r)
+		a.QMT = loadQuantizedModel(r)
+		if r.err == nil {
+			a.Align = r.align(a.QMR.Model, a.QMT.Model)
+		}
+	} else {
+		a.TB = loadTwoBranchBody(r)
+	}
 	if r.err == nil {
 		r.verifyChecksum()
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	if !a.TB.Finalized {
+	if a.TB != nil && !a.TB.Finalized {
 		return nil, fmt.Errorf("%w: deployment artifact carries an unfinalized model", ErrBadFormat)
 	}
 	return a, nil

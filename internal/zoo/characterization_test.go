@@ -70,12 +70,7 @@ func characterize(w *strings.Builder, name string, m *zoo.Model) {
 	fmt.Fprintf(w, "quantized param bytes: %d\n", qm.ParamBytes())
 	fmt.Fprintf(w, "logits f32: %s\n", hashFloats(m.Forward(x.Clone(), false).Data()))
 	fmt.Fprintf(w, "logits dequantized: %s\n", hashFloats(qm.Dequantize().Forward(x.Clone(), false).Data()))
-	rm, err := qm.Realize()
-	if err != nil {
-		fmt.Fprintf(w, "realize: %v\n", err)
-	} else {
-		fmt.Fprintf(w, "logits int8: %s\n", hashFloats(rm.Forward(x.Clone(), false).Data()))
-	}
+	fmt.Fprintf(w, "logits int8: %s\n", hashFloats(qm.Model.Forward(x.Clone(), false).Data()))
 
 	mc := profile.Profile(m, x.Shape())
 	for _, c := range append(append([]profile.Cost(nil), mc.Stages...), mc.Head) {

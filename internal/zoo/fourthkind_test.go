@@ -137,7 +137,7 @@ func TestFourthStageKindNeedsNoOtherPackage(t *testing.T) {
 	}
 	want := m.Forward(x.Clone(), false)
 
-	// Quantize → Dequantize / Realize, and the footprint.
+	// Quantize → Dequantize / the armed model, and the footprint.
 	qm := quant.Quantize(m)
 	if len(qm.Convs) != 5 {
 		t.Fatalf("quantized %d convolutions, the model has 5", len(qm.Convs))
@@ -155,10 +155,7 @@ func TestFourthStageKindNeedsNoOtherPackage(t *testing.T) {
 		t.Fatalf("ParamBytes = %d, hand count %d", got, wantBytes)
 	}
 	closeLogits(t, "Dequantize", want, qm.Dequantize().Forward(x.Clone(), false), 0.05)
-	rm, err := qm.Realize()
-	if err != nil {
-		t.Fatalf("Realize: %v", err)
-	}
+	rm := qm.Model
 	for _, s := range rm.Stages {
 		for i, c := range s.Convs() {
 			if !armed(c) {
@@ -166,7 +163,7 @@ func TestFourthStageKindNeedsNoOtherPackage(t *testing.T) {
 			}
 		}
 	}
-	closeLogits(t, "Realize", want, rm.Forward(x.Clone(), false), 0.25)
+	closeLogits(t, "int8", want, rm.Forward(x.Clone(), false), 0.25)
 
 	// The cost model prices the stage with its own formula.
 	mc := profile.Profile(m, x.Shape())
