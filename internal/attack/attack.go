@@ -34,6 +34,8 @@ type FineTuneConfig struct {
 
 // FineTune retrains a *copy* of the stolen branch on the attacker's data
 // fraction and returns its test accuracy. The input model is not mutated.
+// An int8 branch holds no float32 weights to train: its first backward
+// panics naming the layer (nn.Weighted.Weight).
 func FineTune(stolen *zoo.Model, train, test *data.Dataset, cfg FineTuneConfig) float64 {
 	m := stolen.Clone()
 	sub := train.Subset(cfg.Fraction, cfg.SubsetSeed)

@@ -451,5 +451,6 @@ func (d *Deployment) Latency() float64 {
 // ExtractedMR returns what the paper's attacker obtains: a deep copy of the
 // unsecured branch, which is fully resident in normal-world memory. It is
 // the one mutable copy a deployment hands out; the attacker may fine-tune it
-// without touching the shared deployed branches.
+// without touching the shared deployed branches. An int8 deployment's copy
+// infers but has no float32 weights to train (nn.Weighted.Weight).
 func (d *Deployment) ExtractedMR() *zoo.Model { return d.mr.Clone() }

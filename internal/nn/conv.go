@@ -236,7 +236,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.wT == nil || c.wT.Dim(0) != colRows || c.wT.Dim(1) != c.OutC {
 		c.wT = tensor.New(colRows, c.OutC)
 	}
-	tensor.TransposeInto(c.wT, c.W.Value) // [colRows, OutC]
+	tensor.TransposeInto(c.wT, c.Weight().Value) // [colRows, OutC]
 	wTd := c.wT.Data()
 	if len(c.bwd) == 0 {
 		c.bwd = make([]convBwd, tensor.Workers())

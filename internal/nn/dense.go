@@ -91,7 +91,7 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Dense.Backward before Forward")
 	}
 	dW := tensor.MatMul(tensor.Transpose(x), grad)
-	d.W.Gradient().AddInPlace(dW)
+	d.Weight().Gradient().AddInPlace(dW)
 	bg, gd := d.B.Gradient().Data(), grad.Data()
 	n := x.Dim(0)
 	for i := 0; i < n; i++ {

@@ -137,7 +137,7 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	oh, ow := d.lastOH, d.lastOW
 	dx := tensor.New(n, d.C, h, w)
 	xd, gd, dd := x.Data(), grad.Data(), dx.Data()
-	wd, wg := d.W.Value.Data(), d.W.Gradient().Data()
+	wd, wg := d.Weight().Value.Data(), d.W.Gradient().Data()
 	kk := d.K * d.K
 	// Serial over samples: filter gradients are shared across the batch.
 	for i := 0; i < n; i++ {
@@ -179,9 +179,14 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // CloneLayer returns a deep copy (immutable int8 weights shared, not
 // copied).
 func (d *DepthwiseConv2D) CloneLayer() Layer {
-	return &DepthwiseConv2D{C: d.C, K: d.K, Stride: d.Stride, Pad: d.Pad,
-		W: d.W.clone(), name: d.name,
-		qw: d.qw, qscale: d.qscale}
+	out := d.cloneBare().(*DepthwiseConv2D)
+	out.W, out.qw, out.qscale = d.W.clone(), d.qw, d.qscale
+	return out
+}
+
+// cloneBare copies the depthwise convolution's geometry, not its filters.
+func (d *DepthwiseConv2D) cloneBare() Layer {
+	return &DepthwiseConv2D{C: d.C, K: d.K, Stride: d.Stride, Pad: d.Pad, name: d.name}
 }
 
 // PruneChannels keeps only the listed channels (the layer's input and output
@@ -189,7 +194,7 @@ func (d *DepthwiseConv2D) CloneLayer() Layer {
 func (d *DepthwiseConv2D) PruneChannels(keep []int) {
 	kk := d.K * d.K
 	nw := tensor.New(len(keep), kk)
-	src := surgeryWeights(d.name, d.W)
+	src := d.Weight().Value.Data()
 	for i, ch := range keep {
 		copy(nw.Data()[i*kk:(i+1)*kk], src[ch*kk:(ch+1)*kk])
 	}
@@ -199,5 +204,5 @@ func (d *DepthwiseConv2D) PruneChannels(keep []int) {
 
 // Reinit re-randomizes the filters.
 func (d *DepthwiseConv2D) Reinit(rng *tensor.RNG) {
-	rng.FillNormal(d.W.Value, 0, math.Sqrt(2.0/float64(d.K*d.K)))
+	rng.FillNormal(d.Weight().Value, 0, math.Sqrt(2.0/float64(d.K*d.K)))
 }

@@ -25,11 +25,16 @@ type Cloner interface {
 // layer has no float32 weights either. The narrow pack is not carried over:
 // the copy may be trained, and a pack would go stale.
 func (c *Conv2D) CloneLayer() Layer {
+	out := c.cloneBare().(*Conv2D)
+	out.W, out.qw, out.qscale = c.W.clone(), c.qw, c.qscale
+	return out
+}
+
+// cloneBare copies the convolution's geometry and bias, not its weights.
+func (c *Conv2D) cloneBare() Layer {
 	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW,
-		Stride: c.Stride, Pad: c.Pad, name: c.name,
-		W: c.W.clone(), B: c.B.clone(),
-		qw: c.qw, qscale: c.qscale,
+		Stride: c.Stride, Pad: c.Pad, name: c.name, B: c.B.clone(),
 	}
 }
 
@@ -58,11 +63,14 @@ func (p *GlobalAvgPool) CloneLayer() Layer { return NewGlobalAvgPool(p.name) }
 // CloneLayer returns a deep copy of the dense layer (immutable int8 weights
 // shared, not copied).
 func (d *Dense) CloneLayer() Layer {
-	return &Dense{
-		In: d.In, Out: d.Out, name: d.name,
-		W: d.W.clone(), B: d.B.clone(),
-		qw: d.qw, qscale: d.qscale,
-	}
+	out := d.cloneBare().(*Dense)
+	out.W, out.qw, out.qscale = d.W.clone(), d.qw, d.qscale
+	return out
+}
+
+// cloneBare copies the dense layer's widths and bias, not its weights.
+func (d *Dense) cloneBare() Layer {
+	return &Dense{In: d.In, Out: d.Out, name: d.name, B: d.B.clone()}
 }
 
 // CloneOf clones any layer implementing Cloner and panics otherwise; all
@@ -75,21 +83,32 @@ func CloneOf(l Layer) Layer {
 	return c.CloneLayer()
 }
 
-// surgeryWeights returns the float32 weights w of the layer named name for
-// surgery to cut. An int8 layer holds none, and its packed form cannot be
-// cut: prune the float32 model and quantize it again.
-func surgeryWeights(name string, w *Param) []float32 {
-	if w == nil {
-		panic(fmt.Sprintf("nn: surgery on %s, an int8 layer: prune the float32 model and quantize it again", name))
+// CloneBare is CloneOf without the weights: a convolution, depthwise
+// convolution or dense layer comes back holding neither layout of them, for
+// the caller to arm (SetInt8Weights) or fill (SetWeights) before it runs.
+func CloneBare(l Layer) Layer {
+	if b, ok := l.(interface{ cloneBare() Layer }); ok {
+		return b.cloneBare()
 	}
-	return w.Value.Data()
+	return CloneOf(l)
+}
+
+// floatWeight returns w, the float32 weights of the layer named name, to a
+// step that reads them. An int8 layer holds none, and its packed form cannot
+// stand in, so the step panics naming the layer.
+func floatWeight(name string, w *Param) *Param {
+	if w == nil {
+		panic(fmt.Sprintf("nn: %s is an int8 layer and holds no float32 weights: "+
+			"train, prune, re-initialise, quantize or save the float32 model", name))
+	}
+	return w
 }
 
 // PruneOutput keeps only the listed output channels of the convolution.
 func (c *Conv2D) PruneOutput(keep []int) {
 	cols := c.InC * c.KH * c.KW
 	nw := tensor.New(len(keep), cols)
-	src, dst := surgeryWeights(c.name, c.W), nw.Data()
+	src, dst := c.Weight().Value.Data(), nw.Data()
 	for i, ch := range keep {
 		copy(dst[i*cols:(i+1)*cols], src[ch*cols:(ch+1)*cols])
 	}
@@ -111,7 +130,7 @@ func (c *Conv2D) PruneInput(keep []int) {
 	oldCols := c.InC * kk
 	newCols := len(keep) * kk
 	nw := tensor.New(c.OutC, newCols)
-	src, dst := surgeryWeights(c.name, c.W), nw.Data()
+	src, dst := c.Weight().Value.Data(), nw.Data()
 	for o := 0; o < c.OutC; o++ {
 		for i, ch := range keep {
 			copy(dst[o*newCols+i*kk:o*newCols+(i+1)*kk], src[o*oldCols+ch*kk:o*oldCols+(ch+1)*kk])
@@ -145,7 +164,7 @@ func (b *BatchNorm2D) Prune(keep []int) {
 func (d *Dense) PruneInput(keep []int, spatial int) {
 	newIn := len(keep) * spatial
 	nw := tensor.New(newIn, d.Out)
-	src, dst := surgeryWeights(d.name, d.W), nw.Data()
+	src, dst := d.Weight().Value.Data(), nw.Data()
 	for i, ch := range keep {
 		for s := 0; s < spatial; s++ {
 			copy(dst[(i*spatial+s)*d.Out:(i*spatial+s+1)*d.Out],
@@ -160,7 +179,7 @@ func (d *Dense) PruneInput(keep []int, spatial int) {
 // bias, used to build a fresh secure branch with the victim's architecture.
 func (c *Conv2D) Reinit(rng *tensor.RNG) {
 	std := 2.0 / float64(c.InC*c.KH*c.KW)
-	rng.FillNormal(c.W.Value, 0, sqrtApprox(std))
+	rng.FillNormal(c.Weight().Value, 0, math.Sqrt(std))
 	if c.B != nil {
 		c.B.Value.Zero()
 	}
@@ -169,7 +188,7 @@ func (c *Conv2D) Reinit(rng *tensor.RNG) {
 
 // Reinit re-randomizes the dense layer's weights and zeroes its bias.
 func (d *Dense) Reinit(rng *tensor.RNG) {
-	rng.FillNormal(d.W.Value, 0, sqrtApprox(2.0/float64(d.In)))
+	rng.FillNormal(d.Weight().Value, 0, math.Sqrt(2.0/float64(d.In)))
 	d.B.Value.Zero()
 }
 
@@ -183,14 +202,13 @@ func (b *BatchNorm2D) Reinit(rng *tensor.RNG) {
 	b.invStd = nil
 }
 
-func sqrtApprox(x float64) float64 { return math.Sqrt(x) }
-
 // Weighted is a layer whose weights are one [rows, cols] matrix with one
 // output channel per row — Conv2D and DepthwiseConv2D. It is all that
 // quantization, the int8 artifact and re-initialisation need of a stage's
 // layers, so none of them has to know which kind of layer (or stage) it holds.
 type Weighted interface {
-	// Weight returns the [rows, cols] weight parameter.
+	// Weight returns the [rows, cols] float32 weight parameter; on an int8
+	// layer, which holds none, it panics naming the layer.
 	Weight() *Param
 	// Bias returns the bias parameter, nil when the layer has none.
 	Bias() *Param
@@ -205,14 +223,17 @@ type Weighted interface {
 	Reinit(rng *tensor.RNG)
 }
 
-// Weight returns the [OutC, InC*KH*KW] weight parameter.
-func (c *Conv2D) Weight() *Param { return c.W }
+// Weight returns the float32 [OutC, InC*KH*KW] weights (floatWeight).
+func (c *Conv2D) Weight() *Param { return floatWeight(c.name, c.W) }
 
 // Bias returns the bias parameter, nil when bias is disabled.
 func (c *Conv2D) Bias() *Param { return c.B }
 
-// Weight returns the [C, K*K] filter bank.
-func (d *DepthwiseConv2D) Weight() *Param { return d.W }
+// Weight returns the float32 [C, K*K] filter bank (floatWeight).
+func (d *DepthwiseConv2D) Weight() *Param { return floatWeight(d.name, d.W) }
+
+// Weight returns the float32 [In, Out] weights (floatWeight).
+func (d *Dense) Weight() *Param { return floatWeight(d.name, d.W) }
 
 // weightParam wraps w as the weight parameter of the layer named name, whose
 // weights are [rows, cols].

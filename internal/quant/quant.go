@@ -93,59 +93,57 @@ func quantizeRows(w *tensor.Tensor) ([]int8, []float32) {
 	return data, scales
 }
 
-// dequantizeRows reverses quantizeRows into dst.
-func dequantizeRows(data []int8, scales []float32, dst *tensor.Tensor) {
-	rows, cols := dst.Dim(0), dst.Dim(1)
+// dequantizeRows reverses quantizeRows into a new [rows, cols] matrix.
+func dequantizeRows(data []int8, scales []float32, rows, cols int) *tensor.Tensor {
+	dst := tensor.New(rows, cols)
 	for r := 0; r < rows; r++ {
 		s := scales[r]
 		for i := 0; i < cols; i++ {
 			dst.Data()[r*cols+i] = float32(data[r*cols+i]) * s
 		}
 	}
+	return dst
 }
 
-func quantizeConv(c nn.Weighted) QuantizedConv {
-	w := c.Weight().Value
-	data, scales := quantizeRows(w)
-	q := QuantizedConv{OutC: w.Dim(0), Cols: w.Dim(1), Data: data, Scales: scales}
-	if b := c.Bias(); b != nil {
-		q.Bias = append([]float32(nil), b.Value.Data()...)
-	}
-	return q
-}
-
-// Quantize converts a model into its int8 serving form. The input model is
-// not modified: its clone is quantized and armed, which drops the clone's
-// float32 weights.
+// Quantize converts a float32 model into its int8 serving form; it panics,
+// naming the layer, when m is already int8 (nn.Weighted.Weight). The input
+// model is not modified: its float32 weights are read once, into the
+// records, which then arm a copy of m made without weights
+// (nn.CloneBare), so no float32 weight is copied.
 func Quantize(m *zoo.Model) *QuantizedModel {
-	out := m.Clone()
 	var convs []QuantizedConv
-	for _, s := range out.Stages {
+	for _, s := range m.Stages {
 		for _, c := range s.Convs() {
-			convs = append(convs, quantizeConv(c))
+			w := c.Weight().Value
+			data, scales := quantizeRows(w)
+			q := QuantizedConv{OutC: w.Dim(0), Cols: w.Dim(1), Data: data, Scales: scales}
+			if b := c.Bias(); b != nil {
+				q.Bias = append([]float32(nil), b.Value.Data()...)
+			}
+			convs = append(convs, q)
 		}
 	}
-	fc := out.Head.FC
+	fc := m.Head.FC
 	// Dense weights are [In, Out]; quantize per output column by transposing.
-	data, scales := quantizeRows(tensor.Transpose(fc.W.Value))
+	data, scales := quantizeRows(tensor.Transpose(fc.Weight().Value))
 	denses := []QuantizedDense{{
 		In: fc.In, Out: fc.Out, Data: data, Scales: scales,
 		Bias: append([]float32(nil), fc.B.Value.Data()...),
 	}}
-	qm, err := Arm(out, convs, denses)
+	qm, err := Arm(m.CloneWith(nn.CloneBare), convs, denses)
 	if err != nil {
-		panic(err) // records cut from out itself always fit it
+		panic(err) // records cut from m itself always fit its copy
 	}
 	return qm
 }
 
 // Arm attaches int8 records to m and returns the quantized branch: every
 // convolution, in stage traversal order (zoo.Stage.Convs), and then the head
-// take their record's weights (SetInt8Weights, which drops the float32
+// take their record's weights (SetInt8Weights, which drops any float32
 // ones). m is armed in place and keeps its own biases, which the records
-// copy; the artifact loader builds it with no weights. Arm fails when the
-// records do not fit m: a count, a layer's dimensions or the head's
-// [In, Out] differ.
+// copy; Quantize and the artifact loader both build it with no weights. Arm
+// fails when the records do not fit m: a count, a layer's dimensions or the
+// head's [In, Out] differ.
 func Arm(m *zoo.Model, convs []QuantizedConv, denses []QuantizedDense) (*QuantizedModel, error) {
 	ci := 0
 	for si, s := range m.Stages {
@@ -179,25 +177,21 @@ func Arm(m *zoo.Model, convs []QuantizedConv, denses []QuantizedDense) (*Quantiz
 	return &QuantizedModel{Model: m, Convs: convs, Denses: denses}, nil
 }
 
-// Dequantize reconstructs a float32 model: a copy of the armed model whose
-// every convolution and head holds float32 weights rebuilt from the records,
-// and no int8 arming.
+// Dequantize reconstructs a float32 model: a weightless copy of the armed
+// model (nn.CloneBare) whose every convolution and head is given float32
+// weights rebuilt from the records.
 func (qm *QuantizedModel) Dequantize() *zoo.Model {
-	out := qm.Model.Clone()
+	out := qm.Model.CloneWith(nn.CloneBare)
 	ci := 0
 	for _, s := range out.Stages {
 		for _, c := range s.Convs() {
 			q := qm.Convs[ci]
 			ci++
-			w := tensor.New(q.OutC, q.Cols)
-			dequantizeRows(q.Data, q.Scales, w)
-			c.SetWeights(w)
+			c.SetWeights(dequantizeRows(q.Data, q.Scales, q.OutC, q.Cols))
 		}
 	}
 	qd := qm.Denses[0]
-	wt := tensor.New(qd.Out, qd.In)
-	dequantizeRows(qd.Data, qd.Scales, wt)
-	out.Head.FC.SetWeights(tensor.Transpose(wt))
+	out.Head.FC.SetWeights(tensor.Transpose(dequantizeRows(qd.Data, qd.Scales, qd.Out, qd.In)))
 	return out
 }
 

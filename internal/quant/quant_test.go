@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tbnet/internal/profile"
@@ -233,4 +234,33 @@ func TestQuantizeMobileNetRunsInt8(t *testing.T) {
 // asks a depthwise or dense layer for them.
 func armed(layer any) bool {
 	return !reflect.ValueOf(layer).Elem().FieldByName("qw").IsNil()
+}
+
+// TestQuantizeCopiesNoFloat32Weights: Quantize reads the source's float32
+// weights once, into the records, and arms a copy made without them
+// (nn.CloneBare). What it allocates — int8 records and their packed form,
+// scales, biases, batch norms — stays under what a deep Clone of the source
+// allocates, which it would exceed if it copied the float32 weights too.
+func TestQuantizeCopiesNoFloat32Weights(t *testing.T) {
+	for _, m := range []*zoo.Model{
+		zoo.BuildVGG(zoo.VGG18Config(10), tensor.NewRNG(41)),
+		zoo.BuildResNet(zoo.ResNet20Config(10), true, tensor.NewRNG(42)),
+		zoo.BuildMobileNet(zoo.MobileNetSConfig(10), tensor.NewRNG(43)),
+	} {
+		clone := allocBytes(func() { runtime.KeepAlive(m.Clone()) })
+		got := allocBytes(func() { runtime.KeepAlive(Quantize(m)) })
+		t.Logf("%s: Quantize allocates %d bytes, Clone %d", m.Name, got, clone)
+		if got >= clone {
+			t.Errorf("%s: Quantize allocates %d bytes, not under the %d of a Clone", m.Name, got, clone)
+		}
+	}
+}
+
+// allocBytes returns the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

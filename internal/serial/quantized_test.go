@@ -5,11 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tbnet/internal/core"
-	"tbnet/internal/nn"
 	"tbnet/internal/quant"
 	"tbnet/internal/tee"
 	"tbnet/internal/tensor"
@@ -319,28 +320,70 @@ func TestInt8LayersHoldOneLayout(t *testing.T) {
 	}
 }
 
+// TestInt8ModelRefusesFloat32Steps: what reads float32 weights — training,
+// re-initialisation, quantization, the float32 model file — panics naming
+// the int8 layer it meets, rather than dereferencing the weights it lacks.
+func TestInt8ModelRefusesFloat32Steps(t *testing.T) {
+	shape := []int{2, 3, 16, 16}
+	for _, arch := range []string{"vgg", "resnet", "mobilenet"} {
+		t.Run(arch, func(t *testing.T) {
+			art, _ := int8Artifact(t, 37, arch, shape)
+			m := art.QMR.Model
+			x := tensor.New(shape...)
+			tensor.NewRNG(38).FillNormal(x, 0, 1)
+			first := m.Stages[0]
+			for what, step := range map[string]func(){
+				"head backward": func() {
+					m.Backward(tensor.New(m.Forward(x, true).Shape()...))
+				},
+				"stage backward": func() {
+					first.Backward(tensor.New(first.Forward(x, true).Shape()...))
+				},
+				"Reinitialize": func() { m.Clone().Reinitialize(tensor.NewRNG(39)) },
+				"Quantize":     func() { quant.Quantize(m) },
+				"SaveModel":    func() { _ = SaveModel(io.Discard, m) },
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "is an int8 layer") {
+							t.Errorf("%s of an int8 model: recovered %v, want the int8 layer's panic", what, r)
+						}
+					}()
+					step()
+				}()
+			}
+			assertOneLayout(t, "the refused model", m, true)
+		})
+	}
+}
+
 // assertOneLayout requires every convolution and the head of m to hold
 // exactly one layout of its weights: int8 (armed, no float32 weights) when
 // int8 is set, float32 (weights, not armed) otherwise.
 func assertOneLayout(t *testing.T, what string, m *zoo.Model, int8 bool) {
 	t.Helper()
-	check := func(layer string, l any, w *nn.Param) {
-		if (w == nil) != int8 || int8Armed(l) != int8 {
+	check := func(layer string, l any) {
+		f32 := !layerField(l, "W").IsNil()
+		if f32 == int8 || int8Armed(l) != int8 {
 			t.Fatalf("%s: %s holds float32 weights %v and int8 weights %v, want int8 only %v",
-				what, layer, w != nil, int8Armed(l), int8)
+				what, layer, f32, int8Armed(l), int8)
 		}
 	}
 	for _, s := range m.Stages {
 		for i, c := range s.Convs() {
-			check(fmt.Sprintf("%s layer %d", s.Name(), i), c, c.Weight())
+			check(fmt.Sprintf("%s layer %d", s.Name(), i), c)
 		}
 	}
-	check("head", m.Head.FC, m.Head.FC.W)
+	check("head", m.Head.FC)
 }
 
 // int8Armed reports whether a layer holds int8 weights: the packed weights
 // its int8 path runs from, read by reflection, since no product path asks a
 // depthwise or dense layer for them.
-func int8Armed(layer any) bool {
-	return !reflect.ValueOf(layer).Elem().FieldByName("qw").IsNil()
+func int8Armed(layer any) bool { return !layerField(layer, "qw").IsNil() }
+
+// layerField reads a layer's field by reflection, as it is, where the
+// layer's accessor (nn.Weighted.Weight) would refuse an int8 layer.
+func layerField(layer any, name string) reflect.Value {
+	return reflect.ValueOf(layer).Elem().FieldByName(name)
 }

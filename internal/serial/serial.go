@@ -387,7 +387,7 @@ func (w *writer) conv(c *nn.Conv2D, elide bool) {
 	w.i32(c.Pad)
 	w.bool(c.B != nil)
 	if !elide {
-		w.floats(c.W.Value)
+		w.floats(c.Weight().Value)
 	}
 	if c.B != nil {
 		w.floats(c.B.Value)
@@ -491,7 +491,7 @@ func saveModelBody(w *writer, m *zoo.Model, elide bool) {
 			w.i32(b.DW.Stride)
 			w.i32(b.DW.Pad)
 			if !elide {
-				w.floats(b.DW.W.Value)
+				w.floats(b.DW.Weight().Value)
 			}
 			w.bn(b.BN1)
 			w.conv(b.PW, elide)
@@ -518,7 +518,7 @@ func saveModelBody(w *writer, m *zoo.Model, elide bool) {
 	w.i32(m.Head.FC.In)
 	w.i32(m.Head.FC.Out)
 	if !elide {
-		w.floats(m.Head.FC.W.Value)
+		w.floats(m.Head.FC.Weight().Value)
 	}
 	w.floats(m.Head.FC.B.Value)
 }

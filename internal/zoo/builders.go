@@ -3,6 +3,7 @@ package zoo
 import (
 	"fmt"
 
+	"tbnet/internal/nn"
 	"tbnet/internal/tensor"
 )
 
@@ -106,13 +107,13 @@ func BuildResNet(cfg ResNetConfig, withSkip bool, rng *tensor.RNG) *Model {
 // removed (ConvBlock stages are cloned unchanged). For VGG models it is an
 // ordinary clone.
 func StripSkips(m *Model) *Model {
-	out := &Model{Name: m.Name + ".plain", Arch: m.Arch, InC: m.InC, Classes: m.Classes, Head: m.Head.Clone()}
+	out := &Model{Name: m.Name + ".plain", Arch: m.Arch, InC: m.InC, Classes: m.Classes, Head: m.Head.clone(nn.CloneOf)}
 	out.Stages = make([]Stage, len(m.Stages))
 	for i, s := range m.Stages {
 		if rb, ok := s.(*ResBlock); ok {
 			out.Stages[i] = rb.StripSkip()
 		} else {
-			out.Stages[i] = s.CloneStage()
+			out.Stages[i] = s.CloneStage(nn.CloneOf)
 		}
 	}
 	return out

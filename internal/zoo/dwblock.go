@@ -121,10 +121,10 @@ func (b *DWBlock) PruneIn(keep []int) {
 	b.PW.PruneInput(keep)
 }
 
-// CloneStage deep-copies the block.
-func (b *DWBlock) CloneStage() Stage {
-	return AssembleDWBlock(b.name, nn.CloneOf(b.DW).(*nn.DepthwiseConv2D), nn.CloneOf(b.BN1).(*nn.BatchNorm2D),
-		nn.CloneOf(b.PW).(*nn.Conv2D), nn.CloneOf(b.BN2).(*nn.BatchNorm2D))
+// CloneStage copies the block, its layers through clone.
+func (b *DWBlock) CloneStage(clone func(nn.Layer) nn.Layer) Stage {
+	return AssembleDWBlock(b.name, clone(b.DW).(*nn.DepthwiseConv2D), clone(b.BN1).(*nn.BatchNorm2D),
+		clone(b.PW).(*nn.Conv2D), clone(b.BN2).(*nn.BatchNorm2D))
 }
 
 // MobileNetConfig describes a MobileNet-style network: a stem conv followed

@@ -89,13 +89,13 @@ func (b *mixBlock) PruneGroup(keep []int) {
 
 func (b *mixBlock) PruneIn(keep []int) { b.conv.PruneInput(keep) }
 
-func (b *mixBlock) CloneStage() zoo.Stage {
+func (b *mixBlock) CloneStage(clone func(nn.Layer) nn.Layer) zoo.Stage {
 	return &mixBlock{
-		conv: nn.CloneOf(b.conv).(*nn.Conv2D),
-		bn1:  nn.CloneOf(b.bn1).(*nn.BatchNorm2D),
+		conv: clone(b.conv).(*nn.Conv2D),
+		bn1:  clone(b.bn1).(*nn.BatchNorm2D),
 		act:  nn.NewReLU(b.name + ".relu"),
-		dw:   nn.CloneOf(b.dw).(*nn.DepthwiseConv2D),
-		bn2:  nn.CloneOf(b.bn2).(*nn.BatchNorm2D),
+		dw:   clone(b.dw).(*nn.DepthwiseConv2D),
+		bn2:  clone(b.bn2).(*nn.BatchNorm2D),
 		name: b.name,
 	}
 }

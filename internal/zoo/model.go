@@ -61,11 +61,11 @@ func (h *Head) InferInto(dst, x *tensor.Tensor, a *nn.Arena) {
 // PruneIn keeps only the listed input channels.
 func (h *Head) PruneIn(keep []int) { h.FC.PruneInput(keep, 1) }
 
-// Clone deep-copies the head.
-func (h *Head) Clone() *Head {
+// clone copies the head, its dense layer through clone.
+func (h *Head) clone(clone func(nn.Layer) nn.Layer) *Head {
 	return &Head{
 		GAP:  nn.NewGlobalAvgPool(h.name + ".gap"),
-		FC:   nn.CloneOf(h.FC).(*nn.Dense),
+		FC:   clone(h.FC).(*nn.Dense),
 		name: h.name,
 	}
 }
@@ -141,11 +141,16 @@ func (m *Model) Freeze(sampleShape []int) {
 }
 
 // Clone deep-copies the model.
-func (m *Model) Clone() *Model {
-	out := &Model{Name: m.Name, Arch: m.Arch, InC: m.InC, Classes: m.Classes, Head: m.Head.Clone()}
+func (m *Model) Clone() *Model { return m.CloneWith(nn.CloneOf) }
+
+// CloneWith copies the model, every layer through clone: nn.CloneOf for a
+// deep copy, nn.CloneBare for a body without weights, which quant.Quantize
+// arms.
+func (m *Model) CloneWith(clone func(nn.Layer) nn.Layer) *Model {
+	out := &Model{Name: m.Name, Arch: m.Arch, InC: m.InC, Classes: m.Classes, Head: m.Head.clone(clone)}
 	out.Stages = make([]Stage, len(m.Stages))
 	for i, s := range m.Stages {
-		out.Stages[i] = s.CloneStage()
+		out.Stages[i] = s.CloneStage(clone)
 	}
 	return out
 }

@@ -40,8 +40,9 @@ type Stage interface {
 	PruneGroup(keep []int)
 	// PruneIn keeps only the listed input channels.
 	PruneIn(keep []int)
-	// CloneStage deep-copies the stage.
-	CloneStage() Stage
+	// CloneStage copies the stage, each of its layers through clone:
+	// nn.CloneOf for a deep copy, nn.CloneBare for a body to arm.
+	CloneStage(clone func(nn.Layer) nn.Layer) Stage
 	// InferInto is the stage's preplanned inference path: the eval-mode
 	// forward written into dst (shaped per OutShape) with every
 	// intermediate drawn from the arena. No backward state is retained.
@@ -196,9 +197,9 @@ func (b *ConvBlock) PruneGroup(keep []int) {
 // PruneIn keeps only the listed input channels.
 func (b *ConvBlock) PruneIn(keep []int) { b.Conv.PruneInput(keep) }
 
-// CloneStage deep-copies the block.
-func (b *ConvBlock) CloneStage() Stage {
-	return AssembleConvBlock(b.name, nn.CloneOf(b.Conv).(*nn.Conv2D), nn.CloneOf(b.BN).(*nn.BatchNorm2D),
+// CloneStage copies the block, its layers through clone.
+func (b *ConvBlock) CloneStage(clone func(nn.Layer) nn.Layer) Stage {
+	return AssembleConvBlock(b.name, clone(b.Conv).(*nn.Conv2D), clone(b.BN).(*nn.BatchNorm2D),
 		b.PoolK(), b.OutFixed)
 }
 
@@ -421,22 +422,22 @@ func (b *ResBlock) PruneIn(keep []int) {
 	}
 }
 
-// CloneStage deep-copies the block.
-func (b *ResBlock) CloneStage() Stage {
+// CloneStage copies the block, its layers through clone.
+func (b *ResBlock) CloneStage(clone func(nn.Layer) nn.Layer) Stage {
 	var down *nn.Conv2D
 	var downBN *nn.BatchNorm2D
 	if b.Down != nil {
-		down = nn.CloneOf(b.Down).(*nn.Conv2D)
-		downBN = nn.CloneOf(b.DownBN).(*nn.BatchNorm2D)
+		down = clone(b.Down).(*nn.Conv2D)
+		downBN = clone(b.DownBN).(*nn.BatchNorm2D)
 	}
-	return AssembleResBlock(b.name, nn.CloneOf(b.Conv1).(*nn.Conv2D), nn.CloneOf(b.BN1).(*nn.BatchNorm2D),
-		nn.CloneOf(b.Conv2).(*nn.Conv2D), nn.CloneOf(b.BN2).(*nn.BatchNorm2D), down, downBN, b.WithSkip)
+	return AssembleResBlock(b.name, clone(b.Conv1).(*nn.Conv2D), clone(b.BN1).(*nn.BatchNorm2D),
+		clone(b.Conv2).(*nn.Conv2D), clone(b.BN2).(*nn.BatchNorm2D), down, downBN, b.WithSkip)
 }
 
 // StripSkip returns a copy of the block with the skip connection removed —
 // the transformation that derives the plain-chain M_R from a ResNet victim.
 func (b *ResBlock) StripSkip() *ResBlock {
-	out := b.CloneStage().(*ResBlock)
+	out := b.CloneStage(nn.CloneOf).(*ResBlock)
 	out.WithSkip = false
 	out.Down = nil
 	out.DownBN = nil

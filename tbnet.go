@@ -208,7 +208,9 @@ func AttackDirectUse(stolen *Model, test *Dataset, batchSize int) float64 {
 }
 
 // AttackFineTune retrains a copy of the stolen branch on a data fraction and
-// returns its test accuracy.
+// returns its test accuracy. The branch must hold float32 weights: an int8
+// deployment's ExtractedMR has none to train, and AttackFineTune panics
+// naming its int8 layer.
 func AttackFineTune(stolen *Model, train, test *Dataset, cfg FineTuneConfig) float64 {
 	return attack.FineTune(stolen, train, test, cfg)
 }

@@ -6,6 +6,8 @@ package tbnet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -53,4 +55,17 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if ft < 0 || ft > 1 {
 		t.Fatalf("fine-tune accuracy %v out of range", ft)
 	}
+
+	// An int8 deployment's M_R infers but holds no float32 weights to
+	// train: fine-tuning it panics naming an int8 layer.
+	stolen8 := deps[PrecisionInt8].ExtractedMR()
+	if atk := AttackDirectUse(stolen8, res.Test, 16); atk < 0 || atk > 1 {
+		t.Fatalf("int8 direct-use accuracy %v out of range", atk)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "is an int8 layer") {
+			t.Fatalf("fine-tuning an int8 M_R: recovered %v, want the int8 layer's panic", r)
+		}
+	}()
+	AttackFineTune(stolen8, res.Train, res.Test, FineTuneConfig{Fraction: 0.5, Train: cfg, SubsetSeed: 4})
 }
