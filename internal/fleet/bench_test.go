@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tbnet/internal/tee"
+	"tbnet/internal/tensor"
 )
 
 // BenchmarkFleetThroughput drives a mixed rpi3 + sgx-desktop + jetson-tz
@@ -54,6 +57,52 @@ func BenchmarkFleetThroughput(b *testing.B) {
 			b.ReportMetric(st.ModeledThroughput, "modeled-req/s")
 			b.ReportMetric(st.P99Micros, "modeled-p99-us")
 			b.ReportMetric(float64(st.Shed), "shed")
+		})
+	}
+}
+
+// BenchmarkFleetInferBatch times 16 samples as one InferBatch call against
+// the same 16 as single Infer calls, on one rpi3 node with one worker and
+// MaxBatch 16: the batch is one admission, one routing decision, one queue
+// entry and one protocol run; the singles are sixteen of each. It reports
+// host µs per sample and the node's realized mean batch.
+func BenchmarkFleetInferBatch(b *testing.B) {
+	const k = 16
+	xs := randSamples(k, 3)
+	x := tensor.New(k, 3, 16, 16)
+	for i, s := range xs {
+		copy(x.Data()[i*s.Size():], s.Data())
+	}
+	for _, mode := range []string{"batch", "single"} {
+		b.Run(mode, func(b *testing.B) {
+			f, err := New(testDeployment(b, 1), Config{
+				Nodes:    []NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}},
+				MaxBatch: k,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			ctx := context.Background()
+			labels, errs := make([]int, k), make([]error, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "batch" {
+					if err := f.InferBatch(ctx, DefaultModel, x, labels, errs); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				for _, s := range xs {
+					if _, err := f.Infer(ctx, s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*k), "us/sample")
+			b.ReportMetric(f.Stats().PerDevice[0].Serve.MeanBatch, "mean_batch")
 		})
 	}
 }

@@ -92,7 +92,7 @@ type Config struct {
 	// 0 means no deadline.
 	Deadline time.Duration
 	// MaxInFlight caps the fleet-wide number of admitted, unanswered
-	// requests; admission beyond it sheds with ErrOverloaded. 0 selects the
+	// samples; admission beyond it sheds with ErrOverloaded. 0 selects the
 	// capacity-weighted default 4 × Σ(workers × MaxBatch) — four full batch
 	// waves per replica — and a negative value disables the cap.
 	MaxInFlight int
@@ -597,9 +597,9 @@ func (f *Fleet) closeNodes() {
 // loadOf probes one node's live Load entry for a request addressed to model;
 // lat is the latency figure routing should price the node at.
 func loadOf(n *node, lat float64) Load {
-	// The server probes overlap — InFlight counts queued + in-service —
-	// so split them: policies sum the two fields without double-counting
-	// queued requests.
+	// The server probes overlap — InFlight counts queued + in-service
+	// samples — so split them: policies sum the two fields without
+	// double-counting queued samples.
 	queued := n.srv.QueueDepth()
 	serving := int(n.srv.InFlight()) - queued
 	if serving < 0 {
@@ -667,17 +667,17 @@ func (f *Fleet) NodeLoads(model string) []Load {
 	return loads
 }
 
-// admit applies fleet-wide admission control; the returned release func must
-// be called once when the request resolves. A false admission was shed, and
-// inflight reports the load observed at the shed decision.
-func (f *Fleet) admit() (release func(), inflight int64, ok bool) {
-	n := f.inflight.Add(1)
+// admit applies fleet-wide admission control to k samples; an admitted
+// call gives their slots back when it resolves. A false admission shed them,
+// and inflight reports the load observed at the shed decision.
+func (f *Fleet) admit(k int64) (inflight int64, ok bool) {
+	n := f.inflight.Add(k)
 	if max := int64(f.cfg.MaxInFlight); max > 0 && n > max {
-		f.inflight.Add(-1)
-		f.shedTotal.Add(1)
-		return nil, n - 1, false
+		f.inflight.Add(-k)
+		f.shedTotal.Add(k)
+		return n - k, false
 	}
-	return func() { f.inflight.Add(-1) }, n, true
+	return n, true
 }
 
 // Infer routes one sample ([C,H,W] or [1,C,H,W]) for the default model to a
@@ -690,23 +690,46 @@ func (f *Fleet) Infer(ctx context.Context, x *tensor.Tensor) (int, error) {
 }
 
 // InferModel is Infer addressed to a named hosted model; unknown names fail
-// with serve.ErrUnknownModel.
+// with serve.ErrUnknownModel. It is InferBatch of one sample.
 func (f *Fleet) InferModel(ctx context.Context, model string, x *tensor.Tensor) (int, error) {
+	var label [1]int
+	var errs [1]error
+	if err := f.InferBatch(ctx, model, x, label[:], errs[:]); err != nil {
+		return 0, err
+	}
+	return label[0], errs[0]
+}
+
+// InferBatch classifies the k samples of x ([k,C,H,W], 1 ≤ k ≤ MaxBatch; a
+// lone [C,H,W] sample is k = 1) with a hosted model as one call: admission
+// counts its k samples, the policy routes them once, and the chosen node
+// queues them as one entry, so a worker runs them in one protocol run.
+// Sample i's label lands in labels[i] and its failure in errs[i] (see
+// serve.Server.InferBatch; both slices must hold k entries). A non-nil
+// return is the whole call's and counts for all k samples: a shed (wrapped
+// ErrOverloaded, from the in-flight cap or the deadline), a draining or
+// closed fleet, an unknown model, a bad shape or an ended context. The
+// caller must not mutate x until InferBatch returns.
+func (f *Fleet) InferBatch(ctx context.Context, model string, x *tensor.Tensor, labels []int, errs []error) error {
 	if f.closed.Load() {
-		return 0, serve.ErrClosed
+		return serve.ErrClosed
 	}
 	if f.draining.Load() {
-		return 0, fmt.Errorf("fleet: %w", ErrDraining)
+		return fmt.Errorf("fleet: %w", ErrDraining)
 	}
-	release, inflight, ok := f.admit()
+	k := int64(1)
+	if x != nil && x.Rank() == 4 {
+		k = int64(x.Dim(0))
+	}
+	inflight, ok := f.admit(k)
 	if !ok {
-		return 0, fmt.Errorf("fleet: %d requests in flight (cap %d): %w",
+		return fmt.Errorf("fleet: %d samples in flight (cap %d): %w",
 			inflight, f.cfg.MaxInFlight, ErrOverloaded)
 	}
-	defer release()
+	defer f.inflight.Add(-k)
 	n := f.route(model)
 	if n == nil {
-		return 0, fmt.Errorf("fleet: %w: %q", serve.ErrUnknownModel, model)
+		return fmt.Errorf("fleet: %w: %q", serve.ErrUnknownModel, model)
 	}
 	// Annotate the request span (if the ingress attached one) with the
 	// routing decision; the serve layer fills in the rest of the timeline.
@@ -717,15 +740,15 @@ func (f *Fleet) InferModel(ctx context.Context, model string, x *tensor.Tensor) 
 		reqCtx, cancel = context.WithTimeout(ctx, f.cfg.Deadline)
 		defer cancel()
 	}
-	label, err := n.srv.InferModel(reqCtx, model, x)
+	err := n.srv.InferBatch(reqCtx, model, x, labels, errs)
 	if err != nil && f.cfg.Deadline > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		// The fleet's own deadline expired (not the caller's context): that
 		// is load shedding, not a caller error.
-		n.shed.Add(1)
-		f.shedTotal.Add(1)
-		return 0, fmt.Errorf("fleet: deadline %v exceeded on %s: %w", f.cfg.Deadline, n.name, ErrOverloaded)
+		n.shed.Add(k)
+		f.shedTotal.Add(k)
+		return fmt.Errorf("fleet: deadline %v exceeded on %s: %w", f.cfg.Deadline, n.name, ErrOverloaded)
 	}
-	return label, err
+	return err
 }
 
 // ResizeNode changes one node's worker pool width live, through the serve
@@ -810,7 +833,7 @@ func (f *Fleet) Estimates() []Estimate {
 	return f.est.Snapshot()
 }
 
-// ShedTotal returns the cumulative number of requests shed by admission
+// ShedTotal returns the cumulative number of samples shed by admission
 // control or the fleet deadline — the autoscale controller's overload
 // signal.
 func (f *Fleet) ShedTotal() int64 { return f.shedTotal.Load() }
@@ -894,7 +917,7 @@ type DeviceStats struct {
 	Workers int `json:"workers"`
 	// Routed is the number of routing decisions that chose this node.
 	Routed int64 `json:"routed"`
-	// Shed is the number of requests that missed the fleet deadline on this
+	// Shed is the number of samples that missed the fleet deadline on this
 	// node.
 	Shed int64 `json:"shed"`
 	// SampleLatencyMicros is the probed modeled single-sample latency of the
@@ -958,10 +981,10 @@ type Stats struct {
 	Requests int64 `json:"requests"`
 	// Errors is the number of samples whose protocol run failed, fleet-wide.
 	Errors int64 `json:"errors"`
-	// Shed is the number of requests refused by admission control (in-flight
+	// Shed is the number of samples refused by admission control (in-flight
 	// cap) or timed out by the fleet deadline.
 	Shed int64 `json:"shed"`
-	// InFlight is the number of admitted, unanswered requests right now.
+	// InFlight is the number of admitted, unanswered samples right now.
 	InFlight int64 `json:"in_flight"`
 	// RoutingDecisions is the total number of Pick calls that resolved.
 	RoutingDecisions int64 `json:"routing_decisions"`

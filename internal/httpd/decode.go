@@ -109,9 +109,14 @@ func decodeStdlib(body []byte, batch bool, deployed shapeFunc) (string, []sample
 		name, inputs, shape = req.Model, [][]float64{req.Input}, req.Shape
 	}
 	model := resolveModel(name)
+	total := 0
+	for _, input := range inputs {
+		total += len(input)
+	}
+	data := make([]float32, 0, total) // never outgrown, so never moved
 	samples := make([]sample, len(inputs))
 	for i, input := range inputs {
-		samples[i].x, samples[i].err = sampleTensor(deployed, model, input, shape)
+		samples[i].x, samples[i].err = sampleTensor(deployed, model, input, shape, &data)
 	}
 	return model, samples, nil
 }
@@ -144,8 +149,9 @@ func (n *sampleCount) UnmarshalJSON(b []byte) error {
 
 // sampleTensor builds the [1,C,H,W] inference tensor from a flattened input,
 // resolving the per-sample shape against the model's deployed plan when the
-// request omits it.
-func sampleTensor(deployed shapeFunc, model string, input []float64, shape []int) (*tensor.Tensor, error) {
+// request omits it. It appends the values to data, so a body's valid samples
+// lie back to back as chunk requires.
+func sampleTensor(deployed shapeFunc, model string, input []float64, shape []int, data *[]float32) (*tensor.Tensor, error) {
 	if shape == nil {
 		var err error
 		if shape, err = deployed(model); err != nil {
@@ -159,12 +165,18 @@ func sampleTensor(deployed shapeFunc, model string, input []float64, shape []int
 	if shape[0] <= 0 || shape[1] <= 0 || shape[2] <= 0 || len(input) != n {
 		return nil, countError(len(input), shape, n)
 	}
-	x := tensor.New(1, shape[0], shape[1], shape[2])
-	d := x.Data()
-	for i, v := range input {
-		d[i] = float32(v)
+	at := len(*data)
+	for _, v := range input {
+		*data = append(*data, float32(v))
 	}
-	return x, nil
+	return tensor.FromData((*data)[at:], 1, shape[0], shape[1], shape[2]), nil
+}
+
+// chunk is the [k,C,H,W] tensor of k valid samples of one decoded body,
+// first the earliest of them. Both decoders pack a body's valid samples back
+// to back in one backing, so it is a view of their values, not a copy.
+func chunk(first *tensor.Tensor, k int) *tensor.Tensor {
+	return tensor.FromData(first.Data()[:k*first.Size()], k, first.Dim(1), first.Dim(2), first.Dim(3))
 }
 
 func countError(got int, shape []int, want int) error {
@@ -545,7 +557,9 @@ func (s *bodyScanner) scanInputs() bool {
 			return false
 		}
 		s.counts = append(s.counts, count)
-		stored += min(count, s.n)
+		if count == s.n {
+			stored += s.n // the next sample overwrites a short or long one
+		}
 	}
 }
 
@@ -611,7 +625,8 @@ func (s *bodyScanner) scan() bool {
 }
 
 // samples turns a scanned body into the decoded form: one view of the shared
-// backing per sample that sent exactly the resolved shape's element count.
+// backing per sample that sent exactly the resolved shape's element count,
+// packed back to back as chunk requires.
 func (s *bodyScanner) samples() (string, []sample, error) {
 	if s.tooMany {
 		return "", nil, errTooManySamples
@@ -629,9 +644,9 @@ func (s *bodyScanner) samples() (string, []sample, error) {
 		case count != s.n:
 			out[i].err = countError(count, s.resolved, s.n)
 		default:
-			out[i].x = tensor.FromData(s.data[stored:stored+s.n:stored+s.n], 1, s.resolved[0], s.resolved[1], s.resolved[2])
+			out[i].x = tensor.FromData(s.data[stored:stored+s.n], 1, s.resolved[0], s.resolved[1], s.resolved[2])
+			stored += s.n
 		}
-		stored += min(count, s.n)
 	}
 	return resolveModel(s.name), out, nil
 }

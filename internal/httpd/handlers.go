@@ -31,15 +31,12 @@ type inferRequest struct {
 	Shape []int `json:"shape,omitempty"`
 }
 
-// inferResponse is the answer of POST /v1/infer and each success line of the
-// batch stream.
+// inferResponse is the answer of POST /v1/infer.
 type inferResponse struct {
 	// Label is the predicted class index.
 	Label int `json:"label"`
 	// Model echoes the model that served the sample.
 	Model string `json:"model"`
-	// Index is the sample's position in a batch request (batch stream only).
-	Index int `json:"index,omitempty"`
 	// RequestID echoes the request's ID.
 	RequestID string `json:"request_id,omitempty"`
 }
@@ -238,11 +235,14 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleInferBatch fans a batch through the fleet concurrently and streams
-// one NDJSON line per sample in completion order, so a slow sample does not
-// hold back the fast ones. Per-sample failures are reported in-line (with the
-// status they would have carried standalone); the stream itself is always 200
-// once the request parses.
+// handleInferBatch runs a batch through the fleet in chunks and streams one
+// NDJSON line per sample. A chunk is up to min(MaxBatch, MaxInFlight) of the
+// decoded samples in one fleet call, so a worker runs it as one micro-batch.
+// Chunks run concurrently, no wider than admission allows, and each writes
+// and flushes its lines together, so a slow chunk does not hold back the
+// others. A sample that failed to decode or to run is reported in-line, with
+// the status it would have carried standalone; the stream itself is always
+// 200 once the request parses.
 func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	model, samples, err := s.decodeRequest(w, r, true)
 	if err != nil {
@@ -260,49 +260,56 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	var mu sync.Mutex
 	served := false // under mu: at least one sample got a label
-	// Emits begun whose line is not yet written. Only the writer that
-	// leaves none behind flushes: a line it leaves is already computed, its
-	// emitter is queued on mu, and the last of those emitters flushes.
-	var pending atomic.Int64
-	emit := func(line batchLine) {
-		pending.Add(1)
+	emit := func(idx, labels []int, errs []error) {
 		mu.Lock()
 		defer mu.Unlock()
-		served = served || line.Error == ""
-		_ = enc.Encode(line)
-		if pending.Add(-1) == 0 && flusher != nil {
+		for j, i := range idx {
+			if errs[j] != nil {
+				code, _ := statusFor(errs[j])
+				_ = enc.Encode(batchLine{Index: i, Error: errs[j].Error(), Status: code})
+			} else {
+				served = true
+				_ = enc.Encode(batchLine{Index: i, Label: labels[j]})
+			}
+		}
+		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-
-	// The batch fans out no wider than fleet admission: more of its samples
-	// in flight than the cap would shed the batch's own tail with 503s on an
-	// idle daemon. Each goroutine takes the next unstarted sample.
-	width := len(samples)
-	if c := s.cfg.Fleet.MaxInFlight(); c > 0 && c < width {
-		width = c
+	valid := make([]int, 0, len(samples))
+	for i, smp := range samples {
+		if smp.err != nil {
+			emit([]int{i}, nil, []error{smp.err}) // answers at once, joins no chunk
+		} else {
+			valid = append(valid, i)
+		}
 	}
+
+	// More of the batch in flight than the admission cap would shed its own
+	// samples with 503s on an idle daemon.
+	size, _ := s.cfg.Fleet.Batching()
+	width := len(valid)
+	if c := s.cfg.Fleet.MaxInFlight(); c > 0 {
+		size = min(size, c)
+		width = c / size
+	}
+	chunks := (len(valid) + size - 1) / size
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range width {
+	for range min(width, chunks) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(samples) {
-					return
+			labels, errs := make([]int, size), make([]error, size)
+			for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+				idx := valid[c*size : min((c+1)*size, len(valid))]
+				x := chunk(samples[idx[0]].x, len(idx))
+				if err := s.cfg.Fleet.InferBatch(r.Context(), model, x, labels, errs); err != nil {
+					for j := range errs {
+						errs[j] = err
+					}
 				}
-				label, err := 0, samples[i].err
-				if err == nil {
-					label, err = s.cfg.Fleet.InferModel(r.Context(), model, samples[i].x)
-				}
-				if err != nil {
-					code, _ := statusFor(err)
-					emit(batchLine{Index: i, Error: err.Error(), Status: code})
-					continue
-				}
-				emit(batchLine{Index: i, Label: label})
+				emit(idx, labels, errs)
 			}
 		}()
 	}

@@ -317,6 +317,119 @@ func TestInferBatchStreamsPastAHeldSample(t *testing.T) {
 	}
 }
 
+// TestInferBatchStreamsPastAHeldChunk is the same property at chunk grain:
+// at MaxBatch 2 the batch runs as four two-sample chunks, and while one of
+// them is held in the fleet the other three chunks' lines all reach the
+// client; only the held chunk's two lines wait for it.
+func TestInferBatchStreamsPastAHeldChunk(t *testing.T) {
+	tap := &holdTap{release: make(chan struct{})}
+	s, _ := testServer(t, func(c *fleet.Config) {
+		c.Nodes[0].Workers = 2 // one holds a chunk, one serves the rest
+		c.MaxBatch = 2
+		c.Tap = tap
+	}, nil)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	var once sync.Once
+	release := func() { once.Do(func() { close(tap.release) }) }
+	t.Cleanup(release) // ahead of srv.Close, which waits for the handler
+
+	const n, held = 8, 2
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/infer/batch",
+		bytes.NewReader(benchBody(t, "", n, 3, 16, 16)))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch = %d", resp.StatusCode)
+	}
+	lines := bufio.NewReader(resp.Body)
+	seen := make(map[int]bool)
+	readLine := func() {
+		t.Helper()
+		line, err := lines.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("after %d lines, with a chunk held %v: %v", len(seen), tap.held.Load(), err)
+		}
+		var bl batchLine
+		if err := json.Unmarshal(line, &bl); err != nil || bl.Error != "" || seen[bl.Index] {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		seen[bl.Index] = true
+	}
+	for len(seen) < n-held {
+		readLine()
+	}
+	if !tap.held.Load() {
+		t.Fatal("no chunk was held")
+	}
+	release()
+	for len(seen) < n {
+		readLine()
+	}
+	if rest, err := io.ReadAll(lines); err != nil || len(rest) != 0 {
+		t.Fatalf("after the last line: %q, %v", rest, err)
+	}
+}
+
+// TestInferBatchRunsOnePerChunk: on a one-node, one-worker,
+// work-conserving fleet at MaxBatch 8, a 16-sample batch reaches the worker
+// as two chunks of eight — exactly two protocol runs, which one fleet call
+// per sample reaches only when arrivals happen to coalesce — answers every
+// sample as a direct Infer does, and leaves the fleet's per-sample counters
+// conserved.
+func TestInferBatchRunsOnePerChunk(t *testing.T) {
+	s, f := testServer(t, func(c *fleet.Config) { c.MaxBatch, c.MaxDelay = 8, 0 }, nil)
+	ref := testDeployment(t, 1)
+	const n = 16
+	inputs := make([][]float64, n)
+	want := make([]int, n)
+	for i := range inputs {
+		x := randSample(uint64(400 + i))
+		labels, err := ref.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = labels[0]
+		for _, v := range x.Data() {
+			inputs[i] = append(inputs[i], float64(v))
+		}
+	}
+	body, _ := json.Marshal(map[string]any{"inputs": inputs})
+	w := postJSON(t, s.Handler(), "/v1/infer/batch", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch = %d: %s", w.Code, w.Body)
+	}
+	got := make(map[int]int)
+	for _, line := range strings.Split(strings.TrimSpace(w.Body.String()), "\n") {
+		var bl batchLine
+		if err := json.Unmarshal([]byte(line), &bl); err != nil || bl.Error != "" {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		got[bl.Index] = bl.Label
+	}
+	if len(got) != n {
+		t.Fatalf("%d distinct indices, want %d", len(got), n)
+	}
+	for i, label := range want {
+		if got[i] != label {
+			t.Errorf("sample %d: label %d, direct Infer %d", i, got[i], label)
+		}
+	}
+	st := f.Stats()
+	if node := st.PerDevice[0].Serve; node.Batches != 2 || node.MeanBatch != 8 {
+		t.Errorf("node ran %d batches, mean %.2f; want 2 of 8", node.Batches, node.MeanBatch)
+	}
+	if st.Requests != n || st.Shed != 0 || st.Errors != 0 || st.InFlight != 0 {
+		t.Errorf("fleet counts %d served, %d shed, %d failed, %d in flight; want %d/0/0/0",
+			st.Requests, st.Shed, st.Errors, st.InFlight, n)
+	}
+}
+
 // TestInferBadRequests: malformed bodies, wrong shapes, and unknown models
 // map onto 400/404 with the JSON error body.
 func TestInferBadRequests(t *testing.T) {

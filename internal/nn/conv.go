@@ -178,7 +178,7 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogu
 		// wake-up, and otherwise runs here without allocating.
 		tensor.ConvGemmFusedParallel(od[:sampleOut], wd, nw, xd[:sampleIn], c.OutC, g, floatScratch(a, 0, scratchLen), fused)
 	} else {
-		parallelFor(n, func(worker, i int) {
+		parallelFor(n, tensor.Grain(c.OutC*g.C*g.KH*g.KW*oh*ow), func(worker, i int) {
 			tensor.ConvGemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, nw, xd[i*sampleIn:(i+1)*sampleIn],
 				c.OutC, g, floatScratch(a, worker, scratchLen), fused)
 		})
@@ -243,7 +243,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	xd, gd, dxd := x.Data(), grad.Data(), dx.Data()
 
-	parallelFor(n, func(worker, i int) {
+	// Grain 1, whatever the work: the per-worker dW partials are summed in
+	// worker order, so the split is part of the training result.
+	parallelFor(n, 1, func(worker, i int) {
 		ws := &c.bwd[worker]
 		ws.ensure(colRows, ohw, c.OutC)
 		ws.used = true

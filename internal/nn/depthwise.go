@@ -121,7 +121,7 @@ func (d *DepthwiseConv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tenso
 		tensor.DepthwiseFused(od, wd, xd, g, floatScratch(a, 0, planeLen), ep)
 		return
 	}
-	parallelFor(n, func(worker, i int) {
+	parallelFor(n, tensor.Grain(d.C*d.K*d.K*oh*ow), func(worker, i int) {
 		tensor.DepthwiseFused(od[i*sampleOut:(i+1)*sampleOut], wd, xd[i*sampleIn:(i+1)*sampleIn],
 			g, floatScratch(a, worker, planeLen), ep)
 	})

@@ -71,7 +71,7 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilo
 		// allocation-free with a warm arena.
 		c.i8Sample(a, 0, 0, h, w, hw, xd, od, bd, ep, tensor.GemmI8PackedParallel)
 	} else {
-		parallelFor(n, func(worker, i int) {
+		parallelFor(n, tensor.Grain(c.OutC*c.InC*c.KH*c.KW*hw), func(worker, i int) {
 			c.i8Sample(a, worker, i, h, w, hw, xd, od, bd, ep, tensor.GemmI8PackedSerial)
 		})
 	}
@@ -126,7 +126,7 @@ func (d *DepthwiseConv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *ten
 	xd, od := x.Data(), dst.Data()
 	sampleIn := d.C * h * w
 	kk := d.K * d.K
-	parallelFor(n, func(worker, i int) {
+	parallelFor(n, tensor.Grain(d.C*kk*oh*ow), func(worker, i int) {
 		qin := a.I8Buf(worker, sampleIn)
 		sx := quantizeSample(xd[i*sampleIn:(i+1)*sampleIn], qin)
 		for ch := 0; ch < d.C; ch++ {

@@ -79,17 +79,18 @@ type Layer interface {
 }
 
 // parallelFor runs fn(worker, i) for i in [0, n) across the persistent
-// tensor worker pool. worker is a dense chunk index usable for per-worker
-// scratch; single-sample or single-proc runs execute inline with no dispatch
+// tensor worker pool, in ranges of at least grain items (tensor.Parallel).
+// worker is a dense chunk index usable for per-worker scratch; work of fewer
+// than two ranges, or a single-proc run, executes inline with no dispatch
 // cost. fn must use the serial tensor kernels (the pool does not re-enter).
-func parallelFor(n int, fn func(worker, i int)) {
-	if n <= 1 || tensor.Workers() == 1 {
+func parallelFor(n, grain int, fn func(worker, i int)) {
+	if n < 2*grain || tensor.Workers() == 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
-	tensor.Parallel(n, 1, func(w, lo, hi int) {
+	tensor.Parallel(n, grain, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(w, i)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"tbnet/internal/core"
 	"tbnet/internal/obs"
 	"tbnet/internal/tee"
+	"tbnet/internal/tensor"
 )
 
 // checkSnapshot asserts one Stats snapshot's internal consistency and that
@@ -238,5 +240,105 @@ func TestFailedBatchIsolatedPerRequest(t *testing.T) {
 				t.Errorf("isolated request lost its %s stage: %+v", stage, s.Stages)
 			}
 		}
+	}
+}
+
+// errPoisoned is poisonProgram's failure.
+var errPoisoned = errors.New("poisoned sample")
+
+// poisonProgram stands in for a replica's secure branch: a run fails if any
+// of its samples starts with the value poison, and otherwise labels each
+// sample with its first value.
+type poisonProgram struct{ x *tensor.Tensor }
+
+const poison = -1
+
+func (p *poisonProgram) Invoke(_ *tee.Context, cmd int, payload *tensor.Tensor) error {
+	if cmd != core.CmdInput {
+		return nil
+	}
+	per := payload.Size() / payload.Dim(0)
+	for i := range payload.Dim(0) {
+		if payload.Data()[i*per] == poison {
+			return errPoisoned
+		}
+	}
+	p.x = payload
+	return nil
+}
+
+func (p *poisonProgram) Result(*tee.Context) (*tensor.Tensor, error) {
+	const classes = 10
+	n, per := p.x.Dim(0), p.x.Size()/p.x.Dim(0)
+	logits := tensor.New(n, classes)
+	for i := range n {
+		logits.Data()[i*classes+int(p.x.Data()[i*per])] = 1
+	}
+	return logits, nil
+}
+
+// TestFailedBatchIsolatedPerSample extends the isolation path to an entry of
+// several samples: one InferBatch entry of four, one of them poisoned, fails
+// its coalesced run, so each of its samples runs again alone. The three good
+// samples get their labels; only the poisoned one carries the error, and the
+// books show four one-sample runs — three served, one failed — with nothing
+// left in flight.
+func TestFailedBatchIsolatedPerSample(t *testing.T) {
+	dep := testDeployment(t, 99)
+	tap := &countingTap{}
+	srv, err := New(dep, Config{Workers: 1, MaxBatch: 4, Tap: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p, _ := srv.lookup(DefaultModel)
+	rep, err := dep.ReplicateOn(srv.device, 4, srv.budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Enclave = tee.NewEnclave(&poisonProgram{}, tee.NewSecureMemory(srv.device.SecureMemBytes()))
+	g := &generation{batches: make(chan []*request), reps: []*core.Deployment{rep},
+		secureBytes: rep.SecureBytes, precision: "f32"}
+	p.genMu.Lock()
+	old := p.gen.Swap(g)
+	p.startWorkers(g)
+	p.genMu.Unlock()
+	close(old.batches)
+	old.workers.Wait()
+	srv.budget.Free(old.secureBytes)
+
+	want := []int{3, 1, poison, 7}
+	x := tensor.New(len(want), 3, 16, 16)
+	tensor.NewRNG(100).FillNormal(x, 0, 1)
+	per := x.Size() / len(want)
+	for i, label := range want {
+		x.Data()[i*per] = float32(label)
+	}
+	labels, errs := make([]int, len(want)), make([]error, len(want))
+	if err := srv.InferBatch(context.Background(), DefaultModel, x, labels, errs); err != nil {
+		t.Fatal(err)
+	}
+	for i, label := range want {
+		if label == poison {
+			if !errors.Is(errs[i], errPoisoned) {
+				t.Errorf("poisoned sample %d: error %v, want %v", i, errs[i], errPoisoned)
+			}
+			continue
+		}
+		if errs[i] != nil || labels[i] != label {
+			t.Errorf("sample %d: label %d, error %v; want label %d alone", i, labels[i], errs[i], label)
+		}
+	}
+	st := srv.Stats()
+	checkSnapshot(t, st, 3, 3)
+	if st.Requests != 3 || st.Errors != 1 || st.Batches != 4 || st.LargestBatch != 1 {
+		t.Errorf("stats = %d requests, %d errors, %d batches, largest %d; want 3/1/4/1",
+			st.Requests, st.Errors, st.Batches, st.LargestBatch)
+	}
+	if tap.runs.Load() != 3 || tap.samples.Load() != 3 {
+		t.Errorf("tap saw %d runs / %d samples, want the 3 good one-sample runs", tap.runs.Load(), tap.samples.Load())
+	}
+	if n := srv.InFlight(); n != 0 {
+		t.Errorf("%d samples still in flight", n)
 	}
 }

@@ -92,7 +92,8 @@ func admit(t *testing.T, p *pool, xs []*tensor.Tensor) []*request {
 	t.Helper()
 	reqs := make([]*request, len(xs))
 	for i, x := range xs {
-		reqs[i] = &request{x: x, resp: make(chan response, 1), ctx: context.Background()}
+		reqs[i] = &request{x: x, resp: make(chan error, 1), ctx: context.Background()}
+		reqs[i].out = reqs[i].one[:]
 		if err := p.enqueue(context.Background(), reqs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +105,8 @@ func admit(t *testing.T, p *pool, xs []*tensor.Tensor) []*request {
 func answered(t *testing.T, reqs []*request) {
 	t.Helper()
 	for i, r := range reqs {
-		if resp := <-r.resp; resp.err != nil {
-			t.Errorf("request %d: %v", i, resp.err)
+		if err := <-r.resp; err != nil || r.out[0].err != nil {
+			t.Errorf("request %d: %v, %v", i, err, r.out[0].err)
 		}
 	}
 }

@@ -13,9 +13,10 @@
 //     state. All replicas of all hosted models reserve their secure memory
 //     from one device-sized budget, so the server never overcommits the
 //     modeled hardware.
-//   - Micro-batching: single-sample requests are coalesced into one staged
-//     protocol run of up to MaxBatch samples, amortizing the fixed SMC and
-//     staging overhead across the batch. Batching is work-conserving: a
+//   - Micro-batching: requests — one sample each, or a caller's chunk of up
+//     to MaxBatch (InferBatch) — are coalesced into one staged protocol run
+//     of up to MaxBatch samples, amortizing the fixed SMC and staging
+//     overhead across the batch. Batching is work-conserving: a
 //     batch goes to an idle worker at once and only grows while every
 //     worker is busy, so a lone request never waits for companions. Holding
 //     a batch back for them is opt-in (a positive MaxDelay).
@@ -156,10 +157,14 @@ func (c Config) validate() error {
 	return nil
 }
 
-// request is one enqueued sample awaiting a batched protocol run.
+// request is one enqueued entry: a caller's k ≥ 1 samples, which join a
+// batch together and are answered together. Every count the pool keeps —
+// MaxBatch, pending, the stats — counts its samples, not the entry.
 type request struct {
-	x        *tensor.Tensor  // [1,C,H,W]
-	resp     chan response   // buffered(1): workers never block on it
+	x        *tensor.Tensor  // [k,C,H,W]
+	out      []result        // k answers, written by the worker before it replies
+	one      [1]result       // out's storage for a single sample
+	resp     chan error      // buffered(1): workers never block on it
 	ctx      context.Context // caller's context; expired requests are dropped at flush
 	enqueued time.Time       // admission time, for queue-wait accounting
 	span     obs.SpanRef     // request span (inert zero ref when untraced)
@@ -167,6 +172,16 @@ type request struct {
 	wait     time.Duration   // queue wait, set by the worker at batch pickup
 	fate     atomic.Int32    // reqPending until claimed served or abandoned
 }
+
+// result is one sample's answer: its label, or the failure of the protocol
+// run it rode alone.
+type result struct {
+	label int
+	err   error
+}
+
+// samples is the number of samples the request carries.
+func (r *request) samples() int { return len(r.out) }
 
 // A request's fate is decided once: the worker claims it served just before
 // recording it, or its caller, whose context has ended, claims it abandoned.
@@ -187,11 +202,6 @@ func (r *request) claimServed() bool { return r.fate.CompareAndSwap(reqPending, 
 // first, and its answer is on the way.
 func (r *request) giveUp() bool {
 	return r.fate.CompareAndSwap(reqPending, reqAbandoned) || r.fate.Load() == reqAbandoned
-}
-
-type response struct {
-	label int
-	err   error
 }
 
 // generation is one immutable worker set of a pool: the replicas, their
@@ -228,9 +238,10 @@ type pool struct {
 	closed   bool
 	inflight sync.WaitGroup
 
-	// pending counts requests admitted to the queue whose response has not
-	// been delivered yet — the live in-flight load a routing layer probes.
-	pending atomic.Int64
+	// pending counts the samples admitted to the queue whose answer has not
+	// been delivered yet — the live in-flight load a routing layer probes —
+	// and queued those of them still in the queue.
+	pending, queued atomic.Int64
 
 	dispatcherDone chan struct{}
 	closeOnce      sync.Once
@@ -596,11 +607,13 @@ func (s *Server) Resize(workers int) error {
 	return nil
 }
 
-// dispatch coalesces queued requests into batches. It is work-conserving: a
-// batch starts with its first request plus whatever is already queued, and
-// offer then hands it to the first free worker, so a request never waits
-// while a worker idles. A positive MaxDelay first holds the batch back for
-// up to that long (or until it is full) — the opt-in linger.
+// dispatch coalesces queued requests into batches of at most MaxBatch
+// samples. It is work-conserving: a batch starts with its first request plus
+// whatever is already queued, and offer then hands it to the first free
+// worker, so a request never waits while a worker idles. A positive MaxDelay
+// first holds the batch back for up to that long (or until it is full) — the
+// opt-in linger. A request that would overfill the batch is carried over to
+// start the next one.
 func (p *pool) dispatch() {
 	defer close(p.dispatcherDone)
 	defer p.retire()
@@ -609,27 +622,33 @@ func (p *pool) dispatch() {
 	if !timer.Stop() {
 		<-timer.C
 	}
+	var carry *request
 	for {
-		first, ok := <-p.queue
-		if !ok {
-			return
+		first := carry
+		if first == nil {
+			var ok bool
+			if first, ok = <-p.queue; !ok {
+				return
+			}
+			p.queued.Add(-int64(first.samples()))
 		}
-		batch := append(make([]*request, 0, cfg.MaxBatch), first)
+		b := forming{reqs: append(make([]*request, 0, cfg.MaxBatch), first), size: first.samples()}
+		carry = nil
 		// The dispatcher is the queue's only receiver, so a non-empty queue
 		// cannot block it.
-		for len(batch) < cfg.MaxBatch && len(p.queue) > 0 {
-			batch = append(batch, <-p.queue)
+		for carry == nil && b.size < cfg.MaxBatch && len(p.queue) > 0 {
+			carry = p.add(&b, <-p.queue)
 		}
-		if cfg.MaxDelay > 0 && len(batch) < cfg.MaxBatch {
+		if cfg.MaxDelay > 0 && carry == nil && b.size < cfg.MaxBatch {
 			timer.Reset(cfg.MaxDelay)
 		fill:
-			for len(batch) < cfg.MaxBatch {
+			for carry == nil && b.size < cfg.MaxBatch {
 				select {
 				case r, ok := <-p.queue:
 					if !ok {
 						break fill
 					}
-					batch = append(batch, r)
+					carry = p.add(&b, r)
 				case <-timer.C:
 					break fill
 				}
@@ -641,34 +660,59 @@ func (p *pool) dispatch() {
 				}
 			}
 		}
-		p.offer(batch)
+		carry = p.offer(&b, carry)
 	}
+}
+
+// forming is one batch in the making: its requests and their sample count.
+type forming struct {
+	reqs []*request
+	size int
+}
+
+// add takes r, just received from the queue, into b if its samples fit under
+// MaxBatch and returns nil; a request that does not fit is returned for the
+// next batch.
+func (p *pool) add(b *forming, r *request) (carry *request) {
+	p.queued.Add(-int64(r.samples()))
+	if b.size+r.samples() > p.srv.cfg.MaxBatch {
+		return r
+	}
+	b.reqs = append(b.reqs, r)
+	b.size += r.samples()
+	return nil
 }
 
 // offer hands one batch to the current generation: a worker takes it, or —
 // while every worker is busy — another request arrives and rides along,
-// which is exactly when growing the batch is free. Once the batch is full or
-// the queue is closed there is nothing left to wait for but a worker. The
-// shared lock pins the generation across the (possibly blocking) offer, so a
-// concurrent swap waits for the handoff instead of closing a channel
-// mid-send.
-func (p *pool) offer(batch []*request) {
+// which is exactly when growing the batch is free. Once the batch is full, a
+// request is carried over (it arrived first and must start the next batch)
+// or the queue is closed, there is nothing left to wait for but a worker.
+// offer returns the carry-over, new or passed in. The shared lock pins the
+// generation across the (possibly blocking) offer, so a concurrent swap
+// waits for the handoff instead of closing a channel mid-send.
+func (p *pool) offer(b *forming, carry *request) *request {
 	p.genMu.RLock()
 	defer p.genMu.RUnlock()
+	max := p.srv.cfg.MaxBatch
 	out, in := p.gen.Load().batches, p.queue
-	for in != nil && len(batch) < cap(batch) {
+	if carry != nil {
+		in = nil
+	}
+	for in != nil && b.size < max {
 		select {
-		case out <- batch:
-			return
+		case out <- b.reqs:
+			return nil
 		case r, ok := <-in:
-			if ok {
-				batch = append(batch, r)
-			} else {
+			if !ok {
+				in = nil
+			} else if carry = p.add(b, r); carry != nil {
 				in = nil
 			}
 		}
 	}
-	out <- batch
+	out <- b.reqs
+	return carry
 }
 
 // retire marks the pool closed for swaps and shuts the current generation's
@@ -711,12 +755,17 @@ func (p *pool) newScratch() *workerScratch {
 	return ws
 }
 
-// concatInto stacks the requests' [1,C,H,W] samples into the worker's
-// preplanned [k,C,H,W] staging view.
-func (ws *workerScratch) concatInto(batch []*request) *tensor.Tensor {
-	x := ws.views[len(batch)]
-	for i, r := range batch {
-		copy(x.Data()[i*ws.per:(i+1)*ws.per], r.x.Data())
+// concatInto stacks the requests' samples, n in all, into the worker's
+// preplanned [n,C,H,W] staging view. A lone request's tensor already is the
+// batch, and runs as it is.
+func (ws *workerScratch) concatInto(live []*request, n int) *tensor.Tensor {
+	if len(live) == 1 {
+		return live[0].x
+	}
+	x := ws.views[n]
+	at := 0
+	for _, r := range live {
+		at += copy(x.Data()[at:], r.x.Data())
 	}
 	return x
 }
@@ -733,97 +782,146 @@ func (p *pool) worker(g *generation, id int) {
 	}
 }
 
+// outcome is one protocol run's result.
+type outcome struct {
+	labels []int         // one per sample (the worker's buffer), when err is nil
+	lat    float64       // modeled seconds, the tap's overhead included
+	hostNs time.Duration // host time inside the run
+	paced  time.Duration // the pacing sleep after it
+	err    error
+}
+
+// run executes one protocol run over x. A successful run is tapped, paced
+// and reported to the Observer; a failed one is only returned.
+func (p *pool) run(rep *core.Deployment, ws *workerScratch, x *tensor.Tensor, bd *obs.ExecBreakdown) outcome {
+	trace := p.tapReset(rep)
+	before := rep.Latency()
+	hostStart := time.Now()
+	labels, err := rep.InferIntoObserved(x, ws.labels, bd)
+	o := outcome{labels: labels, hostNs: time.Since(hostStart), lat: rep.Latency() - before, err: err}
+	n := x.Dim(0)
+	if err == nil && len(labels) != n {
+		o.err = fmt.Errorf("serve: %d labels for %d samples", len(labels), n)
+	}
+	if o.err == nil {
+		if trace != nil {
+			o.lat += p.srv.cfg.Tap.TapRun(rep.Device, p.name, n, trace.AttackerView())
+		}
+		o.paced = p.pace(o.lat)
+		p.observe(n, o.hostNs+o.paced)
+	}
+	return o
+}
+
 // runBatch executes one protocol run for a batch of any size. The order is
 // fixed: run, tap, pace, claim, record (counters and histogram together,
 // under the stats lock), pending--, reply — so by the time a caller's Infer
-// returns, its request is already in every counter a Stats call can read. A
-// failed coalesced run would pin one error on every caller in the batch, so
-// it is isolated by running each request again alone through this same
-// function: good samples still succeed, and only the offending request
-// carries the error.
+// returns, its samples are already in every counter a Stats call can read. A
+// failed run of several samples would pin one error on every one of them, so
+// it is isolated: each sample runs again alone (isolate), good samples still
+// succeed, and only the offending sample carries the error.
 func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch []*request) {
 	// Drop requests whose caller already gave up (cancelled context, missed
 	// deadline): their abandoned callers would discard the answer anyway, so
 	// running them would burn modeled device time on shed load and count it
 	// as served. They are answered with their context's error and appear in
 	// neither the request nor the error counters.
-	traced := false
+	traced, n := false, 0
 	now := time.Now()
 	live := batch[:0] // filtered in place: the worker owns the batch
 	for _, r := range batch {
+		k := int64(r.samples())
 		if r.ctx != nil && r.ctx.Err() != nil && r.giveUp() {
-			p.pending.Add(-1)
-			r.resp <- response{err: r.ctx.Err()}
+			p.pending.Add(-k)
+			r.resp <- r.ctx.Err()
 			continue
 		}
 		if !r.enqueued.IsZero() {
 			r.wait = now.Sub(r.enqueued)
 		}
-		if r.span.Active() {
-			traced = true
-		}
+		traced = traced || r.span.Active()
 		live = append(live, r)
+		n += r.samples()
 	}
 	if len(live) == 0 {
 		return
 	}
-	x := ws.concatInto(live)
+	x := ws.concatInto(live, n)
 	var bd *obs.ExecBreakdown
 	if traced {
 		bd = &ws.bd
 	}
-	trace := p.tapReset(rep)
-	before := rep.Latency()
-	hostStart := time.Now()
-	labels, err := rep.InferIntoObserved(x, ws.labels, bd)
-	hostNs := time.Since(hostStart)
-	lat := rep.Latency() - before
-	if err == nil && len(labels) != len(live) {
-		err = fmt.Errorf("serve: %d labels for %d requests", len(labels), len(live))
-	}
-	if err != nil && len(live) > 1 {
-		for i := range live {
-			p.runBatch(id, rep, ws, live[i:i+1])
+	prep := time.Since(now)
+	o := p.run(rep, ws, x, bd)
+	if o.err != nil && n > 1 {
+		for _, r := range live {
+			p.isolate(id, rep, ws, r, prep, bd)
 		}
 		return
-	}
-	var paced time.Duration
-	if err == nil {
-		if trace != nil {
-			lat += p.srv.cfg.Tap.TapRun(rep.Device, p.name, len(live), trace.AttackerView())
-		}
-		paced = p.pace(lat)
-		p.observe(len(live), hostNs+paced)
 	}
 	// A caller whose context ended during the run, pacing included, has
 	// already returned its context's error: its request is the caller's to
 	// count, not a served (or failed) one, and its span is no longer ours
-	// to mark.
-	kept := live[:0]
-	for i, r := range live {
-		if !r.claimServed() {
-			p.pending.Add(-1)
-			continue
+	// to mark. A request owns its answers, so they are written before the
+	// claim; an abandoned caller never reads them.
+	kept, at := live[:0], 0
+	for _, r := range live {
+		for j := range r.out {
+			r.out[j] = result{err: o.err}
+			if o.err == nil {
+				r.out[j].label = o.labels[at+j]
+			}
 		}
-		if err == nil {
-			labels[len(kept)] = labels[i]
+		at += r.samples()
+		if r.claimServed() {
+			kept = append(kept, r)
+		} else {
+			p.pending.Add(-int64(r.samples()))
 		}
-		kept = append(kept, r)
 	}
-	if live = kept; len(live) == 0 {
+	if len(kept) == 0 {
 		return
 	}
-	p.stats.record(id, live, lat, hostNs, err)
-	prep := hostStart.Sub(now)
-	for i, r := range live {
-		r.markStages(prep, bd, paced)
-		p.pending.Add(-1)
-		if err != nil {
-			r.resp <- response{err: err}
-			continue
-		}
-		r.resp <- response{label: labels[i]}
+	p.stats.record(id, kept, &o)
+	for _, r := range kept {
+		r.markStages(prep, bd, o.paced)
+		p.reply(r)
 	}
+}
+
+// isolate runs each sample of r alone after the batch it rode failed, so a
+// failure stays with the sample that causes it: every other sample still
+// gets its label, and only that sample's answer and counter carry the error.
+// Each run is booked as the one-sample run it is; r is claimed and answered
+// once, after the last of them.
+func (p *pool) isolate(id int, rep *core.Deployment, ws *workerScratch, r *request, prep time.Duration, bd *obs.ExecBreakdown) {
+	runs := make([]outcome, r.samples())
+	x := ws.views[1]
+	for j := range runs {
+		copy(x.Data(), r.x.Data()[j*ws.per:(j+1)*ws.per])
+		runs[j] = p.run(rep, ws, x, bd)
+		r.out[j] = result{err: runs[j].err}
+		if runs[j].err == nil {
+			r.out[j].label = runs[j].labels[0]
+		}
+	}
+	if !r.claimServed() {
+		p.pending.Add(-int64(r.samples()))
+		return
+	}
+	for j := range runs {
+		one := request{out: r.out[j : j+1], wait: r.wait, span: r.span}
+		p.stats.record(id, []*request{&one}, &runs[j])
+	}
+	r.markStages(prep, bd, runs[len(runs)-1].paced)
+	p.reply(r)
+}
+
+// reply releases a claimed, booked request's samples from the in-flight
+// count and wakes its caller.
+func (p *pool) reply(r *request) {
+	p.pending.Add(-int64(r.samples()))
+	r.resp <- nil
 }
 
 // markStages writes the worker-side span timeline for one served request:
@@ -882,9 +980,9 @@ func (p *pool) observe(samples int, service time.Duration) {
 	obs(p.name, samples, service/time.Duration(samples))
 }
 
-// checkSample validates one request input: [C,H,W] or [1,C,H,W] matching the
-// deployed sample shape.
-func (p *pool) checkSample(x *tensor.Tensor) (*tensor.Tensor, error) {
+// checkBatch validates one request input: a sample ([C,H,W] or [1,C,H,W])
+// or 1 to MaxBatch of them ([k,C,H,W]) matching the deployed sample shape.
+func (p *pool) checkBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x == nil {
 		return nil, fmt.Errorf("serve: nil input: %w", core.ErrShape)
 	}
@@ -897,13 +995,13 @@ func (p *pool) checkSample(x *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 		return x.Reshape(1, want[1], want[2], want[3]), nil
 	case 4:
-		if x.Dim(0) != 1 || x.Dim(1) != want[1] || x.Dim(2) != want[2] || x.Dim(3) != want[3] {
-			return nil, fmt.Errorf("serve: input shape %v is not a single sample of %v: %w",
-				x.Shape(), want, core.ErrShape)
+		if k := x.Dim(0); k < 1 || k > p.srv.cfg.MaxBatch || x.Dim(1) != want[1] || x.Dim(2) != want[2] || x.Dim(3) != want[3] {
+			return nil, fmt.Errorf("serve: input shape %v is not 1 to %d samples of %v: %w",
+				x.Shape(), p.srv.cfg.MaxBatch, want[1:], core.ErrShape)
 		}
 		return x, nil
 	default:
-		return nil, fmt.Errorf("serve: input rank %d, want [C,H,W] or [1,C,H,W]: %w",
+		return nil, fmt.Errorf("serve: input rank %d, want [C,H,W] or [k,C,H,W]: %w",
 			x.Rank(), core.ErrShape)
 	}
 }
@@ -922,15 +1020,19 @@ func (p *pool) enqueue(ctx context.Context, req *request) error {
 	p.mu.Unlock()
 	defer p.inflight.Done()
 	req.enqueued = time.Now()
-	p.pending.Add(1)
+	k := int64(req.samples())
+	p.pending.Add(k)
+	p.queued.Add(k)
 	select {
 	case p.queue <- req:
 		return nil
 	case <-ctx.Done():
-		p.pending.Add(-1)
+		p.pending.Add(-k)
+		p.queued.Add(-k)
 		return ctx.Err()
 	case <-p.done:
-		p.pending.Add(-1)
+		p.pending.Add(-k)
+		p.queued.Add(-k)
 		return ErrClosed
 	}
 }
@@ -944,7 +1046,7 @@ func (p *pool) enqueue(ctx context.Context, req *request) error {
 // response-writing stage to account for. A submit that fails has finished
 // its owned span; one that succeeds must be awaited.
 func (p *pool) submit(ctx context.Context, x *tensor.Tensor) (*request, error) {
-	sample, err := p.checkSample(x)
+	x, err := p.checkBatch(x)
 	if err != nil {
 		return nil, err
 	}
@@ -955,7 +1057,12 @@ func (p *pool) submit(ctx context.Context, x *tensor.Tensor) (*request, error) {
 	}
 	span.SetModel(p.name)
 	span.MarkSinceStart(obs.StageIngress)
-	req := &request{x: sample, resp: make(chan response, 1), ctx: ctx, span: span, owned: owned}
+	req := &request{x: x, resp: make(chan error, 1), ctx: ctx, span: span, owned: owned}
+	if k := x.Dim(0); k == 1 {
+		req.out = req.one[:]
+	} else {
+		req.out = make([]result, k)
+	}
 	if err := p.enqueue(ctx, req); err != nil {
 		if owned {
 			span.Finish(true)
@@ -965,33 +1072,30 @@ func (p *pool) submit(ctx context.Context, x *tensor.Tensor) (*request, error) {
 	return req, nil
 }
 
-// await blocks until a submitted request resolves or its context ends. A
-// context that ends after a worker claimed the request served does not
-// abandon it: the worker's answer is on the way and is the one returned.
-func (p *pool) await(req *request) (int, error) {
-	var r response
+// await blocks until a submitted request resolves or its context ends, and
+// returns the request's own error: nil means req.out holds every sample's
+// answer. A context that ends after a worker claimed the request served does
+// not abandon it: the worker's answer is on the way and is the one returned.
+func (p *pool) await(req *request) error {
+	var err error
 	select {
-	case r = <-req.resp:
+	case err = <-req.resp:
 	case <-req.ctx.Done():
 		if req.giveUp() {
-			r.err = req.ctx.Err()
+			err = req.ctx.Err()
 		} else {
-			r = <-req.resp
+			err = <-req.resp
 		}
 	}
 	if req.owned {
-		req.span.Finish(r.err != nil)
+		// The answers are the caller's to read only once the worker replied.
+		failed := err != nil
+		for i := 0; !failed && i < len(req.out); i++ {
+			failed = req.out[i].err != nil
+		}
+		req.span.Finish(failed)
 	}
-	return r.label, r.err
-}
-
-// infer runs one request through the pool.
-func (p *pool) infer(ctx context.Context, x *tensor.Tensor) (int, error) {
-	req, err := p.submit(ctx, x)
-	if err != nil {
-		return 0, err
-	}
-	return p.await(req)
+	return err
 }
 
 // close drains and stops the pool: admission stops, the dispatcher flushes
@@ -1012,7 +1116,7 @@ func (p *pool) close() {
 	<-p.drained
 }
 
-// QueueDepth is a live probe of the number of requests waiting for a batch
+// QueueDepth is a live probe of the number of samples waiting for a batch
 // slot right now, summed across the hosted models. Routing layers use it to
 // compare load across servers.
 func (s *Server) QueueDepth() int {
@@ -1020,12 +1124,12 @@ func (s *Server) QueueDepth() int {
 	defer s.modelMu.RUnlock()
 	total := 0
 	for _, p := range s.models {
-		total += len(p.queue)
+		total += int(p.queued.Load())
 	}
 	return total
 }
 
-// InFlight is a live probe of the number of admitted requests whose response
+// InFlight is a live probe of the number of admitted samples whose answer
 // has not been delivered yet (queued + being served), summed across the
 // hosted models.
 func (s *Server) InFlight() int64 {
@@ -1049,13 +1153,49 @@ func (s *Server) Infer(ctx context.Context, x *tensor.Tensor) (int, error) {
 }
 
 // InferModel is Infer addressed to a named hosted model; unknown names fail
-// with ErrUnknownModel.
+// with ErrUnknownModel. It is InferBatch of one sample.
 func (s *Server) InferModel(ctx context.Context, model string, x *tensor.Tensor) (int, error) {
-	p, err := s.lookup(model)
-	if err != nil {
+	var label [1]int
+	var errs [1]error
+	if err := s.InferBatch(ctx, model, x, label[:], errs[:]); err != nil {
 		return 0, err
 	}
-	return p.infer(ctx, x)
+	return label[0], errs[0]
+}
+
+// InferBatch classifies the k samples of x ([k,C,H,W], 1 ≤ k ≤ MaxBatch; a
+// lone [C,H,W] sample is k = 1) with a named hosted model as one queue
+// entry: the samples are admitted, batched and answered together, so they
+// share one protocol run with each other and with whatever they coalesce
+// with. Sample i's label lands in labels[i] and its failure in errs[i] (nil
+// when it has a label): a run that fails is repeated for each sample alone,
+// so only a sample that fails by itself carries an error. Both slices must
+// hold at least k entries. A non-nil return is the whole entry's (unknown model, bad
+// shape, closed server, ended context), and leaves labels and errs
+// untouched. The caller must not mutate x until InferBatch returns.
+func (s *Server) InferBatch(ctx context.Context, model string, x *tensor.Tensor, labels []int, errs []error) error {
+	p, err := s.lookup(model)
+	if err != nil {
+		return err
+	}
+	k := 1
+	if x != nil && x.Rank() == 4 {
+		k = x.Dim(0)
+	}
+	if len(labels) < k || len(errs) < k {
+		return fmt.Errorf("serve: %d labels / %d errors for %d samples: %w", len(labels), len(errs), k, core.ErrShape)
+	}
+	req, err := p.submit(ctx, x)
+	if err != nil {
+		return err
+	}
+	if err := p.await(req); err != nil {
+		return err
+	}
+	for i, o := range req.out {
+		labels[i], errs[i] = o.label, o.err
+	}
+	return nil
 }
 
 // Close stops admission on every hosted model, drains their queues through
@@ -1122,7 +1262,7 @@ type Stats struct {
 	MeanBatch float64 `json:"mean_batch"`
 	// LargestBatch is the biggest batch coalesced so far.
 	LargestBatch int `json:"largest_batch"`
-	// QueueDepth is the number of requests waiting right now.
+	// QueueDepth is the number of samples waiting for a batch slot right now.
 	QueueDepth int `json:"queue_depth"`
 	// Workers is the replica pool width per hosted model.
 	Workers int `json:"workers"`
@@ -1196,37 +1336,44 @@ type statsAgg struct {
 	waitHist, sizeHist obs.Histogram
 }
 
-// record accounts one protocol run: its counters and one histogram
-// observation per served request, under one lock hold.
-func (a *statsAgg) record(worker int, live []*request, lat float64, hostNs time.Duration, err error) {
-	batchSize := len(live)
+// record accounts one protocol run over live's samples: its counters and one
+// histogram observation per sample, under one lock hold.
+func (a *statsAgg) record(worker int, live []*request, o *outcome) {
+	size := 0
+	for _, r := range live {
+		size += r.samples()
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.batches++
-	a.sizeHist.Observe(float64(batchSize), "")
-	a.queueWaited += int64(batchSize)
+	a.sizeHist.Observe(float64(size), "")
+	a.queueWaited += int64(size)
 	for _, r := range live {
-		a.queueWait += r.wait
-		a.waitHist.Observe(r.wait.Seconds(), r.span.ID())
+		for range r.out {
+			a.queueWait += r.wait
+			a.waitHist.Observe(r.wait.Seconds(), r.span.ID())
+		}
 	}
-	if err != nil {
-		a.errors += int64(batchSize)
+	if o.err != nil {
+		a.errors += int64(size)
 		return
 	}
-	a.requests += int64(batchSize)
-	a.hostBusy += hostNs
-	if batchSize > a.largestBatch {
-		a.largestBatch = batchSize
+	a.requests += int64(size)
+	a.hostBusy += o.hostNs
+	if size > a.largestBatch {
+		a.largestBatch = size
 	}
 	for _, r := range live {
-		a.hist.Observe(lat, r.span.ID())
+		for range r.out {
+			a.hist.Observe(o.lat, r.span.ID())
+		}
 	}
 	// A resize can install a wider generation than the pool started with;
 	// the per-worker busy ledger grows to fit the largest width seen.
 	for worker >= len(a.workerBusy) {
 		a.workerBusy = append(a.workerBusy, 0)
 	}
-	a.workerBusy[worker] += lat
+	a.workerBusy[worker] += o.lat
 }
 
 // poolSnapshot is one pool's raw aggregate, merged by the Stats methods.

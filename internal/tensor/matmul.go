@@ -136,8 +136,14 @@ const narrowCols = 16
 // number of row blocks, each of rows output rows, that amount to
 // parallelMACs for an [m,k]@[k,n] product, passed to Parallel as its grain. A product with
 // fewer than two such ranges runs on the calling goroutine.
-func gemmGrain(rows, n, k int) int {
-	return (parallelMACs-1)/max(rows*n*k, 1) + 1
+func gemmGrain(rows, n, k int) int { return Grain(rows * n * k) }
+
+// Grain is the same rule for any work cut into items of macs
+// multiply-accumulates each — a batch's samples, say: the number of items
+// that amount to parallelMACs, passed to Parallel as its grain, so work of
+// fewer than two such ranges runs on the calling goroutine.
+func Grain(macs int) int {
+	return (parallelMACs-1)/max(macs, 1) + 1
 }
 
 // Epilogue is a per-output-row affine map, optionally rectified, that a
