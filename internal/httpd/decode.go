@@ -21,8 +21,8 @@ import (
 // holds a 256-sample batch of them with room to spare.
 const maxInferBodyBytes = 32 << 20
 
-// maxBatchSamples bounds a /v1/infer/batch body's samples: each one costs a
-// goroutine and a response line, which the byte cap alone leaves at millions.
+// maxBatchSamples bounds a /v1/infer/batch body's samples, each a tensor view
+// and a response line, which the byte cap alone leaves at millions.
 const maxBatchSamples = 256
 
 // maxPooledBody is the largest body buffer kept for reuse; a rare bigger one
