@@ -253,8 +253,9 @@ func serve(args []string, stderr io.Writer) error {
 	}
 	log.Info(fmt.Sprintf("batching: max_batch=%d linger=%v (%s)", maxBatch, linger, mode))
 	// Status check for the kernel layer: which micro-kernels passed their
-	// CPUID gates, and how big a product must be to leave its goroutine.
-	log.Info("kernels: " + tensor.KernelStatus())
+	// CPUID gates, how big a product must be to leave its goroutine, and
+	// which kernel parses the numbers of an inference body.
+	log.Info("kernels: " + tensor.KernelStatus() + " json=" + httpd.NumberKernel())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()

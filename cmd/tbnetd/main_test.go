@@ -210,7 +210,7 @@ func TestDaemonLogsBatchingStatus(t *testing.T) {
 	if want := "batching: max_batch=8 linger=0s (work-conserving)"; !strings.Contains(stderr.String(), want) {
 		t.Fatalf("startup log lacks %q:\n%s", want, stderr.String())
 	}
-	if want := regexp.MustCompile(`kernels: f32=(avx512-tile8x16|avx-tile4x16|scalar-4x4) f32conv=(packed-from-image|im2col) f32narrow=(avx512-32ch-below16|off) f32dw=(avx-3x3|scalar) pool=(avx512-2x2|scalar-2x2) int8=(amx-int8|avx512vnni-4x4|avx2-dot4|scalar-dot4) parallel_above_macs=\d+ workers=\d+`); !want.MatchString(stderr.String()) {
+	if want := regexp.MustCompile(`kernels: f32=(avx512-tile8x16|avx-tile4x16|scalar-4x4) f32conv=(packed-from-image|im2col) f32narrow=(avx512-32ch-below16|off) f32dw=(avx-3x3|scalar) pool=(avx512-2x2|scalar-2x2) int8=(amx-int8|avx512vnni-4x4|avx2-dot4|scalar-dot4) parallel_above_macs=\d+ workers=\d+ json=(avx512-vbmi|scalar)\b`); !want.MatchString(stderr.String()) {
 		t.Fatalf("startup log lacks %q:\n%s", want, stderr.String())
 	}
 }

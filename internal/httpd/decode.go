@@ -477,10 +477,45 @@ func (s *bodyScanner) resolve() bool {
 	return true
 }
 
+// numKernel is a kernel scanValues parses a body's numbers with.
+type numKernel int
+
+const (
+	numScalar numKernel = iota // scanNumber, one token at a time
+	numVBMI                    // scanRunVBMI for runs of the common shape, scanNumber for the rest
+)
+
+func (k numKernel) String() string {
+	if k == numVBMI {
+		return "avx512-vbmi"
+	}
+	return "scalar"
+}
+
+// NumberKernel is the request decoder's status check: the kernel that parses
+// an inference body's numbers, avx512-vbmi, or scalar where the CPUID gate
+// did not pass or off amd64. The daemon logs it on its kernels line.
+func NumberKernel() string { return numLevel.String() }
+
 // scanValues parses one flat array of numbers into dst, counting the values
 // past len(dst) without storing them. Each number is the float32 the
 // reference stores for it, bit for bit; one out of float64's range is the
 // reference's type error.
+//
+// Under numVBMI, scanRunVBMI parses the run of numbers in the wire's common
+// shape and stops at the first token it does not take; scanNumber, the
+// definition, parses that one token and the loop hands the array back to
+// the kernel. The shape-matched rungs, on bodies like the benchmark's
+// (float32 N(0,1) draws widened to float64), medians on the reference box
+// at -cpu 1: the body rows of ten runs of the parent commit's binary
+// (scanNumber alone) alternated with this one, the number row of five runs
+// of BenchmarkScanNumber's scalar and kernel legs:
+//
+//	rung                                     scalar   kernel
+//	BenchmarkDecodeInferBody 3×16×16           33.3     14.6   µs a body
+//	BenchmarkDecodeInferBody 3×32×32          122.4     55.8   µs a body
+//	BenchmarkDecodeBatchBody 16×3×16×16       588      232     µs a body
+//	BenchmarkScanNumber, a 3×16×16 array       28.6     16.1   ns a number
 func (s *bodyScanner) scanValues(dst []float32) (count int, ok bool) {
 	if !s.eat('[') {
 		return 0, false
@@ -490,6 +525,15 @@ func (s *bodyScanner) scanValues(dst []float32) (count int, ok bool) {
 	}
 	b, i := s.b, s.pos
 	for {
+		if numLevel == numVBMI {
+			if end, n := scanRunVBMI(b, i, dst, count); n > count {
+				if count = n; b[end] == ']' {
+					s.pos = end + 1
+					return count, true
+				}
+				i = end + 1 // at a token the kernel does not take
+			}
+		}
 		v, end, ok := scanNumber(b, skipSpace(b, i))
 		if !ok {
 			return 0, false

@@ -248,25 +248,47 @@ func TestEightDigits(t *testing.T) {
 	}
 }
 
-// BenchmarkScanNumber prices one wire number against ParseFloat on it.
+// BenchmarkScanNumber prices the wire's numbers where the product parses
+// them: in place in a benchmark-shaped array, one 3×16×16 sample of float32
+// N(0,1) draws widened as a client widens them, one scanValues pass an op,
+// rotated over 16 arrays. The kernel leg runs the number run kernel (skipped
+// by name on a CPU without it), the scalar leg scanNumber alone, and
+// parsefloat strconv.ParseFloat on each number's text.
 func BenchmarkScanNumber(b *testing.B) {
-	nums := make([][]byte, 1024)
+	const n = 3 * 16 * 16
 	rng := rand.New(rand.NewSource(1))
-	for i := range nums {
-		nums[i], _ = json.Marshal(float64(float32(rng.NormFloat64())))
+	arrays := make([][]byte, 16)
+	var texts []string
+	for i := range arrays {
+		arrays[i] = wireArray(rng, n)
+		texts = append(texts, strings.Split(string(arrays[i][1:len(arrays[i])-1]), ",")...)
 	}
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := scanNumber(nums[i%len(nums)], 0); !ok {
-				b.Fatal("declined")
+	dst := make([]float32, n)
+	for _, leg := range []struct {
+		name  string
+		level numKernel
+	}{{"kernel", numVBMI}, {"scalar", numScalar}} {
+		b.Run(leg.name, func(b *testing.B) {
+			if !withNumLevel(leg.level, func() {
+				for i := 0; i < b.N; i++ {
+					if count, ok, _ := scanArray(arrays[i%len(arrays)], dst); !ok || count != n {
+						b.Fatal("declined")
+					}
+				}
+			}) {
+				b.Skipf("no %v number kernel on this CPU", leg.level)
 			}
-		}
-	})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/number")
+		})
+	}
 	b.Run("parsefloat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := strconv.ParseFloat(string(nums[i%len(nums)]), 64); err != nil {
-				b.Fatal(err)
+			for _, s := range texts[i%len(arrays)*n:][:n] {
+				if _, err := strconv.ParseFloat(s, 64); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/number")
 	})
 }

@@ -193,6 +193,29 @@ func detectI8Kernel() i8Kernel {
 	return i8AMX
 }
 
+// VBMIUsable reports whether this CPU and OS pass the gate of a byte kernel
+// built on AVX512-VBMI's byte permute (internal/httpd's number run): the
+// float32 AVX-512 level's gate (AVX512F, opmask and ZMM state saved), and
+// AVX2, AVX512BW, VBMI, BMI1, BMI2 and POPCNT. It reads the same CPUID
+// leaves the kernels of this package are gated on.
+func VBMIUsable() bool {
+	const (
+		popcnt   = 1 << 23 // CPUID.(EAX=1):ECX
+		bmi1     = 1 << 3  // CPUID.(EAX=7,ECX=0):EBX
+		avx2     = 1 << 5  // EBX
+		bmi2     = 1 << 8  // EBX
+		avx512bw = 1 << 30 // EBX
+		vbmi     = 1 << 1  // ECX
+	)
+	if detectF32Kernel() != f32AVX512 {
+		return false
+	}
+	_, _, c1, _ := cpuidex(1, 0)
+	_, b, c, _ := cpuidex(7, 0)
+	const ebx = bmi1 | avx2 | bmi2 | avx512bw
+	return c1&popcnt != 0 && b&ebx == ebx && c&vbmi != 0
+}
+
 // amxUsable gates gemmI8AMX, on top of the VNNI gate (its transpose and
 // masked stores are AVX-512): CPUID AMX-TILE and AMX-INT8, an OS that
 // manages the tile configuration and data state (XCR0 bits 17 and 18), a

@@ -10,6 +10,9 @@ const f32Level = f32Scalar
 // the scalar quad kernel in gemm_i8.go runs unconditionally.
 const i8Level = i8Scalar
 
+// VBMIUsable reports false: off amd64 no byte kernel runs.
+func VBMIUsable() bool { return false }
+
 // The float32 vector kernels are never called when f32Level is f32Scalar;
 // the stubs keep the float32 kernels free of build tags.
 func gemmTileSIMD(t *tileArgs) {
