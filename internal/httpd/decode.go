@@ -477,6 +477,11 @@ func (s *bodyScanner) resolve() bool {
 	return true
 }
 
+// maxRunBytes bounds the body bytes one scanRunVBMI call reads: ≈ 70 µs of
+// the shortest numbers ("0.5,"), and one scanNumber call where it cuts a
+// run, about one number in 800 of the benchmark's.
+const maxRunBytes = 1 << 14
+
 // numKernel is a kernel scanValues parses a body's numbers with.
 type numKernel int
 
@@ -526,7 +531,10 @@ func (s *bodyScanner) scanValues(dst []float32) (count int, ok bool) {
 	b, i := s.b, s.pos
 	for {
 		if numLevel == numVBMI {
-			if end, n := scanRunVBMI(b, i, dst, count); n > count {
+			// At most maxRunBytes a call: the goroutine cannot be preempted
+			// inside the kernel, so a 32 MiB array of short numbers must not
+			// hold a stop-the-world for the whole of it.
+			if end, n := scanRunVBMI(b[:min(len(b), i+maxRunBytes)], i, dst, count); n > count {
 				if count = n; b[end] == ']' {
 					s.pos = end + 1
 					return count, true

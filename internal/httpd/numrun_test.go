@@ -138,6 +138,8 @@ func TestScanRunMatchesScalar(t *testing.T) {
 			i = j
 		}
 	}
+	// Longer than one kernel call reads (maxRunBytes).
+	arrays = append(arrays, wireArray(rng, 8000))
 	arrays = append(arrays, edgeArrays(rng)...)
 	forEachNumLevel(t, func(t *testing.T) {
 		for _, a := range arrays {
