@@ -448,6 +448,42 @@ func (d *Deployment) Latency() float64 {
 	return d.Enclave.Meter().Latency(d.Device)
 }
 
+// ModeledLatency returns the modeled device seconds of one n-sample
+// inference (1 ≤ n ≤ the deployed batch capacity) without running it: a
+// fresh meter is charged straight from the plan, in exactly the order a run
+// charges the session's meter — the input's world switch and transfer, then
+// per stage M_R's REE flops, a switch, the stage output's transfer and M_T's
+// TEE flops, then the head — so the figure is bit for bit what Latency()
+// reads after that one run on a fresh session.
+func (d *Deployment) ModeledLatency(n int) float64 {
+	var m tee.Meter
+	m.SetSecureFootprint(d.SecureBytes)
+	mr, mt := d.plan.mrCost[n-1], d.plan.mtCost[n-1]
+	m.AddSwitch()
+	m.AddTransfer(int64(n*d.sampleShape[1]*d.sampleShape[2]*d.sampleShape[3]) * 4)
+	for i, dims := range d.plan.mrDims {
+		m.AddCompute(tee.REE, mr.Stages[i].Flops)
+		m.AddSwitch()
+		m.AddTransfer(int64(n*dims[0]*dims[1]*dims[2]) * 4)
+		m.AddCompute(tee.TEE, mt.Stages[i].Flops)
+	}
+	m.AddCompute(tee.TEE, mt.Head.Flops)
+	return m.Latency(d.Device)
+}
+
+// Reserve sizes the session's arenas for every batch of up to n samples (n
+// is capped at the deployed capacity), growing what a run has already drawn
+// (nn.Arena.Reserve). After one inference and Reserve(capacity), a batch of
+// any size up to the capacity runs without allocating, unless a layer's
+// batch is large enough to cross the kernel worker pool.
+func (d *Deployment) Reserve(n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n = min(n, d.sampleShape[0])
+	d.plan.ree.Reserve(n)
+	d.plan.tee.Reserve(n)
+}
+
 // ExtractedMR returns what the paper's attacker obtains: a deep copy of the
 // unsecured branch, which is fully resident in normal-world memory. It is
 // the one mutable copy a deployment hands out; the attacker may fine-tune it

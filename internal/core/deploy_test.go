@@ -309,3 +309,52 @@ func TestExtractedMRIsACopy(t *testing.T) {
 		t.Fatal("extraction must not alias the deployed branch")
 	}
 }
+
+// TestModeledLatencyMatchesMeter holds ModeledLatency to what a real run
+// charges: on a fresh session, one n-sample inference leaves Latency() equal
+// to ModeledLatency(n) — exactly, not within a tolerance — for every zoo
+// architecture, both precisions, every registered device and every batch up
+// to the capacity.
+func TestModeledLatencyMatchesMeter(t *testing.T) {
+	const capacity = 8
+	rng := tensor.NewRNG(41)
+	models := map[string]*zoo.Model{
+		"VGG18-S":     zoo.BuildVGG(zoo.VGG18Config(10), rng),
+		"TinyVGG":     zoo.BuildVGG(zoo.TinyVGGConfig(10), rng),
+		"ResNet20-S":  zoo.BuildResNet(zoo.ResNet20Config(10), true, rng),
+		"MobileNet-S": zoo.BuildMobileNet(zoo.MobileNetSConfig(10), rng),
+	}
+	shape := []int{capacity, 3, 16, 16}
+	x := tensor.New(shape...)
+	rng.FillNormal(x, 0, 1)
+	for name, victim := range models {
+		tb := NewTwoBranch(victim, 42)
+		tb.Finalized = true
+		f32, err := Deploy(tb, tee.Unbounded(tee.RaspberryPi3()), shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i8, err := DeployInt8(tb, tee.Unbounded(tee.RaspberryPi3()), shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dep := range []*Deployment{f32, i8} {
+			for _, dev := range tee.Devices() {
+				for n := 1; n <= capacity; n++ {
+					s, err := dep.ReplicateOn(tee.Unbounded(dev), capacity, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := s.ModeledLatency(n)
+					if _, err := s.Infer(tensor.FromData(x.Data()[:n*3*16*16], n, 3, 16, 16)); err != nil {
+						t.Fatal(err)
+					}
+					if got := s.Latency(); got != want || got <= 0 {
+						t.Fatalf("%s %s on %s, batch %d: metered %v, modeled %v",
+							name, dep.Precision(), dev.Name(), n, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -14,8 +14,9 @@ import (
 //
 //   - one activation arena per world (the REE's M_R chain and the enclave's
 //     M_T chain draw their per-stage buffers from separate arenas, matching
-//     the isolation story), sized lazily on the first request of each batch
-//     size and reused forever after;
+//     the isolation story), each buffer sized lazily for the largest batch
+//     it has served (a smaller batch is a view of it) and reused forever
+//     after;
 //   - the static cost profile of both branches cached for every admissible
 //     batch size, so Infer stops re-profiling the model on every call;
 //   - per-stage buffer tags and output dimensions precomputed, so the hot

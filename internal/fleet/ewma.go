@@ -34,11 +34,12 @@ type estKey struct{ model, node string }
 // Estimator learns per-(model, node) service latency online: every
 // successful protocol run reported by the serve layer's Observer hook folds
 // its realized per-sample service time into an exponentially weighted moving
-// average. Routing consults it in place of the construction-time probes, so
-// a device that degrades after deployment — thermal throttling, a noisy
-// co-tenant, paging pressure — sheds its traffic within a handful of
-// requests instead of keeping its attractive day-one latency forever. The
-// autoscaler reads the same cells to price marginal capacity per node.
+// average. Routing consults it in place of the modeled latency priced at
+// construction, so a device that degrades after deployment — thermal
+// throttling, a noisy co-tenant, paging pressure — sheds its traffic within
+// a handful of requests instead of keeping its attractive day-one latency
+// forever. The autoscaler reads the same cells to price marginal capacity per
+// node.
 //
 // An Estimator is safe for concurrent use and is shared by every component
 // of one fleet: serve workers write, routing and the controller read.
@@ -73,7 +74,7 @@ func (e *Estimator) Observe(model, node string, seconds float64) {
 
 // Estimate returns the current (model, node) estimate in seconds, and
 // whether the cell has seen any observation at all — callers fall back to
-// the construction-time probe when it has not.
+// the modeled latency priced at construction when it has not.
 func (e *Estimator) Estimate(model, node string) (float64, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -123,7 +124,7 @@ type ewma struct{}
 // A fleet routing with it keeps an online Estimator (see Config.Policy), so
 // the latency figure is what each device is doing now rather than what it
 // promised at construction; a node no run has reached yet is scored by its
-// construction-time probe.
+// modeled latency.
 func EWMA() Policy { return ewma{} }
 
 func (ewma) Name() string { return "ewma" }

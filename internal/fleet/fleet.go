@@ -84,8 +84,8 @@ type Config struct {
 	// Policy routes each request to a node (default RoundRobin()). EWMA()
 	// also gives the fleet its online latency Estimator: every protocol run
 	// feeds it, and routing scores nodes with its learned figures in place
-	// of the construction-time probes, so it adapts when a device degrades
-	// after deployment.
+	// of the modeled ones priced at construction, so it adapts when a device
+	// degrades after deployment.
 	Policy Policy
 	// Deadline bounds each request's end-to-end time in the fleet, queueing
 	// included; a request not answered within it is shed with ErrOverloaded.
@@ -221,9 +221,10 @@ type node struct {
 	resizeMu sync.Mutex
 
 	// lat maps each hosted model name to its modeled single-sample latency
-	// on this device, probed when the model is added (or swapped), so
-	// cost-aware routing needs no warm-up traffic. Every node holds the same
-	// key set, the fleet's hosted models. Guarded by the fleet's modelMu.
+	// on this device, priced from the plan when the model is added (or
+	// swapped), so cost-aware routing needs no warm-up traffic. Every node
+	// holds the same key set, the fleet's hosted models. Guarded by the
+	// fleet's modelMu.
 	lat map[string]float64
 
 	routed atomic.Int64 // routing decisions sent here
@@ -330,8 +331,8 @@ func (c *workerClock) total() float64 {
 // model is replicated onto every attached device as the DefaultModel (the
 // caller keeps exclusive use of the template's own session), and every
 // cfg.Models entry is hosted alongside it. Each (model, node) pair's modeled
-// single-sample latency is probed once here, so cost-aware routing needs no
-// warm-up traffic.
+// single-sample latency is priced once here from the replica's plan, so
+// cost-aware routing needs no warm-up traffic.
 func New(dep *core.Deployment, cfg Config) (*Fleet, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("%w: nil deployment", ErrConfig)
@@ -370,11 +371,11 @@ func New(dep *core.Deployment, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// buildNode probes dep onto device and starts the node's server with the
-// fleet-wide serving knobs, wiring the estimator's observation hook when the
-// fleet has one.
+// buildNode replicates dep onto device, prices its latency there (priceOn)
+// and starts the node's server with the fleet-wide serving knobs, wiring the
+// estimator's observation hook when the fleet has one.
 func (f *Fleet) buildNode(name string, device tee.Device, workers int, dep *core.Deployment) (*node, error) {
-	template, lat, err := probeOn(dep, device)
+	template, lat, err := priceOn(dep, device)
 	if err != nil {
 		return nil, err
 	}
@@ -420,25 +421,19 @@ func nodeName(device string, earlier []*node) string {
 	return fmt.Sprintf("%s#%d", device, k)
 }
 
-// probeOn replicates dep onto device (a fresh single-sample session) and
-// measures its modeled single-sample latency with one probe inference. The
-// returned template is suitable as a serve replication template or AddModel
-// source.
-func probeOn(dep *core.Deployment, device tee.Device) (*core.Deployment, float64, error) {
+// priceOn replicates dep onto device (a fresh single-sample session) and
+// prices its modeled single-sample latency from the replica's plan
+// (core.Deployment.ModeledLatency); no inference runs. The returned template
+// is suitable as a serve replication template or AddModel source.
+func priceOn(dep *core.Deployment, device tee.Device) (*core.Deployment, float64, error) {
 	template, err := dep.ReplicateOn(device, 1, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	shape := template.SampleShape()
-	shape[0] = 1
-	probe := tensor.New(shape...)
-	if _, err := template.Infer(probe); err != nil {
-		return nil, 0, fmt.Errorf("probing: %w", err)
-	}
-	return template, template.Latency(), nil
+	return template, template.ModeledLatency(1), nil
 }
 
-// AddModel hosts a further named model on every node of the fleet, probing
+// AddModel hosts a further named model on every node of the fleet, pricing
 // its per-device latency for cost-aware routing. Attachment is
 // all-or-nothing: if any node cannot host the model — most commonly because
 // the pool does not fit the device's remaining secure-memory budget — the
@@ -459,7 +454,7 @@ func (f *Fleet) AddModel(name string, dep *core.Deployment) error {
 		}
 	}
 	for i, n := range f.nodes {
-		template, lat, err := probeOn(dep, n.device)
+		template, lat, err := priceOn(dep, n.device)
 		if err == nil {
 			err = n.srv.AddModel(name, template)
 		}
@@ -497,7 +492,7 @@ func (f *Fleet) SwapModel(name string, dep *core.Deployment) error {
 		wg.Add(1)
 		go func(i int, n *node) {
 			defer wg.Done()
-			template, lat, err := probeOn(dep, n.device)
+			template, lat, err := priceOn(dep, n.device)
 			if err != nil {
 				errs[i] = fmt.Errorf("fleet: node %s: %w", n.name, err)
 				return
@@ -615,9 +610,9 @@ func loadOf(n *node, lat float64) Load {
 }
 
 // loads builds the policy's snapshot for model over every node,
-// substituting the online estimator's learned latencies for the
-// construction-time probes wherever a cell has observations. hosted reports
-// whether the fleet hosts model, read under the same model lock.
+// substituting the online estimator's learned latencies for the modeled
+// ones priced at construction wherever a cell has observations. hosted
+// reports whether the fleet hosts model, read under the same model lock.
 func (f *Fleet) loads(model string) (out []Load, hosted bool) {
 	lats := make([]float64, len(f.nodes))
 	f.modelMu.RLock()
@@ -825,7 +820,7 @@ func (f *Fleet) WorkerSeconds() float64 { return f.clock.total() }
 
 // Estimates returns the online latency estimator's learned (model, node)
 // cells, or nil when the fleet does not route with EWMA() and so runs on
-// construction-time probes only.
+// construction-time modeled latencies only.
 func (f *Fleet) Estimates() []Estimate {
 	if f.est == nil {
 		return nil
@@ -920,7 +915,7 @@ type DeviceStats struct {
 	// Shed is the number of samples that missed the fleet deadline on this
 	// node.
 	Shed int64 `json:"shed"`
-	// SampleLatencyMicros is the probed modeled single-sample latency of the
+	// SampleLatencyMicros is the modeled single-sample latency of the
 	// default model on this node — the figure the cost-aware policy scores
 	// default-model traffic by — in microseconds.
 	SampleLatencyMicros float64 `json:"sample_latency_micros"`

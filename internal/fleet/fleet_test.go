@@ -349,3 +349,26 @@ func TestFleetStatsAggregate(t *testing.T) {
 		t.Fatalf("aggregates wrong: %+v", st)
 	}
 }
+
+// TestPriceOnRunsNoInference: a node learns a model's modeled latency from
+// the plan. priceOn's template has metered nothing, its figure is what one
+// single-sample run would meter (core's TestModeledLatencyMatchesMeter), and
+// the source deployment's meter is untouched.
+func TestPriceOnRunsNoInference(t *testing.T) {
+	dep := testDeployment(t, 3)
+	for _, dev := range tee.Devices() {
+		template, lat, err := priceOn(dep, tee.Unbounded(dev))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := template.Latency(); got != 0 {
+			t.Fatalf("%s: the template metered %v s of inference", dev.Name(), got)
+		}
+		if want := template.ModeledLatency(1); lat != want || lat <= 0 {
+			t.Fatalf("%s: priced %v s, the plan says %v s", dev.Name(), lat, want)
+		}
+	}
+	if got := dep.Latency(); got != 0 {
+		t.Fatalf("the source deployment metered %v s", got)
+	}
+}

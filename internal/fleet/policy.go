@@ -18,8 +18,9 @@ type Load struct {
 	// backlog without double counting.
 	InFlight int
 	// SampleLatency is the node's modeled single-sample inference latency in
-	// seconds, probed once at fleet construction — the cost-model signal that
-	// separates an rpi3-class edge device from a server-class enclave.
+	// seconds, priced once from the plan when the model is hosted — the
+	// cost-model signal that separates an rpi3-class edge device from a
+	// server-class enclave.
 	SampleLatency float64
 }
 

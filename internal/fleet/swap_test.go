@@ -234,7 +234,7 @@ func TestFleetAddModelRollsBackOnPartialFailure(t *testing.T) {
 	}
 	ok := &node{name: "ok", device: tee.RaspberryPi3(), srv: srv,
 		lat: map[string]float64{DefaultModel: 1}}
-	tightNode := &node{name: "tight", device: tiny, srv: srv, // probeOn fails on tiny before srv is touched
+	tightNode := &node{name: "tight", device: tiny, srv: srv, // priceOn fails on tiny before srv is touched
 		lat: map[string]float64{DefaultModel: 1}}
 	f.nodes = []*node{ok, tightNode}
 	defer srv.Close()

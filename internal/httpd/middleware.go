@@ -200,14 +200,16 @@ func Logging(log *slog.Logger, m *httpMetrics, slowThreshold time.Duration) Midd
 			id := RequestIDFrom(r.Context())
 			m.observe(rec.status)
 			m.reqDur.Observe(dur.Seconds(), id)
-			log.Info("request",
-				"request_id", id,
-				"tenant", TenantFrom(r.Context()),
-				"method", r.Method,
-				"path", r.URL.Path,
-				"status", rec.status,
-				"bytes", rec.bytes,
-				"duration_ms", float64(dur.Microseconds())/1e3,
+			// Typed attributes through LogAttrs box nothing, so the access
+			// line allocates only what the handler writes.
+			log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+				slog.String("request_id", id),
+				slog.String("tenant", TenantFrom(r.Context())),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", rec.status),
+				slog.Int64("bytes", rec.bytes),
+				slog.Float64("duration_ms", float64(dur.Microseconds())/1e3),
 			)
 			if slowThreshold <= 0 || dur < slowThreshold {
 				return

@@ -244,3 +244,43 @@ func TestChainOrder(t *testing.T) {
 		t.Fatalf("traversal order = %s", got)
 	}
 }
+
+// TestAccessLogLineUnchanged: the access line written through LogAttrs with
+// typed attributes is byte for byte the line the boxed key/value form
+// writes for the same request. Only the clock is pinned (the time is
+// dropped and duration_ms fixed) so the two lines can be compared.
+func TestAccessLogLineUnchanged(t *testing.T) {
+	pin := func(_ []string, a slog.Attr) slog.Attr {
+		switch a.Key {
+		case slog.TimeKey:
+			return slog.Attr{}
+		case "duration_ms":
+			return slog.Float64(a.Key, 1.25)
+		}
+		return a
+	}
+	var got, want bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&got, &slog.HandlerOptions{ReplaceAttr: pin}))
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusTeapot)
+		w.Write([]byte("short and stout"))
+	})
+	h := Chain(inner, RequestID(), Logging(log, newHTTPMetrics(), 0))
+	r := httptest.NewRequest(http.MethodPost, "/v1/infer", nil)
+	r.Header.Set(requestIDHeader, "id-7")
+	h.ServeHTTP(httptest.NewRecorder(), r)
+
+	ref := slog.New(slog.NewTextHandler(&want, &slog.HandlerOptions{ReplaceAttr: pin}))
+	ref.Info("request",
+		"request_id", "id-7",
+		"tenant", "anonymous",
+		"method", http.MethodPost,
+		"path", "/v1/infer",
+		"status", http.StatusTeapot,
+		"bytes", int64(len("short and stout")),
+		"duration_ms", 0.0,
+	)
+	if got.String() != want.String() {
+		t.Fatalf("access line\n got %q\nwant %q", got.String(), want.String())
+	}
+}

@@ -172,13 +172,20 @@ func (c *Conv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilogu
 		fused = nil
 	}
 	scratchLen := tensor.ConvScratchLen(g)
-	if n == 1 {
+	grain := tensor.Grain(c.OutC * g.C * g.KH * g.KW * oh * ow)
+	switch {
+	case n == 1:
 		// A single sample has no sample-level parallelism; the matmul itself
 		// goes through the worker pool when it is big enough to pay for the
 		// wake-up, and otherwise runs here without allocating.
 		tensor.ConvGemmFusedParallel(od[:sampleOut], wd, nw, xd[:sampleIn], c.OutC, g, floatScratch(a, 0, scratchLen), fused)
-	} else {
-		parallelFor(n, tensor.Grain(c.OutC*g.C*g.KH*g.KW*oh*ow), func(worker, i int) {
+	case !fansOut(n, grain):
+		for i := 0; i < n; i++ {
+			tensor.ConvGemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, nw, xd[i*sampleIn:(i+1)*sampleIn],
+				c.OutC, g, floatScratch(a, 0, scratchLen), fused)
+		}
+	default:
+		parallelFor(n, grain, func(worker, i int) {
 			tensor.ConvGemmFusedSerial(od[i*sampleOut:(i+1)*sampleOut], wd, nw, xd[i*sampleIn:(i+1)*sampleIn],
 				c.OutC, g, floatScratch(a, worker, scratchLen), fused)
 		})

@@ -116,12 +116,16 @@ func (d *DepthwiseConv2D) forwardInto(dst, x *tensor.Tensor, a *Arena, ep *tenso
 	g := tensor.ConvGeom{C: d.C, H: h, W: w, KH: d.K, KW: d.K, Stride: d.Stride, Pad: d.Pad}
 	sampleIn, sampleOut, planeLen := d.C*h*w, d.C*oh*ow, tensor.DepthwiseScratchLen(g)
 	xd, od, wd := x.Data(), dst.Data(), d.W.Value.Data()
-	if n == 1 {
-		// No closure for a single sample, so nothing escapes to the heap.
-		tensor.DepthwiseFused(od, wd, xd, g, floatScratch(a, 0, planeLen), ep)
+	grain := tensor.Grain(d.C * d.K * d.K * oh * ow)
+	if !fansOut(n, grain) {
+		// No closure below the grain, so nothing escapes to the heap.
+		for i := 0; i < n; i++ {
+			tensor.DepthwiseFused(od[i*sampleOut:(i+1)*sampleOut], wd, xd[i*sampleIn:(i+1)*sampleIn],
+				g, floatScratch(a, 0, planeLen), ep)
+		}
 		return
 	}
-	parallelFor(n, tensor.Grain(d.C*d.K*d.K*oh*ow), func(worker, i int) {
+	parallelFor(n, grain, func(worker, i int) {
 		tensor.DepthwiseFused(od[i*sampleOut:(i+1)*sampleOut], wd, xd[i*sampleIn:(i+1)*sampleIn],
 			g, floatScratch(a, worker, planeLen), ep)
 	})

@@ -17,8 +17,8 @@ type inferLayer interface {
 // arenaBytes is the arena's current total buffer footprint.
 func arenaBytes(a *Arena) int64 {
 	var total int64
-	for _, t := range a.bufs {
-		total += int64(t.Size()) * 4
+	for _, b := range a.bufs {
+		total += int64(cap(b.data)) * 4
 	}
 	for _, c := range a.cols {
 		total += int64(cap(c)) * 4
@@ -32,6 +32,7 @@ func arenaBytes(a *Arena) int64 {
 	for _, b := range a.i32buf {
 		total += int64(cap(b)) * 4
 	}
+	total += int64(cap(a.rows.q)) + int64(cap(a.rows.scales))*4 + int64(cap(a.rows.acc))*4
 	return total + int64(cap(a.invStd))*4
 }
 

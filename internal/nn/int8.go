@@ -64,14 +64,20 @@ func (c *Conv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *tensor.Epilo
 	if c.B != nil {
 		bd = c.B.Value.Data()
 	}
-	if n == 1 {
+	grain := tensor.Grain(c.OutC * c.InC * c.KH * c.KW * hw)
+	switch {
+	case n == 1:
 		// Single sample: no sample-level parallelism, so the GEMM itself may
 		// cross the pool (mirrors the float32 path). Calling the sample body
-		// directly — not through a closure — keeps this branch
+		// directly — not through a closure — keeps this branch and the next
 		// allocation-free with a warm arena.
 		c.i8Sample(a, 0, 0, h, w, hw, xd, od, bd, ep, tensor.GemmI8PackedParallel)
-	} else {
-		parallelFor(n, tensor.Grain(c.OutC*c.InC*c.KH*c.KW*hw), func(worker, i int) {
+	case !fansOut(n, grain):
+		for i := 0; i < n; i++ {
+			c.i8Sample(a, 0, i, h, w, hw, xd, od, bd, ep, tensor.GemmI8PackedSerial)
+		}
+	default:
+		parallelFor(n, grain, func(worker, i int) {
 			c.i8Sample(a, worker, i, h, w, hw, xd, od, bd, ep, tensor.GemmI8PackedSerial)
 		})
 	}
@@ -124,42 +130,56 @@ func (d *DepthwiseConv2D) forwardIntoI8(dst, x *tensor.Tensor, a *Arena, ep *ten
 	oh := tensor.ConvOutDim(h, d.K, d.Stride, d.Pad)
 	ow := tensor.ConvOutDim(w, d.K, d.Stride, d.Pad)
 	xd, od := x.Data(), dst.Data()
+	grain := tensor.Grain(d.C * d.K * d.K * oh * ow)
+	if !fansOut(n, grain) {
+		// No closure below the grain, so nothing escapes to the heap.
+		for i := 0; i < n; i++ {
+			d.i8Sample(a, 0, i, h, w, oh, ow, xd, od, ep)
+		}
+		return
+	}
+	parallelFor(n, grain, func(worker, i int) {
+		d.i8Sample(a, worker, i, h, w, oh, ow, xd, od, ep)
+	})
+}
+
+// i8Sample runs sample i of the quantized depthwise convolution on one
+// worker's arena lanes.
+func (d *DepthwiseConv2D) i8Sample(a *Arena, worker, i, h, w, oh, ow int, xd, od []float32, ep *tensor.Epilogue) {
 	sampleIn := d.C * h * w
 	kk := d.K * d.K
-	parallelFor(n, tensor.Grain(d.C*kk*oh*ow), func(worker, i int) {
-		qin := a.I8Buf(worker, sampleIn)
-		sx := quantizeSample(xd[i*sampleIn:(i+1)*sampleIn], qin)
-		for ch := 0; ch < d.C; ch++ {
-			plane := qin[ch*h*w : (ch+1)*h*w]
-			out := od[(i*d.C+ch)*oh*ow : (i*d.C+ch+1)*oh*ow]
-			filt := d.qw[ch*kk : (ch+1)*kk]
-			f := d.qscale[ch] * sx
-			di := 0
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var s int32
-					for ky := 0; ky < d.K; ky++ {
-						iy := oy*d.Stride + ky - d.Pad
-						if iy < 0 || iy >= h {
+	qin := a.I8Buf(worker, sampleIn)
+	sx := quantizeSample(xd[i*sampleIn:(i+1)*sampleIn], qin)
+	for ch := 0; ch < d.C; ch++ {
+		plane := qin[ch*h*w : (ch+1)*h*w]
+		out := od[(i*d.C+ch)*oh*ow : (i*d.C+ch+1)*oh*ow]
+		filt := d.qw[ch*kk : (ch+1)*kk]
+		f := d.qscale[ch] * sx
+		di := 0
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				var s int32
+				for ky := 0; ky < d.K; ky++ {
+					iy := oy*d.Stride + ky - d.Pad
+					if iy < 0 || iy >= h {
+						continue
+					}
+					for kx := 0; kx < d.K; kx++ {
+						ix := ox*d.Stride + kx - d.Pad
+						if ix < 0 || ix >= w {
 							continue
 						}
-						for kx := 0; kx < d.K; kx++ {
-							ix := ox*d.Stride + kx - d.Pad
-							if ix < 0 || ix >= w {
-								continue
-							}
-							s += int32(filt[ky*d.K+kx]) * int32(plane[iy*w+ix])
-						}
+						s += int32(filt[ky*d.K+kx]) * int32(plane[iy*w+ix])
 					}
-					out[di] = float32(s) * f
-					di++
 				}
-			}
-			if ep != nil {
-				ep.ApplyRow(out, ch)
+				out[di] = float32(s) * f
+				di++
 			}
 		}
-	})
+		if ep != nil {
+			ep.ApplyRow(out, ch)
+		}
+	}
 }
 
 // SetInt8Weights arms the dense layer: data is the [Out, In] int8 matrix
@@ -182,12 +202,10 @@ func (d *Dense) SetInt8Weights(data []int8, scales []float32) error {
 func (d *Dense) forwardIntoI8(dst, x *tensor.Tensor, a *Arena) {
 	n := x.Dim(0)
 	xd, od, bd := x.Data(), dst.Data(), d.B.Value.Data()
-	qx := a.I8Buf(0, n*d.In)
-	sx := a.ColScratch(0, n) // per-row activation scales
+	qx, sx, acc := a.DenseRows(n, d.In, d.Out)
 	for i := 0; i < n; i++ {
 		sx[i] = quantizeSample(xd[i*d.In:(i+1)*d.In], qx[i*d.In:(i+1)*d.In])
 	}
-	acc := a.I32Buf(0, d.Out*n)
 	tensor.GemmI8PackedParallel(acc, d.qw, qx, n)
 	for i := 0; i < n; i++ {
 		out := od[i*d.Out : (i+1)*d.Out]

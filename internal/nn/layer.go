@@ -78,13 +78,19 @@ type Layer interface {
 	OutShape(in []int) []int
 }
 
+// fansOut reports whether parallelFor(n, grain, ·) crosses the worker pool.
+// The inference paths loop inline when it does not, building no closure:
+// the one handed to parallelFor escapes, so a batch below the grain would
+// otherwise allocate on every call.
+func fansOut(n, grain int) bool { return n >= 2*grain && tensor.Workers() > 1 }
+
 // parallelFor runs fn(worker, i) for i in [0, n) across the persistent
 // tensor worker pool, in ranges of at least grain items (tensor.Parallel).
 // worker is a dense chunk index usable for per-worker scratch; work of fewer
 // than two ranges, or a single-proc run, executes inline with no dispatch
 // cost. fn must use the serial tensor kernels (the pool does not re-enter).
 func parallelFor(n, grain int, fn func(worker, i int)) {
-	if n < 2*grain || tensor.Workers() == 1 {
+	if !fansOut(n, grain) {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}

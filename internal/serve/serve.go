@@ -325,10 +325,11 @@ const traceBound = 1024
 
 // newGeneration replicates dep into a fresh worker set of the given width,
 // drawing on the shared budget. With warm set, each replica runs one
-// max-batch probe inference so its plan's activation arenas are fully sized
-// before the generation sees traffic — the hot-swap path warms here, off the
-// serving path, so the first post-swap batch pays no allocation or sizing
-// cost.
+// single-sample inference, which sizes every buffer its plan draws, and then
+// reserves MaxBatch (core.Deployment.Reserve), so every batch size up to
+// MaxBatch runs without allocating before the generation sees traffic. The
+// hot-swap path warms here, off the serving path, so the first post-swap
+// batch pays no allocation or sizing cost.
 func (s *Server) newGeneration(dep *core.Deployment, workers int, warm bool) (*generation, error) {
 	g := &generation{batches: make(chan []*request), precision: string(dep.Precision())}
 	release := func() {
@@ -349,12 +350,14 @@ func (s *Server) newGeneration(dep *core.Deployment, workers int, warm bool) (*g
 	}
 	if warm {
 		shape := g.reps[0].SampleShape()
-		probe := tensor.New(shape...)
+		shape[0] = 1
+		sample := tensor.New(shape...)
 		for _, rep := range g.reps {
-			if _, err := rep.Infer(probe); err != nil {
+			if _, err := rep.Infer(sample); err != nil {
 				release()
 				return nil, fmt.Errorf("serve: warming replica: %w", err)
 			}
+			rep.Reserve(s.cfg.MaxBatch)
 		}
 	}
 	return g, nil
@@ -415,7 +418,8 @@ func (s *Server) addModel(name string, dep *core.Deployment, warm bool) error {
 }
 
 // AddModel hosts a further named model on the server: a fresh replica pool
-// (replicated onto the server's device, warmed before it sees traffic) and a
+// (replicated onto the server's device and warmed before it sees traffic:
+// one single-sample run per replica, arenas reserved for MaxBatch) and a
 // fresh request queue, drawing secure memory from the same device budget as
 // every other hosted model. It fails with ErrModelExists if name is taken
 // and ErrSecureMemory (wrapped) if the added pool does not fit the budget
@@ -486,8 +490,8 @@ func (s *Server) SampleShape(model string) ([]int, error) {
 // warm-then-drain:
 //
 //  1. A full new generation is replicated onto the server's device and
-//     warmed (plans built, arenas sized) while the old replicas keep
-//     serving.
+//     warmed (one single-sample run each, then arenas reserved for
+//     MaxBatch) while the old replicas keep serving.
 //  2. The new generation is installed; every batch formed from now on runs
 //     on the new model. The queue, its waiting requests, and the model's
 //     statistics all survive the swap untouched.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,5 +310,94 @@ func TestMultiModelSharesDeviceBudget(t *testing.T) {
 	}
 	if _, err := srv.Infer(context.Background(), randSamples(1, 62)[0]); err != nil {
 		t.Fatalf("default model broken after failed AddModel: %v", err)
+	}
+}
+
+// mallocsOf counts the heap allocations of one call of f, on one P as
+// testing.AllocsPerRun measures, but without its unmeasured first call: a
+// first call that sizes a buffer is what these tests look for.
+func mallocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSwapWarmsEveryBatchSize: a swapped-in generation serves its first
+// batch of every size up to MaxBatch without allocating. Its warm-up runs
+// one sample per replica and then reserves MaxBatch, so no batch size is
+// left for the serving path to size.
+func TestSwapWarmsEveryBatchSize(t *testing.T) {
+	const maxBatch = 4
+	srv, err := New(testDeployment(t, 5), Config{Workers: 2, MaxBatch: maxBatch, MaxDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.SwapModel(DefaultModel, testDeployment(t, 6)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := srv.lookup(DefaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]int, maxBatch)
+	for i, rep := range p.gen.Load().reps {
+		for _, n := range []int{1, 3, maxBatch} {
+			x := tensor.New(n, 3, 16, 16)
+			var inferErr error
+			if m := mallocsOf(func() { _, inferErr = rep.InferInto(x, labels) }); m != 0 {
+				t.Errorf("replica %d: first batch of %d after the swap allocates %d times", i, n, m)
+			}
+			if inferErr != nil {
+				t.Fatal(inferErr)
+			}
+		}
+	}
+}
+
+// TestWarmUpRunsOneSamplePerReplica counts what a warm-up runs by the
+// replicas' meters: after AddModel and after SwapModel every replica has
+// metered exactly one single-sample inference, and New's default pool,
+// which does not warm, none.
+func TestWarmUpRunsOneSamplePerReplica(t *testing.T) {
+	srv, err := New(testDeployment(t, 7), Config{Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	metered := func(name string) []float64 {
+		p, err := srv.lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []float64
+		for _, rep := range p.gen.Load().reps {
+			if got, one := rep.Latency(), rep.ModeledLatency(1); got != 0 && got != one {
+				t.Fatalf("%s: a replica metered %v s, one sample is %v s", name, got, one)
+			}
+			out = append(out, rep.Latency())
+		}
+		return out
+	}
+	for _, lat := range metered(DefaultModel) {
+		if lat != 0 {
+			t.Fatalf("New's default pool ran %v s of inference before traffic", lat)
+		}
+	}
+	if err := srv.AddModel("b", testDeployment(t, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SwapModel(DefaultModel, testDeployment(t, 9)); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"b", DefaultModel} {
+		for i, lat := range metered(name) {
+			if lat == 0 {
+				t.Fatalf("%s: replica %d ran no warm-up inference", name, i)
+			}
+		}
 	}
 }

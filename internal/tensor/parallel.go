@@ -12,7 +12,11 @@ import (
 // spawning is both an allocation and a scheduling cost that a fixed pool
 // amortizes away. Workers are started lazily on the first parallel dispatch
 // and then live for the life of the process, parked on a channel receive
-// while idle.
+// while idle. A chunk is handed over only to a parked worker (the channel is
+// unbuffered and the send does not wait); with every worker busy, the caller
+// runs the chunk itself. So a chunk never queues behind another caller's
+// work, and concurrent Parallel calls degrade to running inline rather than
+// waiting on each other.
 //
 // Nesting rule: work functions dispatched through Parallel must not call
 // Parallel themselves (the pool does not re-enter). Kernels that run inside
@@ -36,7 +40,7 @@ var (
 )
 
 func poolStart() {
-	poolJobs = make(chan poolJob, 4*poolSize)
+	poolJobs = make(chan poolJob)
 	for w := 0; w < poolSize-1; w++ {
 		go func() {
 			for j := range poolJobs {
@@ -77,10 +81,12 @@ func Workers() int { return poolSize }
 // least grain indices each and runs fn(worker, lo, hi) on every chunk, where
 // worker is a dense chunk index usable for per-worker scratch. Small ranges
 // (or single-proc hosts) run inline on the calling goroutine with no
-// dispatch cost at all; otherwise the calling goroutine executes one chunk
-// itself while the persistent pool takes the rest. Parallel returns when
-// every chunk has completed. fn must not call Parallel (see the package
-// nesting rule).
+// dispatch cost at all; otherwise each chunk after the first goes to an idle
+// pool worker, or runs on the calling goroutine when none is idle, and the
+// caller then runs the first. A chunk keeps its worker index wherever it
+// runs, so per-worker partial results combine in the same order either way.
+// Parallel returns when every chunk has completed. fn must not call
+// Parallel (see the package nesting rule).
 func Parallel(n, grain int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -110,7 +116,12 @@ func Parallel(n, grain int, fn func(worker, lo, hi int)) {
 			wg.Done()
 			continue
 		}
-		poolJobs <- poolJob{fn: fn, worker: w, lo: lo, hi: hi, wg: &wg}
+		select {
+		case poolJobs <- poolJob{fn: fn, worker: w, lo: lo, hi: hi, wg: &wg}:
+		default:
+			fn(w, lo, hi)
+			wg.Done()
+		}
 	}
 	fn(0, 0, size)
 	wg.Wait()
