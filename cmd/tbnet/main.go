@@ -129,13 +129,11 @@ func runPipelineCmd(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The finalized model is deployed on the selected backend; meter one
-	// single-image inference, so the pipeline summary carries the modeled
-	// hardware story alongside the accuracy one.
+	// The finalized model is deployed on the selected backend; its priced
+	// single-image inference puts the modeled hardware story beside the
+	// accuracy one.
 	res, dep := src.res, src.hosted[0].Dep
-	if _, err := dep.Infer(src.sample(0)); err != nil {
-		return err
-	}
+	lat, _ := dep.ModeledLatency(1) // every deployment serves batch 1
 	if c.jsonOut {
 		return json.NewEncoder(stdout).Encode(struct {
 			Arch        string  `json:"arch"`
@@ -147,13 +145,13 @@ func runPipelineCmd(args []string, stdout, stderr io.Writer) error {
 			SecureBytes int64   `json:"peak_secure_bytes"`
 			LatencySec  float64 `json:"latency_sec"`
 		}{c.arch, c.dataset, dep.Device.Name(), res.VictimAcc, res.TBAcc,
-			res.PruneRes.Iterations, dep.SecureBytes, dep.Latency()})
+			res.PruneRes.Iterations, dep.SecureBytes, lat})
 	}
 	fmt.Fprintf(stdout, "victim accuracy: %s\n", report.Pct(res.VictimAcc))
 	fmt.Fprintf(stdout, "TBNet accuracy:  %s\n", report.Pct(res.TBAcc))
 	fmt.Fprintf(stdout, "pruning iterations applied: %d\n", res.PruneRes.Iterations)
 	fmt.Fprintf(stdout, "deployed on %s: %s secure memory, %.6fs modeled single-image latency\n",
-		dep.Device.Name(), report.Bytes(dep.SecureBytes), dep.Latency())
+		dep.Device.Name(), report.Bytes(dep.SecureBytes), lat)
 	for _, h := range res.PruneRes.History {
 		status := "kept"
 		if h.Reverted {

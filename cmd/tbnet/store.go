@@ -171,15 +171,16 @@ func runLoadCmd(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// One probe inference confirms the restored plan actually serves and
-	// meters the modeled single-image latency on the (possibly re-targeted)
-	// backend.
+	// One smoke inference confirms the restored plan actually serves; the
+	// modeled single-image latency on the (possibly re-targeted) backend is
+	// its price.
 	shape := dep.SampleShape()
 	shape[0] = 1
 	probe := tbnet.NewTensor(shape...)
 	if _, err := dep.Infer(probe); err != nil {
 		return err
 	}
+	lat, _ := dep.ModeledLatency(1) // every deployment serves batch 1
 	if *jsonOut {
 		return json.NewEncoder(stdout).Encode(struct {
 			Device      string  `json:"device"`
@@ -188,9 +189,9 @@ func runLoadCmd(args []string, stdout, stderr io.Writer) error {
 			SecureBytes int64   `json:"peak_secure_bytes"`
 			LatencySec  float64 `json:"latency_sec"`
 		}{dep.Device.Name(), string(dep.Precision()), dep.SampleShape(),
-			dep.SecureBytes, dep.Latency()})
+			dep.SecureBytes, lat})
 	}
 	fmt.Fprintf(stdout, "loaded %s deployment on %s: shape %v, %s secure memory, %.6fs modeled single-image latency\n",
-		dep.Precision(), dep.Device.Name(), dep.SampleShape(), report.Bytes(dep.SecureBytes), dep.Latency())
+		dep.Precision(), dep.Device.Name(), dep.SampleShape(), report.Bytes(dep.SecureBytes), lat)
 	return nil
 }

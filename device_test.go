@@ -100,7 +100,9 @@ func TestDeployAcrossBackendsDiffers(t *testing.T) {
 		if _, err := dep.Infer(x); err != nil {
 			t.Fatal(err)
 		}
-		latencies[name] = dep.Latency()
+		if latencies[name], err = dep.ModeledLatency(1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for name, lat := range latencies {
 		if lat <= 0 {

@@ -41,7 +41,9 @@ func main() {
 	x := tbnet.NewTensor(shape...)
 	tbnet.NewRNG(33).FillNormal(x, 0, 1)
 
-	fmt.Printf("%-22s %12s %14s %6s %10s\n", "strategy", "secure KiB", "exposed KiB", "arch?", "latency s")
+	// Every placement labels the same image (each runs the real victim);
+	// its latency is its priced single-image run.
+	fmt.Printf("%-22s %12s %14s %6s %10s %6s\n", "strategy", "secure KiB", "exposed KiB", "arch?", "latency s", "label")
 	for _, s := range []defense.Strategy{
 		defense.FullTEE{},
 		defense.DarkneTZ{SplitAt: 4},
@@ -52,23 +54,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pl.Infer(x.Clone())
-		fmt.Printf("%-22s %12.2f %14.2f %6v %10.4f\n", s.Name(),
+		fmt.Printf("%-22s %12.2f %14.2f %6v %10.4f %6d\n", s.Name(),
 			float64(pl.SecureBytes)/1024, float64(pl.ExposedParamBytes)/1024,
-			pl.ExposedArch, pl.Latency())
+			pl.ExposedArch, pl.Price(), pl.Infer(x.Clone())[0])
 	}
 
 	dep, err := tbnet.Deploy(res.TB, device, shape)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := dep.Infer(x.Clone()); err != nil {
+	labels, err := dep.Infer(x.Clone())
+	if err != nil {
 		log.Fatal(err)
 	}
+	lat, _ := dep.ModeledLatency(1) // every deployment serves batch 1
 	exposed := profile.Profile(res.TB.MR, shape).TotalParamBytes()
-	fmt.Printf("%-22s %12.2f %14.2f %6v %10.4f\n", "tbnet",
+	fmt.Printf("%-22s %12.2f %14.2f %6v %10.4f %6d\n", "tbnet",
 		float64(dep.SecureBytes)/1024, float64(exposed)/1024,
-		false, dep.Latency())
+		false, lat, labels[0])
 	fmt.Println("\nnote: tbnet exposes M_R's parameters, but M_R's architecture and")
 	fmt.Println("weights are deliberately useless standalone (see examples/attack_eval),")
 	fmt.Println("and rollback finalization makes M_R's architecture differ from M_T's.")

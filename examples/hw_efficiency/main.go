@@ -60,29 +60,24 @@ func main() {
 	fmt.Printf("  reduction:                      %8.2fx\n",
 		float64(base.SecureBytes)/float64(dep.SecureBytes))
 
-	// Latency over a handful of single-image inferences (paper Table 3).
-	singles := res.Test.Batches(1, nil)
-	const images = 8
-	for i := 0; i < images; i++ {
-		base.Infer(singles[i].X.Clone())
-		if _, err := dep.Infer(singles[i].X); err != nil {
-			log.Fatal(err)
-		}
-	}
-	baseLat := base.Latency() / images
-	tbLat := dep.Latency() / images
+	// Per-inference latency (paper Table 3): each side's single-image run
+	// priced from its plan.
+	baseLat := base.Price()
+	tbLat, _ := dep.ModeledLatency(1) // every deployment serves batch 1
 	fmt.Println("\nper-inference latency on the simulated RPi3 (paper Table 3):")
 	fmt.Printf("  baseline: %.4fs\n", baseLat)
 	fmt.Printf("  TBNet:    %.4fs  (%.2fx reduction)\n", tbLat, baseLat/tbLat)
 
-	m := dep.Enclave.Meter()
+	// One run's costs are its script charged to a meter.
+	script, _ := dep.Script(1)
+	var m tee.Meter
+	m.Charge(script)
 	fmt.Println("\nTBNet cost breakdown per run:")
-	fmt.Printf("  REE compute:  %.3g FLOPs\n", m.Flops(tee.REE)/images)
-	fmt.Printf("  TEE compute:  %.3g FLOPs\n", m.Flops(tee.TEE)/images)
-	fmt.Printf("  world switches: %d, staged bytes: %d\n",
-		m.Switches()/images, m.TransferredBytes()/images)
+	fmt.Printf("  REE compute:  %.3g FLOPs\n", m.Flops(tee.REE))
+	fmt.Printf("  TEE compute:  %.3g FLOPs\n", m.Flops(tee.TEE))
+	fmt.Printf("  world switches: %d, staged bytes: %d\n", m.Switches(), m.TransferredBytes())
 
-	// The same accumulated costs priced under every registered backend: each
+	// The same run priced under every registered backend: each
 	// device owns its own overlap semantics, so the REE/TEE split that is a
 	// 10x win on the serialized RPi3 plays out differently on parallel-world
 	// or paging-limited hardware. A user-defined cost model joins the sweep by
@@ -103,18 +98,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i := 0; i < images; i++ {
-			devBase.Infer(singles[i].X.Clone())
-			if _, err := devDep.Infer(singles[i].X); err != nil {
-				log.Fatal(err)
-			}
-		}
+		devLat, _ := devDep.ModeledLatency(1)
 		fits := "yes"
 		if cap := d.SecureMemBytes(); cap > 0 && devDep.SecureBytes > cap {
 			fits = "no"
 		}
-		fmt.Printf("  %-14s %14.6f %14.6f %6s\n",
-			d.Name(), devBase.Latency()/images, devDep.Latency()/images, fits)
+		fmt.Printf("  %-14s %14.6f %14.6f %6s\n", d.Name(), devBase.Price(), devLat, fits)
 	}
 
 	// Serving layer on top: a one-node fleet on the same device, where
@@ -127,6 +116,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
+	singles := res.Test.Batches(1, nil)
 	var wg sync.WaitGroup
 	errs := make([]error, 32)
 	for i := range errs {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tbnet/internal/obs"
-	"tbnet/internal/profile"
 	"tbnet/internal/quant"
 	"tbnet/internal/tee"
 	"tbnet/internal/tensor"
@@ -29,16 +28,15 @@ var errOutOfOrder = errors.New("core: enclave invoked out of protocol order")
 // It consumes the input and M_R's per-stage feature maps through the one-way
 // channel and releases only the final logits. Intermediate feature maps never
 // leave the enclave. All per-stage activations and the gathered channel
-// selections live in the deployment plan's secure-side arena, and the stage
-// cost profile is a plan lookup, so a protocol run performs no allocation
-// and no re-profiling in steady state.
+// selections live in the deployment plan's secure-side arena, so a protocol
+// run performs no allocation in steady state. It only computes: what a run
+// costs is its script, charged once the run completes.
 type secureProgram struct {
 	mt    *zoo.Model
 	align [][]int
 	plan  *inferPlan
 	xT    *tensor.Tensor
 	stage int
-	costs profile.ModelCost
 	ready bool
 }
 
@@ -51,11 +49,10 @@ func (p *secureProgram) reset() {
 }
 
 // Invoke implements tee.Program.
-func (p *secureProgram) Invoke(ctx *tee.Context, cmd int, payload *tensor.Tensor) error {
+func (p *secureProgram) Invoke(cmd int, payload *tensor.Tensor) error {
 	if cmd == CmdInput {
 		p.reset()
 		p.xT = payload
-		p.costs = p.plan.mtCost[payload.Dim(0)-1]
 		return nil
 	}
 	i := cmd - cmdStageBase
@@ -65,9 +62,6 @@ func (p *secureProgram) Invoke(ctx *tee.Context, cmd int, payload *tensor.Tensor
 	n := p.xT.Dim(0)
 	aT := p.plan.stageBuf(p.plan.tee, p.plan.mtTags, p.plan.mtDims, i, n)
 	p.mt.Stages[i].InferInto(aT, p.xT, p.plan.tee)
-	ctx.Meter.AddCompute(tee.TEE, p.costs.Stages[i].Flops)
-	ctx.Trace.Record(tee.Event{Kind: tee.EvTEECompute, Label: p.mt.Stages[i].Name(),
-		Bytes: int64(aT.Size()) * 4})
 	sel := payload
 	if p.align[i] != nil {
 		sel = p.plan.gatherBuf(i, n)
@@ -94,14 +88,12 @@ func (p *secureProgram) Invoke(ctx *tee.Context, cmd int, payload *tensor.Tensor
 }
 
 // Result implements tee.Program: it releases the classification logits.
-func (p *secureProgram) Result(ctx *tee.Context) (*tensor.Tensor, error) {
+func (p *secureProgram) Result() (*tensor.Tensor, error) {
 	if !p.ready {
 		return nil, fmt.Errorf("%w: result requested at stage %d", errOutOfOrder, p.stage)
 	}
 	out := p.plan.logitsBuf(p.xT.Dim(0))
 	p.mt.Head.InferInto(out, p.xT, p.plan.tee)
-	ctx.Meter.AddCompute(tee.TEE, p.costs.Head.Flops)
-	ctx.Trace.Record(tee.Event{Kind: tee.EvTEECompute, Label: p.mt.Head.Name()})
 	return out, nil
 }
 
@@ -123,7 +115,8 @@ type Deployment struct {
 	mr      *zoo.Model
 	prog    *secureProgram
 	// plan is the session's preplanned inference state: per-stage activation
-	// buffers for both branches and cached cost profiles per batch size.
+	// buffers for both branches and the priced protocol script per batch
+	// size.
 	plan *inferPlan
 	// sampleShape is the [N,C,H,W] shape the secure working set was sized
 	// for; inputs must match it in all but the batch dimension, which may
@@ -200,22 +193,23 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 		return nil, fmt.Errorf("core: sample shape %v has %d channels, model expects %d: %w",
 			sampleShape, sampleShape[1], want, ErrShape)
 	}
-	// The plan caches the branch profiles for every admissible batch size;
-	// the deploy-time sizing below reads the full-batch entries.
-	plan := newInferPlan(tb, sampleShape)
-	if qmt != nil {
-		// Int8 path: price the flops under the device's int8 throughput ratio
-		// once, here — the meter then charges quantized-kernel figures on
-		// every inference with no hot-path branching.
-		speedup := tee.Int8SpeedupOf(device)
-		scaleFlops(plan.mrCost, speedup)
-		scaleFlops(plan.mtCost, speedup)
+	if len(tb.MR.Stages) != len(tb.MT.Stages) {
+		return nil, fmt.Errorf("core: M_R has %d stages, M_T %d: %w",
+			len(tb.MR.Stages), len(tb.MT.Stages), ErrShape)
 	}
-	mtCost := plan.mtCost[len(plan.mtCost)-1]
+	// The plan scripts every admissible batch size with flops at the serving
+	// path's throughput (int8 under the device's int8 ratio), so a run
+	// charges quantized-kernel figures with no hot-path branching; the
+	// deploy-time sizing below reads the full-batch profiles.
+	speedup := 1.0
+	if qmt != nil {
+		speedup = tee.Int8SpeedupOf(device)
+	}
+	plan := newInferPlan(tb, sampleShape, speedup)
+	mrCost, mtCost := plan.mrCost, plan.mtCost
 	// Staging buffer: the largest single transfer (input or any M_R stage
 	// output after alignment is applied inside the enclave — the full
 	// payload is staged, so use M_R's stage output sizes).
-	mrCost := plan.mrCost[len(plan.mrCost)-1]
 	staging := mrCost.Stages[0].InBytes
 	for _, s := range mrCost.Stages {
 		if s.OutBytes > staging {
@@ -236,10 +230,14 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 		return nil, fmt.Errorf("core: secure branch does not fit: %v: %w", err, ErrSecureMemory)
 	}
 	prog := &secureProgram{mt: tb.MT, align: tb.Align, plan: plan}
-	enclave := tee.NewEnclave(prog, mem)
+	enclave := tee.NewEnclave(prog)
 	// Memory-pressure-sensitive backends (SGX EPC paging) price latency off
 	// the session's secure working set.
 	enclave.Meter().SetSecureFootprint(secureBytes)
+	plan.prices = make([]float64, len(plan.scripts))
+	for b, s := range plan.scripts {
+		plan.prices[b] = s.Price(device, secureBytes)
+	}
 	return &Deployment{
 		Device:      device,
 		Enclave:     enclave,
@@ -324,7 +322,12 @@ func (d *Deployment) checkInput(x *tensor.Tensor) error {
 				x.Shape(), d.sampleShape, ErrShape)
 		}
 	}
-	if n := x.Dim(0); n < 1 || n > d.sampleShape[0] {
+	return d.checkBatch(x.Dim(0))
+}
+
+// checkBatch validates a batch size against the deployed capacity.
+func (d *Deployment) checkBatch(n int) error {
+	if n < 1 || n > d.sampleShape[0] {
 		return fmt.Errorf("core: batch %d outside deployed capacity [1,%d]: %w",
 			n, d.sampleShape[0], ErrShape)
 	}
@@ -359,7 +362,8 @@ func (d *Deployment) InferInto(x *tensor.Tensor, labels []int) ([]int, error) {
 // compute, TEENs the enclave invocations (input staging, per-stage secure
 // compute, result fetch). A nil bd makes it identical to InferInto, with no
 // timing overhead. The breakdown is host time for the obs span timeline —
-// distinct from Latency(), which is the device cost model's virtual time.
+// distinct from ModeledLatency, which is the device cost model's virtual
+// time.
 func (d *Deployment) InferIntoObserved(x *tensor.Tensor, labels []int, bd *obs.ExecBreakdown) ([]int, error) {
 	if err := d.checkInput(x); err != nil {
 		return nil, err
@@ -371,7 +375,9 @@ func (d *Deployment) InferIntoObserved(x *tensor.Tensor, labels []int, bd *obs.E
 }
 
 // inferInto runs the staged protocol; the caller has validated x and sized
-// labels. A non-nil bd receives the per-world host wall-time breakdown.
+// labels. A non-nil bd receives the per-world host wall-time breakdown. A
+// completed run commits its script to the session's meter and trace; a run
+// that fails part way commits nothing.
 func (d *Deployment) inferInto(x *tensor.Tensor, labels []int, bd *obs.ExecBreakdown) (out []int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -384,17 +390,14 @@ func (d *Deployment) inferInto(x *tensor.Tensor, labels []int, bd *obs.ExecBreak
 			out, err = nil, fmt.Errorf("core: inference failed: %v: %w", r, ErrShape)
 		}
 	}()
-	meter := d.Enclave.Meter()
-	trace := d.Enclave.Trace()
 	n := x.Dim(0)
-	mrCost := d.plan.mrCost[n-1]
 	timed := bd != nil
 	var t0 time.Time
 	if timed {
 		bd.Reset()
 		t0 = time.Now()
 	}
-	if err := d.Enclave.Invoke(CmdInput, "input", x); err != nil {
+	if err := d.Enclave.Invoke(CmdInput, x); err != nil {
 		return nil, err
 	}
 	if timed {
@@ -411,13 +414,10 @@ func (d *Deployment) inferInto(x *tensor.Tensor, labels []int, bd *obs.ExecBreak
 			bd.REENs += time.Since(t0).Nanoseconds()
 		}
 		aR = dst
-		meter.AddCompute(tee.REE, mrCost.Stages[i].Flops)
-		trace.Record(tee.Event{Kind: tee.EvREECompute, Label: s.Name(),
-			Bytes: int64(aR.Size()) * 4})
 		if timed {
 			t0 = time.Now()
 		}
-		if err := d.Enclave.Invoke(cmdStageBase+i, s.Name(), aR); err != nil {
+		if err := d.Enclave.Invoke(cmdStageBase+i, aR); err != nil {
 			return nil, err
 		}
 		if timed {
@@ -434,6 +434,7 @@ func (d *Deployment) inferInto(x *tensor.Tensor, labels []int, bd *obs.ExecBreak
 	if timed {
 		bd.TEENs += time.Since(t0).Nanoseconds()
 	}
+	d.Enclave.Commit(d.plan.scripts[n-1])
 	labels = labels[:n]
 	for i := range labels {
 		labels[i] = logits.ArgMaxRow(i)
@@ -441,34 +442,26 @@ func (d *Deployment) inferInto(x *tensor.Tensor, labels []int, bd *obs.ExecBreak
 	return labels, nil
 }
 
-// Latency returns the accumulated virtual execution time in seconds.
-func (d *Deployment) Latency() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.Enclave.Meter().Latency(d.Device)
+// Script returns the protocol run of an n-sample inference (1 ≤ n ≤ the
+// deployed batch capacity, else ErrShape): the steps a completed run
+// charges to the session's meter and records on its trace. The script is
+// the plan's own and shared; callers must not modify it.
+func (d *Deployment) Script(n int) (tee.Script, error) {
+	if err := d.checkBatch(n); err != nil {
+		return nil, err
+	}
+	return d.plan.scripts[n-1], nil
 }
 
 // ModeledLatency returns the modeled device seconds of one n-sample
-// inference (1 ≤ n ≤ the deployed batch capacity) without running it: a
-// fresh meter is charged straight from the plan, in exactly the order a run
-// charges the session's meter — the input's world switch and transfer, then
-// per stage M_R's REE flops, a switch, the stage output's transfer and M_T's
-// TEE flops, then the head — so the figure is bit for bit what Latency()
-// reads after that one run on a fresh session.
-func (d *Deployment) ModeledLatency(n int) float64 {
-	var m tee.Meter
-	m.SetSecureFootprint(d.SecureBytes)
-	mr, mt := d.plan.mrCost[n-1], d.plan.mtCost[n-1]
-	m.AddSwitch()
-	m.AddTransfer(int64(n*d.sampleShape[1]*d.sampleShape[2]*d.sampleShape[3]) * 4)
-	for i, dims := range d.plan.mrDims {
-		m.AddCompute(tee.REE, mr.Stages[i].Flops)
-		m.AddSwitch()
-		m.AddTransfer(int64(n*dims[0]*dims[1]*dims[2]) * 4)
-		m.AddCompute(tee.TEE, mt.Stages[i].Flops)
+// inference (1 ≤ n ≤ the deployed batch capacity, else ErrShape) without
+// running it: Script(n) priced on a fresh meter carrying the session's
+// secure footprint, so it is bit for bit what one such run charges.
+func (d *Deployment) ModeledLatency(n int) (float64, error) {
+	if err := d.checkBatch(n); err != nil {
+		return 0, err
 	}
-	m.AddCompute(tee.TEE, mt.Head.Flops)
-	return m.Latency(d.Device)
+	return d.plan.prices[n-1], nil
 }
 
 // Reserve sizes the session's arenas for every batch of up to n samples (n

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -115,7 +117,7 @@ func TestDeploymentMetersBothWorlds(t *testing.T) {
 	if m.Switches() != wantSwitches {
 		t.Fatalf("switches = %d, want %d", m.Switches(), wantSwitches)
 	}
-	if dep.Latency() <= 0 {
+	if metered(dep) <= 0 {
 		t.Fatal("latency must be positive")
 	}
 }
@@ -139,10 +141,10 @@ func TestEnclaveProtocolOrderEnforced(t *testing.T) {
 		t.Fatal("result before protocol completion must fail")
 	}
 	// Staging stage 1 before stage 0 must fail.
-	if err := dep.Enclave.Invoke(CmdInput, "input", randX(1, 91)); err != nil {
+	if err := dep.Enclave.Invoke(CmdInput, randX(1, 91)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dep.Enclave.Invoke(1, "skip-ahead", randX(1, 92)); err == nil {
+	if err := dep.Enclave.Invoke(1, randX(1, 92)); err == nil {
 		t.Fatal("out-of-order stage must be rejected")
 	}
 }
@@ -195,7 +197,7 @@ func TestInferResetsPerCall(t *testing.T) {
 	}
 	// Leave the enclave mid-protocol, then run a normal inference: the
 	// fresh input command must reset the stale stage counter.
-	if err := dep.Enclave.Invoke(CmdInput, "input", x.Clone()); err != nil {
+	if err := dep.Enclave.Invoke(CmdInput, x.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -310,11 +312,49 @@ func TestExtractedMRIsACopy(t *testing.T) {
 	}
 }
 
-// TestModeledLatencyMatchesMeter holds ModeledLatency to what a real run
-// charges: on a fresh session, one n-sample inference leaves Latency() equal
-// to ModeledLatency(n) — exactly, not within a tolerance — for every zoo
-// architecture, both precisions, every registered device and every batch up
-// to the capacity.
+// metered is the modeled seconds the session's meter reads after the runs
+// it completed.
+func metered(d *Deployment) float64 { return d.Device.Latency(d.Enclave.Meter()) }
+
+// paperRun is the protocol run of one inference at input shape in, as the
+// paper describes it, derived here from the branches' stage geometry and
+// profiles independently of the plan's script builder: the input crosses
+// into the enclave; per stage, M_R computes in the REE, its feature map
+// crosses and M_T computes in the TEE; M_T's head computes and the logits
+// are released. Flops are priced at speedup over float32.
+func paperRun(tb *TwoBranch, in []int, speedup float64) tee.Script {
+	mr, mt := profile.Profile(tb.MR, in), profile.Profile(tb.MT, in)
+	bytes := func(shape []int) int64 {
+		n := int64(4)
+		for _, d := range shape {
+			n *= int64(d)
+		}
+		return n
+	}
+	s := tee.Script{
+		{Kind: tee.EvSMC, World: tee.REE, Label: "input"},
+		{Kind: tee.EvTransfer, World: tee.REE, Label: "input", Bytes: bytes(in)},
+	}
+	r, m := in, in
+	for i, st := range tb.MR.Stages {
+		r, m = st.OutShape(r), tb.MT.Stages[i].OutShape(m)
+		s = append(s,
+			tee.Step{Kind: tee.EvREECompute, World: tee.REE, Label: st.Name(), Flops: mr.Stages[i].Flops / speedup, Bytes: bytes(r)},
+			tee.Step{Kind: tee.EvSMC, World: tee.REE, Label: st.Name()},
+			tee.Step{Kind: tee.EvTransfer, World: tee.REE, Label: st.Name(), Bytes: bytes(r)},
+			tee.Step{Kind: tee.EvTEECompute, World: tee.TEE, Label: tb.MT.Stages[i].Name(), Flops: mt.Stages[i].Flops / speedup, Bytes: bytes(m)})
+	}
+	return append(s,
+		tee.Step{Kind: tee.EvTEECompute, World: tee.TEE, Label: tb.MT.Head.Name(), Flops: mt.Head.Flops / speedup},
+		tee.Step{Kind: tee.EvResult, World: tee.TEE, Label: "release", Bytes: bytes(tb.MT.Head.OutShape(m))})
+}
+
+// TestModeledLatencyMatchesMeter holds a run to exactly its script: the
+// plan's script of every batch is the paper's protocol (paperRun), and on a
+// fresh session one n-sample inference records that script on the trace
+// event for event and charges it to the meter, which then reads
+// ModeledLatency(n) bit for bit — for every zoo architecture, both
+// precisions, every registered device and every batch up to the capacity.
 func TestModeledLatencyMatchesMeter(t *testing.T) {
 	const capacity = 8
 	rng := tensor.NewRNG(41)
@@ -340,21 +380,102 @@ func TestModeledLatencyMatchesMeter(t *testing.T) {
 		}
 		for _, dep := range []*Deployment{f32, i8} {
 			for _, dev := range tee.Devices() {
+				speedup := 1.0
+				if dep.Precision() == PrecisionInt8 {
+					speedup = tee.Int8SpeedupOf(dev)
+				}
 				for n := 1; n <= capacity; n++ {
+					what := fmt.Sprintf("%s %s on %s, batch %d", name, dep.Precision(), dev.Name(), n)
 					s, err := dep.ReplicateOn(tee.Unbounded(dev), capacity, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := s.ModeledLatency(n)
+					script, err := s.Script(n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					in := append([]int{n}, shape[1:]...)
+					if want := paperRun(s.Snapshot(), in, speedup); !reflect.DeepEqual(script, want) {
+						t.Fatalf("%s: script\n%v\nwant\n%v", what, script, want)
+					}
+					want, err := s.ModeledLatency(n)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if _, err := s.Infer(tensor.FromData(x.Data()[:n*3*16*16], n, 3, 16, 16)); err != nil {
 						t.Fatal(err)
 					}
-					if got := s.Latency(); got != want || got <= 0 {
-						t.Fatalf("%s %s on %s, batch %d: metered %v, modeled %v",
-							name, dep.Precision(), dev.Name(), n, got, want)
+					if got := s.Enclave.Trace().AttackerView(); !reflect.DeepEqual(got, script.AttackerView()) {
+						t.Fatalf("%s: trace %v, script %v", what, got, script.AttackerView())
+					}
+					var charged tee.Meter
+					charged.Charge(script)
+					charged.SetSecureFootprint(s.SecureBytes)
+					if m := s.Enclave.Meter(); *m != charged {
+						t.Fatalf("%s: meter %v, script charges %v", what, m, &charged)
+					}
+					if got := metered(s); got != want || got <= 0 {
+						t.Fatalf("%s: metered %v, modeled %v", what, got, want)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFailedRunChargesNothing: a run that fails part way through the
+// protocol (here M_T's stage-1 alignment map selects one channel too few)
+// leaves the session's meter and trace as they were, and the next good run
+// is charged as a run on a fresh session.
+func TestFailedRunChargesNothing(t *testing.T) {
+	tb, _ := finalizedTB(t, 140)
+	bad := *tb
+	bad.Align = append([][]int(nil), tb.Align...)
+	if bad.Align[1] == nil {
+		bad.Align[1] = make([]int, tb.MT.Stages[1].OutChannels()-1)
+	} else {
+		bad.Align[1] = bad.Align[1][:len(bad.Align[1])-1]
+	}
+	dep, err := Deploy(&bad, tee.RaspberryPi3(), []int{1, 3, 16, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.Infer(randX(1, 141)); !errors.Is(err, ErrShape) {
+		t.Fatalf("bad alignment: err = %v, want ErrShape", err)
+	}
+	fresh := tee.Meter{}
+	fresh.SetSecureFootprint(dep.SecureBytes)
+	if m := dep.Enclave.Meter(); *m != fresh {
+		t.Fatalf("failed run charged %v", m)
+	}
+	if v := dep.Enclave.Trace().AttackerView(); len(v) != 0 {
+		t.Fatalf("failed run recorded %v", v)
+	}
+}
+
+// TestModeledLatencyChecksBatch: ModeledLatency and Script answer for 1..
+// capacity and reject anything else with ErrShape instead of panicking.
+func TestModeledLatencyChecksBatch(t *testing.T) {
+	tb, _ := finalizedTB(t, 150)
+	const capacity = 4
+	dep, err := Deploy(tb, tee.RaspberryPi3(), []int{capacity, 3, 16, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{{0, false}, {1, true}, {capacity, true}, {capacity + 1, false}} {
+		lat, err := dep.ModeledLatency(tc.n)
+		_, serr := dep.Script(tc.n)
+		if tc.ok != (err == nil) || tc.ok != (serr == nil) {
+			t.Fatalf("batch %d: ModeledLatency err %v, Script err %v", tc.n, err, serr)
+		}
+		if !tc.ok && (!errors.Is(err, ErrShape) || !errors.Is(serr, ErrShape) || lat != 0) {
+			t.Fatalf("batch %d: got %v, %v / %v, want ErrShape", tc.n, lat, err, serr)
+		}
+		if tc.ok && lat <= 0 {
+			t.Fatalf("batch %d: price %v", tc.n, lat)
 		}
 	}
 }

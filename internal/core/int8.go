@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"tbnet/internal/profile"
 	"tbnet/internal/quant"
 	"tbnet/internal/tee"
 )
@@ -61,17 +60,4 @@ func DeployQuantized(qmr, qmt *quant.QuantizedModel, align [][]int, device tee.D
 	}
 	tb := &TwoBranch{MR: qmr.Model, MT: qmt.Model, Align: align, Finalized: true}
 	return frozen(deployWith(tb, device, sampleShape, nil, qmr, qmt))
-}
-
-// scaleFlops divides every stage and head flop figure by the device's int8
-// speedup, so the meter (and therefore the modeled latency) prices the
-// quantized kernels. Byte figures are left untouched: activations stage
-// through shared memory as float32 either way.
-func scaleFlops(costs []profile.ModelCost, speedup float64) {
-	for b := range costs {
-		for i := range costs[b].Stages {
-			costs[b].Stages[i].Flops /= speedup
-		}
-		costs[b].Head.Flops /= speedup
-	}
 }

@@ -105,7 +105,7 @@ func inferLatency(t *testing.T, tb *TwoBranch, device tee.Device, int8 bool) flo
 	if _, err := dep.Infer(randX(2, 99)); err != nil {
 		t.Fatalf("%s: %v", device.Name(), err)
 	}
-	return dep.Latency()
+	return metered(dep)
 }
 
 // TestInt8BeatsF32OnEveryBackend locks the headline acceptance criterion:
@@ -237,11 +237,11 @@ func TestF32GoldenLatencyUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := dep.Enclave.Meter()
-	wantREE := dep.plan.mrCost[0].TotalFlops() - dep.plan.mrCost[0].Head.Flops
+	wantREE := dep.plan.mrCost.TotalFlops() - dep.plan.mrCost.Head.Flops
 	if got := m.Flops(tee.REE); got != wantREE {
 		t.Fatalf("f32 REE flops %v, want unscaled %v", got, wantREE)
 	}
-	if m.Flops(tee.TEE) != dep.plan.mtCost[0].TotalFlops() {
-		t.Fatalf("f32 TEE flops %v, want unscaled %v", m.Flops(tee.TEE), dep.plan.mtCost[0].TotalFlops())
+	if m.Flops(tee.TEE) != dep.plan.mtCost.TotalFlops() {
+		t.Fatalf("f32 TEE flops %v, want unscaled %v", m.Flops(tee.TEE), dep.plan.mtCost.TotalFlops())
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"tbnet/internal/nn"
 	"tbnet/internal/profile"
+	"tbnet/internal/tee"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
@@ -17,8 +18,10 @@ import (
 //     the isolation story), each buffer sized lazily for the largest batch
 //     it has served (a smaller batch is a view of it) and reused forever
 //     after;
-//   - the static cost profile of both branches cached for every admissible
-//     batch size, so Infer stops re-profiling the model on every call;
+//   - the protocol script of every admissible batch size (tee.Script: the
+//     steps a run of that batch takes, which its meter charges and its
+//     trace records) with its price on the deployed device, so a run
+//     neither re-profiles the model nor restates the protocol order;
 //   - per-stage buffer tags and output dimensions precomputed, so the hot
 //     path performs no string building and no shape recomputation.
 //
@@ -32,8 +35,13 @@ type inferPlan struct {
 	maxBatch int
 	// ree and tee are the per-world activation arenas.
 	ree, tee *nn.Arena
-	// mrCost[b] / mtCost[b] are the branch profiles for batch size b+1.
-	mrCost, mtCost []profile.ModelCost
+	// mrCost / mtCost are the branch profiles at the full batch, which the
+	// secure sizing reads.
+	mrCost, mtCost profile.ModelCost
+	// scripts[b] is the protocol run of a batch of b+1 samples; prices[b]
+	// is its modeled seconds on the deployed device.
+	scripts []tee.Script
+	prices  []float64
 	// mrDims[i] / mtDims[i] are stage i's output [C,H,W].
 	mrDims, mtDims [][3]int
 	// mrTags[i] / mtTags[i] key stage i's output buffer in its arena
@@ -48,22 +56,23 @@ type inferPlan struct {
 }
 
 // newInferPlan precomputes the plan for a finalized two-branch model sized
-// for sampleShape (batch included).
-func newInferPlan(tb *TwoBranch, sampleShape []int) *inferPlan {
+// for sampleShape (batch included), scripting flops at the serving path's
+// speedup over float32 (1 for f32). Deploy prices the scripts once the
+// secure footprint is known.
+func newInferPlan(tb *TwoBranch, sampleShape []int, speedup float64) *inferPlan {
 	maxBatch := sampleShape[0]
 	p := &inferPlan{
 		maxBatch: maxBatch,
 		ree:      nn.NewArena(),
 		tee:      nn.NewArena(),
-		mrCost:   make([]profile.ModelCost, maxBatch),
-		mtCost:   make([]profile.ModelCost, maxBatch),
+		scripts:  make([]tee.Script, maxBatch),
 		classes:  tb.MT.Classes,
 	}
 	shape := append([]int(nil), sampleShape...)
 	for b := 1; b <= maxBatch; b++ {
 		shape[0] = b
-		p.mrCost[b-1] = profile.Profile(tb.MR, shape)
-		p.mtCost[b-1] = profile.Profile(tb.MT, shape)
+		p.mrCost, p.mtCost = profile.Profile(tb.MR, shape), profile.Profile(tb.MT, shape)
+		p.scripts[b-1] = protocol(p.mrCost, p.mtCost, speedup)
 	}
 	p.mrDims, p.mrTags = stagePlan(tb.MR, sampleShape)
 	p.mtDims, p.mtTags = stagePlan(tb.MT, sampleShape)
@@ -76,11 +85,31 @@ func newInferPlan(tb *TwoBranch, sampleShape []int) *inferPlan {
 	return p
 }
 
+// protocol is TBNet's protocol run of one batch, from the two branches'
+// profiles at that batch: the input crosses into the enclave; then, stage
+// by stage, M_R computes in the REE, its feature map crosses, and M_T
+// computes in the TEE; then M_T's head computes and the logits are
+// released to the model user. Flops are divided by the serving path's
+// speedup over float32 (the device's int8 ratio, 1 for f32), so the meter
+// prices the quantized kernels; bytes are not, as activations stage
+// through shared memory as float32 either way.
+func protocol(mr, mt profile.ModelCost, speedup float64) tee.Script {
+	s := make(tee.Script, 0, 4*len(mr.Stages)+4).Cross("input", mr.Stages[0].InBytes)
+	for i, r := range mr.Stages {
+		t := mt.Stages[i]
+		s = append(s, tee.Step{Kind: tee.EvREECompute, World: tee.REE, Label: r.Name, Flops: r.Flops / speedup, Bytes: r.OutBytes})
+		s = append(s.Cross(r.Name, r.OutBytes),
+			tee.Step{Kind: tee.EvTEECompute, World: tee.TEE, Label: t.Name, Flops: t.Flops / speedup, Bytes: t.OutBytes})
+	}
+	return append(s, tee.Step{Kind: tee.EvTEECompute, World: tee.TEE, Label: mt.Head.Name, Flops: mt.Head.Flops / speedup},
+		tee.Step{Kind: tee.EvResult, World: tee.TEE, Label: "release", Bytes: mt.Head.OutBytes})
+}
+
 // stagePlan precomputes per-stage output dimensions and arena tags.
 func stagePlan(m *zoo.Model, sampleShape []int) ([][3]int, []string) {
 	dims := make([][3]int, len(m.Stages))
 	tags := make([]string, len(m.Stages))
-	cur := append([]int(nil), sampleShape...)
+	cur := sampleShape
 	for i, s := range m.Stages {
 		cur = s.OutShape(cur)
 		dims[i] = [3]int{cur[1], cur[2], cur[3]}

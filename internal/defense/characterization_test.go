@@ -26,7 +26,7 @@ type charRecord struct {
 	reeFlops, teeFlops string
 	// view is the AttackerView sequence as "kind:label:bytes" entries.
 	view []string
-	// latency is Latency() per backend, shortest round-trip decimal.
+	// latency is the metered seconds per backend, shortest round-trip decimal.
 	latency map[string]string
 }
 
@@ -49,10 +49,10 @@ func characterize(t *testing.T, s Strategy, v *zoo.Model, d tee.Device) (charRec
 		secure: p.SecureBytes, exposed: p.ExposedParamBytes, arch: p.ExposedArch,
 		labels: p.Infer(x),
 	}
-	m := p.Meter()
+	m := p.enclave.Meter()
 	r.switches, r.transfer = m.Switches(), m.TransferredBytes()
 	r.reeFlops, r.teeFlops = g(m.Flops(tee.REE)), g(m.Flops(tee.TEE))
-	for _, e := range p.Trace().AttackerView() {
+	for _, e := range p.enclave.Trace().AttackerView() {
 		r.view = append(r.view, fmt.Sprintf("%s:%s:%d", e.Kind, e.Label, e.Bytes))
 	}
 	// The meter's footprint is the one field SetSecureFootprint writes.
@@ -61,7 +61,7 @@ func characterize(t *testing.T, s Strategy, v *zoo.Model, d tee.Device) (charRec
 	if want != *m {
 		t.Fatalf("%s on %s: meter footprint is not SecureBytes %d", s.Name(), d.Name(), p.SecureBytes)
 	}
-	return r, g(p.Latency())
+	return r, g(metered(p))
 }
 
 // TestPlacementCharacterization pins every strategy (DarkneTZ at splits 0,

@@ -57,7 +57,7 @@ func TestCrossBackendDarkneTZLatencyVsFullTEE(t *testing.T) {
 			t.Fatalf("fulltee on %s: %v", d.Name(), err)
 		}
 		full.Infer(sample(1, 34))
-		ref := full.Latency()
+		ref := metered(full)
 		prev := ref
 		for s := 1; s < len(v.Stages); s++ {
 			p, err := (DarkneTZ{SplitAt: s}).Place(v, d, shape)
@@ -65,7 +65,7 @@ func TestCrossBackendDarkneTZLatencyVsFullTEE(t *testing.T) {
 				t.Fatalf("split%d on %s: %v", s, d.Name(), err)
 			}
 			p.Infer(sample(1, 34))
-			lat := p.Latency()
+			lat := metered(p)
 			if lat >= ref {
 				t.Fatalf("%s: split%d latency %.9fs not below full-TEE %.9fs",
 					d.Name(), s, lat, ref)
@@ -110,7 +110,7 @@ func TestCrossBackendExposureTraces(t *testing.T) {
 				t.Fatalf("%s on %s: %v", tc.s.Name(), d.Name(), err)
 			}
 			p.Infer(sample(1, 36))
-			view := p.Trace().AttackerView()
+			view := p.enclave.Trace().AttackerView()
 			if got := reeStages(view); got != tc.want {
 				t.Fatalf("%s on %s: %d REE-resident stages in attacker view, want %d",
 					tc.s.Name(), d.Name(), got, tc.want)

@@ -4,16 +4,17 @@
 // linear-transformation outsourcing, and MirrorNet-style companion models.
 // Each strategy places a victim model on a simulated TrustZone device and
 // reports the same three quantities: secure-memory footprint, plaintext
-// parameter exposure in the REE, and metered inference latency.
+// parameter exposure in the REE, and modeled inference latency.
 //
 // A strategy is a plan — a secure-footprint formula, how many leading stages
-// compute in the REE, and what trusted work a stage's crossing buys — and one
-// executor runs every plan on the substrate of TBNet's own deployment, a
-// tee.Enclave, whose Invoke is the only definition of a world crossing. So a
-// crossing always precedes the TEE work it feeds (a depth split of 0 stages
-// its input before the first TEE stage), full-TEE records one EvTEECompute
-// per stage rather than one for the whole victim, and EvResult carries the
-// released logits' size.
+// compute in the REE, and what trusted work a stage's crossing buys — that
+// states its run once, at Place, as a tee.Script, the form TBNet's own
+// deployment states its run in. The script is the only definition of the
+// run's world crossings: Infer charges and records it, and Price prices it
+// with TBNet's pricing function. So a crossing always precedes the TEE work
+// it feeds (a depth split of 0 stages its input before the first TEE stage),
+// full-TEE records one EvTEECompute per stage rather than one for the whole
+// victim, and EvResult carries the released logits' size.
 //
 // FullTEE and DarkneTZ execute the real network in their placement;
 // ShadowNet and MirrorNet execute the real network while metering the
@@ -48,50 +49,42 @@ type Placement struct {
 	ExposedArch bool
 	enclave     *tee.Enclave
 	world       *secureWorld
+	// script is the plan's protocol run of one sample; batch is the
+	// sample-shape batch the placement is priced at.
+	script tee.Script
+	batch  int
 }
 
-// Infer runs one inference, accumulating device costs: the plan's leading
-// stages compute in the REE, their output crosses through the enclave's
-// Invoke (every stage's under an assisted plan, the last one's — or the
-// input, when the split is 0 — otherwise), and the enclave releases the
-// logits.
+// Infer runs one inference — the plan's leading stages compute in the REE,
+// their output crosses through the enclave (every stage's under an assisted
+// plan, the last one's — or the input, when the split is 0 — otherwise), and
+// the enclave releases the logits — then charges and records the run's
+// script.
 func (p *Placement) Infer(x *tensor.Tensor) []int {
 	w := p.world
-	w.cost = profile.Profile(w.m, x.Shape())
-	meter, trace := p.enclave.Meter(), p.enclave.Trace()
 	cur := x
 	for i, s := range w.m.Stages[:w.plan.split] {
 		cur = s.Forward(cur, false)
-		meter.AddCompute(tee.REE, w.cost.Stages[i].Flops)
-		trace.Record(tee.Event{Kind: tee.EvREEWeightAccess, Label: s.Name(), Bytes: w.cost.Stages[i].ParamBytes})
-		trace.Record(tee.Event{Kind: tee.EvREECompute, Label: s.Name(), Bytes: int64(cur.Size()) * 4})
 		if w.plan.assist != "" {
-			_ = p.enclave.Invoke(i, s.Name(), cur) // secureWorld.Invoke never fails
+			_ = p.enclave.Invoke(i, cur) // secureWorld.Invoke never fails
 		}
 	}
 	if w.plan.assist == "" {
-		label := "boundary"
-		if w.plan.split == 0 {
-			label = "input"
-		}
-		_ = p.enclave.Invoke(w.plan.split, label, cur) // secureWorld.Invoke never fails
+		_ = p.enclave.Invoke(w.plan.split, cur) // secureWorld.Invoke never fails
 	}
 	logits, _ := p.enclave.Result() // secureWorld.Result never fails
+	p.enclave.Commit(batched(p.script, x.Dim(0)))
 	return argmaxLabels(logits)
 }
 
-// Latency returns the accumulated virtual time in seconds.
-func (p *Placement) Latency() float64 { return p.Meter().Latency(p.Device) }
+// Script returns the protocol run of one inference at the placement's sample
+// shape: what the architecture-inference attack sees of it (AttackerView)
+// and what it costs (Price).
+func (p *Placement) Script() tee.Script { return batched(p.script, p.batch) }
 
-// Meter exposes the placement's cost meter.
-func (p *Placement) Meter() *tee.Meter { return p.enclave.Meter() }
-
-// Trace exposes the placement's observation log: every Infer records the
-// same world-switch, staging, and per-world compute events its meter
-// charges, so the architecture-inference attack can be run against any
-// strategy's trace (tee.Trace.AttackerView filters it to the normal-world
-// view), not just against TBNet's deployment protocol.
-func (p *Placement) Trace() *tee.Trace { return p.enclave.Trace() }
+// Price returns the modeled seconds of one inference at the placement's
+// sample shape on its device.
+func (p *Placement) Price() float64 { return p.Script().Price(p.Device, p.SecureBytes) }
 
 // Strategy places a victim model onto a device.
 type Strategy interface {
@@ -112,7 +105,7 @@ type plan struct {
 	// rest, and always the head, compute in the TEE.
 	split int
 	// assist, when non-empty, sends every REE stage's output into the TEE
-	// and names the trusted work done on it there (the TEE compute event is
+	// and names the trusted work done on it there (the TEE compute step is
 	// labeled stage name + assist), costing perElem flops per output element
 	// plus stageShare of the stage's own flops. When empty only the feature
 	// map at the split crosses.
@@ -120,17 +113,65 @@ type plan struct {
 	perElem, stageShare float64
 }
 
+// script is the plan's protocol run of one inference whose profile is c:
+// each REE stage reads its weights and computes, and crosses with its
+// output (every stage under an assisted plan, then the trusted work it
+// buys); otherwise the feature map at the split (the input at split 0)
+// crosses once and the remaining stages compute in the TEE; the head
+// computes there and the logits are released.
+func (pl plan) script(c profile.ModelCost) tee.Script {
+	var s tee.Script
+	for _, st := range c.Stages[:pl.split] {
+		s = append(s, tee.Step{Kind: tee.EvREEWeightAccess, World: tee.REE, Label: st.Name, Bytes: st.ParamBytes},
+			tee.Step{Kind: tee.EvREECompute, World: tee.REE, Label: st.Name, Flops: st.Flops, Bytes: st.OutBytes})
+		if pl.assist != "" {
+			s = append(s.Cross(st.Name, st.OutBytes), tee.Step{Kind: tee.EvTEECompute, World: tee.TEE,
+				Label: st.Name + pl.assist, Flops: pl.perElem*float64(st.OutBytes/4) + pl.stageShare*st.Flops})
+		}
+	}
+	if pl.assist == "" {
+		if pl.split == 0 {
+			s = s.Cross("input", c.Stages[0].InBytes)
+		} else {
+			s = s.Cross("boundary", c.Stages[pl.split-1].OutBytes)
+		}
+		for _, st := range c.Stages[pl.split:] {
+			s = append(s, tee.Step{Kind: tee.EvTEECompute, World: tee.TEE, Label: st.Name, Flops: st.Flops})
+		}
+	}
+	return append(s, tee.Step{Kind: tee.EvTEECompute, World: tee.TEE, Label: "head", Flops: c.Head.Flops},
+		tee.Step{Kind: tee.EvResult, World: tee.TEE, Label: "release", Bytes: c.Head.OutBytes})
+}
+
+// batched returns a one-sample script s for a batch of n samples. Every
+// flop and activation byte figure is per sample and scales by n, exactly
+// (they are integers, or quarters of one, far below 2^53); a weight read is
+// once per batch, and so is every crossing.
+func batched(s tee.Script, n int) tee.Script {
+	out := make(tee.Script, len(s))
+	for i, st := range s {
+		st.Flops *= float64(n)
+		if st.Kind != tee.EvREEWeightAccess {
+			st.Bytes *= int64(n)
+		}
+		out[i] = st
+	}
+	return out
+}
+
 // place is the one constructor: it reserves the plan's footprint on the
-// device and loads a private clone of the victim behind a fresh enclave.
-func place(victim *zoo.Model, device tee.Device, pl plan) (*Placement, error) {
+// device, loads a private clone of the victim behind a fresh enclave and
+// scripts the plan's run of one sample of sampleShape.
+func place(victim *zoo.Model, device tee.Device, sampleShape []int, pl plan) (*Placement, error) {
 	mem := tee.NewSecureMemory(device.SecureMemBytes())
 	if err := mem.Alloc(pl.secure); err != nil {
 		return nil, fmt.Errorf("defense: %s placement: %w", pl.strategy, err)
 	}
 	w := &secureWorld{m: victim.Clone(), plan: pl}
-	enc := tee.NewEnclave(w, mem)
+	enc := tee.NewEnclave(w)
 	// Memory-pressure-sensitive backends (SGX EPC paging) price the footprint.
 	enc.Meter().SetSecureFootprint(pl.secure)
+	one := append([]int{1}, sampleShape[1:]...)
 	return &Placement{
 		Strategy:          pl.strategy,
 		Device:            device,
@@ -139,17 +180,17 @@ func place(victim *zoo.Model, device tee.Device, pl plan) (*Placement, error) {
 		ExposedArch:       pl.exposedArch,
 		enclave:           enc,
 		world:             w,
+		script:            pl.script(profile.Profile(victim, one)),
+		batch:             sampleShape[0],
 	}, nil
 }
 
 // secureWorld is the trusted side of a placement (a tee.Program): the stages
-// from the plan's split on and the head, or the cost-modeled work an
-// assisted crossing buys.
+// from the plan's split on and the head. An assisted crossing's trusted work
+// is cost-modeled (its script step), not computed.
 type secureWorld struct {
 	m    *zoo.Model
 	plan plan
-	// cost is the profile of the inference in flight (its batch shape).
-	cost profile.ModelCost
 	// cur is the feature map last staged in or computed here.
 	cur *tensor.Tensor
 }
@@ -157,26 +198,19 @@ type secureWorld struct {
 // Invoke implements tee.Program. stage is the index the payload belongs to:
 // under an assisted plan the REE stage that produced it, otherwise the first
 // stage the TEE computes.
-func (w *secureWorld) Invoke(ctx *tee.Context, stage int, payload *tensor.Tensor) error {
+func (w *secureWorld) Invoke(stage int, payload *tensor.Tensor) error {
 	w.cur = payload
-	if pl := w.plan; pl.assist != "" {
-		ctx.Meter.AddCompute(tee.TEE, pl.perElem*float64(payload.Size())+pl.stageShare*w.cost.Stages[stage].Flops)
-		ctx.Trace.Record(tee.Event{Kind: tee.EvTEECompute, Label: w.m.Stages[stage].Name() + pl.assist})
+	if w.plan.assist != "" {
 		return nil
 	}
-	for i := stage; i < len(w.m.Stages); i++ {
-		s := w.m.Stages[i]
+	for _, s := range w.m.Stages[stage:] {
 		w.cur = s.Forward(w.cur, false)
-		ctx.Meter.AddCompute(tee.TEE, w.cost.Stages[i].Flops)
-		ctx.Trace.Record(tee.Event{Kind: tee.EvTEECompute, Label: s.Name()})
 	}
 	return nil
 }
 
 // Result implements tee.Program: the private classifier head.
-func (w *secureWorld) Result(ctx *tee.Context) (*tensor.Tensor, error) {
-	ctx.Meter.AddCompute(tee.TEE, w.cost.Head.Flops)
-	ctx.Trace.Record(tee.Event{Kind: tee.EvTEECompute, Label: "head"})
+func (w *secureWorld) Result() (*tensor.Tensor, error) {
 	return w.m.Head.Forward(w.cur, false), nil
 }
 
@@ -198,7 +232,7 @@ func (FullTEE) Name() string { return "full-tee" }
 
 // Place implements Strategy.
 func (f FullTEE) Place(victim *zoo.Model, device tee.Device, sampleShape []int) (*Placement, error) {
-	return place(victim, device, depthPlan(f.Name(), profile.Profile(victim, sampleShape), 0))
+	return place(victim, device, sampleShape, depthPlan(f.Name(), profile.Profile(victim, sampleShape), 0))
 }
 
 // DarkneTZ partitions by depth: the first SplitAt stages run in the REE in
@@ -218,7 +252,7 @@ func (d DarkneTZ) Place(victim *zoo.Model, device tee.Device, sampleShape []int)
 	if d.SplitAt < 0 || d.SplitAt > len(victim.Stages) {
 		return nil, fmt.Errorf("defense: split %d out of range (%d stages)", d.SplitAt, len(victim.Stages))
 	}
-	return place(victim, device, depthPlan(d.Name(), profile.Profile(victim, sampleShape), d.SplitAt))
+	return place(victim, device, sampleShape, depthPlan(d.Name(), profile.Profile(victim, sampleShape), d.SplitAt))
 }
 
 // depthPlan sizes a depth partition: the enclave holds the parameters of the
@@ -266,7 +300,7 @@ func (s ShadowNet) Place(victim *zoo.Model, device tee.Device, sampleShape []int
 		}
 		restoreParams += s.OutBytes / 64 // per-channel restore metadata
 	}
-	return place(victim, device, plan{
+	return place(victim, device, sampleShape, plan{
 		strategy:    s.Name(),
 		secure:      restoreParams + peak + cost.Head.ParamBytes,
 		exposed:     cost.TotalParamBytes() - cost.Head.ParamBytes,
@@ -298,7 +332,7 @@ func (m MirrorNet) Place(victim *zoo.Model, device tee.Device, sampleShape []int
 		}
 	}
 	companion := cost.TotalParamBytes()/4 + cost.Head.ParamBytes
-	return place(victim, device, plan{
+	return place(victim, device, sampleShape, plan{
 		strategy:    m.Name(),
 		secure:      companion + cost.PeakActivationBytes()/2 + staging,
 		exposed:     cost.TotalParamBytes(),

@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"reflect"
 	"testing"
 
 	"tbnet/internal/tee"
@@ -20,6 +21,44 @@ func sample(n int, seed uint64) *tensor.Tensor {
 
 var shape = []int{1, 3, 16, 16}
 
+// metered is the modeled seconds the placement's meter reads after the runs
+// it completed.
+func metered(p *Placement) float64 { return p.Device.Latency(p.enclave.Meter()) }
+
+// TestPriceIsOneRun: for every strategy on every backend, one inference at
+// the placement's sample shape records exactly its script's attacker view,
+// and its meter reads Price bit for bit. The same holds at a batch the
+// placement was not sized for, where the run is the batched script.
+func TestPriceIsOneRun(t *testing.T) {
+	v := victim(5)
+	for _, d := range tee.Devices() {
+		for _, s := range []Strategy{FullTEE{}, DarkneTZ{SplitAt: 0}, DarkneTZ{SplitAt: 2}, ShadowNet{}, MirrorNet{}} {
+			for _, n := range []int{1, 3} {
+				in := append([]int{n}, shape[1:]...)
+				p, err := s.Place(v, d, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Infer(sample(n, 6))
+				if got, want := p.enclave.Trace().AttackerView(), p.Script().AttackerView(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s on %s, batch %d: trace %v, script %v", s.Name(), d.Name(), n, got, want)
+				}
+				if got, want := metered(p), p.Price(); got != want || got <= 0 {
+					t.Fatalf("%s on %s, batch %d: metered %v, price %v", s.Name(), d.Name(), n, got, want)
+				}
+				one, err := s.Place(v, d, shape)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one.Infer(sample(n, 6))
+				if got, want := metered(one), batched(one.script, n).Price(d, one.SecureBytes); got != want {
+					t.Fatalf("%s on %s: batch %d on a one-sample placement metered %v, want %v", s.Name(), d.Name(), n, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFullTEEPlacement(t *testing.T) {
 	p, err := FullTEE{}.Place(victim(1), tee.RaspberryPi3(), shape)
 	if err != nil {
@@ -32,10 +71,10 @@ func TestFullTEEPlacement(t *testing.T) {
 	if len(labels) != 2 {
 		t.Fatalf("labels = %v", labels)
 	}
-	if p.Meter().Flops(tee.REE) != 0 {
+	if p.enclave.Meter().Flops(tee.REE) != 0 {
 		t.Fatal("full-TEE must not compute in the REE")
 	}
-	if p.Latency() <= 0 {
+	if metered(p) <= 0 {
 		t.Fatal("latency must be positive")
 	}
 }
@@ -94,8 +133,8 @@ func TestDarkneTZFasterThanFullTEE(t *testing.T) {
 	x := sample(1, 8)
 	full.Infer(x.Clone())
 	part.Infer(x.Clone())
-	if part.Latency() >= full.Latency() {
-		t.Fatalf("partitioned %.6fs should beat full-TEE %.6fs", part.Latency(), full.Latency())
+	if metered(part) >= metered(full) {
+		t.Fatalf("partitioned %.6fs should beat full-TEE %.6fs", metered(part), metered(full))
 	}
 }
 
@@ -113,7 +152,7 @@ func TestShadowNetExposesWeightsButSmallTEE(t *testing.T) {
 		t.Fatal("shadownet's secure footprint should undercut full-TEE")
 	}
 	p.Infer(sample(1, 10))
-	if p.Meter().Switches() < len(v.Stages) {
+	if p.enclave.Meter().Switches() < len(v.Stages) {
 		t.Fatal("shadownet requires a boundary crossing per outsourced layer")
 	}
 }

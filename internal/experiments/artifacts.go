@@ -10,7 +10,6 @@ import (
 	"tbnet/internal/quant"
 	"tbnet/internal/report"
 	"tbnet/internal/tee"
-	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
 
@@ -27,10 +26,10 @@ func mustDeploy(tb *core.TwoBranch, dev tee.Device) *core.Deployment {
 	return dep
 }
 
-func mustInfer(dep *core.Deployment, x *tensor.Tensor) {
-	if _, err := dep.Infer(x); err != nil {
-		panic(err)
-	}
+// price is the modeled seconds of one single-image inference on dep.
+func price(dep *core.Deployment) float64 {
+	lat, _ := dep.ModeledLatency(1) // every deployment serves batch 1
+	return lat
 }
 
 // versus sets up the paper's comparison for one pipeline on dev — the whole
@@ -56,20 +55,6 @@ func baselines(victim *zoo.Model) []defense.Strategy {
 		defense.DarkneTZ{SplitAt: len(victim.Stages) / 2},
 		defense.ShadowNet{},
 		defense.MirrorNet{},
-	}
-}
-
-// latencyImages is how many seeded images a latency comparison averages over.
-const latencyImages = 4
-
-// inferPaired feeds the same latencyImages seeded images to both sides of a
-// latency comparison, each on its own copy.
-func inferPaired(rng *tensor.RNG, ref func(x *tensor.Tensor), dep *core.Deployment) {
-	for i := 0; i < latencyImages; i++ {
-		x := tensor.New(sampleShape()...)
-		rng.FillNormal(x, 0, 1)
-		ref(x.Clone())
-		mustInfer(dep, x)
 	}
 }
 
@@ -157,9 +142,7 @@ func (l *Lab) Table3() *report.Table {
 	for _, arch := range []string{"vgg", "resnet"} {
 		p := l.Pipeline(Combo{Arch: arch, Dataset: "c10"})
 		base, dep := versus(t, p, l.measureDevice())
-		inferPaired(tensor.NewRNG(l.cfg.Seed+60), func(x *tensor.Tensor) { base.Infer(x) }, dep)
-		baseLat := base.Latency() / latencyImages
-		tbLat := dep.Latency() / latencyImages
+		baseLat, tbLat := base.Price(), price(dep)
 		t.AddRow(p.Victim.Name, fmt.Sprintf("%.4f", baseLat), fmt.Sprintf("%.4f", tbLat),
 			report.Ratio(baseLat/tbLat))
 	}
@@ -179,7 +162,7 @@ func (l *Lab) Fig4() (mr, mt *report.Histogram) {
 
 // Ablation makes the paper's Sec. 2.3 prior-art comparison executable: every
 // defense strategy deployed on the same victim, reporting secure footprint,
-// REE exposure, and metered latency.
+// REE exposure, and modeled latency.
 func (l *Lab) Ablation() *report.Table {
 	t := &report.Table{
 		Title:  "Ablation: deployment strategies on the VGG18-S/SynthC10 victim",
@@ -187,24 +170,19 @@ func (l *Lab) Ablation() *report.Table {
 		Device: l.device().Name(),
 	}
 	p := l.Pipeline(Combo{Arch: "vgg", Dataset: "c10"})
-	rng := tensor.NewRNG(l.cfg.Seed + 70)
-	x := tensor.New(sampleShape()...)
-	rng.FillNormal(x, 0, 1)
 	for _, s := range baselines(p.Victim) {
 		pl, err := s.Place(p.Victim, l.measureDevice(), sampleShape())
 		if err != nil {
 			panic(err)
 		}
-		pl.Infer(x.Clone())
 		t.AddRow(s.Name(), report.Bytes(pl.SecureBytes), report.Bytes(pl.ExposedParamBytes),
-			fmt.Sprintf("%v", pl.ExposedArch), fmt.Sprintf("%.4f", pl.Latency()))
+			fmt.Sprintf("%v", pl.ExposedArch), fmt.Sprintf("%.4f", pl.Price()))
 	}
 	// TBNet row: exposure is M_R's parameters; architecture of M_T hidden.
 	dep := mustDeploy(p.TB, l.measureDevice())
-	mustInfer(dep, x.Clone())
 	mrBytes := profile.Profile(p.TB.MR, sampleShape()).TotalParamBytes()
 	t.AddRow("tbnet", report.Bytes(dep.SecureBytes), report.Bytes(mrBytes),
-		"false (M_T hidden, M_R ≠ M_T)", fmt.Sprintf("%.4f", dep.Latency()))
+		"false (M_T hidden, M_R ≠ M_T)", fmt.Sprintf("%.4f", price(dep)))
 	t.PeakSecureBytes = dep.SecureBytes
 	return t
 }
@@ -226,13 +204,11 @@ func (l *Lab) TableHW() *report.Table {
 	p := l.Pipeline(Combo{Arch: "vgg", Dataset: "c10"})
 	for _, dev := range tee.Devices() {
 		base, dep := versus(t, p, tee.Unbounded(dev))
-		inferPaired(tensor.NewRNG(l.cfg.Seed+61), func(x *tensor.Tensor) { base.Infer(x) }, dep)
 		fits := "yes"
 		if cap := dev.SecureMemBytes(); cap > 0 && dep.SecureBytes > cap {
 			fits = "no"
 		}
-		baseLat := base.Latency() / latencyImages
-		tbLat := dep.Latency() / latencyImages
+		baseLat, tbLat := base.Price(), price(dep)
 		t.AddRow(dev.Name(), report.Bytes(dev.SecureMemBytes()), report.Bytes(dep.SecureBytes),
 			fits, fmt.Sprintf("%.6f", baseLat), fmt.Sprintf("%.6f", tbLat),
 			report.Ratio(baseLat/tbLat))
@@ -264,19 +240,16 @@ func (l *Lab) TableQuant() *report.Table {
 	qtb := &core.TwoBranch{MR: qmr.Model, MT: qmt.Model, Align: p.TB.Align, Finalized: true}
 	i8Acc := core.EvaluateTwoBranch(qtb, p.Test, s.BatchSize)
 
-	rng := tensor.NewRNG(l.cfg.Seed + 71)
 	for _, dev := range tee.Devices() {
 		f32 := mustDeploy(p.TB, tee.Unbounded(dev))
 		i8, err := core.DeployQuantized(qmr, qmt, p.TB.Align, tee.Unbounded(dev), sampleShape())
 		if err != nil {
 			panic(err)
 		}
-		inferPaired(rng, func(x *tensor.Tensor) { mustInfer(f32, x) }, i8)
 		if i8.SecureBytes > t.PeakSecureBytes {
 			t.PeakSecureBytes = i8.SecureBytes
 		}
-		f32Lat := f32.Latency() / latencyImages
-		i8Lat := i8.Latency() / latencyImages
+		f32Lat, i8Lat := price(f32), price(i8)
 		t.AddRow(dev.Name(), "f32", report.Bytes(f32.SecureBytes),
 			fmt.Sprintf("%.6f", f32Lat), report.Ratio(1), report.Pct(p.TBAcc))
 		t.AddRow(dev.Name(), "int8", report.Bytes(i8.SecureBytes),

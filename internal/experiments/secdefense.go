@@ -70,16 +70,12 @@ func (l *Lab) TableSecDefense() *report.Table {
 		// finalized (rolled-back) deployment, priced against the undefended
 		// deployment's per-run latency.
 		final := mustDeploy(p.TB, tee.Unbounded(dev))
-		_, undefLat, err := seceval.CaptureIsolated(dep, probes, int64(l.cfg.Seed)+81)
-		if err != nil {
-			panic(err)
-		}
-		views, finalLat, err := seceval.CaptureIsolated(final, probes, int64(l.cfg.Seed)+82)
+		views, _, err := seceval.CaptureIsolated(final, probes, int64(l.cfg.Seed)+82)
 		if err != nil {
 			panic(err)
 		}
 		r := seceval.AttackViews(views, seceval.SubjectFor(final))
-		overhead := finalLat/undefLat - 1
+		overhead := price(final)/price(dep) - 1
 		t.AddRow(dev.Name(), "tbnet-rollback", "rollback", report.Pct(r.MeanHitRate),
 			report.Pct(overhead), yes(overhead <= secDefenseBudget), "", "")
 	}

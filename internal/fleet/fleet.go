@@ -430,7 +430,8 @@ func priceOn(dep *core.Deployment, device tee.Device) (*core.Deployment, float64
 	if err != nil {
 		return nil, 0, err
 	}
-	return template, template.ModeledLatency(1), nil
+	lat, err := template.ModeledLatency(1)
+	return template, lat, err
 }
 
 // AddModel hosts a further named model on every node of the fleet, pricing

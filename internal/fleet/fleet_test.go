@@ -361,14 +361,14 @@ func TestPriceOnRunsNoInference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := template.Latency(); got != 0 {
+		if got := template.Device.Latency(template.Enclave.Meter()); got != 0 {
 			t.Fatalf("%s: the template metered %v s of inference", dev.Name(), got)
 		}
-		if want := template.ModeledLatency(1); lat != want || lat <= 0 {
+		if want, _ := template.ModeledLatency(1); lat != want || lat <= 0 {
 			t.Fatalf("%s: priced %v s, the plan says %v s", dev.Name(), lat, want)
 		}
 	}
-	if got := dep.Latency(); got != 0 {
+	if got := dep.Device.Latency(dep.Enclave.Meter()); got != 0 {
 		t.Fatalf("the source deployment metered %v s", got)
 	}
 }

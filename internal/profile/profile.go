@@ -36,15 +36,15 @@ func paramBytes(ps []*nn.Param) int64 {
 	return n
 }
 
-// StageCost computes the cost of one stage for the given input shape
-// (including batch dimension).
-func StageCost(s zoo.Stage, in []int) Cost {
+// stageCost computes the cost of one stage for the given input shape
+// (including batch dimension), whose output shape is out.
+func stageCost(s zoo.Stage, in, out []int) Cost {
 	return Cost{
 		Name:       s.Name(),
 		Flops:      s.Flops(in),
 		ParamBytes: paramBytes(s.Params()),
 		InBytes:    bytesOf(in),
-		OutBytes:   bytesOf(s.OutShape(in)),
+		OutBytes:   bytesOf(out),
 	}
 }
 
@@ -68,11 +68,12 @@ type ModelCost struct {
 // Profile computes the full cost breakdown of a model for inputs of the
 // given shape (including batch dimension).
 func Profile(m *zoo.Model, in []int) ModelCost {
-	var mc ModelCost
+	mc := ModelCost{Stages: make([]Cost, len(m.Stages))}
 	cur := in
-	for _, s := range m.Stages {
-		mc.Stages = append(mc.Stages, StageCost(s, cur))
-		cur = s.OutShape(cur)
+	for i, s := range m.Stages {
+		out := s.OutShape(cur)
+		mc.Stages[i] = stageCost(s, cur, out)
+		cur = out
 	}
 	mc.Head = HeadCost(m.Head, cur)
 	return mc

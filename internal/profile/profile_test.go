@@ -11,7 +11,7 @@ func TestConvBlockCostHandComputed(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	b := zoo.NewConvBlock("b", 3, 8, 1, 1, rng)
 	in := []int{1, 3, 16, 16}
-	c := StageCost(b, in)
+	c := stageCost(b, in, b.OutShape(in))
 	// Conv: 2 × (3·3·3) × (1·8·16·16) = 110592.
 	wantConv := 2.0 * 27 * 8 * 256
 	// BN 4/elem + ReLU 1/elem over 8·256 outputs.
@@ -31,7 +31,7 @@ func TestConvBlockCostHandComputed(t *testing.T) {
 func TestPoolReducesOutBytes(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	b := zoo.NewConvBlock("b", 3, 8, 1, 2, rng)
-	c := StageCost(b, []int{1, 3, 16, 16})
+	c := stageCost(b, []int{1, 3, 16, 16}, b.OutShape([]int{1, 3, 16, 16}))
 	if c.OutBytes != 8*8*8*4 {
 		t.Fatalf("pooled out bytes = %d, want %d", c.OutBytes, 8*8*8*4)
 	}

@@ -6,7 +6,6 @@ import (
 	"tbnet/internal/attack"
 	"tbnet/internal/core"
 	"tbnet/internal/tee"
-	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
 
@@ -85,31 +84,26 @@ func AttackRecords(recs []RunRecord, s Subject) AttackResult {
 
 // CaptureIsolated replays the attacker's ideal conditions against a
 // deployment: a private single-session replica in measurement mode, one
-// probe per trace, no co-tenants, no batching. It returns the per-probe
-// attacker views and the mean per-run modeled latency (the baseline the
-// frontier prices overhead against).
+// probe per trace, no co-tenants, no batching. A probe's view and cost are
+// fixed by the replica's batch-1 script, so no inference runs: it returns
+// that script's attacker view probes times (a fresh copy each, for layers
+// that rewrite views) and its price on the replica — the per-run baseline
+// the frontier prices overhead against. seed is unused: an unobfuscated
+// view does not depend on the probe's input.
 func CaptureIsolated(dep *core.Deployment, probes int, seed int64) (views [][]tee.Event, runSeconds float64, err error) {
 	if probes < 1 {
 		probes = 1
 	}
+	// The batch-1 replica's secure footprint is what SGX's EPC paging
+	// prices, so the price is the replica's, not dep's.
 	rep, err := dep.ReplicateOn(tee.Unbounded(dep.Device), 1, nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("seceval: isolated capture: %w", err)
 	}
-	shape := rep.SampleShape()
-	trace := rep.Enclave.Trace()
-	rng := tensor.NewRNG(uint64(seed))
-	var latSum float64
+	script, _ := rep.Script(1) // a batch-1 replica serves batch 1
+	runSeconds, _ = rep.ModeledLatency(1)
 	for i := 0; i < probes; i++ {
-		trace.Reset()
-		x := tensor.New(shape...)
-		rng.FillNormal(x, 0, 1)
-		before := rep.Latency()
-		if _, err := rep.Infer(x); err != nil {
-			return nil, 0, fmt.Errorf("seceval: isolated probe %d: %w", i, err)
-		}
-		latSum += rep.Latency() - before
-		views = append(views, trace.AttackerView())
+		views = append(views, script.AttackerView())
 	}
-	return views, latSum / float64(probes), nil
+	return views, runSeconds, nil
 }

@@ -10,7 +10,6 @@ import (
 	"tbnet/internal/profile"
 	"tbnet/internal/report"
 	"tbnet/internal/tee"
-	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
 
@@ -21,7 +20,7 @@ type TuneConfig struct {
 	Budget float64
 	// Probes is the number of attack probes per candidate (default 4).
 	Probes int
-	// Seed drives probe inputs and obfuscation randomness.
+	// Seed drives obfuscation randomness.
 	Seed int64
 	// Chains are the obfuscation candidates (default DefaultChains).
 	Chains []*Chain
@@ -158,32 +157,28 @@ func tunePlacements(res *TuneResult, cfg TuneConfig, dev tee.Device, inShape []i
 	if strategies == nil {
 		strategies = DefaultStrategies(len(victim.Stages))
 	}
-	costs := profile.Profile(victim, inShape)
-	reeMeter := &tee.Meter{}
-	reeMeter.AddCompute(tee.REE, costs.TotalFlops())
-	reeBase := dev.Latency(reeMeter)
+	reeOnly := tee.Script{{Kind: tee.EvREECompute, World: tee.REE, Label: victim.Name,
+		Flops: profile.Profile(victim, inShape).TotalFlops()}}
+	reeBase := reeOnly.Price(dev, 0)
 	spatial := attack.StageSpatial(victim, inShape)
 	inputBytes := int64(4)
 	for _, d := range inShape {
 		inputBytes *= int64(d)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	inRNG := tensor.NewRNG(uint64(cfg.Seed + 3))
 	for _, s := range strategies {
 		pl, err := s.Place(victim, tee.Unbounded(dev), inShape)
 		if err != nil {
 			return fmt.Errorf("seceval: placing %s on %s: %w", s.Name(), dev.Name(), err)
 		}
-		trace := pl.Trace()
-		var plViews [][]tee.Event
-		for i := 0; i < cfg.Probes; i++ {
-			trace.Reset()
-			x := tensor.New(inShape...)
-			inRNG.FillNormal(x, 0, 1)
-			pl.Infer(x)
-			plViews = append(plViews, trace.AttackerView())
+		// Like CaptureIsolated: every probe sees the placement script's
+		// view and costs its price, so none runs.
+		script := pl.Script()
+		plViews := make([][]tee.Event, cfg.Probes)
+		for i := range plViews {
+			plViews[i] = script.AttackerView()
 		}
-		plLat := pl.Latency() / float64(cfg.Probes)
+		plLat := pl.Price()
 		// Coverage-adjusted scoring: a placement that exposes only a prefix
 		// of the network is credited only for the stages it leaked, so a
 		// half-depth DarkneTZ split scores ~50%, not 100% of what it showed.

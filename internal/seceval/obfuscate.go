@@ -48,15 +48,18 @@ func (c *Cost) add(o Cost) {
 	c.PaddedBytes += o.PaddedBytes
 }
 
-// Seconds converts the cost bundle into modeled seconds on a device.
+// Seconds converts the cost bundle into modeled seconds on a device: the
+// price of a script of its transfer, its REE arithmetic and its switches.
+// A tap prices every layer of every run, so a layer's usual handful of
+// steps is built on the stack.
 func (c Cost) Seconds(d tee.Device) float64 {
-	m := &tee.Meter{}
+	var buf [16]tee.Step
+	s := append(tee.Script(buf[:0]), tee.Step{Kind: tee.EvTransfer, World: tee.REE, Bytes: c.TransferBytes},
+		tee.Step{Kind: tee.EvREECompute, World: tee.REE, Flops: c.REEFlops})
 	for i := 0; i < c.Switches; i++ {
-		m.AddSwitch()
+		s = append(s, tee.Step{Kind: tee.EvSMC, World: tee.REE})
 	}
-	m.AddTransfer(c.TransferBytes)
-	m.AddCompute(tee.REE, c.REEFlops)
-	return d.Latency(m)
+	return s.Price(d, 0)
 }
 
 // Obfuscator is one trace-obfuscation layer: it rewrites the attacker's

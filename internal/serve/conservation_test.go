@@ -158,6 +158,41 @@ func (c *countingTap) TapRun(_ tee.Device, _ string, batch int, _ []tee.Event) f
 	return 0
 }
 
+// TestRunLatencyIsItsPrice: a run's recorded modeled seconds (the tap adds
+// no overhead here) are its batch's price bit for bit, however long the
+// session has been serving — 2000 runs of batches 1..4 on one worker's
+// replica, on every backend. A latency read as the difference of a session
+// meter that keeps accumulating drifts from the price from the third run on.
+func TestRunLatencyIsItsPrice(t *testing.T) {
+	const maxBatch = 4
+	for _, d := range tee.Devices() {
+		srv, err := New(testDeploymentOn(t, 61, d), Config{Workers: 1, MaxBatch: maxBatch, Tap: &countingTap{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := srv.lookup(DefaultModel)
+		rep := p.gen.Load().reps[0]
+		ws := p.newScratch()
+		xs := make([]*tensor.Tensor, maxBatch)
+		for n := 1; n <= maxBatch; n++ {
+			xs[n-1] = tensor.New(n, 3, 16, 16)
+			tensor.NewRNG(uint64(n)).FillNormal(xs[n-1], 0, 1)
+		}
+		for i := 0; i < 2000; i++ {
+			n := i%maxBatch + 1
+			o := p.run(rep, ws, xs[n-1], nil)
+			want, err := rep.ModeledLatency(n)
+			if o.err != nil || err != nil {
+				t.Fatal(o.err, err)
+			}
+			if o.lat != want {
+				t.Fatalf("%s run %d (batch %d): recorded %v s, price %v s", d.Name(), i+1, n, o.lat, want)
+			}
+		}
+		srv.Close()
+	}
+}
+
 // TestFailedBatchIsolatedPerRequest covers the isolation path: the pool's
 // generation is replaced by replicas of batch capacity 1 under MaxBatch 4,
 // so every coalesced run fails its input check while each request alone
@@ -253,7 +288,7 @@ type poisonProgram struct{ x *tensor.Tensor }
 
 const poison = -1
 
-func (p *poisonProgram) Invoke(_ *tee.Context, cmd int, payload *tensor.Tensor) error {
+func (p *poisonProgram) Invoke(cmd int, payload *tensor.Tensor) error {
 	if cmd != core.CmdInput {
 		return nil
 	}
@@ -267,7 +302,7 @@ func (p *poisonProgram) Invoke(_ *tee.Context, cmd int, payload *tensor.Tensor) 
 	return nil
 }
 
-func (p *poisonProgram) Result(*tee.Context) (*tensor.Tensor, error) {
+func (p *poisonProgram) Result() (*tensor.Tensor, error) {
 	const classes = 10
 	n, per := p.x.Dim(0), p.x.Size()/p.x.Dim(0)
 	logits := tensor.New(n, classes)
@@ -296,7 +331,7 @@ func TestFailedBatchIsolatedPerSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Enclave = tee.NewEnclave(&poisonProgram{}, tee.NewSecureMemory(srv.device.SecureMemBytes()))
+	rep.Enclave = tee.NewEnclave(&poisonProgram{})
 	g := &generation{batches: make(chan []*request), reps: []*core.Deployment{rep},
 		secureBytes: rep.SecureBytes, precision: "f32"}
 	p.genMu.Lock()

@@ -109,20 +109,20 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Tap, when set, receives the attacker-visible observation-trace view of
 	// every successful protocol run — the event stream an adversary co-located
-	// in the normal world would see in shared memory. The worker resets its
-	// replica's trace before each run and hands the tap exactly that run's
-	// events, so tapped views are pre-segmented per protocol run. The
-	// returned overhead (a trace-obfuscation layer's modeled per-run cost, in
-	// device seconds) is added to the run's recorded latency, so percentiles,
-	// pacing, and stats all price the defense. The callback runs on the
-	// worker goroutine; nil disables tapping (and its per-run allocations).
+	// in the normal world would see in shared memory. The worker hands the
+	// tap exactly that run's events (its script's attacker view), so tapped
+	// views are pre-segmented per protocol run. The returned overhead (a
+	// trace-obfuscation layer's modeled per-run cost, in device seconds) is
+	// added to the run's recorded latency, so percentiles, pacing, and stats
+	// all price the defense. The callback runs on the worker goroutine; nil
+	// disables tapping (and its per-run allocations).
 	Tap RunTap
 }
 
 // RunTap observes one protocol run's attacker-visible trace view. device is
 // the replica's hardware backend (for pricing obfuscation costs), model the
 // hosted model name (the tenant), batch the number of coalesced samples, and
-// view the run's events as tee.Trace.AttackerView returns them. The returned
+// view the run's events as tee.Script.AttackerView returns them. The returned
 // overhead in modeled device seconds is folded into the run's latency.
 // Implementations must be safe for concurrent use by every worker.
 type RunTap interface {
@@ -795,21 +795,23 @@ type outcome struct {
 	err    error
 }
 
-// run executes one protocol run over x. A successful run is tapped, paced
-// and reported to the Observer; a failed one is only returned.
+// run executes one protocol run over x. A successful run is priced (its
+// script's modeled seconds), tapped, paced and reported to the Observer; a
+// failed one is only returned.
 func (p *pool) run(rep *core.Deployment, ws *workerScratch, x *tensor.Tensor, bd *obs.ExecBreakdown) outcome {
-	trace := p.tapReset(rep)
-	before := rep.Latency()
 	hostStart := time.Now()
 	labels, err := rep.InferIntoObserved(x, ws.labels, bd)
-	o := outcome{labels: labels, hostNs: time.Since(hostStart), lat: rep.Latency() - before, err: err}
+	o := outcome{labels: labels, hostNs: time.Since(hostStart), err: err}
 	n := x.Dim(0)
 	if err == nil && len(labels) != n {
 		o.err = fmt.Errorf("serve: %d labels for %d samples", len(labels), n)
 	}
 	if o.err == nil {
-		if trace != nil {
-			o.lat += p.srv.cfg.Tap.TapRun(rep.Device, p.name, n, trace.AttackerView())
+		// n is a batch the replica just served, so both lookups succeed.
+		o.lat, _ = rep.ModeledLatency(n)
+		if tap := p.srv.cfg.Tap; tap != nil {
+			script, _ := rep.Script(n)
+			o.lat += tap.TapRun(rep.Device, p.name, n, script.AttackerView())
 		}
 		o.paced = p.pace(o.lat)
 		p.observe(n, o.hostNs+o.paced)
@@ -944,21 +946,6 @@ func (r *request) markStages(prep time.Duration, bd *obs.ExecBreakdown, paced ti
 	if paced > 0 {
 		r.span.Mark(obs.StagePace, paced)
 	}
-}
-
-// tapReset prepares one protocol run for trace capture: with a tap
-// configured it clears the replica's private trace ring so the events
-// recorded during the run are exactly that run's, and returns the trace to
-// read afterwards. Without a tap it returns nil and costs nothing. The
-// replica (and so its trace) is owned exclusively by the calling worker, so
-// the reset cannot race with another run.
-func (p *pool) tapReset(rep *core.Deployment) *tee.Trace {
-	if p.srv.cfg.Tap == nil {
-		return nil
-	}
-	trace := rep.Enclave.Trace()
-	trace.Reset()
-	return trace
 }
 
 // pace sleeps the modeled batch latency scaled by Config.PaceScale, turning

@@ -375,10 +375,14 @@ func TestWarmUpRunsOneSamplePerReplica(t *testing.T) {
 		}
 		var out []float64
 		for _, rep := range p.gen.Load().reps {
-			if got, one := rep.Latency(), rep.ModeledLatency(1); got != 0 && got != one {
+			one, err := rep.ModeledLatency(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Device.Latency(rep.Enclave.Meter()); got != 0 && got != one {
 				t.Fatalf("%s: a replica metered %v s, one sample is %v s", name, got, one)
 			}
-			out = append(out, rep.Latency())
+			out = append(out, rep.Device.Latency(rep.Enclave.Meter()))
 		}
 		return out
 	}

@@ -11,14 +11,7 @@ import (
 // workloadMeter returns a meter with a fixed, hand-computable workload:
 // 9.6 GFLOP in the REE, 1.2 GFLOP in the TEE, 1000 switches, 700 MB staged.
 func workloadMeter() *Meter {
-	m := &Meter{}
-	m.AddCompute(REE, 9.6e9)
-	m.AddCompute(TEE, 1.2e9)
-	for i := 0; i < 1000; i++ {
-		m.AddSwitch()
-	}
-	m.AddTransfer(700e6)
-	return m
+	return charged(work(9.6e9, 1.2e9, 1000, 700e6))
 }
 
 // TestRPi3LatencyBitIdenticalToSeed locks the rpi3 backend to the seed's
@@ -46,13 +39,7 @@ func TestRPi3LatencyBitIdenticalToSeed(t *testing.T) {
 	d := RaspberryPi3()
 	meters := []*Meter{workloadMeter(), {}}
 	// Irregular values catch any reassociation of the formula.
-	m3 := &Meter{}
-	m3.AddCompute(REE, 1234567.89)
-	m3.AddCompute(TEE, 98765.4321)
-	m3.AddSwitch()
-	m3.AddSwitch()
-	m3.AddSwitch()
-	m3.AddTransfer(31337)
+	m3 := charged(work(1234567.89, 98765.4321, 3, 31337))
 	meters = append(meters, m3)
 	for i, m := range meters {
 		if got, want := d.Latency(m), seed(m); got != want {

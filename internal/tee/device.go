@@ -29,7 +29,7 @@ import (
 )
 
 // World identifies an execution world of the device.
-type World int
+type World uint8
 
 const (
 	// REE is the rich execution environment (normal world).
@@ -198,9 +198,9 @@ func WithSecureMem(d Device, capacity int64) Device {
 // memory, so footprints are reported instead of rejected.
 func Unbounded(d Device) Device { return WithSecureMem(d, 0) }
 
-// Meter accumulates the virtual cost of one inference (or any workload) on a
-// device. It is deliberately decoupled from wall-clock time so experiments
-// are deterministic.
+// Meter accumulates the virtual cost of the protocol runs a session
+// completed, as their scripts (Charge). It is deliberately decoupled from
+// wall-clock time so experiments are deterministic.
 type Meter struct {
 	reeFlops    float64
 	teeFlops    float64
@@ -211,20 +211,24 @@ type Meter struct {
 	secureFootprint int64
 }
 
-// AddCompute charges flops of arithmetic to a world.
-func (m *Meter) AddCompute(w World, flops float64) {
-	if w == REE {
-		m.reeFlops += flops
-	} else {
-		m.teeFlops += flops
+// Charge adds one completed run's script to the meter, step by step in
+// order: a world switch per EvSMC step, each EvTransfer step's bytes, and
+// every step's flops to its world. It is the meter's only writer.
+func (m *Meter) Charge(s Script) {
+	for _, st := range s {
+		switch st.Kind {
+		case EvSMC:
+			m.switches++
+		case EvTransfer:
+			m.transferred += st.Bytes
+		}
+		if st.World == REE {
+			m.reeFlops += st.Flops
+		} else {
+			m.teeFlops += st.Flops
+		}
 	}
 }
-
-// AddSwitch records one REE→TEE world switch (entry + return).
-func (m *Meter) AddSwitch() { m.switches++ }
-
-// AddTransfer records bytes staged through shared memory into the TEE.
-func (m *Meter) AddTransfer(bytes int64) { m.transferred += bytes }
 
 // SetSecureFootprint records the secure working set of the deployment this
 // meter accounts for. It is sizing state, not an accumulated cost: Deploy
@@ -245,11 +249,6 @@ func (m *Meter) Flops(w World) float64 {
 	}
 	return m.teeFlops
 }
-
-// Latency converts the accumulated costs into seconds under a device's cost
-// model — a convenience for d.Latency(m), which owns the backend's REE/TEE
-// overlap semantics.
-func (m *Meter) Latency(d Device) float64 { return d.Latency(m) }
 
 // String summarizes the meter.
 func (m *Meter) String() string {

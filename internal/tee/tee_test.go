@@ -3,6 +3,7 @@ package tee
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -91,44 +92,83 @@ func TestMeterLatencyComposition(t *testing.T) {
 		TEEFlops:     5e8,
 		TransferRate: 1e6,
 	}
-	var m Meter
-	m.AddCompute(REE, 2e9) // 2s
-	m.AddCompute(TEE, 1e9) // 2s
-	m.AddTransfer(5e5)     // 0.5s
-	if got := m.Latency(d); math.Abs(got-4.5) > 1e-9 {
+	// 2 s REE, 2 s TEE, 0.5 s transfer.
+	if got := d.Latency(charged(work(2e9, 1e9, 0, 5e5))); math.Abs(got-4.5) > 1e-9 {
 		t.Fatalf("latency = %v, want 4.5", got)
 	}
 }
 
 func TestMeterTEESlowerThanREE(t *testing.T) {
 	d := RaspberryPi3()
-	var ree, teeM Meter
-	ree.AddCompute(REE, 1e9)
-	teeM.AddCompute(TEE, 1e9)
-	if teeM.Latency(d) <= ree.Latency(d) {
+	ree, teeM := charged(work(1e9, 0, 0, 0)), charged(work(0, 1e9, 0, 0))
+	if d.Latency(teeM) <= d.Latency(ree) {
 		t.Fatal("the same work must be slower in the TEE than in the REE")
 	}
 }
 
 func TestMeterSwitchesAndReset(t *testing.T) {
-	var m Meter
-	m.AddSwitch()
-	m.AddSwitch()
-	m.AddTransfer(100)
+	m := charged(Script{}.Cross("a", 60).Cross("b", 40))
 	if m.Switches() != 2 || m.TransferredBytes() != 100 {
 		t.Fatalf("meter = %v", m.String())
 	}
 }
 
+// work is a script of reeFlops in the REE, teeFlops in the TEE, switches
+// world switches and one transfer of bytes.
+func work(reeFlops, teeFlops float64, switches int, bytes int64) Script {
+	s := Script{
+		{Kind: EvREECompute, World: REE, Flops: reeFlops},
+		{Kind: EvTEECompute, World: TEE, Flops: teeFlops},
+	}
+	for i := 0; i < switches; i++ {
+		s = append(s, Step{Kind: EvSMC, World: REE})
+	}
+	return append(s, Step{Kind: EvTransfer, World: REE, Bytes: bytes})
+}
+
+// charged returns a fresh meter charged with s.
+func charged(s Script) *Meter {
+	m := &Meter{}
+	m.Charge(s)
+	return m
+}
+
+// TestScriptPriceIsItsCharge: a script's price is what a fresh meter
+// charged with it reads under the device, footprint included (SGX's EPC
+// paging reads it), and charging twice is two runs.
+func TestScriptPriceIsItsCharge(t *testing.T) {
+	s := work(3e8, 2e7, 4, 1<<20)
+	for _, d := range Devices() {
+		for _, fp := range []int64{0, 1 << 30} {
+			m := charged(s)
+			m.SetSecureFootprint(fp)
+			if got, want := s.Price(d, fp), d.Latency(m); got != want {
+				t.Errorf("%s footprint %d: price %v, meter %v", d.Name(), fp, got, want)
+			}
+		}
+	}
+	m := charged(s)
+	m.Charge(s)
+	if m.Switches() != 8 || m.TransferredBytes() != 2<<20 || m.Flops(REE) != 6e8 || m.Flops(TEE) != 4e7 {
+		t.Fatalf("two charges = %v", m)
+	}
+}
+
 func TestTraceAttackerViewExcludesTEECompute(t *testing.T) {
 	tr := &Trace{}
-	tr.Record(Event{Kind: EvREECompute, Label: "conv1"})
-	tr.Record(Event{Kind: EvTransfer, Label: "fm1", Bytes: 1024})
-	tr.Record(Event{Kind: EvTEECompute, Label: "secret-conv"})
-	tr.Record(Event{Kind: EvSMC, Label: "invoke"})
-	tr.Record(Event{Kind: EvResult, Label: "release"})
+	s := Script{
+		{Kind: EvREECompute, Label: "conv1"},
+		{Kind: EvTransfer, Label: "fm1", Bytes: 1024},
+		{Kind: EvTEECompute, World: TEE, Label: "secret-conv"},
+		{Kind: EvSMC, Label: "invoke"},
+		{Kind: EvResult, World: TEE, Label: "release"},
+	}
+	tr.Record(s)
 
 	view := tr.AttackerView()
+	if !reflect.DeepEqual(view, s.AttackerView()) {
+		t.Fatalf("trace view %v, script view %v", view, s.AttackerView())
+	}
 	if len(view) != 3 {
 		t.Fatalf("attacker sees %d events, want 3", len(view))
 	}
@@ -149,8 +189,7 @@ type echoProgram struct {
 	result *tensor.Tensor
 }
 
-func (p *echoProgram) Invoke(ctx *Context, cmd int, payload *tensor.Tensor) error {
-	ctx.Trace.Record(Event{Kind: EvTEECompute, Label: "ingest"})
+func (p *echoProgram) Invoke(cmd int, payload *tensor.Tensor) error {
 	p.got = append(p.got, payload)
 	if cmd == 99 {
 		p.result = payload
@@ -158,36 +197,40 @@ func (p *echoProgram) Invoke(ctx *Context, cmd int, payload *tensor.Tensor) erro
 	return nil
 }
 
-func (p *echoProgram) Result(ctx *Context) (*tensor.Tensor, error) {
+func (p *echoProgram) Result() (*tensor.Tensor, error) {
 	return p.result, nil
 }
 
+// TestEnclaveInvokeMetersTransfer: Invoke only computes; the crossing is
+// charged and recorded when the run commits its script.
 func TestEnclaveInvokeMetersTransfer(t *testing.T) {
 	prog := &echoProgram{}
-	e := NewEnclave(prog, NewSecureMemory(0))
+	e := NewEnclave(prog)
 	payload := tensor.New(4, 4) // 64 bytes
-	if err := e.Invoke(1, "fm", payload); err != nil {
+	if err := e.Invoke(1, payload); err != nil {
 		t.Fatal(err)
 	}
+	if len(prog.got) != 1 || e.Meter().Switches() != 0 || len(e.Trace().AttackerView()) != 0 {
+		t.Fatalf("Invoke delivered %d payloads, charged %v", len(prog.got), e.Meter())
+	}
+	e.Commit(Script{}.Cross("fm", 64))
 	if e.Meter().Switches() != 1 {
 		t.Fatalf("switches = %d, want 1", e.Meter().Switches())
 	}
 	if e.Meter().TransferredBytes() != 64 {
 		t.Fatalf("transferred = %d, want 64", e.Meter().TransferredBytes())
 	}
-	if err := e.Invoke(2, "cmd-only", nil); err != nil {
-		t.Fatal(err)
-	}
-	if e.Meter().TransferredBytes() != 64 {
-		t.Fatal("nil payload must not add transfer bytes")
+	want := []Event{{Kind: EvSMC, Label: "fm"}, {Kind: EvTransfer, Label: "fm", Bytes: 64}}
+	if got := e.Trace().AttackerView(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace = %v, want %v", got, want)
 	}
 }
 
 func TestEnclaveResultPath(t *testing.T) {
 	prog := &echoProgram{}
-	e := NewEnclave(prog, NewSecureMemory(0))
+	e := NewEnclave(prog)
 	want := tensor.FromData([]float32{1, 2, 3}, 3)
-	if err := e.Invoke(99, "final", want); err != nil {
+	if err := e.Invoke(99, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.Result()
@@ -198,6 +241,7 @@ func TestEnclaveResultPath(t *testing.T) {
 		t.Fatalf("result = %v", got.Data())
 	}
 	// The release event exists but is not attacker-visible.
+	e.Commit(Script{{Kind: EvResult, World: TEE, Label: "release", Bytes: 12}})
 	for _, ev := range e.Trace().AttackerView() {
 		if ev.Kind == EvResult {
 			t.Fatal("result release leaked into the attacker view")

@@ -7,7 +7,7 @@ import "sync"
 // parameters, computation, and data-transfer activity. Events inside the TEE
 // exist in the full trace (for simulator accounting and tests) but are
 // excluded from the attacker's view.
-type EventKind int
+type EventKind uint8
 
 const (
 	// EvREECompute is normal-world computation (layer execution in M_R).
@@ -51,11 +51,12 @@ type Event struct {
 	Bytes int64  // payload size where applicable
 }
 
-// Trace is a thread-safe observation log of a deployment's activity. By
-// default it grows without bound (experiment and attack runs want the full
-// history); long-lived serving sessions call Bound to turn it into a
-// fixed-capacity ring that retains the most recent events, so steady-state
-// inference neither allocates nor accumulates memory.
+// Trace is a thread-safe observation log of the protocol runs a session
+// completed, recorded as their scripts. By default it grows without bound
+// (experiment and attack runs want the full history); long-lived serving
+// sessions call Bound to turn it into a fixed-capacity ring that retains
+// the most recent events, so steady-state inference neither allocates nor
+// accumulates memory.
 type Trace struct {
 	mu     sync.Mutex
 	events []Event
@@ -85,18 +86,19 @@ func (t *Trace) Bound(n int) {
 	copy(t.events, ordered)
 }
 
-// Record appends an event, overwriting the oldest once a bounded trace is
-// full.
-func (t *Trace) Record(e Event) {
+// Record appends one completed run's script, step by step, under one lock
+// hold, overwriting the oldest events once a bounded trace is full. It is
+// the trace's only writer.
+func (t *Trace) Record(s Script) {
 	t.mu.Lock()
-	if t.limit > 0 && len(t.events) == t.limit {
-		t.events[t.start] = e
-		t.start++
-		if t.start == t.limit {
-			t.start = 0
+	for _, st := range s {
+		e := Event{Kind: st.Kind, Label: st.Label, Bytes: st.Bytes}
+		if t.limit == 0 || len(t.events) < t.limit {
+			t.events = append(t.events, e)
+			continue
 		}
-	} else {
-		t.events = append(t.events, e)
+		t.events[t.start] = e
+		t.start = (t.start + 1) % t.limit
 	}
 	t.mu.Unlock()
 }
@@ -109,26 +111,21 @@ func (t *Trace) orderedLocked() []Event {
 	return out
 }
 
-// AttackerView returns only the events observable from the normal world:
-// REE computation and weight accesses, transfer payloads, and SMC timing.
-// Secure-world computation is filtered out — the TEE is a black box.
+// AttackerView returns only the retained events observable from the normal
+// world, oldest first: REE computation and weight accesses, transfer
+// payloads, and SMC timing. Secure-world computation is filtered out — the
+// TEE is a black box.
 func (t *Trace) AttackerView() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Event
-	for _, e := range t.orderedLocked() {
-		switch e.Kind {
-		case EvREECompute, EvREEWeightAccess, EvTransfer, EvSMC:
-			out = append(out, e)
+	out := make([]Event, 0, len(t.events))
+	for _, part := range [2][]Event{t.events[t.start:], t.events[:t.start]} {
+		for _, e := range part {
+			switch e.Kind {
+			case EvREECompute, EvREEWeightAccess, EvTransfer, EvSMC:
+				out = append(out, e)
+			}
 		}
 	}
 	return out
-}
-
-// Reset clears the trace, keeping any configured bound.
-func (t *Trace) Reset() {
-	t.mu.Lock()
-	t.events = t.events[:0]
-	t.start = 0
-	t.mu.Unlock()
 }

@@ -25,7 +25,7 @@ func TestTraceBoundRetainsMostRecent(t *testing.T) {
 	tr := &Trace{}
 	tr.Bound(4)
 	for i := 0; i < 10; i++ {
-		tr.Record(Event{Kind: EvSMC, Bytes: int64(i)})
+		tr.Record(Script{{Kind: EvSMC, Bytes: int64(i)}})
 	}
 	all := allEvents(tr)
 	if len(all) != 4 {
@@ -44,7 +44,7 @@ func TestTraceBoundRetainsMostRecent(t *testing.T) {
 func TestTraceBoundOnPopulatedTrace(t *testing.T) {
 	tr := &Trace{}
 	for i := 0; i < 6; i++ {
-		tr.Record(Event{Kind: EvTransfer, Bytes: int64(i)})
+		tr.Record(Script{{Kind: EvTransfer, Bytes: int64(i)}})
 	}
 	tr.Bound(3)
 	all := allEvents(tr)
@@ -52,7 +52,7 @@ func TestTraceBoundOnPopulatedTrace(t *testing.T) {
 		t.Fatalf("bound on populated trace kept %v", all)
 	}
 	// Records after bounding keep rotating.
-	tr.Record(Event{Kind: EvTransfer, Bytes: 6})
+	tr.Record(Script{{Kind: EvTransfer, Bytes: 6}})
 	all = allEvents(tr)
 	if len(all) != 3 || all[0].Bytes != 4 || all[2].Bytes != 6 {
 		t.Fatalf("post-bound rotation kept %v", all)
@@ -63,30 +63,12 @@ func TestTraceBoundedRecordDoesNotAllocate(t *testing.T) {
 	tr := &Trace{}
 	tr.Bound(8)
 	for i := 0; i < 16; i++ {
-		tr.Record(Event{Kind: EvSMC})
+		tr.Record(Script{{Kind: EvSMC}})
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		tr.Record(Event{Kind: EvSMC})
+		tr.Record(Script{{Kind: EvSMC}})
 	})
 	if allocs != 0 {
 		t.Fatalf("bounded Record allocates %.1f times per call", allocs)
-	}
-}
-
-func TestTraceResetKeepsBound(t *testing.T) {
-	tr := &Trace{}
-	tr.Bound(2)
-	for i := 0; i < 5; i++ {
-		tr.Record(Event{Kind: EvSMC, Bytes: int64(i)})
-	}
-	tr.Reset()
-	if len(allEvents(tr)) != 0 {
-		t.Fatal("reset did not clear events")
-	}
-	for i := 0; i < 5; i++ {
-		tr.Record(Event{Kind: EvSMC, Bytes: int64(i)})
-	}
-	if all := allEvents(tr); len(all) != 2 || all[0].Bytes != 3 || all[1].Bytes != 4 {
-		t.Fatalf("bound lost after reset: %v", all)
 	}
 }
