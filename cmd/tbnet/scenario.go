@@ -466,7 +466,8 @@ func buildAttackReport(tap *seceval.Tap, deps []cliconf.Model, seed int64) (*att
 		}
 		iso, ok := isolated[k.model]
 		if !ok {
-			views, _, err := seceval.CaptureIsolated(depFor[k.model], 3, seed)
+			// Every isolated probe sees the same view: attack it once.
+			views, _, err := seceval.CaptureIsolated(depFor[k.model], 1, seed)
 			if err != nil {
 				return nil, err
 			}

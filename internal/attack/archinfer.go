@@ -25,7 +25,7 @@ type ArchGuess struct {
 
 // InferArchitecture reconstructs the secure branch's presumed stage widths
 // from one inference's attacker-visible trace. view is the attacker's event
-// stream (tee.Trace.AttackerView), stolenMR the extracted unsecured branch,
+// stream (tee.Script.AttackerView), stolenMR the extracted unsecured branch,
 // and inShape the inference input shape (the attacker chooses the query, so
 // it knows the shape).
 func InferArchitecture(view []tee.Event, stolenMR *zoo.Model, inShape []int) ArchGuess {

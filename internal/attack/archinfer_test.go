@@ -9,8 +9,8 @@ import (
 	"tbnet/internal/zoo"
 )
 
-// deployAndTrace runs one inference through a deployment and returns the
-// attacker-visible trace.
+// deployAndTrace deploys tb and returns the attacker-visible trace of one
+// single-sample inference: its script's view.
 func deployAndTrace(t *testing.T, tb *core.TwoBranch) []tee.Event {
 	t.Helper()
 	device := tee.Unbounded(tee.RaspberryPi3())
@@ -18,12 +18,11 @@ func deployAndTrace(t *testing.T, tb *core.TwoBranch) []tee.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(1, 3, 16, 16)
-	tensor.NewRNG(9).FillNormal(x, 0, 1)
-	if _, err := dep.Infer(x); err != nil {
+	script, err := dep.Script(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return dep.Enclave.Trace().AttackerView()
+	return script.AttackerView()
 }
 
 // finalizedPair builds a pruned two-branch model, returning the version with

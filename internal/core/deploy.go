@@ -30,7 +30,7 @@ var errOutOfOrder = errors.New("core: enclave invoked out of protocol order")
 // leave the enclave. All per-stage activations and the gathered channel
 // selections live in the deployment plan's secure-side arena, so a protocol
 // run performs no allocation in steady state. It only computes: what a run
-// costs is its script, charged once the run completes.
+// costs and shows is its script.
 type secureProgram struct {
 	mt    *zoo.Model
 	align [][]int
@@ -110,8 +110,10 @@ func (p *secureProgram) Result() (*tensor.Tensor, error) {
 // reads the same copies. Only ExtractedMR hands out a mutable copy, for the
 // attacker.
 type Deployment struct {
-	Device  tee.Device
-	Enclave *tee.Enclave
+	Device tee.Device
+	// Enclave is the secure-branch trusted application the REE computes
+	// through: the one-way Invoke/Result channel into M_T.
+	Enclave tee.Program
 	mr      *zoo.Model
 	prog    *secureProgram
 	// plan is the session's preplanned inference state: per-stage activation
@@ -133,6 +135,9 @@ type Deployment struct {
 	// mutable per-call state inside the program, so one session can run only
 	// one inference at a time.
 	mu sync.Mutex
+	// samples counts the samples of the session's completed runs; mu
+	// guards it.
+	samples int
 }
 
 // Deploy places a finalized two-branch model onto a device. sampleShape is
@@ -230,17 +235,15 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 		return nil, fmt.Errorf("core: secure branch does not fit: %v: %w", err, ErrSecureMemory)
 	}
 	prog := &secureProgram{mt: tb.MT, align: tb.Align, plan: plan}
-	enclave := tee.NewEnclave(prog)
 	// Memory-pressure-sensitive backends (SGX EPC paging) price latency off
 	// the session's secure working set.
-	enclave.Meter().SetSecureFootprint(secureBytes)
 	plan.prices = make([]float64, len(plan.scripts))
 	for b, s := range plan.scripts {
 		plan.prices[b] = s.Price(device, secureBytes)
 	}
 	return &Deployment{
 		Device:      device,
-		Enclave:     enclave,
+		Enclave:     prog,
 		mr:          tb.MR,
 		prog:        prog,
 		plan:        plan,
@@ -255,7 +258,7 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 // model, sized for batches of up to batch samples (batch < 1 keeps the
 // original sizing). The replica shares the original's immutable branches and
 // alignment maps (an int8 deployment's packed weights too) and owns only its
-// scratch: the plan's activation arenas, the enclave session with its meter,
+// scratch: the plan's activation arenas, the enclave program's run state,
 // and its secure-memory reservation — so concurrent Infer calls on different
 // replicas never contend. The replica reserves a fresh per-session
 // secure-memory budget; to account several replicas against one device, use
@@ -375,9 +378,7 @@ func (d *Deployment) InferIntoObserved(x *tensor.Tensor, labels []int, bd *obs.E
 }
 
 // inferInto runs the staged protocol; the caller has validated x and sized
-// labels. A non-nil bd receives the per-world host wall-time breakdown. A
-// completed run commits its script to the session's meter and trace; a run
-// that fails part way commits nothing.
+// labels. A non-nil bd receives the per-world host wall-time breakdown.
 func (d *Deployment) inferInto(x *tensor.Tensor, labels []int, bd *obs.ExecBreakdown) (out []int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -434,7 +435,7 @@ func (d *Deployment) inferInto(x *tensor.Tensor, labels []int, bd *obs.ExecBreak
 	if timed {
 		bd.TEENs += time.Since(t0).Nanoseconds()
 	}
-	d.Enclave.Commit(d.plan.scripts[n-1])
+	d.samples += n
 	labels = labels[:n]
 	for i := range labels {
 		labels[i] = logits.ArgMaxRow(i)
@@ -443,8 +444,8 @@ func (d *Deployment) inferInto(x *tensor.Tensor, labels []int, bd *obs.ExecBreak
 }
 
 // Script returns the protocol run of an n-sample inference (1 ≤ n ≤ the
-// deployed batch capacity, else ErrShape): the steps a completed run
-// charges to the session's meter and records on its trace. The script is
+// deployed batch capacity, else ErrShape): what such a run costs (Price)
+// and what a normal-world observer sees of it (AttackerView). The script is
 // the plan's own and shared; callers must not modify it.
 func (d *Deployment) Script(n int) (tee.Script, error) {
 	if err := d.checkBatch(n); err != nil {
@@ -455,8 +456,7 @@ func (d *Deployment) Script(n int) (tee.Script, error) {
 
 // ModeledLatency returns the modeled device seconds of one n-sample
 // inference (1 ≤ n ≤ the deployed batch capacity, else ErrShape) without
-// running it: Script(n) priced on a fresh meter carrying the session's
-// secure footprint, so it is bit for bit what one such run charges.
+// running it: Script(n) priced with the session's secure footprint.
 func (d *Deployment) ModeledLatency(n int) (float64, error) {
 	if err := d.checkBatch(n); err != nil {
 		return 0, err
@@ -475,6 +475,14 @@ func (d *Deployment) Reserve(n int) {
 	n = min(n, d.sampleShape[0])
 	d.plan.ree.Reserve(n)
 	d.plan.tee.Reserve(n)
+}
+
+// Samples returns the number of samples the session's completed runs
+// inferred; a run that fails part way adds none.
+func (d *Deployment) Samples() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.samples
 }
 
 // ExtractedMR returns what the paper's attacker obtains: a deep copy of the

@@ -62,12 +62,13 @@ func TestDeploymentOneWayChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep.Infer(randX(2, 51)); err != nil {
+	script, err := dep.Script(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The attacker's view of the trace contains REE computation and
-	// transfers, but no TEE computation and no result release.
-	view := dep.Enclave.Trace().AttackerView()
+	// The attacker's view of a run contains REE computation and transfers,
+	// but no TEE computation and no result release.
+	view := script.AttackerView()
 	if len(view) == 0 {
 		t.Fatal("attacker should observe REE activity")
 	}
@@ -105,10 +106,12 @@ func TestDeploymentMetersBothWorlds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep.Infer(randX(1, 71)); err != nil {
+	script, err := dep.Script(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := dep.Enclave.Meter()
+	var m tee.Meter
+	m.Charge(script)
 	if m.Flops(tee.REE) <= 0 || m.Flops(tee.TEE) <= 0 {
 		t.Fatalf("meter did not record both worlds: %s", m.String())
 	}
@@ -117,7 +120,7 @@ func TestDeploymentMetersBothWorlds(t *testing.T) {
 	if m.Switches() != wantSwitches {
 		t.Fatalf("switches = %d, want %d", m.Switches(), wantSwitches)
 	}
-	if metered(dep) <= 0 {
+	if lat, _ := dep.ModeledLatency(1); lat <= 0 {
 		t.Fatal("latency must be positive")
 	}
 }
@@ -290,7 +293,7 @@ func TestReplicateIsIndependent(t *testing.T) {
 	if rep.mr != dep.mr || rep.prog.mt != dep.prog.mt || &rep.prog.align[0] != &dep.prog.align[0] {
 		t.Fatal("replica copied the deployed branches instead of sharing them")
 	}
-	if rep.plan == dep.plan || rep.Enclave == dep.Enclave || rep.Enclave.Meter() == dep.Enclave.Meter() {
+	if rep.plan == dep.plan || rep.Enclave == dep.Enclave || rep.prog == dep.prog {
 		t.Fatal("replica shares the original's session scratch")
 	}
 	if mem.Used() != rep.SecureBytes {
@@ -311,10 +314,6 @@ func TestExtractedMRIsACopy(t *testing.T) {
 		t.Fatal("extraction must not alias the deployed branch")
 	}
 }
-
-// metered is the modeled seconds the session's meter reads after the runs
-// it completed.
-func metered(d *Deployment) float64 { return d.Device.Latency(d.Enclave.Meter()) }
 
 // paperRun is the protocol run of one inference at input shape in, as the
 // paper describes it, derived here from the branches' stage geometry and
@@ -349,12 +348,48 @@ func paperRun(tb *TwoBranch, in []int, speedup float64) tee.Script {
 		tee.Step{Kind: tee.EvResult, World: tee.TEE, Label: "release", Bytes: bytes(tb.MT.Head.OutShape(m))})
 }
 
+// recorder is a tee.Program that passes every call through to the program
+// it wraps and keeps what actually crossed: each Invoke's payload bytes, in
+// order, and each released result's bytes.
+type recorder struct {
+	tee.Program
+	invoked, released []int64
+}
+
+func (r *recorder) Invoke(cmd int, payload *tensor.Tensor) error {
+	r.invoked = append(r.invoked, 4*int64(payload.Size()))
+	return r.Program.Invoke(cmd, payload)
+}
+
+func (r *recorder) Result() (*tensor.Tensor, error) {
+	out, err := r.Program.Result()
+	if err == nil {
+		r.released = append(r.released, 4*int64(out.Size()))
+	}
+	return out, err
+}
+
+// crossings returns the bytes of s's EvTransfer steps, in order, and of its
+// EvResult steps.
+func crossings(s tee.Script) (transfers, results []int64) {
+	for _, st := range s {
+		switch st.Kind {
+		case tee.EvTransfer:
+			transfers = append(transfers, st.Bytes)
+		case tee.EvResult:
+			results = append(results, st.Bytes)
+		}
+	}
+	return transfers, results
+}
+
 // TestModeledLatencyMatchesMeter holds a run to exactly its script: the
-// plan's script of every batch is the paper's protocol (paperRun), and on a
-// fresh session one n-sample inference records that script on the trace
-// event for event and charges it to the meter, which then reads
-// ModeledLatency(n) bit for bit — for every zoo architecture, both
-// precisions, every registered device and every batch up to the capacity.
+// plan's script of every batch is the paper's protocol (paperRun) and
+// ModeledLatency(n) is what a meter charged with it reads on the session's
+// footprint, for every zoo architecture, both precisions, every registered
+// device and every batch up to the capacity; and what one n-sample
+// inference actually hands the enclave, Invoke by Invoke, and what it
+// releases are the script's transfer and result bytes.
 func TestModeledLatencyMatchesMeter(t *testing.T) {
 	const capacity = 8
 	rng := tensor.NewRNG(41)
@@ -379,17 +414,38 @@ func TestModeledLatencyMatchesMeter(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dep := range []*Deployment{f32, i8} {
+			rec := &recorder{Program: dep.Enclave}
+			dep.Enclave = rec
+			for n := 1; n <= capacity; n++ {
+				what := fmt.Sprintf("%s %s, batch %d", name, dep.Precision(), n)
+				rec.invoked, rec.released = nil, nil
+				if _, err := dep.Infer(tensor.FromData(x.Data()[:n*3*16*16], n, 3, 16, 16)); err != nil {
+					t.Fatal(err)
+				}
+				script, err := dep.Script(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				transfers, results := crossings(script)
+				if !reflect.DeepEqual(rec.invoked, transfers) || !reflect.DeepEqual(rec.released, results) {
+					t.Fatalf("%s: the run invoked %v and released %v, the script transfers %v and releases %v",
+						what, rec.invoked, rec.released, transfers, results)
+				}
+				if got := dep.Samples(); got != n*(n+1)/2 {
+					t.Fatalf("%s: the session counts %d samples, want %d", what, got, n*(n+1)/2)
+				}
+			}
 			for _, dev := range tee.Devices() {
 				speedup := 1.0
 				if dep.Precision() == PrecisionInt8 {
 					speedup = tee.Int8SpeedupOf(dev)
 				}
+				s, err := dep.ReplicateOn(tee.Unbounded(dev), capacity, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for n := 1; n <= capacity; n++ {
 					what := fmt.Sprintf("%s %s on %s, batch %d", name, dep.Precision(), dev.Name(), n)
-					s, err := dep.ReplicateOn(tee.Unbounded(dev), capacity, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
 					script, err := s.Script(n)
 					if err != nil {
 						t.Fatal(err)
@@ -398,24 +454,12 @@ func TestModeledLatencyMatchesMeter(t *testing.T) {
 					if want := paperRun(s.Snapshot(), in, speedup); !reflect.DeepEqual(script, want) {
 						t.Fatalf("%s: script\n%v\nwant\n%v", what, script, want)
 					}
-					want, err := s.ModeledLatency(n)
+					got, err := s.ModeledLatency(n)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := s.Infer(tensor.FromData(x.Data()[:n*3*16*16], n, 3, 16, 16)); err != nil {
-						t.Fatal(err)
-					}
-					if got := s.Enclave.Trace().AttackerView(); !reflect.DeepEqual(got, script.AttackerView()) {
-						t.Fatalf("%s: trace %v, script %v", what, got, script.AttackerView())
-					}
-					var charged tee.Meter
-					charged.Charge(script)
-					charged.SetSecureFootprint(s.SecureBytes)
-					if m := s.Enclave.Meter(); *m != charged {
-						t.Fatalf("%s: meter %v, script charges %v", what, m, &charged)
-					}
-					if got := metered(s); got != want || got <= 0 {
-						t.Fatalf("%s: metered %v, modeled %v", what, got, want)
+					if want := script.Price(dev, s.SecureBytes); got != want || got <= 0 {
+						t.Fatalf("%s: modeled %v, the script prices %v", what, got, want)
 					}
 				}
 			}
@@ -425,8 +469,7 @@ func TestModeledLatencyMatchesMeter(t *testing.T) {
 
 // TestFailedRunChargesNothing: a run that fails part way through the
 // protocol (here M_T's stage-1 alignment map selects one channel too few)
-// leaves the session's meter and trace as they were, and the next good run
-// is charged as a run on a fresh session.
+// adds nothing to the session's completed samples.
 func TestFailedRunChargesNothing(t *testing.T) {
 	tb, _ := finalizedTB(t, 140)
 	bad := *tb
@@ -443,13 +486,8 @@ func TestFailedRunChargesNothing(t *testing.T) {
 	if _, err := dep.Infer(randX(1, 141)); !errors.Is(err, ErrShape) {
 		t.Fatalf("bad alignment: err = %v, want ErrShape", err)
 	}
-	fresh := tee.Meter{}
-	fresh.SetSecureFootprint(dep.SecureBytes)
-	if m := dep.Enclave.Meter(); *m != fresh {
-		t.Fatalf("failed run charged %v", m)
-	}
-	if v := dep.Enclave.Trace().AttackerView(); len(v) != 0 {
-		t.Fatalf("failed run recorded %v", v)
+	if got := dep.Samples(); got != 0 {
+		t.Fatalf("failed run counted %d samples", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"tbnet/internal/tee"
@@ -102,10 +103,11 @@ func inferLatency(t *testing.T, tb *TwoBranch, device tee.Device, int8 bool) flo
 	if err != nil {
 		t.Fatalf("%s: %v", device.Name(), err)
 	}
-	if _, err := dep.Infer(randX(2, 99)); err != nil {
+	lat, err := dep.ModeledLatency(2)
+	if err != nil {
 		t.Fatalf("%s: %v", device.Name(), err)
 	}
-	return metered(dep)
+	return lat
 }
 
 // TestInt8BeatsF32OnEveryBackend locks the headline acceptance criterion:
@@ -212,10 +214,8 @@ func TestInt8ReplicatePreservesPrecision(t *testing.T) {
 			t.Fatalf("replica labels %v, original %v", got, want)
 		}
 	}
-	for _, w := range []tee.World{tee.REE, tee.TEE} {
-		if got, want := rep.Enclave.Meter().Flops(w), dep.Enclave.Meter().Flops(w); got != want {
-			t.Fatalf("replica %v flops %v, original %v", w, got, want)
-		}
+	if got, want := rep.plan.scripts, dep.plan.scripts; !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica scripts %v, original %v", got, want)
 	}
 	qmr, qmt := rep.Quantized()
 	if qmr == nil || qmt == nil {
@@ -233,10 +233,8 @@ func TestF32GoldenLatencyUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep.Infer(randX(1, 291)); err != nil {
-		t.Fatal(err)
-	}
-	m := dep.Enclave.Meter()
+	var m tee.Meter
+	m.Charge(dep.plan.scripts[0])
 	wantREE := dep.plan.mrCost.TotalFlops() - dep.plan.mrCost.Head.Flops
 	if got := m.Flops(tee.REE); got != wantREE {
 		t.Fatalf("f32 REE flops %v, want unscaled %v", got, wantREE)

@@ -19,9 +19,9 @@ import (
 //     it has served (a smaller batch is a view of it) and reused forever
 //     after;
 //   - the protocol script of every admissible batch size (tee.Script: the
-//     steps a run of that batch takes, which its meter charges and its
-//     trace records) with its price on the deployed device, so a run
-//     neither re-profiles the model nor restates the protocol order;
+//     steps a run of that batch takes, what it costs and shows) with its
+//     price on the deployed device, so nothing re-profiles the model or
+//     restates the protocol order;
 //   - per-stage buffer tags and output dimensions precomputed, so the hot
 //     path performs no string building and no shape recomputation.
 //

@@ -26,14 +26,17 @@ type charRecord struct {
 	reeFlops, teeFlops string
 	// view is the AttackerView sequence as "kind:label:bytes" entries.
 	view []string
-	// latency is the metered seconds per backend, shortest round-trip decimal.
+	// latency is the run's priced seconds per backend, shortest round-trip
+	// decimal.
 	latency map[string]string
 }
 
 func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // characterize places the victim under s on d, runs one seeded two-image
-// inference, and reads everything back. Latency is returned separately.
+// inference, and reads back its labels and what its script (the one-sample
+// script batched to two) charges, shows and costs. Latency is returned
+// separately.
 func characterize(t *testing.T, s Strategy, v *zoo.Model, d tee.Device) (charRecord, string) {
 	t.Helper()
 	p, err := s.Place(v, d, shape)
@@ -49,19 +52,14 @@ func characterize(t *testing.T, s Strategy, v *zoo.Model, d tee.Device) (charRec
 		secure: p.SecureBytes, exposed: p.ExposedParamBytes, arch: p.ExposedArch,
 		labels: p.Infer(x),
 	}
-	m := p.enclave.Meter()
+	run := batched(p.script, x.Dim(0))
+	m := charged(run)
 	r.switches, r.transfer = m.Switches(), m.TransferredBytes()
 	r.reeFlops, r.teeFlops = g(m.Flops(tee.REE)), g(m.Flops(tee.TEE))
-	for _, e := range p.enclave.Trace().AttackerView() {
+	for _, e := range run.AttackerView() {
 		r.view = append(r.view, fmt.Sprintf("%s:%s:%d", e.Kind, e.Label, e.Bytes))
 	}
-	// The meter's footprint is the one field SetSecureFootprint writes.
-	want := *m
-	want.SetSecureFootprint(p.SecureBytes)
-	if want != *m {
-		t.Fatalf("%s on %s: meter footprint is not SecureBytes %d", s.Name(), d.Name(), p.SecureBytes)
-	}
-	return r, g(metered(p))
+	return r, g(run.Price(d, p.SecureBytes))
 }
 
 // TestPlacementCharacterization pins every strategy (DarkneTZ at splits 0,

@@ -56,16 +56,14 @@ func TestCrossBackendDarkneTZLatencyVsFullTEE(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fulltee on %s: %v", d.Name(), err)
 		}
-		full.Infer(sample(1, 34))
-		ref := metered(full)
+		ref := full.Price()
 		prev := ref
 		for s := 1; s < len(v.Stages); s++ {
 			p, err := (DarkneTZ{SplitAt: s}).Place(v, d, shape)
 			if err != nil {
 				t.Fatalf("split%d on %s: %v", s, d.Name(), err)
 			}
-			p.Infer(sample(1, 34))
-			lat := metered(p)
+			lat := p.Price()
 			if lat >= ref {
 				t.Fatalf("%s: split%d latency %.9fs not below full-TEE %.9fs",
 					d.Name(), s, lat, ref)
@@ -109,8 +107,7 @@ func TestCrossBackendExposureTraces(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s: %v", tc.s.Name(), d.Name(), err)
 			}
-			p.Infer(sample(1, 36))
-			view := p.enclave.Trace().AttackerView()
+			view := p.Script().AttackerView()
 			if got := reeStages(view); got != tc.want {
 				t.Fatalf("%s on %s: %d REE-resident stages in attacker view, want %d",
 					tc.s.Name(), d.Name(), got, tc.want)

@@ -10,14 +10,14 @@
 // compute in the REE, and what trusted work a stage's crossing buys — that
 // states its run once, at Place, as a tee.Script, the form TBNet's own
 // deployment states its run in. The script is the only definition of the
-// run's world crossings: Infer charges and records it, and Price prices it
-// with TBNet's pricing function. So a crossing always precedes the TEE work
-// it feeds (a depth split of 0 stages its input before the first TEE stage),
-// full-TEE records one EvTEECompute per stage rather than one for the whole
-// victim, and EvResult carries the released logits' size.
+// run's world crossings: Infer only computes them, and Price prices the
+// script with TBNet's pricing function. So a crossing always precedes the
+// TEE work it feeds (a depth split of 0 stages its input before the first
+// TEE stage), full-TEE scripts one EvTEECompute per stage rather than one
+// for the whole victim, and EvResult carries the released logits' size.
 //
 // FullTEE and DarkneTZ execute the real network in their placement;
-// ShadowNet and MirrorNet execute the real network while metering the
+// ShadowNet and MirrorNet execute the real network while scripting the
 // world/transfer pattern their papers describe (the weight-transformation
 // and companion-verification arithmetic is cost-modeled, not re-implemented —
 // their accuracy is the victim's by construction).
@@ -47,8 +47,10 @@ type Placement struct {
 	// ExposedArch reports whether the victim's architecture is readable from
 	// the REE-resident part.
 	ExposedArch bool
-	enclave     *tee.Enclave
 	world       *secureWorld
+	// enclave is world as the REE reaches it: the one-way program it
+	// computes through.
+	enclave tee.Program
 	// script is the plan's protocol run of one sample; batch is the
 	// sample-shape batch the placement is priced at.
 	script tee.Script
@@ -58,8 +60,8 @@ type Placement struct {
 // Infer runs one inference — the plan's leading stages compute in the REE,
 // their output crosses through the enclave (every stage's under an assisted
 // plan, the last one's — or the input, when the split is 0 — otherwise), and
-// the enclave releases the logits — then charges and records the run's
-// script.
+// the enclave releases the logits. What the run costs and shows is its
+// script, batched to x's batch.
 func (p *Placement) Infer(x *tensor.Tensor) []int {
 	w := p.world
 	cur := x
@@ -73,7 +75,6 @@ func (p *Placement) Infer(x *tensor.Tensor) []int {
 		_ = p.enclave.Invoke(w.plan.split, cur) // secureWorld.Invoke never fails
 	}
 	logits, _ := p.enclave.Result() // secureWorld.Result never fails
-	p.enclave.Commit(batched(p.script, x.Dim(0)))
 	return argmaxLabels(logits)
 }
 
@@ -160,7 +161,7 @@ func batched(s tee.Script, n int) tee.Script {
 }
 
 // place is the one constructor: it reserves the plan's footprint on the
-// device, loads a private clone of the victim behind a fresh enclave and
+// device, loads a private clone of the victim into a fresh secure world and
 // scripts the plan's run of one sample of sampleShape.
 func place(victim *zoo.Model, device tee.Device, sampleShape []int, pl plan) (*Placement, error) {
 	mem := tee.NewSecureMemory(device.SecureMemBytes())
@@ -168,9 +169,6 @@ func place(victim *zoo.Model, device tee.Device, sampleShape []int, pl plan) (*P
 		return nil, fmt.Errorf("defense: %s placement: %w", pl.strategy, err)
 	}
 	w := &secureWorld{m: victim.Clone(), plan: pl}
-	enc := tee.NewEnclave(w)
-	// Memory-pressure-sensitive backends (SGX EPC paging) price the footprint.
-	enc.Meter().SetSecureFootprint(pl.secure)
 	one := append([]int{1}, sampleShape[1:]...)
 	return &Placement{
 		Strategy:          pl.strategy,
@@ -178,8 +176,8 @@ func place(victim *zoo.Model, device tee.Device, sampleShape []int, pl plan) (*P
 		SecureBytes:       pl.secure,
 		ExposedParamBytes: pl.exposed,
 		ExposedArch:       pl.exposedArch,
-		enclave:           enc,
 		world:             w,
+		enclave:           w,
 		script:            pl.script(profile.Profile(victim, one)),
 		batch:             sampleShape[0],
 	}, nil

@@ -21,42 +21,85 @@ func sample(n int, seed uint64) *tensor.Tensor {
 
 var shape = []int{1, 3, 16, 16}
 
-// metered is the modeled seconds the placement's meter reads after the runs
-// it completed.
-func metered(p *Placement) float64 { return p.Device.Latency(p.enclave.Meter()) }
+// recorder is a tee.Program that passes every call through to the program
+// it wraps and keeps what actually crossed: each Invoke's payload bytes, in
+// order, and each released result's bytes.
+type recorder struct {
+	tee.Program
+	invoked, released []int64
+}
 
-// TestPriceIsOneRun: for every strategy on every backend, one inference at
-// the placement's sample shape records exactly its script's attacker view,
-// and its meter reads Price bit for bit. The same holds at a batch the
-// placement was not sized for, where the run is the batched script.
+func (r *recorder) Invoke(cmd int, payload *tensor.Tensor) error {
+	r.invoked = append(r.invoked, 4*int64(payload.Size()))
+	return r.Program.Invoke(cmd, payload)
+}
+
+func (r *recorder) Result() (*tensor.Tensor, error) {
+	out, err := r.Program.Result()
+	if err == nil {
+		r.released = append(r.released, 4*int64(out.Size()))
+	}
+	return out, err
+}
+
+// crossings returns the bytes of s's EvTransfer steps, in order, and of its
+// EvResult steps.
+func crossings(s tee.Script) (transfers, results []int64) {
+	for _, st := range s {
+		switch st.Kind {
+		case tee.EvTransfer:
+			transfers = append(transfers, st.Bytes)
+		case tee.EvResult:
+			results = append(results, st.Bytes)
+		}
+	}
+	return transfers, results
+}
+
+// TestPriceIsOneRun: for every strategy, what one inference at the
+// placement's sample shape actually hands the enclave, Invoke by Invoke,
+// and what it releases are the transfer and result bytes of the script
+// Price prices. The same holds at a batch the placement was not sized for,
+// where the run is the batched script.
 func TestPriceIsOneRun(t *testing.T) {
 	v := victim(5)
-	for _, d := range tee.Devices() {
-		for _, s := range []Strategy{FullTEE{}, DarkneTZ{SplitAt: 0}, DarkneTZ{SplitAt: 2}, ShadowNet{}, MirrorNet{}} {
-			for _, n := range []int{1, 3} {
-				in := append([]int{n}, shape[1:]...)
-				p, err := s.Place(v, d, in)
-				if err != nil {
-					t.Fatal(err)
+	d := tee.RaspberryPi3()
+	for _, s := range []Strategy{FullTEE{}, DarkneTZ{SplitAt: 0}, DarkneTZ{SplitAt: 2}, ShadowNet{}, MirrorNet{}} {
+		for _, n := range []int{1, 3} {
+			in := append([]int{n}, shape[1:]...)
+			p, err := s.Place(v, d, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := s.Place(v, d, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []struct {
+				p      *Placement
+				script tee.Script
+			}{{p, p.Script()}, {one, batched(one.script, n)}} {
+				rec := &recorder{Program: run.p.enclave}
+				run.p.enclave = rec
+				run.p.Infer(sample(n, 6))
+				transfers, results := crossings(run.script)
+				if !reflect.DeepEqual(rec.invoked, transfers) || !reflect.DeepEqual(rec.released, results) {
+					t.Fatalf("%s, batch %d on a batch-%d placement: the run invoked %v and released %v, the script transfers %v and releases %v",
+						s.Name(), n, run.p.batch, rec.invoked, rec.released, transfers, results)
 				}
-				p.Infer(sample(n, 6))
-				if got, want := p.enclave.Trace().AttackerView(), p.Script().AttackerView(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s on %s, batch %d: trace %v, script %v", s.Name(), d.Name(), n, got, want)
-				}
-				if got, want := metered(p), p.Price(); got != want || got <= 0 {
-					t.Fatalf("%s on %s, batch %d: metered %v, price %v", s.Name(), d.Name(), n, got, want)
-				}
-				one, err := s.Place(v, d, shape)
-				if err != nil {
-					t.Fatal(err)
-				}
-				one.Infer(sample(n, 6))
-				if got, want := metered(one), batched(one.script, n).Price(d, one.SecureBytes); got != want {
-					t.Fatalf("%s on %s: batch %d on a one-sample placement metered %v, want %v", s.Name(), d.Name(), n, got, want)
-				}
+			}
+			if p.Price() <= 0 {
+				t.Fatalf("%s, batch %d: price %v", s.Name(), n, p.Price())
 			}
 		}
 	}
+}
+
+// charged returns a fresh meter charged with s.
+func charged(s tee.Script) *tee.Meter {
+	var m tee.Meter
+	m.Charge(s)
+	return &m
 }
 
 func TestFullTEEPlacement(t *testing.T) {
@@ -71,10 +114,10 @@ func TestFullTEEPlacement(t *testing.T) {
 	if len(labels) != 2 {
 		t.Fatalf("labels = %v", labels)
 	}
-	if p.enclave.Meter().Flops(tee.REE) != 0 {
+	if charged(p.Script()).Flops(tee.REE) != 0 {
 		t.Fatal("full-TEE must not compute in the REE")
 	}
-	if metered(p) <= 0 {
+	if p.Price() <= 0 {
 		t.Fatal("latency must be positive")
 	}
 }
@@ -130,11 +173,8 @@ func TestDarkneTZFasterThanFullTEE(t *testing.T) {
 	d := tee.RaspberryPi3()
 	full, _ := FullTEE{}.Place(v, d, shape)
 	part, _ := DarkneTZ{SplitAt: 2}.Place(v, d, shape)
-	x := sample(1, 8)
-	full.Infer(x.Clone())
-	part.Infer(x.Clone())
-	if metered(part) >= metered(full) {
-		t.Fatalf("partitioned %.6fs should beat full-TEE %.6fs", metered(part), metered(full))
+	if part.Price() >= full.Price() {
+		t.Fatalf("partitioned %.6fs should beat full-TEE %.6fs", part.Price(), full.Price())
 	}
 }
 
@@ -151,8 +191,7 @@ func TestShadowNetExposesWeightsButSmallTEE(t *testing.T) {
 	if p.SecureBytes >= full.SecureBytes {
 		t.Fatal("shadownet's secure footprint should undercut full-TEE")
 	}
-	p.Infer(sample(1, 10))
-	if p.enclave.Meter().Switches() < len(v.Stages) {
+	if charged(p.Script()).Switches() < len(v.Stages) {
 		t.Fatal("shadownet requires a boundary crossing per outsourced layer")
 	}
 }

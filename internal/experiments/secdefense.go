@@ -68,9 +68,10 @@ func (l *Lab) TableSecDefense() *report.Table {
 		}
 		// The paper's own defense, measured with the same attack: the
 		// finalized (rolled-back) deployment, priced against the undefended
-		// deployment's per-run latency.
+		// deployment's per-run latency. Every unobfuscated probe sees the
+		// same view, so it is attacked once.
 		final := mustDeploy(p.TB, tee.Unbounded(dev))
-		views, _, err := seceval.CaptureIsolated(final, probes, int64(l.cfg.Seed)+82)
+		views, _, err := seceval.CaptureIsolated(final, 1, int64(l.cfg.Seed)+82)
 		if err != nil {
 			panic(err)
 		}

@@ -351,9 +351,9 @@ func TestFleetStatsAggregate(t *testing.T) {
 }
 
 // TestPriceOnRunsNoInference: a node learns a model's modeled latency from
-// the plan. priceOn's template has metered nothing, its figure is what one
-// single-sample run would meter (core's TestModeledLatencyMatchesMeter), and
-// the source deployment's meter is untouched.
+// the plan. priceOn's template has run no sample, its figure is the plan's
+// price of one single-sample run (core's TestModeledLatencyMatchesMeter),
+// and the source deployment has run none either.
 func TestPriceOnRunsNoInference(t *testing.T) {
 	dep := testDeployment(t, 3)
 	for _, dev := range tee.Devices() {
@@ -361,14 +361,14 @@ func TestPriceOnRunsNoInference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := template.Device.Latency(template.Enclave.Meter()); got != 0 {
-			t.Fatalf("%s: the template metered %v s of inference", dev.Name(), got)
+		if got := template.Samples(); got != 0 {
+			t.Fatalf("%s: the template ran %d samples", dev.Name(), got)
 		}
 		if want, _ := template.ModeledLatency(1); lat != want || lat <= 0 {
 			t.Fatalf("%s: priced %v s, the plan says %v s", dev.Name(), lat, want)
 		}
 	}
-	if got := dep.Device.Latency(dep.Enclave.Meter()); got != 0 {
-		t.Fatalf("the source deployment metered %v s", got)
+	if got := dep.Samples(); got != 0 {
+		t.Fatalf("the source deployment ran %d samples", got)
 	}
 }

@@ -94,31 +94,28 @@ func Autotune(dep *core.Deployment, cfg TuneConfig) (*TuneResult, error) {
 	subject := SubjectFor(dep)
 
 	// Undefended baseline: the TBNet deployment protocol, ideal attacker.
-	views, baseLat, err := CaptureIsolated(dep, cfg.Probes, cfg.Seed)
+	// Every unobfuscated probe sees the same view, so it is attacked once.
+	views, baseLat, err := CaptureIsolated(dep, 1, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	view := views[0]
 	base := AttackViews(views, subject)
 	res.Points = append(res.Points, report.FrontierPoint{
 		Device: dev.Name(), Config: "tbnet", Kind: "undefended",
 		HitRate: base.MeanHitRate,
 	})
 
-	// Obfuscation chains over the deployment's own traces.
+	// Obfuscation chains over the deployment's own view, one seeded rewrite
+	// per probe.
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	for _, ch := range cfg.Chains {
-		var obViews [][]tee.Event
-		var costSum float64
-		for _, v := range views {
-			ov, cost, _ := ch.Apply(v, rng)
-			obViews = append(obViews, ov)
-			costSum += cost.Seconds(dev)
-		}
+		obViews, costSum := obfuscate(ch, view, cfg.Probes, rng, dev)
 		r := AttackViews(obViews, subject)
 		res.Points = append(res.Points, report.FrontierPoint{
 			Device: dev.Name(), Config: "tbnet+" + ch.Name(), Kind: "obfuscation",
 			HitRate:  r.MeanHitRate,
-			Overhead: costSum / float64(len(views)) / baseLat,
+			Overhead: costSum / float64(cfg.Probes) / baseLat,
 		})
 	}
 
@@ -172,12 +169,9 @@ func tunePlacements(res *TuneResult, cfg TuneConfig, dev tee.Device, inShape []i
 			return fmt.Errorf("seceval: placing %s on %s: %w", s.Name(), dev.Name(), err)
 		}
 		// Like CaptureIsolated: every probe sees the placement script's
-		// view and costs its price, so none runs.
-		script := pl.Script()
-		plViews := make([][]tee.Event, cfg.Probes)
-		for i := range plViews {
-			plViews[i] = script.AttackerView()
-		}
+		// view and costs its price, so none runs and the plain view is
+		// scored once.
+		plView := pl.Script().AttackerView()
 		plLat := pl.Price()
 		// Coverage-adjusted scoring: a placement that exposes only a prefix
 		// of the network is credited only for the stages it leaked, so a
@@ -198,23 +192,31 @@ func tunePlacements(res *TuneResult, cfg TuneConfig, dev tee.Device, inShape []i
 		}
 		res.Points = append(res.Points, report.FrontierPoint{
 			Device: dev.Name(), Config: s.Name(), Kind: "placement",
-			HitRate:  score(plViews),
+			HitRate:  score([][]tee.Event{plView}),
 			Overhead: plLat/reeBase - 1,
 		})
 		for _, ch := range cfg.Chains {
-			var obViews [][]tee.Event
-			var costSum float64
-			for _, v := range plViews {
-				ov, cost, _ := ch.Apply(v, rng)
-				obViews = append(obViews, ov)
-				costSum += cost.Seconds(dev)
-			}
+			obViews, costSum := obfuscate(ch, plView, cfg.Probes, rng, dev)
 			res.Points = append(res.Points, report.FrontierPoint{
 				Device: dev.Name(), Config: s.Name() + "+" + ch.Name(), Kind: "combo",
 				HitRate:  score(obViews),
-				Overhead: (plLat+costSum/float64(len(plViews)))/reeBase - 1,
+				Overhead: (plLat+costSum/float64(cfg.Probes))/reeBase - 1,
 			})
 		}
 	}
 	return nil
+}
+
+// obfuscate rewrites view through ch once per probe, in order on rng (the
+// layers copy, never write, what they read), returning the rewritten views
+// and their summed cost in seconds on dev.
+func obfuscate(ch *Chain, view []tee.Event, probes int, rng *rand.Rand, dev tee.Device) ([][]tee.Event, float64) {
+	views := make([][]tee.Event, probes)
+	var costSum float64
+	for i := range views {
+		var cost Cost
+		views[i], cost, _ = ch.Apply(view, rng)
+		costSum += cost.Seconds(dev)
+	}
+	return views, costSum
 }

@@ -13,10 +13,11 @@ import (
 // TestCaptureIsolatedIsOneProbeRun locks CaptureIsolated's contract as the
 // benchmark reads it (16 probes; modeled_device_ms and attack_hit_rate come
 // from it), on every backend in both precisions: each returned view equals
-// the attacker view of one real single-sample run on a batch-1 replica, and
-// runSeconds equals the mean of 16 such metered probe runs — what the capture
-// read while it ran its probes. The replica, not dep (sized for 8), is what
-// is priced: sgx-desktop's EPC paging reads its secure footprint.
+// the attacker view of one single-sample run on a batch-1 replica, and
+// runSeconds equals that run's modeled latency — the mean of 16 such probe
+// runs, which all complete (core's TestModeledLatencyMatchesMeter holds a
+// run to its script). The replica, not dep (sized for 8), is what is priced:
+// sgx-desktop's EPC paging reads its secure footprint.
 func TestCaptureIsolatedIsOneProbeRun(t *testing.T) {
 	const probes = 16
 	tb := core.NewTwoBranch(zoo.BuildVGG(zoo.VGG18Config(10), tensor.NewRNG(41)), 42)
@@ -46,22 +47,22 @@ func TestCaptureIsolatedIsOneProbeRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			metered := func() float64 { return rep.Device.Latency(rep.Enclave.Meter()) }
 			rng := tensor.NewRNG(5)
-			var view []tee.Event
-			var sum float64
 			for i := 0; i < probes; i++ {
 				x := tensor.New(append([]int{1}, shape[1:]...)...)
 				rng.FillNormal(x, 0, 1)
-				before := metered()
 				if _, err := rep.Infer(x); err != nil {
 					t.Fatal(err)
 				}
-				sum += metered() - before
-				if i == 0 {
-					view = rep.Enclave.Trace().AttackerView()
-				}
 			}
+			if got := rep.Samples(); got != probes {
+				t.Fatalf("%s: %d probe runs completed %d samples", what, probes, got)
+			}
+			script, err := rep.Script(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view := script.AttackerView()
 			for i, v := range views {
 				if !reflect.DeepEqual(v, view) {
 					t.Fatalf("%s: view %d is %v, one run shows %v", what, i, v, view)
@@ -70,8 +71,8 @@ func TestCaptureIsolatedIsOneProbeRun(t *testing.T) {
 			if len(views) > 1 && &views[0][0] == &views[1][0] {
 				t.Fatalf("%s: views share storage", what)
 			}
-			if want := sum / probes; runSeconds != want || runSeconds <= 0 {
-				t.Fatalf("%s: runSeconds %v, the probe runs metered %v", what, runSeconds, want)
+			if want, _ := rep.ModeledLatency(1); runSeconds != want || runSeconds <= 0 {
+				t.Fatalf("%s: runSeconds %v, one probe run is %v", what, runSeconds, want)
 			}
 		}
 	}

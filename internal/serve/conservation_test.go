@@ -331,7 +331,7 @@ func TestFailedBatchIsolatedPerSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Enclave = tee.NewEnclave(&poisonProgram{})
+	rep.Enclave = &poisonProgram{}
 	g := &generation{batches: make(chan []*request), reps: []*core.Deployment{rep},
 		secureBytes: rep.SecureBytes, precision: "f32"}
 	p.genMu.Lock()

@@ -7,8 +7,8 @@
 // session is inherently serial (the staged REE→TEE protocol keeps per-call
 // state inside the trusted application). The server addresses both at once:
 //
-//   - Replication: each worker owns a session replica (its own enclave,
-//     meter, trace and activation arenas over the shared immutable
+//   - Replication: each worker owns a session replica (its own enclave
+//     state and activation arenas over the shared immutable
 //     branches), so inferences run in parallel without sharing mutable
 //     state. All replicas of all hosted models reserve their secure memory
 //     from one device-sized budget, so the server never overcommits the
@@ -318,11 +318,6 @@ func New(dep *core.Deployment, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// traceBound is the per-replica observation-trace ring capacity — enough to
-// hold the protocol events of the last few dozen batches for debugging
-// without unbounded growth.
-const traceBound = 1024
-
 // newGeneration replicates dep into a fresh worker set of the given width,
 // drawing on the shared budget. With warm set, each replica runs one
 // single-sample inference, which sizes every buffer its plan draws, and then
@@ -342,9 +337,6 @@ func (s *Server) newGeneration(dep *core.Deployment, workers int, warm bool) (*g
 			release()
 			return nil, fmt.Errorf("serve: replicating session %d of %d: %w", i+1, workers, err)
 		}
-		// A serving session lives indefinitely: cap its observation trace so
-		// steady-state requests neither allocate nor accumulate memory.
-		rep.Enclave.Trace().Bound(traceBound)
 		g.secureBytes += rep.SecureBytes
 		g.reps = append(g.reps, rep)
 	}

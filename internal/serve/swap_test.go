@@ -359,49 +359,33 @@ func TestSwapWarmsEveryBatchSize(t *testing.T) {
 }
 
 // TestWarmUpRunsOneSamplePerReplica counts what a warm-up runs by the
-// replicas' meters: after AddModel and after SwapModel every replica has
-// metered exactly one single-sample inference, and New's default pool,
-// which does not warm, none.
+// replicas' completed samples: after AddModel and after SwapModel every
+// replica has run exactly one single-sample inference, and New's default
+// pool, which does not warm, none.
 func TestWarmUpRunsOneSamplePerReplica(t *testing.T) {
 	srv, err := New(testDeployment(t, 7), Config{Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	metered := func(name string) []float64 {
+	check := func(name string, want int) {
 		p, err := srv.lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []float64
-		for _, rep := range p.gen.Load().reps {
-			one, err := rep.ModeledLatency(1)
-			if err != nil {
-				t.Fatal(err)
+		for i, rep := range p.gen.Load().reps {
+			if got := rep.Samples(); got != want {
+				t.Fatalf("%s: replica %d ran %d samples before traffic, want %d", name, i, got, want)
 			}
-			if got := rep.Device.Latency(rep.Enclave.Meter()); got != 0 && got != one {
-				t.Fatalf("%s: a replica metered %v s, one sample is %v s", name, got, one)
-			}
-			out = append(out, rep.Device.Latency(rep.Enclave.Meter()))
-		}
-		return out
-	}
-	for _, lat := range metered(DefaultModel) {
-		if lat != 0 {
-			t.Fatalf("New's default pool ran %v s of inference before traffic", lat)
 		}
 	}
+	check(DefaultModel, 0)
 	if err := srv.AddModel("b", testDeployment(t, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.SwapModel(DefaultModel, testDeployment(t, 9)); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"b", DefaultModel} {
-		for i, lat := range metered(name) {
-			if lat == 0 {
-				t.Fatalf("%s: replica %d ran no warm-up inference", name, i)
-			}
-		}
-	}
+	check("b", 1)
+	check(DefaultModel, 1)
 }

@@ -76,7 +76,7 @@ func TestBackendLatencyGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := workloadMeter()
-		m.SetSecureFootprint(c.footprint)
+		m.secureFootprint = c.footprint
 		got := d.Latency(m)
 		if math.Abs(got-c.want) > 1e-9*c.want {
 			t.Errorf("%s (footprint %d): latency = %.12f, want %.12f",

@@ -198,9 +198,10 @@ func WithSecureMem(d Device, capacity int64) Device {
 // memory, so footprints are reported instead of rejected.
 func Unbounded(d Device) Device { return WithSecureMem(d, 0) }
 
-// Meter accumulates the virtual cost of the protocol runs a session
-// completed, as their scripts (Charge). It is deliberately decoupled from
-// wall-clock time so experiments are deterministic.
+// Meter accumulates the virtual cost of protocol runs, as their scripts
+// (Charge), for a device to price (Device.Latency). Script.Price charges a
+// fresh one per script. It is deliberately decoupled from wall-clock time so
+// experiments are deterministic.
 type Meter struct {
 	reeFlops    float64
 	teeFlops    float64
@@ -211,7 +212,7 @@ type Meter struct {
 	secureFootprint int64
 }
 
-// Charge adds one completed run's script to the meter, step by step in
+// Charge adds one run's script to the meter, step by step in
 // order: a world switch per EvSMC step, each EvTransfer step's bytes, and
 // every step's flops to its world. It is the meter's only writer.
 func (m *Meter) Charge(s Script) {
@@ -229,12 +230,6 @@ func (m *Meter) Charge(s Script) {
 		}
 	}
 }
-
-// SetSecureFootprint records the secure working set of the deployment this
-// meter accounts for. It is sizing state, not an accumulated cost: Deploy
-// sets it once per session, and memory-pressure-sensitive backends (SGX EPC
-// paging) read it when they price the meter.
-func (m *Meter) SetSecureFootprint(bytes int64) { m.secureFootprint = bytes }
 
 // Switches returns the number of world switches recorded.
 func (m *Meter) Switches() int { return m.switches }

@@ -8,7 +8,12 @@ import (
 // ErrSecureMemoryExhausted is returned when an allocation would exceed the
 // device's secure-memory capacity.
 type ErrSecureMemoryExhausted struct {
-	Requested, Used, Capacity int64
+	// Requested is the refused allocation's size in bytes.
+	Requested int64
+	// Used is the bytes already reserved when it was refused.
+	Used int64
+	// Capacity is the accountant's capacity in bytes.
+	Capacity int64
 }
 
 // Error implements the error interface.

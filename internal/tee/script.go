@@ -2,24 +2,29 @@ package tee
 
 // Step is one step of a protocol run: a world crossing (EvSMC, then the
 // payload's EvTransfer), a compute step in one world, a normal-world weight
-// read, or the result's release. Kind, Label and Bytes are what the
-// observation trace records of it; World and Flops are what the meter
+// read, or the result's release. Kind, Label and Bytes are what a
+// normal-world observer may see of it; World and Flops are what the meter
 // charges.
 type Step struct {
-	Kind  EventKind
+	// Kind is what the step does.
+	Kind EventKind
+	// World is where the step computes; its Flops are charged there.
 	World World
+	// Label names the layer, stage or operation the step belongs to.
 	Label string
+	// Flops is the step's arithmetic, at the serving path's throughput.
 	Flops float64
+	// Bytes is the step's payload: a crossing's staged bytes, a compute
+	// step's output, a weight read's parameters, the released logits.
 	Bytes int64
 }
 
 // Script is the ordered step list of one protocol run, fixed when a
 // deployment is planned: which stages compute in which world, which
 // crossings carry which bytes, in what order. It is the only statement of
-// that order. A completed run is charged (Meter.Charge) and recorded
-// (Trace.Record) as its script, one call each, so a run that fails part way
-// leaves neither; a price is the same script charged on a fresh meter
-// (Price), so what a run costs and what it is priced at are one figure.
+// that order, and of what a run costs and shows: a run only computes, its
+// price is its script charged on a fresh meter (Price) and its observable
+// trace is its script filtered (AttackerView).
 type Script []Step
 
 // Cross appends one REE→TEE crossing to s: the world switch, then the
@@ -37,10 +42,17 @@ func (s Script) Price(d Device, footprint int64) float64 {
 	return d.Latency(&m)
 }
 
-// AttackerView returns what a normal-world observer of one run of s sees:
-// the view of a trace that recorded only that run.
+// AttackerView returns what a normal-world observer of one run of s sees,
+// in order: REE computation and weight accesses, transfer payloads, and SMC
+// timing. Secure-world computation and the result's release are filtered
+// out — the TEE is a black box.
 func (s Script) AttackerView() []Event {
-	t := Trace{events: make([]Event, 0, len(s))}
-	t.Record(s)
-	return t.AttackerView()
+	out := make([]Event, 0, len(s))
+	for _, st := range s {
+		switch st.Kind {
+		case EvREECompute, EvREEWeightAccess, EvTransfer, EvSMC:
+			out = append(out, Event{Kind: st.Kind, Label: st.Label, Bytes: st.Bytes})
+		}
+	}
+	return out
 }

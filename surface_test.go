@@ -132,9 +132,10 @@ func importsFacade(f *ast.File) bool {
 // is a package path below internal/ (the whole package) or a declaration as
 // TestInternalReachable prints it. What an entry calls stays with it.
 var reachAllowlist = map[string]string{
-	"cliconf/cliconftest":   "a helper package for tests: the cmd/ and cliconf tests build their flag sets through it",
-	"serial.SaveModel":      "internal/zoo/testdata/stages.golden pins sha256 digests over its bytes (TestStageCharacterization)",
-	"tee.SecureMemory.Used": "serve's swap_test.go and resize_test.go assert that the secure-memory reservation returns to its start",
+	"cliconf/cliconftest":     "a helper package for tests: the cmd/ and cliconf tests build their flag sets through it",
+	"serial.SaveModel":        "internal/zoo/testdata/stages.golden pins sha256 digests over its bytes (TestStageCharacterization)",
+	"tee.SecureMemory.Used":   "serve's swap_test.go and resize_test.go assert that the secure-memory reservation returns to its start",
+	"core.Deployment.Samples": "the one witness that a session ran: serve's TestWarmUpRunsOneSamplePerReplica, fleet's TestPriceOnRunsNoInference, core's TestFailedRunChargesNothing and seceval's TestCaptureIsolatedIsOneProbeRun count completed samples",
 }
 
 // TestInternalReachable holds internal/ to what the program runs: every
