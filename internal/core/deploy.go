@@ -127,9 +127,6 @@ type Deployment struct {
 	// SecureBytes is the secure-memory reservation: M_T's parameters, its
 	// peak activation working set, and the shared-memory staging buffer.
 	SecureBytes int64
-	// qmr/qmt are the quantized branches on the int8 path (nil on f32);
-	// mr and prog.mt are their armed models. Replicas share them.
-	qmr, qmt *quant.QuantizedModel
 
 	// mu serializes the enclave protocol: the staged command sequence keeps
 	// mutable per-call state inside the program, so one session can run only
@@ -140,13 +137,16 @@ type Deployment struct {
 	samples int
 }
 
-// Deploy places a finalized two-branch model onto a device. sampleShape is
-// the per-inference input shape (batch included) used to size the secure
-// working set; Infer rejects batches larger than sampleShape[0]. It fails
-// with ErrNotFinalized for unfinalized models, ErrShape for an unusable
-// sample shape, and ErrSecureMemory if the enclave does not fit.
+// Deploy places a finalized two-branch model onto a device, at the
+// precision its branches were armed for: float32, or int8 when both are
+// armed (quant.Armed; DeployInt8 quantizes and deploys). It serves the
+// branches without a copy. sampleShape is the per-inference input shape
+// (batch included) used to size the secure working set; Infer rejects
+// batches larger than sampleShape[0]. It fails with ErrNotFinalized for
+// unfinalized models, ErrShape for an unusable sample shape or branches of
+// two precisions, and ErrSecureMemory if the enclave does not fit.
 func Deploy(tb *TwoBranch, device tee.Device, sampleShape []int) (*Deployment, error) {
-	return frozen(deployWith(tb, device, sampleShape, nil, nil, nil))
+	return frozen(deployWith(tb, device, sampleShape, nil))
 }
 
 // freezeMu serializes frozen: two sessions deployed at once from the same
@@ -156,8 +156,8 @@ var freezeMu sync.Mutex
 // frozen returns a new deployment d after deriving, once, what its
 // branches' inference reads at the planned sample shape (zoo.Model.Freeze:
 // batch norms' inverse standard deviations, the narrow convolutions' packed
-// weights). Deploy and DeployQuantized return through it; ReplicateOn and
-// Snapshot never do, since their sessions share branches already frozen.
+// weights). Deploy returns through it; ReplicateOn and Snapshot never do,
+// since their sessions share branches already frozen.
 func frozen(d *Deployment, err error) (*Deployment, error) {
 	if err != nil {
 		return nil, err
@@ -170,11 +170,8 @@ func frozen(d *Deployment, err error) (*Deployment, error) {
 }
 
 // deployWith is Deploy with an optional shared secure-memory accountant (a
-// nil mem gets a fresh per-session budget of device.SecureMemBytes()) and
-// the quantized branches qmr/qmt, non-nil on the int8 path, where the
-// branches in tb are their armed models.
-func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.SecureMemory,
-	qmr, qmt *quant.QuantizedModel) (*Deployment, error) {
+// nil mem gets a fresh per-session budget of device.SecureMemBytes()).
+func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.SecureMemory) (*Deployment, error) {
 	if device == nil {
 		return nil, fmt.Errorf("core: deploy onto a nil device: %w", ErrShape)
 	}
@@ -202,12 +199,16 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 		return nil, fmt.Errorf("core: M_R has %d stages, M_T %d: %w",
 			len(tb.MR.Stages), len(tb.MT.Stages), ErrShape)
 	}
+	quantized := quant.Armed(tb.MT)
+	if quant.Armed(tb.MR) != quantized {
+		return nil, fmt.Errorf("core: M_R and M_T are armed for different precisions: %w", ErrShape)
+	}
 	// The plan scripts every admissible batch size with flops at the serving
 	// path's throughput (int8 under the device's int8 ratio), so a run
 	// charges quantized-kernel figures with no hot-path branching; the
 	// deploy-time sizing below reads the full-batch profiles.
 	speedup := 1.0
-	if qmt != nil {
+	if quantized {
 		speedup = tee.Int8SpeedupOf(device)
 	}
 	plan := newInferPlan(tb, sampleShape, speedup)
@@ -222,11 +223,11 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 		}
 	}
 	secureBytes := mtCost.SecureFootprintBytes() + staging
-	if qmt != nil {
+	if quantized {
 		// Quantized parameters replace the float32 resident set; activations
 		// (requantized to float32 at layer boundaries) and staging are
 		// unchanged.
-		secureBytes = qmt.ParamBytes() + mtCost.PeakActivationBytes() + staging
+		secureBytes = quant.ParamBytes(tb.MT) + mtCost.PeakActivationBytes() + staging
 	}
 	if mem == nil {
 		mem = tee.NewSecureMemory(device.SecureMemBytes())
@@ -249,8 +250,6 @@ func deployWith(tb *TwoBranch, device tee.Device, sampleShape []int, mem *tee.Se
 		plan:        plan,
 		sampleShape: append([]int(nil), sampleShape...),
 		SecureBytes: secureBytes,
-		qmr:         qmr,
-		qmt:         qmt,
 	}, nil
 }
 
@@ -279,24 +278,20 @@ func (d *Deployment) ReplicateOn(device tee.Device, batch int, mem *tee.SecureMe
 	if batch >= 1 {
 		shape[0] = batch
 	}
-	// The shared branches keep the int8 arming, so a replica neither
-	// re-arms nor re-packs them, and the quantized pair keeps the int8
-	// pricing on the new device.
-	return deployWith(d.Snapshot(), device, shape, mem, d.qmr, d.qmt)
+	// The shared branches keep their int8 arming, so a replica neither
+	// re-arms nor re-packs them, and keeps the int8 pricing on the new
+	// device.
+	return deployWith(d.Snapshot(), device, shape, mem)
 }
 
-// Precision returns the deployment's numeric serving path.
+// Precision returns the deployment's numeric serving path, read off its
+// secure branch's layers (quant.Armed).
 func (d *Deployment) Precision() Precision {
-	if d.qmt != nil {
+	if quant.Armed(d.prog.mt) {
 		return PrecisionInt8
 	}
 	return PrecisionF32
 }
-
-// Quantized returns the quantized branches of an int8 deployment (nil, nil
-// on the f32 path). Their records and armed models are immutable and shared
-// with the live session; callers must not mutate them.
-func (d *Deployment) Quantized() (qmr, qmt *quant.QuantizedModel) { return d.qmr, d.qmt }
 
 // SampleShape returns the [N,C,H,W] shape the deployment was sized for.
 func (d *Deployment) SampleShape() []int { return append([]int(nil), d.sampleShape...) }

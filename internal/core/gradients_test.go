@@ -24,14 +24,13 @@ func TestServedReplicaHoldsNoGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qmr, qmt := q.Quantized()
 	store, err := registry.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	arts := map[string]*serial.Artifact{
 		"f32":  {TB: tb, Device: "rpi3", SampleShape: shape},
-		"int8": {Precision: string(core.PrecisionInt8), QMR: qmr, QMT: qmt, Align: q.Snapshot().Align, Device: "rpi3", SampleShape: shape},
+		"int8": {TB: q.Snapshot(), Device: "rpi3", SampleShape: shape},
 	}
 	for name, art := range arts {
 		if _, err := store.Save(name, art); err != nil {

@@ -39,25 +39,9 @@ func ParsePrecision(s string) (Precision, error) {
 // float32 activation working set — on paging-sensitive backends (SGX) that
 // alone can flip the deployment from paging to resident.
 func DeployInt8(tb *TwoBranch, device tee.Device, sampleShape []int) (*Deployment, error) {
-	if tb == nil || tb.MR == nil || tb.MT == nil {
-		return nil, fmt.Errorf("core: deploy of a nil two-branch model: %w", ErrShape)
+	if tb == nil || tb.MR == nil || tb.MT == nil || !tb.Finalized {
+		return Deploy(tb, device, sampleShape) // which refuses it
 	}
-	if !tb.Finalized {
-		return nil, fmt.Errorf("core: deploy requires a finalized model (run FinalizeRollback): %w",
-			ErrNotFinalized)
-	}
-	return DeployQuantized(quant.Quantize(tb.MR), quant.Quantize(tb.MT), tb.Align, device, sampleShape)
-}
-
-// DeployQuantized places already-quantized branches (for example loaded from
-// a v3 artifact) onto a device. It serves their armed models without a
-// copy: an armed model is immutable, so every deployment of the same
-// branches, its replicas and artifact saves share the models, the records
-// and the alignment maps by reference.
-func DeployQuantized(qmr, qmt *quant.QuantizedModel, align [][]int, device tee.Device, sampleShape []int) (*Deployment, error) {
-	if qmr == nil || qmt == nil {
-		return nil, fmt.Errorf("core: deploy of nil quantized branches: %w", ErrShape)
-	}
-	tb := &TwoBranch{MR: qmr.Model, MT: qmt.Model, Align: align, Finalized: true}
-	return frozen(deployWith(tb, device, sampleShape, nil, qmr, qmt))
+	qtb := &TwoBranch{MR: quant.Quantize(tb.MR), MT: quant.Quantize(tb.MT), Align: tb.Align, Finalized: true}
+	return Deploy(qtb, device, sampleShape)
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tbnet/internal/quant"
 	"tbnet/internal/tee"
 )
 
@@ -217,9 +218,19 @@ func TestInt8ReplicatePreservesPrecision(t *testing.T) {
 	if got, want := rep.plan.scripts, dep.plan.scripts; !reflect.DeepEqual(got, want) {
 		t.Fatalf("replica scripts %v, original %v", got, want)
 	}
-	qmr, qmt := rep.Quantized()
-	if qmr == nil || qmt == nil {
-		t.Fatal("int8 replica lost its quantized records")
+	if rep.Snapshot().MT != dep.Snapshot().MT || cross.Snapshot().MR != dep.Snapshot().MR {
+		t.Fatal("an int8 replica does not share the original's armed branches")
+	}
+}
+
+// TestDeployInt8RefusesBranchesOfTwoPrecisions: Deploy reads the precision
+// off the armed layers, so a model whose branches disagree is refused
+// rather than priced as either.
+func TestDeployInt8RefusesBranchesOfTwoPrecisions(t *testing.T) {
+	tb, _ := finalizedTB(t, 282)
+	mixed := &TwoBranch{MR: quant.Quantize(tb.MR), MT: tb.MT, Align: tb.Align, Finalized: true}
+	if _, err := Deploy(mixed, tee.RaspberryPi3(), []int{1, 3, 16, 16}); !errors.Is(err, ErrShape) {
+		t.Fatalf("Deploy of an int8 M_R beside a float32 M_T: err = %v, want ErrShape", err)
 	}
 }
 

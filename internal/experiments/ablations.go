@@ -128,11 +128,11 @@ func (l *Lab) AblationQuant() *report.Table {
 	fp32Bytes := profile.Profile(p.TB.MT, sampleShape()).TotalParamBytes()
 	t.AddRow("float32", report.Bytes(fp32Bytes), report.Pct(p.TBAcc))
 
-	qm := quant.Quantize(p.TB.MT)
+	qmt := quant.Quantize(p.TB.MT)
 	deq := p.TB.Clone()
-	deq.MT = qm.Dequantize()
+	deq.MT = quant.Dequantize(qmt)
 	acc := core.EvaluateTwoBranch(deq, p.Test, s.BatchSize)
-	t.AddRow("int8 (per-channel)", report.Bytes(qm.ParamBytes()), report.Pct(acc))
+	t.AddRow("int8 (per-channel)", report.Bytes(quant.ParamBytes(qmt)), report.Pct(acc))
 	return t
 }
 

@@ -236,16 +236,11 @@ func (l *Lab) TableQuant() *report.Table {
 	s := l.cfg.Scale
 
 	// Quantize once; every device deploys the same immutable armed models.
-	qmr, qmt := quant.Quantize(p.TB.MR), quant.Quantize(p.TB.MT)
-	qtb := &core.TwoBranch{MR: qmr.Model, MT: qmt.Model, Align: p.TB.Align, Finalized: true}
+	qtb := &core.TwoBranch{MR: quant.Quantize(p.TB.MR), MT: quant.Quantize(p.TB.MT), Align: p.TB.Align, Finalized: true}
 	i8Acc := core.EvaluateTwoBranch(qtb, p.Test, s.BatchSize)
 
 	for _, dev := range tee.Devices() {
-		f32 := mustDeploy(p.TB, tee.Unbounded(dev))
-		i8, err := core.DeployQuantized(qmr, qmt, p.TB.Align, tee.Unbounded(dev), sampleShape())
-		if err != nil {
-			panic(err)
-		}
+		f32, i8 := mustDeploy(p.TB, tee.Unbounded(dev)), mustDeploy(qtb, tee.Unbounded(dev))
 		if i8.SecureBytes > t.PeakSecureBytes {
 			t.PeakSecureBytes = i8.SecureBytes
 		}

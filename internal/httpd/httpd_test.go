@@ -537,11 +537,7 @@ func TestSwapOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qmr, qmt := refQ.Quantized()
-	int8Art := &serial.Artifact{
-		Precision: string(core.PrecisionInt8), QMR: qmr, QMT: qmt, Align: refQ.Snapshot().Align,
-		Device: "rpi3", SampleShape: shape,
-	}
+	int8Art := &serial.Artifact{TB: refQ.Snapshot(), Device: "rpi3", SampleShape: shape}
 	var int8Body bytes.Buffer
 	if err := serial.SaveDeployment(&int8Body, int8Art); err != nil {
 		t.Fatal(err)

@@ -8,12 +8,12 @@ import (
 
 // This file is the int8 inference path. A layer is "armed" for int8 by
 // attaching offline-quantized weights (SetInt8Weights), which replace its
-// float32 ones: a layer holds one layout of its weights, and SetWeights is
-// the way back. Its ForwardInto then routes through the int8 kernels:
-// activations are quantized dynamically per sample with a symmetric
-// per-tensor scale, the convolution/matmul runs in exact int8×int8→int32
-// arithmetic, and the result is requantized back to float32 at the layer
-// boundary (acc · s_w · s_x, plus the float32 bias).
+// float32 ones: a layer holds one layout of its weights (Int8Weights reads
+// them back), and SetWeights is the way back. Its ForwardInto then routes
+// through the int8 kernels: activations are quantized dynamically per
+// sample with a symmetric per-tensor scale, the convolution/matmul runs in
+// exact int8×int8→int32 arithmetic, and the result is requantized back to
+// float32 at the layer boundary (acc · s_w · s_x, plus the float32 bias).
 // Batch norm, activations, and pooling always run in float32 — they are a
 // negligible share of both compute and footprint, and keeping them float
 // means the int8 path needs no BN folding or retraining.
@@ -30,13 +30,13 @@ func quantizeSample(sample []float32, dst []int8) (scale float32) {
 // [OutC, InC*KH*KW] channel-major int8 matrix as the artifact stores it,
 // scales the per-output-channel weight scales. tensor.PackI8Weights lays
 // the rows out for the int8 kernel in one pass, permuted to the
-// (ky, kx, channel) order the HWC patch lowering produces: a copy in that
-// order (below AMX), or in AMX tile blocks, or — for a 1×1 kernel below
-// AMX, where the two orders coincide — data itself. The layer keeps only
-// that packed form. int8×int8→int32 accumulation is exact, so reordering
-// the shared dimension of both GEMM operands leaves every accumulator
-// unchanged. The layer drops its float32 weights and narrow pack (bias
-// stays float32).
+// (ky, kx, channel) order the HWC patch lowering produces: row-major below
+// AMX (for a 1×1 kernel, where the two orders coincide, data itself), in
+// tile blocks at AMX. The layer keeps only that packed form; Int8Weights
+// reads the rows back out of it. int8×int8→int32 accumulation is exact, so
+// reordering the shared dimension of both GEMM operands leaves every
+// accumulator unchanged. The layer drops its float32 weights and narrow
+// pack (bias stays float32).
 func (c *Conv2D) SetInt8Weights(data []int8, scales []float32) error {
 	kk := c.KH * c.KW
 	if len(data) != c.OutC*c.InC*kk || len(scales) != c.OutC {
@@ -46,6 +46,13 @@ func (c *Conv2D) SetInt8Weights(data []int8, scales []float32) error {
 	c.qw, c.qscale = tensor.PackI8Weights(data, c.OutC, c.InC*kk, kk), scales
 	c.W, c.narrow = nil, nil
 	return nil
+}
+
+// Int8Weights returns what SetInt8Weights armed the convolution with, the
+// rows read back out of the packed form (tensor.UnpackI8Weights); nil, nil
+// on a float32 layer. The caller must not modify either.
+func (c *Conv2D) Int8Weights() ([]int8, []float32) {
+	return tensor.UnpackI8Weights(c.qw, c.KH*c.KW), c.qscale
 }
 
 // Int8 reports whether the convolution is armed with quantized weights.
@@ -121,6 +128,11 @@ func (d *DepthwiseConv2D) SetInt8Weights(data []int8, scales []float32) error {
 	return nil
 }
 
+// Int8Weights returns what SetInt8Weights armed the depthwise convolution
+// with, as given; nil, nil on a float32 layer. The caller must not modify
+// either.
+func (d *DepthwiseConv2D) Int8Weights() ([]int8, []float32) { return d.qw, d.qscale }
+
 // forwardIntoI8 runs the depthwise convolution in int32 accumulation over
 // the quantized sample, requantizing per channel and then applying ep (when
 // set) to the channel. Scalar per-tap loops — the window is tiny (k×k), so
@@ -195,6 +207,14 @@ func (d *Dense) SetInt8Weights(data []int8, scales []float32) error {
 	d.qw, d.qscale, d.W = tensor.PackI8Weights(data, d.Out, d.In, 1), scales, nil
 	return nil
 }
+
+// Int8Weights returns the [Out, In] matrix and scales SetInt8Weights armed
+// the dense layer with, the matrix read back out of the packed form; nil,
+// nil on a float32 layer. The caller must not modify either.
+func (d *Dense) Int8Weights() ([]int8, []float32) { return tensor.UnpackI8Weights(d.qw, 1), d.qscale }
+
+// Int8 reports whether the dense layer is armed with quantized weights.
+func (d *Dense) Int8() bool { return d.qw != nil }
 
 // forwardIntoI8 quantizes each input row with its own dynamic scale, runs
 // one int8 GEMM for the whole batch — the packed weights against the input

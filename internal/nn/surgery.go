@@ -212,10 +212,16 @@ type Weighted interface {
 	Weight() *Param
 	// Bias returns the bias parameter, nil when the layer has none.
 	Bias() *Param
+	// WeightShape returns the [rows, cols] of the weights, float32 or int8.
+	WeightShape() (rows, cols int)
 	// SetInt8Weights arms the layer's int8 inference path with the
 	// [rows, cols] quantized matrix and its per-row scales, dropping the
 	// float32 weights.
 	SetInt8Weights(data []int8, scales []float32) error
+	// Int8Weights is the mirror of SetInt8Weights: the [rows, cols] matrix
+	// and scales the layer was armed with, bit for bit; nil, nil on a
+	// float32 layer.
+	Int8Weights() (data []int8, scales []float32)
 	// SetWeights gives the layer the float32 [rows, cols] weights w,
 	// dropping its int8 arming.
 	SetWeights(w *tensor.Tensor)
@@ -225,6 +231,12 @@ type Weighted interface {
 
 // Weight returns the float32 [OutC, InC*KH*KW] weights (floatWeight).
 func (c *Conv2D) Weight() *Param { return floatWeight(c.name, c.W) }
+
+// WeightShape returns [OutC, InC*KH*KW].
+func (c *Conv2D) WeightShape() (rows, cols int) { return c.OutC, c.InC * c.KH * c.KW }
+
+// WeightShape returns [C, K*K].
+func (d *DepthwiseConv2D) WeightShape() (rows, cols int) { return d.C, d.K * d.K }
 
 // Bias returns the bias parameter, nil when bias is disabled.
 func (c *Conv2D) Bias() *Param { return c.B }

@@ -4,216 +4,196 @@
 // (scale = max|w| / 127); batch-norm parameters and biases stay float32
 // (they are a negligible fraction of the footprint). Quantization shrinks
 // the TEE-resident parameter bytes ~4× at a small accuracy cost, which the
-// ablation experiment quantifies.
+// ablation experiment quantifies. An int8 branch is its armed model: its
+// layers hold the packed weights the kernels read and nothing else. The
+// per-layer records (Record) exist only in passing, from a reader into Arm
+// and from Records out to a writer.
 package quant
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"tbnet/internal/nn"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
 
-// QuantizedConv is one convolution's int8 weights with per-output scales.
-type QuantizedConv struct {
-	// OutC and Cols are the weight matrix dimensions [OutC, Cols].
-	OutC, Cols int
-	// Data is the row-major [OutC, Cols] int8 weight matrix.
+// Record is one layer's int8 weights, as an artifact stores them.
+type Record struct {
+	// Rows and Cols are the weight matrix dimensions: [OutC, InC·k·k] for
+	// a convolution, and [Out, In] for a dense layer, transposed relative
+	// to its float32 [In, Out] storage so each output's weights form one
+	// contiguous dot-product row.
+	Rows, Cols int
+	// Data is the row-major [Rows, Cols] int8 weight matrix.
 	Data []int8
-	// Scales holds one symmetric scale per output channel.
+	// Scales holds one symmetric scale per row (output channel).
 	Scales []float32
-	// Bias is the float32 bias, nil when absent (never quantized).
+	// Bias is the layer's float32 bias (never quantized), nil when absent.
 	Bias []float32
 }
 
-// QuantizedDense is a dense layer's int8 weights with per-column scales.
-type QuantizedDense struct {
-	// In and Out are the layer's input and output widths.
-	In, Out int
-	// Data is the row-major [Out, In] int8 weight matrix (transposed
-	// relative to the float32 [In, Out] storage so each output's weights
-	// form one contiguous dot-product row).
-	Data []int8
-	// Scales holds one symmetric scale per output column.
-	Scales []float32
-	// Bias is the float32 bias (never quantized).
-	Bias []float32
-}
-
-// QuantizedModel is a staged model quantized for int8 serving: the armed
-// model and the int8 records it was armed from.
-type QuantizedModel struct {
-	// Model is the armed model: every convolution and the head run the int8
-	// kernels and hold no float32 weights; the architecture, biases and BN
-	// parameters stay float32. It is immutable once armed, so deployments
-	// share it.
-	Model  *zoo.Model
-	Convs  []QuantizedConv  // in stage traversal order
-	Denses []QuantizedDense // the head (and any future dense layers)
-}
-
-// quantizeRows quantizes a [rows, cols] matrix with one scale per row.
-func quantizeRows(w *tensor.Tensor) ([]int8, []float32) {
-	rows, cols := w.Dim(0), w.Dim(1)
-	data := make([]int8, rows*cols)
-	scales := make([]float32, rows)
-	for r := 0; r < rows; r++ {
-		row := w.Data()[r*cols : (r+1)*cols]
-		var maxAbs float32
-		for _, v := range row {
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a > maxAbs {
-				maxAbs = a
-			}
-		}
-		scale := maxAbs / 127
+// quantizeRows cuts the record of the [rows, cols] weights w, one scale per
+// row, and the layer's bias.
+func quantizeRows(w *tensor.Tensor, bias []float32) Record {
+	q := Record{Rows: w.Dim(0), Cols: w.Dim(1), Data: make([]int8, w.Size()), Scales: make([]float32, w.Dim(0)), Bias: bias}
+	for r := range q.Scales {
+		row := w.Data()[r*q.Cols : (r+1)*q.Cols]
+		scale := tensor.MaxAbs(row) / 127
 		if scale == 0 {
 			scale = 1
 		}
-		scales[r] = scale
+		q.Scales[r] = scale
 		for i, v := range row {
-			q := v / scale
-			switch {
-			case q > 127:
-				q = 127
-			case q < -127:
-				q = -127
-			}
-			if q >= 0 {
-				data[r*cols+i] = int8(q + 0.5)
+			v = min(max(v/scale, -127), 127)
+			if v >= 0 {
+				q.Data[r*q.Cols+i] = int8(v + 0.5)
 			} else {
-				data[r*cols+i] = int8(q - 0.5)
+				q.Data[r*q.Cols+i] = int8(v - 0.5)
 			}
 		}
 	}
-	return data, scales
+	return q
 }
 
-// dequantizeRows reverses quantizeRows into a new [rows, cols] matrix.
-func dequantizeRows(data []int8, scales []float32, rows, cols int) *tensor.Tensor {
-	dst := tensor.New(rows, cols)
-	for r := 0; r < rows; r++ {
-		s := scales[r]
-		for i := 0; i < cols; i++ {
-			dst.Data()[r*cols+i] = float32(data[r*cols+i]) * s
-		}
+// dequantizeRows reverses quantizeRows into a new [Rows, Cols] matrix.
+func dequantizeRows(q Record) *tensor.Tensor {
+	dst := tensor.New(q.Rows, q.Cols)
+	for i, v := range q.Data {
+		dst.Data()[i] = float32(v) * q.Scales[i/q.Cols]
 	}
 	return dst
 }
 
-// Quantize converts a float32 model into its int8 serving form; it panics,
-// naming the layer, when m is already int8 (nn.Weighted.Weight). The input
-// model is not modified: its float32 weights are read once, into the
-// records, which then arm a copy of m made without weights
-// (nn.CloneBare), so no float32 weight is copied.
-func Quantize(m *zoo.Model) *QuantizedModel {
-	var convs []QuantizedConv
+// Quantize converts a float32 model into its int8 serving form: a copy of m
+// made without weights (nn.CloneBare), armed (Arm) with records cut from
+// m's float32 weights. It panics, naming the layer, when m is already int8
+// (nn.Weighted.Weight). m is not modified and no float32 weight is copied.
+func Quantize(m *zoo.Model) *zoo.Model {
+	var convs []Record
 	for _, s := range m.Stages {
 		for _, c := range s.Convs() {
-			w := c.Weight().Value
-			data, scales := quantizeRows(w)
-			q := QuantizedConv{OutC: w.Dim(0), Cols: w.Dim(1), Data: data, Scales: scales}
-			if b := c.Bias(); b != nil {
-				q.Bias = append([]float32(nil), b.Value.Data()...)
-			}
-			convs = append(convs, q)
+			convs = append(convs, quantizeRows(c.Weight().Value, biasOf(c.Bias())))
 		}
 	}
-	fc := m.Head.FC
 	// Dense weights are [In, Out]; quantize per output column by transposing.
-	data, scales := quantizeRows(tensor.Transpose(fc.Weight().Value))
-	denses := []QuantizedDense{{
-		In: fc.In, Out: fc.Out, Data: data, Scales: scales,
-		Bias: append([]float32(nil), fc.B.Value.Data()...),
-	}}
-	qm, err := Arm(m.CloneWith(nn.CloneBare), convs, denses)
-	if err != nil {
+	fc := m.Head.FC
+	head := quantizeRows(tensor.Transpose(fc.Weight().Value), fc.B.Value.Data())
+	out := m.CloneWith(nn.CloneBare)
+	if err := Arm(out, convs, []Record{head}); err != nil {
 		panic(err) // records cut from m itself always fit its copy
 	}
-	return qm
+	return out
 }
 
-// Arm attaches int8 records to m and returns the quantized branch: every
-// convolution, in stage traversal order (zoo.Stage.Convs), and then the head
-// take their record's weights (SetInt8Weights, which drops any float32
-// ones). m is armed in place and keeps its own biases, which the records
-// copy; Quantize and the artifact loader both build it with no weights. Arm
-// fails when the records do not fit m: a count, a layer's dimensions or the
-// head's [In, Out] differ.
-func Arm(m *zoo.Model, convs []QuantizedConv, denses []QuantizedDense) (*QuantizedModel, error) {
+// Arm gives m's layers the int8 records: every convolution, in stage
+// traversal order (zoo.Stage.Convs), and then the head (the one dense
+// record) take their record's weights (SetInt8Weights, which drops any
+// float32 ones). m keeps its own biases; Quantize and the artifact loader
+// both build it with no weights. Arm fails when the records do not fit m: a
+// count, a layer's dimensions, or a record's bias, which must be m's bias
+// bit for bit (both absent, or equal). The layers keep no record: their
+// packed weights are the branch's only copy (Records reads them back).
+func Arm(m *zoo.Model, convs, denses []Record) error {
 	ci := 0
 	for si, s := range m.Stages {
 		for _, c := range s.Convs() {
 			if ci >= len(convs) {
-				return nil, fmt.Errorf("quant: stage %d: model needs more than %d quantized convolutions", si, len(convs))
+				return fmt.Errorf("quant: stage %d: model needs more than %d quantized convolutions", si, len(convs))
 			}
 			q := &convs[ci]
 			ci++
+			if !sameBits(q.Bias, biasOf(c.Bias())) {
+				return fmt.Errorf("quant: stage %d: quantized convolution %d's bias differs from the layer's", si, ci-1)
+			}
 			if err := c.SetInt8Weights(q.Data, q.Scales); err != nil {
-				return nil, fmt.Errorf("quant: stage %d: %w", si, err)
+				return fmt.Errorf("quant: stage %d: %w", si, err)
 			}
 		}
 	}
 	if ci != len(convs) {
-		return nil, fmt.Errorf("quant: %d quantized convolutions but model consumed %d", len(convs), ci)
+		return fmt.Errorf("quant: %d quantized convolutions but model consumed %d", len(convs), ci)
 	}
 	if len(denses) != 1 {
-		return nil, fmt.Errorf("quant: expected 1 quantized dense layer, have %d", len(denses))
+		return fmt.Errorf("quant: expected 1 quantized dense layer, have %d", len(denses))
 	}
 	qd, fc := denses[0], m.Head.FC
-	if qd.In != fc.In || qd.Out != fc.Out {
-		return nil, fmt.Errorf("quant: head is [%d,%d], quantized dense is [%d,%d]",
-			fc.In, fc.Out, qd.In, qd.Out)
+	switch {
+	case qd.Rows != fc.Out || qd.Cols != fc.In:
+		return fmt.Errorf("quant: head is [%d,%d], quantized dense is [%d,%d]", fc.In, fc.Out, qd.Cols, qd.Rows)
+	case !sameBits(qd.Bias, fc.B.Value.Data()):
+		return fmt.Errorf("quant: the quantized head's bias differs from the layer's")
 	}
-	// QuantizedDense.Data is already [Out, In] — the dot-product layout the
-	// int8 dense kernel expects.
-	if err := fc.SetInt8Weights(qd.Data, qd.Scales); err != nil {
-		return nil, fmt.Errorf("quant: head: %w", err)
-	}
-	return &QuantizedModel{Model: m, Convs: convs, Denses: denses}, nil
+	return fc.SetInt8Weights(qd.Data, qd.Scales)
 }
 
-// Dequantize reconstructs a float32 model: a weightless copy of the armed
-// model (nn.CloneBare) whose every convolution and head is given float32
+// Records reads the int8 records back out of an armed model, in Arm's
+// order (nn.Weighted.Int8Weights), so Arm re-arms a bare copy of m with
+// them bit for bit. They share the layers' scales and biases, and may share
+// their weights, so they are for writing out, not for modifying or keeping.
+func Records(m *zoo.Model) (convs, denses []Record) {
+	for _, s := range m.Stages {
+		for _, c := range s.Convs() {
+			data, scales := c.Int8Weights()
+			rows, cols := c.WeightShape()
+			convs = append(convs, Record{Rows: rows, Cols: cols, Data: data, Scales: scales, Bias: biasOf(c.Bias())})
+		}
+	}
+	fc := m.Head.FC
+	data, scales := fc.Int8Weights()
+	return convs, []Record{{Rows: fc.Out, Cols: fc.In, Data: data, Scales: scales, Bias: fc.B.Value.Data()}}
+}
+
+// Armed reports whether m is an int8 branch. Arm arms every layer or fails,
+// so the head answers for the model.
+func Armed(m *zoo.Model) bool { return m.Head.FC.Int8() }
+
+// Dequantize reconstructs a float32 model from an armed one: a weightless
+// copy (nn.CloneBare) whose every convolution and head is given float32
 // weights rebuilt from the records.
-func (qm *QuantizedModel) Dequantize() *zoo.Model {
-	out := qm.Model.CloneWith(nn.CloneBare)
+func Dequantize(m *zoo.Model) *zoo.Model {
+	convs, denses := Records(m)
+	out := m.CloneWith(nn.CloneBare)
 	ci := 0
 	for _, s := range out.Stages {
 		for _, c := range s.Convs() {
-			q := qm.Convs[ci]
+			c.SetWeights(dequantizeRows(convs[ci]))
 			ci++
-			c.SetWeights(dequantizeRows(q.Data, q.Scales, q.OutC, q.Cols))
 		}
 	}
-	qd := qm.Denses[0]
-	out.Head.FC.SetWeights(tensor.Transpose(dequantizeRows(qd.Data, qd.Scales, qd.Out, qd.In)))
+	out.Head.FC.SetWeights(tensor.Transpose(dequantizeRows(denses[0])))
 	return out
 }
 
-// ParamBytes returns the quantized parameter footprint: int8 weights, float32
-// scales and biases, float32 BN parameters of the armed model.
-func (qm *QuantizedModel) ParamBytes() int64 {
-	var n int64
-	for _, q := range qm.Convs {
-		n += int64(len(q.Data)) // int8 weights
-		n += int64(len(q.Scales)) * 4
-		n += int64(len(q.Bias)) * 4
-	}
-	for _, q := range qm.Denses {
-		n += int64(len(q.Data))
-		n += int64(len(q.Scales)) * 4
-		n += int64(len(q.Bias)) * 4
-	}
-	// BN parameters (γ, β, running stats) remain float32.
-	for _, s := range qm.Model.Stages {
+// ParamBytes returns the parameter footprint of an armed model, from its
+// layers' dimensions: int8 weights, float32 scales and biases, and the
+// batch norms' float32 γ, β and running statistics.
+func ParamBytes(m *zoo.Model) int64 {
+	fc := m.Head.FC
+	n := fc.In*fc.Out + 8*fc.Out
+	for _, s := range m.Stages {
+		for _, c := range s.Convs() {
+			rows, cols := c.WeightShape()
+			n += rows*cols + 4*rows + 4*len(biasOf(c.Bias()))
+		}
 		for _, bn := range s.Norms() {
-			n += int64(bn.C) * 4 * 4
+			n += 16 * bn.C
 		}
 	}
-	return n
+	return int64(n)
+}
+
+// biasOf returns a bias parameter's values, nil for none.
+func biasOf(b *nn.Param) []float32 {
+	if b == nil {
+		return nil
+	}
+	return b.Value.Data()
+}
+
+// sameBits reports whether a and b hold the same float32 bits.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }

@@ -19,8 +19,7 @@ func randX(n int, seed uint64) *tensor.Tensor {
 
 func TestQuantizeRoundTripCloseVGG(t *testing.T) {
 	m := zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(1))
-	qm := Quantize(m)
-	deq := qm.Dequantize()
+	deq := Dequantize(Quantize(m))
 	x := randX(2, 2)
 	a := m.Forward(x.Clone(), false)
 	b := deq.Forward(x.Clone(), false)
@@ -35,8 +34,7 @@ func TestQuantizeRoundTripCloseVGG(t *testing.T) {
 
 func TestQuantizeRoundTripCloseResNet(t *testing.T) {
 	m := zoo.BuildResNet(zoo.TinyResNetConfig(4), true, tensor.NewRNG(3))
-	qm := Quantize(m)
-	deq := qm.Dequantize()
+	deq := Dequantize(Quantize(m))
 	x := randX(2, 4)
 	a := m.Forward(x.Clone(), false)
 	b := deq.Forward(x.Clone(), false)
@@ -64,7 +62,7 @@ func TestQuantizeDoesNotMutateInput(t *testing.T) {
 func TestQuantizedFootprintMuchSmaller(t *testing.T) {
 	m := zoo.BuildVGG(zoo.VGG18Config(10), tensor.NewRNG(6))
 	fp32 := profile.Profile(m, []int{1, 3, 16, 16}).TotalParamBytes()
-	q := Quantize(m).ParamBytes()
+	q := ParamBytes(Quantize(m))
 	ratio := float64(fp32) / float64(q)
 	if ratio < 3.0 {
 		t.Fatalf("quantization ratio %.2f, want ≥ 3x", ratio)
@@ -73,9 +71,9 @@ func TestQuantizedFootprintMuchSmaller(t *testing.T) {
 
 func TestQuantValuesInRange(t *testing.T) {
 	m := zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(7))
-	qm := Quantize(m)
-	for _, q := range qm.Convs {
-		if len(q.Data) != q.OutC*q.Cols || len(q.Scales) != q.OutC {
+	convs, _ := Records(Quantize(m))
+	for _, q := range convs {
+		if len(q.Data) != q.Rows*q.Cols || len(q.Scales) != q.Rows {
 			t.Fatalf("inconsistent quantized conv: %d data, %d scales", len(q.Data), len(q.Scales))
 		}
 		for _, s := range q.Scales {
@@ -90,7 +88,7 @@ func TestQuantZeroWeightLayer(t *testing.T) {
 	// All-zero weights must survive (scale falls back to 1, values 0).
 	m := zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(8))
 	m.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Zero()
-	deq := Quantize(m).Dequantize()
+	deq := Dequantize(Quantize(m))
 	if tensor.MaxAbs(deq.Stages[0].(*zoo.ConvBlock).Conv.W.Value.Data()) != 0 {
 		t.Fatal("zero weights corrupted by quantization")
 	}
@@ -100,7 +98,7 @@ func TestQuantMaxErrorBound(t *testing.T) {
 	// Per-row symmetric int8: |w - deq(w)| ≤ scale/2 = max|w|/254.
 	m := zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(9))
 	orig := m.Stages[1].(*zoo.ConvBlock).Conv.W.Value.Clone()
-	deq := Quantize(m).Dequantize()
+	deq := Dequantize(Quantize(m))
 	got := deq.Stages[1].(*zoo.ConvBlock).Conv.W.Value
 	cols := orig.Dim(1)
 	for r := 0; r < orig.Dim(0); r++ {
@@ -121,7 +119,7 @@ func TestQuantMaxErrorBound(t *testing.T) {
 
 func TestQuantizeRoundTripCloseMobileNet(t *testing.T) {
 	m := zoo.BuildMobileNet(zoo.MobileNetSConfig(4), tensor.NewRNG(40))
-	deq := Quantize(m).Dequantize()
+	deq := Dequantize(Quantize(m))
 	x := randX(2, 41)
 	a := m.Forward(x.Clone(), false)
 	b := deq.Forward(x.Clone(), false)
@@ -143,7 +141,8 @@ func TestQuantAllZeroRowScaleIsOne(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		w.Data()[1*8+i] = 0 // middle row all zero
 	}
-	data, scales := quantizeRows(w)
+	q := quantizeRows(w, nil)
+	data, scales := q.Data, q.Scales
 	if scales[1] != 1 {
 		t.Fatalf("all-zero row quantized with scale %v, want exactly 1", scales[1])
 	}
@@ -159,7 +158,7 @@ func TestQuantAllZeroRowScaleIsOne(t *testing.T) {
 
 func assertArmedClose(t *testing.T, m *zoo.Model, seed uint64) {
 	t.Helper()
-	rm := Quantize(m).Model
+	rm := Quantize(m)
 	x := randX(2, seed)
 	a := m.Forward(x.Clone(), false)
 	b := rm.Forward(x.Clone(), false)
@@ -178,7 +177,7 @@ func assertArmedClose(t *testing.T, m *zoo.Model, seed uint64) {
 
 func TestQuantizeVGGRunsInt8(t *testing.T) {
 	m := zoo.BuildVGG(zoo.TinyVGGConfig(4), tensor.NewRNG(21))
-	rm := Quantize(m).Model
+	rm := Quantize(m)
 	for i, s := range rm.Stages {
 		if !s.(*zoo.ConvBlock).Conv.Int8() {
 			t.Fatalf("stage %d conv not armed for int8", i)
@@ -192,7 +191,7 @@ func TestQuantizeVGGRunsInt8(t *testing.T) {
 
 func TestQuantizeResNetRunsInt8(t *testing.T) {
 	m := zoo.BuildResNet(zoo.TinyResNetConfig(4), true, tensor.NewRNG(23))
-	rm := Quantize(m).Model
+	rm := Quantize(m)
 	for i, s := range rm.Stages {
 		switch b := s.(type) {
 		case *zoo.ConvBlock: // stem
@@ -213,7 +212,7 @@ func TestQuantizeResNetRunsInt8(t *testing.T) {
 
 func TestQuantizeMobileNetRunsInt8(t *testing.T) {
 	m := zoo.BuildMobileNet(zoo.MobileNetSConfig(4), tensor.NewRNG(25))
-	rm := Quantize(m).Model
+	rm := Quantize(m)
 	for i, s := range rm.Stages {
 		switch b := s.(type) {
 		case *zoo.ConvBlock: // stem

@@ -126,15 +126,11 @@ func (s *Store) Save(name string, art *serial.Artifact) (Entry, error) {
 		return Entry{}, fmt.Errorf("registry: serializing %q: %w", name, err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	prec := art.Precision
-	if prec == "" {
-		prec = "f32"
-	}
 	e := Entry{
 		Name:        name,
 		Device:      art.Device,
 		SampleShape: append([]int(nil), art.SampleShape...),
-		Precision:   prec,
+		Precision:   art.Precision(),
 		SHA256:      hex.EncodeToString(sum[:]),
 		SizeBytes:   int64(buf.Len()),
 		SavedAt:     time.Now().UTC(),

@@ -30,6 +30,11 @@ func finalizedTwoBranch(t testing.TB, seed uint64, arch string) *core.TwoBranch 
 		victim = zoo.BuildResNet(zoo.TinyResNetConfig(classes), true, rng)
 	case "mobilenet":
 		victim = zoo.BuildMobileNet(zoo.MobileNetSConfig(classes), rng)
+	case "pruned-vgg":
+		// Widths as pruning leaves them: weight rows k ≢ 0 (mod 4) and
+		// channel counts m ≢ 0 (mod 16), which the int8 tile layout pads.
+		victim = zoo.BuildVGG(zoo.VGGConfig{Name: "PrunedVGG", Widths: []int{18, 17, 33},
+			Pools: map[int]bool{0: true, 2: true}, Classes: classes, InC: 3}, rng)
 	default:
 		t.Fatalf("unknown arch %q", arch)
 	}
@@ -301,7 +306,9 @@ func TestSaveDeploymentRejectsBadArtifacts(t *testing.T) {
 // tried as given, so checksum rejection stays fuzzed, and with its SHA-256
 // trailer re-sealed over the mutated payload, so mutations reach the stage
 // parser. Whatever loads is deployed: loading and deploying may fail, but
-// neither may panic.
+// neither may panic. Whatever loads also saves, and saving is a fixed
+// point: save∘load∘save∘load = save∘load, byte for byte — an int8 branch
+// writes the weights it reads back out of its packed layers.
 func FuzzLoadDeployment(f *testing.F) {
 	shape := []int{1, 3, 16, 16}
 	tb := finalizedTwoBranch(f, 8, "vgg")
@@ -315,7 +322,7 @@ func FuzzLoadDeployment(f *testing.F) {
 	for _, arch := range []string{"mobilenet", "resnet"} {
 		f.Add(artifactBytes(f, &Artifact{TB: finalizedTwoBranch(f, 9, arch), Device: "rpi3", SampleShape: shape}))
 	}
-	for _, arch := range []string{"vgg", "mobilenet", "resnet"} {
+	for _, arch := range []string{"vgg", "mobilenet", "resnet", "pruned-vgg"} {
 		art, _ := int8Artifact(f, 10, arch, shape)
 		f.Add(artifactBytes(f, art))
 	}
@@ -323,7 +330,8 @@ func FuzzLoadDeployment(f *testing.F) {
 }
 
 // fuzzLoadAndDeploy is the body of the deployment fuzz targets: data as
-// given, then re-sealed; anything that loads must deploy or fail cleanly.
+// given, then re-sealed; anything that loads must deploy or fail cleanly,
+// and save to bytes that load and save to themselves.
 func fuzzLoadAndDeploy(t *testing.T, data []byte) {
 	for _, in := range [][]byte{data, resealed(data)} {
 		art, err := LoadDeployment(bytes.NewReader(in))
@@ -334,6 +342,14 @@ func fuzzLoadAndDeploy(t *testing.T, data []byte) {
 			t.Fatal("nil artifact without error")
 		}
 		_, _ = art.Deploy(nil) // an error is a clean rejection; a panic fails the target
+		saved := artifactBytes(t, art)
+		again, err := LoadDeployment(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("a saved %s artifact does not load: %v", art.Precision(), err)
+		}
+		if !bytes.Equal(artifactBytes(t, again), saved) {
+			t.Fatalf("saving a loaded %s artifact is not a fixed point: save∘load∘save∘load differs from save∘load", art.Precision())
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"tbnet/internal/core"
 	"tbnet/internal/nn"
-	"tbnet/internal/quant"
 	"tbnet/internal/tensor"
 	"tbnet/internal/zoo"
 )
@@ -26,10 +25,7 @@ func vgg18Artifacts(t testing.TB) (f32, i8 []byte, paramBytes int64) {
 	tb.Finalized = true
 	shape := []int{1, 3, 16, 16}
 	f32 = artifactBytes(t, &Artifact{TB: tb, Device: "rpi3", SampleShape: shape})
-	i8 = artifactBytes(t, &Artifact{
-		Precision: precInt8, QMR: quant.Quantize(tb.MR), QMT: quant.Quantize(tb.MT), Align: tb.Align,
-		Device: "rpi3", SampleShape: shape,
-	})
+	i8 = artifactBytes(t, &Artifact{TB: quantized(tb), Device: "rpi3", SampleShape: shape})
 	for _, m := range []*zoo.Model{tb.MR, tb.MT} {
 		for _, p := range m.Params() {
 			paramBytes += 4 * int64(p.Value.Size())
@@ -43,12 +39,14 @@ func vgg18Artifacts(t testing.TB) (f32, i8 []byte, paramBytes int64) {
 // tensor, no gradient accumulator. The int8 leg locks three figures of the
 // VGG18-S artifact at their measured values, allowing 1% for the allocator:
 // what the load allocates, what Deploy allocates, and the heap the
-// deployment holds. An armed layer holds no float32 weights, and Deploy
-// serves the loaded armed models without copying them, so a 247 131-byte
-// artifact holds about 0.53 MB (2.49 MB while both held zeroed float32
-// copies). Deploy's two activation arenas hold a scratch slot per kernel
-// worker, so their bytes grow with GOMAXPROCS; the Deploy and held figures
-// are locked net of them, and hold at any core count.
+// deployment holds. An armed layer holds its packed int8 weights and no
+// other copy — no float32 weights, no int8 records — and Deploy serves the
+// loaded armed models without copying them, so a 247 131-byte artifact
+// holds about 0.29 MB (0.53 MB while the records stayed beside the packed
+// weights, 2.49 MB while both held zeroed float32 copies). Deploy's two
+// activation arenas hold a scratch slot per kernel worker, so their bytes
+// grow with GOMAXPROCS; the Deploy and held figures are locked net of them,
+// and hold at any core count.
 func TestLoadDeploymentAllocBytes(t *testing.T) {
 	f32, i8, paramBytes := vgg18Artifacts(t)
 	t.Run("f32", func(t *testing.T) {
@@ -68,7 +66,7 @@ func TestLoadDeploymentAllocBytes(t *testing.T) {
 		}
 	})
 	t.Run("int8", func(t *testing.T) {
-		const loadBytes, deployBytes, liveBytes = 543_552, 9_472, 532_656
+		const loadBytes, deployBytes, liveBytes = 543_440, 9_472, 285_096
 		arenas := arenaBytes()
 		// Each figure is the least of three rounds: an object the runtime
 		// or another goroutine happens to hold across a collection only

@@ -5,13 +5,17 @@ import (
 	"fmt"
 
 	"tbnet/internal/quant"
+	"tbnet/internal/zoo"
 )
 
 // Version-3 deployment artifacts: the int8 quantized serving form. An armed
 // model holds no float32 weights, so its body is written without them, and
-// the weights ship as raw int8 payloads with per-channel float32 scales,
+// the weights ship as raw int8 records with per-channel float32 scales,
 // shrinking the artifact roughly 4× alongside the secure-memory win. The
-// loader arms the weightless body from those records (quant.Arm).
+// writer reads the records back out of the armed layers (quant.Records);
+// the loader arms the weightless body from them (quant.Arm) and drops them.
+// Each record repeats its layer's bias, which the body already carries: the
+// two copies must agree bit for bit.
 
 const (
 	// precF32/precInt8 are the Artifact.Precision values.
@@ -93,104 +97,86 @@ func (r *reader) f32s(expect int) []float32 {
 	return buf
 }
 
-// saveQuantizedModel writes one quantized branch: the weight-elided model
-// body (architecture, BN parameters, biases) followed by the int8 weight
-// records.
-func saveQuantizedModel(w *writer, qm *quant.QuantizedModel) {
-	saveModelBody(w, qm.Model, true)
-	w.i32(len(qm.Convs))
-	for _, q := range qm.Convs {
-		w.i32(q.OutC)
-		w.i32(q.Cols)
-		w.i8s(q.Data)
-		w.f32s(q.Scales)
-		w.f32s(q.Bias)
-	}
-	w.i32(len(qm.Denses))
-	for _, q := range qm.Denses {
-		w.i32(q.In)
-		w.i32(q.Out)
+// saveInt8Branch writes one armed branch: the weight-elided model body
+// (architecture, BN parameters, biases) followed by the int8 weight records
+// read back out of its layers.
+func saveInt8Branch(w *writer, m *zoo.Model) {
+	saveModelBody(w, m, true)
+	convs, denses := quant.Records(m)
+	w.records(convs, false)
+	w.records(denses, true)
+}
+
+// records writes a record count and the records, each's dimensions in the
+// order the format stores them (reader.record).
+func (w *writer) records(qs []quant.Record, transposed bool) {
+	w.i32(len(qs))
+	for _, q := range qs {
+		a, b := q.Rows, q.Cols
+		if transposed {
+			a, b = b, a
+		}
+		w.i32(a)
+		w.i32(b)
 		w.i8s(q.Data)
 		w.f32s(q.Scales)
 		w.f32s(q.Bias)
 	}
 }
 
-// loadQuantizedModel reads one quantized branch written by
-// saveQuantizedModel, bounding every allocation before making it, and arms
-// the weightless body with the records (quant.Arm). Records that do not fit
-// the body (counts, per-layer dims) fail with ErrBadFormat.
-func loadQuantizedModel(r *reader) *quant.QuantizedModel {
+// loadInt8Branch reads one armed branch written by saveInt8Branch,
+// bounding every allocation before making it, and arms the weightless body
+// with the records (quant.Arm), which it then drops. Records that do not
+// fit the body (counts, per-layer dims, a bias other than the body's) fail
+// with ErrBadFormat.
+func loadInt8Branch(r *reader) *zoo.Model {
 	m := loadModelBody(r, true)
+	convs := r.records("conv", false)
+	denses := r.records("dense", true)
 	if r.err != nil {
 		return nil
 	}
-	nc := r.i32()
-	if r.err != nil {
-		return nil
-	}
-	if nc < 0 || nc > maxQuantLayers {
-		r.err = fmt.Errorf("%w: quantized conv count %d", ErrBadFormat, nc)
-		return nil
-	}
-	var convs []quant.QuantizedConv
-	for i := 0; i < nc; i++ {
-		outC, cols := r.i32(), r.i32()
-		if r.err != nil {
-			return nil
-		}
-		if outC <= 0 || cols <= 0 || int64(outC)*int64(cols) > maxTensorElems {
-			r.err = fmt.Errorf("%w: quantized conv dims %dx%d", ErrBadFormat, outC, cols)
-			return nil
-		}
-		q := quant.QuantizedConv{OutC: outC, Cols: cols}
-		q.Data = r.i8s(outC * cols)
-		q.Scales = r.f32s(outC)
-		// Bias length is self-describing: 0 (absent) or one per channel.
-		if n := r.u32(); r.err == nil && n != 0 {
-			if n != uint32(outC) {
-				r.err = fmt.Errorf("%w: quantized conv bias size %d for %d channels",
-					ErrBadFormat, n, outC)
-				return nil
-			}
-			q.Bias = make([]float32, n)
-			r.f32sInto(q.Bias)
-		}
-		if r.err != nil {
-			return nil
-		}
-		convs = append(convs, q)
-	}
-	nd := r.i32()
-	if r.err != nil {
-		return nil
-	}
-	if nd < 0 || nd > maxQuantLayers {
-		r.err = fmt.Errorf("%w: quantized dense count %d", ErrBadFormat, nd)
-		return nil
-	}
-	var denses []quant.QuantizedDense
-	for i := 0; i < nd; i++ {
-		in, out := r.i32(), r.i32()
-		if r.err != nil {
-			return nil
-		}
-		if in <= 0 || out <= 0 || int64(in)*int64(out) > maxTensorElems {
-			r.err = fmt.Errorf("%w: quantized dense dims %dx%d", ErrBadFormat, in, out)
-			return nil
-		}
-		q := quant.QuantizedDense{In: in, Out: out}
-		q.Data = r.i8s(in * out)
-		q.Scales = r.f32s(out)
-		q.Bias = r.f32s(out)
-		if r.err != nil {
-			return nil
-		}
-		denses = append(denses, q)
-	}
-	qm, err := quant.Arm(m, convs, denses)
-	if err != nil {
+	if err := quant.Arm(m, convs, denses); err != nil {
 		r.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return nil
 	}
-	return qm
+	return m
+}
+
+// records reads a record count (at most maxQuantLayers) and the records.
+func (r *reader) records(what string, transposed bool) []quant.Record {
+	n := r.i32()
+	if r.err == nil && (n < 0 || n > maxQuantLayers) {
+		r.err = fmt.Errorf("%w: quantized %s count %d", ErrBadFormat, what, n)
+	}
+	var qs []quant.Record
+	for i := 0; i < n && r.err == nil; i++ {
+		qs = append(qs, r.record(what, transposed))
+	}
+	return qs
+}
+
+// record reads one int8 record. A convolution's dimensions are stored
+// [Rows, Cols], the head's transposed, [In, Out]. The bias length is
+// self-describing: 0 (absent) or one per row.
+func (r *reader) record(what string, transposed bool) quant.Record {
+	a, b := r.i32(), r.i32()
+	q := quant.Record{Rows: a, Cols: b}
+	if transposed {
+		q.Rows, q.Cols = b, a
+	}
+	if r.err == nil && (a <= 0 || b <= 0 || int64(a)*int64(b) > maxTensorElems) {
+		r.err = fmt.Errorf("%w: quantized %s dims %dx%d", ErrBadFormat, what, a, b)
+	}
+	q.Data = r.i8s(a * b)
+	q.Scales = r.f32s(q.Rows)
+	if n := r.u32(); r.err == nil && n != 0 {
+		if n != uint32(q.Rows) {
+			r.err = fmt.Errorf("%w: quantized %s bias size %d for %d rows", ErrBadFormat, what, n, q.Rows)
+			return q
+		}
+		q.Bias = make([]float32, n)
+		r.f32sInto(q.Bias)
+	}
+	return q
 }

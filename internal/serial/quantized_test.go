@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,62 +22,24 @@ import (
 func int8Artifact(t testing.TB, seed uint64, arch string, shape []int) (*Artifact, *core.TwoBranch) {
 	t.Helper()
 	tb := finalizedTwoBranch(t, seed, arch)
-	return &Artifact{
-		Precision:   precInt8,
-		QMR:         quant.Quantize(tb.MR),
-		QMT:         quant.Quantize(tb.MT),
-		Align:       tb.Align,
-		Device:      "rpi3",
-		SampleShape: shape,
-	}, tb
+	return &Artifact{TB: quantized(tb), Device: "rpi3", SampleShape: shape}, tb
 }
 
-// assertQuantBitIdentical compares two quantized models record by record.
-func assertQuantBitIdentical(t testing.TB, what string, a, b *quant.QuantizedModel) {
+// quantized returns tb with both branches armed for int8 (quant.Quantize).
+func quantized(tb *core.TwoBranch) *core.TwoBranch {
+	return &core.TwoBranch{MR: quant.Quantize(tb.MR), MT: quant.Quantize(tb.MT), Align: tb.Align, Finalized: true}
+}
+
+// assertQuantBitIdentical compares two armed models parameter by parameter
+// and record by record (quant.Records).
+func assertQuantBitIdentical(t testing.TB, what string, a, b *zoo.Model) {
 	t.Helper()
-	assertModelsBitIdentical(t, what+" model", a.Model, b.Model)
-	if len(a.Convs) != len(b.Convs) || len(a.Denses) != len(b.Denses) {
-		t.Fatalf("%s: %d/%d convs, %d/%d denses", what,
-			len(a.Convs), len(b.Convs), len(a.Denses), len(b.Denses))
+	assertModelsBitIdentical(t, what+" model", a, b)
+	ac, ad := quant.Records(a)
+	bc, bd := quant.Records(b)
+	if !reflect.DeepEqual(append(ac, ad...), append(bc, bd...)) {
+		t.Fatalf("%s: the int8 records differ after the round trip", what)
 	}
-	for i := range a.Convs {
-		qa, qb := a.Convs[i], b.Convs[i]
-		if qa.OutC != qb.OutC || qa.Cols != qb.Cols ||
-			!bytesEqI8(qa.Data, qb.Data) || !eqF32(qa.Scales, qb.Scales) || !eqF32(qa.Bias, qb.Bias) {
-			t.Fatalf("%s: conv %d differs after round trip", what, i)
-		}
-	}
-	for i := range a.Denses {
-		qa, qb := a.Denses[i], b.Denses[i]
-		if qa.In != qb.In || qa.Out != qb.Out ||
-			!bytesEqI8(qa.Data, qb.Data) || !eqF32(qa.Scales, qb.Scales) || !eqF32(qa.Bias, qb.Bias) {
-			t.Fatalf("%s: dense %d differs after round trip", what, i)
-		}
-	}
-}
-
-func bytesEqI8(a, b []int8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func eqF32(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestInt8DeploymentRoundTripInferenceExact is the v3 acceptance test: a
@@ -94,16 +57,16 @@ func TestInt8DeploymentRoundTripInferenceExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Precision != precInt8 || got.TB != nil {
-				t.Fatalf("loaded precision %q (TB=%v), want int8 with nil TB", got.Precision, got.TB)
+			if got.Precision() != precInt8 {
+				t.Fatalf("loaded precision %q, want int8", got.Precision())
 			}
-			assertQuantBitIdentical(t, "MR", art.QMR, got.QMR)
-			assertQuantBitIdentical(t, "MT", art.QMT, got.QMT)
-			orig, err := core.DeployQuantized(art.QMR, art.QMT, art.Align, tee.RaspberryPi3(), shape)
+			assertQuantBitIdentical(t, "MR", art.TB.MR, got.TB.MR)
+			assertQuantBitIdentical(t, "MT", art.TB.MT, got.TB.MT)
+			orig, err := core.Deploy(art.TB, tee.RaspberryPi3(), shape)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := core.DeployQuantized(got.QMR, got.QMT, got.Align, tee.RaspberryPi3(), shape)
+			loaded, err := core.Deploy(got.TB, tee.RaspberryPi3(), shape)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,8 +117,8 @@ func TestF32ArtifactStaysVersion2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Precision != precF32 {
-		t.Fatalf("f32 artifact loaded with precision %q", art.Precision)
+	if art.Precision() != precF32 {
+		t.Fatalf("f32 artifact loaded with precision %q", art.Precision())
 	}
 	assertModelsBitIdentical(t, "MR", tb.MR, art.TB.MR)
 	assertModelsBitIdentical(t, "MT", tb.MT, art.TB.MT)
@@ -215,15 +178,17 @@ func TestInt8ChecksumCatchesPayloadCorruption(t *testing.T) {
 	}
 }
 
-// TestSaveInt8RejectsBadArtifacts: int8 artifacts without quantized branches
-// or with malformed shapes are refused at save time.
+// TestSaveInt8RejectsBadArtifacts: int8 artifacts missing a branch, with
+// branches armed for two precisions, or with malformed shapes are refused
+// at save time.
 func TestSaveInt8RejectsBadArtifacts(t *testing.T) {
-	art, _ := int8Artifact(t, 17, "vgg", []int{1, 3, 16, 16})
+	art, tb := int8Artifact(t, 17, "vgg", []int{1, 3, 16, 16})
 	var buf bytes.Buffer
 	cases := []*Artifact{
-		{Precision: precInt8, Device: "rpi3", SampleShape: []int{1, 3, 16, 16}},
-		{Precision: precInt8, QMR: art.QMR, Device: "rpi3", SampleShape: []int{1, 3, 16, 16}},
-		{Precision: precInt8, QMR: art.QMR, QMT: art.QMT, Device: "rpi3", SampleShape: []int{3, 16, 16}},
+		{TB: &core.TwoBranch{MR: art.TB.MR, Finalized: true}, Device: "rpi3", SampleShape: []int{1, 3, 16, 16}},
+		{TB: &core.TwoBranch{MR: art.TB.MR, MT: tb.MT, Align: tb.Align, Finalized: true},
+			Device: "rpi3", SampleShape: []int{1, 3, 16, 16}},
+		{TB: art.TB, Device: "rpi3", SampleShape: []int{3, 16, 16}},
 	}
 	for i, a := range cases {
 		if err := SaveDeployment(&buf, a); !errors.Is(err, ErrBadFormat) {
@@ -251,6 +216,9 @@ func FuzzLoadDeploymentInt8(f *testing.F) {
 	f.Add(append(hdr, []byte("not a body")...))
 	// An elided 256 MiB convolution that no byte pays for.
 	f.Add(unbackedConvArtifact(true))
+	// Pruned widths, whose rows the int8 tile layout pads.
+	pruned, _ := int8Artifact(f, 19, "pruned-vgg", []int{1, 3, 16, 16})
+	f.Add(artifactBytes(f, pruned))
 	f.Fuzz(fuzzLoadAndDeploy)
 }
 
@@ -259,29 +227,88 @@ func FuzzLoadDeploymentInt8(f *testing.F) {
 // the load with ErrBadFormat instead of a later Deploy.
 func TestLoadDeploymentRejectsMismatchedInt8Record(t *testing.T) {
 	art, _ := int8Artifact(t, 27, "vgg", []int{1, 3, 16, 16})
-	qm := art.QMT
-	swapped := append([]quant.QuantizedConv(nil), qm.Convs...)
+	convs, denses := quant.Records(art.TB.MT)
+	swapped := append([]quant.Record(nil), convs...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	for name, bad := range map[string]*quant.QuantizedModel{
-		"missing convolutions": {Model: qm.Model, Convs: qm.Convs[:1], Denses: qm.Denses},
-		"surplus convolutions": {Model: qm.Model,
-			Convs: append(append([]quant.QuantizedConv(nil), qm.Convs...), qm.Convs[0]), Denses: qm.Denses},
-		"swapped convolutions": {Model: qm.Model, Convs: swapped, Denses: qm.Denses},
-		"mismatched head": {Model: qm.Model, Convs: qm.Convs,
-			Denses: []quant.QuantizedDense{{In: 1, Out: 1, Data: []int8{0}, Scales: []float32{1}, Bias: []float32{0}}}},
+	biased := append([]quant.Record(nil), convs...)
+	biased[0].Bias = make([]float32, biased[0].Rows)
+	for name, bad := range map[string]struct {
+		convs, denses []quant.Record
+	}{
+		"missing convolutions": {convs[:1], denses},
+		"surplus convolutions": {append(append([]quant.Record(nil), convs...), convs[0]), denses},
+		"swapped convolutions": {swapped, denses},
+		"mismatched head": {convs,
+			[]quant.Record{{Rows: 1, Cols: 1, Data: []int8{0}, Scales: []float32{1}, Bias: []float32{0}}}},
+		"bias the layer lacks": {biased, denses},
 	} {
 		t.Run(name, func(t *testing.T) {
-			a := *art
-			a.QMT = bad
-			if _, err := LoadDeployment(bytes.NewReader(artifactBytes(t, &a))); !errors.Is(err, ErrBadFormat) {
+			data := int8ArtifactWithRecords(t, art, bad.convs, bad.denses)
+			if _, err := LoadDeployment(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("err = %v, want ErrBadFormat", err)
 			}
 		})
 	}
 }
 
+// int8ArtifactWithRecords is SaveDeployment of the int8 artifact art with
+// M_T's weight records replaced by convs and denses.
+func int8ArtifactWithRecords(t *testing.T, art *Artifact, convs, denses []quant.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := newWriter(&buf)
+	w.u32(magicDeploy)
+	w.u32(deployVersion)
+	w.beginChecksum()
+	w.str(art.Device)
+	w.i32(len(art.SampleShape))
+	for _, d := range art.SampleShape {
+		w.i32(d)
+	}
+	w.u8(precByteInt8)
+	saveInt8Branch(w, art.TB.MR)
+	saveModelBody(w, art.TB.MT, true)
+	w.records(convs, false)
+	w.records(denses, true)
+	w.align(art.TB.Align)
+	w.endChecksum()
+	if err := w.flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadDeploymentRejectsInt8RecordBiasMismatch: a v3 artifact carries
+// each layer's bias twice, in the weight-elided body and in the layer's
+// int8 record. An artifact whose two copies differ in one float — re-sealed,
+// so the checksum passes — fails with ErrBadFormat, rather than inferring
+// with one copy and re-saving the other.
+func TestLoadDeploymentRejectsInt8RecordBiasMismatch(t *testing.T) {
+	tb := finalizedTwoBranch(t, 28, "vgg")
+	for i := range tb.MT.Head.FC.B.Value.Data() {
+		tb.MT.Head.FC.B.Value.Data()[i] = 0.25 + float32(i) // a pattern no other field holds
+	}
+	data := artifactBytes(t, &Artifact{TB: quantized(tb), Device: "rpi3", SampleShape: []int{1, 3, 16, 16}})
+	var bias []byte
+	for _, v := range tb.MT.Head.FC.B.Value.Data() {
+		bias = binary.LittleEndian.AppendUint32(bias, math.Float32bits(v))
+	}
+	body, record := bytes.Index(data, bias), bytes.LastIndex(data, bias)
+	if body < 0 || body == record {
+		t.Fatalf("M_T's head bias found at %d and %d, want one copy in the body and one in the record", body, record)
+	}
+	bad := append([]byte(nil), data...)
+	bad[record] ^= 1 // the lowest mantissa bit of the record's first bias
+	if _, err := LoadDeployment(bytes.NewReader(resealed(bad))); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("record bias differing from the body's: err = %v, want ErrBadFormat", err)
+	}
+	if _, err := LoadDeployment(bytes.NewReader(data)); err != nil {
+		t.Fatalf("the unmodified artifact: %v", err)
+	}
+}
+
 // TestInt8LayersHoldOneLayout: an int8 branch holds its weights once. On
-// every way to an int8 model — Quantize, LoadDeployment, DeployQuantized,
+// every way to an int8 model — Quantize, LoadDeployment, Deploy,
 // DeployInt8, Replicate, ExtractedMR — every convolution and the head are
 // armed and hold no float32 weights; Dequantize's copy is the reverse.
 func TestInt8LayersHoldOneLayout(t *testing.T) {
@@ -306,16 +333,16 @@ func TestInt8LayersHoldOneLayout(t *testing.T) {
 				t.Fatal(err)
 			}
 			for what, m := range map[string]*zoo.Model{
-				"Quantize M_R": art.QMR.Model, "Quantize M_T": art.QMT.Model,
-				"LoadDeployment M_R": loaded.QMR.Model, "LoadDeployment M_T": loaded.QMT.Model,
-				"DeployQuantized M_R": dep.Snapshot().MR, "DeployQuantized M_T": dep.Snapshot().MT,
+				"Quantize M_R": art.TB.MR, "Quantize M_T": art.TB.MT,
+				"LoadDeployment M_R": loaded.TB.MR, "LoadDeployment M_T": loaded.TB.MT,
+				"Deploy M_R": dep.Snapshot().MR, "Deploy M_T": dep.Snapshot().MT,
 				"DeployInt8 M_R": fresh.Snapshot().MR, "DeployInt8 M_T": fresh.Snapshot().MT,
 				"Replicate M_R": rep.Snapshot().MR, "Replicate M_T": rep.Snapshot().MT,
 				"ExtractedMR": dep.ExtractedMR(),
 			} {
 				assertOneLayout(t, what, m, true)
 			}
-			assertOneLayout(t, "Dequantize", loaded.QMT.Dequantize(), false)
+			assertOneLayout(t, "Dequantize", quant.Dequantize(loaded.TB.MT), false)
 		})
 	}
 }
@@ -328,7 +355,7 @@ func TestInt8ModelRefusesFloat32Steps(t *testing.T) {
 	for _, arch := range []string{"vgg", "resnet", "mobilenet"} {
 		t.Run(arch, func(t *testing.T) {
 			art, _ := int8Artifact(t, 37, arch, shape)
-			m := art.QMR.Model
+			m := art.TB.MR
 			x := tensor.New(shape...)
 			tensor.NewRNG(38).FillNormal(x, 0, 1)
 			first := m.Stages[0]

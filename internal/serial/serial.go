@@ -80,8 +80,8 @@ const maxTensorElems = 1 << 26
 // planned around. It is what SaveDeployment ships and LoadDeployment
 // recovers; the registry stores one Artifact per named model.
 type Artifact struct {
-	// TB is the finalized two-branch model (M_R, M_T, channel alignment).
-	// Nil for quantized artifacts, which carry QMR/QMT/Align instead.
+	// TB is the finalized two-branch model (M_R, M_T, channel alignment),
+	// float32 or armed for int8 (quant.Armed): its layers set the precision.
 	TB *core.TwoBranch
 	// Device is the registered name of the hardware backend the deployment
 	// was sized against (e.g. "rpi3"); resolve it with tee.ByName or
@@ -90,23 +90,23 @@ type Artifact struct {
 	// SampleShape is the [N,C,H,W] input shape the deployment plan was sized
 	// for; N bounds the batch capacity of the restored session.
 	SampleShape []int
-	// Precision is the numeric serving path the artifact was saved for:
-	// "f32" (or empty, for artifacts from earlier releases) or "int8".
-	Precision string
-	// QMR/QMT are the quantized branches of an int8 artifact (nil on f32);
-	// re-deploy them with core.DeployQuantized.
-	QMR, QMT *quant.QuantizedModel
-	// Align is the channel-alignment map of an int8 artifact (f32 artifacts
-	// carry it inside TB).
-	Align [][]int
+}
+
+// Precision returns the numeric serving path of the artifact's model: "int8"
+// when its branches are armed (quant.Armed), else "f32".
+func (a *Artifact) Precision() string {
+	if a.TB != nil && a.TB.MT != nil && quant.Armed(a.TB.MT) {
+		return precInt8
+	}
+	return precF32
 }
 
 // Deploy places the artifact on device — nil means the backend registered
 // under the name it was saved for, and a name this build does not register
 // fails with an error wrapping tee.ErrUnknownDevice — at the precision it was
-// saved for. It is the one artifact→deployment function every restore path
-// (file, registry, swap-over-HTTP) goes through: f32 artifacts deploy their
-// two-branch weights, int8 artifacts their quantized branches.
+// saved for (core.Deploy reads it off the branches). It is the one
+// artifact→deployment function every restore path (file, registry,
+// swap-over-HTTP) goes through.
 func (a *Artifact) Deploy(device tee.Device) (*core.Deployment, error) {
 	if device == nil {
 		d, err := tee.ByName(a.Device)
@@ -114,9 +114,6 @@ func (a *Artifact) Deploy(device tee.Device) (*core.Deployment, error) {
 			return nil, fmt.Errorf("artifact targets device %q: %w", a.Device, err)
 		}
 		device = d
-	}
-	if a.Precision == string(core.PrecisionInt8) {
-		return core.DeployQuantized(a.QMR, a.QMT, a.Align, device, a.SampleShape)
 	}
 	return core.Deploy(a.TB, device, a.SampleShape)
 }
@@ -525,7 +522,7 @@ func saveModelBody(w *writer, m *zoo.Model, elide bool) {
 
 // loadModelBody reads a staged model written with the matching elide flag;
 // an elided layer (conv, depthwise, head) comes back with no weights, for
-// loadQuantizedModel to arm. Every layer is built once, from its bytes: the
+// loadInt8Branch to arm. Every layer is built once, from its bytes: the
 // loader draws no random weights and builds no layer it replaces.
 func loadModelBody(r *reader, elide bool) *zoo.Model {
 	m := &zoo.Model{}
@@ -711,11 +708,11 @@ func (r *reader) align(mr, mt *zoo.Model) [][]int {
 const maxShapeDim = 1 << 16
 
 // SaveDeployment writes a deployment artifact: the finalized two-branch
-// weights (or, for int8 artifacts, the quantized branches) plus the
-// placement metadata (device name, sample shape). It requires a finalized
-// model; the artifact payload is checksummed. Float32 artifacts are written
-// as version 2, byte-identical to earlier releases; int8 artifacts use
-// version 3.
+// weights plus the placement metadata (device name, sample shape). It
+// requires a finalized model whose branches share one precision; the
+// artifact payload is checksummed. Float32 artifacts are written as version
+// 2, byte-identical to earlier releases; int8 ones use version 3, whose
+// weight records are read back out of the armed layers (quant.Records).
 func SaveDeployment(out io.Writer, a *Artifact) error {
 	if a == nil {
 		return fmt.Errorf("%w: nil deployment artifact", ErrBadFormat)
@@ -723,17 +720,17 @@ func SaveDeployment(out io.Writer, a *Artifact) error {
 	if len(a.SampleShape) != 4 {
 		return fmt.Errorf("%w: sample shape %v is not [N,C,H,W]", ErrBadFormat, a.SampleShape)
 	}
-	v := uint32(version)
 	switch {
-	case a.Precision == precInt8:
-		if a.QMR == nil || a.QMT == nil || a.QMR.Model == nil || a.QMT.Model == nil {
-			return fmt.Errorf("%w: int8 artifact without quantized branches", ErrBadFormat)
-		}
-		v = deployVersion
-	case a.TB == nil:
+	case a.TB == nil || a.TB.MR == nil || a.TB.MT == nil:
 		return fmt.Errorf("%w: nil deployment artifact", ErrBadFormat)
 	case !a.TB.Finalized:
 		return fmt.Errorf("%w: deployment artifact of an unfinalized model", ErrBadFormat)
+	case quant.Armed(a.TB.MR) != quant.Armed(a.TB.MT):
+		return fmt.Errorf("%w: deployment artifact of branches armed for different precisions", ErrBadFormat)
+	}
+	v := uint32(version)
+	if a.Precision() == precInt8 {
+		v = deployVersion
 	}
 	w := newWriter(out)
 	w.u32(magicDeploy)
@@ -746,9 +743,9 @@ func SaveDeployment(out io.Writer, a *Artifact) error {
 	}
 	if v == deployVersion {
 		w.u8(precByteInt8)
-		saveQuantizedModel(w, a.QMR)
-		saveQuantizedModel(w, a.QMT)
-		w.align(a.Align)
+		saveInt8Branch(w, a.TB.MR)
+		saveInt8Branch(w, a.TB.MT)
+		w.align(a.TB.Align)
 	} else {
 		saveTwoBranchBody(w, a.TB)
 	}
@@ -769,7 +766,8 @@ func LoadDeployment(in io.Reader) (*Artifact, error) {
 		return nil, r.err
 	}
 	r.beginChecksum()
-	a := &Artifact{Device: r.str(), Precision: precF32}
+	a := &Artifact{Device: r.str()}
+	quantized := false
 	n := r.i32()
 	if r.err != nil {
 		return nil, r.err
@@ -803,16 +801,15 @@ func LoadDeployment(in io.Reader) (*Artifact, error) {
 		case r.err != nil:
 			return nil, r.err
 		case p == precByteInt8:
-			a.Precision = precInt8
+			quantized = true
 		case p != precByteF32:
 			return nil, fmt.Errorf("%w: unknown precision code %d", ErrBadFormat, p)
 		}
 	}
-	if a.Precision == precInt8 {
-		a.QMR = loadQuantizedModel(r)
-		a.QMT = loadQuantizedModel(r)
+	if quantized {
+		a.TB = &core.TwoBranch{MR: loadInt8Branch(r), MT: loadInt8Branch(r), Finalized: true}
 		if r.err == nil {
-			a.Align = r.align(a.QMR.Model, a.QMT.Model)
+			a.TB.Align = r.align(a.TB.MR, a.TB.MT)
 		}
 	} else {
 		a.TB = loadTwoBranchBody(r)
@@ -823,7 +820,7 @@ func LoadDeployment(in io.Reader) (*Artifact, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if a.TB != nil && !a.TB.Finalized {
+	if !a.TB.Finalized {
 		return nil, fmt.Errorf("%w: deployment artifact carries an unfinalized model", ErrBadFormat)
 	}
 	return a, nil

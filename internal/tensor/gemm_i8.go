@@ -117,22 +117,15 @@ func PackI8Weights(a []int8, m, k, taps int) *I8Weights {
 	if !amx && taps == 1 {
 		return &I8Weights{m: m, k: k, data: a}
 	}
-	// Element (i, p) of the packed matrix lives p/4·group + p%4 past its
-	// row's first: row-major below AMX (group 4), and at AMX in the 64-byte
-	// tile row of its four-byte group, k zero-padded to kp.
-	w, size, group := &I8Weights{m: m, k: k}, m*k, 4
+	w, size := &I8Weights{m: m, k: k}, m*k
 	if amx {
-		w.kp, w.amx, group = (k+3)&^3, true, 64
+		w.kp, w.amx = (k+3)&^3, true
 		size = (m + 15) / 16 * 16 * w.kp
 	}
 	w.data = make([]int8, size)
-	c := k / taps
+	c, group := k/taps, w.group()
 	for i := 0; i < m; i++ {
-		first := i * k
-		if amx {
-			first = i/16*16*w.kp + i%16*4
-		}
-		dst, row := w.data[first:], a[i*k:(i+1)*k]
+		dst, row := w.data[w.first(i):], a[i*k:(i+1)*k]
 		p := 0
 		for t := 0; t < taps; t++ {
 			for ch := 0; ch < c; ch++ {
@@ -142,6 +135,51 @@ func PackI8Weights(a []int8, m, k, taps int) *I8Weights {
 		}
 	}
 	return w
+}
+
+// UnpackI8Weights is the inverse of PackI8Weights: the m×k channel-major
+// rows, taps window taps per channel, that packed to w, bit for bit (nil
+// for a nil w). For taps = 1 below i8AMX that is w's own data, which the
+// caller must not modify; otherwise it is a new buffer.
+func UnpackI8Weights(w *I8Weights, taps int) []int8 {
+	if w == nil {
+		return nil
+	}
+	if !w.amx && taps == 1 {
+		return w.data
+	}
+	a := make([]int8, w.m*w.k)
+	c, group := w.k/taps, w.group()
+	for i := 0; i < w.m; i++ {
+		src, row := w.data[w.first(i):], a[i*w.k:(i+1)*w.k]
+		p := 0
+		for t := 0; t < taps; t++ {
+			for ch := 0; ch < c; ch++ {
+				row[ch*taps+t] = src[p>>2*group+p&3]
+				p++
+			}
+		}
+	}
+	return a
+}
+
+// first and group place the packed matrix's elements, for PackI8Weights
+// and UnpackI8Weights alike: element (i, p) of the tap-major matrix lives
+// p/4·group + p%4 past first(i). Below AMX that is row-major (group 4); at
+// AMX rows sit in 16-row blocks of kp-byte rows, each four-byte group in
+// its own 64-byte tile row.
+func (w *I8Weights) group() int {
+	if w.amx {
+		return 64
+	}
+	return 4
+}
+
+func (w *I8Weights) first(i int) int {
+	if w.amx {
+		return i/16*16*w.kp + i%16*4
+	}
+	return i * w.k
 }
 
 // GemmI8PackedParallel computes dst[i*n+j] = w_i · b_j for the m×k packed

@@ -59,18 +59,19 @@ func characterize(w *strings.Builder, name string, m *zoo.Model) {
 	fmt.Fprintln(w)
 
 	qm := quant.Quantize(m)
-	for i, q := range qm.Convs {
+	convs, denses := quant.Records(qm)
+	for i, q := range convs {
 		fmt.Fprintf(w, "conv %d: %dx%d bias=%d data=%s scales=%s\n",
-			i, q.OutC, q.Cols, len(q.Bias), hashI8(q.Data), hashFloats(q.Scales))
+			i, q.Rows, q.Cols, len(q.Bias), hashI8(q.Data), hashFloats(q.Scales))
 	}
-	for i, q := range qm.Denses {
+	for i, q := range denses {
 		fmt.Fprintf(w, "dense %d: %dx%d bias=%d data=%s scales=%s\n",
-			i, q.In, q.Out, len(q.Bias), hashI8(q.Data), hashFloats(q.Scales))
+			i, q.Cols, q.Rows, len(q.Bias), hashI8(q.Data), hashFloats(q.Scales))
 	}
-	fmt.Fprintf(w, "quantized param bytes: %d\n", qm.ParamBytes())
+	fmt.Fprintf(w, "quantized param bytes: %d\n", quant.ParamBytes(qm))
 	fmt.Fprintf(w, "logits f32: %s\n", hashFloats(m.Forward(x.Clone(), false).Data()))
-	fmt.Fprintf(w, "logits dequantized: %s\n", hashFloats(qm.Dequantize().Forward(x.Clone(), false).Data()))
-	fmt.Fprintf(w, "logits int8: %s\n", hashFloats(qm.Model.Forward(x.Clone(), false).Data()))
+	fmt.Fprintf(w, "logits dequantized: %s\n", hashFloats(quant.Dequantize(qm).Forward(x.Clone(), false).Data()))
+	fmt.Fprintf(w, "logits int8: %s\n", hashFloats(qm.Forward(x.Clone(), false).Data()))
 
 	mc := profile.Profile(m, x.Shape())
 	for _, c := range append(append([]profile.Cost(nil), mc.Stages...), mc.Head) {

@@ -138,24 +138,24 @@ func TestFourthStageKindNeedsNoOtherPackage(t *testing.T) {
 	want := m.Forward(x.Clone(), false)
 
 	// Quantize → Dequantize / the armed model, and the footprint.
-	qm := quant.Quantize(m)
-	if len(qm.Convs) != 5 {
-		t.Fatalf("quantized %d convolutions, the model has 5", len(qm.Convs))
+	rm := quant.Quantize(m)
+	convs, _ := quant.Records(rm)
+	if len(convs) != 5 {
+		t.Fatalf("quantized %d convolutions, the model has 5", len(convs))
 	}
 	for i, dims := range [][3]int{{8, 27, 0}, {12, 72, 12}, {12, 9, 0}, {16, 108, 16}, {16, 9, 0}} {
-		q := qm.Convs[i]
-		if q.OutC != dims[0] || q.Cols != dims[1] || len(q.Bias) != dims[2] {
-			t.Fatalf("record %d is %dx%d bias %d, want %v", i, q.OutC, q.Cols, len(q.Bias), dims)
+		q := convs[i]
+		if q.Rows != dims[0] || q.Cols != dims[1] || len(q.Bias) != dims[2] {
+			t.Fatalf("record %d is %dx%d bias %d, want %v", i, q.Rows, q.Cols, len(q.Bias), dims)
 		}
 	}
 	var wantBytes int64 = (8*27 + 12*72 + 12*9 + 16*108 + 16*9 + 16*4) + // int8 weights
 		4*(8+12+12+16+16+4) + 4*(12+16+4) + // scales, biases
 		16*(8+12+12+16+16) // batch norms
-	if got := qm.ParamBytes(); got != wantBytes {
+	if got := quant.ParamBytes(rm); got != wantBytes {
 		t.Fatalf("ParamBytes = %d, hand count %d", got, wantBytes)
 	}
-	closeLogits(t, "Dequantize", want, qm.Dequantize().Forward(x.Clone(), false), 0.05)
-	rm := qm.Model
+	closeLogits(t, "Dequantize", want, quant.Dequantize(rm).Forward(x.Clone(), false), 0.05)
 	for _, s := range rm.Stages {
 		for i, c := range s.Convs() {
 			if !armed(c) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"tbnet/internal/core"
 	"tbnet/internal/registry"
 	"tbnet/internal/serial"
 	"tbnet/internal/tee"
@@ -27,21 +26,10 @@ func SaveDeployment(w io.Writer, dep *Deployment) error {
 	return serial.SaveDeployment(w, artifactFor(dep))
 }
 
-// artifactFor snapshots a live deployment into its serialized form,
-// dispatching on the deployment's precision.
+// artifactFor snapshots a live deployment into its serialized form; its
+// branches carry their precision.
 func artifactFor(dep *Deployment) *serial.Artifact {
-	art := &serial.Artifact{
-		Precision:   string(dep.Precision()),
-		Device:      dep.Device.Name(),
-		SampleShape: dep.SampleShape(),
-	}
-	if dep.Precision() == core.PrecisionInt8 {
-		art.QMR, art.QMT = dep.Quantized()
-		art.Align = dep.Snapshot().Align
-	} else {
-		art.TB = dep.Snapshot()
-	}
-	return art
+	return &serial.Artifact{TB: dep.Snapshot(), Device: dep.Device.Name(), SampleShape: dep.SampleShape()}
 }
 
 // LoadDeploymentOn reads an artifact written by SaveDeployment and re-deploys
